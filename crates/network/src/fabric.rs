@@ -1232,6 +1232,63 @@ mod tests {
     }
 
     #[test]
+    fn wide_router_drains_with_the_pinned_schedule() {
+        // 4-D radix-2 mesh at w = 8: 9 ports x 8 VCs = 72 input VCs, so
+        // the per-router scheduling sets span two u64 words and the eight
+        // injection VCs (64..72) all live in the second one. Four rounds
+        // of all-pairs traffic keep every injection VC busy. The hash was
+        // captured on the polling kernel (the commit before the park/wake
+        // fabric); `GOLDEN_PRINT=1` prints it instead of asserting.
+        let topo = Topology::mesh(&[2, 2, 2, 2]);
+        let mut f = WormholeFabric::new(
+            topo.clone(),
+            WormholeConfig {
+                w: 8,
+                buffer_depth: 2,
+                routing: RoutingKind::Deterministic,
+                routing_delay: 1,
+            },
+        );
+        assert_eq!(f.nports * f.w, 72);
+        let mut id = 0;
+        for round in 0..4u32 {
+            for a in topo.nodes() {
+                for b in topo.nodes() {
+                    if a != b {
+                        f.inject(Message::new(id, a, b, 3 + (a.0 + b.0 + round) % 5, 0));
+                        id += 1;
+                    }
+                }
+            }
+        }
+        run(&mut f, 0, 500_000);
+        assert!(!f.busy(), "wide-router all-pairs must drain");
+        let ds = f.drain_deliveries();
+        assert_eq!(ds.len(), 4 * 16 * 15);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for d in &ds {
+            for b in d
+                .msg
+                .id
+                .0
+                .to_le_bytes()
+                .into_iter()
+                .chain(d.delivered_at.to_le_bytes())
+            {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("GOLDEN wide_router_schedule = 0x{h:016x}");
+        } else {
+            assert_eq!(
+                h, 0xd9bd_8437_a27d_9e83,
+                "wide-router delivery schedule diverged"
+            );
+        }
+    }
+
+    #[test]
     fn shard_of_partitions_contiguously() {
         let mut f = mesh44(1);
         f.set_shards(4);

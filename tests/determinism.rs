@@ -3,7 +3,7 @@
 //! this property, so it gets its own integration suite.
 
 use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
-use wavesim::topology::Topology;
+use wavesim::topology::{RoutingKind, Topology};
 use wavesim::workloads::{collectives, trace_io};
 use wavesim::workloads::{
     CarpTrace, FaultSchedule, LengthDist, TrafficConfig, TrafficPattern, TrafficSource,
@@ -434,6 +434,64 @@ fn golden_trace_sharded_runs_match_seed_kernel() {
         hash_str(&sharded_run(16, ProtocolKind::Carp, 4, false)),
         0xfbe4_3188_c230_e789,
     );
+}
+
+/// One open-loop run far past the knee on an 8×8 network: most head
+/// flits spend most cycles blocked (on an owned output VC or an exhausted
+/// credit), which is the regime the moderate-load goldens above barely
+/// enter. `adaptive` selects the wormhole-only mesh with Duato adaptive
+/// routing at `w = 3` (several candidate output VCs per blocked head);
+/// otherwise a CLRP torus with the default deterministic fabric.
+fn saturated_run(adaptive: bool, shards: usize) -> String {
+    let (topo, cfg, load) = if adaptive {
+        let mut cfg = WaveConfig {
+            protocol: ProtocolKind::WormholeOnly,
+            ..WaveConfig::default()
+        };
+        cfg.wormhole.w = 3;
+        cfg.wormhole.routing = RoutingKind::Adaptive;
+        (Topology::mesh(&[8, 8]), cfg, 0.9)
+    } else {
+        (Topology::torus(&[8, 8]), WaveConfig::default(), 0.8)
+    };
+    let mut net = WaveNetwork::new(topo.clone(), cfg);
+    net.set_shards(shards);
+    let mut src = TrafficSource::new(
+        topo,
+        TrafficConfig {
+            load,
+            pattern: TrafficPattern::HotPairs {
+                partners: 3,
+                locality: 0.7,
+            },
+            len: LengthDist::Fixed(64),
+            seed: 131,
+            ..TrafficConfig::default()
+        },
+    );
+    let r = run_open_loop(&mut net, &mut src, RunSpec::standard(250, 2_000));
+    assert!(!r.stalled && r.delivered > 0, "saturated run must drain");
+    format!("{r:?}")
+}
+
+/// Saturation goldens, captured from the polling kernel (the commit
+/// before the park/wake fabric) and asserted serial and sharded: every
+/// counter and float bit pattern of the `RunResult` must survive the
+/// kernel no longer looking at blocked VCs.
+#[test]
+fn golden_trace_saturated_runs_match_polling_kernel() {
+    for shards in [1usize, 4] {
+        golden_check(
+            &format!("sat_clrp_torus_8x8_s{shards}"),
+            hash_str(&saturated_run(false, shards)),
+            0x8626_2c06_0625_6a49,
+        );
+        golden_check(
+            &format!("sat_adaptive_w3_mesh_8x8_s{shards}"),
+            hash_str(&saturated_run(true, shards)),
+            0x82ab_cf45_7c2a_19e1,
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
