@@ -5,7 +5,9 @@
 //!
 //! Plain `harness = false` timing main (the offline build has no bench
 //! framework). Writes `BENCH_cycle_kernel.json` (override with
-//! `BENCH_OUT`) and prints a table. Knobs for CI smoke runs:
+//! `BENCH_OUT`), stamped with the machine it ran on (`cpus`, `rustc`,
+//! `profile` — wall times and the `sat-s2 ÷ sat-s1` ratio mean nothing
+//! without them), and prints a table. Knobs for CI smoke runs:
 //! `BENCH_MEASURE` (measurement cycles, default 3000), `BENCH_ITERS`
 //! (repeats per point, best taken, default 3), `BENCH_SIDES`
 //! (comma-separated torus sides, default "8,16").
@@ -120,6 +122,19 @@ fn run_point(
         }
     }
     best.expect("iters >= 1")
+}
+
+/// `rustc --version` of the toolchain on the path (the one cargo built
+/// this bench with, short of a `RUSTC` override, which is honoured).
+fn rustc_version() -> String {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |v| v.trim().to_string())
 }
 
 /// Cycle-kernel counters, when the build exposes them (post-seed kernels).
@@ -285,8 +300,17 @@ fn main() {
         results.push(p);
     }
 
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let profile = if cfg!(debug_assertions) {
+        "dev"
+    } else {
+        "bench"
+    };
     let json = Value::obj(vec![
         ("bench", Value::from("cycle_kernel")),
+        ("cpus", Value::from(cpus as u64)),
+        ("rustc", Value::from(rustc_version())),
+        ("profile", Value::from(profile)),
         ("protocol", Value::from("clrp")),
         ("measure_cycles", Value::from(measure)),
         ("iters", Value::from(iters)),

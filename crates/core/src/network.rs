@@ -356,7 +356,9 @@ impl WaveNetwork {
     /// Routers currently doing work, across planes: the wormhole fabric's
     /// active set plus source nodes with a circuit in use or queued
     /// (time-series sampler hook; a node busy in both planes counts in
-    /// each). O(1): both planes keep their active sets incrementally.
+    /// each). Both planes keep their active sets incrementally; the read
+    /// is a popcount over the fabric's active bitset (one word per 64
+    /// routers) plus the circuit plane's counter.
     #[must_use]
     pub fn active_routers(&self) -> u64 {
         self.data.fabric().active_routers() + self.circ.active_sources()

@@ -30,10 +30,35 @@
 //! cycle-dependent state (the VA round-robin pointer is derived from the
 //! cycle number, and SA pointers only move on grants), so skipping them is
 //! byte-identical to scanning them. The set is iterated in ascending router
-//! id, preserving the seed kernel's deterministic phase order. Within a
-//! router, the VA and SA stages scan per-VC bitsets ([`Router::va_pending`],
-//! [`Router::sa_ready`]) instead of sweeping every VC linearly, so
-//! `vcs_touched` counts VCs that could actually make progress.
+//! id, preserving the seed kernel's deterministic phase order.
+//!
+//! Within a scanned router nothing is polled either: a VC is visited only
+//! while the resource it needs can be had, and three events — the only ways
+//! such a resource appears — put it back in view (see [`crate::router`]):
+//!
+//! 1. **Output-VC release → VA waiters.** A head that finds every candidate
+//!    output VC owned is parked on all of them; the tail forward that frees
+//!    one (`sa_stage`, same router, so shard-local) re-arms its waiters for
+//!    the next cycle's VA. An output VC is taken only in VA and freed only
+//!    by that release, so between park and release the head would have lost
+//!    every cycle; a lost VA visit has no side effect, and the re-armed set
+//!    is visited in the same rotated `now % n_ivc` order, so the same head
+//!    wins in the same cycle.
+//! 2. **Credit 0 → 1 → the owner's request bit.** SA arbitrates each output
+//!    port over its *request mask* — input VCs routed there with a flit and
+//!    a downstream slot — from the port's round-robin pointer, minus the
+//!    input ports already used this cycle. A VC that spends its last credit
+//!    leaves the mask; the serial merge puts the output VC's owner back when
+//!    the first credit returns. A creditless VC was never grantable and the
+//!    pointer only moves on grants, so every grant is unchanged.
+//! 3. **Flit arrival → `va_pending` or request bit.** A flit landing in an
+//!    empty VC is a new head (or, routed, a new request); one landing behind
+//!    a waiting head changes nothing that head waits on.
+//!
+//! A router whose heads are all parked and whose bodies are all creditless
+//! stays in the active set (it is not idle) but costs no VC visit:
+//! `vcs_touched` counts VA visits plus the request bits each SA arbitration
+//! chose among, and a deadlocked fabric counts zero.
 //!
 //! # Deterministic spatial sharding
 //!
@@ -55,13 +80,12 @@
 //! output before cycle `t+1`, which is precisely the flit/credit pipeline
 //! latency the serial kernel already enforces.
 
+use wavesim_sim::bitset::first_set_excluding;
 use wavesim_sim::{BitSet, Cycle, CycleKernelStats};
 use wavesim_topology::{Candidate, NodeId, PortDir, RoutingKind, Topology, WormholeRouting};
 
 use crate::message::{Delivery, DeliveryMode, Flit, Message, MessageId};
-use crate::router::{
-    route_pack, route_port, route_vc, Emitting, Queued, Router, OWNER_NONE, ROUTE_NONE,
-};
+use crate::router::{route_pack, route_vc, Emitting, Queued, Router, OWNER_NONE, ROUTE_NONE};
 
 /// Configuration of the wormhole fabric (the paper's `S0` switch plane).
 #[derive(Debug, Clone, Copy)]
@@ -184,6 +208,9 @@ struct ShardScratch {
     cand: Vec<Candidate>,
     /// Rotated VA visit order snapshot (dense VC indices).
     order: Vec<u16>,
+    /// Input VCs whose input port already sent a flit this cycle (the SA
+    /// stage's crossbar constraint), one router at a time.
+    used_inputs: Vec<u64>,
     /// Flits forwarded to downstream routers: `(router, input VC, flit)`.
     arrivals: Vec<(u32, u16, Flit)>,
     /// Credits returned to upstream routers: `(router, output VC)`.
@@ -197,7 +224,7 @@ struct ShardScratch {
     held_removes: Vec<(u32, u32, u16)>,
     /// Fabric-stat deltas accumulated by this shard this cycle.
     stats: FabricStats,
-    /// `vcs_touched` delta (bitset visits in VA + SA).
+    /// `vcs_touched` delta (VA visits + SA request bits considered).
     vcs_touched: u64,
     /// Net change to the in-flight flit count.
     in_flight_delta: i64,
@@ -342,15 +369,6 @@ impl WormholeFabric {
         self.routing.as_ref()
     }
 
-    /// Replaces the routing function (testing/negative controls only).
-    ///
-    /// # Panics
-    /// Panics if the function's VC requirement differs from `cfg.w`.
-    pub fn set_routing_for_test(&mut self, routing: Box<dyn WormholeRouting>) {
-        assert_eq!(routing.vcs_per_link() as usize, self.w);
-        self.routing = routing;
-    }
-
     /// Partitions the run into `n` spatial shards (clamped to
     /// `1..=num_nodes`): contiguous router-id bands processed by one thread
     /// each. Results are **byte-identical at any shard count** — see the
@@ -472,52 +490,33 @@ impl WormholeFabric {
         }
         self.kernel.routers_scanned += wl.len() as u64;
 
-        let nshards = self.shards();
         {
             // Field-level borrows so the router slice, scratches, and the
             // immutable tables can be handed to shard workers.
-            let topo = &self.topo;
-            let routing = self.routing.as_ref();
-            let cfg = self.cfg;
-            let (w, nports, local) = (self.w, self.nports, self.local);
-            let bounds = &self.shard_bounds;
-            let scratches = &mut self.scratch;
-
-            // Partition the (ascending) worklist at the shard boundaries
-            // and the router vector into the matching disjoint slices.
-            let mut jobs: Vec<(u32, &mut [Router], &[u32], &mut ShardScratch)> =
-                Vec::with_capacity(nshards);
-            let mut routers_rest: &mut [Router] = &mut self.routers;
-            let mut wl_rest: &[u32] = &wl;
-            for (s, scr) in scratches.iter_mut().enumerate() {
-                let lo = bounds[s] as usize;
-                let hi = bounds[s + 1] as usize;
-                let (chunk, r2) = routers_rest.split_at_mut(hi - lo);
-                routers_rest = r2;
-                let cut = wl_rest.partition_point(|&r| (r as usize) < hi);
-                let (wlp, w2) = wl_rest.split_at(cut);
-                wl_rest = w2;
-                if !wlp.is_empty() {
-                    jobs.push((lo as u32, chunk, wlp, scr));
-                }
-            }
-
-            if nshards > 1 && wl.len() >= PARALLEL_MIN_ROUTERS {
+            let cx = ShardCtx {
+                topo: &self.topo,
+                routing: self.routing.as_ref(),
+                cfg: self.cfg,
+                w: self.w,
+                nports: self.nports,
+                local: self.local,
+                now,
+            };
+            let (routers, bounds, scratch) = (
+                &mut self.routers[..],
+                &self.shard_bounds,
+                &mut self.scratch[..],
+            );
+            if bounds.len() > 2 && wl.len() >= PARALLEL_MIN_ROUTERS {
                 std::thread::scope(|sc| {
-                    for (base, chunk, wlp, scr) in jobs {
-                        sc.spawn(move || {
-                            run_shard(
-                                base, chunk, wlp, topo, routing, cfg, w, nports, local, now, scr,
-                            );
-                        });
-                    }
+                    for_each_band(routers, &wl, bounds, scratch, |base, chunk, wlp, scr| {
+                        sc.spawn(move || run_shard(base, chunk, wlp, cx, scr));
+                    });
                 });
             } else {
-                for (base, chunk, wlp, scr) in jobs {
-                    run_shard(
-                        base, chunk, wlp, topo, routing, cfg, w, nports, local, now, scr,
-                    );
-                }
+                for_each_band(routers, &wl, bounds, scratch, |base, chunk, wlp, scr| {
+                    run_shard(base, chunk, wlp, cx, scr);
+                });
             }
         }
 
@@ -584,10 +583,10 @@ impl WormholeFabric {
             self.scratch[si].arrivals = arrivals;
             let mut credits = std::mem::take(&mut self.scratch[si].credit_returns);
             for (r, ovc) in credits.drain(..) {
-                let c = &mut self.routers[r as usize].out_credits[ovc as usize];
-                *c += 1;
+                let router = &mut self.routers[r as usize];
+                router.return_credit(ovc as usize);
                 assert!(
-                    *c <= self.cfg.buffer_depth,
+                    router.out_credits[ovc as usize] <= self.cfg.buffer_depth,
                     "credit protocol violated: credit overflow at router {r} ovc {ovc}"
                 );
             }
@@ -664,64 +663,72 @@ impl WormholeFabric {
     }
 }
 
-/// One shard's full cycle: VA, SA, and injection over its own routers,
-/// staging every cross-router effect in `s`. Runs on a worker thread when
-/// the fabric is sharded; the only shared state it touches is immutable
-/// (`topo`, `routing`).
-#[allow(clippy::too_many_arguments)]
-fn run_shard(
-    base: u32,
-    routers: &mut [Router],
-    wl: &[u32],
-    topo: &Topology,
-    routing: &dyn WormholeRouting,
+/// The immutable tables and per-tick constants every shard worker reads.
+#[derive(Clone, Copy)]
+struct ShardCtx<'a> {
+    topo: &'a Topology,
+    routing: &'a dyn WormholeRouting,
     cfg: WormholeConfig,
     w: usize,
     nports: usize,
     local: usize,
     now: Cycle,
-    s: &mut ShardScratch,
+}
+
+/// Cuts the (ascending) worklist at the shard boundaries and the router
+/// vector into the matching disjoint slices, handing each non-empty band
+/// to `f` as `(first router id, routers, worklist part, scratch)`.
+fn for_each_band<'a>(
+    mut routers: &'a mut [Router],
+    mut wl: &'a [u32],
+    bounds: &[u32],
+    scratch: &'a mut [ShardScratch],
+    mut f: impl FnMut(u32, &'a mut [Router], &'a [u32], &'a mut ShardScratch),
 ) {
+    for (band, scr) in bounds.windows(2).zip(scratch) {
+        let (chunk, rest) = routers.split_at_mut((band[1] - band[0]) as usize);
+        routers = rest;
+        let (wlp, rest) = wl.split_at(wl.partition_point(|&r| r < band[1]));
+        wl = rest;
+        if !wlp.is_empty() {
+            f(band[0], chunk, wlp, scr);
+        }
+    }
+}
+
+/// One shard's full cycle: VA, SA, and injection over its own routers,
+/// staging every cross-router effect in `s`. Runs on a worker thread when
+/// the fabric is sharded; the only shared state it touches is immutable
+/// (`cx`).
+fn run_shard(base: u32, routers: &mut [Router], wl: &[u32], cx: ShardCtx, s: &mut ShardScratch) {
     let t0 = std::time::Instant::now();
     for &r in wl {
-        va_stage(
-            base, routers, r, topo, routing, cfg, w, nports, local, now, s,
-        );
+        va_stage(&mut routers[(r - base) as usize], r, cx, s);
     }
     for &r in wl {
-        sa_stage(base, routers, r, topo, w, nports, local, s);
+        sa_stage(&mut routers[(r - base) as usize], r, cx, s);
     }
     for &r in wl {
-        injection_stage(base, routers, r, cfg, w, local, s);
+        injection_stage(&mut routers[(r - base) as usize], cx, s);
     }
     s.wall_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
 }
 
 /// Phase 1: routing computation + output-VC allocation. Scans only the
 /// router's `va_pending` bitset, in the same rotated round-robin order the
-/// seed kernel's full sweep used.
-#[allow(clippy::too_many_arguments)]
-fn va_stage(
-    base: u32,
-    routers: &mut [Router],
-    r: u32,
-    topo: &Topology,
-    routing: &dyn WormholeRouting,
-    cfg: WormholeConfig,
-    w: usize,
-    nports: usize,
-    local: usize,
-    now: Cycle,
-    s: &mut ShardScratch,
-) {
+/// seed kernel's full sweep used; a head that finds every candidate owned
+/// is parked until one of them is released.
+fn va_stage(router: &mut Router, r: u32, cx: ShardCtx, s: &mut ShardScratch) {
+    if router.va_pending.is_empty() {
+        return;
+    }
     let node = NodeId(r);
-    let router = &mut routers[(r - base) as usize];
-    let n_ivc = nports * w;
+    let w = cx.w;
     // The VA round-robin pointer is cycle-derived: the seed kernel
     // advanced it by exactly one per tick on every router, active or
     // not, so `now % n_ivc` reproduces it without per-router state —
     // and without requiring idle routers to tick at all.
-    let start = (now % n_ivc as u64) as usize;
+    let start = (cx.now % (cx.nports * w) as u64) as usize;
     // Snapshot the pending set: VA neither adds pending VCs nor clears
     // any but the one it is processing, so the snapshot equals the live
     // visit set of the serial sweep.
@@ -744,96 +751,76 @@ fn va_stage(
         let (front_dest, front_slot) = (front.dest, front.slot);
         // Routing-delay accounting.
         if router.head_since[i] == crate::router::NO_HEAD {
-            router.head_since[i] = now;
+            router.head_since[i] = cx.now;
         }
-        if now < router.head_since[i] + u64::from(cfg.routing_delay) {
+        if cx.now < router.head_since[i] + u64::from(cx.cfg.routing_delay) {
             continue;
         }
         if front_dest == node {
             // Ejection needs no output VC: mark the route to the local
             // port; SA treats it with infinite credit.
-            router.set_route(i, route_pack(local as u8, 0));
+            router.set_route(i, route_pack(cx.local as u8, 0));
             continue;
         }
         s.cand.clear();
-        routing.route(topo, node, front_dest, &mut s.cand);
+        cx.routing.route(cx.topo, node, front_dest, &mut s.cand);
         debug_assert!(!s.cand.is_empty(), "routing gave no candidates");
-        for ci in 0..s.cand.len() {
-            let c = s.cand[ci];
-            let oidx = c.port.index() * w + c.vc as usize;
-            if router.out_owner[oidx] == OWNER_NONE {
-                router.out_owner[oidx] = iu;
+        let ovc_of = |c: &Candidate| c.port.index() * w + c.vc as usize;
+        match s
+            .cand
+            .iter()
+            .find(|c| router.out_owner[ovc_of(c)] == OWNER_NONE)
+        {
+            Some(c) => {
+                router.out_owner[ovc_of(c)] = iu;
                 router.set_route(i, route_pack(c.port.index() as u8, c.vc));
-                s.held_pushes.push((front_slot, r, oidx as u16));
+                s.held_pushes.push((front_slot, r, ovc_of(c) as u16));
                 s.stats.va_allocs += 1;
-                break;
             }
+            None => router.park(i, s.cand.iter().map(ovc_of)),
         }
     }
 }
 
 /// Phase 2: switch allocation and flit forwarding / delivery. Each output
-/// port scans the router's `sa_ready` bitset from its round-robin pointer.
-#[allow(clippy::too_many_arguments)]
-fn sa_stage(
-    base: u32,
-    routers: &mut [Router],
-    r: u32,
-    topo: &Topology,
-    w: usize,
-    nports: usize,
-    local: usize,
-    s: &mut ShardScratch,
-) {
+/// port grants the first of its requests, from its round-robin pointer,
+/// whose input port has not sent a flit yet this cycle.
+fn sa_stage(router: &mut Router, r: u32, cx: ShardCtx, s: &mut ShardScratch) {
     let node = NodeId(r);
-    let router = &mut routers[(r - base) as usize];
-    let n_ivc = nports * w;
-    let mut input_port_used = [false; 32];
-    debug_assert!(nports <= 32);
+    let (w, local) = (cx.w, cx.local);
+    let n_ivc = cx.nports * w;
+    s.used_inputs.clear();
+    s.used_inputs.resize(n_ivc.div_ceil(64), 0);
 
-    for out_port in 0..nports {
-        let start = router.sa_rr[out_port] as usize % n_ivc;
-        let mut pick: Option<usize> = None;
-        let mut touched = 0u64;
-        {
-            let sa_ready = &router.sa_ready;
-            let route = &router.route;
-            let out_credits = &router.out_credits;
-            sa_ready.for_each_wrapping(start, |i| {
-                touched += 1;
-                let rt = route[i];
-                debug_assert_ne!(rt, ROUTE_NONE, "sa_ready bit set on an unrouted VC");
-                if route_port(rt) != out_port {
-                    return false;
-                }
-                if input_port_used[i / w] {
-                    return false;
-                }
-                if out_port != local {
-                    let oidx = out_port * w + route_vc(rt);
-                    if out_credits[oidx] == 0 {
-                        return false;
-                    }
-                }
-                pick = Some(i);
-                true
-            });
+    for out_port in 0..cx.nports {
+        let req = router.sa_req(out_port);
+        let considered: u32 = (req.iter().zip(&s.used_inputs))
+            .map(|(&q, &u)| (q & !u).count_ones())
+            .sum();
+        if considered == 0 {
+            continue;
         }
-        s.vcs_touched += touched;
-        let Some(i) = pick else { continue };
-        input_port_used[i / w] = true;
+        s.vcs_touched += u64::from(considered);
+        let i = first_set_excluding(req, &s.used_inputs, router.sa_rr[out_port] as usize)
+            .expect("a considered request exists");
+        let (in_port, in_vc) = (i / w, i % w);
+        for v in in_port * w..(in_port + 1) * w {
+            s.used_inputs[v / 64] |= 1 << (v % 64);
+        }
         router.sa_rr[out_port] = ((i + 1) % n_ivc) as u16;
 
         let rt = router.route[i];
-        let flit = router.bufs[i].pop_front().expect("picked VC has a flit");
+        debug_assert_ne!(rt, ROUTE_NONE, "request bit set on an unrouted VC");
+        let flit = router.bufs[i]
+            .pop_front()
+            .expect("requesting VC has a flit");
 
         // Return a credit upstream for the slot just freed (network
         // input ports only; injection buffers are local).
-        let in_port = i / w;
-        let in_vc = i % w;
         if in_port != local {
             let p = PortDir::from_index(in_port);
-            let up = topo
+            let up = cx
+                .topo
                 .neighbor(node, p)
                 .expect("flits only arrive over real links");
             let up_ovc = p.opposite().index() * w + in_vc;
@@ -853,19 +840,24 @@ fn sa_stage(
             }
         } else {
             let oidx = out_port * w + route_vc(rt);
+            debug_assert!(
+                router.out_credits[oidx] > 0,
+                "request bit set without a credit"
+            );
             router.out_credits[oidx] -= 1;
             let p = PortDir::from_index(out_port);
-            let down = topo
+            let down = cx
+                .topo
                 .neighbor(node, p)
                 .expect("allocated outputs point at real links");
             let down_ivc = p.opposite().index() * w + route_vc(rt);
             s.arrivals.push((down.0, down_ivc as u16, flit));
             s.stats.flit_hops += 1;
             if flit.is_tail {
-                router.out_owner[oidx] = OWNER_NONE;
                 router.clear_route(i);
                 // The tail has left this router: the message no longer
-                // holds this output VC.
+                // holds this output VC, and heads parked on it may try.
+                router.release_output(oidx);
                 s.held_removes.push((flit.slot, r, oidx as u16));
             } else {
                 router.sync_after_pop(i);
@@ -875,23 +867,15 @@ fn sa_stage(
 }
 
 /// Phase 3: message flit emission at sources.
-fn injection_stage(
-    base: u32,
-    routers: &mut [Router],
-    r: u32,
-    cfg: WormholeConfig,
-    w: usize,
-    local: usize,
-    s: &mut ShardScratch,
-) {
-    let router = &mut routers[(r - base) as usize];
+fn injection_stage(router: &mut Router, cx: ShardCtx, s: &mut ShardScratch) {
+    let (w, local) = (cx.w, cx.local);
     // Continue in-progress emissions: one flit per injection VC per cycle.
     for v in 0..w {
         let idx = local * w + v;
         let Some(em) = router.emitting[v] else {
             continue;
         };
-        if router.bufs[idx].len() < cfg.buffer_depth as usize {
+        if router.bufs[idx].len() < cx.cfg.buffer_depth as usize {
             let flit = Flit::of(&em.msg, em.sent, em.slot);
             router.push_flit(idx, flit);
             s.in_flight_delta += 1;
@@ -1124,6 +1108,18 @@ mod tests {
             "no progress for a long time: age={}",
             f.progress_age(now)
         );
+        // A frozen fabric costs nothing to keep simulating: every head is
+        // parked and every body flit creditless, so no VC is visited —
+        // while the routers stay in the active set, the stall clock keeps
+        // running, and the parked heads still show in the wait-for graph.
+        let frozen = f.kernel_stats();
+        for _ in 0..100 {
+            f.tick(now);
+            now += 1;
+        }
+        assert_eq!(f.kernel_stats().vcs_touched, frozen.vcs_touched);
+        assert!(f.kernel_stats().routers_scanned > frozen.routers_scanned);
+        assert!(f.progress_age(now) > 1_100);
         // The wait-for graph has a cycle among the ring's output VCs.
         let edges = f.wait_edges();
         assert!(!edges.is_empty());
@@ -1265,19 +1261,12 @@ mod tests {
         assert!(!f.busy(), "wide-router all-pairs must drain");
         let ds = f.drain_deliveries();
         assert_eq!(ds.len(), 4 * 16 * 15);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for d in &ds {
-            for b in d
-                .msg
-                .id
-                .0
-                .to_le_bytes()
-                .into_iter()
-                .chain(d.delivered_at.to_le_bytes())
-            {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
+        // FNV-1a over (id, delivery cycle), little-endian.
+        let h = (ds.iter().flat_map(|d| [d.msg.id.0, d.delivered_at]))
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
         if std::env::var("GOLDEN_PRINT").is_ok() {
             println!("GOLDEN wide_router_schedule = 0x{h:016x}");
         } else {
@@ -1286,6 +1275,105 @@ mod tests {
                 "wide-router delivery schedule diverged"
             );
         }
+    }
+
+    /// Runs the mask oracle over every router after the tick of `now`.
+    fn check_all_masks(f: &WormholeFabric, now: Cycle) {
+        for (r, router) in f.routers.iter().enumerate() {
+            let node = NodeId(r as u32);
+            router.check_masks(f.routing(), &f.topo, node, f.cfg.routing_delay, now);
+        }
+    }
+
+    /// Bernoulli traffic (`rate` messages per node-cycle, random pairs,
+    /// lengths 1..=12) for `cycles` cycles, then drain — with the mask
+    /// oracle run after every tick. Returns whether any head ever parked
+    /// and the largest worklist a tick scanned.
+    fn oracle_run(f: &mut WormholeFabric, cycles: Cycle, rate: f64, seed: u64) -> (bool, u64) {
+        let mut rng = wavesim_sim::SimRng::new(seed);
+        let nodes = f.topo.num_nodes() as u64;
+        let (mut id, mut now, mut ever_parked, mut peak_active) = (0, 0, false, 0);
+        while now < cycles || f.busy() {
+            for src in 0..nodes {
+                if now < cycles && rng.chance(rate) {
+                    let dest = (src + 1 + rng.below(nodes - 1)) % nodes;
+                    let len = 1 + rng.below(12) as u32;
+                    f.inject(Message::new(
+                        id,
+                        NodeId(src as u32),
+                        NodeId(dest as u32),
+                        len,
+                        now,
+                    ));
+                    id += 1;
+                }
+            }
+            peak_active = peak_active.max(f.active_routers());
+            f.tick(now);
+            check_all_masks(f, now);
+            ever_parked |= f.routers.iter().any(|r| r.parked > 0);
+            now += 1;
+            assert!(now < 200_000, "oracle traffic must drain");
+        }
+        assert_eq!(f.drain_deliveries().len() as u64, id);
+        assert!(
+            f.active.is_empty(),
+            "drained fabric must have an empty active set"
+        );
+        (ever_parked, peak_active)
+    }
+
+    #[test]
+    fn masks_match_first_principles_after_every_tick() {
+        // Deterministic w=2, adaptive w=3 (several candidates per parked
+        // head, woken by whichever frees first) and one-slot buffers (a
+        // credit stall on every hop), on mesh and torus, at 1/2/4 shards.
+        let kinds = [
+            (RoutingKind::Deterministic, 2u8, 4u32),
+            (RoutingKind::Adaptive, 3, 2),
+            (RoutingKind::Deterministic, 2, 1),
+        ];
+        for torus in [false, true] {
+            for (routing, w, buffer_depth) in kinds {
+                for shards in [1usize, 2, 4] {
+                    let dims = [4u16, 4];
+                    let topo = if torus {
+                        Topology::torus(&dims)
+                    } else {
+                        Topology::mesh(&dims)
+                    };
+                    let cfg = WormholeConfig {
+                        w,
+                        buffer_depth,
+                        routing,
+                        routing_delay: 1,
+                    };
+                    let mut f = WormholeFabric::new(topo, cfg);
+                    f.set_shards(shards);
+                    let (parked, _) = oracle_run(&mut f, 400, 0.12, 7 + shards as u64);
+                    assert!(
+                        parked,
+                        "torus={torus} {routing:?}: traffic never blocked a head"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masks_match_first_principles_on_worker_threads() {
+        // Enough active routers (>= PARALLEL_MIN_ROUTERS) that the bands
+        // really run on scoped threads, with a longer routing delay.
+        let cfg = WormholeConfig {
+            w: 3,
+            buffer_depth: 2,
+            routing: RoutingKind::Adaptive,
+            routing_delay: 2,
+        };
+        let mut f = WormholeFabric::new(Topology::torus(&[12, 12]), cfg);
+        f.set_shards(4);
+        let (parked, peak_active) = oracle_run(&mut f, 60, 0.2, 3);
+        assert!(parked && peak_active >= PARALLEL_MIN_ROUTERS as u64);
     }
 
     #[test]
@@ -1341,16 +1429,29 @@ mod tests {
 
     #[test]
     fn active_set_tracks_exactly_the_nonidle_routers() {
-        // One short message crosses the mesh; after every tick, each
-        // non-idle router must have its active bit set (the scheduling
-        // invariant), and after drain the whole set must be empty again.
+        // One short message crosses the mesh, and a long one holds the
+        // eastward VC out of (1,0) while a third, injected there behind
+        // it, parks on that VC. After every tick, each non-idle router
+        // must have its active bit set (the scheduling invariant) — a
+        // parked head counts although it left `va_pending` — and after
+        // drain the whole set must be empty again.
         let mut f = mesh44(1);
         let topo = f.topology().clone();
         let src = topo.node(Coords::new(&[0, 0]));
-        let dest = topo.node(Coords::new(&[3, 3]));
-        f.inject(Message::new(1, src, dest, 6, 0));
-        let mut now = 0;
+        let mid = topo.node(Coords::new(&[1, 0]));
+        f.inject(Message::new(1, src, topo.node(Coords::new(&[3, 3])), 6, 0));
+        f.inject(Message::new(2, src, topo.node(Coords::new(&[3, 0])), 40, 0));
+        let (mut now, mut saw_parked) = (0, false);
         while f.busy() && now < 10_000 {
+            if now == 20 {
+                f.inject(Message::new(
+                    3,
+                    mid,
+                    topo.node(Coords::new(&[2, 0])),
+                    2,
+                    now,
+                ));
+            }
             f.tick(now);
             now += 1;
             for (r, router) in f.routers.iter().enumerate() {
@@ -1360,8 +1461,13 @@ mod tests {
                         "non-idle router {r} missing from active set at cycle {now}"
                     );
                 }
+                if router.parked > 0 && router.va_pending.is_empty() {
+                    saw_parked = true;
+                    assert!(!router.idle(), "parked head at router {r} reads as idle");
+                }
             }
         }
+        assert!(saw_parked, "the third message must have parked at (1,0)");
         assert!(!f.busy());
         assert!(
             f.active.is_empty(),

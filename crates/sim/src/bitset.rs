@@ -140,6 +140,30 @@ impl BitSet {
     }
 }
 
+/// First index, in rotated order `start..` then `0..start`, whose bit is
+/// set in `a` and clear in `excl` — one round-robin arbitration over the
+/// request lines `a` with the lines in `excl` masked off, in O(words).
+/// Both slices are the backing words of same-sized sets (low index = low
+/// bits); bits past the domain must be clear in `a`.
+///
+/// # Panics
+/// Panics when the slices differ in length or `start` is past their end.
+#[must_use]
+pub fn first_set_excluding(a: &[u64], excl: &[u64], start: usize) -> Option<usize> {
+    assert_eq!(a.len(), excl.len(), "masks must cover the same domain");
+    let (sw, sb) = (start / 64, start % 64);
+    let upper = u64::MAX << sb;
+    // Word `sw` is visited twice: its bits >= start first, the rest last.
+    let hit = |k: usize, keep: u64| {
+        let word = a[k] & !excl[k] & keep;
+        (word != 0).then(|| k * 64 + word.trailing_zeros() as usize)
+    };
+    hit(sw, upper)
+        .or_else(|| (sw + 1..a.len()).find_map(|k| hit(k, u64::MAX)))
+        .or_else(|| (0..sw).find_map(|k| hit(k, u64::MAX)))
+        .or_else(|| hit(sw, !upper))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,6 +252,30 @@ mod tests {
             true // stop at the first hit
         });
         assert_eq!(seen, vec![20]);
+    }
+
+    #[test]
+    fn first_set_excluding_matches_modular_sweep_everywhere() {
+        // Exhaustive over every start index, requests and exclusions both
+        // crossing word boundaries, plus the nothing-eligible case.
+        let (mut a, mut excl) = (BitSet::new(150), BitSet::new(150));
+        for i in [0, 1, 7, 63, 64, 70, 127, 128, 149] {
+            a.set(i);
+        }
+        for i in [1, 2, 63, 70, 128, 140] {
+            excl.set(i);
+        }
+        for start in 0..150 {
+            let want = (0..150)
+                .map(|off| (start + off) % 150)
+                .find(|&i| a.get(i) && !excl.get(i));
+            assert_eq!(
+                first_set_excluding(a.words(), excl.words(), start),
+                want,
+                "start={start}"
+            );
+            assert_eq!(first_set_excluding(a.words(), a.words(), start), None);
+        }
     }
 
     #[test]

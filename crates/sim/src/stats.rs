@@ -27,7 +27,12 @@ pub struct CycleKernelStats {
     pub ticks: u64,
     /// Router phase-loop visits summed over all ticks.
     pub routers_scanned: u64,
-    /// Input-VC inspections summed over all ticks (VA + SA scans).
+    /// Input VCs looked at, summed over all ticks: heads the VA stage
+    /// visited, plus the request bits each switch arbitration chose among
+    /// (per output port with a grantable request, the input VCs routed to
+    /// it with a flit and a credit whose input port was still free that
+    /// cycle). Blocked VCs are parked, not visited, so this tracks flits
+    /// that can move — a deadlocked fabric adds nothing.
     pub vcs_touched: u64,
     /// Inter-plane events routed to a consuming plane.
     pub events_routed: u64,
