@@ -46,7 +46,7 @@ fn visit_nodes(ev: &TraceEvent, mut visit: impl FnMut(u32)) {
     }
 }
 
-/// Incremental window-series derivation; [`derive`] is the batch wrapper.
+/// Incremental window-series derivation; [`derive()`] is the batch wrapper.
 ///
 /// The offline path infers the node count in a prepass; the fold instead
 /// tracks the highest node id seen while folding. That is equivalent
@@ -67,7 +67,7 @@ pub struct SeriesFold {
 
 impl SeriesFold {
     /// An empty fold over `window`-cycle windows. `nodes` as in
-    /// [`derive`].
+    /// [`derive()`].
     ///
     /// # Panics
     /// Panics if `window` is zero.

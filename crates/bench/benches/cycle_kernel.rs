@@ -1,30 +1,23 @@
 //! Cycle-kernel throughput benchmark: simulated cycles per wall-clock
 //! second at three load points (low / mid / saturation) on 8×8 and 16×16
-//! tori, CLRP protocol — the tracked perf baseline for the simulator's
-//! inner loop.
+//! tori plus one 64×64 saturation point, CLRP protocol — the tracked perf
+//! baseline for the simulator's inner loop.
 //!
 //! Plain `harness = false` timing main (the offline build has no bench
 //! framework). Writes `BENCH_cycle_kernel.json` (override with
 //! `BENCH_OUT`), stamped with the machine it ran on (`cpus`, `rustc`,
-//! `profile` — wall times and the `sat-s2 ÷ sat-s1` ratio mean nothing
-//! without them), and prints a table. Knobs for CI smoke runs:
-//! `BENCH_MEASURE` (measurement cycles, default 3000), `BENCH_ITERS`
-//! (repeats per point, best taken, default 3), `BENCH_SIDES`
-//! (comma-separated torus sides, default "8,16").
+//! `profile` — wall times mean nothing without them), and prints a table.
+//! Knobs for CI smoke runs: `BENCH_MEASURE` (measurement cycles, default
+//! 3000), `BENCH_ITERS` (repeats per point, best taken, default 3),
+//! `BENCH_SIDES` (comma-separated torus sides, default "8,16").
 //!
 //! The metric divides the *simulated* end cycle of the run (warmup +
 //! measurement + drain) by the wall time of the whole run, so a kernel
 //! that fast-forwards idle cycles gets credit for them — exactly the
 //! effect the active-set kernel targets at low load.
 //!
-//! A second section benchmarks the spatial shard partitioning: one
-//! 64×64-torus saturation point per shard count (`BENCH_SHARDS`,
-//! default "1,2,4"; side via `BENCH_SHARD_SIDE`, measurement cycles via
-//! `BENCH_SHARD_MEASURE`, default 500, single iteration). Results are
-//! byte-identical across shard counts by construction — only wall time
-//! may differ — and each entry records the per-shard wall-clock
-//! breakdown (`shard_wall_ns`) from the fabric's shard timers, so load
-//! imbalance between the router bands is visible in the artifact.
+//! The 64×64 point always runs, at [`LARGE_MEASURE`] measurement cycles
+//! and a single iteration (it is ~20 s of wall on its own).
 //!
 //! Regression gate: `BENCH_ENFORCE=1` compares this run against the
 //! committed `BENCH_cycle_kernel.json` baseline (override with
@@ -46,6 +39,10 @@ use wavesim_workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource
 
 const LOADS: [(&str, f64); 3] = [("low", 0.05), ("mid", 0.30), ("sat", 0.80)];
 
+/// Side and measurement cycles of the large saturation point.
+const LARGE_SIDE: u16 = 64;
+const LARGE_MEASURE: u64 = 500;
+
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
         .ok()
@@ -55,25 +52,17 @@ fn env_u64(name: &str, default: u64) -> u64 {
 
 struct PointResult {
     side: u16,
-    label: String,
+    label: &'static str,
     load: f64,
-    shards: usize,
     sim_cycles: u64,
     wall_s: f64,
     cycles_per_sec: f64,
     delivered: u64,
-    shard_wall_ns: Vec<u64>,
+    scan_wall_ns: u64,
     kernel: Value,
 }
 
-fn run_point(
-    side: u16,
-    label: &str,
-    load: f64,
-    measure: u64,
-    iters: u64,
-    shards: usize,
-) -> PointResult {
+fn run_point(side: u16, label: &'static str, load: f64, measure: u64, iters: u64) -> PointResult {
     let mut best: Option<PointResult> = None;
     for _ in 0..iters {
         let topo = Topology::torus(&[side, side]);
@@ -84,7 +73,6 @@ fn run_point(
                 ..WaveConfig::default()
             },
         );
-        net.set_shards(shards);
         let mut src = TrafficSource::new(
             topo,
             TrafficConfig {
@@ -104,14 +92,13 @@ fn run_point(
         assert!(!r.stalled, "{side}x{side} @ {load} stalled");
         let point = PointResult {
             side,
-            label: label.to_string(),
+            label,
             load,
-            shards: net.shards(),
             sim_cycles: r.end,
             wall_s,
             cycles_per_sec: r.end as f64 / wall_s,
             delivered: r.delivered,
-            shard_wall_ns: net.fabric().shard_wall_ns().to_vec(),
+            scan_wall_ns: net.fabric().shard_wall_ns()[0],
             kernel: kernel_json(&net),
         };
         if best
@@ -246,56 +233,20 @@ fn main() {
         "{:<8} {:<5} {:>6} {:>12} {:>10} {:>14} {:>10}",
         "topo", "point", "load", "sim cycles", "wall ms", "cycles/sec", "delivered"
     );
-    for &side in &sides {
-        for &(label, load) in &LOADS {
-            let p = run_point(side, label, load, measure, iters, 1);
-            println!(
-                "{:<8} {:<5} {:>6.2} {:>12} {:>10.2} {:>14.0} {:>10}",
-                format!("{side}x{side} torus"),
-                p.label,
-                p.load,
-                p.sim_cycles,
-                p.wall_s * 1e3,
-                p.cycles_per_sec,
-                p.delivered,
-            );
-            results.push(p);
-        }
-    }
-
-    // Spatial sharding section: the same saturation workload on a large
-    // torus, once per shard count. Deliveries are asserted identical —
-    // the partitioning contract — so the rows differ only in wall time.
-    let shard_side = env_u64("BENCH_SHARD_SIDE", 64) as u16;
-    let shard_measure = env_u64("BENCH_SHARD_MEASURE", 500);
-    let shard_counts: Vec<usize> = std::env::var("BENCH_SHARDS")
-        .unwrap_or_else(|_| "1,2,4".into())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    let mut shard_delivered = None;
-    for &n in &shard_counts {
-        let p = run_point(shard_side, &format!("sat-s{n}"), 0.80, shard_measure, 1, n);
-        let per_shard = p
-            .shard_wall_ns
-            .iter()
-            .map(|&ns| format!("{:.1}", ns as f64 / 1e6))
-            .collect::<Vec<_>>()
-            .join("/");
+    let points = (sides.iter())
+        .flat_map(|&side| LOADS.map(|(label, load)| (side, label, load, measure, iters)))
+        .chain([(LARGE_SIDE, "sat", 0.80, LARGE_MEASURE, 1)]);
+    for (side, label, load, measure, iters) in points {
+        let p = run_point(side, label, load, measure, iters);
         println!(
-            "{:<8} {:<5} {:>6.2} {:>12} {:>10.2} {:>14.0} {:>10}  shard ms {per_shard}",
-            format!("{shard_side}x{shard_side} torus"),
+            "{:<8} {:<5} {:>6.2} {:>12} {:>10.2} {:>14.0} {:>10}",
+            format!("{side}x{side} torus"),
             p.label,
             p.load,
             p.sim_cycles,
             p.wall_s * 1e3,
             p.cycles_per_sec,
             p.delivered,
-        );
-        let prev = shard_delivered.get_or_insert(p.delivered);
-        assert_eq!(
-            *prev, p.delivered,
-            "sharded run diverged from the serial kernel at --shards {n}"
         );
         results.push(p);
     }
@@ -314,7 +265,7 @@ fn main() {
         ("protocol", Value::from("clrp")),
         ("measure_cycles", Value::from(measure)),
         ("iters", Value::from(iters)),
-        ("shard_measure_cycles", Value::from(shard_measure)),
+        ("large_measure_cycles", Value::from(LARGE_MEASURE)),
         (
             "results",
             Value::Arr(
@@ -325,15 +276,11 @@ fn main() {
                             ("topology", Value::from(format!("{0}x{0}-torus", p.side))),
                             ("point", Value::from(p.label)),
                             ("load", Value::from(p.load)),
-                            ("shards", Value::from(p.shards as u64)),
                             ("sim_cycles", Value::from(p.sim_cycles)),
                             ("wall_s", Value::from(p.wall_s)),
                             ("cycles_per_sec", Value::from(p.cycles_per_sec)),
                             ("delivered", Value::from(p.delivered)),
-                            (
-                                "shard_wall_ns",
-                                Value::Arr(p.shard_wall_ns.into_iter().map(Value::from).collect()),
-                            ),
+                            ("scan_wall_ns", Value::from(p.scan_wall_ns)),
                             ("kernel", p.kernel),
                         ])
                     })

@@ -51,9 +51,9 @@ pub struct LiveStatus {
     pub active_routers: u64,
     /// Cycles since any flit last moved in the fabric.
     pub progress_age: u64,
-    /// Per-shard wall-clock nanoseconds stepping the fabric.
-    pub shard_wall_ns: Vec<u64>,
-    /// Deliveries per kilocycle over the last [`RATE_WINDOW`].
+    /// Cumulative wall-clock nanoseconds spent in the fabric's scan.
+    pub scan_wall_ns: u64,
+    /// Deliveries per kilocycle over the last `RATE_WINDOW` cycles.
     pub progress_rate: f64,
     /// Simulated cycles per wall-clock second since the run started.
     pub cycles_per_sec: f64,
@@ -71,18 +71,6 @@ impl LiveStatus {
         } else {
             self.cache_hits as f64 / lookups as f64
         }
-    }
-
-    /// Slowest shard's wall time over the mean (1.0 = balanced; 0 when
-    /// unsharded or unmeasured).
-    #[must_use]
-    pub fn shard_imbalance(&self) -> f64 {
-        let total: u64 = self.shard_wall_ns.iter().sum();
-        if self.shard_wall_ns.len() < 2 || total == 0 {
-            return 0.0;
-        }
-        let mean = total as f64 / self.shard_wall_ns.len() as f64;
-        self.shard_wall_ns.iter().copied().max().unwrap_or(0) as f64 / mean
     }
 }
 
@@ -108,7 +96,7 @@ fn board() -> &'static Mutex<Board> {
 }
 
 /// Arms the board process-wide. With `echo`, a one-line status is
-/// printed to stderr every [`RATE_WINDOW`] cycles (the CLI's
+/// printed to stderr every `RATE_WINDOW` cycles (the CLI's
 /// `--live-status`).
 pub fn arm(echo: bool) {
     ECHO.store(echo, Ordering::Relaxed);
@@ -183,7 +171,7 @@ pub(crate) fn update(now: Cycle, net: &WaveNetwork) {
     s.establish_retries = stats.establish_retries;
     s.active_routers = health.active_routers;
     s.progress_age = health.progress_age;
-    s.shard_wall_ns = health.shard_wall_ns;
+    s.scan_wall_ns = health.scan_wall_ns;
     let delivered = s.delivered;
     if now >= b.mark_cycle + RATE_WINDOW {
         let dc = (now - b.mark_cycle) as f64;
@@ -237,12 +225,9 @@ mod tests {
         let s = LiveStatus {
             cache_hits: 3,
             cache_misses: 1,
-            shard_wall_ns: vec![100, 300],
             ..LiveStatus::default()
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert!((s.shard_imbalance() - 1.5).abs() < 1e-12);
         assert_eq!(LiveStatus::default().hit_rate(), 0.0);
-        assert_eq!(LiveStatus::default().shard_imbalance(), 0.0);
     }
 }

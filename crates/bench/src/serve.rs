@@ -6,7 +6,7 @@
 //! * `GET /metrics` — the Prometheus exposition-format page
 //!   ([`wavesim_trace::metrics::MetricsPage`]);
 //! * `GET /status` — a JSON status document (cycle, in-flight, cache hit
-//!   rate, per-shard wall and imbalance, progress rate).
+//!   rate, fabric scan wall, progress rate).
 //!
 //! The server is strictly read-only: it clones board snapshots and never
 //! touches the simulation, so serving cannot perturb a run's schedule or
@@ -175,18 +175,10 @@ pub fn metrics_text(s: &LiveStatus) -> String {
         "Simulated cycles per wall-clock second",
         s.cycles_per_sec,
     );
-    for (i, ns) in s.shard_wall_ns.iter().enumerate() {
-        page.gauge_labeled(
-            "wavesim_live_shard_wall_ns",
-            "Per-shard wall-clock nanoseconds stepping the fabric",
-            &[("shard", i.to_string())],
-            *ns as f64,
-        );
-    }
-    page.gauge_f64(
-        "wavesim_live_shard_imbalance",
-        "Slowest shard's wall time over the mean (1 = balanced)",
-        s.shard_imbalance(),
+    page.counter(
+        "wavesim_live_scan_wall_ns",
+        "Wall-clock nanoseconds spent in the fabric's scan",
+        s.scan_wall_ns,
     );
     page.gauge_f64(
         "wavesim_live_done",
@@ -215,11 +207,7 @@ pub fn status_json(s: &LiveStatus) -> Value {
         ("progress_age", s.progress_age.into()),
         ("progress_rate", s.progress_rate.into()),
         ("cycles_per_sec", s.cycles_per_sec.into()),
-        (
-            "shard_wall_ns",
-            Value::Arr(s.shard_wall_ns.iter().map(|&ns| ns.into()).collect()),
-        ),
-        ("shard_imbalance", s.shard_imbalance().into()),
+        ("scan_wall_ns", s.scan_wall_ns.into()),
     ])
 }
 
@@ -240,7 +228,7 @@ mod tests {
             establish_retries: 2,
             active_routers: 7,
             progress_age: 0,
-            shard_wall_ns: vec![1000, 3000],
+            scan_wall_ns: 4000,
             progress_rate: 11.5,
             cycles_per_sec: 1.0e6,
             done: false,
@@ -253,8 +241,7 @@ mod tests {
         assert!(text.contains("# TYPE wavesim_live_cycle gauge"));
         assert!(text.contains("wavesim_live_cycle 4096"));
         assert!(text.contains("wavesim_live_msgs_delivered 90"));
-        assert!(text.contains("wavesim_live_shard_wall_ns{shard=\"1\"} 3000"));
-        assert!(text.contains("wavesim_live_shard_imbalance 1.5"));
+        assert!(text.contains("wavesim_live_scan_wall_ns 4000"));
         // Every line is a comment or `name[{labels}] value` with a
         // numeric value (label values may themselves contain spaces).
         for line in text.lines() {
@@ -282,11 +269,8 @@ mod tests {
             Some(0.75)
         );
         assert_eq!(
-            parsed
-                .get("shard_wall_ns")
-                .and_then(Value::as_array)
-                .map(<[_]>::len),
-            Some(2)
+            parsed.get("scan_wall_ns").and_then(Value::as_u64),
+            Some(4000)
         );
     }
 

@@ -6,14 +6,13 @@
 //! run's schedule is untouched (the watchdog only reads, annotates the
 //! trace, and — when configured — ends the run).
 //!
-//! Four rules, each optional:
+//! Three rules, each optional, numbered as [`TraceEvent::WatchdogTrip`]
+//! records them (3 was a rule that no longer exists; old captures may
+//! carry it):
 //!
 //! 1. **Stall** — no message delivered for `stall_cycles` cycles.
 //! 2. **Retry storm** — more than `retry_limit` post-fault establishment
 //!    retries inside one [`RETRY_WINDOW`]-cycle window.
-//! 3. **Shard imbalance** — the slowest shard's wall-clock share exceeds
-//!    `imbalance` times the mean (only meaningful with `--shards > 1`;
-//!    wall time is nondeterministic, so this rule never arms by default).
 //! 4. **Wait cycle** — the wormhole fabric has made no progress for
 //!    [`DEADLOCK_AGE`] cycles *and* [`find_wait_cycle`] finds a circular
 //!    wait in its wait-for graph.
@@ -57,9 +56,6 @@ pub struct WatchdogConfig {
     /// Rule 2: trip when more than this many establishment retries land
     /// inside one [`RETRY_WINDOW`].
     pub retry_limit: Option<u64>,
-    /// Rule 3: trip when the slowest shard's wall time exceeds this
-    /// multiple of the mean (e.g. `2.0` = one shard doing double work).
-    pub imbalance: Option<f64>,
     /// Rule 4: search the fabric's wait-for graph for a circular wait
     /// once progress stops for [`DEADLOCK_AGE`] cycles.
     pub deadlock: bool,
@@ -74,23 +70,19 @@ impl WatchdogConfig {
     /// True when at least one rule is armed.
     #[must_use]
     pub fn any(&self) -> bool {
-        self.stall_cycles.is_some()
-            || self.retry_limit.is_some()
-            || self.imbalance.is_some()
-            || self.deadlock
+        self.stall_cycles.is_some() || self.retry_limit.is_some() || self.deadlock
     }
 }
 
 /// One rule firing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Trip {
-    /// Rule number (1 = stall, 2 = retry storm, 3 = imbalance, 4 = wait
-    /// cycle), matching [`TraceEvent::WatchdogTrip`].
+    /// Rule number (1 = stall, 2 = retry storm, 4 = wait cycle), matching
+    /// [`TraceEvent::WatchdogTrip`].
     pub rule: u8,
     /// Cycle at which the rule fired.
     pub at: Cycle,
-    /// Observed value (stall age, retry count, imbalance percent, wait
-    /// cycle length).
+    /// Observed value (stall age, retry count, wait cycle length).
     pub value: u64,
     /// The configured limit the value crossed.
     pub limit: u64,
@@ -114,7 +106,6 @@ struct State {
     stall_tripped: bool,
     retry_mark: u64,
     retry_mark_at: Cycle,
-    imbalance_tripped: bool,
     deadlock_tripped: bool,
     report: WatchdogReport,
 }
@@ -155,7 +146,6 @@ pub(crate) fn install() -> bool {
         stall_tripped: false,
         retry_mark: 0,
         retry_mark_at: 0,
-        imbalance_tripped: false,
         deadlock_tripped: false,
         report: WatchdogReport::default(),
     }));
@@ -244,22 +234,6 @@ pub(crate) fn observe(now: Cycle, net: &mut WaveNetwork) -> bool {
                 s.retry_mark_at = now;
                 if burst > limit {
                     trip(s, net, now, 2, burst, limit);
-                }
-            }
-        }
-        if let Some(ratio) = s.cfg.imbalance {
-            if !s.imbalance_tripped {
-                let walls = net.fabric().shard_wall_ns();
-                let total: u64 = walls.iter().sum();
-                // Sub-millisecond totals are all noise; wait for signal.
-                if walls.len() > 1 && total >= 1_000_000 {
-                    let mean = total as f64 / walls.len() as f64;
-                    let max = walls.iter().copied().max().unwrap_or(0) as f64;
-                    if max > ratio * mean {
-                        s.imbalance_tripped = true;
-                        let pct = (max / mean * 100.0) as u64;
-                        trip(s, net, now, 3, pct, (ratio * 100.0) as u64);
-                    }
                 }
             }
         }

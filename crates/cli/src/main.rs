@@ -32,7 +32,6 @@
 //! `run` flags: --protocol clrp|carp|wormhole  --topology mesh|torus
 //!              --side N  --load F  --len N  --locality F  --cycles N
 //!              --seed N  --k N  --alpha N  --cache N  --misroutes N
-//!              --shards N
 //!
 //! `run --replay-trace FILE` replays a dependency-aware message trace
 //! (JSON or JSONL, see `wavesim_workloads::trace_io`) instead of driving
@@ -48,11 +47,6 @@
 //! over the first fifth of `--cycles`, each issuing a request to a
 //! server partner chosen with `--locality`, thinking after each reply,
 //! and re-issuing — offered load responds to delivered latency.
-//!
-//! `--shards N` spatially partitions the wormhole fabric into N
-//! contiguous router bands stepped on N threads. The partitioning is
-//! deterministic and conservative — every printed line and every trace
-//! byte is identical at any shard count; only wall-clock time changes.
 //!
 //! Fault flags (`run` only): `--fault-plan FILE` applies a static fault
 //! plan (JSON, see `wavesim_workloads::trace_io`) before traffic starts;
@@ -106,13 +100,12 @@
 //!
 //! Watchdogs (`run` and experiments): `--watch-stall N` trips when no
 //! message is delivered for N cycles, `--watch-retries N` on more than N
-//! establishment retries in a 4096-cycle window, `--watch-imbalance F` when
-//! the slowest shard exceeds F× the mean wall time (nondeterministic —
-//! off by default), `--watch-deadlock` runs a wait-for-graph cycle search
-//! once the fabric stops for 2048 cycles. A trip stamps a `watchdog_trip`
-//! record into the trace; `--watch-postmortem FILE` additionally flushes a
-//! flight-recorder post-mortem bundle, and `--watch-abort` ends the run
-//! with a nonzero exit.
+//! establishment retries in a 4096-cycle window, `--watch-deadlock` runs a
+//! wait-for-graph cycle search once the fabric stops for 2048 cycles. A
+//! trip stamps a `watchdog_trip` record into the trace;
+//! `--watch-postmortem FILE` additionally flushes a flight-recorder
+//! post-mortem bundle, and `--watch-abort` ends the run with a nonzero
+//! exit.
 //! ```
 
 use std::env;
@@ -134,7 +127,7 @@ fn usage() -> ! {
          fuzz:        wavesim fuzz --model ... [--runs N] [--steps N] [--seed N]\n\
          run flags: --protocol clrp|carp|wormhole --topology mesh|torus --side N --load F\n\
                     --len N --locality F --cycles N --seed N --k N --alpha N --cache N\n\
-                    --misroutes N --shards N\n\
+                    --misroutes N\n\
                     --replay-trace FILE (dependency-aware trace replay)\n\
                     --service-clients N (closed-loop service traffic)\n\
          gen-trace: wavesim gen-trace --collective all-to-all|reduce|broadcast|transpose-sweep\n\
@@ -144,8 +137,8 @@ fn usage() -> ! {
                       --trace-jsonl FILE --trace-bin FILE --trace-sample N\n\
                       --timeseries-out FILE --window N --progress N\n\
          live flags:  --serve-metrics ADDR --live-status --live-analyze\n\
-         watchdogs:   --watch-stall N --watch-retries N --watch-imbalance F\n\
-                      --watch-deadlock --watch-abort --watch-postmortem FILE\n\
+         watchdogs:   --watch-stall N --watch-retries N --watch-deadlock\n\
+                      --watch-abort --watch-postmortem FILE\n\
          analyze flags: --trace FILE [--report FILE] [--json FILE] [--timeseries FILE]\n\
                         [--window N] [--top N] [--trace-sample N]\n\
          convert-trace: wavesim convert-trace IN --out FILE [--to jsonl|bin]"
@@ -171,7 +164,6 @@ struct Args {
     alpha: u32,
     cache: usize,
     misroutes: u8,
-    shards: usize,
     // dependency-trace replay / closed-loop service mode (`run`)
     replay_trace: Option<String>,
     service_clients: Option<u64>,
@@ -198,7 +190,6 @@ struct Args {
     // watchdog rules
     watch_stall: Option<u64>,
     watch_retries: Option<u64>,
-    watch_imbalance: Option<f64>,
     watch_deadlock: bool,
     watch_abort: bool,
     watch_postmortem: Option<String>,
@@ -247,7 +238,6 @@ fn parse_args() -> Args {
         alpha: 4,
         cache: 16,
         misroutes: 2,
-        shards: 1,
         replay_trace: None,
         service_clients: None,
         collective: None,
@@ -267,7 +257,6 @@ fn parse_args() -> Args {
         live_analyze: false,
         watch_stall: None,
         watch_retries: None,
-        watch_imbalance: None,
         watch_deadlock: false,
         watch_abort: false,
         watch_postmortem: None,
@@ -395,12 +384,6 @@ fn parse_args() -> Args {
             "--alpha" => args.alpha = next_parse!(argv),
             "--cache" => args.cache = next_parse!(argv),
             "--misroutes" => args.misroutes = next_parse!(argv),
-            "--shards" => {
-                args.shards = next_parse!(argv);
-                if args.shards == 0 {
-                    usage();
-                }
-            }
             "--replay-trace" => args.replay_trace = Some(argv.next().unwrap_or_else(|| usage())),
             "--service-clients" => {
                 args.service_clients = Some(next_parse!(argv));
@@ -425,12 +408,6 @@ fn parse_args() -> Args {
                 }
             }
             "--watch-retries" => args.watch_retries = Some(next_parse!(argv)),
-            "--watch-imbalance" => {
-                args.watch_imbalance = Some(next_parse!(argv));
-                if args.watch_imbalance.is_some_and(|f| f <= 1.0) {
-                    usage();
-                }
-            }
             "--watch-deadlock" => args.watch_deadlock = true,
             "--watch-abort" => args.watch_abort = true,
             "--watch-postmortem" => {
@@ -445,7 +422,10 @@ fn parse_args() -> Args {
                 }
             }
             _ if !a.starts_with('-') && args.path.is_none() => args.path = Some(a),
-            _ => usage(),
+            _ => {
+                eprintln!("error: unknown argument `{a}`");
+                usage();
+            }
         }
     }
     args
@@ -681,7 +661,6 @@ fn watchdog_config(args: &Args) -> wavesim_bench::watchdog::WatchdogConfig {
     wavesim_bench::watchdog::WatchdogConfig {
         stall_cycles: args.watch_stall,
         retry_limit: args.watch_retries,
-        imbalance: args.watch_imbalance,
         deadlock: args.watch_deadlock,
         abort: args.watch_abort,
         post_mortem: args.watch_postmortem.as_ref().map(std::path::PathBuf::from),
@@ -718,7 +697,6 @@ fn print_watchdog_reports() -> bool {
             let name = match t.rule {
                 1 => "stall",
                 2 => "retry-storm",
-                3 => "shard-imbalance",
                 4 => "wait-cycle",
                 _ => "unknown",
             };
@@ -784,7 +762,6 @@ fn custom_run(args: &Args) -> bool {
         ..WaveConfig::default()
     };
     let mut net = WaveNetwork::new(topo.clone(), cfg);
-    net.set_shards(args.shards);
     if !apply_fault_inputs(&mut net, args) {
         return false;
     }

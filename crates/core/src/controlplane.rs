@@ -9,9 +9,9 @@
 //! it emits a [`PlaneEvent`] and lets the circuitplane decide.
 //!
 //! Time-delayed control-flit movement is scheduled on an external
-//! [`EventQueue<CtrlEvent>`] (owned by the composition root, or by a
-//! [`wavesim_sim::Engine`] when the plane runs standalone); every delay
-//! is at least one cycle, so same-cycle event cascades cannot occur.
+//! [`EventQueue<CtrlEvent>`] (owned by the composition root, or by the
+//! test that runs the plane standalone); every delay is at least one
+//! cycle, so same-cycle event cascades cannot occur.
 
 use wavesim_sim::{Cycle, EventQueue, Model};
 use wavesim_topology::{NodeId, PortDir, Topology};
@@ -770,7 +770,7 @@ impl Model for ControlPlane {
 
     /// Purely event-driven: `tick` is empty, so the calendar alone decides
     /// when this plane next runs. A probe parked with no event in flight
-    /// is genuinely stuck — standalone engines may stop rather than spin.
+    /// is genuinely stuck — a standalone driver may stop rather than spin.
     fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
         None
     }
@@ -779,22 +779,24 @@ impl Model for ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wavesim_sim::Engine;
 
-    /// The plane runs standalone under the generic engine: launch a probe
-    /// and watch it reserve a path and complete the ack walk.
+    /// The plane runs standalone on its own calendar: launch a probe and
+    /// watch it reserve a path and complete the ack walk.
     #[test]
     fn establishes_a_circuit_standalone() {
         let topo = Topology::mesh(&[4, 4]);
-        let plane = ControlPlane::new(topo, WaveConfig::default());
-        let mut engine = Engine::new(plane);
+        let mut plane = ControlPlane::new(topo, WaveConfig::default());
+        let mut queue = EventQueue::new();
         let cid = CircuitId(0);
         // Launch through the public inbound-event entry point.
-        let (model, queue) = engine.model_and_queue_mut();
-        model.on_launch_probe(0, queue, cid, NodeId(0), NodeId(15), 1, false);
-        engine.run_until(10_000);
+        plane.on_launch_probe(0, &mut queue, cid, NodeId(0), NodeId(15), 1, false);
+        while let Some(now) = queue.next_time().filter(|&t| t < 10_000) {
+            while let Some(ev) = queue.pop_due(now) {
+                plane.handle(now, ev.event, &mut queue);
+            }
+        }
         let mut bus = EventBus::new();
-        engine.model_mut().drain_outbox_into(&mut bus);
+        plane.drain_outbox_into(&mut bus);
         let mut established = false;
         while let Some(ev) = bus.pop() {
             if let PlaneEvent::CircuitEstablished { circuit, hops, .. } = ev {
@@ -804,7 +806,7 @@ mod tests {
             }
         }
         assert!(established);
-        assert!(!engine.model().busy());
-        assert_eq!(engine.model().stats().probes_reached, 1);
+        assert!(!plane.busy());
+        assert_eq!(plane.stats().probes_reached, 1);
     }
 }

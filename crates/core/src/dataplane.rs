@@ -10,7 +10,7 @@ use wavesim_network::message::DeliveryMode;
 use wavesim_network::{Message, WormholeConfig, WormholeFabric};
 use wavesim_sim::{Cycle, EventQueue, Model};
 use wavesim_topology::Topology;
-use wavesim_trace::{TraceBuf, TraceEvent, TraceHub};
+use wavesim_trace::{TraceBuf, TraceEvent};
 
 use crate::events::PlaneEvent;
 use crate::stats::WaveStats;
@@ -24,13 +24,9 @@ pub struct DataPlane {
     /// [`WormholeFabric::drain_deliveries_into`] so the per-cycle
     /// collection path stays allocation-free.
     scratch: Vec<wavesim_network::Delivery>,
-    /// Per-shard trace staging, index-aligned with the fabric's shards:
-    /// delivery trace events stage into the buffer of the shard that owns
-    /// the destination router, and the composition root absorbs the
-    /// buffers in shard order. Because the fabric's merge already emits
-    /// deliveries in ascending-router order, the concatenation is the
-    /// same byte stream at every shard count.
-    shard_bufs: Vec<TraceBuf>,
+    /// Staging buffer for delivery trace events, absorbed by the
+    /// composition root like the other planes' buffers.
+    pub(crate) trace: TraceBuf,
 }
 
 impl DataPlane {
@@ -42,47 +38,7 @@ impl DataPlane {
             stats: WaveStats::default(),
             outbox: Vec::new(),
             scratch: Vec::new(),
-            shard_bufs: vec![TraceBuf::new()],
-        }
-    }
-
-    /// Repartitions the fabric into `n` spatial shards (see
-    /// [`WormholeFabric::set_shards`]) and realigns the per-shard trace
-    /// staging. Call between runs, not mid-cycle.
-    pub fn set_shards(&mut self, n: usize) {
-        self.fabric.set_shards(n);
-        let armed = self.shard_bufs.first().is_some_and(TraceBuf::armed);
-        self.shard_bufs = (0..self.fabric.shards()).map(|_| TraceBuf::new()).collect();
-        if armed {
-            self.arm_trace();
-        }
-    }
-
-    /// Arms the per-shard trace staging buffers.
-    pub(crate) fn arm_trace(&mut self) {
-        for b in &mut self.shard_bufs {
-            b.arm();
-        }
-    }
-
-    /// Disarms the per-shard trace staging buffers.
-    pub(crate) fn disarm_trace(&mut self) {
-        for b in &mut self.shard_bufs {
-            b.disarm();
-        }
-    }
-
-    /// Events staged across all shard buffers (test hook).
-    #[cfg(test)]
-    pub(crate) fn trace_staged_len(&self) -> usize {
-        self.shard_bufs.iter().map(TraceBuf::staged_len).sum()
-    }
-
-    /// Absorbs the per-shard staging buffers into `hub`, in shard order —
-    /// the deterministic merge point of the sharded trace pipeline.
-    pub(crate) fn absorb_trace_into(&mut self, hub: &mut TraceHub) {
-        for b in &mut self.shard_bufs {
-            hub.absorb(b);
+            trace: TraceBuf::new(),
         }
     }
 
@@ -93,18 +49,17 @@ impl DataPlane {
 
     /// Advances the fabric one cycle and stages completed deliveries on
     /// the outbox (and, when traced, the delivery trace events on the
-    /// owning shard's staging buffer).
+    /// staging buffer).
     pub fn step(&mut self, now: Cycle) {
         self.fabric.tick(now);
         let mut buf = std::mem::take(&mut self.scratch);
         self.fabric.drain_deliveries_into(&mut buf);
-        let traced = self.shard_bufs.first().is_some_and(TraceBuf::armed);
+        let traced = self.trace.armed();
         for &d in &buf {
             debug_assert_eq!(d.mode, DeliveryMode::Wormhole);
             self.stats.msgs_wormhole += 1;
             if traced {
-                let s = self.fabric.shard_of(d.msg.dest);
-                self.shard_bufs[s].emit(
+                self.trace.emit(
                     now,
                     TraceEvent::WormholeDeliver {
                         msg: d.msg.id.0,
@@ -163,22 +118,22 @@ impl Model for DataPlane {
 mod tests {
     use super::*;
     use wavesim_network::Message;
-    use wavesim_sim::Engine;
     use wavesim_topology::NodeId;
 
     #[test]
-    fn runs_standalone_under_the_engine() {
-        let plane = DataPlane::new(Topology::mesh(&[4, 4]), WormholeConfig::default());
-        let mut engine = Engine::new(plane);
-        engine
-            .model_mut()
-            .inject(Message::new(1, NodeId(0), NodeId(15), 16, 0));
-        let report = engine.run_until(10_000);
-        assert!(!engine.model().busy());
-        assert!(report.ticks > 0);
+    fn runs_standalone_on_a_plain_tick_loop() {
+        let mut plane = DataPlane::new(Topology::mesh(&[4, 4]), WormholeConfig::default());
+        plane.inject(Message::new(1, NodeId(0), NodeId(15), 16, 0));
+        let mut now = 0;
+        while plane.busy() && now < 10_000 {
+            plane.step(now);
+            now += 1;
+        }
+        assert!(!plane.busy());
+        assert!(now > 0);
         let mut bus = crate::events::EventBus::new();
-        engine.model_mut().drain_outbox_into(&mut bus);
+        plane.drain_outbox_into(&mut bus);
         assert!(matches!(bus.pop(), Some(PlaneEvent::WormholeDelivered(_))));
-        assert_eq!(engine.model().stats().msgs_wormhole, 1);
+        assert_eq!(plane.stats().msgs_wormhole, 1);
     }
 }

@@ -15,8 +15,7 @@
 //! cycle it was emitted (see [`crate::events`] for why that loop
 //! terminates). Time-delayed work sits on two per-plane
 //! [`EventQueue`]s owned by this root, so each plane stays a pure
-//! [`wavesim_sim::Model`] that can also run standalone under an
-//! [`wavesim_sim::Engine`].
+//! [`wavesim_sim::Model`] that can also run standalone.
 //!
 //! ### CLRP (§3.1), as implemented
 //!
@@ -117,8 +116,8 @@ pub struct HealthSnapshot {
     pub control_backlog: u64,
     /// Cycles since any flit last moved in the fabric.
     pub progress_age: u64,
-    /// Per-shard wall-clock nanoseconds spent stepping the fabric.
-    pub shard_wall_ns: Vec<u64>,
+    /// Cumulative wall-clock nanoseconds spent in the fabric's scan.
+    pub scan_wall_ns: u64,
 }
 
 /// The complete wave-switched network (Fig. 2 routers at every node):
@@ -144,8 +143,7 @@ pub struct WaveNetwork {
 /// `ReleaseCircuit` is internal bookkeeping (the observable outcome is the
 /// later `CircuitReleased`) and is not traced. `WormholeDelivered` is
 /// traced at its source instead: the dataplane stages the delivery event
-/// into the owning shard's buffer, absorbed in shard order by
-/// [`WaveNetwork::route`].
+/// into its own buffer, absorbed by [`WaveNetwork::route`].
 fn trace_event_of(ev: &PlaneEvent) -> Option<TraceEvent> {
     Some(match ev {
         PlaneEvent::WormholeDelivered(_) => return None,
@@ -249,14 +247,14 @@ impl WaveNetwork {
     /// from now on, stamped with a single global sequence order.
     pub fn install_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace.install(sink);
-        self.data.arm_trace();
+        self.data.trace.arm();
         self.ctrl.trace.arm();
         self.circ.trace.arm();
     }
 
     /// Disarms every emit point and returns the installed sink, if any.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.data.disarm_trace();
+        self.data.trace.disarm();
         self.ctrl.trace.disarm();
         self.circ.trace.disarm();
         self.trace.take()
@@ -287,8 +285,7 @@ impl WaveNetwork {
     }
 
     /// A cheap cross-plane health snapshot for live observers (watchdogs,
-    /// the metrics endpoint). Every field is O(1) to read except the
-    /// per-shard walls, which borrow the fabric's existing accounting.
+    /// the metrics endpoint). Every field is O(1) to read.
     #[must_use]
     pub fn health(&self, now: Cycle) -> HealthSnapshot {
         let fabric = self.data.fabric();
@@ -298,7 +295,7 @@ impl WaveNetwork {
             active_routers: self.active_routers(),
             control_backlog: self.control_backlog() as u64,
             progress_age: fabric.progress_age(now),
-            shard_wall_ns: fabric.shard_wall_ns().to_vec(),
+            scan_wall_ns: fabric.shard_wall_ns()[0],
         }
     }
 
@@ -336,21 +333,6 @@ impl WaveNetwork {
     #[must_use]
     pub fn fabric(&self) -> &WormholeFabric {
         self.data.fabric()
-    }
-
-    /// Partitions the wormhole fabric into `n` spatial shards processed by
-    /// one thread each (clamped to `1..=num_nodes`). Results — the run
-    /// schedule, every statistic, and the trace byte stream — are
-    /// identical at any shard count; see the fabric's module docs for the
-    /// conservative-sync argument. Call between runs, not mid-cycle.
-    pub fn set_shards(&mut self, n: usize) {
-        self.data.set_shards(n);
-    }
-
-    /// The configured shard count.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.data.fabric().shards()
     }
 
     /// Routers currently doing work, across planes: the wormhole fabric's
@@ -616,10 +598,10 @@ impl WaveNetwork {
         if traced {
             // Intra-plane emits staged since the last route (outbox drains
             // happen right before route calls, so staging order ≈ bus order).
-            // Dataplane shard buffers first: their events (deliveries of
-            // the tick that just stepped) precede anything the control or
-            // circuit planes staged in response.
-            self.data.absorb_trace_into(&mut self.trace);
+            // Dataplane first: its events (deliveries of the tick that
+            // just stepped) precede anything the control or circuit
+            // planes staged in response.
+            self.trace.absorb(&mut self.data.trace);
             self.trace.absorb(&mut self.ctrl.trace);
             self.trace.absorb(&mut self.circ.trace);
         }
@@ -880,7 +862,7 @@ mod tests {
         }
         assert_eq!(net.ctrl.trace.staged_len(), 0);
         assert_eq!(net.circ.trace.staged_len(), 0);
-        assert_eq!(net.data.trace_staged_len(), 0);
+        assert_eq!(net.data.trace.staged_len(), 0);
         assert!(net.take_trace_sink().is_none());
     }
 
@@ -914,39 +896,5 @@ mod tests {
         }
         assert!(!net.busy());
         assert_eq!(net.circ.active_sources(), 0);
-    }
-
-    /// Full-stack shard determinism: the same CLRP workload produces a
-    /// byte-identical trace and delivery schedule at every shard count.
-    #[test]
-    fn sharded_network_trace_is_byte_identical() {
-        let run_at = |shards: usize| {
-            let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
-            net.set_shards(shards);
-            assert_eq!(net.shards(), shards);
-            net.install_trace_sink(Box::new(wavesim_trace::VecSink::new()));
-            for id in 0..20u64 {
-                let src = NodeId((id % 16) as u32);
-                let dest = NodeId(((id * 7 + 1) % 16) as u32);
-                if src != dest {
-                    net.send(0, Message::new(id, src, dest, 24, 0));
-                }
-            }
-            let mut now = 0;
-            while net.busy() && now < 50_000 {
-                net.tick(now);
-                now += 1;
-            }
-            let sched: Vec<_> = net
-                .drain_deliveries()
-                .iter()
-                .map(|d| (d.msg.id.0, d.delivered_at))
-                .collect();
-            let sink = net.take_trace_sink().expect("sink installed");
-            (sched, format!("{:?}", sink.snapshot()))
-        };
-        let serial = run_at(1);
-        assert_eq!(serial, run_at(2));
-        assert_eq!(serial, run_at(4));
     }
 }

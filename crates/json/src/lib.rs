@@ -108,14 +108,11 @@ impl Value {
     /// # Errors
     /// Returns a message with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src: text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
@@ -293,19 +290,19 @@ fn write_seq(
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -318,7 +315,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -413,7 +410,8 @@ impl Parser<'_> {
                         Some(b't') => s.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let code = u32::from_str_radix(
@@ -431,10 +429,9 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let text = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = text.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar. `pos` only ever advances by
+                    // whole scalars or ASCII bytes, so it is a char boundary.
+                    let c = self.src[self.pos..].chars().next().expect("non-empty");
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -453,8 +450,8 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("invalid number at byte {start}"))
     }
@@ -504,6 +501,24 @@ mod tests {
         let text = v.compact();
         assert_eq!(Value::parse(&text).unwrap(), v);
         assert_eq!(Value::parse(r#""A\/""#).unwrap(), Value::Str("A/".into()));
+    }
+
+    #[test]
+    fn multibyte_scalars_roundtrip() {
+        // 2-, 3- and 4-byte scalars, adjacent to escapes and to each other.
+        let v = Value::Str("é\"→\n𝄞𝄞\u{10ffff}z".into());
+        let text = v.compact();
+        assert_eq!(Value::parse(&text).unwrap(), v);
+        assert_eq!(
+            Value::parse("{\"ключ\": [\"値\", \"😀\"]}").unwrap(),
+            Value::obj(vec![(
+                "ключ",
+                Value::Arr(vec![Value::Str("値".into()), Value::Str("😀".into())])
+            )])
+        );
+        // An escape whose hex digits are cut short by a multi-byte scalar
+        // is an error, not a mis-sliced string.
+        assert!(Value::parse("\"\\u12é\"").is_err());
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //!
 //! 1. **Output-VC release → VA waiters.** A head that finds every candidate
 //!    output VC owned is parked on all of them; the tail forward that frees
-//!    one (`sa_stage`, same router, so shard-local) re-arms its waiters for
-//!    the next cycle's VA. An output VC is taken only in VA and freed only
-//!    by that release, so between park and release the head would have lost
+//!    one (`sa_stage`, same router) re-arms its waiters for the next
+//!    cycle's VA. An output VC is taken only in VA and freed only by that
+//!    release, so between park and release the head would have lost
 //!    every cycle; a lost VA visit has no side effect, and the re-armed set
 //!    is visited in the same rotated `now % n_ivc` order, so the same head
 //!    wins in the same cycle.
@@ -48,7 +48,7 @@
 //!    port over its *request mask* — input VCs routed there with a flit and
 //!    a downstream slot — from the port's round-robin pointer, minus the
 //!    input ports already used this cycle. A VC that spends its last credit
-//!    leaves the mask; the serial merge puts the output VC's owner back when
+//!    leaves the mask; the commit step puts the output VC's owner back when
 //!    the first credit returns. A creditless VC was never grantable and the
 //!    pointer only moves on grants, so every grant is unchanged.
 //! 3. **Flit arrival → `va_pending` or request bit.** A flit landing in an
@@ -60,31 +60,23 @@
 //! `vcs_touched` counts VA visits plus the request bits each SA arbitration
 //! chose among, and a deadlocked fabric counts zero.
 //!
-//! # Deterministic spatial sharding
+//! # One kernel, two staged queues
 //!
-//! A run can be partitioned across threads with [`WormholeFabric::set_shards`]
-//! without changing a single output byte. The partition is spatial:
-//! contiguous router-id bands (row-major node numbering makes these
-//! contiguous regions of the mesh/torus). The scheme works because the VA,
-//! SA, and injection phases are **router-local**: they read and write only
-//! the state of the router being scanned, plus immutable topology/routing
-//! tables. Every cross-router effect — flit arrivals, credit returns,
-//! message-slab bookkeeping, deliveries — is buffered in a per-shard
-//! scratch (`ShardScratch`) and applied in a serial merge in shard-index
-//! order.
-//! Since shards cover ascending id ranges and each shard visits its routers
-//! ascending, the merge replays effects in exactly the order the serial
-//! kernel produced them. The sync model is conservative with a one-cycle
-//! lookahead (the link latency): shards run a full cycle independently,
-//! then barrier at the merge; no shard can observe another's cycle-`t`
-//! output before cycle `t+1`, which is precisely the flit/credit pipeline
-//! latency the serial kernel already enforces.
+//! The tick is single-threaded (DESIGN §9 has the measurements behind
+//! that). VA, SA and injection read and write only the router being
+//! scanned plus the fabric-wide bookkeeping — message slab, statistics,
+//! in-flight counts — which they update where the event happens. The only
+//! effects held back are the two that cross a link: flits forwarded in SA
+//! (`arrivals`) and the credits they free (`credit_returns`) land in the
+//! commit step after every router was scanned, which *is* the one-cycle
+//! link latency — no router can observe another's cycle-`t` output before
+//! cycle `t+1`.
 
 use wavesim_sim::bitset::first_set_excluding;
 use wavesim_sim::{BitSet, Cycle, CycleKernelStats};
 use wavesim_topology::{Candidate, NodeId, PortDir, RoutingKind, Topology, WormholeRouting};
 
-use crate::message::{Delivery, DeliveryMode, Flit, Message, MessageId};
+use crate::message::{Delivery, DeliveryMode, Flit, Message};
 use crate::router::{route_pack, route_vc, Emitting, Queued, Router, OWNER_NONE, ROUTE_NONE};
 
 /// Configuration of the wormhole fabric (the paper's `S0` switch plane).
@@ -124,17 +116,6 @@ pub struct FabricStats {
     pub flit_hops: u64,
     /// Successful output-VC allocations.
     pub va_allocs: u64,
-}
-
-impl FabricStats {
-    /// Field-wise accumulation of a per-shard delta.
-    fn absorb(&mut self, d: &FabricStats) {
-        self.injected_msgs += d.injected_msgs;
-        self.delivered_msgs += d.delivered_msgs;
-        self.delivered_flits += d.delivered_flits;
-        self.flit_hops += d.flit_hops;
-        self.va_allocs += d.va_allocs;
-    }
 }
 
 /// A node in the output-VC wait-for graph exposed for deadlock diagnosis:
@@ -198,64 +179,6 @@ impl MsgSlab {
     }
 }
 
-/// Per-shard staging area: everything a shard's VA/SA/injection pass wants
-/// to do *outside its own routers* is recorded here and replayed by the
-/// serial merge, in shard-index order. Buffers keep their capacity across
-/// ticks, so the steady-state exchange is allocation-free.
-#[derive(Default)]
-struct ShardScratch {
-    /// Routing-candidate scratch for the VA stage.
-    cand: Vec<Candidate>,
-    /// Rotated VA visit order snapshot (dense VC indices).
-    order: Vec<u16>,
-    /// Input VCs whose input port already sent a flit this cycle (the SA
-    /// stage's crossbar constraint), one router at a time.
-    used_inputs: Vec<u64>,
-    /// Flits forwarded to downstream routers: `(router, input VC, flit)`.
-    arrivals: Vec<(u32, u16, Flit)>,
-    /// Credits returned to upstream routers: `(router, output VC)`.
-    credit_returns: Vec<(u32, u16)>,
-    /// Tail flits delivered this cycle: `(slab slot, message id)`, in SA
-    /// visit order.
-    delivered_tails: Vec<(u32, MessageId)>,
-    /// Output VCs acquired by VA this cycle: `(slot, router, output VC)`.
-    held_pushes: Vec<(u32, u32, u16)>,
-    /// Output VCs released by a forwarded tail: `(slot, router, output VC)`.
-    held_removes: Vec<(u32, u32, u16)>,
-    /// Fabric-stat deltas accumulated by this shard this cycle.
-    stats: FabricStats,
-    /// `vcs_touched` delta (VA visits + SA request bits considered).
-    vcs_touched: u64,
-    /// Net change to the in-flight flit count.
-    in_flight_delta: i64,
-    /// Net change to the emitting-message count.
-    emitting_delta: i64,
-    /// True when any flit moved in this shard (progress signal).
-    progressed: bool,
-    /// Wall-clock nanoseconds spent in this shard's phases this cycle.
-    wall_ns: u64,
-}
-
-impl ShardScratch {
-    /// Clears per-cycle staging (called by the merge); keeps capacity.
-    fn reset(&mut self) {
-        self.delivered_tails.clear();
-        self.held_pushes.clear();
-        self.held_removes.clear();
-        self.stats = FabricStats::default();
-        self.vcs_touched = 0;
-        self.in_flight_delta = 0;
-        self.emitting_delta = 0;
-        self.progressed = false;
-        self.wall_ns = 0;
-    }
-}
-
-/// Minimum worklist size before a multi-shard tick actually spawns
-/// threads; below it the shards run serially (same code, same scratches,
-/// byte-identical results) because scoped-thread startup would dominate.
-const PARALLEL_MIN_ROUTERS: usize = 128;
-
 /// The flit-level wormhole network.
 pub struct WormholeFabric {
     topo: Topology,
@@ -273,14 +196,23 @@ pub struct WormholeFabric {
     active: BitSet,
     /// Scratch worklist of active router ids, reused across ticks.
     worklist: Vec<u32>,
-    /// Shard boundaries over router ids: shard `s` owns
-    /// `shard_bounds[s]..shard_bounds[s+1]`.
-    shard_bounds: Vec<u32>,
-    /// Per-shard staging areas, index-aligned with `shard_bounds` windows.
-    scratch: Vec<ShardScratch>,
-    /// Cumulative wall-clock nanoseconds spent inside each shard's phase
-    /// loops (the per-shard work breakdown the bench records).
-    shard_wall_ns: Vec<u64>,
+    /// Routing-candidate scratch for the VA stage.
+    cand: Vec<Candidate>,
+    /// Rotated VA visit order snapshot (dense VC indices).
+    order: Vec<u16>,
+    /// Input VCs whose input port already sent a flit this cycle (the SA
+    /// stage's crossbar constraint), one router at a time.
+    used_inputs: Vec<u64>,
+    /// Flits forwarded this cycle, landing downstream in the commit step:
+    /// `(router, input VC, flit)`.
+    arrivals: Vec<(u32, u16, Flit)>,
+    /// Credits freed this cycle, returning upstream in the commit step:
+    /// `(router, output VC)`.
+    credit_returns: Vec<(u32, u16)>,
+    /// Cumulative wall-clock nanoseconds spent in the VA/SA/injection
+    /// scan. A one-element array because `benchmark/` compiles against
+    /// `shard_wall_ns() -> &[u64]` and sums it.
+    scan_wall_ns: [u64; 1],
     deliveries: Vec<Delivery>,
     in_flight_flits: u64,
     emitting_msgs: u64,
@@ -326,7 +258,7 @@ impl WormholeFabric {
             .map(|_| Router::new(nports, w, cfg.buffer_depth))
             .collect();
         let active = BitSet::new(routers.len());
-        let mut f = Self {
+        Self {
             w,
             nports,
             local: nports - 1,
@@ -334,9 +266,12 @@ impl WormholeFabric {
             slab: MsgSlab::default(),
             active,
             worklist: Vec::new(),
-            shard_bounds: Vec::new(),
-            scratch: Vec::new(),
-            shard_wall_ns: Vec::new(),
+            cand: Vec::new(),
+            order: Vec::new(),
+            used_inputs: Vec::new(),
+            arrivals: Vec::new(),
+            credit_returns: Vec::new(),
+            scan_wall_ns: [0],
             deliveries: Vec::new(),
             in_flight_flits: 0,
             emitting_msgs: 0,
@@ -346,9 +281,7 @@ impl WormholeFabric {
             routing,
             topo,
             cfg,
-        };
-        f.set_shards(1);
-        f
+        }
     }
 
     /// The topology this fabric runs on.
@@ -369,37 +302,13 @@ impl WormholeFabric {
         self.routing.as_ref()
     }
 
-    /// Partitions the run into `n` spatial shards (clamped to
-    /// `1..=num_nodes`): contiguous router-id bands processed by one thread
-    /// each. Results are **byte-identical at any shard count** — see the
-    /// module docs for why — so this only trades wall-clock for cores.
-    pub fn set_shards(&mut self, n: usize) {
-        let nodes = self.topo.num_nodes() as usize;
-        let n = n.clamp(1, nodes.max(1));
-        self.shard_bounds = (0..=n)
-            .map(|s| u32::try_from(nodes * s / n).expect("node count fits u32"))
-            .collect();
-        self.scratch = (0..n).map(|_| ShardScratch::default()).collect();
-        self.shard_wall_ns = vec![0; n];
-    }
-
-    /// The configured shard count.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shard_bounds.len() - 1
-    }
-
-    /// Which shard owns `node`.
-    #[must_use]
-    pub fn shard_of(&self, node: NodeId) -> usize {
-        self.shard_bounds.partition_point(|&b| b <= node.0) - 1
-    }
-
-    /// Cumulative wall-clock nanoseconds spent inside each shard's phase
-    /// loops (one entry per shard), for the bench's per-shard breakdown.
+    /// Cumulative wall-clock nanoseconds spent in the VA/SA/injection scan,
+    /// as a one-element slice. The name and shape are what `benchmark/`
+    /// compiles against (it sums the slice into `network.scan_s`); renaming
+    /// it is a `benchmark` change of its own.
     #[must_use]
     pub fn shard_wall_ns(&self) -> &[u64] {
-        &self.shard_wall_ns
+        &self.scan_wall_ns
     }
 
     /// Accepts a message for injection at its source node.
@@ -475,8 +384,6 @@ impl WormholeFabric {
     /// Advances the fabric by one cycle: scans only the active set, in
     /// ascending router order (the same order the seed kernel's full scan
     /// visited them, so arbitration and delivery order are unchanged).
-    /// With shards configured, the scan is split into contiguous bands run
-    /// concurrently and merged deterministically — see the module docs.
     pub fn tick(&mut self, now: Cycle) {
         self.kernel.ticks += 1;
         let mut wl = std::mem::take(&mut self.worklist);
@@ -490,40 +397,12 @@ impl WormholeFabric {
         }
         self.kernel.routers_scanned += wl.len() as u64;
 
-        {
-            // Field-level borrows so the router slice, scratches, and the
-            // immutable tables can be handed to shard workers.
-            let cx = ShardCtx {
-                topo: &self.topo,
-                routing: self.routing.as_ref(),
-                cfg: self.cfg,
-                w: self.w,
-                nports: self.nports,
-                local: self.local,
-                now,
-            };
-            let (routers, bounds, scratch) = (
-                &mut self.routers[..],
-                &self.shard_bounds,
-                &mut self.scratch[..],
-            );
-            if bounds.len() > 2 && wl.len() >= PARALLEL_MIN_ROUTERS {
-                std::thread::scope(|sc| {
-                    for_each_band(routers, &wl, bounds, scratch, |base, chunk, wlp, scr| {
-                        sc.spawn(move || run_shard(base, chunk, wlp, cx, scr));
-                    });
-                });
-            } else {
-                for_each_band(routers, &wl, bounds, scratch, |base, chunk, wlp, scr| {
-                    run_shard(base, chunk, wlp, cx, scr);
-                });
-            }
-        }
+        self.scan(&wl, now);
 
-        self.merge(now);
+        self.commit();
 
         // Retire provably quiescent routers. Routers that just received an
-        // arrival in the merge fail `idle` and stay in the set.
+        // arrival in the commit fail `idle` and stay in the set.
         for &r in &wl {
             if self.routers[r as usize].idle() {
                 self.active.clear(r as usize);
@@ -532,82 +411,261 @@ impl WormholeFabric {
         self.worklist = wl;
     }
 
-    /// The serial merge: replays every cross-router effect staged by the
-    /// shards, in shard-index order — which, shards being ascending-id
-    /// bands visited ascending, is exactly the serial kernel's order. Held
-    /// pushes (VA) apply before held removes (SA) because the serial tick
-    /// runs all VA before all SA; slab removals replay in delivery order so
-    /// the LIFO free list recycles slots identically.
-    fn merge(&mut self, now: Cycle) {
-        for si in 0..self.scratch.len() {
-            for k in 0..self.scratch[si].held_pushes.len() {
-                let (slot, r, oidx) = self.scratch[si].held_pushes[k];
-                self.slab.held_mut(slot).push((r, oidx));
-            }
+    /// Phases 1–3 over the worklist, timed. Kept out of line: inlined into
+    /// `tick` the three stage loops measured 2–3% slower on a 32x32 torus
+    /// (bare fabric, load 0.04 and 0.8).
+    #[inline(never)]
+    fn scan(&mut self, wl: &[u32], now: Cycle) {
+        let t0 = std::time::Instant::now();
+        for &r in wl {
+            self.va_stage(r, now);
         }
-        for si in 0..self.scratch.len() {
-            for k in 0..self.scratch[si].held_removes.len() {
-                let (slot, r, oidx) = self.scratch[si].held_removes[k];
-                let hs = self.slab.held_mut(slot);
-                let pos = hs
-                    .iter()
-                    .position(|&(hr, ho)| hr == r && ho == oidx)
-                    .expect("held list tracks allocations in path order");
-                hs.remove(pos);
-            }
+        for &r in wl {
+            self.sa_stage(r, now);
         }
-        for si in 0..self.scratch.len() {
-            for k in 0..self.scratch[si].delivered_tails.len() {
-                let (slot, id) = self.scratch[si].delivered_tails[k];
-                let msg = self.slab.remove(slot);
-                debug_assert_eq!(msg.id, id, "slot/id mismatch at delivery");
-                self.stats.delivered_msgs += 1;
-                self.deliveries.push(Delivery {
-                    msg,
-                    delivered_at: now,
-                    mode: DeliveryMode::Wormhole,
-                });
-            }
+        for &r in wl {
+            self.injection_stage(r);
         }
-        for si in 0..self.scratch.len() {
-            let mut arrivals = std::mem::take(&mut self.scratch[si].arrivals);
-            for (r, ivc, flit) in arrivals.drain(..) {
-                self.active.set(r as usize);
-                let router = &mut self.routers[r as usize];
-                router.push_flit(ivc as usize, flit);
-                assert!(
-                    router.bufs[ivc as usize].len() <= self.cfg.buffer_depth as usize,
-                    "credit protocol violated: buffer overflow at router {r} vc {ivc}"
-                );
-            }
-            self.scratch[si].arrivals = arrivals;
-            let mut credits = std::mem::take(&mut self.scratch[si].credit_returns);
-            for (r, ovc) in credits.drain(..) {
-                let router = &mut self.routers[r as usize];
-                router.return_credit(ovc as usize);
-                assert!(
-                    router.out_credits[ovc as usize] <= self.cfg.buffer_depth,
-                    "credit protocol violated: credit overflow at router {r} ovc {ovc}"
-                );
-            }
-            self.scratch[si].credit_returns = credits;
+        self.scan_wall_ns[0] += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    }
 
-            let s = &mut self.scratch[si];
-            self.stats.absorb(&s.stats);
-            self.kernel.vcs_touched += s.vcs_touched;
-            self.in_flight_flits = self
-                .in_flight_flits
-                .checked_add_signed(s.in_flight_delta)
-                .expect("in-flight flit count stays non-negative");
-            self.emitting_msgs = self
-                .emitting_msgs
-                .checked_add_signed(s.emitting_delta)
-                .expect("emitting message count stays non-negative");
-            if s.progressed {
-                self.last_progress = now;
+    /// Phase 4: the flits forwarded and the credits freed this cycle reach
+    /// the neighbouring routers, one cycle after they were sent.
+    fn commit(&mut self) {
+        for (r, ivc, flit) in self.arrivals.drain(..) {
+            self.active.set(r as usize);
+            let router = &mut self.routers[r as usize];
+            router.push_flit(ivc as usize, flit);
+            assert!(
+                router.bufs[ivc as usize].len() <= self.cfg.buffer_depth as usize,
+                "credit protocol violated: buffer overflow at router {r} vc {ivc}"
+            );
+        }
+        for (r, ovc) in self.credit_returns.drain(..) {
+            let router = &mut self.routers[r as usize];
+            router.return_credit(ovc as usize);
+            assert!(
+                router.out_credits[ovc as usize] <= self.cfg.buffer_depth,
+                "credit protocol violated: credit overflow at router {r} ovc {ovc}"
+            );
+        }
+    }
+
+    /// Phase 1: routing computation + output-VC allocation. Scans only the
+    /// router's `va_pending` bitset, in the same rotated round-robin order the
+    /// seed kernel's full sweep used; a head that finds every candidate owned
+    /// is parked until one of them is released.
+    fn va_stage(&mut self, r: u32, now: Cycle) {
+        let router = &mut self.routers[r as usize];
+        if router.va_pending.is_empty() {
+            return;
+        }
+        let node = NodeId(r);
+        let w = self.w;
+        // The VA round-robin pointer is cycle-derived: the seed kernel
+        // advanced it by exactly one per tick on every router, active or
+        // not, so `now % n_ivc` reproduces it without per-router state —
+        // and without requiring idle routers to tick at all.
+        let start = (now % (self.nports * w) as u64) as usize;
+        // Snapshot the pending set: VA neither adds pending VCs nor clears
+        // any but the one it is processing, so the snapshot equals the live
+        // visit set of the serial sweep.
+        let order = &mut self.order;
+        order.clear();
+        router.va_pending.for_each_wrapping(start, |i| {
+            order.push(i as u16);
+            false
+        });
+        self.kernel.vcs_touched += order.len() as u64;
+        for &iu in order.iter() {
+            let i = iu as usize;
+            let Some(front) = router.bufs[i].front() else {
+                debug_assert!(false, "va_pending bit set on an empty VC");
+                continue;
+            };
+            debug_assert!(
+                front.is_head,
+                "unrouted VC front must be a head flit (packet-ordered buffers)"
+            );
+            let (front_dest, front_slot) = (front.dest, front.slot);
+            // Routing-delay accounting.
+            if router.head_since[i] == crate::router::NO_HEAD {
+                router.head_since[i] = now;
             }
-            self.shard_wall_ns[si] += s.wall_ns;
-            s.reset();
+            if now < router.head_since[i] + u64::from(self.cfg.routing_delay) {
+                continue;
+            }
+            if front_dest == node {
+                // Ejection needs no output VC: mark the route to the local
+                // port; SA treats it with infinite credit.
+                router.set_route(i, route_pack(self.local as u8, 0));
+                continue;
+            }
+            self.cand.clear();
+            self.routing
+                .route(&self.topo, node, front_dest, &mut self.cand);
+            debug_assert!(!self.cand.is_empty(), "routing gave no candidates");
+            let ovc_of = |c: &Candidate| c.port.index() * w + c.vc as usize;
+            match self
+                .cand
+                .iter()
+                .find(|c| router.out_owner[ovc_of(c)] == OWNER_NONE)
+            {
+                Some(c) => {
+                    router.out_owner[ovc_of(c)] = iu;
+                    router.set_route(i, route_pack(c.port.index() as u8, c.vc));
+                    self.slab.held_mut(front_slot).push((r, ovc_of(c) as u16));
+                    self.stats.va_allocs += 1;
+                }
+                None => router.park(i, self.cand.iter().map(ovc_of)),
+            }
+        }
+    }
+
+    /// Phase 2: switch allocation and flit forwarding / delivery. Each output
+    /// port grants the first of its requests, from its round-robin pointer,
+    /// whose input port has not sent a flit yet this cycle.
+    fn sa_stage(&mut self, r: u32, now: Cycle) {
+        let router = &mut self.routers[r as usize];
+        let node = NodeId(r);
+        let (w, local) = (self.w, self.local);
+        let n_ivc = self.nports * w;
+        let used_inputs = &mut self.used_inputs;
+        used_inputs.clear();
+        used_inputs.resize(n_ivc.div_ceil(64), 0);
+
+        for out_port in 0..self.nports {
+            let req = router.sa_req(out_port);
+            let considered: u32 = (req.iter().zip(used_inputs.iter()))
+                .map(|(&q, &u)| (q & !u).count_ones())
+                .sum();
+            if considered == 0 {
+                continue;
+            }
+            self.kernel.vcs_touched += u64::from(considered);
+            let i = first_set_excluding(req, used_inputs, router.sa_rr[out_port] as usize)
+                .expect("a considered request exists");
+            let (in_port, in_vc) = (i / w, i % w);
+            for v in in_port * w..(in_port + 1) * w {
+                used_inputs[v / 64] |= 1 << (v % 64);
+            }
+            router.sa_rr[out_port] = ((i + 1) % n_ivc) as u16;
+
+            let rt = router.route[i];
+            debug_assert_ne!(rt, ROUTE_NONE, "request bit set on an unrouted VC");
+            let flit = router.bufs[i]
+                .pop_front()
+                .expect("requesting VC has a flit");
+
+            // Return a credit upstream for the slot just freed (network
+            // input ports only; injection buffers are local).
+            if in_port != local {
+                let p = PortDir::from_index(in_port);
+                let up = self
+                    .topo
+                    .neighbor(node, p)
+                    .expect("flits only arrive over real links");
+                let up_ovc = p.opposite().index() * w + in_vc;
+                self.credit_returns.push((up.0, up_ovc as u16));
+            }
+
+            self.last_progress = now;
+            if out_port == local {
+                // Delivery.
+                self.in_flight_flits -= 1;
+                self.stats.delivered_flits += 1;
+                if flit.is_tail {
+                    router.clear_route(i);
+                    let msg = self.slab.remove(flit.slot);
+                    debug_assert_eq!(msg.id, flit.msg, "slot/id mismatch at delivery");
+                    self.stats.delivered_msgs += 1;
+                    self.deliveries.push(Delivery {
+                        msg,
+                        delivered_at: now,
+                        mode: DeliveryMode::Wormhole,
+                    });
+                } else {
+                    router.sync_after_pop(i);
+                }
+            } else {
+                let oidx = out_port * w + route_vc(rt);
+                debug_assert!(
+                    router.out_credits[oidx] > 0,
+                    "request bit set without a credit"
+                );
+                router.out_credits[oidx] -= 1;
+                let p = PortDir::from_index(out_port);
+                let down = self
+                    .topo
+                    .neighbor(node, p)
+                    .expect("allocated outputs point at real links");
+                let down_ivc = p.opposite().index() * w + route_vc(rt);
+                self.arrivals.push((down.0, down_ivc as u16, flit));
+                self.stats.flit_hops += 1;
+                if flit.is_tail {
+                    router.clear_route(i);
+                    // The tail has left this router: the message no longer
+                    // holds this output VC, and heads parked on it may try.
+                    router.release_output(oidx);
+                    let hs = self.slab.held_mut(flit.slot);
+                    let pos = hs
+                        .iter()
+                        .position(|&h| h == (r, oidx as u16))
+                        .expect("held list tracks allocations in path order");
+                    hs.remove(pos);
+                } else {
+                    router.sync_after_pop(i);
+                }
+            }
+        }
+    }
+
+    /// Phase 3: message flit emission at sources.
+    fn injection_stage(&mut self, r: u32) {
+        let router = &mut self.routers[r as usize];
+        let (w, local) = (self.w, self.local);
+        // Continue in-progress emissions: one flit per injection VC per cycle.
+        for v in 0..w {
+            let idx = local * w + v;
+            let Some(em) = router.emitting[v] else {
+                continue;
+            };
+            if router.bufs[idx].len() < self.cfg.buffer_depth as usize {
+                let flit = Flit::of(&em.msg, em.sent, em.slot);
+                router.push_flit(idx, flit);
+                self.in_flight_flits += 1;
+                let sent = em.sent + 1;
+                if sent == em.msg.len_flits {
+                    router.emitting[v] = None;
+                    router.emitting_live -= 1;
+                    self.emitting_msgs -= 1;
+                } else {
+                    router.emitting[v] = Some(Emitting {
+                        msg: em.msg,
+                        sent,
+                        slot: em.slot,
+                    });
+                }
+            }
+        }
+        // Claim idle injection VCs for queued messages.
+        for v in 0..w {
+            if router.inj_queue.is_empty() {
+                break;
+            }
+            let idx = local * w + v;
+            if router.emitting[v].is_none()
+                && router.bufs[idx].is_empty()
+                && router.route[idx] == ROUTE_NONE
+            {
+                let q = router.inj_queue.pop_front().expect("non-empty");
+                router.emitting[v] = Some(Emitting {
+                    msg: q.msg,
+                    sent: 0,
+                    slot: q.slot,
+                });
+                router.emitting_live += 1;
+            }
         }
     }
 
@@ -645,272 +703,6 @@ impl WormholeFabric {
             }
         }
         edges
-    }
-
-    /// Per-VC buffer occupancy snapshot `(router, dense input VC, flits)`,
-    /// for instrumentation.
-    #[must_use]
-    pub fn occupancy(&self) -> Vec<(u32, u16, usize)> {
-        let mut out = Vec::new();
-        for (r, router) in self.routers.iter().enumerate() {
-            for (i, buf) in router.bufs.iter().enumerate() {
-                if !buf.is_empty() {
-                    out.push((r as u32, i as u16, buf.len()));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// The immutable tables and per-tick constants every shard worker reads.
-#[derive(Clone, Copy)]
-struct ShardCtx<'a> {
-    topo: &'a Topology,
-    routing: &'a dyn WormholeRouting,
-    cfg: WormholeConfig,
-    w: usize,
-    nports: usize,
-    local: usize,
-    now: Cycle,
-}
-
-/// Cuts the (ascending) worklist at the shard boundaries and the router
-/// vector into the matching disjoint slices, handing each non-empty band
-/// to `f` as `(first router id, routers, worklist part, scratch)`.
-fn for_each_band<'a>(
-    mut routers: &'a mut [Router],
-    mut wl: &'a [u32],
-    bounds: &[u32],
-    scratch: &'a mut [ShardScratch],
-    mut f: impl FnMut(u32, &'a mut [Router], &'a [u32], &'a mut ShardScratch),
-) {
-    for (band, scr) in bounds.windows(2).zip(scratch) {
-        let (chunk, rest) = routers.split_at_mut((band[1] - band[0]) as usize);
-        routers = rest;
-        let (wlp, rest) = wl.split_at(wl.partition_point(|&r| r < band[1]));
-        wl = rest;
-        if !wlp.is_empty() {
-            f(band[0], chunk, wlp, scr);
-        }
-    }
-}
-
-/// One shard's full cycle: VA, SA, and injection over its own routers,
-/// staging every cross-router effect in `s`. Runs on a worker thread when
-/// the fabric is sharded; the only shared state it touches is immutable
-/// (`cx`).
-fn run_shard(base: u32, routers: &mut [Router], wl: &[u32], cx: ShardCtx, s: &mut ShardScratch) {
-    let t0 = std::time::Instant::now();
-    for &r in wl {
-        va_stage(&mut routers[(r - base) as usize], r, cx, s);
-    }
-    for &r in wl {
-        sa_stage(&mut routers[(r - base) as usize], r, cx, s);
-    }
-    for &r in wl {
-        injection_stage(&mut routers[(r - base) as usize], cx, s);
-    }
-    s.wall_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-}
-
-/// Phase 1: routing computation + output-VC allocation. Scans only the
-/// router's `va_pending` bitset, in the same rotated round-robin order the
-/// seed kernel's full sweep used; a head that finds every candidate owned
-/// is parked until one of them is released.
-fn va_stage(router: &mut Router, r: u32, cx: ShardCtx, s: &mut ShardScratch) {
-    if router.va_pending.is_empty() {
-        return;
-    }
-    let node = NodeId(r);
-    let w = cx.w;
-    // The VA round-robin pointer is cycle-derived: the seed kernel
-    // advanced it by exactly one per tick on every router, active or
-    // not, so `now % n_ivc` reproduces it without per-router state —
-    // and without requiring idle routers to tick at all.
-    let start = (cx.now % (cx.nports * w) as u64) as usize;
-    // Snapshot the pending set: VA neither adds pending VCs nor clears
-    // any but the one it is processing, so the snapshot equals the live
-    // visit set of the serial sweep.
-    s.order.clear();
-    router.va_pending.for_each_wrapping(start, |i| {
-        s.order.push(i as u16);
-        false
-    });
-    s.vcs_touched += s.order.len() as u64;
-    for &iu in &s.order {
-        let i = iu as usize;
-        let Some(front) = router.bufs[i].front() else {
-            debug_assert!(false, "va_pending bit set on an empty VC");
-            continue;
-        };
-        debug_assert!(
-            front.is_head,
-            "unrouted VC front must be a head flit (packet-ordered buffers)"
-        );
-        let (front_dest, front_slot) = (front.dest, front.slot);
-        // Routing-delay accounting.
-        if router.head_since[i] == crate::router::NO_HEAD {
-            router.head_since[i] = cx.now;
-        }
-        if cx.now < router.head_since[i] + u64::from(cx.cfg.routing_delay) {
-            continue;
-        }
-        if front_dest == node {
-            // Ejection needs no output VC: mark the route to the local
-            // port; SA treats it with infinite credit.
-            router.set_route(i, route_pack(cx.local as u8, 0));
-            continue;
-        }
-        s.cand.clear();
-        cx.routing.route(cx.topo, node, front_dest, &mut s.cand);
-        debug_assert!(!s.cand.is_empty(), "routing gave no candidates");
-        let ovc_of = |c: &Candidate| c.port.index() * w + c.vc as usize;
-        match s
-            .cand
-            .iter()
-            .find(|c| router.out_owner[ovc_of(c)] == OWNER_NONE)
-        {
-            Some(c) => {
-                router.out_owner[ovc_of(c)] = iu;
-                router.set_route(i, route_pack(c.port.index() as u8, c.vc));
-                s.held_pushes.push((front_slot, r, ovc_of(c) as u16));
-                s.stats.va_allocs += 1;
-            }
-            None => router.park(i, s.cand.iter().map(ovc_of)),
-        }
-    }
-}
-
-/// Phase 2: switch allocation and flit forwarding / delivery. Each output
-/// port grants the first of its requests, from its round-robin pointer,
-/// whose input port has not sent a flit yet this cycle.
-fn sa_stage(router: &mut Router, r: u32, cx: ShardCtx, s: &mut ShardScratch) {
-    let node = NodeId(r);
-    let (w, local) = (cx.w, cx.local);
-    let n_ivc = cx.nports * w;
-    s.used_inputs.clear();
-    s.used_inputs.resize(n_ivc.div_ceil(64), 0);
-
-    for out_port in 0..cx.nports {
-        let req = router.sa_req(out_port);
-        let considered: u32 = (req.iter().zip(&s.used_inputs))
-            .map(|(&q, &u)| (q & !u).count_ones())
-            .sum();
-        if considered == 0 {
-            continue;
-        }
-        s.vcs_touched += u64::from(considered);
-        let i = first_set_excluding(req, &s.used_inputs, router.sa_rr[out_port] as usize)
-            .expect("a considered request exists");
-        let (in_port, in_vc) = (i / w, i % w);
-        for v in in_port * w..(in_port + 1) * w {
-            s.used_inputs[v / 64] |= 1 << (v % 64);
-        }
-        router.sa_rr[out_port] = ((i + 1) % n_ivc) as u16;
-
-        let rt = router.route[i];
-        debug_assert_ne!(rt, ROUTE_NONE, "request bit set on an unrouted VC");
-        let flit = router.bufs[i]
-            .pop_front()
-            .expect("requesting VC has a flit");
-
-        // Return a credit upstream for the slot just freed (network
-        // input ports only; injection buffers are local).
-        if in_port != local {
-            let p = PortDir::from_index(in_port);
-            let up = cx
-                .topo
-                .neighbor(node, p)
-                .expect("flits only arrive over real links");
-            let up_ovc = p.opposite().index() * w + in_vc;
-            s.credit_returns.push((up.0, up_ovc as u16));
-        }
-
-        s.progressed = true;
-        if out_port == local {
-            // Delivery.
-            s.in_flight_delta -= 1;
-            s.stats.delivered_flits += 1;
-            if flit.is_tail {
-                router.clear_route(i);
-                s.delivered_tails.push((flit.slot, flit.msg));
-            } else {
-                router.sync_after_pop(i);
-            }
-        } else {
-            let oidx = out_port * w + route_vc(rt);
-            debug_assert!(
-                router.out_credits[oidx] > 0,
-                "request bit set without a credit"
-            );
-            router.out_credits[oidx] -= 1;
-            let p = PortDir::from_index(out_port);
-            let down = cx
-                .topo
-                .neighbor(node, p)
-                .expect("allocated outputs point at real links");
-            let down_ivc = p.opposite().index() * w + route_vc(rt);
-            s.arrivals.push((down.0, down_ivc as u16, flit));
-            s.stats.flit_hops += 1;
-            if flit.is_tail {
-                router.clear_route(i);
-                // The tail has left this router: the message no longer
-                // holds this output VC, and heads parked on it may try.
-                router.release_output(oidx);
-                s.held_removes.push((flit.slot, r, oidx as u16));
-            } else {
-                router.sync_after_pop(i);
-            }
-        }
-    }
-}
-
-/// Phase 3: message flit emission at sources.
-fn injection_stage(router: &mut Router, cx: ShardCtx, s: &mut ShardScratch) {
-    let (w, local) = (cx.w, cx.local);
-    // Continue in-progress emissions: one flit per injection VC per cycle.
-    for v in 0..w {
-        let idx = local * w + v;
-        let Some(em) = router.emitting[v] else {
-            continue;
-        };
-        if router.bufs[idx].len() < cx.cfg.buffer_depth as usize {
-            let flit = Flit::of(&em.msg, em.sent, em.slot);
-            router.push_flit(idx, flit);
-            s.in_flight_delta += 1;
-            let sent = em.sent + 1;
-            if sent == em.msg.len_flits {
-                router.emitting[v] = None;
-                router.emitting_live -= 1;
-                s.emitting_delta -= 1;
-            } else {
-                router.emitting[v] = Some(Emitting {
-                    msg: em.msg,
-                    sent,
-                    slot: em.slot,
-                });
-            }
-        }
-    }
-    // Claim idle injection VCs for queued messages.
-    for v in 0..w {
-        if router.inj_queue.is_empty() {
-            break;
-        }
-        let idx = local * w + v;
-        if router.emitting[v].is_none()
-            && router.bufs[idx].is_empty()
-            && router.route[idx] == ROUTE_NONE
-        {
-            let q = router.inj_queue.pop_front().expect("non-empty");
-            router.emitting[v] = Some(Emitting {
-                msg: q.msg,
-                sent: 0,
-                slot: q.slot,
-            });
-            router.emitting_live += 1;
-        }
     }
 }
 
@@ -1184,50 +976,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_is_byte_identical_to_serial() {
-        // The shard merge must reproduce the serial schedule exactly, at
-        // every shard count, including stats and kernel work counters.
-        let run_at = |shards: usize| {
-            let topo = Topology::torus(&[4, 4]);
-            let mut f = WormholeFabric::new(
-                topo.clone(),
-                WormholeConfig {
-                    w: 2,
-                    buffer_depth: 2,
-                    routing: RoutingKind::Deterministic,
-                    routing_delay: 1,
-                },
-            );
-            f.set_shards(shards);
-            let mut id = 0;
-            for a in topo.nodes() {
-                for b in topo.nodes() {
-                    if a != b {
-                        f.inject(Message::new(id, a, b, 6, 0));
-                        id += 1;
-                    }
-                }
-            }
-            let mut now = 0;
-            while f.busy() && now < 500_000 {
-                f.tick(now);
-                now += 1;
-            }
-            let sched: Vec<_> = f
-                .drain_deliveries()
-                .iter()
-                .map(|d| (d.msg.id.0, d.delivered_at))
-                .collect();
-            (sched, format!("{:?}{:?}", f.stats(), f.kernel_stats()))
-        };
-        let serial = run_at(1);
-        assert_eq!(serial, run_at(2));
-        assert_eq!(serial, run_at(3));
-        assert_eq!(serial, run_at(4));
-        assert_eq!(serial, run_at(16));
-    }
-
-    #[test]
     fn wide_router_drains_with_the_pinned_schedule() {
         // 4-D radix-2 mesh at w = 8: 9 ports x 8 VCs = 72 input VCs, so
         // the per-router scheduling sets span two u64 words and the eight
@@ -1285,14 +1033,81 @@ mod tests {
         }
     }
 
+    /// The input VC at the far end of output VC `ovc` of router `r`.
+    fn downstream(f: &WormholeFabric, r: u32, ovc: usize) -> (u32, usize) {
+        let p = PortDir::from_index(ovc / f.w);
+        let down = f.topo.neighbor(NodeId(r), p).expect("owned VCs are links");
+        (down.0, p.opposite().index() * f.w + ovc % f.w)
+    }
+
+    /// Slab slot of the packet input VC `i` of router `r` is routed for:
+    /// the front flit's, or — every flit so far forwarded, the tail still
+    /// to come — that of whoever feeds the VC: the source's emitter, or
+    /// the upstream output VC, which the packet owns until its tail passes.
+    fn packet_of(f: &WormholeFabric, r: u32, i: usize) -> u32 {
+        let router = &f.routers[r as usize];
+        if let Some(front) = router.bufs[i].front() {
+            return front.slot;
+        }
+        if i / f.w == f.local {
+            return router.emitting[i % f.w].expect("tail not yet emitted").slot;
+        }
+        let p = PortDir::from_index(i / f.w);
+        let up = f.topo.neighbor(NodeId(r), p).expect("input VCs are links");
+        let up_ovc = p.opposite().index() * f.w + i % f.w;
+        let owner = f.routers[up.0 as usize].out_owner[up_ovc];
+        assert_ne!(owner, OWNER_NONE, "route outlives its upstream owner");
+        packet_of(f, up.0, owner as usize)
+    }
+
+    /// The bookkeeping oracle: everything the stages write to fabric-wide
+    /// state as they go, recomputed from the routers alone. Each record's
+    /// `held` list must be exactly the output VCs its packet owns, each
+    /// feeding the input VC that owns the next; the flit and emission
+    /// counts must equal a recount.
+    fn check_bookkeeping(f: &WormholeFabric) {
+        let mut owned = vec![0usize; f.slab.slots.len()];
+        for (r, router) in f.routers.iter().enumerate() {
+            for (ovc, &owner) in router.out_owner.iter().enumerate() {
+                if owner != OWNER_NONE {
+                    let slot = packet_of(f, r as u32, owner as usize);
+                    owned[slot as usize] += 1;
+                    assert!(
+                        f.slab.held(slot).contains(&(r as u32, ovc as u16)),
+                        "slot {slot} owns ({r}, {ovc}) but does not hold it"
+                    );
+                }
+            }
+        }
+        for (slot, rec) in f.slab.slots.iter().enumerate() {
+            assert!(rec.msg.is_some() || rec.held.is_empty(), "freed slot holds");
+            assert_eq!(rec.held.len(), owned[slot], "slot {slot}: stale held entry");
+            for pair in rec.held.windows(2) {
+                let (r, ovc) = pair[1];
+                let owner = f.routers[r as usize].out_owner[ovc as usize];
+                assert_eq!(
+                    downstream(f, pair[0].0, pair[0].1 as usize),
+                    (r, owner as usize),
+                    "slot {slot}: held list out of path order"
+                );
+            }
+        }
+        let flits: usize = f.routers.iter().map(Router::buffered_flits).sum();
+        assert_eq!(f.in_flight_flits, flits as u64, "in-flight flit count");
+        let emitting: usize = (f.routers.iter())
+            .map(|r| r.inj_queue.len() + r.emitting_live as usize)
+            .sum();
+        assert_eq!(f.emitting_msgs, emitting as u64, "emitting message count");
+    }
+
     /// Bernoulli traffic (`rate` messages per node-cycle, random pairs,
-    /// lengths 1..=12) for `cycles` cycles, then drain — with the mask
-    /// oracle run after every tick. Returns whether any head ever parked
-    /// and the largest worklist a tick scanned.
-    fn oracle_run(f: &mut WormholeFabric, cycles: Cycle, rate: f64, seed: u64) -> (bool, u64) {
+    /// lengths 1..=12) for `cycles` cycles, then drain — with the mask and
+    /// bookkeeping oracles run after every tick. Returns whether any head
+    /// ever parked.
+    fn oracle_run(f: &mut WormholeFabric, cycles: Cycle, rate: f64, seed: u64) -> bool {
         let mut rng = wavesim_sim::SimRng::new(seed);
         let nodes = f.topo.num_nodes() as u64;
-        let (mut id, mut now, mut ever_parked, mut peak_active) = (0, 0, false, 0);
+        let (mut id, mut now, mut ever_parked) = (0, 0, false);
         while now < cycles || f.busy() {
             for src in 0..nodes {
                 if now < cycles && rng.chance(rate) {
@@ -1308,9 +1123,9 @@ mod tests {
                     id += 1;
                 }
             }
-            peak_active = peak_active.max(f.active_routers());
             f.tick(now);
             check_all_masks(f, now);
+            check_bookkeeping(f);
             ever_parked |= f.routers.iter().any(|r| r.parked > 0);
             now += 1;
             assert!(now < 200_000, "oracle traffic must drain");
@@ -1320,14 +1135,14 @@ mod tests {
             f.active.is_empty(),
             "drained fabric must have an empty active set"
         );
-        (ever_parked, peak_active)
+        ever_parked
     }
 
     #[test]
-    fn masks_match_first_principles_after_every_tick() {
+    fn masks_and_bookkeeping_match_first_principles_after_every_tick() {
         // Deterministic w=2, adaptive w=3 (several candidates per parked
         // head, woken by whichever frees first) and one-slot buffers (a
-        // credit stall on every hop), on mesh and torus, at 1/2/4 shards.
+        // credit stall on every hop), on mesh and torus.
         let kinds = [
             (RoutingKind::Deterministic, 2u8, 4u32),
             (RoutingKind::Adaptive, 3, 2),
@@ -1335,61 +1150,26 @@ mod tests {
         ];
         for torus in [false, true] {
             for (routing, w, buffer_depth) in kinds {
-                for shards in [1usize, 2, 4] {
-                    let dims = [4u16, 4];
-                    let topo = if torus {
-                        Topology::torus(&dims)
-                    } else {
-                        Topology::mesh(&dims)
-                    };
-                    let cfg = WormholeConfig {
-                        w,
-                        buffer_depth,
-                        routing,
-                        routing_delay: 1,
-                    };
-                    let mut f = WormholeFabric::new(topo, cfg);
-                    f.set_shards(shards);
-                    let (parked, _) = oracle_run(&mut f, 400, 0.12, 7 + shards as u64);
-                    assert!(
-                        parked,
-                        "torus={torus} {routing:?}: traffic never blocked a head"
-                    );
-                }
+                let dims = [4u16, 4];
+                let topo = if torus {
+                    Topology::torus(&dims)
+                } else {
+                    Topology::mesh(&dims)
+                };
+                let cfg = WormholeConfig {
+                    w,
+                    buffer_depth,
+                    routing,
+                    routing_delay: 1,
+                };
+                let mut f = WormholeFabric::new(topo, cfg);
+                let parked = oracle_run(&mut f, 400, 0.12, 8);
+                assert!(
+                    parked,
+                    "torus={torus} {routing:?}: traffic never blocked a head"
+                );
             }
         }
-    }
-
-    #[test]
-    fn masks_match_first_principles_on_worker_threads() {
-        // Enough active routers (>= PARALLEL_MIN_ROUTERS) that the bands
-        // really run on scoped threads, with a longer routing delay.
-        let cfg = WormholeConfig {
-            w: 3,
-            buffer_depth: 2,
-            routing: RoutingKind::Adaptive,
-            routing_delay: 2,
-        };
-        let mut f = WormholeFabric::new(Topology::torus(&[12, 12]), cfg);
-        f.set_shards(4);
-        let (parked, peak_active) = oracle_run(&mut f, 60, 0.2, 3);
-        assert!(parked && peak_active >= PARALLEL_MIN_ROUTERS as u64);
-    }
-
-    #[test]
-    fn shard_of_partitions_contiguously() {
-        let mut f = mesh44(1);
-        f.set_shards(4);
-        assert_eq!(f.shards(), 4);
-        let mut prev = 0;
-        for n in 0..16u32 {
-            let s = f.shard_of(NodeId(n));
-            assert!(s >= prev, "shard index must be monotone in node id");
-            prev = s;
-        }
-        assert_eq!(f.shard_of(NodeId(0)), 0);
-        assert_eq!(f.shard_of(NodeId(15)), 3);
-        assert_eq!(f.shard_wall_ns().len(), 4);
     }
 
     #[test]

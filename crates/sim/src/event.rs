@@ -156,7 +156,7 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled (for engine reports).
+    /// Total number of events ever scheduled (for run reports).
     #[must_use]
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total

@@ -11,8 +11,8 @@
 //!
 //! * [`EventQueue`] — a time-ordered event calendar with FIFO tie-breaking,
 //!   the core of any DES kernel;
-//! * [`Engine`] — a hybrid cycle/event driver: models that are "hot" tick
-//!   every cycle, idle models fast-forward to the next scheduled event;
+//! * [`Model`] — the hybrid cycle/event contract: models that are "hot"
+//!   tick every cycle, idle models fast-forward to the next scheduled event;
 //! * [`SimRng`] — a seedable, splittable deterministic random source so that
 //!   every experiment is exactly reproducible from its seed;
 //! * [`stats`] — counters, histograms, Welford mean/variance accumulators,
@@ -24,15 +24,15 @@
 #![warn(missing_docs)]
 
 pub mod bitset;
-pub mod engine;
 pub mod event;
+pub mod model;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use bitset::BitSet;
-pub use engine::{Engine, EngineReport, Model, StopReason};
 pub use event::{EventQueue, ScheduledEvent};
+pub use model::Model;
 pub use rng::SimRng;
 pub use stats::CycleKernelStats;
 pub use time::Cycle;

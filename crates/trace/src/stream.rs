@@ -28,7 +28,7 @@
 //! movement, cache lookups) keep 1-in-N records by a counter over the
 //! deterministic record order, while every lifecycle and delivery event
 //! is always kept — so spans, flows and fault windows stay exact and the
-//! sampled stream is identical at any shard count.
+//! sampled stream is identical on every rerun.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -172,7 +172,7 @@ impl<W: Write + Send + 'static, E: ChunkEncoder> StreamSink<W, E> {
     ///
     /// Sampling is a counter over the deterministic record order, so the
     /// kept set — and therefore the captured bytes — is identical across
-    /// reruns and shard counts. `every` of 0 or 1 disables sampling.
+    /// reruns. `every` of 0 or 1 disables sampling.
     #[must_use]
     pub fn with_sampling(mut self, every: u64) -> Self {
         self.sample_every = every;
@@ -1110,8 +1110,10 @@ mod tests {
                 dest: 12,
                 attempt: 1,
             },
+            // Rule 3 is retired (no watchdog emits it); captures that
+            // carry it must keep decoding.
             TraceEvent::WatchdogTrip {
-                rule: 2,
+                rule: 3,
                 value: 5000,
                 limit: 4096,
             },

@@ -1,7 +1,7 @@
 //! The binary columnar trace format, end to end: a property round-trip
 //! of every event kind through encode/decode (including extreme cycle
 //! deltas and maximal ids), exact agreement with the JSONL codec over
-//! the same records, byte-identity across shard counts, and the
+//! the same records, byte-identity across reruns, and the
 //! compression floor the format is shipped for.
 
 use wavesim::core::{WaveConfig, WaveNetwork};
@@ -306,20 +306,18 @@ fn real_run_binary_stream_is_lossless_and_compact() {
     let _ = std::fs::remove_file(&bpath);
 }
 
-/// Runs the same workload at several shard counts and requires the binary
-/// stream files to be byte-identical — the PR 6 determinism invariant,
-/// extended through the columnar encoder (including its sampling path,
-/// whose keep-counter walks the merged deterministic record order).
+/// Runs the same workload twice and requires the binary stream files to
+/// be byte-identical, through the columnar encoder's lossless path and
+/// its sampling path (whose keep-counter walks the deterministic record
+/// order).
 #[test]
-fn binary_stream_is_byte_identical_at_any_shard_count() {
+fn binary_stream_is_byte_identical_on_rerun() {
     let pid = std::process::id();
     for sample in [1u64, 8] {
-        let mut reference: Option<Vec<u8>> = None;
-        for shards in [1usize, 2, 4] {
-            let path = std::env::temp_dir()
-                .join(format!("wavesim_bt_shards_{pid}_{sample}_{shards}.wstrace"));
+        let capture = |run: u32| {
+            let path =
+                std::env::temp_dir().join(format!("wavesim_bt_rerun_{pid}_{sample}_{run}.wstrace"));
             let (mut net, mut src) = capture_workload();
-            net.set_shards(shards);
             tracecap::arm_bin_stream(&path, sample).expect("arm bin");
             let r = run_open_loop(&mut net, &mut src, RunSpec::standard(400, 2_000));
             assert!(r.clean(), "{r:?}");
@@ -328,14 +326,13 @@ fn binary_stream_is_byte_identical_at_any_shard_count() {
             }
             let bytes = std::fs::read(&path).expect("read bin");
             let _ = std::fs::remove_file(&path);
-            match &reference {
-                None => reference = Some(bytes),
-                Some(want) => assert_eq!(
-                    &bytes, want,
-                    "shards={shards} sample={sample} changed the stream bytes"
-                ),
-            }
-        }
+            bytes
+        };
+        assert_eq!(
+            capture(0),
+            capture(1),
+            "sample={sample}: a rerun changed the stream bytes"
+        );
     }
 }
 

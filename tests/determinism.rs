@@ -4,14 +4,13 @@
 
 use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim::topology::{RoutingKind, Topology};
-use wavesim::workloads::{collectives, trace_io};
+use wavesim::workloads::trace_io;
 use wavesim::workloads::{
     CarpTrace, FaultSchedule, LengthDist, TrafficConfig, TrafficPattern, TrafficSource,
 };
 use wavesim_bench::experiments::{e11_loadsweep, e13_dsm, e14_dynamic_faults, e15_collectives};
 use wavesim_bench::{
-    apply_fault_schedule, run_carp_trace, run_dep_trace, run_open_loop, ParallelSweep, RunSpec,
-    Scale,
+    apply_fault_schedule, run_carp_trace, run_open_loop, ParallelSweep, RunSpec, Scale,
 };
 
 fn full_run(seed: u64, protocol: ProtocolKind) -> Vec<(u64, u64)> {
@@ -340,19 +339,15 @@ fn golden_trace_clrp_carp_mixed_workload_matches_seed_kernel() {
 }
 
 // ---------------------------------------------------------------------
-// Spatial sharding: `--shards N` partitions the wormhole fabric into N
-// contiguous router bands stepped on N threads with conservative
-// cross-shard synchronization. The contract is *byte identity* — not
-// statistical equivalence — so every counter and float bit pattern of
-// the `RunResult` is compared across shard counts, and representative
-// configurations are pinned against the serial kernel with goldens.
+// Whole-run goldens on 8×8 and 16×16 tori, hashed from the seed kernel:
+// every counter and float bit pattern of the `RunResult`.
 // ---------------------------------------------------------------------
 
-/// One complete run on a `side`×`side` torus at the given shard count.
-/// CLRP runs the open-loop hot-pair workload; CARP replays a stencil
-/// instruction trace. With `faults`, a drawn MTBF link fail/repair
-/// schedule tears circuits down mid-run.
-fn sharded_run(side: u16, protocol: ProtocolKind, shards: usize, faults: bool) -> String {
+/// One complete run on a `side`×`side` torus. CLRP runs the open-loop
+/// hot-pair workload; CARP replays a stencil instruction trace. With
+/// `faults`, a drawn MTBF link fail/repair schedule tears circuits down
+/// mid-run.
+fn torus_run(side: u16, protocol: ProtocolKind, faults: bool) -> String {
     let topo = Topology::torus(&[side, side]);
     let mut net = WaveNetwork::new(
         topo.clone(),
@@ -362,7 +357,6 @@ fn sharded_run(side: u16, protocol: ProtocolKind, shards: usize, faults: bool) -
             ..WaveConfig::default()
         },
     );
-    net.set_shards(shards);
     if faults {
         let sched = FaultSchedule::random_mtbf(&topo, 4_000, 300, 1_000, 17);
         assert!(!sched.is_empty(), "fault schedule drew no events");
@@ -396,42 +390,18 @@ fn sharded_run(side: u16, protocol: ProtocolKind, shards: usize, faults: bool) -
     format!("{r:?}")
 }
 
-/// The full matrix: 8×8 and 16×16 tori, CLRP and CARP, with and without
-/// a dynamic fault schedule — `--shards 2` and `--shards 4` must produce
-/// the exact `RunResult` bytes of `--shards 1`.
-#[test]
-fn sharded_runs_are_byte_identical_across_shard_counts() {
-    for side in [8u16, 16] {
-        for protocol in [ProtocolKind::Clrp, ProtocolKind::Carp] {
-            for faults in [false, true] {
-                let serial = sharded_run(side, protocol, 1, faults);
-                for shards in [2usize, 4] {
-                    assert_eq!(
-                        serial,
-                        sharded_run(side, protocol, shards, faults),
-                        "{side}x{side} torus {protocol:?} faults={faults}: \
-                         --shards {shards} diverged from --shards 1"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Representative sharded configurations pinned against the serial seed
-/// kernel: the shard partitioning must not merely be self-consistent
-/// across shard counts — it must reproduce the original single-thread
-/// kernel byte for byte.
+/// Two torus configurations — fault churn under CLRP, a CARP stencil at
+/// 16×16 — pinned against the seed kernel byte for byte.
 #[test]
 fn golden_trace_sharded_runs_match_seed_kernel() {
     golden_check(
-        "sharded_clrp_8x8_faults",
-        hash_str(&sharded_run(8, ProtocolKind::Clrp, 4, true)),
+        "clrp_8x8_faults",
+        hash_str(&torus_run(8, ProtocolKind::Clrp, true)),
         0x2283_ec3d_743c_71ba,
     );
     golden_check(
-        "sharded_carp_16x16",
-        hash_str(&sharded_run(16, ProtocolKind::Carp, 4, false)),
+        "carp_16x16",
+        hash_str(&torus_run(16, ProtocolKind::Carp, false)),
         0xfbe4_3188_c230_e789,
     );
 }
@@ -442,7 +412,7 @@ fn golden_trace_sharded_runs_match_seed_kernel() {
 /// enter. `adaptive` selects the wormhole-only mesh with Duato adaptive
 /// routing at `w = 3` (several candidate output VCs per blocked head);
 /// otherwise a CLRP torus with the default deterministic fabric.
-fn saturated_run(adaptive: bool, shards: usize) -> String {
+fn saturated_run(adaptive: bool) -> String {
     let (topo, cfg, load) = if adaptive {
         let mut cfg = WaveConfig {
             protocol: ProtocolKind::WormholeOnly,
@@ -455,7 +425,6 @@ fn saturated_run(adaptive: bool, shards: usize) -> String {
         (Topology::torus(&[8, 8]), WaveConfig::default(), 0.8)
     };
     let mut net = WaveNetwork::new(topo.clone(), cfg);
-    net.set_shards(shards);
     let mut src = TrafficSource::new(
         topo,
         TrafficConfig {
@@ -475,23 +444,21 @@ fn saturated_run(adaptive: bool, shards: usize) -> String {
 }
 
 /// Saturation goldens, captured from the polling kernel (the commit
-/// before the park/wake fabric) and asserted serial and sharded: every
-/// counter and float bit pattern of the `RunResult` must survive the
-/// kernel no longer looking at blocked VCs.
+/// before the park/wake fabric): every counter and float bit pattern of
+/// the `RunResult` must survive the kernel no longer looking at blocked
+/// VCs.
 #[test]
 fn golden_trace_saturated_runs_match_polling_kernel() {
-    for shards in [1usize, 4] {
-        golden_check(
-            &format!("sat_clrp_torus_8x8_s{shards}"),
-            hash_str(&saturated_run(false, shards)),
-            0x8626_2c06_0625_6a49,
-        );
-        golden_check(
-            &format!("sat_adaptive_w3_mesh_8x8_s{shards}"),
-            hash_str(&saturated_run(true, shards)),
-            0x82ab_cf45_7c2a_19e1,
-        );
-    }
+    golden_check(
+        "sat_clrp_torus_8x8",
+        hash_str(&saturated_run(false)),
+        0x8626_2c06_0625_6a49,
+    );
+    golden_check(
+        "sat_adaptive_w3_mesh_8x8",
+        hash_str(&saturated_run(true)),
+        0x82ab_cf45_7c2a_19e1,
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -499,49 +466,8 @@ fn golden_trace_saturated_runs_match_polling_kernel() {
 // set by delivery events, which makes determinism *harder* — a dependent
 // message's injection cycle is itself a simulation output. The replay
 // must still be a pure function of (trace, config), byte-identical
-// across shard counts and job counts.
+// across job counts.
 // ---------------------------------------------------------------------
-
-/// One all-to-all collective replayed to completion at the given shard
-/// count; the full `RunResult` Debug string pins every counter and float
-/// bit pattern.
-fn replayed_collective(protocol: ProtocolKind, shards: usize) -> String {
-    let topo = Topology::mesh(&[4, 4]);
-    let trace = collectives::all_to_all(&topo, 24);
-    let mut net = WaveNetwork::new(
-        topo,
-        WaveConfig {
-            protocol,
-            cache_capacity: 8,
-            ..WaveConfig::default()
-        },
-    );
-    net.set_shards(shards);
-    let r = run_dep_trace(&mut net, &trace, RunSpec::replay(trace.horizon()));
-    assert_eq!(
-        r.delivered,
-        trace.len() as u64,
-        "{protocol:?} --shards {shards}: the whole collective must deliver"
-    );
-    format!("{r:?}")
-}
-
-/// The diamond criterion at scale: an all-to-all dependency trace (every
-/// phase gated on the previous phase's deliveries) replays byte-identically
-/// across `--shards 1/2/4`, under CLRP and under plain wormhole.
-#[test]
-fn dep_trace_replay_is_byte_identical_across_shard_counts() {
-    for protocol in [ProtocolKind::Clrp, ProtocolKind::WormholeOnly] {
-        let serial = replayed_collective(protocol, 1);
-        for shards in [2usize, 4] {
-            assert_eq!(
-                serial,
-                replayed_collective(protocol, shards),
-                "{protocol:?}: replay diverged at --shards {shards}"
-            );
-        }
-    }
-}
 
 /// The full E15 collective grid — every collective × protocol × length —
 /// is byte-identical across job counts.

@@ -32,7 +32,7 @@ fn lock_plane() -> std::sync::MutexGuard<'static, ()> {
 
 /// One deterministic open-loop workload; everything derives from the
 /// arguments so repeat runs are bit-identical.
-fn drive_workload(seed: u64, shards: usize) -> wavesim_bench::RunResult {
+fn drive_workload(seed: u64) -> wavesim_bench::RunResult {
     let topo = Topology::mesh(&[4, 4]);
     let mut net = WaveNetwork::new(
         topo.clone(),
@@ -41,7 +41,6 @@ fn drive_workload(seed: u64, shards: usize) -> wavesim_bench::RunResult {
             ..WaveConfig::default()
         },
     );
-    net.set_shards(shards);
     let mut src = TrafficSource::new(
         topo,
         TrafficConfig {
@@ -63,7 +62,6 @@ fn drive_workload(seed: u64, shards: usize) -> wavesim_bench::RunResult {
 /// result, the live analysis, and the captured record stream.
 fn captured_run(
     seed: u64,
-    shards: usize,
     live: bool,
 ) -> (
     wavesim_bench::RunResult,
@@ -79,7 +77,7 @@ fn captured_run(
         });
         handle
     });
-    let r = drive_workload(seed, shards);
+    let r = drive_workload(seed);
     tracecap::disarm_flight_recorder();
     tracecap::disarm_extra_sink();
     let mut caps = tracecap::take_captured();
@@ -94,7 +92,7 @@ fn captured_run(
 fn armed_board_publishes_consistent_vitals() {
     let _guard = lock_plane();
     livestate::arm(false);
-    let r = drive_workload(11, 1);
+    let r = drive_workload(11);
     let status = livestate::snapshot().expect("armed board has a status");
     livestate::disarm();
     assert!(status.done, "finish() marks the run done");
@@ -111,7 +109,7 @@ fn armed_board_publishes_consistent_vitals() {
 fn endpoint_serves_armed_board_over_http() {
     let _guard = lock_plane();
     livestate::arm(false);
-    let r = drive_workload(12, 1);
+    let r = drive_workload(12);
     let addr = serve::serve("127.0.0.1:0").expect("bind");
     let get = |path: &str| {
         let mut c = TcpStream::connect(addr).expect("connect");
@@ -155,34 +153,25 @@ fn endpoint_serves_armed_board_over_http() {
 }
 
 #[test]
-fn live_fold_matches_offline_analyze_across_shards() {
+fn live_fold_matches_offline_analyze() {
     let _guard = lock_plane();
-    let mut reports = Vec::new();
-    for shards in [1usize, 3] {
-        let (r, live, records) = captured_run(21, shards, true);
-        assert!(r.clean(), "{r:?}");
-        let live = live.expect("armed live fold yields an analysis");
-        let offline = analyze(&records, AnalyzeOptions::default());
-        // The live report (folded during the run on the writer thread) is
-        // byte-identical to the offline pass over the same capture.
-        let live_report = report::render(&live);
-        assert_eq!(live_report, report::render(&offline), "shards={shards}");
-        assert_eq!(
-            wavesim::json::Value::pretty(&report::to_json(&live)),
-            wavesim::json::Value::pretty(&report::to_json(&offline)),
-            "shards={shards}"
-        );
-        reports.push(live_report);
-    }
-    // And identical across shard counts: sharding changes wall-clock
-    // only, never the event stream.
-    assert_eq!(reports[0], reports[1]);
+    let (r, live, records) = captured_run(21, true);
+    assert!(r.clean(), "{r:?}");
+    let live = live.expect("armed live fold yields an analysis");
+    let offline = analyze(&records, AnalyzeOptions::default());
+    // The live report (folded during the run on the writer thread) is
+    // byte-identical to the offline pass over the same capture.
+    assert_eq!(report::render(&live), report::render(&offline));
+    assert_eq!(
+        wavesim::json::Value::pretty(&report::to_json(&live)),
+        wavesim::json::Value::pretty(&report::to_json(&offline)),
+    );
 }
 
 #[test]
 fn fully_armed_plane_leaves_the_run_untouched() {
     let _guard = lock_plane();
-    let (baseline, _, base_records) = captured_run(31, 1, false);
+    let (baseline, _, base_records) = captured_run(31, false);
     // Arm everything at once: board, echo off, generous watchdog, live
     // fold. The run result and the captured record stream must not move.
     livestate::arm(false);
@@ -193,7 +182,7 @@ fn fully_armed_plane_leaves_the_run_untouched() {
         abort: true,
         ..watchdog::WatchdogConfig::default()
     });
-    let (armed, live, armed_records) = captured_run(31, 1, true);
+    let (armed, live, armed_records) = captured_run(31, true);
     watchdog::disarm();
     livestate::disarm();
     let wd = watchdog::take_reports();
@@ -240,8 +229,8 @@ fn watchdog_abort_truncates_the_sampled_series_at_the_trip() {
 
 #[test]
 fn histogram_merge_is_order_independent_across_shards() {
-    // Shards absorb per-shard histograms in whatever order the sweep
-    // collects them; merged percentiles must not depend on that order.
+    // A sweep absorbs per-part histograms in whatever order it collects
+    // them; merged percentiles must not depend on that order.
     let lats: Vec<u64> = (0..400u64).map(|i| (i * 37) % 1000 + 1).collect();
     let whole = {
         let mut h = Histogram::new();
@@ -250,16 +239,16 @@ fn histogram_merge_is_order_independent_across_shards() {
         }
         h
     };
-    // Split into 4 "shards" two different ways, merge in forward and
+    // Split into 4 parts two different ways, merge in forward and
     // reverse order.
-    let shard = |stride: usize| -> Vec<Histogram> {
+    let split = |stride: usize| -> Vec<Histogram> {
         let mut hs: Vec<Histogram> = (0..4).map(|_| Histogram::new()).collect();
         for (i, &l) in lats.iter().enumerate() {
             hs[(i / stride) % 4].record(l);
         }
         hs
     };
-    for parts in [shard(1), shard(25)] {
+    for parts in [split(1), split(25)] {
         for reverse in [false, true] {
             let mut merged = Histogram::new();
             let order: Vec<&Histogram> = if reverse {
