@@ -20,7 +20,7 @@ use wavesim_sim::time::cycles_for;
 use wavesim_topology::NodeId;
 
 use crate::config::WaveConfig;
-use crate::ids::{CircuitId, LaneId};
+use crate::ids::{CircuitId, LaneId, ProbeId};
 
 /// Lifecycle of a circuit in the global registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,6 +50,10 @@ pub struct CircuitState {
     pub path: Vec<LaneId>,
     /// Lifecycle.
     pub status: CircuitStatus,
+    /// The probe out searching for this circuit, while there is one: set
+    /// at launch, cleared when the probe reaches the destination,
+    /// exhausts its switch or unwinds.
+    pub probe: Option<ProbeId>,
 }
 
 impl CircuitState {
@@ -63,6 +67,7 @@ impl CircuitState {
             switch,
             path: Vec::new(),
             status: CircuitStatus::Establishing,
+            probe: None,
         }
     }
 

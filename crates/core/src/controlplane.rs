@@ -14,7 +14,7 @@
 //! cycle, so same-cycle event cascades cannot occur.
 
 use wavesim_sim::{Cycle, EventQueue, Model};
-use wavesim_topology::{NodeId, PortDir, Topology};
+use wavesim_topology::{NodeId, PortDir, PortSet, Topology};
 use wavesim_trace::{TraceBuf, TraceEvent};
 
 use crate::arena::{GenSlab, SlotMap};
@@ -24,7 +24,7 @@ use crate::events::{EventBus, PlaneEvent};
 use crate::ids::{CircuitId, LaneId, ProbeId};
 use crate::lanes::{LaneState, LaneTable};
 use crate::pcs::PcsUnit;
-use crate::probe::ProbeState;
+use crate::probe::{ProbeBufs, ProbeState};
 use crate::stats::WaveStats;
 
 /// Control-flit events walking the control channels.
@@ -52,6 +52,8 @@ pub struct ControlPlane {
     lanes: LaneTable,
     pcs: Vec<PcsUnit>,
     probes: GenSlab<ProbeId, ProbeState>,
+    /// Buffers of retired probes, reused by the next launches.
+    spare_bufs: Vec<ProbeBufs>,
     circuits: SlotMap<CircuitId, CircuitState>,
     max_probe_steps: u64,
     stats: WaveStats,
@@ -69,6 +71,7 @@ impl ControlPlane {
             lanes: LaneTable::new(&topo, cfg.k),
             pcs: vec![PcsUnit::new(); n],
             probes: GenSlab::new(),
+            spare_bufs: Vec::new(),
             circuits: SlotMap::new(),
             max_probe_steps: 0,
             stats: WaveStats::default(),
@@ -203,16 +206,12 @@ impl ControlPlane {
             }
             CircuitStatus::Establishing => {
                 c.status = CircuitStatus::TearingDown;
-                let probe = self
-                    .probes
-                    .iter()
-                    .find(|(_, p)| p.circuit == victim)
-                    .map(|(pid, p)| (pid, p.parked_on));
-                match probe {
-                    Some((pid, parked_on)) => {
+                match c.probe {
+                    Some(pid) => {
                         // The probe unwinds when it next runs; a parked
                         // probe has no event in flight, so unpark + wake.
-                        if let Some(l) = parked_on {
+                        let p = self.probes.get(pid).expect("recorded probe is live");
+                        if let Some(l) = p.parked_on {
                             self.lanes.unpark(l, pid);
                             q.schedule(now + 1, CtrlEvent::RetryProbe(pid));
                         }
@@ -272,15 +271,17 @@ impl ControlPlane {
         force: bool,
     ) {
         let topo = &self.topo;
+        let bufs = self.spare_bufs.pop().unwrap_or_default();
         let pid = self
             .probes
-            .insert_with(|pid| ProbeState::new(pid, circuit, topo, src, dest, switch, force));
+            .insert_with(|pid| ProbeState::new(pid, circuit, topo, src, dest, switch, force, bufs));
         self.stats.probes_sent += 1;
         let c = self
             .circuits
             .get_or_insert_with(circuit, || CircuitState::new(circuit, src, dest, switch));
         c.switch = switch;
         c.status = CircuitStatus::Establishing;
+        c.probe = Some(pid);
         // PCS processing before the probe leaves the source.
         q.schedule(
             now + u64::from(self.cfg.pcs_delay).max(1),
@@ -355,28 +356,31 @@ impl ControlPlane {
             port.opposite()
         });
 
-        // Nodes already on the reserved path (including the source): the
-        // probe must not loop back through them — its path stays simple,
+        // The probe must not loop back through a node already on the
+        // reserved path (including the source) — its path stays simple,
         // which both keeps the PCS mappings well-defined (one hop per
         // circuit per router) and makes the Theorem 3/4 step bound hold.
-        let mut on_path: Vec<NodeId> = Vec::with_capacity(p.path.len() + 1);
-        on_path.push(p.src);
-        for lane in &p.path {
-            on_path.push(self.topo.link_dest(lane.link));
-        }
-        let loops_back = |topo: &Topology, port: PortDir| -> bool {
-            topo.neighbor(node, port)
-                .is_some_and(|n| on_path.contains(&n))
+        let loops_back = |topo: &Topology, p: &ProbeState, port: PortDir| -> bool {
+            topo.neighbor(node, port).is_some_and(|n| p.on_path(n))
         };
 
         // Candidate ports: profitable (minimal) first, in dimension order,
-        // then the rest as misroute candidates.
+        // then — while misroute budget remains (MB-m) — the rest, except
+        // the port the probe came in through.
         let profitable = self.topo.min_ports(node, p.dest);
-        let all_ports = self.topo.ports_of(node);
+        let misroutable = if p.flit.misroute < self.cfg.misroutes {
+            let mut excluded = profitable;
+            if let Some(port) = reverse_in {
+                excluded.insert(port);
+            }
+            self.topo.ports_of(node).difference(excluded)
+        } else {
+            PortSet::default()
+        };
 
         // 1) Free profitable channel not yet searched.
-        for &port in &profitable {
-            if p.searched(node, port.index()) || loops_back(&self.topo, port) {
+        for port in profitable {
+            if p.searched(node, port.index()) || loops_back(&self.topo, &p, port) {
                 continue;
             }
             let lane = LaneId::new(self.topo.link_id(node, port), p.switch);
@@ -392,43 +396,29 @@ impl ControlPlane {
             }
         }
 
-        // 2) Misroute if budget remains (MB-m).
-        if p.flit.misroute < self.cfg.misroutes {
-            for &port in &all_ports {
-                if profitable.contains(&port)
-                    || Some(port) == reverse_in
-                    || p.searched(node, port.index())
-                    || loops_back(&self.topo, port)
-                {
-                    continue;
+        // 2) Misroute.
+        for port in misroutable {
+            if p.searched(node, port.index()) || loops_back(&self.topo, &p, port) {
+                continue;
+            }
+            let lane = LaneId::new(self.topo.link_id(node, port), p.switch);
+            match self.lanes.state(lane) {
+                LaneState::Free => {
+                    self.advance_probe(now, q, p, port, lane, true);
+                    return;
                 }
-                let lane = LaneId::new(self.topo.link_id(node, port), p.switch);
-                match self.lanes.state(lane) {
-                    LaneState::Free => {
-                        self.advance_probe(now, q, p, port, lane, true);
-                        return;
-                    }
-                    LaneState::Faulty => {
-                        self.stats.probe_fault_encounters += 1;
-                    }
-                    LaneState::Reserved(_) => {}
+                LaneState::Faulty => {
+                    self.stats.probe_fault_encounters += 1;
                 }
+                LaneState::Reserved(_) => {}
             }
         }
 
         // 3) Force mode: pick a victim circuit holding a requested lane
         //    whose acknowledgment has returned (§3.1 phase two).
         if p.flit.force {
-            let mut requested: Vec<PortDir> = profitable.clone();
-            if p.flit.misroute < self.cfg.misroutes {
-                for &port in &all_ports {
-                    if !profitable.contains(&port) && Some(port) != reverse_in {
-                        requested.push(port);
-                    }
-                }
-            }
-            for &port in &requested {
-                if p.searched(node, port.index()) || loops_back(&self.topo, port) {
+            for port in profitable.iter().chain(misroutable) {
+                if p.searched(node, port.index()) || loops_back(&self.topo, &p, port) {
                     continue;
                 }
                 let lane = LaneId::new(self.topo.link_id(node, port), p.switch);
@@ -520,6 +510,7 @@ impl ControlPlane {
         }
         let next = self.topo.link_dest(lane.link);
         p.path.push(lane);
+        p.enter(next);
         p.at = next;
         p.hops += 1;
         self.stats.probe_hops += 1;
@@ -555,10 +546,12 @@ impl ControlPlane {
     fn backtrack_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, mut p: ProbeState) {
         if p.at == p.src {
             // Search space for this switch exhausted; the probe id retires.
-            self.probes.free(p.id);
             self.pcs[p.src.0 as usize].clear(p.circuit);
             self.stats.probes_exhausted += 1;
-            self.max_probe_steps = self.max_probe_steps.max(p.hops);
+            self.circuits
+                .get_mut(p.circuit)
+                .expect("live probe has a live circuit")
+                .probe = None;
             self.outbox.push(PlaneEvent::ProbeExhausted {
                 circuit: p.circuit,
                 src: p.src,
@@ -566,6 +559,7 @@ impl ControlPlane {
                 switch: p.switch,
                 force: p.flit.force,
             });
+            self.retire_probe(p);
             return;
         }
         p.flit.backtrack = true;
@@ -575,6 +569,7 @@ impl ControlPlane {
         self.pcs[p.at.0 as usize].clear(p.circuit);
         self.pcs[prev.0 as usize].set_out_lane(p.circuit, None);
         let woken = self.lanes.release(lane, p.circuit);
+        p.leave(p.at);
         p.at = prev;
         p.hops += 1;
         p.backtracks += 1;
@@ -601,7 +596,6 @@ impl ControlPlane {
     /// Releases everything a cancelled probe reserved (reverse path order)
     /// and clears the PCS mappings it created.
     fn unwind_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, p: ProbeState) {
-        self.probes.free(p.id);
         self.pcs[p.at.0 as usize].clear(p.circuit);
         for lane in p.path.iter().rev() {
             let (from, _) = self.topo.link_endpoints(lane.link);
@@ -611,19 +605,26 @@ impl ControlPlane {
             let woken = self.lanes.release_if_held(*lane, p.circuit);
             self.wake(now, q, woken);
         }
+        // The registry entry goes, and the probe it recorded with it.
         self.circuits.remove(&p.circuit);
         self.stats.teardowns += 1;
-        self.max_probe_steps = self.max_probe_steps.max(p.hops);
         self.outbox
             .push(PlaneEvent::CircuitReleased { circuit: p.circuit });
+        self.retire_probe(p);
     }
 
-    fn complete_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, p: ProbeState) {
+    /// A terminated probe's id retires, its step count enters the
+    /// Theorem 3/4 maximum, and its buffers go back on the spare list.
+    fn retire_probe(&mut self, p: ProbeState) {
+        self.probes.free(p.id);
+        self.max_probe_steps = self.max_probe_steps.max(p.hops);
+        self.spare_bufs.push(p.retire());
+    }
+
+    fn complete_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, mut p: ProbeState) {
         debug_assert_eq!(p.at, p.dest);
         debug_assert!(!p.path.is_empty(), "src != dest implies a real path");
-        self.probes.free(p.id);
         self.stats.probes_reached += 1;
-        self.max_probe_steps = self.max_probe_steps.max(p.hops);
         self.trace.emit(
             now,
             TraceEvent::ProbeReached {
@@ -637,14 +638,16 @@ impl ControlPlane {
             .circuits
             .get_mut(p.circuit)
             .expect("live probe has a live circuit");
-        c.path = p.path.clone();
+        c.path = std::mem::take(&mut p.path);
+        c.probe = None;
         // The acknowledgment returns hop by hop over the reverse control
         // channels (Fig. 3's Reverse Channel Mappings), setting each
         // router's Ack Returned bit as it passes.
-        let last_hop = (p.path.len() - 1) as u32;
+        let last_hop = (c.path.len() - 1) as u32;
         let delay = u64::from(self.cfg.ctrl_hop_delay);
         q.schedule(now + delay.max(1), CtrlEvent::AckHopAt(p.circuit, last_hop));
         // Probe terminates; its History Store entries die with it.
+        self.retire_probe(p);
     }
 
     fn wake(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, probes: Vec<ProbeId>) {
@@ -762,6 +765,8 @@ impl Model for ControlPlane {
             CtrlEvent::TeardownAt(cid, node) => self.on_teardown(now, q, cid, node),
             CtrlEvent::ReleaseReqAt(cid) => self.on_release_request(cid),
         }
+        #[cfg(test)]
+        self.assert_step_oracle();
     }
 
     fn busy(&self) -> bool {
@@ -779,6 +784,150 @@ impl Model for ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ProtocolKind;
+    use crate::network::WaveNetwork;
+    use std::collections::BTreeSet;
+    use wavesim_network::Message;
+    use wavesim_sim::SimRng;
+
+    impl ControlPlane {
+        /// The step oracle: [`ControlPlane::handle`] runs it after every
+        /// event in this crate's unit tests. It recomputes from scratch
+        /// what the probe step keeps incrementally.
+        pub(super) fn assert_step_oracle(&self) {
+            for (pid, p) in self.probes.iter() {
+                // The on-path bits are exactly the nodes of the path.
+                let marked: BTreeSet<NodeId> =
+                    self.topo.nodes().filter(|&n| p.on_path(n)).collect();
+                let walked: BTreeSet<NodeId> = std::iter::once(p.src)
+                    .chain(p.path.iter().map(|l| self.topo.link_dest(l.link)))
+                    .collect();
+                assert_eq!(marked, walked, "{pid}: on-path bits vs path {:?}", p.path);
+                // A probe that has not moved has searched nothing: its
+                // (possibly recycled) History Store is a fresh one's.
+                if p.hops == 0 {
+                    let fresh = ProbeState::new(
+                        pid,
+                        p.circuit,
+                        &self.topo,
+                        p.src,
+                        p.dest,
+                        p.switch,
+                        p.flit.force,
+                        ProbeBufs::default(),
+                    );
+                    assert_eq!(p.history, fresh.history, "{pid}: stale History Store");
+                }
+            }
+            // The probe a circuit records is the one a scan of every
+            // probe slot finds.
+            for (cid, c) in self.circuits.iter() {
+                let scanned = self
+                    .probes
+                    .iter()
+                    .find(|(_, p)| p.circuit == cid)
+                    .map(|(pid, _)| pid);
+                assert_eq!(c.probe, scanned, "{cid}: recorded probe vs scan");
+            }
+        }
+    }
+
+    /// Drives a 6x6 CLRP network — one wave switch, so phase-two Force
+    /// probes and MB-2 misroutes are routine, and lanes failing under the
+    /// probes — with the step oracle checked after every control event.
+    #[test]
+    fn step_oracle_holds_through_a_contended_clrp_run() {
+        let topo = Topology::torus(&[6, 6]);
+        let cfg = WaveConfig {
+            protocol: ProtocolKind::Clrp,
+            k: 1,
+            misroutes: 2,
+            cache_capacity: 2,
+            ..WaveConfig::default()
+        };
+        assert!(cfg.clrp.enable_force);
+        let mut net = WaveNetwork::new(topo.clone(), cfg);
+        let mut rng = SimRng::new(15);
+        let links: Vec<_> = topo.links().collect();
+        for at in (200..3000).step_by(100) {
+            let lane = LaneId::new(*rng.choose(&links).expect("links exist"), 1);
+            net.schedule_fault(at, crate::network::FaultEvent::Fail(lane))
+                .expect("lane exists");
+            net.schedule_fault(at + 150, crate::network::FaultEvent::Repair(lane))
+                .expect("lane exists");
+        }
+        let mut id = 0;
+        let mut now = 0;
+        while now < 3000 || (net.busy() && now < 100_000) {
+            if now < 3000 && now % 2 == 0 {
+                let src = NodeId(rng.below(36) as u32);
+                let dest = NodeId(rng.below(36) as u32);
+                if src != dest {
+                    net.send(now, Message::new(id, src, dest, 8, now));
+                    id += 1;
+                }
+            }
+            net.tick(now);
+            now += 1;
+        }
+        assert!(!net.busy(), "run drains");
+        let s = net.stats();
+        // The run exercised what the oracle is there to check.
+        assert!(s.probes_sent > 500, "{s:?}");
+        assert!(s.probe_backtracks > 100, "{s:?}");
+        assert!(s.probe_misroutes > 100, "{s:?}");
+        assert!(
+            s.forced_local_releases + s.forced_remote_releases > 100,
+            "{s:?}"
+        );
+        assert!(s.circuits_broken > 0, "{s:?}");
+    }
+
+    /// A retired probe's buffers come back zeroed, and the next launch
+    /// takes them rather than allocating.
+    #[test]
+    fn launch_reuses_a_retired_probes_zeroed_buffers() {
+        let topo = Topology::mesh(&[4, 4]);
+        let mut plane = ControlPlane::new(topo.clone(), WaveConfig::default());
+        let mut queue = EventQueue::new();
+        let run = |plane: &mut ControlPlane, queue: &mut EventQueue<CtrlEvent>| {
+            while let Some(now) = queue.next_time() {
+                while let Some(ev) = queue.pop_due(now) {
+                    plane.handle(now, ev.event, queue);
+                }
+            }
+        };
+        // A statically faulty first hop makes probe 1 search, so it
+        // retires with searched and (cleared) on-path bits behind it.
+        let blocked = topo.link_id(NodeId(0), PortDir::from_index(0));
+        plane
+            .fault_lane(LaneId::new(blocked, 1))
+            .expect("free lane");
+        plane.on_launch_probe(0, &mut queue, CircuitId(0), NodeId(0), NodeId(3), 1, false);
+        assert!(plane.spare_bufs.is_empty(), "nothing retired yet");
+        run(&mut plane, &mut queue);
+        assert_eq!(plane.stats().probes_reached, 1);
+        assert!(plane.stats().probe_misroutes > 0);
+        assert_eq!(plane.spare_bufs.len(), 1, "probe 1 left its buffers");
+
+        plane.on_launch_probe(
+            100,
+            &mut queue,
+            CircuitId(1),
+            NodeId(5),
+            NodeId(6),
+            2,
+            false,
+        );
+        assert!(plane.spare_bufs.is_empty(), "probe 2 took them");
+        let p = plane.probes.values().next().expect("probe 2 is live");
+        for n in topo.nodes() {
+            assert_eq!(p.on_path(n), n == NodeId(5));
+            assert!((0..4).all(|i| !p.searched(n, i)), "stale history at {n}");
+        }
+        assert!(p.path.is_empty());
+        assert_eq!(p.flit.offsets, vec![1, 0]);
+    }
 
     /// The plane runs standalone on its own calendar: launch a probe and
     /// watch it reserve a path and complete the ack walk.

@@ -8,7 +8,7 @@
 
 use wavesim_network::message::DeliveryMode;
 use wavesim_network::{Message, WormholeConfig, WormholeFabric};
-use wavesim_sim::{Cycle, EventQueue, Model};
+use wavesim_sim::Cycle;
 use wavesim_topology::Topology;
 use wavesim_trace::{TraceBuf, TraceEvent};
 
@@ -95,22 +95,6 @@ impl DataPlane {
     #[must_use]
     pub fn busy(&self) -> bool {
         self.fabric.busy()
-    }
-}
-
-/// The dataplane is cycle-driven: it does work every tick while busy and
-/// schedules no events of its own.
-impl Model for DataPlane {
-    type Event = ();
-
-    fn tick(&mut self, now: Cycle, _queue: &mut EventQueue<()>) {
-        self.step(now);
-    }
-
-    fn handle(&mut self, _now: Cycle, _event: (), _queue: &mut EventQueue<()>) {}
-
-    fn busy(&self) -> bool {
-        DataPlane::busy(self)
     }
 }
 

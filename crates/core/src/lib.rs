@@ -54,6 +54,6 @@ pub use events::{EventBus, PlaneEvent};
 pub use ids::{CircuitId, LaneId, ProbeId};
 pub use lanes::{LaneState, LaneTable};
 pub use network::{FaultEvent, HealthSnapshot, WaveNetwork};
-pub use probe::{ProbeFlit, ProbeState};
+pub use probe::{ProbeBufs, ProbeFlit, ProbeState};
 pub use snapshot::{CircuitSnap, LaneUse, NetSnapshot, ProbeSnap};
 pub use stats::WaveStats;

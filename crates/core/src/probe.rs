@@ -32,21 +32,35 @@ pub struct ProbeFlit {
 }
 
 impl ProbeFlit {
-    /// Builds the probe flit a source emits toward `dest`.
+    /// Builds the probe flit a source emits toward `dest`, storing the
+    /// offset fields in `offsets` (whose old contents are discarded).
     #[must_use]
-    pub fn new(topo: &Topology, src: NodeId, dest: NodeId, force: bool) -> Self {
-        Self {
+    pub fn new(
+        topo: &Topology,
+        src: NodeId,
+        dest: NodeId,
+        force: bool,
+        mut offsets: Vec<i32>,
+    ) -> Self {
+        offsets.resize(topo.ndims(), 0);
+        let mut flit = Self {
             header: true,
             backtrack: false,
             misroute: 0,
             force,
-            offsets: topo.offsets(src, dest),
-        }
+            offsets,
+        };
+        flit.update_offsets(topo, src, dest);
+        flit
     }
 
-    /// Recomputes the offset fields for the probe sitting at `node`.
+    /// Recomputes the offset fields for the probe sitting at `node` —
+    /// the per-dimension minimal offsets to `dest`, Fig. 4's
+    /// `X1-offset..Xn-offset` — in place.
     pub fn update_offsets(&mut self, topo: &Topology, node: NodeId, dest: NodeId) {
-        self.offsets = topo.offsets(node, dest);
+        for (dim, offset) in self.offsets.iter_mut().enumerate() {
+            *offset = topo.offset(node, dest, dim);
+        }
     }
 
     /// True when every offset is zero — the probe has reached its
@@ -65,6 +79,19 @@ pub enum ProbeOutcome {
     /// The probe backtracked all the way to the source with nothing left
     /// to search on its switch.
     Exhausted,
+}
+
+/// History Store flag: the node is on the probe's reserved path. The low
+/// 16 bits of a History Store word are the searched-port mask.
+const ON_PATH: u32 = 1 << 31;
+
+/// The heap buffers of a retired probe — History Store zeroed, path and
+/// offsets empty — kept so the next probe launches without allocating.
+#[derive(Debug, Default)]
+pub struct ProbeBufs {
+    history: Vec<u32>,
+    path: Vec<LaneId>,
+    offsets: Vec<i32>,
 }
 
 /// Live state of a probe walking the control network.
@@ -89,9 +116,12 @@ pub struct ProbeState {
     /// distributed across the routers.
     pub path: Vec<LaneId>,
     /// History Store: per node, bitmask of output ports already searched
-    /// by this probe. Dense (indexed by node id): the probe engine reads
-    /// and writes it on every step, and a torus has few enough nodes that
-    /// one `Vec<u32>` beats hashing even though most entries stay zero.
+    /// by this probe (low 16 bits) plus the on-path flag (bit 31), set
+    /// while the node is on the reserved path — the path is simple, so one
+    /// bit per node is exact. Dense (indexed by node id): the probe engine
+    /// reads and writes it on every step, and a torus has few enough nodes
+    /// that one `Vec<u32>` beats hashing even though most entries stay
+    /// zero.
     pub history: Vec<u32>,
     /// Lane this probe is parked on, waiting for a forced teardown
     /// (CLRP phase two).
@@ -103,7 +133,9 @@ pub struct ProbeState {
 }
 
 impl ProbeState {
-    /// Creates a fresh probe at its source.
+    /// Creates a fresh probe at its source, in the buffers `bufs` (a
+    /// retired probe's, or `ProbeBufs::default()`).
+    #[expect(clippy::too_many_arguments, reason = "one per probe field")]
     #[must_use]
     pub fn new(
         id: ProbeId,
@@ -113,22 +145,66 @@ impl ProbeState {
         dest: NodeId,
         switch: u8,
         force: bool,
+        bufs: ProbeBufs,
     ) -> Self {
         assert!(switch >= 1, "probes search wave switches S1..Sk");
-        Self {
+        let ProbeBufs {
+            mut history,
+            path,
+            offsets,
+        } = bufs;
+        history.resize(topo.num_nodes() as usize, 0);
+        let mut probe = Self {
             id,
             circuit,
             src,
             dest,
             switch,
-            flit: ProbeFlit::new(topo, src, dest, force),
+            flit: ProbeFlit::new(topo, src, dest, force, offsets),
             at: src,
-            path: Vec::new(),
-            history: vec![0; topo.num_nodes() as usize],
+            path,
+            history,
             parked_on: None,
             hops: 0,
             backtracks: 0,
+        };
+        probe.enter(src);
+        probe
+    }
+
+    /// Hands the probe's buffers back for the next probe: the History
+    /// Store entries die with the probe.
+    #[must_use]
+    pub fn retire(self) -> ProbeBufs {
+        let Self {
+            mut history,
+            mut path,
+            flit,
+            ..
+        } = self;
+        history.fill(0);
+        path.clear();
+        ProbeBufs {
+            history,
+            path,
+            offsets: flit.offsets,
         }
+    }
+
+    /// Puts `node` on the reserved path (the probe advanced into it).
+    pub fn enter(&mut self, node: NodeId) {
+        self.history[node.0 as usize] |= ON_PATH;
+    }
+
+    /// Takes `node` off the reserved path (the probe backtracked out).
+    pub fn leave(&mut self, node: NodeId) {
+        self.history[node.0 as usize] &= !ON_PATH;
+    }
+
+    /// True when `node` is on the reserved path (the source included).
+    #[must_use]
+    pub fn on_path(&self, node: NodeId) -> bool {
+        self.history[node.0 as usize] & ON_PATH != 0
     }
 
     /// Marks output port `port_index` of `node` as searched.
@@ -143,14 +219,13 @@ impl ProbeState {
     }
 
     /// An upper bound on the steps this probe may take, used by the
-    /// livelock monitor: each (node, port) pair is searched at most once
-    /// per direction, so hops ≤ 2 · links · (something small). We use
-    /// `2 · (ports searched bound) + 2` with ports ≤ 2·ndims per node.
+    /// livelock monitor: `2 · nodes · 2·ndims + 2`. Every forward step
+    /// burns one History Store bit, of which there are at most
+    /// `nodes · 2·ndims` (one per (node, port) slot); every backtrack
+    /// unwinds one forward step; `+ 2` covers source/destination
+    /// processing slack.
     #[must_use]
     pub fn step_bound(topo: &Topology) -> u64 {
-        // Every forward step burns one History Store bit somewhere; every
-        // backtrack unwinds one forward step. +2 covers source/destination
-        // processing slack.
         2 * (topo.num_nodes() as u64) * (2 * topo.ndims() as u64) + 2
     }
 }
@@ -169,7 +244,7 @@ mod tests {
         let topo = t();
         let src = topo.node(Coords::new(&[0, 0]));
         let dest = topo.node(Coords::new(&[3, 1]));
-        let f = ProbeFlit::new(&topo, src, dest, false);
+        let f = ProbeFlit::new(&topo, src, dest, false, Vec::new());
         assert!(f.header);
         assert!(!f.backtrack);
         assert_eq!(f.misroute, 0);
@@ -182,7 +257,13 @@ mod tests {
     fn offsets_reach_zero_at_destination() {
         let topo = t();
         let dest = topo.node(Coords::new(&[2, 2]));
-        let mut f = ProbeFlit::new(&topo, topo.node(Coords::new(&[0, 0])), dest, true);
+        let mut f = ProbeFlit::new(
+            &topo,
+            topo.node(Coords::new(&[0, 0])),
+            dest,
+            true,
+            vec![7; 5],
+        );
         f.update_offsets(&topo, dest, dest);
         assert!(f.at_destination());
         assert!(f.force, "force bit survives offset updates");
@@ -199,6 +280,7 @@ mod tests {
             NodeId(5),
             1,
             false,
+            ProbeBufs::default(),
         );
         let n = NodeId(3);
         assert!(!p.searched(n, 0));
@@ -230,6 +312,7 @@ mod tests {
             NodeId(9),
             2,
             true,
+            ProbeBufs::default(),
         );
         assert!(p.path.is_empty());
         assert!(p.parked_on.is_none());

@@ -189,10 +189,11 @@ impl ModelSpec {
     #[must_use]
     pub fn fault_on_first_path(mut self, repair: bool) -> Self {
         let (src, dest) = *self.msgs.first().expect("add messages before the fault");
-        let port = *self
+        let port = self
             .topo
             .min_ports(src, dest)
-            .first()
+            .iter()
+            .next()
             .expect("src != dest has a minimal port");
         let ctx = self.compile();
         let lane = ctx

@@ -28,4 +28,4 @@ pub use coords::{Coords, Dir, MAX_DIMS};
 pub use routing::{
     Candidate, DorMesh, DorTorus, DuatoAdaptive, NaiveTorusDor, RoutingKind, WormholeRouting,
 };
-pub use topo::{LinkId, NodeId, PortDir, Topology, TopologyKind};
+pub use topo::{LinkId, NodeId, PortDir, PortSet, Topology, TopologyKind};

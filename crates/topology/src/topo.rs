@@ -5,6 +5,8 @@
 //! questions the routing layers ask: neighbours, minimal offsets, distances,
 //! and torus dateline crossings.
 
+use std::sync::Arc;
+
 use crate::coords::{Coords, Dir, MAX_DIMS};
 
 /// Dense node identifier (row-major mixed-radix index of the coordinates).
@@ -72,6 +74,96 @@ impl std::fmt::Display for PortDir {
     }
 }
 
+/// A set of one router's output ports: a bitmask over [`PortDir::index`].
+///
+/// `Copy` and heap-free, so the per-hop routing paths can ask for a node's
+/// ports without allocating. Iterates in ascending port index — lowest
+/// dimension first, `Plus` before `Minus`.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct PortSet(u16);
+
+// One bit per port index.
+const _: () = assert!(2 * MAX_DIMS <= u16::BITS as usize);
+
+impl PortSet {
+    /// True when `port` is in the set.
+    #[must_use]
+    pub fn contains(self, port: PortDir) -> bool {
+        self.0 & (1 << port.index()) != 0
+    }
+
+    /// Adds `port`.
+    pub fn insert(&mut self, port: PortDir) {
+        self.0 |= 1 << port.index();
+    }
+
+    /// The ports of `self` that are not in `other`.
+    #[must_use]
+    pub fn difference(self, other: PortSet) -> PortSet {
+        PortSet(self.0 & !other.0)
+    }
+
+    /// Number of ports in the set.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// True when the set holds no port.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The ports, in ascending port index.
+    #[must_use]
+    pub fn iter(self) -> PortSetIter {
+        PortSetIter(self.0)
+    }
+}
+
+/// Iterator over a [`PortSet`], in ascending port index.
+#[derive(Debug, Clone)]
+pub struct PortSetIter(u16);
+
+impl Iterator for PortSetIter {
+    type Item = PortDir;
+
+    fn next(&mut self) -> Option<PortDir> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(PortDir::from_index(i))
+    }
+}
+
+impl IntoIterator for PortSet {
+    type Item = PortDir;
+    type IntoIter = PortSetIter;
+
+    fn into_iter(self) -> PortSetIter {
+        self.iter()
+    }
+}
+
+impl FromIterator<PortDir> for PortSet {
+    fn from_iter<I: IntoIterator<Item = PortDir>>(ports: I) -> Self {
+        let mut set = PortSet::default();
+        for p in ports {
+            set.insert(p);
+        }
+        set
+    }
+}
+
+impl std::fmt::Debug for PortSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// Dense identifier of a unidirectional physical link, derived from its
 /// source node and output port: `node * 2·ndims + port.index()`.
 ///
@@ -90,14 +182,43 @@ pub enum TopologyKind {
     Torus,
 }
 
+/// Neighbour-table entry of a mesh boundary slot (no physical link).
+const NO_LINK: u32 = u32::MAX;
+
 /// A concrete k-ary n-cube topology.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A router's neighbours are wiring, so they are tabulated once at
+/// construction, one entry per (node, port) slot in [`LinkId`] order, and
+/// every neighbour / link query is one load. The table is shared between
+/// clones.
+#[derive(Clone)]
 pub struct Topology {
     kind: TopologyKind,
     radices: Vec<u16>,
     strides: Vec<u32>,
     nodes: u32,
+    neighbors: Arc<[u32]>,
 }
+
+/// Prints the shape only — never the neighbour table.
+impl std::fmt::Debug for Topology {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Topology")
+            .field("kind", &self.kind)
+            .field("radices", &self.radices)
+            .finish()
+    }
+}
+
+/// Two topologies are equal when they have the same shape; everything else
+/// is derived from it.
+impl PartialEq for Topology {
+    fn eq(&self, other: &Self) -> bool {
+        self.kind == other.kind && self.radices == other.radices
+    }
+}
+
+impl Eq for Topology {}
 
 impl Topology {
     fn build(kind: TopologyKind, radices: &[u16]) -> Self {
@@ -124,12 +245,59 @@ impl Topology {
                 .checked_mul(u32::from(r))
                 .expect("node count overflowed u32");
         }
+        assert!(
+            u64::from(acc) * 2 * radices.len() as u64 <= u64::from(u32::MAX),
+            "link slot count overflowed u32"
+        );
         Self {
             kind,
+            neighbors: Self::neighbor_table(kind, radices, &strides, acc),
             radices: radices.to_vec(),
             strides,
             nodes: acc,
         }
+    }
+
+    /// Tabulates every (node, port) slot in one odometer pass over the
+    /// coordinates: no division, and each neighbour is its node id plus or
+    /// minus a stride (or a wrap of `radix - 1` strides the other way).
+    fn neighbor_table(
+        kind: TopologyKind,
+        radices: &[u16],
+        strides: &[u32],
+        nodes: u32,
+    ) -> Arc<[u32]> {
+        let torus = kind == TopologyKind::Torus;
+        let mut table = Vec::with_capacity(nodes as usize * 2 * radices.len());
+        let mut coords = [0u16; MAX_DIMS];
+        for node in 0..nodes {
+            for (d, (&r, &stride)) in radices.iter().zip(strides).enumerate() {
+                let wrap = u32::from(r - 1) * stride;
+                let plus = if coords[d] + 1 < r {
+                    node + stride
+                } else if torus {
+                    node - wrap
+                } else {
+                    NO_LINK
+                };
+                let minus = if coords[d] > 0 {
+                    node - stride
+                } else if torus {
+                    node + wrap
+                } else {
+                    NO_LINK
+                };
+                table.extend([plus, minus]);
+            }
+            for (c, &r) in coords.iter_mut().zip(radices) {
+                *c += 1;
+                if *c < r {
+                    break;
+                }
+                *c = 0;
+            }
+        }
+        table.into()
     }
 
     /// A k-ary n-dimensional mesh, e.g. `Topology::mesh(&\[8, 8\])`.
@@ -196,6 +364,13 @@ impl Topology {
         Coords::new(&vals[..self.ndims()])
     }
 
+    /// The coordinate of `node` along `dim` alone: one division, where
+    /// [`Topology::coords`] pays one per dimension.
+    fn coord(&self, node: NodeId, dim: usize) -> u16 {
+        assert!(node.0 < self.nodes, "node {node} out of range");
+        (node.0 / self.strides[dim] % u32::from(self.radices[dim])) as u16
+    }
+
     /// Node id of `coords`.
     ///
     /// # Panics
@@ -217,31 +392,20 @@ impl Topology {
 
     /// The neighbour of `node` across output port (`dim`, `dir`), or `None`
     /// at a mesh boundary.
+    ///
+    /// # Panics
+    /// Panics if `node` or `port` is out of range.
     #[must_use]
     pub fn neighbor(&self, node: NodeId, port: PortDir) -> Option<NodeId> {
-        let c = self.coords(node);
-        let dim = port.dim as usize;
-        let r = self.radices[dim];
-        let cur = c.get(dim);
-        let next = match (port.dir, self.kind) {
-            (Dir::Plus, TopologyKind::Mesh) => {
-                if cur + 1 >= r {
-                    return None;
-                }
-                cur + 1
-            }
-            (Dir::Minus, TopologyKind::Mesh) => {
-                if cur == 0 {
-                    return None;
-                }
-                cur - 1
-            }
-            (Dir::Plus, TopologyKind::Torus) => (cur + 1) % r,
-            (Dir::Minus, TopologyKind::Torus) => (cur + r - 1) % r,
-        };
-        let mut nc = c;
-        nc.set(dim, next);
-        Some(self.node(nc))
+        // An out-of-range port would alias another node's slot.
+        assert!(port.index() < 2 * self.ndims(), "port {port} out of range");
+        self.slot(self.link_id(node, port))
+    }
+
+    /// The neighbour-table entry of `link`: `None` on a boundary slot.
+    fn slot(&self, link: LinkId) -> Option<NodeId> {
+        let n = self.neighbors[link.0 as usize];
+        (n != NO_LINK).then_some(NodeId(n))
     }
 
     /// Number of (node, port) link *slots*, valid or not: `nodes · 2·ndims`.
@@ -272,8 +436,9 @@ impl Topology {
     /// for a bigger network, say) are simply `false`, not a panic.
     #[must_use]
     pub fn has_link(&self, link: LinkId) -> bool {
-        let (node, port) = self.link_endpoints(link);
-        node.0 < self.nodes && self.neighbor(node, port).is_some()
+        self.neighbors
+            .get(link.0 as usize)
+            .is_some_and(|&n| n != NO_LINK)
     }
 
     /// Destination node of `link`.
@@ -282,8 +447,7 @@ impl Topology {
     /// Panics if the link slot is a mesh boundary (no physical link).
     #[must_use]
     pub fn link_dest(&self, link: LinkId) -> NodeId {
-        let (node, port) = self.link_endpoints(link);
-        self.neighbor(node, port)
+        self.slot(link)
             .expect("link_dest called on a boundary slot")
     }
 
@@ -300,10 +464,10 @@ impl Topology {
     /// Panics on a boundary slot.
     #[must_use]
     pub fn reverse_link(&self, link: LinkId) -> LinkId {
-        let (node, port) = self.link_endpoints(link);
         let dest = self
-            .neighbor(node, port)
+            .slot(link)
             .expect("reverse_link called on a boundary slot");
+        let (_, port) = self.link_endpoints(link);
         self.link_id(dest, port.opposite())
     }
 
@@ -312,8 +476,8 @@ impl Topology {
     /// shorter way around is chosen; an exact tie resolves to `Plus`.
     #[must_use]
     pub fn offset(&self, from: NodeId, to: NodeId, dim: usize) -> i32 {
-        let fc = i32::from(self.coords(from).get(dim));
-        let tc = i32::from(self.coords(to).get(dim));
+        let fc = i32::from(self.coord(from, dim));
+        let tc = i32::from(self.coord(to, dim));
         let diff = tc - fc;
         match self.kind {
             TopologyKind::Mesh => diff,
@@ -332,16 +496,6 @@ impl Topology {
         }
     }
 
-    /// All per-dimension minimal offsets from `from` to `to` — exactly the
-    /// `X1-offset..Xn-offset` fields of the paper's routing probe (Fig. 4),
-    /// kept up to date as the probe moves.
-    #[must_use]
-    pub fn offsets(&self, from: NodeId, to: NodeId) -> Vec<i32> {
-        (0..self.ndims())
-            .map(|d| self.offset(from, to, d))
-            .collect()
-    }
-
     /// Minimal-path hop distance between two nodes.
     #[must_use]
     pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
@@ -353,7 +507,7 @@ impl Topology {
     /// Output ports on a minimal path from `from` toward `to`, lowest
     /// dimension first. Empty iff `from == to`.
     #[must_use]
-    pub fn min_ports(&self, from: NodeId, to: NodeId) -> Vec<PortDir> {
+    pub fn min_ports(&self, from: NodeId, to: NodeId) -> PortSet {
         (0..self.ndims())
             .filter_map(|d| {
                 let off = self.offset(from, to, d);
@@ -370,7 +524,7 @@ impl Topology {
 
     /// All output ports of a node that have a physical link.
     #[must_use]
-    pub fn ports_of(&self, node: NodeId) -> Vec<PortDir> {
+    pub fn ports_of(&self, node: NodeId) -> PortSet {
         (0..2 * self.ndims())
             .map(PortDir::from_index)
             .filter(|&p| self.neighbor(node, p).is_some())
@@ -387,8 +541,8 @@ impl Topology {
             return false;
         }
         let dim = port.dim as usize;
-        let c = self.coords(node).get(dim);
-        let d = self.coords(dest).get(dim);
+        let c = self.coord(node, dim);
+        let d = self.coord(dest, dim);
         match port.dir {
             Dir::Plus => c > d,
             Dir::Minus => c < d,
@@ -399,6 +553,105 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The arithmetic neighbour the table replaced: decompose, step one
+    /// coordinate, recompose. Kept as the reference the table is checked
+    /// against.
+    fn neighbor_reference(t: &Topology, node: NodeId, port: PortDir) -> Option<NodeId> {
+        let c = t.coords(node);
+        let dim = port.dim as usize;
+        let r = t.radix(dim);
+        let cur = c.get(dim);
+        let next = match (port.dir, t.kind()) {
+            (Dir::Plus, TopologyKind::Mesh) => {
+                if cur + 1 >= r {
+                    return None;
+                }
+                cur + 1
+            }
+            (Dir::Minus, TopologyKind::Mesh) => {
+                if cur == 0 {
+                    return None;
+                }
+                cur - 1
+            }
+            (Dir::Plus, TopologyKind::Torus) => (cur + 1) % r,
+            (Dir::Minus, TopologyKind::Torus) => (cur + r - 1) % r,
+        };
+        let mut nc = c;
+        nc.set(dim, next);
+        Some(t.node(nc))
+    }
+
+    #[test]
+    fn neighbor_table_agrees_with_the_arithmetic_reference() {
+        for t in [
+            Topology::mesh(&[9]),
+            Topology::torus(&[3, 5, 4]),
+            Topology::mesh(&[2, 7]),
+            Topology::hypercube(6),
+            Topology::mesh(&[2; MAX_DIMS]),
+        ] {
+            for node in t.nodes() {
+                for port in (0..2 * t.ndims()).map(PortDir::from_index) {
+                    let want = neighbor_reference(&t, node, port);
+                    let link = t.link_id(node, port);
+                    assert_eq!(t.neighbor(node, port), want, "{t:?} {node} {port}");
+                    assert_eq!(t.has_link(link), want.is_some(), "{t:?} {node} {port}");
+                    assert_eq!(t.ports_of(node).contains(port), want.is_some());
+                    if let Some(dest) = want {
+                        assert_eq!(t.link_dest(link), dest);
+                        assert_eq!(t.reverse_link(link), t.link_id(dest, port.opposite()));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn has_link_is_total_past_the_last_slot() {
+        for t in [Topology::mesh(&[4, 4]), Topology::torus(&[4, 4])] {
+            let slots = t.num_link_slots() as u32;
+            for id in [slots, slots + 1, 10 * slots, u32::MAX - 1, u32::MAX] {
+                assert!(!t.has_link(LinkId(id)), "{t:?}: link {id}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn neighbor_rejects_a_port_of_a_missing_dimension() {
+        let _ = Topology::mesh(&[4, 4]).neighbor(NodeId(0), PortDir::new(2, Dir::Plus));
+    }
+
+    #[test]
+    fn debug_and_equality_see_the_shape_only() {
+        let t = Topology::torus(&[4, 6]);
+        assert_eq!(
+            format!("{t:?}"),
+            "Topology { kind: Torus, radices: [4, 6] }"
+        );
+        assert_eq!(t, Topology::torus(&[4, 6]));
+        assert_eq!(t, t.clone());
+        assert_ne!(t, Topology::mesh(&[4, 6]));
+        assert_ne!(t, Topology::torus(&[6, 4]));
+    }
+
+    #[test]
+    fn port_set_iterates_in_port_index_order() {
+        let (a, b, c) = (
+            PortDir::new(0, Dir::Minus),
+            PortDir::new(2, Dir::Plus),
+            PortDir::new(MAX_DIMS - 1, Dir::Minus),
+        );
+        let set = PortSet::from_iter([c, a, b]);
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![a, b, c]);
+        assert_eq!(set.len(), 3);
+        assert!(set.contains(b) && !set.contains(b.opposite()));
+        let rest = set.difference(PortSet::from_iter([b]));
+        assert_eq!(rest.into_iter().collect::<Vec<_>>(), vec![a, c]);
+        assert!(PortSet::default().is_empty() && !rest.is_empty());
+    }
 
     #[test]
     fn mesh_coords_roundtrip() {
@@ -471,7 +724,6 @@ mod tests {
         assert_eq!(t.offset(a, b, 0), 4);
         assert_eq!(t.offset(a, b, 1), -4);
         assert_eq!(t.distance(a, b), 8);
-        assert_eq!(t.offsets(a, b), vec![4, -4]);
     }
 
     #[test]
@@ -492,7 +744,10 @@ mod tests {
         let n = NodeId(5);
         assert!(t.min_ports(n, n).is_empty());
         let m = NodeId(6);
-        assert_eq!(t.min_ports(n, m), vec![PortDir::new(0, Dir::Plus)]);
+        assert_eq!(
+            t.min_ports(n, m),
+            PortSet::from_iter([PortDir::new(0, Dir::Plus)])
+        );
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! The flight recorder keeps the *last N* records; paper-scale runs need
 //! the *whole* stream. This module provides the streaming machinery: the
 //! hot path appends `Copy` records to an in-progress chunk, and full
-//! chunks are handed to a dedicated writer thread over a bounded channel.
-//! Encoding and file I/O happen entirely off the simulation thread; if
-//! the writer falls behind, the bounded channel applies backpressure
-//! instead of growing without limit. [`TraceSink::finish`] drains the
-//! queue and flushes the writer.
+//! chunks are handed to a dedicated writer thread, which hands each back
+//! empty once it is written. Encoding and file I/O happen entirely off
+//! the simulation thread. A sink owns [`POOL_CHUNKS`] chunk buffers from
+//! creation to finish and takes them in rotation, so its memory is the
+//! same whether the writer keeps up or not; if the writer falls behind,
+//! the hot path blocks for an empty buffer instead of queueing more.
+//! [`TraceSink::finish`] drains the queue and flushes the writer.
 //!
 //! Two encoders share that plumbing through [`ChunkEncoder`]:
 //!
@@ -34,7 +36,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
 use std::thread::JoinHandle;
 
 use wavesim_json::Value;
@@ -45,8 +47,10 @@ use crate::{PlaneId, TraceEvent, TraceRecord, TraceSink};
 /// Records per chunk handed to the writer thread (also the columnar
 /// frame size).
 pub const CHUNK_RECORDS: usize = 8192;
-/// Chunks the bounded queue may hold before the hot path blocks.
-const QUEUE_CHUNKS: usize = 8;
+/// Chunk buffers a sink circulates: one filling, one queued, one being
+/// encoded. The hot path blocks when the other two are still with the
+/// writer.
+pub const POOL_CHUNKS: usize = 3;
 
 // ---------------------------------------------------------------------
 // Chunk encoders
@@ -96,7 +100,8 @@ impl ChunkEncoder for JsonlEncoder {
 /// machinery also needs a tail snapshot. Use the [`JsonlSink`] /
 /// [`ColumnarSink`] aliases rather than naming the encoder directly.
 pub struct StreamSink<W: Write + Send + 'static, E: ChunkEncoder> {
-    tx: Option<SyncSender<Vec<TraceRecord>>>,
+    /// `None` once the stream is shut down or the writer thread has died.
+    link: Option<WriterLink>,
     handle: Option<JoinHandle<io::Result<W>>>,
     chunk: Vec<TraceRecord>,
     chunk_cap: usize,
@@ -108,6 +113,14 @@ pub struct StreamSink<W: Write + Send + 'static, E: ChunkEncoder> {
     bulk_seen: u64,
     error: Option<String>,
     _enc: PhantomData<fn() -> E>,
+}
+
+/// The hot path's ends of the two channels to the writer thread.
+struct WriterLink {
+    /// Full chunks out.
+    full: SyncSender<Vec<TraceRecord>>,
+    /// The same buffers back, empty.
+    empty: Receiver<Vec<TraceRecord>>,
 }
 
 /// Streaming JSONL sink: one JSON line per record.
@@ -151,10 +164,17 @@ impl<W: Write + Send + 'static, E: ChunkEncoder> StreamSink<W, E> {
     /// Panics if `chunk_cap` is zero.
     pub fn with_encoder(writer: W, enc: E, chunk_cap: usize) -> Self {
         assert!(chunk_cap > 0, "chunk capacity must be positive");
-        let (tx, rx) = sync_channel(QUEUE_CHUNKS);
-        let handle = std::thread::spawn(move || writer_loop(writer, enc, &rx));
+        // Neither channel ever blocks a sender: only `POOL_CHUNKS`
+        // buffers exist.
+        let (full, rx) = sync_channel(POOL_CHUNKS);
+        let (free, empty) = sync_channel(POOL_CHUNKS);
+        for _ in 1..POOL_CHUNKS {
+            free.send(Vec::with_capacity(chunk_cap))
+                .expect("receiver is in scope");
+        }
+        let handle = std::thread::spawn(move || writer_loop(writer, enc, &rx, &free));
         Self {
-            tx: Some(tx),
+            link: Some(WriterLink { full, empty }),
             handle: Some(handle),
             chunk: Vec::with_capacity(chunk_cap),
             chunk_cap,
@@ -186,24 +206,34 @@ impl<W: Write + Send + 'static, E: ChunkEncoder> StreamSink<W, E> {
         if self.chunk.is_empty() {
             return;
         }
-        if let Some(tx) = &self.tx {
-            let full = std::mem::replace(&mut self.chunk, Vec::with_capacity(self.chunk_cap));
-            if tx.send(full).is_err() {
-                // The writer thread died (I/O error); the error surfaces on
-                // finish. Stop sending and count what we could not persist.
-                self.tx = None;
-                self.lost += self.chunk_cap as u64;
-            }
-        } else {
+        let Some(link) = &self.link else {
             self.lost += self.chunk.len() as u64;
             self.chunk.clear();
+            return;
+        };
+        match link.full.send(std::mem::take(&mut self.chunk)) {
+            // The oldest empty buffer, so every buffer of the pool is in
+            // use after `POOL_CHUNKS` chunks whether or not the writer
+            // keeps up; blocks while the writer holds them all.
+            Ok(()) => match link.empty.recv() {
+                Ok(empty) => self.chunk = empty,
+                Err(_) => self.link = None,
+            },
+            // The writer thread died (I/O error); the error surfaces on
+            // finish. Stop sending and count what we could not persist.
+            Err(SendError(mut full)) => {
+                self.lost += full.len() as u64;
+                full.clear();
+                self.chunk = full;
+                self.link = None;
+            }
         }
     }
 
     /// Stops the writer thread and collects its result.
     fn shutdown(&mut self) -> Result<Option<W>, String> {
         self.flush_chunk();
-        drop(self.tx.take());
+        drop(self.link.take());
         let Some(handle) = self.handle.take() else {
             return match self.error.take() {
                 Some(e) => Err(e),
@@ -313,19 +343,24 @@ impl<W: Write + Send + 'static, E: ChunkEncoder> Drop for StreamSink<W, E> {
     }
 }
 
-/// The writer thread: encodes chunks and writes them out.
+/// The writer thread: encodes chunks, writes them out and hands the
+/// buffers back.
 fn writer_loop<W: Write, E: ChunkEncoder>(
     mut w: W,
     mut enc: E,
     rx: &Receiver<Vec<TraceRecord>>,
+    free: &SyncSender<Vec<TraceRecord>>,
 ) -> io::Result<W> {
     let mut bytes = Vec::with_capacity(64 * 1024);
     enc.header(&mut bytes);
     w.write_all(&bytes)?;
-    for chunk in rx {
+    for mut chunk in rx {
         bytes.clear();
         enc.encode_chunk(&chunk, &mut bytes);
         w.write_all(&bytes)?;
+        chunk.clear();
+        // Fails only for the last chunk of a stream that is shutting down.
+        let _ = free.send(chunk);
     }
     w.flush()?;
     Ok(w)
@@ -1221,6 +1256,68 @@ mod tests {
         let mut again = JsonlSink::with_chunk(Vec::new(), 4).with_sampling(4);
         again.record_many(&recs);
         assert_eq!(again.finish_into().expect("finish"), bytes);
+    }
+
+    /// Notes where each chunk it is handed lives.
+    struct AddressEncoder(std::sync::Arc<std::sync::Mutex<Vec<usize>>>);
+
+    impl ChunkEncoder for AddressEncoder {
+        fn encode_chunk(&mut self, recs: &[TraceRecord], _out: &mut Vec<u8>) {
+            self.0.lock().unwrap().push(recs.as_ptr() as usize);
+        }
+    }
+
+    #[test]
+    fn chunks_rotate_through_a_fixed_pool_of_buffers() {
+        // Whatever the two threads' relative speed, chunk `i` travels in
+        // buffer `i % POOL_CHUNKS`: the sink's memory does not depend on
+        // how far the writer is behind.
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let enc = AddressEncoder(std::sync::Arc::clone(&seen));
+        let mut sink = StreamSink::with_encoder(io::sink(), enc, 4);
+        let recs = sample_records();
+        for rec in recs.iter().cycle().take(4 * 4 * POOL_CHUNKS) {
+            sink.record(*rec);
+        }
+        sink.finish_into().expect("finish");
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 4 * POOL_CHUNKS);
+        for (i, addr) in seen.iter().enumerate() {
+            assert_eq!(*addr, seen[i % POOL_CHUNKS], "chunk {i}");
+        }
+        let mut distinct = seen[..POOL_CHUNKS].to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), POOL_CHUNKS);
+    }
+
+    /// Accepts the stream header, then fails.
+    struct FailingWriter(usize);
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.0 == 0 {
+                return Err(io::Error::other("disk full"));
+            }
+            self.0 -= 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn dead_writer_reports_on_finish_without_blocking_the_hot_path() {
+        let mut sink = ColumnarSink::with_chunk(FailingWriter(1), 2);
+        for rec in sample_records().iter().cycle().take(64) {
+            sink.record(*rec);
+        }
+        assert_eq!(sink.total(), 64);
+        let err = TraceSink::finish(&mut sink).unwrap_err();
+        assert!(err.contains("i/o error"), "{err}");
+        assert!(sink.dropped() > 0);
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl TrafficPattern {
             }
             TrafficPattern::NearestNeighbor => {
                 let ports = topo.ports_of(src);
-                let port = *rng.choose(&ports)?;
+                let port = ports.iter().nth(rng.index(ports.len()))?;
                 topo.neighbor(src, port)
             }
             TrafficPattern::HotPairs { partners, locality } => {
