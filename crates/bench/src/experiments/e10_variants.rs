@@ -14,13 +14,14 @@
 use wavesim_core::{ClrpVariant, ProtocolKind, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::runner::{run_open_loop, RunSpec};
+use crate::experiments::Ctx;
 use crate::table::{f2, pct};
-use crate::{Scale, Table};
+use crate::Table;
 
 /// Runs E10.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E10",
         "CLRP variant ablation (§3.1 simplifications)",
@@ -33,7 +34,6 @@ pub fn run(scale: Scale) -> Table {
             "circuit%",
         ],
     );
-    let spec = RunSpec::standard(scale.warmup, scale.measure);
     let variants = [
         ("full (3 phases)", ClrpVariant::default()),
         (
@@ -67,8 +67,8 @@ pub fn run(scale: Scale) -> Table {
             ..WaveConfig::default()
         };
         let mut net = crate::experiments::net_with(scale.side, cfg);
-        let mut src = crate::experiments::traffic(
-            net.topology(),
+        let r = ctx.open_loop(
+            &mut net,
             0.3,
             TrafficPattern::HotPairs {
                 partners: 4,
@@ -77,7 +77,6 @@ pub fn run(scale: Scale) -> Table {
             LengthDist::Fixed(48),
             123,
         );
-        let r = run_open_loop(&mut net, &mut src, spec);
         let s = r.wave;
         t.push(vec![
             name.into(),
@@ -94,10 +93,11 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn variants_trade_probes_for_teardowns() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         assert_eq!(t.rows.len(), 4);
         let by_name = |n: &str| t.rows.iter().find(|r| r[0].starts_with(n)).unwrap();
         let noforce = by_name("no force");

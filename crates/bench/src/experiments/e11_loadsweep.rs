@@ -12,21 +12,16 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::runner::{run_open_loop, ParallelSweep, RunSpec};
+use crate::experiments::Ctx;
 use crate::table::{f2, f3};
-use crate::{Scale, Table};
+use crate::Table;
 
-/// Runs E11 serially (equivalent to [`run_with_jobs`] with one job).
+/// Runs E11, fanning the load points out over the context's worker
+/// threads. Every point seeds its own network and traffic source, so the
+/// table is byte-identical for any job count.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
-    run_with_jobs(scale, 1)
-}
-
-/// Runs E11, fanning the load points out over `jobs` worker threads.
-/// Every point seeds its own network and traffic source, so the table is
-/// byte-identical for any job count.
-#[must_use]
-pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E11",
         "latency and accepted throughput vs offered load (the saturation curve)",
@@ -39,27 +34,19 @@ pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
         ],
     );
     let loads = scale.sweep(&[0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.2]);
-    let spec = RunSpec::standard(scale.warmup, scale.measure);
     let pattern = TrafficPattern::HotPairs {
         partners: 3,
         locality: 0.7,
     };
 
-    let rows = ParallelSweep::new(jobs).run(&loads, |_, &load| {
+    let rows = ctx.sweep(&loads, |ctx, &load| {
         let go = |protocol: ProtocolKind| {
             let cfg = WaveConfig {
                 protocol,
                 ..WaveConfig::default()
             };
             let mut net = crate::experiments::net_with(scale.side, cfg);
-            let mut src = crate::experiments::traffic(
-                net.topology(),
-                load,
-                pattern,
-                LengthDist::Fixed(64),
-                131,
-            );
-            run_open_loop(&mut net, &mut src, spec)
+            ctx.open_loop(&mut net, load, pattern, LengthDist::Fixed(64), 131)
         };
         let wh = go(ProtocolKind::WormholeOnly);
         let wv = go(ProtocolKind::Clrp);
@@ -80,10 +67,11 @@ pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn wave_switching_saturates_later() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         // At the heaviest offered load, wave switching accepts strictly
         // more traffic than wormhole.
         let last = t.rows.last().unwrap();

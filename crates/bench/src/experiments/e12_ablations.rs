@@ -14,15 +14,15 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::runner::{run_open_loop, RunSpec};
+use crate::experiments::Ctx;
 use crate::table::{f2, pct};
-use crate::{Scale, Table};
+use crate::Table;
 
-fn locality_run(scale: Scale, cfg: WaveConfig, len: LengthDist) -> crate::RunResult {
-    let spec = RunSpec::standard(scale.warmup, scale.measure);
+fn locality_run(ctx: &Ctx, cfg: WaveConfig, len: LengthDist) -> crate::RunResult {
+    let scale = ctx.scale;
     let mut net = crate::experiments::net_with(scale.side, cfg);
-    let mut src = crate::experiments::traffic(
-        net.topology(),
+    ctx.open_loop(
+        &mut net,
         0.2,
         TrafficPattern::HotPairs {
             partners: 3,
@@ -30,13 +30,13 @@ fn locality_run(scale: Scale, cfg: WaveConfig, len: LengthDist) -> crate::RunRes
         },
         len,
         141,
-    );
-    run_open_loop(&mut net, &mut src, spec)
+    )
 }
 
 /// Runs E12.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E12",
         "design-choice ablations: switch staggering, window size, buffer sizing",
@@ -51,7 +51,7 @@ pub fn run(scale: Scale) -> Table {
             stagger_initial_switch: stagger,
             ..WaveConfig::default()
         };
-        let r = locality_run(scale, cfg, len64);
+        let r = locality_run(ctx, cfg, len64);
         t.push(vec![
             name.into(),
             f2(r.avg_latency),
@@ -68,7 +68,7 @@ pub fn run(scale: Scale) -> Table {
             window,
             ..WaveConfig::default()
         };
-        let r = locality_run(scale, cfg, len64);
+        let r = locality_run(ctx, cfg, len64);
         t.push(vec![
             format!("window {window}"),
             f2(r.avg_latency),
@@ -95,7 +95,7 @@ pub fn run(scale: Scale) -> Table {
             realloc_penalty: penalty,
             ..WaveConfig::default()
         };
-        let r = locality_run(scale, cfg, bimodal);
+        let r = locality_run(ctx, cfg, bimodal);
         t.push(vec![
             name.into(),
             f2(r.avg_latency),
@@ -110,10 +110,11 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn ablations_show_expected_directions() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         let lat = |name: &str| -> f64 {
             t.rows
                 .iter()

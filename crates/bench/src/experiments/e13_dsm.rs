@@ -16,21 +16,17 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{ReqRepConfig, ReqRepWorkload};
 
-use crate::runner::{run_request_reply, ParallelSweep, RunSpec};
+use crate::experiments::Ctx;
+use crate::runner::{run_request_reply, RunSpec};
 use crate::table::{f2, pct};
-use crate::{Scale, Table};
+use crate::Table;
 
-/// Runs E13 serially (equivalent to [`run_with_jobs`] with one job).
+/// Runs E13, fanning the locality points out over the context's worker
+/// threads. Every point builds its own networks and workloads from the
+/// point value, so the table is byte-identical for any job count.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
-    run_with_jobs(scale, 1)
-}
-
-/// Runs E13, fanning the locality points out over `jobs` worker threads.
-/// Every point builds its own networks and workloads from the point
-/// value, so the table is byte-identical for any job count.
-#[must_use]
-pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E13",
         "closed-loop DSM remote accesses: round-trip time, wormhole vs CLRP",
@@ -46,7 +42,7 @@ pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
     let spec = RunSpec::standard(scale.warmup, scale.measure);
     let localities = scale.sweep(&[0.0, 0.5, 0.9]);
 
-    let rows = ParallelSweep::new(jobs).run(&localities, |_, &loc| {
+    let rows = ctx.sweep(&localities, |ctx, &loc| {
         let go = |protocol: ProtocolKind| {
             let cfg = WaveConfig {
                 protocol,
@@ -67,7 +63,7 @@ pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
                     stop_at: u64::MAX,
                 },
             );
-            run_request_reply(&mut net, &mut wl, spec)
+            ctx.observe(|obs| run_request_reply(&mut net, &mut wl, spec, obs))
         };
         let wh = go(ProtocolKind::WormholeOnly);
         let wv = go(ProtocolKind::Clrp);
@@ -89,10 +85,11 @@ pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn dsm_round_trips_complete_cleanly() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         assert!(!t.rows.is_empty());
         for row in &t.rows {
             let wh: f64 = row[1].parse().unwrap();
@@ -111,8 +108,8 @@ mod tests {
 
     #[test]
     fn table_is_byte_identical_across_jobs() {
-        let serial = run_with_jobs(Scale::small(), 1);
-        let fanned = run_with_jobs(Scale::small(), 4);
+        let serial = run(&Ctx::unobserved(Scale::small(), 1));
+        let fanned = run(&Ctx::unobserved(Scale::small(), 4));
         assert_eq!(format!("{serial:?}"), format!("{fanned:?}"));
     }
 }

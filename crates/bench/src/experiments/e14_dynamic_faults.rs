@@ -16,18 +16,13 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{FaultSchedule, LengthDist, TrafficPattern};
 
-use crate::runner::{apply_fault_schedule, run_open_loop, ParallelSweep, RunSpec};
+use crate::experiments::Ctx;
+use crate::runner::apply_fault_schedule;
 use crate::table::{f2, pct};
-use crate::{Scale, Table};
+use crate::Table;
 
-/// Runs E14 serially (equivalent to [`run_with_jobs`] with one job).
-#[must_use]
-pub fn run(scale: Scale) -> Table {
-    run_with_jobs(scale, 1)
-}
-
-/// Runs E14, fanning the MTBF points out over `jobs` worker threads.
-/// Every point builds its own network, traffic source, and fault
+/// Runs E14, fanning the MTBF points out over the context's worker
+/// threads. Every point builds its own network, traffic source, and fault
 /// schedule from the point value, so the table is byte-identical for any
 /// job count.
 ///
@@ -35,7 +30,8 @@ pub fn run(scale: Scale) -> Table {
 /// Panics if a drawn fault schedule does not fit the network it was
 /// drawn for (a bug, not an input error).
 #[must_use]
-pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E14",
         "dynamic lane faults: teardown-then-fault, bounded retry, graceful fallback",
@@ -53,10 +49,9 @@ pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
     // Largest (healthiest) first: the monotonic-degradation check reads
     // the first and last rows.
     let mtbfs: Vec<u64> = scale.sweep(&[50_000, 8_000, 2_000, 600]);
-    let spec = RunSpec::standard(scale.warmup, scale.measure);
     let horizon = scale.warmup + scale.measure;
 
-    let rows = ParallelSweep::new(jobs).run(&mtbfs, |_, &mtbf| {
+    let rows = ctx.sweep(&mtbfs, |ctx, &mtbf| {
         let cfg = WaveConfig {
             protocol: ProtocolKind::Clrp,
             misroutes: 3, // generous budget: the fault-tolerance enabler
@@ -65,8 +60,8 @@ pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
         let mut net = crate::experiments::net_with(scale.side, cfg);
         let sched = FaultSchedule::random_mtbf(net.topology(), mtbf, mtbf / 8 + 1, horizon, 1414);
         apply_fault_schedule(&mut net, &sched).expect("schedule drawn from this topology");
-        let mut src = crate::experiments::traffic(
-            net.topology(),
+        let r = ctx.open_loop(
+            &mut net,
             0.15,
             TrafficPattern::HotPairs {
                 partners: 3,
@@ -75,7 +70,6 @@ pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
             LengthDist::Fixed(64),
             99,
         );
-        let r = run_open_loop(&mut net, &mut src, spec);
         vec![
             mtbf.to_string(),
             sched.len().to_string(),
@@ -96,10 +90,11 @@ pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn no_message_is_ever_lost_under_fault_churn() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         for row in &t.rows {
             assert_eq!(row.last().unwrap(), "0", "lost messages in {row:?}");
         }
@@ -107,7 +102,7 @@ mod tests {
 
     #[test]
     fn churn_breaks_circuits_and_triggers_retries() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         let last = t.rows.last().unwrap();
         let broken: u64 = last[2].parse().unwrap();
         let retries: u64 = last[3].parse().unwrap();
@@ -117,7 +112,7 @@ mod tests {
 
     #[test]
     fn circuit_fraction_degrades_with_mtbf() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         let parse_pct = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
         let healthy = parse_pct(&t.rows.first().unwrap()[4]);
         let churned = parse_pct(&t.rows.last().unwrap()[4]);

@@ -31,9 +31,10 @@ use wavesim_topology::{NodeId, Topology};
 use wavesim_workloads::collectives;
 use wavesim_workloads::{DepTrace, TrafficPattern};
 
-use crate::runner::{run_dep_trace, ParallelSweep, RunSpec};
+use crate::experiments::Ctx;
+use crate::runner::{run_dep_trace, RunSpec};
 use crate::table::{f2, pct};
-use crate::{Scale, Table};
+use crate::Table;
 
 /// The collective families replayed by E15, in table order.
 const COLLECTIVES: [&str; 4] = ["all-to-all", "reduce", "broadcast", "transpose-sweep"];
@@ -83,18 +84,13 @@ pub fn build_trace(topo: &Topology, which: &str, len: u32) -> DepTrace {
     }
 }
 
-/// Runs E15 serially (equivalent to [`run_with_jobs`] with one job).
-#[must_use]
-pub fn run(scale: Scale) -> Table {
-    run_with_jobs(scale, 1)
-}
-
 /// Runs E15, fanning the (collective, protocol, length) points out over
-/// `jobs` worker threads. Every point builds its own trace and network
-/// from the point value, so the table is byte-identical for any job
-/// count.
+/// the context's worker threads. Every point builds its own trace and
+/// network from the point value, so the table is byte-identical for any
+/// job count.
 #[must_use]
-pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E15",
         "collective replay: dependency-gated traces under CLRP / CARP / MB-1",
@@ -120,11 +116,12 @@ pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
         }
     }
 
-    let rows = ParallelSweep::new(jobs).run(&points, |_, &(which, v, len)| {
+    let rows = ctx.sweep(&points, |ctx, &(which, v, len)| {
         let (label, cfg) = variants().swap_remove(v);
         let mut net = crate::experiments::net_with(scale.side, cfg);
         let trace = build_trace(net.topology(), which, len);
-        let r = run_dep_trace(&mut net, &trace, RunSpec::replay(trace.horizon()));
+        let spec = RunSpec::replay(trace.horizon());
+        let r = ctx.observe(|obs| run_dep_trace(&mut net, &trace, spec, obs));
         assert!(
             r.clean(),
             "E15 replay must drain cleanly: {which}/{label}/{len}: {r:?}"
@@ -150,6 +147,7 @@ pub fn run_with_jobs(scale: Scale, jobs: usize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     fn tiny() -> Scale {
         Scale {
@@ -160,7 +158,7 @@ mod tests {
 
     #[test]
     fn every_collective_delivers_its_whole_trace() {
-        let t = run(tiny());
+        let t = run(&Ctx::unobserved(tiny(), 1));
         assert_eq!(t.rows.len(), COLLECTIVES.len() * variants().len() * 2);
         for row in &t.rows {
             assert_eq!(row[3], row[4], "msgs != delivered in {row:?}");
@@ -169,7 +167,7 @@ mod tests {
 
     #[test]
     fn carp_without_establish_ops_rides_wormhole() {
-        let t = run(tiny());
+        let t = run(&Ctx::unobserved(tiny(), 1));
         for row in t.rows.iter().filter(|r| r[1] == "CARP") {
             assert_eq!(row[8], "0.0%", "trace-only CARP cannot build circuits");
         }
@@ -177,7 +175,7 @@ mod tests {
 
     #[test]
     fn clrp_uses_circuits_on_collective_locality() {
-        let t = run(tiny());
+        let t = run(&Ctx::unobserved(tiny(), 1));
         let frac = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
         let best = t
             .rows
@@ -193,8 +191,8 @@ mod tests {
 
     #[test]
     fn table_is_byte_identical_across_jobs() {
-        let serial = run_with_jobs(tiny(), 1);
-        let fanned = run_with_jobs(tiny(), 4);
+        let serial = run(&Ctx::unobserved(tiny(), 1));
+        let fanned = run(&Ctx::unobserved(tiny(), 4));
         assert_eq!(format!("{serial:?}"), format!("{fanned:?}"));
     }
 }

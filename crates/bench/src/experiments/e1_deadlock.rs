@@ -12,8 +12,9 @@ use wavesim_core::{ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim_topology::{Topology, TopologyKind};
 use wavesim_workloads::{CarpTrace, LengthDist, TrafficPattern};
 
-use crate::runner::{run_carp_trace, run_open_loop, RunSpec};
-use crate::{Scale, Table};
+use crate::experiments::Ctx;
+use crate::runner::{run_carp_trace, RunSpec};
+use crate::Table;
 
 fn topo(kind: TopologyKind, side: u16) -> Topology {
     match kind {
@@ -24,7 +25,8 @@ fn topo(kind: TopologyKind, side: u16) -> Topology {
 
 /// Runs E1.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E1",
         "deadlock freedom under saturation (Theorems 1 & 2)",
@@ -62,14 +64,7 @@ pub fn run(scale: Scale) -> Table {
                         ..WaveConfig::default()
                     },
                 );
-                let mut src = crate::experiments::traffic(
-                    net.topology(),
-                    load,
-                    pattern,
-                    LengthDist::Fixed(32),
-                    11,
-                );
-                let r = run_open_loop(&mut net, &mut src, spec);
+                let r = ctx.open_loop(&mut net, load, pattern, LengthDist::Fixed(32), 11);
                 t.push(vec![
                     format!("{kind:?}"),
                     "CLRP".into(),
@@ -108,7 +103,7 @@ pub fn run(scale: Scale) -> Table {
                 ..wavesim_workloads::carp::PairwiseSpec::default()
             },
         );
-        let r = run_carp_trace(&mut net, &mut trace, spec);
+        let r = ctx.observe(|obs| run_carp_trace(&mut net, &mut trace, spec, obs));
         t.push(vec![
             format!("{kind:?}"),
             "CARP".into(),
@@ -130,10 +125,11 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn every_row_is_deadlock_free() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         assert!(!t.rows.is_empty());
         for row in &t.rows {
             assert_eq!(row.last().unwrap(), "OK", "row {row:?}");

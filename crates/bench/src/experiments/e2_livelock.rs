@@ -9,12 +9,13 @@
 use wavesim_core::{ClrpVariant, ProtocolKind, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::runner::{run_open_loop, RunSpec};
-use crate::{Scale, Table};
+use crate::experiments::Ctx;
+use crate::Table;
 
 /// Runs E2.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E2",
         "livelock freedom: probe work is bounded (Theorems 3 & 4)",
@@ -29,7 +30,6 @@ pub fn run(scale: Scale) -> Table {
             "verdict",
         ],
     );
-    let spec = RunSpec::standard(scale.warmup, scale.measure);
 
     let configs = [
         (
@@ -67,14 +67,13 @@ pub fn run(scale: Scale) -> Table {
 
     for (name, cfg) in configs {
         let mut net = crate::experiments::net_with(scale.side, cfg);
-        let mut src = crate::experiments::traffic(
-            net.topology(),
+        let r = ctx.open_loop(
+            &mut net,
             0.5,
             TrafficPattern::Uniform,
             LengthDist::Fixed(24),
             23,
         );
-        let r = run_open_loop(&mut net, &mut src, spec);
         let s = r.wave;
         let undelivered = r.sent - r.delivered;
         t.push(vec![
@@ -98,10 +97,11 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn probes_stay_within_bound() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         assert_eq!(t.rows.len(), 3);
         for row in &t.rows {
             assert_eq!(row.last().unwrap(), "OK", "row {row:?}");

@@ -13,13 +13,14 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::runner::{run_open_loop, RunSpec};
+use crate::experiments::Ctx;
 use crate::table::f2;
-use crate::{Scale, Table};
+use crate::Table;
 
 /// Runs E3.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E3",
         "latency & throughput vs message length, no circuit reuse",
@@ -33,7 +34,6 @@ pub fn run(scale: Scale) -> Table {
         ],
     );
     let lens = scale.sweep(&[8u32, 16, 32, 64, 128, 256, 512]);
-    let spec = RunSpec::standard(scale.warmup, scale.measure);
 
     for &len in &lens {
         let lat = |protocol: ProtocolKind, load: f64| -> f64 {
@@ -43,14 +43,14 @@ pub fn run(scale: Scale) -> Table {
                 ..WaveConfig::default()
             };
             let mut net = crate::experiments::net_with(scale.side, cfg);
-            let mut src = crate::experiments::traffic(
-                net.topology(),
+            ctx.open_loop(
+                &mut net,
                 load,
                 TrafficPattern::Uniform,
                 LengthDist::Fixed(len),
                 31,
-            );
-            run_open_loop(&mut net, &mut src, spec).avg_latency
+            )
+            .avg_latency
         };
         // Contention-free latency, and latency at a load near wormhole
         // saturation (where the companion study's >3x factor shows up:
@@ -69,14 +69,14 @@ pub fn run(scale: Scale) -> Table {
                 ..WaveConfig::default()
             };
             let mut net = crate::experiments::net_with(scale.side, cfg);
-            let mut src = crate::experiments::traffic(
-                net.topology(),
+            ctx.open_loop(
+                &mut net,
                 heavy,
                 TrafficPattern::Uniform,
                 LengthDist::Fixed(len),
                 37,
-            );
-            run_open_loop(&mut net, &mut src, spec).throughput
+            )
+            .throughput
         };
         let wh_th = thpt(ProtocolKind::WormholeOnly);
         let wv_th = thpt(ProtocolKind::Clrp);
@@ -96,10 +96,11 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn long_messages_favor_wave_switching() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         assert!(t.rows.len() >= 2);
         // Throughput ratio at the longest length must exceed the ratio at
         // the shortest (the claim's shape), and exceed 1.

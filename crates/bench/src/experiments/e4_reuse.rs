@@ -12,9 +12,10 @@ use wavesim_network::Message;
 use wavesim_sim::{Cycle, SimRng};
 use wavesim_topology::NodeId;
 
+use crate::experiments::Ctx;
 use crate::runner::{run_scripted, RunSpec};
 use crate::table::f2;
-use crate::{Scale, Table};
+use crate::Table;
 
 const MSG_LEN: u32 = 8;
 
@@ -52,7 +53,8 @@ fn script(side: u16, pairs: usize, reuse: u32, gap: Cycle, seed: u64) -> Vec<(Cy
 
 /// Runs E4.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E4",
         "short messages (8 flits): per-message latency vs circuit reuse",
@@ -74,7 +76,7 @@ pub fn run(scale: Scale) -> Table {
                 ..WaveConfig::default()
             };
             let mut net = crate::experiments::net_with(side, cfg);
-            run_scripted(&mut net, &sc, spec)
+            ctx.observe(|obs| run_scripted(&mut net, &sc, spec, obs))
         };
         let wh = lat(ProtocolKind::WormholeOnly);
         let wv = lat(ProtocolKind::Clrp);
@@ -92,10 +94,11 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn reuse_amortises_setup_cost() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         let first: f64 = t.rows.first().unwrap()[3].parse().unwrap();
         let last: f64 = t.rows.last().unwrap()[3].parse().unwrap();
         // Single-shot short messages should NOT benefit from circuits...

@@ -22,13 +22,15 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{CarpTrace, PairwiseSpec};
 
+use crate::experiments::Ctx;
 use crate::runner::{run_carp_trace, RunSpec};
 use crate::table::{f2, pct};
-use crate::{Scale, Table};
+use crate::Table;
 
 /// Runs E5.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E5",
         "temporal locality (burst length): wormhole vs CLRP vs CARP on one schedule",
@@ -70,7 +72,7 @@ pub fn run(scale: Scale) -> Table {
             let mut net = crate::experiments::net_with(scale.side, cfg);
             let carp_circuits = protocol == ProtocolKind::Carp && burst >= 4;
             let mut trace = mk_trace(carp_circuits);
-            run_carp_trace(&mut net, &mut trace, spec)
+            ctx.observe(|obs| run_carp_trace(&mut net, &mut trace, spec, obs))
         };
         let wh = run_one(ProtocolKind::WormholeOnly);
         let clrp = run_one(ProtocolKind::Clrp);
@@ -91,10 +93,11 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn circuits_pay_off_with_bursts() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         let parse_pct = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
         let first = &t.rows[0];
         let last = t.rows.last().unwrap();

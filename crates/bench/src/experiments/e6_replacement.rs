@@ -10,13 +10,14 @@
 use wavesim_core::{ProtocolKind, ReplacementPolicy, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::runner::{run_open_loop, RunSpec};
+use crate::experiments::Ctx;
 use crate::table::{f2, pct};
-use crate::{Scale, Table};
+use crate::Table;
 
 /// Runs E6.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E6",
         "circuit-cache replacement algorithms under register pressure",
@@ -29,7 +30,6 @@ pub fn run(scale: Scale) -> Table {
             "circuit%",
         ],
     );
-    let spec = RunSpec::standard(scale.warmup, scale.measure);
     let policies = [
         ("LRU", ReplacementPolicy::Lru),
         ("LFU", ReplacementPolicy::Lfu),
@@ -56,8 +56,8 @@ pub fn run(scale: Scale) -> Table {
                 ..WaveConfig::default()
             };
             let mut net = crate::experiments::net_with(scale.side, cfg);
-            let mut src = crate::experiments::traffic(
-                net.topology(),
+            let r = ctx.open_loop(
+                &mut net,
                 0.10,
                 TrafficPattern::HotPairs {
                     partners: 6,
@@ -66,7 +66,6 @@ pub fn run(scale: Scale) -> Table {
                 LengthDist::Fixed(48),
                 66,
             );
-            let r = run_open_loop(&mut net, &mut src, spec);
             t.push(vec![
                 name.into(),
                 size.to_string(),
@@ -83,10 +82,11 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn bigger_caches_hit_more() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         let parse_pct = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
         // Within the LRU rows, hit rate must not decrease with size.
         let lru: Vec<&Vec<String>> = t.rows.iter().filter(|r| r[0] == "LRU").collect();

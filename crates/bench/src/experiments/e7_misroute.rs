@@ -19,6 +19,7 @@ use wavesim_sim::SimRng;
 use wavesim_topology::NodeId;
 use wavesim_workloads::FaultPlan;
 
+use crate::experiments::Ctx;
 use crate::table::{f2, pct};
 use crate::{Scale, Table};
 
@@ -85,7 +86,8 @@ fn trial_run(scale: Scale, m: u8, occupancy: f64, trials: u32) -> Outcome {
 
 /// Runs E7.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E7",
         "MB-m: setup probability vs misroute budget under lane occupancy",
@@ -123,7 +125,7 @@ mod tests {
 
     #[test]
     fn misrouting_improves_setup_probability() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         let parse_pct = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
         // Within each occupancy block, m=max must succeed at least as often
         // as m=0 (strictly more at the higher occupancy).

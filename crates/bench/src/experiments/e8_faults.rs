@@ -10,13 +10,14 @@
 use wavesim_core::{LaneId, ProtocolKind, WaveConfig};
 use wavesim_workloads::{FaultPlan, LengthDist, TrafficPattern};
 
-use crate::runner::{run_open_loop, RunSpec};
+use crate::experiments::Ctx;
 use crate::table::{f2, pct};
-use crate::{Scale, Table};
+use crate::Table;
 
 /// Runs E8.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E8",
         "static wave-lane faults: probe resilience and graceful fallback",
@@ -31,7 +32,6 @@ pub fn run(scale: Scale) -> Table {
         ],
     );
     let rates = scale.sweep(&[0.0, 0.05, 0.10, 0.20, 0.40]);
-    let spec = RunSpec::standard(scale.warmup, scale.measure);
 
     for &rate in &rates {
         let cfg = WaveConfig {
@@ -45,8 +45,8 @@ pub fn run(scale: Scale) -> Table {
             net.inject_lane_fault(LaneId::new(link, s))
                 .expect("fault plan matches topology");
         }
-        let mut src = crate::experiments::traffic(
-            net.topology(),
+        let r = ctx.open_loop(
+            &mut net,
             0.15,
             TrafficPattern::HotPairs {
                 partners: 3,
@@ -55,7 +55,6 @@ pub fn run(scale: Scale) -> Table {
             LengthDist::Fixed(64),
             99,
         );
-        let r = run_open_loop(&mut net, &mut src, spec);
         t.push(vec![
             pct(rate),
             plan.len().to_string(),
@@ -72,10 +71,11 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn no_message_is_ever_lost() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         for row in &t.rows {
             assert_eq!(row.last().unwrap(), "0", "lost messages in {row:?}");
         }
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn circuit_fraction_degrades_gracefully() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         let parse_pct = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
         let healthy = parse_pct(&t.rows.first().unwrap()[3]);
         let broken = parse_pct(&t.rows.last().unwrap()[3]);

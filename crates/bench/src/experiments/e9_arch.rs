@@ -13,13 +13,14 @@ use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_network::WormholeConfig;
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::runner::{run_open_loop, RunSpec};
+use crate::experiments::Ctx;
 use crate::table::{f2, f3, pct};
-use crate::{Scale, Table};
+use crate::Table;
 
 /// Runs E9.
 #[must_use]
-pub fn run(scale: Scale) -> Table {
+pub fn run(ctx: &Ctx) -> Table {
+    let scale = ctx.scale;
     let mut t = Table::new(
         "E9",
         "architecture sweep: wave switches k, clock ratio α, wormhole VCs w",
@@ -33,7 +34,6 @@ pub fn run(scale: Scale) -> Table {
             "setups ok",
         ],
     );
-    let spec = RunSpec::standard(scale.warmup, scale.measure);
     let pattern = TrafficPattern::HotPairs {
         partners: 3,
         locality: 0.8,
@@ -64,9 +64,7 @@ pub fn run(scale: Scale) -> Table {
             ..WaveConfig::default()
         };
         let mut net = crate::experiments::net_with(scale.side, cfg);
-        let mut src =
-            crate::experiments::traffic(net.topology(), 0.3, pattern, LengthDist::Fixed(64), 111);
-        let r = run_open_loop(&mut net, &mut src, spec);
+        let r = ctx.open_loop(&mut net, 0.3, pattern, LengthDist::Fixed(64), 111);
         t.push(vec![
             k.to_string(),
             alpha.to_string(),
@@ -83,10 +81,11 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn every_configuration_completes() {
-        let t = run(Scale::small());
+        let t = run(&Ctx::unobserved(Scale::small(), 1));
         assert!(!t.rows.is_empty());
         for row in &t.rows {
             let lat: f64 = row[3].parse().unwrap();

@@ -28,12 +28,32 @@
 //! Every experiment is a pure function from a [`Scale`] to a [`Table`];
 //! the `wavesim` CLI prints full-size runs, the Criterion benches run
 //! reduced scales so `cargo bench` stays tractable.
+//!
+//! ## Driving and observing a run
+//!
+//! One loop, [`drive`], runs every simulation. It talks to two things it
+//! is handed: a [`Driver`] (the workload — what to inject, what to do with
+//! deliveries) and a [`RunObserver`] (whoever watches):
+//!
+//! ```text
+//!   Driver  <-- inject / collect --  drive  -- start / cycle / sample / finish -->  RunObserver
+//! (workload)                    (tick, monitor)          () | Capture | Sampler | Watchdog | BoardObserver
+//! ```
+//!
+//! The four observers — [`tracecap::Capture`], [`timeseries::Sampler`],
+//! [`watchdog::Watchdog`], [`livestate::BoardObserver`] — are plain
+//! values: build one, pass it to a `run_*` entry point, then ask it for
+//! what it captured. [`Observers`] bundles them for the CLI, and an
+//! experiment's [`experiments::Ctx`] makes a fresh bundle per run, on
+//! whichever sweep worker thread the run lands. There is no thread-local
+//! or process-global state anywhere in this crate.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod livestate;
 pub mod metrics;
+pub mod observers;
 pub mod runner;
 pub mod serve;
 pub mod table;
@@ -41,10 +61,11 @@ pub mod timeseries;
 pub mod tracecap;
 pub mod watchdog;
 
+pub use observers::{Observed, Observers};
 pub use runner::{
-    apply_fault_schedule, drive, run_carp_trace, run_dep_trace, run_open_loop, run_request_reply,
-    run_scripted, run_service, Drained, Driver, ParallelSweep, ReqRepResult, RunResult, RunSpec,
-    ServiceResult,
+    apply_fault_schedule, drive, run_carp_trace, run_dep_trace, run_open_loop,
+    run_open_loop_observed, run_request_reply, run_scripted, run_service, Drained, Driver,
+    ParallelSweep, ReqRepResult, RunObserver, RunResult, RunSpec, ServiceResult,
 };
 pub use table::Table;
 
@@ -60,6 +81,13 @@ pub struct Scale {
     pub warmup: u64,
     /// Points per parameter sweep (sweeps truncate to this many values).
     pub sweep_points: usize,
+}
+
+/// The full scale.
+impl Default for Scale {
+    fn default() -> Self {
+        Self::paper()
+    }
 }
 
 impl Scale {
@@ -98,7 +126,6 @@ impl Scale {
             let idx = i * (full.len() - 1) / (n - 1);
             out.push(full[idx]);
         }
-        out.dedup_by(|a, b| std::ptr::eq(a, b)); // no-op for Copy; keep len
         out
     }
 }

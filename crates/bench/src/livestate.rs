@@ -1,30 +1,28 @@
-//! The process-wide live-status board behind `--serve-metrics` and
-//! `--live-status`.
+//! The live-status board behind `--serve-metrics` and `--live-status`.
 //!
-//! Unlike the thread-local side channels ([`crate::tracecap`],
-//! [`crate::timeseries`]), the board is global: the HTTP serving thread
-//! ([`crate::serve`]) reads it while the simulation thread writes it.
-//! It is strictly read-only with respect to the run — the drive loop
-//! pushes a snapshot every 64 cycles and nothing flows back — so arming
-//! it cannot perturb the schedule, and the determinism goldens hold with
-//! the plane up.
+//! A [`StatusBoard`] is a shared handle: the HTTP serving thread
+//! ([`crate::serve`]) reads it while a run's [`BoardObserver`] writes it.
+//! It is strictly read-only with respect to the run — the observer pushes
+//! a snapshot every 64 cycles and nothing flows back — so observing
+//! cannot perturb the schedule, and the determinism goldens hold with the
+//! plane up.
 //!
-//! When disarmed (the default) the per-update cost is one relaxed atomic
-//! load.
+//! The board carries one run at a time: an observer claims it when its run
+//! starts and releases it at the end, and a run that finds the board
+//! claimed (a concurrent sweep point) does not publish. Every snapshot
+//! therefore describes a single coherent run.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use wavesim_core::WaveNetwork;
 use wavesim_sim::Cycle;
 
+use crate::{Drained, RunObserver};
+
 /// Cycles between recomputations of the progress rate (and between
 /// `--live-status` stderr lines).
 const RATE_WINDOW: u64 = 8192;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ECHO: AtomicBool = AtomicBool::new(false);
 
 /// A point-in-time view of the driving run, published every 64 cycles.
 #[derive(Debug, Clone, Default)]
@@ -74,154 +72,171 @@ impl LiveStatus {
     }
 }
 
-struct Board {
-    status: LiveStatus,
+#[derive(Default)]
+struct Slot {
+    /// The holder's latest snapshot; `None` until a first run publishes.
+    status: Option<LiveStatus>,
+    /// True while a running observer holds the board.
+    claimed: bool,
+}
+
+/// The shared board. Clones are handles to the same board.
+#[derive(Clone, Default)]
+pub struct StatusBoard {
+    slot: Arc<Mutex<Slot>>,
+    echo: bool,
+}
+
+impl StatusBoard {
+    /// A fresh, empty board. With `echo`, the run holding it prints a
+    /// one-line status to stderr every `RATE_WINDOW` cycles (the CLI's
+    /// `--live-status`).
+    #[must_use]
+    pub fn new(echo: bool) -> Self {
+        Self {
+            slot: Arc::default(),
+            echo,
+        }
+    }
+
+    /// The latest published status, if any run has published yet.
+    #[must_use]
+    pub fn snapshot(&self) -> Option<LiveStatus> {
+        self.slot().status.clone()
+    }
+
+    /// An observer publishing one run onto this board.
+    #[must_use]
+    pub fn observer(&self) -> BoardObserver {
+        BoardObserver {
+            board: self.clone(),
+            holds: false,
+            started: Instant::now(),
+            mark_cycle: 0,
+            mark_delivered: 0,
+            echoed_at: 0,
+        }
+    }
+
+    fn slot(&self) -> std::sync::MutexGuard<'_, Slot> {
+        self.slot.lock().expect("live board poisoned")
+    }
+}
+
+/// Publishes one run onto a [`StatusBoard`] every 64 cycles.
+pub struct BoardObserver {
+    board: StatusBoard,
+    /// True between a successful claim at `start` and `finish`.
+    holds: bool,
     started: Instant,
     mark_cycle: Cycle,
     mark_delivered: u64,
     echoed_at: Cycle,
 }
 
-fn board() -> &'static Mutex<Board> {
-    static BOARD: OnceLock<Mutex<Board>> = OnceLock::new();
-    BOARD.get_or_init(|| {
-        Mutex::new(Board {
-            status: LiveStatus::default(),
-            started: Instant::now(),
-            mark_cycle: 0,
-            mark_delivered: 0,
-            echoed_at: 0,
-        })
-    })
-}
-
-/// Arms the board process-wide. With `echo`, a one-line status is
-/// printed to stderr every `RATE_WINDOW` cycles (the CLI's
-/// `--live-status`).
-pub fn arm(echo: bool) {
-    ECHO.store(echo, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Disarms the board; [`snapshot`] returns `None` again.
-pub fn disarm() {
-    ENABLED.store(false, Ordering::Relaxed);
-    ECHO.store(false, Ordering::Relaxed);
-}
-
-/// The latest published status, if the board is armed.
-#[must_use]
-pub fn snapshot() -> Option<LiveStatus> {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return None;
-    }
-    Some(board().lock().expect("live board poisoned").status.clone())
-}
-
-/// Resets the board for a starting run (no-op when disarmed).
-pub(crate) fn install(net: &WaveNetwork) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let cfg = net.config();
-    let topo = net.topology();
-    let run = format!(
-        "{} {}-{} k={} w={} seed={}",
-        format!("{:?}", cfg.protocol).to_lowercase(),
-        match topo.kind() {
-            wavesim_topology::TopologyKind::Mesh => "mesh",
-            wavesim_topology::TopologyKind::Torus => "torus",
-        },
-        (0..topo.ndims())
-            .map(|d| topo.radix(d).to_string())
-            .collect::<Vec<_>>()
-            .join("x"),
-        cfg.k,
-        cfg.wormhole.w,
-        cfg.seed
-    );
-    let mut b = board().lock().expect("live board poisoned");
-    b.status = LiveStatus {
-        run,
-        ..LiveStatus::default()
-    };
-    b.started = Instant::now();
-    b.mark_cycle = 0;
-    b.mark_delivered = 0;
-    b.echoed_at = 0;
-}
-
-/// Publishes a snapshot of `net` at `now` (no-op when disarmed). Called
-/// by the drive loop every 64 cycles.
-pub(crate) fn update(now: Cycle, net: &WaveNetwork) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let stats = net.stats();
-    let health = net.health(now);
-    let mut b = board().lock().expect("live board poisoned");
-    let s = &mut b.status;
-    s.cycle = now;
-    s.sent = stats.msgs_sent;
-    s.delivered = stats.msgs_circuit + stats.msgs_wormhole;
-    s.in_flight_msgs = health.outstanding_msgs;
-    s.in_flight_flits = health.in_flight_flits;
-    s.cache_hits = stats.cache_hits;
-    s.cache_misses = stats.cache_misses;
-    s.establish_retries = stats.establish_retries;
-    s.active_routers = health.active_routers;
-    s.progress_age = health.progress_age;
-    s.scan_wall_ns = health.scan_wall_ns;
-    let delivered = s.delivered;
-    if now >= b.mark_cycle + RATE_WINDOW {
-        let dc = (now - b.mark_cycle) as f64;
-        b.status.progress_rate = (delivered.saturating_sub(b.mark_delivered)) as f64 * 1000.0 / dc;
-        b.mark_cycle = now;
-        b.mark_delivered = delivered;
-    }
-    let elapsed = b.started.elapsed().as_secs_f64();
-    if elapsed > 0.0 {
-        b.status.cycles_per_sec = now as f64 / elapsed;
-    }
-    if ECHO.load(Ordering::Relaxed) && now >= b.echoed_at + RATE_WINDOW {
-        b.echoed_at = now;
-        let s = &b.status;
-        eprintln!(
-            "[wavesim live] cycle {:>9} | delivered {:>8}/{:<8} | in-flight {:>6} | \
-             cache hit {:>5.1}% | {:>7.1} msgs/kcy | {:>9.0} cy/s",
-            s.cycle,
-            s.delivered,
-            s.sent,
-            s.in_flight_msgs,
-            s.hit_rate() * 100.0,
-            s.progress_rate,
-            s.cycles_per_sec,
-        );
+impl BoardObserver {
+    /// Publishes a snapshot of `net` at `now` if this run holds the board.
+    fn publish(&mut self, now: Cycle, net: &WaveNetwork, done: bool) {
+        if !self.holds {
+            return;
+        }
+        let stats = net.stats();
+        let health = net.health(now);
+        let mut slot = self.board.slot();
+        if done {
+            slot.claimed = false;
+        }
+        let Some(s) = slot.status.as_mut() else {
+            return;
+        };
+        s.cycle = now;
+        s.sent = stats.msgs_sent;
+        s.delivered = stats.msgs_circuit + stats.msgs_wormhole;
+        s.in_flight_msgs = health.outstanding_msgs;
+        s.in_flight_flits = health.in_flight_flits;
+        s.cache_hits = stats.cache_hits;
+        s.cache_misses = stats.cache_misses;
+        s.establish_retries = stats.establish_retries;
+        s.active_routers = health.active_routers;
+        s.progress_age = health.progress_age;
+        s.scan_wall_ns = health.scan_wall_ns;
+        s.done = done;
+        if now >= self.mark_cycle + RATE_WINDOW {
+            let dc = (now - self.mark_cycle) as f64;
+            s.progress_rate = s.delivered.saturating_sub(self.mark_delivered) as f64 * 1000.0 / dc;
+            self.mark_cycle = now;
+            self.mark_delivered = s.delivered;
+        }
+        let elapsed = self.started.elapsed().as_secs_f64();
+        if elapsed > 0.0 {
+            s.cycles_per_sec = now as f64 / elapsed;
+        }
+        if self.board.echo && now >= self.echoed_at + RATE_WINDOW {
+            self.echoed_at = now;
+            eprintln!(
+                "[wavesim live] cycle {:>9} | delivered {:>8}/{:<8} | in-flight {:>6} | \
+                 cache hit {:>5.1}% | {:>7.1} msgs/kcy | {:>9.0} cy/s",
+                s.cycle,
+                s.delivered,
+                s.sent,
+                s.in_flight_msgs,
+                s.hit_rate() * 100.0,
+                s.progress_rate,
+                s.cycles_per_sec,
+            );
+        }
     }
 }
 
-/// Marks the run finished at `end` with a final snapshot (no-op when
-/// disarmed).
-pub(crate) fn finish(end: Cycle, net: &WaveNetwork) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
+impl RunObserver for BoardObserver {
+    /// Claims the board for this run unless another run holds it.
+    fn start(&mut self, net: &mut WaveNetwork) {
+        let mut slot = self.board.slot();
+        if slot.claimed {
+            return;
+        }
+        slot.claimed = true;
+        self.holds = true;
+        self.started = Instant::now();
+        let cfg = net.config();
+        slot.status = Some(LiveStatus {
+            run: format!(
+                "{} {} k={} w={} seed={}",
+                format!("{:?}", cfg.protocol).to_lowercase(),
+                crate::metrics::topology_label(net.topology()),
+                cfg.k,
+                cfg.wormhole.w,
+                cfg.seed
+            ),
+            ..LiveStatus::default()
+        });
     }
-    update(end, net);
-    board().lock().expect("live board poisoned").status.done = true;
+
+    fn sample(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
+        self.publish(now, net, false);
+        false
+    }
+
+    /// Marks the run finished with a final snapshot and releases the board.
+    fn finish(&mut self, net: &mut WaveNetwork, outcome: Drained) {
+        self.publish(outcome.end, net, true);
+        self.holds = false;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The board is process-global, so driving a run with it armed cannot
-    // be exercised here without racing the other unit tests' runs; the
-    // full arm-run-snapshot path is covered by the `live_plane`
-    // integration suite, which owns its process.
+    use crate::{run_open_loop_observed, RunSpec};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    use wavesim_core::WaveConfig;
+    use wavesim_topology::Topology;
+    use wavesim_workloads::{LengthDist, TrafficConfig, TrafficSource};
 
     #[test]
-    fn disarmed_board_is_silent_and_status_math_holds() {
-        assert!(snapshot().is_none());
+    fn empty_board_is_silent_and_status_math_holds() {
+        assert!(StatusBoard::new(false).snapshot().is_none());
         let s = LiveStatus {
             cache_hits: 3,
             cache_misses: 1,
@@ -229,5 +244,138 @@ mod tests {
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(LiveStatus::default().hit_rate(), 0.0);
+    }
+
+    fn observed_run(board: &StatusBoard, seed: u64) -> crate::RunResult {
+        let cfg = WaveConfig {
+            seed,
+            ..WaveConfig::default()
+        };
+        let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), cfg);
+        let mut src = TrafficSource::new(
+            net.topology().clone(),
+            TrafficConfig {
+                load: 0.2,
+                len: LengthDist::Fixed(32),
+                seed,
+                ..TrafficConfig::default()
+            },
+        );
+        let spec = RunSpec::standard(500, 6_000);
+        run_open_loop_observed(&mut net, &mut src, spec, &mut board.observer())
+    }
+
+    #[test]
+    fn sequential_runs_take_the_board_in_turn() {
+        let board = StatusBoard::new(false);
+        for seed in [1, 2] {
+            let r = observed_run(&board, seed);
+            let s = board.snapshot().expect("published");
+            assert!(s.done);
+            assert!(s.run.ends_with(&format!("seed={seed}")), "{}", s.run);
+            assert_eq!((s.cycle, s.sent, s.delivered), (r.end, r.sent, r.delivered));
+        }
+    }
+
+    /// The claim protocol, hook by hook: while run A holds the board, run
+    /// B's hooks change nothing; once A finishes, the next run claims.
+    #[test]
+    fn a_claimed_board_ignores_other_runs() {
+        let board = StatusBoard::new(false);
+        let net_with_seed = |seed| {
+            let cfg = WaveConfig {
+                seed,
+                ..WaveConfig::default()
+            };
+            WaveNetwork::new(Topology::mesh(&[4, 4]), cfg)
+        };
+        let (mut net_a, mut net_b) = (net_with_seed(1), net_with_seed(2));
+        let (mut a, mut b) = (board.observer(), board.observer());
+        a.start(&mut net_a);
+        b.start(&mut net_b);
+        a.sample(64, &mut net_a);
+        b.sample(6400, &mut net_b);
+        let s = board.snapshot().expect("A published");
+        assert!(
+            s.run.ends_with("seed=1") && s.cycle == 64 && !s.done,
+            "{s:?}"
+        );
+        let end = Drained {
+            end: 9_000,
+            stalled: false,
+        };
+        b.finish(&mut net_b, end);
+        let s = board.snapshot().expect("still A's");
+        assert!(
+            s.run.ends_with("seed=1") && s.cycle == 64 && !s.done,
+            "{s:?}"
+        );
+        a.finish(&mut net_a, end);
+        let s = board.snapshot().expect("A's final view");
+        assert!(
+            s.run.ends_with("seed=1") && s.cycle == 9_000 && s.done,
+            "{s:?}"
+        );
+        let mut c = board.observer();
+        c.start(&mut net_b);
+        let s = board
+            .snapshot()
+            .expect("the released board is B's network's now");
+        assert!(
+            s.run.ends_with("seed=2") && s.cycle == 0 && !s.done,
+            "{s:?}"
+        );
+    }
+
+    /// Two runs share one board while a reader polls it: every snapshot
+    /// must be one run's coherent view, never a mixture.
+    #[test]
+    fn concurrent_runs_never_mix_on_the_board() {
+        let board = StatusBoard::new(false);
+        let gate = Barrier::new(3);
+        let stop = AtomicBool::new(false);
+        let (results, snapshots) = std::thread::scope(|s| {
+            let runs: Vec<_> = [7u64, 8]
+                .into_iter()
+                .map(|seed| {
+                    let (board, gate) = (&board, &gate);
+                    s.spawn(move || {
+                        gate.wait();
+                        (seed, observed_run(board, seed))
+                    })
+                })
+                .collect();
+            let reader = s.spawn(|| {
+                gate.wait();
+                let mut seen = Vec::new();
+                while !stop.load(Ordering::SeqCst) {
+                    seen.extend(board.snapshot());
+                }
+                seen.extend(board.snapshot());
+                seen
+            });
+            let results: Vec<_> = runs.into_iter().map(|h| h.join().unwrap()).collect();
+            stop.store(true, Ordering::SeqCst);
+            (results, reader.join().unwrap())
+        });
+        assert!(!snapshots.is_empty());
+        let mut last_cycle = std::collections::HashMap::new();
+        for s in &snapshots {
+            let (_, r) = results
+                .iter()
+                .find(|(seed, _)| s.run.ends_with(&format!("seed={seed}")))
+                .unwrap_or_else(|| panic!("snapshot of an unknown run: {}", s.run));
+            // Counters are this run's own: bounded by its totals, and a
+            // finished snapshot equals them exactly.
+            assert!(s.cycle <= r.end && s.sent <= r.sent && s.delivered <= r.delivered);
+            assert!(s.delivered <= s.sent, "{s:?}");
+            if s.done {
+                assert_eq!((s.cycle, s.sent, s.delivered), (r.end, r.sent, r.delivered));
+            }
+            // A run that claimed the board at its start publishes
+            // monotonically; one that found it claimed publishes never.
+            let prev = last_cycle.insert(s.run.clone(), s.cycle).unwrap_or(0);
+            assert!(s.cycle >= prev, "cycle went backwards on {}", s.run);
+        }
     }
 }

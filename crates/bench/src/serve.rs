@@ -1,7 +1,7 @@
 //! A dependency-free HTTP endpoint serving the live-status board.
 //!
 //! `wavesim --serve-metrics <addr>` binds a [`TcpListener`] and answers
-//! two routes from [`crate::livestate`]:
+//! two routes from the [`StatusBoard`] it was handed:
 //!
 //! * `GET /metrics` — the Prometheus exposition-format page
 //!   ([`wavesim_trace::metrics::MetricsPage`]);
@@ -21,15 +21,15 @@ use std::time::Duration;
 use wavesim_json::Value;
 use wavesim_trace::metrics::MetricsPage;
 
-use crate::livestate::{self, LiveStatus};
+use crate::livestate::{LiveStatus, StatusBoard};
 
 /// Binds `addr` (e.g. `127.0.0.1:9464`; port 0 picks a free one) and
-/// spawns the serving thread. Returns the bound address. The thread runs
-/// until the process exits.
+/// spawns the thread serving `board`. Returns the bound address. The
+/// thread runs until the process exits.
 ///
 /// # Errors
 /// Fails when the address cannot be bound or the thread cannot spawn.
-pub fn serve(addr: &str) -> Result<SocketAddr, String> {
+pub fn serve(addr: &str, board: StatusBoard) -> Result<SocketAddr, String> {
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = listener
         .local_addr()
@@ -38,15 +38,18 @@ pub fn serve(addr: &str) -> Result<SocketAddr, String> {
         .name("wavesim-metrics".into())
         .spawn(move || {
             for mut stream in listener.incoming().flatten() {
-                let _ = handle(&mut stream);
+                let _ = handle(&mut stream, &board);
             }
         })
         .map_err(|e| format!("spawn metrics thread: {e}"))?;
     Ok(local)
 }
 
-fn handle(s: &mut TcpStream) -> std::io::Result<()> {
+fn handle(s: &mut TcpStream, board: &StatusBoard) -> std::io::Result<()> {
+    // Both directions time out: a client that never sends, or never
+    // reads, must not wedge the one serving thread.
     s.set_read_timeout(Some(Duration::from_secs(2)))?;
+    s.set_write_timeout(Some(Duration::from_secs(2)))?;
     // Read until the header terminator (or EOF, or a full buffer): the
     // request line may arrive split across writes.
     let mut buf = [0u8; 2048];
@@ -64,7 +67,7 @@ fn handle(s: &mut TcpStream) -> std::io::Result<()> {
     let req = String::from_utf8_lossy(&buf[..got]);
     let path = req.split_whitespace().nth(1).unwrap_or("/");
     let (code, reason, ctype, body) = match path {
-        "/metrics" => match livestate::snapshot() {
+        "/metrics" => match board.snapshot() {
             Some(st) => (
                 200,
                 "OK",
@@ -73,7 +76,7 @@ fn handle(s: &mut TcpStream) -> std::io::Result<()> {
             ),
             None => (503, "Service Unavailable", "text/plain", none_body()),
         },
-        "/status" | "/status.json" => match livestate::snapshot() {
+        "/status" | "/status.json" => match board.snapshot() {
             Some(st) => (
                 200,
                 "OK",
@@ -100,7 +103,7 @@ fn handle(s: &mut TcpStream) -> std::io::Result<()> {
 }
 
 fn none_body() -> String {
-    "no run is live (the board is disarmed)\n".into()
+    "no run has published yet\n".into()
 }
 
 /// Renders the Prometheus page for one status snapshot.
@@ -276,7 +279,7 @@ mod tests {
 
     #[test]
     fn server_answers_metrics_and_status_over_tcp() {
-        let addr = serve("127.0.0.1:0").expect("bind");
+        let addr = serve("127.0.0.1:0", StatusBoard::new(false)).expect("bind");
         let get = |path: &str| {
             let mut c = TcpStream::connect(addr).expect("connect");
             c.write_all(format!("GET {path} HTTP/1.0\r\nHost: x\r\n\r\n").as_bytes())
@@ -285,9 +288,8 @@ mod tests {
             c.read_to_string(&mut out).expect("read");
             out
         };
-        // The board is disarmed in this process: routes answer 503, the
-        // index and unknown routes answer 200/404 — proving the routing
-        // and framing without racing other tests for the global board.
+        // No run has published onto this board: routes answer 503, the
+        // index and unknown routes answer 200/404.
         let resp = get("/metrics");
         assert!(resp.starts_with("HTTP/1.0 503"), "{resp}");
         assert!(resp.contains("Content-Length:"));

@@ -1,42 +1,23 @@
-//! Thread-local windowed time-series sampling for the measurement loops.
+//! Windowed time-series sampling of one run.
 //!
-//! Like [`crate::tracecap`], the sampler is a side channel: the golden
+//! Like [`crate::tracecap`], the sampler is a [`RunObserver`]: the golden
 //! suite pins `RunResult`'s `Debug` output and the run schedule, so
-//! sampling must observe without perturbing. A caller [`arm_sampler`]s the
-//! thread; every subsequent [`crate::drive`] call then feeds a
-//! [`WindowSeries`] — one observation per simulated cycle (active routers,
-//! cache hit/miss deltas) plus every delivery — and the finished rows are
-//! retrieved with [`take_series`]. With `progress` set, a one-line status
-//! is printed to stderr as each window closes (the CLI's `--progress`).
-//!
-//! Worker threads spawned by [`crate::ParallelSweep`] start with unarmed
-//! thread-locals, so sampling only applies to single-job runs.
-
-use std::cell::{Cell, RefCell};
+//! sampling must observe without perturbing. A [`Sampler`] handed to a
+//! `run_*` entry point feeds a [`WindowSeries`] — one observation per
+//! simulated cycle (active routers, cache hit/miss deltas) plus every
+//! delivery — and afterwards owns the finished [`SampledSeries`]. With
+//! `progress` set, a one-line status is printed to stderr as each window
+//! closes (the CLI's `--progress`).
 
 use wavesim_core::WaveNetwork;
 use wavesim_sim::stats::Histogram;
 use wavesim_sim::Cycle;
 use wavesim_trace::timeseries::{WindowRow, WindowSeries};
 
-thread_local! {
-    /// Sampling plan for runs on this thread; `None` means unsampled.
-    static PLAN: Cell<Option<SamplerPlan>> = const { Cell::new(None) };
-    /// The live sampler of the run currently driving on this thread.
-    static LIVE: RefCell<Option<LiveSampler>> = const { RefCell::new(None) };
-    /// The last finished run's series.
-    static SERIES: RefCell<Option<SampledSeries>> = const { RefCell::new(None) };
-}
-
-/// How to sample runs on this thread.
-#[derive(Debug, Clone, Copy)]
-struct SamplerPlan {
-    window: u64,
-    progress: bool,
-}
+use crate::{Drained, RunObserver};
 
 /// A finished run's time series.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampledSeries {
     /// Closed windows, oldest first.
     pub rows: Vec<WindowRow>,
@@ -46,126 +27,102 @@ pub struct SampledSeries {
     pub window: u64,
 }
 
-struct LiveSampler {
-    series: WindowSeries,
+/// Samples one run into `window`-cycle windows.
+#[derive(Default)]
+pub struct Sampler {
+    window: u64,
+    progress: bool,
+    /// `Some` between the run's start and its finish.
+    live: Option<WindowSeries>,
     last_hits: u64,
     last_misses: u64,
     cumulative: Histogram,
     cum_delivered: u64,
     printed: usize,
-    progress: bool,
+    series: Option<SampledSeries>,
 }
 
-/// Arms the current thread: every subsequent [`crate::drive`] call samples
-/// a time series with `window`-cycle windows, retrievable via
-/// [`take_series`]. With `progress`, each closed window prints a one-line
-/// status to stderr.
-///
-/// # Panics
-/// Panics if `window` is zero.
-pub fn arm_sampler(window: u64, progress: bool) {
-    assert!(window > 0, "sampling window must be positive");
-    PLAN.set(Some(SamplerPlan { window, progress }));
+impl Sampler {
+    /// A sampler with `window`-cycle windows. With `progress`, each closed
+    /// window prints a one-line status to stderr.
+    ///
+    /// # Panics
+    /// Panics if `window` is zero.
+    #[must_use]
+    pub fn new(window: u64, progress: bool) -> Self {
+        assert!(window > 0, "sampling window must be positive");
+        Self {
+            window,
+            progress,
+            ..Self::default()
+        }
+    }
+
+    /// The finished run's series (`None` before the run ends).
+    #[must_use]
+    pub fn into_series(self) -> Option<SampledSeries> {
+        self.series
+    }
 }
 
-/// Disarms the current thread; an already-finished series stays
-/// retrievable.
-pub fn disarm_sampler() {
-    PLAN.set(None);
-}
+impl RunObserver for Sampler {
+    fn start(&mut self, net: &mut WaveNetwork) {
+        let nodes = u64::from(net.topology().num_nodes());
+        self.live = Some(WindowSeries::new(self.window, nodes));
+    }
 
-/// True when [`arm_sampler`] is in effect on this thread.
-#[must_use]
-pub fn sampler_armed() -> bool {
-    PLAN.get().is_some()
-}
-
-/// Takes the last finished run's series, if any.
-#[must_use]
-pub fn take_series() -> Option<SampledSeries> {
-    SERIES.take()
-}
-
-/// Starts sampling a run if this thread is armed. Returns whether it did.
-pub(crate) fn install(net: &WaveNetwork) -> bool {
-    let Some(plan) = PLAN.get() else {
-        return false;
-    };
-    let nodes = u64::from(net.topology().num_nodes());
-    LIVE.set(Some(LiveSampler {
-        series: WindowSeries::new(plan.window, nodes),
-        last_hits: 0,
-        last_misses: 0,
-        cumulative: Histogram::new(),
-        cum_delivered: 0,
-        printed: 0,
-        progress: plan.progress,
-    }));
-    true
-}
-
-/// Per-cycle observation hook, called by the drive loop between the
-/// network tick and the driver's delivery drain.
-pub(crate) fn observe(now: Cycle, net: &WaveNetwork) {
-    LIVE.with_borrow_mut(|live| {
-        let Some(s) = live.as_mut() else {
+    /// Peeks this cycle's deliveries and counters before the driver
+    /// drains them.
+    fn cycle(&mut self, now: Cycle, net: &WaveNetwork) {
+        let Some(series) = self.live.as_mut() else {
             return;
         };
         for d in net.pending_deliveries() {
-            s.series
-                .record_delivery(d.delivered_at, d.latency(), u64::from(d.msg.len_flits));
-            s.cumulative.record(d.latency());
-            s.cum_delivered += 1;
+            series.record_delivery(d.delivered_at, d.latency(), u64::from(d.msg.len_flits));
+            self.cumulative.record(d.latency());
+            self.cum_delivered += 1;
         }
         let stats = net.stats();
-        let hits_delta = stats.cache_hits.saturating_sub(s.last_hits);
-        let misses_delta = stats.cache_misses.saturating_sub(s.last_misses);
-        s.last_hits = stats.cache_hits;
-        s.last_misses = stats.cache_misses;
-        s.series
-            .observe(now, net.active_routers(), hits_delta, misses_delta);
-        if s.progress {
-            while s.printed < s.series.rows().len() {
-                let row = &s.series.rows()[s.printed];
-                s.printed += 1;
+        let hits_delta = stats.cache_hits.saturating_sub(self.last_hits);
+        let misses_delta = stats.cache_misses.saturating_sub(self.last_misses);
+        self.last_hits = stats.cache_hits;
+        self.last_misses = stats.cache_misses;
+        series.observe(now, net.active_routers(), hits_delta, misses_delta);
+        if self.progress {
+            for row in &series.rows()[self.printed..] {
                 eprintln!(
                     "[wavesim] cycle {:>9} | delivered {:>8} | p99 {:>8.1} | cache hit {:>5.1}%",
                     row.end,
-                    s.cum_delivered,
-                    s.cumulative.p99().unwrap_or(0.0),
+                    self.cum_delivered,
+                    self.cumulative.p99().unwrap_or(0.0),
                     row.hit_rate() * 100.0,
                 );
             }
+            self.printed = series.rows().len();
         }
-    });
-}
+    }
 
-/// Closes the sampler at the run's end cycle and parks the series for
-/// [`take_series`].
-pub(crate) fn finish(end: Cycle) {
-    LIVE.with_borrow_mut(|live| {
-        if let Some(s) = live.take() {
-            let nodes = s.series.nodes();
-            let window = s.series.window();
-            let rows = s.series.finish(end);
-            SERIES.set(Some(SampledSeries {
-                rows,
-                nodes,
-                window,
-            }));
+    /// Closes the last (possibly partial) window at the run's end cycle.
+    fn finish(&mut self, _net: &mut WaveNetwork, outcome: Drained) {
+        if let Some(series) = self.live.take() {
+            self.series = Some(SampledSeries {
+                nodes: series.nodes(),
+                window: series.window(),
+                rows: series.finish(outcome.end),
+            });
         }
-    });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_open_loop, RunSpec};
+    use crate::{run_open_loop_observed, RunSpec};
     use wavesim_core::{WaveConfig, WaveNetwork};
     use wavesim_topology::Topology;
     use wavesim_workloads::{LengthDist, TrafficConfig, TrafficSource};
 
-    fn run(sampled: bool) -> (crate::RunResult, Option<SampledSeries>) {
+    fn run(obs: &mut dyn RunObserver) -> crate::RunResult {
         let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
         let mut src = TrafficSource::new(
             net.topology().clone(),
@@ -175,21 +132,15 @@ mod tests {
                 ..TrafficConfig::default()
             },
         );
-        if sampled {
-            arm_sampler(200, false);
-        }
-        let r = run_open_loop(&mut net, &mut src, RunSpec::standard(200, 1_000));
-        if sampled {
-            disarm_sampler();
-        }
-        (r, take_series())
+        run_open_loop_observed(&mut net, &mut src, RunSpec::standard(200, 1_000), obs)
     }
 
     #[test]
     fn sampled_run_produces_consistent_series() {
-        let (r, series) = run(true);
+        let mut sampler = Sampler::new(200, false);
+        let r = run(&mut sampler);
         assert!(r.clean(), "{r:?}");
-        let series = series.expect("sampled");
+        let series = sampler.into_series().expect("sampled");
         assert_eq!(series.nodes, 16);
         assert_eq!(series.window, 200);
         assert!(!series.rows.is_empty());
@@ -209,15 +160,13 @@ mod tests {
 
     #[test]
     fn sampling_does_not_change_the_schedule() {
-        let baseline = format!("{:?}", run(false).0);
-        let sampled = format!("{:?}", run(true).0);
+        let baseline = format!("{:?}", run(&mut ()));
+        let sampled = format!("{:?}", run(&mut Sampler::new(200, false)));
         assert_eq!(baseline, sampled);
     }
 
     #[test]
-    fn unarmed_thread_samples_nothing() {
-        assert!(!sampler_armed());
-        let (_, series) = run(false);
-        assert!(series.is_none());
+    fn a_sampler_that_never_ran_has_no_series() {
+        assert!(Sampler::new(200, false).into_series().is_none());
     }
 }

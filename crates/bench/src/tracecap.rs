@@ -1,63 +1,30 @@
-//! Thread-local flight-recorder capture for the measurement loops.
+//! Flight-recorder capture of one run.
 //!
 //! The golden-hash determinism suite pins the `Debug` output of
 //! [`crate::RunResult`], so tracing output cannot ride on the result
-//! struct. Instead the capture is a thread-local side channel: a caller
-//! [`arm_flight_recorder`]s the thread, every subsequent [`crate::drive`]
-//! call installs a fresh [`FlightRecorder`] into the network for the
-//! duration of the run, and the captured [`RunTrace`]s are retrieved with
-//! [`take_captured`]. Worker threads spawned by
-//! [`crate::ParallelSweep`] start with unarmed thread-locals, so traced
-//! sweeps must run with `jobs = 1` (the CLI enforces this).
+//! struct. Instead a [`Capture`] is a [`RunObserver`]: handed to a
+//! `run_*` entry point it installs a fresh [`FlightRecorder`] into the
+//! network for the duration of the run — teed into whatever other sinks
+//! the caller supplied, typically lossless on-disk streams — and
+//! afterwards owns the run's [`RunTrace`].
 //!
 //! When a run trips the deadlock monitor, the capture additionally holds a
 //! post-mortem bundle: the recorder tail plus the wormhole fabric's
 //! wait-for graph (and the circular wait inside it, if one exists) at the
 //! stall cycle.
 
-use std::cell::{Cell, RefCell};
-use std::fs::File;
-use std::io::BufWriter;
-use std::path::{Path, PathBuf};
-
 use wavesim_core::WaveNetwork;
 use wavesim_json::Value;
 use wavesim_sim::Cycle;
 use wavesim_trace::postmortem::{self, StallContext};
 use wavesim_trace::recorder::TeeSink;
-use wavesim_trace::{ColumnarSink, FlightRecorder, JsonlSink, TraceRecord, TraceSink};
+use wavesim_trace::{FlightRecorder, TraceRecord, TraceSink};
 use wavesim_verify::deadlock::find_wait_cycle;
 
-use crate::Drained;
+use crate::{Drained, RunObserver};
 
-/// Ring capacity used when only a byte stream is armed: the stream is
-/// lossless on disk, so the in-memory tail only has to feed a post-mortem.
-const DEFAULT_RING: usize = 1 << 16;
-
-thread_local! {
-    /// Recorder capacity for runs on this thread; `None` means untraced.
-    static PLAN: Cell<Option<usize>> = const { Cell::new(None) };
-    /// A pending JSONL streaming sink, consumed by the next traced run.
-    static JSONL: RefCell<Option<JsonlSink<BufWriter<File>>>> = const { RefCell::new(None) };
-    /// A path re-streamed (truncating) at every run start, for sweeps.
-    static JSONL_PATH: RefCell<Option<PathBuf>> = const { RefCell::new(None) };
-    /// A pending binary columnar sink, consumed by the next traced run.
-    static BIN: RefCell<Option<ColumnarSink<BufWriter<File>>>> = const { RefCell::new(None) };
-    /// Per-run binary re-arm: path plus bulk-kind sampling divisor.
-    static BIN_PATH: RefCell<Option<(PathBuf, u64)>> = const { RefCell::new(None) };
-    /// Traces captured on this thread, in run order.
-    static CAPTURED: RefCell<Vec<RunTrace>> = const { RefCell::new(Vec::new()) };
-    /// Factory producing an extra sink teed beside the capture sinks at
-    /// every run start (the CLI installs the live-analytics fold here;
-    /// `wavesim-bench` cannot depend on `wavesim-analyze`, so the fold is
-    /// injected from above as an opaque [`TraceSink`]).
-    static EXTRA: RefCell<Option<ExtraFactory>> = const { RefCell::new(None) };
-}
-
-type ExtraFactory = Box<dyn FnMut() -> Box<dyn TraceSink>>;
-
-/// One run's flight-recorder contents plus outcome metadata.
-#[derive(Debug, Clone)]
+/// One run's flight-recorder contents.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
     /// Surviving records, oldest first.
     pub records: Vec<TraceRecord>,
@@ -65,276 +32,142 @@ pub struct RunTrace {
     pub dropped: u64,
     /// Records emitted over the whole run.
     pub total: u64,
-    /// Cycle at which the run ended.
-    pub end: Cycle,
-    /// True when the deadlock monitor tripped.
-    pub stalled: bool,
     /// Post-mortem bundle; present only when the run stalled.
     pub post_mortem: Option<Value>,
-    /// Error from flushing an armed JSONL stream, if one occurred.
+    /// Error from flushing a teed stream, if one occurred.
     pub stream_error: Option<String>,
 }
 
-/// Arms the current thread: every subsequent [`crate::drive`] call records
-/// into a fresh [`FlightRecorder`] with `capacity` slots and appends a
-/// [`RunTrace`] retrievable via [`take_captured`].
-///
-/// # Panics
-/// Panics if `capacity` is zero (a flight recorder needs at least one
-/// slot).
-pub fn arm_flight_recorder(capacity: usize) {
-    assert!(capacity > 0, "a flight recorder needs at least one slot");
-    PLAN.set(Some(capacity));
+/// Records one run into a flight-recorder ring (the post-mortem tail) and
+/// into every teed sink (a [`wavesim_trace::JsonlSink`] or
+/// [`wavesim_trace::ColumnarSink`] captures everything the ring drops).
+pub struct Capture {
+    ring: usize,
+    tees: Vec<Box<dyn TraceSink>>,
+    trace: Option<RunTrace>,
 }
 
-/// Disarms the current thread; already-captured traces stay retrievable.
-pub fn disarm_flight_recorder() {
-    PLAN.set(None);
-}
-
-/// True when [`arm_flight_recorder`] is in effect on this thread.
-#[must_use]
-pub fn flight_recorder_armed() -> bool {
-    PLAN.get().is_some()
-}
-
-/// Takes (and clears) the traces captured on this thread so far.
-#[must_use]
-pub fn take_captured() -> Vec<RunTrace> {
-    CAPTURED.take()
-}
-
-/// Arms a lossless JSONL stream to `path` for the *next* [`crate::drive`]
-/// call on this thread (one-shot: the stream is consumed by that run and
-/// flushed when it finishes). Composes with [`arm_flight_recorder`]: the
-/// ring keeps the post-mortem tail while the stream captures everything.
-///
-/// # Errors
-/// Fails if `path` cannot be created.
-pub fn arm_jsonl_stream(path: &Path) -> Result<(), String> {
-    let sink = JsonlSink::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    JSONL.set(Some(sink));
-    Ok(())
-}
-
-/// True when a JSONL stream is armed and not yet consumed by a run.
-#[must_use]
-pub fn jsonl_stream_armed() -> bool {
-    JSONL.with_borrow(Option::is_some) || JSONL_PATH.with_borrow(Option::is_some)
-}
-
-/// Streams *every* subsequent [`crate::drive`] call on this thread to
-/// `path`, re-creating (truncating) the file at each run start — after a
-/// sweep the file holds the final point, mirroring how the exported
-/// flight-recorder trace keeps the last (most loaded) run. Cleared by
-/// [`disarm_jsonl_stream`].
-///
-/// # Errors
-/// Fails if `path` cannot be created.
-pub fn arm_jsonl_stream_per_run(path: &Path) -> Result<(), String> {
-    // Create eagerly so an unwritable path fails here, not mid-sweep.
-    let mut probe = JsonlSink::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    probe
-        .finish()
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    JSONL_PATH.set(Some(path.to_path_buf()));
-    Ok(())
-}
-
-/// Clears any armed JSONL stream, one-shot or per-run.
-pub fn disarm_jsonl_stream() {
-    JSONL.take();
-    JSONL_PATH.set(None);
-}
-
-/// Arms a binary columnar stream to `path` for the *next*
-/// [`crate::drive`] call on this thread (one-shot, like
-/// [`arm_jsonl_stream`]). `sample_every` of 0 or 1 captures losslessly;
-/// N > 1 keeps 1-in-N of the bulk kinds deterministically (see
-/// [`wavesim_trace::stream::StreamSink::with_sampling`]).
-///
-/// # Errors
-/// Fails if `path` cannot be created.
-pub fn arm_bin_stream(path: &Path, sample_every: u64) -> Result<(), String> {
-    let sink = ColumnarSink::create(path)
-        .map_err(|e| format!("{}: {e}", path.display()))?
-        .with_sampling(sample_every);
-    BIN.set(Some(sink));
-    Ok(())
-}
-
-/// Streams *every* subsequent [`crate::drive`] call on this thread to
-/// `path` as binary columnar frames, re-creating (truncating) the file at
-/// each run start — the binary twin of [`arm_jsonl_stream_per_run`].
-/// Cleared by [`disarm_bin_stream`].
-///
-/// # Errors
-/// Fails if `path` cannot be created.
-pub fn arm_bin_stream_per_run(path: &Path, sample_every: u64) -> Result<(), String> {
-    // Create eagerly so an unwritable path fails here, not mid-sweep.
-    let mut probe = ColumnarSink::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    probe
-        .finish()
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    BIN_PATH.set(Some((path.to_path_buf(), sample_every)));
-    Ok(())
-}
-
-/// True when a binary stream is armed and not yet consumed by a run.
-#[must_use]
-pub fn bin_stream_armed() -> bool {
-    BIN.with_borrow(Option::is_some) || BIN_PATH.with_borrow(Option::is_some)
-}
-
-/// Clears any armed binary stream, one-shot or per-run.
-pub fn disarm_bin_stream() {
-    BIN.take();
-    BIN_PATH.set(None);
-}
-
-/// Arms an extra trace sink for *every* subsequent [`crate::drive`] call
-/// on this thread: `factory` is invoked at each run start and its sink is
-/// teed beside the capture sinks (the flight recorder stays the
-/// query-answering primary). The live-observability plane rides here —
-/// the CLI arms a [`wavesim-analyze`] streaming fold without
-/// `wavesim-bench` depending on that crate. Cleared by
-/// [`disarm_extra_sink`].
-///
-/// [`wavesim-analyze`]: https://docs.rs/wavesim-analyze
-pub fn arm_extra_sink(factory: impl FnMut() -> Box<dyn TraceSink> + 'static) {
-    EXTRA.set(Some(Box::new(factory)));
-}
-
-/// Clears the extra-sink factory.
-pub fn disarm_extra_sink() {
-    EXTRA.take();
-}
-
-/// True when an extra-sink factory is armed on this thread.
-#[must_use]
-pub fn extra_sink_armed() -> bool {
-    EXTRA.with_borrow(Option::is_some)
-}
-
-/// Installs a trace sink into `net` if this thread is armed: the flight
-/// recorder, optionally teed into pending JSONL and/or binary columnar
-/// streams (the recorder stays the query-answering primary through the
-/// nested tees). Returns whether a sink was installed.
-pub(crate) fn install(net: &mut WaveNetwork) -> bool {
-    let capacity = PLAN.get();
-    let jsonl = JSONL.take().or_else(|| {
-        JSONL_PATH.with_borrow(|p| {
-            let path = p.as_ref()?;
-            match JsonlSink::create(path) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("note: JSONL re-arm failed for {}: {e}", path.display());
-                    None
-                }
-            }
-        })
-    });
-    let bin = BIN.take().or_else(|| {
-        BIN_PATH.with_borrow(|p| {
-            let (path, sample) = p.as_ref()?;
-            match ColumnarSink::create(path) {
-                Ok(s) => Some(s.with_sampling(*sample)),
-                Err(e) => {
-                    eprintln!("note: binary re-arm failed for {}: {e}", path.display());
-                    None
-                }
-            }
-        })
-    });
-    let extra = EXTRA.with_borrow_mut(|f| f.as_mut().map(|make| make()));
-    if capacity.is_none() && jsonl.is_none() && bin.is_none() && extra.is_none() {
-        return false;
+impl Capture {
+    /// A capture into a ring of `ring` record slots.
+    ///
+    /// # Panics
+    /// Panics if `ring` is zero (a flight recorder needs at least one
+    /// slot).
+    #[must_use]
+    pub fn new(ring: usize) -> Self {
+        assert!(ring > 0, "a flight recorder needs at least one slot");
+        Self {
+            ring,
+            tees: Vec::new(),
+            trace: None,
+        }
     }
-    let mut sink: Box<dyn TraceSink> =
-        Box::new(FlightRecorder::new(capacity.unwrap_or(DEFAULT_RING)));
-    if let Some(s) = jsonl {
-        sink = Box::new(TeeSink::new(sink, Box::new(s)));
+
+    /// Also feeds every record to `sink`, flushed when the run ends.
+    #[must_use]
+    pub fn tee(mut self, sink: Box<dyn TraceSink>) -> Self {
+        self.tees.push(sink);
+        self
     }
-    if let Some(s) = bin {
-        sink = Box::new(TeeSink::new(sink, Box::new(s)));
+
+    /// The finished run's trace (`None` before the run ends).
+    #[must_use]
+    pub fn into_trace(self) -> Option<RunTrace> {
+        self.trace
     }
-    if let Some(s) = extra {
-        sink = Box::new(TeeSink::new(sink, s));
-    }
-    net.install_trace_sink(sink);
-    true
 }
 
-/// Removes the recorder installed by [`install`], snapshots it, and
-/// appends the [`RunTrace`] — with a post-mortem bundle when the run
-/// stalled — to this thread's capture list.
-pub(crate) fn finish(net: &mut WaveNetwork, outcome: Drained) {
-    let Some(mut sink) = net.take_trace_sink() else {
-        return;
+/// The flight-recorder tail plus the fabric's wait-for graph (and the
+/// circular wait inside it, if any) at `now`.
+pub(crate) fn stall_bundle(
+    net: &WaveNetwork,
+    now: Cycle,
+    records: &[TraceRecord],
+    dropped: u64,
+    total: u64,
+) -> Value {
+    let fabric = net.fabric();
+    let edges = fabric.wait_edges();
+    let cycle = find_wait_cycle(&edges);
+    let ctx = StallContext {
+        edges: &edges,
+        cycle: cycle.as_deref(),
+        now,
+        stall_age: fabric.progress_age(now),
+        in_flight: fabric.in_flight_flits(),
     };
-    let stream_error = sink.finish().err();
-    let records = sink.snapshot();
-    let dropped = sink.dropped();
-    let total = sink.total();
-    let post_mortem = outcome.stalled.then(|| {
-        let fabric = net.fabric();
-        let edges = fabric.wait_edges();
-        let cycle = find_wait_cycle(&edges);
-        let ctx = StallContext {
-            edges: &edges,
-            cycle: cycle.as_deref(),
-            now: outcome.end,
-            stall_age: fabric.progress_age(outcome.end),
-            in_flight: fabric.in_flight_flits(),
+    postmortem::bundle(records, dropped, total, &ctx)
+}
+
+impl RunObserver for Capture {
+    /// Installs the ring, which stays the query-answering primary through
+    /// the nested tees.
+    fn start(&mut self, net: &mut WaveNetwork) {
+        let mut sink: Box<dyn TraceSink> = Box::new(FlightRecorder::new(self.ring));
+        for tee in self.tees.drain(..) {
+            sink = Box::new(TeeSink::new(sink, tee));
+        }
+        net.install_trace_sink(sink);
+    }
+
+    /// Removes the sink installed by `start`, snapshots it, and keeps the
+    /// [`RunTrace`] — with a post-mortem bundle when the run stalled.
+    fn finish(&mut self, net: &mut WaveNetwork, outcome: Drained) {
+        let Some(mut sink) = net.take_trace_sink() else {
+            return;
         };
-        postmortem::bundle(&records, dropped, total, &ctx)
-    });
-    CAPTURED.with_borrow_mut(|c| {
-        c.push(RunTrace {
+        let stream_error = sink.finish().err();
+        let records = sink.snapshot();
+        let dropped = sink.dropped();
+        let total = sink.total();
+        let post_mortem = outcome
+            .stalled
+            .then(|| stall_bundle(net, outcome.end, &records, dropped, total));
+        self.trace = Some(RunTrace {
             records,
             dropped,
             total,
-            end: outcome.end,
-            stalled: outcome.stalled,
             post_mortem,
             stream_error,
         });
-    });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_open_loop, RunSpec};
+    use crate::{run_open_loop, run_open_loop_observed, RunSpec};
     use wavesim_core::{WaveConfig, WaveNetwork};
     use wavesim_topology::Topology;
+    use wavesim_trace::{ColumnarSink, JsonlSink};
     use wavesim_workloads::{LengthDist, TrafficConfig, TrafficSource};
 
-    fn traced_run() -> (crate::RunResult, Vec<RunTrace>) {
-        let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
-        let mut src = TrafficSource::new(
+    fn workload(load: f64, len: u32) -> (WaveNetwork, TrafficSource) {
+        let net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
+        let src = TrafficSource::new(
             net.topology().clone(),
             TrafficConfig {
-                load: 0.1,
-                len: LengthDist::Fixed(32),
+                load,
+                len: LengthDist::Fixed(len),
                 ..TrafficConfig::default()
             },
         );
-        arm_flight_recorder(1 << 16);
-        let r = run_open_loop(&mut net, &mut src, RunSpec::standard(200, 1_000));
-        disarm_flight_recorder();
-        (r, take_captured())
+        (net, src)
+    }
+
+    /// One 4x4 run under `cap`; returns the result and the capture's trace.
+    fn captured_run(mut cap: Capture, spec: RunSpec) -> (crate::RunResult, RunTrace) {
+        let (mut net, mut src) = workload(0.1, 32);
+        let r = run_open_loop_observed(&mut net, &mut src, spec, &mut cap);
+        assert!(!net.tracing(), "the capture takes its sink back down");
+        (r, cap.into_trace().expect("a finished run has a trace"))
     }
 
     #[test]
-    fn armed_drive_captures_one_trace_per_run() {
-        let (r, traces) = traced_run();
+    fn capture_owns_the_trace_of_its_run() {
+        let (r, t) = captured_run(Capture::new(1 << 16), RunSpec::standard(200, 1_000));
         assert!(r.clean(), "{r:?}");
-        assert_eq!(traces.len(), 1);
-        let t = &traces[0];
-        assert!(!t.stalled);
         assert!(t.post_mortem.is_none());
-        assert_eq!(t.end, r.end);
         assert!(t.total > 0);
         assert_eq!(t.records.len() as u64 + t.dropped, t.total);
         // Seq numbers are gap-free over the surviving tail.
@@ -345,22 +178,10 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_the_schedule() {
-        let baseline = {
-            let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
-            let mut src = TrafficSource::new(
-                net.topology().clone(),
-                TrafficConfig {
-                    load: 0.1,
-                    len: LengthDist::Fixed(32),
-                    ..TrafficConfig::default()
-                },
-            );
-            format!(
-                "{:?}",
-                run_open_loop(&mut net, &mut src, RunSpec::standard(200, 1_000))
-            )
-        };
-        let (r, _) = traced_run();
+        let spec = RunSpec::standard(200, 1_000);
+        let (mut net, mut src) = workload(0.1, 32);
+        let baseline = format!("{:?}", run_open_loop(&mut net, &mut src, spec));
+        let (r, _) = captured_run(Capture::new(1 << 16), spec);
         assert_eq!(baseline, format!("{r:?}"));
     }
 
@@ -370,25 +191,10 @@ mod tests {
             "wavesim_tracecap_stream_{}.jsonl",
             std::process::id()
         ));
-        let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
-        let mut src = TrafficSource::new(
-            net.topology().clone(),
-            TrafficConfig {
-                load: 0.1,
-                len: LengthDist::Fixed(32),
-                ..TrafficConfig::default()
-            },
-        );
-        arm_flight_recorder(64); // tiny ring: the stream must still be lossless
-        arm_jsonl_stream(&path).expect("create stream");
-        assert!(jsonl_stream_armed());
-        let r = run_open_loop(&mut net, &mut src, RunSpec::standard(200, 1_000));
-        disarm_flight_recorder();
-        assert!(!jsonl_stream_armed(), "stream is one-shot");
-        let traces = take_captured();
+        // Tiny ring: the stream must still be lossless.
+        let cap = Capture::new(64).tee(Box::new(JsonlSink::create(&path).expect("create")));
+        let (r, t) = captured_run(cap, RunSpec::standard(200, 1_000));
         assert!(r.clean(), "{r:?}");
-        assert_eq!(traces.len(), 1);
-        let t = &traces[0];
         assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
         assert!(t.dropped > 0, "the tiny ring must have wrapped");
         let streamed = wavesim_trace::stream::read_jsonl_file(&path).expect("parse");
@@ -404,32 +210,17 @@ mod tests {
     }
 
     #[test]
-    fn per_run_stream_keeps_the_last_run_of_a_sweep() {
+    fn a_later_run_to_the_same_path_replaces_the_stream() {
         let path = std::env::temp_dir().join(format!(
             "wavesim_tracecap_per_run_{}.jsonl",
             std::process::id()
         ));
-        arm_flight_recorder(1 << 16);
-        arm_jsonl_stream_per_run(&path).expect("create stream");
         let mut last_total = 0;
         for cycles in [400u64, 900] {
-            let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
-            let mut src = TrafficSource::new(
-                net.topology().clone(),
-                TrafficConfig {
-                    load: 0.1,
-                    len: LengthDist::Fixed(32),
-                    ..TrafficConfig::default()
-                },
-            );
-            let r = run_open_loop(&mut net, &mut src, RunSpec::standard(100, cycles));
+            let cap =
+                Capture::new(1 << 16).tee(Box::new(JsonlSink::create(&path).expect("create")));
+            let (r, t) = captured_run(cap, RunSpec::standard(100, cycles));
             assert!(r.clean(), "{r:?}");
-        }
-        disarm_flight_recorder();
-        disarm_jsonl_stream();
-        let traces = take_captured();
-        assert_eq!(traces.len(), 2);
-        for t in &traces {
             assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
             last_total = t.total;
         }
@@ -437,7 +228,7 @@ mod tests {
         let streamed = wavesim_trace::stream::read_jsonl_file(&path).expect("parse");
         std::fs::remove_file(&path).ok();
         assert_eq!(streamed.len() as u64, last_total);
-        assert_eq!(streamed[0].seq, 0, "re-armed stream restarts at seq 0");
+        assert_eq!(streamed[0].seq, 0, "a fresh capture restarts at seq 0");
     }
 
     #[test]
@@ -445,27 +236,12 @@ mod tests {
         let pid = std::process::id();
         let jpath = std::env::temp_dir().join(format!("wavesim_tracecap_bj_{pid}.jsonl"));
         let bpath = std::env::temp_dir().join(format!("wavesim_tracecap_bj_{pid}.wstrace"));
-        let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
-        let mut src = TrafficSource::new(
-            net.topology().clone(),
-            TrafficConfig {
-                load: 0.1,
-                len: LengthDist::Fixed(32),
-                ..TrafficConfig::default()
-            },
-        );
-        arm_jsonl_stream(&jpath).expect("create jsonl stream");
-        arm_bin_stream(&bpath, 0).expect("create bin stream");
-        assert!(bin_stream_armed());
-        let r = run_open_loop(&mut net, &mut src, RunSpec::standard(200, 1_000));
-        assert!(!bin_stream_armed(), "stream is one-shot");
-        let traces = take_captured();
+        let cap = Capture::new(1 << 16)
+            .tee(Box::new(JsonlSink::create(&jpath).expect("create jsonl")))
+            .tee(Box::new(ColumnarSink::create(&bpath).expect("create bin")));
+        let (r, t) = captured_run(cap, RunSpec::standard(200, 1_000));
         assert!(r.clean(), "{r:?}");
-        assert!(
-            traces[0].stream_error.is_none(),
-            "{:?}",
-            traces[0].stream_error
-        );
+        assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
         let jsonl = wavesim_trace::stream::read_jsonl_file(&jpath).expect("parse jsonl");
         let bin = wavesim_trace::read_trace_file(&bpath).expect("decode bin");
         let jsonl_bytes = std::fs::metadata(&jpath).expect("stat").len();
@@ -478,21 +254,5 @@ mod tests {
             bin_bytes * 4 <= jsonl_bytes,
             "binary must be at most a quarter of JSONL ({bin_bytes} vs {jsonl_bytes})"
         );
-    }
-
-    #[test]
-    fn unarmed_thread_captures_nothing() {
-        assert!(!flight_recorder_armed());
-        let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
-        let mut src = TrafficSource::new(
-            net.topology().clone(),
-            TrafficConfig {
-                load: 0.05,
-                len: LengthDist::Fixed(16),
-                ..TrafficConfig::default()
-            },
-        );
-        let _ = run_open_loop(&mut net, &mut src, RunSpec::standard(100, 500));
-        assert!(take_captured().is_empty());
     }
 }

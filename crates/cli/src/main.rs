@@ -58,13 +58,16 @@
 //! Chrome/Perfetto `trace_event` JSON of the run (plus `FILE.postmortem.json`
 //! when the run stalls), `--metrics-out FILE` (run only) writes a
 //! Prometheus-style metrics page, `--flight-recorder N` sizes the in-memory
-//! ring buffer (default 65536 records). Tracing forces `--jobs 1`: the
-//! flight recorder is thread-local, and sweep workers are untraced.
+//! ring buffer (default 65536 records). Every run gets its own observers,
+//! on whichever `--jobs` worker it lands, so a traced or watched sweep
+//! (`wavesim e11 --jobs 4 --trace-out t.json --trace-bin t.wstrace`) is
+//! byte-identical to `--jobs 1`; the exported trace is the last run in
+//! serial order.
 //!
 //! Analytics: `--trace-jsonl FILE` (`run` and experiments) streams the
 //! *complete* event record to JSONL with bounded memory (nothing the
-//! ring buffer would drop is lost; for experiment sweeps the file is
-//! re-streamed per point and ends holding the last one), `--timeseries-out
+//! ring buffer would drop is lost; an experiment sweep streams its last
+//! point — the file ends holding the last run), `--timeseries-out
 //! FILE` (run only) writes windowed CSV (`--window N` cycles per row,
 //! default 1000), `--progress N` prints a
 //! one-line status every N cycles. `wavesim analyze --trace run.jsonl
@@ -91,8 +94,10 @@
 //! binds a dependency-free HTTP endpoint serving the running simulation's
 //! vitals (`GET /metrics` Prometheus text, `GET /status` JSON);
 //! `--live-status` prints a one-line progress report to stderr every 8192
-//! cycles. Both read a snapshot board the drive loop publishes every 64
-//! cycles — stdout stays byte-identical to an unserved run.
+//! cycles. Both read a snapshot board the running simulation publishes
+//! every 64 cycles (one run at a time: under `--jobs N` a run that finds
+//! the board taken stays silent) — stdout stays byte-identical to an
+//! unserved run.
 //! `--live-analyze` (`run` only) folds the full record stream through the
 //! incremental analytics engine *during* the run on the capture writer
 //! thread and prints the same report `analyze` would, with no second pass
@@ -111,7 +116,11 @@
 use std::env;
 use std::process::ExitCode;
 
-use wavesim_bench::{experiments, run_open_loop, tracecap, RunSpec, Scale};
+use wavesim_bench::livestate::StatusBoard;
+use wavesim_bench::timeseries::Sampler;
+use wavesim_bench::tracecap::Capture;
+use wavesim_bench::watchdog::{Watchdog, WatchdogConfig};
+use wavesim_bench::{experiments, Observed, Observers, RunSpec, Scale};
 use wavesim_core::{LaneId, ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim_topology::{RoutingKind, Topology};
 use wavesim_trace::TraceSink;
@@ -146,6 +155,41 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Says what was wrong with the command line, then prints the usage.
+fn bad_usage(what: &str) -> ! {
+    eprintln!("error: {what}");
+    usage();
+}
+
+fn invalid(flag: &str, value: &str) -> ! {
+    bad_usage(&format!("invalid value `{value}` for `{flag}`"))
+}
+
+/// The value following `flag`.
+fn value(argv: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    argv.next()
+        .unwrap_or_else(|| bad_usage(&format!("missing value for `{flag}`")))
+}
+
+/// The value following `flag`, parsed.
+fn parsed<T: std::str::FromStr>(argv: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let v = value(argv, flag);
+    v.parse().unwrap_or_else(|_| invalid(flag, &v))
+}
+
+/// The value following `flag`, parsed; zero is invalid.
+fn nonzero<T: std::str::FromStr + PartialEq + Default>(
+    argv: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> T {
+    let v = value(argv, flag);
+    match v.parse::<T>() {
+        Ok(n) if n != T::default() => n,
+        _ => invalid(flag, &v),
+    }
+}
+
+#[derive(Default)]
 struct Args {
     cmd: String,
     scale: Scale,
@@ -224,11 +268,9 @@ fn parse_args() -> Args {
     let mut args = Args {
         cmd,
         scale: Scale::paper(),
-        json: false,
         jobs: 1,
         side: 8,
         protocol: ProtocolKind::Clrp,
-        torus: false,
         load: 0.2,
         len: 64,
         locality: 0.7,
@@ -238,219 +280,158 @@ fn parse_args() -> Args {
         alpha: 4,
         cache: 16,
         misroutes: 2,
-        replay_trace: None,
-        service_clients: None,
-        collective: None,
-        fault_plan: None,
-        fault_schedule: None,
-        trace_out: None,
-        metrics_out: None,
         flight_recorder: 1 << 16,
-        trace_jsonl: None,
-        trace_bin: None,
         trace_sample: 1,
-        timeseries_out: None,
         window: 1000,
-        progress: None,
-        serve_metrics: None,
-        live_status: false,
-        live_analyze: false,
-        watch_stall: None,
-        watch_retries: None,
-        watch_deadlock: false,
-        watch_abort: false,
-        watch_postmortem: None,
-        trace_in: None,
-        report_out: None,
-        json_out: None,
-        timeseries_csv: None,
         top: 10,
-        out: None,
-        to_bin: false,
-        path: None,
-        model: None,
-        side_set: false,
         msgs: 3,
-        fault: false,
-        repair: false,
-        mutate: None,
-        msg_list: Vec::new(),
         max_states: 5_000_000,
-        counterexample: None,
         runs: 64,
         steps: 4_000,
+        // Every other flag is off, empty or absent until given.
+        ..Args::default()
     };
-    macro_rules! next_parse {
-        ($argv:ident) => {
-            $argv
-                .next()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| usage())
-        };
-    }
+    let argv = &mut argv;
     while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--scale" => match argv.next().as_deref() {
-                Some("small") => args.scale = Scale::small(),
-                Some("paper") => args.scale = Scale::paper(),
-                _ => usage(),
-            },
+        let flag = a.as_str();
+        match flag {
+            "--scale" => {
+                args.scale = match value(argv, flag).as_str() {
+                    "small" => Scale::small(),
+                    "paper" => Scale::paper(),
+                    other => invalid(flag, other),
+                }
+            }
             // For `analyze`, --json names an output file; everywhere else
             // it is a boolean format switch.
-            "--json" if args.cmd == "analyze" => {
-                args.json_out = Some(argv.next().unwrap_or_else(|| usage()));
-            }
+            "--json" if args.cmd == "analyze" => args.json_out = Some(value(argv, flag)),
             "--json" => args.json = true,
-            "--trace" => args.trace_in = Some(argv.next().unwrap_or_else(|| usage())),
-            "--report" => args.report_out = Some(argv.next().unwrap_or_else(|| usage())),
-            "--timeseries" => {
-                args.timeseries_csv = Some(argv.next().unwrap_or_else(|| usage()));
-            }
-            "--top" => args.top = next_parse!(argv),
-            "--trace-jsonl" => args.trace_jsonl = Some(argv.next().unwrap_or_else(|| usage())),
-            "--trace-bin" => args.trace_bin = Some(argv.next().unwrap_or_else(|| usage())),
-            "--trace-sample" => {
-                args.trace_sample = next_parse!(argv);
-                if args.trace_sample == 0 {
-                    usage();
-                }
-            }
-            "--out" => args.out = Some(argv.next().unwrap_or_else(|| usage())),
+            "--trace" => args.trace_in = Some(value(argv, flag)),
+            "--report" => args.report_out = Some(value(argv, flag)),
+            "--timeseries" => args.timeseries_csv = Some(value(argv, flag)),
+            "--top" => args.top = parsed(argv, flag),
+            "--trace-jsonl" => args.trace_jsonl = Some(value(argv, flag)),
+            "--trace-bin" => args.trace_bin = Some(value(argv, flag)),
+            "--trace-sample" => args.trace_sample = nonzero(argv, flag),
+            "--out" => args.out = Some(value(argv, flag)),
             "--to" => {
-                args.to_bin = match argv.next().as_deref() {
-                    Some("jsonl") => false,
-                    Some("bin") => true,
-                    _ => usage(),
+                args.to_bin = match value(argv, flag).as_str() {
+                    "jsonl" => false,
+                    "bin" => true,
+                    other => invalid(flag, other),
                 }
             }
-            "--timeseries-out" => {
-                args.timeseries_out = Some(argv.next().unwrap_or_else(|| usage()));
-            }
-            "--window" => {
-                args.window = next_parse!(argv);
-                if args.window == 0 {
-                    usage();
-                }
-            }
-            "--progress" => {
-                args.progress = Some(next_parse!(argv));
-                if args.progress == Some(0) {
-                    usage();
-                }
-            }
-            "--jobs" => args.jobs = next_parse!(argv),
+            "--timeseries-out" => args.timeseries_out = Some(value(argv, flag)),
+            "--window" => args.window = nonzero(argv, flag),
+            "--progress" => args.progress = Some(nonzero(argv, flag)),
+            "--jobs" => args.jobs = parsed(argv, flag),
             "--side" => {
-                args.side = next_parse!(argv);
+                args.side = parsed(argv, flag);
                 args.side_set = true;
             }
-            "--model" => args.model = Some(argv.next().unwrap_or_else(|| usage())),
-            "--msgs" => args.msgs = next_parse!(argv),
-            "--msg" => args.msg_list.push(argv.next().unwrap_or_else(|| usage())),
+            "--model" => args.model = Some(value(argv, flag)),
+            "--msgs" => args.msgs = parsed(argv, flag),
+            "--msg" => args.msg_list.push(value(argv, flag)),
             "--fault" => args.fault = true,
             "--repair" => args.repair = true,
-            "--mutate" => args.mutate = Some(argv.next().unwrap_or_else(|| usage())),
-            "--max-states" => {
-                args.max_states = next_parse!(argv);
-                if args.max_states == 0 {
-                    usage();
-                }
-            }
-            "--counterexample" => {
-                args.counterexample = Some(argv.next().unwrap_or_else(|| usage()));
-            }
-            "--runs" => args.runs = next_parse!(argv),
-            "--steps" => args.steps = next_parse!(argv),
+            "--mutate" => args.mutate = Some(value(argv, flag)),
+            "--max-states" => args.max_states = nonzero(argv, flag),
+            "--counterexample" => args.counterexample = Some(value(argv, flag)),
+            "--runs" => args.runs = parsed(argv, flag),
+            "--steps" => args.steps = parsed(argv, flag),
             "--protocol" => {
-                args.protocol = match argv.next().as_deref() {
-                    Some("clrp") => ProtocolKind::Clrp,
-                    Some("carp") => ProtocolKind::Carp,
-                    Some("wormhole") => ProtocolKind::WormholeOnly,
-                    _ => usage(),
+                args.protocol = match value(argv, flag).as_str() {
+                    "clrp" => ProtocolKind::Clrp,
+                    "carp" => ProtocolKind::Carp,
+                    "wormhole" => ProtocolKind::WormholeOnly,
+                    other => invalid(flag, other),
                 }
             }
             "--topology" => {
-                args.torus = match argv.next().as_deref() {
-                    Some("mesh") => false,
-                    Some("torus") => true,
-                    _ => usage(),
+                args.torus = match value(argv, flag).as_str() {
+                    "mesh" => false,
+                    "torus" => true,
+                    other => invalid(flag, other),
                 }
             }
-            "--load" => args.load = next_parse!(argv),
-            "--len" => args.len = next_parse!(argv),
-            "--locality" => args.locality = next_parse!(argv),
-            "--cycles" => args.cycles = next_parse!(argv),
-            "--seed" => args.seed = next_parse!(argv),
-            "--k" => args.k = next_parse!(argv),
-            "--alpha" => args.alpha = next_parse!(argv),
-            "--cache" => args.cache = next_parse!(argv),
-            "--misroutes" => args.misroutes = next_parse!(argv),
-            "--replay-trace" => args.replay_trace = Some(argv.next().unwrap_or_else(|| usage())),
-            "--service-clients" => {
-                args.service_clients = Some(next_parse!(argv));
-                if args.service_clients == Some(0) {
-                    usage();
-                }
-            }
-            "--collective" => args.collective = Some(argv.next().unwrap_or_else(|| usage())),
-            "--fault-plan" => args.fault_plan = Some(argv.next().unwrap_or_else(|| usage())),
-            "--fault-schedule" => {
-                args.fault_schedule = Some(argv.next().unwrap_or_else(|| usage()));
-            }
-            "--serve-metrics" => {
-                args.serve_metrics = Some(argv.next().unwrap_or_else(|| usage()));
-            }
+            "--load" => args.load = parsed(argv, flag),
+            "--len" => args.len = parsed(argv, flag),
+            "--locality" => args.locality = parsed(argv, flag),
+            "--cycles" => args.cycles = parsed(argv, flag),
+            "--seed" => args.seed = parsed(argv, flag),
+            "--k" => args.k = parsed(argv, flag),
+            "--alpha" => args.alpha = parsed(argv, flag),
+            "--cache" => args.cache = parsed(argv, flag),
+            "--misroutes" => args.misroutes = parsed(argv, flag),
+            "--replay-trace" => args.replay_trace = Some(value(argv, flag)),
+            "--service-clients" => args.service_clients = Some(nonzero(argv, flag)),
+            "--collective" => args.collective = Some(value(argv, flag)),
+            "--fault-plan" => args.fault_plan = Some(value(argv, flag)),
+            "--fault-schedule" => args.fault_schedule = Some(value(argv, flag)),
+            "--serve-metrics" => args.serve_metrics = Some(value(argv, flag)),
             "--live-status" => args.live_status = true,
             "--live-analyze" => args.live_analyze = true,
-            "--watch-stall" => {
-                args.watch_stall = Some(next_parse!(argv));
-                if args.watch_stall == Some(0) {
-                    usage();
-                }
-            }
-            "--watch-retries" => args.watch_retries = Some(next_parse!(argv)),
+            "--watch-stall" => args.watch_stall = Some(nonzero(argv, flag)),
+            "--watch-retries" => args.watch_retries = Some(parsed(argv, flag)),
             "--watch-deadlock" => args.watch_deadlock = true,
             "--watch-abort" => args.watch_abort = true,
-            "--watch-postmortem" => {
-                args.watch_postmortem = Some(argv.next().unwrap_or_else(|| usage()));
-            }
-            "--trace-out" => args.trace_out = Some(argv.next().unwrap_or_else(|| usage())),
-            "--metrics-out" => args.metrics_out = Some(argv.next().unwrap_or_else(|| usage())),
-            "--flight-recorder" => {
-                args.flight_recorder = next_parse!(argv);
-                if args.flight_recorder == 0 {
-                    usage();
-                }
-            }
+            "--watch-postmortem" => args.watch_postmortem = Some(value(argv, flag)),
+            "--trace-out" => args.trace_out = Some(value(argv, flag)),
+            "--metrics-out" => args.metrics_out = Some(value(argv, flag)),
+            "--flight-recorder" => args.flight_recorder = nonzero(argv, flag),
             _ if !a.starts_with('-') && args.path.is_none() => args.path = Some(a),
-            _ => {
-                eprintln!("error: unknown argument `{a}`");
-                usage();
-            }
+            _ => bad_usage(&format!("unknown argument `{a}`")),
         }
     }
     args
 }
 
-/// Writes `contents` to `path`, reporting failure on stderr.
-fn write_file(path: &str, contents: &str) -> bool {
-    match std::fs::write(path, contents) {
-        Ok(()) => true,
-        Err(e) => {
-            eprintln!("error: cannot write {path}: {e}");
-            false
-        }
+/// How a command ended. `Ok(false)`: it ran, and its verdict (a run that
+/// is not clean, a model violation, a watchdog abort) fails the process.
+/// `Err`: it could not do its job; `main` prints the message after
+/// `error: `.
+type Outcome = Result<bool, String>;
+
+fn cannot_write(path: &str, e: impl std::fmt::Display) -> String {
+    format!("cannot write {path}: {e}")
+}
+
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| cannot_write(path, e))
+}
+
+/// Opens `path` and parses it with `load`; `what` names the input in the
+/// error.
+fn load_file<T>(
+    what: &str,
+    path: &str,
+    load: impl FnOnce(std::fs::File) -> Result<T, String>,
+) -> Result<T, String> {
+    std::fs::File::open(path)
+        .map_err(|e| format!("cannot open: {e}"))
+        .and_then(load)
+        .map_err(|e| format!("{what} {path}: {e}"))
+}
+
+/// A square 2-D network of the given side.
+fn square(torus: bool, side: u16) -> Topology {
+    if torus {
+        Topology::torus(&[side, side])
+    } else {
+        Topology::mesh(&[side, side])
     }
 }
 
 /// Exports one captured run as Perfetto JSON (plus a post-mortem bundle
 /// when the run stalled). `counters` are pre-built counter-track events —
-/// the time-series sampler's per-window metrics. Returns `false` on I/O
-/// failure.
-fn export_trace(path: &str, t: &tracecap::RunTrace, counters: Vec<wavesim_json::Value>) -> bool {
+/// the time-series sampler's per-window metrics.
+fn export_trace(
+    path: &str,
+    t: &wavesim_bench::tracecap::RunTrace,
+    counters: Vec<wavesim_json::Value>,
+) -> Result<(), String> {
     let doc = wavesim_trace::perfetto::export_with_counters(&t.records, counters);
-    if !write_file(path, &doc.compact()) {
-        return false;
-    }
+    write_file(path, &doc.compact())?;
     println!(
         "wrote trace: {path} ({} records kept, {} dropped of {})",
         t.records.len(),
@@ -459,50 +440,30 @@ fn export_trace(path: &str, t: &tracecap::RunTrace, counters: Vec<wavesim_json::
     );
     if let Some(pm) = &t.post_mortem {
         let pm_path = format!("{path}.postmortem.json");
-        if !write_file(&pm_path, &pm.pretty()) {
-            return false;
-        }
+        write_file(&pm_path, &pm.pretty())?;
         println!("run stalled — wrote post-mortem: {pm_path}");
     }
-    true
+    Ok(())
 }
 
 /// Schema-checks a trace file: binary columnar streams (`--trace-bin`),
 /// JSONL record streams (`--trace-jsonl`), and Perfetto exports
 /// (`--trace-out`) are all recognised by content, not extension.
-fn validate_trace(path: &str) -> bool {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return false;
-        }
-    };
-    if wavesim_trace::stream::TraceFormat::detect(&bytes)
-        == wavesim_trace::stream::TraceFormat::Columnar
-    {
-        return match wavesim_trace::read_columnar(&bytes) {
-            Ok(records) => {
-                println!(
-                    "{path}: valid binary columnar trace — {} records ({} bytes)",
-                    records.len(),
-                    bytes.len()
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!("error: {path}: corrupt binary trace: {e}");
-                false
-            }
-        };
+fn validate_trace(path: &str) -> Outcome {
+    use wavesim_trace::stream::TraceFormat;
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    if TraceFormat::detect(&bytes) == TraceFormat::Columnar {
+        let records = wavesim_trace::read_columnar(&bytes)
+            .map_err(|e| format!("{path}: corrupt binary trace: {e}"))?;
+        println!(
+            "{path}: valid binary columnar trace — {} records ({} bytes)",
+            records.len(),
+            bytes.len()
+        );
+        return Ok(true);
     }
-    let text = match std::str::from_utf8(&bytes) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {path}: neither a binary trace nor UTF-8 JSON: {e}");
-            return false;
-        }
-    };
+    let text = std::str::from_utf8(&bytes)
+        .map_err(|e| format!("{path}: neither a binary trace nor UTF-8 JSON: {e}"))?;
     // A JSONL record stream is many one-object lines; a Perfetto export is
     // one document. Try the record schema first so a single-record stream
     // is not misread as a malformed Perfetto file.
@@ -512,116 +473,62 @@ fn validate_trace(path: &str) -> bool {
                 "{path}: valid JSONL record stream — {} records",
                 records.len()
             );
-            return true;
+            return Ok(true);
         }
     }
-    let doc = match wavesim_json::Value::parse(text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {path}: invalid JSON: {e}");
-            return false;
-        }
-    };
-    match wavesim_trace::perfetto::validate(&doc) {
-        Ok(s) => {
-            println!(
-                "{path}: valid Perfetto trace — {} events ({} spans, {} instants)",
-                s.events, s.spans, s.instants
-            );
-            true
-        }
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            false
-        }
-    }
+    let doc = wavesim_json::Value::parse(text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
+    let s = wavesim_trace::perfetto::validate(&doc).map_err(|e| format!("{path}: {e}"))?;
+    println!(
+        "{path}: valid Perfetto trace — {} events ({} spans, {} instants)",
+        s.events, s.spans, s.instants
+    );
+    Ok(true)
 }
 
 /// `wavesim convert-trace IN --out FILE [--to jsonl|bin]` — lossless
 /// conversion between the JSONL and binary columnar stream formats (the
 /// input format is sniffed from its leading bytes).
-fn convert_trace(args: &Args) -> bool {
-    let Some(input) = &args.path else {
-        eprintln!("error: convert-trace needs an input FILE operand");
-        return false;
-    };
-    let Some(out) = &args.out else {
-        eprintln!("error: convert-trace needs --out FILE");
-        return false;
-    };
+fn convert_trace(args: &Args) -> Outcome {
+    use std::path::Path;
+    use wavesim_trace::stream::{ColumnarSink, JsonlSink, TraceReader as _};
+    let input = args
+        .path
+        .as_ref()
+        .ok_or("convert-trace needs an input FILE operand")?;
+    let out = args.out.as_ref().ok_or("convert-trace needs --out FILE")?;
     // Stream end to end: the reader decodes the input frame-by-frame and
     // the writer is the same chunked background sink the capture path
     // uses, so conversion runs in bounded memory at any capture size.
-    use wavesim_trace::stream::TraceReader as _;
-    let mut reader = match wavesim_trace::stream::stream_trace_file(std::path::Path::new(input)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {input}: {e}");
-            return false;
-        }
-    };
+    let mut reader = wavesim_trace::stream::stream_trace_file(Path::new(input))
+        .map_err(|e| format!("{input}: {e}"))?;
     let (mut sink, what): (Box<dyn TraceSink>, &str) = if args.to_bin {
-        match wavesim_trace::stream::ColumnarSink::create(std::path::Path::new(out)) {
-            Ok(s) => (Box::new(s), "binary columnar"),
-            Err(e) => {
-                eprintln!("error: cannot write {out}: {e}");
-                return false;
-            }
-        }
+        let sink = ColumnarSink::create(Path::new(out)).map_err(|e| cannot_write(out, e))?;
+        (Box::new(sink), "binary columnar")
     } else {
-        match wavesim_trace::stream::JsonlSink::create(std::path::Path::new(out)) {
-            Ok(s) => (Box::new(s), "JSONL"),
-            Err(e) => {
-                eprintln!("error: cannot write {out}: {e}");
-                return false;
-            }
-        }
+        let sink = JsonlSink::create(Path::new(out)).map_err(|e| cannot_write(out, e))?;
+        (Box::new(sink), "JSONL")
     };
     let mut n: u64 = 0;
     while let Some(rec) = reader.next_record() {
-        match rec {
-            Ok(r) => {
-                sink.record(r);
-                n += 1;
-            }
-            Err(e) => {
-                eprintln!("error: {input}: {e}");
-                return false;
-            }
-        }
+        sink.record(rec.map_err(|e| format!("{input}: {e}"))?);
+        n += 1;
     }
-    if let Err(e) = sink.finish() {
-        eprintln!("error: cannot write {out}: {e}");
-        return false;
-    }
+    sink.finish().map_err(|e| cannot_write(out, e))?;
     let bytes = std::fs::metadata(out).map_or(0, |m| m.len());
     println!("converted {input} -> {out}: {n} records as {what} ({bytes} bytes)");
-    true
+    Ok(true)
 }
 
 /// Loads and applies `--fault-plan` / `--fault-schedule` files onto the
 /// run's network, surfacing mismatches against the chosen topology/`k`
 /// (a plan built for another network) as clean errors.
-fn apply_fault_inputs(net: &mut WaveNetwork, args: &Args) -> bool {
+fn apply_fault_inputs(net: &mut WaveNetwork, args: &Args) -> Result<(), String> {
+    use wavesim_workloads::trace_io::{load_fault_plan, load_fault_schedule};
     if let Some(path) = &args.fault_plan {
-        let plan = match std::fs::File::open(path).map_err(|e| format!("cannot open: {e}")) {
-            Ok(f) => match wavesim_workloads::trace_io::load_fault_plan(f) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error: fault plan {path}: {e}");
-                    return false;
-                }
-            },
-            Err(e) => {
-                eprintln!("error: fault plan {path}: {e}");
-                return false;
-            }
-        };
+        let plan = load_file("fault plan", path, load_fault_plan)?;
         for &(link, s) in &plan.lanes {
-            if let Err(e) = net.inject_lane_fault(LaneId::new(link, s)) {
-                eprintln!("error: fault plan {path} does not fit this network: {e}");
-                return false;
-            }
+            net.inject_lane_fault(LaneId::new(link, s))
+                .map_err(|e| format!("fault plan {path} does not fit this network: {e}"))?;
         }
         println!(
             "applied static fault plan: {path} ({} lanes on {} links)",
@@ -630,90 +537,194 @@ fn apply_fault_inputs(net: &mut WaveNetwork, args: &Args) -> bool {
         );
     }
     if let Some(path) = &args.fault_schedule {
-        let sched = match std::fs::File::open(path).map_err(|e| format!("cannot open: {e}")) {
-            Ok(f) => match wavesim_workloads::trace_io::load_fault_schedule(f) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: fault schedule {path}: {e}");
-                    return false;
-                }
-            },
-            Err(e) => {
-                eprintln!("error: fault schedule {path}: {e}");
-                return false;
-            }
-        };
-        if let Err(e) = sched.validate(net.topology(), net.config().k) {
-            eprintln!("error: fault schedule {path} does not fit this network: {e}");
-            return false;
-        }
-        if let Err(e) = wavesim_bench::apply_fault_schedule(net, &sched) {
-            eprintln!("error: fault schedule {path} does not fit this network: {e}");
-            return false;
-        }
+        let sched = load_file("fault schedule", path, load_fault_schedule)?;
+        sched
+            .validate(net.topology(), net.config().k)
+            .and_then(|()| wavesim_bench::apply_fault_schedule(net, &sched))
+            .map_err(|e| format!("fault schedule {path} does not fit this network: {e}"))?;
         println!("scheduled dynamic faults: {path} ({} events)", sched.len());
     }
-    true
+    Ok(())
 }
 
-/// Builds the watchdog rule set from the `--watch-*` flags.
-fn watchdog_config(args: &Args) -> wavesim_bench::watchdog::WatchdogConfig {
-    wavesim_bench::watchdog::WatchdogConfig {
-        stall_cycles: args.watch_stall,
-        retry_limit: args.watch_retries,
-        deadlock: args.watch_deadlock,
-        abort: args.watch_abort,
-        post_mortem: args.watch_postmortem.as_ref().map(std::path::PathBuf::from),
-    }
+/// The observability flags, resolved once for `run` and the experiment
+/// commands alike; [`Observing::observers`] makes one run's set.
+struct Observing<'a> {
+    args: &'a Args,
+    /// `run` only: the sampler, the metrics page's ring, live analytics.
+    single_run: bool,
+    watch: WatchdogConfig,
+    board: Option<StatusBoard>,
 }
 
-/// Arms the live-status board and (with `--serve-metrics`) binds the HTTP
-/// endpoint. Everything the plane emits goes to stderr or the socket, so
-/// stdout stays byte-identical to an unserved run.
-fn arm_live_plane(args: &Args) -> bool {
-    if args.live_status || args.serve_metrics.is_some() {
-        wavesim_bench::livestate::arm(args.live_status);
+impl<'a> Observing<'a> {
+    /// Checks the stream paths are writable, brings up the live plane
+    /// (status board, HTTP endpoint), and notes the flags this command
+    /// ignores. Everything goes to stderr or the socket, so stdout stays
+    /// byte-identical to an unobserved run.
+    fn new(args: &'a Args, single_run: bool) -> Result<Self, String> {
+        for path in [&args.trace_jsonl, &args.trace_bin].into_iter().flatten() {
+            // Fail before the run, not after a long sweep.
+            std::fs::File::create(path).map_err(|e| format!("cannot stream to {path}: {e}"))?;
+        }
+        if args.trace_bin.is_none() && args.trace_sample > 1 {
+            eprintln!("note: --trace-sample applies to --trace-bin only; ignored");
+        }
+        if !single_run && args.metrics_out.is_some() {
+            eprintln!("note: --metrics-out applies to `run` only; ignored for experiments");
+        }
+        if !single_run && args.live_analyze {
+            eprintln!("note: --live-analyze applies to `run` only; ignored for experiments");
+        }
+        let board = (args.live_status || args.serve_metrics.is_some())
+            .then(|| StatusBoard::new(args.live_status));
+        if let (Some(addr), Some(board)) = (&args.serve_metrics, &board) {
+            let local = wavesim_bench::serve::serve(addr, board.clone())
+                .map_err(|e| format!("--serve-metrics {addr}: {e}"))?;
+            eprintln!("serving live metrics on http://{local}/metrics (JSON status at /status)");
+        }
+        Ok(Self {
+            args,
+            single_run,
+            watch: WatchdogConfig {
+                stall_cycles: args.watch_stall,
+                retry_limit: args.watch_retries,
+                deadlock: args.watch_deadlock,
+                abort: args.watch_abort,
+                post_mortem: args.watch_postmortem.as_ref().map(std::path::PathBuf::from),
+            },
+            board,
+        })
     }
-    if let Some(addr) = &args.serve_metrics {
-        match wavesim_bench::serve::serve(addr) {
-            Ok(local) => {
-                eprintln!("serving live metrics on http://{local}/metrics (JSON status at /status)")
+
+    /// True when some output needs the captured run.
+    fn exporting(&self) -> bool {
+        let a = self.args;
+        a.trace_out.is_some()
+            || a.trace_jsonl.is_some()
+            || a.trace_bin.is_some()
+            || (self.single_run && a.metrics_out.is_some())
+    }
+
+    /// One run's observers. Only an `exported` run (possibly the last in
+    /// serial order) streams to the `--trace-jsonl` / `--trace-bin` files.
+    fn observers(&self, exported: bool) -> Observers {
+        let a = self.args;
+        // Only a run that may be exported is captured for the export's
+        // sake. A watchdog post-mortem carries the flight recorder's tail,
+        // and live analytics rides the capture's tee, so either wants a
+        // ring on every run, even when no export flag asked for one.
+        let ring = (exported && self.exporting())
+            || (self.watch.any() && self.watch.post_mortem.is_some())
+            || (self.single_run && a.live_analyze);
+        let capture = ring.then(|| {
+            let mut c = Capture::new(a.flight_recorder);
+            if let (true, Some(path)) = (exported, &a.trace_jsonl) {
+                c = tee_stream(c, path, wavesim_trace::JsonlSink::create);
             }
-            Err(e) => {
-                eprintln!("error: --serve-metrics {addr}: {e}");
-                return false;
+            if let (true, Some(path)) = (exported, &a.trace_bin) {
+                c = tee_stream(c, path, |p| {
+                    Ok(wavesim_trace::ColumnarSink::create(p)?.with_sampling(a.trace_sample))
+                });
+            }
+            c
+        });
+        // --progress doubles as the status cadence and the window width,
+        // so each printed line covers exactly one closed window.
+        let sampler = (self.single_run && (a.timeseries_out.is_some() || a.progress.is_some()))
+            .then(|| Sampler::new(a.progress.unwrap_or(a.window), a.progress.is_some()));
+        Observers {
+            capture,
+            sampler,
+            watchdog: self.watch.any().then(|| Watchdog::new(self.watch.clone())),
+            board: self.board.as_ref().map(StatusBoard::observer),
+        }
+    }
+
+    /// Prints what the observers of one command's runs left behind —
+    /// watchdog trips, then the files written from the last run's series
+    /// and capture.
+    fn report(&self, observed: &Observed) -> Result<(), String> {
+        let a = self.args;
+        for rep in &observed.reports {
+            for t in &rep.trips {
+                let name = match t.rule {
+                    1 => "stall",
+                    2 => "retry-storm",
+                    4 => "wait-cycle",
+                    _ => "unknown",
+                };
+                println!(
+                    "watchdog: {name} tripped at cycle {}: {} > limit {}",
+                    t.at, t.value, t.limit
+                );
+            }
+            if let Some(p) = &rep.post_mortem {
+                println!("watchdog: wrote post-mortem bundle: {}", p.display());
+            }
+            if rep.aborted {
+                println!("watchdog: run aborted");
             }
         }
+        let mut counters = Vec::new();
+        if let Some(series) = &observed.series {
+            if let Some(path) = &a.timeseries_out {
+                let csv = wavesim_trace::timeseries::to_csv(&series.rows, series.nodes);
+                write_file(path, &csv)?;
+                println!("wrote time series: {path} ({} windows)", series.rows.len());
+            }
+            counters = wavesim_trace::timeseries::perfetto_counters(&series.rows, series.nodes);
+        }
+        if !self.exporting() {
+            return Ok(());
+        }
+        let Some(t) = &observed.trace else {
+            eprintln!("note: no run captured; no trace written");
+            return Ok(());
+        };
+        if let Some(e) = &t.stream_error {
+            return Err(format!("trace capture: {e}"));
+        }
+        if let Some(path) = &a.trace_jsonl {
+            println!("wrote JSONL stream: {path} ({} records)", t.total);
+        }
+        if let Some(path) = &a.trace_bin {
+            if a.trace_sample > 1 {
+                println!(
+                    "wrote binary stream: {path} ({} records emitted, bulk kinds sampled 1-in-{})",
+                    t.total, a.trace_sample
+                );
+            } else {
+                println!("wrote binary stream: {path} ({} records)", t.total);
+            }
+        }
+        match &a.trace_out {
+            Some(path) => export_trace(path, t, counters),
+            None => Ok(()),
+        }
     }
-    true
 }
 
-/// Prints every watched run's trips; returns `true` when any trip aborted
-/// a run (the caller turns that into a nonzero exit).
-fn print_watchdog_reports() -> bool {
-    let mut aborted = false;
-    for rep in wavesim_bench::watchdog::take_reports() {
-        for t in &rep.trips {
-            let name = match t.rule {
-                1 => "stall",
-                2 => "retry-storm",
-                4 => "wait-cycle",
-                _ => "unknown",
-            };
-            println!(
-                "watchdog: {name} tripped at cycle {}: {} > limit {}",
-                t.at, t.value, t.limit
-            );
-        }
-        if let Some(p) = &rep.post_mortem {
-            println!("watchdog: wrote post-mortem bundle: {}", p.display());
-        }
-        if rep.aborted {
-            println!("watchdog: run aborted");
-            aborted = true;
+/// Tees `capture` into the stream `create` opens at `path` (truncating: the
+/// file ends up holding the last run streamed there).
+fn tee_stream<S: TraceSink + 'static>(
+    capture: Capture,
+    path: &str,
+    create: impl FnOnce(&std::path::Path) -> std::io::Result<S>,
+) -> Capture {
+    match create(std::path::Path::new(path)) {
+        Ok(sink) => capture.tee(Box::new(sink)),
+        Err(e) => {
+            eprintln!("note: cannot stream to {path}: {e}");
+            capture
         }
     }
-    aborted
+}
+
+/// True when a watchdog trip ended any of the observed runs (the caller
+/// turns that into a nonzero exit).
+fn watchdog_aborted(observed: &Observed) -> bool {
+    observed.reports.iter().any(|r| r.aborted)
 }
 
 /// What a `run` invocation produced: the open-loop and replay modes share
@@ -726,32 +737,19 @@ enum RunOutcome {
     Service(wavesim_bench::ServiceResult),
 }
 
-fn custom_run(args: &Args) -> bool {
+fn custom_run(args: &Args) -> Outcome {
     if args.replay_trace.is_some() && args.service_clients.is_some() {
-        eprintln!("error: --replay-trace and --service-clients are mutually exclusive");
-        return false;
+        return Err("--replay-trace and --service-clients are mutually exclusive".into());
     }
     let replay = match &args.replay_trace {
-        Some(path) => match std::fs::File::open(path) {
-            Ok(f) => match wavesim_workloads::trace_io::load_dep_trace(f) {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    eprintln!("error: replay trace {path}: {e}");
-                    return false;
-                }
-            },
-            Err(e) => {
-                eprintln!("error: replay trace {path}: cannot open: {e}");
-                return false;
-            }
-        },
+        Some(path) => Some(load_file(
+            "replay trace",
+            path,
+            wavesim_workloads::trace_io::load_dep_trace,
+        )?),
         None => None,
     };
-    let topo = if args.torus {
-        Topology::torus(&[args.side, args.side])
-    } else {
-        Topology::mesh(&[args.side, args.side])
-    };
+    let topo = square(args.torus, args.side);
     let cfg = WaveConfig {
         protocol: args.protocol,
         k: args.k,
@@ -762,9 +760,7 @@ fn custom_run(args: &Args) -> bool {
         ..WaveConfig::default()
     };
     let mut net = WaveNetwork::new(topo.clone(), cfg);
-    if !apply_fault_inputs(&mut net, args) {
-        return false;
-    }
+    apply_fault_inputs(&mut net, args)?;
     if let Some(t) = &replay {
         let n = topo.num_nodes();
         if let Some(m) = t
@@ -772,79 +768,34 @@ fn custom_run(args: &Args) -> bool {
             .iter()
             .find(|m| m.msg.src.0 >= n || m.msg.dest.0 >= n)
         {
-            eprintln!(
-                "error: replay trace message {} uses node {} but this {}x{} network has {n} nodes (generate with a matching --side)",
+            return Err(format!(
+                "replay trace message {} uses node {} but this {}x{} network has {n} nodes (generate with a matching --side)",
                 m.msg.id.0,
                 m.msg.src.0.max(m.msg.dest.0),
                 args.side,
                 args.side,
-            );
-            return false;
+            ));
         }
     }
     let warmup = args.cycles / 5;
-    let tracing = args.trace_out.is_some()
-        || args.metrics_out.is_some()
-        || args.trace_jsonl.is_some()
-        || args.trace_bin.is_some();
-    let sampling = args.timeseries_out.is_some() || args.progress.is_some();
-    if tracing {
-        tracecap::arm_flight_recorder(args.flight_recorder);
-    }
-    if let Some(path) = &args.trace_jsonl {
-        if let Err(e) = tracecap::arm_jsonl_stream(std::path::Path::new(path)) {
-            eprintln!("error: cannot stream to {path}: {e}");
-            return false;
-        }
-    }
-    if let Some(path) = &args.trace_bin {
-        if let Err(e) = tracecap::arm_bin_stream(std::path::Path::new(path), args.trace_sample) {
-            eprintln!("error: cannot stream to {path}: {e}");
-            return false;
-        }
-    } else if args.trace_sample > 1 {
-        eprintln!("note: --trace-sample applies to --trace-bin only; ignored");
-    }
-    if sampling {
-        // --progress doubles as the status cadence and the window width,
-        // so each printed line covers exactly one closed window.
-        wavesim_bench::timeseries::arm_sampler(
-            args.progress.unwrap_or(args.window),
-            args.progress.is_some(),
-        );
-    }
-    let watch = watchdog_config(args);
-    if watch.any() {
-        // A post-mortem bundle carries the flight recorder's tail, so make
-        // sure one is recording even when no export flag armed it.
-        if watch.post_mortem.is_some() && !tracing {
-            tracecap::arm_flight_recorder(args.flight_recorder);
-        }
-        wavesim_bench::watchdog::arm(watch);
-    }
-    if !arm_live_plane(args) {
-        return false;
-    }
-    let live_handle = if args.live_analyze {
+    let observing = Observing::new(args, true)?;
+    let mut obs = observing.observers(true);
+    let live_handle = args.live_analyze.then(|| {
         let (handle, sink) = wavesim_analyze::live_sink(wavesim_analyze::AnalyzeOptions {
             window: args.window,
             top_k: args.top,
             nodes: None,
             sample_factor: 1,
         });
-        let mut slot = Some(sink);
-        tracecap::arm_extra_sink(move || {
-            Box::new(slot.take().expect("one live-analytics sink per run"))
-        });
-        Some(handle)
-    } else {
-        None
-    };
+        obs.capture = obs.capture.take().map(|c| c.tee(Box::new(sink)));
+        handle
+    });
     let outcome = if let Some(trace) = &replay {
         RunOutcome::Flat(wavesim_bench::run_dep_trace(
             &mut net,
             trace,
             RunSpec::replay(trace.horizon()),
+            &mut obs,
         ))
     } else if let Some(clients) = args.service_clients {
         let mut wl = wavesim_workloads::ServiceWorkload::new(
@@ -862,6 +813,7 @@ fn custom_run(args: &Args) -> bool {
             &mut net,
             &mut wl,
             RunSpec::standard(warmup, args.cycles),
+            &mut obs,
         ))
     } else {
         let mut src = TrafficSource::new(
@@ -881,82 +833,25 @@ fn custom_run(args: &Args) -> bool {
                 stop_at: u64::MAX,
             },
         );
-        RunOutcome::Flat(run_open_loop(
+        RunOutcome::Flat(wavesim_bench::run_open_loop_observed(
             &mut net,
             &mut src,
             RunSpec::standard(warmup, args.cycles),
+            &mut obs,
         ))
     };
-    if wavesim_bench::watchdog::armed() {
-        wavesim_bench::watchdog::disarm();
-    }
-    let watchdog_aborted = print_watchdog_reports();
-    let counters = if sampling {
-        wavesim_bench::timeseries::disarm_sampler();
-        let series = wavesim_bench::timeseries::take_series();
-        let Some(series) = series else {
-            eprintln!("error: sampler produced no series");
-            return false;
-        };
-        if let Some(path) = &args.timeseries_out {
-            let csv = wavesim_trace::timeseries::to_csv(&series.rows, series.nodes);
-            if !write_file(path, &csv) {
-                return false;
+    let mut observed = Observed::default();
+    observed.push(obs);
+    observing.report(&observed)?;
+    if let (Some(path), Some(t)) = (&args.metrics_out, &observed.trace) {
+        match &outcome {
+            RunOutcome::Flat(r) => {
+                let page = wavesim_bench::metrics::metrics_snapshot(&net, r, &t.records);
+                write_file(path, &page)?;
+                println!("wrote metrics: {path}");
             }
-            println!("wrote time series: {path} ({} windows)", series.rows.len());
-        }
-        wavesim_trace::timeseries::perfetto_counters(&series.rows, series.nodes)
-    } else {
-        Vec::new()
-    };
-    if tracing {
-        tracecap::disarm_flight_recorder();
-        let traces = tracecap::take_captured();
-        let t = traces.last().expect("traced run captured");
-        if let Some(path) = &args.trace_jsonl {
-            match &t.stream_error {
-                None => println!("wrote JSONL stream: {path} ({} records)", t.total),
-                Some(e) => {
-                    eprintln!("error: JSONL stream {path}: {e}");
-                    return false;
-                }
-            }
-        }
-        if let Some(path) = &args.trace_bin {
-            match &t.stream_error {
-                None => {
-                    if args.trace_sample > 1 {
-                        println!(
-                            "wrote binary stream: {path} ({} records emitted, bulk kinds sampled 1-in-{})",
-                            t.total, args.trace_sample
-                        );
-                    } else {
-                        println!("wrote binary stream: {path} ({} records)", t.total);
-                    }
-                }
-                Some(e) => {
-                    eprintln!("error: binary stream {path}: {e}");
-                    return false;
-                }
-            }
-        }
-        if let Some(path) = &args.trace_out {
-            if !export_trace(path, t, counters) {
-                return false;
-            }
-        }
-        if let Some(path) = &args.metrics_out {
-            match &outcome {
-                RunOutcome::Flat(r) => {
-                    let page = wavesim_bench::metrics::metrics_snapshot(&net, r, &t.records);
-                    if !write_file(path, &page) {
-                        return false;
-                    }
-                    println!("wrote metrics: {path}");
-                }
-                RunOutcome::Service(_) => {
-                    eprintln!("note: --metrics-out applies to open-loop and replay runs; ignored");
-                }
+            RunOutcome::Service(_) => {
+                eprintln!("note: --metrics-out applies to open-loop and replay runs; ignored");
             }
         }
     }
@@ -1035,26 +930,19 @@ fn custom_run(args: &Args) -> bool {
             s.lane_faults, s.lane_repairs, s.circuits_broken, s.establish_retries
         );
     }
-    let ok = ok && !watchdog_aborted;
+    let ok = ok && !watchdog_aborted(&observed);
     println!(
         "  verdict          : {}",
         if ok { "CLEAN" } else { "CHECK FAILED" }
     );
     if let Some(handle) = &live_handle {
-        tracecap::disarm_extra_sink();
-        match wavesim_analyze::take_analysis(handle) {
-            Some(a) => {
-                println!();
-                println!("live analytics (folded during the run):");
-                print!("{}", wavesim_analyze::report::render(&a));
-            }
-            None => {
-                eprintln!("error: live analytics produced no analysis");
-                return false;
-            }
-        }
+        let a =
+            wavesim_analyze::take_analysis(handle).ok_or("live analytics produced no analysis")?;
+        println!();
+        println!("live analytics (folded during the run):");
+        print!("{}", wavesim_analyze::report::render(&a));
     }
-    ok
+    Ok(ok)
 }
 
 /// `wavesim gen-trace --collective C [--side N] [--len N] [--seed N]
@@ -1062,30 +950,20 @@ fn custom_run(args: &Args) -> bool {
 /// for `run --replay-trace`. A `.jsonl` output name selects the
 /// line-oriented stream format; anything else gets the pretty JSON
 /// document (`load_dep_trace` sniffs either back in by content).
-fn gen_trace_cmd(args: &Args) -> bool {
-    let Some(which) = &args.collective else {
-        eprintln!(
-            "error: gen-trace needs --collective all-to-all|reduce|broadcast|transpose-sweep"
-        );
-        return false;
-    };
-    let Some(out) = &args.out else {
-        eprintln!("error: gen-trace needs --out FILE");
-        return false;
-    };
+fn gen_trace_cmd(args: &Args) -> Outcome {
     let known = ["all-to-all", "reduce", "broadcast", "transpose-sweep"];
+    let which = args
+        .collective
+        .as_ref()
+        .ok_or_else(|| format!("gen-trace needs --collective {}", known.join("|")))?;
+    let out = args.out.as_ref().ok_or("gen-trace needs --out FILE")?;
     if !known.contains(&which.as_str()) {
-        eprintln!(
-            "error: unknown collective {which:?} (use {})",
+        return Err(format!(
+            "unknown collective {which:?} (use {})",
             known.join("|")
-        );
-        return false;
+        ));
     }
-    let topo = if args.torus {
-        Topology::torus(&[args.side, args.side])
-    } else {
-        Topology::mesh(&[args.side, args.side])
-    };
+    let topo = square(args.torus, args.side);
     // transpose-sweep draws per-phase destinations from --seed; the tree
     // collectives are fully determined by the topology.
     let trace = if which == "transpose-sweep" {
@@ -1099,53 +977,37 @@ fn gen_trace_cmd(args: &Args) -> bool {
     } else {
         experiments::e15_collectives::build_trace(&topo, which, args.len)
     };
-    let file = match std::fs::File::create(out) {
-        Ok(f) => std::io::BufWriter::new(f),
-        Err(e) => {
-            eprintln!("error: cannot write {out}: {e}");
-            return false;
-        }
-    };
-    let res = if out.ends_with(".jsonl") {
+    let file = std::fs::File::create(out).map_err(|e| cannot_write(out, e))?;
+    let file = std::io::BufWriter::new(file);
+    if out.ends_with(".jsonl") {
         wavesim_workloads::trace_io::save_dep_trace_jsonl(&trace, file)
     } else {
         wavesim_workloads::trace_io::save_dep_trace(&trace, file)
-    };
-    if let Err(e) = res {
-        eprintln!("error: cannot write {out}: {e}");
-        return false;
     }
+    .map_err(|e| cannot_write(out, e))?;
     println!(
         "wrote {which} trace: {out} ({} messages, {} roots, horizon {})",
         trace.len(),
         trace.num_roots(),
         trace.horizon()
     );
-    true
+    Ok(true)
 }
 
 /// `wavesim analyze` — turns a captured record stream (JSONL or binary
 /// columnar, sniffed by content) into the analytics report (tables on
 /// stdout or `--report`, machine JSON via `--json`, windowed CSV via
 /// `--timeseries`).
-fn analyze_cmd(args: &Args) -> bool {
-    let Some(path) = &args.trace_in else {
-        eprintln!(
-            "error: analyze needs --trace FILE (a stream from `run --trace-jsonl` or `run --trace-bin`)"
-        );
-        return false;
-    };
+fn analyze_cmd(args: &Args) -> Outcome {
+    let path = args.trace_in.as_ref().ok_or(
+        "analyze needs --trace FILE (a stream from `run --trace-jsonl` or `run --trace-bin`)",
+    )?;
     // Stream the capture record-by-record into the incremental engine:
     // peak memory is one frame, whatever the capture size, and the result
     // is identical to the offline fold by construction.
     use wavesim_trace::stream::TraceReader as _;
-    let mut reader = match wavesim_trace::stream::stream_trace_file(std::path::Path::new(path)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return false;
-        }
-    };
+    let mut reader = wavesim_trace::stream::stream_trace_file(std::path::Path::new(path))
+        .map_err(|e| format!("{path}: {e}"))?;
     let mut live = wavesim_analyze::LiveAnalytics::new(wavesim_analyze::AnalyzeOptions {
         window: args.window,
         top_k: args.top,
@@ -1153,139 +1015,51 @@ fn analyze_cmd(args: &Args) -> bool {
         sample_factor: args.trace_sample.max(1),
     });
     while let Some(rec) = reader.next_record() {
-        match rec {
-            Ok(r) => live.fold(&r),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return false;
-            }
-        }
+        live.fold(&rec.map_err(|e| format!("{path}: {e}"))?);
     }
     let analysis = live.finish();
     let report = wavesim_analyze::report::render(&analysis);
     match &args.report_out {
         Some(out) => {
-            if !write_file(out, &report) {
-                return false;
-            }
+            write_file(out, &report)?;
             println!("wrote report: {out}");
         }
         None => print!("{report}"),
     }
     if let Some(out) = &args.json_out {
         let doc = wavesim_analyze::report::to_json(&analysis);
-        if !write_file(out, &doc.pretty()) {
-            return false;
-        }
+        write_file(out, &doc.pretty())?;
         println!("wrote analysis JSON: {out}");
     }
     if let Some(out) = &args.timeseries_csv {
         let csv = wavesim_trace::timeseries::to_csv(&analysis.series, analysis.nodes);
-        if !write_file(out, &csv) {
-            return false;
-        }
+        write_file(out, &csv)?;
         println!(
             "wrote time series: {out} ({} windows)",
             analysis.series.len()
         );
     }
-    true
+    Ok(true)
 }
 
-fn run_experiments(ids: &[&str], scale: Scale, json: bool, jobs: usize, args: &Args) -> bool {
-    let tracing =
-        args.trace_out.is_some() || args.trace_jsonl.is_some() || args.trace_bin.is_some();
-    let watch = watchdog_config(args);
-    let jobs = if (tracing || watch.any()) && jobs > 1 {
-        eprintln!("note: tracing and watchdogs force --jobs 1 (both are thread-local)");
-        1
-    } else {
-        jobs
-    };
-    if args.metrics_out.is_some() {
-        eprintln!("note: --metrics-out applies to `run` only; ignored for experiments");
-    }
-    if args.live_analyze {
-        eprintln!("note: --live-analyze applies to `run` only; ignored for experiments");
-    }
-    if !arm_live_plane(args) {
-        return false;
-    }
-    if watch.any() {
-        wavesim_bench::watchdog::arm(watch);
-    }
-    if tracing {
-        tracecap::arm_flight_recorder(args.flight_recorder);
-    }
-    if let Some(path) = &args.trace_jsonl {
-        // Re-streamed per run: after the sweep the file holds the last
-        // point, matching the flight-recorder export below.
-        if let Err(e) = tracecap::arm_jsonl_stream_per_run(std::path::Path::new(path)) {
-            eprintln!("error: cannot stream to {path}: {e}");
-            return false;
-        }
-    }
-    if let Some(path) = &args.trace_bin {
-        if let Err(e) =
-            tracecap::arm_bin_stream_per_run(std::path::Path::new(path), args.trace_sample)
-        {
-            eprintln!("error: cannot stream to {path}: {e}");
-            return false;
-        }
-    } else if tracing && args.trace_sample > 1 {
-        eprintln!("note: --trace-sample applies to --trace-bin only; ignored");
-    }
+fn run_experiments(ids: &[&str], args: &Args) -> Outcome {
+    let observing = Observing::new(args, false)?;
+    let factory = |exported| observing.observers(exported);
+    let ctx = experiments::Ctx::observed(args.scale, args.jobs, &factory);
     for id in ids {
-        for table in experiments::run_by_id_with_jobs(id, scale, jobs) {
-            if json {
+        for table in experiments::run(id, &ctx) {
+            if args.json {
                 println!("{}", table.to_json().pretty());
             } else {
                 table.print();
             }
         }
     }
-    if wavesim_bench::watchdog::armed() {
-        wavesim_bench::watchdog::disarm();
-    }
-    let watchdog_aborted = print_watchdog_reports();
-    if tracing {
-        tracecap::disarm_flight_recorder();
-        tracecap::disarm_jsonl_stream();
-        tracecap::disarm_bin_stream();
-        let traces = tracecap::take_captured();
-        // Experiments drive many runs; export the last one (for sweeps
-        // this is the highest point — the most loaded, most interesting
-        // trace).
-        match traces.last() {
-            Some(t) => {
-                if let Some(path) = &args.trace_jsonl {
-                    match &t.stream_error {
-                        None => println!("wrote JSONL stream: {path} ({} records)", t.total),
-                        Some(e) => {
-                            eprintln!("error: JSONL stream {path}: {e}");
-                            return false;
-                        }
-                    }
-                }
-                if let Some(path) = &args.trace_bin {
-                    match &t.stream_error {
-                        None => println!("wrote binary stream: {path} ({} records)", t.total),
-                        Some(e) => {
-                            eprintln!("error: binary stream {path}: {e}");
-                            return false;
-                        }
-                    }
-                }
-                if let Some(path) = &args.trace_out {
-                    if !export_trace(path, t, Vec::new()) {
-                        return false;
-                    }
-                }
-            }
-            None => eprintln!("note: no run captured; no trace written"),
-        }
-    }
-    !watchdog_aborted
+    // Experiments drive many runs; what gets exported is the last one (for
+    // sweeps the highest point — the most loaded, most interesting trace).
+    let observed = ctx.into_observed();
+    observing.report(&observed)?;
+    Ok(!watchdog_aborted(&observed))
 }
 
 /// Builds a model-checker spec from the CLI flags. `--model` selects the
@@ -1309,12 +1083,7 @@ fn model_spec(args: &Args) -> Result<wavesim_model::ModelSpec, String> {
     } else {
         2
     };
-    let topo = if args.torus {
-        Topology::torus(&[side, side])
-    } else {
-        Topology::mesh(&[side, side])
-    };
-    let mut spec = ModelSpec::new(topo, protocol, args.k);
+    let mut spec = ModelSpec::new(square(args.torus, side), protocol, args.k);
     if args.msg_list.is_empty() {
         spec = spec.msgs_from_pattern(TrafficPattern::Uniform, args.msgs, args.seed);
     } else {
@@ -1336,23 +1105,26 @@ fn model_spec(args: &Args) -> Result<wavesim_model::ModelSpec, String> {
     Ok(spec)
 }
 
-/// Writes a counterexample's concrete replay trace (JSONL, or `WSTRACE1`
-/// columnar when the path ends in `.bin`), ready for `validate-trace`.
-fn write_counterexample(
+/// Prints a shrunk counterexample and, given a `--counterexample` path,
+/// writes its concrete replay trace there (JSONL, or `WSTRACE1` columnar
+/// when the path ends in `.bin`), ready for `validate-trace`.
+fn report_counterexample(
     spec: &wavesim_model::ModelSpec,
     cx: &wavesim_model::Counterexample,
-    path: &str,
-) -> bool {
-    let rep = wavesim_model::replay_schedule(spec, &cx.schedule);
-    let ok = if path.ends_with(".bin") {
-        std::fs::write(path, rep.columnar()).map_err(|e| e.to_string())
-    } else {
-        std::fs::write(path, rep.jsonl()).map_err(|e| e.to_string())
+    path: Option<&String>,
+) -> Result<(), String> {
+    println!("shrunk schedule ({} actions):", cx.schedule.len());
+    print!("{}", cx.render());
+    let Some(path) = path else {
+        return Ok(());
     };
-    if let Err(e) = ok {
-        eprintln!("error: cannot write {path}: {e}");
-        return false;
+    let rep = wavesim_model::replay_schedule(spec, &cx.schedule);
+    if path.ends_with(".bin") {
+        std::fs::write(path, rep.columnar())
+    } else {
+        std::fs::write(path, rep.jsonl())
     }
+    .map_err(|e| cannot_write(path, e))?;
     println!(
         "wrote counterexample replay trace: {path} ({} records; real network {})",
         rep.records.len(),
@@ -1362,7 +1134,7 @@ fn write_counterexample(
             "reproduces the failure"
         }
     );
-    true
+    Ok(())
 }
 
 /// Describes a model spec on one line (header for check/fuzz output).
@@ -1382,14 +1154,8 @@ fn describe_spec(spec: &wavesim_model::ModelSpec) -> String {
 
 /// Exhaustive model check (`wavesim check --model …`). Returns `false`
 /// (nonzero exit) on violation or an exhausted state budget.
-fn model_check(args: &Args) -> bool {
-    let spec = match model_spec(args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return false;
-        }
-    };
+fn model_check(args: &Args) -> Outcome {
+    let spec = model_spec(args)?;
     println!("exhaustive model check: {}", describe_spec(&spec));
     let out = wavesim_model::check(&spec, args.max_states);
     println!(
@@ -1399,28 +1165,16 @@ fn model_check(args: &Args) -> bool {
     println!("{}", out.verdict());
     if let Some(cx) = &out.violation {
         let cx = wavesim_model::shrink(&spec, cx);
-        println!("shrunk schedule ({} actions):", cx.schedule.len());
-        print!("{}", cx.render());
-        if let Some(path) = &args.counterexample {
-            if !write_counterexample(&spec, &cx, path) {
-                return false;
-            }
-        }
-        return false;
+        report_counterexample(&spec, &cx, args.counterexample.as_ref())?;
+        return Ok(false);
     }
-    out.proved()
+    Ok(out.proved())
 }
 
 /// Randomized schedule fuzzing (`wavesim fuzz`). Returns `false` on a
 /// violation.
-fn fuzz_cmd(args: &Args) -> bool {
-    let spec = match model_spec(args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return false;
-        }
-    };
+fn fuzz_cmd(args: &Args) -> Outcome {
+    let spec = model_spec(args)?;
     println!("schedule fuzz: {}", describe_spec(&spec));
     let cfg = wavesim_model::FuzzConfig {
         seed: args.seed,
@@ -1432,48 +1186,29 @@ fn fuzz_cmd(args: &Args) -> bool {
     println!("{}", out.verdict());
     if let Some((variant, cx)) = &out.violation {
         println!("violating variant: {}", describe_spec(variant));
-        println!("shrunk schedule ({} actions):", cx.schedule.len());
-        print!("{}", cx.render());
-        if let Some(path) = &args.counterexample {
-            if !write_counterexample(variant, cx, path) {
-                return false;
-            }
-        }
-        return false;
+        report_counterexample(variant, cx, args.counterexample.as_ref())?;
+        return Ok(false);
     }
-    true
+    Ok(true)
 }
 
 fn static_checks(side: u16) -> bool {
     let mut ok = true;
-    let cases: Vec<(String, Topology, RoutingKind, u8)> = vec![
+    let cases = [
         (
-            format!("{side}x{side} mesh, deterministic DOR"),
-            Topology::mesh(&[side, side]),
+            "mesh, deterministic DOR",
+            false,
             RoutingKind::Deterministic,
             2,
         ),
-        (
-            format!("{side}x{side} torus, dateline DOR"),
-            Topology::torus(&[side, side]),
-            RoutingKind::Deterministic,
-            2,
-        ),
-        (
-            format!("{side}x{side} mesh, Duato adaptive"),
-            Topology::mesh(&[side, side]),
-            RoutingKind::Adaptive,
-            3,
-        ),
-        (
-            format!("{side}x{side} torus, Duato adaptive"),
-            Topology::torus(&[side, side]),
-            RoutingKind::Adaptive,
-            3,
-        ),
+        ("torus, dateline DOR", true, RoutingKind::Deterministic, 2),
+        ("mesh, Duato adaptive", false, RoutingKind::Adaptive, 3),
+        ("torus, Duato adaptive", true, RoutingKind::Adaptive, 3),
     ];
     println!("static channel-dependency-graph checks (paper §4 grounding):");
-    for (name, topo, kind, w) in cases {
+    for (what, torus, kind, w) in cases {
+        let name = format!("{side}x{side} {what}");
+        let topo = square(torus, side);
         let routing = kind.build(&topo, w);
         let rep = check_deadlock_freedom(&topo, routing.as_ref());
         println!(
@@ -1519,66 +1254,29 @@ fn info() {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    match args.cmd.as_str() {
-        "all" => {
-            if !run_experiments(
-                &experiments::all_ids(),
-                args.scale,
-                args.json,
-                args.jobs,
-                &args,
-            ) {
-                return ExitCode::FAILURE;
-            }
+    let outcome = match args.cmd.as_str() {
+        "all" => run_experiments(&experiments::all_ids(), &args),
+        "check" if args.model.is_some() => model_check(&args),
+        "check" => Ok(static_checks(args.side)),
+        "fuzz" => fuzz_cmd(&args),
+        "info" => {
+            info();
+            Ok(true)
         }
-        "check" => {
-            let ok = if args.model.is_some() {
-                model_check(&args)
-            } else {
-                static_checks(args.side)
-            };
-            if !ok {
-                return ExitCode::FAILURE;
-            }
-        }
-        "fuzz" => {
-            if !fuzz_cmd(&args) {
-                return ExitCode::FAILURE;
-            }
-        }
-        "info" => info(),
-        "run" => {
-            if !custom_run(&args) {
-                return ExitCode::FAILURE;
-            }
-        }
-        "gen-trace" => {
-            if !gen_trace_cmd(&args) {
-                return ExitCode::FAILURE;
-            }
-        }
-        "analyze" => {
-            if !analyze_cmd(&args) {
-                return ExitCode::FAILURE;
-            }
-        }
-        "validate-trace" => {
-            let path = args.path.clone().unwrap_or_else(|| usage());
-            if !validate_trace(&path) {
-                return ExitCode::FAILURE;
-            }
-        }
-        "convert-trace" => {
-            if !convert_trace(&args) {
-                return ExitCode::FAILURE;
-            }
-        }
-        id if experiments::all_ids().contains(&id) => {
-            if !run_experiments(&[id], args.scale, args.json, args.jobs, &args) {
-                return ExitCode::FAILURE;
-            }
-        }
+        "run" => custom_run(&args),
+        "gen-trace" => gen_trace_cmd(&args),
+        "analyze" => analyze_cmd(&args),
+        "validate-trace" => validate_trace(args.path.as_deref().unwrap_or_else(|| usage())),
+        "convert-trace" => convert_trace(&args),
+        id if experiments::all_ids().contains(&id) => run_experiments(&[id], &args),
         _ => usage(),
+    };
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }

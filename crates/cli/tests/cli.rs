@@ -397,3 +397,71 @@ fn removed_shard_flags_fail_like_any_unknown_flag() {
         assert_eq!(err.matches(flag).count(), 1, "usage still lists {flag}");
     }
 }
+
+#[test]
+fn bad_flag_values_are_named_before_the_usage() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--load", "abc"], "invalid value `abc` for `--load`"),
+        (
+            &["--protocol", "foo"],
+            "invalid value `foo` for `--protocol`",
+        ),
+        (&["--window", "0"], "invalid value `0` for `--window`"),
+        (&["--scale", "huge"], "invalid value `huge` for `--scale`"),
+        (&["--side", "4", "--load"], "missing value for `--load`"),
+    ];
+    for (flags, complaint) in cases {
+        let out = wavesim()
+            .arg("run")
+            .args(flags)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        assert!(out.stdout.is_empty(), "{flags:?} must not start a run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let (first, rest) = err.split_once('\n').expect("usage follows the error");
+        assert_eq!(first, format!("error: {complaint}"), "{flags:?}");
+        assert!(rest.starts_with("usage:"), "{flags:?}: {rest}");
+    }
+}
+
+#[test]
+fn observed_sweep_is_byte_identical_across_jobs() {
+    let dir = std::env::temp_dir().join(format!("wavesim-cli-sweep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sweep = |jobs: &str| {
+        let sub = dir.join(jobs);
+        std::fs::create_dir_all(&sub).unwrap();
+        let out = wavesim()
+            .current_dir(&sub)
+            .args(["e11", "--scale", "small", "--jobs", jobs])
+            .args(["--trace-out", "t.json", "--trace-bin", "t.wstrace"])
+            .args(["--watch-stall", "64", "--watch-deadlock"])
+            .args(["--serve-metrics", "127.0.0.1:0"])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !err.contains("force"),
+            "--jobs must not be rewritten: {err}"
+        );
+        (
+            String::from_utf8(out.stdout).unwrap(),
+            std::fs::read(sub.join("t.json")).unwrap(),
+            std::fs::read(sub.join("t.wstrace")).unwrap(),
+        )
+    };
+    let (out1, json1, bin1) = sweep("1");
+    let (out2, json2, bin2) = sweep("2");
+    assert!(out1.contains("watchdog: stall tripped"), "{out1}");
+    assert!(out1.contains("wrote binary stream: t.wstrace"), "{out1}");
+    assert_eq!(out1, out2, "stdout");
+    assert!(json1 == json2, "--trace-out differs across --jobs");
+    assert!(bin1 == bin2, "--trace-bin differs across --jobs");
+    std::fs::remove_dir_all(&dir).ok();
+}

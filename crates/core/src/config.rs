@@ -24,10 +24,11 @@ pub enum ReplacementPolicy {
 }
 
 /// Which §3 protocol drives circuit management.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProtocolKind {
     /// Cache-Like Routing Protocol (§3.1): circuits managed automatically,
     /// network treated as a cache of circuits.
+    #[default]
     Clrp,
     /// Compiler-Aided Routing Protocol (§3.2): circuits established and
     /// torn down by explicit instructions; other messages use wormhole.

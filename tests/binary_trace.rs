@@ -7,9 +7,13 @@
 use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::topology::Topology;
 use wavesim::trace::stream;
-use wavesim::trace::{read_columnar, ColumnarBuf, PlaneId, TraceEvent, TraceRecord, TraceSink};
+use wavesim::trace::{
+    read_columnar, ColumnarBuf, ColumnarSink, JsonlSink, PlaneId, TraceEvent, TraceRecord,
+    TraceSink,
+};
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
-use wavesim_bench::{run_open_loop, tracecap, RunSpec};
+use wavesim_bench::tracecap::Capture;
+use wavesim_bench::{run_open_loop_observed, RunSpec};
 
 /// The largest integer the JSONL codec can carry exactly (its number
 /// layer is f64); the binary codec carries full `u64`, so tests that
@@ -274,6 +278,21 @@ fn capture_workload() -> (WaveNetwork, TrafficSource) {
     (net, src)
 }
 
+fn bin_sink(path: &std::path::Path, sample: u64) -> Box<dyn TraceSink> {
+    let sink = ColumnarSink::create(path).expect("create bin");
+    Box::new(sink.with_sampling(sample))
+}
+
+/// Runs [`capture_workload`] under `cap` and checks the streams flushed.
+fn capture_run(mut cap: Capture) {
+    let (mut net, mut src) = capture_workload();
+    let spec = RunSpec::standard(400, 2_000);
+    let r = run_open_loop_observed(&mut net, &mut src, spec, &mut cap);
+    assert!(r.clean(), "{r:?}");
+    let t = cap.into_trace().expect("captured");
+    assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
+}
+
 /// Streams one real 8x8 run to disk in both formats and checks the
 /// tentpole's contract: the binary stream decodes to exactly the JSONL
 /// stream's records (lossless) in at most a quarter of the bytes.
@@ -282,14 +301,11 @@ fn real_run_binary_stream_is_lossless_and_compact() {
     let pid = std::process::id();
     let jpath = std::env::temp_dir().join(format!("wavesim_bt_lossless_{pid}.jsonl"));
     let bpath = std::env::temp_dir().join(format!("wavesim_bt_lossless_{pid}.wstrace"));
-    let (mut net, mut src) = capture_workload();
-    tracecap::arm_jsonl_stream(&jpath).expect("arm jsonl");
-    tracecap::arm_bin_stream(&bpath, 1).expect("arm bin");
-    let r = run_open_loop(&mut net, &mut src, RunSpec::standard(400, 2_000));
-    assert!(r.clean(), "{r:?}");
-    for t in tracecap::take_captured() {
-        assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
-    }
+    capture_run(
+        Capture::new(1 << 16)
+            .tee(Box::new(JsonlSink::create(&jpath).expect("create jsonl")))
+            .tee(bin_sink(&bpath, 1)),
+    );
     let jbytes = std::fs::read(&jpath).expect("read jsonl");
     let bbytes = std::fs::read(&bpath).expect("read bin");
     let from_jsonl = stream::read_trace_bytes(&jbytes).expect("decode jsonl");
@@ -317,13 +333,7 @@ fn binary_stream_is_byte_identical_on_rerun() {
         let capture = |run: u32| {
             let path =
                 std::env::temp_dir().join(format!("wavesim_bt_rerun_{pid}_{sample}_{run}.wstrace"));
-            let (mut net, mut src) = capture_workload();
-            tracecap::arm_bin_stream(&path, sample).expect("arm bin");
-            let r = run_open_loop(&mut net, &mut src, RunSpec::standard(400, 2_000));
-            assert!(r.clean(), "{r:?}");
-            for t in tracecap::take_captured() {
-                assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
-            }
+            capture_run(Capture::new(1 << 16).tee(bin_sink(&path, sample)));
             let bytes = std::fs::read(&path).expect("read bin");
             let _ = std::fs::remove_file(&path);
             bytes
@@ -347,13 +357,7 @@ fn sampled_stream_is_deterministic_subset() {
     // Two identical deterministic runs, one lossless and one sampled: the
     // record streams match, so the sampled file must be a subset.
     for (path, sample) in [(&full_path, 1u64), (&samp_path, 8)] {
-        let (mut net, mut src) = capture_workload();
-        tracecap::arm_bin_stream(path, sample).expect("arm bin");
-        let r = run_open_loop(&mut net, &mut src, RunSpec::standard(400, 2_000));
-        assert!(r.clean(), "{r:?}");
-        for t in tracecap::take_captured() {
-            assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
-        }
+        capture_run(Capture::new(1 << 16).tee(bin_sink(path, sample)));
     }
     let full = read_columnar(&std::fs::read(&full_path).expect("read full")).expect("decode");
     let samp = read_columnar(&std::fs::read(&samp_path).expect("read samp")).expect("decode");

@@ -23,7 +23,7 @@ fn total_exchange_drains_on_wormhole() {
     );
     let mut trace = CarpTrace::total_exchange(&topo, 16, 60);
     let sends = trace.num_sends() as u64;
-    let r = run_carp_trace(&mut net, &mut trace, RunSpec::standard(0, 4_000));
+    let r = run_carp_trace(&mut net, &mut trace, RunSpec::standard(0, 4_000), &mut ());
     assert!(r.drained && !r.stalled, "{r:?}");
     assert_eq!(r.delivered, sends);
     assert_eq!(r.circuit_fraction, 0.0);
@@ -45,7 +45,7 @@ fn total_exchange_survives_clrp_circuit_thrash() {
     );
     let mut trace = CarpTrace::total_exchange(&topo, 16, 60);
     let sends = trace.num_sends() as u64;
-    let r = run_carp_trace(&mut net, &mut trace, RunSpec::standard(0, 4_000));
+    let r = run_carp_trace(&mut net, &mut trace, RunSpec::standard(0, 4_000), &mut ());
     assert!(r.drained && !r.stalled, "{r:?}");
     assert_eq!(r.delivered, sends);
     let live = check_probe_livelock(&net);
@@ -69,7 +69,7 @@ fn carp_correctly_skips_circuits_for_all_to_all() {
     );
     let mut trace = CarpTrace::total_exchange(&topo, 24, 80);
     let sends = trace.num_sends() as u64;
-    let r = run_carp_trace(&mut net, &mut trace, RunSpec::standard(0, 4_000));
+    let r = run_carp_trace(&mut net, &mut trace, RunSpec::standard(0, 4_000), &mut ());
     assert!(r.drained && !r.stalled);
     assert_eq!(r.delivered, sends);
     assert_eq!(r.wave.probes_sent, 0, "no ESTABLISH ops, no probes");

@@ -8,7 +8,9 @@ use wavesim::workloads::trace_io;
 use wavesim::workloads::{
     CarpTrace, FaultSchedule, LengthDist, TrafficConfig, TrafficPattern, TrafficSource,
 };
-use wavesim_bench::experiments::{e11_loadsweep, e13_dsm, e14_dynamic_faults, e15_collectives};
+use wavesim_bench::experiments::{
+    e11_loadsweep, e13_dsm, e14_dynamic_faults, e15_collectives, Ctx,
+};
 use wavesim_bench::{
     apply_fault_schedule, run_carp_trace, run_open_loop, ParallelSweep, RunSpec, Scale,
 };
@@ -154,11 +156,9 @@ fn e11_table_is_identical_across_job_counts() {
         warmup: 500,
         sweep_points: 3,
     };
-    let serial = e11_loadsweep::run(scale);
-    let one = e11_loadsweep::run_with_jobs(scale, 1);
-    let four = e11_loadsweep::run_with_jobs(scale, 4);
+    let serial = e11_loadsweep::run(&Ctx::unobserved(scale, 1));
+    let four = e11_loadsweep::run(&Ctx::unobserved(scale, 4));
     assert!(!serial.rows.is_empty());
-    assert_eq!(serial.rows, one.rows);
     assert_eq!(serial.rows, four.rows, "--jobs 4 must not change the table");
 }
 
@@ -173,11 +173,9 @@ fn e13_table_is_identical_across_job_counts() {
         warmup: 500,
         sweep_points: 3,
     };
-    let serial = e13_dsm::run(scale);
-    let one = e13_dsm::run_with_jobs(scale, 1);
-    let four = e13_dsm::run_with_jobs(scale, 4);
+    let serial = e13_dsm::run(&Ctx::unobserved(scale, 1));
+    let four = e13_dsm::run(&Ctx::unobserved(scale, 4));
     assert!(!serial.rows.is_empty());
-    assert_eq!(serial.rows, one.rows);
     assert_eq!(serial.rows, four.rows, "--jobs 4 must not change the table");
 }
 
@@ -192,12 +190,102 @@ fn e14_fault_schedule_table_is_identical_across_job_counts() {
         warmup: 500,
         sweep_points: 3,
     };
-    let serial = e14_dynamic_faults::run(scale);
-    let one = e14_dynamic_faults::run_with_jobs(scale, 1);
-    let four = e14_dynamic_faults::run_with_jobs(scale, 4);
+    let serial = e14_dynamic_faults::run(&Ctx::unobserved(scale, 1));
+    let four = e14_dynamic_faults::run(&Ctx::unobserved(scale, 4));
     assert!(!serial.rows.is_empty());
-    assert_eq!(serial.rows, one.rows);
     assert_eq!(serial.rows, four.rows, "--jobs 4 must not change the table");
+}
+
+/// The observer seam costs no determinism: E11 under a full observer set
+/// — flight-recorder ring, binary stream, sampler, watchdog — yields the
+/// same table, the same exported Perfetto document, the same stream bytes
+/// and the same watchdog reports at `--jobs 1` and `--jobs 2`, because
+/// every run carries its own observers onto whichever worker runs it.
+/// And only one capture survives the sweep: the last run's.
+#[test]
+fn observed_e11_sweep_is_identical_across_job_counts() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use wavesim::trace::{perfetto, timeseries};
+    use wavesim_bench::timeseries::Sampler;
+    use wavesim_bench::tracecap::Capture;
+    use wavesim_bench::watchdog::{Watchdog, WatchdogConfig};
+    use wavesim_bench::Observers;
+
+    let scale = Scale {
+        side: 4,
+        measure: 2_000,
+        warmup: 500,
+        sweep_points: 3,
+    };
+    let observed_sweep = |jobs: usize| {
+        let path = std::env::temp_dir().join(format!(
+            "wavesim_det_seam_{}_{jobs}.wstrace",
+            std::process::id()
+        ));
+        let (runs, exported_runs) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let factory = |exported: bool| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            let mut capture = Capture::new(1 << 12);
+            if exported {
+                exported_runs.fetch_add(1, Ordering::Relaxed);
+                let stream = wavesim::trace::ColumnarSink::create(&path).expect("create");
+                capture = capture.tee(Box::new(stream));
+            }
+            Observers {
+                capture: Some(capture),
+                sampler: Some(Sampler::new(500, false)),
+                // Tight enough to trip (without aborting) in the sparse
+                // low-load runs, so the reports are not vacuous.
+                watchdog: Some(Watchdog::new(WatchdogConfig {
+                    stall_cycles: Some(64),
+                    deadlock: true,
+                    ..WatchdogConfig::default()
+                })),
+                board: None,
+            }
+        };
+        let ctx = Ctx::observed(scale, jobs, &factory);
+        let table = e11_loadsweep::run(&ctx);
+        let observed = ctx.into_observed();
+        // Three load points, wormhole and wave at each; only the last
+        // point's two runs may stream and be kept.
+        assert_eq!(runs.load(Ordering::Relaxed), 6);
+        assert_eq!(exported_runs.load(Ordering::Relaxed), 2);
+        assert_eq!(observed.reports.len(), 6, "one report per run, all kept");
+        let trace = observed.trace.as_ref().expect("the last run's capture");
+        assert!(trace.stream_error.is_none(), "{:?}", trace.stream_error);
+        let series = observed.series.as_ref().expect("the last run's series");
+        let counters = timeseries::perfetto_counters(&series.rows, series.nodes);
+        let perfetto = perfetto::export_with_counters(&trace.records, counters).compact();
+        let stream = std::fs::read(&path).expect("stream written");
+        std::fs::remove_file(&path).ok();
+        // The file holds the kept run, whole.
+        let streamed = wavesim::trace::read_columnar(&stream).expect("decode");
+        assert_eq!(streamed.len() as u64, trace.total);
+        (table.rows, perfetto, stream, observed)
+    };
+    let (rows1, perfetto1, stream1, observed1) = observed_sweep(1);
+    let (rows2, perfetto2, stream2, observed2) = observed_sweep(2);
+    assert_eq!(
+        rows1,
+        e11_loadsweep::run(&Ctx::unobserved(scale, 1)).rows,
+        "observers must not move the table"
+    );
+    assert_eq!(rows1, rows2);
+    assert_eq!(perfetto1, perfetto2);
+    assert!(
+        stream1 == stream2,
+        "--jobs 2 changed the stream file's bytes"
+    );
+    assert!(
+        observed1.reports.iter().any(|r| !r.trips.is_empty()),
+        "no watchdog tripped; tighten the SLO"
+    );
+    assert_eq!(
+        format!("{:?}", observed1.reports),
+        format!("{:?}", observed2.reports)
+    );
+    assert_eq!(observed1, observed2);
 }
 
 // ---------------------------------------------------------------------
@@ -274,7 +362,7 @@ fn golden_trace_e11_table_matches_seed_kernel() {
         warmup: 500,
         sweep_points: 3,
     };
-    let table = e11_loadsweep::run(scale);
+    let table = e11_loadsweep::run(&Ctx::unobserved(scale, 1));
     golden_check(
         "e11_rows",
         hash_str(&format!("{:?}", table.rows)),
@@ -293,7 +381,7 @@ fn golden_trace_e14_table_is_reproducible() {
         warmup: 500,
         sweep_points: 3,
     };
-    let table = e14_dynamic_faults::run(scale);
+    let table = e14_dynamic_faults::run(&Ctx::unobserved(scale, 1));
     golden_check(
         "e14_rows",
         hash_str(&format!("{:?}", table.rows)),
@@ -318,7 +406,7 @@ fn golden_trace_clrp_carp_mixed_workload_matches_seed_kernel() {
             },
         );
         let mut trace = CarpTrace::stencil(&topo, 3, 4, 32, 600, 200);
-        let r = run_carp_trace(&mut net, &mut trace, RunSpec::standard(100, 1_500));
+        let r = run_carp_trace(&mut net, &mut trace, RunSpec::standard(100, 1_500), &mut ());
         assert!(r.delivered > 0, "{protocol:?} stencil must deliver");
         format!("{r:?}")
     };
@@ -365,7 +453,7 @@ fn torus_run(side: u16, protocol: ProtocolKind, faults: bool) -> String {
     let r = match protocol {
         ProtocolKind::Carp => {
             let mut trace = CarpTrace::stencil(&topo, 3, 4, 32, 400, 150);
-            run_carp_trace(&mut net, &mut trace, RunSpec::standard(150, 1_200))
+            run_carp_trace(&mut net, &mut trace, RunSpec::standard(150, 1_200), &mut ())
         }
         _ => {
             let mut src = TrafficSource::new(
@@ -479,11 +567,9 @@ fn e15_table_is_identical_across_job_counts() {
         warmup: 500,
         sweep_points: 2,
     };
-    let serial = e15_collectives::run(scale);
-    let one = e15_collectives::run_with_jobs(scale, 1);
-    let four = e15_collectives::run_with_jobs(scale, 4);
+    let serial = e15_collectives::run(&Ctx::unobserved(scale, 1));
+    let four = e15_collectives::run(&Ctx::unobserved(scale, 4));
     assert!(!serial.rows.is_empty());
-    assert_eq!(serial.rows, one.rows);
     assert_eq!(serial.rows, four.rows, "--jobs 4 must not change the table");
 }
 
@@ -500,7 +586,10 @@ fn golden_trace_e13_and_e15_tables_are_reproducible() {
     };
     golden_check(
         "e13_rows",
-        hash_str(&format!("{:?}", e13_dsm::run(scale).rows)),
+        hash_str(&format!(
+            "{:?}",
+            e13_dsm::run(&Ctx::unobserved(scale, 1)).rows
+        )),
         0x0a2a_730d_def9_e8e4,
     );
     let scale = Scale {
@@ -509,7 +598,10 @@ fn golden_trace_e13_and_e15_tables_are_reproducible() {
     };
     golden_check(
         "e15_rows",
-        hash_str(&format!("{:?}", e15_collectives::run(scale).rows)),
+        hash_str(&format!(
+            "{:?}",
+            e15_collectives::run(&Ctx::unobserved(scale, 1)).rows
+        )),
         0x3c9a_aca5_3ba0_b86a,
     );
 }

@@ -1,15 +1,13 @@
-//! The live observability plane, end to end: the global status board, the
-//! HTTP endpoint, the in-run analytics fold, and the watchdog subsystem —
-//! plus the determinism guarantee that arming all of it changes nothing
-//! about a run's results.
+//! The live observability plane, end to end: the status board, the HTTP
+//! endpoint, the in-run analytics fold, and the watchdog subsystem — plus
+//! the determinism guarantee that observing with all of it changes
+//! nothing about a run's results.
 //!
-//! The status board is process-global (the serving thread reads what the
-//! drive loop writes), so every test that arms it serializes on [`PLANE`];
-//! this suite owns its process, so nothing else races the board.
+//! Every observer is a value handed to the run it watches, so the tests
+//! here share no state and need no serialization.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Mutex;
 
 use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim::network::Message;
@@ -19,20 +17,15 @@ use wavesim::trace::timeseries::WindowSeries;
 use wavesim::trace::TraceRecord;
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 use wavesim_analyze::{analyze, report, take_analysis, AnalyzeOptions};
-use wavesim_bench::{livestate, run_open_loop, run_scripted, serve, tracecap, watchdog, RunSpec};
-
-/// Serializes tests that arm the process-global status board.
-static PLANE: Mutex<()> = Mutex::new(());
-
-fn lock_plane() -> std::sync::MutexGuard<'static, ()> {
-    PLANE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use wavesim_bench::livestate::StatusBoard;
+use wavesim_bench::timeseries::Sampler;
+use wavesim_bench::tracecap::Capture;
+use wavesim_bench::watchdog::{Watchdog, WatchdogConfig};
+use wavesim_bench::{run_open_loop_observed, run_scripted, serve, Observers, RunObserver, RunSpec};
 
 /// One deterministic open-loop workload; everything derives from the
 /// arguments so repeat runs are bit-identical.
-fn drive_workload(seed: u64) -> wavesim_bench::RunResult {
+fn drive_workload(seed: u64, obs: &mut dyn RunObserver) -> wavesim_bench::RunResult {
     let topo = Topology::mesh(&[4, 4]);
     let mut net = WaveNetwork::new(
         topo.clone(),
@@ -54,47 +47,48 @@ fn drive_workload(seed: u64) -> wavesim_bench::RunResult {
             stop_at: u64::MAX,
         },
     );
-    run_open_loop(&mut net, &mut src, RunSpec::standard(500, 3000))
+    run_open_loop_observed(&mut net, &mut src, RunSpec::standard(500, 3000), obs)
 }
 
-/// Runs [`drive_workload`] with the flight recorder armed (and, when
+/// Runs [`drive_workload`] under `obs` plus a flight recorder (and, when
 /// `live`, the in-run analytics fold teed beside it). Returns the run
-/// result, the live analysis, and the captured record stream.
+/// result, the live analysis, the captured record stream, and the
+/// observers the caller passed in.
 fn captured_run(
     seed: u64,
     live: bool,
+    mut obs: Observers,
 ) -> (
     wavesim_bench::RunResult,
     Option<wavesim_analyze::Analysis>,
     Vec<TraceRecord>,
+    Observers,
 ) {
-    tracecap::arm_flight_recorder(1 << 20);
-    let handle = live.then(|| {
+    let capture = Capture::new(1 << 20);
+    let (handle, capture) = if live {
         let (handle, sink) = wavesim_analyze::live_sink(AnalyzeOptions::default());
-        let mut slot = Some(sink);
-        tracecap::arm_extra_sink(move || {
-            Box::new(slot.take().expect("one live sink per armed run"))
-        });
-        handle
-    });
-    let r = drive_workload(seed);
-    tracecap::disarm_flight_recorder();
-    tracecap::disarm_extra_sink();
-    let mut caps = tracecap::take_captured();
-    assert_eq!(caps.len(), 1);
-    let cap = caps.pop().unwrap();
+        (Some(handle), capture.tee(Box::new(sink)))
+    } else {
+        (None, capture)
+    };
+    obs.capture = Some(capture);
+    let r = drive_workload(seed, &mut obs);
+    let cap = obs
+        .capture
+        .take()
+        .and_then(Capture::into_trace)
+        .expect("captured");
     assert_eq!(cap.dropped, 0, "ring must hold the whole run");
     let analysis = handle.as_ref().and_then(take_analysis);
-    (r, analysis, cap.records)
+    (r, analysis, cap.records, obs)
 }
 
 #[test]
 fn armed_board_publishes_consistent_vitals() {
-    let _guard = lock_plane();
-    livestate::arm(false);
-    let r = drive_workload(11);
-    let status = livestate::snapshot().expect("armed board has a status");
-    livestate::disarm();
+    let board = StatusBoard::new(false);
+    assert!(board.snapshot().is_none(), "nothing published yet");
+    let r = drive_workload(11, &mut board.observer());
+    let status = board.snapshot().expect("the run published");
     assert!(status.done, "finish() marks the run done");
     assert_eq!(status.cycle, r.end);
     assert_eq!(status.sent, r.sent);
@@ -102,15 +96,17 @@ fn armed_board_publishes_consistent_vitals() {
     assert!(status.run.starts_with("clrp mesh-4x4"), "{}", status.run);
     assert!(status.cycles_per_sec > 0.0);
     assert!((0.0..=1.0).contains(&status.hit_rate()));
-    assert!(livestate::snapshot().is_none(), "disarm hides the board");
+    assert!(
+        StatusBoard::new(false).snapshot().is_none(),
+        "another board saw nothing"
+    );
 }
 
 #[test]
 fn endpoint_serves_armed_board_over_http() {
-    let _guard = lock_plane();
-    livestate::arm(false);
-    let r = drive_workload(12);
-    let addr = serve::serve("127.0.0.1:0").expect("bind");
+    let board = StatusBoard::new(false);
+    let r = drive_workload(12, &mut board.observer());
+    let addr = serve::serve("127.0.0.1:0", board).expect("bind");
     let get = |path: &str| {
         let mut c = TcpStream::connect(addr).expect("connect");
         c.write_all(format!("GET {path} HTTP/1.0\r\nHost: x\r\n\r\n").as_bytes())
@@ -121,7 +117,6 @@ fn endpoint_serves_armed_board_over_http() {
     };
     let prom = get("/metrics");
     let json = get("/status");
-    livestate::disarm();
 
     assert!(prom.starts_with("HTTP/1.0 200"), "{prom}");
     let body = prom.split("\r\n\r\n").nth(1).expect("body");
@@ -154,8 +149,7 @@ fn endpoint_serves_armed_board_over_http() {
 
 #[test]
 fn live_fold_matches_offline_analyze() {
-    let _guard = lock_plane();
-    let (r, live, records) = captured_run(21, true);
+    let (r, live, records, _) = captured_run(21, true, Observers::default());
     assert!(r.clean(), "{r:?}");
     let live = live.expect("armed live fold yields an analysis");
     let offline = analyze(&records, AnalyzeOptions::default());
@@ -170,24 +164,25 @@ fn live_fold_matches_offline_analyze() {
 
 #[test]
 fn fully_armed_plane_leaves_the_run_untouched() {
-    let _guard = lock_plane();
-    let (baseline, _, base_records) = captured_run(31, false);
-    // Arm everything at once: board, echo off, generous watchdog, live
-    // fold. The run result and the captured record stream must not move.
-    livestate::arm(false);
-    watchdog::arm(watchdog::WatchdogConfig {
-        stall_cycles: Some(1_000_000),
-        retry_limit: Some(1_000_000),
-        deadlock: true,
-        abort: true,
-        ..watchdog::WatchdogConfig::default()
-    });
-    let (armed, live, armed_records) = captured_run(31, true);
-    watchdog::disarm();
-    livestate::disarm();
-    let wd = watchdog::take_reports();
-    assert_eq!(wd.len(), 1);
-    assert!(wd[0].trips.is_empty(), "{:?}", wd[0]);
+    let (baseline, _, base_records, _) = captured_run(31, false, Observers::default());
+    // Everything at once: board, echo off, generous watchdog, live fold.
+    // The run result and the captured record stream must not move.
+    let board = StatusBoard::new(false);
+    let plane = Observers {
+        watchdog: Some(Watchdog::new(WatchdogConfig {
+            stall_cycles: Some(1_000_000),
+            retry_limit: Some(1_000_000),
+            deadlock: true,
+            abort: true,
+            ..WatchdogConfig::default()
+        })),
+        board: Some(board.observer()),
+        ..Observers::default()
+    };
+    let (armed, live, armed_records, plane) = captured_run(31, true, plane);
+    let wd = plane.watchdog.expect("set above").into_report();
+    assert!(wd.trips.is_empty(), "{wd:?}");
+    assert!(board.snapshot().is_some_and(|s| s.done));
     assert!(live.is_some());
     assert_eq!(format!("{baseline:?}"), format!("{armed:?}"));
     assert_eq!(base_records, armed_records);
@@ -195,7 +190,6 @@ fn fully_armed_plane_leaves_the_run_untouched() {
 
 #[test]
 fn watchdog_abort_truncates_the_sampled_series_at_the_trip() {
-    let _guard = lock_plane();
     // One long wormhole message and a 16-cycle stall SLO: the first
     // 64-cycle observation trips and aborts, mid-window for the sampler.
     let mut net = WaveNetwork::new(
@@ -206,19 +200,19 @@ fn watchdog_abort_truncates_the_sampled_series_at_the_trip() {
         },
     );
     let script = [(0u64, Message::new(1, NodeId(0), NodeId(15), 512, 0))];
-    watchdog::arm(watchdog::WatchdogConfig {
-        stall_cycles: Some(16),
-        abort: true,
-        ..watchdog::WatchdogConfig::default()
-    });
-    wavesim_bench::timeseries::arm_sampler(1000, false);
-    let r = run_scripted(&mut net, &script, RunSpec::standard(0, 100));
-    wavesim_bench::timeseries::disarm_sampler();
-    watchdog::disarm();
-    let reports = watchdog::take_reports();
-    assert!(reports[0].aborted);
+    let mut obs = Observers {
+        sampler: Some(Sampler::new(1000, false)),
+        watchdog: Some(Watchdog::new(WatchdogConfig {
+            stall_cycles: Some(16),
+            abort: true,
+            ..WatchdogConfig::default()
+        })),
+        ..Observers::default()
+    };
+    let r = run_scripted(&mut net, &script, RunSpec::standard(0, 100), &mut obs);
+    assert!(obs.watchdog.expect("set above").into_report().aborted);
     assert!(r.stalled && !r.clean());
-    let series = wavesim_bench::timeseries::take_series().expect("sampled");
+    let series = obs.sampler.and_then(Sampler::into_series).expect("sampled");
     // The final (partial) window ends at the abort cycle, not at the
     // window boundary — early aborts never fabricate a full window.
     let last = series.rows.last().expect("at least one window");

@@ -9,7 +9,8 @@ use wavesim::topology::{NodeId, Topology};
 use wavesim::trace::perfetto;
 use wavesim::trace::VecSink;
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
-use wavesim_bench::{run_open_loop, tracecap, RunSpec};
+use wavesim_bench::tracecap::Capture;
+use wavesim_bench::{run_open_loop_observed, RunSpec};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -112,14 +113,13 @@ fn traced_16x16_clrp_run_emits_valid_perfetto() {
             ..TrafficConfig::default()
         },
     );
-    tracecap::arm_flight_recorder(1 << 18);
-    let r = run_open_loop(&mut net, &mut src, RunSpec::standard(200, 1_000));
-    tracecap::disarm_flight_recorder();
-    let traces = tracecap::take_captured();
-    assert_eq!(traces.len(), 1);
+    let mut cap = Capture::new(1 << 18);
+    let spec = RunSpec::standard(200, 1_000);
+    let r = run_open_loop_observed(&mut net, &mut src, spec, &mut cap);
+    let trace = cap.into_trace().expect("captured");
     assert!(r.clean(), "{r:?}");
 
-    let doc = perfetto::export(&traces[0].records);
+    let doc = perfetto::export(&trace.records);
     let summary = perfetto::validate(&doc).expect("valid at evaluation scale");
     assert!(summary.events > 100, "{summary:?}");
     assert!(summary.spans > 10, "{summary:?}");
