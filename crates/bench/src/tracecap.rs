@@ -155,6 +155,12 @@ mod tests {
         (net, src)
     }
 
+    /// Every record of the stream file at `path`, either format.
+    fn read_file(path: &std::path::Path) -> Vec<wavesim_trace::TraceRecord> {
+        let file = std::fs::File::open(path).expect("stream file exists");
+        wavesim_trace::read_trace(file).expect("stream file decodes")
+    }
+
     /// One 4x4 run under `cap`; returns the result and the capture's trace.
     fn captured_run(mut cap: Capture, spec: RunSpec) -> (crate::RunResult, RunTrace) {
         let (mut net, mut src) = workload(0.1, 32);
@@ -197,7 +203,7 @@ mod tests {
         assert!(r.clean(), "{r:?}");
         assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
         assert!(t.dropped > 0, "the tiny ring must have wrapped");
-        let streamed = wavesim_trace::stream::read_jsonl_file(&path).expect("parse");
+        let streamed = read_file(&path);
         std::fs::remove_file(&path).ok();
         // The file holds every record the ring was offered, gap-free.
         assert_eq!(streamed.len() as u64, t.total);
@@ -225,7 +231,7 @@ mod tests {
             last_total = t.total;
         }
         // The file was truncated per run, so it holds exactly the last one.
-        let streamed = wavesim_trace::stream::read_jsonl_file(&path).expect("parse");
+        let streamed = read_file(&path);
         std::fs::remove_file(&path).ok();
         assert_eq!(streamed.len() as u64, last_total);
         assert_eq!(streamed[0].seq, 0, "a fresh capture restarts at seq 0");
@@ -242,8 +248,8 @@ mod tests {
         let (r, t) = captured_run(cap, RunSpec::standard(200, 1_000));
         assert!(r.clean(), "{r:?}");
         assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
-        let jsonl = wavesim_trace::stream::read_jsonl_file(&jpath).expect("parse jsonl");
-        let bin = wavesim_trace::read_trace_file(&bpath).expect("decode bin");
+        let jsonl = read_file(&jpath);
+        let bin = read_file(&bpath);
         let jsonl_bytes = std::fs::metadata(&jpath).expect("stat").len();
         let bin_bytes = std::fs::metadata(&bpath).expect("stat").len();
         std::fs::remove_file(&jpath).ok();

@@ -91,6 +91,19 @@ pub struct WatchdogReport {
     pub post_mortem: Option<PathBuf>,
 }
 
+impl Trip {
+    /// The fired rule's name, as reports print it.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self.rule {
+            1 => "stall",
+            2 => "retry-storm",
+            4 => "wait-cycle",
+            _ => "unknown",
+        }
+    }
+}
+
 /// Watches one run under a [`WatchdogConfig`].
 #[derive(Default)]
 pub struct Watchdog {

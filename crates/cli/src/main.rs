@@ -450,33 +450,40 @@ fn export_trace(
 /// JSONL record streams (`--trace-jsonl`), and Perfetto exports
 /// (`--trace-out`) are all recognised by content, not extension.
 fn validate_trace(path: &str) -> Outcome {
-    use wavesim_trace::stream::TraceFormat;
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if TraceFormat::detect(&bytes) == TraceFormat::Columnar {
-        let records = wavesim_trace::read_columnar(&bytes)
-            .map_err(|e| format!("{path}: corrupt binary trace: {e}"))?;
-        println!(
-            "{path}: valid binary columnar trace — {} records ({} bytes)",
-            records.len(),
-            bytes.len()
-        );
-        return Ok(true);
-    }
-    let text = std::str::from_utf8(&bytes)
-        .map_err(|e| format!("{path}: neither a binary trace nor UTF-8 JSON: {e}"))?;
-    // A JSONL record stream is many one-object lines; a Perfetto export is
-    // one document. Try the record schema first so a single-record stream
-    // is not misread as a malformed Perfetto file.
-    if let Ok(records) = wavesim_trace::stream::read_jsonl(text) {
-        if !records.is_empty() {
-            println!(
-                "{path}: valid JSONL record stream — {} records",
-                records.len()
-            );
-            return Ok(true);
+    use wavesim_trace::stream::{stream_trace_file, TraceFormat, TraceReader as _};
+    // The two record formats are counted through the streaming reader, in
+    // bounded memory whatever the capture size.
+    let mut reader =
+        stream_trace_file(std::path::Path::new(path)).map_err(|e| format!("cannot read {e}"))?;
+    let mut records: u64 = 0;
+    let mut failure = None;
+    while let Some(rec) = reader.next_record() {
+        match rec {
+            Ok(_) => records += 1,
+            Err(e) => failure = Some(e),
         }
     }
-    let doc = wavesim_json::Value::parse(text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
+    // A JSONL record stream is many one-object lines; a Perfetto export is
+    // one document. The record schema goes first so a single-record stream
+    // is not misread as a malformed Perfetto file.
+    let binary = reader.format() == TraceFormat::Columnar;
+    if binary || records > 0 {
+        if let Some(e) = failure {
+            let what = if binary { "binary" } else { "JSONL" };
+            return Err(format!("{path}: corrupt {what} trace: {e}"));
+        }
+        if binary {
+            let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
+            println!("{path}: valid binary columnar trace — {records} records ({bytes} bytes)");
+        } else {
+            println!("{path}: valid JSONL record stream — {records} records");
+        }
+        return Ok(true);
+    }
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("{path}: neither a binary trace nor UTF-8 JSON: {e}"))?;
+    let doc =
+        wavesim_json::Value::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
     let s = wavesim_trace::perfetto::validate(&doc).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "{path}: valid Perfetto trace — {} events ({} spans, {} instants)",
@@ -648,15 +655,12 @@ impl<'a> Observing<'a> {
         let a = self.args;
         for rep in &observed.reports {
             for t in &rep.trips {
-                let name = match t.rule {
-                    1 => "stall",
-                    2 => "retry-storm",
-                    4 => "wait-cycle",
-                    _ => "unknown",
-                };
                 println!(
-                    "watchdog: {name} tripped at cycle {}: {} > limit {}",
-                    t.at, t.value, t.limit
+                    "watchdog: {} tripped at cycle {}: {} > limit {}",
+                    t.name(),
+                    t.at,
+                    t.value,
+                    t.limit
                 );
             }
             if let Some(p) = &rep.post_mortem {

@@ -142,6 +142,41 @@ fn validate_trace_rejects_malformed_input() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
+
+    // A truncated capture, one with a corrupt length byte and a JSONL
+    // stream with a bad line: exit 1 (not a panic's 101) and an `error:`
+    // that says where, from both commands that read a capture.
+    use wavesim_trace::{TraceRecord, TraceSink as _};
+    let mut capture = wavesim_trace::ColumnarBuf::new();
+    let mut jsonl = String::new();
+    for (seq, ev) in wavesim_trace::every_event(1 << 40).into_iter().enumerate() {
+        let (at, seq) = (seq as u64 / 2, seq as u64);
+        let rec = TraceRecord { at, seq, ev };
+        capture.record(rec);
+        wavesim_trace::stream::encode_record(&mut jsonl, &rec);
+        jsonl.push_str(if seq == 1 { "}\n" } else { "\n" });
+    }
+    let bytes = capture.into_bytes();
+    let mut corrupt = bytes.clone();
+    corrupt[8] = 0xff; // the first frame's record count
+    for (name, content, says) in [
+        (
+            "cut.wstrace",
+            &bytes[..bytes.len() - 7],
+            "frame at byte 8: truncated",
+        ),
+        ("corrupt.wstrace", &corrupt[..], "frame at byte 8: "),
+        ("badline.jsonl", jsonl.as_bytes(), "line 2: "),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, content).unwrap();
+        for cmd in [&["validate-trace"][..], &["analyze", "--trace"]] {
+            let out = wavesim().args(cmd).arg(&path).output().expect("runs");
+            let err = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+            assert!(err.starts_with("error: ") && err.contains(says), "{err}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

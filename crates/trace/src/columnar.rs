@@ -17,6 +17,10 @@
 //!   varints;
 //! * booleans (`force`, `misroute`) fold into the kind-tag byte.
 //!
+//! Which tag a variant has and which fields follow it is the schema
+//! table's business (`schema.rs`: 23 variants, 25 tags — `plane_tick`
+//! takes one per plane); this module frames the columns.
+//!
 //! The result is typically 6–9 bytes per record — less than a tenth of
 //! the JSONL line — and the encoder is pure integer appends, cheap enough
 //! to gate emission+encode below 5 % of the untraced run on one core.
@@ -28,8 +32,9 @@
 //! loses at most its trailing frame, and frames decode with bounded
 //! memory.
 
+use crate::schema::{decode_event, encode_event};
 use crate::stream::ChunkEncoder;
-use crate::{PlaneId, TraceEvent, TraceRecord, TraceSink};
+use crate::{TraceRecord, TraceSink};
 
 /// File magic prefixing every columnar capture (8 bytes, version baked in).
 pub const MAGIC: [u8; 8] = *b"WSTRACE1";
@@ -37,8 +42,17 @@ pub const MAGIC: [u8; 8] = *b"WSTRACE1";
 /// Frame flag bit: an explicit sequence column follows the cycle column.
 const FLAG_EXPLICIT_SEQ: u8 = 0x01;
 
-/// Kind-tag bit carrying the variant's boolean field (`force`/`misroute`).
-const TAG_BOOL: u8 = 0x40;
+/// Most records one frame may hold. The encoder splits larger chunks and
+/// the decoder refuses a larger count, so a corrupt header cannot make a
+/// reader buffer an unbounded "frame".
+pub const MAX_FRAME_RECORDS: usize = 1 << 16;
+
+/// Most payload fields one record carries (checked against the schema
+/// table); with [`MAX_VARINT`] it bounds every per-record column size.
+pub(crate) const MAX_RECORD_FIELDS: usize = 6;
+
+/// Longest LEB128 encoding of a `u64`.
+const MAX_VARINT: usize = 10;
 
 // ---------------------------------------------------------------------
 // Varint primitives
@@ -46,7 +60,7 @@ const TAG_BOOL: u8 = 0x40;
 
 /// Appends `v` as an LEB128 varint (7 bits per byte, high bit = more).
 #[inline]
-fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         buf.push((v as u8) | 0x80);
         v >>= 7;
@@ -66,63 +80,39 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// Why a window of bytes did not decode.
+#[derive(Debug)]
+pub(crate) enum FrameError {
+    /// The window ends inside the value; more bytes may complete it.
+    Short,
+    /// The bytes are malformed whatever follows them.
+    Bad(String),
+}
+
 /// Reads one varint from `bytes` at `*pos`, advancing it.
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
+pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, FrameError> {
+    let overflow = || FrameError::Bad("varint overflows u64".into());
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        let &b = bytes
-            .get(*pos)
-            .ok_or("truncated varint (unexpected end of frame)")?;
+        let &b = bytes.get(*pos).ok_or(FrameError::Short)?;
         *pos += 1;
         if shift >= 64 {
-            return Err("varint overflows u64".into());
+            return Err(overflow());
         }
         v |= u64::from(b & 0x7f)
             .checked_shl(shift)
-            .ok_or("varint overflows u64")?;
+            .ok_or_else(overflow)?;
         if b & 0x80 == 0 {
             // Reject non-canonical encodings that would silently alias.
             if shift == 63 && b > 1 {
-                return Err("varint overflows u64".into());
+                return Err(overflow());
             }
             return Ok(v);
         }
         shift += 7;
     }
 }
-
-// ---------------------------------------------------------------------
-// Kind tags
-// ---------------------------------------------------------------------
-
-// `PlaneTick` folds its plane into the tag, so 22 enum variants become 24
-// tag values. Tags are part of the on-disk format: append only.
-const T_TICK_DATA: u8 = 0;
-const T_TICK_CTRL: u8 = 1;
-const T_TICK_CIRC: u8 = 2;
-const T_PROBE_LAUNCH: u8 = 3;
-const T_PROBE_HOP: u8 = 4;
-const T_PROBE_BACKTRACK: u8 = 5;
-const T_PROBE_PARK: u8 = 6;
-const T_PROBE_REACHED: u8 = 7;
-const T_PROBE_EXHAUSTED: u8 = 8;
-const T_CIRCUIT_ESTABLISHED: u8 = 9;
-const T_CIRCUIT_RELEASED: u8 = 10;
-const T_CIRCUIT_ABANDONED: u8 = 11;
-const T_FORCED_RELEASE: u8 = 12;
-const T_CACHE_HIT: u8 = 13;
-const T_CACHE_MISS: u8 = 14;
-const T_CACHE_EVICT: u8 = 15;
-const T_TRANSFER_START: u8 = 16;
-const T_WORMHOLE_INJECT: u8 = 17;
-const T_WORMHOLE_DELIVER: u8 = 18;
-const T_CIRCUIT_DELIVER: u8 = 19;
-const T_LANE_FAULT: u8 = 20;
-const T_LANE_REPAIR: u8 = 21;
-const T_CIRCUIT_BROKEN: u8 = 22;
-const T_ESTABLISH_RETRY: u8 = 23;
-const T_WATCHDOG_TRIP: u8 = 24;
 
 // ---------------------------------------------------------------------
 // Per-frame id interner
@@ -133,7 +123,7 @@ const T_WATCHDOG_TRIP: u8 = 24;
 /// `std::collections::HashMap`'s SipHash costs more than the whole rest
 /// of a record's encode; ids only need a collision-resistant-enough
 /// multiplicative hash and linear probing over a half-empty table.
-struct Interner {
+pub(crate) struct Interner {
     /// Slot -> dictionary index, `u32::MAX` = empty.
     slots: Vec<u32>,
     /// Distinct values in first-appearance order (the frame dictionary).
@@ -141,7 +131,7 @@ struct Interner {
 }
 
 impl Interner {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             slots: vec![u32::MAX; 1024],
             dict: Vec::new(),
@@ -159,7 +149,7 @@ impl Interner {
     }
 
     /// Index of `v` in the frame dictionary, inserting on first sight.
-    fn intern(&mut self, v: u64) -> u64 {
+    pub(crate) fn intern(&mut self, v: u64) -> u64 {
         let mask = self.slots.len() - 1;
         let mut i = Self::hash(v, mask);
         loop {
@@ -234,9 +224,16 @@ impl FrameEncoder {
     }
 
     /// Appends one frame holding `recs` to `out`. Empty chunks emit
-    /// nothing.
+    /// nothing; a chunk above the frame cap the decoder enforces becomes
+    /// several frames.
     pub fn encode_frame(&mut self, recs: &[TraceRecord], out: &mut Vec<u8>) {
         if recs.is_empty() {
+            return;
+        }
+        if recs.len() > MAX_FRAME_RECORDS {
+            for part in recs.chunks(MAX_FRAME_RECORDS) {
+                self.encode_frame(part, out);
+            }
             return;
         }
         let interner = self.interner.get_or_insert_with(Interner::new);
@@ -255,8 +252,8 @@ impl FrameEncoder {
         let mut prev_at = recs[0].at;
         let mut prev_seq = recs[0].seq;
         for rec in recs {
-            let (tag, flag) = encode_event(&rec.ev, &mut self.payload, interner);
-            self.kinds.push(if flag { tag | TAG_BOOL } else { tag });
+            self.kinds
+                .push(encode_event(&rec.ev, &mut self.payload, interner));
             push_varint(
                 &mut self.cycles,
                 zigzag(rec.at.wrapping_sub(prev_at) as i64),
@@ -299,226 +296,6 @@ impl ChunkEncoder for FrameEncoder {
 
     fn encode_chunk(&mut self, recs: &[TraceRecord], out: &mut Vec<u8>) {
         self.encode_frame(recs, out);
-    }
-}
-
-/// Appends the payload fields of `ev` and returns `(tag, bool_flag)`.
-#[inline]
-fn encode_event(ev: &TraceEvent, p: &mut Vec<u8>, ids: &mut Interner) -> (u8, bool) {
-    match *ev {
-        TraceEvent::PlaneTick { plane } => (
-            match plane {
-                PlaneId::Data => T_TICK_DATA,
-                PlaneId::Control => T_TICK_CTRL,
-                PlaneId::Circuit => T_TICK_CIRC,
-            },
-            false,
-        ),
-        TraceEvent::ProbeLaunch {
-            circuit,
-            src,
-            dest,
-            switch,
-            force,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, u64::from(switch));
-            (T_PROBE_LAUNCH, force)
-        }
-        TraceEvent::ProbeHop {
-            circuit,
-            probe,
-            node,
-            link,
-            misroute,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, ids.intern(probe));
-            push_varint(p, u64::from(node));
-            push_varint(p, u64::from(link));
-            (T_PROBE_HOP, misroute)
-        }
-        TraceEvent::ProbeBacktrack {
-            circuit,
-            probe,
-            node,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, ids.intern(probe));
-            push_varint(p, u64::from(node));
-            (T_PROBE_BACKTRACK, false)
-        }
-        TraceEvent::ProbePark {
-            circuit,
-            probe,
-            node,
-            victim,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, ids.intern(probe));
-            push_varint(p, u64::from(node));
-            push_varint(p, ids.intern(victim));
-            (T_PROBE_PARK, false)
-        }
-        TraceEvent::ProbeReached {
-            circuit,
-            probe,
-            dest,
-            steps,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, ids.intern(probe));
-            push_varint(p, u64::from(dest));
-            push_varint(p, steps);
-            (T_PROBE_REACHED, false)
-        }
-        TraceEvent::ProbeExhausted {
-            circuit,
-            src,
-            switch,
-            force,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(switch));
-            (T_PROBE_EXHAUSTED, force)
-        }
-        TraceEvent::CircuitEstablished {
-            circuit,
-            src,
-            dest,
-            hops,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, u64::from(hops));
-            (T_CIRCUIT_ESTABLISHED, false)
-        }
-        TraceEvent::CircuitReleased { circuit } => {
-            push_varint(p, ids.intern(circuit));
-            (T_CIRCUIT_RELEASED, false)
-        }
-        TraceEvent::CircuitAbandoned { circuit } => {
-            push_varint(p, ids.intern(circuit));
-            (T_CIRCUIT_ABANDONED, false)
-        }
-        TraceEvent::ForcedRelease { circuit, src } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, u64::from(src));
-            (T_FORCED_RELEASE, false)
-        }
-        TraceEvent::CacheHit {
-            node,
-            dest,
-            circuit,
-        } => {
-            push_varint(p, u64::from(node));
-            push_varint(p, u64::from(dest));
-            push_varint(p, ids.intern(circuit));
-            (T_CACHE_HIT, false)
-        }
-        TraceEvent::CacheMiss { node, dest } => {
-            push_varint(p, u64::from(node));
-            push_varint(p, u64::from(dest));
-            (T_CACHE_MISS, false)
-        }
-        TraceEvent::CacheEvict {
-            node,
-            victim_dest,
-            circuit,
-        } => {
-            push_varint(p, u64::from(node));
-            push_varint(p, u64::from(victim_dest));
-            push_varint(p, ids.intern(circuit));
-            (T_CACHE_EVICT, false)
-        }
-        TraceEvent::TransferStart {
-            circuit,
-            msg,
-            src,
-            dest,
-            len_flits,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, ids.intern(msg));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, u64::from(len_flits));
-            (T_TRANSFER_START, false)
-        }
-        TraceEvent::WormholeInject {
-            msg,
-            src,
-            dest,
-            len_flits,
-        } => {
-            push_varint(p, ids.intern(msg));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, u64::from(len_flits));
-            (T_WORMHOLE_INJECT, false)
-        }
-        TraceEvent::WormholeDeliver {
-            msg,
-            src,
-            dest,
-            latency,
-        } => {
-            push_varint(p, ids.intern(msg));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, latency);
-            (T_WORMHOLE_DELIVER, false)
-        }
-        TraceEvent::CircuitDeliver {
-            msg,
-            src,
-            dest,
-            latency,
-        } => {
-            push_varint(p, ids.intern(msg));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, latency);
-            (T_CIRCUIT_DELIVER, false)
-        }
-        TraceEvent::LaneFault { link, switch } => {
-            push_varint(p, u64::from(link));
-            push_varint(p, u64::from(switch));
-            (T_LANE_FAULT, false)
-        }
-        TraceEvent::LaneRepair { link, switch } => {
-            push_varint(p, u64::from(link));
-            push_varint(p, u64::from(switch));
-            (T_LANE_REPAIR, false)
-        }
-        TraceEvent::CircuitBroken { circuit, src, dest } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            (T_CIRCUIT_BROKEN, false)
-        }
-        TraceEvent::EstablishRetry {
-            circuit,
-            src,
-            dest,
-            attempt,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, u64::from(attempt));
-            (T_ESTABLISH_RETRY, false)
-        }
-        TraceEvent::WatchdogTrip { rule, value, limit } => {
-            push_varint(p, u64::from(rule));
-            push_varint(p, value);
-            push_varint(p, limit);
-            (T_WATCHDOG_TRIP, false)
-        }
     }
 }
 
@@ -584,12 +361,7 @@ impl Default for ColumnarBuf {
 
 impl TraceSink for ColumnarBuf {
     fn record(&mut self, rec: TraceRecord) {
-        self.total += 1;
-        self.chunk.push(rec);
-        if self.chunk.len() >= self.chunk_cap {
-            self.enc.encode_frame(&self.chunk, &mut self.bytes);
-            self.chunk.clear();
-        }
+        self.record_many(&[rec]);
     }
 
     fn record_many(&mut self, recs: &[TraceRecord]) {
@@ -615,154 +387,107 @@ impl TraceSink for ColumnarBuf {
 // Decoder
 // ---------------------------------------------------------------------
 
-/// Streaming decoder over an in-memory columnar capture: yields records
-/// frame by frame through [`crate::stream::TraceReader`].
-pub struct ColumnarReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    frame: Vec<TraceRecord>,
-    next: usize,
-    failed: bool,
-}
-
-impl<'a> ColumnarReader<'a> {
-    /// A reader over `bytes`, which must start with [`MAGIC`].
-    ///
-    /// # Errors
-    /// Fails when the magic prefix is missing (not a columnar capture).
-    pub fn new(bytes: &'a [u8]) -> Result<Self, String> {
-        let rest = bytes
-            .strip_prefix(&MAGIC[..])
-            .ok_or("not a columnar trace (missing WSTRACE1 magic)")?;
-        Ok(Self {
-            bytes: rest,
-            pos: 0,
-            frame: Vec::new(),
-            next: 0,
-            failed: false,
-        })
-    }
-
-    /// Decodes the next frame into `self.frame`; false at end of input.
-    fn decode_frame(&mut self) -> Result<bool, String> {
-        self.frame.clear();
-        self.next = 0;
-        decode_frame_into(self.bytes, &mut self.pos, &mut self.frame)
-    }
-}
-
-/// Decodes one frame of `b` (no magic prefix) starting at `*pos` into
-/// `frame`, advancing `*pos` past it. `Ok(false)` at end of input; on
-/// `Err` the position is unspecified. Shared by the in-memory
-/// [`ColumnarReader`] and the incremental [`FrameStream`].
+/// Decodes the frame of `b` (no magic prefix) starting at `*pos` into
+/// `frame`, advancing `*pos` past it. Every declared size is checked
+/// against what `n` records can occupy before any byte of it is asked
+/// for, so `Short` is only ever returned for a bounded frame.
 fn decode_frame_into(
     b: &[u8],
     pos: &mut usize,
     frame: &mut Vec<TraceRecord>,
-) -> Result<bool, String> {
-    if *pos >= b.len() {
-        return Ok(false);
+) -> Result<(), FrameError> {
+    use FrameError::{Bad, Short};
+    let n = read_varint(b, pos)?;
+    if n == 0 || n > MAX_FRAME_RECORDS as u64 {
+        return Err(Bad(format!(
+            "frame declares {n} records (1..={MAX_FRAME_RECORDS} allowed)"
+        )));
     }
-    let n = read_varint(b, pos)? as usize;
-    if n == 0 {
-        return Err("empty frame".into());
-    }
-    let &flags = b.get(*pos).ok_or("truncated frame header")?;
+    let n = n as usize;
+    let &flags = b.get(*pos).ok_or(Short)?;
     *pos += 1;
     if flags & !FLAG_EXPLICIT_SEQ != 0 {
-        return Err(format!("unknown frame flags 0x{flags:02x}"));
+        return Err(Bad(format!("unknown frame flags 0x{flags:02x}")));
     }
+    let explicit_seq = flags & FLAG_EXPLICIT_SEQ != 0;
     let first_at = read_varint(b, pos)?;
     let first_seq = read_varint(b, pos)?;
-    let dict_len = read_varint(b, pos)? as usize;
-    let mut dict = Vec::with_capacity(dict_len.min(1 << 20));
+    let dict_len = read_varint(b, pos)?;
+    if dict_len > (n * MAX_RECORD_FIELDS) as u64 {
+        return Err(Bad(format!(
+            "dictionary declares {dict_len} ids for {n} records"
+        )));
+    }
+    let mut dict = Vec::with_capacity(dict_len as usize);
     for _ in 0..dict_len {
         dict.push(read_varint(b, pos)?);
     }
-    let take_col = |pos: &mut usize| -> Result<(usize, usize), String> {
-        let len = read_varint(b, pos)? as usize;
+    // A column of `min..=max` bytes per record, as a range of `b`.
+    let column = |pos: &mut usize, what: &str, min: usize, max: usize| {
+        let len = read_varint(b, pos)?;
+        if len < (n * min) as u64 || len > (n * max) as u64 {
+            return Err(Bad(format!(
+                "{what} column holds {len} bytes for {n} records"
+            )));
+        }
         let start = *pos;
-        let end = start.checked_add(len).ok_or("column length overflow")?;
-        if end > b.len() {
-            return Err("truncated column".into());
+        *pos += len as usize;
+        if *pos > b.len() {
+            return Err(Short);
         }
-        *pos = end;
-        Ok((start, end))
+        Ok(start..*pos)
     };
-    let (kinds_s, kinds_e) = take_col(pos)?;
-    if kinds_e - kinds_s != n {
-        return Err(format!(
-            "kind column holds {} tags for {n} records",
-            kinds_e - kinds_s
-        ));
-    }
-    let (cyc_s, cyc_e) = take_col(pos)?;
-    let (seq_s, seq_e) = if flags & FLAG_EXPLICIT_SEQ != 0 {
-        take_col(pos)?
+    let kinds = column(pos, "kind", 1, 1)?;
+    let cycles = column(pos, "cycle", 1, MAX_VARINT)?;
+    let seqs = if explicit_seq {
+        column(pos, "seq", 1, MAX_VARINT)?
     } else {
-        (0, 0)
+        0..0
     };
-    let (pay_s, pay_e) = take_col(pos)?;
+    let payload = column(pos, "payload", 0, MAX_RECORD_FIELDS * MAX_VARINT)?;
 
-    let mut cyc = cyc_s;
-    let mut seqp = seq_s;
-    let mut pay = pay_s;
-    let mut at = first_at;
-    let mut seq = first_seq;
+    // The columns are whole: running off one now is a malformed frame,
+    // not a short window.
+    let ends_early = |what: &str, e: FrameError| match e {
+        Short => Bad(format!("{what} column ends inside a record")),
+        bad => bad,
+    };
+    let (mut cyc, mut seqp, mut pay) = (cycles.start, seqs.start, payload.start);
+    let (mut at, mut seq) = (first_at, first_seq);
     frame.reserve(n);
-    for (i, &tag) in b[kinds_s..kinds_e].iter().enumerate() {
-        let d = unzigzag(read_varint(&b[..cyc_e], &mut cyc)?);
-        at = if i == 0 {
-            first_at
+    for (i, &tag) in b[kinds].iter().enumerate() {
+        let d = read_varint(&b[..cycles.end], &mut cyc).map_err(|e| ends_early("cycle", e))?;
+        let step = if explicit_seq {
+            let d = read_varint(&b[..seqs.end], &mut seqp).map_err(|e| ends_early("seq", e))?;
+            unzigzag(d) as u64
         } else {
-            at.wrapping_add(d as u64)
+            1
         };
-        if flags & FLAG_EXPLICIT_SEQ != 0 {
-            let d = unzigzag(read_varint(&b[..seq_e], &mut seqp)?);
-            seq = if i == 0 {
-                first_seq
-            } else {
-                seq.wrapping_add(d as u64)
-            };
-        } else {
-            seq = first_seq + i as u64;
+        // The first record's deltas are written (as zero) but the header
+        // carries its stamps.
+        if i > 0 {
+            at = at.wrapping_add(unzigzag(d) as u64);
+            seq = seq.wrapping_add(step);
         }
-        let ev = decode_event(tag, &b[..pay_e], &mut pay, &dict)?;
-        frame.push(TraceRecord { at, seq, ev });
-    }
-    if cyc != cyc_e || pay != pay_e || seqp != seq_e {
-        return Err("frame columns longer than their records".into());
-    }
-    Ok(true)
-}
-
-impl crate::stream::TraceReader for ColumnarReader<'_> {
-    fn next_record(&mut self) -> Option<Result<TraceRecord, String>> {
-        if self.failed {
-            return None;
+        match decode_event(tag, &b[..payload.end], &mut pay, &dict) {
+            Ok(ev) => frame.push(TraceRecord { at, seq, ev }),
+            Err(e) => return Err(Bad(format!("record {i}: {e}"))),
         }
-        while self.next >= self.frame.len() {
-            match self.decode_frame() {
-                Ok(true) => {}
-                Ok(false) => return None,
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(format!("columnar frame at byte {}: {e}", self.pos)));
-                }
-            }
-        }
-        let rec = self.frame[self.next];
-        self.next += 1;
-        Some(Ok(rec))
     }
+    if cyc != cycles.end || pay != payload.end || seqp != seqs.end {
+        return Err(Bad("frame columns longer than their records".into()));
+    }
+    Ok(())
 }
 
 /// Incremental frame decoder over an arbitrary byte source.
 ///
-/// Unlike [`ColumnarReader`], which borrows a fully materialized capture,
-/// this reads the source in fixed-size gulps and decodes one frame at a
-/// time: peak memory is one frame's records plus the undecoded window,
-/// never the capture size — the multi-GB post-mortem path.
+/// Reads the source in fixed-size gulps and decodes one frame at a time:
+/// peak memory is one frame's records plus the undecoded window, never
+/// the capture size — the multi-GB post-mortem path. The window grows
+/// only while a well-formed frame header says the frame continues past
+/// it, and a frame is capped ([`MAX_FRAME_RECORDS`]), so malformed input
+/// is reported from a bounded prefix too.
 ///
 /// The source must be positioned *after* the [`MAGIC`] prefix (the
 /// format sniffer consumes it).
@@ -771,6 +496,8 @@ pub struct FrameStream<R: std::io::Read> {
     /// Bytes read but not yet decoded; `pos` marks the consumed prefix.
     buf: Vec<u8>,
     pos: usize,
+    /// Offset of `buf[0]` in the capture, the magic included.
+    base: u64,
     eof: bool,
 }
 
@@ -784,33 +511,24 @@ impl<R: std::io::Read> FrameStream<R> {
             src,
             buf: Vec::new(),
             pos: 0,
+            base: MAGIC.len() as u64,
             eof: false,
         }
     }
 
     /// Tops the window up with one gulp; records end-of-source.
     fn refill(&mut self) -> Result<(), String> {
+        use std::io::Read as _;
         // Drop the consumed prefix before growing so the window stays
         // proportional to one frame, not the bytes read so far.
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+        self.buf.drain(..self.pos);
+        self.base += self.pos as u64;
+        self.pos = 0;
+        let mut gulp = self.src.by_ref().take(STREAM_GULP as u64);
+        match gulp.read_to_end(&mut self.buf) {
+            Ok(n) => self.eof = n < STREAM_GULP,
+            Err(e) => return Err(format!("trace stream read: {e}")),
         }
-        let start = self.buf.len();
-        self.buf.resize(start + STREAM_GULP, 0);
-        let mut filled = start;
-        while filled < self.buf.len() {
-            match self.src.read(&mut self.buf[filled..]) {
-                Ok(0) => {
-                    self.eof = true;
-                    break;
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(format!("trace stream read: {e}")),
-            }
-        }
-        self.buf.truncate(filled);
         Ok(())
     }
 
@@ -818,186 +536,36 @@ impl<R: std::io::Read> FrameStream<R> {
     /// at end of source.
     ///
     /// # Errors
-    /// Fails on I/O errors or a frame that is still malformed once the
-    /// whole source is available to it.
+    /// Fails on I/O errors, a malformed frame, or a source that ends
+    /// inside a frame; the message carries the frame's byte offset.
     pub fn next_frame(&mut self, frame: &mut Vec<TraceRecord>) -> Result<bool, String> {
         loop {
             frame.clear();
             let mut pos = self.pos;
-            match decode_frame_into(&self.buf, &mut pos, frame) {
-                Ok(true) => {
+            let why = match decode_frame_into(&self.buf, &mut pos, frame) {
+                Ok(()) => {
                     self.pos = pos;
                     return Ok(true);
                 }
-                Ok(false) if self.eof => return Ok(false),
-                // A decode error on a partial window usually just means
-                // the frame is split across gulps: read more and retry.
-                // Only an error with the whole source in view is real.
-                Ok(false) | Err(_) if !self.eof => self.refill()?,
-                Err(e) => return Err(e),
-                Ok(false) => return Ok(false),
-            }
+                // A frame split across gulps: read more and retry.
+                Err(FrameError::Short) if !self.eof => {
+                    self.refill()?;
+                    continue;
+                }
+                Err(FrameError::Short) if self.pos == self.buf.len() => return Ok(false),
+                Err(FrameError::Short) => "truncated: the capture ends inside the frame".into(),
+                Err(FrameError::Bad(why)) => why,
+            };
+            let at = self.base + self.pos as u64;
+            return Err(format!("columnar frame at byte {at}: {why}"));
         }
     }
-}
-
-/// Decodes a whole in-memory columnar capture, oldest first.
-///
-/// # Errors
-/// Fails on a missing magic prefix or any malformed frame.
-pub fn read_columnar(bytes: &[u8]) -> Result<Vec<TraceRecord>, String> {
-    use crate::stream::TraceReader as _;
-    ColumnarReader::new(bytes)?.read_all()
-}
-
-/// Decodes the payload fields of one record.
-fn decode_event(tag: u8, b: &[u8], pos: &mut usize, dict: &[u64]) -> Result<TraceEvent, String> {
-    let flag = tag & TAG_BOOL != 0;
-    let id = |pos: &mut usize| -> Result<u64, String> {
-        let idx = read_varint(b, pos)? as usize;
-        dict.get(idx)
-            .copied()
-            .ok_or_else(|| format!("id index {idx} outside frame dictionary"))
-    };
-    macro_rules! n32 {
-        ($pos:expr) => {
-            u32::try_from(read_varint(b, $pos)?).map_err(|_| "field out of u32 range")?
-        };
-    }
-    macro_rules! n8 {
-        ($pos:expr) => {
-            u8::try_from(read_varint(b, $pos)?).map_err(|_| "field out of u8 range")?
-        };
-    }
-    Ok(match tag & !TAG_BOOL {
-        T_TICK_DATA => TraceEvent::PlaneTick {
-            plane: PlaneId::Data,
-        },
-        T_TICK_CTRL => TraceEvent::PlaneTick {
-            plane: PlaneId::Control,
-        },
-        T_TICK_CIRC => TraceEvent::PlaneTick {
-            plane: PlaneId::Circuit,
-        },
-        T_PROBE_LAUNCH => TraceEvent::ProbeLaunch {
-            circuit: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            switch: n8!(pos),
-            force: flag,
-        },
-        T_PROBE_HOP => TraceEvent::ProbeHop {
-            circuit: id(pos)?,
-            probe: id(pos)?,
-            node: n32!(pos),
-            link: n32!(pos),
-            misroute: flag,
-        },
-        T_PROBE_BACKTRACK => TraceEvent::ProbeBacktrack {
-            circuit: id(pos)?,
-            probe: id(pos)?,
-            node: n32!(pos),
-        },
-        T_PROBE_PARK => TraceEvent::ProbePark {
-            circuit: id(pos)?,
-            probe: id(pos)?,
-            node: n32!(pos),
-            victim: id(pos)?,
-        },
-        T_PROBE_REACHED => TraceEvent::ProbeReached {
-            circuit: id(pos)?,
-            probe: id(pos)?,
-            dest: n32!(pos),
-            steps: read_varint(b, pos)?,
-        },
-        T_PROBE_EXHAUSTED => TraceEvent::ProbeExhausted {
-            circuit: id(pos)?,
-            src: n32!(pos),
-            switch: n8!(pos),
-            force: flag,
-        },
-        T_CIRCUIT_ESTABLISHED => TraceEvent::CircuitEstablished {
-            circuit: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            hops: n32!(pos),
-        },
-        T_CIRCUIT_RELEASED => TraceEvent::CircuitReleased { circuit: id(pos)? },
-        T_CIRCUIT_ABANDONED => TraceEvent::CircuitAbandoned { circuit: id(pos)? },
-        T_FORCED_RELEASE => TraceEvent::ForcedRelease {
-            circuit: id(pos)?,
-            src: n32!(pos),
-        },
-        T_CACHE_HIT => TraceEvent::CacheHit {
-            node: n32!(pos),
-            dest: n32!(pos),
-            circuit: id(pos)?,
-        },
-        T_CACHE_MISS => TraceEvent::CacheMiss {
-            node: n32!(pos),
-            dest: n32!(pos),
-        },
-        T_CACHE_EVICT => TraceEvent::CacheEvict {
-            node: n32!(pos),
-            victim_dest: n32!(pos),
-            circuit: id(pos)?,
-        },
-        T_TRANSFER_START => TraceEvent::TransferStart {
-            circuit: id(pos)?,
-            msg: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            len_flits: n32!(pos),
-        },
-        T_WORMHOLE_INJECT => TraceEvent::WormholeInject {
-            msg: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            len_flits: n32!(pos),
-        },
-        T_WORMHOLE_DELIVER => TraceEvent::WormholeDeliver {
-            msg: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            latency: read_varint(b, pos)?,
-        },
-        T_CIRCUIT_DELIVER => TraceEvent::CircuitDeliver {
-            msg: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            latency: read_varint(b, pos)?,
-        },
-        T_LANE_FAULT => TraceEvent::LaneFault {
-            link: n32!(pos),
-            switch: n8!(pos),
-        },
-        T_LANE_REPAIR => TraceEvent::LaneRepair {
-            link: n32!(pos),
-            switch: n8!(pos),
-        },
-        T_CIRCUIT_BROKEN => TraceEvent::CircuitBroken {
-            circuit: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-        },
-        T_ESTABLISH_RETRY => TraceEvent::EstablishRetry {
-            circuit: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            attempt: n8!(pos),
-        },
-        T_WATCHDOG_TRIP => TraceEvent::WatchdogTrip {
-            rule: n8!(pos),
-            value: read_varint(b, pos)?,
-            limit: read_varint(b, pos)?,
-        },
-        other => return Err(format!("unknown kind tag {other}")),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{read_columnar, TraceEvent};
 
     fn roundtrip(recs: &[TraceRecord]) -> Vec<TraceRecord> {
         let mut enc = FrameEncoder::new();
@@ -1094,5 +662,83 @@ mod tests {
         let cut = &bytes[..bytes.len() - 1];
         assert!(read_columnar(cut).is_err());
         assert!(read_columnar(b"JUNKDATA").is_err());
+    }
+
+    fn hops(n: u64) -> Vec<TraceRecord> {
+        (0..n)
+            .map(|i| TraceRecord {
+                at: i / 4,
+                seq: i,
+                ev: TraceEvent::ProbeHop {
+                    circuit: i % 97,
+                    probe: i % 31,
+                    node: (i % 64) as u32,
+                    link: (i % 4) as u32,
+                    misroute: i % 13 == 0,
+                },
+            })
+            .collect()
+    }
+
+    /// The error, and the bytes read by then, when `body` (no magic) is
+    /// streamed.
+    fn stream_failure(body: &[u8]) -> (String, usize) {
+        let mut src = std::io::Cursor::new(body);
+        let mut frames = FrameStream::new(&mut src);
+        let mut frame = Vec::new();
+        loop {
+            match frames.next_frame(&mut frame) {
+                Ok(true) => {}
+                Ok(false) => panic!("a corrupt capture decoded"),
+                Err(e) => return (e, src.position() as usize),
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_frame_is_reported_from_a_bounded_prefix() {
+        let mut buf = ColumnarBuf::new();
+        buf.record_many(&hops(400_000));
+        let bytes = buf.into_bytes();
+        assert!(bytes.len() > 2_000_000, "multi-megabyte capture");
+        let body = &bytes[MAGIC.len()..];
+
+        // One bit of the first frame's record count: 8192 -> 8193.
+        let mut flipped = body.to_vec();
+        flipped[0] ^= 1;
+        let (err, read) = stream_failure(&flipped);
+        assert!(err.contains("frame at byte 8:"), "{err}");
+        assert!(err.contains("for 8193 records"), "{err}");
+        assert!(
+            read <= 2 * STREAM_GULP,
+            "read {read} bytes of {}",
+            body.len()
+        );
+
+        // A length that promises more than any frame may hold is refused,
+        // not read for: here the record count itself.
+        let mut huge = Vec::new();
+        push_varint(&mut huge, MAX_FRAME_RECORDS as u64 + 1);
+        huge.extend_from_slice(body);
+        let (err, read) = stream_failure(&huge);
+        assert!(err.contains("declares 65537 records"), "{err}");
+        assert!(read <= 2 * STREAM_GULP, "read {read} bytes");
+
+        // Cut short, the capture names the frame its end falls in.
+        let (err, read) = stream_failure(&body[..body.len() - 7]);
+        assert!(err.contains("truncated"), "{err}");
+        let at: usize = err["columnar frame at byte ".len()..]
+            .split(':')
+            .next()
+            .and_then(|n| n.parse().ok())
+            .expect("offset");
+        assert!(at > bytes.len() - 100_000 && at < bytes.len(), "{err}");
+        assert_eq!(read, body.len() - 7);
+    }
+
+    #[test]
+    fn oversized_chunk_becomes_frames_the_decoder_accepts() {
+        let recs = hops(MAX_FRAME_RECORDS as u64 + 1);
+        assert_eq!(roundtrip(&recs), recs);
     }
 }

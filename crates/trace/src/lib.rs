@@ -10,7 +10,9 @@
 //!   everything the wave router does: probe lifecycles (launch → hop →
 //!   backtrack → park → establish/abort), circuit-cache hits and
 //!   evictions, wormhole packet injection→delivery spans, circuit
-//!   transfers, and per-plane tick boundaries;
+//!   transfers, and per-plane tick boundaries. The vocabulary is declared
+//!   once, as the table in `schema.rs`, which expands to the enum and to
+//!   both directions of both file formats;
 //! * [`TraceSink`] — the consumer interface, with [`NullSink`] (drops
 //!   everything; the compiled-in default costs one branch per emit
 //!   point), [`recorder::FlightRecorder`] (fixed-capacity ring buffer,
@@ -20,6 +22,10 @@
 //!   use: each plane stages records in its own [`TraceBuf`] (one branch
 //!   when disarmed) and the composition root's [`TraceHub`] stamps a
 //!   global sequence number and forwards to the installed sink;
+//! * [`stream`] / [`columnar`] — lossless capture to JSONL or `WSTRACE1`
+//!   frames on a writer thread, and the one decoder for both,
+//!   [`stream::StreamingReader`] over any `io::Read` ([`read_trace`],
+//!   [`stream::read_jsonl`] and [`read_columnar`] drain it into a vector);
 //! * [`perfetto`] — Chrome/Perfetto `trace_event` JSON export (one track
 //!   per router and plane) plus a serde-less validator;
 //! * [`metrics`] — Prometheus-style text exposition built on the
@@ -39,307 +45,19 @@ pub mod metrics;
 pub mod perfetto;
 pub mod postmortem;
 pub mod recorder;
+mod schema;
 pub mod stream;
 pub mod timeseries;
 
-pub use columnar::{read_columnar, ColumnarBuf, ColumnarReader};
+pub use columnar::ColumnarBuf;
 pub use recorder::{FlightRecorder, VecSink};
-pub use stream::{read_trace_file, ColumnarSink, JsonlSink, TraceFormat, TraceReader};
+#[doc(hidden)]
+pub use schema::every_event;
+pub use schema::{PlaneId, TraceEvent};
+pub use stream::{read_columnar, read_trace, ColumnarSink, JsonlSink, TraceFormat, TraceReader};
 pub use timeseries::{WindowRow, WindowSeries};
 
 use wavesim_sim::Cycle;
-
-/// A plane of the wave router, as seen by the tracer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlaneId {
-    /// The `S0` wormhole fabric.
-    Data,
-    /// Probes, acks, teardowns (the PCS control network).
-    Control,
-    /// Circuit caches, protocol engines, windowed transfers.
-    Circuit,
-}
-
-impl PlaneId {
-    /// Stable display name (also the Perfetto process name).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PlaneId::Data => "wormhole plane",
-            PlaneId::Control => "control plane",
-            PlaneId::Circuit => "circuit plane",
-        }
-    }
-
-    /// Stable Perfetto process id of the plane's track group.
-    #[must_use]
-    pub fn pid(self) -> u64 {
-        match self {
-            PlaneId::Data => 1,
-            PlaneId::Control => 2,
-            PlaneId::Circuit => 3,
-        }
-    }
-}
-
-/// One observed fact about the simulation.
-///
-/// Identifiers are raw integers (`CircuitId.0`, `ProbeId.0`, `MessageId.0`,
-/// `NodeId.0`) so this crate sits *below* `wavesim-core` in the dependency
-/// graph; the emit points convert typed ids at the boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A plane did work this cycle (tick boundary marker).
-    PlaneTick {
-        /// The plane that ran.
-        plane: PlaneId,
-    },
-    /// A probe left its source to search one wave switch.
-    ProbeLaunch {
-        /// Circuit the probe works for.
-        circuit: u64,
-        /// Source node.
-        src: u32,
-        /// Destination node.
-        dest: u32,
-        /// Wave switch searched (1-based).
-        switch: u8,
-        /// Whether the Force bit is set (CLRP phase two).
-        force: bool,
-    },
-    /// A probe reserved a lane and moved forward one hop.
-    ProbeHop {
-        /// Circuit the probe works for.
-        circuit: u64,
-        /// The probe.
-        probe: u64,
-        /// Node the probe arrived at.
-        node: u32,
-        /// Physical link of the lane the hop reserved (the wave switch is
-        /// the one named by the probe's `ProbeLaunch`). Together they name
-        /// the reserved lane, which is what lane-occupancy analytics key on.
-        link: u32,
-        /// Whether this hop spent misroute budget.
-        misroute: bool,
-    },
-    /// A probe released its last lane and stepped back one hop.
-    ProbeBacktrack {
-        /// Circuit the probe works for.
-        circuit: u64,
-        /// The probe.
-        probe: u64,
-        /// Node the probe backtracked to.
-        node: u32,
-    },
-    /// A force-mode probe parked on a lane and requested a victim release.
-    ProbePark {
-        /// Circuit the probe works for.
-        circuit: u64,
-        /// The probe.
-        probe: u64,
-        /// Node the probe is blocked at.
-        node: u32,
-        /// Circuit selected as the victim.
-        victim: u64,
-    },
-    /// A probe reached the destination (path reserved; ack walk starts).
-    ProbeReached {
-        /// Circuit the probe works for.
-        circuit: u64,
-        /// The probe.
-        probe: u64,
-        /// Destination node.
-        dest: u32,
-        /// Control steps the probe took (hops + backtracks).
-        steps: u64,
-    },
-    /// A probe backtracked all the way to its source: switch exhausted.
-    ProbeExhausted {
-        /// Circuit whose attempt failed.
-        circuit: u64,
-        /// Source node.
-        src: u32,
-        /// Switch whose search space is exhausted.
-        switch: u8,
-        /// Whether the exhausted probe had the Force bit set.
-        force: bool,
-    },
-    /// The path-setup acknowledgment reached the source: circuit ready.
-    CircuitEstablished {
-        /// The established circuit.
-        circuit: u64,
-        /// Source node.
-        src: u32,
-        /// Destination node.
-        dest: u32,
-        /// Path length in hops.
-        hops: u32,
-    },
-    /// Teardown (or probe unwind) finished; every lane is free again.
-    CircuitReleased {
-        /// The fully released circuit.
-        circuit: u64,
-    },
-    /// Establishment failed on every switch; the circuit id retires.
-    CircuitAbandoned {
-        /// The abandoned circuit.
-        circuit: u64,
-    },
-    /// A forced release was requested for an established circuit.
-    ForcedRelease {
-        /// Circuit to release.
-        circuit: u64,
-        /// The circuit's source node.
-        src: u32,
-    },
-    /// A send found a Ready circuit in the source's cache.
-    CacheHit {
-        /// Node whose cache was consulted.
-        node: u32,
-        /// Destination looked up.
-        dest: u32,
-        /// The circuit that will carry the message.
-        circuit: u64,
-    },
-    /// A send found no usable cache entry.
-    CacheMiss {
-        /// Node whose cache was consulted.
-        node: u32,
-        /// Destination looked up.
-        dest: u32,
-    },
-    /// A full cache evicted an entry to make room.
-    CacheEvict {
-        /// Node whose cache evicted.
-        node: u32,
-        /// Destination of the evicted entry.
-        victim_dest: u32,
-        /// Circuit of the evicted entry.
-        circuit: u64,
-    },
-    /// A message started streaming over an established circuit.
-    TransferStart {
-        /// The carrying circuit.
-        circuit: u64,
-        /// The message.
-        msg: u64,
-        /// Source node.
-        src: u32,
-        /// Destination node.
-        dest: u32,
-        /// Message length in flits.
-        len_flits: u32,
-    },
-    /// A message entered the wormhole fabric.
-    WormholeInject {
-        /// The message.
-        msg: u64,
-        /// Source node.
-        src: u32,
-        /// Destination node.
-        dest: u32,
-        /// Message length in flits.
-        len_flits: u32,
-    },
-    /// A wormhole message reached its destination.
-    WormholeDeliver {
-        /// The message.
-        msg: u64,
-        /// Source node.
-        src: u32,
-        /// Destination node.
-        dest: u32,
-        /// End-to-end latency in cycles.
-        latency: u64,
-    },
-    /// A circuit transfer reached its destination.
-    CircuitDeliver {
-        /// The message.
-        msg: u64,
-        /// Source node.
-        src: u32,
-        /// Destination node.
-        dest: u32,
-        /// End-to-end latency in cycles.
-        latency: u64,
-    },
-    /// A wave lane became faulty (static injection or dynamic fail event).
-    LaneFault {
-        /// The lane's physical link.
-        link: u32,
-        /// The lane's wave switch (1-based).
-        switch: u8,
-    },
-    /// A faulty wave lane returned to service (dynamic repair event).
-    LaneRepair {
-        /// The lane's physical link.
-        link: u32,
-        /// The lane's wave switch (1-based).
-        switch: u8,
-    },
-    /// A dynamic fault destroyed a circuit; its teardown started.
-    CircuitBroken {
-        /// The destroyed circuit.
-        circuit: u64,
-        /// The circuit's source node.
-        src: u32,
-        /// The circuit's destination node.
-        dest: u32,
-    },
-    /// A post-fault re-establishment attempt launched (backoff expired).
-    EstablishRetry {
-        /// The fresh circuit id of the retry attempt.
-        circuit: u64,
-        /// Source node.
-        src: u32,
-        /// Destination node.
-        dest: u32,
-        /// Which retry this is (1-based, bounded by the retry budget).
-        attempt: u8,
-    },
-    /// A run watchdog rule fired (progress SLO violated; see
-    /// `wavesim-bench`'s watchdog for the rule numbering).
-    WatchdogTrip {
-        /// Which rule fired (stable small integer, see the watchdog docs).
-        rule: u8,
-        /// The observed value that violated the rule.
-        value: u64,
-        /// The rule's configured threshold.
-        limit: u64,
-    },
-}
-
-impl TraceEvent {
-    /// Stable snake_case name of the event kind (post-mortem JSON `type`).
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::PlaneTick { .. } => "plane_tick",
-            TraceEvent::ProbeLaunch { .. } => "probe_launch",
-            TraceEvent::ProbeHop { .. } => "probe_hop",
-            TraceEvent::ProbeBacktrack { .. } => "probe_backtrack",
-            TraceEvent::ProbePark { .. } => "probe_park",
-            TraceEvent::ProbeReached { .. } => "probe_reached",
-            TraceEvent::ProbeExhausted { .. } => "probe_exhausted",
-            TraceEvent::CircuitEstablished { .. } => "circuit_established",
-            TraceEvent::CircuitReleased { .. } => "circuit_released",
-            TraceEvent::CircuitAbandoned { .. } => "circuit_abandoned",
-            TraceEvent::ForcedRelease { .. } => "forced_release",
-            TraceEvent::CacheHit { .. } => "cache_hit",
-            TraceEvent::CacheMiss { .. } => "cache_miss",
-            TraceEvent::CacheEvict { .. } => "cache_evict",
-            TraceEvent::TransferStart { .. } => "transfer_start",
-            TraceEvent::WormholeInject { .. } => "wormhole_inject",
-            TraceEvent::WormholeDeliver { .. } => "wormhole_deliver",
-            TraceEvent::CircuitDeliver { .. } => "circuit_deliver",
-            TraceEvent::LaneFault { .. } => "lane_fault",
-            TraceEvent::LaneRepair { .. } => "lane_repair",
-            TraceEvent::CircuitBroken { .. } => "circuit_broken",
-            TraceEvent::EstablishRetry { .. } => "establish_retry",
-            TraceEvent::WatchdogTrip { .. } => "watchdog_trip",
-        }
-    }
-}
 
 /// A timestamped trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -13,17 +13,19 @@
 //!
 //! Two encoders share that plumbing through [`ChunkEncoder`]:
 //!
-//! * [`JsonlSink`] writes one JSON object per line, using the same schema
-//!   as [`crate::postmortem::record_to_json`], so a captured file
-//!   round-trips back into [`TraceRecord`]s via [`read_jsonl`];
+//! * [`JsonlSink`] writes one JSON object per line ([`encode_record`]),
+//!   so a captured file round-trips back into [`TraceRecord`]s via
+//!   [`read_jsonl`];
 //! * [`ColumnarSink`] writes the compact binary frame format of
 //!   [`crate::columnar`] — typically under a tenth of the JSONL bytes —
-//!   which round-trips via [`crate::columnar::read_columnar`].
+//!   which round-trips via [`read_columnar`].
 //!
-//! Reading is format-agnostic: [`read_trace_file`] sniffs the
-//! [`crate::columnar::MAGIC`] prefix ([`TraceFormat::detect`]) and every
-//! decoder is a [`TraceReader`], so the analyzer and the CLI never care
-//! which format a capture used.
+//! Reading is format-agnostic: [`StreamingReader`], the one
+//! [`TraceReader`], sniffs the [`crate::columnar::MAGIC`] prefix of any
+//! byte source (the magic means columnar, anything else is JSONL) and
+//! decodes either format incrementally, so the analyzer and the CLI never
+//! care which format a capture used; [`read_trace`], [`read_jsonl`] and
+//! [`read_columnar`] drain one into a vector.
 //!
 //! Saturated runs can cap bytes deterministically with
 //! [`StreamSink::with_sampling`]: bulk kinds (tick markers, per-hop probe
@@ -41,8 +43,9 @@ use std::thread::JoinHandle;
 
 use wavesim_json::Value;
 
-use crate::columnar::FrameEncoder;
-use crate::{PlaneId, TraceEvent, TraceRecord, TraceSink};
+use crate::columnar::{FrameEncoder, FrameStream, MAGIC};
+pub use crate::schema::{encode_record, is_bulk_kind, record_from_json};
+use crate::{TraceRecord, TraceSink};
 
 /// Records per chunk handed to the writer thread (also the columnar
 /// frame size).
@@ -268,22 +271,6 @@ impl<W: Write + Send + 'static, E: ChunkEncoder> StreamSink<W, E> {
     }
 }
 
-/// True for the high-volume kinds [`StreamSink::with_sampling`] thins:
-/// per-cycle tick markers, per-hop probe movement, and cache lookups.
-/// Everything else (circuit lifecycle, transfers, deliveries, faults) is
-/// always captured so span and flow analytics stay exact under sampling.
-#[must_use]
-pub fn is_bulk_kind(ev: &TraceEvent) -> bool {
-    matches!(
-        ev,
-        TraceEvent::PlaneTick { .. }
-            | TraceEvent::ProbeHop { .. }
-            | TraceEvent::ProbeBacktrack { .. }
-            | TraceEvent::CacheHit { .. }
-            | TraceEvent::CacheMiss { .. }
-    )
-}
-
 impl<W: Write + Send + 'static, E: ChunkEncoder> TraceSink for StreamSink<W, E> {
     fn record(&mut self, rec: TraceRecord) {
         self.total += 1;
@@ -379,24 +366,11 @@ pub enum TraceFormat {
     Columnar,
 }
 
-impl TraceFormat {
-    /// Sniffs the format from a capture's leading bytes: the columnar
-    /// magic wins, anything else is treated as JSONL.
-    #[must_use]
-    pub fn detect(bytes: &[u8]) -> Self {
-        if bytes.starts_with(&crate::columnar::MAGIC) {
-            TraceFormat::Columnar
-        } else {
-            TraceFormat::Jsonl
-        }
-    }
-}
-
 /// A streaming decoder over a trace capture, format-agnostic.
 ///
-/// Both [`JsonlReader`] and [`crate::columnar::ColumnarReader`] implement
-/// this, so consumers (the analyzer, the converter, the window series)
-/// never branch on format past the initial sniff.
+/// [`StreamingReader`] is the implementation; consumers (the analyzer,
+/// the converter, `validate-trace`) hold it through this trait and never
+/// branch on format.
 pub trait TraceReader {
     /// The next record, `None` at end of stream. After an `Err` the
     /// reader is done (subsequent calls return `None`).
@@ -415,102 +389,26 @@ pub trait TraceReader {
     }
 }
 
-/// Streaming decoder over JSONL text: one record per non-blank line.
-pub struct JsonlReader<'a> {
-    lines: std::str::Lines<'a>,
-    line_no: usize,
-    failed: bool,
-}
-
-impl<'a> JsonlReader<'a> {
-    /// A reader over `text`.
-    #[must_use]
-    pub fn new(text: &'a str) -> Self {
-        Self {
-            lines: text.lines(),
-            line_no: 0,
-            failed: false,
-        }
-    }
-}
-
-impl TraceReader for JsonlReader<'_> {
-    fn next_record(&mut self) -> Option<Result<TraceRecord, String>> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            let line = self.lines.next()?;
-            self.line_no += 1;
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let res = Value::parse(line)
-                .map_err(|e| format!("line {}: {e}", self.line_no))
-                .and_then(|v| {
-                    record_from_json(&v).map_err(|e| format!("line {}: {e}", self.line_no))
-                });
-            if res.is_err() {
-                self.failed = true;
-            }
-            return Some(res);
-        }
-    }
-}
-
-/// Decodes an in-memory capture of either format, oldest first.
+/// The incremental decoder over any byte source, an in-memory slice
+/// included.
 ///
-/// # Errors
-/// Fails on malformed content (or non-UTF-8 bytes without the columnar
-/// magic).
-pub fn read_trace_bytes(bytes: &[u8]) -> Result<Vec<TraceRecord>, String> {
-    match TraceFormat::detect(bytes) {
-        TraceFormat::Columnar => crate::columnar::read_columnar(bytes),
-        TraceFormat::Jsonl => {
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| "trace is neither columnar (no magic) nor UTF-8 JSONL".to_string())?;
-            read_jsonl(text)
-        }
-    }
-}
-
-/// Reads and decodes a trace file, auto-detecting its format.
-///
-/// # Errors
-/// Fails when the file cannot be read or its content is malformed.
-pub fn read_trace_file(path: &Path) -> Result<Vec<TraceRecord>, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    read_trace_bytes(&bytes)
-}
-
-// ---------------------------------------------------------------------
-// Incremental readers over io::Read sources
-// ---------------------------------------------------------------------
-
-/// A format-agnostic incremental decoder over any byte source.
-///
-/// Where [`read_trace_file`] materializes the whole capture,
-/// this sniffs the format from the leading bytes and then yields records
-/// one at a time — JSONL line by line, columnar frame by frame — so peak
+/// Sniffs the format from the leading bytes and then yields records one
+/// at a time — JSONL line by line, columnar frame by frame — so peak
 /// memory is one frame (plus the read window), whatever the capture size.
-/// `convert-trace` and `analyze` run on this.
 pub struct StreamingReader<R: io::Read> {
     inner: StreamingInner<R>,
     failed: bool,
 }
 
-/// The sniffed leading bytes chained back in front of the source.
-type Resumed<R> = io::Chain<io::Cursor<Vec<u8>>, R>;
-
 enum StreamingInner<R: io::Read> {
     Jsonl {
-        src: io::BufReader<Resumed<R>>,
+        /// The sniffed leading bytes chained back in front of the source.
+        src: io::BufReader<io::Chain<io::Cursor<Vec<u8>>, R>>,
         line: String,
         line_no: usize,
     },
     Columnar {
-        frames: crate::columnar::FrameStream<Resumed<R>>,
+        frames: FrameStream<R>,
         frame: Vec<TraceRecord>,
         next: usize,
     },
@@ -526,20 +424,14 @@ impl<R: io::Read> StreamingReader<R> {
         use std::io::Read as _;
         // Pull just enough bytes to check for the columnar magic; hand
         // anything that is not the magic back to the line reader.
-        let mut head = vec![0u8; crate::columnar::MAGIC.len()];
-        let mut got = 0;
-        while got < head.len() {
-            match src.read(&mut head[got..]) {
-                Ok(0) => break,
-                Ok(n) => got += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(format!("trace stream read: {e}")),
-            }
-        }
-        head.truncate(got);
-        let inner = if TraceFormat::detect(&head) == TraceFormat::Columnar {
+        let mut head = Vec::with_capacity(MAGIC.len());
+        let mut sniff = src.by_ref().take(MAGIC.len() as u64);
+        sniff
+            .read_to_end(&mut head)
+            .map_err(|e| format!("trace stream read: {e}"))?;
+        let inner = if head == MAGIC {
             StreamingInner::Columnar {
-                frames: crate::columnar::FrameStream::new(io::Cursor::new(Vec::new()).chain(src)),
+                frames: FrameStream::new(src),
                 frame: Vec::new(),
                 next: 0,
             }
@@ -586,34 +478,26 @@ impl<R: io::Read> TraceReader for StreamingReader<R> {
                     continue;
                 }
                 break Value::parse(text)
-                    .map_err(|e| format!("line {line_no}: {e}"))
-                    .and_then(|v| {
-                        record_from_json(&v).map_err(|e| format!("line {line_no}: {e}"))
-                    });
+                    .and_then(|v| record_from_json(&v))
+                    .map_err(|e| format!("line {line_no}: {e}"));
             },
             StreamingInner::Columnar {
                 frames,
                 frame,
                 next,
-            } => {
-                if *next >= frame.len() {
-                    match frames.next_frame(frame) {
-                        Ok(true) => *next = 0,
-                        Ok(false) => return None,
-                        Err(e) => {
-                            self.failed = true;
-                            return Some(Err(e));
-                        }
-                    }
+            } => loop {
+                if let Some(&rec) = frame.get(*next) {
+                    *next += 1;
+                    return Some(Ok(rec));
                 }
-                let rec = frame[*next];
-                *next += 1;
-                return Some(Ok(rec));
-            }
+                match frames.next_frame(frame) {
+                    Ok(true) => *next = 0,
+                    Ok(false) => return None,
+                    Err(e) => break Err(e),
+                }
+            },
         };
-        if res.is_err() {
-            self.failed = true;
-        }
+        self.failed = res.is_err();
         Some(res)
     }
 }
@@ -628,532 +512,55 @@ pub fn stream_trace_file(path: &Path) -> Result<StreamingReader<File>, String> {
     StreamingReader::new(file)
 }
 
-// ---------------------------------------------------------------------
-// JSONL encode/decode
-// ---------------------------------------------------------------------
-
-/// A field value the fast encoder knows how to append. Implemented for
-/// the handful of primitive types [`TraceEvent`] fields use.
-trait PushJson {
-    fn push_json(self, buf: &mut String);
-}
-
-/// Appends `v` in decimal without going through `core::fmt` — the
-/// formatting machinery costs ~3× the digits themselves, and the writer
-/// thread encodes every record of a traced run.
-fn push_u64(buf: &mut String, mut v: u64) {
-    let mut tmp = [0u8; 20];
-    let mut i = tmp.len();
-    loop {
-        i -= 1;
-        tmp[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    // SAFETY-free: tmp[i..] is ASCII digits by construction.
-    buf.push_str(std::str::from_utf8(&tmp[i..]).expect("ascii digits"));
-}
-
-impl PushJson for u64 {
-    fn push_json(self, buf: &mut String) {
-        push_u64(buf, self);
+/// Drains `src` through a [`StreamingReader`], refusing a capture whose
+/// sniffed format is not the one the caller `expect`s.
+fn read_as(src: impl io::Read, expect: Option<TraceFormat>) -> Result<Vec<TraceRecord>, String> {
+    let mut reader = StreamingReader::new(src)?;
+    match expect {
+        Some(want) if want != reader.format() => Err(format!(
+            "expected a {want:?} capture, found {:?}",
+            reader.format()
+        )),
+        _ => reader.read_all(),
     }
 }
 
-impl PushJson for u32 {
-    fn push_json(self, buf: &mut String) {
-        push_u64(buf, u64::from(self));
-    }
-}
-
-impl PushJson for u8 {
-    fn push_json(self, buf: &mut String) {
-        push_u64(buf, u64::from(self));
-    }
-}
-
-impl PushJson for bool {
-    fn push_json(self, buf: &mut String) {
-        buf.push_str(if self { "true" } else { "false" });
-    }
-}
-
-/// Appends `,"<name>":<value>` for each listed field binding; the JSON
-/// key is the field's own name, matching `postmortem::record_to_json`.
-macro_rules! push_fields {
-    ($buf:expr $(, $field:ident)+ $(,)?) => {
-        $(
-            $buf.push_str(concat!(",\"", stringify!($field), "\":"));
-            $field.push_json($buf);
-        )+
-    };
-}
-
-/// Appends one record as a compact JSON object (no trailing newline).
-///
-/// Byte-identical to `postmortem::record_to_json(rec).compact()` — the
-/// hand-rolled encoder exists because the writer thread must keep up with
-/// the full event rate of a traced run without allocating a [`Value`] tree
-/// per record (and without paying `core::fmt` per integer).
-pub fn encode_record(buf: &mut String, rec: &TraceRecord) {
-    buf.push_str("{\"at\":");
-    push_u64(buf, rec.at);
-    buf.push_str(",\"seq\":");
-    push_u64(buf, rec.seq);
-    buf.push_str(",\"type\":\"");
-    buf.push_str(rec.ev.kind());
-    buf.push('"');
-    match rec.ev {
-        TraceEvent::PlaneTick { plane } => {
-            buf.push_str(",\"plane\":\"");
-            buf.push_str(plane.name());
-            buf.push('"');
-        }
-        TraceEvent::ProbeLaunch {
-            circuit,
-            src,
-            dest,
-            switch,
-            force,
-        } => {
-            push_fields!(buf, circuit, src, dest, switch, force);
-        }
-        TraceEvent::ProbeHop {
-            circuit,
-            probe,
-            node,
-            link,
-            misroute,
-        } => {
-            push_fields!(buf, circuit, probe, node, link, misroute);
-        }
-        TraceEvent::ProbeBacktrack {
-            circuit,
-            probe,
-            node,
-        } => {
-            push_fields!(buf, circuit, probe, node);
-        }
-        TraceEvent::ProbePark {
-            circuit,
-            probe,
-            node,
-            victim,
-        } => {
-            push_fields!(buf, circuit, probe, node, victim);
-        }
-        TraceEvent::ProbeReached {
-            circuit,
-            probe,
-            dest,
-            steps,
-        } => {
-            push_fields!(buf, circuit, probe, dest, steps);
-        }
-        TraceEvent::ProbeExhausted {
-            circuit,
-            src,
-            switch,
-            force,
-        } => {
-            push_fields!(buf, circuit, src, switch, force);
-        }
-        TraceEvent::CircuitEstablished {
-            circuit,
-            src,
-            dest,
-            hops,
-        } => {
-            push_fields!(buf, circuit, src, dest, hops);
-        }
-        TraceEvent::CircuitReleased { circuit } | TraceEvent::CircuitAbandoned { circuit } => {
-            push_fields!(buf, circuit);
-        }
-        TraceEvent::ForcedRelease { circuit, src } => {
-            push_fields!(buf, circuit, src);
-        }
-        TraceEvent::CacheHit {
-            node,
-            dest,
-            circuit,
-        } => {
-            push_fields!(buf, node, dest, circuit);
-        }
-        TraceEvent::CacheMiss { node, dest } => {
-            push_fields!(buf, node, dest);
-        }
-        TraceEvent::CacheEvict {
-            node,
-            victim_dest,
-            circuit,
-        } => {
-            push_fields!(buf, node, victim_dest, circuit);
-        }
-        TraceEvent::TransferStart {
-            circuit,
-            msg,
-            src,
-            dest,
-            len_flits,
-        } => {
-            push_fields!(buf, circuit, msg, src, dest, len_flits);
-        }
-        TraceEvent::WormholeInject {
-            msg,
-            src,
-            dest,
-            len_flits,
-        } => {
-            push_fields!(buf, msg, src, dest, len_flits);
-        }
-        TraceEvent::WormholeDeliver {
-            msg,
-            src,
-            dest,
-            latency,
-        }
-        | TraceEvent::CircuitDeliver {
-            msg,
-            src,
-            dest,
-            latency,
-        } => {
-            push_fields!(buf, msg, src, dest, latency);
-        }
-        TraceEvent::LaneFault { link, switch } | TraceEvent::LaneRepair { link, switch } => {
-            push_fields!(buf, link, switch);
-        }
-        TraceEvent::CircuitBroken { circuit, src, dest } => {
-            push_fields!(buf, circuit, src, dest);
-        }
-        TraceEvent::EstablishRetry {
-            circuit,
-            src,
-            dest,
-            attempt,
-        } => {
-            push_fields!(buf, circuit, src, dest, attempt);
-        }
-        TraceEvent::WatchdogTrip { rule, value, limit } => {
-            push_fields!(buf, rule, value, limit);
-        }
-    }
-    buf.push('}');
-}
-
-/// Parses one JSONL object back into a [`TraceRecord`].
+/// Decodes a whole capture of either format, oldest first.
 ///
 /// # Errors
-/// Fails on a missing/unknown `type` or missing/mistyped fields.
-pub fn record_from_json(v: &Value) -> Result<TraceRecord, String> {
-    let at = num(v, "at")?;
-    let seq = num(v, "seq")?;
-    let kind = v
-        .get("type")
-        .and_then(Value::as_str)
-        .ok_or("missing `type` field")?;
-    let ev = match kind {
-        "plane_tick" => TraceEvent::PlaneTick {
-            plane: plane_from_name(txt(v, "plane")?)?,
-        },
-        "probe_launch" => TraceEvent::ProbeLaunch {
-            circuit: num(v, "circuit")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            switch: num8(v, "switch")?,
-            force: flag(v, "force")?,
-        },
-        "probe_hop" => TraceEvent::ProbeHop {
-            circuit: num(v, "circuit")?,
-            probe: num(v, "probe")?,
-            node: num32(v, "node")?,
-            link: num32(v, "link")?,
-            misroute: flag(v, "misroute")?,
-        },
-        "probe_backtrack" => TraceEvent::ProbeBacktrack {
-            circuit: num(v, "circuit")?,
-            probe: num(v, "probe")?,
-            node: num32(v, "node")?,
-        },
-        "probe_park" => TraceEvent::ProbePark {
-            circuit: num(v, "circuit")?,
-            probe: num(v, "probe")?,
-            node: num32(v, "node")?,
-            victim: num(v, "victim")?,
-        },
-        "probe_reached" => TraceEvent::ProbeReached {
-            circuit: num(v, "circuit")?,
-            probe: num(v, "probe")?,
-            dest: num32(v, "dest")?,
-            steps: num(v, "steps")?,
-        },
-        "probe_exhausted" => TraceEvent::ProbeExhausted {
-            circuit: num(v, "circuit")?,
-            src: num32(v, "src")?,
-            switch: num8(v, "switch")?,
-            force: flag(v, "force")?,
-        },
-        "circuit_established" => TraceEvent::CircuitEstablished {
-            circuit: num(v, "circuit")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            hops: num32(v, "hops")?,
-        },
-        "circuit_released" => TraceEvent::CircuitReleased {
-            circuit: num(v, "circuit")?,
-        },
-        "circuit_abandoned" => TraceEvent::CircuitAbandoned {
-            circuit: num(v, "circuit")?,
-        },
-        "forced_release" => TraceEvent::ForcedRelease {
-            circuit: num(v, "circuit")?,
-            src: num32(v, "src")?,
-        },
-        "cache_hit" => TraceEvent::CacheHit {
-            node: num32(v, "node")?,
-            dest: num32(v, "dest")?,
-            circuit: num(v, "circuit")?,
-        },
-        "cache_miss" => TraceEvent::CacheMiss {
-            node: num32(v, "node")?,
-            dest: num32(v, "dest")?,
-        },
-        "cache_evict" => TraceEvent::CacheEvict {
-            node: num32(v, "node")?,
-            victim_dest: num32(v, "victim_dest")?,
-            circuit: num(v, "circuit")?,
-        },
-        "transfer_start" => TraceEvent::TransferStart {
-            circuit: num(v, "circuit")?,
-            msg: num(v, "msg")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            len_flits: num32(v, "len_flits")?,
-        },
-        "wormhole_inject" => TraceEvent::WormholeInject {
-            msg: num(v, "msg")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            len_flits: num32(v, "len_flits")?,
-        },
-        "wormhole_deliver" => TraceEvent::WormholeDeliver {
-            msg: num(v, "msg")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            latency: num(v, "latency")?,
-        },
-        "circuit_deliver" => TraceEvent::CircuitDeliver {
-            msg: num(v, "msg")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            latency: num(v, "latency")?,
-        },
-        "lane_fault" => TraceEvent::LaneFault {
-            link: num32(v, "link")?,
-            switch: num8(v, "switch")?,
-        },
-        "lane_repair" => TraceEvent::LaneRepair {
-            link: num32(v, "link")?,
-            switch: num8(v, "switch")?,
-        },
-        "circuit_broken" => TraceEvent::CircuitBroken {
-            circuit: num(v, "circuit")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-        },
-        "establish_retry" => TraceEvent::EstablishRetry {
-            circuit: num(v, "circuit")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            attempt: num8(v, "attempt")?,
-        },
-        "watchdog_trip" => TraceEvent::WatchdogTrip {
-            rule: num8(v, "rule")?,
-            value: num(v, "value")?,
-            limit: num(v, "limit")?,
-        },
-        other => return Err(format!("unknown event kind `{other}`")),
-    };
-    Ok(TraceRecord { at, seq, ev })
+/// Fails on a read error or malformed content.
+pub fn read_trace(src: impl io::Read) -> Result<Vec<TraceRecord>, String> {
+    read_as(src, None)
 }
 
-/// Parses a whole JSONL text back into records, oldest first.
-///
-/// Blank lines are skipped.
+/// Parses a whole JSONL text back into records, oldest first. Blank
+/// lines are skipped.
 ///
 /// # Errors
 /// Any malformed line fails the whole parse with its 1-based line number.
 pub fn read_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
-    JsonlReader::new(text).read_all()
+    read_as(text.as_bytes(), Some(TraceFormat::Jsonl))
 }
 
-/// Reads and parses a JSONL trace file.
+/// Decodes a whole in-memory columnar capture, oldest first.
 ///
 /// # Errors
-/// Fails when the file cannot be read or any line is malformed.
-pub fn read_jsonl_file(path: &Path) -> Result<Vec<TraceRecord>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    read_jsonl(&text)
-}
-
-fn plane_from_name(name: &str) -> Result<PlaneId, String> {
-    match name {
-        "wormhole plane" => Ok(PlaneId::Data),
-        "control plane" => Ok(PlaneId::Control),
-        "circuit plane" => Ok(PlaneId::Circuit),
-        other => Err(format!("unknown plane `{other}`")),
-    }
-}
-
-fn num(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-}
-
-fn num32(v: &Value, key: &str) -> Result<u32, String> {
-    u32::try_from(num(v, key)?).map_err(|_| format!("field `{key}` out of u32 range"))
-}
-
-fn num8(v: &Value, key: &str) -> Result<u8, String> {
-    u8::try_from(num(v, key)?).map_err(|_| format!("field `{key}` out of u8 range"))
-}
-
-fn flag(v: &Value, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| format!("missing or non-bool field `{key}`"))
-}
-
-fn txt<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string field `{key}`"))
+/// Fails on a missing magic prefix or any malformed frame.
+pub fn read_columnar(bytes: &[u8]) -> Result<Vec<TraceRecord>, String> {
+    read_as(bytes, Some(TraceFormat::Columnar))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::postmortem::record_to_json;
+    use crate::TraceEvent;
 
-    /// One record of every event kind, with distinctive field values.
+    /// The schema table's fixture (every kind, edge and small values), in
+    /// the JSONL-exact range, stamped with consecutive sequence numbers.
     fn sample_records() -> Vec<TraceRecord> {
-        let evs = vec![
-            TraceEvent::PlaneTick {
-                plane: PlaneId::Circuit,
-            },
-            TraceEvent::ProbeLaunch {
-                circuit: 9,
-                src: 3,
-                dest: 12,
-                switch: 2,
-                force: true,
-            },
-            TraceEvent::ProbeHop {
-                circuit: 9,
-                probe: 4,
-                node: 7,
-                link: 21,
-                misroute: true,
-            },
-            TraceEvent::ProbeBacktrack {
-                circuit: 9,
-                probe: 4,
-                node: 3,
-            },
-            TraceEvent::ProbePark {
-                circuit: 9,
-                probe: 4,
-                node: 7,
-                victim: 2,
-            },
-            TraceEvent::ProbeReached {
-                circuit: 9,
-                probe: 4,
-                dest: 12,
-                steps: 11,
-            },
-            TraceEvent::ProbeExhausted {
-                circuit: 9,
-                src: 3,
-                switch: 2,
-                force: false,
-            },
-            TraceEvent::CircuitEstablished {
-                circuit: 9,
-                src: 3,
-                dest: 12,
-                hops: 5,
-            },
-            TraceEvent::CircuitReleased { circuit: 9 },
-            TraceEvent::CircuitAbandoned { circuit: 9 },
-            TraceEvent::ForcedRelease { circuit: 9, src: 3 },
-            TraceEvent::CacheHit {
-                node: 3,
-                dest: 12,
-                circuit: 9,
-            },
-            TraceEvent::CacheMiss { node: 3, dest: 12 },
-            TraceEvent::CacheEvict {
-                node: 3,
-                victim_dest: 8,
-                circuit: 5,
-            },
-            TraceEvent::TransferStart {
-                circuit: 9,
-                msg: 77,
-                src: 3,
-                dest: 12,
-                len_flits: 32,
-            },
-            TraceEvent::WormholeInject {
-                msg: 78,
-                src: 3,
-                dest: 12,
-                len_flits: 32,
-            },
-            TraceEvent::WormholeDeliver {
-                msg: 78,
-                src: 3,
-                dest: 12,
-                latency: 140,
-            },
-            TraceEvent::CircuitDeliver {
-                msg: 77,
-                src: 3,
-                dest: 12,
-                latency: 90,
-            },
-            TraceEvent::LaneFault {
-                link: 21,
-                switch: 2,
-            },
-            TraceEvent::LaneRepair {
-                link: 21,
-                switch: 2,
-            },
-            TraceEvent::CircuitBroken {
-                circuit: 9,
-                src: 3,
-                dest: 12,
-            },
-            TraceEvent::EstablishRetry {
-                circuit: 10,
-                src: 3,
-                dest: 12,
-                attempt: 1,
-            },
-            // Rule 3 is retired (no watchdog emits it); captures that
-            // carry it must keep decoding.
-            TraceEvent::WatchdogTrip {
-                rule: 3,
-                value: 5000,
-                limit: 4096,
-            },
-        ];
-        evs.into_iter()
+        crate::every_event(1 << 53)
+            .into_iter()
             .enumerate()
             .map(|(i, ev)| TraceRecord {
                 at: 100 + i as u64,
@@ -1204,10 +611,11 @@ mod tests {
         sink.record_many(&recs);
         assert_eq!(sink.total(), recs.len() as u64);
         let bytes = sink.finish_into().expect("finish");
-        assert_eq!(TraceFormat::detect(&bytes), TraceFormat::Columnar);
-        let back = crate::columnar::read_columnar(&bytes).expect("decode");
+        let sniffed = StreamingReader::new(&bytes[..]).expect("open").format();
+        assert_eq!(sniffed, TraceFormat::Columnar);
+        let back = read_columnar(&bytes).expect("decode");
         assert_eq!(back, recs);
-        assert_eq!(read_trace_bytes(&bytes).expect("auto-detect"), recs);
+        assert_eq!(read_trace(&bytes[..]).expect("auto-detect"), recs);
     }
 
     #[test]
@@ -1373,11 +781,7 @@ mod tests {
     }
 
     fn drain<R: io::Read>(mut reader: StreamingReader<R>) -> Vec<TraceRecord> {
-        let mut out = Vec::new();
-        while let Some(rec) = reader.next_record() {
-            out.push(rec.expect("stream"));
-        }
-        out
+        reader.read_all().expect("stream")
     }
 
     #[test]
@@ -1449,7 +853,8 @@ mod tests {
         let mut reader = StreamingReader::new(&bytes[..]).expect("open");
         let mut saw_err = false;
         while let Some(rec) = reader.next_record() {
-            if rec.is_err() {
+            if let Err(e) = rec {
+                assert!(e.contains("frame at byte"), "{e}");
                 saw_err = true;
                 break;
             }

@@ -8,7 +8,7 @@ use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::topology::Topology;
 use wavesim::trace::stream;
 use wavesim::trace::{
-    read_columnar, ColumnarBuf, ColumnarSink, JsonlSink, PlaneId, TraceEvent, TraceRecord,
+    every_event, read_columnar, read_trace, ColumnarBuf, ColumnarSink, JsonlSink, TraceRecord,
     TraceSink,
 };
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
@@ -21,168 +21,20 @@ use wavesim_bench::{run_open_loop_observed, RunSpec};
 /// use `u64::MAX`.
 const MAX_JSONL: u64 = 1 << 53;
 
-/// One instance of every `TraceEvent` variant, pushed toward the edges of
-/// its value space: `big` in every `u64`-wide id/count field, maximal
-/// node and link ids, maximal switch numbers, both Force-bit polarities.
-fn every_event_extreme(big: u64) -> Vec<TraceEvent> {
-    let u64_max = big;
-    vec![
-        TraceEvent::PlaneTick {
-            plane: PlaneId::Data,
-        },
-        TraceEvent::PlaneTick {
-            plane: PlaneId::Control,
-        },
-        TraceEvent::PlaneTick {
-            plane: PlaneId::Circuit,
-        },
-        TraceEvent::ProbeLaunch {
-            circuit: u64_max,
-            src: u32::MAX,
-            dest: 0,
-            switch: u8::MAX,
-            force: true,
-        },
-        TraceEvent::ProbeLaunch {
-            circuit: 0,
-            src: 0,
-            dest: u32::MAX,
-            switch: 1,
-            force: false,
-        },
-        TraceEvent::ProbeHop {
-            circuit: u64_max,
-            probe: u64_max,
-            node: u32::MAX,
-            link: u32::MAX,
-            misroute: true,
-        },
-        TraceEvent::ProbeHop {
-            circuit: 1,
-            probe: 2,
-            node: 3,
-            link: 4,
-            misroute: false,
-        },
-        TraceEvent::ProbeBacktrack {
-            circuit: u64_max - 1,
-            probe: u64_max,
-            node: u32::MAX,
-        },
-        TraceEvent::ProbePark {
-            circuit: u64_max,
-            probe: 0,
-            node: u32::MAX,
-            victim: u64_max,
-        },
-        TraceEvent::ProbeReached {
-            circuit: u64_max,
-            probe: u64_max,
-            dest: u32::MAX,
-            steps: u64_max,
-        },
-        TraceEvent::ProbeExhausted {
-            circuit: u64_max,
-            src: u32::MAX,
-            switch: u8::MAX,
-            force: true,
-        },
-        TraceEvent::ProbeExhausted {
-            circuit: 7,
-            src: 8,
-            switch: 2,
-            force: false,
-        },
-        TraceEvent::CircuitEstablished {
-            circuit: u64_max,
-            src: u32::MAX,
-            dest: u32::MAX,
-            hops: u32::MAX,
-        },
-        TraceEvent::CircuitReleased { circuit: u64_max },
-        TraceEvent::CircuitAbandoned { circuit: u64_max },
-        TraceEvent::ForcedRelease {
-            circuit: u64_max,
-            src: u32::MAX,
-        },
-        TraceEvent::CacheHit {
-            node: u32::MAX,
-            dest: u32::MAX,
-            circuit: u64_max,
-        },
-        TraceEvent::CacheMiss {
-            node: u32::MAX,
-            dest: u32::MAX,
-        },
-        TraceEvent::CacheEvict {
-            node: u32::MAX,
-            victim_dest: u32::MAX,
-            circuit: u64_max,
-        },
-        TraceEvent::TransferStart {
-            circuit: u64_max,
-            msg: u64_max,
-            src: u32::MAX,
-            dest: u32::MAX,
-            len_flits: u32::MAX,
-        },
-        TraceEvent::WormholeInject {
-            msg: u64_max,
-            src: u32::MAX,
-            dest: u32::MAX,
-            len_flits: u32::MAX,
-        },
-        TraceEvent::WormholeDeliver {
-            msg: u64_max,
-            src: u32::MAX,
-            dest: u32::MAX,
-            latency: u64_max,
-        },
-        TraceEvent::CircuitDeliver {
-            msg: u64_max,
-            src: u32::MAX,
-            dest: u32::MAX,
-            latency: u64_max,
-        },
-        TraceEvent::LaneFault {
-            link: u32::MAX,
-            switch: u8::MAX,
-        },
-        TraceEvent::LaneRepair {
-            link: u32::MAX,
-            switch: u8::MAX,
-        },
-        TraceEvent::CircuitBroken {
-            circuit: u64_max,
-            src: u32::MAX,
-            dest: u32::MAX,
-        },
-        TraceEvent::EstablishRetry {
-            circuit: u64_max,
-            src: u32::MAX,
-            dest: u32::MAX,
-            attempt: u8::MAX,
-        },
-    ]
-}
-
 /// Timestamps chosen to exercise the zigzag delta codec at its extremes:
 /// forward jumps of `big`, backward jumps of the same magnitude, and
 /// zero-width deltas, cycled over the event list.
 fn extreme_records(consecutive_seq: bool, big: u64) -> Vec<TraceRecord> {
     let cycles = [0u64, big, 0, 1, big - 1, big, 12_345, 12_345];
-    every_event_extreme(big)
+    let events = every_event(big);
+    // Huge gaps, scaled so the last stamp stays under `big`.
+    let gap = big / events.len() as u64 + 1;
+    events
         .into_iter()
         .enumerate()
         .map(|(i, ev)| TraceRecord {
             at: cycles[i % cycles.len()],
-            seq: if consecutive_seq {
-                i as u64
-            } else {
-                // Huge gaps, scaled so the top stays near `big` (wrapping
-                // only when `big` spans the whole u64 range).
-                (i as u64).wrapping_mul(big / 32 + 1)
-            },
+            seq: i as u64 * if consecutive_seq { 1 } else { gap },
             ev,
         })
         .collect()
@@ -202,13 +54,21 @@ fn encode_jsonl(recs: &[TraceRecord]) -> String {
 /// spanning the whole range in both directions) round-trips exactly.
 #[test]
 fn binary_round_trips_full_u64_extremes() {
-    for consecutive in [true, false] {
-        let recs = extreme_records(consecutive, u64::MAX);
+    let round_trip = |recs: &[TraceRecord], what: &str| {
         let mut buf = ColumnarBuf::new();
-        buf.record_many(&recs);
+        buf.record_many(recs);
         let back = read_columnar(&buf.into_bytes()).expect("decode own encoding");
-        assert_eq!(back, recs, "binary round trip (consecutive={consecutive})");
+        assert_eq!(back, recs, "binary round trip ({what})");
+    };
+    round_trip(&extreme_records(true, u64::MAX), "consecutive seqs");
+    round_trip(&extreme_records(false, u64::MAX), "gapped seqs");
+    // `u64::MAX, 0` is consecutive to the encoder (no seq column), so the
+    // decoder's implicit count has to wrap the same way.
+    let mut wrapping = extreme_records(true, u64::MAX);
+    for (i, rec) in wrapping.iter_mut().enumerate() {
+        rec.seq = (i as u64).wrapping_sub(1);
     }
+    round_trip(&wrapping, "seqs wrapping past u64::MAX");
 }
 
 /// Every variant, with every id field at the edge of the JSONL-exact
@@ -230,12 +90,9 @@ fn every_variant_round_trips_binary_and_matches_jsonl() {
         assert_eq!(via_json, back, "JSONL and binary decodes must agree");
 
         // And the format sniffer sends each encoding to the right decoder.
+        assert_eq!(read_trace(&bytes[..]).expect("autodetect binary"), recs);
         assert_eq!(
-            stream::read_trace_bytes(&bytes).expect("autodetect binary"),
-            recs
-        );
-        assert_eq!(
-            stream::read_trace_bytes(jsonl.as_bytes()).expect("autodetect JSONL"),
+            read_trace(jsonl.as_bytes()).expect("autodetect JSONL"),
             recs
         );
     }
@@ -308,8 +165,8 @@ fn real_run_binary_stream_is_lossless_and_compact() {
     );
     let jbytes = std::fs::read(&jpath).expect("read jsonl");
     let bbytes = std::fs::read(&bpath).expect("read bin");
-    let from_jsonl = stream::read_trace_bytes(&jbytes).expect("decode jsonl");
-    let from_bin = stream::read_trace_bytes(&bbytes).expect("decode bin");
+    let from_jsonl = read_trace(&jbytes[..]).expect("decode jsonl");
+    let from_bin = read_trace(&bbytes[..]).expect("decode bin");
     assert!(!from_bin.is_empty());
     assert_eq!(from_bin, from_jsonl, "binary stream must be lossless");
     assert!(
@@ -379,4 +236,79 @@ fn sampled_stream_is_deterministic_subset() {
         full.iter().filter(lifecycle).count(),
         "sampling must keep every lifecycle event"
     );
+}
+
+/// The JSONL golden: one line per record exactly as `encode_record` must
+/// write it — every kind, all three planes, both polarities of every
+/// flag, ids seen more than once (one dictionary slot, several uses), a
+/// `seq` gap in the second frame (the explicit-seq column) and a cycle
+/// stamp that jumps to 2^53 and back. Recorded on the hand-written codecs
+/// that preceded `trace::schema`; the table must reproduce it byte for
+/// byte.
+const WIRE_JSONL: &str = r#"{"at":0,"seq":0,"type":"plane_tick","plane":"wormhole plane"}
+{"at":0,"seq":1,"type":"plane_tick","plane":"control plane"}
+{"at":0,"seq":2,"type":"plane_tick","plane":"circuit plane"}
+{"at":1,"seq":3,"type":"cache_miss","node":3,"dest":12}
+{"at":1,"seq":4,"type":"probe_launch","circuit":9007199254740992,"src":3,"dest":12,"switch":255,"force":false}
+{"at":2,"seq":5,"type":"probe_hop","circuit":9007199254740992,"probe":4,"node":7,"link":4294967295,"misroute":false}
+{"at":3,"seq":6,"type":"probe_hop","circuit":9007199254740992,"probe":4,"node":11,"link":22,"misroute":true}
+{"at":4,"seq":7,"type":"probe_backtrack","circuit":9007199254740992,"probe":4,"node":7}
+{"at":5,"seq":8,"type":"probe_exhausted","circuit":9007199254740992,"src":3,"switch":255,"force":false}
+{"at":5,"seq":9,"type":"probe_launch","circuit":9007199254740992,"src":3,"dest":12,"switch":1,"force":true}
+{"at":6,"seq":10,"type":"probe_park","circuit":9007199254740992,"probe":5,"node":7,"victim":2}
+{"at":7,"seq":11,"type":"forced_release","circuit":2,"src":0}
+{"at":9,"seq":12,"type":"circuit_released","circuit":2}
+{"at":10,"seq":13,"type":"probe_reached","circuit":9007199254740992,"probe":5,"dest":12,"steps":11}
+{"at":14,"seq":14,"type":"circuit_established","circuit":9007199254740992,"src":3,"dest":12,"hops":5}
+{"at":14,"seq":15,"type":"transfer_start","circuit":9007199254740992,"msg":77,"src":3,"dest":12,"len_flits":32}
+{"at":46,"seq":16,"type":"circuit_deliver","msg":77,"src":3,"dest":12,"latency":90}
+{"at":47,"seq":17,"type":"cache_hit","node":3,"dest":12,"circuit":9007199254740992}
+{"at":48,"seq":40,"type":"cache_evict","node":3,"victim_dest":8,"circuit":5}
+{"at":48,"seq":41,"type":"wormhole_inject","msg":78,"src":4294967295,"dest":0,"len_flits":4294967295}
+{"at":9007199254740992,"seq":42,"type":"wormhole_deliver","msg":78,"src":4294967295,"dest":0,"latency":9007199254740992}
+{"at":50,"seq":43,"type":"lane_fault","link":21,"switch":2}
+{"at":50,"seq":44,"type":"circuit_broken","circuit":9007199254740992,"src":3,"dest":12}
+{"at":60,"seq":45,"type":"establish_retry","circuit":10,"src":3,"dest":12,"attempt":255}
+{"at":61,"seq":46,"type":"probe_exhausted","circuit":10,"src":3,"switch":2,"force":true}
+{"at":61,"seq":47,"type":"circuit_abandoned","circuit":10}
+{"at":70,"seq":48,"type":"lane_repair","link":21,"switch":2}
+{"at":99,"seq":49,"type":"watchdog_trip","rule":3,"value":5000,"limit":4096}
+"#;
+
+/// The WSTRACE1 golden: [`WIRE_JSONL`]'s records in frames of 16 (the
+/// first frame's `seq`s are consecutive, the second's are not), as hex.
+const WIRE_BIN_HEX: &str = concat!(
+    "5753545241434531100000000580808080808080100405024d100001020e0304",
+    "44050843060c0a070910100000000200020202020002020402080032030c0003",
+    "0cff01000107ffffffff0f00010b160001070003ff0100030c01000207030300",
+    "0300020c0b00030c050004030c200c012e10054d8080808080808010054e0a0c",
+    "130d0f1112141617480b15181a00020200a0ffffffffffff1f9bffffffffffff",
+    "1f00140200123a0c00022e0202020202020202023a00030c5a030c0103080203",
+    "ffffffff0f00ffffffff0f03ffffffff0f008080808080808010150201030c04",
+    "030cff010403020415020388278020",
+);
+
+/// Both wire formats against committed constants. Every other codec test
+/// compares the encoders with each other or with a rerun; this one is
+/// what notices when both move together.
+#[test]
+fn wire_bytes_match_committed_goldens() {
+    let recs = stream::read_jsonl(WIRE_JSONL).expect("golden text decodes");
+    assert_eq!(encode_jsonl(&recs), WIRE_JSONL, "JSONL bytes drifted");
+    let mut buf = ColumnarBuf::with_chunk(16);
+    buf.record_many(&recs);
+    let hex: String = buf
+        .into_bytes()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(hex, WIRE_BIN_HEX, "WSTRACE1 bytes drifted");
+    // A variant added to the table needs a line in the golden too.
+    for ev in every_event(1) {
+        let kind = ev.kind();
+        assert!(
+            recs.iter().any(|r| r.ev.kind() == kind),
+            "WIRE_JSONL has no `{kind}` record"
+        );
+    }
 }

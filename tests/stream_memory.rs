@@ -85,7 +85,7 @@ fn streaming_reader_peaks_far_below_materializing() {
 
     // Materialized baseline: the whole Vec<TraceRecord> lives at once.
     let (records, peak_materialized) =
-        peak_growth(|| stream::read_trace_bytes(&bytes).expect("valid capture"));
+        peak_growth(|| stream::read_trace(&bytes[..]).expect("valid capture"));
     assert_eq!(records.len(), N);
     drop(records);
 
