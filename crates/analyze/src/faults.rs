@@ -12,9 +12,11 @@
 //! windows can therefore be shorter than the outage, comparisons must go
 //! through [`PhaseStats::rate`] — deliveries per cycle over the window's
 //! *actual* length — not raw delivery counts.
+//!
+//! [`TraceEvent::LaneFault`]: wavesim_trace::TraceEvent::LaneFault
+//! [`TraceEvent::LaneRepair`]: wavesim_trace::TraceEvent::LaneRepair
 
 use wavesim_sim::Cycle;
-use wavesim_trace::{TraceEvent, TraceRecord};
 
 use crate::spans::MessageSpan;
 
@@ -80,7 +82,9 @@ pub struct FaultImpact {
 
 fn phase(deliveries: &[(Cycle, u64)], from: Cycle, to: Cycle) -> PhaseStats {
     let lo = deliveries.partition_point(|&(at, _)| at < from);
-    let hi = deliveries.partition_point(|&(at, _)| at < to);
+    // A repair stamped before its fault (a reordered trace) is an empty
+    // window, not a reversed range.
+    let hi = deliveries.partition_point(|&(at, _)| at < to).max(lo);
     let window = &deliveries[lo..hi];
     let delivered = window.len() as u64;
     let mean_latency = if window.is_empty() {
@@ -99,45 +103,29 @@ fn phase(deliveries: &[(Cycle, u64)], from: Cycle, to: Cycle) -> PhaseStats {
 /// One fault-timeline entry: `(cycle, link, switch, is_fault)`.
 type LaneEvent = (Cycle, u32, u8, bool);
 
-/// Incremental fault-impact accounting. The fold only retains the (rare)
-/// lane fault / repair timeline plus the trace horizon; the window math
-/// runs at [`FaultFold::finish`] against the reconstructed deliveries.
-/// [`impact`] is the batch wrapper.
+/// Fault-impact accounting. The fold only retains the (rare) lane fault /
+/// repair timeline; the window math runs at [`FaultFold::finish`] against
+/// the reconstructed deliveries.
 #[derive(Default)]
-pub struct FaultFold {
+pub(crate) struct FaultFold {
     timeline: Vec<LaneEvent>,
-    horizon: Cycle,
 }
 
 impl FaultFold {
-    /// An empty fold.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one record: every record advances the horizon, lane fault /
-    /// repair events extend the timeline.
-    pub fn fold(&mut self, rec: &TraceRecord) {
-        self.horizon = self.horizon.max(rec.at);
-        match rec.ev {
-            TraceEvent::LaneFault { link, switch } => {
-                self.timeline.push((rec.at, link, switch, true));
-            }
-            TraceEvent::LaneRepair { link, switch } => {
-                self.timeline.push((rec.at, link, switch, false));
-            }
-            _ => {}
-        }
+    /// A `lane_fault` (`is_fault`) or `lane_repair` record.
+    pub fn lane_event(&mut self, at: Cycle, link: u32, switch: u8, is_fault: bool) {
+        self.timeline.push((at, link, switch, is_fault));
     }
 
     /// Builds one [`FaultImpact`] per lane fault. `spans` are the
-    /// reconstructed deliveries (already in delivery order).
-    #[must_use]
-    pub fn finish(self, spans: &[MessageSpan]) -> Vec<FaultImpact> {
+    /// reconstructed deliveries (already in delivery order) and `horizon`
+    /// the highest cycle folded.
+    pub fn finish(self, spans: &[MessageSpan], horizon: Cycle) -> Vec<FaultImpact> {
+        if self.timeline.is_empty() {
+            return Vec::new();
+        }
         let deliveries: Vec<(Cycle, u64)> =
             spans.iter().map(|s| (s.delivered, s.latency())).collect();
-        debug_assert!(deliveries.windows(2).all(|w| w[0].0 <= w[1].0));
 
         let mut out = Vec::new();
         for (i, &(fault_at, link, switch, is_fault)) in self.timeline.iter().enumerate() {
@@ -151,7 +139,7 @@ impl FaultFold {
                 .map(|&(at, ..)| at);
             // Exclusive bound that still covers deliveries at the last
             // cycle.
-            let end = self.horizon + 1;
+            let end = horizon.saturating_add(1);
             let during_end = repair_at.unwrap_or(end);
             let dur = during_end.saturating_sub(fault_at).max(1);
             // The recovery window must stop where the same lane fails
@@ -179,26 +167,26 @@ impl FaultFold {
         }
         out
     }
-}
 
-/// Builds one [`FaultImpact`] per lane fault in the trace. `spans` are the
-/// reconstructed deliveries (already in delivery order).
-#[must_use]
-pub fn impact(records: &[TraceRecord], spans: &[MessageSpan]) -> Vec<FaultImpact> {
-    let mut fold = FaultFold::new();
-    for rec in records {
-        fold.fold(rec);
+    /// Rows in the timeline.
+    #[cfg(test)]
+    pub fn largest_table(&self) -> usize {
+        self.timeline.len()
     }
-    fold.finish(spans)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spans::reconstruct;
+    use crate::{analyze, AnalyzeOptions};
+    use wavesim_trace::{TraceEvent, TraceRecord};
 
     fn rec(at: Cycle, seq: u64, ev: TraceEvent) -> TraceRecord {
         TraceRecord { at, seq, ev }
+    }
+
+    fn impact(records: &[TraceRecord]) -> Vec<FaultImpact> {
+        analyze(records, AnalyzeOptions::default()).faults
     }
 
     fn deliver(at: Cycle, seq: u64, msg: u64, latency: u64) -> TraceRecord {
@@ -225,8 +213,7 @@ mod tests {
             deliver(25, 5, 4, 7),
             deliver(40, 6, 5, 7),
         ];
-        let set = reconstruct(&recs);
-        let faults = impact(&recs, &set.spans);
+        let faults = impact(&recs);
         assert_eq!(faults.len(), 1);
         let f = &faults[0];
         assert_eq!((f.link, f.switch), (3, 1));
@@ -250,8 +237,7 @@ mod tests {
             rec(10, 1, TraceEvent::LaneFault { link: 0, switch: 2 }),
             deliver(30, 2, 2, 25),
         ];
-        let set = reconstruct(&recs);
-        let faults = impact(&recs, &set.spans);
+        let faults = impact(&recs);
         let f = &faults[0];
         assert!(f.repair_at.is_none());
         assert!(f.after.is_none());
@@ -272,8 +258,7 @@ mod tests {
             rec(20, 3, TraceEvent::LaneRepair { link: 0, switch: 1 }),
             deliver(30, 4, 3, 4),
         ];
-        let set = reconstruct(&recs);
-        let f = &impact(&recs, &set.spans)[0];
+        let f = &impact(&recs)[0];
         assert_eq!((f.before.from, f.before.to), (0, 3));
         assert_eq!(f.before.len(), 3);
         assert_eq!(f.before.delivered, 2);
@@ -299,8 +284,7 @@ mod tests {
             rec(40, 5, TraceEvent::LaneRepair { link: 2, switch: 1 }),
             deliver(45, 6, 3, 2),
         ];
-        let set = reconstruct(&recs);
-        let faults = impact(&recs, &set.spans);
+        let faults = impact(&recs);
         assert_eq!(faults.len(), 2);
         let first = &faults[0];
         let after = first.after.unwrap();
@@ -322,8 +306,7 @@ mod tests {
             rec(22, 2, TraceEvent::LaneFault { link: 7, switch: 2 }),
             rec(60, 3, TraceEvent::LaneRepair { link: 7, switch: 2 }),
         ];
-        let set = reconstruct(&recs);
-        let faults = impact(&recs, &set.spans);
+        let faults = impact(&recs);
         let after = faults[0].after.unwrap();
         assert_eq!((after.from, after.to), (20, 30));
     }
@@ -336,8 +319,7 @@ mod tests {
             rec(50, 2, TraceEvent::LaneFault { link: 1, switch: 1 }),
             rec(55, 3, TraceEvent::LaneRepair { link: 1, switch: 1 }),
         ];
-        let set = reconstruct(&recs);
-        let faults = impact(&recs, &set.spans);
+        let faults = impact(&recs);
         assert_eq!(faults.len(), 2);
         assert_eq!(faults[0].repair_at, Some(20));
         assert_eq!(faults[1].repair_at, Some(55));

@@ -7,12 +7,10 @@
 //! faults cost it (retry wait), and how its deliveries broke down across
 //! transports.
 
-use std::collections::{BTreeMap, HashMap};
-
 use wavesim_sim::Cycle;
-use wavesim_trace::{TraceEvent, TraceRecord};
 
-use crate::spans::{SpanMode, SpanSet};
+use crate::live::slot;
+use crate::spans::{CircuitLog, MessageSpan, SpanMode};
 
 /// Cache and latency attribution for one `(src, dest)` flow.
 #[derive(Debug, Clone, Copy, Default)]
@@ -80,90 +78,92 @@ impl FlowStats {
     }
 }
 
-fn flow(flows: &mut BTreeMap<(u32, u32), FlowStats>, src: u32, dest: u32) -> &mut FlowStats {
-    let e = flows.entry((src, dest)).or_default();
-    e.src = src;
-    e.dest = dest;
-    e
+/// One row of the flow table.
+#[derive(Clone, Default)]
+struct Slot {
+    stats: FlowStats,
+    /// The earliest unanswered `circuit_broken` of this flow.
+    broken_at: Option<Cycle>,
+    /// A breakage alone does not put a flow in the report.
+    listed: bool,
 }
 
-/// Incremental flow attribution. [`FlowFold::fold`] consumes the cache /
-/// fault-recovery events one record at a time; [`FlowFold::finish`] merges
-/// in the delivery sums and setup-side costs from the reconstructed
-/// [`SpanSet`] and sorts. Every accumulation is additive per `(src, dest)`
-/// key, so the interleaving of the record stream with the span merge does
-/// not affect the result — [`attribute`] is the batch wrapper.
+/// Flow attribution over dense indices: one [`Slot`] per `(src, dest)`
+/// pair, indexed by the first-appearance index
+/// [`crate::live::LiveAnalytics`] resolved the pair to. The cache and
+/// fault-recovery events arrive during the fold; the delivery sums and
+/// setup-side costs are merged from the sealed spans and circuit logs
+/// just before [`FlowFold::finish`]. Every accumulation is additive per
+/// flow, so the order of the two does not affect the result.
 #[derive(Default)]
-pub struct FlowFold {
-    flows: BTreeMap<(u32, u32), FlowStats>,
-    broken_at: HashMap<(u32, u32), Cycle>,
+pub(crate) struct FlowFold {
+    slots: Vec<Slot>,
 }
 
 impl FlowFold {
-    /// An empty fold.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    /// The statistics of flow `f`, which is `src -> dest`.
+    pub fn flow(&mut self, f: usize, src: u32, dest: u32) -> &mut FlowStats {
+        let slot = slot(&mut self.slots, f, Slot::default);
+        slot.listed = true;
+        slot.stats.src = src;
+        slot.stats.dest = dest;
+        &mut slot.stats
     }
 
-    /// Folds one record's cache traffic / fault recovery contribution.
-    pub fn fold(&mut self, rec: &TraceRecord) {
-        match rec.ev {
-            TraceEvent::CacheHit { node, dest, .. } => {
-                flow(&mut self.flows, node, dest).cache_hits += 1;
-            }
-            TraceEvent::CacheMiss { node, dest } => {
-                flow(&mut self.flows, node, dest).cache_misses += 1;
-            }
-            TraceEvent::CacheEvict {
-                node, victim_dest, ..
-            } => {
-                flow(&mut self.flows, node, victim_dest).evictions_suffered += 1;
-            }
-            TraceEvent::CircuitBroken { src, dest, .. } => {
-                // Keep the earliest unanswered breakage per flow.
-                self.broken_at.entry((src, dest)).or_insert(rec.at);
-            }
-            TraceEvent::EstablishRetry { src, dest, .. } => {
-                let e = flow(&mut self.flows, src, dest);
-                e.retries += 1;
-                if let Some(t) = self.broken_at.remove(&(src, dest)) {
-                    e.retry_wait += rec.at - t;
-                }
-            }
-            _ => {}
+    /// A circuit of flow `f` broke at `at`.
+    pub fn broken(&mut self, f: usize, at: Cycle) {
+        // Keep the earliest unanswered breakage per flow.
+        slot(&mut self.slots, f, Slot::default)
+            .broken_at
+            .get_or_insert(at);
+    }
+
+    /// Flow `f` launched a re-establishment attempt at `at`.
+    pub fn retry(&mut self, f: usize, src: u32, dest: u32, at: Cycle) {
+        let broken_at = slot(&mut self.slots, f, Slot::default).broken_at.take();
+        let e = self.flow(f, src, dest);
+        e.retries += 1;
+        if let Some(t) = broken_at {
+            e.retry_wait = e.retry_wait.saturating_add(at.saturating_sub(t));
         }
     }
 
-    /// Merges the span-derived sums and returns the flows sorted by
-    /// traffic (deliveries, then lookups) descending, `(src, dest)`
-    /// breaking ties.
-    #[must_use]
-    pub fn finish(mut self, set: &SpanSet) -> Vec<FlowStats> {
-        // Delivery sums from the reconstructed spans.
-        for s in &set.spans {
-            let e = flow(&mut self.flows, s.src, s.dest);
-            e.delivered += 1;
-            match s.mode {
-                SpanMode::Circuit => e.circuit_msgs += 1,
-                SpanMode::Fallback => e.fallback_msgs += 1,
-                SpanMode::Wormhole => e.wormhole_msgs += 1,
-            }
-            e.flits += u64::from(s.len_flits);
-            e.latency_sum += s.latency();
-            e.setup_sum += s.setup;
-            e.queue_sum += s.queue;
-            e.transit_sum += s.transit;
+    /// Adds one reconstructed delivery of flow `f`.
+    pub fn delivered(&mut self, f: usize, s: &MessageSpan) {
+        let e = self.flow(f, s.src, s.dest);
+        e.delivered += 1;
+        match s.mode {
+            SpanMode::Circuit => e.circuit_msgs += 1,
+            SpanMode::Fallback => e.fallback_msgs += 1,
+            SpanMode::Wormhole => e.wormhole_msgs += 1,
         }
-        // Setup-side costs from the circuit lifecycles.
-        for log in set.circuits.values() {
-            let e = flow(&mut self.flows, log.src, log.dest);
-            e.force_launches += u64::from(log.force_launches);
-            e.parks += u64::from(log.parks);
-            e.victim_chain = e.victim_chain.max(log.parks);
-        }
-        let mut out: Vec<FlowStats> = self.flows.into_values().collect();
-        out.sort_by(|a, b| {
+        e.flits += u64::from(s.len_flits);
+        // Sums of trace-derived cycle counts saturate: a file may carry
+        // latencies near `u64::MAX`.
+        e.latency_sum = e.latency_sum.saturating_add(s.latency());
+        e.setup_sum = e.setup_sum.saturating_add(s.setup);
+        e.queue_sum = e.queue_sum.saturating_add(s.queue);
+        e.transit_sum = e.transit_sum.saturating_add(s.transit);
+    }
+
+    /// Adds the setup-side costs of one circuit of flow `f`.
+    pub fn setup_costs(&mut self, f: usize, log: &CircuitLog) {
+        let e = self.flow(f, log.src, log.dest);
+        e.force_launches += u64::from(log.force_launches);
+        e.parks += u64::from(log.parks);
+        e.victim_chain = e.victim_chain.max(log.parks);
+    }
+
+    /// The flows sorted by traffic (deliveries, then lookups) descending,
+    /// with the `(src, dest)` key breaking ties so the order is total.
+    pub fn finish(self) -> Vec<FlowStats> {
+        let mut out: Vec<FlowStats> = self
+            .slots
+            .into_iter()
+            .filter(|s| s.listed)
+            .map(|s| s.stats)
+            .collect();
+        out.sort_unstable_by(|a, b| {
             (b.delivered, b.cache_hits + b.cache_misses, a.src, a.dest).cmp(&(
                 a.delivered,
                 a.cache_hits + a.cache_misses,
@@ -173,28 +173,26 @@ impl FlowFold {
         });
         out
     }
-}
 
-/// Attributes cache behaviour and delivery latency to flows. Returns the
-/// flows sorted by traffic (deliveries, then lookups) descending, with the
-/// `(src, dest)` key breaking ties so the order is deterministic.
-#[must_use]
-pub fn attribute(records: &[TraceRecord], set: &SpanSet) -> Vec<FlowStats> {
-    let mut fold = FlowFold::new();
-    for rec in records {
-        fold.fold(rec);
+    /// Rows in the flow table.
+    #[cfg(test)]
+    pub fn largest_table(&self) -> usize {
+        self.slots.len()
     }
-    fold.finish(set)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spans::reconstruct;
-    use wavesim_trace::TraceRecord;
+    use crate::{analyze, AnalyzeOptions};
+    use wavesim_trace::{TraceEvent, TraceRecord};
 
     fn rec(at: u64, seq: u64, ev: TraceEvent) -> TraceRecord {
         TraceRecord { at, seq, ev }
+    }
+
+    fn attribute(records: &[TraceRecord]) -> Vec<FlowStats> {
+        analyze(records, AnalyzeOptions::default()).flows
     }
 
     #[test]
@@ -239,8 +237,7 @@ mod tests {
                 },
             ),
         ];
-        let set = reconstruct(&recs);
-        let flows = attribute(&recs, &set);
+        let flows = attribute(&recs);
         let f03 = flows.iter().find(|f| (f.src, f.dest) == (0, 3)).unwrap();
         assert_eq!(f03.cache_hits, 1);
         assert_eq!(f03.cache_misses, 1);
@@ -286,8 +283,7 @@ mod tests {
                 },
             ),
         ];
-        let set = reconstruct(&recs);
-        let flows = attribute(&recs, &set);
+        let flows = attribute(&recs);
         let f = flows.iter().find(|f| (f.src, f.dest) == (2, 7)).unwrap();
         assert_eq!(f.force_launches, 1);
         assert_eq!(f.parks, 2);
@@ -301,8 +297,7 @@ mod tests {
             rec(0, 1, TraceEvent::CacheMiss { node: 0, dest: 2 }),
             rec(1, 2, TraceEvent::CacheMiss { node: 0, dest: 2 }),
         ];
-        let set = reconstruct(&recs);
-        let flows = attribute(&recs, &set);
+        let flows = attribute(&recs);
         assert_eq!((flows[0].src, flows[0].dest), (0, 2));
         assert_eq!((flows[1].src, flows[1].dest), (1, 2));
     }

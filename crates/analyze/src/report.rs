@@ -65,9 +65,9 @@ pub fn tables(a: &Analysis) -> Vec<Table> {
         for sp in a.spans.spans.iter().filter(|sp| sp.mode == mode) {
             hist.record(sp.latency());
             n += 1;
-            setup += sp.setup;
-            queue += sp.queue;
-            transit += sp.transit;
+            setup = setup.saturating_add(sp.setup);
+            queue = queue.saturating_add(sp.queue);
+            transit = transit.saturating_add(sp.transit);
         }
         if n == 0 {
             continue;
@@ -117,7 +117,10 @@ pub fn tables(a: &Analysis) -> Vec<Table> {
     }
     out.push(t);
 
-    let total_held: u64 = a.lanes.iter().map(|l| l.held_cycles).sum();
+    let total_held = a
+        .lanes
+        .iter()
+        .fold(0u64, |sum, l| sum.saturating_add(l.held_cycles));
     let mut t = Table::new(
         "A4",
         "hottest wave lanes (reservation occupancy)",
@@ -207,7 +210,7 @@ pub fn to_json(a: &Analysis) -> Value {
         a.flows
             .iter()
             .map(|f| {
-                Value::obj(vec![
+                Value::obj([
                     ("src", f.src.into()),
                     ("dest", f.dest.into()),
                     ("delivered", f.delivered.into()),
@@ -260,7 +263,7 @@ pub fn to_json(a: &Analysis) -> Value {
         a.lanes
             .iter()
             .map(|l| {
-                Value::obj(vec![
+                Value::obj([
                     ("link", l.link.into()),
                     ("switch", u32::from(l.switch).into()),
                     ("reservations", l.reservations.into()),
@@ -270,7 +273,7 @@ pub fn to_json(a: &Analysis) -> Value {
             .collect(),
     );
     let phase_json = |p: &crate::PhaseStats| {
-        Value::obj(vec![
+        Value::obj([
             ("from", p.from.into()),
             ("to", p.to.into()),
             ("length", p.len().into()),
@@ -283,7 +286,7 @@ pub fn to_json(a: &Analysis) -> Value {
         a.faults
             .iter()
             .map(|f| {
-                Value::obj(vec![
+                Value::obj([
                     ("link", f.link.into()),
                     ("switch", u32::from(f.switch).into()),
                     ("fault_at", f.fault_at.into()),
@@ -295,7 +298,7 @@ pub fn to_json(a: &Analysis) -> Value {
             })
             .collect(),
     );
-    Value::obj(vec![
+    Value::obj([
         ("summary", summary),
         ("flows", flows),
         ("lanes", lanes),

@@ -6,80 +6,49 @@
 //! feed the hit rate, and the set of distinct routers named by a cycle's
 //! events stands in for the live active-router gauge.
 
-use std::collections::{HashMap, HashSet};
-
 use wavesim_sim::Cycle;
 use wavesim_trace::timeseries::{WindowRow, WindowSeries};
-use wavesim_trace::{TraceEvent, TraceRecord};
 
-/// Calls `visit` with every node id an event names as *doing work* (probe
-/// positions, cache lookups, transfer endpoints — not idle bystanders).
-fn visit_nodes(ev: &TraceEvent, mut visit: impl FnMut(u32)) {
-    match *ev {
-        TraceEvent::ProbeLaunch { src, .. }
-        | TraceEvent::ProbeExhausted { src, .. }
-        | TraceEvent::ForcedRelease { src, .. }
-        | TraceEvent::WormholeInject { src, .. }
-        | TraceEvent::EstablishRetry { src, .. } => visit(src),
-        TraceEvent::ProbeHop { node, .. }
-        | TraceEvent::ProbeBacktrack { node, .. }
-        | TraceEvent::ProbePark { node, .. }
-        | TraceEvent::CacheHit { node, .. }
-        | TraceEvent::CacheMiss { node, .. }
-        | TraceEvent::CacheEvict { node, .. } => visit(node),
-        TraceEvent::ProbeReached { dest, .. } => visit(dest),
-        TraceEvent::CircuitEstablished { src, dest, .. }
-        | TraceEvent::TransferStart { src, dest, .. }
-        | TraceEvent::CircuitBroken { src, dest, .. } => {
-            visit(src);
-            visit(dest);
-        }
-        TraceEvent::WormholeDeliver { dest, .. } | TraceEvent::CircuitDeliver { dest, .. } => {
-            visit(dest);
-        }
-        TraceEvent::PlaneTick { .. }
-        | TraceEvent::CircuitReleased { .. }
-        | TraceEvent::CircuitAbandoned { .. }
-        | TraceEvent::LaneFault { .. }
-        | TraceEvent::LaneRepair { .. }
-        | TraceEvent::WatchdogTrip { .. } => {}
-    }
-}
+use crate::live::slot;
 
-/// Incremental window-series derivation; [`derive()`] is the batch wrapper.
+/// Window-series derivation over dense node indices.
 ///
-/// The offline path infers the node count in a prepass; the fold instead
-/// tracks the highest node id seen while folding. That is equivalent
-/// because [`WindowSeries`] rows never read the node count — it only
-/// normalizes throughput at render time — so the fold constructs the
-/// series with a placeholder and reports the inferred count at
-/// [`SeriesFold::finish`].
-pub struct SeriesFold {
+/// The node count normalizes throughput only at render time —
+/// [`WindowSeries`] rows never read it — so the fold builds the series
+/// with a placeholder, tracks the highest node id it is shown, and
+/// reports the count at [`SeriesFold::finish`].
+pub(crate) struct SeriesFold {
     series: WindowSeries,
     explicit_nodes: Option<u64>,
     max_node: u32,
-    flits_of: HashMap<u64, u32>,
     cur_at: Option<Cycle>,
-    touched: HashSet<u32>,
+    /// Per node: the epoch it last did work in. The nodes doing work in
+    /// the current cycle are those stamped with the current epoch, so
+    /// starting a cycle clears the set by bumping `epoch`.
+    stamp: Vec<u64>,
+    epoch: u64,
+    touched: u64,
     hits: u64,
     misses: u64,
 }
 
 impl SeriesFold {
-    /// An empty fold over `window`-cycle windows. `nodes` as in
-    /// [`derive()`].
+    /// An empty fold over `window`-cycle windows. `nodes` normalizes
+    /// throughput; `None` infers it as the highest node id seen plus one
+    /// (exact for workloads that touch every node, a safe lower bound
+    /// otherwise).
     ///
     /// # Panics
     /// Panics if `window` is zero.
-    #[must_use]
     pub fn new(window: u64, nodes: Option<u64>) -> Self {
         SeriesFold {
             series: WindowSeries::new(window, nodes.unwrap_or(1).max(1)),
             explicit_nodes: nodes,
             max_node: 0,
-            flits_of: HashMap::new(),
             cur_at: None,
-            touched: HashSet::new(),
+            stamp: Vec::new(),
+            epoch: 1,
+            touched: 0,
             hits: 0,
             misses: 0,
         }
@@ -87,74 +56,97 @@ impl SeriesFold {
 
     fn flush(&mut self, at: Cycle) {
         self.series
-            .observe(at, self.touched.len() as u64, self.hits, self.misses);
-        self.touched.clear();
+            .observe(at, self.touched, self.hits, self.misses);
+        self.epoch += 1;
+        self.touched = 0;
         self.hits = 0;
         self.misses = 0;
     }
 
-    /// Folds one record. Records must arrive in cycle order.
-    pub fn fold(&mut self, rec: &TraceRecord) {
+    /// The next record is stamped `at`. Records must arrive in cycle
+    /// order.
+    pub fn advance(&mut self, at: Cycle) {
+        if self.cur_at == Some(at) {
+            return;
+        }
         if let Some(c) = self.cur_at {
-            if c != rec.at {
-                self.flush(c);
-            }
+            self.flush(c);
         }
-        self.cur_at = Some(rec.at);
-        let max_node = &mut self.max_node;
-        let touched = &mut self.touched;
-        visit_nodes(&rec.ev, |n| {
-            *max_node = (*max_node).max(n);
-            touched.insert(n);
-        });
-        match rec.ev {
-            TraceEvent::TransferStart { msg, len_flits, .. }
-            | TraceEvent::WormholeInject { msg, len_flits, .. } => {
-                self.flits_of.insert(msg, len_flits);
-            }
-            TraceEvent::CacheHit { .. } => self.hits += 1,
-            TraceEvent::CacheMiss { .. } => self.misses += 1,
-            TraceEvent::WormholeDeliver { msg, latency, .. }
-            | TraceEvent::CircuitDeliver { msg, latency, .. } => {
-                let flits = u64::from(self.flits_of.get(&msg).copied().unwrap_or(0));
-                self.series.record_delivery(rec.at, latency, flits);
-            }
-            _ => {}
-        }
+        self.cur_at = Some(at);
+        // Roll to the new cycle now, so that a stamp past the row ceiling
+        // is refused as it is read and not when the next cycle flushes it.
+        self.series.observe(at, 0, 0, 0);
+    }
+
+    /// The current record names node `node`, whose dense index is `n`, as
+    /// *doing work* (a probe position, a cache lookup, a transfer
+    /// endpoint — not an idle bystander).
+    pub fn touch(&mut self, n: usize, node: u32) {
+        self.max_node = self.max_node.max(node);
+        let stamp = slot(&mut self.stamp, n, || 0);
+        // Branch-free: whether a node was already seen this cycle is a coin
+        // toss to the predictor, and it resolves only after the interner's
+        // two dependent loads.
+        self.touched += u64::from(*stamp != self.epoch);
+        *stamp = self.epoch;
+    }
+
+    /// A cache lookup hit.
+    pub fn hit(&mut self) {
+        self.hits += 1;
+    }
+
+    /// A cache lookup missed.
+    pub fn miss(&mut self) {
+        self.misses += 1;
+    }
+
+    /// A message of `flits` flits was delivered at `at`.
+    pub fn deliver(&mut self, at: Cycle, latency: u64, flits: u32) {
+        self.series.record_delivery(at, latency, u64::from(flits));
+    }
+
+    /// See [`WindowSeries::overflow`].
+    pub fn overflow(&self) -> Option<Cycle> {
+        self.series.overflow()
     }
 
     /// Flushes the tail window and returns the rows plus the node count
     /// used (the explicit count, or the inferred highest-node-plus-one).
-    #[must_use]
     pub fn finish(mut self) -> (Vec<WindowRow>, u64) {
-        let end = self.cur_at.map_or(0, |at| at + 1);
+        let end = self.cur_at.map_or(0, |at| at.saturating_add(1));
         if let Some(at) = self.cur_at {
             self.flush(at);
         }
         let nodes = self.explicit_nodes.unwrap_or(u64::from(self.max_node) + 1);
         (self.series.finish(end), nodes)
     }
-}
 
-/// Derives windowed rows from a record stream. `nodes` normalizes
-/// throughput; pass `None` to infer the node count as the highest node id
-/// seen plus one (exact for workloads that touch every node, a safe lower
-/// bound otherwise). Returns the rows and the node count used.
-#[must_use]
-pub fn derive(records: &[TraceRecord], window: u64, nodes: Option<u64>) -> (Vec<WindowRow>, u64) {
-    let mut fold = SeriesFold::new(window, nodes);
-    for rec in records {
-        fold.fold(rec);
+    /// Rows in the node table.
+    #[cfg(test)]
+    pub fn largest_table(&self) -> usize {
+        self.stamp.len()
     }
-    fold.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{analyze, AnalyzeOptions};
+    use wavesim_trace::{TraceEvent, TraceRecord};
 
     fn rec(at: Cycle, seq: u64, ev: TraceEvent) -> TraceRecord {
         TraceRecord { at, seq, ev }
+    }
+
+    fn derive(records: &[TraceRecord], window: u64, nodes: Option<u64>) -> (Vec<WindowRow>, u64) {
+        let opts = AnalyzeOptions {
+            window,
+            nodes,
+            ..AnalyzeOptions::default()
+        };
+        let a = analyze(records, opts);
+        (a.series, a.nodes)
     }
 
     #[test]

@@ -17,11 +17,13 @@
 //! The invariant `setup + queue + transit == latency` holds for every
 //! [`MessageSpan`] by construction; the integration suite cross-checks the
 //! totals against the simulator's own delivery latencies on a 16×16 run.
-
-use std::collections::{BTreeMap, HashMap};
+//!
+//! [`TraceEvent::TransferStart`]: wavesim_trace::TraceEvent::TransferStart
+//! [`TraceEvent::WormholeInject`]: wavesim_trace::TraceEvent::WormholeInject
 
 use wavesim_sim::Cycle;
-use wavesim_trace::{TraceEvent, TraceRecord};
+
+use crate::live::{slot, NONE};
 
 /// How a delivered message reached its destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,8 +121,8 @@ pub struct CircuitLog {
 pub struct SpanSet {
     /// Delivered messages, in delivery order.
     pub spans: Vec<MessageSpan>,
-    /// Circuit lifecycles keyed by circuit id.
-    pub circuits: BTreeMap<u64, CircuitLog>,
+    /// Circuit lifecycles as `(circuit id, log)`, ascending by id.
+    pub circuits: Vec<(u64, CircuitLog)>,
     /// Messages whose transfer started but did not finish in the trace.
     pub in_flight: u64,
     /// True when the trace carries circuit-protocol events; wormhole
@@ -128,14 +130,20 @@ pub struct SpanSet {
     pub circuit_protocol: bool,
 }
 
-/// A message between its start event and its delivery.
-struct Pending {
+/// A message from its start event on. The entry outlives the delivery
+/// (`open` goes false), so the table has one row per message the trace
+/// starts, not per message in flight.
+#[derive(Clone, Copy, Default)]
+struct Msg {
     start: Cycle,
     len_flits: u32,
-    circuit: Option<u64>,
+    /// Dense index of the carrying circuit, [`NONE`] for wormhole.
+    circuit: u32,
     /// True when this was the first transfer on its circuit — the message
     /// that triggered (and waited for) the establishment.
     first_on_circuit: bool,
+    /// Started and not yet delivered.
+    open: bool,
 }
 
 /// Builds the three waterfall segments so they sum to `latency` exactly,
@@ -143,7 +151,7 @@ struct Pending {
 fn segments(
     created: Cycle,
     latency: u64,
-    start: Option<&Pending>,
+    start: Option<&Msg>,
     established: Option<Cycle>,
 ) -> (u64, u64, u64) {
     let Some(p) = start else {
@@ -158,188 +166,127 @@ fn segments(
     (setup, to_start - setup, latency - to_start)
 }
 
-/// Incremental span reconstruction: feed records one at a time with
-/// [`SpanFold::fold`], then [`SpanFold::finish`]. [`reconstruct`] is the
-/// batch wrapper, so both paths produce identical results by construction.
+/// A `*_deliver` record, as [`SpanFold::deliver`] takes it.
+pub(crate) struct Delivery {
+    pub at: Cycle,
+    pub msg: u64,
+    pub src: u32,
+    pub dest: u32,
+    pub latency: u64,
+    pub mode: SpanMode,
+}
+
+/// Span reconstruction over dense indices: circuit logs and messages live
+/// in `Vec`s indexed by the first-appearance index
+/// [`crate::live::LiveAnalytics`] resolved each id to.
 #[derive(Default)]
-pub struct SpanFold {
-    set: SpanSet,
-    pending: HashMap<u64, Pending>,
+pub(crate) struct SpanFold {
+    spans: Vec<MessageSpan>,
+    logs: Vec<CircuitLog>,
+    msgs: Vec<Msg>,
+    in_flight: u64,
+    /// See [`SpanSet::circuit_protocol`].
+    pub circuit_protocol: bool,
 }
 
 impl SpanFold {
-    /// An empty fold.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    /// The log of circuit `c`.
+    pub fn circuit(&mut self, c: usize) -> &mut CircuitLog {
+        slot(&mut self.logs, c, CircuitLog::default)
     }
 
-    /// Folds one record. Records must arrive in sequence order, as every
-    /// [`wavesim_trace::TraceSink`] stores them.
-    pub fn fold(&mut self, rec: &TraceRecord) {
-        let set = &mut self.set;
-        let pending = &mut self.pending;
-        let at = rec.at;
-        match rec.ev {
-            TraceEvent::ProbeLaunch {
-                circuit,
-                src,
-                dest,
-                force,
-                ..
-            } => {
-                let log = set.circuits.entry(circuit).or_default();
-                log.src = src;
-                log.dest = dest;
-                log.first_launch.get_or_insert(at);
-                log.launches += 1;
-                if force {
-                    log.force_launches += 1;
-                }
-                set.circuit_protocol = true;
-            }
-            TraceEvent::ProbeHop { circuit, .. } => {
-                set.circuits.entry(circuit).or_default().hops += 1;
-            }
-            TraceEvent::ProbeBacktrack { circuit, .. } => {
-                set.circuits.entry(circuit).or_default().backtracks += 1;
-            }
-            TraceEvent::ProbePark { circuit, .. } => {
-                set.circuits.entry(circuit).or_default().parks += 1;
-            }
-            TraceEvent::CircuitEstablished {
-                circuit, src, dest, ..
-            } => {
-                let log = set.circuits.entry(circuit).or_default();
-                log.src = src;
-                log.dest = dest;
-                log.established = Some(at);
-                set.circuit_protocol = true;
-            }
-            TraceEvent::CircuitReleased { circuit } => {
-                set.circuits.entry(circuit).or_default().released = Some(at);
-            }
-            TraceEvent::CircuitAbandoned { circuit } => {
-                set.circuits.entry(circuit).or_default().abandoned = true;
-            }
-            TraceEvent::CircuitBroken { circuit, src, dest } => {
-                let log = set.circuits.entry(circuit).or_default();
-                log.src = src;
-                log.dest = dest;
-                log.broken = true;
-            }
-            TraceEvent::CacheHit { .. }
-            | TraceEvent::CacheMiss { .. }
-            | TraceEvent::CacheEvict { .. } => {
-                set.circuit_protocol = true;
-            }
-            TraceEvent::TransferStart {
-                circuit,
-                msg,
-                len_flits,
-                ..
-            } => {
-                let log = set.circuits.entry(circuit).or_default();
-                log.transfers += 1;
-                pending.insert(
-                    msg,
-                    Pending {
-                        start: at,
-                        len_flits,
-                        circuit: Some(circuit),
-                        first_on_circuit: log.transfers == 1,
-                    },
-                );
-                set.circuit_protocol = true;
-            }
-            TraceEvent::WormholeInject { msg, len_flits, .. } => {
-                pending.insert(
-                    msg,
-                    Pending {
-                        start: at,
-                        len_flits,
-                        circuit: None,
-                        first_on_circuit: false,
-                    },
-                );
-            }
-            TraceEvent::CircuitDeliver {
-                msg,
-                src,
-                dest,
-                latency,
-            }
-            | TraceEvent::WormholeDeliver {
-                msg,
-                src,
-                dest,
-                latency,
-            } => {
-                let circuit_mode = matches!(rec.ev, TraceEvent::CircuitDeliver { .. });
-                let created = at.saturating_sub(latency);
-                let p = pending.remove(&msg);
-                let established = p
-                    .as_ref()
-                    .and_then(|p| p.circuit)
-                    .and_then(|c| set.circuits.get(&c))
-                    .and_then(|l| l.established);
-                let (setup, queue, transit) = segments(created, latency, p.as_ref(), established);
-                set.spans.push(MessageSpan {
-                    msg,
-                    src,
-                    dest,
-                    circuit: p.as_ref().and_then(|p| p.circuit),
-                    len_flits: p.as_ref().map_or(0, |p| p.len_flits),
-                    created,
-                    delivered: at,
-                    mode: if circuit_mode {
-                        SpanMode::Circuit
-                    } else {
-                        SpanMode::Wormhole
-                    },
-                    setup,
-                    queue,
-                    transit,
-                });
-            }
-            _ => {}
+    /// Message `m` starts moving at `at`: over `circuit` (a
+    /// `transfer_start`) or through the wormhole fabric (`None`).
+    pub fn start(&mut self, m: usize, at: Cycle, len_flits: u32, circuit: Option<usize>) {
+        let first_on_circuit = circuit.is_some_and(|c| {
+            let log = self.circuit(c);
+            log.transfers += 1;
+            log.transfers == 1
+        });
+        let msg = slot(&mut self.msgs, m, Msg::default);
+        self.in_flight += u64::from(!msg.open);
+        *msg = Msg {
+            start: at,
+            len_flits,
+            circuit: circuit.map_or(NONE, |c| c as u32),
+            first_on_circuit,
+            open: true,
+        };
+    }
+
+    /// Message `m` is delivered. `circuit_ids` maps a dense circuit index
+    /// back to its id. Returns the length its last start event declared
+    /// (zero if none was traced).
+    pub fn deliver(&mut self, m: usize, d: &Delivery, circuit_ids: &[u64]) -> u32 {
+        let created = d.at.saturating_sub(d.latency);
+        // The message's last start event; it answers one delivery.
+        let last = self.msgs.get(m).copied().unwrap_or_default();
+        let p = last.open.then_some(&last);
+        if last.open {
+            self.msgs[m].open = false;
+            self.in_flight -= 1;
         }
+        let carrier = p.filter(|p| p.circuit != NONE).map(|p| p.circuit as usize);
+        let established = carrier.and_then(|c| self.logs[c].established);
+        let (setup, queue, transit) = segments(created, d.latency, p, established);
+        self.spans.push(MessageSpan {
+            msg: d.msg,
+            src: d.src,
+            dest: d.dest,
+            circuit: carrier.map(|c| circuit_ids[c]),
+            len_flits: p.map_or(0, |p| p.len_flits),
+            created,
+            delivered: d.at,
+            mode: d.mode,
+            setup,
+            queue,
+            transit,
+        });
+        last.len_flits
     }
 
-    /// Seals the fold: counts unfinished transfers and rewrites wormhole
-    /// deliveries to fallbacks when the trace carries circuit traffic.
-    #[must_use]
-    pub fn finish(mut self) -> SpanSet {
-        self.set.in_flight = self.pending.len() as u64;
-        if self.set.circuit_protocol {
-            for s in &mut self.set.spans {
+    /// Seals the fold: counts unfinished transfers, rewrites wormhole
+    /// deliveries to fallbacks when the trace carries circuit traffic, and
+    /// orders the circuit logs by id (`circuit_ids` as in
+    /// [`SpanFold::deliver`]).
+    pub fn finish(mut self, circuit_ids: &[u64]) -> SpanSet {
+        if self.circuit_protocol {
+            for s in &mut self.spans {
                 if s.mode == SpanMode::Wormhole {
                     s.mode = SpanMode::Fallback;
                 }
             }
         }
-        self.set
+        let mut circuits: Vec<(u64, CircuitLog)> =
+            circuit_ids.iter().copied().zip(self.logs).collect();
+        circuits.sort_unstable_by_key(|&(id, _)| id);
+        SpanSet {
+            spans: self.spans,
+            circuits,
+            in_flight: self.in_flight,
+            circuit_protocol: self.circuit_protocol,
+        }
     }
-}
 
-/// Reconstructs every delivered message's span (and every circuit's
-/// lifecycle) from a record stream. Records must be in sequence order, as
-/// every [`wavesim_trace::TraceSink`] stores them.
-#[must_use]
-pub fn reconstruct(records: &[TraceRecord]) -> SpanSet {
-    let mut fold = SpanFold::new();
-    for rec in records {
-        fold.fold(rec);
+    /// Rows in the largest table.
+    #[cfg(test)]
+    pub fn largest_table(&self) -> usize {
+        self.spans.len().max(self.logs.len()).max(self.msgs.len())
     }
-    fold.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{analyze, AnalyzeOptions};
+    use wavesim_trace::{TraceEvent, TraceRecord};
 
     fn rec(at: Cycle, seq: u64, ev: TraceEvent) -> TraceRecord {
         TraceRecord { at, seq, ev }
+    }
+
+    fn reconstruct(records: &[TraceRecord]) -> SpanSet {
+        analyze(records, AnalyzeOptions::default()).spans
     }
 
     /// A miss → probe → establish → transfer → deliver walk, followed by a
@@ -545,12 +492,39 @@ mod tests {
     #[test]
     fn circuit_log_counts_the_setup_walk() {
         let set = reconstruct(&circuit_trace());
-        let log = &set.circuits[&1];
+        let [(1, log)] = &set.circuits[..] else {
+            panic!("one circuit, id 1: {:?}", set.circuits);
+        };
         assert_eq!(log.launches, 1);
         assert_eq!(log.hops, 2);
         assert_eq!(log.established, Some(5));
         assert_eq!(log.transfers, 2);
         assert_eq!((log.src, log.dest), (0, 3));
+    }
+
+    #[test]
+    fn circuit_logs_come_out_ordered_by_id_whatever_order_they_appear_in() {
+        let launch = |seq, circuit| {
+            rec(
+                seq,
+                seq,
+                TraceEvent::ProbeLaunch {
+                    circuit,
+                    src: 0,
+                    dest: 1,
+                    switch: 1,
+                    force: false,
+                },
+            )
+        };
+        // A (generation << 32 | slot) id, as the simulator mints them.
+        let recs = vec![launch(0, 7 << 32 | 2), launch(1, 3), launch(2, 1 << 32)];
+        let ids: Vec<u64> = reconstruct(&recs)
+            .circuits
+            .iter()
+            .map(|&(id, _)| id)
+            .collect();
+        assert_eq!(ids, [3, 1 << 32, 7 << 32 | 2]);
     }
 
     #[test]
@@ -570,5 +544,43 @@ mod tests {
         let set = reconstruct(&recs);
         assert_eq!(set.in_flight, 1);
         assert_eq!(set.spans.len(), 2);
+    }
+
+    #[test]
+    fn a_restarted_message_is_in_flight_once_and_a_second_delivery_finds_no_start() {
+        let start = |at, seq| {
+            rec(
+                at,
+                seq,
+                TraceEvent::WormholeInject {
+                    msg: 4,
+                    src: 0,
+                    dest: 1,
+                    len_flits: 8,
+                },
+            )
+        };
+        let deliver = |at, seq| {
+            rec(
+                at,
+                seq,
+                TraceEvent::WormholeDeliver {
+                    msg: 4,
+                    src: 0,
+                    dest: 1,
+                    latency: 3,
+                },
+            )
+        };
+        let set = reconstruct(&[start(1, 0), start(2, 1)]);
+        assert_eq!(set.in_flight, 1);
+        let set = reconstruct(&[start(1, 0), deliver(5, 1), deliver(9, 2)]);
+        assert_eq!(set.in_flight, 0);
+        assert_eq!(set.spans[0].len_flits, 8);
+        assert_eq!(
+            (set.spans[1].len_flits, set.spans[1].transit),
+            (0, 3),
+            "the start was consumed by the first delivery"
+        );
     }
 }

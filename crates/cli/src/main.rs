@@ -1020,6 +1020,9 @@ fn analyze_cmd(args: &Args) -> Outcome {
     });
     while let Some(rec) = reader.next_record() {
         live.fold(&rec.map_err(|e| format!("{path}: {e}"))?);
+        if let Some(why) = live.refusal() {
+            return Err(format!("{path}: {why}"));
+        }
     }
     let analysis = live.finish();
     let report = wavesim_analyze::report::render(&analysis);

@@ -15,7 +15,7 @@
 
 #![warn(missing_docs)]
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed or constructed JSON value.
 ///
@@ -41,9 +41,10 @@ pub enum Value {
 static NULL: Value = Value::Null;
 
 impl Value {
-    /// Builds an object from key/value pairs.
+    /// Builds an object from key/value pairs. An array of pairs builds it
+    /// with one allocation for the pairs; a `Vec` of them costs a second.
     #[must_use]
-    pub fn obj(pairs: Vec<(&str, Value)>) -> Self {
+    pub fn obj<'a>(pairs: impl IntoIterator<Item = (&'a str, Value)>) -> Self {
         Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
@@ -238,36 +239,75 @@ fn write_num(out: &mut String, x: f64) {
     if !x.is_finite() {
         out.push_str("null"); // JSON has no Inf/NaN
     } else if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
-        out.push_str(&format!("{}", x as i64));
+        // Integral and exact: decimal digits appended in place, no
+        // `core::fmt`. Most numbers in a report are counts and cycles.
+        let n = x as i64;
+        if n < 0 {
+            out.push('-');
+        }
+        let mut v = n.unsigned_abs();
+        let mut tmp = [0u8; 20];
+        let mut i = tmp.len();
+        loop {
+            i -= 1;
+            tmp[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&tmp[i..]).expect("ascii digits"));
     } else {
-        out.push_str(&format!("{x}"));
+        let _ = write!(out, "{x}"); // writing to a String cannot fail
     }
 }
 
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Everything escaped is ASCII, so the text between two escapes is
+    // copied as one slice; a key or a name has none and is one copy.
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}"); // writing to a String cannot fail
+        } else {
+            out.push_str(escape);
+        }
+        copied = i + 1;
+    }
+    out.push_str(&s[copied..]);
+    out.push('"');
+}
+
+/// Starts a line at `depth` levels of `indent` spaces (pretty mode only).
+fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
+    const PAD: &str = "                                ";
+    if let Some(n) = indent {
+        out.push('\n');
+        let mut width = n * depth;
+        while width > 0 {
+            let take = width.min(PAD.len());
+            out.push_str(&PAD[..take]);
+            width -= take;
         }
     }
-    out.push('"');
 }
 
 fn sep(out: &mut String, indent: Option<usize>, depth: usize, comma: bool) {
     if comma {
         out.push(',');
     }
-    if let Some(n) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(n * depth));
-    }
+    newline(out, indent, depth);
 }
 
 fn write_seq(
@@ -281,10 +321,7 @@ fn write_seq(
     out.push(brackets.0);
     if !empty {
         body(out);
-        if let Some(n) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(n * depth));
-        }
+        newline(out, indent, depth);
     }
     out.push(brackets.1);
 }

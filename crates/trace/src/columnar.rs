@@ -115,23 +115,35 @@ pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, FrameErr
 }
 
 // ---------------------------------------------------------------------
-// Per-frame id interner
+// Id interner
 // ---------------------------------------------------------------------
 
-/// Open-addressing `u64 -> dictionary index` map, rebuilt per frame.
+/// Open-addressing `u64 -> first-appearance index` map.
 ///
 /// `std::collections::HashMap`'s SipHash costs more than the whole rest
 /// of a record's encode; ids only need a collision-resistant-enough
-/// multiplicative hash and linear probing over a half-empty table.
-pub(crate) struct Interner {
+/// multiplicative hash and linear probing over a half-empty table. It has
+/// two users: the frame encoder, which rebuilds it per frame so the
+/// indices are the frame dictionary, and `wavesim-analyze`, which keeps
+/// one per id space for a whole fold so its tables are plain `Vec`s
+/// indexed by what this returns (DESIGN §10.3).
+pub struct Interner {
     /// Slot -> dictionary index, `u32::MAX` = empty.
     slots: Vec<u32>,
     /// Distinct values in first-appearance order (the frame dictionary).
     dict: Vec<u64>,
 }
 
+impl Default for Interner {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Interner {
-    pub(crate) fn new() -> Self {
+    /// An empty interner.
+    #[must_use]
+    pub fn new() -> Self {
         Self {
             slots: vec![u32::MAX; 1024],
             dict: Vec::new(),
@@ -143,13 +155,20 @@ impl Interner {
         self.dict.clear();
     }
 
+    /// The distinct values interned so far, in first-appearance order:
+    /// `dict()[intern(v)] == v`.
+    #[must_use]
+    pub fn dict(&self) -> &[u64] {
+        &self.dict
+    }
+
     #[inline]
     fn hash(v: u64, mask: usize) -> usize {
         (v.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask
     }
 
-    /// Index of `v` in the frame dictionary, inserting on first sight.
-    pub(crate) fn intern(&mut self, v: u64) -> u64 {
+    /// Index of `v` in first-appearance order, inserting on first sight.
+    pub fn intern(&mut self, v: u64) -> u64 {
         let mask = self.slots.len() - 1;
         let mut i = Self::hash(v, mask);
         loop {

@@ -69,8 +69,16 @@ impl WindowRow {
     }
 }
 
+/// Most rows a [`WindowSeries`] holds. A window that saw nothing is still
+/// a row, so without a ceiling one cycle stamp far ahead of the last —
+/// which a trace file can carry — costs a row and a histogram per window
+/// in between (`{"at":4000000000000,..}` after `{"at":0,..}` asked for
+/// 2.9 GB at the default window). About 90 MB of rows at the ceiling.
+pub const MAX_ROWS: u64 = 1 << 20;
+
 /// Streaming window accumulator. Feed observations in non-decreasing
-/// cycle order; closed windows accumulate in [`WindowSeries::rows`].
+/// cycle order; closed windows accumulate in [`WindowSeries::rows`], at
+/// most [`MAX_ROWS`] of them ([`WindowSeries::overflow`]).
 #[derive(Debug)]
 pub struct WindowSeries {
     window: u64,
@@ -83,6 +91,7 @@ pub struct WindowSeries {
     cache_misses: u64,
     active_peak: u64,
     rows: Vec<WindowRow>,
+    overflow: Option<Cycle>,
 }
 
 impl WindowSeries {
@@ -105,6 +114,7 @@ impl WindowSeries {
             cache_misses: 0,
             active_peak: 0,
             rows: Vec::new(),
+            overflow: None,
         }
     }
 
@@ -148,16 +158,36 @@ impl WindowSeries {
         self.active_peak = 0;
     }
 
-    fn roll_to(&mut self, now: Cycle) {
-        while now >= self.start + self.window {
+    /// The first cycle that did not fit: reaching it would have taken more
+    /// than [`MAX_ROWS`] rows. From then on the series ignores what it is
+    /// fed, so its rows are those of the cycles before, and a caller that
+    /// reads stamps from a file should refuse the file.
+    #[must_use]
+    pub fn overflow(&self) -> Option<Cycle> {
+        self.overflow
+    }
+
+    /// Closes every window that ends at or before `now`; `open` is 1 when
+    /// the window holding `now` will become a row too (an observation at
+    /// `now`), 0 when `now` is an exclusive end. False, with nothing
+    /// closed, once that takes more than [`MAX_ROWS`] rows.
+    fn roll_to(&mut self, now: Cycle, open: u64) -> bool {
+        if self.overflow.is_some() || (now / self.window).saturating_add(open) > MAX_ROWS {
+            self.overflow.get_or_insert(now);
+            return false;
+        }
+        while now.saturating_sub(self.start) >= self.window {
             self.close_window();
         }
+        true
     }
 
     /// Per-cycle observation: current active-router count plus the cache
     /// hit/miss activity since the previous observation.
     pub fn observe(&mut self, now: Cycle, active_routers: u64, hits_delta: u64, misses_delta: u64) {
-        self.roll_to(now);
+        if !self.roll_to(now, 1) {
+            return;
+        }
         self.active_peak = self.active_peak.max(active_routers);
         self.cache_hits += hits_delta;
         self.cache_misses += misses_delta;
@@ -165,7 +195,9 @@ impl WindowSeries {
 
     /// Records one delivered message.
     pub fn record_delivery(&mut self, at: Cycle, latency: u64, flits: u64) {
-        self.roll_to(at);
+        if !self.roll_to(at, 1) {
+            return;
+        }
         self.lat.record(latency);
         self.delivered += 1;
         self.flits += flits;
@@ -175,8 +207,7 @@ impl WindowSeries {
     /// A trailing partial window keeps its real `end`.
     #[must_use]
     pub fn finish(mut self, end: Cycle) -> Vec<WindowRow> {
-        self.roll_to(end.min(Cycle::MAX - self.window));
-        if end > self.start {
+        if self.roll_to(end, 0) && end > self.start {
             let had_content = self.delivered > 0
                 || self.cache_hits + self.cache_misses > 0
                 || self.active_peak > 0;
@@ -235,7 +266,7 @@ pub fn to_json(rows: &[WindowRow], nodes: u64) -> Value {
     Value::Arr(
         rows.iter()
             .map(|r| {
-                Value::obj(vec![
+                Value::obj([
                     ("start", r.start.into()),
                     ("end", r.end.into()),
                     ("delivered", r.delivered.into()),
@@ -411,6 +442,61 @@ mod tests {
         let doc = perfetto::export_with_counters(&[], counters);
         let sum = perfetto::validate(&doc).expect("valid");
         assert_eq!(sum.counters, 5 * rows.len());
+    }
+
+    #[test]
+    fn a_cycle_jump_past_the_row_ceiling_is_refused_not_allocated_for() {
+        let mut s = WindowSeries::new(1000, 1);
+        s.observe(0, 1, 0, 1);
+        s.record_delivery(1500, 9, 2);
+        assert_eq!(s.overflow(), None);
+        // The repro's stamp: 4e9 windows of 1000 cycles.
+        s.observe(4_000_000_000_000, 1, 0, 1);
+        assert_eq!(s.overflow(), Some(4_000_000_000_000));
+        assert_eq!(
+            s.rows().len(),
+            1,
+            "nothing was rolled for the refused stamp"
+        );
+        // Refusal is final, even for a stamp that would have fitted.
+        s.record_delivery(1600, 9, 2);
+        s.observe(u64::MAX, 1, 1, 0);
+        assert_eq!(s.overflow(), Some(4_000_000_000_000));
+        assert_eq!(s.finish(u64::MAX).len(), 1);
+    }
+
+    #[test]
+    fn the_ceiling_is_exactly_max_rows_rows() {
+        // The last cycle of window MAX_ROWS - 1 fits, as an observation
+        // and as the exclusive end one past it; the next cycle does not.
+        let last = MAX_ROWS * 10 - 1;
+        let mut s = WindowSeries::new(10, 1);
+        s.observe(last, 1, 0, 0);
+        assert_eq!(s.overflow(), None);
+        let rows = s.finish(last + 1);
+        assert_eq!(rows.len() as u64, MAX_ROWS);
+        assert_eq!(
+            rows.last().map(|r| (r.start, r.end)),
+            Some((last - 9, last + 1))
+        );
+
+        let mut s = WindowSeries::new(10, 1);
+        s.observe(last + 1, 1, 0, 0);
+        assert_eq!(s.overflow(), Some(last + 1));
+        assert!(s.finish(last + 2).is_empty());
+    }
+
+    #[test]
+    fn extreme_stamps_and_windows_do_not_overflow_the_arithmetic() {
+        let mut s = WindowSeries::new(u64::MAX, 1);
+        s.record_delivery(u64::MAX, 1, 1);
+        s.observe(3, 1, 0, 0); // out of order: ignored by the roll, still counted
+        let rows = s.finish(u64::MAX);
+        assert_eq!(rows.len(), 1);
+        assert_eq!((rows[0].start, rows[0].end), (0, u64::MAX));
+        let mut s = WindowSeries::new(1, 1);
+        s.observe(u64::MAX, 1, 0, 0);
+        assert_eq!(s.overflow(), Some(u64::MAX));
     }
 
     #[test]

@@ -6,10 +6,11 @@
 use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::topology::Topology;
 use wavesim::trace::stream::{self, JsonlSink};
-use wavesim::trace::{TraceRecord, TraceSink, VecSink};
-use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
+use wavesim::trace::{TraceEvent, TraceRecord, TraceSink, VecSink};
+use wavesim::workloads::{FaultSchedule, LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 use wavesim_analyze::{analyze, report, AnalyzeOptions};
-use wavesim_bench::{run_open_loop, runner::ParallelSweep, RunSpec};
+use wavesim_bench::runner::{apply_fault_schedule, ParallelSweep};
+use wavesim_bench::{run_open_loop, RunSpec};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -39,19 +40,29 @@ fn golden_check(name: &str, got: u64, want: u64) {
 /// Everything derives from the arguments, so sweep workers reproduce it
 /// bit-for-bit regardless of scheduling.
 fn traced_run(side: u16, seed: u64, warmup: u64, cycles: u64) -> (Vec<TraceRecord>, f64, u64) {
-    let topo = Topology::mesh(&[side, side]);
-    let mut net = WaveNetwork::new(
-        topo.clone(),
-        WaveConfig {
-            seed,
-            ..WaveConfig::default()
-        },
-    );
+    let cfg = WaveConfig {
+        seed,
+        ..WaveConfig::default()
+    };
+    let net = WaveNetwork::new(Topology::mesh(&[side, side]), cfg);
+    traced_net(net, 0.2, seed, warmup, cycles)
+}
+
+/// Drives `net` (faults already scheduled, if any) under hot-pair traffic
+/// at `load` with an unbounded sink installed, and returns what
+/// [`traced_run`] returns.
+fn traced_net(
+    mut net: WaveNetwork,
+    load: f64,
+    seed: u64,
+    warmup: u64,
+    cycles: u64,
+) -> (Vec<TraceRecord>, f64, u64) {
     net.install_trace_sink(Box::new(VecSink::new()));
     let mut src = TrafficSource::new(
-        topo,
+        net.topology().clone(),
         TrafficConfig {
-            load: 0.2,
+            load,
             pattern: TrafficPattern::HotPairs {
                 partners: 3,
                 locality: 0.7,
@@ -64,6 +75,19 @@ fn traced_run(side: u16, seed: u64, warmup: u64, cycles: u64) -> (Vec<TraceRecor
     let r = run_open_loop(&mut net, &mut src, RunSpec::standard(warmup, cycles));
     let records = net.take_trace_sink().expect("sink installed").snapshot();
     (records, r.avg_latency, r.delivered)
+}
+
+/// Pins the text report and the pretty-printed JSON document of one
+/// analysis under `name`.
+fn pin_report(name: &str, records: &[TraceRecord], text: u64, json: u64) {
+    let a = analyze(records, AnalyzeOptions::default());
+    golden_check(
+        &format!("{name}_report"),
+        hash_str(&report::render(&a)),
+        text,
+    );
+    let doc = report::to_json(&a).pretty();
+    golden_check(&format!("{name}_json"), hash_str(&doc), json);
 }
 
 /// The 2×2 CLRP analyzer report is byte-identical whether the sweep runs
@@ -83,6 +107,68 @@ fn golden_analyzer_report_is_stable_across_sweep_parallelism() {
         "analyze_2x2_clrp_report",
         hash_str(&one.join("\n")),
         0xb32c_7db0_1d29_f6e3,
+    );
+}
+
+/// The report of a 16x16 torus CLRP run at load 0.3 (the shape of the
+/// benchmark's capture: probe hops and backtracks are most of it, Force
+/// setups displace victims, the cache evicts) is pinned in both
+/// renderings. Recorded before the fold moved to interned dense tables;
+/// the 2x2 golden above has too few circuits, lanes and flows to notice a
+/// wrong index.
+#[test]
+fn golden_report_and_json_for_16x16_clrp_at_load_0_3() {
+    let cfg = WaveConfig {
+        seed: 5,
+        ..WaveConfig::default()
+    };
+    let net = WaveNetwork::new(Topology::torus(&[16, 16]), cfg);
+    let (records, _, _) = traced_net(net, 0.3, 5, 250, 1500);
+    let parks = records
+        .iter()
+        .filter(|r| matches!(r.ev, TraceEvent::ProbePark { .. }))
+        .count();
+    assert!(parks > 0, "the run must exercise Force-mode victims");
+    pin_report(
+        "analyze_16x16_clrp",
+        &records,
+        0x4767_bbca_a141_7be0,
+        0xbe4b_a3d6_18a4_57b6,
+    );
+}
+
+/// A dynamic-fault run under an E14-style schedule: links fail and are
+/// repaired under load, so the trace carries `lane_fault`, `lane_repair`,
+/// `circuit_broken` and `establish_retry`, the flows table has retry
+/// waits and the fault-window table (A5) has rows — none of which the
+/// fault-free goldens reach.
+#[test]
+fn golden_report_and_json_for_a_dynamic_fault_run() {
+    let cfg = WaveConfig {
+        misroutes: 3,
+        ..WaveConfig::default()
+    };
+    let mut net = WaveNetwork::new(Topology::mesh(&[8, 8]), cfg);
+    let (warmup, cycles) = (300, 2400);
+    let sched = FaultSchedule::random_mtbf(net.topology(), 2000, 251, warmup + cycles, 1414);
+    apply_fault_schedule(&mut net, &sched).expect("schedule drawn from this topology");
+    let (records, _, _) = traced_net(net, 0.15, 99, warmup, cycles);
+    let count = |f: fn(&TraceEvent) -> bool| records.iter().filter(|r| f(&r.ev)).count();
+    assert!(count(|e| matches!(e, TraceEvent::LaneFault { .. })) > 0);
+    assert!(count(|e| matches!(e, TraceEvent::LaneRepair { .. })) > 0);
+    assert!(count(|e| matches!(e, TraceEvent::CircuitBroken { .. })) > 0);
+    assert!(count(|e| matches!(e, TraceEvent::EstablishRetry { .. })) > 0);
+    let a = analyze(&records, AnalyzeOptions::default());
+    assert!(!a.faults.is_empty(), "fault windows must be reported");
+    assert!(
+        a.flows.iter().any(|f| f.retry_wait > 0),
+        "some flow must have waited on a retry"
+    );
+    pin_report(
+        "analyze_dynamic_faults",
+        &records,
+        0x65ae_c310_2b1a_e126,
+        0xbd5d_990d_82f1_6d98,
     );
 }
 
