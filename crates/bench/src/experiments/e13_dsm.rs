@@ -5,21 +5,27 @@
 //! increasing network throughput is crucial" (§1).
 //!
 //! Each node keeps a bounded number of outstanding remote accesses to its
-//! hot home nodes: a 4-flit request, a served 64-flit reply. The headline
-//! metric is the **round-trip time** — the quantity that actually stalls
-//! a DSM processor. Sweep: home-locality, wormhole vs CLRP.
+//! hot home nodes: a 4-flit request, a served 64-flit reply. That is a
+//! [`ServiceWorkload`] with `OUTSTANDING` clients per node and no ramp:
+//! round-robin assignment gives every node exactly its share (the MSHR
+//! bound). The headline metric is the **round-trip time** — the quantity
+//! that actually stalls a DSM processor. Sweep: home-locality, wormhole
+//! vs CLRP.
 //!
 //! Expected shape: with locality, CLRP's request *and* reply both ride
 //! cached circuits (homes cache the reverse circuit too), cutting the
 //! round trip; with no locality the circuit thrash erodes the advantage.
 
 use wavesim_core::{ProtocolKind, WaveConfig};
-use wavesim_workloads::{ReqRepConfig, ReqRepWorkload};
+use wavesim_workloads::{ServiceConfig, ServiceWorkload};
 
 use crate::experiments::Ctx;
-use crate::runner::{run_request_reply, RunSpec};
+use crate::runner::{run_service, RunSpec};
 use crate::table::{f2, pct};
 use crate::Table;
+
+/// Outstanding remote accesses allowed per node.
+const OUTSTANDING: u64 = 2;
 
 /// Runs E13, fanning the locality points out over the context's worker
 /// threads. Every point builds its own networks and workloads from the
@@ -49,21 +55,21 @@ pub fn run(ctx: &Ctx) -> Table {
                 ..WaveConfig::default()
             };
             let mut net = crate::experiments::net_with(scale.side, cfg);
-            let mut wl = ReqRepWorkload::new(
+            let mut wl = ServiceWorkload::new(
                 net.topology().clone(),
-                ReqRepConfig {
+                ServiceConfig {
+                    clients: OUTSTANDING * u64::from(net.topology().num_nodes()),
                     partners: 3,
                     locality: loc,
-                    outstanding: 2,
                     req_len: 4,
                     reply_len: 64,
                     service_time: 20,
                     think_time: 10,
+                    ramp: 0,
                     seed: 161,
-                    stop_at: u64::MAX,
                 },
             );
-            ctx.observe(|obs| run_request_reply(&mut net, &mut wl, spec, obs))
+            ctx.observe(|obs| run_service(&mut net, &mut wl, spec, obs))
         };
         let wh = go(ProtocolKind::WormholeOnly);
         let wv = go(ProtocolKind::Clrp);

@@ -157,19 +157,10 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Runs one experiment by id (`"e1"`..`"e15"`) serially and unobserved.
-/// Returns its tables.
-///
-/// # Panics
-/// Panics on an unknown id.
-#[must_use]
-pub fn run_by_id(id: &str, scale: Scale) -> Vec<Table> {
-    run_by_id_with_jobs(id, scale, 1)
-}
-
-/// Like [`run_by_id`], but fans sweep points out over `jobs` worker
-/// threads where the experiment has a sweep (the E11 load sweep, the E13
-/// locality sweep, the E14 MTBF sweep, and the E15 collective grid).
+/// Runs one experiment by id (`"e1"`..`"e15"`) unobserved and returns its
+/// tables, fanning sweep points out over `jobs` worker threads where the
+/// experiment has a sweep (the E11 load sweep, the E13 locality sweep,
+/// the E14 MTBF sweep, and the E15 collective grid).
 ///
 /// # Panics
 /// Panics on an unknown id.

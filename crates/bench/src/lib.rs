@@ -21,19 +21,24 @@
 //! | E10 | CLRP phase simplifications (§3.1 variants) |
 //! | E11 | the saturation curve: latency & accepted vs offered load |
 //! | E12 | ablations: switch staggering, window size, buffer sizing |
-//! | E13 | closed-loop DSM request/reply round trips |
+//! | E13 | closed-loop DSM request/reply round trips (a service run) |
 //! | E14 | dynamic lane faults: fail/repair churn under load |
 //! | E15 | dependency-gated collective replay under CLRP / CARP / MB-1 |
 //!
 //! Every experiment is a pure function from a [`Scale`] to a [`Table`];
-//! the `wavesim` CLI prints full-size runs, the Criterion benches run
-//! reduced scales so `cargo bench` stays tractable.
+//! the `wavesim` CLI prints full-size runs (`--scale paper`) or reduced
+//! ones (`--scale small`). Wall clock is measured from outside, by
+//! wavebench (`benchmark/`); the one bench target here, `cycle_kernel`,
+//! gates deterministic kernel work per simulated cycle.
 //!
 //! ## Driving and observing a run
 //!
 //! One loop, [`drive`], runs every simulation. It talks to two things it
 //! is handed: a [`Driver`] (the workload — what to inject, what to do with
-//! deliveries) and a [`RunObserver`] (whoever watches):
+//! deliveries) and a [`RunObserver`] (whoever watches). There are four
+//! drivers: open loop ([`run_open_loop`]), CARP instruction trace
+//! ([`run_carp_trace`]; [`run_scripted`] is the send-only case),
+//! dependency trace ([`run_dep_trace`]) and closed loop ([`run_service`]):
 //!
 //! ```text
 //!   Driver  <-- inject / collect --  drive  -- start / cycle / sample / finish -->  RunObserver
@@ -64,13 +69,13 @@ pub mod watchdog;
 pub use observers::{Observed, Observers};
 pub use runner::{
     apply_fault_schedule, drive, run_carp_trace, run_dep_trace, run_open_loop,
-    run_open_loop_observed, run_request_reply, run_scripted, run_service, Drained, Driver,
-    ParallelSweep, ReqRepResult, RunObserver, RunResult, RunSpec, ServiceResult,
+    run_open_loop_observed, run_scripted, run_service, Drained, Driver, ParallelSweep, RunObserver,
+    RunResult, RunSpec, ServiceResult,
 };
 pub use table::Table;
 
-/// Experiment sizing: `small` keeps Criterion benches and CI fast;
-/// `paper` is the full-size run the CLI uses.
+/// Experiment sizing: `small` keeps tests and CI fast; `paper` is the
+/// full-size run the CLI uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Side length of the (square 2-D) network.
@@ -91,7 +96,7 @@ impl Default for Scale {
 }
 
 impl Scale {
-    /// Reduced scale for benches and CI.
+    /// Reduced scale for tests and CI.
     #[must_use]
     pub fn small() -> Self {
         Self {

@@ -171,10 +171,22 @@ fn value(argv: &mut impl Iterator<Item = String>, flag: &str) -> String {
         .unwrap_or_else(|| bad_usage(&format!("missing value for `{flag}`")))
 }
 
+/// The value following `flag`, parsed; invalid unless `in_range`.
+fn parsed_if<T: std::str::FromStr>(
+    argv: &mut impl Iterator<Item = String>,
+    flag: &str,
+    in_range: impl FnOnce(&T) -> bool,
+) -> T {
+    let v = value(argv, flag);
+    match v.parse::<T>() {
+        Ok(n) if in_range(&n) => n,
+        _ => invalid(flag, &v),
+    }
+}
+
 /// The value following `flag`, parsed.
 fn parsed<T: std::str::FromStr>(argv: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    let v = value(argv, flag);
-    v.parse().unwrap_or_else(|_| invalid(flag, &v))
+    parsed_if(argv, flag, |_| true)
 }
 
 /// The value following `flag`, parsed; zero is invalid.
@@ -182,9 +194,17 @@ fn nonzero<T: std::str::FromStr + PartialEq + Default>(
     argv: &mut impl Iterator<Item = String>,
     flag: &str,
 ) -> T {
+    parsed_if(argv, flag, |n| *n != T::default())
+}
+
+/// The `SRC:DEST` node pair following `--msg`; a message must travel.
+fn msg_pair(argv: &mut impl Iterator<Item = String>, flag: &str) -> (u32, u32) {
     let v = value(argv, flag);
-    match v.parse::<T>() {
-        Ok(n) if n != T::default() => n,
+    let pair = v
+        .split_once(':')
+        .and_then(|(s, d)| Some((s.parse().ok()?, d.parse().ok()?)));
+    match pair {
+        Some((s, d)) if s != d => (s, d),
         _ => invalid(flag, &v),
     }
 }
@@ -255,7 +275,7 @@ struct Args {
     fault: bool,
     repair: bool,
     mutate: Option<String>,
-    msg_list: Vec<String>,
+    msg_list: Vec<(u32, u32)>,
     max_states: u64,
     counterexample: Option<String>,
     runs: u32,
@@ -326,12 +346,12 @@ fn parse_args() -> Args {
             "--progress" => args.progress = Some(nonzero(argv, flag)),
             "--jobs" => args.jobs = parsed(argv, flag),
             "--side" => {
-                args.side = parsed(argv, flag);
+                args.side = parsed_if(argv, flag, |&side| side >= 2);
                 args.side_set = true;
             }
             "--model" => args.model = Some(value(argv, flag)),
             "--msgs" => args.msgs = parsed(argv, flag),
-            "--msg" => args.msg_list.push(value(argv, flag)),
+            "--msg" => args.msg_list.push(msg_pair(argv, flag)),
             "--fault" => args.fault = true,
             "--repair" => args.repair = true,
             "--mutate" => args.mutate = Some(value(argv, flag)),
@@ -354,14 +374,15 @@ fn parse_args() -> Args {
                     other => invalid(flag, other),
                 }
             }
-            "--load" => args.load = parsed(argv, flag),
-            "--len" => args.len = parsed(argv, flag),
+            // `> 0.0` refuses NaN too.
+            "--load" => args.load = parsed_if(argv, flag, |&load| load > 0.0),
+            "--len" => args.len = nonzero(argv, flag),
             "--locality" => args.locality = parsed(argv, flag),
             "--cycles" => args.cycles = parsed(argv, flag),
             "--seed" => args.seed = parsed(argv, flag),
-            "--k" => args.k = parsed(argv, flag),
-            "--alpha" => args.alpha = parsed(argv, flag),
-            "--cache" => args.cache = parsed(argv, flag),
+            "--k" => args.k = nonzero(argv, flag),
+            "--alpha" => args.alpha = nonzero(argv, flag),
+            "--cache" => args.cache = nonzero(argv, flag),
             "--misroutes" => args.misroutes = parsed(argv, flag),
             "--replay-trace" => args.replay_trace = Some(value(argv, flag)),
             "--service-clients" => args.service_clients = Some(nonzero(argv, flag)),
@@ -396,6 +417,11 @@ fn cannot_write(path: &str, e: impl std::fmt::Display) -> String {
     format!("cannot write {path}: {e}")
 }
 
+/// `e` is `stream_trace_file`'s error, which already names the path.
+fn cannot_read(e: String) -> String {
+    format!("cannot read {e}")
+}
+
 fn write_file(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| cannot_write(path, e))
 }
@@ -413,12 +439,17 @@ fn load_file<T>(
         .map_err(|e| format!("{what} {path}: {e}"))
 }
 
-/// A square 2-D network of the given side.
-fn square(torus: bool, side: u16) -> Topology {
-    if torus {
-        Topology::torus(&[side, side])
+/// A square 2-D network of the given side (`--side` is at least 2; a
+/// radix-2 torus would duplicate its links).
+fn square(torus: bool, side: u16) -> Result<Topology, String> {
+    if !torus {
+        Ok(Topology::mesh(&[side, side]))
+    } else if side >= 3 {
+        Ok(Topology::torus(&[side, side]))
     } else {
-        Topology::mesh(&[side, side])
+        Err(format!(
+            "`--topology torus` needs `--side` >= 3, got {side}"
+        ))
     }
 }
 
@@ -453,8 +484,7 @@ fn validate_trace(path: &str) -> Outcome {
     use wavesim_trace::stream::{stream_trace_file, TraceFormat, TraceReader as _};
     // The two record formats are counted through the streaming reader, in
     // bounded memory whatever the capture size.
-    let mut reader =
-        stream_trace_file(std::path::Path::new(path)).map_err(|e| format!("cannot read {e}"))?;
+    let mut reader = stream_trace_file(std::path::Path::new(path)).map_err(cannot_read)?;
     let mut records: u64 = 0;
     let mut failure = None;
     while let Some(rec) = reader.next_record() {
@@ -506,8 +536,8 @@ fn convert_trace(args: &Args) -> Outcome {
     // Stream end to end: the reader decodes the input frame-by-frame and
     // the writer is the same chunked background sink the capture path
     // uses, so conversion runs in bounded memory at any capture size.
-    let mut reader = wavesim_trace::stream::stream_trace_file(Path::new(input))
-        .map_err(|e| format!("{input}: {e}"))?;
+    let mut reader =
+        wavesim_trace::stream::stream_trace_file(Path::new(input)).map_err(cannot_read)?;
     let (mut sink, what): (Box<dyn TraceSink>, &str) = if args.to_bin {
         let sink = ColumnarSink::create(Path::new(out)).map_err(|e| cannot_write(out, e))?;
         (Box::new(sink), "binary columnar")
@@ -753,7 +783,7 @@ fn custom_run(args: &Args) -> Outcome {
         )?),
         None => None,
     };
-    let topo = square(args.torus, args.side);
+    let topo = square(args.torus, args.side)?;
     let cfg = WaveConfig {
         protocol: args.protocol,
         k: args.k,
@@ -809,7 +839,6 @@ fn custom_run(args: &Args) -> Outcome {
                 locality: args.locality,
                 seed: args.seed,
                 ramp: warmup.max(1),
-                stop_at: warmup + args.cycles,
                 ..wavesim_workloads::ServiceConfig::default()
             },
         );
@@ -967,7 +996,7 @@ fn gen_trace_cmd(args: &Args) -> Outcome {
             known.join("|")
         ));
     }
-    let topo = square(args.torus, args.side);
+    let topo = square(args.torus, args.side)?;
     // transpose-sweep draws per-phase destinations from --seed; the tree
     // collectives are fully determined by the topology.
     let trace = if which == "transpose-sweep" {
@@ -1011,7 +1040,7 @@ fn analyze_cmd(args: &Args) -> Outcome {
     // is identical to the offline fold by construction.
     use wavesim_trace::stream::TraceReader as _;
     let mut reader = wavesim_trace::stream::stream_trace_file(std::path::Path::new(path))
-        .map_err(|e| format!("{path}: {e}"))?;
+        .map_err(cannot_read)?;
     let mut live = wavesim_analyze::LiveAnalytics::new(wavesim_analyze::AnalyzeOptions {
         window: args.window,
         top_k: args.top,
@@ -1073,7 +1102,7 @@ fn run_experiments(ids: &[&str], args: &Args) -> Outcome {
 /// protocol automaton; `probe` is CLRP with the Force phase disabled, so
 /// what is exercised is pure MB-m backtracking (Theorem 3's machinery).
 fn model_spec(args: &Args) -> Result<wavesim_model::ModelSpec, String> {
-    use wavesim_model::{ModelProtocol, ModelSpec, Mutation};
+    use wavesim_model::{ModelProtocol, ModelSpec, Mutation, MAX_MSGS, MAX_NODES};
     let protocol = match args.model.as_deref() {
         Some("clrp") => ModelProtocol::Clrp,
         Some("carp") => ModelProtocol::Carp,
@@ -1090,18 +1119,41 @@ fn model_spec(args: &Args) -> Result<wavesim_model::ModelSpec, String> {
     } else {
         2
     };
-    let mut spec = ModelSpec::new(square(args.torus, side), protocol, args.k);
+    // Refused before the topology's tables are built for it.
+    let nodes = u32::from(side) * u32::from(side);
+    if nodes > MAX_NODES {
+        return Err(format!(
+            "`--side {side}` makes {nodes} nodes; `--model` explores at most {MAX_NODES}"
+        ));
+    }
+    let topo = square(args.torus, side)?;
+    let msgs = if args.msg_list.is_empty() {
+        args.msgs
+    } else {
+        args.msg_list.len()
+    };
+    if msgs > MAX_MSGS {
+        return Err(format!(
+            "{msgs} messages (`--msgs` / `--msg`) are too many; `--model` explores at most {MAX_MSGS}"
+        ));
+    }
+    if args.fault && msgs == 0 {
+        return Err(
+            "`--fault` breaks the first message's path: `--msgs` must be at least 1".into(),
+        );
+    }
+    let mut spec = ModelSpec::new(topo, protocol, args.k);
     if args.msg_list.is_empty() {
         spec = spec.msgs_from_pattern(TrafficPattern::Uniform, args.msgs, args.seed);
-    } else {
-        for m in &args.msg_list {
-            let (s, d) = m
-                .split_once(':')
-                .ok_or_else(|| format!("--msg wants SRC:DEST, got `{m}`"))?;
-            let s: u32 = s.parse().map_err(|_| format!("bad --msg source `{s}`"))?;
-            let d: u32 = d.parse().map_err(|_| format!("bad --msg dest `{d}`"))?;
-            spec = spec.msg(s, d);
+    }
+    for &(s, d) in &args.msg_list {
+        if s.max(d) >= nodes {
+            return Err(format!(
+                "`--msg {s}:{d}` names node {} but `--side {side}` makes {nodes} nodes",
+                s.max(d)
+            ));
         }
+        spec = spec.msg(s, d);
     }
     if let Some(m) = &args.mutate {
         spec = spec.mutate(Mutation::parse(m)?);
@@ -1199,7 +1251,12 @@ fn fuzz_cmd(args: &Args) -> Outcome {
     Ok(true)
 }
 
-fn static_checks(side: u16) -> bool {
+fn static_checks(side: u16) -> Outcome {
+    if side < 3 {
+        return Err(format!(
+            "`check` certifies torus routing too, which needs `--side` >= 3, got {side}"
+        ));
+    }
     let mut ok = true;
     let cases = [
         (
@@ -1215,7 +1272,7 @@ fn static_checks(side: u16) -> bool {
     println!("static channel-dependency-graph checks (paper §4 grounding):");
     for (what, torus, kind, w) in cases {
         let name = format!("{side}x{side} {what}");
-        let topo = square(torus, side);
+        let topo = square(torus, side)?;
         let routing = kind.build(&topo, w);
         let rep = check_deadlock_freedom(&topo, routing.as_ref());
         println!(
@@ -1231,7 +1288,7 @@ fn static_checks(side: u16) -> bool {
             }
         );
     }
-    ok
+    Ok(ok)
 }
 
 fn info() {
@@ -1264,7 +1321,7 @@ fn main() -> ExitCode {
     let outcome = match args.cmd.as_str() {
         "all" => run_experiments(&experiments::all_ids(), &args),
         "check" if args.model.is_some() => model_check(&args),
-        "check" => Ok(static_checks(args.side)),
+        "check" => static_checks(args.side),
         "fuzz" => fuzz_cmd(&args),
         "info" => {
             info();

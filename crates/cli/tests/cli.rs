@@ -461,6 +461,86 @@ fn bad_flag_values_are_named_before_the_usage() {
 }
 
 #[test]
+fn out_of_range_values_are_refused_not_panicked_on() {
+    // A value no run can use is a usage error (exit 2); values that only
+    // clash with each other are an `error:` (exit 1). Either way stderr
+    // names the flag, and nothing reaches a library assert (exit 101).
+    let cases: [(&str, i32, &str); 22] = [
+        ("run --side 0", 2, "--side"),
+        ("run --side 1", 2, "--side"),
+        ("run --topology torus --side 2", 1, "--side"),
+        ("run --k 0", 2, "--k"),
+        ("run --alpha 0", 2, "--alpha"),
+        ("run --cache 0", 2, "--cache"),
+        ("run --len 0", 2, "--len"),
+        ("run --load 0", 2, "--load"),
+        ("run --load -1", 2, "--load"),
+        ("run --load nan", 2, "--load"),
+        ("run --service-clients 5 --side 1", 2, "--side"),
+        ("check --side 1", 2, "--side"),
+        ("check --side 2", 1, "--side"),
+        (
+            "gen-trace --collective reduce --side 1 --out x.json",
+            2,
+            "--side",
+        ),
+        (
+            "gen-trace --collective reduce --len 0 --out x.json",
+            2,
+            "--len",
+        ),
+        ("check --model clrp --k 0", 2, "--k"),
+        ("check --model clrp --msg 0:0", 2, "--msg"),
+        ("check --model clrp --msg 0:99", 1, "--msg"),
+        ("check --model clrp --msgs 200", 1, "--msgs"),
+        ("check --model clrp --msgs 0 --fault", 1, "--fault"),
+        (
+            "check --model clrp --topology torus --side 2",
+            1,
+            "--topology",
+        ),
+        ("check --model clrp --side 9", 1, "--side"),
+    ];
+    let dir = std::env::temp_dir().join(format!("wavesim-cli-range-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (line, code, flag) in cases {
+        let out = wavesim()
+            .args(line.split(' '))
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{line}: {err}");
+        assert!(err.starts_with("error: "), "{line}: {err}");
+        let complaint = err.lines().next().unwrap();
+        assert!(complaint.contains(&format!("`{flag}")), "{line}: {err}");
+    }
+    assert!(
+        std::fs::read_dir(&dir).unwrap().next().is_none(),
+        "a refused command writes nothing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_missing_capture_is_named_once() {
+    for cmd in [
+        &["analyze", "--trace", "/nonexistent"][..],
+        &["convert-trace", "/nonexistent", "--out", "/nonexistent/x"],
+        &["validate-trace", "/nonexistent"],
+    ] {
+        let out = wavesim().args(cmd).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{cmd:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error: cannot read /nonexistent: "),
+            "{err}"
+        );
+        assert_eq!(err.matches("/nonexistent").count(), 1, "{err}");
+    }
+}
+
+#[test]
 fn observed_sweep_is_byte_identical_across_jobs() {
     let dir = std::env::temp_dir().join(format!("wavesim-cli-sweep-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -48,6 +48,6 @@ pub mod step;
 pub use explore::{check, CheckOutcome, Counterexample, Explorer, ViolationKind};
 pub use fuzz::{fuzz, shrink, FuzzConfig, FuzzOutcome};
 pub use replay::{replay_schedule, Replay};
-pub use spec::{FaultSpec, ModelCtx, ModelProtocol, ModelSpec, Mutation};
+pub use spec::{FaultSpec, ModelCtx, ModelProtocol, ModelSpec, Mutation, MAX_MSGS, MAX_NODES};
 pub use state::{CircSt, LaneSt, ModelState, Phase, ProbeSt};
 pub use step::Action;

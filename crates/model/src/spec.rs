@@ -106,6 +106,13 @@ pub struct FaultSpec {
     pub repair: bool,
 }
 
+/// Most messages (circuit attempts) a [`ModelSpec`] may hold: the state
+/// space grows with every interleaving of their probes.
+pub const MAX_MSGS: usize = 8;
+
+/// Most nodes the topology of a compiled [`ModelSpec`] may have.
+pub const MAX_NODES: u32 = 64;
+
 /// A finite checking instance.
 #[derive(Debug, Clone)]
 pub struct ModelSpec {
@@ -148,8 +155,8 @@ impl ModelSpec {
     pub fn msg(mut self, src: u32, dest: u32) -> Self {
         assert_ne!(src, dest, "model messages must travel");
         assert!(
-            self.msgs.len() < 8,
-            "the explorer caps the message set at 8"
+            self.msgs.len() < MAX_MSGS,
+            "the explorer caps the message set at {MAX_MSGS}"
         );
         self.msgs.push((NodeId(src), NodeId(dest)));
         self
@@ -167,8 +174,8 @@ impl ModelSpec {
     /// simulator's workload vocabulary and the checker's fixed specs.
     ///
     /// # Panics
-    /// Panics if an existing message plus `count` would exceed the
-    /// 8-message cap, or if the pattern yields a self-loop (patterns
+    /// Panics if an existing message plus `count` would exceed
+    /// [`MAX_MSGS`], or if the pattern yields a self-loop (patterns
     /// never do).
     #[must_use]
     pub fn msgs_from_pattern(
@@ -211,7 +218,10 @@ impl ModelSpec {
     #[must_use]
     pub fn compile(&self) -> ModelCtx {
         let n = self.topo.num_nodes();
-        assert!(n <= 64, "the explorer targets small fabrics (≤ 64 nodes)");
+        assert!(
+            n <= MAX_NODES,
+            "the explorer targets small fabrics (≤ {MAX_NODES} nodes)"
+        );
         for &(s, d) in &self.msgs {
             assert!(s.0 < n && d.0 < n, "message endpoint out of range");
         }

@@ -15,8 +15,8 @@
 //!   tick every cycle, idle models fast-forward to the next scheduled event;
 //! * [`SimRng`] — a seedable, splittable deterministic random source so that
 //!   every experiment is exactly reproducible from its seed;
-//! * [`stats`] — counters, histograms, Welford mean/variance accumulators,
-//!   warm-up-aware latency samplers and throughput meters.
+//! * [`stats`] — cycle-kernel work counters, histograms, Welford
+//!   mean/variance accumulators, warm-up gates and throughput meters.
 //!
 //! Everything upstream (topology, wormhole fabric, wave router, CLRP/CARP)
 //! composes these pieces; nothing in this crate knows about networks.

@@ -7,7 +7,6 @@
 //! the instruments to collect them plus the distributional detail the
 //! experiment harness prints:
 //!
-//! * [`Counter`] — saturating event counter;
 //! * [`Accumulator`] — Welford running mean/variance/min/max;
 //! * [`Histogram`] — power-of-two bucketed latency histogram with quantile
 //!   estimates;
@@ -55,34 +54,6 @@ impl CycleKernelStats {
         } else {
             self.routers_scanned as f64 / self.ticks as f64
         }
-    }
-}
-
-/// A saturating event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    #[must_use]
-    pub fn new() -> Self {
-        Self(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(self) -> u64 {
-        self.0
     }
 }
 
@@ -428,75 +399,9 @@ impl ThroughputMeter {
     }
 }
 
-/// Fixed-interval time series: records one `(cycle, value)` point every
-/// `interval` cycles, for latency-over-time or occupancy-over-time plots.
-/// Offerings between sample points are ignored, keeping memory bounded by
-/// run length / interval.
-#[derive(Debug, Clone)]
-pub struct Series {
-    interval: u64,
-    next: Cycle,
-    points: Vec<(Cycle, f64)>,
-}
-
-impl Series {
-    /// Creates a series sampling every `interval` cycles (first sample at
-    /// cycle 0).
-    ///
-    /// # Panics
-    /// Panics if `interval == 0`.
-    #[must_use]
-    pub fn new(interval: u64) -> Self {
-        assert!(interval > 0, "sampling interval must be positive");
-        Self {
-            interval,
-            next: 0,
-            points: Vec::new(),
-        }
-    }
-
-    /// Offers the current `value` at time `now`; records it iff a sample
-    /// is due. Returns whether a point was recorded.
-    pub fn offer(&mut self, now: Cycle, value: f64) -> bool {
-        if now < self.next {
-            return false;
-        }
-        self.points.push((now, value));
-        // Re-anchor so late offers do not cause sample bursts.
-        self.next = now + self.interval;
-        true
-    }
-
-    /// The recorded `(cycle, value)` points, in time order.
-    #[must_use]
-    pub fn points(&self) -> &[(Cycle, f64)] {
-        &self.points
-    }
-
-    /// Number of recorded points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new();
-        c.add(u64::MAX);
-        c.incr();
-        assert_eq!(c.get(), u64::MAX);
-    }
 
     #[test]
     fn accumulator_matches_naive() {
@@ -676,41 +581,5 @@ mod tests {
     fn throughput_meter_empty_rate_zero() {
         let m = ThroughputMeter::new(4, Warmup::new(0));
         assert_eq!(m.rate(1000), 0.0);
-    }
-
-    #[test]
-    fn series_samples_at_interval() {
-        let mut s = Series::new(10);
-        let mut recorded = 0;
-        for now in 0..100 {
-            if s.offer(now, now as f64) {
-                recorded += 1;
-            }
-        }
-        assert_eq!(recorded, 10);
-        assert_eq!(s.len(), 10);
-        let pts = s.points();
-        assert_eq!(pts[0], (0, 0.0));
-        assert_eq!(pts[1].0, 10);
-        assert!(pts.windows(2).all(|w| w[1].0 - w[0].0 == 10));
-    }
-
-    #[test]
-    fn series_handles_sparse_offers() {
-        let mut s = Series::new(10);
-        assert!(s.offer(0, 1.0));
-        // Nothing offered for a long gap; the next offer records once and
-        // re-anchors (no burst of catch-up samples).
-        assert!(s.offer(55, 2.0));
-        assert!(!s.offer(56, 3.0));
-        assert!(!s.offer(64, 4.0));
-        assert!(s.offer(65, 5.0));
-        assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "interval")]
-    fn series_zero_interval_rejected() {
-        let _ = Series::new(0);
     }
 }

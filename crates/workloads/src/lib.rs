@@ -2,7 +2,7 @@
 //!
 //! Substrate #11: synthetic workload generators standing in for the
 //! application traces the paper's era used (none survive; DESIGN.md
-//! documents the substitution). Four families:
+//! documents the substitution). Six families:
 //!
 //! * [`patterns`] — the classical spatial patterns of the interconnect
 //!   literature (uniform, transpose, bit-reversal, bit-complement,
@@ -22,8 +22,10 @@
 //!   (release gated on upstream deliveries) and the classic collectives
 //!   (all-to-all, reduce/broadcast trees, phased pattern sweeps) emitted
 //!   in that form, replayed by `wavesim-bench`'s `run_dep_trace`;
-//! * [`service`] — closed-loop service traffic with O(active)
-//!   bookkeeping, scaling the [`reqrep`] idea to millions of clients.
+//! * [`service`] — closed-loop request → service → reply traffic with
+//!   O(active) bookkeeping: E13's DSM remote accesses (a few outstanding
+//!   requests per node) and `run --service-clients` (millions of clients)
+//!   are two configurations of it.
 
 #![warn(missing_docs)]
 
@@ -32,7 +34,6 @@ pub mod collectives;
 pub mod deptrace;
 pub mod faults;
 pub mod patterns;
-pub mod reqrep;
 pub mod service;
 pub mod trace_io;
 pub mod traffic;
@@ -41,6 +42,5 @@ pub use carp::{CarpOp, CarpTrace, PairwiseSpec};
 pub use deptrace::{DepMessage, DepTrace};
 pub use faults::{FaultPlan, FaultSchedule, FaultScheduleEvent};
 pub use patterns::{pattern_pairs, TrafficPattern};
-pub use reqrep::{ReqRepConfig, ReqRepWorkload};
 pub use service::{ServiceConfig, ServiceEvent, ServiceWorkload};
 pub use traffic::{LengthDist, TrafficConfig, TrafficSource};

@@ -1,11 +1,23 @@
 //! Closed-loop service traffic at scale.
 //!
-//! [`ServiceWorkload`] scales the request/reply idea of [`crate::reqrep`]
-//! from "a few MSHR slots per node" to "millions of simulated clients":
-//! each client runs the classic closed loop *think → request → service →
-//! reply → think*, so offered load responds to latency the way real users
-//! do — a congested network slows its own clients down instead of piling
-//! up an unbounded backlog.
+//! The paper's introduction motivates wave switching with
+//! distributed-shared-memory machines, where "messages are directly sent
+//! by the hardware … as a consequence of remote memory accesses or
+//! coherence commands" and "reducing the network hardware latency … is
+//! crucial". The natural workload is *closed-loop*: a client issues a
+//! short **request** to a server (home) node, the server services it, and
+//! a longer **reply** (the cache line / page data) returns.
+//!
+//! [`ServiceWorkload`] generates that pattern at any population, from "a
+//! few MSHR slots per node" (E13: `outstanding * nodes` clients with
+//! `ramp: 0` — round-robin assignment gives every node exactly
+//! `outstanding` of them) to "millions of simulated clients": each client
+//! runs the classic closed loop *think → request → service → reply →
+//! think*, so offered load responds to latency the way real users do — a
+//! congested network slows its own clients down instead of piling up an
+//! unbounded backlog. Servers are drawn from the same hot-partner sets as
+//! [`crate::patterns::TrafficPattern::HotPairs`], so open-loop and
+//! closed-loop experiments are comparable.
 //!
 //! The bookkeeping is **O(active)**, never O(clients):
 //!
@@ -33,7 +45,7 @@ use wavesim_topology::{NodeId, Topology};
 
 use crate::patterns::{partners_of, pick_partner};
 
-/// Reply-id tag (shared convention with [`crate::reqrep`]).
+/// Reply-id tag: a reply carries its request's id with this bit set.
 const REPLY_BIT: u64 = 1 << 63;
 
 /// Configuration of the service workload.
@@ -59,8 +71,6 @@ pub struct ServiceConfig {
     pub ramp: Cycle,
     /// RNG seed.
     pub seed: u64,
-    /// No new requests at or after this cycle (in-flight ones finish).
-    pub stop_at: Cycle,
 }
 
 impl Default for ServiceConfig {
@@ -75,7 +85,6 @@ impl Default for ServiceConfig {
             think_time: 200,
             ramp: 200,
             seed: 1,
-            stop_at: Cycle::MAX,
         }
     }
 }
@@ -103,6 +112,8 @@ pub struct ServiceWorkload {
     topo: Topology,
     cfg: ServiceConfig,
     rng: SimRng,
+    /// No new requests at or after this cycle (in-flight ones finish).
+    stop_at: Cycle,
     /// Clients assigned to each node (base + remainder distribution).
     assigned: Vec<u64>,
     /// Per node: how many assigned clients have issued their first
@@ -137,7 +148,8 @@ impl ServiceWorkload {
             .map(|i| base + u64::from(i < rem))
             .collect();
         Self {
-            rng: SimRng::new(cfg.seed ^ 0x5E21_1CE5),
+            rng: SimRng::new(cfg.seed ^ 0xD5_0001),
+            stop_at: Cycle::MAX,
             assigned,
             started: vec![0; n as usize],
             wake_counts: HashMap::new(),
@@ -183,13 +195,18 @@ impl ServiceWorkload {
         out.push(Message::new(id, node, server, self.cfg.req_len, now));
     }
 
+    /// Stops generating at `cycle` (in-flight round trips still finish).
+    pub fn stop_at(&mut self, cycle: Cycle) {
+        self.stop_at = cycle;
+    }
+
     /// Requests to inject at cycle `now` (call once per cycle with
     /// non-decreasing `now`): newly-ramped clients plus clients whose
-    /// think time elapsed. After `stop_at`, waking clients retire instead
-    /// of re-issuing.
+    /// think time elapsed. From the stop cycle on, waking clients retire
+    /// instead of re-issuing.
     pub fn poll(&mut self, now: Cycle) -> Vec<Message> {
         let mut out = Vec::new();
-        let open = now < self.cfg.stop_at;
+        let open = now < self.stop_at;
         // Ramp-up: start cycles spread over [0, ramp).
         if open {
             for i in 0..self.started.len() {
@@ -282,7 +299,7 @@ impl ServiceWorkload {
         self.thinking
     }
 
-    /// Clients that woke after `stop_at` and left the system.
+    /// Clients that woke at or after the stop cycle and left the system.
     #[must_use]
     pub fn retired(&self) -> u64 {
         self.retired
@@ -323,6 +340,44 @@ mod tests {
     }
 
     #[test]
+    fn ramp_zero_starts_every_nodes_share_at_once() {
+        // 32 clients on 16 nodes with no ramp: each node holds exactly two
+        // outstanding requests (E13's MSHR bound) until replies complete.
+        let mut w = ServiceWorkload::new(
+            topo(),
+            ServiceConfig {
+                clients: 32,
+                ramp: 0,
+                ..ServiceConfig::default()
+            },
+        );
+        let reqs = w.poll(0);
+        for node in 0..16 {
+            let from = reqs.iter().filter(|m| m.src == NodeId(node)).count();
+            assert_eq!(from, 2, "node {node} fills its two slots");
+        }
+        assert!(w.poll(1).is_empty());
+        assert_eq!(w.in_flight(), 32);
+    }
+
+    #[test]
+    fn locality_targets_partner_servers() {
+        let cfg = ServiceConfig {
+            clients: 32,
+            ramp: 0,
+            locality: 1.0,
+            partners: 2,
+            ..ServiceConfig::default()
+        };
+        let t = topo();
+        let mut w = ServiceWorkload::new(t.clone(), cfg);
+        for m in w.poll(0) {
+            let ps = partners_of(&t, m.src, 2, cfg.seed);
+            assert!(ps.contains(&m.dest), "{} not a server of {}", m.dest, m.src);
+        }
+    }
+
+    #[test]
     fn closed_loop_round_trip_and_think_rewake() {
         let mut w = ServiceWorkload::new(
             topo(),
@@ -340,8 +395,10 @@ mod tests {
         let ServiceEvent::Reply(send_at, reply) = w.on_delivered(r.id.0, r.dest, 10) else {
             panic!("request delivery yields a reply");
         };
-        assert_eq!(send_at, 17);
+        assert_eq!(send_at, 17, "service time honoured");
         assert_eq!((reply.src, reply.dest), (r.dest, r.src));
+        assert_eq!(reply.len_flits, 64);
+        assert_ne!(reply.id.0 & REPLY_BIT, 0);
         let ServiceEvent::Done { issued_at } = w.on_delivered(reply.id.0, reply.dest, 25) else {
             panic!("reply delivery completes the round trip");
         };
@@ -363,10 +420,10 @@ mod tests {
                 clients: 4,
                 ramp: 0,
                 think_time: 5,
-                stop_at: 50,
                 ..ServiceConfig::default()
             },
         );
+        w.stop_at(50);
         let reqs = w.poll(0);
         for r in &reqs {
             let ServiceEvent::Reply(_, reply) = w.on_delivered(r.id.0, r.dest, 10) else {
@@ -381,6 +438,18 @@ mod tests {
         assert_eq!(w.retired(), 4);
         assert_eq!(w.thinking(), 0);
         assert_eq!(w.in_flight(), 0);
+
+        // Stopped before the first cycle: nobody ever starts.
+        let mut never = ServiceWorkload::new(
+            topo(),
+            ServiceConfig {
+                ramp: 0,
+                ..ServiceConfig::default()
+            },
+        );
+        never.stop_at(0);
+        assert!(never.poll(0).is_empty());
+        assert_eq!(never.requests_issued(), 0);
     }
 
     #[test]

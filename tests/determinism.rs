@@ -6,13 +6,14 @@ use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim::topology::{RoutingKind, Topology};
 use wavesim::workloads::trace_io;
 use wavesim::workloads::{
-    CarpTrace, FaultSchedule, LengthDist, TrafficConfig, TrafficPattern, TrafficSource,
+    CarpTrace, FaultSchedule, LengthDist, ServiceConfig, ServiceWorkload, TrafficConfig,
+    TrafficPattern, TrafficSource,
 };
 use wavesim_bench::experiments::{
     e11_loadsweep, e13_dsm, e14_dynamic_faults, e15_collectives, Ctx,
 };
 use wavesim_bench::{
-    apply_fault_schedule, run_carp_trace, run_open_loop, ParallelSweep, RunSpec, Scale,
+    apply_fault_schedule, run_carp_trace, run_open_loop, run_service, ParallelSweep, RunSpec, Scale,
 };
 
 fn full_run(seed: u64, protocol: ProtocolKind) -> Vec<(u64, u64)> {
@@ -604,6 +605,33 @@ fn golden_trace_e13_and_e15_tables_are_reproducible() {
         )),
         0x3c9a_aca5_3ba0_b86a,
     );
+}
+
+/// Closed-loop service mode (`run --service-clients`): a ramped client
+/// population on a 4×4 mesh, pinned through the whole `ServiceResult`
+/// and repeatable at each of two seeds.
+#[test]
+fn golden_trace_service_run_is_reproducible() {
+    let go = |seed: u64| {
+        let topo = Topology::mesh(&[4, 4]);
+        let mut net = WaveNetwork::new(topo.clone(), WaveConfig::default());
+        let mut wl = ServiceWorkload::new(
+            topo,
+            ServiceConfig {
+                clients: 2_000,
+                seed,
+                ..ServiceConfig::default()
+            },
+        );
+        let r = run_service(&mut net, &mut wl, RunSpec::standard(600, 3_000), &mut ());
+        assert!(r.drained && !r.stalled && r.completed > 0, "{r:?}");
+        format!("{r:?}")
+    };
+    let (one, two) = (go(1), go(2));
+    assert_eq!(one, go(1), "service runs must be bit-for-bit reproducible");
+    assert_eq!(two, go(2), "service runs must be bit-for-bit reproducible");
+    assert_ne!(one, two, "the seed must reach the server draws");
+    golden_check("service_run", hash_str(&one), 0x58d2_545d_45af_b26d);
 }
 
 /// A cyclic dependency trace can never finish replaying, so it must be
