@@ -1,411 +1,23 @@
-//! `wavesim` — command-line experiment runner.
-//!
-//! ```text
-//! wavesim all [--scale small|paper] [--json] [--jobs N]   run every experiment
-//! wavesim e1 .. e15 [--scale ...] [--json] [--jobs N]     run one experiment
-//!                                              (--jobs fans sweep points over
-//!                                              N threads; output is identical
-//!                                              to --jobs 1)
-//! wavesim run [workload flags]                 one custom simulation
-//! wavesim gen-trace --collective C --out FILE  emit a dependency trace
-//! wavesim analyze --trace run.jsonl            trace analytics report
-//! wavesim check [--side N]                     static deadlock-freedom checks (CDG)
-//! wavesim check --model clrp|carp|probe        exhaustive protocol model check
-//!   [--topology mesh|torus] [--side N] [--k N] [--msgs N | --msg S:D ...] [--seed N]
-//!   [--fault] [--repair] [--mutate drop-release|skip-backoff|wait-establishing]
-//!   [--max-states N] [--counterexample FILE]
-//!   Explores EVERY interleaving of the protocol automaton on a small
-//!   fabric (default 2x2 mesh / 3x3 torus) and proves deadlock- and
-//!   livelock-freedom, or prints a shrunk counterexample schedule and
-//!   exits nonzero. `--counterexample FILE` additionally replays the
-//!   schedule through the real network and writes the captured trace
-//!   (JSONL, or WSTRACE1 when FILE ends in `.bin`) for `validate-trace`
-//!   and `analyze`. `--mutate` injects a deliberate protocol bug so the
-//!   checker's teeth can be demonstrated (and regression-tested).
-//! wavesim fuzz --model clrp|carp|probe         adversarial schedule fuzzing
-//!   [--runs N] [--steps N] [--seed N] + the model flags above
-//!   Random interleavings plus random fault churn; violations are
-//!   shrunk to 1-minimal schedules. Deterministic in --seed.
-//! wavesim validate-trace FILE                  schema-check a Perfetto trace file
-//! wavesim info                                 print the default configuration
-//!
-//! `run` flags: --protocol clrp|carp|wormhole  --topology mesh|torus
-//!              --side N  --load F  --len N  --locality F  --cycles N
-//!              --seed N  --k N  --alpha N  --cache N  --misroutes N
-//!
-//! `run --replay-trace FILE` replays a dependency-aware message trace
-//! (JSON or JSONL, see `wavesim_workloads::trace_io`) instead of driving
-//! the open-loop generator: each message is released only once all its
-//! `deps` have been *delivered*, so injection timing responds to the
-//! network. Cyclic traces are rejected at load. `gen-trace` emits the
-//! collective traces E15 replays (all-to-all, reduce, broadcast,
-//! transpose-sweep) for a mesh of `--side`; `--out x.jsonl` selects the
-//! line-oriented format, any other name the pretty JSON document.
-//!
-//! `run --service-clients N` drives closed-loop service traffic instead:
-//! N clients (bookkeeping is O(active), so millions are fine) ramp in
-//! over the first fifth of `--cycles`, each issuing a request to a
-//! server partner chosen with `--locality`, thinking after each reply,
-//! and re-issuing — offered load responds to delivered latency.
-//!
-//! Fault flags (`run` only): `--fault-plan FILE` applies a static fault
-//! plan (JSON, see `wavesim_workloads::trace_io`) before traffic starts;
-//! `--fault-schedule FILE` schedules timed dynamic fail/repair events.
-//! Both are validated against the chosen topology and `--k`; a plan built
-//! for a different network is a clean error, not a panic.
-//!
-//! Observability flags (`run` and experiments): `--trace-out FILE` writes a
-//! Chrome/Perfetto `trace_event` JSON of the run (plus `FILE.postmortem.json`
-//! when the run stalls), `--metrics-out FILE` (run only) writes a
-//! Prometheus-style metrics page, `--flight-recorder N` sizes the in-memory
-//! ring buffer (default 65536 records). Every run gets its own observers,
-//! on whichever `--jobs` worker it lands, so a traced or watched sweep
-//! (`wavesim e11 --jobs 4 --trace-out t.json --trace-bin t.wstrace`) is
-//! byte-identical to `--jobs 1`; the exported trace is the last run in
-//! serial order.
-//!
-//! Analytics: `--trace-jsonl FILE` (`run` and experiments) streams the
-//! *complete* event record to JSONL with bounded memory (nothing the
-//! ring buffer would drop is lost; an experiment sweep streams its last
-//! point — the file ends holding the last run), `--timeseries-out
-//! FILE` (run only) writes windowed CSV (`--window N` cycles per row,
-//! default 1000), `--progress N` prints a
-//! one-line status every N cycles. `wavesim analyze --trace run.jsonl
-//! [--report FILE] [--json FILE] [--timeseries FILE] [--window N]
-//! [--top N]` turns a captured JSONL stream into latency waterfalls,
-//! circuit-cache flow attribution, hot-lane occupancy, and fault impact
-//! windows — `--json` takes a FILE here, unlike the experiment commands.
-//!
-//! Binary capture: `--trace-bin FILE` (`run` and experiments) streams the
-//! same record stream as `--trace-jsonl` in the compact binary columnar
-//! format (`WSTRACE1` frames, typically < 10% of the JSONL bytes);
-//! `--trace-sample N` keeps 1-in-N of the bulk event kinds (plane ticks,
-//! probe hops, cache probes) deterministically while always keeping
-//! lifecycle events. `analyze --trace` accepts either format
-//! transparently (pass the same `--trace-sample N` to rescale a sampled
-//! capture's bulk counts; the factor is stamped into the report), and
-//! `wavesim convert-trace IN --out FILE [--to jsonl|bin]` converts
-//! losslessly between them (`validate-trace` also recognises both,
-//! alongside Perfetto exports). Both `analyze` and `convert-trace`
-//! stream their input frame-by-frame, so arbitrarily large captures are
-//! processed in bounded memory.
-//!
-//! Live observability (`run` and experiments): `--serve-metrics ADDR`
-//! binds a dependency-free HTTP endpoint serving the running simulation's
-//! vitals (`GET /metrics` Prometheus text, `GET /status` JSON);
-//! `--live-status` prints a one-line progress report to stderr every 8192
-//! cycles. Both read a snapshot board the running simulation publishes
-//! every 64 cycles (one run at a time: under `--jobs N` a run that finds
-//! the board taken stays silent) — stdout stays byte-identical to an
-//! unserved run.
-//! `--live-analyze` (`run` only) folds the full record stream through the
-//! incremental analytics engine *during* the run on the capture writer
-//! thread and prints the same report `analyze` would, with no second pass
-//! over a trace file.
-//!
-//! Watchdogs (`run` and experiments): `--watch-stall N` trips when no
-//! message is delivered for N cycles, `--watch-retries N` on more than N
-//! establishment retries in a 4096-cycle window, `--watch-deadlock` runs a
-//! wait-for-graph cycle search once the fabric stops for 2048 cycles. A
-//! trip stamps a `watchdog_trip` record into the trace;
-//! `--watch-postmortem FILE` additionally flushes a flight-recorder
-//! post-mortem bundle, and `--watch-abort` ends the run with a nonzero
-//! exit.
-//! ```
+//! `wavesim` — the command-line experiment runner: every experiment of
+//! EXPERIMENTS.md, single custom runs, trace capture and analysis, and the
+//! protocol model checker. Run `wavesim help` for the commands and flags;
+//! the tables they are declared in, once, are in [`flags`].
 
-use std::env;
+mod flags;
+
 use std::process::ExitCode;
 
+use flags::{Args, Cmd};
 use wavesim_bench::livestate::StatusBoard;
 use wavesim_bench::timeseries::Sampler;
 use wavesim_bench::tracecap::Capture;
 use wavesim_bench::watchdog::{Watchdog, WatchdogConfig};
-use wavesim_bench::{experiments, Observed, Observers, RunSpec, Scale};
-use wavesim_core::{LaneId, ProtocolKind, WaveConfig, WaveNetwork};
+use wavesim_bench::{experiments, Observed, Observers, RunSpec};
+use wavesim_core::{LaneId, WaveConfig, WaveNetwork};
 use wavesim_topology::{RoutingKind, Topology};
 use wavesim_trace::TraceSink;
 use wavesim_verify::check_deadlock_freedom;
 use wavesim_workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: wavesim <all|e1..e15|run|gen-trace|analyze|convert-trace|check|fuzz|validate-trace|info> [--scale small|paper] [--json] [--jobs N] [--side N]\n\
-         model check: wavesim check --model clrp|carp|probe [--topology mesh|torus] [--side N]\n\
-                      [--k N] [--msgs N] [--seed N] [--fault] [--repair] [--mutate M]\n\
-                      [--max-states N] [--counterexample FILE]\n\
-         fuzz:        wavesim fuzz --model ... [--runs N] [--steps N] [--seed N]\n\
-         run flags: --protocol clrp|carp|wormhole --topology mesh|torus --side N --load F\n\
-                    --len N --locality F --cycles N --seed N --k N --alpha N --cache N\n\
-                    --misroutes N\n\
-                    --replay-trace FILE (dependency-aware trace replay)\n\
-                    --service-clients N (closed-loop service traffic)\n\
-         gen-trace: wavesim gen-trace --collective all-to-all|reduce|broadcast|transpose-sweep\n\
-                    [--side N] [--len N] [--seed N] --out FILE (.jsonl streams, else JSON doc)\n\
-         fault flags (run): --fault-plan FILE --fault-schedule FILE\n\
-         trace flags: --trace-out FILE --metrics-out FILE --flight-recorder N\n\
-                      --trace-jsonl FILE --trace-bin FILE --trace-sample N\n\
-                      --timeseries-out FILE --window N --progress N\n\
-         live flags:  --serve-metrics ADDR --live-status --live-analyze\n\
-         watchdogs:   --watch-stall N --watch-retries N --watch-deadlock\n\
-                      --watch-abort --watch-postmortem FILE\n\
-         analyze flags: --trace FILE [--report FILE] [--json FILE] [--timeseries FILE]\n\
-                        [--window N] [--top N] [--trace-sample N]\n\
-         convert-trace: wavesim convert-trace IN --out FILE [--to jsonl|bin]"
-    );
-    std::process::exit(2);
-}
-
-/// Says what was wrong with the command line, then prints the usage.
-fn bad_usage(what: &str) -> ! {
-    eprintln!("error: {what}");
-    usage();
-}
-
-fn invalid(flag: &str, value: &str) -> ! {
-    bad_usage(&format!("invalid value `{value}` for `{flag}`"))
-}
-
-/// The value following `flag`.
-fn value(argv: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    argv.next()
-        .unwrap_or_else(|| bad_usage(&format!("missing value for `{flag}`")))
-}
-
-/// The value following `flag`, parsed; invalid unless `in_range`.
-fn parsed_if<T: std::str::FromStr>(
-    argv: &mut impl Iterator<Item = String>,
-    flag: &str,
-    in_range: impl FnOnce(&T) -> bool,
-) -> T {
-    let v = value(argv, flag);
-    match v.parse::<T>() {
-        Ok(n) if in_range(&n) => n,
-        _ => invalid(flag, &v),
-    }
-}
-
-/// The value following `flag`, parsed.
-fn parsed<T: std::str::FromStr>(argv: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    parsed_if(argv, flag, |_| true)
-}
-
-/// The value following `flag`, parsed; zero is invalid.
-fn nonzero<T: std::str::FromStr + PartialEq + Default>(
-    argv: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> T {
-    parsed_if(argv, flag, |n| *n != T::default())
-}
-
-/// The `SRC:DEST` node pair following `--msg`; a message must travel.
-fn msg_pair(argv: &mut impl Iterator<Item = String>, flag: &str) -> (u32, u32) {
-    let v = value(argv, flag);
-    let pair = v
-        .split_once(':')
-        .and_then(|(s, d)| Some((s.parse().ok()?, d.parse().ok()?)));
-    match pair {
-        Some((s, d)) if s != d => (s, d),
-        _ => invalid(flag, &v),
-    }
-}
-
-#[derive(Default)]
-struct Args {
-    cmd: String,
-    scale: Scale,
-    json: bool,
-    jobs: usize,
-    side: u16,
-    // `run` knobs
-    protocol: ProtocolKind,
-    torus: bool,
-    load: f64,
-    len: u32,
-    locality: f64,
-    cycles: u64,
-    seed: u64,
-    k: u8,
-    alpha: u32,
-    cache: usize,
-    misroutes: u8,
-    // dependency-trace replay / closed-loop service mode (`run`)
-    replay_trace: Option<String>,
-    service_clients: Option<u64>,
-    // `gen-trace` inputs
-    collective: Option<String>,
-    // fault injection
-    fault_plan: Option<String>,
-    fault_schedule: Option<String>,
-    // observability
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    flight_recorder: usize,
-    // analytics capture (`run`)
-    trace_jsonl: Option<String>,
-    trace_bin: Option<String>,
-    trace_sample: u64,
-    timeseries_out: Option<String>,
-    window: u64,
-    progress: Option<u64>,
-    // live observability plane
-    serve_metrics: Option<String>,
-    live_status: bool,
-    live_analyze: bool,
-    // watchdog rules
-    watch_stall: Option<u64>,
-    watch_retries: Option<u64>,
-    watch_deadlock: bool,
-    watch_abort: bool,
-    watch_postmortem: Option<String>,
-    // `analyze` inputs/outputs
-    trace_in: Option<String>,
-    report_out: Option<String>,
-    json_out: Option<String>,
-    timeseries_csv: Option<String>,
-    top: usize,
-    // `convert-trace` outputs
-    out: Option<String>,
-    to_bin: bool,
-    // positional operand (validate-trace FILE / convert-trace IN)
-    path: Option<String>,
-    // model checker (`check --model …` / `fuzz`)
-    model: Option<String>,
-    side_set: bool,
-    msgs: usize,
-    fault: bool,
-    repair: bool,
-    mutate: Option<String>,
-    msg_list: Vec<(u32, u32)>,
-    max_states: u64,
-    counterexample: Option<String>,
-    runs: u32,
-    steps: u32,
-}
-
-fn parse_args() -> Args {
-    let mut argv = env::args().skip(1);
-    let cmd = argv.next().unwrap_or_else(|| usage());
-    let mut args = Args {
-        cmd,
-        scale: Scale::paper(),
-        jobs: 1,
-        side: 8,
-        protocol: ProtocolKind::Clrp,
-        load: 0.2,
-        len: 64,
-        locality: 0.7,
-        cycles: 20_000,
-        seed: 1,
-        k: 2,
-        alpha: 4,
-        cache: 16,
-        misroutes: 2,
-        flight_recorder: 1 << 16,
-        trace_sample: 1,
-        window: 1000,
-        top: 10,
-        msgs: 3,
-        max_states: 5_000_000,
-        runs: 64,
-        steps: 4_000,
-        // Every other flag is off, empty or absent until given.
-        ..Args::default()
-    };
-    let argv = &mut argv;
-    while let Some(a) = argv.next() {
-        let flag = a.as_str();
-        match flag {
-            "--scale" => {
-                args.scale = match value(argv, flag).as_str() {
-                    "small" => Scale::small(),
-                    "paper" => Scale::paper(),
-                    other => invalid(flag, other),
-                }
-            }
-            // For `analyze`, --json names an output file; everywhere else
-            // it is a boolean format switch.
-            "--json" if args.cmd == "analyze" => args.json_out = Some(value(argv, flag)),
-            "--json" => args.json = true,
-            "--trace" => args.trace_in = Some(value(argv, flag)),
-            "--report" => args.report_out = Some(value(argv, flag)),
-            "--timeseries" => args.timeseries_csv = Some(value(argv, flag)),
-            "--top" => args.top = parsed(argv, flag),
-            "--trace-jsonl" => args.trace_jsonl = Some(value(argv, flag)),
-            "--trace-bin" => args.trace_bin = Some(value(argv, flag)),
-            "--trace-sample" => args.trace_sample = nonzero(argv, flag),
-            "--out" => args.out = Some(value(argv, flag)),
-            "--to" => {
-                args.to_bin = match value(argv, flag).as_str() {
-                    "jsonl" => false,
-                    "bin" => true,
-                    other => invalid(flag, other),
-                }
-            }
-            "--timeseries-out" => args.timeseries_out = Some(value(argv, flag)),
-            "--window" => args.window = nonzero(argv, flag),
-            "--progress" => args.progress = Some(nonzero(argv, flag)),
-            "--jobs" => args.jobs = parsed(argv, flag),
-            "--side" => {
-                args.side = parsed_if(argv, flag, |&side| side >= 2);
-                args.side_set = true;
-            }
-            "--model" => args.model = Some(value(argv, flag)),
-            "--msgs" => args.msgs = parsed(argv, flag),
-            "--msg" => args.msg_list.push(msg_pair(argv, flag)),
-            "--fault" => args.fault = true,
-            "--repair" => args.repair = true,
-            "--mutate" => args.mutate = Some(value(argv, flag)),
-            "--max-states" => args.max_states = nonzero(argv, flag),
-            "--counterexample" => args.counterexample = Some(value(argv, flag)),
-            "--runs" => args.runs = parsed(argv, flag),
-            "--steps" => args.steps = parsed(argv, flag),
-            "--protocol" => {
-                args.protocol = match value(argv, flag).as_str() {
-                    "clrp" => ProtocolKind::Clrp,
-                    "carp" => ProtocolKind::Carp,
-                    "wormhole" => ProtocolKind::WormholeOnly,
-                    other => invalid(flag, other),
-                }
-            }
-            "--topology" => {
-                args.torus = match value(argv, flag).as_str() {
-                    "mesh" => false,
-                    "torus" => true,
-                    other => invalid(flag, other),
-                }
-            }
-            // `> 0.0` refuses NaN too.
-            "--load" => args.load = parsed_if(argv, flag, |&load| load > 0.0),
-            "--len" => args.len = nonzero(argv, flag),
-            "--locality" => args.locality = parsed(argv, flag),
-            "--cycles" => args.cycles = parsed(argv, flag),
-            "--seed" => args.seed = parsed(argv, flag),
-            "--k" => args.k = nonzero(argv, flag),
-            "--alpha" => args.alpha = nonzero(argv, flag),
-            "--cache" => args.cache = nonzero(argv, flag),
-            "--misroutes" => args.misroutes = parsed(argv, flag),
-            "--replay-trace" => args.replay_trace = Some(value(argv, flag)),
-            "--service-clients" => args.service_clients = Some(nonzero(argv, flag)),
-            "--collective" => args.collective = Some(value(argv, flag)),
-            "--fault-plan" => args.fault_plan = Some(value(argv, flag)),
-            "--fault-schedule" => args.fault_schedule = Some(value(argv, flag)),
-            "--serve-metrics" => args.serve_metrics = Some(value(argv, flag)),
-            "--live-status" => args.live_status = true,
-            "--live-analyze" => args.live_analyze = true,
-            "--watch-stall" => args.watch_stall = Some(nonzero(argv, flag)),
-            "--watch-retries" => args.watch_retries = Some(parsed(argv, flag)),
-            "--watch-deadlock" => args.watch_deadlock = true,
-            "--watch-abort" => args.watch_abort = true,
-            "--watch-postmortem" => args.watch_postmortem = Some(value(argv, flag)),
-            "--trace-out" => args.trace_out = Some(value(argv, flag)),
-            "--metrics-out" => args.metrics_out = Some(value(argv, flag)),
-            "--flight-recorder" => args.flight_recorder = nonzero(argv, flag),
-            _ if !a.starts_with('-') && args.path.is_none() => args.path = Some(a),
-            _ => bad_usage(&format!("unknown argument `{a}`")),
-        }
-    }
-    args
-}
 
 /// How a command ended. `Ok(false)`: it ran, and its verdict (a run that
 /// is not clean, a model violation, a watchdog abort) fails the process.
@@ -481,7 +93,7 @@ fn export_trace(
 /// JSONL record streams (`--trace-jsonl`), and Perfetto exports
 /// (`--trace-out`) are all recognised by content, not extension.
 fn validate_trace(path: &str) -> Outcome {
-    use wavesim_trace::stream::{stream_trace_file, TraceFormat, TraceReader as _};
+    use wavesim_trace::stream::{stream_trace_file, TraceFormat};
     // The two record formats are counted through the streaming reader, in
     // bounded memory whatever the capture size.
     let mut reader = stream_trace_file(std::path::Path::new(path)).map_err(cannot_read)?;
@@ -522,17 +134,16 @@ fn validate_trace(path: &str) -> Outcome {
     Ok(true)
 }
 
-/// `wavesim convert-trace IN --out FILE [--to jsonl|bin]` — lossless
-/// conversion between the JSONL and binary columnar stream formats (the
-/// input format is sniffed from its leading bytes).
+/// `wavesim convert-trace`: lossless conversion between the JSONL and binary
+/// columnar stream formats (the input's is sniffed from its leading bytes).
 fn convert_trace(args: &Args) -> Outcome {
     use std::path::Path;
-    use wavesim_trace::stream::{ColumnarSink, JsonlSink, TraceReader as _};
-    let input = args
-        .path
+    use wavesim_trace::stream::{ColumnarSink, JsonlSink};
+    let input = &args.path;
+    let out = args
+        .out
         .as_ref()
-        .ok_or("convert-trace needs an input FILE operand")?;
-    let out = args.out.as_ref().ok_or("convert-trace needs --out FILE")?;
+        .ok_or("convert-trace needs `--out FILE`")?;
     // Stream end to end: the reader decodes the input frame-by-frame and
     // the writer is the same chunked background sink the capture path
     // uses, so conversion runs in bounded memory at any capture size.
@@ -585,21 +196,19 @@ fn apply_fault_inputs(net: &mut WaveNetwork, args: &Args) -> Result<(), String> 
 }
 
 /// The observability flags, resolved once for `run` and the experiment
-/// commands alike; [`Observing::observers`] makes one run's set.
+/// commands alike; [`Observing::observers`] makes one run's set. (The flag
+/// table gives the sampler, metrics page and live analytics to `run` only.)
 struct Observing<'a> {
     args: &'a Args,
-    /// `run` only: the sampler, the metrics page's ring, live analytics.
-    single_run: bool,
     watch: WatchdogConfig,
     board: Option<StatusBoard>,
 }
 
 impl<'a> Observing<'a> {
-    /// Checks the stream paths are writable, brings up the live plane
-    /// (status board, HTTP endpoint), and notes the flags this command
-    /// ignores. Everything goes to stderr or the socket, so stdout stays
-    /// byte-identical to an unobserved run.
-    fn new(args: &'a Args, single_run: bool) -> Result<Self, String> {
+    /// Checks the stream paths are writable and brings up the live plane
+    /// (status board, HTTP endpoint). Everything goes to stderr or the
+    /// socket, so stdout stays byte-identical to an unobserved run.
+    fn new(args: &'a Args) -> Result<Self, String> {
         for path in [&args.trace_jsonl, &args.trace_bin].into_iter().flatten() {
             // Fail before the run, not after a long sweep.
             std::fs::File::create(path).map_err(|e| format!("cannot stream to {path}: {e}"))?;
@@ -607,22 +216,15 @@ impl<'a> Observing<'a> {
         if args.trace_bin.is_none() && args.trace_sample > 1 {
             eprintln!("note: --trace-sample applies to --trace-bin only; ignored");
         }
-        if !single_run && args.metrics_out.is_some() {
-            eprintln!("note: --metrics-out applies to `run` only; ignored for experiments");
-        }
-        if !single_run && args.live_analyze {
-            eprintln!("note: --live-analyze applies to `run` only; ignored for experiments");
-        }
         let board = (args.live_status || args.serve_metrics.is_some())
             .then(|| StatusBoard::new(args.live_status));
         if let (Some(addr), Some(board)) = (&args.serve_metrics, &board) {
             let local = wavesim_bench::serve::serve(addr, board.clone())
-                .map_err(|e| format!("--serve-metrics {addr}: {e}"))?;
+                .map_err(|e| format!("`--serve-metrics {addr}`: {e}"))?;
             eprintln!("serving live metrics on http://{local}/metrics (JSON status at /status)");
         }
         Ok(Self {
             args,
-            single_run,
             watch: WatchdogConfig {
                 stall_cycles: args.watch_stall,
                 retry_limit: args.watch_retries,
@@ -640,7 +242,7 @@ impl<'a> Observing<'a> {
         a.trace_out.is_some()
             || a.trace_jsonl.is_some()
             || a.trace_bin.is_some()
-            || (self.single_run && a.metrics_out.is_some())
+            || a.metrics_out.is_some()
     }
 
     /// One run's observers. Only an `exported` run (possibly the last in
@@ -653,7 +255,7 @@ impl<'a> Observing<'a> {
         // ring on every run, even when no export flag asked for one.
         let ring = (exported && self.exporting())
             || (self.watch.any() && self.watch.post_mortem.is_some())
-            || (self.single_run && a.live_analyze);
+            || a.live_analyze;
         let capture = ring.then(|| {
             let mut c = Capture::new(a.flight_recorder);
             if let (true, Some(path)) = (exported, &a.trace_jsonl) {
@@ -668,7 +270,7 @@ impl<'a> Observing<'a> {
         });
         // --progress doubles as the status cadence and the window width,
         // so each printed line covers exactly one closed window.
-        let sampler = (self.single_run && (a.timeseries_out.is_some() || a.progress.is_some()))
+        let sampler = (a.timeseries_out.is_some() || a.progress.is_some())
             .then(|| Sampler::new(a.progress.unwrap_or(a.window), a.progress.is_some()));
         Observers {
             capture,
@@ -773,7 +375,7 @@ enum RunOutcome {
 
 fn custom_run(args: &Args) -> Outcome {
     if args.replay_trace.is_some() && args.service_clients.is_some() {
-        return Err("--replay-trace and --service-clients are mutually exclusive".into());
+        return Err("`--replay-trace` and `--service-clients` are mutually exclusive".into());
     }
     let replay = match &args.replay_trace {
         Some(path) => Some(load_file(
@@ -812,7 +414,7 @@ fn custom_run(args: &Args) -> Outcome {
         }
     }
     let warmup = args.cycles / 5;
-    let observing = Observing::new(args, true)?;
+    let observing = Observing::new(args)?;
     let mut obs = observing.observers(true);
     let live_handle = args.live_analyze.then(|| {
         let (handle, sink) = wavesim_analyze::live_sink(wavesim_analyze::AnalyzeOptions {
@@ -978,24 +580,13 @@ fn custom_run(args: &Args) -> Outcome {
     Ok(ok)
 }
 
-/// `wavesim gen-trace --collective C [--side N] [--len N] [--seed N]
-/// --out FILE` — emits one of E15's dependency-aware collective traces
-/// for `run --replay-trace`. A `.jsonl` output name selects the
-/// line-oriented stream format; anything else gets the pretty JSON
-/// document (`load_dep_trace` sniffs either back in by content).
+/// `wavesim gen-trace`: emits one of E15's dependency-aware collective
+/// traces for `run` to replay. A `.jsonl` output name selects the line
+/// format, anything else the pretty JSON document (`load_dep_trace` sniffs
+/// either back in by content).
 fn gen_trace_cmd(args: &Args) -> Outcome {
-    let known = ["all-to-all", "reduce", "broadcast", "transpose-sweep"];
-    let which = args
-        .collective
-        .as_ref()
-        .ok_or_else(|| format!("gen-trace needs --collective {}", known.join("|")))?;
-    let out = args.out.as_ref().ok_or("gen-trace needs --out FILE")?;
-    if !known.contains(&which.as_str()) {
-        return Err(format!(
-            "unknown collective {which:?} (use {})",
-            known.join("|")
-        ));
-    }
+    let which = args.collective.ok_or("gen-trace needs `--collective`")?;
+    let out = args.out.as_ref().ok_or("gen-trace needs `--out FILE`")?;
     let topo = square(args.torus, args.side)?;
     // transpose-sweep draws per-phase destinations from --seed; the tree
     // collectives are fully determined by the topology.
@@ -1038,7 +629,6 @@ fn analyze_cmd(args: &Args) -> Outcome {
     // Stream the capture record-by-record into the incremental engine:
     // peak memory is one frame, whatever the capture size, and the result
     // is identical to the offline fold by construction.
-    use wavesim_trace::stream::TraceReader as _;
     let mut reader = wavesim_trace::stream::stream_trace_file(std::path::Path::new(path))
         .map_err(cannot_read)?;
     let mut live = wavesim_analyze::LiveAnalytics::new(wavesim_analyze::AnalyzeOptions {
@@ -1079,7 +669,7 @@ fn analyze_cmd(args: &Args) -> Outcome {
 }
 
 fn run_experiments(ids: &[&str], args: &Args) -> Outcome {
-    let observing = Observing::new(args, false)?;
+    let observing = Observing::new(args)?;
     let factory = |exported| observing.observers(exported);
     let ctx = experiments::Ctx::observed(args.scale, args.jobs, &factory);
     for id in ids {
@@ -1102,17 +692,11 @@ fn run_experiments(ids: &[&str], args: &Args) -> Outcome {
 /// protocol automaton; `probe` is CLRP with the Force phase disabled, so
 /// what is exercised is pure MB-m backtracking (Theorem 3's machinery).
 fn model_spec(args: &Args) -> Result<wavesim_model::ModelSpec, String> {
-    use wavesim_model::{ModelProtocol, ModelSpec, Mutation, MAX_MSGS, MAX_NODES};
-    let protocol = match args.model.as_deref() {
-        Some("clrp") => ModelProtocol::Clrp,
-        Some("carp") => ModelProtocol::Carp,
-        Some("probe") => ModelProtocol::ClrpNoForce,
-        Some(other) => return Err(format!("unknown model `{other}` (clrp | carp | probe)")),
-        None => return Err("missing --model".into()),
-    };
+    use wavesim_model::{ModelSpec, MAX_MSGS, MAX_NODES};
+    let protocol = args.model.ok_or("missing `--model`")?;
     // Exhaustive exploration wants the smallest non-degenerate fabric:
     // 2x2 mesh, 3x3 torus (the torus constructor requires radix >= 3).
-    let side = if args.side_set {
+    let side = if args.given.contains(&"side") {
         args.side
     } else if args.torus {
         3
@@ -1155,8 +739,8 @@ fn model_spec(args: &Args) -> Result<wavesim_model::ModelSpec, String> {
         }
         spec = spec.msg(s, d);
     }
-    if let Some(m) = &args.mutate {
-        spec = spec.mutate(Mutation::parse(m)?);
+    if let Some(m) = args.mutate {
+        spec = spec.mutate(m);
     }
     if args.fault {
         spec = spec.fault_on_first_path(args.repair);
@@ -1291,7 +875,7 @@ fn static_checks(side: u16) -> Outcome {
     Ok(ok)
 }
 
-fn info() {
+fn info() -> Outcome {
     let cfg = WaveConfig::default();
     println!("wavesim — wave switching (Duato/Lopez/Yalamanchili, IPPS'97) reproduction");
     println!("default configuration:");
@@ -1314,26 +898,33 @@ fn info() {
     );
     println!();
     println!("experiments: {}", experiments::all_ids().join(", "));
+    Ok(true)
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    let outcome = match args.cmd.as_str() {
-        "all" => run_experiments(&experiments::all_ids(), &args),
-        "check" if args.model.is_some() => model_check(&args),
-        "check" => static_checks(args.side),
-        "fuzz" => fuzz_cmd(&args),
-        "info" => {
-            info();
+    let args = match flags::parse(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(flags::UsageError(what)) => {
+            eprintln!("error: {what}\n{}", flags::USAGE);
+            return ExitCode::from(2);
+        }
+    };
+    let outcome = match args.cmd {
+        Cmd::All => run_experiments(&experiments::all_ids(), &args),
+        Cmd::Exp => run_experiments(&[&args.word], &args),
+        Cmd::Run => custom_run(&args),
+        Cmd::GenTrace => gen_trace_cmd(&args),
+        Cmd::Analyze => analyze_cmd(&args),
+        Cmd::ConvertTrace => convert_trace(&args),
+        Cmd::ValidateTrace => validate_trace(&args.path),
+        Cmd::Check if args.model.is_some() => model_check(&args),
+        Cmd::Check => static_checks(args.side),
+        Cmd::Fuzz => fuzz_cmd(&args),
+        Cmd::Info => info(),
+        Cmd::Help => {
+            print!("{}", flags::help(&args.word));
             Ok(true)
         }
-        "run" => custom_run(&args),
-        "gen-trace" => gen_trace_cmd(&args),
-        "analyze" => analyze_cmd(&args),
-        "validate-trace" => validate_trace(args.path.as_deref().unwrap_or_else(|| usage())),
-        "convert-trace" => convert_trace(&args),
-        id if experiments::all_ids().contains(&id) => run_experiments(&[id], &args),
-        _ => usage(),
     };
     match outcome {
         Ok(true) => ExitCode::SUCCESS,

@@ -435,19 +435,36 @@ fn removed_shard_flags_fail_like_any_unknown_flag() {
 
 #[test]
 fn bad_flag_values_are_named_before_the_usage() {
-    let cases: [(&[&str], &str); 5] = [
-        (&["--load", "abc"], "invalid value `abc` for `--load`"),
+    let cases: [(&str, &[&str], &str); 5] = [
         (
+            "run",
+            &["--load", "abc"],
+            "invalid value `abc` for `--load`",
+        ),
+        (
+            "run",
             &["--protocol", "foo"],
             "invalid value `foo` for `--protocol`",
         ),
-        (&["--window", "0"], "invalid value `0` for `--window`"),
-        (&["--scale", "huge"], "invalid value `huge` for `--scale`"),
-        (&["--side", "4", "--load"], "missing value for `--load`"),
+        (
+            "run",
+            &["--window", "0"],
+            "invalid value `0` for `--window`",
+        ),
+        (
+            "e3",
+            &["--scale", "huge"],
+            "invalid value `huge` for `--scale`",
+        ),
+        (
+            "run",
+            &["--side", "4", "--load"],
+            "missing value for `--load`",
+        ),
     ];
-    for (flags, complaint) in cases {
+    for (cmd, flags, complaint) in cases {
         let out = wavesim()
-            .arg("run")
+            .arg(cmd)
             .args(flags)
             .output()
             .expect("binary runs");
@@ -462,10 +479,12 @@ fn bad_flag_values_are_named_before_the_usage() {
 
 #[test]
 fn out_of_range_values_are_refused_not_panicked_on() {
-    // A value no run can use is a usage error (exit 2); values that only
-    // clash with each other are an `error:` (exit 1). Either way stderr
-    // names the flag, and nothing reaches a library assert (exit 101).
-    let cases: [(&str, i32, &str); 22] = [
+    // A value no run can use, and a flag or operand the command does not
+    // take, is a usage error (exit 2); values that only clash with each
+    // other are an `error:` (exit 1). Either way stderr names the flag,
+    // and nothing reaches a library assert (exit 101) or the allocator's
+    // abort (exit 134).
+    let cases: [(&str, i32, &str); 31] = [
         ("run --side 0", 2, "--side"),
         ("run --side 1", 2, "--side"),
         ("run --topology torus --side 2", 1, "--side"),
@@ -500,6 +519,19 @@ fn out_of_range_values_are_refused_not_panicked_on() {
             "--topology",
         ),
         ("check --model clrp --side 9", 1, "--side"),
+        (
+            "run --flight-recorder 999999999999999 --trace-out x.json",
+            2,
+            "--flight-recorder",
+        ),
+        ("run --side 65535", 2, "--side"),
+        ("run --locality nan", 2, "--locality"),
+        ("run --locality 2", 2, "--locality"),
+        ("run --locality -1", 2, "--locality"),
+        ("info --load 0.5", 2, "--load"),
+        ("run --side 4 stray", 2, "stray"),
+        ("e3 --scale small --json out.json", 2, "out.json"),
+        ("analyze --trace x --watch-stall 5", 2, "--watch-stall"),
     ];
     let dir = std::env::temp_dir().join(format!("wavesim-cli-range-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -514,6 +546,15 @@ fn out_of_range_values_are_refused_not_panicked_on() {
         assert!(err.starts_with("error: "), "{line}: {err}");
         let complaint = err.lines().next().unwrap();
         assert!(complaint.contains(&format!("`{flag}")), "{line}: {err}");
+        let mut words = line.split(' ');
+        let cmd = words.next().unwrap();
+        if complaint.contains("invalid value") {
+            let value = words.skip_while(|w| *w != flag).nth(1).unwrap();
+            let says = format!("error: invalid value `{value}` for `{flag}`");
+            assert_eq!(complaint, says, "{line}");
+        } else if code == 2 {
+            assert!(complaint.contains(&format!("`{cmd}`")), "{line}: {err}");
+        }
     }
     assert!(
         std::fs::read_dir(&dir).unwrap().next().is_none(),

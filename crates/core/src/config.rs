@@ -168,14 +168,6 @@ impl WaveConfig {
         )
     }
 
-    /// The "simplest version of wave router … `k = 1` and `w = 0`" of §2,
-    /// where all messages use PCS. (With `w = 0` there is no wormhole
-    /// fallback; only CARP-style explicit traffic is meaningful.)
-    #[must_use]
-    pub fn simplest_wave_router(self) -> Self {
-        Self { k: 1, ..self }
-    }
-
     /// Sanity-checks parameter combinations.
     ///
     /// # Panics
@@ -230,11 +222,5 @@ mod tests {
             ..WaveConfig::default()
         };
         cfg.validate();
-    }
-
-    #[test]
-    fn simplest_wave_router_sets_k1() {
-        let cfg = WaveConfig::default().simplest_wave_router();
-        assert_eq!(cfg.k, 1);
     }
 }

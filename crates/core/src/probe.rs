@@ -71,16 +71,6 @@ impl ProbeFlit {
     }
 }
 
-/// Why a probe terminated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeOutcome {
-    /// The full path was reserved and the destination reached.
-    Reached,
-    /// The probe backtracked all the way to the source with nothing left
-    /// to search on its switch.
-    Exhausted,
-}
-
 /// History Store flag: the node is on the probe's reserved path. The low
 /// 16 bits of a History Store word are the searched-port mask.
 const ON_PATH: u32 = 1 << 31;

@@ -69,22 +69,6 @@ pub enum Mutation {
 }
 
 impl Mutation {
-    /// Parses the CLI spelling.
-    ///
-    /// # Errors
-    /// Returns the unknown name.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "none" => Ok(Mutation::None),
-            "drop-release" => Ok(Mutation::DropRelease),
-            "skip-backoff" => Ok(Mutation::SkipBackoff),
-            "wait-establishing" => Ok(Mutation::WaitEstablishing),
-            other => Err(format!(
-                "unknown mutation `{other}` (drop-release | skip-backoff | wait-establishing)"
-            )),
-        }
-    }
-
     /// The CLI spelling.
     #[must_use]
     pub fn name(self) -> &'static str {

@@ -224,44 +224,6 @@ impl SimRng {
             Some(&slice[self.index(slice.len())])
         }
     }
-
-    /// A fast non-cryptographic generator seeded from this stream, for hot
-    /// loops where ChaCha's throughput would dominate the profile.
-    pub fn fast(&mut self) -> FastRng {
-        FastRng::new(self.next_u64())
-    }
-}
-
-/// A small, fast xoshiro256++ generator for hot loops. Not splittable; seed
-/// it from a [`SimRng`] stream via [`SimRng::fast`].
-#[derive(Debug, Clone)]
-pub struct FastRng {
-    s: [u64; 4],
-}
-
-impl FastRng {
-    /// Creates a generator from a 64-bit seed.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        let mut sm = seed;
-        Self {
-            s: std::array::from_fn(|_| splitmix64(&mut sm)),
-        }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        let s = &mut self.s;
-        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        result
-    }
 }
 
 #[cfg(test)]
@@ -388,15 +350,6 @@ mod tests {
         let empty: [u8; 0] = [];
         assert!(r.choose(&empty).is_none());
         assert_eq!(r.choose(&[42]), Some(&42));
-    }
-
-    #[test]
-    fn fast_rng_is_deterministic() {
-        let mut a = FastRng::new(77);
-        let mut b = FastRng::new(77);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]

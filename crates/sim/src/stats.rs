@@ -116,12 +116,6 @@ impl Accumulator {
         }
     }
 
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (`None` when empty).
     #[must_use]
     pub fn min(&self) -> Option<f64> {

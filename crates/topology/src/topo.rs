@@ -221,6 +221,10 @@ impl PartialEq for Topology {
 impl Eq for Topology {}
 
 impl Topology {
+    /// The most link slots (`nodes * 2 * dimensions`) a topology may have:
+    /// the neighbour table is indexed with a `u32`.
+    pub const MAX_LINK_SLOTS: u64 = u32::MAX as u64;
+
     fn build(kind: TopologyKind, radices: &[u16]) -> Self {
         assert!(!radices.is_empty(), "topology needs at least one dimension");
         assert!(
@@ -246,7 +250,7 @@ impl Topology {
                 .expect("node count overflowed u32");
         }
         assert!(
-            u64::from(acc) * 2 * radices.len() as u64 <= u64::from(u32::MAX),
+            u64::from(acc) * 2 * radices.len() as u64 <= Self::MAX_LINK_SLOTS,
             "link slot count overflowed u32"
         );
         Self {

@@ -27,7 +27,8 @@
 //!
 //! Decoding reproduces every record *exactly* (`at`, `seq`, and event
 //! fields), so a binary capture converts to byte-identical JSONL and all
-//! analytics consume either format through [`crate::stream::TraceReader`].
+//! analytics consume either format through
+//! [`crate::stream::StreamingReader`].
 //! The format is deliberately self-contained per frame: a truncated file
 //! loses at most its trailing frame, and frames decode with bounded
 //! memory.

@@ -54,7 +54,7 @@ pub use recorder::{FlightRecorder, VecSink};
 #[doc(hidden)]
 pub use schema::every_event;
 pub use schema::{PlaneId, TraceEvent};
-pub use stream::{read_columnar, read_trace, ColumnarSink, JsonlSink, TraceFormat, TraceReader};
+pub use stream::{read_columnar, read_trace, ColumnarSink, JsonlSink, TraceFormat};
 pub use timeseries::{WindowRow, WindowSeries};
 
 use wavesim_sim::Cycle;

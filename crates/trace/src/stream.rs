@@ -20,11 +20,11 @@
 //!   [`crate::columnar`] — typically under a tenth of the JSONL bytes —
 //!   which round-trips via [`read_columnar`].
 //!
-//! Reading is format-agnostic: [`StreamingReader`], the one
-//! [`TraceReader`], sniffs the [`crate::columnar::MAGIC`] prefix of any
-//! byte source (the magic means columnar, anything else is JSONL) and
-//! decodes either format incrementally, so the analyzer and the CLI never
-//! care which format a capture used; [`read_trace`], [`read_jsonl`] and
+//! Reading is format-agnostic: [`StreamingReader`], the one decoder,
+//! sniffs the [`crate::columnar::MAGIC`] prefix of any byte source (the
+//! magic means columnar, anything else is JSONL) and decodes either format
+//! incrementally, so the analyzer and the CLI never care which format a
+//! capture used; [`read_trace`], [`read_jsonl`] and
 //! [`read_columnar`] drain one into a vector.
 //!
 //! Saturated runs can cap bytes deterministically with
@@ -366,29 +366,6 @@ pub enum TraceFormat {
     Columnar,
 }
 
-/// A streaming decoder over a trace capture, format-agnostic.
-///
-/// [`StreamingReader`] is the implementation; consumers (the analyzer,
-/// the converter, `validate-trace`) hold it through this trait and never
-/// branch on format.
-pub trait TraceReader {
-    /// The next record, `None` at end of stream. After an `Err` the
-    /// reader is done (subsequent calls return `None`).
-    fn next_record(&mut self) -> Option<Result<TraceRecord, String>>;
-
-    /// Drains the reader into a vector, oldest first.
-    ///
-    /// # Errors
-    /// Fails on the first malformed record.
-    fn read_all(&mut self) -> Result<Vec<TraceRecord>, String> {
-        let mut out = Vec::new();
-        while let Some(rec) = self.next_record() {
-            out.push(rec?);
-        }
-        Ok(out)
-    }
-}
-
 /// The incremental decoder over any byte source, an in-memory slice
 /// included.
 ///
@@ -456,10 +433,10 @@ impl<R: io::Read> StreamingReader<R> {
             StreamingInner::Columnar { .. } => TraceFormat::Columnar,
         }
     }
-}
 
-impl<R: io::Read> TraceReader for StreamingReader<R> {
-    fn next_record(&mut self) -> Option<Result<TraceRecord, String>> {
+    /// The next record, `None` at end of stream. After an `Err` the
+    /// reader is done (subsequent calls return `None`).
+    pub fn next_record(&mut self) -> Option<Result<TraceRecord, String>> {
         if self.failed {
             return None;
         }
@@ -499,6 +476,18 @@ impl<R: io::Read> TraceReader for StreamingReader<R> {
         };
         self.failed = res.is_err();
         Some(res)
+    }
+
+    /// Drains the reader into a vector, oldest first.
+    ///
+    /// # Errors
+    /// Fails on the first malformed record.
+    pub fn read_all(&mut self) -> Result<Vec<TraceRecord>, String> {
+        let mut out = Vec::new();
+        while let Some(rec) = self.next_record() {
+            out.push(rec?);
+        }
+        Ok(out)
     }
 }
 

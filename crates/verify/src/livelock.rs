@@ -53,13 +53,6 @@ impl ProgressMeasure {
             .saturating_add(self.escaped.saturating_mul(1 << 20))
             .saturating_add(self.injected)
     }
-
-    /// True when `self` is strictly ahead of `earlier` — the network
-    /// moved between two observations.
-    #[must_use]
-    pub fn advanced_since(&self, earlier: &ProgressMeasure) -> bool {
-        self.rank() > earlier.rank()
-    }
 }
 
 /// Reads the measure off a live network — the runtime side of the shared

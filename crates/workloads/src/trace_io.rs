@@ -1,7 +1,7 @@
-//! Trace persistence: save/load CARP instruction traces and message
-//! scripts as JSON, so experiment inputs are shareable, versionable
-//! artifacts (and so a future real compiler could emit them directly —
-//! the interface §3.2 defines is exactly this instruction stream).
+//! Input persistence: save/load dependency traces, static fault plans and
+//! timed fault schedules as versioned JSON, so experiment inputs are
+//! shareable, versionable artifacts. Loading validates: a malformed or
+//! hostile file is an error naming what was wrong, never a panic.
 
 use std::io::{Read, Write};
 
@@ -12,21 +12,10 @@ use wavesim_topology::NodeId;
 
 use wavesim_topology::LinkId;
 
-use crate::carp::{CarpOp, CarpTrace};
 use crate::deptrace::{DepMessage, DepTrace};
 use crate::faults::{FaultPlan, FaultSchedule, FaultScheduleEvent};
 
 const VERSION: u64 = 1;
-
-fn message_to_json(m: &Message) -> Value {
-    Value::obj(vec![
-        ("id", m.id.0.into()),
-        ("src", u64::from(m.src.0).into()),
-        ("dest", u64::from(m.dest.0).into()),
-        ("len", m.len_flits.into()),
-        ("created", m.created_at.into()),
-    ])
-}
 
 fn message_from_json(v: &Value) -> Result<Message, String> {
     let field = |k: &str| v[k].as_u64().ok_or_else(|| format!("message missing {k}"));
@@ -46,42 +35,6 @@ fn message_from_json(v: &Value) -> Result<Message, String> {
         len,
         field("created")?,
     ))
-}
-
-fn op_to_json(op: &CarpOp) -> Value {
-    match op {
-        CarpOp::Establish { src, dest } => Value::obj(vec![
-            ("op", "establish".into()),
-            ("src", u64::from(src.0).into()),
-            ("dest", u64::from(dest.0).into()),
-        ]),
-        CarpOp::Send(m) => Value::obj(vec![("op", "send".into()), ("msg", message_to_json(m))]),
-        CarpOp::Teardown { src, dest } => Value::obj(vec![
-            ("op", "teardown".into()),
-            ("src", u64::from(src.0).into()),
-            ("dest", u64::from(dest.0).into()),
-        ]),
-    }
-}
-
-fn op_from_json(v: &Value) -> Result<CarpOp, String> {
-    let endpoints = || -> Result<(NodeId, NodeId), String> {
-        let src = v["src"].as_u64().ok_or("op missing src")? as u32;
-        let dest = v["dest"].as_u64().ok_or("op missing dest")? as u32;
-        Ok((NodeId(src), NodeId(dest)))
-    };
-    match v["op"].as_str() {
-        Some("establish") => {
-            let (src, dest) = endpoints()?;
-            Ok(CarpOp::Establish { src, dest })
-        }
-        Some("teardown") => {
-            let (src, dest) = endpoints()?;
-            Ok(CarpOp::Teardown { src, dest })
-        }
-        Some("send") => Ok(CarpOp::Send(message_from_json(&v["msg"])?)),
-        other => Err(format!("unknown op {other:?}")),
-    }
 }
 
 fn timed_to_json<T>(items: &[(Cycle, T)], encode: impl Fn(&T) -> Value) -> Value {
@@ -113,66 +66,6 @@ fn timed_from_json<T>(
         out.push((t, decode(&pair[1])?));
     }
     Ok(out)
-}
-
-/// Serializes `trace` as pretty JSON.
-///
-/// # Errors
-/// Propagates I/O errors.
-pub fn save_trace<W: Write>(trace: &CarpTrace, mut writer: W) -> std::io::Result<()> {
-    let file = Value::obj(vec![
-        ("version", VERSION.into()),
-        ("ops", timed_to_json(&trace.ops, op_to_json)),
-    ]);
-    writer.write_all(file.pretty().as_bytes())
-}
-
-/// Deserializes a trace saved by [`save_trace`].
-///
-/// # Errors
-/// Fails on malformed JSON, an unknown version, or a time-unsorted stream.
-pub fn load_trace<R: Read>(mut reader: R) -> Result<CarpTrace, String> {
-    let mut text = String::new();
-    reader
-        .read_to_string(&mut text)
-        .map_err(|e| format!("read failed: {e}"))?;
-    let v = Value::parse(&text).map_err(|e| format!("malformed trace: {e}"))?;
-    let version = v["version"].as_u64().ok_or("malformed trace: no version")?;
-    if version != VERSION {
-        return Err(format!(
-            "unsupported trace version {version} (expected {VERSION})"
-        ));
-    }
-    let ops = timed_from_json(&v["ops"], "trace op", op_from_json)?;
-    if !ops.windows(2).all(|w| w[0].0 <= w[1].0) {
-        return Err("trace ops are not time-sorted".into());
-    }
-    Ok(CarpTrace { ops })
-}
-
-/// Serializes a timed message script (as used by scripted experiments).
-///
-/// # Errors
-/// Propagates I/O errors.
-pub fn save_script<W: Write>(script: &[(Cycle, Message)], mut writer: W) -> std::io::Result<()> {
-    writer.write_all(timed_to_json(script, message_to_json).pretty().as_bytes())
-}
-
-/// Deserializes a message script saved by [`save_script`].
-///
-/// # Errors
-/// Fails on malformed JSON or a time-unsorted script.
-pub fn load_script<R: Read>(mut reader: R) -> Result<Vec<(Cycle, Message)>, String> {
-    let mut text = String::new();
-    reader
-        .read_to_string(&mut text)
-        .map_err(|e| format!("read failed: {e}"))?;
-    let v = Value::parse(&text).map_err(|e| format!("malformed script: {e}"))?;
-    let script = timed_from_json(&v, "script", message_from_json)?;
-    if !script.windows(2).all(|w| w[0].0 <= w[1].0) {
-        return Err("script is not time-sorted".into());
-    }
-    Ok(script)
 }
 
 fn dep_message_to_json(m: &DepMessage) -> Value {
@@ -441,53 +334,6 @@ mod tests {
     use wavesim_topology::Topology;
 
     #[test]
-    fn trace_roundtrip() {
-        let topo = Topology::mesh(&[4, 4]);
-        let trace = CarpTrace::stencil(&topo, 2, 3, 32, 1000, 100);
-        let mut buf = Vec::new();
-        save_trace(&trace, &mut buf).unwrap();
-        let loaded = load_trace(buf.as_slice()).unwrap();
-        assert_eq!(loaded.ops, trace.ops);
-    }
-
-    #[test]
-    fn script_roundtrip() {
-        let script = vec![
-            (0u64, Message::new(1, NodeId(0), NodeId(5), 16, 0)),
-            (10, Message::new(2, NodeId(3), NodeId(7), 64, 10)),
-        ];
-        let mut buf = Vec::new();
-        save_script(&script, &mut buf).unwrap();
-        let loaded = load_script(buf.as_slice()).unwrap();
-        assert_eq!(loaded, script);
-    }
-
-    #[test]
-    fn version_mismatch_rejected() {
-        let json = r#"{"version": 99, "ops": []}"#;
-        let err = load_trace(json.as_bytes()).unwrap_err();
-        assert!(err.contains("version"), "{err}");
-    }
-
-    #[test]
-    fn unsorted_trace_rejected() {
-        let topo = Topology::mesh(&[4, 4]);
-        let mut trace = CarpTrace::stencil(&topo, 1, 2, 8, 100, 10);
-        let last = trace.ops.len() - 1;
-        trace.ops.swap(0, last);
-        let mut buf = Vec::new();
-        save_trace(&trace, &mut buf).unwrap();
-        let err = load_trace(buf.as_slice()).unwrap_err();
-        assert!(err.contains("sorted"), "{err}");
-    }
-
-    #[test]
-    fn garbage_rejected() {
-        assert!(load_trace(&b"not json"[..]).is_err());
-        assert!(load_script(&b"{}"[..]).is_err());
-    }
-
-    #[test]
     fn fault_plan_roundtrip() {
         let topo = Topology::mesh(&[8, 8]);
         let plan = FaultPlan::random_lanes(&topo, 2, 0.2, 5);
@@ -503,23 +349,6 @@ mod tests {
         // save -> load -> save must be byte-identical for every artifact
         // kind, so saved files are canonical and diffable.
         let topo = Topology::mesh(&[4, 4]);
-
-        let trace = CarpTrace::stencil(&topo, 2, 3, 32, 1000, 100);
-        let mut first = Vec::new();
-        save_trace(&trace, &mut first).unwrap();
-        let mut second = Vec::new();
-        save_trace(&load_trace(first.as_slice()).unwrap(), &mut second).unwrap();
-        assert_eq!(first, second);
-
-        let script = vec![
-            (0u64, Message::new(1, NodeId(0), NodeId(5), 16, 0)),
-            (10, Message::new(2, NodeId(3), NodeId(7), 64, 10)),
-        ];
-        let mut first = Vec::new();
-        save_script(&script, &mut first).unwrap();
-        let mut second = Vec::new();
-        save_script(&load_script(first.as_slice()).unwrap(), &mut second).unwrap();
-        assert_eq!(first, second);
 
         let plan = FaultPlan::random_lanes(&topo, 3, 0.3, 9);
         let mut first = Vec::new();
@@ -681,9 +510,11 @@ mod tests {
     fn hostile_values_rejected_not_panicking() {
         // Zero-length and self-send messages must be load errors, not
         // assertion failures inside Message::new.
-        let zero_len = r#"[[0, {"id":1,"src":0,"dest":1,"len":0,"created":0}]]"#;
-        assert!(load_script(zero_len.as_bytes()).is_err());
-        let self_send = r#"[[0, {"id":1,"src":3,"dest":3,"len":4,"created":0}]]"#;
-        assert!(load_script(self_send.as_bytes()).is_err());
+        let zero_len =
+            r#"{"version": 1, "messages": [{"id":1,"src":0,"dest":1,"len":0,"created":0}]}"#;
+        assert!(load_dep_trace(zero_len.as_bytes()).is_err());
+        let self_send =
+            "{\"version\": 1}\n{\"id\":1,\"src\":3,\"dest\":3,\"len\":4,\"created\":0}\n";
+        assert!(load_dep_trace(self_send.as_bytes()).is_err());
     }
 }

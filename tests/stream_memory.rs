@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wavesim::trace::stream::{self, ColumnarSink, TraceReader};
+use wavesim::trace::stream::{self, ColumnarSink};
 use wavesim::trace::{TraceEvent, TraceRecord, TraceSink};
 
 /// [`System`] wrapped with live-byte and high-water accounting.
