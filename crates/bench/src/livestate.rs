@@ -15,42 +15,36 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use wavesim_core::WaveNetwork;
-use wavesim_sim::Cycle;
+use wavesim_core::{HealthSnapshot, WaveNetwork, WaveStats};
+use wavesim_network::FabricStats;
+use wavesim_sim::stats::StatRow;
+use wavesim_sim::{Cycle, CycleKernelStats};
 
+use crate::metrics::Gauge;
 use crate::{Drained, RunObserver};
 
 /// Cycles between recomputations of the progress rate (and between
 /// `--live-status` stderr lines).
 const RATE_WINDOW: u64 = 8192;
 
-/// A point-in-time view of the driving run, published every 64 cycles.
+/// A point-in-time view of the driving run, published every 64 cycles:
+/// the network's four stat structs whole, so every counter a plane keeps
+/// is on the board without being named here.
 #[derive(Debug, Clone, Default)]
 pub struct LiveStatus {
-    /// Run identity: `protocol topology k w seed`.
-    pub run: String,
+    /// Run identity: the labels of the `run_info` series (`protocol`,
+    /// `topology`, `k`, `w`, `seed`).
+    pub run: Vec<(&'static str, String)>,
     /// Simulated cycle of this snapshot.
     pub cycle: Cycle,
-    /// Messages submitted so far.
-    pub sent: u64,
-    /// Messages delivered so far.
-    pub delivered: u64,
-    /// Messages accepted but not yet delivered.
-    pub in_flight_msgs: u64,
-    /// Flits currently in the wormhole fabric.
-    pub in_flight_flits: u64,
-    /// Circuit-cache hits so far.
-    pub cache_hits: u64,
-    /// Circuit-cache misses so far.
-    pub cache_misses: u64,
-    /// Post-fault establishment retries so far.
-    pub establish_retries: u64,
-    /// Routers currently doing work.
-    pub active_routers: u64,
-    /// Cycles since any flit last moved in the fabric.
-    pub progress_age: u64,
-    /// Cumulative wall-clock nanoseconds spent in the fabric's scan.
-    pub scan_wall_ns: u64,
+    /// Protocol counters so far.
+    pub stats: WaveStats,
+    /// Wormhole-fabric counters so far.
+    pub fabric: FabricStats,
+    /// Cycle-kernel work counters so far.
+    pub kernel: CycleKernelStats,
+    /// Instantaneous cross-plane gauges.
+    pub health: HealthSnapshot,
     /// Deliveries per kilocycle over the last `RATE_WINDOW` cycles.
     pub progress_rate: f64,
     /// Simulated cycles per wall-clock second since the run started.
@@ -60,15 +54,54 @@ pub struct LiveStatus {
 }
 
 impl LiveStatus {
-    /// Circuit-cache hit rate so far (0 when no lookups happened).
+    /// The run identity on one line: `protocol=clrp topology=mesh-4x4 k=2
+    /// w=2 seed=1`.
     #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
-        }
+    pub fn run_line(&self) -> String {
+        let labels: Vec<String> = self.run.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        labels.join(" ")
+    }
+
+    /// Messages delivered so far, over circuits or by wormhole.
+    #[must_use]
+    pub fn delivered(&self) -> u64 {
+        self.stats.msgs_circuit + self.stats.msgs_wormhole
+    }
+
+    /// The four stat tables, each with the prefix its rows' names take on
+    /// a page and in `/status`. Both are this walk and nothing else.
+    #[must_use]
+    pub fn tables(&self) -> [(&'static str, Vec<StatRow>); 4] {
+        [
+            ("", self.stats.rows()),
+            ("fabric_", self.fabric.rows()),
+            ("kernel_", self.kernel.rows()),
+            ("", self.health.rows()),
+        ]
+    }
+
+    /// The gauges a status carries beside its tables, as `(name, help,
+    /// value)`.
+    #[must_use]
+    pub fn gauges(&self) -> [Gauge; 4] {
+        [
+            ("cycle", "Current simulated cycle", self.cycle as f64),
+            (
+                "cache_hit_rate",
+                "Circuit-cache hit rate so far",
+                self.stats.hit_rate(),
+            ),
+            (
+                "progress_rate",
+                "Deliveries per kilocycle over the last rate window",
+                self.progress_rate,
+            ),
+            (
+                "cycles_per_second",
+                "Simulated cycles per wall-clock second",
+                self.cycles_per_sec,
+            ),
+        ]
     }
 }
 
@@ -123,6 +156,18 @@ impl StatusBoard {
     }
 }
 
+/// `mesh-4x4`, `torus-8x8x8`: the topology as run labels spell it.
+fn topology_label(topo: &wavesim_topology::Topology) -> String {
+    let radices: Vec<String> = (0..topo.ndims())
+        .map(|d| topo.radix(d).to_string())
+        .collect();
+    let kind = match topo.kind() {
+        wavesim_topology::TopologyKind::Mesh => "mesh",
+        wavesim_topology::TopologyKind::Torus => "torus",
+    };
+    format!("{kind}-{}", radices.join("x"))
+}
+
 /// Publishes one run onto a [`StatusBoard`] every 64 cycles.
 pub struct BoardObserver {
     board: StatusBoard,
@@ -140,8 +185,6 @@ impl BoardObserver {
         if !self.holds {
             return;
         }
-        let stats = net.stats();
-        let health = net.health(now);
         let mut slot = self.board.slot();
         if done {
             slot.claimed = false;
@@ -150,22 +193,17 @@ impl BoardObserver {
             return;
         };
         s.cycle = now;
-        s.sent = stats.msgs_sent;
-        s.delivered = stats.msgs_circuit + stats.msgs_wormhole;
-        s.in_flight_msgs = health.outstanding_msgs;
-        s.in_flight_flits = health.in_flight_flits;
-        s.cache_hits = stats.cache_hits;
-        s.cache_misses = stats.cache_misses;
-        s.establish_retries = stats.establish_retries;
-        s.active_routers = health.active_routers;
-        s.progress_age = health.progress_age;
-        s.scan_wall_ns = health.scan_wall_ns;
+        s.stats = net.stats();
+        s.fabric = net.fabric().stats();
+        s.kernel = net.kernel_stats();
+        s.health = net.health(now);
         s.done = done;
+        let delivered = s.delivered();
         if now >= self.mark_cycle + RATE_WINDOW {
             let dc = (now - self.mark_cycle) as f64;
-            s.progress_rate = s.delivered.saturating_sub(self.mark_delivered) as f64 * 1000.0 / dc;
+            s.progress_rate = delivered.saturating_sub(self.mark_delivered) as f64 * 1000.0 / dc;
             self.mark_cycle = now;
-            self.mark_delivered = s.delivered;
+            self.mark_delivered = delivered;
         }
         let elapsed = self.started.elapsed().as_secs_f64();
         if elapsed > 0.0 {
@@ -177,10 +215,10 @@ impl BoardObserver {
                 "[wavesim live] cycle {:>9} | delivered {:>8}/{:<8} | in-flight {:>6} | \
                  cache hit {:>5.1}% | {:>7.1} msgs/kcy | {:>9.0} cy/s",
                 s.cycle,
-                s.delivered,
-                s.sent,
-                s.in_flight_msgs,
-                s.hit_rate() * 100.0,
+                delivered,
+                s.stats.msgs_sent,
+                s.health.in_flight_msgs,
+                s.stats.hit_rate() * 100.0,
                 s.progress_rate,
                 s.cycles_per_sec,
             );
@@ -200,14 +238,13 @@ impl RunObserver for BoardObserver {
         self.started = Instant::now();
         let cfg = net.config();
         slot.status = Some(LiveStatus {
-            run: format!(
-                "{} {} k={} w={} seed={}",
-                format!("{:?}", cfg.protocol).to_lowercase(),
-                crate::metrics::topology_label(net.topology()),
-                cfg.k,
-                cfg.wormhole.w,
-                cfg.seed
-            ),
+            run: vec![
+                ("protocol", format!("{:?}", cfg.protocol).to_lowercase()),
+                ("topology", topology_label(net.topology())),
+                ("k", cfg.k.to_string()),
+                ("w", cfg.wormhole.w.to_string()),
+                ("seed", cfg.seed.to_string()),
+            ],
             ..LiveStatus::default()
         });
     }
@@ -234,18 +271,6 @@ mod tests {
     use wavesim_topology::Topology;
     use wavesim_workloads::{LengthDist, TrafficConfig, TrafficSource};
 
-    #[test]
-    fn empty_board_is_silent_and_status_math_holds() {
-        assert!(StatusBoard::new(false).snapshot().is_none());
-        let s = LiveStatus {
-            cache_hits: 3,
-            cache_misses: 1,
-            ..LiveStatus::default()
-        };
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(LiveStatus::default().hit_rate(), 0.0);
-    }
-
     fn observed_run(board: &StatusBoard, seed: u64) -> crate::RunResult {
         let cfg = WaveConfig {
             seed,
@@ -268,12 +293,16 @@ mod tests {
     #[test]
     fn sequential_runs_take_the_board_in_turn() {
         let board = StatusBoard::new(false);
+        assert!(board.snapshot().is_none(), "an empty board is silent");
         for seed in [1, 2] {
             let r = observed_run(&board, seed);
             let s = board.snapshot().expect("published");
             assert!(s.done);
-            assert!(s.run.ends_with(&format!("seed={seed}")), "{}", s.run);
-            assert_eq!((s.cycle, s.sent, s.delivered), (r.end, r.sent, r.delivered));
+            assert!(s.run_line().ends_with(&format!("seed={seed}")), "{s:?}");
+            assert_eq!(
+                (s.cycle, s.stats.msgs_sent, s.delivered()),
+                (r.end, r.sent, r.delivered)
+            );
         }
     }
 
@@ -297,7 +326,7 @@ mod tests {
         b.sample(6400, &mut net_b);
         let s = board.snapshot().expect("A published");
         assert!(
-            s.run.ends_with("seed=1") && s.cycle == 64 && !s.done,
+            s.run_line().ends_with("seed=1") && s.cycle == 64 && !s.done,
             "{s:?}"
         );
         let end = Drained {
@@ -307,13 +336,13 @@ mod tests {
         b.finish(&mut net_b, end);
         let s = board.snapshot().expect("still A's");
         assert!(
-            s.run.ends_with("seed=1") && s.cycle == 64 && !s.done,
+            s.run_line().ends_with("seed=1") && s.cycle == 64 && !s.done,
             "{s:?}"
         );
         a.finish(&mut net_a, end);
         let s = board.snapshot().expect("A's final view");
         assert!(
-            s.run.ends_with("seed=1") && s.cycle == 9_000 && s.done,
+            s.run_line().ends_with("seed=1") && s.cycle == 9_000 && s.done,
             "{s:?}"
         );
         let mut c = board.observer();
@@ -322,7 +351,7 @@ mod tests {
             .snapshot()
             .expect("the released board is B's network's now");
         assert!(
-            s.run.ends_with("seed=2") && s.cycle == 0 && !s.done,
+            s.run_line().ends_with("seed=2") && s.cycle == 0 && !s.done,
             "{s:?}"
         );
     }
@@ -363,19 +392,24 @@ mod tests {
         for s in &snapshots {
             let (_, r) = results
                 .iter()
-                .find(|(seed, _)| s.run.ends_with(&format!("seed={seed}")))
-                .unwrap_or_else(|| panic!("snapshot of an unknown run: {}", s.run));
+                .find(|(seed, _)| s.run_line().ends_with(&format!("seed={seed}")))
+                .unwrap_or_else(|| panic!("snapshot of an unknown run: {}", s.run_line()));
             // Counters are this run's own: bounded by its totals, and a
             // finished snapshot equals them exactly.
-            assert!(s.cycle <= r.end && s.sent <= r.sent && s.delivered <= r.delivered);
-            assert!(s.delivered <= s.sent, "{s:?}");
+            assert!(
+                s.cycle <= r.end && s.stats.msgs_sent <= r.sent && s.delivered() <= r.delivered
+            );
+            assert!(s.delivered() <= s.stats.msgs_sent, "{s:?}");
             if s.done {
-                assert_eq!((s.cycle, s.sent, s.delivered), (r.end, r.sent, r.delivered));
+                assert_eq!(
+                    (s.cycle, s.stats.msgs_sent, s.delivered()),
+                    (r.end, r.sent, r.delivered)
+                );
             }
             // A run that claimed the board at its start publishes
             // monotonically; one that found it claimed publishes never.
-            let prev = last_cycle.insert(s.run.clone(), s.cycle).unwrap_or(0);
-            assert!(s.cycle >= prev, "cycle went backwards on {}", s.run);
+            let prev = last_cycle.insert(s.run_line(), s.cycle).unwrap_or(0);
+            assert!(s.cycle >= prev, "cycle went backwards on {}", s.run_line());
         }
     }
 }

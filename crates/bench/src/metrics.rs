@@ -1,37 +1,84 @@
-//! Prometheus-style metrics exposition for a finished run.
+//! Prometheus-style metrics exposition: one page renderer for a run that
+//! is still driving (`GET /metrics`) and for one that finished
+//! (`--metrics-out`).
 //!
-//! Bridges the simulator's own counters ([`wavesim_core::WaveStats`], the
-//! engine's [`wavesim_sim::CycleKernelStats`], the [`RunResult`] headline
-//! numbers) and the flight recorder's delivery records into one text page
-//! in the Prometheus exposition format, built on
-//! [`wavesim_trace::metrics::MetricsPage`].
+//! A page is a walk over a [`LiveStatus`]: its run identity, the four stat
+//! tables it holds whole ([`wavesim_core::WaveStats`],
+//! [`wavesim_network::FabricStats`], [`wavesim_sim::CycleKernelStats`],
+//! [`wavesim_core::HealthSnapshot`] — a series per row, its `# HELP` the
+//! row's doc line) and the few values derived from them. A finished run
+//! adds its headline gauges and the flight recorder's latency histogram.
+//! No row is named in this file: one added to a table is on both
+//! pages and in `/status` ([`crate::serve::status_json`], the same walk).
 
-use wavesim_core::WaveNetwork;
-use wavesim_sim::stats::Histogram;
+use wavesim_sim::stats::{Histogram, StatKind};
 use wavesim_trace::metrics::MetricsPage;
 use wavesim_trace::{TraceEvent, TraceRecord};
 
-use crate::RunResult;
+use crate::livestate::LiveStatus;
+use crate::{RunResult, ServiceResult};
 
-/// `mesh-4x4`, `torus-8x8x8`: the topology as run labels spell it.
-pub(crate) fn topology_label(topo: &wavesim_topology::Topology) -> String {
-    let radices: Vec<String> = (0..topo.ndims())
-        .map(|d| topo.radix(d).to_string())
-        .collect();
-    let kind = match topo.kind() {
-        wavesim_topology::TopologyKind::Mesh => "mesh",
-        wavesim_topology::TopologyKind::Torus => "torus",
-    };
-    format!("{kind}-{}", radices.join("x"))
+/// A gauge outside the stat tables: series name (no prefix), help, value.
+pub type Gauge = (&'static str, &'static str, f64);
+
+/// The headline numbers of a finished open-loop, scripted or replay run.
+#[must_use]
+pub fn run_gauges(r: &RunResult) -> [Gauge; 6] {
+    [
+        (
+            "run_end_cycle",
+            "Cycle at which the run ended",
+            r.end as f64,
+        ),
+        (
+            "avg_latency_cycles",
+            "Mean end-to-end latency over measured messages",
+            r.avg_latency,
+        ),
+        (
+            "p99_latency_cycles",
+            "99th-percentile latency bound over measured messages",
+            r.p99_latency as f64,
+        ),
+        (
+            "throughput_flits_per_node_cycle",
+            "Accepted throughput over the measurement window",
+            r.throughput,
+        ),
+        (
+            "circuit_fraction",
+            "Fraction of measured messages delivered over circuits",
+            r.circuit_fraction,
+        ),
+        (
+            "stalled",
+            "1 when the deadlock monitor tripped, else 0",
+            f64::from(u8::from(r.stalled)),
+        ),
+    ]
 }
 
-/// Renders a metrics page for a finished run. `records` (the flight
-/// recorder's surviving tail, possibly empty) feeds the latency histogram;
-/// everything else comes from the network and the run result.
+/// The headline numbers of a finished closed-loop service run.
 #[must_use]
-pub fn metrics_snapshot(net: &WaveNetwork, r: &RunResult, records: &[TraceRecord]) -> String {
-    let w = &r.wave;
-    let k = net.kernel_stats();
+pub fn service_gauges(r: &ServiceResult) -> [Gauge; 2] {
+    [
+        (
+            "avg_round_trip_cycles",
+            "Mean round-trip time over measured requests",
+            r.avg_round_trip,
+        ),
+        (
+            "p99_round_trip_cycles",
+            "99th-percentile round-trip bound over measured requests",
+            r.p99_round_trip as f64,
+        ),
+    ]
+}
+
+/// End-to-end latency of the deliveries among `records` (the flight
+/// recorder's surviving tail).
+#[must_use]
+pub fn traced_latency(records: &[TraceRecord]) -> Histogram {
     let mut lat = Histogram::new();
     for rec in records {
         match rec.ev {
@@ -40,244 +87,183 @@ pub fn metrics_snapshot(net: &WaveNetwork, r: &RunResult, records: &[TraceRecord
             _ => {}
         }
     }
-    let cfg = net.config();
-    let topology = topology_label(net.topology());
-    let protocol = format!("{:?}", cfg.protocol).to_lowercase();
+    lat
+}
+
+/// Renders the page of one status under `prefix` (`wavesim_` for a
+/// finished run's file, `wavesim_live_` for the endpoint). `outcome` is a
+/// finished run's headline gauges ([`run_gauges`], [`service_gauges`]) and
+/// `latency` its [`traced_latency`]; a run still driving has neither.
+#[must_use]
+pub fn metrics_page(
+    prefix: &str,
+    s: &LiveStatus,
+    outcome: &[Gauge],
+    latency: Option<&Histogram>,
+) -> String {
     let mut page = MetricsPage::new();
     // Self-describing header: a scrape from this page is meaningless
     // without knowing which run produced it.
-    page.comment(&format!(
-        "run: protocol={protocol} topology={topology} k={} w={} seed={} cycles={}",
-        cfg.k, cfg.wormhole.w, cfg.seed, r.end
-    ));
+    page.comment(&format!("run: {}", s.run_line()));
+    let mut labels = s.run.clone();
+    if s.done {
+        labels.push(("cycles", s.cycle.to_string()));
+    }
     page.gauge_labeled(
-        "wavesim_run_info",
+        &format!("{prefix}run_info"),
         "Run identity (always 1; the labels carry the configuration)",
-        &[
-            ("protocol", protocol),
-            ("topology", topology),
-            ("k", cfg.k.to_string()),
-            ("w", cfg.wormhole.w.to_string()),
-            ("seed", cfg.seed.to_string()),
-            ("cycles", r.end.to_string()),
-        ],
+        &labels,
         1.0,
     );
-    // Run outcome.
+    for (group, rows) in s.tables() {
+        for row in rows {
+            let name = format!("{prefix}{group}{}", row.name);
+            match row.kind {
+                StatKind::Counter => page.counter(&name, row.help, row.value),
+                StatKind::Gauge => page.gauge_f64(&name, row.help, row.value as f64),
+            }
+        }
+    }
     page.counter(
-        "wavesim_msgs_sent",
-        "Messages generated by the workload",
-        r.sent,
-    );
-    page.counter(
-        "wavesim_msgs_delivered",
-        "Messages delivered before the run ended",
-        r.delivered,
+        &format!("{prefix}msgs_delivered"),
+        "Messages delivered, over circuits or by wormhole",
+        s.delivered(),
     );
     page.gauge_f64(
-        "wavesim_run_end_cycle",
-        "Cycle at which the run ended",
-        r.end as f64,
+        &format!("{prefix}done"),
+        "1 once the run finished, else 0",
+        f64::from(u8::from(s.done)),
     );
-    page.gauge_f64(
-        "wavesim_avg_latency_cycles",
-        "Mean end-to-end latency over measured messages",
-        r.avg_latency,
-    );
-    page.gauge_f64(
-        "wavesim_p99_latency_cycles",
-        "99th-percentile latency bound over measured messages",
-        r.p99_latency as f64,
-    );
-    page.gauge_f64(
-        "wavesim_throughput_flits_per_node_cycle",
-        "Accepted throughput over the measurement window",
-        r.throughput,
-    );
-    page.gauge_f64(
-        "wavesim_circuit_fraction",
-        "Fraction of measured messages delivered over circuits",
-        r.circuit_fraction,
-    );
-    page.gauge_f64(
-        "wavesim_stalled",
-        "1 when the deadlock monitor tripped, else 0",
-        f64::from(u8::from(r.stalled)),
-    );
-    // Protocol counters.
-    page.counter(
-        "wavesim_msgs_circuit",
-        "Messages delivered over circuits",
-        w.msgs_circuit,
-    );
-    page.counter(
-        "wavesim_msgs_wormhole",
-        "Messages delivered by wormhole",
-        w.msgs_wormhole,
-    );
-    page.counter("wavesim_cache_hits", "Circuit cache hits", w.cache_hits);
-    page.counter(
-        "wavesim_cache_misses",
-        "Circuit cache misses",
-        w.cache_misses,
-    );
-    page.counter(
-        "wavesim_cache_evictions",
-        "Circuit cache evictions",
-        w.cache_evictions,
-    );
-    page.counter(
-        "wavesim_probes_sent",
-        "Setup probes launched",
-        w.probes_sent,
-    );
-    page.counter("wavesim_probe_hops", "Setup probe hops", w.probe_hops);
-    page.counter(
-        "wavesim_probe_backtracks",
-        "Setup probe backtracks",
-        w.probe_backtracks,
-    );
-    page.counter(
-        "wavesim_probe_misroutes",
-        "Setup probe misrouted hops",
-        w.probe_misroutes,
-    );
-    page.counter(
-        "wavesim_probes_reached",
-        "Probes that reached their destination",
-        w.probes_reached,
-    );
-    page.counter(
-        "wavesim_probes_exhausted",
-        "Probes that exhausted their search",
-        w.probes_exhausted,
-    );
-    page.counter(
-        "wavesim_probe_fault_encounters",
-        "Probe encounters with faulty lanes",
-        w.probe_fault_encounters,
-    );
-    page.counter(
-        "wavesim_lane_faults",
-        "Lanes marked faulty (static plus dynamic)",
-        w.lane_faults,
-    );
-    page.counter(
-        "wavesim_lane_repairs",
-        "Faulty lanes returned to service",
-        w.lane_repairs,
-    );
-    page.counter(
-        "wavesim_circuits_broken",
-        "Circuits destroyed by dynamic faults",
-        w.circuits_broken,
-    );
-    page.counter(
-        "wavesim_establish_retries",
-        "Post-fault re-establishment attempts",
-        w.establish_retries,
-    );
-    page.counter(
-        "wavesim_setups_ok",
-        "Circuit setups that succeeded",
-        w.setups_ok,
-    );
-    page.counter(
-        "wavesim_setups_failed",
-        "Circuit setups that failed",
-        w.setups_failed,
-    );
-    page.counter(
-        "wavesim_forced_local_releases",
-        "Forced circuit releases at the caching node",
-        w.forced_local_releases,
-    );
-    page.counter(
-        "wavesim_forced_remote_releases",
-        "Forced circuit releases requested remotely",
-        w.forced_remote_releases,
-    );
-    page.counter(
-        "wavesim_release_requests_discarded",
-        "Release requests dropped as stale",
-        w.release_requests_discarded,
-    );
-    page.counter(
-        "wavesim_teardowns",
-        "Explicit circuit teardowns",
-        w.teardowns,
-    );
-    page.counter(
-        "wavesim_wormhole_fallbacks",
-        "Messages that fell back to wormhole after a failed setup",
-        w.wormhole_fallbacks,
-    );
-    page.counter(
-        "wavesim_buffer_reallocs",
-        "Edge-buffer reallocations in the wave routers",
-        w.buffer_reallocs,
-    );
-    // Cycle-kernel work counters.
-    page.counter("wavesim_kernel_ticks", "Network ticks executed", k.ticks);
-    page.counter(
-        "wavesim_kernel_routers_scanned",
-        "Router scans performed",
-        k.routers_scanned,
-    );
-    page.counter(
-        "wavesim_kernel_vcs_touched",
-        "Input VCs looked at: VA head visits plus request bits SA arbitrations chose among",
-        k.vcs_touched,
-    );
-    page.counter(
-        "wavesim_kernel_events_routed",
-        "Inter-plane events routed",
-        k.events_routed,
-    );
-    // Latency distribution from the flight recorder's surviving tail.
-    page.histogram(
-        "wavesim_traced_latency_cycles",
-        "End-to-end latency of deliveries surviving in the flight recorder",
-        &lat,
-    );
+    for (name, help, value) in s.gauges().iter().chain(outcome) {
+        page.gauge_f64(&format!("{prefix}{name}"), help, *value);
+    }
+    if let Some(lat) = latency {
+        page.histogram(
+            &format!("{prefix}traced_latency_cycles"),
+            "End-to-end latency of deliveries surviving in the flight recorder",
+            lat,
+        );
+    }
     page.render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::livestate::StatusBoard;
+    use crate::observers::Observers;
+    use crate::serve::status_json;
     use crate::tracecap::Capture;
     use crate::{run_open_loop_observed, RunSpec};
-    use wavesim_core::WaveConfig;
+    use wavesim_core::{WaveConfig, WaveNetwork};
+    use wavesim_json::Value;
     use wavesim_topology::Topology;
-    use wavesim_workloads::{LengthDist, TrafficConfig, TrafficSource};
+    use wavesim_workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 
-    #[test]
-    fn snapshot_covers_counters_and_latency_histogram() {
-        let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
+    /// What `wavesim run --side 4 --load 0.1 --cycles <cycles> --metrics-out`
+    /// renders from: the board's final status, the result, the ring.
+    fn cli_run(cycles: u64) -> (LiveStatus, RunResult, Histogram) {
+        let cfg = WaveConfig {
+            seed: 1,
+            ..WaveConfig::default()
+        };
+        let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), cfg);
         let mut src = TrafficSource::new(
             net.topology().clone(),
             TrafficConfig {
                 load: 0.1,
-                len: LengthDist::Fixed(32),
-                ..TrafficConfig::default()
+                pattern: TrafficPattern::HotPairs {
+                    partners: 3,
+                    locality: 0.7,
+                },
+                len: LengthDist::Fixed(64),
+                seed: 1,
+                stop_at: u64::MAX,
             },
         );
-        let mut cap = Capture::new(1 << 16);
-        let spec = RunSpec::standard(200, 1_000);
-        let r = run_open_loop_observed(&mut net, &mut src, spec, &mut cap);
-        let trace = cap.into_trace().expect("captured");
-        let page = metrics_snapshot(&net, &r, &trace.records);
-        assert!(page.starts_with("# run: protocol=clrp topology=mesh-4x4 k="));
-        assert!(page.contains("wavesim_run_info{protocol=\"clrp\",topology=\"mesh-4x4\""));
-        assert!(page.contains("# TYPE wavesim_msgs_sent counter"));
-        assert!(page.contains(&format!("wavesim_msgs_sent {}", r.sent)));
-        assert!(page.contains("# TYPE wavesim_traced_latency_cycles histogram"));
-        assert!(page.contains(&format!(
+        let board = StatusBoard::new(false);
+        let mut obs = Observers {
+            capture: Some(Capture::new(1 << 16)),
+            board: Some(board.observer()),
+            ..Observers::default()
+        };
+        let spec = RunSpec::standard(cycles / 5, cycles);
+        let r = run_open_loop_observed(&mut net, &mut src, spec, &mut obs);
+        let trace = obs.capture.take().and_then(Capture::into_trace);
+        let latency = traced_latency(&trace.expect("captured").records);
+        (board.snapshot().expect("published"), r, latency)
+    }
+
+    /// The samples of `page`: every line that is not a `#` line.
+    fn samples(page: &str) -> Vec<&str> {
+        page.lines().filter(|l| !l.starts_with('#')).collect()
+    }
+
+    #[test]
+    fn the_tables_are_the_only_list() {
+        let (status, r, latency) = cli_run(1_000);
+        assert!(status.stats.probes_sent > 0 && status.kernel.events_routed > 0);
+        let post = metrics_page("wavesim_", &status, &run_gauges(&r), Some(&latency));
+        let live = metrics_page("wavesim_live_", &status, &[], None);
+        let json = Value::parse(&status_json(&status).pretty()).expect("valid JSON");
+        let pages = [
+            (&post, samples(&post), "wavesim_"),
+            (&live, samples(&live), "wavesim_live_"),
+        ];
+        let mut rows = 0;
+        for (group, table) in status.tables() {
+            for row in table {
+                rows += 1;
+                let name = format!("{group}{}", row.name);
+                for (page, samples, prefix) in &pages {
+                    let help = format!("# HELP {prefix}{name} {}\n", row.help);
+                    assert!(page.contains(&help), "{help}");
+                    let sample = format!("{prefix}{name} {}", row.value);
+                    assert!(samples.contains(&sample.as_str()), "{sample}");
+                }
+                assert_eq!(json.get(&name).and_then(Value::as_u64), Some(row.value));
+            }
+        }
+        assert_eq!(rows, 25 + 5 + 4 + 6);
+        // A row's help is the first line of its doc comment, as written.
+        assert!(
+            post.contains("# HELP wavesim_probes_sent Probes launched (one per switch attempt).\n")
+        );
+        assert!(post.contains("# TYPE wavesim_probes_sent counter\n"));
+        assert!(post.contains("# TYPE wavesim_control_backlog gauge\n"));
+        for (_, samples, _) in &pages {
+            let mut names: Vec<&str> = samples
+                .iter()
+                .map(|l| l.rsplit_once(' ').expect("sample line").0)
+                .collect();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), samples.len(), "a series appears twice");
+        }
+        // The live page is the finished run's page less outcome and histogram.
+        for line in &pages[1].1 {
+            let line = line.replacen("wavesim_live_", "wavesim_", 1);
+            assert!(pages[0].1.contains(&line.as_str()), "{line}");
+        }
+        assert!(post.contains("# TYPE wavesim_traced_latency_cycles histogram"));
+        assert!(post.contains(&format!(
             "wavesim_traced_latency_cycles_count {}",
             r.delivered
         )));
-        assert!(page.contains("wavesim_kernel_ticks"));
-        assert!(page.ends_with('\n'));
+    }
+
+    /// Every sample the parent commit's binary wrote for CI's `traced-smoke`
+    /// command line (recorded once from a build of `0224676`, before the
+    /// page became a walk over the tables) is on the page, value for value.
+    #[test]
+    fn the_page_still_carries_every_sample_of_the_hand_written_one() {
+        let (status, r, latency) = cli_run(3_000);
+        let page = metrics_page("wavesim_", &status, &run_gauges(&r), Some(&latency));
+        let now = samples(&page);
+        let parent = include_str!("../tests/fixtures/metrics_page.parent.txt");
+        assert_eq!(parent.lines().count(), 45);
+        for line in parent.lines() {
+            assert!(now.contains(&line), "lost or changed: {line}");
+        }
     }
 }

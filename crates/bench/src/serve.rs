@@ -4,9 +4,10 @@
 //! two routes from the [`StatusBoard`] it was handed:
 //!
 //! * `GET /metrics` — the Prometheus exposition-format page
-//!   ([`wavesim_trace::metrics::MetricsPage`]);
-//! * `GET /status` — a JSON status document (cycle, in-flight, cache hit
-//!   rate, fabric scan wall, progress rate).
+//!   ([`crate::metrics::metrics_page`] under `wavesim_live_`);
+//! * `GET /status` — a JSON status document with the same content: every
+//!   counter and gauge of the four stat structs, the cache hit rate, the
+//!   progress rate.
 //!
 //! The server is strictly read-only: it clones board snapshots and never
 //! touches the simulation, so serving cannot perturb a run's schedule or
@@ -19,9 +20,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use wavesim_json::Value;
-use wavesim_trace::metrics::MetricsPage;
 
 use crate::livestate::{LiveStatus, StatusBoard};
+use crate::metrics::metrics_page;
+
+/// What every series of the endpoint's page starts with.
+const PREFIX: &str = "wavesim_live_";
 
 /// Binds `addr` (e.g. `127.0.0.1:9464`; port 0 picks a free one) and
 /// spawns the thread serving `board`. Returns the bound address. The
@@ -72,7 +76,7 @@ fn handle(s: &mut TcpStream, board: &StatusBoard) -> std::io::Result<()> {
                 200,
                 "OK",
                 "text/plain; version=0.0.4; charset=utf-8",
-                metrics_text(&st),
+                metrics_page(PREFIX, &st, &[], None),
             ),
             None => (503, "Service Unavailable", "text/plain", none_body()),
         },
@@ -106,141 +110,61 @@ fn none_body() -> String {
     "no run has published yet\n".into()
 }
 
-/// Renders the Prometheus page for one status snapshot.
-#[must_use]
-pub fn metrics_text(s: &LiveStatus) -> String {
-    let mut page = MetricsPage::new();
-    page.comment(&format!("live run: {}", s.run));
-    page.gauge_labeled(
-        "wavesim_live_run_info",
-        "Live-run identity (always 1; the label carries the configuration)",
-        &[("run", s.run.clone())],
-        1.0,
-    );
-    page.gauge_f64(
-        "wavesim_live_cycle",
-        "Current simulated cycle",
-        s.cycle as f64,
-    );
-    page.counter("wavesim_live_msgs_sent", "Messages submitted", s.sent);
-    page.counter(
-        "wavesim_live_msgs_delivered",
-        "Messages delivered",
-        s.delivered,
-    );
-    page.gauge_f64(
-        "wavesim_live_in_flight_msgs",
-        "Messages accepted but not yet delivered",
-        s.in_flight_msgs as f64,
-    );
-    page.gauge_f64(
-        "wavesim_live_in_flight_flits",
-        "Flits currently in the wormhole fabric",
-        s.in_flight_flits as f64,
-    );
-    page.counter(
-        "wavesim_live_cache_hits",
-        "Circuit-cache hits",
-        s.cache_hits,
-    );
-    page.counter(
-        "wavesim_live_cache_misses",
-        "Circuit-cache misses",
-        s.cache_misses,
-    );
-    page.gauge_f64(
-        "wavesim_live_cache_hit_rate",
-        "Circuit-cache hit rate so far",
-        s.hit_rate(),
-    );
-    page.counter(
-        "wavesim_live_establish_retries",
-        "Post-fault establishment retries",
-        s.establish_retries,
-    );
-    page.gauge_f64(
-        "wavesim_live_active_routers",
-        "Routers currently doing work",
-        s.active_routers as f64,
-    );
-    page.gauge_f64(
-        "wavesim_live_progress_age_cycles",
-        "Cycles since any flit last moved",
-        s.progress_age as f64,
-    );
-    page.gauge_f64(
-        "wavesim_live_progress_rate",
-        "Deliveries per kilocycle over the last rate window",
-        s.progress_rate,
-    );
-    page.gauge_f64(
-        "wavesim_live_cycles_per_second",
-        "Simulated cycles per wall-clock second",
-        s.cycles_per_sec,
-    );
-    page.counter(
-        "wavesim_live_scan_wall_ns",
-        "Wall-clock nanoseconds spent in the fabric's scan",
-        s.scan_wall_ns,
-    );
-    page.gauge_f64(
-        "wavesim_live_done",
-        "1 once the run finished, else 0",
-        f64::from(u8::from(s.done)),
-    );
-    page.render()
-}
-
-/// Builds the JSON status document for one status snapshot.
+/// Builds the JSON status document for one status snapshot: the run, then
+/// a key per row of [`LiveStatus::tables`] and per derived value, under
+/// the names the metrics page gives them.
 #[must_use]
 pub fn status_json(s: &LiveStatus) -> Value {
-    Value::obj(vec![
-        ("run", Value::Str(s.run.clone())),
-        ("cycle", s.cycle.into()),
-        ("done", Value::Bool(s.done)),
-        ("sent", s.sent.into()),
-        ("delivered", s.delivered.into()),
-        ("in_flight_msgs", s.in_flight_msgs.into()),
-        ("in_flight_flits", s.in_flight_flits.into()),
-        ("cache_hits", s.cache_hits.into()),
-        ("cache_misses", s.cache_misses.into()),
-        ("cache_hit_rate", s.hit_rate().into()),
-        ("establish_retries", s.establish_retries.into()),
-        ("active_routers", s.active_routers.into()),
-        ("progress_age", s.progress_age.into()),
-        ("progress_rate", s.progress_rate.into()),
-        ("cycles_per_sec", s.cycles_per_sec.into()),
-        ("scan_wall_ns", s.scan_wall_ns.into()),
-    ])
+    let mut doc = vec![
+        ("run".to_string(), Value::Str(s.run_line())),
+        ("done".to_string(), Value::Bool(s.done)),
+    ];
+    for (group, rows) in s.tables() {
+        for row in rows {
+            doc.push((format!("{group}{}", row.name), row.value.into()));
+        }
+    }
+    doc.push(("msgs_delivered".to_string(), s.delivered().into()));
+    for (name, _, value) in s.gauges() {
+        doc.push((name.to_string(), value.into()));
+    }
+    Value::Obj(doc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavesim_core::{HealthSnapshot, WaveStats};
 
     fn sample() -> LiveStatus {
         LiveStatus {
-            run: "clrp mesh-4x4 k=2 w=2 seed=1".into(),
+            run: vec![("protocol", "clrp".into()), ("seed", "1".into())],
             cycle: 4096,
-            sent: 100,
-            delivered: 90,
-            in_flight_msgs: 10,
-            in_flight_flits: 64,
-            cache_hits: 30,
-            cache_misses: 10,
-            establish_retries: 2,
-            active_routers: 7,
-            progress_age: 0,
-            scan_wall_ns: 4000,
+            stats: WaveStats {
+                msgs_sent: 100,
+                msgs_circuit: 60,
+                msgs_wormhole: 30,
+                cache_hits: 30,
+                cache_misses: 10,
+                establish_retries: 2,
+                ..WaveStats::default()
+            },
+            health: HealthSnapshot {
+                in_flight_msgs: 10,
+                in_flight_flits: 64,
+                active_routers: 7,
+                scan_wall_ns: 4000,
+                ..HealthSnapshot::default()
+            },
             progress_rate: 11.5,
             cycles_per_sec: 1.0e6,
-            done: false,
+            ..LiveStatus::default()
         }
     }
 
     #[test]
     fn metrics_text_is_well_formed_exposition() {
-        let text = metrics_text(&sample());
+        let text = metrics_page(PREFIX, &sample(), &[], None);
         assert!(text.contains("# TYPE wavesim_live_cycle gauge"));
         assert!(text.contains("wavesim_live_cycle 4096"));
         assert!(text.contains("wavesim_live_msgs_delivered 90"));
@@ -266,7 +190,10 @@ mod tests {
         let doc = status_json(&sample());
         let parsed = Value::parse(&doc.pretty()).expect("valid JSON");
         assert_eq!(parsed.get("cycle").and_then(Value::as_u64), Some(4096));
-        assert_eq!(parsed.get("delivered").and_then(Value::as_u64), Some(90));
+        assert_eq!(
+            parsed.get("msgs_delivered").and_then(Value::as_u64),
+            Some(90)
+        );
         assert_eq!(
             parsed.get("cache_hit_rate").and_then(Value::as_f64),
             Some(0.75)

@@ -216,8 +216,10 @@ impl<'a> Observing<'a> {
         if args.trace_bin.is_none() && args.trace_sample > 1 {
             eprintln!("note: --trace-sample applies to --trace-bin only; ignored");
         }
-        let board = (args.live_status || args.serve_metrics.is_some())
-            .then(|| StatusBoard::new(args.live_status));
+        // The metrics page is the board's final status, so it arms one too.
+        let board =
+            (args.live_status || args.serve_metrics.is_some() || args.metrics_out.is_some())
+                .then(|| StatusBoard::new(args.live_status));
         if let (Some(addr), Some(board)) = (&args.serve_metrics, &board) {
             let local = wavesim_bench::serve::serve(addr, board.clone())
                 .map_err(|e| format!("`--serve-metrics {addr}`: {e}"))?;
@@ -478,17 +480,21 @@ fn custom_run(args: &Args) -> Outcome {
     let mut observed = Observed::default();
     observed.push(obs);
     observing.report(&observed)?;
-    if let (Some(path), Some(t)) = (&args.metrics_out, &observed.trace) {
-        match &outcome {
-            RunOutcome::Flat(r) => {
-                let page = wavesim_bench::metrics::metrics_snapshot(&net, r, &t.records);
-                write_file(path, &page)?;
-                println!("wrote metrics: {path}");
-            }
-            RunOutcome::Service(_) => {
-                eprintln!("note: --metrics-out applies to open-loop and replay runs; ignored");
-            }
-        }
+    let status = observing.board.as_ref().and_then(StatusBoard::snapshot);
+    if let (Some(path), Some(t), Some(status)) = (&args.metrics_out, &observed.trace, &status) {
+        use wavesim_bench::metrics::{metrics_page, run_gauges, service_gauges, traced_latency};
+        let outcome = match &outcome {
+            RunOutcome::Flat(r) => run_gauges(r).to_vec(),
+            RunOutcome::Service(r) => service_gauges(r).to_vec(),
+        };
+        let page = metrics_page(
+            "wavesim_",
+            status,
+            &outcome,
+            Some(&traced_latency(&t.records)),
+        );
+        write_file(path, &page)?;
+        println!("wrote metrics: {path}");
     }
     let mode = if let Some(path) = &args.replay_trace {
         format!("replay of {path}")

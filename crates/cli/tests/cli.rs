@@ -117,6 +117,24 @@ fn run_writes_trace_and_metrics_and_validates() {
     assert!(page.contains("# TYPE wavesim_msgs_sent counter"));
     assert!(page.contains("wavesim_traced_latency_cycles_bucket"));
 
+    // A closed-loop run writes its page too: the same tables, with the
+    // round-trip numbers where an open-loop run has its latency gauges.
+    let out = wavesim()
+        .args(["run", "--side", "4", "--cycles", "2000"])
+        .args(["--service-clients", "32", "--metrics-out"])
+        .arg(&metrics)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success() && out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let page = std::fs::read_to_string(&metrics).unwrap();
+    assert!(page.contains("\nwavesim_probes_sent "), "{page}");
+    assert!(page.contains("\nwavesim_avg_round_trip_cycles "), "{page}");
+    assert!(!page.contains("wavesim_avg_latency_cycles"), "{page}");
+
     // A clean run writes no post-mortem bundle.
     assert!(!trace.with_extension("json.postmortem.json").exists());
     std::fs::remove_dir_all(&dir).ok();
@@ -146,17 +164,17 @@ fn validate_trace_rejects_malformed_input() {
     // A truncated capture, one with a corrupt length byte and a JSONL
     // stream with a bad line: exit 1 (not a panic's 101) and an `error:`
     // that says where, from both commands that read a capture.
-    use wavesim_trace::{TraceRecord, TraceSink as _};
-    let mut capture = wavesim_trace::ColumnarBuf::new();
+    use wavesim_trace::TraceRecord;
+    let mut capture = Vec::new();
     let mut jsonl = String::new();
     for (seq, ev) in wavesim_trace::every_event(1 << 40).into_iter().enumerate() {
         let (at, seq) = (seq as u64 / 2, seq as u64);
         let rec = TraceRecord { at, seq, ev };
-        capture.record(rec);
+        capture.push(rec);
         wavesim_trace::stream::encode_record(&mut jsonl, &rec);
         jsonl.push_str(if seq == 1 { "}\n" } else { "\n" });
     }
-    let bytes = capture.into_bytes();
+    let bytes = wavesim_trace::columnar::encode(&capture, wavesim_trace::stream::CHUNK_RECORDS);
     let mut corrupt = bytes.clone();
     corrupt[8] = 0xff; // the first frame's record count
     for (name, content, says) in [
@@ -167,6 +185,11 @@ fn validate_trace_rejects_malformed_input() {
         ),
         ("corrupt.wstrace", &corrupt[..], "frame at byte 8: "),
         ("badline.jsonl", jsonl.as_bytes(), "line 2: "),
+        (
+            "deep.json",
+            "[".repeat(200_000).as_bytes(),
+            "JSON nested deeper than 128 at byte 128",
+        ),
     ] {
         let path = dir.join(name);
         std::fs::write(&path, content).unwrap();
@@ -176,6 +199,21 @@ fn validate_trace_rejects_malformed_input() {
             assert_eq!(out.status.code(), Some(1), "{name}: {err}");
             assert!(err.starts_with("error: ") && err.contains(says), "{err}");
         }
+    }
+    // The same parser reads every JSON input of `run`: no stack overflow.
+    for flag in ["--fault-plan", "--fault-schedule", "--replay-trace"] {
+        let out = wavesim()
+            .args(["run", "--side", "4", "--cycles", "100", flag])
+            .arg(dir.join("deep.json"))
+            .output()
+            .expect("runs");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag}: {err}");
+        assert!(
+            err.starts_with("error: ") && err.contains("deep.json"),
+            "{err}"
+        );
+        assert!(err.contains("nested deeper than 128"), "{err}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

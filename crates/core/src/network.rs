@@ -101,23 +101,25 @@ impl FaultEvent {
     }
 }
 
-/// A cheap cross-plane health snapshot ([`WaveNetwork::health`]): the
-/// instantaneous quantities live observers poll without perturbing the
-/// run.
-#[derive(Debug, Clone, Default)]
-pub struct HealthSnapshot {
-    /// Flits currently in the wormhole fabric.
-    pub in_flight_flits: u64,
-    /// Messages accepted but not yet delivered.
-    pub outstanding_msgs: u64,
-    /// Routers currently doing work, across planes.
-    pub active_routers: u64,
-    /// Pending control-plane events (probes, acks, teardowns, transfers).
-    pub control_backlog: u64,
-    /// Cycles since any flit last moved in the fabric.
-    pub progress_age: u64,
-    /// Cumulative wall-clock nanoseconds spent in the fabric's scan.
-    pub scan_wall_ns: u64,
+wavesim_sim::stat_table! {
+    /// A cheap cross-plane health snapshot ([`WaveNetwork::health`]): the
+    /// instantaneous quantities live observers poll without perturbing the
+    /// run.
+    #[derive(Debug, Clone, Default)]
+    pub struct HealthSnapshot {
+        /// Flits currently in the wormhole fabric.
+        in_flight_flits: Gauge,
+        /// Messages accepted but not yet delivered.
+        in_flight_msgs: Gauge,
+        /// Routers currently doing work, across planes.
+        active_routers: Gauge,
+        /// Pending control-plane events (probes, acks, teardowns, transfers).
+        control_backlog: Gauge,
+        /// Cycles since any flit last moved in the fabric.
+        progress_age_cycles: Gauge,
+        /// Cumulative wall-clock nanoseconds spent in the fabric's scan.
+        scan_wall_ns: Counter,
+    }
 }
 
 /// The complete wave-switched network (Fig. 2 routers at every node):
@@ -291,10 +293,10 @@ impl WaveNetwork {
         let fabric = self.data.fabric();
         HealthSnapshot {
             in_flight_flits: fabric.in_flight_flits(),
-            outstanding_msgs: self.outstanding_msgs,
+            in_flight_msgs: self.outstanding_msgs,
             active_routers: self.active_routers(),
             control_backlog: self.control_backlog() as u64,
-            progress_age: fabric.progress_age(now),
+            progress_age_cycles: fabric.progress_age(now),
             scan_wall_ns: fabric.shard_wall_ns()[0],
         }
     }

@@ -1,130 +1,76 @@
 //! Protocol-level statistics for wave-switched networks.
 
-/// Counters accumulated by [`crate::network::WaveNetwork`] over a run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WaveStats {
-    /// Messages submitted through the protocol layer.
-    pub msgs_sent: u64,
-    /// Messages delivered over pre-established circuits.
-    pub msgs_circuit: u64,
-    /// Messages delivered through wormhole switching.
-    pub msgs_wormhole: u64,
-    /// Circuit-cache hits (send found a Ready circuit).
-    pub cache_hits: u64,
-    /// Circuit-cache misses that triggered an establishment.
-    pub cache_misses: u64,
-    /// Source-side evictions performed to make cache room.
-    pub cache_evictions: u64,
+wavesim_sim::stat_table! {
+    /// Counters accumulated by [`crate::network::WaveNetwork`] over a run.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct WaveStats {
+        /// Messages submitted through the protocol layer.
+        msgs_sent: Counter,
+        /// Messages delivered over pre-established circuits.
+        msgs_circuit: Counter,
+        /// Messages delivered through wormhole switching.
+        msgs_wormhole: Counter,
+        /// Circuit-cache hits (send found a Ready circuit).
+        cache_hits: Counter,
+        /// Circuit-cache misses that triggered an establishment.
+        cache_misses: Counter,
+        /// Source-side evictions performed to make cache room.
+        cache_evictions: Counter,
 
-    /// Probes launched (one per switch attempt).
-    pub probes_sent: u64,
-    /// Total probe hops (forward + backward).
-    pub probe_hops: u64,
-    /// Backtrack operations.
-    pub probe_backtracks: u64,
-    /// Misroute operations.
-    pub probe_misroutes: u64,
-    /// Probes that reserved a full path.
-    pub probes_reached: u64,
-    /// Probes that exhausted their switch's search space.
-    pub probes_exhausted: u64,
-    /// Faulty-lane rejections seen by probes, counted **per encounter**:
-    /// every time any probe scans a lane and finds it `Faulty` this
-    /// increments, so one probe bouncing off the same faulty lane across
-    /// `n` retries contributes `n` (it is a rejection count, not a count
-    /// of distinct probes or distinct lanes).
-    pub probe_fault_encounters: u64,
+        /// Probes launched (one per switch attempt).
+        probes_sent: Counter,
+        /// Total probe hops (forward + backward).
+        probe_hops: Counter,
+        /// Backtrack operations.
+        probe_backtracks: Counter,
+        /// Misroute operations.
+        probe_misroutes: Counter,
+        /// Probes that reserved a full path.
+        probes_reached: Counter,
+        /// Probes that exhausted their switch's search space.
+        probes_exhausted: Counter,
+        /// Faulty-lane rejections seen by probes, counted per encounter.
+        /// Every time any probe scans a lane and finds it `Faulty` this
+        /// increments, so one probe bouncing off the same faulty lane across
+        /// `n` retries contributes `n` (it is a rejection count, not a count
+        /// of distinct probes or distinct lanes).
+        probe_fault_encounters: Counter,
 
-    /// Establishment attempts that eventually succeeded (any switch).
-    pub setups_ok: u64,
-    /// Establishment attempts that failed across every switch.
-    pub setups_failed: u64,
-    /// Force-mode victim selections of circuits starting at the stuck node.
-    pub forced_local_releases: u64,
-    /// Force-mode release requests sent to remote sources.
-    pub forced_remote_releases: u64,
-    /// Release-request control flits discarded (circuit already releasing
-    /// or gone — §4's discard rule).
-    pub release_requests_discarded: u64,
-    /// Circuits torn down (any reason).
-    pub teardowns: u64,
+        /// Establishment attempts that eventually succeeded (any switch).
+        setups_ok: Counter,
+        /// Establishment attempts that failed across every switch.
+        setups_failed: Counter,
+        /// Force-mode victim selections of circuits starting at the stuck node.
+        forced_local_releases: Counter,
+        /// Force-mode release requests sent to remote sources.
+        forced_remote_releases: Counter,
+        /// Release-request control flits discarded as stale.
+        /// §4's discard rule: the circuit was already releasing or gone.
+        release_requests_discarded: Counter,
+        /// Circuits torn down (any reason).
+        teardowns: Counter,
 
-    /// Messages that fell back to wormhole because establishment failed
-    /// (CLRP phase 3 / CARP fallback).
-    pub wormhole_fallbacks: u64,
-    /// End-point buffer re-allocations (CLRP circuits hit by a message
-    /// longer than the allocated buffer, §2).
-    pub buffer_reallocs: u64,
+        /// Messages that fell back to wormhole because establishment failed.
+        /// This is CLRP's phase 3 and CARP's fallback.
+        wormhole_fallbacks: Counter,
+        /// End-point buffer re-allocations.
+        /// A CLRP circuit was hit by a message longer than the buffer
+        /// allocated for it (§2).
+        buffer_reallocs: Counter,
 
-    /// Lanes marked faulty (static injections plus dynamic fail events).
-    pub lane_faults: u64,
-    /// Faulty lanes returned to service (dynamic repair events).
-    pub lane_repairs: u64,
-    /// Circuits destroyed because a dynamic fault hit a reserved lane.
-    pub circuits_broken: u64,
-    /// Re-establishment attempts launched after a dynamic fault broke a
-    /// circuit (bounded by `WaveConfig::fault_retries`).
-    pub establish_retries: u64,
+        /// Lanes marked faulty (static injections plus dynamic fail events).
+        lane_faults: Counter,
+        /// Faulty lanes returned to service (dynamic repair events).
+        lane_repairs: Counter,
+        /// Circuits destroyed because a dynamic fault hit a reserved lane.
+        circuits_broken: Counter,
+        /// Re-establishment attempts after a dynamic fault broke a circuit.
+        /// A cache entry launches at most `WaveConfig::fault_retries` of them.
+        establish_retries: Counter,
+    }
 }
 
 impl WaveStats {
-    /// Adds every counter of `other` into `self`. Used by the composition
-    /// root to sum the per-plane contributions into one network-wide view.
-    pub fn absorb(&mut self, other: &WaveStats) {
-        let WaveStats {
-            msgs_sent,
-            msgs_circuit,
-            msgs_wormhole,
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-            probes_sent,
-            probe_hops,
-            probe_backtracks,
-            probe_misroutes,
-            probes_reached,
-            probes_exhausted,
-            probe_fault_encounters,
-            setups_ok,
-            setups_failed,
-            forced_local_releases,
-            forced_remote_releases,
-            release_requests_discarded,
-            teardowns,
-            wormhole_fallbacks,
-            buffer_reallocs,
-            lane_faults,
-            lane_repairs,
-            circuits_broken,
-            establish_retries,
-        } = other;
-        self.msgs_sent += msgs_sent;
-        self.msgs_circuit += msgs_circuit;
-        self.msgs_wormhole += msgs_wormhole;
-        self.cache_hits += cache_hits;
-        self.cache_misses += cache_misses;
-        self.cache_evictions += cache_evictions;
-        self.probes_sent += probes_sent;
-        self.probe_hops += probe_hops;
-        self.probe_backtracks += probe_backtracks;
-        self.probe_misroutes += probe_misroutes;
-        self.probes_reached += probes_reached;
-        self.probes_exhausted += probes_exhausted;
-        self.probe_fault_encounters += probe_fault_encounters;
-        self.setups_ok += setups_ok;
-        self.setups_failed += setups_failed;
-        self.forced_local_releases += forced_local_releases;
-        self.forced_remote_releases += forced_remote_releases;
-        self.release_requests_discarded += release_requests_discarded;
-        self.teardowns += teardowns;
-        self.wormhole_fallbacks += wormhole_fallbacks;
-        self.buffer_reallocs += buffer_reallocs;
-        self.lane_faults += lane_faults;
-        self.lane_repairs += lane_repairs;
-        self.circuits_broken += circuits_broken;
-        self.establish_retries += establish_retries;
-    }
-
     /// Circuit-cache hit rate over sends that consulted the cache.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {

@@ -107,9 +107,14 @@ impl Value {
     /// Parses a JSON document. Trailing non-whitespace is an error.
     ///
     /// # Errors
-    /// Returns a message with the byte offset of the first problem.
+    /// Returns a message with the byte offset of the first problem; arrays
+    /// and objects nested deeper than [`MAX_DEPTH`] are one.
     pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { src: text, pos: 0 };
+        let mut p = Parser {
+            src: text,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -326,9 +331,16 @@ fn write_seq(
     out.push(brackets.1);
 }
 
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts. The
+/// parser recurses once per level, so the bound is what keeps a hostile
+/// file (200 kB of `[`) an error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -366,11 +378,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "JSON nested deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -573,6 +598,17 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("{} trailing").is_err());
         assert!(Value::parse("\"open").is_err());
+        // Nesting is bounded: a hostile file is an error, not a stack overflow.
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Value::parse(&nest(MAX_DEPTH + 1)).unwrap_err(),
+            "JSON nested deeper than 128 at byte 128"
+        );
+        assert_eq!(
+            Value::parse(&"[{\"a\":".repeat(100_000)).unwrap_err(),
+            "JSON nested deeper than 128 at byte 384"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use wavesim_core::{FaultEvent, LaneId, ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim_network::Message;
-use wavesim_trace::{stream, ColumnarBuf, TraceRecord, TraceSink, VecSink};
+use wavesim_trace::{columnar, stream, TraceRecord, VecSink};
 use wavesim_verify::wave_measure;
 
 use crate::spec::{ModelProtocol, ModelSpec};
@@ -72,9 +72,7 @@ impl Replay {
     /// `wavesim_trace::read_columnar` and `wavesim validate-trace`.
     #[must_use]
     pub fn columnar(&self) -> Vec<u8> {
-        let mut buf = ColumnarBuf::new();
-        buf.record_many(&self.records);
-        buf.into_bytes()
+        columnar::encode(&self.records, stream::CHUNK_RECORDS)
     }
 }
 

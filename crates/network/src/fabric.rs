@@ -103,19 +103,21 @@ impl Default for WormholeConfig {
     }
 }
 
-/// Aggregate fabric statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FabricStats {
-    /// Messages accepted by [`WormholeFabric::inject`].
-    pub injected_msgs: u64,
-    /// Messages fully delivered.
-    pub delivered_msgs: u64,
-    /// Flits handed to destination delivery buffers.
-    pub delivered_flits: u64,
-    /// Flits forwarded across links (hop count · flit count).
-    pub flit_hops: u64,
-    /// Successful output-VC allocations.
-    pub va_allocs: u64,
+wavesim_sim::stat_table! {
+    /// Aggregate fabric statistics.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct FabricStats {
+        /// Messages accepted by `WormholeFabric::inject`.
+        injected_msgs: Counter,
+        /// Messages fully delivered.
+        delivered_msgs: Counter,
+        /// Flits handed to destination delivery buffers.
+        delivered_flits: Counter,
+        /// Flits forwarded across links (hop count · flit count).
+        flit_hops: Counter,
+        /// Successful output-VC allocations.
+        va_allocs: Counter,
+    }
 }
 
 /// A node in the output-VC wait-for graph exposed for deadlock diagnosis:

@@ -12,40 +12,107 @@
 //!   estimates;
 //! * [`Warmup`] — gate that discards samples before the warm-up horizon;
 //! * [`ThroughputMeter`] — flits delivered per node per cycle over a window.
+//!
+//! It also holds the statistics vocabulary's one form: the four counter
+//! structs of the workspace ([`CycleKernelStats`] here, `FabricStats` in
+//! `wavesim-network`, `WaveStats` and `HealthSnapshot` in `wavesim-core`)
+//! are [`stat_table!`](crate::stat_table) tables, and every metrics page
+//! and status document is a walk over their [`StatRow`]s.
 
 use crate::time::Cycle;
 
-/// Cycle-kernel work counters: how much scanning a cycle-driven model
-/// actually performed, independent of wall clock. An O(work) kernel shows
-/// `routers_scanned / ticks` tracking the in-flight population instead of
-/// the network size; these counters make that visible (and regressions
-/// measurable) without a profiler.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CycleKernelStats {
-    /// `tick` invocations executed (idle fast-forwarded cycles excluded).
-    pub ticks: u64,
-    /// Router phase-loop visits summed over all ticks.
-    pub routers_scanned: u64,
-    /// Input VCs looked at, summed over all ticks: heads the VA stage
-    /// visited, plus the request bits each switch arbitration chose among
-    /// (per output port with a grantable request, the input VCs routed to
-    /// it with a flit and a credit whose input port was still free that
-    /// cycle). Blocked VCs are parked, not visited, so this tracks flits
-    /// that can move — a deadlocked fabric adds nothing.
-    pub vcs_touched: u64,
-    /// Inter-plane events routed to a consuming plane.
-    pub events_routed: u64,
+/// How a row of a [`stat_table!`](crate::stat_table) reads on a metrics page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatKind {
+    /// Only ever grows over a run.
+    Counter,
+    /// An instantaneous reading that may fall.
+    Gauge,
+}
+
+/// One row of a stat table as [`rows`](CycleKernelStats::rows) walks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatRow {
+    /// The field's name, which is also its series name and `/status` key.
+    pub name: &'static str,
+    /// The first line of the field's doc comment.
+    pub help: &'static str,
+    /// Counter or gauge.
+    pub kind: StatKind,
+    /// The field's value.
+    pub value: u64,
+}
+
+/// Declares a statistics struct as a table in which a counter is one row:
+/// its doc comment, its name and its [`StatKind`].
+///
+/// The table expands to the struct as written by hand (`pub` `u64` fields
+/// in row order under the attributes given, so `stats.x += 1` and `Debug`
+/// output are what they would be), to `absorb` (field-wise sum, for
+/// composing per-plane contributions) and to `rows`, one walk over
+/// `(name, help, kind, value)`. Metrics pages and status documents are
+/// that walk, so a new counter is one row here and one `+= 1` where the
+/// event happens.
+#[macro_export]
+macro_rules! stat_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( #[doc = $help:literal] $(#[doc = $more:literal])* $field:ident: $kind:ident, )+
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( #[doc = $help] $(#[doc = $more])* pub $field: u64, )+
+        }
+
+        impl $name {
+            /// Adds every field of `other` into `self`.
+            pub fn absorb(&mut self, other: &Self) {
+                $( self.$field += other.$field; )+
+            }
+
+            /// Every row in declaration order; a row's help is the first
+            /// line of its doc comment.
+            #[must_use]
+            pub fn rows(&self) -> Vec<$crate::stats::StatRow> {
+                vec![$( $crate::stats::StatRow {
+                    name: stringify!($field),
+                    help: $help.trim(),
+                    kind: $crate::stats::StatKind::$kind,
+                    value: self.$field,
+                }, )+]
+            }
+        }
+    };
+}
+
+stat_table! {
+    /// Cycle-kernel work counters: how much scanning a cycle-driven model
+    /// actually performed, independent of wall clock. An O(work) kernel shows
+    /// `routers_scanned / ticks` tracking the in-flight population instead of
+    /// the network size; these counters make that visible (and regressions
+    /// measurable) without a profiler.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CycleKernelStats {
+        /// `tick` invocations executed (idle fast-forwarded cycles excluded).
+        ticks: Counter,
+        /// Router phase-loop visits summed over all ticks.
+        routers_scanned: Counter,
+        /// Input VCs looked at, summed over all ticks.
+        /// These are the heads the VA stage visited, plus the request bits
+        /// each switch arbitration chose among (per output port with a
+        /// grantable request, the input VCs routed to it with a flit and a
+        /// credit whose input port was still free that cycle). Blocked VCs
+        /// are parked, not visited, so this tracks flits that can move — a
+        /// deadlocked fabric adds nothing.
+        vcs_touched: Counter,
+        /// Inter-plane events routed to a consuming plane.
+        events_routed: Counter,
+    }
 }
 
 impl CycleKernelStats {
-    /// Field-wise sum, for composing per-plane contributions.
-    pub fn merge(&mut self, other: CycleKernelStats) {
-        self.ticks += other.ticks;
-        self.routers_scanned += other.routers_scanned;
-        self.vcs_touched += other.vcs_touched;
-        self.events_routed += other.events_routed;
-    }
-
     /// Mean routers scanned per executed tick.
     #[must_use]
     pub fn routers_per_tick(&self) -> f64 {

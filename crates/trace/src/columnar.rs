@@ -35,7 +35,7 @@
 
 use crate::schema::{decode_event, encode_event};
 use crate::stream::ChunkEncoder;
-use crate::{TraceRecord, TraceSink};
+use crate::TraceRecord;
 
 /// File magic prefixing every columnar capture (8 bytes, version baked in).
 pub const MAGIC: [u8; 8] = *b"WSTRACE1";
@@ -319,88 +319,21 @@ impl ChunkEncoder for FrameEncoder {
     }
 }
 
-// ---------------------------------------------------------------------
-// Inline sink (no writer thread)
-// ---------------------------------------------------------------------
-
-/// A columnar sink that encodes synchronously into an in-memory byte
-/// buffer — no writer thread, no I/O.
+/// Encodes `recs` as a whole `WSTRACE1` capture in memory, a frame per
+/// `frame_records` records: the bytes a [`ColumnarSink`](crate::stream::ColumnarSink)
+/// sealing frames of that size writes, without its thread or file.
 ///
-/// This is the *emission + encode* measurement arm of the trace-overhead
-/// bench (the number that must stay under 5 % on a single core, where a
-/// background writer cannot hide any work), and the test fixture for
-/// round-trip properties. Production captures use the threaded
-/// [`ColumnarSink`](crate::stream::ColumnarSink) instead.
-pub struct ColumnarBuf {
-    enc: FrameEncoder,
-    chunk: Vec<TraceRecord>,
-    chunk_cap: usize,
-    bytes: Vec<u8>,
-    total: u64,
-}
-
-impl ColumnarBuf {
-    /// An empty capture with the default frame size.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_chunk(crate::stream::CHUNK_RECORDS)
+/// # Panics
+/// Panics if `frame_records` is zero.
+#[must_use]
+pub fn encode(recs: &[TraceRecord], frame_records: usize) -> Vec<u8> {
+    let mut enc = FrameEncoder::new();
+    let mut bytes = Vec::new();
+    enc.header(&mut bytes);
+    for frame in recs.chunks(frame_records) {
+        enc.encode_frame(frame, &mut bytes);
     }
-
-    /// An empty capture sealing a frame every `chunk_cap` records.
-    ///
-    /// # Panics
-    /// Panics if `chunk_cap` is zero.
-    #[must_use]
-    pub fn with_chunk(chunk_cap: usize) -> Self {
-        assert!(chunk_cap > 0, "frame capacity must be positive");
-        let mut enc = FrameEncoder::new();
-        let mut bytes = Vec::with_capacity(64 * 1024);
-        enc.header(&mut bytes);
-        Self {
-            enc,
-            chunk: Vec::with_capacity(chunk_cap),
-            chunk_cap,
-            bytes,
-            total: 0,
-        }
-    }
-
-    /// Seals the in-progress frame and returns the encoded capture.
-    #[must_use]
-    pub fn into_bytes(mut self) -> Vec<u8> {
-        self.enc.encode_frame(&self.chunk, &mut self.bytes);
-        self.bytes
-    }
-}
-
-impl Default for ColumnarBuf {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceSink for ColumnarBuf {
-    fn record(&mut self, rec: TraceRecord) {
-        self.record_many(&[rec]);
-    }
-
-    fn record_many(&mut self, recs: &[TraceRecord]) {
-        self.total += recs.len() as u64;
-        let mut rest = recs;
-        while !rest.is_empty() {
-            let take = (self.chunk_cap - self.chunk.len()).min(rest.len());
-            self.chunk.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.chunk.len() >= self.chunk_cap {
-                self.enc.encode_frame(&self.chunk, &mut self.bytes);
-                self.chunk.clear();
-            }
-        }
-    }
-
-    fn total(&self) -> u64 {
-        self.total
-    }
+    bytes
 }
 
 // ---------------------------------------------------------------------
@@ -585,6 +518,7 @@ impl<R: std::io::Read> FrameStream<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::CHUNK_RECORDS;
     use crate::{read_columnar, TraceEvent};
 
     fn roundtrip(recs: &[TraceRecord]) -> Vec<TraceRecord> {
@@ -624,7 +558,7 @@ mod tests {
 
     #[test]
     fn empty_capture_is_just_magic() {
-        let bytes = ColumnarBuf::new().into_bytes();
+        let bytes = encode(&[], CHUNK_RECORDS);
         assert_eq!(bytes, MAGIC);
         assert!(read_columnar(&bytes).unwrap().is_empty());
     }
@@ -717,9 +651,7 @@ mod tests {
 
     #[test]
     fn malformed_frame_is_reported_from_a_bounded_prefix() {
-        let mut buf = ColumnarBuf::new();
-        buf.record_many(&hops(400_000));
-        let bytes = buf.into_bytes();
+        let bytes = encode(&hops(400_000), CHUNK_RECORDS);
         assert!(bytes.len() > 2_000_000, "multi-megabyte capture");
         let body = &bytes[MAGIC.len()..];
 

@@ -49,7 +49,6 @@ mod schema;
 pub mod stream;
 pub mod timeseries;
 
-pub use columnar::ColumnarBuf;
 pub use recorder::{FlightRecorder, VecSink};
 #[doc(hidden)]
 pub use schema::every_event;

@@ -6,10 +6,9 @@
 
 use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::topology::Topology;
-use wavesim::trace::stream;
+use wavesim::trace::{columnar, stream};
 use wavesim::trace::{
-    every_event, read_columnar, read_trace, ColumnarBuf, ColumnarSink, JsonlSink, TraceRecord,
-    TraceSink,
+    every_event, read_columnar, read_trace, ColumnarSink, JsonlSink, TraceRecord, TraceSink,
 };
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 use wavesim_bench::tracecap::Capture;
@@ -55,9 +54,8 @@ fn encode_jsonl(recs: &[TraceRecord]) -> String {
 #[test]
 fn binary_round_trips_full_u64_extremes() {
     let round_trip = |recs: &[TraceRecord], what: &str| {
-        let mut buf = ColumnarBuf::new();
-        buf.record_many(recs);
-        let back = read_columnar(&buf.into_bytes()).expect("decode own encoding");
+        let bytes = columnar::encode(recs, stream::CHUNK_RECORDS);
+        let back = read_columnar(&bytes).expect("decode own encoding");
         assert_eq!(back, recs, "binary round trip ({what})");
     };
     round_trip(&extreme_records(true, u64::MAX), "consecutive seqs");
@@ -79,9 +77,7 @@ fn binary_round_trips_full_u64_extremes() {
 fn every_variant_round_trips_binary_and_matches_jsonl() {
     for consecutive in [true, false] {
         let recs = extreme_records(consecutive, MAX_JSONL);
-        let mut buf = ColumnarBuf::new();
-        buf.record_many(&recs);
-        let bytes = buf.into_bytes();
+        let bytes = columnar::encode(&recs, stream::CHUNK_RECORDS);
         let back = read_columnar(&bytes).expect("decode own encoding");
         assert_eq!(back, recs, "binary round trip (consecutive={consecutive})");
 
@@ -104,9 +100,7 @@ fn every_variant_round_trips_binary_and_matches_jsonl() {
 #[test]
 fn single_record_frames_round_trip() {
     let recs = extreme_records(false, u64::MAX);
-    let mut buf = ColumnarBuf::with_chunk(1);
-    buf.record_many(&recs);
-    let back = read_columnar(&buf.into_bytes()).expect("decode 1-record frames");
+    let back = read_columnar(&columnar::encode(&recs, 1)).expect("decode 1-record frames");
     assert_eq!(back, recs);
 }
 
@@ -295,10 +289,7 @@ const WIRE_BIN_HEX: &str = concat!(
 fn wire_bytes_match_committed_goldens() {
     let recs = stream::read_jsonl(WIRE_JSONL).expect("golden text decodes");
     assert_eq!(encode_jsonl(&recs), WIRE_JSONL, "JSONL bytes drifted");
-    let mut buf = ColumnarBuf::with_chunk(16);
-    buf.record_many(&recs);
-    let hex: String = buf
-        .into_bytes()
+    let hex: String = columnar::encode(&recs, 16)
         .iter()
         .map(|b| format!("{b:02x}"))
         .collect();

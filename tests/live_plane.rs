@@ -91,11 +91,12 @@ fn armed_board_publishes_consistent_vitals() {
     let status = board.snapshot().expect("the run published");
     assert!(status.done, "finish() marks the run done");
     assert_eq!(status.cycle, r.end);
-    assert_eq!(status.sent, r.sent);
-    assert_eq!(status.delivered, r.delivered);
-    assert!(status.run.starts_with("clrp mesh-4x4"), "{}", status.run);
+    assert_eq!(status.stats.msgs_sent, r.sent);
+    assert_eq!(status.delivered(), r.delivered);
+    let run = status.run_line();
+    assert!(run.starts_with("protocol=clrp topology=mesh-4x4"), "{run}");
     assert!(status.cycles_per_sec > 0.0);
-    assert!((0.0..=1.0).contains(&status.hit_rate()));
+    assert!((0.0..=1.0).contains(&status.stats.hit_rate()));
     assert!(
         StatusBoard::new(false).snapshot().is_none(),
         "another board saw nothing"
@@ -120,7 +121,7 @@ fn endpoint_serves_armed_board_over_http() {
 
     assert!(prom.starts_with("HTTP/1.0 200"), "{prom}");
     let body = prom.split("\r\n\r\n").nth(1).expect("body");
-    assert!(body.contains("wavesim_live_run_info{run=\"clrp mesh-4x4"));
+    assert!(body.contains("wavesim_live_run_info{protocol=\"clrp\",topology=\"mesh-4x4\""));
     // Exposition-format check: every sample line is `name[{labels}] value`.
     for line in body.lines() {
         if line.starts_with('#') || line.is_empty() {
@@ -135,7 +136,8 @@ fn endpoint_serves_armed_board_over_http() {
     let body = json.split("\r\n\r\n").nth(1).expect("body");
     let doc = wavesim::json::Value::parse(body).expect("valid JSON status");
     assert_eq!(
-        doc.get("delivered").and_then(wavesim::json::Value::as_u64),
+        doc.get("msgs_delivered")
+            .and_then(wavesim::json::Value::as_u64),
         Some(r.delivered)
     );
     assert_eq!(
