@@ -14,10 +14,10 @@
 //! the probe walk around occupied regions), with diminishing returns —
 //! the reason the paper keeps `m` small.
 
-use wavesim_core::{LaneId, ProtocolKind, WaveConfig};
+use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_sim::SimRng;
 use wavesim_topology::NodeId;
-use wavesim_workloads::FaultPlan;
+use wavesim_workloads::FaultSchedule;
 
 use crate::experiments::Ctx;
 use crate::table::{f2, pct};
@@ -40,12 +40,10 @@ fn trial_run(scale: Scale, m: u8, occupancy: f64, trials: u32) -> Outcome {
     };
     let mut net = crate::experiments::net_with(scale.side, cfg);
     // Background occupancy: lanes held "by other circuits", modelled as
-    // unavailable lanes (probes can neither reserve nor force them).
-    let plan = FaultPlan::random_lanes(net.topology(), 1, occupancy, 2024);
-    for &(link, s) in &plan.lanes {
-        net.inject_lane_fault(LaneId::new(link, s))
-            .expect("fault plan matches topology");
-    }
+    // unavailable lanes (probes can neither reserve nor force them),
+    // failed at cycle 0.
+    let occupied = FaultSchedule::random_lanes(net.topology(), 1, occupancy, 2024);
+    crate::apply_fault_schedule(&mut net, &occupied).expect("schedule matches topology");
     let n = u64::from(net.topology().num_nodes());
     let mut rng = SimRng::new(777);
     let mut successes = 0u64;

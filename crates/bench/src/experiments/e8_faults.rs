@@ -1,14 +1,14 @@
 //! E8 — "this protocol is very resilient to static faults in the network"
 //! (§2, on the MB-m probe, citing ref \[12\]).
 //!
-//! Wave lanes fail independently at a swept rate before the run starts
-//! (the paper's static-fault model). Probes must route around faulty
-//! lanes; when no fault-free path exists, messages fall back to wormhole
-//! switching, so *delivery* must stay at 100% regardless of the fault
-//! rate — only the circuit fraction degrades gracefully.
+//! Wave lanes fail independently at a swept rate at cycle 0, before any
+//! probe runs (the paper's static-fault model). Probes must route around
+//! faulty lanes; when no fault-free path exists, messages fall back to
+//! wormhole switching, so *delivery* must stay at 100% regardless of the
+//! fault rate — only the circuit fraction degrades gracefully.
 
-use wavesim_core::{LaneId, ProtocolKind, WaveConfig};
-use wavesim_workloads::{FaultPlan, LengthDist, TrafficPattern};
+use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_workloads::{FaultSchedule, LengthDist, TrafficPattern};
 
 use crate::experiments::Ctx;
 use crate::table::{f2, pct};
@@ -40,11 +40,8 @@ pub fn run(ctx: &Ctx) -> Table {
             ..WaveConfig::default()
         };
         let mut net = crate::experiments::net_with(scale.side, cfg);
-        let plan = FaultPlan::random_lanes(net.topology(), cfg.k, rate, 88);
-        for &(link, s) in &plan.lanes {
-            net.inject_lane_fault(LaneId::new(link, s))
-                .expect("fault plan matches topology");
-        }
+        let faults = FaultSchedule::random_lanes(net.topology(), cfg.k, rate, 88);
+        crate::apply_fault_schedule(&mut net, &faults).expect("schedule matches topology");
         let r = ctx.open_loop(
             &mut net,
             0.15,
@@ -57,7 +54,7 @@ pub fn run(ctx: &Ctx) -> Table {
         );
         t.push(vec![
             pct(rate),
-            plan.len().to_string(),
+            faults.len().to_string(),
             pct(r.wave.setup_success_rate()),
             pct(r.circuit_fraction),
             f2(r.avg_latency),

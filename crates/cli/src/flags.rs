@@ -244,10 +244,8 @@ flag_table! {
     service_clients = "--service-clients", int(Option<u64>, 1..=MAX_CLIENTS), None, &[Run],
         "closed-loop request/think/re-request clients instead; each holds 220 B once started, \
         so the bound is 1 GiB";
-    fault_plan = "--fault-plan", text("FILE"), None, &[Run],
-        "static lane faults (JSON), applied before traffic starts";
     fault_schedule = "--fault-schedule", text("FILE"), None, &[Run],
-        "timed lane fail and repair events (JSON)";
+        "timed lane fail and repair events (JSON); a fail at cycle 0 is a static fault";
     collective = "--collective", one_of(Option<&'static str>: "all-to-all" => Some("all-to-all"),
         "reduce" => Some("reduce"), "broadcast" => Some("broadcast"),
         "transpose-sweep" => Some("transpose-sweep")), None, &[GenTrace],
@@ -561,7 +559,7 @@ mod tests {
         let rows = names.len();
         names.dedup();
         // `--json` is a switch for the experiments and a FILE for `analyze`.
-        assert_eq!((rows, names.len()), (54, 53));
+        assert_eq!((rows, names.len()), (53, 52));
         for (i, flag) in FLAGS.iter().enumerate() {
             let clash = FLAGS[..i].iter().find(|other| {
                 other.name == flag.name && other.cmds.iter().any(|c| flag.cmds.contains(c))

@@ -13,7 +13,7 @@ use wavesim_bench::timeseries::Sampler;
 use wavesim_bench::tracecap::Capture;
 use wavesim_bench::watchdog::{Watchdog, WatchdogConfig};
 use wavesim_bench::{experiments, Observed, Observers, RunSpec};
-use wavesim_core::{LaneId, WaveConfig, WaveNetwork};
+use wavesim_core::{WaveConfig, WaveNetwork};
 use wavesim_topology::{RoutingKind, Topology};
 use wavesim_trace::TraceSink;
 use wavesim_verify::check_deadlock_freedom;
@@ -167,30 +167,18 @@ fn convert_trace(args: &Args) -> Outcome {
     Ok(true)
 }
 
-/// Loads and applies `--fault-plan` / `--fault-schedule` files onto the
-/// run's network, surfacing mismatches against the chosen topology/`k`
-/// (a plan built for another network) as clean errors.
+/// Loads and applies a `--fault-schedule` file onto the run's network,
+/// surfacing mismatches against the chosen topology/`k` (a schedule built
+/// for another network) as clean errors.
 fn apply_fault_inputs(net: &mut WaveNetwork, args: &Args) -> Result<(), String> {
-    use wavesim_workloads::trace_io::{load_fault_plan, load_fault_schedule};
-    if let Some(path) = &args.fault_plan {
-        let plan = load_file("fault plan", path, load_fault_plan)?;
-        for &(link, s) in &plan.lanes {
-            net.inject_lane_fault(LaneId::new(link, s))
-                .map_err(|e| format!("fault plan {path} does not fit this network: {e}"))?;
-        }
-        println!(
-            "applied static fault plan: {path} ({} lanes on {} links)",
-            plan.len(),
-            plan.faulted_links()
-        );
-    }
+    use wavesim_workloads::trace_io::load_fault_schedule;
     if let Some(path) = &args.fault_schedule {
         let sched = load_file("fault schedule", path, load_fault_schedule)?;
         sched
             .validate(net.topology(), net.config().k)
             .and_then(|()| wavesim_bench::apply_fault_schedule(net, &sched))
             .map_err(|e| format!("fault schedule {path} does not fit this network: {e}"))?;
-        println!("scheduled dynamic faults: {path} ({} events)", sched.len());
+        println!("scheduled faults: {path} ({} events)", sched.len());
     }
     Ok(())
 }
@@ -565,7 +553,7 @@ fn custom_run(args: &Args) -> Outcome {
         s.forced_local_releases,
         s.forced_remote_releases
     );
-    if args.fault_plan.is_some() || args.fault_schedule.is_some() {
+    if args.fault_schedule.is_some() {
         println!(
             "  faults: {} lane failures, {} repairs; {} circuits broken, {} retries",
             s.lane_faults, s.lane_repairs, s.circuits_broken, s.establish_retries

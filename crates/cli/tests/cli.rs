@@ -200,20 +200,25 @@ fn validate_trace_rejects_malformed_input() {
             assert!(err.starts_with("error: ") && err.contains(says), "{err}");
         }
     }
-    // The same parser reads every JSON input of `run`: no stack overflow.
-    for flag in ["--fault-plan", "--fault-schedule", "--replay-trace"] {
+    // The same parser reads every JSON input of `run`: no stack overflow,
+    // and no id wider than its field narrowed into a different one.
+    let wide =
+        r#"{"version": 1, "messages": [{"id":1,"src":4294967296,"dest":1,"len":4,"created":0}]}"#;
+    std::fs::write(dir.join("wide.json"), wide).unwrap();
+    for (flag, name, says) in [
+        ("--fault-schedule", "deep.json", "nested deeper than 128"),
+        ("--replay-trace", "deep.json", "nested deeper than 128"),
+        ("--replay-trace", "wide.json", "src 4294967296"),
+    ] {
         let out = wavesim()
             .args(["run", "--side", "4", "--cycles", "100", flag])
-            .arg(dir.join("deep.json"))
+            .arg(dir.join(name))
             .output()
             .expect("runs");
         let err = String::from_utf8(out.stderr).unwrap();
-        assert_eq!(out.status.code(), Some(1), "{flag}: {err}");
-        assert!(
-            err.starts_with("error: ") && err.contains("deep.json"),
-            "{err}"
-        );
-        assert!(err.contains("nested deeper than 128"), "{err}");
+        assert_eq!(out.status.code(), Some(1), "{flag} {name}: {err}");
+        assert!(err.starts_with("error: ") && err.contains(name), "{err}");
+        assert!(err.contains(says), "{err}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -16,9 +16,9 @@
 
 use wavesim_network::message::DeliveryMode;
 use wavesim_network::{Delivery, Message};
-use wavesim_sim::{BitSet, Cycle, EventQueue, Model};
+use wavesim_sim::{BitSet, Cycle, EventQueue};
 use wavesim_topology::{NodeId, Topology};
-use wavesim_trace::{TraceBuf, TraceEvent};
+use wavesim_trace::TraceEvent;
 
 use crate::arena::IdAlloc;
 use crate::cache::{CacheEntry, CircuitCache, EntryState};
@@ -27,7 +27,7 @@ use crate::config::{ProtocolKind, WaveConfig};
 use crate::events::{EventBus, PlaneEvent};
 use crate::ids::{CircuitId, LaneId};
 use crate::replacement;
-use crate::stats::WaveStats;
+use crate::stats::PlaneLog;
 
 /// Windowed-transfer events over established circuits.
 #[derive(Debug, Clone)]
@@ -64,10 +64,8 @@ pub struct CircuitPlane {
     caches: Vec<CircuitCache>,
     circuit_ids: IdAlloc<CircuitId>,
     fifo_seq: u64,
-    stats: WaveStats,
+    pub(crate) log: PlaneLog,
     outbox: Vec<PlaneEvent>,
-    /// Intra-plane trace staging; the composition root arms and absorbs it.
-    pub(crate) trace: TraceBuf,
     /// Nodes with a cache entry that is streaming or queueing — kept
     /// incrementally (via [`CircuitPlane::recount`] after every mutating
     /// entry point) so `busy()` and the per-cycle `active_sources()` gauge
@@ -88,9 +86,8 @@ impl CircuitPlane {
                 .collect(),
             circuit_ids: IdAlloc::new(),
             fifo_seq: 0,
-            stats: WaveStats::default(),
+            log: PlaneLog::default(),
             outbox: Vec::new(),
-            trace: TraceBuf::new(),
             active: BitSet::new(n),
             active_count: 0,
             topo,
@@ -117,21 +114,20 @@ impl CircuitPlane {
         }
     }
 
-    /// Traces a cache eviction (victim lookup only happens while armed).
-    fn trace_evict(&mut self, now: Cycle, src: NodeId, victim: NodeId) {
-        if self.trace.armed() {
-            let circuit = self.caches[src.0 as usize]
-                .get(victim)
-                .map_or(0, |e| e.circuit.0);
-            self.trace.emit(
-                now,
-                TraceEvent::CacheEvict {
-                    node: src.0,
-                    victim_dest: victim.0,
-                    circuit,
-                },
-            );
-        }
+    /// Evicts `src`'s cache entry for `victim` to make room.
+    fn evict(&mut self, now: Cycle, src: NodeId, victim: NodeId) {
+        let circuit = self.caches[src.0 as usize]
+            .get(victim)
+            .map_or(0, |e| e.circuit.0);
+        self.log.note(
+            now,
+            TraceEvent::CacheEvict {
+                node: src.0,
+                victim_dest: victim.0,
+                circuit,
+            },
+        );
+        self.release_entry_now(src, victim);
     }
 
     // ------------------------------------------------------------------
@@ -148,12 +144,6 @@ impl CircuitPlane {
     #[must_use]
     pub fn caches(&self) -> &[CircuitCache] {
         &self.caches
-    }
-
-    /// This plane's statistics contribution.
-    #[must_use]
-    pub fn stats(&self) -> &WaveStats {
-        &self.stats
     }
 
     /// True while any entry is carrying or queueing traffic. O(1): reads
@@ -176,6 +166,21 @@ impl CircuitPlane {
         bus.absorb(&mut self.outbox);
     }
 
+    /// Handles one due transfer event. The plane is purely event-driven:
+    /// transfers complete here, on the calendar `q`.
+    pub fn handle(&mut self, now: Cycle, event: TransferEvent, q: &mut EventQueue<TransferEvent>) {
+        match event {
+            TransferEvent::Delivered(_circuit, msg) => self.on_transfer_delivered(now, msg),
+            TransferEvent::Acked { circuit, src, dest } => {
+                self.on_transfer_acked(now, q, circuit, src, dest);
+                self.recount(src);
+            }
+            TransferEvent::RetryEstablish { circuit, src, dest } => {
+                self.on_retry_establish(now, q, circuit, src, dest);
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Message submission
     // ------------------------------------------------------------------
@@ -191,7 +196,7 @@ impl CircuitPlane {
     }
 
     fn send_wormhole_fallback(&mut self, msg: Message) {
-        self.stats.wormhole_fallbacks += 1;
+        self.log.stats.wormhole_fallbacks += 1;
         self.outbox.push(PlaneEvent::InjectWormhole(msg));
     }
 
@@ -200,11 +205,10 @@ impl CircuitPlane {
         if let Some(entry) = self.caches[src].get_mut(msg.dest) {
             match entry.state {
                 EntryState::Ready => {
-                    self.stats.cache_hits += 1;
                     let circuit = entry.circuit.0;
                     replacement::on_use(entry, self.cfg.replacement, now);
                     entry.queue.push_back(msg);
-                    self.trace.emit(
+                    self.log.note(
                         now,
                         TraceEvent::CacheHit {
                             node: msg.src.0,
@@ -224,8 +228,7 @@ impl CircuitPlane {
             return;
         }
         // Miss: establish a circuit, evicting if the register file is full.
-        self.stats.cache_misses += 1;
-        self.trace.emit(
+        self.log.note(
             now,
             TraceEvent::CacheMiss {
                 node: msg.src.0,
@@ -234,11 +237,7 @@ impl CircuitPlane {
         );
         if self.caches[src].is_full() {
             match self.caches[src].pick_victim(self.cfg.replacement, self.cfg.seed) {
-                Some(victim) => {
-                    self.stats.cache_evictions += 1;
-                    self.trace_evict(now, msg.src, victim);
-                    self.release_entry_now(msg.src, victim);
-                }
+                Some(victim) => self.evict(now, msg.src, victim),
                 None => {
                     // Every cached circuit is busy: this message cannot
                     // get a circuit; use wormhole switching.
@@ -259,11 +258,10 @@ impl CircuitPlane {
         if let Some(entry) = self.caches[src].get_mut(msg.dest) {
             match entry.state {
                 EntryState::Ready => {
-                    self.stats.cache_hits += 1;
                     let circuit = entry.circuit.0;
                     replacement::on_use(entry, self.cfg.replacement, now);
                     entry.queue.push_back(msg);
-                    self.trace.emit(
+                    self.log.note(
                         now,
                         TraceEvent::CacheHit {
                             node: msg.src.0,
@@ -303,16 +301,11 @@ impl CircuitPlane {
         }
         if self.caches[s].is_full() {
             match self.caches[s].pick_victim(self.cfg.replacement, self.cfg.seed) {
-                Some(victim) => {
-                    self.stats.cache_evictions += 1;
-                    self.trace_evict(now, src, victim);
-                    self.release_entry_now(src, victim);
-                }
+                Some(victim) => self.evict(now, src, victim),
                 None => return, // nothing evictable: establishment impossible
             }
         }
-        self.stats.cache_misses += 1;
-        self.trace.emit(
+        self.log.note(
             now,
             TraceEvent::CacheMiss {
                 node: src.0,
@@ -466,7 +459,6 @@ impl CircuitPlane {
     }
 
     fn fail_establishment(&mut self, src: NodeId, dest: NodeId, circuit: CircuitId) {
-        self.stats.setups_failed += 1;
         self.outbox.push(PlaneEvent::AbandonCircuit { circuit });
         let s = src.0 as usize;
         let entry = self.caches[s]
@@ -503,7 +495,6 @@ impl CircuitPlane {
         hops: u32,
         first_lane: LaneId,
     ) {
-        self.stats.setups_ok += 1;
         let entry = self.caches[src.0 as usize]
             .get_mut(dest)
             .expect("acked circuit has a cache entry");
@@ -530,7 +521,7 @@ impl CircuitPlane {
     pub fn on_victim_release(&mut self, circuit: CircuitId, src: NodeId) {
         let s = src.0 as usize;
         let Some(entry) = self.caches[s].find_by_circuit_mut(circuit) else {
-            self.stats.release_requests_discarded += 1;
+            self.log.stats.release_requests_discarded += 1;
             return;
         };
         let dest = entry.dest;
@@ -642,8 +633,7 @@ impl CircuitPlane {
         entry.switch = entry.initial_switch;
         entry.force_phase = force;
         let (switch, attempt) = (entry.initial_switch, entry.fault_retries_used);
-        self.stats.establish_retries += 1;
-        self.trace.emit(
+        self.log.note(
             now,
             TraceEvent::EstablishRetry {
                 circuit: cid.0,
@@ -691,12 +681,12 @@ impl CircuitPlane {
             if msg.len_flits > alloc {
                 entry.alloc_flits = Some(msg.len_flits);
                 penalty = u64::from(self.cfg.realloc_penalty);
-                self.stats.buffer_reallocs += 1;
+                self.log.stats.buffer_reallocs += 1;
             }
         }
         let circuit = entry.circuit;
         let plan = plan_transfer(msg.len_flits, entry.path_hops, &self.cfg);
-        self.trace.emit(
+        self.log.note(
             now,
             TraceEvent::TransferStart {
                 circuit: circuit.0,
@@ -717,7 +707,6 @@ impl CircuitPlane {
     }
 
     fn on_transfer_delivered(&mut self, now: Cycle, msg: Message) {
-        self.stats.msgs_circuit += 1;
         self.outbox.push(PlaneEvent::CircuitDelivered(Delivery {
             msg,
             delivered_at: now,
@@ -781,37 +770,6 @@ impl CircuitPlane {
     }
 }
 
-/// The circuitplane is event-driven: transfers complete in `handle`, and
-/// it is "busy" while any cache entry is streaming or queueing.
-impl Model for CircuitPlane {
-    type Event = TransferEvent;
-
-    fn tick(&mut self, _now: Cycle, _queue: &mut EventQueue<TransferEvent>) {}
-
-    fn handle(&mut self, now: Cycle, event: TransferEvent, q: &mut EventQueue<TransferEvent>) {
-        match event {
-            TransferEvent::Delivered(_circuit, msg) => self.on_transfer_delivered(now, msg),
-            TransferEvent::Acked { circuit, src, dest } => {
-                self.on_transfer_acked(now, q, circuit, src, dest);
-                self.recount(src);
-            }
-            TransferEvent::RetryEstablish { circuit, src, dest } => {
-                self.on_retry_establish(now, q, circuit, src, dest);
-            }
-        }
-    }
-
-    fn busy(&self) -> bool {
-        CircuitPlane::busy(self)
-    }
-
-    /// Purely event-driven: `tick` is empty, so only scheduled transfer
-    /// completions (the calendar) ever need this plane to run.
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -825,7 +783,7 @@ mod tests {
         let mut plane = CircuitPlane::new(topo, WaveConfig::default());
         let mut q = EventQueue::new();
         plane.send(0, Message::new(1, NodeId(0), NodeId(15), 16, 0), &mut q);
-        assert_eq!(plane.stats().cache_misses, 1);
+        assert_eq!(plane.log.stats.cache_misses, 1);
         let entry = plane.cache(NodeId(0)).get(NodeId(15)).expect("entry");
         assert_eq!(entry.state, EntryState::Establishing);
         assert_eq!(entry.queue.len(), 1);
@@ -849,7 +807,6 @@ mod tests {
         let circuit = plane.cache(NodeId(0)).get(NodeId(15)).unwrap().circuit;
         let lane = LaneId::new(wavesim_topology::LinkId(0), 1);
         plane.on_established(10, &mut q, circuit, NodeId(0), NodeId(15), 6, lane);
-        assert_eq!(plane.stats().setups_ok, 1);
         let entry = plane.cache(NodeId(0)).get(NodeId(15)).unwrap();
         assert_eq!(entry.state, EntryState::Ready);
         assert!(entry.in_use, "queued message starts streaming immediately");

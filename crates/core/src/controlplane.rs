@@ -13,9 +13,9 @@
 //! test that runs the plane standalone); every delay is at least one
 //! cycle, so same-cycle event cascades cannot occur.
 
-use wavesim_sim::{Cycle, EventQueue, Model};
+use wavesim_sim::{Cycle, EventQueue};
 use wavesim_topology::{NodeId, PortDir, PortSet, Topology};
-use wavesim_trace::{TraceBuf, TraceEvent};
+use wavesim_trace::TraceEvent;
 
 use crate::arena::{GenSlab, SlotMap};
 use crate::circuit::{CircuitState, CircuitStatus};
@@ -25,7 +25,7 @@ use crate::ids::{CircuitId, LaneId, ProbeId};
 use crate::lanes::{LaneState, LaneTable};
 use crate::pcs::PcsUnit;
 use crate::probe::{ProbeBufs, ProbeState};
-use crate::stats::WaveStats;
+use crate::stats::PlaneLog;
 
 /// Control-flit events walking the control channels.
 #[derive(Debug, Clone)]
@@ -56,10 +56,8 @@ pub struct ControlPlane {
     spare_bufs: Vec<ProbeBufs>,
     circuits: SlotMap<CircuitId, CircuitState>,
     max_probe_steps: u64,
-    stats: WaveStats,
+    pub(crate) log: PlaneLog,
     outbox: Vec<PlaneEvent>,
-    /// Intra-plane trace staging; the composition root arms and absorbs it.
-    pub(crate) trace: TraceBuf,
 }
 
 impl ControlPlane {
@@ -74,9 +72,8 @@ impl ControlPlane {
             spare_bufs: Vec::new(),
             circuits: SlotMap::new(),
             max_probe_steps: 0,
-            stats: WaveStats::default(),
+            log: PlaneLog::default(),
             outbox: Vec::new(),
-            trace: TraceBuf::new(),
             topo,
             cfg,
         }
@@ -120,38 +117,15 @@ impl ControlPlane {
         self.max_probe_steps
     }
 
-    /// This plane's statistics contribution.
-    #[must_use]
-    pub fn stats(&self) -> &WaveStats {
-        &self.stats
-    }
-
     /// True while probes are walking the control network.
     #[must_use]
     pub fn busy(&self) -> bool {
         !self.probes.is_empty()
     }
 
-    /// Marks `lane` faulty (static fault injection, E8). Fails — naming
-    /// the holding circuit — when the lane is reserved; static plans are
-    /// applied before traffic, so a reservation means the caller's
-    /// sequencing is wrong and the dynamic path ([`Self::on_lane_fault`])
-    /// must be used instead.
-    pub fn fault_lane(&mut self, lane: LaneId) -> Result<(), String> {
-        match self.lanes.set_faulty(lane) {
-            Ok(()) => {
-                self.stats.lane_faults += 1;
-                Ok(())
-            }
-            Err(holder) => Err(format!(
-                "cannot statically fault lane {lane}: reserved by circuit {holder} \
-                 (use a dynamic fault event for teardown-then-fault)"
-            )),
-        }
-    }
-
-    /// Dynamic fault event: marks `lane` faulty *now*, tearing down the
-    /// victim circuit if the lane was reserved (teardown-then-fault).
+    /// Fault event: marks `lane` faulty *now*, tearing down the victim
+    /// circuit if the lane was reserved (teardown-then-fault). A static
+    /// fault is one at cycle 0, when no lane is reserved yet.
     ///
     /// * Parked waiters are drained and retried; they re-scan, see the
     ///   lane `Faulty`, and route around it (counting a fault encounter).
@@ -172,8 +146,7 @@ impl ControlPlane {
             return; // already faulty: idempotent
         }
         let (victim, waiters) = self.lanes.force_faulty(lane);
-        self.stats.lane_faults += 1;
-        self.trace.emit(
+        self.log.note(
             now,
             TraceEvent::LaneFault {
                 link: lane.link.0,
@@ -197,7 +170,6 @@ impl ControlPlane {
             CircuitStatus::Ready => {
                 c.status = CircuitStatus::TearingDown;
                 q.schedule(now + 1, CtrlEvent::TeardownAt(victim, src));
-                self.stats.circuits_broken += 1;
                 self.outbox.push(PlaneEvent::CircuitBroken {
                     circuit: victim,
                     src,
@@ -223,7 +195,6 @@ impl ControlPlane {
                         q.schedule(now + 1, CtrlEvent::TeardownAt(victim, src));
                     }
                 }
-                self.stats.circuits_broken += 1;
                 self.outbox.push(PlaneEvent::CircuitBroken {
                     circuit: victim,
                     src,
@@ -233,12 +204,11 @@ impl ControlPlane {
         }
     }
 
-    /// Dynamic repair event: returns a faulty lane to service. Repairing
+    /// Repair event: returns a faulty lane to service. Repairing
     /// a lane that is not faulty is a tolerant no-op.
     pub fn on_lane_repair(&mut self, now: Cycle, lane: LaneId) {
         if self.lanes.repair(lane) {
-            self.stats.lane_repairs += 1;
-            self.trace.emit(
+            self.log.note(
                 now,
                 TraceEvent::LaneRepair {
                     link: lane.link.0,
@@ -275,7 +245,6 @@ impl ControlPlane {
         let pid = self
             .probes
             .insert_with(|pid| ProbeState::new(pid, circuit, topo, src, dest, switch, force, bufs));
-        self.stats.probes_sent += 1;
         let c = self
             .circuits
             .get_or_insert_with(circuit, || CircuitState::new(circuit, src, dest, switch));
@@ -390,7 +359,7 @@ impl ControlPlane {
                     return;
                 }
                 LaneState::Faulty => {
-                    self.stats.probe_fault_encounters += 1;
+                    self.log.stats.probe_fault_encounters += 1;
                 }
                 LaneState::Reserved(_) => {}
             }
@@ -408,7 +377,7 @@ impl ControlPlane {
                     return;
                 }
                 LaneState::Faulty => {
-                    self.stats.probe_fault_encounters += 1;
+                    self.log.stats.probe_fault_encounters += 1;
                 }
                 LaneState::Reserved(_) => {}
             }
@@ -434,7 +403,7 @@ impl ControlPlane {
                 // Park the probe on the lane; it resumes when freed.
                 self.lanes.park(lane, p.id);
                 p.parked_on = Some(lane);
-                self.trace.emit(
+                self.log.note(
                     now,
                     TraceEvent::ProbePark {
                         circuit: p.circuit.0,
@@ -447,14 +416,14 @@ impl ControlPlane {
                 if vsrc == node {
                     // Victim starts here: ask the local Circuit Cache to
                     // release it.
-                    self.stats.forced_local_releases += 1;
+                    self.log.stats.forced_local_releases += 1;
                     self.outbox.push(PlaneEvent::VictimRelease {
                         circuit: victim,
                         src: vsrc,
                     });
                 } else {
                     // Victim crosses here: ask its source to release it.
-                    self.stats.forced_remote_releases += 1;
+                    self.log.stats.forced_remote_releases += 1;
                     let hops_back = self.hops_from_source(victim, node);
                     let delay = hops_back * u64::from(self.cfg.ctrl_hop_delay);
                     q.schedule(now + delay.max(1), CtrlEvent::ReleaseReqAt(victim));
@@ -497,7 +466,6 @@ impl ControlPlane {
         self.lanes.reserve(lane, p.circuit);
         if misroute {
             p.flit.misroute += 1;
-            self.stats.probe_misroutes += 1;
         }
         // PCS bookkeeping at the current node: out mapping.
         let unit = &mut self.pcs[p.at.0 as usize];
@@ -513,8 +481,7 @@ impl ControlPlane {
         p.enter(next);
         p.at = next;
         p.hops += 1;
-        self.stats.probe_hops += 1;
-        self.trace.emit(
+        self.log.note(
             now,
             TraceEvent::ProbeHop {
                 circuit: p.circuit.0,
@@ -547,7 +514,6 @@ impl ControlPlane {
         if p.at == p.src {
             // Search space for this switch exhausted; the probe id retires.
             self.pcs[p.src.0 as usize].clear(p.circuit);
-            self.stats.probes_exhausted += 1;
             self.circuits
                 .get_mut(p.circuit)
                 .expect("live probe has a live circuit")
@@ -573,9 +539,7 @@ impl ControlPlane {
         p.at = prev;
         p.hops += 1;
         p.backtracks += 1;
-        self.stats.probe_hops += 1;
-        self.stats.probe_backtracks += 1;
-        self.trace.emit(
+        self.log.note(
             now,
             TraceEvent::ProbeBacktrack {
                 circuit: p.circuit.0,
@@ -607,7 +571,6 @@ impl ControlPlane {
         }
         // The registry entry goes, and the probe it recorded with it.
         self.circuits.remove(&p.circuit);
-        self.stats.teardowns += 1;
         self.outbox
             .push(PlaneEvent::CircuitReleased { circuit: p.circuit });
         self.retire_probe(p);
@@ -624,8 +587,7 @@ impl ControlPlane {
     fn complete_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, mut p: ProbeState) {
         debug_assert_eq!(p.at, p.dest);
         debug_assert!(!p.path.is_empty(), "src != dest implies a real path");
-        self.stats.probes_reached += 1;
-        self.trace.emit(
+        self.log.note(
             now,
             TraceEvent::ProbeReached {
                 circuit: p.circuit.0,
@@ -702,20 +664,18 @@ impl ControlPlane {
     }
 
     fn on_release_request(&mut self, circuit: CircuitId) {
-        let Some(c) = self.circuits.get(circuit) else {
-            // Circuit released while the request was in flight: "the
-            // control flit is discarded at some intermediate node" (§4).
-            self.stats.release_requests_discarded += 1;
-            return;
-        };
-        if c.status != CircuitStatus::Ready {
-            self.stats.release_requests_discarded += 1;
-            return;
+        match self.circuits.get(circuit) {
+            Some(c) if c.status == CircuitStatus::Ready => {
+                self.outbox.push(PlaneEvent::VictimRelease {
+                    circuit,
+                    src: c.src,
+                });
+            }
+            // Circuit released (or releasing) while the request was in
+            // flight: "the control flit is discarded at some intermediate
+            // node" (§4).
+            _ => self.log.stats.release_requests_discarded += 1,
         }
-        self.outbox.push(PlaneEvent::VictimRelease {
-            circuit,
-            src: c.src,
-        });
     }
 
     fn on_teardown(
@@ -743,22 +703,14 @@ impl ControlPlane {
             None => {
                 // Destination reached: the circuit is fully released.
                 self.circuits.remove(&circuit);
-                self.stats.teardowns += 1;
                 self.outbox.push(PlaneEvent::CircuitReleased { circuit });
             }
         }
     }
-}
 
-/// The controlplane is event-driven: all work happens in `handle`, and it
-/// is "busy" exactly while probes hold reservations that a quiescence
-/// check must wait out.
-impl Model for ControlPlane {
-    type Event = CtrlEvent;
-
-    fn tick(&mut self, _now: Cycle, _queue: &mut EventQueue<CtrlEvent>) {}
-
-    fn handle(&mut self, now: Cycle, event: CtrlEvent, q: &mut EventQueue<CtrlEvent>) {
+    /// Handles one due control-flit event. The plane is purely
+    /// event-driven: all its work happens here, on the calendar `q`.
+    pub fn handle(&mut self, now: Cycle, event: CtrlEvent, q: &mut EventQueue<CtrlEvent>) {
         match event {
             CtrlEvent::ProbeAt(pid) | CtrlEvent::RetryProbe(pid) => self.process_probe(now, q, pid),
             CtrlEvent::AckHopAt(cid, hop) => self.on_ack_hop(now, q, cid, hop),
@@ -767,17 +719,6 @@ impl Model for ControlPlane {
         }
         #[cfg(test)]
         self.assert_step_oracle();
-    }
-
-    fn busy(&self) -> bool {
-        ControlPlane::busy(self)
-    }
-
-    /// Purely event-driven: `tick` is empty, so the calendar alone decides
-    /// when this plane next runs. A probe parked with no event in flight
-    /// is genuinely stuck — a standalone driver may stop rather than spin.
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
     }
 }
 
@@ -897,17 +838,15 @@ mod tests {
                 }
             }
         };
-        // A statically faulty first hop makes probe 1 search, so it
+        // A first hop failed at cycle 0 makes probe 1 search, so it
         // retires with searched and (cleared) on-path bits behind it.
         let blocked = topo.link_id(NodeId(0), PortDir::from_index(0));
-        plane
-            .fault_lane(LaneId::new(blocked, 1))
-            .expect("free lane");
+        plane.on_lane_fault(0, &mut queue, LaneId::new(blocked, 1));
         plane.on_launch_probe(0, &mut queue, CircuitId(0), NodeId(0), NodeId(3), 1, false);
         assert!(plane.spare_bufs.is_empty(), "nothing retired yet");
         run(&mut plane, &mut queue);
-        assert_eq!(plane.stats().probes_reached, 1);
-        assert!(plane.stats().probe_misroutes > 0);
+        assert_eq!(plane.log.stats.probes_reached, 1);
+        assert!(plane.log.stats.probe_misroutes > 0);
         assert_eq!(plane.spare_bufs.len(), 1, "probe 1 left its buffers");
 
         plane.on_launch_probe(
@@ -956,6 +895,6 @@ mod tests {
         }
         assert!(established);
         assert!(!plane.busy());
-        assert_eq!(plane.stats().probes_reached, 1);
+        assert_eq!(plane.log.stats.probes_reached, 1);
     }
 }

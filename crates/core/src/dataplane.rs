@@ -10,23 +10,22 @@ use wavesim_network::message::DeliveryMode;
 use wavesim_network::{Message, WormholeConfig, WormholeFabric};
 use wavesim_sim::Cycle;
 use wavesim_topology::Topology;
-use wavesim_trace::{TraceBuf, TraceEvent};
+use wavesim_trace::TraceEvent;
 
 use crate::events::PlaneEvent;
-use crate::stats::WaveStats;
+use crate::stats::PlaneLog;
 
 /// The wormhole plane of the wave router.
 pub struct DataPlane {
     fabric: WormholeFabric,
-    stats: WaveStats,
     outbox: Vec<PlaneEvent>,
     /// Reusable delivery buffer ping-ponged through the fabric's
     /// [`WormholeFabric::drain_deliveries_into`] so the per-cycle
     /// collection path stays allocation-free.
     scratch: Vec<wavesim_network::Delivery>,
-    /// Staging buffer for delivery trace events, absorbed by the
-    /// composition root like the other planes' buffers.
-    pub(crate) trace: TraceBuf,
+    /// Delivery counts and their staged trace records, absorbed by the
+    /// composition root like the other planes'.
+    pub(crate) log: PlaneLog,
 }
 
 impl DataPlane {
@@ -35,10 +34,9 @@ impl DataPlane {
     pub fn new(topo: Topology, cfg: WormholeConfig) -> Self {
         Self {
             fabric: WormholeFabric::new(topo, cfg),
-            stats: WaveStats::default(),
             outbox: Vec::new(),
             scratch: Vec::new(),
-            trace: TraceBuf::new(),
+            log: PlaneLog::default(),
         }
     }
 
@@ -47,28 +45,23 @@ impl DataPlane {
         self.fabric.inject(msg);
     }
 
-    /// Advances the fabric one cycle and stages completed deliveries on
-    /// the outbox (and, when traced, the delivery trace events on the
-    /// staging buffer).
+    /// Advances the fabric one cycle, notes each completed delivery and
+    /// stages it on the outbox.
     pub fn step(&mut self, now: Cycle) {
         self.fabric.tick(now);
         let mut buf = std::mem::take(&mut self.scratch);
         self.fabric.drain_deliveries_into(&mut buf);
-        let traced = self.trace.armed();
         for &d in &buf {
             debug_assert_eq!(d.mode, DeliveryMode::Wormhole);
-            self.stats.msgs_wormhole += 1;
-            if traced {
-                self.trace.emit(
-                    now,
-                    TraceEvent::WormholeDeliver {
-                        msg: d.msg.id.0,
-                        src: d.msg.src.0,
-                        dest: d.msg.dest.0,
-                        latency: d.latency(),
-                    },
-                );
-            }
+            self.log.note(
+                now,
+                TraceEvent::WormholeDeliver {
+                    msg: d.msg.id.0,
+                    src: d.msg.src.0,
+                    dest: d.msg.dest.0,
+                    latency: d.latency(),
+                },
+            );
             self.outbox.push(PlaneEvent::WormholeDelivered(d));
         }
         self.scratch = buf;
@@ -83,12 +76,6 @@ impl DataPlane {
     #[must_use]
     pub fn fabric(&self) -> &WormholeFabric {
         &self.fabric
-    }
-
-    /// This plane's statistics contribution.
-    #[must_use]
-    pub fn stats(&self) -> &WaveStats {
-        &self.stats
     }
 
     /// True while flits are in flight.
@@ -118,6 +105,6 @@ mod tests {
         let mut bus = crate::events::EventBus::new();
         plane.drain_outbox_into(&mut bus);
         assert!(matches!(bus.pop(), Some(PlaneEvent::WormholeDelivered(_))));
-        assert_eq!(plane.stats().msgs_wormhole, 1);
+        assert_eq!(plane.log.stats.msgs_wormhole, 1);
     }
 }

@@ -17,13 +17,13 @@
 //!
 //! Lanes can also be marked **faulty** — the fault-injection hook for the
 //! E8 (static) and E14 (dynamic) experiments (the paper notes MB-m "is
-//! very resilient to static faults in the network"). Static injection
-//! ([`LaneTable::set_faulty`]) refuses to fault a reserved lane and
-//! reports the holder; dynamic injection ([`LaneTable::force_faulty`])
-//! evicts the holder so the control plane can tear the victim circuit
-//! down, and [`LaneTable::repair`] returns a faulty lane to service.
+//! very resilient to static faults in the network"). Both go through
+//! [`LaneTable::force_faulty`], which evicts a holder so the control plane
+//! can tear the victim circuit down (a static fault lands at cycle 0,
+//! before anything is reserved), and [`LaneTable::repair`] returns a
+//! faulty lane to service.
 
-use wavesim_topology::{LinkId, Topology};
+use wavesim_topology::Topology;
 
 use crate::ids::{CircuitId, LaneId, ProbeId};
 
@@ -34,7 +34,7 @@ pub enum LaneState {
     Free,
     /// Reserved by (or part of) the given circuit.
     Reserved(CircuitId),
-    /// Statically faulty: never reservable (E8 fault injection).
+    /// Faulty: never reservable until repaired (fault injection).
     Faulty,
 }
 
@@ -200,23 +200,7 @@ impl LaneTable {
         self.waiters[i].retain(|&p| p != probe);
     }
 
-    /// Marks `lane` faulty (static fault model: legal only before the lane
-    /// is reserved). Faulting an already-faulty lane is an idempotent
-    /// no-op. Returns the holding circuit as the error when the lane is
-    /// reserved — the dynamic model must use [`LaneTable::force_faulty`]
-    /// (teardown-then-fault) instead.
-    pub fn set_faulty(&mut self, lane: LaneId) -> Result<(), CircuitId> {
-        let i = self.idx(lane);
-        match unpack(self.states[i]) {
-            LaneState::Reserved(holder) => Err(holder),
-            LaneState::Free | LaneState::Faulty => {
-                self.transition(i, FAULTY);
-                Ok(())
-            }
-        }
-    }
-
-    /// Marks `lane` faulty regardless of occupancy (dynamic fault model).
+    /// Marks `lane` faulty regardless of occupancy.
     /// Returns the evicted holder (if the lane was reserved) and the
     /// probes that were parked waiting for it, so the caller can tear the
     /// victim circuit down and retry the waiters (which will re-scan, see
@@ -268,16 +252,6 @@ impl LaneTable {
         } else {
             Vec::new()
         }
-    }
-
-    /// Marks every lane of `link` (all switches) faulty — a whole-link
-    /// fault. Fails on the first reserved lane (static fault model),
-    /// returning its holder; lanes before it stay faulted.
-    pub fn set_link_faulty(&mut self, link: LinkId) -> Result<(), CircuitId> {
-        for s in 1..=self.k {
-            self.set_faulty(LaneId::new(link, s))?;
-        }
-        Ok(())
     }
 
     /// Number of lanes in each state: `(free, reserved, faulty)`.
@@ -351,34 +325,14 @@ mod tests {
         let (t, mut lt) = table();
         let link = t.links().next().unwrap();
         let lane = LaneId::new(link, 2);
-        lt.set_faulty(lane).unwrap();
+        lt.force_faulty(lane);
         assert!(!lt.is_free(lane));
         assert_eq!(lt.state(lane), LaneState::Faulty);
         let (_, _, faulty) = lt.census();
         assert_eq!(faulty, 1);
         // Idempotent.
-        lt.set_faulty(lane).unwrap();
+        lt.force_faulty(lane);
         assert_eq!(lt.census().2, 1);
-    }
-
-    #[test]
-    fn whole_link_fault_covers_all_switches() {
-        let (t, mut lt) = table();
-        let link = t.links().next().unwrap();
-        lt.set_link_faulty(link).unwrap();
-        assert!(!lt.is_free(LaneId::new(link, 1)));
-        assert!(!lt.is_free(LaneId::new(link, 2)));
-    }
-
-    #[test]
-    fn static_fault_on_reserved_lane_names_holder() {
-        let (t, mut lt) = table();
-        let lane = LaneId::new(t.links().next().unwrap(), 1);
-        lt.reserve(lane, CircuitId(7));
-        assert_eq!(lt.set_faulty(lane), Err(CircuitId(7)));
-        // The reservation survives the rejected fault.
-        assert_eq!(lt.holder(lane), Some(CircuitId(7)));
-        assert_eq!(lt.set_link_faulty(lane.link), Err(CircuitId(7)));
     }
 
     #[test]
@@ -430,7 +384,7 @@ mod tests {
     fn repair_restores_only_faulty_lanes() {
         let (t, mut lt) = table();
         let lane = LaneId::new(t.links().next().unwrap(), 1);
-        lt.set_faulty(lane).unwrap();
+        lt.force_faulty(lane);
         assert!(lt.repair(lane));
         assert!(lt.is_free(lane));
         // Free and reserved lanes are untouched by repair.
@@ -481,7 +435,7 @@ mod tests {
         assert_eq!(lt.census(), (total - 1, 1, 0));
         // The incremental counters track every kind of transition.
         let lane2 = LaneId::new(t.links().next().unwrap(), 2);
-        lt.set_faulty(lane2).unwrap();
+        lt.force_faulty(lane2);
         assert_eq!(lt.census(), (total - 2, 1, 1));
         let _ = lt.release(lane, CircuitId(1));
         assert!(lt.repair(lane2));

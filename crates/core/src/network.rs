@@ -14,8 +14,8 @@
 //! [`EventBus`] as a [`PlaneEvent`], routed here to a fixpoint within the
 //! cycle it was emitted (see [`crate::events`] for why that loop
 //! terminates). Time-delayed work sits on two per-plane
-//! [`EventQueue`]s owned by this root, so each plane stays a pure
-//! [`wavesim_sim::Model`] that can also run standalone.
+//! [`EventQueue`]s owned by this root, so the control and circuit planes
+//! can also run standalone on a calendar of their own.
 //!
 //! ### CLRP (§3.1), as implemented
 //!
@@ -63,7 +63,7 @@
 //!   only exists at the source).
 
 use wavesim_network::{Delivery, Message, WormholeFabric};
-use wavesim_sim::{Cycle, CycleKernelStats, EventQueue, Model};
+use wavesim_sim::{Cycle, CycleKernelStats, EventQueue};
 use wavesim_topology::{NodeId, Topology};
 use wavesim_trace::{PlaneId as TracePlane, TraceEvent, TraceHub, TraceSink};
 
@@ -135,7 +135,9 @@ pub struct WaveNetwork {
     fault_queue: EventQueue<FaultEvent>,
     bus: EventBus,
     deliveries: Vec<Delivery>,
-    msgs_sent: u64,
+    /// The facts this root sees itself: submissions, and every bus event
+    /// with a trace projection.
+    stats: WaveStats,
     outstanding_msgs: u64,
     kernel: CycleKernelStats,
     trace: TraceHub,
@@ -231,7 +233,7 @@ impl WaveNetwork {
             fault_queue: EventQueue::new(),
             bus: EventBus::new(),
             deliveries: Vec::new(),
-            msgs_sent: 0,
+            stats: WaveStats::default(),
             outstanding_msgs: 0,
             kernel: CycleKernelStats::default(),
             trace: TraceHub::new(),
@@ -249,16 +251,16 @@ impl WaveNetwork {
     /// from now on, stamped with a single global sequence order.
     pub fn install_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace.install(sink);
-        self.data.trace.arm();
-        self.ctrl.trace.arm();
-        self.circ.trace.arm();
+        self.data.log.trace.arm();
+        self.ctrl.log.trace.arm();
+        self.circ.log.trace.arm();
     }
 
     /// Disarms every emit point and returns the installed sink, if any.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.data.trace.disarm();
-        self.ctrl.trace.disarm();
-        self.circ.trace.disarm();
+        self.data.log.trace.disarm();
+        self.ctrl.log.trace.disarm();
+        self.circ.log.trace.disarm();
         self.trace.take()
     }
 
@@ -317,17 +319,14 @@ impl WaveNetwork {
         &self.cfg
     }
 
-    /// Protocol statistics: the field-wise sum of the three planes'
-    /// contributions plus this root's submission counter.
+    /// Protocol statistics: the field-wise sum of this root's counters
+    /// and the three planes' contributions.
     #[must_use]
     pub fn stats(&self) -> WaveStats {
-        let mut s = WaveStats {
-            msgs_sent: self.msgs_sent,
-            ..WaveStats::default()
-        };
-        s.absorb(self.data.stats());
-        s.absorb(self.ctrl.stats());
-        s.absorb(self.circ.stats());
+        let mut s = self.stats;
+        s.absorb(&self.data.log.stats);
+        s.absorb(&self.ctrl.log.stats);
+        s.absorb(&self.circ.log.stats);
         s
     }
 
@@ -432,24 +431,15 @@ impl WaveNetwork {
         Ok(())
     }
 
-    /// Marks the `switch`-lane of `link` faulty (static fault injection,
-    /// E8). Only the wave plane faults; see DESIGN.md. Fails when the lane
-    /// does not exist under this topology/`k` (a fault plan built for a
-    /// different network) or is currently reserved (static plans must be
-    /// applied before traffic; use [`WaveNetwork::schedule_fault`] for
-    /// mid-run teardown-then-fault semantics).
-    pub fn inject_lane_fault(&mut self, lane: LaneId) -> Result<(), String> {
-        self.validate_lane(lane)?;
-        self.ctrl.fault_lane(lane)
-    }
-
-    /// Schedules a dynamic fault action for cycle `at`: applied at the
-    /// start of [`WaveNetwork::tick`]`(at)`, before any control or
-    /// transfer event of that cycle. Validates the lane against the
-    /// topology and `k` up front. Pending fault events do not keep the
-    /// network [`WaveNetwork::busy`] — a drained network with only future
-    /// repairs outstanding is done — but [`WaveNetwork::next_activity`]
-    /// honours them so the idle fast-forward cannot skip a fault.
+    /// Schedules a fault action for cycle `at`: applied at the start of
+    /// [`WaveNetwork::tick`]`(at)`, before any control or transfer event
+    /// of that cycle. A static fault is one scheduled at cycle 0, which
+    /// lands before any probe can reserve a lane. Only the wave plane
+    /// faults; see DESIGN.md. Validates the lane against the topology and
+    /// `k` up front. Pending fault events do not keep the network
+    /// [`WaveNetwork::busy`] — a drained network with only future repairs
+    /// outstanding is done — but [`WaveNetwork::next_activity`] honours
+    /// them so the idle fast-forward cannot skip a fault.
     pub fn schedule_fault(&mut self, at: Cycle, ev: FaultEvent) -> Result<(), String> {
         self.validate_lane(ev.lane())?;
         self.fault_queue.schedule(at, ev);
@@ -603,16 +593,16 @@ impl WaveNetwork {
             // Dataplane first: its events (deliveries of the tick that
             // just stepped) precede anything the control or circuit
             // planes staged in response.
-            self.trace.absorb(&mut self.data.trace);
-            self.trace.absorb(&mut self.ctrl.trace);
-            self.trace.absorb(&mut self.circ.trace);
+            self.trace.absorb(&mut self.data.log.trace);
+            self.trace.absorb(&mut self.ctrl.log.trace);
+            self.trace.absorb(&mut self.circ.log.trace);
         }
         while let Some(ev) = self.bus.pop() {
             self.kernel.events_routed += 1;
-            if traced {
-                if let Some(t) = trace_event_of(&ev) {
-                    self.trace.emit(now, t);
-                }
+            // A bus fact is counted where it is traced: here, armed or not.
+            if let Some(t) = trace_event_of(&ev) {
+                self.stats.count(&t);
+                self.trace.emit(now, t);
             }
             match ev {
                 PlaneEvent::WormholeDelivered(d) | PlaneEvent::CircuitDelivered(d) => {
@@ -683,8 +673,8 @@ impl WaveNetwork {
             self.ctrl.drain_outbox_into(&mut self.bus);
             self.circ.drain_outbox_into(&mut self.bus);
             if traced {
-                self.trace.absorb(&mut self.ctrl.trace);
-                self.trace.absorb(&mut self.circ.trace);
+                self.trace.absorb(&mut self.ctrl.log.trace);
+                self.trace.absorb(&mut self.circ.log.trace);
             }
         }
     }
@@ -695,7 +685,7 @@ impl WaveNetwork {
 
     /// Submits a message; the configured protocol decides its transport.
     pub fn send(&mut self, now: Cycle, msg: Message) {
-        self.msgs_sent += 1;
+        self.stats.msgs_sent += 1;
         self.outstanding_msgs += 1;
         self.circ.send(now, msg, &mut self.xfer_queue);
         self.circ.drain_outbox_into(&mut self.bus);
@@ -862,9 +852,9 @@ mod tests {
             net.tick(now);
             now += 1;
         }
-        assert_eq!(net.ctrl.trace.staged_len(), 0);
-        assert_eq!(net.circ.trace.staged_len(), 0);
-        assert_eq!(net.data.trace.staged_len(), 0);
+        assert_eq!(net.ctrl.log.trace.staged_len(), 0);
+        assert_eq!(net.circ.log.trace.staged_len(), 0);
+        assert_eq!(net.data.log.trace.staged_len(), 0);
         assert!(net.take_trace_sink().is_none());
     }
 

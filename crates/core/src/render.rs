@@ -116,6 +116,7 @@ pub fn render_lane_map(net: &WaveNetwork, switch: u8) -> String {
 mod tests {
     use super::*;
     use crate::config::WaveConfig;
+    use crate::network::FaultEvent;
     use wavesim_network::Message;
     use wavesim_topology::{NodeId, Topology};
 
@@ -162,8 +163,9 @@ mod tests {
     fn lane_map_marks_faults() {
         let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
         let link = net.topology().links().next().unwrap();
-        net.inject_lane_fault(LaneId::new(link, 1))
+        net.schedule_fault(0, FaultEvent::Fail(LaneId::new(link, 1)))
             .expect("fault a known-good lane");
+        net.tick(0);
         let s = body(&render_lane_map(&net, 1));
         assert_eq!(s.matches('x').count(), 1, "{s}");
         let s2 = body(&render_lane_map(&net, 2));

@@ -1,34 +1,43 @@
-//! Protocol-level statistics for wave-switched networks.
+//! Protocol-level statistics for wave-switched networks, and the one call
+//! a plane records a fact with.
+//!
+//! A row with a `TraceEvent` pattern counts that event and nothing else:
+//! the generated [`WaveStats::count`] is its only increment, so a counter
+//! and a capture of the same run cannot disagree. The other rows have no
+//! twin event and are bumped by hand where their fact happens.
+
+use wavesim_sim::Cycle;
+use wavesim_trace::{TraceBuf, TraceEvent};
 
 wavesim_sim::stat_table! {
     /// Counters accumulated by [`crate::network::WaveNetwork`] over a run.
     #[derive(Debug, Clone, Copy, Default)]
-    pub struct WaveStats {
+    pub struct WaveStats counts TraceEvent {
         /// Messages submitted through the protocol layer.
         msgs_sent: Counter,
         /// Messages delivered over pre-established circuits.
-        msgs_circuit: Counter,
+        msgs_circuit: Counter = TraceEvent::CircuitDeliver { .. },
         /// Messages delivered through wormhole switching.
-        msgs_wormhole: Counter,
+        msgs_wormhole: Counter = TraceEvent::WormholeDeliver { .. },
         /// Circuit-cache hits (send found a Ready circuit).
-        cache_hits: Counter,
+        cache_hits: Counter = TraceEvent::CacheHit { .. },
         /// Circuit-cache misses that triggered an establishment.
-        cache_misses: Counter,
+        cache_misses: Counter = TraceEvent::CacheMiss { .. },
         /// Source-side evictions performed to make cache room.
-        cache_evictions: Counter,
+        cache_evictions: Counter = TraceEvent::CacheEvict { .. },
 
         /// Probes launched (one per switch attempt).
-        probes_sent: Counter,
+        probes_sent: Counter = TraceEvent::ProbeLaunch { .. },
         /// Total probe hops (forward + backward).
-        probe_hops: Counter,
+        probe_hops: Counter = TraceEvent::ProbeHop { .. } | TraceEvent::ProbeBacktrack { .. },
         /// Backtrack operations.
-        probe_backtracks: Counter,
+        probe_backtracks: Counter = TraceEvent::ProbeBacktrack { .. },
         /// Misroute operations.
-        probe_misroutes: Counter,
+        probe_misroutes: Counter = TraceEvent::ProbeHop { misroute: true, .. },
         /// Probes that reserved a full path.
-        probes_reached: Counter,
+        probes_reached: Counter = TraceEvent::ProbeReached { .. },
         /// Probes that exhausted their switch's search space.
-        probes_exhausted: Counter,
+        probes_exhausted: Counter = TraceEvent::ProbeExhausted { .. },
         /// Faulty-lane rejections seen by probes, counted per encounter.
         /// Every time any probe scans a lane and finds it `Faulty` this
         /// increments, so one probe bouncing off the same faulty lane across
@@ -37,9 +46,9 @@ wavesim_sim::stat_table! {
         probe_fault_encounters: Counter,
 
         /// Establishment attempts that eventually succeeded (any switch).
-        setups_ok: Counter,
+        setups_ok: Counter = TraceEvent::CircuitEstablished { .. },
         /// Establishment attempts that failed across every switch.
-        setups_failed: Counter,
+        setups_failed: Counter = TraceEvent::CircuitAbandoned { .. },
         /// Force-mode victim selections of circuits starting at the stuck node.
         forced_local_releases: Counter,
         /// Force-mode release requests sent to remote sources.
@@ -48,7 +57,7 @@ wavesim_sim::stat_table! {
         /// §4's discard rule: the circuit was already releasing or gone.
         release_requests_discarded: Counter,
         /// Circuits torn down (any reason).
-        teardowns: Counter,
+        teardowns: Counter = TraceEvent::CircuitReleased { .. },
 
         /// Messages that fell back to wormhole because establishment failed.
         /// This is CLRP's phase 3 and CARP's fallback.
@@ -59,14 +68,34 @@ wavesim_sim::stat_table! {
         buffer_reallocs: Counter,
 
         /// Lanes marked faulty (static injections plus dynamic fail events).
-        lane_faults: Counter,
+        lane_faults: Counter = TraceEvent::LaneFault { .. },
         /// Faulty lanes returned to service (dynamic repair events).
-        lane_repairs: Counter,
+        lane_repairs: Counter = TraceEvent::LaneRepair { .. },
         /// Circuits destroyed because a dynamic fault hit a reserved lane.
-        circuits_broken: Counter,
+        circuits_broken: Counter = TraceEvent::CircuitBroken { .. },
         /// Re-establishment attempts after a dynamic fault broke a circuit.
         /// A cache entry launches at most `WaveConfig::fault_retries` of them.
-        establish_retries: Counter,
+        establish_retries: Counter = TraceEvent::EstablishRetry { .. },
+    }
+}
+
+/// What a plane records about its own work: its counters, and the staged
+/// trace records of the same facts.
+#[derive(Debug, Default)]
+pub(crate) struct PlaneLog {
+    /// The plane's statistics contribution.
+    pub(crate) stats: WaveStats,
+    /// Intra-plane trace staging; the composition root arms and absorbs it.
+    pub(crate) trace: TraceBuf,
+}
+
+impl PlaneLog {
+    /// Records one fact: counts it always, and stages its trace record
+    /// only while tracing is armed. The only emit point in a plane.
+    #[inline]
+    pub(crate) fn note(&mut self, now: Cycle, ev: TraceEvent) {
+        self.stats.count(&ev);
+        self.trace.emit(now, ev);
     }
 }
 

@@ -5,7 +5,9 @@
 //! pre-split monolith and must keep working against the composition root.
 
 use wavesim_core::config::ClrpVariant;
-use wavesim_core::{EntryState, LaneId, ProbeState, ProtocolKind, WaveConfig, WaveNetwork};
+use wavesim_core::{
+    EntryState, FaultEvent, LaneId, ProbeState, ProtocolKind, WaveConfig, WaveNetwork,
+};
 use wavesim_network::message::DeliveryMode;
 use wavesim_network::{Message, WormholeConfig};
 use wavesim_sim::Cycle;
@@ -153,7 +155,7 @@ fn carp_failed_establishment_marks_entry_and_falls_back() {
     let topo = net.topology().clone();
     for link in topo.links() {
         for s in 1..=net.config().k {
-            net.inject_lane_fault(LaneId::new(link, s))
+            net.schedule_fault(0, FaultEvent::Fail(LaneId::new(link, s)))
                 .expect("fault plan matches topology");
         }
     }
@@ -181,7 +183,7 @@ fn clrp_falls_back_to_wormhole_when_wave_plane_dead() {
     let topo = net.topology().clone();
     for link in topo.links() {
         for s in 1..=net.config().k {
-            net.inject_lane_fault(LaneId::new(link, s))
+            net.schedule_fault(0, FaultEvent::Fail(LaneId::new(link, s)))
                 .expect("fault plan matches topology");
         }
     }
@@ -494,7 +496,7 @@ fn fault_encounters_count_per_encounter_not_per_lane() {
     let topo = net.topology().clone();
     let link = topo.links().next().expect("one link in a 2-node mesh");
     for s in 1..=2 {
-        net.inject_lane_fault(LaneId::new(link, s))
+        net.schedule_fault(0, FaultEvent::Fail(LaneId::new(link, s)))
             .expect("fault a known-good lane");
     }
     let src = NodeId(0);
@@ -529,8 +531,6 @@ fn fault_encounters_count_per_encounter_not_per_lane() {
 /// wormhole plane is unaffected by wave-lane faults).
 #[test]
 fn mid_run_fault_on_active_circuit_delivers_all_in_flight() {
-    use wavesim_core::FaultEvent;
-
     let mut net = mesh(&[6], cfg(ProtocolKind::Clrp));
     let topo = net.topology().clone();
     let src = NodeId(0);

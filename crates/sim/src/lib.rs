@@ -11,8 +11,6 @@
 //!
 //! * [`EventQueue`] — a time-ordered event calendar with FIFO tie-breaking,
 //!   the core of any DES kernel;
-//! * [`Model`] — the hybrid cycle/event contract: models that are "hot"
-//!   tick every cycle, idle models fast-forward to the next scheduled event;
 //! * [`SimRng`] — a seedable, splittable deterministic random source so that
 //!   every experiment is exactly reproducible from its seed;
 //! * [`stats`] — cycle-kernel work counters, histograms, Welford
@@ -25,14 +23,12 @@
 
 pub mod bitset;
 pub mod event;
-pub mod model;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use bitset::BitSet;
 pub use event::{EventQueue, ScheduledEvent};
-pub use model::Model;
 pub use rng::SimRng;
 pub use stats::CycleKernelStats;
 pub use time::Cycle;

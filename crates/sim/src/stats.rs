@@ -53,8 +53,42 @@ pub struct StatRow {
 /// `(name, help, kind, value)`. Metrics pages and status documents are
 /// that walk, so a new counter is one row here and one `+= 1` where the
 /// event happens.
+///
+/// A table whose struct line reads `pub struct Name counts Event` may end
+/// a row with `= pattern` over `Event`. Such a row is bumped by the
+/// generated `count(&mut self, ev: &Event)` once for every event the
+/// pattern matches, so the counter is the event and nothing else; the
+/// generated `COUNTED` lists those rows in declaration order.
 #[macro_export]
 macro_rules! stat_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident counts $ev:ty {
+            $( #[doc = $help:literal] $(#[doc = $more:literal])* $field:ident: $kind:ident $(= $pat:pat)?, )+
+        }
+    ) => {
+        $crate::stat_table! {
+            $(#[$meta])*
+            pub struct $name {
+                $( #[doc = $help] $(#[doc = $more])* $field: $kind, )+
+            }
+        }
+
+        impl $name {
+            /// The rows [`count`](Self::count) bumps, in declaration order.
+            pub const COUNTED: &'static [&'static str] =
+                &[$( $( $crate::stat_table!(@counted $field $pat), )? )+];
+
+            /// Bumps every row whose pattern matches `ev`.
+            #[inline]
+            pub fn count(&mut self, ev: &$ev) {
+                $( $( if matches!(ev, $pat) { self.$field += 1; } )? )+
+            }
+        }
+    };
+    (@counted $field:ident $pat:pat) => {
+        stringify!($field)
+    };
     (
         $(#[$meta:meta])*
         pub struct $name:ident {

@@ -1,102 +1,26 @@
-//! Fault models for the wave plane: static plans (E8) and timed dynamic
-//! schedules (E14).
+//! Fault models for the wave plane: one timed schedule of fail and
+//! repair events, applied with `WaveNetwork::schedule_fault`.
 //!
 //! The paper highlights that the MB-m probe protocol "is very resilient to
-//! static faults in the network" (§2, citing ref \[12\]). [`FaultPlan`]
-//! draws deterministic *static* fault sets — applied before traffic with
-//! `WaveNetwork::inject_lane_fault` — where each wave lane fails
-//! independently with a configured probability. [`FaultSchedule`] extends
-//! the model to *dynamic* faults: timed fail **and** repair events,
-//! applied mid-run with `WaveNetwork::schedule_fault`, where failing a
-//! reserved lane tears the victim circuit down and (CLRP) triggers a
-//! bounded re-establishment. Both are returned as `(link, switch)` pairs;
-//! neither depends on `wavesim-core`.
+//! static faults in the network" (§2, citing ref \[12\]). A *static* fault
+//! set (E7, E8) is a [`FaultSchedule`] whose failures all happen at cycle
+//! 0 ([`FaultSchedule::random_lanes`]), before any probe can reserve a
+//! lane; *dynamic* faults (E14) are timed fail **and** repair events
+//! mid-run, where failing a reserved lane tears the victim circuit down
+//! and (CLRP) triggers a bounded re-establishment. Events name
+//! `(link, switch)` lanes or whole links; nothing here depends on
+//! `wavesim-core`.
 //!
 //! Only the wave plane faults: the wormhole fallback uses deterministic
 //! routing that cannot route around faults, so (as in the paper, where
 //! fault tolerance is a property of PCS, not of the wormhole plane) the
 //! `S0` network is assumed fault-free. DESIGN.md records this scoping
-//! (§7 covers the dynamic model).
+//! (§7 covers the fault model).
 
 use wavesim_sim::{Cycle, SimRng};
 use wavesim_topology::{LinkId, Topology};
 
-/// A deterministic set of faulty wave lanes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// Faulty `(link, switch)` lanes; switch is 1-based.
-    pub lanes: Vec<(LinkId, u8)>,
-}
-
-impl FaultPlan {
-    /// No faults.
-    #[must_use]
-    pub fn none() -> Self {
-        Self { lanes: Vec::new() }
-    }
-
-    /// Each lane of each valid link fails independently with probability
-    /// `rate`, drawn deterministically from `seed`.
-    #[must_use]
-    pub fn random_lanes(topo: &Topology, k: u8, rate: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "fault rate is a probability");
-        let mut rng = SimRng::new(seed ^ 0xFA17_FA17);
-        let mut lanes = Vec::new();
-        for link in topo.links() {
-            for s in 1..=k {
-                if rng.chance(rate) {
-                    lanes.push((link, s));
-                }
-            }
-        }
-        Self { lanes }
-    }
-
-    /// Fails every lane (all switches) of `count` whole links — the
-    /// harsher broken-cable model. `count` is clamped to the number of
-    /// links the topology actually has; read the achieved count back with
-    /// [`FaultPlan::faulted_links`] (it used to be silently lower when
-    /// `count` overshot).
-    #[must_use]
-    pub fn random_links(topo: &Topology, k: u8, count: usize, seed: u64) -> Self {
-        let mut links: Vec<LinkId> = topo.links().collect();
-        let mut rng = SimRng::new(seed ^ 0xFA17_0000);
-        rng.shuffle(&mut links);
-        let count = count.min(links.len());
-        let mut lanes = Vec::new();
-        for link in links.into_iter().take(count) {
-            for s in 1..=k {
-                lanes.push((link, s));
-            }
-        }
-        Self { lanes }
-    }
-
-    /// Number of faulty lanes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// True when no lanes are faulty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Number of distinct links with at least one faulty lane — for
-    /// [`FaultPlan::random_links`], the number of whole links actually
-    /// faulted after clamping.
-    #[must_use]
-    pub fn faulted_links(&self) -> usize {
-        let mut links: Vec<LinkId> = self.lanes.iter().map(|&(l, _)| l).collect();
-        links.sort_unstable_by_key(|l| l.0);
-        links.dedup();
-        links.len()
-    }
-}
-
-/// One timed dynamic fault event. Lane variants hit a single
+/// One timed fault event. Lane variants hit a single
 /// `(link, switch)` wave lane; link variants hit every lane of the link
 /// (broken cable / cable replaced).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -111,8 +35,8 @@ pub enum FaultScheduleEvent {
     RepairLink(LinkId),
 }
 
-/// A deterministic timed schedule of dynamic fail/repair events, applied
-/// mid-run with `WaveNetwork::schedule_fault`. Events are kept sorted by
+/// A deterministic timed schedule of fail/repair events, applied with
+/// `WaveNetwork::schedule_fault`. Events are kept sorted by
 /// `(cycle, event)` so application order — and therefore the simulation —
 /// is a pure function of the schedule.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -122,10 +46,31 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// No dynamic faults.
+    /// No faults.
     #[must_use]
     pub fn none() -> Self {
         Self::default()
+    }
+
+    /// Static lane faults: each lane of each valid link fails at cycle 0
+    /// independently with probability `rate`, drawn deterministically from
+    /// `seed` (links in topology order, switches `1..=k` within a link).
+    ///
+    /// # Panics
+    /// Panics unless `rate` is a probability.
+    #[must_use]
+    pub fn random_lanes(topo: &Topology, k: u8, rate: f64, seed: u64) -> Self {
+        assert!((0.0..=1.0).contains(&rate), "fault rate is a probability");
+        let mut rng = SimRng::new(seed ^ 0xFA17_FA17);
+        let mut events = Vec::new();
+        for link in topo.links() {
+            for s in 1..=k {
+                if rng.chance(rate) {
+                    events.push((0, FaultScheduleEvent::FailLane(link, s)));
+                }
+            }
+        }
+        Self { events }
     }
 
     /// Number of scheduled events.
@@ -242,22 +187,24 @@ mod tests {
 
     #[test]
     fn zero_rate_is_empty() {
-        let p = FaultPlan::random_lanes(&topo(), 2, 0.0, 1);
+        let p = FaultSchedule::random_lanes(&topo(), 2, 0.0, 1);
         assert!(p.is_empty());
     }
 
     #[test]
     fn full_rate_faults_everything() {
         let t = topo();
-        let p = FaultPlan::random_lanes(&t, 2, 1.0, 1);
+        let p = FaultSchedule::random_lanes(&t, 2, 1.0, 1);
         assert_eq!(p.len(), t.links().count() * 2);
+        assert!(p.events.iter().all(|&(at, _)| at == 0), "static: cycle 0");
+        assert!(p.events.windows(2).all(|w| w[0] < w[1]), "kept sorted");
     }
 
     #[test]
     fn rate_is_approximated() {
         let t = topo();
         let total = t.links().count() * 2;
-        let p = FaultPlan::random_lanes(&t, 2, 0.1, 7);
+        let p = FaultSchedule::random_lanes(&t, 2, 0.1, 7);
         let frac = p.len() as f64 / total as f64;
         assert!(frac > 0.05 && frac < 0.16, "fault fraction {frac}");
     }
@@ -265,45 +212,18 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let t = topo();
-        let a = FaultPlan::random_lanes(&t, 2, 0.2, 3);
-        let b = FaultPlan::random_lanes(&t, 2, 0.2, 3);
-        let c = FaultPlan::random_lanes(&t, 2, 0.2, 4);
+        let a = FaultSchedule::random_lanes(&t, 2, 0.2, 3);
+        let b = FaultSchedule::random_lanes(&t, 2, 0.2, 3);
+        let c = FaultSchedule::random_lanes(&t, 2, 0.2, 4);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
 
     #[test]
-    fn link_faults_cover_all_switches() {
-        let t = topo();
-        let p = FaultPlan::random_links(&t, 3, 5, 2);
-        assert_eq!(p.len(), 15);
-        // Every faulted link appears exactly 3 times (once per switch).
-        let mut by_link = std::collections::HashMap::new();
-        for (l, _) in &p.lanes {
-            *by_link.entry(*l).or_insert(0) += 1;
-        }
-        assert_eq!(by_link.len(), 5);
-        assert!(by_link.values().all(|&c| c == 3));
-    }
-
-    #[test]
     fn only_valid_links_are_faulted() {
         let t = Topology::mesh(&[4, 4]); // mesh has boundary slots
-        let p = FaultPlan::random_lanes(&t, 1, 1.0, 1);
-        for (l, _) in &p.lanes {
-            assert!(t.has_link(*l));
-        }
-    }
-
-    #[test]
-    fn overshooting_link_count_clamps_and_reports() {
-        let t = topo();
-        let total = t.links().count();
-        let p = FaultPlan::random_links(&t, 2, total + 100, 3);
-        assert_eq!(p.faulted_links(), total, "clamped to every link");
-        assert_eq!(p.len(), total * 2);
-        let exact = FaultPlan::random_links(&t, 2, 7, 3);
-        assert_eq!(exact.faulted_links(), 7);
+        let p = FaultSchedule::random_lanes(&t, 1, 1.0, 1);
+        p.validate(&t, 1).expect("drawn from the topology");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   Protocol: timed `ESTABLISH` / `SEND` / `TEARDOWN` op streams shaped
 //!   like the phased communication of stencil and pairwise-exchange
 //!   kernels (the "compiler" of §3.2, modelled as a trace generator);
-//! * [`faults`] — static lane-fault plans for the E8 resilience
-//!   experiment and timed dynamic fail/repair schedules for E14;
+//! * [`faults`] — timed fail/repair schedules: cycle-0 lane faults for
+//!   the E7/E8 static experiments, mid-run churn for E14;
 //! * [`deptrace`] / [`collectives`] — dependency-aware message traces
 //!   (release gated on upstream deliveries) and the classic collectives
 //!   (all-to-all, reduce/broadcast trees, phased pattern sweeps) emitted
@@ -40,7 +40,7 @@ pub mod traffic;
 
 pub use carp::{CarpOp, CarpTrace, PairwiseSpec};
 pub use deptrace::{DepMessage, DepTrace};
-pub use faults::{FaultPlan, FaultSchedule, FaultScheduleEvent};
+pub use faults::{FaultSchedule, FaultScheduleEvent};
 pub use patterns::{pattern_pairs, TrafficPattern};
 pub use service::{ServiceConfig, ServiceEvent, ServiceWorkload};
 pub use traffic::{LengthDist, TrafficConfig, TrafficSource};

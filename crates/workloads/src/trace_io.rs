@@ -1,7 +1,8 @@
-//! Input persistence: save/load dependency traces, static fault plans and
-//! timed fault schedules as versioned JSON, so experiment inputs are
-//! shareable, versionable artifacts. Loading validates: a malformed or
-//! hostile file is an error naming what was wrong, never a panic.
+//! Input persistence: save/load dependency traces and timed fault
+//! schedules as versioned JSON, so experiment inputs are shareable,
+//! versionable artifacts. Loading validates: a malformed or hostile file
+//! is an error naming what was wrong, never a panic, and a number too wide
+//! for its field is refused rather than narrowed.
 
 use std::io::{Read, Write};
 
@@ -13,15 +14,20 @@ use wavesim_topology::NodeId;
 use wavesim_topology::LinkId;
 
 use crate::deptrace::{DepMessage, DepTrace};
-use crate::faults::{FaultPlan, FaultSchedule, FaultScheduleEvent};
+use crate::faults::{FaultSchedule, FaultScheduleEvent};
 
 const VERSION: u64 = 1;
 
+/// `v` as a `T`, or an error naming `what` and the value that does not fit.
+fn narrow<T: TryFrom<u64>>(what: &str, v: u64) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("{what} {v} is out of range"))
+}
+
 fn message_from_json(v: &Value) -> Result<Message, String> {
     let field = |k: &str| v[k].as_u64().ok_or_else(|| format!("message missing {k}"));
-    let src = field("src")? as u32;
-    let dest = field("dest")? as u32;
-    let len = field("len")? as u32;
+    let src: u32 = narrow("message src", field("src")?)?;
+    let dest: u32 = narrow("message dest", field("dest")?)?;
+    let len: u32 = narrow("message len", field("len")?)?;
     if len == 0 {
         return Err("message length must be >= 1".into());
     }
@@ -192,62 +198,6 @@ pub fn load_dep_trace<R: Read>(mut reader: R) -> Result<DepTrace, String> {
     DepTrace::new(messages)
 }
 
-/// Serializes a fault plan as pretty JSON
-/// (`{"version": 1, "lanes": [[link, switch], ...]}`).
-///
-/// # Errors
-/// Propagates I/O errors.
-pub fn save_fault_plan<W: Write>(plan: &FaultPlan, mut writer: W) -> std::io::Result<()> {
-    let lanes: Vec<Value> = plan
-        .lanes
-        .iter()
-        .map(|(l, s)| Value::Arr(vec![u64::from(l.0).into(), u64::from(*s).into()]))
-        .collect();
-    let file = Value::obj(vec![
-        ("version", VERSION.into()),
-        ("lanes", Value::Arr(lanes)),
-    ]);
-    writer.write_all(file.pretty().as_bytes())
-}
-
-/// Deserializes a fault plan saved by [`save_fault_plan`].
-///
-/// # Errors
-/// Fails on malformed JSON, an unknown version, or an invalid lane
-/// (switch indices are 1-based and must fit in a `u8`).
-pub fn load_fault_plan<R: Read>(mut reader: R) -> Result<FaultPlan, String> {
-    let mut text = String::new();
-    reader
-        .read_to_string(&mut text)
-        .map_err(|e| format!("read failed: {e}"))?;
-    let v = Value::parse(&text).map_err(|e| format!("malformed fault plan: {e}"))?;
-    let version = v["version"]
-        .as_u64()
-        .ok_or("malformed fault plan: no version")?;
-    if version != VERSION {
-        return Err(format!(
-            "unsupported fault plan version {version} (expected {VERSION})"
-        ));
-    }
-    let entries = v["lanes"]
-        .as_array()
-        .ok_or("fault plan lanes must be an array")?;
-    let mut lanes = Vec::with_capacity(entries.len());
-    for item in entries {
-        let pair = item
-            .as_array()
-            .filter(|p| p.len() == 2)
-            .ok_or("each lane must be a [link, switch] pair")?;
-        let link = pair[0].as_u64().ok_or("bad lane link")? as u32;
-        let switch = pair[1]
-            .as_u64()
-            .filter(|&s| (1..=u64::from(u8::MAX)).contains(&s))
-            .ok_or("lane switch must be in 1..=255")? as u8;
-        lanes.push((LinkId(link), switch));
-    }
-    Ok(FaultPlan { lanes })
-}
-
 fn schedule_event_to_json(ev: &FaultScheduleEvent) -> Value {
     let (op, link, switch) = match *ev {
         FaultScheduleEvent::FailLane(l, s) => ("fail", l, Some(s)),
@@ -263,13 +213,17 @@ fn schedule_event_to_json(ev: &FaultScheduleEvent) -> Value {
 }
 
 fn schedule_event_from_json(v: &Value) -> Result<FaultScheduleEvent, String> {
-    let link = LinkId(v["link"].as_u64().ok_or("fault event missing link")? as u32);
+    let link = LinkId(narrow(
+        "fault event link",
+        v["link"].as_u64().ok_or("fault event missing link")?,
+    )?);
     let switch = match &v["switch"] {
         Value::Null => None,
         s => Some(
             s.as_u64()
-                .filter(|&s| (1..=u64::from(u8::MAX)).contains(&s))
-                .ok_or("fault event switch must be in 1..=255")? as u8,
+                .and_then(|s| u8::try_from(s).ok())
+                .filter(|&s| s >= 1)
+                .ok_or("fault event switch must be in 1..=255")?,
         ),
     };
     match (v["op"].as_str(), switch) {
@@ -334,29 +288,10 @@ mod tests {
     use wavesim_topology::Topology;
 
     #[test]
-    fn fault_plan_roundtrip() {
-        let topo = Topology::mesh(&[8, 8]);
-        let plan = FaultPlan::random_lanes(&topo, 2, 0.2, 5);
-        assert!(!plan.is_empty());
-        let mut buf = Vec::new();
-        save_fault_plan(&plan, &mut buf).unwrap();
-        let loaded = load_fault_plan(buf.as_slice()).unwrap();
-        assert_eq!(loaded, plan);
-    }
-
-    #[test]
     fn saved_artifacts_are_byte_stable() {
         // save -> load -> save must be byte-identical for every artifact
         // kind, so saved files are canonical and diffable.
         let topo = Topology::mesh(&[4, 4]);
-
-        let plan = FaultPlan::random_lanes(&topo, 3, 0.3, 9);
-        let mut first = Vec::new();
-        save_fault_plan(&plan, &mut first).unwrap();
-        let mut second = Vec::new();
-        save_fault_plan(&load_fault_plan(first.as_slice()).unwrap(), &mut second).unwrap();
-        assert_eq!(first, second);
-
         let sched = FaultSchedule::random_mtbf(&topo, 800, 200, 5_000, 9);
         assert!(!sched.is_empty());
         let mut first = Vec::new();
@@ -398,6 +333,12 @@ mod tests {
         let zero_switch =
             r#"{"version": 1, "events": [[0, {"op": "fail", "link": 1, "switch": 0}]]}"#;
         assert!(load_fault_schedule(zero_switch.as_bytes()).is_err());
+        // Link 2^32 + 1 must be refused, not narrowed to link 1.
+        let wide_link =
+            r#"{"version": 1, "events": [[0, {"op": "fail", "link": 4294967297, "switch": 1}]]}"#;
+        assert!(load_fault_schedule(wide_link.as_bytes())
+            .unwrap_err()
+            .contains("link 4294967297"));
         let unsorted = concat!(
             r#"{"version": 1, "events": [[9, {"op": "fail", "link": 1}],"#,
             r#" [2, {"op": "repair", "link": 1}]]}"#
@@ -405,24 +346,6 @@ mod tests {
         assert!(load_fault_schedule(unsorted.as_bytes())
             .unwrap_err()
             .contains("sorted"));
-    }
-
-    #[test]
-    fn malformed_fault_plans_rejected_not_panicking() {
-        assert!(load_fault_plan(&b"not json"[..]).is_err());
-        assert!(load_fault_plan(&b"{}"[..]).is_err());
-        let bad_version = r#"{"version": 9, "lanes": []}"#;
-        assert!(load_fault_plan(bad_version.as_bytes())
-            .unwrap_err()
-            .contains("version"));
-        // Switch 0 would trip LaneId::new's 1-based assertion downstream;
-        // it must be a load error here instead.
-        let zero_switch = r#"{"version": 1, "lanes": [[3, 0]]}"#;
-        assert!(load_fault_plan(zero_switch.as_bytes()).is_err());
-        let wide_switch = r#"{"version": 1, "lanes": [[3, 300]]}"#;
-        assert!(load_fault_plan(wide_switch.as_bytes()).is_err());
-        let not_a_pair = r#"{"version": 1, "lanes": [[3]]}"#;
-        assert!(load_fault_plan(not_a_pair.as_bytes()).is_err());
     }
 
     fn diamond() -> DepTrace {
@@ -516,5 +439,10 @@ mod tests {
         let self_send =
             "{\"version\": 1}\n{\"id\":1,\"src\":3,\"dest\":3,\"len\":4,\"created\":0}\n";
         assert!(load_dep_trace(self_send.as_bytes()).is_err());
+        // Node 2^32 must be refused, not narrowed to node 0.
+        let wide_src = r#"{"version": 1, "messages": [{"id":1,"src":4294967296,"dest":1,"len":4,"created":0}]}"#;
+        assert!(load_dep_trace(wide_src.as_bytes())
+            .unwrap_err()
+            .contains("src 4294967296"));
     }
 }

@@ -1,6 +1,7 @@
 //! Fault tolerance of circuit establishment: the MB-m probe protocol
 //! backtracks and misroutes around statically faulty wave lanes (§2 of
-//! the paper: "this protocol is very resilient to static faults").
+//! the paper: "this protocol is very resilient to static faults"). A
+//! static fault is a fail event at cycle 0.
 //!
 //! Breaks a growing fraction of wave lanes and shows that (a) no message
 //! is ever lost — wormhole fallback covers unreachable circuits — and
@@ -10,10 +11,11 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use wavesim::core::{LaneId, ProtocolKind, WaveConfig, WaveNetwork};
+use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim::network::message::DeliveryMode;
 use wavesim::topology::Topology;
-use wavesim::workloads::{FaultPlan, LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
+use wavesim::workloads::{FaultSchedule, LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
+use wavesim_bench::apply_fault_schedule;
 
 fn run(fault_rate: f64) -> (usize, usize, usize, f64) {
     let topo = Topology::mesh(&[8, 8]);
@@ -23,11 +25,8 @@ fn run(fault_rate: f64) -> (usize, usize, usize, f64) {
         ..WaveConfig::default()
     };
     let mut net = WaveNetwork::new(topo.clone(), cfg);
-    let plan = FaultPlan::random_lanes(&topo, cfg.k, fault_rate, 1234);
-    for &(link, s) in &plan.lanes {
-        net.inject_lane_fault(LaneId::new(link, s))
-            .expect("fault plan matches topology");
-    }
+    let faults = FaultSchedule::random_lanes(&topo, cfg.k, fault_rate, 1234);
+    apply_fault_schedule(&mut net, &faults).expect("schedule matches topology");
 
     let mut src = TrafficSource::new(
         topo,
@@ -68,7 +67,7 @@ fn run(fault_rate: f64) -> (usize, usize, usize, f64) {
     (
         sent,
         delivered,
-        plan.len(),
+        faults.len(),
         on_circuit as f64 / delivered.max(1) as f64,
     )
 }

@@ -6,7 +6,7 @@
 //! ```
 
 use wavesim::core::render::{render_circuits, render_lane_map};
-use wavesim::core::{LaneId, WaveConfig, WaveNetwork};
+use wavesim::core::{FaultEvent, LaneId, WaveConfig, WaveNetwork};
 use wavesim::network::Message;
 use wavesim::topology::{Coords, Topology};
 
@@ -14,11 +14,12 @@ fn main() {
     let topo = Topology::mesh(&[8, 8]);
     let mut net = WaveNetwork::new(topo.clone(), WaveConfig::default());
 
-    // A broken cable in the middle of the board.
+    // A broken cable in the middle of the board, failed at cycle 0.
     let victim = topo.node(Coords::new(&[3, 3]));
     let port = wavesim::topology::PortDir::new(0, wavesim::topology::Dir::Plus);
     for s in 1..=net.config().k {
-        net.inject_lane_fault(LaneId::new(topo.link_id(victim, port), s))
+        let lane = LaneId::new(topo.link_id(victim, port), s);
+        net.schedule_fault(0, FaultEvent::Fail(lane))
             .expect("fault a known-good lane");
     }
 

@@ -2,7 +2,7 @@
 //! and seed. EXPERIMENTS.md's numbers are only meaningful because of
 //! this property, so it gets its own integration suite.
 
-use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
+use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork, WaveStats};
 use wavesim::topology::{RoutingKind, Topology};
 use wavesim::workloads::trace_io;
 use wavesim::workloads::{
@@ -13,7 +13,8 @@ use wavesim_bench::experiments::{
     e11_loadsweep, e13_dsm, e14_dynamic_faults, e15_collectives, Ctx,
 };
 use wavesim_bench::{
-    apply_fault_schedule, run_carp_trace, run_open_loop, run_service, ParallelSweep, RunSpec, Scale,
+    apply_fault_schedule, run_carp_trace, run_open_loop, run_service, ParallelSweep, RunResult,
+    RunSpec, Scale,
 };
 
 fn full_run(seed: u64, protocol: ProtocolKind) -> Vec<(u64, u64)> {
@@ -437,24 +438,43 @@ fn golden_trace_clrp_carp_mixed_workload_matches_seed_kernel() {
 /// `faults`, a drawn MTBF link fail/repair schedule tears circuits down
 /// mid-run.
 fn torus_run(side: u16, protocol: ProtocolKind, faults: bool) -> String {
-    let topo = Topology::torus(&[side, side]);
-    let mut net = WaveNetwork::new(
-        topo.clone(),
+    let mut net = torus_net(side, protocol);
+    if faults {
+        let sched = torus_faults(net.topology());
+        apply_fault_schedule(&mut net, &sched).expect("schedule fits the network");
+    }
+    let r = torus_drive(&mut net);
+    assert!(r.delivered > 0, "{side}x{side} {protocol:?} must deliver");
+    // Debug output covers every field, including float bit patterns
+    // rendered exactly, so string equality is bitwise equality.
+    format!("{r:?}")
+}
+
+fn torus_net(side: u16, protocol: ProtocolKind) -> WaveNetwork {
+    WaveNetwork::new(
+        Topology::torus(&[side, side]),
         WaveConfig {
             protocol,
             cache_capacity: 8,
             ..WaveConfig::default()
         },
-    );
-    if faults {
-        let sched = FaultSchedule::random_mtbf(&topo, 4_000, 300, 1_000, 17);
-        assert!(!sched.is_empty(), "fault schedule drew no events");
-        apply_fault_schedule(&mut net, &sched).expect("schedule fits the network");
-    }
-    let r = match protocol {
+    )
+}
+
+/// The MTBF link fail/repair schedule of a faulted `torus_run`.
+fn torus_faults(topo: &Topology) -> FaultSchedule {
+    let sched = FaultSchedule::random_mtbf(topo, 4_000, 300, 1_000, 17);
+    assert!(!sched.is_empty(), "fault schedule drew no events");
+    sched
+}
+
+/// Drives `torus_run`'s workload for the network's protocol.
+fn torus_drive(net: &mut WaveNetwork) -> RunResult {
+    let topo = net.topology().clone();
+    match net.config().protocol {
         ProtocolKind::Carp => {
             let mut trace = CarpTrace::stencil(&topo, 3, 4, 32, 400, 150);
-            run_carp_trace(&mut net, &mut trace, RunSpec::standard(150, 1_200), &mut ())
+            run_carp_trace(net, &mut trace, RunSpec::standard(150, 1_200), &mut ())
         }
         _ => {
             let mut src = TrafficSource::new(
@@ -470,13 +490,63 @@ fn torus_run(side: u16, protocol: ProtocolKind, faults: bool) -> String {
                     ..TrafficConfig::default()
                 },
             );
-            run_open_loop(&mut net, &mut src, RunSpec::standard(300, 1_200))
+            run_open_loop(net, &mut src, RunSpec::standard(300, 1_200))
         }
-    };
-    assert!(r.delivered > 0, "{side}x{side} {protocol:?} must deliver");
-    // Debug output covers every field, including float bit patterns
-    // rendered exactly, so string equality is bitwise equality.
-    format!("{r:?}")
+    }
+}
+
+/// A counter with an event pattern is that event's count and nothing
+/// else: over every `torus_run` configuration, plus one with static
+/// (cycle-0) lane faults and a cache small enough to evict, folding
+/// `WaveStats::count` over an unsampled capture gives `net.stats()` on
+/// every event-counted row, and every such row is reached by some run.
+#[test]
+fn counters_equal_the_events_captured_in_the_same_run() {
+    let mut runs = Vec::new();
+    for side in [8, 16] {
+        for protocol in [ProtocolKind::Clrp, ProtocolKind::Carp] {
+            runs.push((torus_net(side, protocol), FaultSchedule::none()));
+            let net = torus_net(side, protocol);
+            let dynamic = torus_faults(net.topology());
+            runs.push((net, dynamic));
+        }
+    }
+    let evicting = WaveNetwork::new(
+        Topology::torus(&[8, 8]),
+        WaveConfig {
+            cache_capacity: 2,
+            ..WaveConfig::default()
+        },
+    );
+    let static_faults = FaultSchedule::random_lanes(evicting.topology(), 2, 0.1, 5);
+    runs.push((evicting, static_faults));
+
+    let mut reached = WaveStats::default();
+    for (i, (mut net, faults)) in runs.into_iter().enumerate() {
+        apply_fault_schedule(&mut net, &faults).expect("schedule fits the network");
+        net.install_trace_sink(Box::new(wavesim::trace::VecSink::new()));
+        torus_drive(&mut net);
+        let mut counted = WaveStats::default();
+        for rec in net.take_trace_sink().expect("installed").snapshot() {
+            counted.count(&rec.ev);
+        }
+        for (c, s) in counted.rows().iter().zip(net.stats().rows()) {
+            if WaveStats::COUNTED.contains(&c.name) {
+                assert_eq!(c.value, s.value, "run {i}: {}", c.name);
+            }
+        }
+        reached.absorb(&counted);
+    }
+    let unreached: Vec<&str> = reached
+        .rows()
+        .into_iter()
+        .filter(|r| WaveStats::COUNTED.contains(&r.name) && r.value == 0)
+        .map(|r| r.name)
+        .collect();
+    assert!(
+        unreached.is_empty(),
+        "no configuration reaches {unreached:?}"
+    );
 }
 
 /// Two torus configurations — fault churn under CLRP, a CARP stencil at

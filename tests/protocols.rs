@@ -4,7 +4,8 @@
 //! fallback), and the interplay between the two transport planes.
 
 use wavesim::core::{
-    CircuitStatus, ClrpVariant, LaneId, ProtocolKind, ReplacementPolicy, WaveConfig, WaveNetwork,
+    CircuitStatus, ClrpVariant, FaultEvent, LaneId, ProtocolKind, ReplacementPolicy, WaveConfig,
+    WaveNetwork,
 };
 use wavesim::network::message::DeliveryMode;
 use wavesim::network::Message;
@@ -181,7 +182,7 @@ fn dead_wave_plane_degrades_to_pure_wormhole() {
     let mut net = WaveNetwork::new(topo.clone(), cfg);
     for link in topo.links() {
         for s in 1..=cfg.k {
-            net.inject_lane_fault(LaneId::new(link, s))
+            net.schedule_fault(0, FaultEvent::Fail(LaneId::new(link, s)))
                 .expect("fault plan matches topology");
         }
     }
