@@ -14,26 +14,26 @@
 use wavesim_core::{ClrpVariant, ProtocolKind, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::experiments::Ctx;
+use crate::experiments::{rows_of, Ctx, Experiment, Row};
 use crate::table::{f2, pct};
-use crate::Table;
+use crate::Scale;
 
-/// Runs E10.
-#[must_use]
-pub fn run(ctx: &Ctx) -> Table {
-    let scale = ctx.scale;
-    let mut t = Table::new(
-        "E10",
-        "CLRP variant ablation (§3.1 simplifications)",
-        &[
-            "variant",
-            "avg lat",
-            "probes",
-            "forced rel.",
-            "fallback msgs",
-            "circuit%",
-        ],
-    );
+/// E10.
+pub const E10: Experiment = Experiment {
+    id: "e10",
+    title: "CLRP variant ablation (§3.1 simplifications)",
+    columns: &[
+        "variant",
+        "avg lat",
+        "probes",
+        "forced rel.",
+        "fallback msgs",
+        "circuit%",
+    ],
+    rows,
+};
+
+fn rows(_: Scale) -> Vec<Row> {
     let variants = [
         ("full (3 phases)", ClrpVariant::default()),
         (
@@ -58,46 +58,45 @@ pub fn run(ctx: &Ctx) -> Table {
             },
         ),
     ];
+    rows_of(variants, variant_row)
+}
 
-    for (name, v) in variants {
-        let cfg = WaveConfig {
-            protocol: ProtocolKind::Clrp,
-            clrp: v,
-            cache_capacity: 4,
-            ..WaveConfig::default()
-        };
-        let mut net = crate::experiments::net_with(scale.side, cfg);
-        let r = ctx.open_loop(
-            &mut net,
-            0.3,
-            TrafficPattern::HotPairs {
-                partners: 4,
-                locality: 0.7,
-            },
-            LengthDist::Fixed(48),
-            123,
-        );
-        let s = r.wave;
-        t.push(vec![
-            name.into(),
-            f2(r.avg_latency),
-            s.probes_sent.to_string(),
-            (s.forced_local_releases + s.forced_remote_releases).to_string(),
-            s.wormhole_fallbacks.to_string(),
-            pct(r.circuit_fraction),
-        ]);
-    }
-    t
+fn variant_row(ctx: &Ctx, &(name, v): &(&'static str, ClrpVariant)) -> Vec<String> {
+    let cfg = WaveConfig {
+        protocol: ProtocolKind::Clrp,
+        clrp: v,
+        cache_capacity: 4,
+        ..WaveConfig::default()
+    };
+    let mut net = crate::experiments::net_with(ctx.scale.side, cfg);
+    let r = ctx.open_loop(
+        &mut net,
+        0.3,
+        TrafficPattern::HotPairs {
+            partners: 4,
+            locality: 0.7,
+        },
+        LengthDist::Fixed(48),
+        123,
+    );
+    let s = r.wave;
+    vec![
+        name.into(),
+        f2(r.avg_latency),
+        s.probes_sent.to_string(),
+        (s.forced_local_releases + s.forced_remote_releases).to_string(),
+        s.wormhole_fallbacks.to_string(),
+        pct(r.circuit_fraction),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Scale;
 
     #[test]
     fn variants_trade_probes_for_teardowns() {
-        let t = run(&Ctx::unobserved(Scale::small(), 1));
+        let t = crate::experiments::table("e10", Scale::small(), 1);
         assert_eq!(t.rows.len(), 4);
         let by_name = |n: &str| t.rows.iter().find(|r| r[0].starts_with(n)).unwrap();
         let noforce = by_name("no force");

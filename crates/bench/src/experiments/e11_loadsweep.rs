@@ -12,66 +12,59 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::experiments::Ctx;
+use crate::experiments::{rows_of, Ctx, Experiment};
 use crate::table::{f2, f3};
-use crate::Table;
 
-/// Runs E11, fanning the load points out over the context's worker
-/// threads. Every point seeds its own network and traffic source, so the
-/// table is byte-identical for any job count.
-#[must_use]
-pub fn run(ctx: &Ctx) -> Table {
-    let scale = ctx.scale;
-    let mut t = Table::new(
-        "E11",
-        "latency and accepted throughput vs offered load (the saturation curve)",
-        &[
-            "offered",
-            "WH lat",
-            "WH accepted",
-            "wave lat",
-            "wave accepted",
-        ],
-    );
-    let loads = scale.sweep(&[0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.2]);
+/// E11: one row per offered load.
+pub const E11: Experiment = Experiment {
+    id: "e11",
+    title: "latency and accepted throughput vs offered load (the saturation curve)",
+    columns: &[
+        "offered",
+        "WH lat",
+        "WH accepted",
+        "wave lat",
+        "wave accepted",
+    ],
+    rows: |scale| {
+        rows_of(
+            scale.sweep(&[0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.2]),
+            load_row,
+        )
+    },
+};
+
+fn load_row(ctx: &Ctx, &load: &f64) -> Vec<String> {
     let pattern = TrafficPattern::HotPairs {
         partners: 3,
         locality: 0.7,
     };
-
-    let rows = ctx.sweep(&loads, |ctx, &load| {
-        let go = |protocol: ProtocolKind| {
-            let cfg = WaveConfig {
-                protocol,
-                ..WaveConfig::default()
-            };
-            let mut net = crate::experiments::net_with(scale.side, cfg);
-            ctx.open_loop(&mut net, load, pattern, LengthDist::Fixed(64), 131)
+    let go = |protocol: ProtocolKind| {
+        let cfg = WaveConfig {
+            protocol,
+            ..WaveConfig::default()
         };
-        let wh = go(ProtocolKind::WormholeOnly);
-        let wv = go(ProtocolKind::Clrp);
-        vec![
-            f2(load),
-            f2(wh.avg_latency),
-            f3(wh.throughput),
-            f2(wv.avg_latency),
-            f3(wv.throughput),
-        ]
-    });
-    for row in rows {
-        t.push(row);
-    }
-    t
+        let mut net = crate::experiments::net_with(ctx.scale.side, cfg);
+        ctx.open_loop(&mut net, load, pattern, LengthDist::Fixed(64), 131)
+    };
+    let wh = go(ProtocolKind::WormholeOnly);
+    let wv = go(ProtocolKind::Clrp);
+    vec![
+        f2(load),
+        f2(wh.avg_latency),
+        f3(wh.throughput),
+        f2(wv.avg_latency),
+        f3(wv.throughput),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Scale;
 
     #[test]
     fn wave_switching_saturates_later() {
-        let t = run(&Ctx::unobserved(Scale::small(), 1));
+        let t = crate::experiments::table("e11", Scale::small(), 1);
         // At the heaviest offered load, wave switching accepts strictly
         // more traffic than wormhole.
         let last = t.rows.last().unwrap();

@@ -14,68 +14,39 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::experiments::Ctx;
+use crate::experiments::{rows_of, Ctx, Experiment, Row};
 use crate::table::{f2, pct};
-use crate::Table;
+use crate::Scale;
 
-fn locality_run(ctx: &Ctx, cfg: WaveConfig, len: LengthDist) -> crate::RunResult {
-    let scale = ctx.scale;
-    let mut net = crate::experiments::net_with(scale.side, cfg);
-    ctx.open_loop(
-        &mut net,
-        0.2,
-        TrafficPattern::HotPairs {
-            partners: 3,
-            locality: 0.8,
-        },
-        len,
-        141,
-    )
-}
+/// E12.
+pub const E12: Experiment = Experiment {
+    id: "e12",
+    title: "design-choice ablations: switch staggering, window size, buffer sizing",
+    columns: &["config", "avg lat", "circuit%", "setups ok", "reallocs"],
+    rows,
+};
 
-/// Runs E12.
-#[must_use]
-pub fn run(ctx: &Ctx) -> Table {
-    let scale = ctx.scale;
-    let mut t = Table::new(
-        "E12",
-        "design-choice ablations: switch staggering, window size, buffer sizing",
-        &["config", "avg lat", "circuit%", "setups ok", "reallocs"],
-    );
+fn rows(scale: Scale) -> Vec<Row> {
+    let clrp = WaveConfig {
+        protocol: ProtocolKind::Clrp,
+        ..WaveConfig::default()
+    };
     let len64 = LengthDist::Fixed(64);
+    let mut points = Vec::new();
 
     // Staggering on/off (k = 2 so the choice matters).
     for (name, stagger) in [("stagger on", true), ("stagger off", false)] {
         let cfg = WaveConfig {
-            protocol: ProtocolKind::Clrp,
             stagger_initial_switch: stagger,
-            ..WaveConfig::default()
+            ..clrp
         };
-        let r = locality_run(ctx, cfg, len64);
-        t.push(vec![
-            name.into(),
-            f2(r.avg_latency),
-            pct(r.circuit_fraction),
-            r.wave.setups_ok.to_string(),
-            r.wave.buffer_reallocs.to_string(),
-        ]);
+        points.push((name.to_string(), cfg, len64));
     }
 
     // Window sweep.
     for window in scale.sweep(&[4u32, 16, 64, 256]) {
-        let cfg = WaveConfig {
-            protocol: ProtocolKind::Clrp,
-            window,
-            ..WaveConfig::default()
-        };
-        let r = locality_run(ctx, cfg, len64);
-        t.push(vec![
-            format!("window {window}"),
-            f2(r.avg_latency),
-            pct(r.circuit_fraction),
-            r.wave.setups_ok.to_string(),
-            r.wave.buffer_reallocs.to_string(),
-        ]);
+        let cfg = WaveConfig { window, ..clrp };
+        points.push((format!("window {window}"), cfg, len64));
     }
 
     // Buffer sizing under bimodal lengths: a small initial buffer forces
@@ -90,31 +61,44 @@ pub fn run(ctx: &Ctx) -> Table {
         ("buffers 256f/+64cyc", 256, 64),
     ] {
         let cfg = WaveConfig {
-            protocol: ProtocolKind::Clrp,
             initial_buffer_flits: initial,
             realloc_penalty: penalty,
-            ..WaveConfig::default()
+            ..clrp
         };
-        let r = locality_run(ctx, cfg, bimodal);
-        t.push(vec![
-            name.into(),
-            f2(r.avg_latency),
-            pct(r.circuit_fraction),
-            r.wave.setups_ok.to_string(),
-            r.wave.buffer_reallocs.to_string(),
-        ]);
+        points.push((name.to_string(), cfg, bimodal));
     }
-    t
+    rows_of(points, locality_row)
+}
+
+/// Runs `cfg` under hot-pair locality traffic of `len` flits.
+fn locality_row(ctx: &Ctx, (name, cfg, len): &(String, WaveConfig, LengthDist)) -> Vec<String> {
+    let mut net = crate::experiments::net_with(ctx.scale.side, *cfg);
+    let r = ctx.open_loop(
+        &mut net,
+        0.2,
+        TrafficPattern::HotPairs {
+            partners: 3,
+            locality: 0.8,
+        },
+        *len,
+        141,
+    );
+    vec![
+        name.clone(),
+        f2(r.avg_latency),
+        pct(r.circuit_fraction),
+        r.wave.setups_ok.to_string(),
+        r.wave.buffer_reallocs.to_string(),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Scale;
 
     #[test]
     fn ablations_show_expected_directions() {
-        let t = run(&Ctx::unobserved(Scale::small(), 1));
+        let t = crate::experiments::table("e12", Scale::small(), 1);
         let lat = |name: &str| -> f64 {
             t.rows
                 .iter()

@@ -19,83 +19,71 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{ServiceConfig, ServiceWorkload};
 
-use crate::experiments::Ctx;
+use crate::experiments::{rows_of, Ctx, Experiment};
 use crate::runner::{run_service, RunSpec};
 use crate::table::{f2, pct};
-use crate::Table;
 
 /// Outstanding remote accesses allowed per node.
 const OUTSTANDING: u64 = 2;
 
-/// Runs E13, fanning the locality points out over the context's worker
-/// threads. Every point builds its own networks and workloads from the
-/// point value, so the table is byte-identical for any job count.
-#[must_use]
-pub fn run(ctx: &Ctx) -> Table {
-    let scale = ctx.scale;
-    let mut t = Table::new(
-        "E13",
-        "closed-loop DSM remote accesses: round-trip time, wormhole vs CLRP",
-        &[
-            "locality",
-            "WH rtt",
-            "CLRP rtt",
-            "speedup",
-            "CLRP hit rate",
-            "completed",
-        ],
-    );
-    let spec = RunSpec::standard(scale.warmup, scale.measure);
-    let localities = scale.sweep(&[0.0, 0.5, 0.9]);
+/// E13: one row per home locality.
+pub const E13: Experiment = Experiment {
+    id: "e13",
+    title: "closed-loop DSM remote accesses: round-trip time, wormhole vs CLRP",
+    columns: &[
+        "locality",
+        "WH rtt",
+        "CLRP rtt",
+        "speedup",
+        "CLRP hit rate",
+        "completed",
+    ],
+    rows: |scale| rows_of(scale.sweep(&[0.0, 0.5, 0.9]), locality_row),
+};
 
-    let rows = ctx.sweep(&localities, |ctx, &loc| {
-        let go = |protocol: ProtocolKind| {
-            let cfg = WaveConfig {
-                protocol,
-                ..WaveConfig::default()
-            };
-            let mut net = crate::experiments::net_with(scale.side, cfg);
-            let mut wl = ServiceWorkload::new(
-                net.topology().clone(),
-                ServiceConfig {
-                    clients: OUTSTANDING * u64::from(net.topology().num_nodes()),
-                    partners: 3,
-                    locality: loc,
-                    req_len: 4,
-                    reply_len: 64,
-                    service_time: 20,
-                    think_time: 10,
-                    ramp: 0,
-                    seed: 161,
-                },
-            );
-            ctx.observe(|obs| run_service(&mut net, &mut wl, spec, obs))
+fn locality_row(ctx: &Ctx, &loc: &f64) -> Vec<String> {
+    let spec = RunSpec::standard(ctx.scale.warmup, ctx.scale.measure);
+    let go = |protocol: ProtocolKind| {
+        let cfg = WaveConfig {
+            protocol,
+            ..WaveConfig::default()
         };
-        let wh = go(ProtocolKind::WormholeOnly);
-        let wv = go(ProtocolKind::Clrp);
-        vec![
-            f2(loc),
-            f2(wh.avg_round_trip),
-            f2(wv.avg_round_trip),
-            f2(wh.avg_round_trip / wv.avg_round_trip.max(1e-9)),
-            pct(wv.wave.hit_rate()),
-            format!("{}+{}", wh.completed, wv.completed),
-        ]
-    });
-    for row in rows {
-        t.push(row);
-    }
-    t
+        let mut net = crate::experiments::net_with(ctx.scale.side, cfg);
+        let mut wl = ServiceWorkload::new(
+            net.topology().clone(),
+            ServiceConfig {
+                clients: OUTSTANDING * u64::from(net.topology().num_nodes()),
+                partners: 3,
+                locality: loc,
+                req_len: 4,
+                reply_len: 64,
+                service_time: 20,
+                think_time: 10,
+                ramp: 0,
+                seed: 161,
+            },
+        );
+        ctx.observe(|obs| run_service(&mut net, &mut wl, spec, obs))
+    };
+    let wh = go(ProtocolKind::WormholeOnly);
+    let wv = go(ProtocolKind::Clrp);
+    vec![
+        f2(loc),
+        f2(wh.avg_round_trip),
+        f2(wv.avg_round_trip),
+        f2(wh.avg_round_trip / wv.avg_round_trip.max(1e-9)),
+        pct(wv.wave.hit_rate()),
+        format!("{}+{}", wh.completed, wv.completed),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Scale;
 
     #[test]
     fn dsm_round_trips_complete_cleanly() {
-        let t = run(&Ctx::unobserved(Scale::small(), 1));
+        let t = crate::experiments::table("e13", Scale::small(), 1);
         assert!(!t.rows.is_empty());
         for row in &t.rows {
             let wh: f64 = row[1].parse().unwrap();
@@ -114,8 +102,8 @@ mod tests {
 
     #[test]
     fn table_is_byte_identical_across_jobs() {
-        let serial = run(&Ctx::unobserved(Scale::small(), 1));
-        let fanned = run(&Ctx::unobserved(Scale::small(), 4));
+        let serial = crate::experiments::table("e13", Scale::small(), 1);
+        let fanned = crate::experiments::table("e13", Scale::small(), 4);
         assert_eq!(format!("{serial:?}"), format!("{fanned:?}"));
     }
 }

@@ -31,10 +31,10 @@ use wavesim_topology::{NodeId, Topology};
 use wavesim_workloads::collectives;
 use wavesim_workloads::{DepTrace, TrafficPattern};
 
-use crate::experiments::Ctx;
+use crate::experiments::{rows_of, Ctx, Experiment, Row};
 use crate::runner::{run_dep_trace, RunSpec};
 use crate::table::{f2, pct};
-use crate::Table;
+use crate::Scale;
 
 /// The collective families replayed by E15, in table order.
 const COLLECTIVES: [&str; 4] = ["all-to-all", "reduce", "broadcast", "transpose-sweep"];
@@ -84,70 +84,66 @@ pub fn build_trace(topo: &Topology, which: &str, len: u32) -> DepTrace {
     }
 }
 
-/// Runs E15, fanning the (collective, protocol, length) points out over
-/// the context's worker threads. Every point builds its own trace and
-/// network from the point value, so the table is byte-identical for any
-/// job count.
-#[must_use]
-pub fn run(ctx: &Ctx) -> Table {
-    let scale = ctx.scale;
-    let mut t = Table::new(
-        "E15",
-        "collective replay: dependency-gated traces under CLRP / CARP / MB-1",
-        &[
-            "collective",
-            "protocol",
-            "len",
-            "msgs",
-            "delivered",
-            "makespan",
-            "avg lat",
-            "p99",
-            "circuit%",
-        ],
-    );
+/// E15: one row per (collective, protocol, length) point.
+pub const E15: Experiment = Experiment {
+    id: "e15",
+    title: "collective replay: dependency-gated traces under CLRP / CARP / MB-1",
+    columns: &[
+        "collective",
+        "protocol",
+        "len",
+        "msgs",
+        "delivered",
+        "makespan",
+        "avg lat",
+        "p99",
+        "circuit%",
+    ],
+    rows,
+};
+
+fn rows(scale: Scale) -> Vec<Row> {
     let lens: Vec<u32> = scale.sweep(&[8, 32, 128]);
-    let mut points: Vec<(&str, usize, u32)> = Vec::new();
+    let mut points = Vec::new();
     for which in COLLECTIVES {
-        for v in 0..variants().len() {
+        for (label, cfg) in variants() {
             for &len in &lens {
-                points.push((which, v, len));
+                points.push((which, label, cfg, len));
             }
         }
     }
+    rows_of(points, collective_row)
+}
 
-    let rows = ctx.sweep(&points, |ctx, &(which, v, len)| {
-        let (label, cfg) = variants().swap_remove(v);
-        let mut net = crate::experiments::net_with(scale.side, cfg);
-        let trace = build_trace(net.topology(), which, len);
-        let spec = RunSpec::replay(trace.horizon());
-        let r = ctx.observe(|obs| run_dep_trace(&mut net, &trace, spec, obs));
-        assert!(
-            r.clean(),
-            "E15 replay must drain cleanly: {which}/{label}/{len}: {r:?}"
-        );
-        vec![
-            which.to_string(),
-            label.to_string(),
-            len.to_string(),
-            trace.len().to_string(),
-            r.delivered.to_string(),
-            r.end.to_string(),
-            f2(r.avg_latency),
-            r.p99_latency.to_string(),
-            pct(r.circuit_fraction),
-        ]
-    });
-    for row in rows {
-        t.push(row);
-    }
-    t
+/// Replays collective `which` of `len`-flit messages under one variant.
+fn collective_row(
+    ctx: &Ctx,
+    &(which, label, cfg, len): &(&'static str, &'static str, WaveConfig, u32),
+) -> Vec<String> {
+    let mut net = crate::experiments::net_with(ctx.scale.side, cfg);
+    let trace = build_trace(net.topology(), which, len);
+    let spec = RunSpec::replay(trace.horizon());
+    let r = ctx.observe(|obs| run_dep_trace(&mut net, &trace, spec, obs));
+    assert!(
+        r.clean(),
+        "E15 replay must drain cleanly: {which}/{label}/{len}: {r:?}"
+    );
+    vec![
+        which.to_string(),
+        label.to_string(),
+        len.to_string(),
+        trace.len().to_string(),
+        r.delivered.to_string(),
+        r.end.to_string(),
+        f2(r.avg_latency),
+        r.p99_latency.to_string(),
+        pct(r.circuit_fraction),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
 
     fn tiny() -> Scale {
         Scale {
@@ -158,7 +154,7 @@ mod tests {
 
     #[test]
     fn every_collective_delivers_its_whole_trace() {
-        let t = run(&Ctx::unobserved(tiny(), 1));
+        let t = crate::experiments::table("e15", tiny(), 1);
         assert_eq!(t.rows.len(), COLLECTIVES.len() * variants().len() * 2);
         for row in &t.rows {
             assert_eq!(row[3], row[4], "msgs != delivered in {row:?}");
@@ -167,7 +163,7 @@ mod tests {
 
     #[test]
     fn carp_without_establish_ops_rides_wormhole() {
-        let t = run(&Ctx::unobserved(tiny(), 1));
+        let t = crate::experiments::table("e15", tiny(), 1);
         for row in t.rows.iter().filter(|r| r[1] == "CARP") {
             assert_eq!(row[8], "0.0%", "trace-only CARP cannot build circuits");
         }
@@ -175,7 +171,7 @@ mod tests {
 
     #[test]
     fn clrp_uses_circuits_on_collective_locality() {
-        let t = run(&Ctx::unobserved(tiny(), 1));
+        let t = crate::experiments::table("e15", tiny(), 1);
         let frac = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
         let best = t
             .rows
@@ -191,8 +187,8 @@ mod tests {
 
     #[test]
     fn table_is_byte_identical_across_jobs() {
-        let serial = run(&Ctx::unobserved(tiny(), 1));
-        let fanned = run(&Ctx::unobserved(tiny(), 4));
+        let serial = crate::experiments::table("e15", tiny(), 1);
+        let fanned = crate::experiments::table("e15", tiny(), 4);
         assert_eq!(format!("{serial:?}"), format!("{fanned:?}"));
     }
 }

@@ -9,28 +9,27 @@
 use wavesim_core::{ClrpVariant, ProtocolKind, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::experiments::Ctx;
-use crate::Table;
+use crate::experiments::{rows_of, Ctx, Experiment, Row};
+use crate::Scale;
 
-/// Runs E2.
-#[must_use]
-pub fn run(ctx: &Ctx) -> Table {
-    let scale = ctx.scale;
-    let mut t = Table::new(
-        "E2",
-        "livelock freedom: probe work is bounded (Theorems 3 & 4)",
-        &[
-            "config",
-            "probes",
-            "backtracks",
-            "misroutes",
-            "max probe steps",
-            "bound",
-            "undelivered",
-            "verdict",
-        ],
-    );
+/// E2.
+pub const E2: Experiment = Experiment {
+    id: "e2",
+    title: "livelock freedom: probe work is bounded (Theorems 3 & 4)",
+    columns: &[
+        "config",
+        "probes",
+        "backtracks",
+        "misroutes",
+        "max probe steps",
+        "bound",
+        "undelivered",
+        "verdict",
+    ],
+    rows,
+};
 
+fn rows(_: Scale) -> Vec<Row> {
     let configs = [
         (
             "CLRP m=2 cache=2",
@@ -64,44 +63,43 @@ pub fn run(ctx: &Ctx) -> Table {
             },
         ),
     ];
+    rows_of(configs, config_row)
+}
 
-    for (name, cfg) in configs {
-        let mut net = crate::experiments::net_with(scale.side, cfg);
-        let r = ctx.open_loop(
-            &mut net,
-            0.5,
-            TrafficPattern::Uniform,
-            LengthDist::Fixed(24),
-            23,
-        );
-        let s = r.wave;
-        let undelivered = r.sent - r.delivered;
-        t.push(vec![
-            name.into(),
-            s.probes_sent.to_string(),
-            s.probe_backtracks.to_string(),
-            s.probe_misroutes.to_string(),
-            r.max_probe_steps.to_string(),
-            r.probe_step_bound.to_string(),
-            undelivered.to_string(),
-            if r.max_probe_steps <= r.probe_step_bound && undelivered == 0 && !r.stalled {
-                "OK".into()
-            } else {
-                "LIVELOCK".into()
-            },
-        ]);
-    }
-    t
+fn config_row(ctx: &Ctx, &(name, cfg): &(&'static str, WaveConfig)) -> Vec<String> {
+    let mut net = crate::experiments::net_with(ctx.scale.side, cfg);
+    let r = ctx.open_loop(
+        &mut net,
+        0.5,
+        TrafficPattern::Uniform,
+        LengthDist::Fixed(24),
+        23,
+    );
+    let s = r.wave;
+    let undelivered = r.sent - r.delivered;
+    vec![
+        name.into(),
+        s.probes_sent.to_string(),
+        s.probe_backtracks.to_string(),
+        s.probe_misroutes.to_string(),
+        r.max_probe_steps.to_string(),
+        r.probe_step_bound.to_string(),
+        undelivered.to_string(),
+        if r.max_probe_steps <= r.probe_step_bound && undelivered == 0 && !r.stalled {
+            "OK".into()
+        } else {
+            "LIVELOCK".into()
+        },
+    ]
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Scale;
 
     #[test]
     fn probes_stay_within_bound() {
-        let t = run(&Ctx::unobserved(Scale::small(), 1));
+        let t = crate::experiments::table("e2", Scale::small(), 1);
         assert_eq!(t.rows.len(), 3);
         for row in &t.rows {
             assert_eq!(row.last().unwrap(), "OK", "row {row:?}");

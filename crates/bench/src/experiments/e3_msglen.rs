@@ -13,94 +13,73 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::experiments::Ctx;
+use crate::experiments::{rows_of, Ctx, Experiment};
 use crate::table::f2;
-use crate::Table;
 
-/// Runs E3.
-#[must_use]
-pub fn run(ctx: &Ctx) -> Table {
-    let scale = ctx.scale;
-    let mut t = Table::new(
-        "E3",
-        "latency & throughput vs message length, no circuit reuse",
-        &[
-            "len (flits)",
-            "lat ratio (idle)",
-            "lat ratio (loaded)",
-            "WH thpt",
-            "wave thpt",
-            "thpt ratio",
-        ],
-    );
-    let lens = scale.sweep(&[8u32, 16, 32, 64, 128, 256, 512]);
+/// E3.
+pub const E3: Experiment = Experiment {
+    id: "e3",
+    title: "latency & throughput vs message length, no circuit reuse",
+    columns: &[
+        "len (flits)",
+        "lat ratio (idle)",
+        "lat ratio (loaded)",
+        "WH thpt",
+        "wave thpt",
+        "thpt ratio",
+    ],
+    rows: |scale| rows_of(scale.sweep(&[8u32, 16, 32, 64, 128, 256, 512]), len_row),
+};
 
-    for &len in &lens {
-        let lat = |protocol: ProtocolKind, load: f64| -> f64 {
-            let cfg = WaveConfig {
-                protocol,
-                cache_capacity: 1, // minimal reuse: uniform dests thrash it
-                ..WaveConfig::default()
-            };
-            let mut net = crate::experiments::net_with(scale.side, cfg);
-            ctx.open_loop(
-                &mut net,
-                load,
-                TrafficPattern::Uniform,
-                LengthDist::Fixed(len),
-                31,
-            )
-            .avg_latency
+fn len_row(ctx: &Ctx, &len: &u32) -> Vec<String> {
+    // One open-loop run with the circuit cache capped at one entry
+    // (minimal reuse: uniform destinations thrash it).
+    let go = |protocol: ProtocolKind, load: f64, seed: u64| {
+        let cfg = WaveConfig {
+            protocol,
+            cache_capacity: 1,
+            ..WaveConfig::default()
         };
-        // Contention-free latency, and latency at a load near wormhole
-        // saturation (where the companion study's >3x factor shows up:
-        // blocked wormholes hold channels, circuits do not contend).
-        let idle_ratio =
-            lat(ProtocolKind::Clrp, 0.05) / lat(ProtocolKind::WormholeOnly, 0.05).max(1e-9);
-        let loaded_ratio =
-            lat(ProtocolKind::Clrp, 0.25) / lat(ProtocolKind::WormholeOnly, 0.25).max(1e-9);
+        let mut net = crate::experiments::net_with(ctx.scale.side, cfg);
+        ctx.open_loop(
+            &mut net,
+            load,
+            TrafficPattern::Uniform,
+            LengthDist::Fixed(len),
+            seed,
+        )
+    };
+    let lat = |protocol, load| go(protocol, load, 31).avg_latency;
+    // Contention-free latency, and latency at a load near wormhole
+    // saturation (where the companion study's >3x factor shows up:
+    // blocked wormholes hold channels, circuits do not contend).
+    let idle_ratio =
+        lat(ProtocolKind::Clrp, 0.05) / lat(ProtocolKind::WormholeOnly, 0.05).max(1e-9);
+    let loaded_ratio =
+        lat(ProtocolKind::Clrp, 0.25) / lat(ProtocolKind::WormholeOnly, 0.25).max(1e-9);
 
-        // Accepted throughput far beyond wormhole saturation.
-        let heavy = 1.5;
-        let thpt = |protocol: ProtocolKind| -> f64 {
-            let cfg = WaveConfig {
-                protocol,
-                cache_capacity: 1,
-                ..WaveConfig::default()
-            };
-            let mut net = crate::experiments::net_with(scale.side, cfg);
-            ctx.open_loop(
-                &mut net,
-                heavy,
-                TrafficPattern::Uniform,
-                LengthDist::Fixed(len),
-                37,
-            )
-            .throughput
-        };
-        let wh_th = thpt(ProtocolKind::WormholeOnly);
-        let wv_th = thpt(ProtocolKind::Clrp);
+    // Accepted throughput far beyond wormhole saturation.
+    let thpt = |protocol| go(protocol, 1.5, 37).throughput;
+    let wh_th = thpt(ProtocolKind::WormholeOnly);
+    let wv_th = thpt(ProtocolKind::Clrp);
 
-        t.push(vec![
-            len.to_string(),
-            f2(idle_ratio),
-            f2(loaded_ratio),
-            format!("{wh_th:.3}"),
-            format!("{wv_th:.3}"),
-            f2(wv_th / wh_th.max(1e-9)),
-        ]);
-    }
-    t
+    vec![
+        len.to_string(),
+        f2(idle_ratio),
+        f2(loaded_ratio),
+        format!("{wh_th:.3}"),
+        format!("{wv_th:.3}"),
+        f2(wv_th / wh_th.max(1e-9)),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Scale;
 
     #[test]
     fn long_messages_favor_wave_switching() {
-        let t = run(&Ctx::unobserved(Scale::small(), 1));
+        let t = crate::experiments::table("e3", Scale::small(), 1);
         assert!(t.rows.len() >= 2);
         // Throughput ratio at the longest length must exceed the ratio at
         // the shortest (the claim's shape), and exceed 1.

@@ -12,10 +12,9 @@ use wavesim_network::Message;
 use wavesim_sim::{Cycle, SimRng};
 use wavesim_topology::NodeId;
 
-use crate::experiments::Ctx;
+use crate::experiments::{rows_of, Ctx, Experiment};
 use crate::runner::{run_scripted, RunSpec};
 use crate::table::f2;
-use crate::Table;
 
 const MSG_LEN: u32 = 8;
 
@@ -51,54 +50,47 @@ fn script(side: u16, pairs: usize, reuse: u32, gap: Cycle, seed: u64) -> Vec<(Cy
     out
 }
 
-/// Runs E4.
-#[must_use]
-pub fn run(ctx: &Ctx) -> Table {
-    let scale = ctx.scale;
-    let mut t = Table::new(
-        "E4",
-        "short messages (8 flits): per-message latency vs circuit reuse",
-        &["reuse", "WH lat", "CLRP lat", "ratio (CLRP/WH)", "hit rate"],
-    );
-    let reuses = scale.sweep(&[1u32, 2, 4, 8, 16, 32]);
+/// E4.
+pub const E4: Experiment = Experiment {
+    id: "e4",
+    title: "short messages (8 flits): per-message latency vs circuit reuse",
+    columns: &["reuse", "WH lat", "CLRP lat", "ratio (CLRP/WH)", "hit rate"],
+    rows: |scale| rows_of(scale.sweep(&[1u32, 2, 4, 8, 16, 32]), reuse_row),
+};
+
+fn reuse_row(ctx: &Ctx, &reuse: &u32) -> Vec<String> {
     // Short-message economics need realistic path lengths: pin the
     // network at >= 8x8 even at reduced scale (scripted runs are cheap).
-    let side = scale.side.max(8);
-    let pairs = usize::from(side);
+    let side = ctx.scale.side.max(8);
     let gap = 40; // cycles between messages of a burst
-
-    for &reuse in &reuses {
-        let spec = RunSpec::standard(0, u64::from(reuse) * gap + 200);
-        let sc = script(side, pairs, reuse, gap, 101);
-        let lat = |protocol: ProtocolKind| {
-            let cfg = WaveConfig {
-                protocol,
-                ..WaveConfig::default()
-            };
-            let mut net = crate::experiments::net_with(side, cfg);
-            ctx.observe(|obs| run_scripted(&mut net, &sc, spec, obs))
+    let spec = RunSpec::standard(0, u64::from(reuse) * gap + 200);
+    let sc = script(side, usize::from(side), reuse, gap, 101);
+    let lat = |protocol: ProtocolKind| {
+        let cfg = WaveConfig {
+            protocol,
+            ..WaveConfig::default()
         };
-        let wh = lat(ProtocolKind::WormholeOnly);
-        let wv = lat(ProtocolKind::Clrp);
-        t.push(vec![
-            reuse.to_string(),
-            f2(wh.avg_latency),
-            f2(wv.avg_latency),
-            f2(wv.avg_latency / wh.avg_latency.max(1e-9)),
-            f2(wv.wave.hit_rate()),
-        ]);
-    }
-    t
+        let mut net = crate::experiments::net_with(side, cfg);
+        ctx.observe(|obs| run_scripted(&mut net, &sc, spec, obs))
+    };
+    let wh = lat(ProtocolKind::WormholeOnly);
+    let wv = lat(ProtocolKind::Clrp);
+    vec![
+        reuse.to_string(),
+        f2(wh.avg_latency),
+        f2(wv.avg_latency),
+        f2(wv.avg_latency / wh.avg_latency.max(1e-9)),
+        f2(wv.wave.hit_rate()),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Scale;
 
     #[test]
     fn reuse_amortises_setup_cost() {
-        let t = run(&Ctx::unobserved(Scale::small(), 1));
+        let t = crate::experiments::table("e4", Scale::small(), 1);
         let first: f64 = t.rows.first().unwrap()[3].parse().unwrap();
         let last: f64 = t.rows.last().unwrap()[3].parse().unwrap();
         // Single-shot short messages should NOT benefit from circuits...

@@ -22,82 +22,71 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{CarpTrace, PairwiseSpec};
 
-use crate::experiments::Ctx;
+use crate::experiments::{rows_of, Ctx, Experiment};
 use crate::runner::{run_carp_trace, RunSpec};
 use crate::table::{f2, pct};
-use crate::Table;
 
-/// Runs E5.
-#[must_use]
-pub fn run(ctx: &Ctx) -> Table {
+/// E5.
+pub const E5: Experiment = Experiment {
+    id: "e5",
+    title: "temporal locality (burst length): wormhole vs CLRP vs CARP on one schedule",
+    columns: &[
+        "burst",
+        "WH lat",
+        "CLRP lat",
+        "CLRP circuit%",
+        "CARP lat",
+        "CARP circuit%",
+    ],
+    rows: |scale| rows_of(scale.sweep(&[1u32, 2, 4, 8, 16]), burst_row),
+};
+
+fn burst_row(ctx: &Ctx, &burst: &u32) -> Vec<String> {
     let scale = ctx.scale;
-    let mut t = Table::new(
-        "E5",
-        "temporal locality (burst length): wormhole vs CLRP vs CARP on one schedule",
-        &[
-            "burst",
-            "WH lat",
-            "CLRP lat",
-            "CLRP circuit%",
-            "CARP lat",
-            "CARP circuit%",
-        ],
-    );
-    let bursts = scale.sweep(&[1u32, 2, 4, 8, 16]);
     let spec = RunSpec::standard(0, scale.measure);
-
-    for &burst in &bursts {
-        let mk_trace = |use_circuits: bool| {
-            CarpTrace::pairwise(
-                &crate::experiments::mesh(scale.side),
-                &PairwiseSpec {
-                    partners: 3,
-                    phases: 3,
-                    msgs_per_burst: burst,
-                    len: 64,
-                    phase_gap: scale.measure / 3 + 1_000,
-                    setup_lead: 200,
-                    send_gap: 60,
-                    // The "compiler decision": circuits only for real bursts.
-                    use_circuits,
-                    seed: 55,
-                },
-            )
+    let run_one = |protocol: ProtocolKind| {
+        let cfg = WaveConfig {
+            protocol,
+            ..WaveConfig::default()
         };
-        let run_one = |protocol: ProtocolKind| {
-            let cfg = WaveConfig {
-                protocol,
-                ..WaveConfig::default()
-            };
-            let mut net = crate::experiments::net_with(scale.side, cfg);
-            let carp_circuits = protocol == ProtocolKind::Carp && burst >= 4;
-            let mut trace = mk_trace(carp_circuits);
-            ctx.observe(|obs| run_carp_trace(&mut net, &mut trace, spec, obs))
-        };
-        let wh = run_one(ProtocolKind::WormholeOnly);
-        let clrp = run_one(ProtocolKind::Clrp);
-        let carp = run_one(ProtocolKind::Carp);
-
-        t.push(vec![
-            burst.to_string(),
-            f2(wh.avg_latency),
-            f2(clrp.avg_latency),
-            pct(clrp.circuit_fraction),
-            f2(carp.avg_latency),
-            pct(carp.circuit_fraction),
-        ]);
-    }
-    t
+        let mut net = crate::experiments::net_with(scale.side, cfg);
+        let mut trace = CarpTrace::pairwise(
+            net.topology(),
+            &PairwiseSpec {
+                partners: 3,
+                phases: 3,
+                msgs_per_burst: burst,
+                len: 64,
+                phase_gap: scale.measure / 3 + 1_000,
+                setup_lead: 200,
+                send_gap: 60,
+                // The "compiler decision": circuits only for real bursts.
+                use_circuits: protocol == ProtocolKind::Carp && burst >= 4,
+                seed: 55,
+            },
+        );
+        ctx.observe(|obs| run_carp_trace(&mut net, &mut trace, spec, obs))
+    };
+    let wh = run_one(ProtocolKind::WormholeOnly);
+    let clrp = run_one(ProtocolKind::Clrp);
+    let carp = run_one(ProtocolKind::Carp);
+    vec![
+        burst.to_string(),
+        f2(wh.avg_latency),
+        f2(clrp.avg_latency),
+        pct(clrp.circuit_fraction),
+        f2(carp.avg_latency),
+        pct(carp.circuit_fraction),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Scale;
 
     #[test]
     fn circuits_pay_off_with_bursts() {
-        let t = run(&Ctx::unobserved(Scale::small(), 1));
+        let t = crate::experiments::table("e5", Scale::small(), 1);
         let parse_pct = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
         let first = &t.rows[0];
         let last = t.rows.last().unwrap();

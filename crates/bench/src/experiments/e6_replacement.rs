@@ -10,26 +10,26 @@
 use wavesim_core::{ProtocolKind, ReplacementPolicy, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::experiments::Ctx;
+use crate::experiments::{rows_of, Ctx, Experiment, Row};
 use crate::table::{f2, pct};
-use crate::Table;
+use crate::Scale;
 
-/// Runs E6.
-#[must_use]
-pub fn run(ctx: &Ctx) -> Table {
-    let scale = ctx.scale;
-    let mut t = Table::new(
-        "E6",
-        "circuit-cache replacement algorithms under register pressure",
-        &[
-            "policy",
-            "cache size",
-            "hit rate",
-            "evictions",
-            "avg lat",
-            "circuit%",
-        ],
-    );
+/// E6.
+pub const E6: Experiment = Experiment {
+    id: "e6",
+    title: "circuit-cache replacement algorithms under register pressure",
+    columns: &[
+        "policy",
+        "cache size",
+        "hit rate",
+        "evictions",
+        "avg lat",
+        "circuit%",
+    ],
+    rows,
+};
+
+fn rows(scale: Scale) -> Vec<Row> {
     let policies = [
         ("LRU", ReplacementPolicy::Lru),
         ("LFU", ReplacementPolicy::Lfu),
@@ -42,51 +42,54 @@ pub fn run(ctx: &Ctx) -> Table {
     // binding constraint and all policies tie. For an 8×8 mesh with k = 4
     // that bound is ~2.6 entries/node.
     let sizes = scale.sweep(&[1usize, 2, 3]);
+    let points = policies
+        .into_iter()
+        .flat_map(|(name, policy)| sizes.iter().map(move |&size| (name, policy, size)));
+    rows_of(points, policy_row)
+}
 
-    for &(name, policy) in &policies {
-        for &size in &sizes {
-            let cfg = WaveConfig {
-                protocol: ProtocolKind::Clrp,
-                replacement: policy,
-                cache_capacity: size,
-                // Plenty of wave switches: lane contention stays low, so
-                // the register-file pressure (6 partners vs `size` entries)
-                // is what the policies compete on.
-                k: 4,
-                ..WaveConfig::default()
-            };
-            let mut net = crate::experiments::net_with(scale.side, cfg);
-            let r = ctx.open_loop(
-                &mut net,
-                0.10,
-                TrafficPattern::HotPairs {
-                    partners: 6,
-                    locality: 0.9,
-                },
-                LengthDist::Fixed(48),
-                66,
-            );
-            t.push(vec![
-                name.into(),
-                size.to_string(),
-                pct(r.wave.hit_rate()),
-                r.wave.cache_evictions.to_string(),
-                f2(r.avg_latency),
-                pct(r.circuit_fraction),
-            ]);
-        }
-    }
-    t
+fn policy_row(
+    ctx: &Ctx,
+    &(name, policy, size): &(&'static str, ReplacementPolicy, usize),
+) -> Vec<String> {
+    let cfg = WaveConfig {
+        protocol: ProtocolKind::Clrp,
+        replacement: policy,
+        cache_capacity: size,
+        // Plenty of wave switches: lane contention stays low, so the
+        // register-file pressure (6 partners vs `size` entries) is what
+        // the policies compete on.
+        k: 4,
+        ..WaveConfig::default()
+    };
+    let mut net = crate::experiments::net_with(ctx.scale.side, cfg);
+    let r = ctx.open_loop(
+        &mut net,
+        0.10,
+        TrafficPattern::HotPairs {
+            partners: 6,
+            locality: 0.9,
+        },
+        LengthDist::Fixed(48),
+        66,
+    );
+    vec![
+        name.into(),
+        size.to_string(),
+        pct(r.wave.hit_rate()),
+        r.wave.cache_evictions.to_string(),
+        f2(r.avg_latency),
+        pct(r.circuit_fraction),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Scale;
 
     #[test]
     fn bigger_caches_hit_more() {
-        let t = run(&Ctx::unobserved(Scale::small(), 1));
+        let t = crate::experiments::table("e6", Scale::small(), 1);
         let parse_pct = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
         // Within the LRU rows, hit rate must not decrease with size.
         let lru: Vec<&Vec<String>> = t.rows.iter().filter(|r| r[0] == "LRU").collect();

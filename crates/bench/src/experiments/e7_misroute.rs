@@ -19,18 +19,35 @@ use wavesim_sim::SimRng;
 use wavesim_topology::NodeId;
 use wavesim_workloads::FaultSchedule;
 
-use crate::experiments::Ctx;
+use crate::experiments::{rows_of, Ctx, Experiment};
 use crate::table::{f2, pct};
-use crate::{Scale, Table};
 
-struct Outcome {
-    success_rate: f64,
-    hops_per_probe: f64,
-    backtracks_per_probe: f64,
-    misroutes_per_probe: f64,
-}
+/// E7.
+pub const E7: Experiment = Experiment {
+    id: "e7",
+    title: "MB-m: setup probability vs misroute budget under lane occupancy",
+    columns: &[
+        "occupancy",
+        "m",
+        "setup success",
+        "hops/probe",
+        "backtracks/probe",
+        "misroutes/probe",
+    ],
+    rows: |scale| {
+        let ms = scale.sweep(&[0u8, 1, 2, 4]);
+        rows_of(
+            [0.15, 0.30]
+                .into_iter()
+                .flat_map(|occ| ms.iter().map(move |&m| (occ, m))),
+            trial_row,
+        )
+    },
+};
 
-fn trial_run(scale: Scale, m: u8, occupancy: f64, trials: u32) -> Outcome {
+/// Probe setups at misroute budget `m` under lane occupancy `occupancy`.
+fn trial_row(ctx: &Ctx, &(occupancy, m): &(f64, u8)) -> Vec<String> {
+    let trials = if ctx.scale.side >= 8 { 300 } else { 80 };
     let cfg = WaveConfig {
         protocol: ProtocolKind::Carp,
         k: 1,
@@ -38,7 +55,7 @@ fn trial_run(scale: Scale, m: u8, occupancy: f64, trials: u32) -> Outcome {
         cache_capacity: 2,
         ..WaveConfig::default()
     };
-    let mut net = crate::experiments::net_with(scale.side, cfg);
+    let mut net = crate::experiments::net_with(ctx.scale.side, cfg);
     // Background occupancy: lanes held "by other circuits", modelled as
     // unavailable lanes (probes can neither reserve nor force them),
     // failed at cycle 0.
@@ -74,56 +91,23 @@ fn trial_run(scale: Scale, m: u8, occupancy: f64, trials: u32) -> Outcome {
     }
     let s = net.stats();
     let probes = s.probes_sent.max(1) as f64;
-    Outcome {
-        success_rate: successes as f64 / f64::from(trials),
-        hops_per_probe: s.probe_hops as f64 / probes,
-        backtracks_per_probe: s.probe_backtracks as f64 / probes,
-        misroutes_per_probe: s.probe_misroutes as f64 / probes,
-    }
-}
-
-/// Runs E7.
-#[must_use]
-pub fn run(ctx: &Ctx) -> Table {
-    let scale = ctx.scale;
-    let mut t = Table::new(
-        "E7",
-        "MB-m: setup probability vs misroute budget under lane occupancy",
-        &[
-            "occupancy",
-            "m",
-            "setup success",
-            "hops/probe",
-            "backtracks/probe",
-            "misroutes/probe",
-        ],
-    );
-    let ms = scale.sweep(&[0u8, 1, 2, 4]);
-    let trials = if scale.side >= 8 { 300 } else { 80 };
-
-    for &occ in &[0.15, 0.30] {
-        for &m in &ms {
-            let o = trial_run(scale, m, occ, trials);
-            t.push(vec![
-                pct(occ),
-                m.to_string(),
-                pct(o.success_rate),
-                f2(o.hops_per_probe),
-                f2(o.backtracks_per_probe),
-                f2(o.misroutes_per_probe),
-            ]);
-        }
-    }
-    t
+    vec![
+        pct(occupancy),
+        m.to_string(),
+        pct(successes as f64 / f64::from(trials)),
+        f2(s.probe_hops as f64 / probes),
+        f2(s.probe_backtracks as f64 / probes),
+        f2(s.probe_misroutes as f64 / probes),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::Scale;
 
     #[test]
     fn misrouting_improves_setup_probability() {
-        let t = run(&Ctx::unobserved(Scale::small(), 1));
+        let t = crate::experiments::table("e7", Scale::small(), 1);
         let parse_pct = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
         // Within each occupancy block, m=max must succeed at least as often
         // as m=0 (strictly more at the higher occupancy).

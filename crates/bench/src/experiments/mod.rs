@@ -27,16 +27,10 @@ use crate::observers::{Observed, Observers};
 use crate::runner::{run_open_loop_observed, RunResult, RunSpec};
 use crate::{ParallelSweep, RunObserver, Scale, Table};
 
-/// Square 2-D mesh of the given side.
-#[must_use]
-pub fn mesh(side: u16) -> Topology {
-    Topology::mesh(&[side, side])
-}
-
-/// A wave network with an explicit config on a square mesh.
+/// A wave network with an explicit config on a square 2-D mesh.
 #[must_use]
 pub fn net_with(side: u16, cfg: WaveConfig) -> WaveNetwork {
-    WaveNetwork::new(mesh(side), cfg)
+    WaveNetwork::new(Topology::mesh(&[side, side]), cfg)
 }
 
 /// Makes one run's observers. The argument says whether the run's capture
@@ -45,14 +39,14 @@ pub fn net_with(side: u16, cfg: WaveConfig) -> WaveNetwork {
 /// it is `false` can execute concurrently with others.
 pub type ObserverFactory<'a> = dyn Fn(bool) -> Observers + Sync + 'a;
 
-/// What an experiment runs under: its scale, how many worker threads its
-/// sweep may use, and how its runs are observed.
+/// What experiments run under: their scale, how many worker threads their
+/// rows may use, and how their runs are observed.
 pub struct Ctx<'a> {
     /// Experiment sizing.
     pub scale: Scale,
     jobs: usize,
     factory: Option<&'a ObserverFactory<'a>>,
-    /// False inside every sweep point but the last.
+    /// False inside every row but the last.
     exported: bool,
     observed: RefCell<Observed>,
 }
@@ -117,39 +111,6 @@ impl<'a> Ctx<'a> {
         self.observe(|obs| run_open_loop_observed(net, &mut src, spec, obs))
     }
 
-    /// Maps `f` over sweep `points` on up to `jobs` worker threads, each
-    /// point under its own child context, and returns the results in
-    /// point order. `f` must derive everything from its point alone (see
-    /// [`ParallelSweep`]); then results and observations — merged here in
-    /// point order — are identical for every job count.
-    pub fn sweep<P, R, F>(&self, points: &[P], f: F) -> Vec<R>
-    where
-        P: Sync,
-        R: Send,
-        F: Fn(&Ctx<'a>, &P) -> R + Sync,
-    {
-        let (scale, factory, exported) = (self.scale, self.factory, self.exported);
-        let last = points.len().saturating_sub(1);
-        let done = ParallelSweep::new(self.jobs).run(points, |i, p| {
-            let point = Ctx {
-                scale,
-                jobs: 1,
-                factory,
-                exported: exported && i == last,
-                observed: RefCell::default(),
-            };
-            let r = f(&point, p);
-            (r, point.observed.into_inner())
-        });
-        let mut observed = self.observed.borrow_mut();
-        done.into_iter()
-            .map(|(r, point)| {
-                observed.append(point);
-                r
-            })
-            .collect()
-    }
-
     /// Everything the context's runs left behind.
     #[must_use]
     pub fn into_observed(self) -> Observed {
@@ -157,10 +118,104 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// One table row: performs its point's runs under the context it is
+/// handed and returns the row's cells. A row closes over its point and
+/// reads nothing else, so rows can run in any order on any thread.
+pub type Row = Box<dyn Fn(&Ctx) -> Vec<String> + Send + Sync>;
+
+/// One row per point, each computing `point_row(ctx, point)`; a row
+/// reads its scale from `ctx.scale`.
+pub fn rows_of<P: Send + Sync + 'static>(
+    points: impl IntoIterator<Item = P>,
+    point_row: fn(&Ctx, &P) -> Vec<String>,
+) -> Vec<Row> {
+    points
+        .into_iter()
+        .map(|p| -> Row { Box::new(move |ctx| point_row(ctx, &p)) })
+        .collect()
+}
+
+/// One experiment: its table's heading and the rows a scale asks for.
+pub struct Experiment {
+    /// Command-line id (`"e1"`); the table's id is its upper case.
+    pub id: &'static str,
+    /// Table title.
+    pub title: &'static str,
+    /// Column headers.
+    pub columns: &'static [&'static str],
+    /// The table's rows at a scale, in table order.
+    pub rows: fn(Scale) -> Vec<Row>,
+}
+
+/// The experiment suite, in order.
+pub const EXPERIMENTS: [Experiment; 15] = [
+    e1_deadlock::E1,
+    e2_livelock::E2,
+    e3_msglen::E3,
+    e4_reuse::E4,
+    e5_locality::E5,
+    e6_replacement::E6,
+    e7_misroute::E7,
+    e8_faults::E8,
+    e9_arch::E9,
+    e10_variants::E10,
+    e11_loadsweep::E11,
+    e12_ablations::E12,
+    e13_dsm::E13,
+    e14_dynamic_faults::E14,
+    e15_collectives::E15,
+];
+
+/// Runs the experiments `ids` under `ctx` and returns one table each.
+///
+/// The rows of all of them form one [`ParallelSweep`] in serial order,
+/// each row under its own child context on up to `jobs` worker threads.
+/// A row derives everything from its own point, so the cells and the
+/// observations — merged here in row order — are byte-identical for any
+/// job count and any observers. Only the last row's runs may be exported.
+///
+/// # Panics
+/// Panics on an unknown id.
+#[must_use]
+pub fn run_all(ids: &[&str], ctx: &Ctx) -> Vec<Table> {
+    let exps: Vec<(&Experiment, Vec<Row>)> = ids
+        .iter()
+        .map(|&id| {
+            let e = EXPERIMENTS.iter().find(|e| e.id == id);
+            let e = e.unwrap_or_else(|| panic!("unknown experiment id {id:?} (use e1..e15)"));
+            (e, (e.rows)(ctx.scale))
+        })
+        .collect();
+    let rows: Vec<&Row> = exps.iter().flat_map(|(_, rows)| rows).collect();
+    let (scale, factory, exported) = (ctx.scale, ctx.factory, ctx.exported);
+    let last = rows.len().saturating_sub(1);
+    let mut done = ParallelSweep::new(ctx.jobs)
+        .run(&rows, |i, row| {
+            let point = Ctx {
+                scale,
+                jobs: 1,
+                factory,
+                exported: exported && i == last,
+                observed: RefCell::default(),
+            };
+            (row(&point), point.observed.into_inner())
+        })
+        .into_iter();
+    let mut observed = ctx.observed.borrow_mut();
+    exps.iter()
+        .map(|(e, rows)| {
+            let mut t = Table::new(&e.id.to_uppercase(), e.title, e.columns);
+            for (cells, point) in done.by_ref().take(rows.len()) {
+                observed.append(point);
+                t.push(cells);
+            }
+            t
+        })
+        .collect()
+}
+
 /// Runs one experiment by id (`"e1"`..`"e15"`) unobserved and returns its
-/// tables, fanning sweep points out over `jobs` worker threads where the
-/// experiment has a sweep (the E11 load sweep, the E13 locality sweep,
-/// the E14 MTBF sweep, and the E15 collective grid).
+/// tables, fanning its rows out over `jobs` worker threads.
 ///
 /// # Panics
 /// Panics on an unknown id.
@@ -169,39 +224,23 @@ pub fn run_by_id_with_jobs(id: &str, scale: Scale, jobs: usize) -> Vec<Table> {
     run(id, &Ctx::unobserved(scale, jobs))
 }
 
-/// Runs one experiment by id under `ctx`. Results are merged in point
-/// order and are byte-identical for any job count and any observers.
+/// Runs one experiment by id under `ctx` (see [`run_all`]).
 ///
 /// # Panics
 /// Panics on an unknown id.
 #[must_use]
 pub fn run(id: &str, ctx: &Ctx) -> Vec<Table> {
-    let run = match id {
-        "e1" => e1_deadlock::run,
-        "e2" => e2_livelock::run,
-        "e3" => e3_msglen::run,
-        "e4" => e4_reuse::run,
-        "e5" => e5_locality::run,
-        "e6" => e6_replacement::run,
-        "e7" => e7_misroute::run,
-        "e8" => e8_faults::run,
-        "e9" => e9_arch::run,
-        "e10" => e10_variants::run,
-        "e11" => e11_loadsweep::run,
-        "e12" => e12_ablations::run,
-        "e13" => e13_dsm::run,
-        "e14" => e14_dynamic_faults::run,
-        "e15" => e15_collectives::run,
-        other => panic!("unknown experiment id {other:?} (use e1..e15)"),
-    };
-    vec![run(ctx)]
+    run_all(&[id], ctx)
 }
 
 /// All experiment ids, in order.
 #[must_use]
 pub fn all_ids() -> Vec<&'static str> {
-    vec![
-        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
-        "e15",
-    ]
+    EXPERIMENTS.iter().map(|e| e.id).collect()
+}
+
+/// One experiment's table at `scale`, unobserved, on `jobs` threads.
+#[cfg(test)]
+fn table(id: &str, scale: Scale, jobs: usize) -> Table {
+    run(id, &Ctx::unobserved(scale, jobs)).remove(0)
 }

@@ -25,9 +25,12 @@
 //! | E14 | dynamic lane faults: fail/repair churn under load |
 //! | E15 | dependency-gated collective replay under CLRP / CARP / MB-1 |
 //!
-//! Every experiment is a pure function from a [`Scale`] to a [`Table`];
-//! the `wavesim` CLI prints full-size runs (`--scale paper`) or reduced
-//! ones (`--scale small`). Wall clock is measured from outside, by
+//! Every experiment is a declared list of rows
+//! ([`experiments::Experiment`]): each row is a pure function of its own
+//! point, and [`experiments::run_all`] runs the rows of every requested
+//! experiment through one [`ParallelSweep`] and regroups them into
+//! [`Table`]s. The `wavesim` CLI prints full-size runs (`--scale paper`)
+//! or reduced ones (`--scale small`). Wall clock is measured from outside, by
 //! wavebench (`benchmark/`); the one bench target here, `cycle_kernel`,
 //! gates deterministic kernel work per simulated cycle.
 //!
@@ -49,8 +52,8 @@
 //! [`watchdog::Watchdog`], [`livestate::BoardObserver`] — are plain
 //! values: build one, pass it to a `run_*` entry point, then ask it for
 //! what it captured. [`Observers`] bundles them for the CLI, and an
-//! experiment's [`experiments::Ctx`] makes a fresh bundle per run, on
-//! whichever sweep worker thread the run lands. There is no thread-local
+//! experiment row's [`experiments::Ctx`] makes a fresh bundle per run, on
+//! whichever sweep worker thread the row lands. There is no thread-local
 //! or process-global state anywhere in this crate.
 
 #![warn(missing_docs)]

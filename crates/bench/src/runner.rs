@@ -718,7 +718,7 @@ pub struct ServiceResult {
 /// traffic source, RNG seed — from `(index, point)` alone, never from
 /// shared mutable state. Then thread scheduling cannot influence any
 /// result, and `jobs = 1` and `jobs = N` produce byte-identical output
-/// (the determinism suite asserts this for the E11 sweep).
+/// (the determinism suite asserts this for every E-series table).
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelSweep {
     jobs: usize,

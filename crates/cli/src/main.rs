@@ -15,6 +15,7 @@ use wavesim_bench::watchdog::{Watchdog, WatchdogConfig};
 use wavesim_bench::{experiments, Observed, Observers, RunSpec};
 use wavesim_core::{WaveConfig, WaveNetwork};
 use wavesim_topology::{RoutingKind, Topology};
+use wavesim_trace::stream::{stream_trace_file, StreamingReader, TraceFormat};
 use wavesim_trace::TraceSink;
 use wavesim_verify::check_deadlock_freedom;
 use wavesim_workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
@@ -29,9 +30,16 @@ fn cannot_write(path: &str, e: impl std::fmt::Display) -> String {
     format!("cannot write {path}: {e}")
 }
 
-/// `e` is `stream_trace_file`'s error, which already names the path.
-fn cannot_read(e: String) -> String {
-    format!("cannot read {e}")
+/// Opens a capture for streaming. An empty file has no format to sniff,
+/// so it is refused by name rather than misread as malformed JSON.
+fn open_capture(path: &str) -> Result<StreamingReader<std::fs::File>, String> {
+    // `stream_trace_file`'s error already names the path.
+    let reader =
+        stream_trace_file(std::path::Path::new(path)).map_err(|e| format!("cannot read {e}"))?;
+    if std::fs::metadata(path).is_ok_and(|m| m.len() == 0) {
+        return Err(format!("{path}: empty file, no records"));
+    }
+    Ok(reader)
 }
 
 fn write_file(path: &str, contents: &str) -> Result<(), String> {
@@ -93,10 +101,9 @@ fn export_trace(
 /// JSONL record streams (`--trace-jsonl`), and Perfetto exports
 /// (`--trace-out`) are all recognised by content, not extension.
 fn validate_trace(path: &str) -> Outcome {
-    use wavesim_trace::stream::{stream_trace_file, TraceFormat};
     // The two record formats are counted through the streaming reader, in
     // bounded memory whatever the capture size.
-    let mut reader = stream_trace_file(std::path::Path::new(path)).map_err(cannot_read)?;
+    let mut reader = open_capture(path)?;
     let mut records: u64 = 0;
     let mut failure = None;
     while let Some(rec) = reader.next_record() {
@@ -147,8 +154,7 @@ fn convert_trace(args: &Args) -> Outcome {
     // Stream end to end: the reader decodes the input frame-by-frame and
     // the writer is the same chunked background sink the capture path
     // uses, so conversion runs in bounded memory at any capture size.
-    let mut reader =
-        wavesim_trace::stream::stream_trace_file(Path::new(input)).map_err(cannot_read)?;
+    let mut reader = open_capture(input)?;
     let (mut sink, what): (Box<dyn TraceSink>, &str) = if args.to_bin {
         let sink = ColumnarSink::create(Path::new(out)).map_err(|e| cannot_write(out, e))?;
         (Box::new(sink), "binary columnar")
@@ -306,6 +312,13 @@ impl<'a> Observing<'a> {
         }
         let Some(t) = &observed.trace else {
             eprintln!("note: no run captured; no trace written");
+            // `new` created the stream files to fail fast; an empty one
+            // would read as a broken capture.
+            for path in [&a.trace_jsonl, &a.trace_bin].into_iter().flatten() {
+                if std::fs::remove_file(path).is_ok() {
+                    eprintln!("note: removed the empty {path}");
+                }
+            }
             return Ok(());
         };
         if let Some(e) = &t.stream_error {
@@ -623,8 +636,7 @@ fn analyze_cmd(args: &Args) -> Outcome {
     // Stream the capture record-by-record into the incremental engine:
     // peak memory is one frame, whatever the capture size, and the result
     // is identical to the offline fold by construction.
-    let mut reader = wavesim_trace::stream::stream_trace_file(std::path::Path::new(path))
-        .map_err(cannot_read)?;
+    let mut reader = open_capture(path)?;
     let mut live = wavesim_analyze::LiveAnalytics::new(wavesim_analyze::AnalyzeOptions {
         window: args.window,
         top_k: args.top,
@@ -666,13 +678,11 @@ fn run_experiments(ids: &[&str], args: &Args) -> Outcome {
     let observing = Observing::new(args)?;
     let factory = |exported| observing.observers(exported);
     let ctx = experiments::Ctx::observed(args.scale, args.jobs, &factory);
-    for id in ids {
-        for table in experiments::run(id, &ctx) {
-            if args.json {
-                println!("{}", table.to_json().pretty());
-            } else {
-                table.print();
-            }
+    for table in experiments::run_all(ids, &ctx) {
+        if args.json {
+            println!("{}", table.to_json().pretty());
+        } else {
+            table.print();
         }
     }
     // Experiments drive many runs; what gets exported is the last one (for

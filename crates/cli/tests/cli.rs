@@ -161,9 +161,21 @@ fn validate_trace_rejects_malformed_input() {
         .expect("binary runs");
     assert!(!out.status.success());
 
-    // A truncated capture, one with a corrupt length byte and a JSONL
-    // stream with a bad line: exit 1 (not a panic's 101) and an `error:`
-    // that says where, from both commands that read a capture.
+    // A command that captures no run (E7 drives its networks by hand)
+    // leaves no empty stream file behind, and says so.
+    let out = wavesim()
+        .current_dir(&dir)
+        .args(["e7", "--scale", "small", "--trace-bin", "e7.wstrace"])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("note: removed the empty e7.wstrace"), "{err}");
+    assert!(!dir.join("e7.wstrace").exists());
+
+    // A truncated capture, one with a corrupt length byte, a JSONL stream
+    // with a bad line and an empty file: exit 1 (not a panic's 101) and an
+    // `error:` that says where, from both commands that read a capture.
     use wavesim_trace::TraceRecord;
     let mut capture = Vec::new();
     let mut jsonl = String::new();
@@ -185,6 +197,11 @@ fn validate_trace_rejects_malformed_input() {
         ),
         ("corrupt.wstrace", &corrupt[..], "frame at byte 8: "),
         ("badline.jsonl", jsonl.as_bytes(), "line 2: "),
+        (
+            "empty.wstrace",
+            &[][..],
+            "empty.wstrace: empty file, no records",
+        ),
         (
             "deep.json",
             "[".repeat(200_000).as_bytes(),

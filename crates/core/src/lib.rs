@@ -38,7 +38,6 @@ pub mod lanes;
 pub mod network;
 pub mod pcs;
 pub mod probe;
-pub mod render;
 pub mod replacement;
 pub mod snapshot;
 pub mod stats;

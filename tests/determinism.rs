@@ -9,9 +9,7 @@ use wavesim::workloads::{
     CarpTrace, FaultSchedule, LengthDist, ServiceConfig, ServiceWorkload, TrafficConfig,
     TrafficPattern, TrafficSource,
 };
-use wavesim_bench::experiments::{
-    e11_loadsweep, e13_dsm, e14_dynamic_faults, e15_collectives, Ctx,
-};
+use wavesim_bench::experiments::{all_ids, run, run_all, Ctx};
 use wavesim_bench::{
     apply_fault_schedule, run_carp_trace, run_open_loop, run_service, ParallelSweep, RunResult,
     RunSpec, Scale,
@@ -148,62 +146,37 @@ fn parallel_sweep_results_match_serial_golden_trace() {
     );
 }
 
-/// The full E11 table — the artifact EXPERIMENTS.md prints — is
-/// byte-identical across job counts.
+/// Every table of the E-series — the artifacts EXPERIMENTS.md prints — is
+/// byte-identical across job counts. The rows of all fifteen experiments
+/// form one sweep: open- and closed-loop traffic, static and dynamic fault
+/// schedules, and dependency-gated replay all run on whichever worker
+/// their row lands.
 #[test]
-fn e11_table_is_identical_across_job_counts() {
+fn every_table_is_identical_across_job_counts() {
     let scale = Scale {
         side: 4,
         measure: 2_000,
         warmup: 500,
         sweep_points: 3,
     };
-    let serial = e11_loadsweep::run(&Ctx::unobserved(scale, 1));
-    let four = e11_loadsweep::run(&Ctx::unobserved(scale, 4));
-    assert!(!serial.rows.is_empty());
-    assert_eq!(serial.rows, four.rows, "--jobs 4 must not change the table");
+    let serial = run_all(&all_ids(), &Ctx::unobserved(scale, 1));
+    assert_eq!(serial.len(), 15);
+    for jobs in [2, 4] {
+        let fanned = run_all(&all_ids(), &Ctx::unobserved(scale, jobs));
+        for (s, f) in serial.iter().zip(&fanned) {
+            assert!(!s.rows.is_empty(), "{}", s.id);
+            assert_eq!(s.rows, f.rows, "--jobs {jobs} must not change {}", s.id);
+        }
+    }
 }
 
-/// Closed-loop traffic must not cost determinism either: the E13 DSM
-/// table — request/reply round trips with bounded outstanding windows —
-/// is byte-identical across job counts.
-#[test]
-fn e13_table_is_identical_across_job_counts() {
-    let scale = Scale {
-        side: 4,
-        measure: 2_000,
-        warmup: 500,
-        sweep_points: 3,
-    };
-    let serial = e13_dsm::run(&Ctx::unobserved(scale, 1));
-    let four = e13_dsm::run(&Ctx::unobserved(scale, 4));
-    assert!(!serial.rows.is_empty());
-    assert_eq!(serial.rows, four.rows, "--jobs 4 must not change the table");
-}
-
-/// Dynamic faults must not cost determinism: the E14 table — every run
-/// under a drawn `FaultSchedule`, with mid-run teardowns, retries, and
-/// wormhole degradation — is byte-identical across job counts.
-#[test]
-fn e14_fault_schedule_table_is_identical_across_job_counts() {
-    let scale = Scale {
-        side: 4,
-        measure: 2_000,
-        warmup: 500,
-        sweep_points: 3,
-    };
-    let serial = e14_dynamic_faults::run(&Ctx::unobserved(scale, 1));
-    let four = e14_dynamic_faults::run(&Ctx::unobserved(scale, 4));
-    assert!(!serial.rows.is_empty());
-    assert_eq!(serial.rows, four.rows, "--jobs 4 must not change the table");
-}
-
-/// The observer seam costs no determinism: E11 under a full observer set
-/// — flight-recorder ring, binary stream, sampler, watchdog — yields the
-/// same table, the same exported Perfetto document, the same stream bytes
-/// and the same watchdog reports at `--jobs 1` and `--jobs 2`, because
-/// every run carries its own observers onto whichever worker runs it.
-/// And only one capture survives the sweep: the last run's.
+/// The observer seam costs no determinism: the whole E-series under a
+/// full observer set — flight-recorder ring, binary stream, sampler,
+/// watchdog — yields the same tables, the same exported Perfetto
+/// document, the same stream bytes and the same watchdog reports at
+/// `--jobs 1` and `--jobs 2`, because every run carries its own observers
+/// onto whichever worker runs it. And only one capture survives the
+/// sweep: the last row's.
 #[test]
 fn observed_e11_sweep_is_identical_across_job_counts() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -247,13 +220,13 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
             }
         };
         let ctx = Ctx::observed(scale, jobs, &factory);
-        let table = e11_loadsweep::run(&ctx);
+        let tables = run_all(&all_ids(), &ctx);
         let observed = ctx.into_observed();
-        // Three load points, wormhole and wave at each; only the last
-        // point's two runs may stream and be kept.
-        assert_eq!(runs.load(Ordering::Relaxed), 6);
-        assert_eq!(exported_runs.load(Ordering::Relaxed), 2);
-        assert_eq!(observed.reports.len(), 6, "one report per run, all kept");
+        // The factory is called once per run, and every run's report is
+        // kept. Only the last row (E15's last point, one replay) may
+        // stream and be kept.
+        assert_eq!(runs.load(Ordering::Relaxed), observed.reports.len());
+        assert_eq!(exported_runs.load(Ordering::Relaxed), 1);
         let trace = observed.trace.as_ref().expect("the last run's capture");
         assert!(trace.stream_error.is_none(), "{:?}", trace.stream_error);
         let series = observed.series.as_ref().expect("the last run's series");
@@ -264,15 +237,16 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
         // The file holds the kept run, whole.
         let streamed = wavesim::trace::read_columnar(&stream).expect("decode");
         assert_eq!(streamed.len() as u64, trace.total);
-        (table.rows, perfetto, stream, observed)
+        let rows: Vec<_> = tables.into_iter().map(|t| t.rows).collect();
+        (rows, perfetto, stream, observed)
     };
     let (rows1, perfetto1, stream1, observed1) = observed_sweep(1);
     let (rows2, perfetto2, stream2, observed2) = observed_sweep(2);
-    assert_eq!(
-        rows1,
-        e11_loadsweep::run(&Ctx::unobserved(scale, 1)).rows,
-        "observers must not move the table"
-    );
+    let unobserved: Vec<_> = run_all(&all_ids(), &Ctx::unobserved(scale, 1))
+        .into_iter()
+        .map(|t| t.rows)
+        .collect();
+    assert_eq!(rows1, unobserved, "observers must not move the tables");
     assert_eq!(rows1, rows2);
     assert_eq!(perfetto1, perfetto2);
     assert!(
@@ -364,7 +338,7 @@ fn golden_trace_e11_table_matches_seed_kernel() {
         warmup: 500,
         sweep_points: 3,
     };
-    let table = e11_loadsweep::run(&Ctx::unobserved(scale, 1));
+    let table = run("e11", &Ctx::unobserved(scale, 1)).remove(0);
     golden_check(
         "e11_rows",
         hash_str(&format!("{:?}", table.rows)),
@@ -383,7 +357,7 @@ fn golden_trace_e14_table_is_reproducible() {
         warmup: 500,
         sweep_points: 3,
     };
-    let table = e14_dynamic_faults::run(&Ctx::unobserved(scale, 1));
+    let table = run("e14", &Ctx::unobserved(scale, 1)).remove(0);
     golden_check(
         "e14_rows",
         hash_str(&format!("{:?}", table.rows)),
@@ -628,22 +602,6 @@ fn golden_trace_saturated_runs_match_polling_kernel() {
 // across job counts.
 // ---------------------------------------------------------------------
 
-/// The full E15 collective grid — every collective × protocol × length —
-/// is byte-identical across job counts.
-#[test]
-fn e15_table_is_identical_across_job_counts() {
-    let scale = Scale {
-        side: 4,
-        measure: 2_000,
-        warmup: 500,
-        sweep_points: 2,
-    };
-    let serial = e15_collectives::run(&Ctx::unobserved(scale, 1));
-    let four = e15_collectives::run(&Ctx::unobserved(scale, 4));
-    assert!(!serial.rows.is_empty());
-    assert_eq!(serial.rows, four.rows, "--jobs 4 must not change the table");
-}
-
 /// The small E13 and E15 tables rendered to their exact row strings:
 /// pins the closed-loop request/reply pipeline and the dependency-gated
 /// collective replay against this kernel.
@@ -659,7 +617,7 @@ fn golden_trace_e13_and_e15_tables_are_reproducible() {
         "e13_rows",
         hash_str(&format!(
             "{:?}",
-            e13_dsm::run(&Ctx::unobserved(scale, 1)).rows
+            run("e13", &Ctx::unobserved(scale, 1))[0].rows
         )),
         0x0a2a_730d_def9_e8e4,
     );
@@ -671,7 +629,7 @@ fn golden_trace_e13_and_e15_tables_are_reproducible() {
         "e15_rows",
         hash_str(&format!(
             "{:?}",
-            e15_collectives::run(&Ctx::unobserved(scale, 1)).rows
+            run("e15", &Ctx::unobserved(scale, 1))[0].rows
         )),
         0x3c9a_aca5_3ba0_b86a,
     );
