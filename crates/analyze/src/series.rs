@@ -1,10 +1,13 @@
 //! Offline time-series derivation.
 //!
-//! Rebuilds the same windowed rows the live bench sampler produces
+//! Rebuilds the windowed rows the live bench sampler produces
 //! ([`wavesim_trace::timeseries::WindowSeries`]) from a captured record
-//! stream: deliveries feed the per-window latency histogram, cache events
-//! feed the hit rate, and the set of distinct routers named by a cycle's
-//! events stands in for the live active-router gauge.
+//! stream: deliveries feed the per-window latency histogram and cache
+//! events feed the hit rate, so those columns equal the live ones. The
+//! one that does not is `active_routers`: the set of distinct routers
+//! named by a cycle's events stands in for the live gauge
+//! (`WaveNetwork::active_routers`, which also counts routers moving
+//! wormhole flits, and those leave no record), so it reads lower.
 
 use wavesim_sim::Cycle;
 use wavesim_trace::timeseries::{WindowRow, WindowSeries};

@@ -39,8 +39,8 @@ pub struct RunTrace {
 }
 
 /// Records one run into a flight-recorder ring (the post-mortem tail) and
-/// into every teed sink (a [`wavesim_trace::JsonlSink`] or
-/// [`wavesim_trace::ColumnarSink`] captures everything the ring drops).
+/// into every teed sink (a [`wavesim_trace::ColumnarSink`] captures
+/// everything the ring drops).
 pub struct Capture {
     ring: usize,
     tees: Vec<Box<dyn TraceSink>>,
@@ -139,7 +139,7 @@ mod tests {
     use crate::{run_open_loop, run_open_loop_observed, RunSpec};
     use wavesim_core::{WaveConfig, WaveNetwork};
     use wavesim_topology::Topology;
-    use wavesim_trace::{ColumnarSink, JsonlSink};
+    use wavesim_trace::ColumnarSink;
     use wavesim_workloads::{LengthDist, TrafficConfig, TrafficSource};
 
     fn workload(load: f64, len: u32) -> (WaveNetwork, TrafficSource) {
@@ -155,7 +155,7 @@ mod tests {
         (net, src)
     }
 
-    /// Every record of the stream file at `path`, either format.
+    /// Every record of the stream file at `path`.
     fn read_file(path: &std::path::Path) -> Vec<wavesim_trace::TraceRecord> {
         let file = std::fs::File::open(path).expect("stream file exists");
         wavesim_trace::read_trace(file).expect("stream file decodes")
@@ -192,13 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_stream_tees_full_run_to_disk() {
+    fn stream_tees_full_run_to_disk() {
         let path = std::env::temp_dir().join(format!(
-            "wavesim_tracecap_stream_{}.jsonl",
+            "wavesim_tracecap_stream_{}.wstrace",
             std::process::id()
         ));
         // Tiny ring: the stream must still be lossless.
-        let cap = Capture::new(64).tee(Box::new(JsonlSink::create(&path).expect("create")));
+        let cap = Capture::new(64).tee(Box::new(ColumnarSink::create(&path).expect("create")));
         let (r, t) = captured_run(cap, RunSpec::standard(200, 1_000));
         assert!(r.clean(), "{r:?}");
         assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
@@ -218,13 +218,13 @@ mod tests {
     #[test]
     fn a_later_run_to_the_same_path_replaces_the_stream() {
         let path = std::env::temp_dir().join(format!(
-            "wavesim_tracecap_per_run_{}.jsonl",
+            "wavesim_tracecap_per_run_{}.wstrace",
             std::process::id()
         ));
         let mut last_total = 0;
         for cycles in [400u64, 900] {
             let cap =
-                Capture::new(1 << 16).tee(Box::new(JsonlSink::create(&path).expect("create")));
+                Capture::new(1 << 16).tee(Box::new(ColumnarSink::create(&path).expect("create")));
             let (r, t) = captured_run(cap, RunSpec::standard(100, cycles));
             assert!(r.clean(), "{r:?}");
             assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
@@ -235,30 +235,5 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(streamed.len() as u64, last_total);
         assert_eq!(streamed[0].seq, 0, "a fresh capture restarts at seq 0");
-    }
-
-    #[test]
-    fn bin_stream_matches_jsonl_stream_exactly() {
-        let pid = std::process::id();
-        let jpath = std::env::temp_dir().join(format!("wavesim_tracecap_bj_{pid}.jsonl"));
-        let bpath = std::env::temp_dir().join(format!("wavesim_tracecap_bj_{pid}.wstrace"));
-        let cap = Capture::new(1 << 16)
-            .tee(Box::new(JsonlSink::create(&jpath).expect("create jsonl")))
-            .tee(Box::new(ColumnarSink::create(&bpath).expect("create bin")));
-        let (r, t) = captured_run(cap, RunSpec::standard(200, 1_000));
-        assert!(r.clean(), "{r:?}");
-        assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
-        let jsonl = read_file(&jpath);
-        let bin = read_file(&bpath);
-        let jsonl_bytes = std::fs::metadata(&jpath).expect("stat").len();
-        let bin_bytes = std::fs::metadata(&bpath).expect("stat").len();
-        std::fs::remove_file(&jpath).ok();
-        std::fs::remove_file(&bpath).ok();
-        assert!(!bin.is_empty());
-        assert_eq!(bin, jsonl, "both formats capture the identical stream");
-        assert!(
-            bin_bytes * 4 <= jsonl_bytes,
-            "binary must be at most a quarter of JSONL ({bin_bytes} vs {jsonl_bytes})"
-        );
     }
 }

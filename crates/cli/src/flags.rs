@@ -258,10 +258,9 @@ flag_table! {
         "export the last run's flight recorder as Perfetto JSON (and a post-mortem if it stalled)";
     flight_recorder = "--flight-recorder", int(usize, 1..=MAX_RING), Some("65536"), RUNS,
         "records the in-memory ring keeps; allocated up front, 1 GiB at most";
-    trace_jsonl = "--trace-jsonl", text("FILE"), None, RUNS,
-        "stream every record of the last run as JSONL, in bounded memory";
     trace_bin = "--trace-bin", text("FILE"), None, RUNS,
-        "the same stream as WSTRACE1 binary frames (under 10% of the JSONL bytes)";
+        "stream every record of the last run as WSTRACE1 frames, in bounded memory; \
+        convert-trace writes its JSONL view";
     trace_sample = "--trace-sample", int(u64, 1..=ANY), Some("1"), &[All, Exp, Run, Analyze],
         "keep 1 in N of --trace-bin's bulk record kinds; analyze rescales their counts by it";
     metrics_out = "--metrics-out", text("FILE"), None, &[Run],
@@ -311,11 +310,20 @@ flag_table! {
         "wait-establishing" => Some(Mutation::WaitEstablishing)), None, MODEL,
         "plant a protocol bug the checker must find";
     counterexample = "--counterexample", text("FILE"), None, MODEL,
-        "replay a violation through the real network; write its trace (.bin: WSTRACE1, else JSONL)";
+        "replay a violation through the real network; write its trace as WSTRACE1";
     max_states = "--max-states", int(u64, 1..=ANY), Some("5000000"), &[Check],
         "state budget of the exhaustive search; exhausting it fails the check";
     runs = "--runs", int(u32, 0..=u32::MAX as u64), Some("64"), &[Fuzz], "random schedules to try";
     steps = "--steps", int(u32, 0..=u32::MAX as u64), Some("4000"), &[Fuzz], "actions per schedule";
+}
+
+/// The name of the flag that fills the [`Args`] field `field`, for
+/// messages that name a flag.
+pub fn name(field: &str) -> &'static str {
+    FLAGS
+        .iter()
+        .find(|f| f.field == field)
+        .map_or("", |f| f.name)
 }
 
 /// Not a row: every command takes it, and it stands for `help` as one.
@@ -559,7 +567,7 @@ mod tests {
         let rows = names.len();
         names.dedup();
         // `--json` is a switch for the experiments and a FILE for `analyze`.
-        assert_eq!((rows, names.len()), (53, 52));
+        assert_eq!((rows, names.len()), (52, 51));
         for (i, flag) in FLAGS.iter().enumerate() {
             let clash = FLAGS[..i].iter().find(|other| {
                 other.name == flag.name && other.cmds.iter().any(|c| flag.cmds.contains(c))
@@ -687,6 +695,17 @@ mod tests {
 
         let args = line("convert-trace in.wstrace --out o.bin --to bin").unwrap();
         assert_eq!((args.path.as_str(), args.to_bin), ("in.wstrace", true));
+        // `main` names a flag in a message by the field it fills.
+        for (field, flag) in [
+            ("out", "--out"),
+            ("trace_bin", "--trace-bin"),
+            ("trace_out", "--trace-out"),
+            ("metrics_out", "--metrics-out"),
+            ("timeseries_out", "--timeseries-out"),
+            ("watch_postmortem", "--watch-postmortem"),
+        ] {
+            assert_eq!(name(field), flag);
+        }
         let args = line("gen-trace --collective reduce --out r.json").unwrap();
         assert_eq!(args.collective, Some("reduce"));
     }

@@ -5,6 +5,7 @@
 
 mod flags;
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use flags::{Args, Cmd};
@@ -16,7 +17,7 @@ use wavesim_bench::{experiments, Observed, Observers, RunSpec};
 use wavesim_core::{WaveConfig, WaveNetwork};
 use wavesim_topology::{RoutingKind, Topology};
 use wavesim_trace::stream::{stream_trace_file, StreamingReader, TraceFormat};
-use wavesim_trace::TraceSink;
+use wavesim_trace::{ColumnarSink, TraceSink};
 use wavesim_verify::check_deadlock_freedom;
 use wavesim_workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 
@@ -34,8 +35,7 @@ fn cannot_write(path: &str, e: impl std::fmt::Display) -> String {
 /// so it is refused by name rather than misread as malformed JSON.
 fn open_capture(path: &str) -> Result<StreamingReader<std::fs::File>, String> {
     // `stream_trace_file`'s error already names the path.
-    let reader =
-        stream_trace_file(std::path::Path::new(path)).map_err(|e| format!("cannot read {e}"))?;
+    let reader = stream_trace_file(Path::new(path)).map_err(|e| format!("cannot read {e}"))?;
     if std::fs::metadata(path).is_ok_and(|m| m.len() == 0) {
         return Err(format!("{path}: empty file, no records"));
     }
@@ -98,7 +98,7 @@ fn export_trace(
 }
 
 /// Schema-checks a trace file: binary columnar streams (`--trace-bin`),
-/// JSONL record streams (`--trace-jsonl`), and Perfetto exports
+/// their JSONL views (`convert-trace --to jsonl`), and Perfetto exports
 /// (`--trace-out`) are all recognised by content, not extension.
 fn validate_trace(path: &str) -> Outcome {
     // The two record formats are counted through the streaming reader, in
@@ -141,33 +141,66 @@ fn validate_trace(path: &str) -> Outcome {
     Ok(true)
 }
 
-/// `wavesim convert-trace`: lossless conversion between the JSONL and binary
-/// columnar stream formats (the input's is sniffed from its leading bytes).
+/// Where `path` lives: its directory resolved (so `t.out` and `./t.out`
+/// agree) joined with its file name; `path` itself when the directory
+/// does not exist.
+fn resolved(path: &str) -> PathBuf {
+    let path = Path::new(path);
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    match (dir.canonicalize(), path.file_name()) {
+        (Ok(dir), Some(name)) => dir.join(name),
+        _ => path.to_path_buf(),
+    }
+}
+
+/// `wavesim convert-trace`: lossless conversion between the binary
+/// columnar stream and its JSONL view (the input's format is sniffed from
+/// its leading bytes).
 fn convert_trace(args: &Args) -> Outcome {
-    use std::path::Path;
-    use wavesim_trace::stream::{ColumnarSink, JsonlSink};
+    use std::io::Write as _;
     let input = &args.path;
     let out = args
         .out
         .as_ref()
         .ok_or("convert-trace needs `--out FILE`")?;
-    // Stream end to end: the reader decodes the input frame-by-frame and
-    // the writer is the same chunked background sink the capture path
-    // uses, so conversion runs in bounded memory at any capture size.
-    let mut reader = open_capture(input)?;
-    let (mut sink, what): (Box<dyn TraceSink>, &str) = if args.to_bin {
-        let sink = ColumnarSink::create(Path::new(out)).map_err(|e| cannot_write(out, e))?;
-        (Box::new(sink), "binary columnar")
-    } else {
-        let sink = JsonlSink::create(Path::new(out)).map_err(|e| cannot_write(out, e))?;
-        (Box::new(sink), "JSONL")
-    };
-    let mut n: u64 = 0;
-    while let Some(rec) = reader.next_record() {
-        sink.record(rec.map_err(|e| format!("{input}: {e}"))?);
-        n += 1;
+    // Creating the output would truncate the input before it is read.
+    if resolved(out) == resolved(input) {
+        let flag = flags::name("out");
+        return Err(format!("`{flag}` and the input FILE both name {out}"));
     }
-    sink.finish().map_err(|e| cannot_write(out, e))?;
+    // Stream end to end: the reader decodes the input frame-by-frame, so
+    // conversion runs in bounded memory at any capture size.
+    let mut reader = open_capture(input)?;
+    let mut n: u64 = 0;
+    let mut next = || {
+        let rec = reader.next_record()?;
+        n += 1;
+        Some(rec.map_err(|e| format!("{input}: {e}")))
+    };
+    let what = if args.to_bin {
+        let mut sink = ColumnarSink::create(Path::new(out)).map_err(|e| cannot_write(out, e))?;
+        while let Some(rec) = next() {
+            sink.record(rec?);
+        }
+        sink.finish().map_err(|e| cannot_write(out, e))?;
+        "binary columnar"
+    } else {
+        let file = std::fs::File::create(out).map_err(|e| cannot_write(out, e))?;
+        let mut w = std::io::BufWriter::new(file);
+        let mut line = String::new();
+        while let Some(rec) = next() {
+            line.clear();
+            wavesim_trace::stream::encode_record(&mut line, &rec?);
+            line.push('\n');
+            w.write_all(line.as_bytes())
+                .map_err(|e| cannot_write(out, e))?;
+        }
+        w.flush().map_err(|e| cannot_write(out, e))?;
+        "JSONL"
+    };
     let bytes = std::fs::metadata(out).map_or(0, |m| m.len());
     println!("converted {input} -> {out}: {n} records as {what} ({bytes} bytes)");
     Ok(true)
@@ -199,11 +232,36 @@ struct Observing<'a> {
 }
 
 impl<'a> Observing<'a> {
-    /// Checks the stream paths are writable and brings up the live plane
-    /// (status board, HTTP endpoint). Everything goes to stderr or the
-    /// socket, so stdout stays byte-identical to an unobserved run.
+    /// Checks the output files are distinct and the stream path writable,
+    /// and brings up the live plane (status board, HTTP endpoint).
+    /// Everything goes to stderr or the socket, so stdout stays
+    /// byte-identical to an unobserved run.
     fn new(args: &'a Args) -> Result<Self, String> {
-        for path in [&args.trace_jsonl, &args.trace_bin].into_iter().flatten() {
+        // Refused before anything is created: a second writer would
+        // silently replace the first one's file.
+        let post_mortem = args
+            .trace_out
+            .as_ref()
+            .map(|p| format!("{p}.postmortem.json"));
+        let outputs = [
+            ("trace_bin", &args.trace_bin),
+            ("trace_out", &args.trace_out),
+            ("trace_out", &post_mortem),
+            ("metrics_out", &args.metrics_out),
+            ("timeseries_out", &args.timeseries_out),
+            ("watch_postmortem", &args.watch_postmortem),
+        ];
+        let mut seen: Vec<(&str, PathBuf)> = Vec::new();
+        for (field, path) in outputs {
+            let Some(path) = path else { continue };
+            let at = resolved(path);
+            let flag = flags::name(field);
+            if let Some((first, _)) = seen.iter().find(|(_, other)| *other == at) {
+                return Err(format!("`{first}` and `{flag}` both name {path}"));
+            }
+            seen.push((flag, at));
+        }
+        if let Some(path) = &args.trace_bin {
             // Fail before the run, not after a long sweep.
             std::fs::File::create(path).map_err(|e| format!("cannot stream to {path}: {e}"))?;
         }
@@ -226,7 +284,7 @@ impl<'a> Observing<'a> {
                 retry_limit: args.watch_retries,
                 deadlock: args.watch_deadlock,
                 abort: args.watch_abort,
-                post_mortem: args.watch_postmortem.as_ref().map(std::path::PathBuf::from),
+                post_mortem: args.watch_postmortem.as_ref().map(PathBuf::from),
             },
             board,
         })
@@ -235,14 +293,12 @@ impl<'a> Observing<'a> {
     /// True when some output needs the captured run.
     fn exporting(&self) -> bool {
         let a = self.args;
-        a.trace_out.is_some()
-            || a.trace_jsonl.is_some()
-            || a.trace_bin.is_some()
-            || a.metrics_out.is_some()
+        a.trace_out.is_some() || a.trace_bin.is_some() || a.metrics_out.is_some()
     }
 
     /// One run's observers. Only an `exported` run (possibly the last in
-    /// serial order) streams to the `--trace-jsonl` / `--trace-bin` files.
+    /// serial order) streams to the `--trace-bin` file, truncating it: the
+    /// file ends up holding the last run streamed there.
     fn observers(&self, exported: bool) -> Observers {
         let a = self.args;
         // Only a run that may be exported is captured for the export's
@@ -253,16 +309,17 @@ impl<'a> Observing<'a> {
             || (self.watch.any() && self.watch.post_mortem.is_some())
             || a.live_analyze;
         let capture = ring.then(|| {
-            let mut c = Capture::new(a.flight_recorder);
-            if let (true, Some(path)) = (exported, &a.trace_jsonl) {
-                c = tee_stream(c, path, wavesim_trace::JsonlSink::create);
+            let c = Capture::new(a.flight_recorder);
+            let Some(path) = a.trace_bin.as_ref().filter(|_| exported) else {
+                return c;
+            };
+            match ColumnarSink::create(Path::new(path)) {
+                Ok(sink) => c.tee(Box::new(sink.with_sampling(a.trace_sample))),
+                Err(e) => {
+                    eprintln!("note: cannot stream to {path}: {e}");
+                    c
+                }
             }
-            if let (true, Some(path)) = (exported, &a.trace_bin) {
-                c = tee_stream(c, path, |p| {
-                    Ok(wavesim_trace::ColumnarSink::create(p)?.with_sampling(a.trace_sample))
-                });
-            }
-            c
         });
         // --progress doubles as the status cadence and the window width,
         // so each printed line covers exactly one closed window.
@@ -312,9 +369,9 @@ impl<'a> Observing<'a> {
         }
         let Some(t) = &observed.trace else {
             eprintln!("note: no run captured; no trace written");
-            // `new` created the stream files to fail fast; an empty one
+            // `new` created the stream file to fail fast; an empty one
             // would read as a broken capture.
-            for path in [&a.trace_jsonl, &a.trace_bin].into_iter().flatten() {
+            if let Some(path) = &a.trace_bin {
                 if std::fs::remove_file(path).is_ok() {
                     eprintln!("note: removed the empty {path}");
                 }
@@ -323,9 +380,6 @@ impl<'a> Observing<'a> {
         };
         if let Some(e) = &t.stream_error {
             return Err(format!("trace capture: {e}"));
-        }
-        if let Some(path) = &a.trace_jsonl {
-            println!("wrote JSONL stream: {path} ({} records)", t.total);
         }
         if let Some(path) = &a.trace_bin {
             if a.trace_sample > 1 {
@@ -340,22 +394,6 @@ impl<'a> Observing<'a> {
         match &a.trace_out {
             Some(path) => export_trace(path, t, counters),
             None => Ok(()),
-        }
-    }
-}
-
-/// Tees `capture` into the stream `create` opens at `path` (truncating: the
-/// file ends up holding the last run streamed there).
-fn tee_stream<S: TraceSink + 'static>(
-    capture: Capture,
-    path: &str,
-    create: impl FnOnce(&std::path::Path) -> std::io::Result<S>,
-) -> Capture {
-    match create(std::path::Path::new(path)) {
-        Ok(sink) => capture.tee(Box::new(sink)),
-        Err(e) => {
-            eprintln!("note: cannot stream to {path}: {e}");
-            capture
         }
     }
 }
@@ -625,13 +663,13 @@ fn gen_trace_cmd(args: &Args) -> Outcome {
     Ok(true)
 }
 
-/// `wavesim analyze` — turns a captured record stream (JSONL or binary
-/// columnar, sniffed by content) into the analytics report (tables on
+/// `wavesim analyze` — turns a captured record stream (binary columnar or
+/// its JSONL view, sniffed by content) into the analytics report (tables on
 /// stdout or `--report`, machine JSON via `--json`, windowed CSV via
 /// `--timeseries`).
 fn analyze_cmd(args: &Args) -> Outcome {
     let path = args.trace_in.as_ref().ok_or(
-        "analyze needs --trace FILE (a stream from `run --trace-jsonl` or `run --trace-bin`)",
+        "analyze needs --trace FILE (a capture from `run --trace-bin`, or its JSONL view)",
     )?;
     // Stream the capture record-by-record into the incremental engine:
     // peak memory is one frame, whatever the capture size, and the result
@@ -753,8 +791,8 @@ fn model_spec(args: &Args) -> Result<wavesim_model::ModelSpec, String> {
 }
 
 /// Prints a shrunk counterexample and, given a `--counterexample` path,
-/// writes its concrete replay trace there (JSONL, or `WSTRACE1` columnar
-/// when the path ends in `.bin`), ready for `validate-trace`.
+/// writes its concrete replay trace there as `WSTRACE1` (whatever the
+/// name), ready for `validate-trace` and `convert-trace`.
 fn report_counterexample(
     spec: &wavesim_model::ModelSpec,
     cx: &wavesim_model::Counterexample,
@@ -766,12 +804,7 @@ fn report_counterexample(
         return Ok(());
     };
     let rep = wavesim_model::replay_schedule(spec, &cx.schedule);
-    if path.ends_with(".bin") {
-        std::fs::write(path, rep.columnar())
-    } else {
-        std::fs::write(path, rep.jsonl())
-    }
-    .map_err(|e| cannot_write(path, e))?;
+    std::fs::write(path, rep.columnar()).map_err(|e| cannot_write(path, e))?;
     println!(
         "wrote counterexample replay trace: {path} ({} records; real network {})",
         rep.records.len(),

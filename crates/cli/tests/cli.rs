@@ -260,14 +260,23 @@ fn binary_capture_converts_and_analyzes_end_to_end() {
         String::from_utf8(out.stdout).unwrap()
     };
 
-    // One run, both stream formats.
-    let text = run(&[
-        "--trace-bin",
-        bin.to_str().unwrap(),
-        "--trace-jsonl",
-        jsonl.to_str().unwrap(),
-    ]);
+    // A run streams WSTRACE1; its JSONL view is a conversion.
+    let text = run(&["--trace-bin", bin.to_str().unwrap()]);
     assert!(text.contains("wrote binary stream"), "{text}");
+    let out = wavesim()
+        .args([
+            "convert-trace",
+            bin.to_str().unwrap(),
+            "--out",
+            jsonl.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let bin_len = std::fs::metadata(&bin).unwrap().len();
     let jsonl_len = std::fs::metadata(&jsonl).unwrap().len();
     assert!(
@@ -275,7 +284,7 @@ fn binary_capture_converts_and_analyzes_end_to_end() {
         "binary must be <= 25% of JSONL ({bin_len} vs {jsonl_len} bytes)"
     );
 
-    // validate-trace recognises both stream formats by content.
+    // validate-trace recognises both formats by content.
     for (path, tag) in [
         (&bin, "binary columnar trace"),
         (&jsonl, "JSONL record stream"),
@@ -292,28 +301,6 @@ fn binary_capture_converts_and_analyzes_end_to_end() {
         let text = String::from_utf8(out.stdout).unwrap();
         assert!(text.contains(tag), "{text}");
     }
-
-    // Binary -> JSONL conversion reproduces the streamed JSONL bytes.
-    let conv = dir.join("conv.jsonl");
-    let out = wavesim()
-        .args([
-            "convert-trace",
-            bin.to_str().unwrap(),
-            "--out",
-            conv.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(
-        std::fs::read(&conv).unwrap(),
-        std::fs::read(&jsonl).unwrap(),
-        "conversion must be lossless, byte for byte"
-    );
 
     // JSONL -> binary conversion reproduces the streamed binary bytes.
     let conv_bin = dir.join("conv.wstrace");
@@ -408,7 +395,7 @@ fn model_check_proves_and_mutation_refutes() {
     // trace, and that trace must pass the binary's own validator.
     let dir = std::env::temp_dir().join(format!("wavesim-cli-model-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let cx = dir.join("cx.jsonl");
+    let cx = dir.join("cx.wstrace");
     let out = wavesim()
         .args([
             "check",
@@ -441,6 +428,8 @@ fn model_check_proves_and_mutation_refutes() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("valid binary columnar trace"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -544,7 +533,7 @@ fn out_of_range_values_are_refused_not_panicked_on() {
     // other are an `error:` (exit 1). Either way stderr names the flag,
     // and nothing reaches a library assert (exit 101) or the allocator's
     // abort (exit 134).
-    let cases: [(&str, i32, &str); 31] = [
+    let cases: [(&str, i32, &str); 33] = [
         ("run --side 0", 2, "--side"),
         ("run --side 1", 2, "--side"),
         ("run --topology torus --side 2", 1, "--side"),
@@ -592,6 +581,16 @@ fn out_of_range_values_are_refused_not_panicked_on() {
         ("run --side 4 stray", 2, "stray"),
         ("e3 --scale small --json out.json", 2, "out.json"),
         ("analyze --trace x --watch-stall 5", 2, "--watch-stall"),
+        (
+            "run --side 4 --cycles 1000 --trace-bin t.out --trace-out ./t.out",
+            1,
+            "--trace-bin",
+        ),
+        (
+            "convert-trace a.wstrace --out ./a.wstrace --to bin",
+            1,
+            "--out",
+        ),
     ];
     let dir = std::env::temp_dir().join(format!("wavesim-cli-range-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

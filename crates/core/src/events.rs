@@ -23,7 +23,7 @@ use wavesim_topology::NodeId;
 use crate::ids::{CircuitId, LaneId};
 
 /// A message between planes (or from a plane to the composition root).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum PlaneEvent {
     /// Dataplane → root: a wormhole message reached its destination.
     WormholeDelivered(Delivery),
@@ -96,8 +96,8 @@ pub enum PlaneEvent {
         /// The abandoned circuit.
         circuit: CircuitId,
     },
-    /// Controlplane → observers: the teardown (or probe unwind) finished
-    /// and every lane of `circuit` is free again.
+    /// Controlplane → circuitplane: the teardown (or probe unwind)
+    /// finished and every lane of `circuit` is free again.
     CircuitReleased {
         /// The fully released circuit.
         circuit: CircuitId,
@@ -117,27 +117,23 @@ pub enum PlaneEvent {
 
 /// FIFO bus carrying [`PlaneEvent`]s between planes within one cycle.
 ///
-/// An optional *tap* records a copy of every pushed event, which is how
-/// external detectors (`wavesim-verify`) observe the network without
-/// reaching into plane internals.
+/// The bus is plumbing, not an observation point: external detectors
+/// (`wavesim-verify`) read the trace, which records the circuit lifecycle
+/// and the deliveries these events carry.
 #[derive(Debug, Default)]
 pub struct EventBus {
     queue: VecDeque<PlaneEvent>,
-    tap: Option<Vec<PlaneEvent>>,
 }
 
 impl EventBus {
-    /// Empty bus with no tap.
+    /// Empty bus.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Enqueues an event (recording a copy if the tap is armed).
+    /// Enqueues an event.
     pub fn push(&mut self, ev: PlaneEvent) {
-        if let Some(tap) = &mut self.tap {
-            tap.push(ev.clone());
-        }
         self.queue.push_back(ev);
     }
 
@@ -164,17 +160,6 @@ impl EventBus {
     pub fn len(&self) -> usize {
         self.queue.len()
     }
-
-    /// Arms the observation tap: from now on every pushed event is also
-    /// recorded for [`EventBus::take_tap`].
-    pub fn enable_tap(&mut self) {
-        self.tap.get_or_insert_with(Vec::new);
-    }
-
-    /// Drains the recorded events (empty when the tap is not armed).
-    pub fn take_tap(&mut self) -> Vec<PlaneEvent> {
-        self.tap.as_mut().map(std::mem::take).unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -200,30 +185,6 @@ mod tests {
             Some(PlaneEvent::CircuitReleased { circuit }) if circuit == CircuitId(2)
         ));
         assert!(bus.pop().is_none());
-    }
-
-    #[test]
-    fn tap_records_pushes() {
-        let mut bus = EventBus::new();
-        bus.push(PlaneEvent::AbandonCircuit {
-            circuit: CircuitId(1),
-        });
-        assert!(bus.take_tap().is_empty(), "tap off by default");
-        bus.enable_tap();
-        bus.push(PlaneEvent::CircuitReleased {
-            circuit: CircuitId(9),
-        });
-        let tapped = bus.take_tap();
-        assert_eq!(tapped.len(), 1);
-        assert!(matches!(
-            tapped[0],
-            PlaneEvent::CircuitReleased { circuit } if circuit == CircuitId(9)
-        ));
-        // Tap stays armed after draining.
-        bus.push(PlaneEvent::AbandonCircuit {
-            circuit: CircuitId(3),
-        });
-        assert_eq!(bus.take_tap().len(), 1);
     }
 
     #[test]

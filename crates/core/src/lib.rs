@@ -39,7 +39,6 @@ pub mod network;
 pub mod pcs;
 pub mod probe;
 pub mod replacement;
-pub mod snapshot;
 pub mod stats;
 
 pub use arena::{ArenaId, GenSlab, IdAlloc, SlotMap};
@@ -54,5 +53,4 @@ pub use ids::{CircuitId, LaneId, ProbeId};
 pub use lanes::{LaneState, LaneTable};
 pub use network::{FaultEvent, HealthSnapshot, WaveNetwork};
 pub use probe::{ProbeBufs, ProbeFlit, ProbeState};
-pub use snapshot::{CircuitSnap, LaneUse, NetSnapshot, ProbeSnap};
 pub use stats::WaveStats;

@@ -460,19 +460,6 @@ impl WaveNetwork {
         std::mem::swap(&mut self.deliveries, out);
     }
 
-    /// Arms the event-bus tap: every inter-plane [`PlaneEvent`] is
-    /// recorded from now on for [`WaveNetwork::take_events`]. External
-    /// detectors (`wavesim-verify`) use this to observe the network
-    /// without reaching into plane internals.
-    pub fn enable_event_tap(&mut self) {
-        self.bus.enable_tap();
-    }
-
-    /// Drains the tapped events (empty when the tap is not armed).
-    pub fn take_events(&mut self) -> Vec<PlaneEvent> {
-        self.bus.take_tap()
-    }
-
     /// True while any message, probe, or control flit is outstanding.
     #[must_use]
     pub fn busy(&self) -> bool {
@@ -772,8 +759,9 @@ mod tests {
     use crate::config::ProtocolKind;
 
     /// Composition smoke test: a wormhole-only message round-trips through
-    /// the dataplane and the bus decrements the outstanding counter. The
-    /// full protocol suites live in `crates/core/tests/network.rs`.
+    /// the dataplane and the bus decrements the outstanding counter; the
+    /// trace records its injection and its delivery. The full protocol
+    /// suites live in `crates/core/tests/network.rs`.
     #[test]
     fn composition_root_routes_deliveries() {
         let cfg = WaveConfig {
@@ -781,7 +769,7 @@ mod tests {
             ..WaveConfig::default()
         };
         let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), cfg);
-        net.enable_event_tap();
+        net.install_trace_sink(Box::new(wavesim_trace::VecSink::new()));
         net.send(0, Message::new(1, NodeId(0), NodeId(15), 16, 0));
         assert_eq!(net.outstanding(), 1);
         let mut now = 0;
@@ -791,13 +779,10 @@ mod tests {
         }
         assert_eq!(net.outstanding(), 0);
         assert_eq!(net.drain_deliveries().len(), 1);
-        let events = net.take_events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, PlaneEvent::InjectWormhole(_))));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, PlaneEvent::WormholeDelivered(_))));
+        let recs = net.take_trace_sink().expect("sink installed").snapshot();
+        let kinds: Vec<&str> = recs.iter().map(|r| r.ev.kind()).collect();
+        assert!(kinds.contains(&"wormhole_inject"), "{kinds:?}");
+        assert!(kinds.contains(&"wormhole_deliver"), "{kinds:?}");
     }
 
     /// Tracing wiring test: an installed sink observes the whole CLRP

@@ -26,8 +26,9 @@
 //! * [`mod@fuzz`] — random interleavings + fault churn with delta-debugging
 //!   shrinking on violation;
 //! * [`replay`] — counterexample schedules replayed through the real
-//!   [`wavesim_core::WaveNetwork`], emitted as JSONL / WSTRACE1 traces
-//!   that `wavesim analyze`, `validate-trace`, and Perfetto accept.
+//!   [`wavesim_core::WaveNetwork`], emitted as WSTRACE1 traces that
+//!   `wavesim analyze`, `validate-trace`, `convert-trace` and Perfetto
+//!   accept.
 //!
 //! The abstraction is deliberately coarser than the simulator: one
 //! atomic action per protocol step, no misrouting budget (MB-0), and the

@@ -13,9 +13,8 @@
 //! real network is expected to *survive* the same stimulus sequence —
 //! the production code does not contain the mutation. The emitted trace
 //! still documents the violating scenario concretely (which messages,
-//! which lanes, which fault), in both JSONL and `WSTRACE1` columnar
-//! form, and is accepted by the repo's trace tooling
-//! (`wavesim validate-trace`).
+//! which lanes, which fault) as a `WSTRACE1` capture, accepted by the
+//! repo's trace tooling (`wavesim validate-trace`, `convert-trace`).
 
 use wavesim_core::{FaultEvent, LaneId, ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim_network::Message;
@@ -54,18 +53,6 @@ impl Replay {
     #[must_use]
     pub fn survived(&self) -> bool {
         self.drained && self.delivered == self.injected
-    }
-
-    /// The capture as JSONL (one record per line), accepted by
-    /// `wavesim_trace::stream::read_jsonl` and `wavesim validate-trace`.
-    #[must_use]
-    pub fn jsonl(&self) -> String {
-        let mut buf = String::new();
-        for rec in &self.records {
-            stream::encode_record(&mut buf, rec);
-            buf.push('\n');
-        }
-        buf
     }
 
     /// The capture as a `WSTRACE1` columnar byte stream, accepted by
@@ -181,10 +168,14 @@ mod tests {
         assert!(rep.survived(), "{rep:?}");
         assert!(rep.injected >= 1);
         assert!(!rep.records.is_empty(), "trace captured");
-        let jl = read_jsonl(&rep.jsonl()).expect("JSONL round-trips");
-        assert_eq!(jl.len(), rep.records.len());
         let col = read_columnar(&rep.columnar()).expect("columnar round-trips");
-        assert_eq!(col.len(), rep.records.len());
+        assert_eq!(col, rep.records);
+        let mut jsonl = String::new();
+        for rec in &col {
+            stream::encode_record(&mut jsonl, rec);
+            jsonl.push('\n');
+        }
+        assert_eq!(read_jsonl(&jsonl).expect("JSONL round-trips"), rep.records);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Binary columnar trace capture — the production-cheap record format.
+//! Binary columnar trace capture — the one format a run streams to.
 //!
-//! Streamed JSONL (see [`crate::stream`]) is lossless but pays ~90 bytes
-//! and a `core::fmt`-free-but-still-textual encode per record; at 64×64+
-//! fabric sizes that is the difference between always-on tracing and
-//! tracing you turn off. This module defines a compact binary framing of
-//! the same [`TraceRecord`] stream:
+//! JSONL (one [`crate::stream::encode_record`] line per record) is
+//! lossless but pays ~90 bytes and a `core::fmt`-free-but-still-textual
+//! encode per record; at 64×64+ fabric sizes that is the difference
+//! between always-on tracing and tracing you turn off, so it is only a
+//! view `convert-trace` derives. This module defines a compact binary
+//! framing of the same [`TraceRecord`] stream:
 //!
 //! * records are grouped into **frames** (one frame per writer chunk);
 //! * within a frame, like data lives in **columns**: one kind-tag byte

@@ -22,10 +22,11 @@
 //!   use: each plane stages records in its own [`TraceBuf`] (one branch
 //!   when disarmed) and the composition root's [`TraceHub`] stamps a
 //!   global sequence number and forwards to the installed sink;
-//! * [`stream`] / [`columnar`] — lossless capture to JSONL or `WSTRACE1`
-//!   frames on a writer thread, and the one decoder for both,
-//!   [`stream::StreamingReader`] over any `io::Read` ([`read_trace`],
-//!   [`stream::read_jsonl`] and [`read_columnar`] drain it into a vector);
+//! * [`stream`] / [`columnar`] — lossless capture to `WSTRACE1` frames on
+//!   a writer thread, and the one decoder of `WSTRACE1` and of the JSONL
+//!   view `convert-trace` writes, [`stream::StreamingReader`] over any
+//!   `io::Read` ([`read_trace`], [`stream::read_jsonl`] and
+//!   [`read_columnar`] drain it into a vector);
 //! * [`perfetto`] — Chrome/Perfetto `trace_event` JSON export (one track
 //!   per router and plane) plus a serde-less validator;
 //! * [`metrics`] — Prometheus-style text exposition built on the
@@ -53,7 +54,7 @@ pub use recorder::{FlightRecorder, VecSink};
 #[doc(hidden)]
 pub use schema::every_event;
 pub use schema::{PlaneId, TraceEvent};
-pub use stream::{read_columnar, read_trace, ColumnarSink, JsonlSink, TraceFormat};
+pub use stream::{read_columnar, read_trace, ColumnarSink, TraceFormat};
 pub use timeseries::{WindowRow, WindowSeries};
 
 use wavesim_sim::Cycle;
@@ -106,7 +107,7 @@ pub trait TraceSink {
     }
 
     /// Flushes any buffered state to the sink's backing store. Called once
-    /// when the traced run ends; streaming sinks (see [`stream::JsonlSink`])
+    /// when the traced run ends; streaming sinks (see [`ColumnarSink`])
     /// drain their chunk queue and flush the writer here. In-memory sinks
     /// keep the default no-op.
     fn finish(&mut self) -> Result<(), String> {

@@ -128,7 +128,7 @@ impl TraceSink for VecSink {
 /// Fans every record out to two sinks: a *primary* that answers the
 /// snapshot/dropped/total queries (typically a [`FlightRecorder`] so the
 /// post-mortem tail stays available) and a *secondary* that only consumes
-/// (typically a [`crate::stream::JsonlSink`] streaming the full run to
+/// (typically a [`crate::ColumnarSink`] streaming the full run to
 /// disk). `finish` forwards to both and reports the first failure.
 pub struct TeeSink {
     primary: Box<dyn TraceSink>,

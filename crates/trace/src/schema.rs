@@ -85,8 +85,8 @@ const JSONL_EXACT: f64 = 9_007_199_254_740_992.0;
 // ---------------------------------------------------------------------
 
 /// Appends `v` in decimal without going through `core::fmt` — the
-/// formatting machinery costs ~3× the digits themselves, and the writer
-/// thread encodes every record of a traced run.
+/// formatting machinery costs ~3× the digits themselves, and a JSONL view
+/// encodes every record of a capture.
 fn push_u64(buf: &mut String, mut v: u64) {
     let mut tmp = [0u8; 20];
     let mut i = tmp.len();
@@ -307,9 +307,9 @@ macro_rules! trace_schema {
         /// newline): `at`, `seq`, `type`, then the event's fields under
         /// their own names in declaration order.
         ///
-        /// Hand-rolled because the writer thread must keep up with the
-        /// full event rate of a traced run without allocating a [`Value`]
-        /// tree per record (and without paying `core::fmt` per integer).
+        /// Hand-rolled so that converting a capture of millions of
+        /// records does not allocate a [`Value`] tree per record (nor pay
+        /// `core::fmt` per integer).
         pub fn encode_record(buf: &mut String, rec: &TraceRecord) {
             buf.push_str("{\"at\":");
             push_u64(buf, rec.at);

@@ -1,4 +1,4 @@
-//! Lossless streaming trace capture (JSONL and binary columnar).
+//! Lossless streaming trace capture, and the one reader of both formats.
 //!
 //! The flight recorder keeps the *last N* records; paper-scale runs need
 //! the *whole* stream. This module provides the streaming machinery: the
@@ -11,14 +11,13 @@
 //! the hot path blocks for an empty buffer instead of queueing more.
 //! [`TraceSink::finish`] drains the queue and flushes the writer.
 //!
-//! Two encoders share that plumbing through [`ChunkEncoder`]:
-//!
-//! * [`JsonlSink`] writes one JSON object per line ([`encode_record`]),
-//!   so a captured file round-trips back into [`TraceRecord`]s via
-//!   [`read_jsonl`];
-//! * [`ColumnarSink`] writes the compact binary frame format of
-//!   [`crate::columnar`] — typically under a tenth of the JSONL bytes —
-//!   which round-trips via [`read_columnar`].
+//! A run streams one format: [`ColumnarSink`] writes the compact binary
+//! frames of [`crate::columnar`] (`WSTRACE1`), which round-trip via
+//! [`read_columnar`]. The plumbing takes any [`ChunkEncoder`]; the
+//! live-analytics fold rides it with an encoder that writes nothing.
+//! JSONL — one [`encode_record`] object per line, read back by
+//! [`read_jsonl`] — is a view of a capture that `wavesim convert-trace`
+//! writes, not a stream a run writes.
 //!
 //! Reading is format-agnostic: [`StreamingReader`], the one decoder,
 //! sniffs the [`crate::columnar::MAGIC`] prefix of any byte source (the
@@ -73,23 +72,6 @@ pub trait ChunkEncoder: Send + 'static {
     fn encode_chunk(&mut self, recs: &[TraceRecord], out: &mut Vec<u8>);
 }
 
-/// [`ChunkEncoder`] emitting one compact JSON object per line.
-#[derive(Default)]
-pub struct JsonlEncoder {
-    text: String,
-}
-
-impl ChunkEncoder for JsonlEncoder {
-    fn encode_chunk(&mut self, recs: &[TraceRecord], out: &mut Vec<u8>) {
-        self.text.clear();
-        for rec in recs {
-            encode_record(&mut self.text, rec);
-            self.text.push('\n');
-        }
-        out.extend_from_slice(self.text.as_bytes());
-    }
-}
-
 // ---------------------------------------------------------------------
 // The streaming sink
 // ---------------------------------------------------------------------
@@ -100,8 +82,8 @@ impl ChunkEncoder for JsonlEncoder {
 ///
 /// Retains nothing in memory (`snapshot` is empty); pair it with a ring
 /// buffer via [`TeeSink`](crate::recorder::TeeSink) when the post-mortem
-/// machinery also needs a tail snapshot. Use the [`JsonlSink`] /
-/// [`ColumnarSink`] aliases rather than naming the encoder directly.
+/// machinery also needs a tail snapshot. Use the [`ColumnarSink`] alias
+/// rather than naming the encoder directly.
 pub struct StreamSink<W: Write + Send + 'static, E: ChunkEncoder> {
     /// `None` once the stream is shut down or the writer thread has died.
     link: Option<WriterLink>,
@@ -125,9 +107,6 @@ struct WriterLink {
     /// The same buffers back, empty.
     empty: Receiver<Vec<TraceRecord>>,
 }
-
-/// Streaming JSONL sink: one JSON line per record.
-pub type JsonlSink<W> = StreamSink<W, JsonlEncoder>;
 
 /// Streaming binary columnar sink: [`crate::columnar`] frames.
 pub type ColumnarSink<W> = StreamSink<W, FrameEncoder>;
@@ -568,29 +547,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_kind_round_trips() {
-        let recs = sample_records();
+    /// `recs` as JSONL: one [`encode_record`] object per line.
+    fn jsonl_text(recs: &[TraceRecord]) -> String {
         let mut text = String::new();
-        for rec in &recs {
+        for rec in recs {
             encode_record(&mut text, rec);
             text.push('\n');
         }
-        let back = read_jsonl(&text).expect("parse");
+        text
+    }
+
+    #[test]
+    fn every_kind_round_trips() {
+        let recs = sample_records();
+        let back = read_jsonl(&jsonl_text(&recs)).expect("parse");
         assert_eq!(back, recs);
     }
 
     #[test]
     fn sink_streams_all_records_through_small_chunks() {
         let recs = sample_records();
-        let mut sink = JsonlSink::with_chunk(Vec::new(), 3);
+        let mut sink = ColumnarSink::with_chunk(Vec::new(), 3);
         for rec in &recs {
             sink.record(*rec);
         }
         assert_eq!(sink.total(), recs.len() as u64);
         let bytes = sink.finish_into().expect("finish");
-        let back = read_jsonl(std::str::from_utf8(&bytes).unwrap()).expect("parse");
-        assert_eq!(back, recs);
+        assert_eq!(read_columnar(&bytes).expect("decode"), recs);
     }
 
     #[test]
@@ -610,11 +593,11 @@ mod tests {
     #[test]
     fn record_many_matches_per_record_streaming() {
         let recs = sample_records();
-        let mut one = JsonlSink::with_chunk(Vec::new(), 4);
+        let mut one = ColumnarSink::with_chunk(Vec::new(), 4);
         for rec in &recs {
             one.record(*rec);
         }
-        let mut many = JsonlSink::with_chunk(Vec::new(), 4);
+        let mut many = ColumnarSink::with_chunk(Vec::new(), 4);
         many.record_many(&recs);
         assert_eq!(
             one.finish_into().expect("finish"),
@@ -641,16 +624,16 @@ mod tests {
                 ev: TraceEvent::CircuitReleased { circuit: i },
             });
         }
-        let mut sink = JsonlSink::with_chunk(Vec::new(), 4).with_sampling(4);
+        let mut sink = ColumnarSink::with_chunk(Vec::new(), 4).with_sampling(4);
         sink.record_many(&recs);
         let bytes = sink.finish_into().expect("finish");
-        let back = read_jsonl(std::str::from_utf8(&bytes).unwrap()).expect("parse");
+        let back = read_columnar(&bytes).expect("decode");
         let bulk = back.iter().filter(|r| is_bulk_kind(&r.ev)).count();
         let life = back.iter().filter(|r| !is_bulk_kind(&r.ev)).count();
         assert_eq!(bulk, 3, "1-in-4 of 10 bulk records (indices 0,4,8)");
         assert_eq!(life, 10, "lifecycle events always kept");
         // Sampling is deterministic: a rerun produces identical bytes.
-        let mut again = JsonlSink::with_chunk(Vec::new(), 4).with_sampling(4);
+        let mut again = ColumnarSink::with_chunk(Vec::new(), 4).with_sampling(4);
         again.record_many(&recs);
         assert_eq!(again.finish_into().expect("finish"), bytes);
     }
@@ -719,7 +702,7 @@ mod tests {
 
     #[test]
     fn trait_finish_flushes_and_is_idempotent() {
-        let mut sink = JsonlSink::new(Vec::new());
+        let mut sink = ColumnarSink::new(Vec::new());
         sink.record(TraceRecord {
             at: 1,
             seq: 0,
@@ -777,10 +760,8 @@ mod tests {
     fn streaming_reader_detects_and_decodes_both_formats() {
         let recs = sample_records();
 
-        let mut jsonl = JsonlSink::with_chunk(Vec::new(), 4);
-        jsonl.record_many(&recs);
-        let jsonl_bytes = jsonl.finish_into().expect("finish");
-        let reader = StreamingReader::new(&jsonl_bytes[..]).expect("open");
+        let jsonl = jsonl_text(&recs);
+        let reader = StreamingReader::new(jsonl.as_bytes()).expect("open");
         assert_eq!(reader.format(), TraceFormat::Jsonl);
         assert_eq!(drain(reader), recs);
 

@@ -5,7 +5,8 @@
 //! (flits/node/cycle), p50/p99 delivery latency, circuit-cache hit rate,
 //! and the peak active-router count. The bench driver feeds one live
 //! (`wavesim-bench` observes the network each cycle); the analyzer derives
-//! the same series offline from a captured trace stream. Rows export as
+//! the series offline from a captured trace stream, equal on every column
+//! but the active-router count (DESIGN §8.3). Rows export as
 //! CSV, JSON, and Perfetto counter tracks
 //! ([`crate::perfetto::export_with_counters`]).
 //!

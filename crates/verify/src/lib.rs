@@ -19,9 +19,9 @@
 //!   destination in finite time");
 //! * **invariants** ([`invariants`]) — structural cross-checks between
 //!   lanes, circuits, probes, and circuit caches (`WaveNetwork::audit`);
-//! * **events** ([`events`]) — detectors that subscribe to the network's
-//!   inter-plane event bus and replay the stream into an independent
-//!   lifecycle ledger, cross-checked against the registry.
+//! * **events** ([`events`]) — detectors that fold the network's trace
+//!   into an independent lifecycle ledger, cross-checked against the
+//!   registry.
 //!
 //! The negative controls matter as much as the positive runs: the test
 //! suite feeds the detectors a *known-broken* routing function

@@ -1,12 +1,12 @@
 //! The trace-analytics engine, end to end: the analyzer report is pinned
-//! and byte-identical across sweep parallelism, the JSONL stream encodes
+//! and byte-identical across sweep parallelism, the JSONL view encodes
 //! records losslessly, and the reconstructed latency waterfalls agree
 //! with the simulator's own delivery accounting at evaluation scale.
 
 use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::topology::Topology;
-use wavesim::trace::stream::{self, JsonlSink};
-use wavesim::trace::{TraceEvent, TraceRecord, TraceSink, VecSink};
+use wavesim::trace::stream;
+use wavesim::trace::{TraceEvent, TraceRecord, VecSink};
 use wavesim::workloads::{FaultSchedule, LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 use wavesim_analyze::{analyze, report, AnalyzeOptions};
 use wavesim_bench::runner::{apply_fault_schedule, ParallelSweep};
@@ -173,18 +173,17 @@ fn golden_report_and_json_for_a_dynamic_fault_run() {
 }
 
 /// Round-tripping a real record stream through the JSONL encoder and
-/// parser reproduces every record exactly — the streaming sink is a
-/// lossless capture, not a summary.
+/// parser reproduces every record exactly — the JSONL view that
+/// `convert-trace` writes is lossless, not a summary.
 #[test]
 fn jsonl_stream_round_trips_records_exactly() {
     let (records, _, _) = traced_run(2, 9, 100, 600);
     assert!(!records.is_empty());
-    let mut sink = JsonlSink::new(Vec::new());
-    for &rec in &records {
-        sink.record(rec);
+    let mut text = String::new();
+    for rec in &records {
+        stream::encode_record(&mut text, rec);
+        text.push('\n');
     }
-    let bytes = sink.finish_into().expect("in-memory writer cannot fail");
-    let text = String::from_utf8(bytes).expect("JSONL is UTF-8");
     let back = stream::read_jsonl(&text).expect("own output parses");
     assert_eq!(back, records);
 }

@@ -8,10 +8,10 @@ use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::topology::Topology;
 use wavesim::trace::{columnar, stream};
 use wavesim::trace::{
-    every_event, read_columnar, read_trace, ColumnarSink, JsonlSink, TraceRecord, TraceSink,
+    every_event, read_columnar, read_trace, ColumnarSink, TraceRecord, TraceSink,
 };
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
-use wavesim_bench::tracecap::Capture;
+use wavesim_bench::tracecap::{Capture, RunTrace};
 use wavesim_bench::{run_open_loop_observed, RunSpec};
 
 /// The largest integer the JSONL codec can carry exactly (its number
@@ -134,42 +134,39 @@ fn bin_sink(path: &std::path::Path, sample: u64) -> Box<dyn TraceSink> {
     Box::new(sink.with_sampling(sample))
 }
 
-/// Runs [`capture_workload`] under `cap` and checks the streams flushed.
-fn capture_run(mut cap: Capture) {
+/// Runs [`capture_workload`] under `cap`, checks the streams flushed and
+/// returns the capture's trace.
+fn capture_run(mut cap: Capture) -> RunTrace {
     let (mut net, mut src) = capture_workload();
     let spec = RunSpec::standard(400, 2_000);
     let r = run_open_loop_observed(&mut net, &mut src, spec, &mut cap);
     assert!(r.clean(), "{r:?}");
     let t = cap.into_trace().expect("captured");
     assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
+    t
 }
 
-/// Streams one real 8x8 run to disk in both formats and checks the
-/// tentpole's contract: the binary stream decodes to exactly the JSONL
-/// stream's records (lossless) in at most a quarter of the bytes.
+/// Streams one real 8x8 run to disk and checks the format's contract: the
+/// binary stream decodes to exactly the records the run emitted
+/// (lossless) in at most a quarter of the bytes of their JSONL view.
 #[test]
 fn real_run_binary_stream_is_lossless_and_compact() {
     let pid = std::process::id();
-    let jpath = std::env::temp_dir().join(format!("wavesim_bt_lossless_{pid}.jsonl"));
     let bpath = std::env::temp_dir().join(format!("wavesim_bt_lossless_{pid}.wstrace"));
-    capture_run(
-        Capture::new(1 << 16)
-            .tee(Box::new(JsonlSink::create(&jpath).expect("create jsonl")))
-            .tee(bin_sink(&bpath, 1)),
-    );
-    let jbytes = std::fs::read(&jpath).expect("read jsonl");
+    // A ring that holds the whole run is the reference record list.
+    let t = capture_run(Capture::new(1 << 20).tee(bin_sink(&bpath, 1)));
+    assert_eq!(t.dropped, 0, "the ring must hold the whole run");
     let bbytes = std::fs::read(&bpath).expect("read bin");
-    let from_jsonl = read_trace(&jbytes[..]).expect("decode jsonl");
     let from_bin = read_trace(&bbytes[..]).expect("decode bin");
     assert!(!from_bin.is_empty());
-    assert_eq!(from_bin, from_jsonl, "binary stream must be lossless");
+    assert_eq!(from_bin, t.records, "binary stream must be lossless");
+    let jsonl = encode_jsonl(&from_bin);
     assert!(
-        bbytes.len() * 4 <= jbytes.len(),
+        bbytes.len() * 4 <= jsonl.len(),
         "binary must be <= 25% of JSONL ({} vs {} bytes)",
         bbytes.len(),
-        jbytes.len()
+        jsonl.len()
     );
-    let _ = std::fs::remove_file(&jpath);
     let _ = std::fs::remove_file(&bpath);
 }
 

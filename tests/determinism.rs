@@ -4,6 +4,7 @@
 
 use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork, WaveStats};
 use wavesim::topology::{RoutingKind, Topology};
+use wavesim::verify::CircuitLedger;
 use wavesim::workloads::trace_io;
 use wavesim::workloads::{
     CarpTrace, FaultSchedule, LengthDist, ServiceConfig, ServiceWorkload, TrafficConfig,
@@ -474,6 +475,8 @@ fn torus_drive(net: &mut WaveNetwork) -> RunResult {
 /// (cycle-0) lane faults and a cache small enough to evict, folding
 /// `WaveStats::count` over an unsampled capture gives `net.stats()` on
 /// every event-counted row, and every such row is reached by some run.
+/// The same capture, folded by `CircuitLedger`, leaves exactly the
+/// registry's circuits alive.
 #[test]
 fn counters_equal_the_events_captured_in_the_same_run() {
     let mut runs = Vec::new();
@@ -500,10 +503,15 @@ fn counters_equal_the_events_captured_in_the_same_run() {
         apply_fault_schedule(&mut net, &faults).expect("schedule fits the network");
         net.install_trace_sink(Box::new(wavesim::trace::VecSink::new()));
         torus_drive(&mut net);
+        let records = net.take_trace_sink().expect("installed").snapshot();
         let mut counted = WaveStats::default();
-        for rec in net.take_trace_sink().expect("installed").snapshot() {
+        for rec in &records {
             counted.count(&rec.ev);
         }
+        let mut ledger = CircuitLedger::new();
+        ledger.observe(&records);
+        let problems = ledger.check(&net);
+        assert!(problems.is_empty(), "run {i}: {problems:?}");
         for (c, s) in counted.rows().iter().zip(net.stats().rows()) {
             if WaveStats::COUNTED.contains(&c.name) {
                 assert_eq!(c.value, s.value, "run {i}: {}", c.name);

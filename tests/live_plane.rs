@@ -13,7 +13,7 @@ use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim::network::Message;
 use wavesim::sim::stats::Histogram;
 use wavesim::topology::{NodeId, Topology};
-use wavesim::trace::timeseries::WindowSeries;
+use wavesim::trace::timeseries::{WindowRow, WindowSeries};
 use wavesim::trace::TraceRecord;
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 use wavesim_analyze::{analyze, report, take_analysis, AnalyzeOptions};
@@ -162,6 +162,58 @@ fn live_fold_matches_offline_analyze() {
         wavesim::json::Value::pretty(&report::to_json(&live)),
         wavesim::json::Value::pretty(&report::to_json(&offline)),
     );
+}
+
+/// The live `Sampler` and `analyze` over an unsampled capture of the same
+/// run write the same time series, column for column, except
+/// `active_routers`: live it is `WaveNetwork::active_routers()` (routers
+/// with fabric work plus sources with circuit work), offline the nodes a
+/// cycle's records name.
+#[test]
+fn sampled_series_equals_the_offline_series_but_active_routers() {
+    let topo = Topology::mesh(&[8, 8]);
+    let mut net = WaveNetwork::new(topo.clone(), WaveConfig::default());
+    let mut src = TrafficSource::new(
+        topo,
+        TrafficConfig {
+            load: 0.2,
+            pattern: TrafficPattern::HotPairs {
+                partners: 3,
+                locality: 0.7,
+            },
+            len: LengthDist::Fixed(64),
+            seed: 1,
+            stop_at: u64::MAX,
+        },
+    );
+    let mut obs = Observers {
+        capture: Some(Capture::new(1 << 20)),
+        sampler: Some(Sampler::new(1000, false)),
+        ..Observers::default()
+    };
+    let r = run_open_loop_observed(&mut net, &mut src, RunSpec::standard(600, 3000), &mut obs);
+    assert!(r.clean(), "{r:?}");
+    let trace = obs.capture.and_then(Capture::into_trace).expect("captured");
+    assert_eq!(trace.dropped, 0, "ring must hold the whole run");
+    let live = obs.sampler.and_then(Sampler::into_series).expect("sampled");
+    let offline = analyze(
+        &trace.records,
+        AnalyzeOptions {
+            window: 1000,
+            nodes: Some(64),
+            ..AnalyzeOptions::default()
+        },
+    );
+    assert_eq!((live.nodes, offline.nodes), (64, 64));
+    let but_active = |rows: &[WindowRow]| -> Vec<WindowRow> {
+        let blank = |r: &WindowRow| WindowRow {
+            active_routers: 0,
+            ..r.clone()
+        };
+        rows.iter().map(blank).collect()
+    };
+    assert!(live.rows.len() >= 3, "{:?}", live.rows);
+    assert_eq!(but_active(&live.rows), but_active(&offline.series));
 }
 
 #[test]
