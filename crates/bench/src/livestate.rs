@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use wavesim_core::{HealthSnapshot, WaveNetwork, WaveStats};
 use wavesim_network::FabricStats;
-use wavesim_sim::stats::StatRow;
+use wavesim_sim::stats::{Histogram, StatRow};
 use wavesim_sim::{Cycle, CycleKernelStats};
 
 use crate::metrics::Gauge;
@@ -45,6 +45,8 @@ pub struct LiveStatus {
     pub kernel: CycleKernelStats,
     /// Instantaneous cross-plane gauges.
     pub health: HealthSnapshot,
+    /// End-to-end latency of every delivery so far.
+    pub latency: Histogram,
     /// Deliveries per kilocycle over the last `RATE_WINDOW` cycles.
     pub progress_rate: f64,
     /// Simulated cycles per wall-clock second since the run started.
@@ -145,6 +147,7 @@ impl StatusBoard {
             board: self.clone(),
             holds: false,
             started: Instant::now(),
+            latency: Histogram::new(),
             mark_cycle: 0,
             mark_delivered: 0,
             echoed_at: 0,
@@ -174,6 +177,8 @@ pub struct BoardObserver {
     /// True between a successful claim at `start` and `finish`.
     holds: bool,
     started: Instant,
+    /// Every delivery's latency so far, copied into each snapshot.
+    latency: Histogram,
     mark_cycle: Cycle,
     mark_delivered: u64,
     echoed_at: Cycle,
@@ -197,6 +202,7 @@ impl BoardObserver {
         s.fabric = net.fabric().stats();
         s.kernel = net.kernel_stats();
         s.health = net.health(now);
+        s.latency.clone_from(&self.latency);
         s.done = done;
         let delivered = s.delivered();
         if now >= self.mark_cycle + RATE_WINDOW {
@@ -247,6 +253,15 @@ impl RunObserver for BoardObserver {
             ],
             ..LiveStatus::default()
         });
+    }
+
+    /// Records the latency of each delivery the tick just made.
+    fn cycle(&mut self, _now: Cycle, net: &WaveNetwork) {
+        if self.holds {
+            for d in net.pending_deliveries() {
+                self.latency.record(d.latency());
+            }
+        }
     }
 
     fn sample(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
@@ -300,8 +315,8 @@ mod tests {
             assert!(s.done);
             assert!(s.run_line().ends_with(&format!("seed={seed}")), "{s:?}");
             assert_eq!(
-                (s.cycle, s.stats.msgs_sent, s.delivered()),
-                (r.end, r.sent, r.delivered)
+                (s.cycle, s.stats.msgs_sent, s.delivered(), s.latency.count()),
+                (r.end, r.sent, r.delivered, r.delivered)
             );
         }
     }

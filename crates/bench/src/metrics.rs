@@ -6,14 +6,13 @@
 //! tables it holds whole ([`wavesim_core::WaveStats`],
 //! [`wavesim_network::FabricStats`], [`wavesim_sim::CycleKernelStats`],
 //! [`wavesim_core::HealthSnapshot`] — a series per row, its `# HELP` the
-//! row's doc line) and the few values derived from them. A finished run
-//! adds its headline gauges and the flight recorder's latency histogram.
-//! No row is named in this file: one added to a table is on both
+//! row's doc line), the few values derived from them and the latency
+//! histogram of every delivery so far. A finished run adds its headline
+//! gauges. No row is named in this file: one added to a table is on both
 //! pages and in `/status` ([`crate::serve::status_json`], the same walk).
 
-use wavesim_sim::stats::{Histogram, StatKind};
+use wavesim_sim::stats::StatKind;
 use wavesim_trace::metrics::MetricsPage;
-use wavesim_trace::{TraceEvent, TraceRecord};
 
 use crate::livestate::LiveStatus;
 use crate::{RunResult, ServiceResult};
@@ -75,32 +74,12 @@ pub fn service_gauges(r: &ServiceResult) -> [Gauge; 2] {
     ]
 }
 
-/// End-to-end latency of the deliveries among `records` (the flight
-/// recorder's surviving tail).
-#[must_use]
-pub fn traced_latency(records: &[TraceRecord]) -> Histogram {
-    let mut lat = Histogram::new();
-    for rec in records {
-        match rec.ev {
-            TraceEvent::WormholeDeliver { latency, .. }
-            | TraceEvent::CircuitDeliver { latency, .. } => lat.record(latency),
-            _ => {}
-        }
-    }
-    lat
-}
-
 /// Renders the page of one status under `prefix` (`wavesim_` for a
 /// finished run's file, `wavesim_live_` for the endpoint). `outcome` is a
-/// finished run's headline gauges ([`run_gauges`], [`service_gauges`]) and
-/// `latency` its [`traced_latency`]; a run still driving has neither.
+/// finished run's headline gauges ([`run_gauges`], [`service_gauges`]); a
+/// run still driving has none.
 #[must_use]
-pub fn metrics_page(
-    prefix: &str,
-    s: &LiveStatus,
-    outcome: &[Gauge],
-    latency: Option<&Histogram>,
-) -> String {
+pub fn metrics_page(prefix: &str, s: &LiveStatus, outcome: &[Gauge]) -> String {
     let mut page = MetricsPage::new();
     // Self-describing header: a scrape from this page is meaningless
     // without knowing which run produced it.
@@ -137,13 +116,11 @@ pub fn metrics_page(
     for (name, help, value) in s.gauges().iter().chain(outcome) {
         page.gauge_f64(&format!("{prefix}{name}"), help, *value);
     }
-    if let Some(lat) = latency {
-        page.histogram(
-            &format!("{prefix}traced_latency_cycles"),
-            "End-to-end latency of deliveries surviving in the flight recorder",
-            lat,
-        );
-    }
+    page.histogram(
+        &format!("{prefix}traced_latency_cycles"),
+        "End-to-end latency of every delivery of the run so far",
+        &s.latency,
+    );
     page.render()
 }
 
@@ -151,9 +128,7 @@ pub fn metrics_page(
 mod tests {
     use super::*;
     use crate::livestate::StatusBoard;
-    use crate::observers::Observers;
     use crate::serve::status_json;
-    use crate::tracecap::Capture;
     use crate::{run_open_loop_observed, RunSpec};
     use wavesim_core::{WaveConfig, WaveNetwork};
     use wavesim_json::Value;
@@ -161,8 +136,8 @@ mod tests {
     use wavesim_workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 
     /// What `wavesim run --side 4 --load 0.1 --cycles <cycles> --metrics-out`
-    /// renders from: the board's final status, the result, the ring.
-    fn cli_run(cycles: u64) -> (LiveStatus, RunResult, Histogram) {
+    /// renders from: the board's final status and the result.
+    fn cli_run(cycles: u64) -> (LiveStatus, RunResult) {
         let cfg = WaveConfig {
             seed: 1,
             ..WaveConfig::default()
@@ -182,16 +157,9 @@ mod tests {
             },
         );
         let board = StatusBoard::new(false);
-        let mut obs = Observers {
-            capture: Some(Capture::new(1 << 16)),
-            board: Some(board.observer()),
-            ..Observers::default()
-        };
         let spec = RunSpec::standard(cycles / 5, cycles);
-        let r = run_open_loop_observed(&mut net, &mut src, spec, &mut obs);
-        let trace = obs.capture.take().and_then(Capture::into_trace);
-        let latency = traced_latency(&trace.expect("captured").records);
-        (board.snapshot().expect("published"), r, latency)
+        let r = run_open_loop_observed(&mut net, &mut src, spec, &mut board.observer());
+        (board.snapshot().expect("published"), r)
     }
 
     /// The samples of `page`: every line that is not a `#` line.
@@ -201,10 +169,10 @@ mod tests {
 
     #[test]
     fn the_tables_are_the_only_list() {
-        let (status, r, latency) = cli_run(1_000);
+        let (status, r) = cli_run(1_000);
         assert!(status.stats.probes_sent > 0 && status.kernel.events_routed > 0);
-        let post = metrics_page("wavesim_", &status, &run_gauges(&r), Some(&latency));
-        let live = metrics_page("wavesim_live_", &status, &[], None);
+        let post = metrics_page("wavesim_", &status, &run_gauges(&r));
+        let live = metrics_page("wavesim_live_", &status, &[]);
         let json = Value::parse(&status_json(&status).pretty()).expect("valid JSON");
         let pages = [
             (&post, samples(&post), "wavesim_"),
@@ -240,11 +208,13 @@ mod tests {
             names.dedup();
             assert_eq!(names.len(), samples.len(), "a series appears twice");
         }
-        // The live page is the finished run's page less outcome and histogram.
+        // The live page is the finished run's page less its outcome, and
+        // both carry the histogram of every delivery.
         for line in &pages[1].1 {
             let line = line.replacen("wavesim_live_", "wavesim_", 1);
             assert!(pages[0].1.contains(&line.as_str()), "{line}");
         }
+        assert!(live.contains("# TYPE wavesim_live_traced_latency_cycles histogram"));
         assert!(post.contains("# TYPE wavesim_traced_latency_cycles histogram"));
         assert!(post.contains(&format!(
             "wavesim_traced_latency_cycles_count {}",
@@ -257,8 +227,8 @@ mod tests {
     /// page became a walk over the tables) is on the page, value for value.
     #[test]
     fn the_page_still_carries_every_sample_of_the_hand_written_one() {
-        let (status, r, latency) = cli_run(3_000);
-        let page = metrics_page("wavesim_", &status, &run_gauges(&r), Some(&latency));
+        let (status, r) = cli_run(3_000);
+        let page = metrics_page("wavesim_", &status, &run_gauges(&r));
         let now = samples(&page);
         let parent = include_str!("../tests/fixtures/metrics_page.parent.txt");
         assert_eq!(parent.lines().count(), 45);

@@ -14,7 +14,7 @@ use crate::{Drained, RunObserver};
 /// One run's observers; every absent one costs nothing.
 #[derive(Default)]
 pub struct Observers {
-    /// Flight-recorder ring and on-disk streams.
+    /// On-disk stream, live fold and the post-mortem's ring.
     pub capture: Option<Capture>,
     /// Windowed time series.
     pub sampler: Option<Sampler>,

@@ -885,7 +885,7 @@ mod tests {
                 ..WaveConfig::default()
             },
         );
-        let mut cap = crate::tracecap::Capture::new(1 << 12);
+        let mut cap = crate::tracecap::Capture::new(Some(1 << 12));
         let spec = RunSpec::replay(trace.horizon());
         let r = run_dep_trace(&mut net, &trace, spec, &mut cap);
         let cap = cap.into_trace().expect("captured");

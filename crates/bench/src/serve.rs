@@ -76,7 +76,7 @@ fn handle(s: &mut TcpStream, board: &StatusBoard) -> std::io::Result<()> {
                 200,
                 "OK",
                 "text/plain; version=0.0.4; charset=utf-8",
-                metrics_page(PREFIX, &st, &[], None),
+                metrics_page(PREFIX, &st, &[]),
             ),
             None => (503, "Service Unavailable", "text/plain", none_body()),
         },
@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn metrics_text_is_well_formed_exposition() {
-        let text = metrics_page(PREFIX, &sample(), &[], None);
+        let text = metrics_page(PREFIX, &sample(), &[]);
         assert!(text.contains("# TYPE wavesim_live_cycle gauge"));
         assert!(text.contains("wavesim_live_cycle 4096"));
         assert!(text.contains("wavesim_live_msgs_delivered 90"));

@@ -1,64 +1,57 @@
-//! Flight-recorder capture of one run.
+//! Trace capture of one run.
 //!
 //! The golden-hash determinism suite pins the `Debug` output of
 //! [`crate::RunResult`], so tracing output cannot ride on the result
 //! struct. Instead a [`Capture`] is a [`RunObserver`]: handed to a
-//! `run_*` entry point it installs a fresh [`FlightRecorder`] into the
-//! network for the duration of the run — teed into whatever other sinks
-//! the caller supplied, typically lossless on-disk streams — and
-//! afterwards owns the run's [`RunTrace`].
-//!
-//! When a run trips the deadlock monitor, the capture additionally holds a
-//! post-mortem bundle: the recorder tail plus the wormhole fabric's
-//! wait-for graph (and the circular wait inside it, if one exists) at the
-//! stall cycle.
+//! `run_*` entry point it installs its sinks into the network for the
+//! duration of the run — typically a lossless on-disk stream, and a
+//! [`FlightRecorder`] ring only when something will read the ring's tail
+//! (the watchdog's post-mortem) — and afterwards owns the run's
+//! [`RunTrace`].
 
 use wavesim_core::WaveNetwork;
-use wavesim_json::Value;
-use wavesim_sim::Cycle;
-use wavesim_trace::postmortem::{self, StallContext};
 use wavesim_trace::recorder::TeeSink;
 use wavesim_trace::{FlightRecorder, TraceRecord, TraceSink};
-use wavesim_verify::deadlock::find_wait_cycle;
 
 use crate::{Drained, RunObserver};
 
-/// One run's flight-recorder contents.
+/// One run's capture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
-    /// Surviving records, oldest first.
+    /// The ring's surviving records, oldest first (empty without a ring).
     pub records: Vec<TraceRecord>,
-    /// Records overwritten by ring wraparound.
+    /// Records the ring overwrote (without a ring, records the first
+    /// stream lost).
     pub dropped: u64,
     /// Records emitted over the whole run.
     pub total: u64,
-    /// Post-mortem bundle; present only when the run stalled.
-    pub post_mortem: Option<Value>,
     /// Error from flushing a teed stream, if one occurred.
     pub stream_error: Option<String>,
 }
 
-/// Records one run into a flight-recorder ring (the post-mortem tail) and
-/// into every teed sink (a [`wavesim_trace::ColumnarSink`] captures
-/// everything the ring drops).
+/// Records one run into an optional flight-recorder ring and into every
+/// teed sink (a [`wavesim_trace::ColumnarSink`] captures everything).
 pub struct Capture {
-    ring: usize,
+    ring: Option<usize>,
     tees: Vec<Box<dyn TraceSink>>,
+    installed: bool,
     trace: Option<RunTrace>,
 }
 
 impl Capture {
-    /// A capture into a ring of `ring` record slots.
+    /// A capture into a ring of `ring` record slots, or into its tees
+    /// alone when `ring` is `None`.
     ///
     /// # Panics
-    /// Panics if `ring` is zero (a flight recorder needs at least one
+    /// Panics if `ring` is `Some(0)` (a flight recorder needs at least one
     /// slot).
     #[must_use]
-    pub fn new(ring: usize) -> Self {
-        assert!(ring > 0, "a flight recorder needs at least one slot");
+    pub fn new(ring: Option<usize>) -> Self {
+        assert!(ring != Some(0), "a flight recorder needs at least one slot");
         Self {
             ring,
             tees: Vec::new(),
+            installed: false,
             trace: None,
         }
     }
@@ -70,64 +63,44 @@ impl Capture {
         self
     }
 
-    /// The finished run's trace (`None` before the run ends).
+    /// The finished run's trace (`None` before the run ends, or when the
+    /// capture had nothing to install).
     #[must_use]
     pub fn into_trace(self) -> Option<RunTrace> {
         self.trace
     }
 }
 
-/// The flight-recorder tail plus the fabric's wait-for graph (and the
-/// circular wait inside it, if any) at `now`.
-pub(crate) fn stall_bundle(
-    net: &WaveNetwork,
-    now: Cycle,
-    records: &[TraceRecord],
-    dropped: u64,
-    total: u64,
-) -> Value {
-    let fabric = net.fabric();
-    let edges = fabric.wait_edges();
-    let cycle = find_wait_cycle(&edges);
-    let ctx = StallContext {
-        edges: &edges,
-        cycle: cycle.as_deref(),
-        now,
-        stall_age: fabric.progress_age(now),
-        in_flight: fabric.in_flight_flits(),
-    };
-    postmortem::bundle(records, dropped, total, &ctx)
-}
-
 impl RunObserver for Capture {
-    /// Installs the ring, which stays the query-answering primary through
-    /// the nested tees.
+    /// Installs the ring, if any, then every tee; the first of them stays
+    /// the query-answering primary through the nested tees.
     fn start(&mut self, net: &mut WaveNetwork) {
-        let mut sink: Box<dyn TraceSink> = Box::new(FlightRecorder::new(self.ring));
-        for tee in self.tees.drain(..) {
-            sink = Box::new(TeeSink::new(sink, tee));
-        }
+        let ring = self
+            .ring
+            .map(|n| Box::new(FlightRecorder::new(n)) as Box<dyn TraceSink>);
+        let mut sinks = ring.into_iter().chain(self.tees.drain(..));
+        let Some(first) = sinks.next() else {
+            return;
+        };
+        let sink = sinks.fold(first, |sink, tee| Box::new(TeeSink::new(sink, tee)));
         net.install_trace_sink(sink);
+        self.installed = true;
     }
 
     /// Removes the sink installed by `start`, snapshots it, and keeps the
-    /// [`RunTrace`] — with a post-mortem bundle when the run stalled.
-    fn finish(&mut self, net: &mut WaveNetwork, outcome: Drained) {
+    /// [`RunTrace`].
+    fn finish(&mut self, net: &mut WaveNetwork, _outcome: Drained) {
+        if !self.installed {
+            return;
+        }
         let Some(mut sink) = net.take_trace_sink() else {
             return;
         };
         let stream_error = sink.finish().err();
-        let records = sink.snapshot();
-        let dropped = sink.dropped();
-        let total = sink.total();
-        let post_mortem = outcome
-            .stalled
-            .then(|| stall_bundle(net, outcome.end, &records, dropped, total));
         self.trace = Some(RunTrace {
-            records,
-            dropped,
-            total,
-            post_mortem,
+            records: sink.snapshot(),
+            dropped: sink.dropped(),
+            total: sink.total(),
             stream_error,
         });
     }
@@ -171,9 +144,8 @@ mod tests {
 
     #[test]
     fn capture_owns_the_trace_of_its_run() {
-        let (r, t) = captured_run(Capture::new(1 << 16), RunSpec::standard(200, 1_000));
+        let (r, t) = captured_run(Capture::new(Some(1 << 16)), RunSpec::standard(200, 1_000));
         assert!(r.clean(), "{r:?}");
-        assert!(t.post_mortem.is_none());
         assert!(t.total > 0);
         assert_eq!(t.records.len() as u64 + t.dropped, t.total);
         // Seq numbers are gap-free over the surviving tail.
@@ -187,7 +159,7 @@ mod tests {
         let spec = RunSpec::standard(200, 1_000);
         let (mut net, mut src) = workload(0.1, 32);
         let baseline = format!("{:?}", run_open_loop(&mut net, &mut src, spec));
-        let (r, _) = captured_run(Capture::new(1 << 16), spec);
+        let (r, _) = captured_run(Capture::new(Some(1 << 16)), spec);
         assert_eq!(baseline, format!("{r:?}"));
     }
 
@@ -198,7 +170,8 @@ mod tests {
             std::process::id()
         ));
         // Tiny ring: the stream must still be lossless.
-        let cap = Capture::new(64).tee(Box::new(ColumnarSink::create(&path).expect("create")));
+        let cap =
+            Capture::new(Some(64)).tee(Box::new(ColumnarSink::create(&path).expect("create")));
         let (r, t) = captured_run(cap, RunSpec::standard(200, 1_000));
         assert!(r.clean(), "{r:?}");
         assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
@@ -224,7 +197,7 @@ mod tests {
         let mut last_total = 0;
         for cycles in [400u64, 900] {
             let cap =
-                Capture::new(1 << 16).tee(Box::new(ColumnarSink::create(&path).expect("create")));
+                Capture::new(None).tee(Box::new(ColumnarSink::create(&path).expect("create")));
             let (r, t) = captured_run(cap, RunSpec::standard(100, cycles));
             assert!(r.clean(), "{r:?}");
             assert!(t.stream_error.is_none(), "{:?}", t.stream_error);

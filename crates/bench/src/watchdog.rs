@@ -21,16 +21,20 @@
 //! A trip stamps a [`TraceEvent::WatchdogTrip`] into the trace stream (if
 //! the run is captured), flushes a flight-recorder post-mortem bundle to
 //! the configured path, and — with `abort` set — ends the run as a stall
-//! so `RunResult::clean()` is false and the CLI exits nonzero.
+//! so `RunResult::clean()` is false and the CLI exits nonzero. A run that
+//! ends stalled without a trip having written the bundle (the drive loop's
+//! own deadlock monitor called it) gets its bundle at the end. The
+//! watchdog is the only writer of a post-mortem.
 
 use std::path::PathBuf;
 
 use wavesim_core::WaveNetwork;
 use wavesim_sim::Cycle;
+use wavesim_trace::postmortem::{self, StallContext};
 use wavesim_trace::TraceEvent;
 use wavesim_verify::deadlock::find_wait_cycle;
 
-use crate::RunObserver;
+use crate::{Drained, RunObserver};
 
 /// Window over which rule 2 counts establishment retries.
 pub const RETRY_WINDOW: u64 = 4096;
@@ -54,7 +58,8 @@ pub struct WatchdogConfig {
     /// End the run on any trip (reported as a stall, so the run is not
     /// `clean` and the CLI exits nonzero).
     pub abort: bool,
-    /// Flush a flight-recorder post-mortem bundle here on any trip.
+    /// Flush a flight-recorder post-mortem bundle here on any trip, and
+    /// when the run ends stalled without one.
     pub post_mortem: Option<PathBuf>,
 }
 
@@ -87,7 +92,7 @@ pub struct WatchdogReport {
     pub trips: Vec<Trip>,
     /// True when a trip ended the run.
     pub aborted: bool,
-    /// Where the post-mortem bundle was written, if any trip flushed one.
+    /// Where the post-mortem bundle was written, if one was.
     pub post_mortem: Option<PathBuf>,
 }
 
@@ -141,24 +146,36 @@ impl Watchdog {
             value,
             limit,
         });
-        if let Some(path) = self.cfg.post_mortem.clone() {
-            self.flush_post_mortem(net, now, path);
-        }
+        self.flush_post_mortem(net, now);
         if self.cfg.abort {
             self.report.aborted = true;
         }
     }
 
-    /// Writes the flight-recorder tail plus the fabric's wait-for graph to
-    /// `path` (overwriting — the last trip's view wins). Failures are
+    /// Writes the flight-recorder tail plus the fabric's wait-for graph
+    /// (and the circular wait inside it, if any) at `now` to the configured
+    /// path, if any (overwriting — the last trip's view wins). Failures are
     /// reported on stderr, never propagated: a watchdog must not take down
     /// the run it watches.
-    fn flush_post_mortem(&mut self, net: &mut WaveNetwork, now: Cycle, path: PathBuf) {
+    fn flush_post_mortem(&mut self, net: &mut WaveNetwork, now: Cycle) {
+        let Some(path) = self.cfg.post_mortem.clone() else {
+            return;
+        };
         let (records, dropped, total) = match net.trace_sink() {
             Some(sink) => (sink.snapshot(), sink.dropped(), sink.total()),
             None => (Vec::new(), 0, 0),
         };
-        let bundle = crate::tracecap::stall_bundle(net, now, &records, dropped, total);
+        let fabric = net.fabric();
+        let edges = fabric.wait_edges();
+        let cycle = find_wait_cycle(&edges);
+        let ctx = StallContext {
+            edges: &edges,
+            cycle: cycle.as_deref(),
+            now,
+            stall_age: fabric.progress_age(now),
+            in_flight: fabric.in_flight_flits(),
+        };
+        let bundle = postmortem::bundle(&records, dropped, total, &ctx);
         match std::fs::write(&path, bundle.pretty()) {
             Ok(()) => self.report.post_mortem = Some(path),
             Err(e) => eprintln!(
@@ -208,6 +225,14 @@ impl RunObserver for Watchdog {
         }
         self.report.aborted
     }
+
+    /// Writes the post-mortem of a run that ended stalled when no trip
+    /// wrote one.
+    fn finish(&mut self, net: &mut WaveNetwork, outcome: Drained) {
+        if outcome.stalled && self.report.post_mortem.is_none() {
+            self.flush_post_mortem(net, outcome.end);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -237,7 +262,7 @@ mod tests {
 
     fn watched_run(cfg: WatchdogConfig) -> (crate::RunResult, WatchdogReport, RunTrace) {
         let mut obs = Observers {
-            capture: Some(Capture::new(1 << 12)),
+            capture: Some(Capture::new(Some(1 << 12))),
             watchdog: Some(Watchdog::new(cfg)),
             ..Observers::default()
         };
@@ -280,6 +305,49 @@ mod tests {
             .records
             .iter()
             .any(|rec| rec.ev.kind() == "watchdog_trip"));
+    }
+
+    /// Ends the run from `sample` at cycle `at`, as the drive loop's
+    /// deadlock monitor would, under a watchdog with no rule armed.
+    struct StallAt {
+        at: Cycle,
+        dog: Watchdog,
+    }
+
+    impl RunObserver for StallAt {
+        fn sample(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
+            self.dog.sample(now, net) | (now == self.at)
+        }
+        fn finish(&mut self, net: &mut WaveNetwork, outcome: Drained) {
+            self.dog.finish(net, outcome);
+        }
+    }
+
+    #[test]
+    fn a_run_that_ends_stalled_gets_one_post_mortem() {
+        let dir = std::env::temp_dir().join(format!("wavesim_watchdog_end_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pm.json");
+        let mut obs = StallAt {
+            at: 128,
+            dog: Watchdog::new(WatchdogConfig {
+                post_mortem: Some(path.clone()),
+                ..WatchdogConfig::default()
+            }),
+        };
+        assert!(!obs.dog.cfg.any(), "no rule is armed");
+        let r = one_long_message_run(&mut obs);
+        assert!(r.stalled && r.end == 128, "{r:?}");
+        let report = obs.dog.into_report();
+        assert!(report.trips.is_empty() && !report.aborted, "{report:?}");
+        assert_eq!(report.post_mortem.as_ref(), Some(&path));
+        let written: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        let text = std::fs::read_to_string(&path).expect("post-mortem written");
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(written.len(), 1, "one bundle");
+        let doc = wavesim_json::Value::parse(&text).expect("valid JSON");
+        assert_eq!(doc["kind"], "wavesim-postmortem");
+        assert_eq!(doc["at"].as_u64(), Some(128), "taken at the stall cycle");
     }
 
     #[test]

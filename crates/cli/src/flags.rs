@@ -29,6 +29,18 @@ enum Kind {
     Pairs,
 }
 
+/// What `convert-trace --to` writes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum ConvertTo {
+    /// The JSONL view: one record per line.
+    #[default]
+    Jsonl,
+    /// WSTRACE1 frames.
+    Bin,
+    /// A Perfetto document of the last `--flight-recorder` records.
+    Perfetto,
+}
+
 /// Stores a value's text in its flag's field; `None` if it is not of the
 /// flag's kind.
 type Set = fn(&mut Args, &str) -> Option<()>;
@@ -180,7 +192,7 @@ command_table! {
     Run = "run", None, "one simulation: open-loop traffic, a trace replay or service clients";
     GenTrace = "gen-trace", None, "write one of E15's collective dependency traces";
     Analyze = "analyze", None, "latency, flow, lane and fault analytics of a captured stream";
-    ConvertTrace = "convert-trace", Some("FILE"), "convert a capture between JSONL and WSTRACE1";
+    ConvertTrace = "convert-trace", Some("FILE"), "convert a capture to JSONL, WSTRACE1 or Perfetto";
     ValidateTrace = "validate-trace", Some("FILE"), "schema-check a JSONL, WSTRACE1 or Perfetto file";
     Check = "check", None, "certify the routing functions deadlock-free, or explore a --model";
     Fuzz = "fuzz", None, "random schedules and fault churn against a protocol model";
@@ -252,15 +264,17 @@ flag_table! {
         "the collective to emit (required)";
     out = "--out", text("FILE"), None, &[GenTrace, ConvertTrace],
         "the file to write (required); gen-trace writes JSONL to a .jsonl name, else one document";
-    to_bin = "--to", one_of(bool: "jsonl" => false, "bin" => true), Some("jsonl"), &[ConvertTrace],
-        "output format (bin is WSTRACE1)";
-    trace_out = "--trace-out", text("FILE"), None, RUNS,
-        "export the last run's flight recorder as Perfetto JSON (and a post-mortem if it stalled)";
-    flight_recorder = "--flight-recorder", int(usize, 1..=MAX_RING), Some("65536"), RUNS,
-        "records the in-memory ring keeps; allocated up front, 1 GiB at most";
+    to = "--to", one_of(ConvertTo: "jsonl" => ConvertTo::Jsonl, "bin" => ConvertTo::Bin,
+        "perfetto" => ConvertTo::Perfetto), Some("jsonl"), &[ConvertTrace],
+        "output format: bin is WSTRACE1, perfetto the last --flight-recorder records as \
+        Perfetto JSON";
+    flight_recorder = "--flight-recorder", int(usize, 1..=MAX_RING), Some("65536"),
+        &[All, Exp, Run, ConvertTrace],
+        "records the ring keeps for a post-mortem's tail and a Perfetto conversion; allocated \
+        up front, 1 GiB at most";
     trace_bin = "--trace-bin", text("FILE"), None, RUNS,
         "stream every record of the last run as WSTRACE1 frames, in bounded memory; \
-        convert-trace writes its JSONL view";
+        convert-trace writes its JSONL and Perfetto views";
     trace_sample = "--trace-sample", int(u64, 1..=ANY), Some("1"), &[All, Exp, Run, Analyze],
         "keep 1 in N of --trace-bin's bulk record kinds; analyze rescales their counts by it";
     metrics_out = "--metrics-out", text("FILE"), None, &[Run],
@@ -288,7 +302,7 @@ flag_table! {
     watch_abort = "--watch-abort", switch, None, RUNS,
         "a watchdog trip ends the run and fails the process";
     watch_postmortem = "--watch-postmortem", text("FILE"), None, RUNS,
-        "a watchdog trip writes the flight recorder's post-mortem bundle here";
+        "a watchdog trip, or a run ending stalled, writes the flight recorder's post-mortem here";
     trace_in = "--trace", text("FILE"), None, &[Analyze],
         "the capture to analyze (required): JSONL or WSTRACE1, told apart by content";
     report_out = "--report", text("FILE"), None, &[Analyze],
@@ -567,7 +581,7 @@ mod tests {
         let rows = names.len();
         names.dedup();
         // `--json` is a switch for the experiments and a FILE for `analyze`.
-        assert_eq!((rows, names.len()), (52, 51));
+        assert_eq!((rows, names.len()), (51, 50));
         for (i, flag) in FLAGS.iter().enumerate() {
             let clash = FLAGS[..i].iter().find(|other| {
                 other.name == flag.name && other.cmds.iter().any(|c| flag.cmds.contains(c))
@@ -662,7 +676,7 @@ mod tests {
     fn values_land_in_their_fields() {
         let args = line(
             "run --protocol carp --topology torus --side 6 --side 5 --load 0.5 \
-             --service-clients 7 --watch-retries 0 --trace-out t.json --live-status",
+             --service-clients 7 --watch-retries 0 --watch-postmortem pm.json --live-status",
         )
         .unwrap();
         assert_eq!(
@@ -674,7 +688,7 @@ mod tests {
             (args.service_clients, args.watch_retries),
             (Some(7), Some(0))
         );
-        assert_eq!(args.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(args.watch_postmortem.as_deref(), Some("pm.json"));
         assert!(args.live_status && !args.live_analyze && args.given.contains(&"side"));
 
         let args = line("check --model probe --msg 0:3 --msg 3:0 --mutate skip-backoff").unwrap();
@@ -694,12 +708,17 @@ mod tests {
         );
 
         let args = line("convert-trace in.wstrace --out o.bin --to bin").unwrap();
-        assert_eq!((args.path.as_str(), args.to_bin), ("in.wstrace", true));
+        assert_eq!(
+            (args.path.as_str(), args.to),
+            ("in.wstrace", ConvertTo::Bin)
+        );
+        let args = line("convert-trace in.wstrace --out o.json --to perfetto --flight-recorder 9");
+        let args = args.unwrap();
+        assert_eq!((args.to, args.flight_recorder), (ConvertTo::Perfetto, 9));
         // `main` names a flag in a message by the field it fills.
         for (field, flag) in [
             ("out", "--out"),
             ("trace_bin", "--trace-bin"),
-            ("trace_out", "--trace-out"),
             ("metrics_out", "--metrics-out"),
             ("timeseries_out", "--timeseries-out"),
             ("watch_postmortem", "--watch-postmortem"),

@@ -8,7 +8,7 @@ mod flags;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use flags::{Args, Cmd};
+use flags::{Args, Cmd, ConvertTo};
 use wavesim_bench::livestate::StatusBoard;
 use wavesim_bench::timeseries::Sampler;
 use wavesim_bench::tracecap::Capture;
@@ -17,7 +17,7 @@ use wavesim_bench::{experiments, Observed, Observers, RunSpec};
 use wavesim_core::{WaveConfig, WaveNetwork};
 use wavesim_topology::{RoutingKind, Topology};
 use wavesim_trace::stream::{stream_trace_file, StreamingReader, TraceFormat};
-use wavesim_trace::{ColumnarSink, TraceSink};
+use wavesim_trace::{ColumnarSink, FlightRecorder, TraceSink};
 use wavesim_verify::check_deadlock_freedom;
 use wavesim_workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 
@@ -73,33 +73,9 @@ fn square(torus: bool, side: u16) -> Result<Topology, String> {
     }
 }
 
-/// Exports one captured run as Perfetto JSON (plus a post-mortem bundle
-/// when the run stalled). `counters` are pre-built counter-track events —
-/// the time-series sampler's per-window metrics.
-fn export_trace(
-    path: &str,
-    t: &wavesim_bench::tracecap::RunTrace,
-    counters: Vec<wavesim_json::Value>,
-) -> Result<(), String> {
-    let doc = wavesim_trace::perfetto::export_with_counters(&t.records, counters);
-    write_file(path, &doc.compact())?;
-    println!(
-        "wrote trace: {path} ({} records kept, {} dropped of {})",
-        t.records.len(),
-        t.dropped,
-        t.total
-    );
-    if let Some(pm) = &t.post_mortem {
-        let pm_path = format!("{path}.postmortem.json");
-        write_file(&pm_path, &pm.pretty())?;
-        println!("run stalled — wrote post-mortem: {pm_path}");
-    }
-    Ok(())
-}
-
 /// Schema-checks a trace file: binary columnar streams (`--trace-bin`),
-/// their JSONL views (`convert-trace --to jsonl`), and Perfetto exports
-/// (`--trace-out`) are all recognised by content, not extension.
+/// their JSONL and Perfetto views (`convert-trace --to jsonl|perfetto`)
+/// are all recognised by content, not extension.
 fn validate_trace(path: &str) -> Outcome {
     // The two record formats are counted through the streaming reader, in
     // bounded memory whatever the capture size.
@@ -158,7 +134,8 @@ fn resolved(path: &str) -> PathBuf {
 
 /// `wavesim convert-trace`: lossless conversion between the binary
 /// columnar stream and its JSONL view (the input's format is sniffed from
-/// its leading bytes).
+/// its leading bytes), or the Perfetto view of the capture's last
+/// `--flight-recorder` records with counter tracks from its time series.
 fn convert_trace(args: &Args) -> Outcome {
     use std::io::Write as _;
     let input = &args.path;
@@ -180,29 +157,52 @@ fn convert_trace(args: &Args) -> Outcome {
         n += 1;
         Some(rec.map_err(|e| format!("{input}: {e}")))
     };
-    let what = if args.to_bin {
-        let mut sink = ColumnarSink::create(Path::new(out)).map_err(|e| cannot_write(out, e))?;
-        while let Some(rec) = next() {
-            sink.record(rec?);
+    let what = match args.to {
+        ConvertTo::Bin => {
+            let mut sink =
+                ColumnarSink::create(Path::new(out)).map_err(|e| cannot_write(out, e))?;
+            while let Some(rec) = next() {
+                sink.record(rec?);
+            }
+            sink.finish().map_err(|e| cannot_write(out, e))?;
+            format!("{n} records as binary columnar")
         }
-        sink.finish().map_err(|e| cannot_write(out, e))?;
-        "binary columnar"
-    } else {
-        let file = std::fs::File::create(out).map_err(|e| cannot_write(out, e))?;
-        let mut w = std::io::BufWriter::new(file);
-        let mut line = String::new();
-        while let Some(rec) = next() {
-            line.clear();
-            wavesim_trace::stream::encode_record(&mut line, &rec?);
-            line.push('\n');
-            w.write_all(line.as_bytes())
-                .map_err(|e| cannot_write(out, e))?;
+        ConvertTo::Jsonl => {
+            let file = std::fs::File::create(out).map_err(|e| cannot_write(out, e))?;
+            let mut w = std::io::BufWriter::new(file);
+            let mut line = String::new();
+            while let Some(rec) = next() {
+                line.clear();
+                wavesim_trace::stream::encode_record(&mut line, &rec?);
+                line.push('\n');
+                w.write_all(line.as_bytes())
+                    .map_err(|e| cannot_write(out, e))?;
+            }
+            w.flush().map_err(|e| cannot_write(out, e))?;
+            format!("{n} records as JSONL")
         }
-        w.flush().map_err(|e| cannot_write(out, e))?;
-        "JSONL"
+        ConvertTo::Perfetto => {
+            // The ring bounds the records held, whatever the capture's size.
+            let mut ring = FlightRecorder::new(args.flight_recorder);
+            let mut live =
+                wavesim_analyze::LiveAnalytics::new(wavesim_analyze::AnalyzeOptions::default());
+            while let Some(rec) = next() {
+                let rec = rec?;
+                live.fold(&rec);
+                if let Some(why) = live.refusal() {
+                    return Err(format!("{input}: {why}"));
+                }
+                ring.record(rec);
+            }
+            let a = live.finish();
+            let counters = wavesim_trace::timeseries::perfetto_counters(&a.series, a.nodes);
+            let doc = wavesim_trace::perfetto::export_with_counters(&ring.snapshot(), counters);
+            write_file(out, &doc.compact())?;
+            format!("{} of {n} records as Perfetto", ring.len())
+        }
     };
     let bytes = std::fs::metadata(out).map_or(0, |m| m.len());
-    println!("converted {input} -> {out}: {n} records as {what} ({bytes} bytes)");
+    println!("converted {input} -> {out}: {what} ({bytes} bytes)");
     Ok(true)
 }
 
@@ -239,14 +239,8 @@ impl<'a> Observing<'a> {
     fn new(args: &'a Args) -> Result<Self, String> {
         // Refused before anything is created: a second writer would
         // silently replace the first one's file.
-        let post_mortem = args
-            .trace_out
-            .as_ref()
-            .map(|p| format!("{p}.postmortem.json"));
         let outputs = [
             ("trace_bin", &args.trace_bin),
-            ("trace_out", &args.trace_out),
-            ("trace_out", &post_mortem),
             ("metrics_out", &args.metrics_out),
             ("timeseries_out", &args.timeseries_out),
             ("watch_postmortem", &args.watch_postmortem),
@@ -290,35 +284,24 @@ impl<'a> Observing<'a> {
         })
     }
 
-    /// True when some output needs the captured run.
-    fn exporting(&self) -> bool {
-        let a = self.args;
-        a.trace_out.is_some() || a.trace_bin.is_some() || a.metrics_out.is_some()
-    }
-
     /// One run's observers. Only an `exported` run (possibly the last in
     /// serial order) streams to the `--trace-bin` file, truncating it: the
     /// file ends up holding the last run streamed there.
     fn observers(&self, exported: bool) -> Observers {
         let a = self.args;
-        // Only a run that may be exported is captured for the export's
-        // sake. A watchdog post-mortem carries the flight recorder's tail,
-        // and live analytics rides the capture's tee, so either wants a
-        // ring on every run, even when no export flag asked for one.
-        let ring = (exported && self.exporting())
-            || (self.watch.any() && self.watch.post_mortem.is_some())
-            || a.live_analyze;
-        let capture = ring.then(|| {
-            let c = Capture::new(a.flight_recorder);
-            let Some(path) = a.trace_bin.as_ref().filter(|_| exported) else {
-                return c;
-            };
-            match ColumnarSink::create(Path::new(path)) {
-                Ok(sink) => c.tee(Box::new(sink.with_sampling(a.trace_sample))),
-                Err(e) => {
-                    eprintln!("note: cannot stream to {path}: {e}");
-                    c
-                }
+        // The ring is the post-mortem's tail and nothing else's, so it is
+        // armed on every run a post-mortem may be written for.
+        let ring = self.watch.post_mortem.as_ref().map(|_| a.flight_recorder);
+        let stream = a.trace_bin.as_ref().filter(|_| exported).and_then(|path| {
+            ColumnarSink::create(Path::new(path))
+                .map_err(|e| eprintln!("note: cannot stream to {path}: {e}"))
+                .ok()
+        });
+        let capture = (ring.is_some() || stream.is_some()).then(|| {
+            let c = Capture::new(ring);
+            match stream {
+                Some(sink) => c.tee(Box::new(sink.with_sampling(a.trace_sample))),
+                None => c,
             }
         });
         // --progress doubles as the status cadence and the window width,
@@ -328,14 +311,15 @@ impl<'a> Observing<'a> {
         Observers {
             capture,
             sampler,
-            watchdog: self.watch.any().then(|| Watchdog::new(self.watch.clone())),
+            watchdog: (self.watch.any() || self.watch.post_mortem.is_some())
+                .then(|| Watchdog::new(self.watch.clone())),
             board: self.board.as_ref().map(StatusBoard::observer),
         }
     }
 
     /// Prints what the observers of one command's runs left behind —
     /// watchdog trips, then the files written from the last run's series
-    /// and capture.
+    /// and stream.
     fn report(&self, observed: &Observed) -> Result<(), String> {
         let a = self.args;
         for rep in &observed.reports {
@@ -355,46 +339,35 @@ impl<'a> Observing<'a> {
                 println!("watchdog: run aborted");
             }
         }
-        let mut counters = Vec::new();
-        if let Some(series) = &observed.series {
-            if let Some(path) = &a.timeseries_out {
-                let csv = wavesim_trace::timeseries::to_csv(&series.rows, series.nodes);
-                write_file(path, &csv)?;
-                println!("wrote time series: {path} ({} windows)", series.rows.len());
-            }
-            counters = wavesim_trace::timeseries::perfetto_counters(&series.rows, series.nodes);
+        if let (Some(series), Some(path)) = (&observed.series, &a.timeseries_out) {
+            let csv = wavesim_trace::timeseries::to_csv(&series.rows, series.nodes);
+            write_file(path, &csv)?;
+            println!("wrote time series: {path} ({} windows)", series.rows.len());
         }
-        if !self.exporting() {
+        let Some(path) = &a.trace_bin else {
             return Ok(());
-        }
+        };
         let Some(t) = &observed.trace else {
             eprintln!("note: no run captured; no trace written");
             // `new` created the stream file to fail fast; an empty one
             // would read as a broken capture.
-            if let Some(path) = &a.trace_bin {
-                if std::fs::remove_file(path).is_ok() {
-                    eprintln!("note: removed the empty {path}");
-                }
+            if std::fs::remove_file(path).is_ok() {
+                eprintln!("note: removed the empty {path}");
             }
             return Ok(());
         };
         if let Some(e) = &t.stream_error {
             return Err(format!("trace capture: {e}"));
         }
-        if let Some(path) = &a.trace_bin {
-            if a.trace_sample > 1 {
-                println!(
-                    "wrote binary stream: {path} ({} records emitted, bulk kinds sampled 1-in-{})",
-                    t.total, a.trace_sample
-                );
-            } else {
-                println!("wrote binary stream: {path} ({} records)", t.total);
-            }
+        if a.trace_sample > 1 {
+            println!(
+                "wrote binary stream: {path} ({} records emitted, bulk kinds sampled 1-in-{})",
+                t.total, a.trace_sample
+            );
+        } else {
+            println!("wrote binary stream: {path} ({} records)", t.total);
         }
-        match &a.trace_out {
-            Some(path) => export_trace(path, t, counters),
-            None => Ok(()),
-        }
+        Ok(())
     }
 }
 
@@ -464,7 +437,8 @@ fn custom_run(args: &Args) -> Outcome {
             nodes: None,
             sample_factor: 1,
         });
-        obs.capture = obs.capture.take().map(|c| c.tee(Box::new(sink)));
+        let capture = obs.capture.take().unwrap_or_else(|| Capture::new(None));
+        obs.capture = Some(capture.tee(Box::new(sink)));
         handle
     });
     let outcome = if let Some(trace) = &replay {
@@ -520,19 +494,13 @@ fn custom_run(args: &Args) -> Outcome {
     observed.push(obs);
     observing.report(&observed)?;
     let status = observing.board.as_ref().and_then(StatusBoard::snapshot);
-    if let (Some(path), Some(t), Some(status)) = (&args.metrics_out, &observed.trace, &status) {
-        use wavesim_bench::metrics::{metrics_page, run_gauges, service_gauges, traced_latency};
+    if let (Some(path), Some(status)) = (&args.metrics_out, &status) {
+        use wavesim_bench::metrics::{metrics_page, run_gauges, service_gauges};
         let outcome = match &outcome {
             RunOutcome::Flat(r) => run_gauges(r).to_vec(),
             RunOutcome::Service(r) => service_gauges(r).to_vec(),
         };
-        let page = metrics_page(
-            "wavesim_",
-            status,
-            &outcome,
-            Some(&traced_latency(&t.records)),
-        );
-        write_file(path, &page)?;
+        write_file(path, &metrics_page("wavesim_", status, &outcome))?;
         println!("wrote metrics: {path}");
     }
     let mode = if let Some(path) = &args.replay_trace {

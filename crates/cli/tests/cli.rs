@@ -69,22 +69,15 @@ fn custom_run_reports_clean() {
 fn run_writes_trace_and_metrics_and_validates() {
     let dir = std::env::temp_dir().join(format!("wavesim-cli-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    let capture = dir.join("run.wstrace");
     let trace = dir.join("run.trace.json");
     let metrics = dir.join("run.metrics.txt");
     let out = wavesim()
-        .args([
-            "run",
-            "--side",
-            "4",
-            "--load",
-            "0.1",
-            "--cycles",
-            "2000",
-            "--trace-out",
-            trace.to_str().unwrap(),
-            "--metrics-out",
-            metrics.to_str().unwrap(),
-        ])
+        .args(["run", "--side", "4", "--load", "0.1", "--cycles", "2000"])
+        .arg("--trace-bin")
+        .arg(&capture)
+        .arg("--metrics-out")
+        .arg(&metrics)
         .output()
         .expect("binary runs");
     assert!(
@@ -93,15 +86,34 @@ fn run_writes_trace_and_metrics_and_validates() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // The trace is valid Perfetto JSON with the expected envelope.
+    // Perfetto is a view of the capture, converted after the run.
+    let out = wavesim()
+        .arg("convert-trace")
+        .arg(&capture)
+        .args(["--to", "perfetto", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains(" records as Perfetto ("), "{text}");
+
+    // The trace is valid Perfetto JSON with the expected envelope, and
+    // carries the capture's time series as counter tracks.
     let text = std::fs::read_to_string(&trace).unwrap();
     let doc = wavesim_json::Value::parse(&text).expect("trace parses");
     assert_eq!(doc["displayTimeUnit"], "ms");
-    assert!(!doc["traceEvents"].as_array().unwrap().is_empty());
+    let events = doc["traceEvents"].as_array().unwrap();
+    assert!(events.iter().any(|e| e["ph"] == "C"));
 
     // The binary's own validator accepts it.
     let out = wavesim()
-        .args(["validate-trace", trace.to_str().unwrap()])
+        .arg("validate-trace")
+        .arg(&trace)
         .output()
         .expect("binary runs");
     assert!(
@@ -116,6 +128,26 @@ fn run_writes_trace_and_metrics_and_validates() {
     let page = std::fs::read_to_string(&metrics).unwrap();
     assert!(page.contains("# TYPE wavesim_msgs_sent counter"));
     assert!(page.contains("wavesim_traced_latency_cycles_bucket"));
+
+    // Its histogram counts every delivery of the run, whatever the ring.
+    let out = wavesim()
+        .args(["run", "--side", "8", "--load", "0.3", "--cycles", "3000"])
+        .args(["--flight-recorder", "4096", "--metrics-out"])
+        .arg(&metrics)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let page = std::fs::read_to_string(&metrics).unwrap();
+    let sample = |name: &str| {
+        let line = page.lines().find(|l| l.starts_with(&format!("{name} ")));
+        line.unwrap_or_else(|| panic!("{name} missing: {page}"))[name.len() + 1..].to_string()
+    };
+    assert_eq!(sample("wavesim_msgs_delivered"), "1089");
+    assert_eq!(sample("wavesim_traced_latency_cycles_count"), "1089");
 
     // A closed-loop run writes its page too: the same tables, with the
     // round-trip numbers where an open-loop run has its latency gauges.
@@ -134,9 +166,6 @@ fn run_writes_trace_and_metrics_and_validates() {
     assert!(page.contains("\nwavesim_probes_sent "), "{page}");
     assert!(page.contains("\nwavesim_avg_round_trip_cycles "), "{page}");
     assert!(!page.contains("wavesim_avg_latency_cycles"), "{page}");
-
-    // A clean run writes no post-mortem bundle.
-    assert!(!trace.with_extension("json.postmortem.json").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -210,13 +239,49 @@ fn validate_trace_rejects_malformed_input() {
     ] {
         let path = dir.join(name);
         std::fs::write(&path, content).unwrap();
-        for cmd in [&["validate-trace"][..], &["analyze", "--trace"]] {
-            let out = wavesim().args(cmd).arg(&path).output().expect("runs");
+        let perfetto = ["convert-trace", "--to", "perfetto", "--out", "x.json"];
+        for cmd in [&["validate-trace"][..], &["analyze", "--trace"], &perfetto] {
+            let out = wavesim()
+                .current_dir(&dir)
+                .args(cmd)
+                .arg(&path)
+                .output()
+                .expect("runs");
             let err = String::from_utf8(out.stderr).unwrap();
             assert_eq!(out.status.code(), Some(1), "{name}: {err}");
             assert!(err.starts_with("error: ") && err.contains(says), "{err}");
         }
     }
+    assert!(
+        !dir.join("x.json").exists(),
+        "a refused conversion writes nothing"
+    );
+    // A capture the analyzer refuses (one stamp 4e12 cycles on) cannot be
+    // given counter tracks either, and is refused by name.
+    let jump = dir.join("jump.jsonl");
+    std::fs::write(
+        &jump,
+        "{\"at\":0,\"seq\":0,\"type\":\"cache_miss\",\"node\":0,\"dest\":1}\n\
+         {\"at\":4000000000000,\"seq\":1,\"type\":\"cache_miss\",\"node\":0,\"dest\":1}\n",
+    )
+    .unwrap();
+    let out = wavesim()
+        .arg("convert-trace")
+        .arg(&jump)
+        .args(["--to", "perfetto", "--out"])
+        .arg(dir.join("jump.json"))
+        .output()
+        .expect("runs");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.starts_with("error: ") && err.contains("jump.jsonl: "),
+        "{err}"
+    );
+    assert!(
+        err.contains("--window") && !dir.join("jump.json").exists(),
+        "{err}"
+    );
     // The same parser reads every JSON input of `run`: no stack overflow,
     // and no id wider than its field narrowed into a different one.
     let wide =
@@ -430,6 +495,27 @@ fn model_check_proves_and_mutation_refutes() {
     );
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("valid binary columnar trace"), "{text}");
+    // ...and opens in Perfetto.
+    let cx_json = dir.join("cx.json");
+    let out = wavesim()
+        .arg("convert-trace")
+        .arg(&cx)
+        .args(["--to", "perfetto", "--out"])
+        .arg(&cx_json)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = wavesim()
+        .arg("validate-trace")
+        .arg(&cx_json)
+        .output()
+        .expect("binary runs");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("valid Perfetto trace"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -466,7 +552,11 @@ fn unknown_command_fails_with_usage() {
 fn removed_shard_flags_fail_like_any_unknown_flag() {
     // The two removed flags are spelled in halves so that a repo-wide grep
     // for them, which guards against their return, stays empty.
-    let removed = [concat!("--sh", "ards"), concat!("--watch-imb", "alance")];
+    let removed = [
+        concat!("--sh", "ards"),
+        concat!("--watch-imb", "alance"),
+        concat!("--trace", "-out"),
+    ];
     for flag in removed.into_iter().chain(["--no-such-flag"]) {
         let out = wavesim()
             .args(["run", "--side", "4", flag, "2"])
@@ -569,7 +659,7 @@ fn out_of_range_values_are_refused_not_panicked_on() {
         ),
         ("check --model clrp --side 9", 1, "--side"),
         (
-            "run --flight-recorder 999999999999999 --trace-out x.json",
+            "run --flight-recorder 999999999999999 --watch-postmortem pm.json",
             2,
             "--flight-recorder",
         ),
@@ -582,7 +672,7 @@ fn out_of_range_values_are_refused_not_panicked_on() {
         ("e3 --scale small --json out.json", 2, "out.json"),
         ("analyze --trace x --watch-stall 5", 2, "--watch-stall"),
         (
-            "run --side 4 --cycles 1000 --trace-bin t.out --trace-out ./t.out",
+            "run --side 4 --cycles 1000 --trace-bin t.out --metrics-out ./t.out",
             1,
             "--trace-bin",
         ),
@@ -650,7 +740,7 @@ fn observed_sweep_is_byte_identical_across_jobs() {
         let out = wavesim()
             .current_dir(&sub)
             .args(["e11", "--scale", "small", "--jobs", jobs])
-            .args(["--trace-out", "t.json", "--trace-bin", "t.wstrace"])
+            .args(["--trace-bin", "t.wstrace"])
             .args(["--watch-stall", "64", "--watch-deadlock"])
             .args(["--serve-metrics", "127.0.0.1:0"])
             .output()
@@ -665,6 +755,17 @@ fn observed_sweep_is_byte_identical_across_jobs() {
             !err.contains("force"),
             "--jobs must not be rewritten: {err}"
         );
+        let converted = wavesim()
+            .current_dir(&sub)
+            .args(["convert-trace", "t.wstrace", "--to", "perfetto"])
+            .args(["--out", "t.json"])
+            .output()
+            .expect("binary runs");
+        assert!(
+            converted.status.success(),
+            "{}",
+            String::from_utf8_lossy(&converted.stderr)
+        );
         (
             String::from_utf8(out.stdout).unwrap(),
             std::fs::read(sub.join("t.json")).unwrap(),
@@ -673,10 +774,11 @@ fn observed_sweep_is_byte_identical_across_jobs() {
     };
     let (out1, json1, bin1) = sweep("1");
     let (out2, json2, bin2) = sweep("2");
+    assert!(!json1.is_empty());
     assert!(out1.contains("watchdog: stall tripped"), "{out1}");
     assert!(out1.contains("wrote binary stream: t.wstrace"), "{out1}");
     assert_eq!(out1, out2, "stdout");
-    assert!(json1 == json2, "--trace-out differs across --jobs");
+    assert!(json1 == json2, "the Perfetto view differs across --jobs");
     assert!(bin1 == bin2, "--trace-bin differs across --jobs");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -27,8 +27,8 @@
 //!   shrinking on violation;
 //! * [`replay`] — counterexample schedules replayed through the real
 //!   [`wavesim_core::WaveNetwork`], emitted as WSTRACE1 traces that
-//!   `wavesim analyze`, `validate-trace`, `convert-trace` and Perfetto
-//!   accept.
+//!   `wavesim analyze`, `validate-trace` and `convert-trace` read
+//!   (`convert-trace --to perfetto` opens one in Perfetto).
 //!
 //! The abstraction is deliberately coarser than the simulator: one
 //! atomic action per protocol step, no misrouting budget (MB-0), and the

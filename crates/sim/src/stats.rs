@@ -256,7 +256,7 @@ impl Accumulator {
 /// Coarse but allocation-free and adequate for latency-shape reporting.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    buckets: Vec<u64>,
+    buckets: [u64; 64],
     acc: Accumulator,
 }
 
@@ -271,7 +271,7 @@ impl Histogram {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            buckets: vec![0; 64],
+            buckets: [0; 64],
             acc: Accumulator::new(),
         }
     }

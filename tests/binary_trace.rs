@@ -154,7 +154,7 @@ fn real_run_binary_stream_is_lossless_and_compact() {
     let pid = std::process::id();
     let bpath = std::env::temp_dir().join(format!("wavesim_bt_lossless_{pid}.wstrace"));
     // A ring that holds the whole run is the reference record list.
-    let t = capture_run(Capture::new(1 << 20).tee(bin_sink(&bpath, 1)));
+    let t = capture_run(Capture::new(Some(1 << 20)).tee(bin_sink(&bpath, 1)));
     assert_eq!(t.dropped, 0, "the ring must hold the whole run");
     let bbytes = std::fs::read(&bpath).expect("read bin");
     let from_bin = read_trace(&bbytes[..]).expect("decode bin");
@@ -181,7 +181,7 @@ fn binary_stream_is_byte_identical_on_rerun() {
         let capture = |run: u32| {
             let path =
                 std::env::temp_dir().join(format!("wavesim_bt_rerun_{pid}_{sample}_{run}.wstrace"));
-            capture_run(Capture::new(1 << 16).tee(bin_sink(&path, sample)));
+            capture_run(Capture::new(None).tee(bin_sink(&path, sample)));
             let bytes = std::fs::read(&path).expect("read bin");
             let _ = std::fs::remove_file(&path);
             bytes
@@ -205,7 +205,7 @@ fn sampled_stream_is_deterministic_subset() {
     // Two identical deterministic runs, one lossless and one sampled: the
     // record streams match, so the sampled file must be a subset.
     for (path, sample) in [(&full_path, 1u64), (&samp_path, 8)] {
-        capture_run(Capture::new(1 << 16).tee(bin_sink(path, sample)));
+        capture_run(Capture::new(None).tee(bin_sink(path, sample)));
     }
     let full = read_columnar(&std::fs::read(&full_path).expect("read full")).expect("decode");
     let samp = read_columnar(&std::fs::read(&samp_path).expect("read samp")).expect("decode");

@@ -201,7 +201,7 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
         let (runs, exported_runs) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let factory = |exported: bool| {
             runs.fetch_add(1, Ordering::Relaxed);
-            let mut capture = Capture::new(1 << 12);
+            let mut capture = Capture::new(Some(1 << 12));
             if exported {
                 exported_runs.fetch_add(1, Ordering::Relaxed);
                 let stream = wavesim::trace::ColumnarSink::create(&path).expect("create");

@@ -64,7 +64,7 @@ fn captured_run(
     Vec<TraceRecord>,
     Observers,
 ) {
-    let capture = Capture::new(1 << 20);
+    let capture = Capture::new(Some(1 << 20));
     let (handle, capture) = if live {
         let (handle, sink) = wavesim_analyze::live_sink(AnalyzeOptions::default());
         (Some(handle), capture.tee(Box::new(sink)))
@@ -187,7 +187,7 @@ fn sampled_series_equals_the_offline_series_but_active_routers() {
         },
     );
     let mut obs = Observers {
-        capture: Some(Capture::new(1 << 20)),
+        capture: Some(Capture::new(Some(1 << 20))),
         sampler: Some(Sampler::new(1000, false)),
         ..Observers::default()
     };

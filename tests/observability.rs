@@ -113,7 +113,7 @@ fn traced_16x16_clrp_run_emits_valid_perfetto() {
             ..TrafficConfig::default()
         },
     );
-    let mut cap = Capture::new(1 << 18);
+    let mut cap = Capture::new(Some(1 << 18));
     let spec = RunSpec::standard(200, 1_000);
     let r = run_open_loop_observed(&mut net, &mut src, spec, &mut cap);
     let trace = cap.into_trace().expect("captured");
