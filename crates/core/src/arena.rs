@@ -133,46 +133,6 @@ impl<K: ArenaId, V> GenSlab<K, V> {
         v
     }
 
-    /// Takes the value out while keeping the slot — and therefore the id —
-    /// reserved. The caller must either [`Self::restore`] the value under
-    /// the same id or retire the id with [`Self::free`]. Lets a processing
-    /// step own the value by move (no aliasing with `&mut self` calls)
-    /// without invalidating the id held by parked references.
-    pub fn take(&mut self, key: &K) -> Option<V> {
-        let s = self.index(*key)?;
-        self.live -= 1;
-        self.slots[s].1.take()
-    }
-
-    /// Puts a value back into the slot a [`Self::take`] left vacant.
-    pub fn restore(&mut self, key: K, value: V) {
-        let raw = key.raw();
-        let s = slot_of(raw) as usize;
-        debug_assert!(
-            self.slots
-                .get(s)
-                .is_some_and(|(g, v)| *g == gen_of(raw) && v.is_none()),
-            "restore target must be a slot this id was taken from"
-        );
-        self.slots[s].1 = Some(value);
-        self.live += 1;
-    }
-
-    /// Retires an id whose slot was left vacant by [`Self::take`]: bumps
-    /// the generation and returns the slot to the free pool.
-    pub fn free(&mut self, key: K) {
-        let raw = key.raw();
-        let s = slot_of(raw) as usize;
-        let Some((generation, v)) = self.slots.get_mut(s) else {
-            return;
-        };
-        if *generation == gen_of(raw) {
-            debug_assert!(v.is_none(), "free expects a taken slot");
-            *generation = generation.wrapping_add(1);
-            self.free.push(s as u32);
-        }
-    }
-
     /// Number of live entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -399,22 +359,6 @@ mod tests {
         assert_eq!(slab.get(b), Some(&"b"));
         assert!(!slab.contains_key(&a));
         assert_eq!(slab.len(), 1);
-    }
-
-    #[test]
-    fn genslab_take_restore_free_cycle() {
-        let mut slab: GenSlab<Id, &str> = GenSlab::new();
-        let a = slab.insert("a");
-        let v = slab.take(&a).unwrap();
-        assert!(slab.get(a).is_none() && slab.is_empty());
-        slab.restore(a, v);
-        assert_eq!(slab.get(a), Some(&"a"), "restore revives the same id");
-        let _ = slab.take(&a).unwrap();
-        slab.free(a);
-        let b = slab.insert("b");
-        assert_eq!(a.raw() as u32, b.raw() as u32, "slot recycled");
-        assert_ne!(a.raw(), b.raw(), "under a fresh generation");
-        assert!(slab.take(&a).is_none(), "retired id misses");
     }
 
     #[test]

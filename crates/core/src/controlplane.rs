@@ -47,17 +47,46 @@ pub enum CtrlEvent {
 /// The control plane of the wave router.
 #[derive(Debug)]
 pub struct ControlPlane {
+    probes: GenSlab<ProbeId, ProbeState>,
+    /// Buffers of retired probes, reused by the next launches.
+    spare_bufs: Vec<ProbeBufs>,
+    max_probe_steps: u64,
+    pub(crate) routers: Routers,
+}
+
+/// The control plane less its probes: everything a probe step reads or
+/// writes besides the probe itself. Split out so that a step holds its
+/// probe `&mut` in the slab while it works on these.
+#[derive(Debug)]
+pub(crate) struct Routers {
     topo: Topology,
     cfg: WaveConfig,
     lanes: LaneTable,
     pcs: Vec<PcsUnit>,
-    probes: GenSlab<ProbeId, ProbeState>,
-    /// Buffers of retired probes, reused by the next launches.
-    spare_bufs: Vec<ProbeBufs>,
     circuits: SlotMap<CircuitId, CircuitState>,
-    max_probe_steps: u64,
     pub(crate) log: PlaneLog,
     outbox: Vec<PlaneEvent>,
+}
+
+/// How a probe step left its probe.
+enum Step {
+    /// Advanced a hop, or parked on a victim's lane.
+    Stays,
+    /// Backtracked a hop, freeing a lane these parked probes waited on.
+    Backtracked(Vec<ProbeId>),
+    /// Done: the probe leaves the slab.
+    Retires(End),
+}
+
+/// Why a probe retires.
+#[derive(Clone, Copy)]
+enum End {
+    /// Its circuit is being torn down: unwind the path.
+    Cancelled,
+    /// At its destination: the path goes to the circuit.
+    Reached,
+    /// Back at the source with nothing left to search.
+    Exhausted,
 }
 
 impl ControlPlane {
@@ -66,16 +95,18 @@ impl ControlPlane {
     pub fn new(topo: Topology, cfg: WaveConfig) -> Self {
         let n = topo.num_nodes() as usize;
         Self {
-            lanes: LaneTable::new(&topo, cfg.k),
-            pcs: vec![PcsUnit::new(); n],
             probes: GenSlab::new(),
             spare_bufs: Vec::new(),
-            circuits: SlotMap::new(),
             max_probe_steps: 0,
-            log: PlaneLog::default(),
-            outbox: Vec::new(),
-            topo,
-            cfg,
+            routers: Routers {
+                lanes: LaneTable::new(&topo, cfg.k),
+                pcs: vec![PcsUnit::new(); n],
+                circuits: SlotMap::new(),
+                log: PlaneLog::default(),
+                outbox: Vec::new(),
+                topo,
+                cfg,
+            },
         }
     }
 
@@ -86,13 +117,13 @@ impl ControlPlane {
     /// The wave-lane table (read access for instrumentation).
     #[must_use]
     pub fn lanes(&self) -> &LaneTable {
-        &self.lanes
+        &self.routers.lanes
     }
 
     /// Live circuits (read access for instrumentation).
     #[must_use]
     pub fn circuits(&self) -> &SlotMap<CircuitId, CircuitState> {
-        &self.circuits
+        &self.routers.circuits
     }
 
     /// Live probes (read access for instrumentation).
@@ -105,7 +136,7 @@ impl ControlPlane {
     /// circuit has a mapping there (Fig. 3 register observation).
     #[must_use]
     pub fn pcs_ack_returned(&self, node: NodeId, circuit: CircuitId) -> Option<bool> {
-        self.pcs[node.0 as usize]
+        self.routers.pcs[node.0 as usize]
             .hop(circuit)
             .map(|h| h.ack_returned)
     }
@@ -142,11 +173,12 @@ impl ControlPlane {
     /// In both victim cases a [`PlaneEvent::CircuitBroken`] tells the
     /// circuitplane to invalidate the cache entry and (CLRP) retry.
     pub fn on_lane_fault(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, lane: LaneId) {
-        if self.lanes.state(lane) == LaneState::Faulty {
+        let r = &mut self.routers;
+        if r.lanes.state(lane) == LaneState::Faulty {
             return; // already faulty: idempotent
         }
-        let (victim, waiters) = self.lanes.force_faulty(lane);
-        self.log.note(
+        let (victim, waiters) = r.lanes.force_faulty(lane);
+        r.log.note(
             now,
             TraceEvent::LaneFault {
                 link: lane.link.0,
@@ -157,7 +189,8 @@ impl ControlPlane {
         let Some(victim) = victim else {
             return; // lane was free: no circuit to tear down
         };
-        let c = self
+        let r = &mut self.routers;
+        let c = r
             .circuits
             .get_mut(victim)
             .expect("reserved lane names a live circuit");
@@ -170,7 +203,7 @@ impl ControlPlane {
             CircuitStatus::Ready => {
                 c.status = CircuitStatus::TearingDown;
                 q.schedule(now + 1, CtrlEvent::TeardownAt(victim, src));
-                self.outbox.push(PlaneEvent::CircuitBroken {
+                r.outbox.push(PlaneEvent::CircuitBroken {
                     circuit: victim,
                     src,
                     dest,
@@ -184,7 +217,7 @@ impl ControlPlane {
                         // probe has no event in flight, so unpark + wake.
                         let p = self.probes.get(pid).expect("recorded probe is live");
                         if let Some(l) = p.parked_on {
-                            self.lanes.unpark(l, pid);
+                            r.lanes.unpark(l, pid);
                             q.schedule(now + 1, CtrlEvent::RetryProbe(pid));
                         }
                     }
@@ -195,7 +228,7 @@ impl ControlPlane {
                         q.schedule(now + 1, CtrlEvent::TeardownAt(victim, src));
                     }
                 }
-                self.outbox.push(PlaneEvent::CircuitBroken {
+                r.outbox.push(PlaneEvent::CircuitBroken {
                     circuit: victim,
                     src,
                     dest,
@@ -207,8 +240,9 @@ impl ControlPlane {
     /// Repair event: returns a faulty lane to service. Repairing
     /// a lane that is not faulty is a tolerant no-op.
     pub fn on_lane_repair(&mut self, now: Cycle, lane: LaneId) {
-        if self.lanes.repair(lane) {
-            self.log.note(
+        let r = &mut self.routers;
+        if r.lanes.repair(lane) {
+            r.log.note(
                 now,
                 TraceEvent::LaneRepair {
                     link: lane.link.0,
@@ -220,7 +254,7 @@ impl ControlPlane {
 
     /// Moves staged outbound events into `bus`.
     pub fn drain_outbox_into(&mut self, bus: &mut EventBus) {
-        bus.absorb(&mut self.outbox);
+        bus.absorb(&mut self.routers.outbox);
     }
 
     // ------------------------------------------------------------------
@@ -240,12 +274,13 @@ impl ControlPlane {
         switch: u8,
         force: bool,
     ) {
-        let topo = &self.topo;
+        let r = &mut self.routers;
+        let topo = &r.topo;
         let bufs = self.spare_bufs.pop().unwrap_or_default();
         let pid = self
             .probes
             .insert_with(|pid| ProbeState::new(pid, circuit, topo, src, dest, switch, force, bufs));
-        let c = self
+        let c = r
             .circuits
             .get_or_insert_with(circuit, || CircuitState::new(circuit, src, dest, switch));
         c.switch = switch;
@@ -253,7 +288,7 @@ impl ControlPlane {
         c.probe = Some(pid);
         // PCS processing before the probe leaves the source.
         q.schedule(
-            now + u64::from(self.cfg.pcs_delay).max(1),
+            now + u64::from(r.cfg.pcs_delay).max(1),
             CtrlEvent::ProbeAt(pid),
         );
     }
@@ -267,7 +302,7 @@ impl ControlPlane {
         circuit: CircuitId,
         src: NodeId,
     ) {
-        let Some(c) = self.circuits.get_mut(circuit) else {
+        let Some(c) = self.routers.circuits.get_mut(circuit) else {
             return; // establishment already failed and cleaned up
         };
         match c.status {
@@ -288,19 +323,118 @@ impl ControlPlane {
     /// [`PlaneEvent::AbandonCircuit`]: establishment failed on every
     /// switch; no lanes are held, so the registry entry just disappears.
     pub fn on_abandon_circuit(&mut self, circuit: CircuitId) {
-        self.circuits.remove(&circuit);
+        self.routers.circuits.remove(&circuit);
     }
 
     // ------------------------------------------------------------------
     // Probe engine (MB-m, §2 + Fig. 4, with the §3.1 Force extension)
     // ------------------------------------------------------------------
 
+    /// One step of probe `pid`, worked on where it lies in the slab: the
+    /// probe leaves the slab only when it retires.
     fn process_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, pid: ProbeId) {
-        let Some(mut p) = self.probes.take(&pid) else {
+        let Some(p) = self.probes.get_mut(pid) else {
             return; // probe already terminated (stale wake-up)
         };
         p.parked_on = None;
+        let end = match self.routers.step(now, q, p) {
+            Step::Stays => return,
+            Step::Backtracked(woken) => return self.wake(now, q, woken),
+            Step::Retires(end) => end,
+        };
+        let mut p = self.probes.remove(&pid).expect("a stepped probe is live");
+        match end {
+            End::Cancelled => self.unwind_probe(now, q, &p),
+            End::Reached => self.routers.complete_probe(now, q, &mut p),
+            End::Exhausted => self.routers.exhaust_probe(&p),
+        }
+        // Its step count enters the Theorem 3/4 maximum, and its buffers
+        // go back on the spare list.
+        self.max_probe_steps = self.max_probe_steps.max(p.hops);
+        self.spare_bufs.push(p.retire());
+    }
 
+    /// Releases everything a cancelled probe reserved (reverse path order)
+    /// and clears the PCS mappings it created.
+    fn unwind_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, p: &ProbeState) {
+        self.routers.pcs[p.at.0 as usize].clear(p.circuit);
+        for lane in p.path.iter().rev() {
+            let r = &mut self.routers;
+            let (from, _) = r.topo.link_endpoints(lane.link);
+            r.pcs[from.0 as usize].clear(p.circuit);
+            // A dynamic fault may have force-faulted a path lane already;
+            // release_if_held skips it (and its waiters were drained then).
+            let woken = r.lanes.release_if_held(*lane, p.circuit);
+            self.wake(now, q, woken);
+        }
+        // The registry entry goes, and the probe it recorded with it.
+        let r = &mut self.routers;
+        r.circuits.remove(&p.circuit);
+        r.outbox
+            .push(PlaneEvent::CircuitReleased { circuit: p.circuit });
+    }
+
+    fn wake(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, probes: Vec<ProbeId>) {
+        for pid in probes {
+            if self.probes.contains_key(&pid) {
+                q.schedule(now + 1, CtrlEvent::RetryProbe(pid));
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Teardown walk
+    // ------------------------------------------------------------------
+
+    fn on_teardown(
+        &mut self,
+        now: Cycle,
+        q: &mut EventQueue<CtrlEvent>,
+        circuit: CircuitId,
+        node: NodeId,
+    ) {
+        let r = &mut self.routers;
+        let Some(hop) = r.pcs[node.0 as usize].clear(circuit) else {
+            return; // already unwound (e.g. backtrack raced)
+        };
+        match hop.out_lane {
+            Some(lane) => {
+                // release_if_held: a dynamic fault may have force-faulted
+                // this hop's lane after the walk started.
+                let woken = r.lanes.release_if_held(lane, circuit);
+                let next = r.topo.link_dest(lane.link);
+                q.schedule(
+                    now + u64::from(r.cfg.ctrl_hop_delay),
+                    CtrlEvent::TeardownAt(circuit, next),
+                );
+                self.wake(now, q, woken);
+            }
+            None => {
+                // Destination reached: the circuit is fully released.
+                r.circuits.remove(&circuit);
+                r.outbox.push(PlaneEvent::CircuitReleased { circuit });
+            }
+        }
+    }
+
+    /// Handles one due control-flit event. The plane is purely
+    /// event-driven: all its work happens here, on the calendar `q`.
+    pub fn handle(&mut self, now: Cycle, event: CtrlEvent, q: &mut EventQueue<CtrlEvent>) {
+        match event {
+            CtrlEvent::ProbeAt(pid) | CtrlEvent::RetryProbe(pid) => self.process_probe(now, q, pid),
+            CtrlEvent::AckHopAt(cid, hop) => self.routers.on_ack_hop(now, q, cid, hop),
+            CtrlEvent::TeardownAt(cid, node) => self.on_teardown(now, q, cid, node),
+            CtrlEvent::ReleaseReqAt(cid) => self.routers.on_release_request(cid),
+        }
+        #[cfg(test)]
+        self.assert_step_oracle();
+    }
+}
+
+impl Routers {
+    /// The search step of a probe at `p.at`: advance, park, backtrack, or
+    /// report why the probe retires.
+    fn step(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, p: &mut ProbeState) -> Step {
         // If the owning circuit was cancelled while the probe was walking
         // (defensive path — a teardown raced the search), unwind: release
         // every reserved lane and die quietly.
@@ -309,14 +443,12 @@ impl ControlPlane {
             Some(c) => c.status == CircuitStatus::TearingDown,
         };
         if cancelled {
-            self.unwind_probe(now, q, p);
-            return;
+            return Step::Retires(End::Cancelled);
         }
 
         // Destination reached?
         if p.at == p.dest {
-            self.complete_probe(now, q, p);
-            return;
+            return Step::Retires(End::Reached);
         }
 
         let node = p.at;
@@ -349,14 +481,14 @@ impl ControlPlane {
 
         // 1) Free profitable channel not yet searched.
         for port in profitable {
-            if p.searched(node, port.index()) || loops_back(&self.topo, &p, port) {
+            if p.searched(node, port.index()) || loops_back(&self.topo, p, port) {
                 continue;
             }
             let lane = LaneId::new(self.topo.link_id(node, port), p.switch);
             match self.lanes.state(lane) {
                 LaneState::Free => {
                     self.advance_probe(now, q, p, port, lane, false);
-                    return;
+                    return Step::Stays;
                 }
                 LaneState::Faulty => {
                     self.log.stats.probe_fault_encounters += 1;
@@ -367,14 +499,14 @@ impl ControlPlane {
 
         // 2) Misroute.
         for port in misroutable {
-            if p.searched(node, port.index()) || loops_back(&self.topo, &p, port) {
+            if p.searched(node, port.index()) || loops_back(&self.topo, p, port) {
                 continue;
             }
             let lane = LaneId::new(self.topo.link_id(node, port), p.switch);
             match self.lanes.state(lane) {
                 LaneState::Free => {
                     self.advance_probe(now, q, p, port, lane, true);
-                    return;
+                    return Step::Stays;
                 }
                 LaneState::Faulty => {
                     self.log.stats.probe_fault_encounters += 1;
@@ -387,7 +519,7 @@ impl ControlPlane {
         //    whose acknowledgment has returned (§3.1 phase two).
         if p.flit.force {
             for port in profitable.iter().chain(misroutable) {
-                if p.searched(node, port.index()) || loops_back(&self.topo, &p, port) {
+                if p.searched(node, port.index()) || loops_back(&self.topo, p, port) {
                     continue;
                 }
                 let lane = LaneId::new(self.topo.link_id(node, port), p.switch);
@@ -428,15 +560,14 @@ impl ControlPlane {
                     let delay = hops_back * u64::from(self.cfg.ctrl_hop_delay);
                     q.schedule(now + delay.max(1), CtrlEvent::ReleaseReqAt(victim));
                 }
-                self.probes.restore(p.id, p);
-                return;
+                return Step::Stays;
             }
             // All requested lanes belong to circuits being established (or
             // nothing is requestable): backtrack even with Force set (§4).
         }
 
         // 4) Backtrack.
-        self.backtrack_probe(now, q, p);
+        self.backtrack_probe(now, q, p)
     }
 
     /// Path position of `node` on `circuit` (hops from the source),
@@ -457,7 +588,7 @@ impl ControlPlane {
         &mut self,
         now: Cycle,
         q: &mut EventQueue<CtrlEvent>,
-        mut p: ProbeState,
+        p: &mut ProbeState,
         port: PortDir,
         lane: LaneId,
         misroute: bool,
@@ -503,30 +634,21 @@ impl ControlPlane {
             unit.clear(circuit);
             unit.record(circuit, switch, Some(lane), None);
         }
-        let pid = p.id;
-        self.probes.restore(pid, p);
         // Forward moves pay the PCS routing decision plus the wire hop.
         let delay = u64::from(self.cfg.ctrl_hop_delay) + u64::from(self.cfg.pcs_delay);
-        q.schedule(now + delay, CtrlEvent::ProbeAt(pid));
+        q.schedule(now + delay, CtrlEvent::ProbeAt(p.id));
     }
 
-    fn backtrack_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, mut p: ProbeState) {
+    /// Steps the probe back one hop, or reports it exhausted at its
+    /// source.
+    fn backtrack_probe(
+        &mut self,
+        now: Cycle,
+        q: &mut EventQueue<CtrlEvent>,
+        p: &mut ProbeState,
+    ) -> Step {
         if p.at == p.src {
-            // Search space for this switch exhausted; the probe id retires.
-            self.pcs[p.src.0 as usize].clear(p.circuit);
-            self.circuits
-                .get_mut(p.circuit)
-                .expect("live probe has a live circuit")
-                .probe = None;
-            self.outbox.push(PlaneEvent::ProbeExhausted {
-                circuit: p.circuit,
-                src: p.src,
-                dest: p.dest,
-                switch: p.switch,
-                force: p.flit.force,
-            });
-            self.retire_probe(p);
-            return;
+            return Step::Retires(End::Exhausted);
         }
         p.flit.backtrack = true;
         let lane = p.path.pop().expect("non-source probe has a path");
@@ -547,44 +669,32 @@ impl ControlPlane {
                 node: prev.0,
             },
         );
-        let (dest, pid) = (p.dest, p.id);
-        p.flit.update_offsets(&self.topo, prev, dest);
-        self.probes.restore(pid, p);
+        p.flit.update_offsets(&self.topo, prev, p.dest);
         q.schedule(
             now + u64::from(self.cfg.ctrl_hop_delay),
-            CtrlEvent::ProbeAt(pid),
+            CtrlEvent::ProbeAt(p.id),
         );
-        self.wake(now, q, woken);
+        Step::Backtracked(woken)
     }
 
-    /// Releases everything a cancelled probe reserved (reverse path order)
-    /// and clears the PCS mappings it created.
-    fn unwind_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, p: ProbeState) {
-        self.pcs[p.at.0 as usize].clear(p.circuit);
-        for lane in p.path.iter().rev() {
-            let (from, _) = self.topo.link_endpoints(lane.link);
-            self.pcs[from.0 as usize].clear(p.circuit);
-            // A dynamic fault may have force-faulted a path lane already;
-            // release_if_held skips it (and its waiters were drained then).
-            let woken = self.lanes.release_if_held(*lane, p.circuit);
-            self.wake(now, q, woken);
-        }
-        // The registry entry goes, and the probe it recorded with it.
-        self.circuits.remove(&p.circuit);
-        self.outbox
-            .push(PlaneEvent::CircuitReleased { circuit: p.circuit });
-        self.retire_probe(p);
+    /// The search space for this switch is exhausted: the probe id
+    /// retires and the circuitplane decides what comes next.
+    fn exhaust_probe(&mut self, p: &ProbeState) {
+        self.pcs[p.src.0 as usize].clear(p.circuit);
+        self.circuits
+            .get_mut(p.circuit)
+            .expect("live probe has a live circuit")
+            .probe = None;
+        self.outbox.push(PlaneEvent::ProbeExhausted {
+            circuit: p.circuit,
+            src: p.src,
+            dest: p.dest,
+            switch: p.switch,
+            force: p.flit.force,
+        });
     }
 
-    /// A terminated probe's id retires, its step count enters the
-    /// Theorem 3/4 maximum, and its buffers go back on the spare list.
-    fn retire_probe(&mut self, p: ProbeState) {
-        self.probes.free(p.id);
-        self.max_probe_steps = self.max_probe_steps.max(p.hops);
-        self.spare_bufs.push(p.retire());
-    }
-
-    fn complete_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, mut p: ProbeState) {
+    fn complete_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, p: &mut ProbeState) {
         debug_assert_eq!(p.at, p.dest);
         debug_assert!(!p.path.is_empty(), "src != dest implies a real path");
         self.log.note(
@@ -608,20 +718,10 @@ impl ControlPlane {
         let last_hop = (c.path.len() - 1) as u32;
         let delay = u64::from(self.cfg.ctrl_hop_delay);
         q.schedule(now + delay.max(1), CtrlEvent::AckHopAt(p.circuit, last_hop));
-        // Probe terminates; its History Store entries die with it.
-        self.retire_probe(p);
-    }
-
-    fn wake(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, probes: Vec<ProbeId>) {
-        for pid in probes {
-            if self.probes.contains_key(&pid) {
-                q.schedule(now + 1, CtrlEvent::RetryProbe(pid));
-            }
-        }
     }
 
     // ------------------------------------------------------------------
-    // Ack / teardown / release-request walks
+    // Ack / release-request walks
     // ------------------------------------------------------------------
 
     /// The ack flit passes the router at the upstream end of path lane
@@ -677,49 +777,6 @@ impl ControlPlane {
             _ => self.log.stats.release_requests_discarded += 1,
         }
     }
-
-    fn on_teardown(
-        &mut self,
-        now: Cycle,
-        q: &mut EventQueue<CtrlEvent>,
-        circuit: CircuitId,
-        node: NodeId,
-    ) {
-        let Some(hop) = self.pcs[node.0 as usize].clear(circuit) else {
-            return; // already unwound (e.g. backtrack raced)
-        };
-        match hop.out_lane {
-            Some(lane) => {
-                // release_if_held: a dynamic fault may have force-faulted
-                // this hop's lane after the walk started.
-                let woken = self.lanes.release_if_held(lane, circuit);
-                let next = self.topo.link_dest(lane.link);
-                q.schedule(
-                    now + u64::from(self.cfg.ctrl_hop_delay),
-                    CtrlEvent::TeardownAt(circuit, next),
-                );
-                self.wake(now, q, woken);
-            }
-            None => {
-                // Destination reached: the circuit is fully released.
-                self.circuits.remove(&circuit);
-                self.outbox.push(PlaneEvent::CircuitReleased { circuit });
-            }
-        }
-    }
-
-    /// Handles one due control-flit event. The plane is purely
-    /// event-driven: all its work happens here, on the calendar `q`.
-    pub fn handle(&mut self, now: Cycle, event: CtrlEvent, q: &mut EventQueue<CtrlEvent>) {
-        match event {
-            CtrlEvent::ProbeAt(pid) | CtrlEvent::RetryProbe(pid) => self.process_probe(now, q, pid),
-            CtrlEvent::AckHopAt(cid, hop) => self.on_ack_hop(now, q, cid, hop),
-            CtrlEvent::TeardownAt(cid, node) => self.on_teardown(now, q, cid, node),
-            CtrlEvent::ReleaseReqAt(cid) => self.on_release_request(cid),
-        }
-        #[cfg(test)]
-        self.assert_step_oracle();
-    }
 }
 
 #[cfg(test)]
@@ -736,12 +793,12 @@ mod tests {
         /// event in this crate's unit tests. It recomputes from scratch
         /// what the probe step keeps incrementally.
         pub(super) fn assert_step_oracle(&self) {
+            let topo = &self.routers.topo;
             for (pid, p) in self.probes.iter() {
                 // The on-path bits are exactly the nodes of the path.
-                let marked: BTreeSet<NodeId> =
-                    self.topo.nodes().filter(|&n| p.on_path(n)).collect();
+                let marked: BTreeSet<NodeId> = topo.nodes().filter(|&n| p.on_path(n)).collect();
                 let walked: BTreeSet<NodeId> = std::iter::once(p.src)
-                    .chain(p.path.iter().map(|l| self.topo.link_dest(l.link)))
+                    .chain(p.path.iter().map(|l| topo.link_dest(l.link)))
                     .collect();
                 assert_eq!(marked, walked, "{pid}: on-path bits vs path {:?}", p.path);
                 // A probe that has not moved has searched nothing: its
@@ -750,7 +807,7 @@ mod tests {
                     let fresh = ProbeState::new(
                         pid,
                         p.circuit,
-                        &self.topo,
+                        topo,
                         p.src,
                         p.dest,
                         p.switch,
@@ -762,7 +819,7 @@ mod tests {
             }
             // The probe a circuit records is the one a scan of every
             // probe slot finds.
-            for (cid, c) in self.circuits.iter() {
+            for (cid, c) in self.routers.circuits.iter() {
                 let scanned = self
                     .probes
                     .iter()
@@ -845,8 +902,8 @@ mod tests {
         plane.on_launch_probe(0, &mut queue, CircuitId(0), NodeId(0), NodeId(3), 1, false);
         assert!(plane.spare_bufs.is_empty(), "nothing retired yet");
         run(&mut plane, &mut queue);
-        assert_eq!(plane.log.stats.probes_reached, 1);
-        assert!(plane.log.stats.probe_misroutes > 0);
+        assert_eq!(plane.routers.log.stats.probes_reached, 1);
+        assert!(plane.routers.log.stats.probe_misroutes > 0);
         assert_eq!(plane.spare_bufs.len(), 1, "probe 1 left its buffers");
 
         plane.on_launch_probe(
@@ -895,6 +952,6 @@ mod tests {
         }
         assert!(established);
         assert!(!plane.busy());
-        assert_eq!(plane.log.stats.probes_reached, 1);
+        assert_eq!(plane.routers.log.stats.probes_reached, 1);
     }
 }

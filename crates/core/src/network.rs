@@ -252,14 +252,14 @@ impl WaveNetwork {
     pub fn install_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace.install(sink);
         self.data.log.trace.arm();
-        self.ctrl.log.trace.arm();
+        self.ctrl.routers.log.trace.arm();
         self.circ.log.trace.arm();
     }
 
     /// Disarms every emit point and returns the installed sink, if any.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         self.data.log.trace.disarm();
-        self.ctrl.log.trace.disarm();
+        self.ctrl.routers.log.trace.disarm();
         self.circ.log.trace.disarm();
         self.trace.take()
     }
@@ -325,7 +325,7 @@ impl WaveNetwork {
     pub fn stats(&self) -> WaveStats {
         let mut s = self.stats;
         s.absorb(&self.data.log.stats);
-        s.absorb(&self.ctrl.log.stats);
+        s.absorb(&self.ctrl.routers.log.stats);
         s.absorb(&self.circ.log.stats);
         s
     }
@@ -581,7 +581,7 @@ impl WaveNetwork {
             // just stepped) precede anything the control or circuit
             // planes staged in response.
             self.trace.absorb(&mut self.data.log.trace);
-            self.trace.absorb(&mut self.ctrl.log.trace);
+            self.trace.absorb(&mut self.ctrl.routers.log.trace);
             self.trace.absorb(&mut self.circ.log.trace);
         }
         while let Some(ev) = self.bus.pop() {
@@ -660,7 +660,7 @@ impl WaveNetwork {
             self.ctrl.drain_outbox_into(&mut self.bus);
             self.circ.drain_outbox_into(&mut self.bus);
             if traced {
-                self.trace.absorb(&mut self.ctrl.log.trace);
+                self.trace.absorb(&mut self.ctrl.routers.log.trace);
                 self.trace.absorb(&mut self.circ.log.trace);
             }
         }
@@ -837,7 +837,7 @@ mod tests {
             net.tick(now);
             now += 1;
         }
-        assert_eq!(net.ctrl.log.trace.staged_len(), 0);
+        assert_eq!(net.ctrl.routers.log.trace.staged_len(), 0);
         assert_eq!(net.circ.log.trace.staged_len(), 0);
         assert_eq!(net.data.log.trace.staged_len(), 0);
         assert!(net.take_trace_sink().is_none());

@@ -1,7 +1,7 @@
 //! Time-ordered event calendar.
 //!
-//! [`EventQueue`] is a classic discrete-event calendar built on a binary
-//! heap, with two properties the network models rely on:
+//! [`EventQueue`] is a discrete-event calendar with two properties the
+//! network models rely on:
 //!
 //! 1. **Stable ordering** — events scheduled for the same cycle are
 //!    delivered in the order they were scheduled (FIFO tie-breaking via a
@@ -10,6 +10,17 @@
 //!    break reproducibility.
 //! 2. **No global time regression** — scheduling an event before the last
 //!    popped timestamp is a logic error and panics in debug builds.
+//!
+//! It is a calendar wheel: the 64 cycles from the last popped timestamp on
+//! are one-cycle buckets, each a FIFO list threaded through one slab, and
+//! a `u64` marks the occupied ones, so finding the earliest event is a
+//! rotate and a trailing-zero count. Protocol traffic is almost all a few
+//! cycles out; the rare event 64 or more cycles out waits in a binary heap
+//! and moves into its bucket, in `(at, seq)` order, as soon as the window
+//! reaches it. The window only moves in [`EventQueue::pop`], which migrates
+//! before it returns, so every heap event for a cycle is in that cycle's
+//! bucket before any later [`EventQueue::schedule`] can append to it —
+//! which is what keeps each bucket in `seq` order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -52,6 +63,20 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
+/// Buckets in the wheel: one per cycle of the window, one bit of the
+/// occupancy word each.
+const WHEEL: u64 = u64::BITS as u64;
+
+/// End of a bucket list and of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A slab entry: an event in a bucket list, or a free slot.
+#[derive(Debug, Clone)]
+struct Node<E> {
+    next: u32,
+    ev: Option<ScheduledEvent<E>>,
+}
+
 /// A deterministic time-ordered event calendar.
 ///
 /// # Examples
@@ -69,9 +94,20 @@ impl<E> Ord for ScheduledEvent<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
+    /// Timestamp of the last popped event: the wheel holds the events of
+    /// `[base, base + 64)`, a cycle's in bucket `at % 64`.
+    base: Cycle,
+    /// Bit `b` set ⇔ bucket `b` holds an event.
+    occupied: u64,
+    head: [u32; WHEEL as usize],
+    tail: [u32; WHEEL as usize],
+    /// Bucket lists and free slots, threaded through one allocation.
+    nodes: Vec<Node<E>>,
+    free: u32,
+    in_wheel: usize,
+    /// Events at `base + 64` or later.
+    far: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
-    last_popped: Cycle,
     scheduled_total: u64,
 }
 
@@ -85,21 +121,22 @@ impl<E> EventQueue<E> {
     /// Creates an empty calendar.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            last_popped: 0,
-            scheduled_total: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty calendar with room for `cap` events.
+    /// Creates an empty calendar with room for `cap` events in the wheel.
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            heap: BinaryHeap::with_capacity(cap),
+            base: 0,
+            occupied: 0,
+            head: [NIL; WHEEL as usize],
+            tail: [NIL; WHEEL as usize],
+            nodes: Vec::with_capacity(cap),
+            free: NIL,
+            in_wheel: 0,
+            far: BinaryHeap::new(),
             next_seq: 0,
-            last_popped: 0,
             scheduled_total: 0,
         }
     }
@@ -108,23 +145,88 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     /// In debug builds, panics if `at` precedes the timestamp of the most
-    /// recently popped event (time must not run backwards).
+    /// recently popped event (time must not run backwards). A release
+    /// build files such an event under that timestamp.
     pub fn schedule(&mut self, at: Cycle, event: E) {
         debug_assert!(
-            at >= self.last_popped,
+            at >= self.base,
             "event scheduled at {at} but time already advanced to {}",
-            self.last_popped
+            self.base
         );
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        self.heap.push(ScheduledEvent { at, seq, event });
+        let ev = ScheduledEvent { at, seq, event };
+        let cycle = at.max(self.base);
+        if cycle - self.base < WHEEL {
+            self.push_bucket(cycle, ev);
+        } else {
+            self.far.push(ev);
+        }
+    }
+
+    /// Appends `ev` to the bucket of `cycle`, which lies in the window.
+    fn push_bucket(&mut self, cycle: Cycle, ev: ScheduledEvent<E>) {
+        let node = Node {
+            next: NIL,
+            ev: Some(ev),
+        };
+        let i = if self.free == NIL {
+            let i = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("fewer than 2^32 - 1 events in the wheel");
+            self.nodes.push(node);
+            i
+        } else {
+            let i = self.free;
+            self.free = std::mem::replace(&mut self.nodes[i as usize], node).next;
+            i
+        };
+        let b = (cycle % WHEEL) as usize;
+        if self.occupied & (1 << b) == 0 {
+            self.occupied |= 1 << b;
+            self.head[b] = i;
+        } else {
+            self.nodes[self.tail[b] as usize].next = i;
+        }
+        self.tail[b] = i;
+        self.in_wheel += 1;
+    }
+
+    /// Moves the window to start at `to` — the earliest pending cycle — and
+    /// files every heap event it now covers into its bucket.
+    fn advance(&mut self, to: Cycle) {
+        self.base = to;
+        while self.far.peek().is_some_and(|e| e.at - to < WHEEL) {
+            let ev = self.far.pop().expect("peeked");
+            self.push_bucket(ev.at, ev);
+        }
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let ev = self.heap.pop()?;
-        self.last_popped = ev.at;
+        if self.occupied == 0 {
+            let at = self.far.peek()?.at;
+            self.advance(at);
+        } else {
+            let at = self.next_in_wheel();
+            if at != self.base {
+                self.advance(at);
+            }
+        }
+        let b = (self.base % WHEEL) as usize;
+        let i = self.head[b];
+        let node = &mut self.nodes[i as usize];
+        let ev = node.ev.take().expect("a listed slot holds an event");
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = i;
+        if i == self.tail[b] {
+            self.occupied &= !(1 << b);
+        } else {
+            self.head[b] = next;
+        }
+        self.in_wheel -= 1;
         Some(ev)
     }
 
@@ -138,22 +240,32 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// The earliest occupied cycle of a non-empty wheel.
+    fn next_in_wheel(&self) -> Cycle {
+        let rotated = self.occupied.rotate_right((self.base % WHEEL) as u32);
+        self.base + u64::from(rotated.trailing_zeros())
+    }
+
     /// Timestamp of the earliest pending event.
     #[must_use]
     pub fn next_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.at)
+        if self.occupied == 0 {
+            self.far.peek().map(|e| e.at)
+        } else {
+            Some(self.next_in_wheel())
+        }
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.in_wheel + self.far.len()
     }
 
     /// True when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events ever scheduled (for run reports).
@@ -164,7 +276,11 @@ impl<E> EventQueue<E> {
 
     /// Drops all pending events, keeping sequence numbering intact.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.occupied = 0;
+        self.nodes.clear();
+        self.free = NIL;
+        self.in_wheel = 0;
+        self.far.clear();
     }
 }
 

@@ -3,9 +3,11 @@
 //! [`SimRng`], so the coverage is property-style while the run is exactly
 //! reproducible (the offline build has no property-testing framework).
 
+use std::collections::BinaryHeap;
+
 use wavesim_sim::stats::{Accumulator, Histogram};
 use wavesim_sim::time::cycles_for;
-use wavesim_sim::{EventQueue, SimRng};
+use wavesim_sim::{EventQueue, ScheduledEvent, SimRng};
 
 /// Popping returns events sorted by time, FIFO within a timestamp,
 /// regardless of the schedule order.
@@ -58,6 +60,88 @@ fn event_queue_interleaved() {
             }
         }
     }
+}
+
+/// The calendar wheel is a `BinaryHeap<ScheduledEvent>` to every caller:
+/// a seeded mix of operations, with delays inside the wheel (0–3), across
+/// its edge (60–70) and far past it (up to 5,000), and idle jumps where
+/// the queue drains and the next event is far ahead, gives the same
+/// `(at, seq, event)`, `next_time` and `len` as the heap after every step.
+#[test]
+fn event_queue_matches_a_binary_heap_oracle() {
+    let mut rng = SimRng::new(0x0ca1);
+    for case in 0..40 {
+        let mut q = EventQueue::new();
+        let mut oracle: BinaryHeap<ScheduledEvent<u64>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        for step in 0..2_000u64 {
+            let roll = rng.below(100);
+            if roll < 45 {
+                let delay = match rng.below(10) {
+                    0..=5 => rng.below(4),
+                    6 | 7 => 60 + rng.below(11),
+                    _ => rng.below(5_001),
+                };
+                q.schedule(now + delay, step);
+                oracle.push(ScheduledEvent {
+                    at: now + delay,
+                    seq,
+                    event: step,
+                });
+                seq += 1;
+            } else if roll < 70 {
+                let got = q.pop();
+                let want = oracle.pop();
+                assert_eq!(key(&got), key(&want), "case {case} step {step}: pop");
+                if let Some(e) = want {
+                    now = e.at;
+                }
+            } else if roll < 95 {
+                let due = now + rng.below(8);
+                let got = q.pop_due(due);
+                let want = if oracle.peek().is_some_and(|e| e.at <= due) {
+                    oracle.pop()
+                } else {
+                    None
+                };
+                assert_eq!(key(&got), key(&want), "case {case} step {step}: pop_due");
+                if let Some(e) = want {
+                    now = e.at;
+                }
+            } else if roll < 98 {
+                // Idle jump: drain everything, then schedule far ahead.
+                while let Some(want) = oracle.pop() {
+                    now = want.at;
+                    assert_eq!(key(&q.pop()), key(&Some(want)), "case {case}");
+                }
+                assert!(q.pop().is_none());
+                let at = now + 1_000 + rng.below(100_000);
+                q.schedule(at, step);
+                oracle.push(ScheduledEvent {
+                    at,
+                    seq,
+                    event: step,
+                });
+                seq += 1;
+            } else {
+                q.clear();
+                oracle.clear();
+            }
+            assert_eq!(
+                q.next_time(),
+                oracle.peek().map(|e| e.at),
+                "case {case} step {step}: next_time"
+            );
+            assert_eq!(q.len(), oracle.len(), "case {case} step {step}: len");
+            assert_eq!(q.is_empty(), oracle.is_empty());
+        }
+        assert_eq!(q.scheduled_total(), seq, "case {case}");
+    }
+}
+
+fn key(e: &Option<ScheduledEvent<u64>>) -> Option<(u64, u64, u64)> {
+    e.as_ref().map(|e| (e.at, e.seq, e.event))
 }
 
 /// `cycles_for` is the exact ceiling of flits·den/num.

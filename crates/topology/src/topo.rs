@@ -187,10 +187,11 @@ const NO_LINK: u32 = u32::MAX;
 
 /// A concrete k-ary n-cube topology.
 ///
-/// A router's neighbours are wiring, so they are tabulated once at
-/// construction, one entry per (node, port) slot in [`LinkId`] order, and
-/// every neighbour / link query is one load. The table is shared between
-/// clones.
+/// A router's neighbours and coordinates are fixed by the shape, so they
+/// are tabulated once at construction — neighbours one entry per (node,
+/// port) slot in [`LinkId`] order, coordinates `ndims` entries per node —
+/// and every neighbour, link or coordinate query is one load. The tables
+/// are shared between clones.
 #[derive(Clone)]
 pub struct Topology {
     kind: TopologyKind,
@@ -198,9 +199,10 @@ pub struct Topology {
     strides: Vec<u32>,
     nodes: u32,
     neighbors: Arc<[u32]>,
+    coords: Arc<[u16]>,
 }
 
-/// Prints the shape only — never the neighbour table.
+/// Prints the shape only — never the neighbour or coordinate table.
 impl std::fmt::Debug for Topology {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Topology")
@@ -253,28 +255,34 @@ impl Topology {
             u64::from(acc) * 2 * radices.len() as u64 <= Self::MAX_LINK_SLOTS,
             "link slot count overflowed u32"
         );
+        let (neighbors, coords) = Self::tables(kind, radices, &strides, acc);
         Self {
             kind,
-            neighbors: Self::neighbor_table(kind, radices, &strides, acc),
+            neighbors,
+            coords,
             radices: radices.to_vec(),
             strides,
             nodes: acc,
         }
     }
 
-    /// Tabulates every (node, port) slot in one odometer pass over the
-    /// coordinates: no division, and each neighbour is its node id plus or
-    /// minus a stride (or a wrap of `radix - 1` strides the other way).
-    fn neighbor_table(
+    /// Tabulates every (node, port) slot and every node's coordinates in
+    /// one odometer pass over the coordinates: no division, and each
+    /// neighbour is its node id plus or minus a stride (or a wrap of
+    /// `radix - 1` strides the other way).
+    fn tables(
         kind: TopologyKind,
         radices: &[u16],
         strides: &[u32],
         nodes: u32,
-    ) -> Arc<[u32]> {
+    ) -> (Arc<[u32]>, Arc<[u16]>) {
         let torus = kind == TopologyKind::Torus;
-        let mut table = Vec::with_capacity(nodes as usize * 2 * radices.len());
+        let ndims = radices.len();
+        let mut table = Vec::with_capacity(nodes as usize * 2 * ndims);
+        let mut coord_table = Vec::with_capacity(nodes as usize * ndims);
         let mut coords = [0u16; MAX_DIMS];
         for node in 0..nodes {
+            coord_table.extend_from_slice(&coords[..ndims]);
             for (d, (&r, &stride)) in radices.iter().zip(strides).enumerate() {
                 let wrap = u32::from(r - 1) * stride;
                 let plus = if coords[d] + 1 < r {
@@ -301,7 +309,7 @@ impl Topology {
                 *c = 0;
             }
         }
-        table.into()
+        (table.into(), coord_table.into())
     }
 
     /// A k-ary n-dimensional mesh, e.g. `Topology::mesh(&\[8, 8\])`.
@@ -359,20 +367,14 @@ impl Topology {
     #[must_use]
     pub fn coords(&self, node: NodeId) -> Coords {
         assert!(node.0 < self.nodes, "node {node} out of range");
-        let mut rem = node.0;
-        let mut vals = [0u16; MAX_DIMS];
-        for (i, &r) in self.radices.iter().enumerate() {
-            vals[i] = (rem % u32::from(r)) as u16;
-            rem /= u32::from(r);
-        }
-        Coords::new(&vals[..self.ndims()])
+        let at = node.0 as usize * self.ndims();
+        Coords::new(&self.coords[at..at + self.ndims()])
     }
 
-    /// The coordinate of `node` along `dim` alone: one division, where
-    /// [`Topology::coords`] pays one per dimension.
+    /// The coordinate of `node` along `dim` alone.
     fn coord(&self, node: NodeId, dim: usize) -> u16 {
         assert!(node.0 < self.nodes, "node {node} out of range");
-        (node.0 / self.strides[dim] % u32::from(self.radices[dim])) as u16
+        self.coords[node.0 as usize * self.ndims() + dim]
     }
 
     /// Node id of `coords`.
@@ -487,7 +489,8 @@ impl Topology {
             TopologyKind::Mesh => diff,
             TopologyKind::Torus => {
                 let r = i32::from(self.radices[dim]);
-                let fwd = diff.rem_euclid(r); // hops going Plus
+                // |diff| < r, so one add is `diff mod r`: hops going Plus.
+                let fwd = if diff < 0 { diff + r } else { diff };
                 let bwd = r - fwd; // hops going Minus (when fwd != 0)
                 if fwd == 0 {
                     0
@@ -558,11 +561,46 @@ impl Topology {
 mod tests {
     use super::*;
 
+    /// The arithmetic coordinates the table replaced: one division and one
+    /// remainder per dimension. Kept as the reference the table is checked
+    /// against.
+    fn coords_reference(t: &Topology, node: NodeId) -> Coords {
+        let mut rem = node.0;
+        let mut vals = [0u16; MAX_DIMS];
+        for (i, &r) in t.radices.iter().enumerate() {
+            vals[i] = (rem % u32::from(r)) as u16;
+            rem /= u32::from(r);
+        }
+        Coords::new(&vals[..t.ndims()])
+    }
+
+    /// The `rem_euclid` offset the division-free one replaced.
+    fn offset_reference(t: &Topology, from: NodeId, to: NodeId, dim: usize) -> i32 {
+        let fc = i32::from(coords_reference(t, from).get(dim));
+        let tc = i32::from(coords_reference(t, to).get(dim));
+        let diff = tc - fc;
+        match t.kind() {
+            TopologyKind::Mesh => diff,
+            TopologyKind::Torus => {
+                let r = i32::from(t.radix(dim));
+                let fwd = diff.rem_euclid(r);
+                let bwd = r - fwd;
+                if fwd == 0 {
+                    0
+                } else if fwd <= bwd {
+                    fwd
+                } else {
+                    -bwd
+                }
+            }
+        }
+    }
+
     /// The arithmetic neighbour the table replaced: decompose, step one
     /// coordinate, recompose. Kept as the reference the table is checked
     /// against.
     fn neighbor_reference(t: &Topology, node: NodeId, port: PortDir) -> Option<NodeId> {
-        let c = t.coords(node);
+        let c = coords_reference(t, node);
         let dim = port.dim as usize;
         let r = t.radix(dim);
         let cur = c.get(dim);
@@ -587,15 +625,62 @@ mod tests {
         Some(t.node(nc))
     }
 
-    #[test]
-    fn neighbor_table_agrees_with_the_arithmetic_reference() {
-        for t in [
+    /// The shapes the tables are checked on: a 1-D mesh, a mixed-radix 3-D
+    /// torus, a 2×7 mesh, a 6-cube and an 8-D radix-2 mesh.
+    fn reference_shapes() -> [Topology; 5] {
+        [
             Topology::mesh(&[9]),
             Topology::torus(&[3, 5, 4]),
             Topology::mesh(&[2, 7]),
             Topology::hypercube(6),
             Topology::mesh(&[2; MAX_DIMS]),
+        ]
+    }
+
+    #[test]
+    fn coordinate_table_agrees_with_the_arithmetic_reference() {
+        for t in reference_shapes() {
+            for node in t.nodes() {
+                let want = coords_reference(&t, node);
+                assert_eq!(t.coords(node), want, "{t:?} {node}");
+                for dim in 0..t.ndims() {
+                    assert_eq!(t.coord(node, dim), want.get(dim), "{t:?} {node} {dim}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn division_free_offset_agrees_with_rem_euclid() {
+        for t in [
+            Topology::torus(&[5, 7]),
+            Topology::torus(&[3, 4, 5]),
+            Topology::mesh(&[4, 4]),
         ] {
+            for from in t.nodes() {
+                for to in t.nodes() {
+                    for dim in 0..t.ndims() {
+                        assert_eq!(
+                            t.offset(from, to, dim),
+                            offset_reference(&t, from, to, dim),
+                            "{t:?} {from} {to} {dim}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn coords_rejects_a_node_past_the_table() {
+        let t = Topology::torus(&[3, 4]);
+        let _ = t.coords(NodeId(t.num_nodes()));
+    }
+
+    #[test]
+    fn neighbor_table_agrees_with_the_arithmetic_reference() {
+        for t in reference_shapes() {
             for node in t.nodes() {
                 for port in (0..2 * t.ndims()).map(PortDir::from_index) {
                     let want = neighbor_reference(&t, node, port);

@@ -91,8 +91,11 @@ fn probe_steps_stay_off_the_heap() {
 
     assert!(steps > 20_000, "the run is probe-bound: {steps} steps");
     let per_step = requests as f64 / steps as f64;
+    println!("{requests} allocations over {steps} probe steps = {per_step:.4} per step");
+    // Measured 0.1330 (9,299 allocations over 69,904 steps), rounded up
+    // to the next 0.01: a per-probe or per-bucket allocation breaks it.
     assert!(
-        per_step <= 0.25,
+        per_step <= 0.14,
         "{requests} allocations over {steps} probe steps = {per_step:.3} per step"
     );
 }
