@@ -13,8 +13,9 @@
 //! * [`lanes`] — wave-lane reservation occupancy, the "hot lanes" ranking.
 //! * [`faults`] — before/during/after delivery windows around each lane
 //!   fault.
-//! * [`series`] — windowed time series derived offline from the trace,
-//!   producing the same rows the live bench sampler emits.
+//! * [`series`] — the windowed time series (throughput, latency, cache hit
+//!   rate, active routers per window): the one builder of its rows, for
+//!   `analyze --timeseries` and `run --timeseries-out` alike.
 //! * [`report`] — the human [`wavesim_bench::table::Table`] report and the
 //!   machine JSON document behind `wavesim analyze`.
 //!
@@ -32,13 +33,13 @@ pub mod series;
 pub mod spans;
 
 use wavesim_sim::Cycle;
-use wavesim_trace::timeseries::WindowRow;
 use wavesim_trace::TraceRecord;
 
 pub use faults::{FaultImpact, PhaseStats};
 pub use flows::FlowStats;
 pub use lanes::LaneStats;
-pub use live::{live_sink, take_analysis, LiveAnalytics, LiveHandle, LiveSink};
+pub use live::{fold_sink, live_sink, take_analysis, take_fold, LiveAnalytics};
+pub use series::{RunSeries, WindowRow};
 pub use spans::{CircuitLog, MessageSpan, SpanMode, SpanSet};
 
 /// Analyzer knobs.

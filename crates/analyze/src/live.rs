@@ -5,22 +5,26 @@
 //! offline [`crate::analyze`] *is* this fold run over a slice, so live and
 //! offline results are identical by construction.
 //!
-//! Each record is matched once. Its circuit, probe, message, flow, lane
-//! and node ids are resolved there, through one [`Interner`] per id
-//! space, to dense first-appearance indices, and the five passes (spans,
-//! flows, lanes, faults, series) are handed those indices and keep their
-//! state in plain `Vec`s: nothing on the per-record path hashes with a
-//! keyed hasher, walks a tree or allocates beyond amortized table growth.
+//! Each record is matched once here, and once more by the series
+//! ([`WindowSeries::fold`]), which interns the node ids it counts. Its
+//! circuit, probe, message, flow and lane ids are resolved here, through
+//! one [`Interner`] per id space, to dense first-appearance indices, and
+//! the passes (spans, flows, lanes, faults) are handed those indices.
+//! Every pass keeps its state in plain `Vec`s: nothing on the
+//! per-record path hashes with a keyed hasher, walks a tree or allocates
+//! beyond amortized table growth.
 //! No table is sized by an id read from the trace — a record naming node
 //! `u32::MAX` costs one interner slot, not 4G rows — so a record grows a
 //! table by at most one row per id it names.
 //!
-//! For running beside a capture, [`live_sink`] wraps the fold in a
+//! For running beside a capture, [`fold_sink`] wraps a fold — this one
+//! ([`live_sink`]) or a [`RunSeries`] — in a
 //! [`wavesim_trace::stream::StreamSink`] whose "encoder" folds records on
 //! the writer thread instead of encoding bytes: the simulation thread only
 //! pays the existing chunk-and-send cost, and the fold keeps up off the
 //! hot path. After the sink is finished (joining the writer thread),
-//! [`take_analysis`] extracts the sealed [`Analysis`].
+//! [`take_fold`] takes the fold back ([`take_analysis`] seals a
+//! [`LiveAnalytics`] into its [`Analysis`]).
 
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -29,13 +33,12 @@ use wavesim_sim::stats::Histogram;
 use wavesim_sim::Cycle;
 use wavesim_trace::columnar::Interner;
 use wavesim_trace::stream::{ChunkEncoder, StreamSink};
-use wavesim_trace::timeseries::MAX_ROWS;
 use wavesim_trace::{TraceEvent, TraceRecord};
 
 use crate::faults::FaultFold;
 use crate::flows::FlowFold;
 use crate::lanes::LaneFold;
-use crate::series::SeriesFold;
+use crate::series::{RunSeries, WindowSeries, MAX_ROWS};
 use crate::spans::{Delivery, SpanFold};
 use crate::{Analysis, AnalyzeOptions, SpanMode, Summary};
 
@@ -61,7 +64,6 @@ struct Ids {
     flows: Interner,
     /// `(link, switch)` pairs.
     lanes: Interner,
-    nodes: Interner,
 }
 
 impl Ids {
@@ -83,10 +85,6 @@ impl Ids {
 
     fn lane(&mut self, link: u32, switch: u8) -> usize {
         self.lanes.intern(u64::from(link) << 8 | u64::from(switch)) as usize
-    }
-
-    fn node(&mut self, node: u32) -> usize {
-        self.nodes.intern(u64::from(node)) as usize
     }
 }
 
@@ -111,7 +109,7 @@ pub struct LiveAnalytics {
     flows: FlowFold,
     lanes: LaneFold,
     faults: FaultFold,
-    series: SeriesFold,
+    series: WindowSeries,
 }
 
 impl LiveAnalytics {
@@ -129,7 +127,7 @@ impl LiveAnalytics {
             flows: FlowFold::default(),
             lanes: LaneFold::new(),
             faults: FaultFold::default(),
-            series: SeriesFold::new(opts.window.max(1), opts.nodes),
+            series: WindowSeries::new(opts.window.max(1), opts.nodes),
         }
     }
 
@@ -150,10 +148,10 @@ impl LiveAnalytics {
             series,
             ..
         } = self;
-        series.advance(at);
-        // Every node an event names as doing work is touched. A circuit
-        // id is interned only where its log is opened, so the circuit
-        // interner and the log table stay the same length.
+        // A delivery's length, from its message's start, for the series.
+        let mut flits = 0;
+        // A circuit id is interned only where its log is opened, so the
+        // circuit interner and the log table stay the same length.
         match rec.ev {
             TraceEvent::ProbeLaunch {
                 circuit,
@@ -171,12 +169,10 @@ impl LiveAnalytics {
                 log.force_launches += u32::from(force);
                 spans.circuit_protocol = true;
                 lanes.launch(c, switch);
-                series.touch(ids.node(src), src);
             }
             TraceEvent::ProbeHop {
                 circuit,
                 probe,
-                node,
                 link,
                 ..
             } => {
@@ -185,26 +181,15 @@ impl LiveAnalytics {
                 let p = ids.probe(probe);
                 let switch = lanes.switch_of(c);
                 lanes.hop(c, p, ids.lane(link, switch), (link, switch), at);
-                series.touch(ids.node(node), node);
             }
-            TraceEvent::ProbeBacktrack {
-                circuit,
-                probe,
-                node,
-            } => {
+            TraceEvent::ProbeBacktrack { circuit, probe, .. } => {
                 let c = ids.circuit(circuit);
                 spans.circuit(c).backtracks += 1;
                 lanes.backtrack(ids.probe(probe), at);
-                series.touch(ids.node(node), node);
             }
-            TraceEvent::ProbePark { circuit, node, .. } => {
+            TraceEvent::ProbePark { circuit, .. } => {
                 let c = ids.circuit(circuit);
                 spans.circuit(c).parks += 1;
-                series.touch(ids.node(node), node);
-            }
-            TraceEvent::ProbeReached { dest, .. } => series.touch(ids.node(dest), dest),
-            TraceEvent::ProbeExhausted { src, .. } | TraceEvent::ForcedRelease { src, .. } => {
-                series.touch(ids.node(src), src);
             }
             TraceEvent::CircuitEstablished {
                 circuit, src, dest, ..
@@ -215,8 +200,6 @@ impl LiveAnalytics {
                 log.dest = dest;
                 log.established = Some(at);
                 spans.circuit_protocol = true;
-                series.touch(ids.node(src), src);
-                series.touch(ids.node(dest), dest);
             }
             TraceEvent::CircuitReleased { circuit } => {
                 let c = ids.circuit(circuit);
@@ -231,14 +214,10 @@ impl LiveAnalytics {
             TraceEvent::CacheHit { node, dest, .. } => {
                 spans.circuit_protocol = true;
                 flows.flow(ids.flow(node, dest), node, dest).cache_hits += 1;
-                series.hit();
-                series.touch(ids.node(node), node);
             }
             TraceEvent::CacheMiss { node, dest } => {
                 spans.circuit_protocol = true;
                 flows.flow(ids.flow(node, dest), node, dest).cache_misses += 1;
-                series.miss();
-                series.touch(ids.node(node), node);
             }
             TraceEvent::CacheEvict {
                 node, victim_dest, ..
@@ -247,29 +226,19 @@ impl LiveAnalytics {
                 flows
                     .flow(ids.flow(node, victim_dest), node, victim_dest)
                     .evictions_suffered += 1;
-                series.touch(ids.node(node), node);
             }
             TraceEvent::TransferStart {
                 circuit,
                 msg,
-                src,
-                dest,
                 len_flits,
+                ..
             } => {
                 let c = ids.circuit(circuit);
                 spans.start(ids.msg(msg), at, len_flits, Some(c));
                 spans.circuit_protocol = true;
-                series.touch(ids.node(src), src);
-                series.touch(ids.node(dest), dest);
             }
-            TraceEvent::WormholeInject {
-                msg,
-                src,
-                len_flits,
-                ..
-            } => {
+            TraceEvent::WormholeInject { msg, len_flits, .. } => {
                 spans.start(ids.msg(msg), at, len_flits, None);
-                series.touch(ids.node(src), src);
             }
             TraceEvent::CircuitDeliver {
                 msg,
@@ -297,9 +266,7 @@ impl LiveAnalytics {
                     mode,
                 };
                 let m = ids.msg(msg);
-                let flits = spans.deliver(m, &d, ids.circuits.dict());
-                series.touch(ids.node(dest), dest);
-                series.deliver(at, latency, flits);
+                flits = spans.deliver(m, &d, ids.circuits.dict());
             }
             TraceEvent::LaneFault { link, switch } => faults.lane_event(at, link, switch, true),
             TraceEvent::LaneRepair { link, switch } => faults.lane_event(at, link, switch, false),
@@ -310,15 +277,17 @@ impl LiveAnalytics {
                 log.dest = dest;
                 log.broken = true;
                 flows.broken(ids.flow(src, dest), at);
-                series.touch(ids.node(src), src);
-                series.touch(ids.node(dest), dest);
             }
             TraceEvent::EstablishRetry { src, dest, .. } => {
                 flows.retry(ids.flow(src, dest), src, dest, at);
-                series.touch(ids.node(src), src);
             }
-            TraceEvent::PlaneTick { .. } | TraceEvent::WatchdogTrip { .. } => {}
+            TraceEvent::ProbeReached { .. }
+            | TraceEvent::ProbeExhausted { .. }
+            | TraceEvent::ForcedRelease { .. }
+            | TraceEvent::WatchdogTrip { .. }
+            | TraceEvent::PlaneTick { .. } => {}
         }
+        series.fold(rec, flits);
     }
 
     /// Folds a batch of records.
@@ -360,7 +329,6 @@ impl LiveAnalytics {
             &ids.msgs,
             &ids.flows,
             &ids.lanes,
-            &ids.nodes,
         ]
         .map(|i| i.dict().len())
         .into_iter()
@@ -464,56 +432,87 @@ impl LiveAnalytics {
     }
 }
 
-/// Shared handle to a [`LiveAnalytics`] fold running on a capture writer
-/// thread. `None` once [`take_analysis`] has sealed it.
-pub type LiveHandle = Arc<Mutex<Option<LiveAnalytics>>>;
+/// A fold a capture's writer thread runs over the records it is handed:
+/// [`LiveAnalytics`] (`run --live-analyze`) or [`RunSeries`] (`run
+/// --timeseries-out`).
+pub trait RecordFold: Send + 'static {
+    /// Folds one record.
+    fn fold_record(&mut self, rec: &TraceRecord);
+}
+
+impl RecordFold for LiveAnalytics {
+    fn fold_record(&mut self, rec: &TraceRecord) {
+        self.fold(rec);
+    }
+}
+
+impl RecordFold for RunSeries {
+    fn fold_record(&mut self, rec: &TraceRecord) {
+        self.fold(rec);
+    }
+}
+
+/// Shared handle to a fold running on a capture writer thread. `None`
+/// once [`take_fold`] has taken it.
+pub type FoldHandle<F> = Arc<Mutex<Option<F>>>;
 
 /// A [`ChunkEncoder`] that folds records instead of encoding bytes, so
 /// the fold runs on the [`StreamSink`] writer thread.
-pub struct LiveEncoder {
-    handle: LiveHandle,
+pub struct FoldEncoder<F> {
+    handle: FoldHandle<F>,
 }
 
-impl ChunkEncoder for LiveEncoder {
+impl<F: RecordFold> ChunkEncoder for FoldEncoder<F> {
     fn encode_chunk(&mut self, recs: &[TraceRecord], _out: &mut Vec<u8>) {
-        if let Some(live) = self.handle.lock().expect("live fold poisoned").as_mut() {
-            live.fold_many(recs);
+        if let Some(fold) = self.handle.lock().expect("fold poisoned").as_mut() {
+            for rec in recs {
+                fold.fold_record(rec);
+            }
         }
     }
 }
 
-/// The live-analytics sink: a [`StreamSink`] whose writer thread folds
-/// records and discards the (empty) byte output.
-pub type LiveSink = StreamSink<io::Sink, LiveEncoder>;
+/// A [`StreamSink`] whose writer thread folds records and discards the
+/// (empty) byte output.
+pub type FoldSink<F> = StreamSink<io::Sink, FoldEncoder<F>>;
 
 /// Record batch size handed to the fold thread per channel send.
 const LIVE_CHUNK: usize = 8192;
 
-/// Arms a live fold: returns the shared handle and the [`TraceSink`]
-/// (tee it beside the capture sinks). Finish the sink — joining its
-/// writer thread — before calling [`take_analysis`].
+/// Arms `fold` on a writer thread: returns the shared handle and the
+/// [`TraceSink`] (tee it beside the capture sinks). Finish the sink —
+/// joining its writer thread — before calling [`take_fold`].
 ///
 /// [`TraceSink`]: wavesim_trace::TraceSink
 #[must_use]
-pub fn live_sink(opts: AnalyzeOptions) -> (LiveHandle, LiveSink) {
-    let handle: LiveHandle = Arc::new(Mutex::new(Some(LiveAnalytics::new(opts))));
-    let enc = LiveEncoder {
+pub fn fold_sink<F: RecordFold>(fold: F) -> (FoldHandle<F>, FoldSink<F>) {
+    let handle = Arc::new(Mutex::new(Some(fold)));
+    let enc = FoldEncoder {
         handle: Arc::clone(&handle),
     };
     let sink = StreamSink::with_encoder(io::sink(), enc, LIVE_CHUNK);
     (handle, sink)
 }
 
-/// Seals the fold behind `handle` and returns its [`Analysis`]; `None`
-/// if it was already taken. Only call after the owning sink finished,
-/// otherwise in-queue records would be silently missing.
+/// Takes the fold behind `handle`; `None` if it was already taken. Only
+/// call after the owning sink finished, otherwise in-queue records would
+/// be silently missing.
 #[must_use]
-pub fn take_analysis(handle: &LiveHandle) -> Option<Analysis> {
-    handle
-        .lock()
-        .expect("live fold poisoned")
-        .take()
-        .map(LiveAnalytics::finish)
+pub fn take_fold<F>(handle: &FoldHandle<F>) -> Option<F> {
+    handle.lock().expect("fold poisoned").take()
+}
+
+/// [`fold_sink`] of a [`LiveAnalytics`] with the given knobs.
+#[must_use]
+pub fn live_sink(opts: AnalyzeOptions) -> (FoldHandle<LiveAnalytics>, FoldSink<LiveAnalytics>) {
+    fold_sink(LiveAnalytics::new(opts))
+}
+
+/// Seals the fold behind `handle` and returns its [`Analysis`], as
+/// [`take_fold`].
+#[must_use]
+pub fn take_analysis(handle: &FoldHandle<LiveAnalytics>) -> Option<Analysis> {
+    take_fold(handle).map(LiveAnalytics::finish)
 }
 
 #[cfg(test)]

@@ -7,10 +7,9 @@
 use wavesim_bench::table::{f2, f3, pct, Table};
 use wavesim_json::Value;
 use wavesim_sim::stats::Histogram;
-use wavesim_trace::timeseries;
 
 use crate::spans::SpanMode;
-use crate::Analysis;
+use crate::{series, Analysis};
 
 fn flow_key(src: u32, dest: u32) -> String {
     format!("{src}->{dest}")
@@ -303,7 +302,7 @@ pub fn to_json(a: &Analysis) -> Value {
         ("flows", flows),
         ("lanes", lanes),
         ("faults", faults),
-        ("timeseries", timeseries::to_json(&a.series, a.nodes)),
+        ("timeseries", series::to_json(&a.series, a.nodes)),
     ])
 }
 

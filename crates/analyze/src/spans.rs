@@ -215,8 +215,9 @@ impl SpanFold {
     }
 
     /// Message `m` is delivered. `circuit_ids` maps a dense circuit index
-    /// back to its id. Returns the length its last start event declared
-    /// (zero if none was traced).
+    /// back to its id. Returns the span's length: what its last start
+    /// event declared, zero if none was traced or an earlier delivery
+    /// answered it.
     pub fn deliver(&mut self, m: usize, d: &Delivery, circuit_ids: &[u64]) -> u32 {
         let created = d.at.saturating_sub(d.latency);
         // The message's last start event; it answers one delivery.
@@ -229,12 +230,13 @@ impl SpanFold {
         let carrier = p.filter(|p| p.circuit != NONE).map(|p| p.circuit as usize);
         let established = carrier.and_then(|c| self.logs[c].established);
         let (setup, queue, transit) = segments(created, d.latency, p, established);
+        let len_flits = p.map_or(0, |p| p.len_flits);
         self.spans.push(MessageSpan {
             msg: d.msg,
             src: d.src,
             dest: d.dest,
             circuit: carrier.map(|c| circuit_ids[c]),
-            len_flits: p.map_or(0, |p| p.len_flits),
+            len_flits,
             created,
             delivered: d.at,
             mode: d.mode,
@@ -242,7 +244,7 @@ impl SpanFold {
             queue,
             transit,
         });
-        last.len_flits
+        len_flits
     }
 
     /// Seals the fold: counts unfinished transfers, rewrites wormhole

@@ -82,8 +82,8 @@ impl<'a> Ctx<'a> {
         let mut obs = factory(self.exported);
         let r = run(&mut obs);
         if !self.exported {
-            // Nobody will export this run: let go of its ring and series now.
-            (obs.capture, obs.sampler) = (None, None);
+            // Nobody will export this run: let go of its ring now.
+            obs.capture = None;
         }
         self.observed.borrow_mut().push(obs);
         r

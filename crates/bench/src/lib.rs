@@ -45,13 +45,14 @@
 //!
 //! ```text
 //!   Driver  <-- inject / collect --  drive  -- start / cycle / sample / finish -->  RunObserver
-//! (workload)                    (tick, monitor)          () | Capture | Sampler | Watchdog | BoardObserver
+//! (workload)                    (tick, monitor)          () | Capture | Watchdog | BoardObserver
 //! ```
 //!
-//! The four observers — [`tracecap::Capture`], [`timeseries::Sampler`],
-//! [`watchdog::Watchdog`], [`livestate::BoardObserver`] — are plain
-//! values: build one, pass it to a `run_*` entry point, then ask it for
-//! what it captured. [`Observers`] bundles them for the CLI, and an
+//! The three observers — [`tracecap::Capture`], [`watchdog::Watchdog`],
+//! [`livestate::BoardObserver`] — are plain values: build one, pass it to
+//! a `run_*` entry point, then ask it for what it captured. A run's time
+//! series is not an observer of its own: it is `wavesim-analyze`'s fold
+//! over the capture's records. [`Observers`] bundles them for the CLI, and an
 //! experiment row's [`experiments::Ctx`] makes a fresh bundle per run, on
 //! whichever sweep worker thread the row lands. There is no thread-local
 //! or process-global state anywhere in this crate.
@@ -65,7 +66,6 @@ pub mod observers;
 pub mod runner;
 pub mod serve;
 pub mod table;
-pub mod timeseries;
 pub mod tracecap;
 pub mod watchdog;
 

@@ -1,4 +1,5 @@
-//! The live-status board behind `--serve-metrics` and `--live-status`.
+//! The live-status board behind `--serve-metrics`, `--metrics-out` and
+//! `--progress`.
 //!
 //! A [`StatusBoard`] is a shared handle: the HTTP serving thread
 //! ([`crate::serve`]) reads it while a run's [`BoardObserver`] writes it.
@@ -23,8 +24,7 @@ use wavesim_sim::{Cycle, CycleKernelStats};
 use crate::metrics::Gauge;
 use crate::{Drained, RunObserver};
 
-/// Cycles between recomputations of the progress rate (and between
-/// `--live-status` stderr lines).
+/// Cycles between recomputations of the progress rate.
 const RATE_WINDOW: u64 = 8192;
 
 /// A point-in-time view of the driving run, published every 64 cycles:
@@ -119,18 +119,19 @@ struct Slot {
 #[derive(Clone, Default)]
 pub struct StatusBoard {
     slot: Arc<Mutex<Slot>>,
-    echo: bool,
+    /// Cycles between progress lines on stderr; `None` prints none.
+    progress: Option<u64>,
 }
 
 impl StatusBoard {
-    /// A fresh, empty board. With `echo`, the run holding it prints a
-    /// one-line status to stderr every `RATE_WINDOW` cycles (the CLI's
-    /// `--live-status`).
+    /// A fresh, empty board. With `progress` cycles, the run holding it
+    /// prints a one-line status to stderr at the first publish point that
+    /// many cycles after the last line (the CLI's `--progress`).
     #[must_use]
-    pub fn new(echo: bool) -> Self {
+    pub fn new(progress: Option<u64>) -> Self {
         Self {
             slot: Arc::default(),
-            echo,
+            progress,
         }
     }
 
@@ -150,7 +151,7 @@ impl StatusBoard {
             latency: Histogram::new(),
             mark_cycle: 0,
             mark_delivered: 0,
-            echoed_at: 0,
+            printed_at: 0,
         }
     }
 
@@ -181,7 +182,7 @@ pub struct BoardObserver {
     latency: Histogram,
     mark_cycle: Cycle,
     mark_delivered: u64,
-    echoed_at: Cycle,
+    printed_at: Cycle,
 }
 
 impl BoardObserver {
@@ -215,8 +216,12 @@ impl BoardObserver {
         if elapsed > 0.0 {
             s.cycles_per_sec = now as f64 / elapsed;
         }
-        if self.board.echo && now >= self.echoed_at + RATE_WINDOW {
-            self.echoed_at = now;
+        if self
+            .board
+            .progress
+            .is_some_and(|every| now >= self.printed_at.saturating_add(every))
+        {
+            self.printed_at = now;
             eprintln!(
                 "[wavesim live] cycle {:>9} | delivered {:>8}/{:<8} | in-flight {:>6} | \
                  cache hit {:>5.1}% | {:>7.1} msgs/kcy | {:>9.0} cy/s",
@@ -307,7 +312,7 @@ mod tests {
 
     #[test]
     fn sequential_runs_take_the_board_in_turn() {
-        let board = StatusBoard::new(false);
+        let board = StatusBoard::new(None);
         assert!(board.snapshot().is_none(), "an empty board is silent");
         for seed in [1, 2] {
             let r = observed_run(&board, seed);
@@ -325,7 +330,7 @@ mod tests {
     /// B's hooks change nothing; once A finishes, the next run claims.
     #[test]
     fn a_claimed_board_ignores_other_runs() {
-        let board = StatusBoard::new(false);
+        let board = StatusBoard::new(None);
         let net_with_seed = |seed| {
             let cfg = WaveConfig {
                 seed,
@@ -375,7 +380,7 @@ mod tests {
     /// must be one run's coherent view, never a mixture.
     #[test]
     fn concurrent_runs_never_mix_on_the_board() {
-        let board = StatusBoard::new(false);
+        let board = StatusBoard::new(None);
         let gate = Barrier::new(3);
         let stop = AtomicBool::new(false);
         let (results, snapshots) = std::thread::scope(|s| {

@@ -156,7 +156,7 @@ mod tests {
                 stop_at: u64::MAX,
             },
         );
-        let board = StatusBoard::new(false);
+        let board = StatusBoard::new(None);
         let spec = RunSpec::standard(cycles / 5, cycles);
         let r = run_open_loop_observed(&mut net, &mut src, spec, &mut board.observer());
         (board.snapshot().expect("published"), r)

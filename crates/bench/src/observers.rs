@@ -1,4 +1,4 @@
-//! The product's observer set: the four observers the CLI can hang on a
+//! The product's observer set: the three observers the CLI can hang on a
 //! run, composed into one [`RunObserver`], and what a sequence of such
 //! runs leaves behind.
 
@@ -6,7 +6,6 @@ use wavesim_core::WaveNetwork;
 use wavesim_sim::Cycle;
 
 use crate::livestate::BoardObserver;
-use crate::timeseries::{SampledSeries, Sampler};
 use crate::tracecap::{Capture, RunTrace};
 use crate::watchdog::{Watchdog, WatchdogReport};
 use crate::{Drained, RunObserver};
@@ -16,8 +15,6 @@ use crate::{Drained, RunObserver};
 pub struct Observers {
     /// On-disk stream, live fold and the post-mortem's ring.
     pub capture: Option<Capture>,
-    /// Windowed time series.
-    pub sampler: Option<Sampler>,
     /// Progress-SLO rules.
     pub watchdog: Option<Watchdog>,
     /// Live-status publisher.
@@ -29,9 +26,8 @@ impl Observers {
     /// the watchdog can stamp a trip into the trace, and taken down last
     /// so its snapshot holds everything the others emitted.
     fn parts(&mut self) -> impl DoubleEndedIterator<Item = &mut dyn RunObserver> {
-        let parts: [Option<&mut dyn RunObserver>; 4] = [
+        let parts: [Option<&mut dyn RunObserver>; 3] = [
             self.capture.as_mut().map(|o| o as _),
-            self.sampler.as_mut().map(|o| o as _),
             self.watchdog.as_mut().map(|o| o as _),
             self.board.as_mut().map(|o| o as _),
         ];
@@ -59,15 +55,13 @@ impl RunObserver for Observers {
 }
 
 /// What a sequence of observed runs left behind, in run order: every
-/// watchdog report, but only the last run's capture and series — the one
-/// an export writes (for sweeps this is the highest point: the most
+/// watchdog report, but only the last run's capture — the one an export
+/// writes (for sweeps this is the highest point: the most
 /// loaded, most interesting run).
 #[derive(Debug, Default, PartialEq)]
 pub struct Observed {
     /// The last captured run.
     pub trace: Option<RunTrace>,
-    /// The last sampled run's series.
-    pub series: Option<SampledSeries>,
     /// One report per watched run.
     pub reports: Vec<WatchdogReport>,
 }
@@ -77,7 +71,6 @@ impl Observed {
     pub fn push(&mut self, run: Observers) {
         self.append(Observed {
             trace: run.capture.and_then(Capture::into_trace),
-            series: run.sampler.and_then(Sampler::into_series),
             reports: run
                 .watchdog
                 .map(Watchdog::into_report)
@@ -90,7 +83,6 @@ impl Observed {
     /// every run already here.
     pub fn append(&mut self, later: Observed) {
         self.trace = later.trace.or(self.trace.take());
-        self.series = later.series.or(self.series.take());
         self.reports.extend(later.reports);
     }
 }

@@ -9,8 +9,8 @@
 //! limit hits). They return a [`RunResult`] with the
 //! two headline metrics of the literature — mean message latency and
 //! accepted throughput — plus protocol statistics and verification
-//! verdicts. Whatever watches a run (trace capture, sampler, watchdog,
-//! status board) is a [`RunObserver`] the caller passes in; `&mut ()`
+//! verdicts. Whatever watches a run (trace capture, watchdog, status
+//! board) is a [`RunObserver`] the caller passes in; `&mut ()`
 //! observes nothing.
 //!
 //! [`ParallelSweep`] fans independent sweep points out over scoped worker

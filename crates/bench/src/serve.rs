@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn server_answers_metrics_and_status_over_tcp() {
-        let addr = serve("127.0.0.1:0", StatusBoard::new(false)).expect("bind");
+        let addr = serve("127.0.0.1:0", StatusBoard::new(None)).expect("bind");
         let get = |path: &str| {
             let mut c = TcpStream::connect(addr).expect("connect");
             c.write_all(format!("GET {path} HTTP/1.0\r\nHost: x\r\n\r\n").as_bytes())

@@ -66,11 +66,6 @@ impl Table {
         out
     }
 
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        println!("{}", self.render());
-    }
-
     /// The table as a JSON value (keys in declaration order, so the
     /// serialized form is deterministic).
     #[must_use]

@@ -1,6 +1,6 @@
 //! Progress-SLO watchdogs for the measurement loops.
 //!
-//! Like [`crate::tracecap`] and [`crate::timeseries`], a [`Watchdog`] is a
+//! Like [`crate::tracecap`] and [`crate::livestate`], a [`Watchdog`] is a
 //! [`RunObserver`]: it looks at the drive loop's existing 64-cycle sample
 //! point, so an unwatched run pays nothing and a watched run's schedule
 //! is untouched (the watchdog only reads, annotates the trace, and — when

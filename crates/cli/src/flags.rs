@@ -280,17 +280,16 @@ flag_table! {
     metrics_out = "--metrics-out", text("FILE"), None, &[Run],
         "write a Prometheus-style metrics page of the run";
     timeseries_out = "--timeseries-out", text("FILE"), None, &[Run],
-        "write windowed CSV, one row per --window cycles";
+        "write the run's windowed CSV, one row per --window cycles: what analyze --timeseries \
+        writes from its capture";
     window = "--window", int(u64, 1..=ANY), Some("1000"), &[Run, Analyze],
         "cycles per time-series window";
-    progress = "--progress", int(Option<u64>, 1..=ANY), None, &[Run],
-        "print a status line every N cycles (N becomes the window)";
+    progress = "--progress", int(Option<u64>, 1..=ANY), None, RUNS,
+        "print the live status line to stderr every N cycles, checked every 64";
     top = "--top", int(usize, 0..=ANY), Some("10"), &[Run, Analyze],
         "rows in the hottest-flow and hottest-lane tables";
     serve_metrics = "--serve-metrics", text("ADDR"), None, RUNS,
         "serve live vitals over HTTP: GET /metrics (Prometheus) and /status (JSON)";
-    live_status = "--live-status", switch, None, RUNS,
-        "print a progress line to stderr every 8192 cycles";
     live_analyze = "--live-analyze", switch, None, &[Run],
         "fold the records through analyze during the run; print its report after the verdict";
     watch_stall = "--watch-stall", int(Option<u64>, 1..=ANY), None, RUNS,
@@ -581,7 +580,7 @@ mod tests {
         let rows = names.len();
         names.dedup();
         // `--json` is a switch for the experiments and a FILE for `analyze`.
-        assert_eq!((rows, names.len()), (51, 50));
+        assert_eq!((rows, names.len()), (50, 49));
         for (i, flag) in FLAGS.iter().enumerate() {
             let clash = FLAGS[..i].iter().find(|other| {
                 other.name == flag.name && other.cmds.iter().any(|c| flag.cmds.contains(c))
@@ -676,7 +675,7 @@ mod tests {
     fn values_land_in_their_fields() {
         let args = line(
             "run --protocol carp --topology torus --side 6 --side 5 --load 0.5 \
-             --service-clients 7 --watch-retries 0 --watch-postmortem pm.json --live-status",
+             --service-clients 7 --watch-retries 0 --watch-postmortem pm.json --progress 500",
         )
         .unwrap();
         assert_eq!(
@@ -689,7 +688,7 @@ mod tests {
             (Some(7), Some(0))
         );
         assert_eq!(args.watch_postmortem.as_deref(), Some("pm.json"));
-        assert!(args.live_status && !args.live_analyze && args.given.contains(&"side"));
+        assert!(args.progress == Some(500) && !args.live_analyze && args.given.contains(&"side"));
 
         let args = line("check --model probe --msg 0:3 --msg 3:0 --mutate skip-backoff").unwrap();
         assert_eq!(args.model, Some(ModelProtocol::ClrpNoForce));

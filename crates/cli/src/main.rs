@@ -9,8 +9,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use flags::{Args, Cmd, ConvertTo};
+use wavesim_analyze::series::{self, RunSeries, WindowRow};
 use wavesim_bench::livestate::StatusBoard;
-use wavesim_bench::timeseries::Sampler;
 use wavesim_bench::tracecap::Capture;
 use wavesim_bench::watchdog::{Watchdog, WatchdogConfig};
 use wavesim_bench::{experiments, Observed, Observers, RunSpec};
@@ -23,9 +23,54 @@ use wavesim_workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource
 
 /// How a command ended. `Ok(false)`: it ran, and its verdict (a run that
 /// is not clean, a model violation, a watchdog abort) fails the process.
-/// `Err`: it could not do its job; `main` prints the message after
-/// `error: `.
-type Outcome = Result<bool, String>;
+/// `Err`: it stopped early.
+type Outcome = Result<bool, Stop>;
+
+/// Why a command stopped early.
+enum Stop {
+    /// It could not do its job; `main` prints the message after `error: `.
+    Failed(String),
+    /// Whoever read stdout closed it (`wavesim run | head -1`): the output
+    /// is over, and so is the command.
+    Closed,
+}
+
+impl From<String> for Stop {
+    fn from(why: String) -> Self {
+        Stop::Failed(why)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(why: &str) -> Self {
+        Stop::Failed(why.into())
+    }
+}
+
+/// `main`'s status when stdout closed under it: 128 + SIGPIPE, what a
+/// shell reports for a writer the signal ended.
+const CLOSED: u8 = 141;
+
+/// Writes to stdout, the one way this file does. A closed pipe is the end
+/// of the output, not an error to report.
+fn say(text: std::fmt::Arguments) -> Result<(), Stop> {
+    use std::io::Write as _;
+    match std::io::stdout().lock().write_fmt(text) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(Stop::Closed),
+        written => written.map_err(|e| format!("cannot write to stdout: {e}").into()),
+    }
+}
+
+/// `print!` through [`say`].
+macro_rules! out {
+    ($($arg:tt)*) => { say(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`say`].
+macro_rules! outln {
+    () => { say(format_args!("\n")) };
+    ($($arg:tt)*) => { say(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 fn cannot_write(path: &str, e: impl std::fmt::Display) -> String {
     format!("cannot write {path}: {e}")
@@ -95,13 +140,13 @@ fn validate_trace(path: &str) -> Outcome {
     if binary || records > 0 {
         if let Some(e) = failure {
             let what = if binary { "binary" } else { "JSONL" };
-            return Err(format!("{path}: corrupt {what} trace: {e}"));
+            return Err(format!("{path}: corrupt {what} trace: {e}").into());
         }
         if binary {
             let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
-            println!("{path}: valid binary columnar trace — {records} records ({bytes} bytes)");
+            outln!("{path}: valid binary columnar trace — {records} records ({bytes} bytes)")?;
         } else {
-            println!("{path}: valid JSONL record stream — {records} records");
+            outln!("{path}: valid JSONL record stream — {records} records")?;
         }
         return Ok(true);
     }
@@ -110,10 +155,12 @@ fn validate_trace(path: &str) -> Outcome {
     let doc =
         wavesim_json::Value::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
     let s = wavesim_trace::perfetto::validate(&doc).map_err(|e| format!("{path}: {e}"))?;
-    println!(
+    outln!(
         "{path}: valid Perfetto trace — {} events ({} spans, {} instants)",
-        s.events, s.spans, s.instants
-    );
+        s.events,
+        s.spans,
+        s.instants
+    )?;
     Ok(true)
 }
 
@@ -146,7 +193,7 @@ fn convert_trace(args: &Args) -> Outcome {
     // Creating the output would truncate the input before it is read.
     if resolved(out) == resolved(input) {
         let flag = flags::name("out");
-        return Err(format!("`{flag}` and the input FILE both name {out}"));
+        return Err(format!("`{flag}` and the input FILE both name {out}").into());
     }
     // Stream end to end: the reader decodes the input frame-by-frame, so
     // conversion runs in bounded memory at any capture size.
@@ -190,26 +237,26 @@ fn convert_trace(args: &Args) -> Outcome {
                 let rec = rec?;
                 live.fold(&rec);
                 if let Some(why) = live.refusal() {
-                    return Err(format!("{input}: {why}"));
+                    return Err(format!("{input}: {why}").into());
                 }
                 ring.record(rec);
             }
             let a = live.finish();
-            let counters = wavesim_trace::timeseries::perfetto_counters(&a.series, a.nodes);
+            let counters = series::perfetto_counters(&a.series, a.nodes);
             let doc = wavesim_trace::perfetto::export_with_counters(&ring.snapshot(), counters);
             write_file(out, &doc.compact())?;
             format!("{} of {n} records as Perfetto", ring.len())
         }
     };
     let bytes = std::fs::metadata(out).map_or(0, |m| m.len());
-    println!("converted {input} -> {out}: {what} ({bytes} bytes)");
+    outln!("converted {input} -> {out}: {what} ({bytes} bytes)")?;
     Ok(true)
 }
 
 /// Loads and applies a `--fault-schedule` file onto the run's network,
 /// surfacing mismatches against the chosen topology/`k` (a schedule built
 /// for another network) as clean errors.
-fn apply_fault_inputs(net: &mut WaveNetwork, args: &Args) -> Result<(), String> {
+fn apply_fault_inputs(net: &mut WaveNetwork, args: &Args) -> Result<(), Stop> {
     use wavesim_workloads::trace_io::load_fault_schedule;
     if let Some(path) = &args.fault_schedule {
         let sched = load_file("fault schedule", path, load_fault_schedule)?;
@@ -217,14 +264,15 @@ fn apply_fault_inputs(net: &mut WaveNetwork, args: &Args) -> Result<(), String> 
             .validate(net.topology(), net.config().k)
             .and_then(|()| wavesim_bench::apply_fault_schedule(net, &sched))
             .map_err(|e| format!("fault schedule {path} does not fit this network: {e}"))?;
-        println!("scheduled faults: {path} ({} events)", sched.len());
+        outln!("scheduled faults: {path} ({} events)", sched.len())?;
     }
     Ok(())
 }
 
 /// The observability flags, resolved once for `run` and the experiment
 /// commands alike; [`Observing::observers`] makes one run's set. (The flag
-/// table gives the sampler, metrics page and live analytics to `run` only.)
+/// table gives the time series, metrics page and live analytics to `run`
+/// only.)
 struct Observing<'a> {
     args: &'a Args,
     watch: WatchdogConfig,
@@ -264,8 +312,8 @@ impl<'a> Observing<'a> {
         }
         // The metrics page is the board's final status, so it arms one too.
         let board =
-            (args.live_status || args.serve_metrics.is_some() || args.metrics_out.is_some())
-                .then(|| StatusBoard::new(args.live_status));
+            (args.progress.is_some() || args.serve_metrics.is_some() || args.metrics_out.is_some())
+                .then(|| StatusBoard::new(args.progress));
         if let (Some(addr), Some(board)) = (&args.serve_metrics, &board) {
             let local = wavesim_bench::serve::serve(addr, board.clone())
                 .map_err(|e| format!("`--serve-metrics {addr}`: {e}"))?;
@@ -304,13 +352,8 @@ impl<'a> Observing<'a> {
                 None => c,
             }
         });
-        // --progress doubles as the status cadence and the window width,
-        // so each printed line covers exactly one closed window.
-        let sampler = (a.timeseries_out.is_some() || a.progress.is_some())
-            .then(|| Sampler::new(a.progress.unwrap_or(a.window), a.progress.is_some()));
         Observers {
             capture,
-            sampler,
             watchdog: (self.watch.any() || self.watch.post_mortem.is_some())
                 .then(|| Watchdog::new(self.watch.clone())),
             board: self.board.as_ref().map(StatusBoard::observer),
@@ -318,31 +361,34 @@ impl<'a> Observing<'a> {
     }
 
     /// Prints what the observers of one command's runs left behind —
-    /// watchdog trips, then the files written from the last run's series
-    /// and stream.
-    fn report(&self, observed: &Observed) -> Result<(), String> {
+    /// watchdog trips, then the files written from the last run's stream
+    /// and `timeseries`, the run's rows and node count (`run` only).
+    fn report(
+        &self,
+        observed: &Observed,
+        timeseries: Option<(Vec<WindowRow>, u64)>,
+    ) -> Result<(), Stop> {
         let a = self.args;
         for rep in &observed.reports {
             for t in &rep.trips {
-                println!(
+                outln!(
                     "watchdog: {} tripped at cycle {}: {} > limit {}",
                     t.name(),
                     t.at,
                     t.value,
                     t.limit
-                );
+                )?;
             }
             if let Some(p) = &rep.post_mortem {
-                println!("watchdog: wrote post-mortem bundle: {}", p.display());
+                outln!("watchdog: wrote post-mortem bundle: {}", p.display())?;
             }
             if rep.aborted {
-                println!("watchdog: run aborted");
+                outln!("watchdog: run aborted")?;
             }
         }
-        if let (Some(series), Some(path)) = (&observed.series, &a.timeseries_out) {
-            let csv = wavesim_trace::timeseries::to_csv(&series.rows, series.nodes);
-            write_file(path, &csv)?;
-            println!("wrote time series: {path} ({} windows)", series.rows.len());
+        if let (Some((rows, nodes)), Some(path)) = (timeseries, &a.timeseries_out) {
+            write_file(path, &series::to_csv(&rows, nodes))?;
+            outln!("wrote time series: {path} ({} windows)", rows.len())?;
         }
         let Some(path) = &a.trace_bin else {
             return Ok(());
@@ -357,15 +403,16 @@ impl<'a> Observing<'a> {
             return Ok(());
         };
         if let Some(e) = &t.stream_error {
-            return Err(format!("trace capture: {e}"));
+            return Err(format!("trace capture: {e}").into());
         }
         if a.trace_sample > 1 {
-            println!(
+            outln!(
                 "wrote binary stream: {path} ({} records emitted, bulk kinds sampled 1-in-{})",
-                t.total, a.trace_sample
-            );
+                t.total,
+                a.trace_sample
+            )?;
         } else {
-            println!("wrote binary stream: {path} ({} records)", t.total);
+            outln!("wrote binary stream: {path} ({} records)", t.total)?;
         }
         Ok(())
     }
@@ -424,12 +471,20 @@ fn custom_run(args: &Args) -> Outcome {
                 m.msg.src.0.max(m.msg.dest.0),
                 args.side,
                 args.side,
-            ));
+            )
+            .into());
         }
     }
     let warmup = args.cycles / 5;
     let observing = Observing::new(args)?;
     let mut obs = observing.observers(true);
+    // The run's folds see every record, whatever --trace-sample keeps of
+    // the file. The series has its own fold, which forgets each message
+    // at its delivery: the report's keeps every span.
+    let mut tee = |sink: Box<dyn TraceSink>| {
+        let capture = obs.capture.take().unwrap_or_else(|| Capture::new(None));
+        obs.capture = Some(capture.tee(sink));
+    };
     let live_handle = args.live_analyze.then(|| {
         let (handle, sink) = wavesim_analyze::live_sink(wavesim_analyze::AnalyzeOptions {
             window: args.window,
@@ -437,8 +492,13 @@ fn custom_run(args: &Args) -> Outcome {
             nodes: None,
             sample_factor: 1,
         });
-        let capture = obs.capture.take().unwrap_or_else(|| Capture::new(None));
-        obs.capture = Some(capture.tee(Box::new(sink)));
+        tee(Box::new(sink));
+        handle
+    });
+    let series_handle = args.timeseries_out.as_ref().map(|_| {
+        let nodes = u64::from(topo.num_nodes());
+        let (handle, sink) = wavesim_analyze::fold_sink(RunSeries::new(args.window, nodes));
+        tee(Box::new(sink));
         handle
     });
     let outcome = if let Some(trace) = &replay {
@@ -492,7 +552,18 @@ fn custom_run(args: &Args) -> Outcome {
     };
     let mut observed = Observed::default();
     observed.push(obs);
-    observing.report(&observed)?;
+    let analysis = live_handle
+        .map(|handle| {
+            wavesim_analyze::take_analysis(&handle).ok_or("live analytics produced no analysis")
+        })
+        .transpose()?;
+    let timeseries = series_handle
+        .map(|handle| {
+            let fold = wavesim_analyze::take_fold(&handle).ok_or("the time series was not folded");
+            fold.map(RunSeries::finish)
+        })
+        .transpose()?;
+    observing.report(&observed, timeseries)?;
     let status = observing.board.as_ref().and_then(StatusBoard::snapshot);
     if let (Some(path), Some(status)) = (&args.metrics_out, &status) {
         use wavesim_bench::metrics::{metrics_page, run_gauges, service_gauges};
@@ -501,7 +572,7 @@ fn custom_run(args: &Args) -> Outcome {
             RunOutcome::Service(r) => service_gauges(r).to_vec(),
         };
         write_file(path, &metrics_page("wavesim_", status, &outcome))?;
-        println!("wrote metrics: {path}");
+        outln!("wrote metrics: {path}")?;
     }
     let mode = if let Some(path) = &args.replay_trace {
         format!("replay of {path}")
@@ -510,85 +581,96 @@ fn custom_run(args: &Args) -> Outcome {
     } else {
         "single run".to_string()
     };
-    println!(
+    outln!(
         "{mode}: {:?} on {}x{} {}",
         args.protocol,
         args.side,
         args.side,
         if args.torus { "torus" } else { "mesh" }
-    );
+    )?;
     let (s, ok) = match &outcome {
         RunOutcome::Flat(r) => {
             if let Some(trace) = &replay {
-                println!(
+                outln!(
                     "  trace            : {} messages, {} roots, horizon {}",
                     trace.len(),
                     trace.num_roots(),
                     trace.horizon()
-                );
+                )?;
             } else {
-                println!(
+                outln!(
                     "  offered load     : {} flits/node/cycle (len {} flits, locality {})",
-                    args.load, args.len, args.locality
-                );
+                    args.load,
+                    args.len,
+                    args.locality
+                )?;
             }
-            println!("  sent / delivered : {} / {}", r.sent, r.delivered);
-            println!(
+            outln!("  sent / delivered : {} / {}", r.sent, r.delivered)?;
+            outln!(
                 "  avg latency      : {:.1} cycles (p99 <= {})",
-                r.avg_latency, r.p99_latency
-            );
+                r.avg_latency,
+                r.p99_latency
+            )?;
             if replay.is_some() {
-                println!("  makespan         : {} cycles", r.end);
+                outln!("  makespan         : {} cycles", r.end)?;
             } else {
-                println!("  accepted thpt    : {:.3} flits/node/cycle", r.throughput);
+                outln!("  accepted thpt    : {:.3} flits/node/cycle", r.throughput)?;
             }
-            println!("  circuit fraction : {:.1}%", r.circuit_fraction * 100.0);
+            outln!("  circuit fraction : {:.1}%", r.circuit_fraction * 100.0)?;
             (r.wave, r.clean())
         }
         RunOutcome::Service(r) => {
-            println!(
+            outln!(
                 "  requests         : {} issued / {} completed ({} clients retired)",
-                r.requests, r.completed, r.retired
-            );
-            println!(
+                r.requests,
+                r.completed,
+                r.retired
+            )?;
+            outln!(
                 "  avg round trip   : {:.1} cycles (p99 <= {})",
-                r.avg_round_trip, r.p99_round_trip
-            );
+                r.avg_round_trip,
+                r.p99_round_trip
+            )?;
             (
                 r.wave,
                 r.drained && !r.stalled && (r.completed > 0 || r.requests == 0),
             )
         }
     };
-    println!(
+    outln!(
         "  probes {} (ok {} / exhausted {}), backtracks {}, misroutes {}",
-        s.probes_sent, s.probes_reached, s.probes_exhausted, s.probe_backtracks, s.probe_misroutes
-    );
-    println!(
+        s.probes_sent,
+        s.probes_reached,
+        s.probes_exhausted,
+        s.probe_backtracks,
+        s.probe_misroutes
+    )?;
+    outln!(
         "  cache hits {} / misses {} / evictions {}; forced releases {} local + {} remote",
         s.cache_hits,
         s.cache_misses,
         s.cache_evictions,
         s.forced_local_releases,
         s.forced_remote_releases
-    );
+    )?;
     if args.fault_schedule.is_some() {
-        println!(
+        outln!(
             "  faults: {} lane failures, {} repairs; {} circuits broken, {} retries",
-            s.lane_faults, s.lane_repairs, s.circuits_broken, s.establish_retries
-        );
+            s.lane_faults,
+            s.lane_repairs,
+            s.circuits_broken,
+            s.establish_retries
+        )?;
     }
     let ok = ok && !watchdog_aborted(&observed);
-    println!(
+    outln!(
         "  verdict          : {}",
         if ok { "CLEAN" } else { "CHECK FAILED" }
-    );
-    if let Some(handle) = &live_handle {
-        let a =
-            wavesim_analyze::take_analysis(handle).ok_or("live analytics produced no analysis")?;
-        println!();
-        println!("live analytics (folded during the run):");
-        print!("{}", wavesim_analyze::report::render(&a));
+    )?;
+    if let Some(a) = analysis.filter(|_| args.live_analyze) {
+        outln!()?;
+        outln!("live analytics (folded during the run):")?;
+        out!("{}", wavesim_analyze::report::render(&a))?;
     }
     Ok(ok)
 }
@@ -622,12 +704,12 @@ fn gen_trace_cmd(args: &Args) -> Outcome {
         wavesim_workloads::trace_io::save_dep_trace(&trace, file)
     }
     .map_err(|e| cannot_write(out, e))?;
-    println!(
+    outln!(
         "wrote {which} trace: {out} ({} messages, {} roots, horizon {})",
         trace.len(),
         trace.num_roots(),
         trace.horizon()
-    );
+    )?;
     Ok(true)
 }
 
@@ -652,7 +734,7 @@ fn analyze_cmd(args: &Args) -> Outcome {
     while let Some(rec) = reader.next_record() {
         live.fold(&rec.map_err(|e| format!("{path}: {e}"))?);
         if let Some(why) = live.refusal() {
-            return Err(format!("{path}: {why}"));
+            return Err(format!("{path}: {why}").into());
         }
     }
     let analysis = live.finish();
@@ -660,22 +742,22 @@ fn analyze_cmd(args: &Args) -> Outcome {
     match &args.report_out {
         Some(out) => {
             write_file(out, &report)?;
-            println!("wrote report: {out}");
+            outln!("wrote report: {out}")?;
         }
-        None => print!("{report}"),
+        None => out!("{report}")?,
     }
     if let Some(out) = &args.json_out {
         let doc = wavesim_analyze::report::to_json(&analysis);
         write_file(out, &doc.pretty())?;
-        println!("wrote analysis JSON: {out}");
+        outln!("wrote analysis JSON: {out}")?;
     }
     if let Some(out) = &args.timeseries_csv {
-        let csv = wavesim_trace::timeseries::to_csv(&analysis.series, analysis.nodes);
+        let csv = series::to_csv(&analysis.series, analysis.nodes);
         write_file(out, &csv)?;
-        println!(
+        outln!(
             "wrote time series: {out} ({} windows)",
             analysis.series.len()
-        );
+        )?;
     }
     Ok(true)
 }
@@ -686,15 +768,15 @@ fn run_experiments(ids: &[&str], args: &Args) -> Outcome {
     let ctx = experiments::Ctx::observed(args.scale, args.jobs, &factory);
     for table in experiments::run_all(ids, &ctx) {
         if args.json {
-            println!("{}", table.to_json().pretty());
+            outln!("{}", table.to_json().pretty())?;
         } else {
-            table.print();
+            outln!("{}", table.render())?;
         }
     }
     // Experiments drive many runs; what gets exported is the last one (for
     // sweeps the highest point — the most loaded, most interesting trace).
     let observed = ctx.into_observed();
-    observing.report(&observed)?;
+    observing.report(&observed, None)?;
     Ok(!watchdog_aborted(&observed))
 }
 
@@ -765,15 +847,15 @@ fn report_counterexample(
     spec: &wavesim_model::ModelSpec,
     cx: &wavesim_model::Counterexample,
     path: Option<&String>,
-) -> Result<(), String> {
-    println!("shrunk schedule ({} actions):", cx.schedule.len());
-    print!("{}", cx.render());
+) -> Result<(), Stop> {
+    outln!("shrunk schedule ({} actions):", cx.schedule.len())?;
+    out!("{}", cx.render())?;
     let Some(path) = path else {
         return Ok(());
     };
     let rep = wavesim_model::replay_schedule(spec, &cx.schedule);
     std::fs::write(path, rep.columnar()).map_err(|e| cannot_write(path, e))?;
-    println!(
+    outln!(
         "wrote counterexample replay trace: {path} ({} records; real network {})",
         rep.records.len(),
         if rep.survived() {
@@ -781,7 +863,7 @@ fn report_counterexample(
         } else {
             "reproduces the failure"
         }
-    );
+    )?;
     Ok(())
 }
 
@@ -804,13 +886,16 @@ fn describe_spec(spec: &wavesim_model::ModelSpec) -> String {
 /// (nonzero exit) on violation or an exhausted state budget.
 fn model_check(args: &Args) -> Outcome {
     let spec = model_spec(args)?;
-    println!("exhaustive model check: {}", describe_spec(&spec));
+    outln!("exhaustive model check: {}", describe_spec(&spec))?;
     let out = wavesim_model::check(&spec, args.max_states);
-    println!(
+    outln!(
         "explored {} states / {} transitions, depth {}, {} wait-graphs checked",
-        out.states, out.transitions, out.depth, out.wait_checked
-    );
-    println!("{}", out.verdict());
+        out.states,
+        out.transitions,
+        out.depth,
+        out.wait_checked
+    )?;
+    outln!("{}", out.verdict())?;
     if let Some(cx) = &out.violation {
         let cx = wavesim_model::shrink(&spec, cx);
         report_counterexample(&spec, &cx, args.counterexample.as_ref())?;
@@ -823,7 +908,7 @@ fn model_check(args: &Args) -> Outcome {
 /// violation.
 fn fuzz_cmd(args: &Args) -> Outcome {
     let spec = model_spec(args)?;
-    println!("schedule fuzz: {}", describe_spec(&spec));
+    outln!("schedule fuzz: {}", describe_spec(&spec))?;
     let cfg = wavesim_model::FuzzConfig {
         seed: args.seed,
         runs: args.runs,
@@ -831,9 +916,9 @@ fn fuzz_cmd(args: &Args) -> Outcome {
         fault_churn: !args.fault,
     };
     let out = wavesim_model::fuzz(&spec, &cfg);
-    println!("{}", out.verdict());
+    outln!("{}", out.verdict())?;
     if let Some((variant, cx)) = &out.violation {
-        println!("violating variant: {}", describe_spec(variant));
+        outln!("violating variant: {}", describe_spec(variant))?;
         report_counterexample(variant, cx, args.counterexample.as_ref())?;
         return Ok(false);
     }
@@ -844,7 +929,8 @@ fn static_checks(side: u16) -> Outcome {
     if side < 3 {
         return Err(format!(
             "`check` certifies torus routing too, which needs `--side` >= 3, got {side}"
-        ));
+        )
+        .into());
     }
     let mut ok = true;
     let cases = [
@@ -858,13 +944,13 @@ fn static_checks(side: u16) -> Outcome {
         ("mesh, Duato adaptive", false, RoutingKind::Adaptive, 3),
         ("torus, Duato adaptive", true, RoutingKind::Adaptive, 3),
     ];
-    println!("static channel-dependency-graph checks (paper §4 grounding):");
+    outln!("static channel-dependency-graph checks (paper §4 grounding):")?;
     for (what, torus, kind, w) in cases {
         let name = format!("{side}x{side} {what}");
         let topo = square(torus, side)?;
         let routing = kind.build(&topo, w);
         let rep = check_deadlock_freedom(&topo, routing.as_ref());
-        println!(
+        outln!(
             "  {name:<40} mode={:?} vertices={} edges={} -> {}",
             rep.mode,
             rep.vertices,
@@ -875,34 +961,34 @@ fn static_checks(side: u16) -> Outcome {
                 ok = false;
                 "CYCLE FOUND"
             }
-        );
+        )?;
     }
     Ok(ok)
 }
 
 fn info() -> Outcome {
     let cfg = WaveConfig::default();
-    println!("wavesim — wave switching (Duato/Lopez/Yalamanchili, IPPS'97) reproduction");
-    println!("default configuration:");
-    println!("  wave switches per router (k) : {}", cfg.k);
-    println!("  wave clock multiplier (alpha): {}", cfg.clock_multiplier);
-    println!("  channel split (sigma)        : {}", cfg.channel_split);
-    println!(
+    outln!("wavesim — wave switching (Duato/Lopez/Yalamanchili, IPPS'97) reproduction")?;
+    outln!("default configuration:")?;
+    outln!("  wave switches per router (k) : {}", cfg.k)?;
+    outln!("  wave clock multiplier (alpha): {}", cfg.clock_multiplier)?;
+    outln!("  channel split (sigma)        : {}", cfg.channel_split)?;
+    outln!(
         "  per-circuit lane bandwidth   : {}/{} flits/cycle",
         cfg.lane_rate().0,
         cfg.lane_rate().1
-    );
-    println!("  windowing window             : {} flits", cfg.window);
-    println!("  MB-m misroute budget (m)     : {}", cfg.misroutes);
-    println!("  circuit cache entries/node   : {}", cfg.cache_capacity);
-    println!("  replacement policy           : {:?}", cfg.replacement);
-    println!("  wormhole VCs per link (w)    : {}", cfg.wormhole.w);
-    println!(
+    )?;
+    outln!("  windowing window             : {} flits", cfg.window)?;
+    outln!("  MB-m misroute budget (m)     : {}", cfg.misroutes)?;
+    outln!("  circuit cache entries/node   : {}", cfg.cache_capacity)?;
+    outln!("  replacement policy           : {:?}", cfg.replacement)?;
+    outln!("  wormhole VCs per link (w)    : {}", cfg.wormhole.w)?;
+    outln!(
         "  wormhole buffer depth        : {}",
         cfg.wormhole.buffer_depth
-    );
-    println!();
-    println!("experiments: {}", experiments::all_ids().join(", "));
+    )?;
+    outln!()?;
+    outln!("experiments: {}", experiments::all_ids().join(", "))?;
     Ok(true)
 }
 
@@ -926,17 +1012,15 @@ fn main() -> ExitCode {
         Cmd::Check => static_checks(args.side),
         Cmd::Fuzz => fuzz_cmd(&args),
         Cmd::Info => info(),
-        Cmd::Help => {
-            print!("{}", flags::help(&args.word));
-            Ok(true)
-        }
+        Cmd::Help => out!("{}", flags::help(&args.word)).map(|()| true),
     };
     match outcome {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
-        Err(e) => {
+        Err(Stop::Failed(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+        Err(Stop::Closed) => ExitCode::from(CLOSED),
     }
 }

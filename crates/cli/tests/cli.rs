@@ -782,3 +782,85 @@ fn observed_sweep_is_byte_identical_across_jobs() {
     assert!(bin1 == bin2, "--trace-bin differs across --jobs");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `wavesim args`, reads the first line of its stdout and closes the
+/// pipe; returns that line, the exit code and stderr.
+fn first_line_then_close(args: &[&str]) -> (String, Option<i32>, String) {
+    use std::io::BufRead;
+    let mut child = wavesim()
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("one line");
+    drop(stdout);
+    let out = child.wait_with_output().expect("exits");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    (line, out.status.code(), err)
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("wavesim-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let capture = dir.join("run.wstrace");
+    let capture = capture.to_str().unwrap();
+    // Both print far more than a pipe buffers (160 kB of flow and lane
+    // rows), so each is still writing when the reader goes away.
+    let run = [
+        "run",
+        "--side",
+        "16",
+        "--cycles",
+        "1000",
+        "--live-analyze",
+        "--top",
+        "100000",
+        "--trace-bin",
+        capture,
+    ];
+    let analyze = ["analyze", "--trace", capture, "--top", "100000"];
+    for (args, first) in [(&run[..], "wrote binary stream: "), (&analyze, "== A1: ")] {
+        let (line, code, err) = first_line_then_close(args);
+        assert!(line.starts_with(first), "{args:?}: {line}");
+        assert_eq!(code, Some(141), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn progress_prints_the_live_line_and_leaves_stdout_alone() {
+    let run = |extra: &[&str]| {
+        let out = wavesim()
+            .args(["run", "--side", "4", "--cycles", "3000"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (out.stdout, String::from_utf8(out.stderr).unwrap())
+    };
+    let (plain, quiet) = run(&[]);
+    let (shown, err) = run(&["--progress", "500"]);
+    assert!(quiet.is_empty(), "{quiet}");
+    assert!(err.matches("[wavesim live] cycle").count() >= 3, "{err}");
+    assert!(plain == shown, "--progress changed stdout");
+    // The status board prints the one progress line; its old switch is gone.
+    let out = wavesim()
+        .args(["run", "--side", "4", "--live-status"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.starts_with("error: unknown argument `--live-status` for `run`"),
+        "{err}"
+    );
+}

@@ -338,7 +338,7 @@ impl WaveNetwork {
 
     /// Routers currently doing work, across planes: the wormhole fabric's
     /// active set plus source nodes with a circuit in use or queued
-    /// (time-series sampler hook; a node busy in both planes counts in
+    /// (the health snapshot's gauge; a node busy in both planes counts in
     /// each). Both planes keep their active sets incrementally; the read
     /// is a popcount over the fabric's active bitset (one word per 64
     /// routers) plus the circuit plane's counter.
@@ -348,8 +348,8 @@ impl WaveNetwork {
     }
 
     /// Deliveries completed but not yet drained (read-only peek — the
-    /// time-series sampler observes them between `tick` and the driver's
-    /// drain without perturbing the run).
+    /// status board observes them between `tick` and the driver's drain
+    /// without perturbing the run).
     #[must_use]
     pub fn pending_deliveries(&self) -> &[Delivery] {
         &self.deliveries

@@ -345,7 +345,7 @@ impl WormholeFabric {
 
     /// Routers currently in the active set (a popcount over the active
     /// bitset — the instantaneous "how much of the network is working"
-    /// gauge the time-series sampler reads each cycle).
+    /// gauge the status board publishes).
     #[must_use]
     pub fn active_routers(&self) -> u64 {
         self.active.count() as u64

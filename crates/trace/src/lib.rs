@@ -48,14 +48,12 @@ pub mod postmortem;
 pub mod recorder;
 mod schema;
 pub mod stream;
-pub mod timeseries;
 
 pub use recorder::{FlightRecorder, VecSink};
 #[doc(hidden)]
 pub use schema::every_event;
 pub use schema::{PlaneId, TraceEvent};
 pub use stream::{read_columnar, read_trace, ColumnarSink, TraceFormat};
-pub use timeseries::{WindowRow, WindowSeries};
 
 use wavesim_sim::Cycle;
 

@@ -361,10 +361,9 @@ pub fn export(records: &[TraceRecord]) -> Value {
 }
 
 /// [`export`], plus pre-built counter-track events (`ph: "C"`) appended
-/// after the event stream — the windowed time-series sampler renders its
-/// per-window metrics this way so traces open with overlay graphs (see
-/// [`crate::timeseries::perfetto_counters`]). Counter events live under a
-/// dedicated pid-0 "run metrics" process.
+/// after the event stream — `wavesim-analyze` renders a capture's windowed
+/// series this way, so traces open with overlay graphs. Counter events
+/// live under a dedicated pid-0 "run metrics" process.
 #[must_use]
 pub fn export_with_counters(records: &[TraceRecord], counters: Vec<Value>) -> Value {
     let mut events: Vec<Value> = Vec::new();

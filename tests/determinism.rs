@@ -172,17 +172,18 @@ fn every_table_is_identical_across_job_counts() {
 }
 
 /// The observer seam costs no determinism: the whole E-series under a
-/// full observer set — flight-recorder ring, binary stream, sampler,
-/// watchdog — yields the same tables, the same exported Perfetto
-/// document, the same stream bytes and the same watchdog reports at
+/// full observer set — flight-recorder ring, binary stream, watchdog —
+/// yields the same tables, the same exported Perfetto document (counter
+/// tracks from the kept run's series), the same stream bytes and the
+/// same watchdog reports at
 /// `--jobs 1` and `--jobs 2`, because every run carries its own observers
 /// onto whichever worker runs it. And only one capture survives the
 /// sweep: the last row's.
 #[test]
 fn observed_e11_sweep_is_identical_across_job_counts() {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use wavesim::trace::{perfetto, timeseries};
-    use wavesim_bench::timeseries::Sampler;
+    use wavesim::trace::perfetto;
+    use wavesim_analyze::{analyze, series, AnalyzeOptions};
     use wavesim_bench::tracecap::Capture;
     use wavesim_bench::watchdog::{Watchdog, WatchdogConfig};
     use wavesim_bench::Observers;
@@ -209,7 +210,6 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
             }
             Observers {
                 capture: Some(capture),
-                sampler: Some(Sampler::new(500, false)),
                 // Tight enough to trip (without aborting) in the sparse
                 // low-load runs, so the reports are not vacuous.
                 watchdog: Some(Watchdog::new(WatchdogConfig {
@@ -230,14 +230,19 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
         assert_eq!(exported_runs.load(Ordering::Relaxed), 1);
         let trace = observed.trace.as_ref().expect("the last run's capture");
         assert!(trace.stream_error.is_none(), "{:?}", trace.stream_error);
-        let series = observed.series.as_ref().expect("the last run's series");
-        let counters = timeseries::perfetto_counters(&series.rows, series.nodes);
-        let perfetto = perfetto::export_with_counters(&trace.records, counters).compact();
         let stream = std::fs::read(&path).expect("stream written");
         std::fs::remove_file(&path).ok();
         // The file holds the kept run, whole.
         let streamed = wavesim::trace::read_columnar(&stream).expect("decode");
         assert_eq!(streamed.len() as u64, trace.total);
+        let window = AnalyzeOptions {
+            window: 500,
+            ..AnalyzeOptions::default()
+        };
+        let a = analyze(&streamed, window);
+        assert!(!a.series.is_empty());
+        let counters = series::perfetto_counters(&a.series, a.nodes);
+        let perfetto = perfetto::export_with_counters(&trace.records, counters).compact();
         let rows: Vec<_> = tables.into_iter().map(|t| t.rows).collect();
         (rows, perfetto, stream, observed)
     };

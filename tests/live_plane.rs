@@ -13,12 +13,13 @@ use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim::network::Message;
 use wavesim::sim::stats::Histogram;
 use wavesim::topology::{NodeId, Topology};
-use wavesim::trace::timeseries::{WindowRow, WindowSeries};
-use wavesim::trace::TraceRecord;
+use wavesim::trace::{TraceEvent, TraceRecord};
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
-use wavesim_analyze::{analyze, report, take_analysis, AnalyzeOptions};
+use wavesim_analyze::series::{self, WindowSeries};
+use wavesim_analyze::{
+    analyze, fold_sink, report, take_analysis, take_fold, AnalyzeOptions, RunSeries,
+};
 use wavesim_bench::livestate::StatusBoard;
-use wavesim_bench::timeseries::Sampler;
 use wavesim_bench::tracecap::Capture;
 use wavesim_bench::watchdog::{Watchdog, WatchdogConfig};
 use wavesim_bench::{run_open_loop_observed, run_scripted, serve, Observers, RunObserver, RunSpec};
@@ -85,7 +86,7 @@ fn captured_run(
 
 #[test]
 fn armed_board_publishes_consistent_vitals() {
-    let board = StatusBoard::new(false);
+    let board = StatusBoard::new(None);
     assert!(board.snapshot().is_none(), "nothing published yet");
     let r = drive_workload(11, &mut board.observer());
     let status = board.snapshot().expect("the run published");
@@ -98,14 +99,14 @@ fn armed_board_publishes_consistent_vitals() {
     assert!(status.cycles_per_sec > 0.0);
     assert!((0.0..=1.0).contains(&status.stats.hit_rate()));
     assert!(
-        StatusBoard::new(false).snapshot().is_none(),
+        StatusBoard::new(None).snapshot().is_none(),
         "another board saw nothing"
     );
 }
 
 #[test]
 fn endpoint_serves_armed_board_over_http() {
-    let board = StatusBoard::new(false);
+    let board = StatusBoard::new(None);
     let r = drive_workload(12, &mut board.observer());
     let addr = serve::serve("127.0.0.1:0", board).expect("bind");
     let get = |path: &str| {
@@ -164,13 +165,13 @@ fn live_fold_matches_offline_analyze() {
     );
 }
 
-/// The live `Sampler` and `analyze` over an unsampled capture of the same
-/// run write the same time series, column for column, except
-/// `active_routers`: live it is `WaveNetwork::active_routers()` (routers
-/// with fabric work plus sources with circuit work), offline the nodes a
-/// cycle's records name.
+/// A run's time series is its own fold of the records, a [`RunSeries`]
+/// folded as they are emitted with the node count the run knows (what
+/// `run --timeseries-out` writes): `analyze` over a capture of the same
+/// run, inferring the node count, writes the same series, column for
+/// column.
 #[test]
-fn sampled_series_equals_the_offline_series_but_active_routers() {
+fn the_run_series_is_the_capture_series() {
     let topo = Topology::mesh(&[8, 8]);
     let mut net = WaveNetwork::new(topo.clone(), WaveConfig::default());
     let mut src = TrafficSource::new(
@@ -186,42 +187,34 @@ fn sampled_series_equals_the_offline_series_but_active_routers() {
             stop_at: u64::MAX,
         },
     );
+    let (handle, fold) = fold_sink(RunSeries::new(1000, 64));
     let mut obs = Observers {
-        capture: Some(Capture::new(Some(1 << 20))),
-        sampler: Some(Sampler::new(1000, false)),
+        capture: Some(Capture::new(Some(1 << 20)).tee(Box::new(fold))),
         ..Observers::default()
     };
     let r = run_open_loop_observed(&mut net, &mut src, RunSpec::standard(600, 3000), &mut obs);
     assert!(r.clean(), "{r:?}");
     let trace = obs.capture.and_then(Capture::into_trace).expect("captured");
     assert_eq!(trace.dropped, 0, "ring must hold the whole run");
-    let live = obs.sampler.and_then(Sampler::into_series).expect("sampled");
-    let offline = analyze(
-        &trace.records,
-        AnalyzeOptions {
-            window: 1000,
-            nodes: Some(64),
-            ..AnalyzeOptions::default()
-        },
+    let (rows, nodes) = take_fold(&handle).expect("folded").finish();
+    let capture = analyze(&trace.records, AnalyzeOptions::default());
+    assert_eq!((nodes, capture.nodes), (64, 64));
+    assert!(rows.len() >= 3, "{rows:?}");
+    assert_eq!(rows, capture.series);
+    assert_eq!(
+        series::to_csv(&rows, nodes),
+        series::to_csv(&capture.series, capture.nodes)
     );
-    assert_eq!((live.nodes, offline.nodes), (64, 64));
-    let but_active = |rows: &[WindowRow]| -> Vec<WindowRow> {
-        let blank = |r: &WindowRow| WindowRow {
-            active_routers: 0,
-            ..r.clone()
-        };
-        rows.iter().map(blank).collect()
-    };
-    assert!(live.rows.len() >= 3, "{:?}", live.rows);
-    assert_eq!(but_active(&live.rows), but_active(&offline.series));
+    assert_eq!(rows.last().map(|w| w.end), Some(r.end));
 }
 
 #[test]
 fn fully_armed_plane_leaves_the_run_untouched() {
     let (baseline, _, base_records, _) = captured_run(31, false, Observers::default());
-    // Everything at once: board, echo off, generous watchdog, live fold.
+    // Everything at once: board (no progress line), generous watchdog,
+    // live fold.
     // The run result and the captured record stream must not move.
-    let board = StatusBoard::new(false);
+    let board = StatusBoard::new(None);
     let plane = Observers {
         watchdog: Some(Watchdog::new(WatchdogConfig {
             stall_cycles: Some(1_000_000),
@@ -243,9 +236,9 @@ fn fully_armed_plane_leaves_the_run_untouched() {
 }
 
 #[test]
-fn watchdog_abort_truncates_the_sampled_series_at_the_trip() {
+fn watchdog_abort_truncates_the_run_series_at_the_trip() {
     // One long wormhole message and a 16-cycle stall SLO: the first
-    // 64-cycle observation trips and aborts, mid-window for the sampler.
+    // 64-cycle observation trips and aborts, mid-window for the series.
     let mut net = WaveNetwork::new(
         Topology::mesh(&[4, 4]),
         WaveConfig {
@@ -254,8 +247,9 @@ fn watchdog_abort_truncates_the_sampled_series_at_the_trip() {
         },
     );
     let script = [(0u64, Message::new(1, NodeId(0), NodeId(15), 512, 0))];
+    let (handle, fold) = fold_sink(RunSeries::new(1000, 16));
     let mut obs = Observers {
-        sampler: Some(Sampler::new(1000, false)),
+        capture: Some(Capture::new(None).tee(Box::new(fold))),
         watchdog: Some(Watchdog::new(WatchdogConfig {
             stall_cycles: Some(16),
             abort: true,
@@ -266,10 +260,10 @@ fn watchdog_abort_truncates_the_sampled_series_at_the_trip() {
     let r = run_scripted(&mut net, &script, RunSpec::standard(0, 100), &mut obs);
     assert!(obs.watchdog.expect("set above").into_report().aborted);
     assert!(r.stalled && !r.clean());
-    let series = obs.sampler.and_then(Sampler::into_series).expect("sampled");
+    let (series, _) = take_fold(&handle).expect("folded").finish();
     // The final (partial) window ends at the abort cycle, not at the
     // window boundary — early aborts never fabricate a full window.
-    let last = series.rows.last().expect("at least one window");
+    let last = series.last().expect("at least one window");
     assert_eq!(last.end, r.end, "{last:?}");
     assert!(!last.end.is_multiple_of(1000), "abort lands mid-window");
     assert!(last.end < 1000, "tripped at the first 64-cycle observation");
@@ -319,13 +313,36 @@ fn histogram_merge_is_order_independent_across_shards() {
 #[test]
 fn window_series_keeps_real_end_when_cut_mid_window() {
     // Direct WindowSeries check mirroring the watchdog-abort test above:
-    // deliveries land in windows [0,100) and [100,200), then the run is
-    // cut at 137 — the trailing window must report its true extent.
-    let mut s = WindowSeries::new(100, 16);
-    s.record_delivery(40, 12, 8);
-    s.record_delivery(110, 20, 8);
-    s.record_delivery(130, 25, 8);
-    let rows = s.finish(137);
+    // deliveries land in windows [0,100) and [100,200), then the records
+    // stop at cycle 136 — the trailing window must report its true extent.
+    let mut s = WindowSeries::new(100, Some(16));
+    let deliver = |latency| TraceEvent::WormholeDeliver {
+        msg: 1,
+        src: 0,
+        dest: 15,
+        latency,
+    };
+    for (seq, (at, latency)) in [(40, 12), (110, 20), (130, 25)].into_iter().enumerate() {
+        let ev = deliver(latency);
+        s.fold(
+            &TraceRecord {
+                at,
+                seq: seq as u64,
+                ev,
+            },
+            8,
+        );
+    }
+    let quiet = TraceEvent::CircuitReleased { circuit: 1 };
+    s.fold(
+        &TraceRecord {
+            at: 136,
+            seq: 3,
+            ev: quiet,
+        },
+        0,
+    );
+    let (rows, _) = s.finish();
     assert_eq!(rows.len(), 2);
     assert_eq!((rows[0].start, rows[0].end), (0, 100));
     assert_eq!(rows[0].delivered, 1);
