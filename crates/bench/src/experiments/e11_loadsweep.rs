@@ -12,7 +12,8 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::experiments::{rows_of, Ctx, Experiment};
+use crate::experiments::{Ctx, Experiment, Row};
+use crate::runner::RunResult;
 use crate::table::{f2, f3};
 
 /// E11: one row per offered load.
@@ -27,19 +28,18 @@ pub const E11: Experiment = Experiment {
         "wave accepted",
     ],
     rows: |scale| {
-        rows_of(
-            scale.sweep(&[0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.2]),
-            load_row,
-        )
+        let loads = scale.sweep(&[0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.2]);
+        loads.into_iter().map(load_row).collect()
     },
 };
 
-fn load_row(ctx: &Ctx, &load: &f64) -> Vec<String> {
-    let pattern = TrafficPattern::HotPairs {
-        partners: 3,
-        locality: 0.7,
-    };
-    let go = |protocol: ProtocolKind| {
+/// Wormhole and CLRP each under `load` of hot-pair traffic.
+fn load_row(load: f64) -> Row {
+    let run = move |ctx: &Ctx, &protocol: &ProtocolKind| {
+        let pattern = TrafficPattern::HotPairs {
+            partners: 3,
+            locality: 0.7,
+        };
         let cfg = WaveConfig {
             protocol,
             ..WaveConfig::default()
@@ -47,15 +47,16 @@ fn load_row(ctx: &Ctx, &load: &f64) -> Vec<String> {
         let mut net = crate::experiments::net_with(ctx.scale.side, cfg);
         ctx.open_loop(&mut net, load, pattern, LengthDist::Fixed(64), 131)
     };
-    let wh = go(ProtocolKind::WormholeOnly);
-    let wv = go(ProtocolKind::Clrp);
-    vec![
-        f2(load),
-        f2(wh.avg_latency),
-        f3(wh.throughput),
-        f2(wv.avg_latency),
-        f3(wv.throughput),
-    ]
+    let cells = move |[wh, wv]: [RunResult; 2]| {
+        vec![
+            f2(load),
+            f2(wh.avg_latency),
+            f3(wh.throughput),
+            f2(wv.avg_latency),
+            f3(wv.throughput),
+        ]
+    };
+    Row::new([ProtocolKind::WormholeOnly, ProtocolKind::Clrp], run, cells)
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{ServiceConfig, ServiceWorkload};
 
-use crate::experiments::{rows_of, Ctx, Experiment};
-use crate::runner::{run_service, RunSpec};
+use crate::experiments::{Ctx, Experiment, Row};
+use crate::runner::{run_service, RunSpec, ServiceResult};
 use crate::table::{f2, pct};
 
 /// Outstanding remote accesses allowed per node.
@@ -38,12 +38,16 @@ pub const E13: Experiment = Experiment {
         "CLRP hit rate",
         "completed",
     ],
-    rows: |scale| rows_of(scale.sweep(&[0.0, 0.5, 0.9]), locality_row),
+    rows: |scale| {
+        let localities = scale.sweep(&[0.0, 0.5, 0.9]);
+        localities.into_iter().map(locality_row).collect()
+    },
 };
 
-fn locality_row(ctx: &Ctx, &loc: &f64) -> Vec<String> {
-    let spec = RunSpec::standard(ctx.scale.warmup, ctx.scale.measure);
-    let go = |protocol: ProtocolKind| {
+/// Wormhole and CLRP each serve the remote accesses at home locality `loc`.
+fn locality_row(loc: f64) -> Row {
+    let run = move |ctx: &Ctx, &protocol: &ProtocolKind| {
+        let spec = RunSpec::standard(ctx.scale.warmup, ctx.scale.measure);
         let cfg = WaveConfig {
             protocol,
             ..WaveConfig::default()
@@ -65,16 +69,17 @@ fn locality_row(ctx: &Ctx, &loc: &f64) -> Vec<String> {
         );
         ctx.observe(|obs| run_service(&mut net, &mut wl, spec, obs))
     };
-    let wh = go(ProtocolKind::WormholeOnly);
-    let wv = go(ProtocolKind::Clrp);
-    vec![
-        f2(loc),
-        f2(wh.avg_round_trip),
-        f2(wv.avg_round_trip),
-        f2(wh.avg_round_trip / wv.avg_round_trip.max(1e-9)),
-        pct(wv.wave.hit_rate()),
-        format!("{}+{}", wh.completed, wv.completed),
-    ]
+    let cells = move |[wh, wv]: [ServiceResult; 2]| {
+        vec![
+            f2(loc),
+            f2(wh.avg_round_trip),
+            f2(wv.avg_round_trip),
+            f2(wh.avg_round_trip / wv.avg_round_trip.max(1e-9)),
+            pct(wv.wave.hit_rate()),
+            format!("{}+{}", wh.completed, wv.completed),
+        ]
+    };
+    Row::new([ProtocolKind::WormholeOnly, ProtocolKind::Clrp], run, cells)
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ fn rows(scale: Scale) -> Vec<Row> {
                     },
                 ),
             ] {
-                rows.push(Box::new(move |ctx: &Ctx| {
+                rows.push(Row::single(move |ctx: &Ctx| {
                     let mut net = net(kind, scale.side, ProtocolKind::Clrp);
                     let r = ctx.open_loop(&mut net, load, pattern, LengthDist::Fixed(32), 11);
                     vec![
@@ -84,7 +84,7 @@ fn rows(scale: Scale) -> Vec<Row> {
             }
         }
         // CARP under a dense phased trace.
-        rows.push(Box::new(move |ctx: &Ctx| {
+        rows.push(Row::single(move |ctx: &Ctx| {
             let mut net = net(kind, scale.side, ProtocolKind::Carp);
             let mut trace = CarpTrace::pairwise(
                 net.topology(),

@@ -13,7 +13,8 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
-use crate::experiments::{rows_of, Ctx, Experiment};
+use crate::experiments::{Ctx, Experiment, Row};
+use crate::runner::RunResult;
 use crate::table::f2;
 
 /// E3.
@@ -28,13 +29,31 @@ pub const E3: Experiment = Experiment {
         "wave thpt",
         "thpt ratio",
     ],
-    rows: |scale| rows_of(scale.sweep(&[8u32, 16, 32, 64, 128, 256, 512]), len_row),
+    rows: |scale| {
+        let lens = scale.sweep(&[8u32, 16, 32, 64, 128, 256, 512]);
+        lens.into_iter().map(len_row).collect()
+    },
 };
 
-fn len_row(ctx: &Ctx, &len: &u32) -> Vec<String> {
+/// A row's runs as `(protocol, offered load, seed)`, in the order its
+/// cells read them. First contention-free latency, then latency at a load
+/// near wormhole saturation (where the companion study's >3x factor shows
+/// up: blocked wormholes hold channels, circuits do not contend), CLRP
+/// before wormhole at each; last, accepted throughput far beyond wormhole
+/// saturation, wormhole before CLRP.
+const RUNS: [(ProtocolKind, f64, u64); 6] = [
+    (ProtocolKind::Clrp, 0.05, 31),
+    (ProtocolKind::WormholeOnly, 0.05, 31),
+    (ProtocolKind::Clrp, 0.25, 31),
+    (ProtocolKind::WormholeOnly, 0.25, 31),
+    (ProtocolKind::WormholeOnly, 1.5, 37),
+    (ProtocolKind::Clrp, 1.5, 37),
+];
+
+fn len_row(len: u32) -> Row {
     // One open-loop run with the circuit cache capped at one entry
     // (minimal reuse: uniform destinations thrash it).
-    let go = |protocol: ProtocolKind, load: f64, seed: u64| {
+    let run = move |ctx: &Ctx, &(protocol, load, seed): &(ProtocolKind, f64, u64)| {
         let cfg = WaveConfig {
             protocol,
             cache_capacity: 1,
@@ -49,28 +68,18 @@ fn len_row(ctx: &Ctx, &len: &u32) -> Vec<String> {
             seed,
         )
     };
-    let lat = |protocol, load| go(protocol, load, 31).avg_latency;
-    // Contention-free latency, and latency at a load near wormhole
-    // saturation (where the companion study's >3x factor shows up:
-    // blocked wormholes hold channels, circuits do not contend).
-    let idle_ratio =
-        lat(ProtocolKind::Clrp, 0.05) / lat(ProtocolKind::WormholeOnly, 0.05).max(1e-9);
-    let loaded_ratio =
-        lat(ProtocolKind::Clrp, 0.25) / lat(ProtocolKind::WormholeOnly, 0.25).max(1e-9);
-
-    // Accepted throughput far beyond wormhole saturation.
-    let thpt = |protocol| go(protocol, 1.5, 37).throughput;
-    let wh_th = thpt(ProtocolKind::WormholeOnly);
-    let wv_th = thpt(ProtocolKind::Clrp);
-
-    vec![
-        len.to_string(),
-        f2(idle_ratio),
-        f2(loaded_ratio),
-        format!("{wh_th:.3}"),
-        format!("{wv_th:.3}"),
-        f2(wv_th / wh_th.max(1e-9)),
-    ]
+    let cells = move |[idle, idle_wh, loaded, loaded_wh, wh, wv]: [RunResult; 6]| {
+        let (wh_th, wv_th) = (wh.throughput, wv.throughput);
+        vec![
+            len.to_string(),
+            f2(idle.avg_latency / idle_wh.avg_latency.max(1e-9)),
+            f2(loaded.avg_latency / loaded_wh.avg_latency.max(1e-9)),
+            format!("{wh_th:.3}"),
+            format!("{wv_th:.3}"),
+            f2(wv_th / wh_th.max(1e-9)),
+        ]
+    };
+    Row::new(RUNS, run, cells)
 }
 
 #[cfg(test)]

@@ -12,9 +12,10 @@ use wavesim_network::Message;
 use wavesim_sim::{Cycle, SimRng};
 use wavesim_topology::NodeId;
 
-use crate::experiments::{rows_of, Ctx, Experiment};
-use crate::runner::{run_scripted, RunSpec};
+use crate::experiments::{Ctx, Experiment, Row};
+use crate::runner::{run_scripted, RunResult, RunSpec};
 use crate::table::f2;
+use crate::Scale;
 
 const MSG_LEN: u32 = 8;
 
@@ -55,17 +56,21 @@ pub const E4: Experiment = Experiment {
     id: "e4",
     title: "short messages (8 flits): per-message latency vs circuit reuse",
     columns: &["reuse", "WH lat", "CLRP lat", "ratio (CLRP/WH)", "hit rate"],
-    rows: |scale| rows_of(scale.sweep(&[1u32, 2, 4, 8, 16, 32]), reuse_row),
+    rows: |scale| {
+        let reuses = scale.sweep(&[1u32, 2, 4, 8, 16, 32]);
+        reuses.into_iter().map(|r| reuse_row(scale, r)).collect()
+    },
 };
 
-fn reuse_row(ctx: &Ctx, &reuse: &u32) -> Vec<String> {
+/// Wormhole and CLRP each replay one script of `reuse`-message bursts.
+fn reuse_row(scale: Scale, reuse: u32) -> Row {
     // Short-message economics need realistic path lengths: pin the
     // network at >= 8x8 even at reduced scale (scripted runs are cheap).
-    let side = ctx.scale.side.max(8);
+    let side = scale.side.max(8);
     let gap = 40; // cycles between messages of a burst
     let spec = RunSpec::standard(0, u64::from(reuse) * gap + 200);
     let sc = script(side, usize::from(side), reuse, gap, 101);
-    let lat = |protocol: ProtocolKind| {
+    let run = move |ctx: &Ctx, &protocol: &ProtocolKind| {
         let cfg = WaveConfig {
             protocol,
             ..WaveConfig::default()
@@ -73,15 +78,16 @@ fn reuse_row(ctx: &Ctx, &reuse: &u32) -> Vec<String> {
         let mut net = crate::experiments::net_with(side, cfg);
         ctx.observe(|obs| run_scripted(&mut net, &sc, spec, obs))
     };
-    let wh = lat(ProtocolKind::WormholeOnly);
-    let wv = lat(ProtocolKind::Clrp);
-    vec![
-        reuse.to_string(),
-        f2(wh.avg_latency),
-        f2(wv.avg_latency),
-        f2(wv.avg_latency / wh.avg_latency.max(1e-9)),
-        f2(wv.wave.hit_rate()),
-    ]
+    let cells = move |[wh, wv]: [RunResult; 2]| {
+        vec![
+            reuse.to_string(),
+            f2(wh.avg_latency),
+            f2(wv.avg_latency),
+            f2(wv.avg_latency / wh.avg_latency.max(1e-9)),
+            f2(wv.wave.hit_rate()),
+        ]
+    };
+    Row::new([ProtocolKind::WormholeOnly, ProtocolKind::Clrp], run, cells)
 }
 
 #[cfg(test)]

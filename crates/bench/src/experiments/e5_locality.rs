@@ -22,8 +22,8 @@
 use wavesim_core::{ProtocolKind, WaveConfig};
 use wavesim_workloads::{CarpTrace, PairwiseSpec};
 
-use crate::experiments::{rows_of, Ctx, Experiment};
-use crate::runner::{run_carp_trace, RunSpec};
+use crate::experiments::{Ctx, Experiment, Row};
+use crate::runner::{run_carp_trace, RunResult, RunSpec};
 use crate::table::{f2, pct};
 
 /// E5.
@@ -38,13 +38,18 @@ pub const E5: Experiment = Experiment {
         "CARP lat",
         "CARP circuit%",
     ],
-    rows: |scale| rows_of(scale.sweep(&[1u32, 2, 4, 8, 16]), burst_row),
+    rows: |scale| {
+        let bursts = scale.sweep(&[1u32, 2, 4, 8, 16]);
+        bursts.into_iter().map(burst_row).collect()
+    },
 };
 
-fn burst_row(ctx: &Ctx, &burst: &u32) -> Vec<String> {
-    let scale = ctx.scale;
-    let spec = RunSpec::standard(0, scale.measure);
-    let run_one = |protocol: ProtocolKind| {
+/// Wormhole, CLRP and CARP each replay the schedule of `burst`-message
+/// bursts.
+fn burst_row(burst: u32) -> Row {
+    let run = move |ctx: &Ctx, &protocol: &ProtocolKind| {
+        let scale = ctx.scale;
+        let spec = RunSpec::standard(0, scale.measure);
         let cfg = WaveConfig {
             protocol,
             ..WaveConfig::default()
@@ -67,17 +72,22 @@ fn burst_row(ctx: &Ctx, &burst: &u32) -> Vec<String> {
         );
         ctx.observe(|obs| run_carp_trace(&mut net, &mut trace, spec, obs))
     };
-    let wh = run_one(ProtocolKind::WormholeOnly);
-    let clrp = run_one(ProtocolKind::Clrp);
-    let carp = run_one(ProtocolKind::Carp);
-    vec![
-        burst.to_string(),
-        f2(wh.avg_latency),
-        f2(clrp.avg_latency),
-        pct(clrp.circuit_fraction),
-        f2(carp.avg_latency),
-        pct(carp.circuit_fraction),
-    ]
+    let cells = move |[wh, clrp, carp]: [RunResult; 3]| {
+        vec![
+            burst.to_string(),
+            f2(wh.avg_latency),
+            f2(clrp.avg_latency),
+            pct(clrp.circuit_fraction),
+            f2(carp.avg_latency),
+            pct(carp.circuit_fraction),
+        ]
+    };
+    let protocols = [
+        ProtocolKind::WormholeOnly,
+        ProtocolKind::Clrp,
+        ProtocolKind::Carp,
+    ];
+    Row::new(protocols, run, cells)
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@ pub mod e7_misroute;
 pub mod e8_faults;
 pub mod e9_arch;
 
+use std::any::Any;
 use std::cell::RefCell;
 
 use wavesim_core::{WaveConfig, WaveNetwork};
@@ -40,13 +41,13 @@ pub fn net_with(side: u16, cfg: WaveConfig) -> WaveNetwork {
 pub type ObserverFactory<'a> = dyn Fn(bool) -> Observers + Sync + 'a;
 
 /// What experiments run under: their scale, how many worker threads their
-/// rows may use, and how their runs are observed.
+/// runs may use, and how their runs are observed.
 pub struct Ctx<'a> {
     /// Experiment sizing.
     pub scale: Scale,
     jobs: usize,
     factory: Option<&'a ObserverFactory<'a>>,
-    /// False inside every row but the last.
+    /// False inside every run but the last.
     exported: bool,
     observed: RefCell<Observed>,
 }
@@ -118,20 +119,70 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// One table row: performs its point's runs under the context it is
-/// handed and returns the row's cells. A row closes over its point and
-/// reads nothing else, so rows can run in any order on any thread.
-pub type Row = Box<dyn Fn(&Ctx) -> Vec<String> + Send + Sync>;
+/// What one run hands back to its row, whatever the row's result type.
+type Outcome = Box<dyn Any + Send>;
 
-/// One row per point, each computing `point_row(ctx, point)`; a row
-/// reads its scale from `ctx.scale`.
+/// Performs one of a row's runs, by its index.
+type RunFn = dyn Fn(&Ctx, usize) -> Outcome + Send + Sync;
+
+/// Turns a row's run results, in run order, into its cells.
+type CellsFn = dyn Fn(Vec<Outcome>) -> Vec<String> + Send + Sync;
+
+/// One table row: the independent runs its cells are computed from.
+///
+/// A run closes over its row's point and reads nothing else, so the runs
+/// of every row can execute in any order on any thread; [`run_all`]
+/// schedules runs, not rows, and hands the results back to the row in
+/// its run order.
+pub struct Row {
+    runs: usize,
+    run: Box<RunFn>,
+    cells: Box<CellsFn>,
+}
+
+impl Row {
+    /// A row with one run per entry of `runs`: `run(ctx, q)` performs the
+    /// run for `q` under the context it is handed, and `cells` turns the
+    /// results, in `runs` order, into the row's cells.
+    pub fn new<Q, T, const N: usize>(
+        runs: [Q; N],
+        run: impl Fn(&Ctx, &Q) -> T + Send + Sync + 'static,
+        cells: impl Fn([T; N]) -> Vec<String> + Send + Sync + 'static,
+    ) -> Self
+    where
+        Q: Send + Sync + 'static,
+        T: Send + 'static,
+    {
+        Self {
+            runs: N,
+            run: Box::new(move |ctx: &Ctx, i: usize| -> Outcome { Box::new(run(ctx, &runs[i])) }),
+            cells: Box::new(move |outcomes| {
+                let mut results = outcomes.into_iter().map(|o| o.downcast::<T>());
+                cells(std::array::from_fn(|_| {
+                    *results
+                        .next()
+                        .and_then(Result::ok)
+                        .expect("run_all hands a row one result per run, of its runs' type")
+                }))
+            }),
+        }
+    }
+
+    /// A row of one run that computes the row's cells itself.
+    pub fn single(run: impl Fn(&Ctx) -> Vec<String> + Send + Sync + 'static) -> Self {
+        Self::new([()], move |ctx, ()| run(ctx), |[cells]| cells)
+    }
+}
+
+/// One single-run row per point, each computing `point_row(ctx, point)`;
+/// a row reads its scale from `ctx.scale`.
 pub fn rows_of<P: Send + Sync + 'static>(
     points: impl IntoIterator<Item = P>,
     point_row: fn(&Ctx, &P) -> Vec<String>,
 ) -> Vec<Row> {
     points
         .into_iter()
-        .map(|p| -> Row { Box::new(move |ctx| point_row(ctx, &p)) })
+        .map(|p| Row::single(move |ctx| point_row(ctx, &p)))
         .collect()
 }
 
@@ -168,11 +219,12 @@ pub const EXPERIMENTS: [Experiment; 15] = [
 
 /// Runs the experiments `ids` under `ctx` and returns one table each.
 ///
-/// The rows of all of them form one [`ParallelSweep`] in serial order,
-/// each row under its own child context on up to `jobs` worker threads.
-/// A row derives everything from its own point, so the cells and the
-/// observations — merged here in row order — are byte-identical for any
-/// job count and any observers. Only the last row's runs may be exported.
+/// The runs of all their rows form one [`ParallelSweep`] in serial order:
+/// up to `jobs` workers claim them one run at a time, each run under its
+/// own child context. A run derives everything from its own point, so the
+/// cells and the observations — merged here in run order — are
+/// byte-identical for any job count and any observers. Only the last
+/// run's capture may be exported.
 ///
 /// # Panics
 /// Panics on an unknown id.
@@ -186,28 +238,35 @@ pub fn run_all(ids: &[&str], ctx: &Ctx) -> Vec<Table> {
             (e, (e.rows)(ctx.scale))
         })
         .collect();
-    let rows: Vec<&Row> = exps.iter().flat_map(|(_, rows)| rows).collect();
+    let runs: Vec<(&Row, usize)> = exps
+        .iter()
+        .flat_map(|(_, rows)| rows)
+        .flat_map(|row| (0..row.runs).map(move |i| (row, i)))
+        .collect();
     let (scale, factory, exported) = (ctx.scale, ctx.factory, ctx.exported);
-    let last = rows.len().saturating_sub(1);
+    let last = runs.len().saturating_sub(1);
     let mut done = ParallelSweep::new(ctx.jobs)
-        .run(&rows, |i, row| {
-            let point = Ctx {
+        .run(&runs, |k, &(row, i)| {
+            let child = Ctx {
                 scale,
                 jobs: 1,
                 factory,
-                exported: exported && i == last,
+                exported: exported && k == last,
                 observed: RefCell::default(),
             };
-            (row(&point), point.observed.into_inner())
+            ((row.run)(&child, i), child.observed.into_inner())
         })
         .into_iter();
     let mut observed = ctx.observed.borrow_mut();
     exps.iter()
         .map(|(e, rows)| {
             let mut t = Table::new(&e.id.to_uppercase(), e.title, e.columns);
-            for (cells, point) in done.by_ref().take(rows.len()) {
-                observed.append(point);
-                t.push(cells);
+            for row in rows {
+                let outcomes = done.by_ref().take(row.runs).map(|(outcome, run)| {
+                    observed.append(run);
+                    outcome
+                });
+                t.push((row.cells)(outcomes.collect()));
             }
             t
         })
@@ -215,7 +274,7 @@ pub fn run_all(ids: &[&str], ctx: &Ctx) -> Vec<Table> {
 }
 
 /// Runs one experiment by id (`"e1"`..`"e15"`) unobserved and returns its
-/// tables, fanning its rows out over `jobs` worker threads.
+/// tables, fanning its runs out over `jobs` worker threads.
 ///
 /// # Panics
 /// Panics on an unknown id.
@@ -243,4 +302,34 @@ pub fn all_ids() -> Vec<&'static str> {
 #[cfg(test)]
 fn table(id: &str, scale: Scale, jobs: usize) -> Table {
     run(id, &Ctx::unobserved(scale, jobs)).remove(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use super::*;
+
+    /// Every E11 row is two runs, wormhole then CLRP. Each is its own
+    /// sweep item with its own observers, and only the sweep's last run
+    /// (CLRP at the heaviest load) may be exported.
+    #[test]
+    fn each_run_is_observed_once_and_only_the_last_is_exported() {
+        let scale = Scale {
+            sweep_points: 2,
+            ..Scale::small()
+        };
+        for jobs in [1, 2] {
+            let (runs, exported) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let factory = |e: bool| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                exported.fetch_add(usize::from(e), Ordering::Relaxed);
+                Observers::default()
+            };
+            let t = run("e11", &Ctx::observed(scale, jobs, &factory)).remove(0);
+            assert_eq!(t.rows, table("e11", scale, 1).rows);
+            assert_eq!(runs.load(Ordering::Relaxed), 2 * t.rows.len());
+            assert_eq!(exported.load(Ordering::Relaxed), 1, "--jobs {jobs}");
+        }
+    }
 }

@@ -26,10 +26,10 @@
 //! | E15 | dependency-gated collective replay under CLRP / CARP / MB-1 |
 //!
 //! Every experiment is a declared list of rows
-//! ([`experiments::Experiment`]): each row is a pure function of its own
-//! point, and [`experiments::run_all`] runs the rows of every requested
-//! experiment through one [`ParallelSweep`] and regroups them into
-//! [`Table`]s. The `wavesim` CLI prints full-size runs (`--scale paper`)
+//! ([`experiments::Experiment`]): each row is a few independent runs, each
+//! a pure function of its own point, and [`experiments::run_all`] runs the
+//! runs of every requested experiment through one [`ParallelSweep`] and
+//! regroups their results into [`Table`]s. The `wavesim` CLI prints full-size runs (`--scale paper`)
 //! or reduced ones (`--scale small`). Wall clock is measured from outside, by
 //! wavebench (`benchmark/`); the one bench target here, `cycle_kernel`,
 //! gates deterministic kernel work per simulated cycle.
@@ -53,8 +53,8 @@
 //! a `run_*` entry point, then ask it for what it captured. A run's time
 //! series is not an observer of its own: it is `wavesim-analyze`'s fold
 //! over the capture's records. [`Observers`] bundles them for the CLI, and an
-//! experiment row's [`experiments::Ctx`] makes a fresh bundle per run, on
-//! whichever sweep worker thread the row lands. There is no thread-local
+//! experiment run's [`experiments::Ctx`] makes a fresh bundle for it, on
+//! whichever sweep worker thread claims the run. There is no thread-local
 //! or process-global state anywhere in this crate.
 
 #![warn(missing_docs)]

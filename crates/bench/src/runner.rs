@@ -14,9 +14,12 @@
 //! observes nothing.
 //!
 //! [`ParallelSweep`] fans independent sweep points out over scoped worker
-//! threads; because every point builds its own network and RNG stream from
-//! the point value alone, the merged output is byte-identical to a serial
-//! run regardless of the job count.
+//! threads, each claiming the next point from one shared counter; because
+//! every point builds its own network and RNG stream from the point value
+//! alone, the merged output is byte-identical to a serial run regardless
+//! of the job count.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use wavesim_core::{FaultEvent, LaneId, ProtocolKind, WaveNetwork, WaveStats};
 use wavesim_network::message::DeliveryMode;
@@ -732,9 +735,11 @@ impl ParallelSweep {
     }
 
     /// Maps `f` over `points`, in parallel when `jobs > 1`, and returns
-    /// the results in point order. Worker `j` of `w` takes points
-    /// `j, j + w, …`, so which thread computes (and allocates for) which
-    /// point does not depend on scheduling.
+    /// the results in point order. Every worker claims the next unclaimed
+    /// point from one shared counter, in point order, so a worker that
+    /// finishes a short point takes the next one instead of idling while
+    /// another works through a fixed share of long ones. Which thread
+    /// computes a point depends on scheduling; what it computes does not.
     ///
     /// # Panics
     /// Propagates any panic raised by `f` on a worker thread.
@@ -748,33 +753,39 @@ impl ParallelSweep {
         if workers <= 1 {
             return points.iter().enumerate().map(|(i, p)| f(i, p)).collect();
         }
-        let f = &f;
-        let mut strides: Vec<std::vec::IntoIter<R>> = std::thread::scope(|s| {
+        // `Relaxed`: the counter hands out indices and publishes no data.
+        // The points are shared read-only, and each worker's results come
+        // back through `join`, which orders everything the worker wrote.
+        let next = AtomicUsize::new(0);
+        let (f, next) = (&f, &next);
+        let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
-                .map(|j| {
+                .map(|_| {
                     s.spawn(move || {
-                        let stride = points.iter().enumerate().skip(j).step_by(workers);
-                        stride.map(|(i, p)| f(i, p)).collect::<Vec<R>>()
+                        // Sized for every point, so how the points split
+                        // between workers does not change what is allocated.
+                        let mut claimed = Vec::with_capacity(points.len());
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(p) = points.get(i) else {
+                                break claimed;
+                            };
+                            claimed.push((i, f(i, p)));
+                        }
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(rs) => rs.into_iter(),
+            let mut done = Vec::with_capacity(points.len());
+            for h in handles {
+                match h.join() {
+                    Ok(claimed) => done.extend(claimed),
                     Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-        // Round `r` of the merge takes each worker's `r`-th result: points
-        // `r * w, r * w + 1, …` in order.
-        let mut out = Vec::with_capacity(points.len());
-        for _ in 0..points.len().div_ceil(workers) {
-            for stride in &mut strides {
-                out.extend(stride.next());
+                }
             }
-        }
-        out
+            done
+        });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -1103,6 +1114,29 @@ mod tests {
         let payload = caught.expect_err("the worker's panic must reach the caller");
         let msg = payload.downcast_ref::<String>().expect("assert message");
         assert!(msg.contains("point 5 is cursed"), "{msg}");
+    }
+
+    #[test]
+    fn parallel_sweep_lets_a_free_worker_claim_the_next_point() {
+        // Point 0 finishes only after every other point has. With a fixed
+        // share per worker, point 0's worker would also own points 2, 4, …
+        // and the sweep could not finish.
+        let points: Vec<u32> = (0..9).collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rx = std::sync::Mutex::new(rx);
+        let got = ParallelSweep::new(2).run(&points, |i, &p| {
+            if i == 0 {
+                let rx = rx.lock().expect("only point 0 takes the lock");
+                for _ in 1..points.len() {
+                    rx.recv_timeout(std::time::Duration::from_secs(60))
+                        .expect("the other worker runs every other point");
+                }
+            } else {
+                tx.send(()).expect("point 0 is still listening");
+            }
+            p
+        });
+        assert_eq!(got, points);
     }
 
     /// Records every hook call, and asks for a stall at `abort_at`.

@@ -178,7 +178,7 @@ fn every_table_is_identical_across_job_counts() {
 /// same watchdog reports at
 /// `--jobs 1` and `--jobs 2`, because every run carries its own observers
 /// onto whichever worker runs it. And only one capture survives the
-/// sweep: the last row's.
+/// sweep: the last run's.
 #[test]
 fn observed_e11_sweep_is_identical_across_job_counts() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -224,8 +224,8 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
         let tables = run_all(&all_ids(), &ctx);
         let observed = ctx.into_observed();
         // The factory is called once per run, and every run's report is
-        // kept. Only the last row (E15's last point, one replay) may
-        // stream and be kept.
+        // kept. Only the last run (E15's last replay) may stream and be
+        // kept.
         assert_eq!(runs.load(Ordering::Relaxed), observed.reports.len());
         assert_eq!(exported_runs.load(Ordering::Relaxed), 1);
         let trace = observed.trace.as_ref().expect("the last run's capture");
