@@ -21,6 +21,12 @@
 //!
 //! Everything here is deterministic: the same record stream always yields
 //! byte-identical reports, whatever thread count produced the trace.
+//!
+//! A capture says how it was sampled: the sampler (`run --trace-sample
+//! N`) keeps every Nth bulk record and leaves gaps in the sequence
+//! numbers, from which the fold reads N back ([`Analysis::sample_factor`])
+//! and rescales the sampled kinds' counts. Nothing needs to be told the
+//! factor, so [`AnalyzeOptions`] holds the window and the table size only.
 
 #![warn(missing_docs)]
 
@@ -49,13 +55,6 @@ pub struct AnalyzeOptions {
     pub window: u64,
     /// Rows shown in the flow and hot-lane tables.
     pub top_k: usize,
-    /// Node count for throughput normalization; inferred from the trace
-    /// when `None`.
-    pub nodes: Option<u64>,
-    /// 1-in-N bulk-kind sampling factor the capture was taken with
-    /// (`--trace-sample N`); counts derived from sampled kinds are scaled
-    /// back up by this. `1` (the default) means an unsampled capture.
-    pub sample_factor: u64,
 }
 
 impl Default for AnalyzeOptions {
@@ -63,8 +62,6 @@ impl Default for AnalyzeOptions {
         AnalyzeOptions {
             window: 1000,
             top_k: 10,
-            nodes: None,
-            sample_factor: 1,
         }
     }
 }
@@ -121,12 +118,14 @@ pub struct Analysis {
     pub faults: Vec<FaultImpact>,
     /// Derived windowed time series.
     pub series: Vec<WindowRow>,
-    /// Node count the series was normalized with.
+    /// Node count the series was normalized with: the highest node id
+    /// the trace names, plus one.
     pub nodes: u64,
     /// Table row budget carried into the report.
     pub top_k: usize,
-    /// Sampling factor the sampled-kind counts were scaled by (1 for an
-    /// unsampled capture).
+    /// Sampling factor the sampled-kind counts were scaled by, read from
+    /// the gaps in the records' sequence numbers (1 for a gap-free
+    /// capture; see [`live::LiveAnalytics::finish`]).
     pub sample_factor: u64,
 }
 

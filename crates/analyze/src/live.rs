@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use wavesim_sim::stats::Histogram;
 use wavesim_sim::Cycle;
 use wavesim_trace::columnar::Interner;
-use wavesim_trace::stream::{ChunkEncoder, StreamSink};
+use wavesim_trace::stream::{is_bulk_kind, ChunkEncoder, StreamSink};
 use wavesim_trace::{TraceEvent, TraceRecord};
 
 use crate::faults::FaultFold;
@@ -99,6 +99,13 @@ impl Ids {
 pub struct LiveAnalytics {
     opts: AnalyzeOptions,
     records: u64,
+    /// The last record's sequence number.
+    last_seq: u64,
+    /// Sequence numbers skipped between consecutive records: what a
+    /// sampler left out.
+    seq_gaps: u64,
+    /// Bulk-kind records folded: what a sampler kept.
+    bulk: u64,
     first_at: Option<Cycle>,
     last_at: Cycle,
     /// Highest cycle folded: where still-open lane reservations and
@@ -119,6 +126,9 @@ impl LiveAnalytics {
         LiveAnalytics {
             opts,
             records: 0,
+            last_seq: 0,
+            seq_gaps: 0,
+            bulk: 0,
             first_at: None,
             last_at: 0,
             horizon: 0,
@@ -127,7 +137,7 @@ impl LiveAnalytics {
             flows: FlowFold::default(),
             lanes: LaneFold::new(),
             faults: FaultFold::default(),
-            series: WindowSeries::new(opts.window.max(1), opts.nodes),
+            series: WindowSeries::new(opts.window.max(1), None),
         }
     }
 
@@ -135,6 +145,13 @@ impl LiveAnalytics {
     /// order, as every [`wavesim_trace::TraceSink`] stores them.
     pub fn fold(&mut self, rec: &TraceRecord) {
         let at = rec.at;
+        if self.records > 0 {
+            // A backwards sequence number skips nothing.
+            let gap = rec.seq.saturating_sub(self.last_seq).saturating_sub(1);
+            self.seq_gaps = self.seq_gaps.saturating_add(gap);
+        }
+        self.last_seq = rec.seq;
+        self.bulk += u64::from(is_bulk_kind(&rec.ev));
         self.records += 1;
         self.first_at.get_or_insert(at);
         self.last_at = at;
@@ -343,10 +360,25 @@ impl LiveAnalytics {
         .unwrap_or(0)
     }
 
+    /// The 1-in-N factor the stream was sampled with, read from the gaps
+    /// in its sequence numbers. The hub numbers records consecutively, and
+    /// a sampler keeps bulk records 0, N, 2N, … and every other kind, so
+    /// `k` kept bulk records leave `(k − 1)(N − 1)` gaps between the first
+    /// and the last of them, plus fewer than N after it: the factor is
+    /// exact once more than N bulk records are kept. Any gap is read as
+    /// sampling, so a hand-filtered stream reports a factor too.
+    fn sample_factor(&self) -> u64 {
+        match (self.seq_gaps, self.bulk) {
+            (0, _) => 1,
+            (gaps, kept) if kept >= 2 => (gaps / (kept - 1)).saturating_add(1),
+            (gaps, _) => gaps.saturating_add(1),
+        }
+    }
+
     /// Seals every pass and assembles the [`Analysis`].
     #[must_use]
     pub fn finish(mut self) -> Analysis {
-        let factor = self.opts.sample_factor.max(1);
+        let factor = self.sample_factor();
         let spans = self.spans.finish(self.ids.circuits.dict());
         for s in &spans.spans {
             self.flows.delivered(self.ids.flow(s.src, s.dest), s);
@@ -516,9 +548,106 @@ pub fn take_analysis(handle: &FoldHandle<LiveAnalytics>) -> Option<Analysis> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use wavesim_trace::TraceSink;
+    use wavesim_trace::{ColumnarSink, TraceSink};
+
+    /// What a capture sampled 1-in-`every` keeps of `recs`: they go through
+    /// a real sampling sink and back through the decoder.
+    pub(crate) fn thinned(recs: &[TraceRecord], every: u64) -> Vec<TraceRecord> {
+        let mut sink = ColumnarSink::new(Vec::new()).with_sampling(every);
+        sink.record_many(recs);
+        let bytes = sink.finish_into().expect("an in-memory stream");
+        wavesim_trace::read_columnar(&bytes).expect("the stream decodes")
+    }
+
+    fn factor_of(recs: &[TraceRecord]) -> u64 {
+        let mut live = LiveAnalytics::new(AnalyzeOptions::default());
+        live.fold_many(recs);
+        live.finish().sample_factor
+    }
+
+    /// A sampled capture's factor is read back exactly once more than N
+    /// bulk records survive, wherever the stream ends; a gap-free stream
+    /// reads 1, and a sequence number that runs backwards skips nothing.
+    #[test]
+    fn the_sample_factor_is_read_from_sequence_gaps() {
+        // Bulk kinds (hops, misses) in runs of one to three between
+        // lifecycle records, as a run interleaves them.
+        let evs = [
+            TraceEvent::CacheMiss { node: 0, dest: 1 },
+            TraceEvent::ProbeLaunch {
+                circuit: 1,
+                src: 0,
+                dest: 1,
+                switch: 1,
+                force: false,
+            },
+            TraceEvent::ProbeHop {
+                circuit: 1,
+                probe: 1,
+                node: 0,
+                link: 0,
+                misroute: false,
+            },
+            TraceEvent::CacheMiss { node: 2, dest: 1 },
+            TraceEvent::WormholeInject {
+                msg: 1,
+                src: 0,
+                dest: 1,
+                len_flits: 4,
+            },
+            TraceEvent::CacheMiss { node: 3, dest: 1 },
+            TraceEvent::ProbeHop {
+                circuit: 1,
+                probe: 1,
+                node: 1,
+                link: 2,
+                misroute: false,
+            },
+            TraceEvent::CacheHit {
+                node: 0,
+                dest: 1,
+                circuit: 1,
+            },
+            TraceEvent::CircuitReleased { circuit: 1 },
+        ];
+        let stream: Vec<TraceRecord> = (0..8_000)
+            .map(|i| TraceRecord {
+                at: i / 4,
+                seq: i,
+                ev: evs[i as usize % evs.len()],
+            })
+            .collect();
+        assert_eq!(factor_of(&stream), 1, "a gap-free stream");
+        assert_eq!(factor_of(&thinned(&stream, 1)), 1);
+        for n in [2, 3, 8, 64] {
+            // Sampling a prefix of the stream keeps a prefix of what
+            // sampling the whole keeps, so these are every stream end.
+            let kept = thinned(&stream, n);
+            let mut exact = 0;
+            for len in (1..=kept.len()).rev().step_by(41) {
+                let part = &kept[..len];
+                let bulk = part.iter().filter(|r| is_bulk_kind(&r.ev)).count() as u64;
+                if bulk > n {
+                    assert_eq!(factor_of(part), n, "1-in-{n}, {len} records kept");
+                    exact += 1;
+                }
+            }
+            assert!(exact >= 10, "1-in-{n}: {exact} stream ends checked");
+        }
+        // Backwards steps add no gap; the forward gap after them counts.
+        let mut back = stream[..40].to_vec();
+        for (i, r) in back.iter_mut().enumerate() {
+            r.seq = 1_000 - i as u64;
+        }
+        assert_eq!(factor_of(&back), 1, "a stream numbered backwards");
+        back[39].seq = 5_000;
+        assert!(
+            factor_of(&back) > 1,
+            "a forward jump still reads as sampling"
+        );
+    }
 
     #[test]
     fn sink_folds_everything_before_take() {

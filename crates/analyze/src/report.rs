@@ -406,16 +406,22 @@ mod tests {
             .and_then(|s| s.get("sample_factor"))
             .is_none());
 
-        let sampled = analyze(
-            &sample(),
-            AnalyzeOptions {
-                sample_factor: 8,
-                ..AnalyzeOptions::default()
-            },
-        );
+        // Eighty more misses of the one flow after the sample, so the
+        // sampler keeps 11 of the 82 bulk records: every eighth.
+        let mut recs = sample();
+        for i in 0..80 {
+            recs.push(rec(
+                31 + i,
+                9 + i,
+                TraceEvent::CacheMiss { node: 0, dest: 3 },
+            ));
+        }
+        let kept = crate::live::tests::thinned(&recs, 8);
+        assert!(kept.len() < recs.len());
+        let sampled = analyze(&kept, AnalyzeOptions::default());
         let r = render(&sampled);
         assert!(r.contains("sample factor"), "{r}");
-        assert!(r.contains("1/8"), "{r}");
+        assert!(r.contains("1/8 (sampled kinds rescaled)"), "{r}");
         assert_eq!(
             to_json(&sampled)
                 .get("summary")
@@ -426,7 +432,7 @@ mod tests {
         // Sampled-kind counts (cache hits/misses) are rescaled by the
         // factor; exact-kind counts (deliveries) are not.
         let f = &sampled.flows[0];
-        assert_eq!(f.cache_misses, 8, "1 sampled miss × factor 8");
+        assert_eq!(f.cache_misses, 88, "11 kept misses × factor 8");
         assert_eq!(f.delivered, 1, "deliveries are never sampled");
     }
 

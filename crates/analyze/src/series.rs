@@ -468,10 +468,9 @@ mod tests {
         TraceRecord { at, seq, ev }
     }
 
-    fn derive(records: &[TraceRecord], window: u64, nodes: Option<u64>) -> (Vec<WindowRow>, u64) {
+    fn derive(records: &[TraceRecord], window: u64) -> (Vec<WindowRow>, u64) {
         let opts = AnalyzeOptions {
             window,
-            nodes,
             ..AnalyzeOptions::default()
         };
         let a = analyze(records, opts);
@@ -522,7 +521,7 @@ mod tests {
                 },
             ),
         ];
-        let (rows, nodes) = derive(&recs, 10, None);
+        let (rows, nodes) = derive(&recs, 10);
         assert_eq!(nodes, 4, "highest node id is 3");
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].cache_misses, 1);
@@ -584,20 +583,26 @@ mod tests {
         }
         assert_eq!(run.in_flight.len(), 1, "only message 3 is in flight");
         let (rows, nodes) = run.finish();
-        assert_eq!((rows.clone(), nodes), derive(&recs, 5, Some(4)));
+        assert_eq!((rows.clone(), nodes), derive(&recs, 5), "node 3 is named");
         assert_eq!(rows.iter().map(|r| r.flits).sum::<u64>(), 8 + 24);
     }
 
     #[test]
     fn explicit_node_count_wins_over_inference() {
         let recs = vec![rec(0, 0, TraceEvent::CacheMiss { node: 0, dest: 1 })];
-        let (_, nodes) = derive(&recs, 10, Some(64));
-        assert_eq!(nodes, 64);
+        let mut run = RunSeries::new(10, 64);
+        run.fold(&recs[0]);
+        assert_eq!(run.finish().1, 64);
+        assert_eq!(
+            derive(&recs, 10).1,
+            1,
+            "inferred: node 0 is the highest named"
+        );
     }
 
     #[test]
     fn empty_trace_yields_no_rows() {
-        let (rows, nodes) = derive(&[], 10, None);
+        let (rows, nodes) = derive(&[], 10);
         assert!(rows.is_empty());
         assert_eq!(nodes, 1);
     }
@@ -611,17 +616,17 @@ mod tests {
         };
         let hit = TraceEvent::CacheMiss { node: 1, dest: 0 };
         let aborted = [rec(3, 0, hit), rec(64, 1, hit), rec(64, 2, trip)];
-        let (rows, _) = derive(&aborted, 1000, None);
+        let (rows, _) = derive(&aborted, 1000);
         assert_eq!((rows[0].start, rows[0].end), (0, 64));
         // A stall that outlasts a window keeps its quiet last window.
         let stalled = [rec(3, 0, hit), rec(128, 1, trip)];
-        let (rows, _) = derive(&stalled, 100, None);
+        let (rows, _) = derive(&stalled, 100);
         let spans: Vec<_> = rows.iter().map(|r| (r.start, r.end)).collect();
         assert_eq!(spans, [(0, 100), (100, 128)]);
         assert_eq!(rows[1].cache_misses, 0);
         // A trip the run went on from is not where it ended.
         let watched = [rec(3, 0, hit), rec(64, 1, trip), rec(70, 2, hit)];
-        let (rows, _) = derive(&watched, 1000, None);
+        let (rows, _) = derive(&watched, 1000);
         assert_eq!(rows[0].end, 71);
     }
 

@@ -7,9 +7,8 @@
 //! framework). Writes `BENCH_cycle_kernel.json` (override with
 //! `BENCH_OUT`), stamped with the machine it ran on (`cpus`, `rustc`,
 //! `profile` — wall times mean nothing without them), and prints a table.
-//! Knobs for CI smoke runs: `BENCH_MEASURE` (measurement cycles, default
-//! 3000), `BENCH_ITERS` (repeats per point, best taken, default 3),
-//! `BENCH_SIDES` (comma-separated torus sides, default "8,16").
+//! Each point runs [`MEASURE`] measurement cycles, best of [`ITERS`], on
+//! the tori of [`SIDES`].
 //!
 //! The metric divides the *simulated* end cycle of the run (warmup +
 //! measurement + drain) by the wall time of the whole run, so a kernel
@@ -23,11 +22,11 @@
 //! committed `BENCH_cycle_kernel.json` baseline (override with
 //! `BENCH_BASELINE`) and fails when any point's *kernel work intensity*
 //! — deterministic work counters per simulated cycle — grew more than
-//! `BENCH_TOLERANCE_PCT` (default 15). Work counters are scheduling- and
+//! [`TOLERANCE_PCT`]. Work counters are scheduling- and
 //! machine-independent, so this gate is meaningful on shared CI runners
 //! where wall clock is not; `BENCH_ENFORCE_WALL=1` additionally gates
-//! wall-clock cycles/sec for same-machine comparisons. Points are only
-//! compared when the baseline's `measure_cycles` matches this run's.
+//! wall-clock cycles/sec for same-machine comparisons. A baseline that is
+//! missing, or that records another `measure_cycles`, fails the gate.
 
 use std::time::Instant;
 
@@ -39,16 +38,18 @@ use wavesim_workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource
 
 const LOADS: [(&str, f64); 3] = [("low", 0.05), ("mid", 0.30), ("sat", 0.80)];
 
+/// Measurement cycles of every point but the large one.
+const MEASURE: u64 = 3_000;
+/// Repeats per point; the fastest is kept.
+const ITERS: u64 = 3;
+/// Torus sides of the three load points.
+const SIDES: [u16; 2] = [8, 16];
+/// Growth in work per cycle, or in wall time, that fails the gate.
+const TOLERANCE_PCT: f64 = 15.0;
+
 /// Side and measurement cycles of the large saturation point.
 const LARGE_SIDE: u16 = 64;
 const LARGE_MEASURE: u64 = 500;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct PointResult {
     side: u16,
@@ -148,18 +149,14 @@ fn intensity(entry: &Value) -> Option<f64> {
 /// Compares `current` against the committed baseline (read into `text`
 /// before the current results were written, since the default output path
 /// IS the baseline file); returns the gate violations.
-fn enforce_baseline(
-    current: &Value,
-    text: &str,
-    tolerance_pct: f64,
-    gate_wall: bool,
-) -> Vec<String> {
+fn enforce_baseline(current: &Value, text: &str, gate_wall: bool) -> Vec<String> {
     let baseline = Value::parse(text).expect("baseline json parses");
-    if baseline.get("measure_cycles").and_then(Value::as_u64)
-        != current.get("measure_cycles").and_then(Value::as_u64)
-    {
-        println!("baseline measure_cycles differs; gate skipped");
-        return Vec::new();
+    let measure = baseline.get("measure_cycles").and_then(Value::as_u64);
+    if measure != Some(MEASURE) {
+        let measure = measure.map_or_else(|| "no".into(), |m| m.to_string());
+        return vec![format!(
+            "the baseline measured {measure} cycles a point, this run {MEASURE}"
+        )];
     }
     let key = |e: &Value| {
         (
@@ -186,9 +183,9 @@ fn enforce_baseline(
         if let (Some(b), Some(c)) = (intensity(base), intensity(cur)) {
             let growth_pct = (c / b - 1.0) * 100.0;
             println!("gate {name}: work/cycle {b:.1} -> {c:.1} ({growth_pct:+.1}%)");
-            if growth_pct > tolerance_pct {
+            if growth_pct > TOLERANCE_PCT {
                 violations.push(format!(
-                    "{name}: kernel work intensity grew {growth_pct:.1}% (> {tolerance_pct}%)"
+                    "{name}: kernel work intensity grew {growth_pct:.1}% (> {TOLERANCE_PCT}%)"
                 ));
             }
         }
@@ -197,10 +194,10 @@ fn enforce_baseline(
             let c = cur.get("cycles_per_sec").and_then(Value::as_f64);
             if let (Some(b), Some(c)) = (b, c) {
                 let slowdown_pct = (b / c - 1.0) * 100.0;
-                if slowdown_pct > tolerance_pct {
+                if slowdown_pct > TOLERANCE_PCT {
                     violations.push(format!(
                         "{name}: cycles/sec fell {slowdown_pct:.1}% \
-                         ({b:.0} -> {c:.0}, > {tolerance_pct}%)"
+                         ({b:.0} -> {c:.0}, > {TOLERANCE_PCT}%)"
                     ));
                 }
             }
@@ -210,8 +207,6 @@ fn enforce_baseline(
 }
 
 fn main() {
-    let measure = env_u64("BENCH_MEASURE", 3_000);
-    let iters = env_u64("BENCH_ITERS", 3).max(1);
     // Snapshot the baseline up front: the default BENCH_OUT below is the
     // baseline file itself, and the gate must not compare a run with its
     // own freshly written results.
@@ -219,22 +214,15 @@ fn main() {
     let baseline_path = std::env::var("BENCH_BASELINE").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cycle_kernel.json").into()
     });
-    let baseline_text = enforcing
-        .then(|| std::fs::read_to_string(&baseline_path).ok())
-        .flatten();
-    let sides: Vec<u16> = std::env::var("BENCH_SIDES")
-        .unwrap_or_else(|_| "8,16".into())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
+    let baseline_text = enforcing.then(|| std::fs::read_to_string(&baseline_path));
 
     let mut results = Vec::new();
     println!(
         "{:<8} {:<5} {:>6} {:>12} {:>10} {:>14} {:>10}",
         "topo", "point", "load", "sim cycles", "wall ms", "cycles/sec", "delivered"
     );
-    let points = (sides.iter())
-        .flat_map(|&side| LOADS.map(|(label, load)| (side, label, load, measure, iters)))
+    let points = (SIDES.iter())
+        .flat_map(|&side| LOADS.map(|(label, load)| (side, label, load, MEASURE, ITERS)))
         .chain([(LARGE_SIDE, "sat", 0.80, LARGE_MEASURE, 1)]);
     for (side, label, load, measure, iters) in points {
         let p = run_point(side, label, load, measure, iters);
@@ -263,8 +251,8 @@ fn main() {
         ("rustc", Value::from(rustc_version())),
         ("profile", Value::from(profile)),
         ("protocol", Value::from("clrp")),
-        ("measure_cycles", Value::from(measure)),
-        ("iters", Value::from(iters)),
+        ("measure_cycles", Value::from(MEASURE)),
+        ("iters", Value::from(ITERS)),
         ("large_measure_cycles", Value::from(LARGE_MEASURE)),
         (
             "results",
@@ -296,14 +284,12 @@ fn main() {
     std::fs::write(&out, json.pretty()).expect("write bench json");
     println!("wrote {out}");
 
-    if enforcing {
-        let Some(text) = baseline_text else {
-            println!("no baseline at {baseline_path}; gate skipped");
-            return;
-        };
-        let tolerance = env_u64("BENCH_TOLERANCE_PCT", 15) as f64;
+    if let Some(text) = baseline_text {
         let gate_wall = std::env::var("BENCH_ENFORCE_WALL").as_deref() == Ok("1");
-        let violations = enforce_baseline(&json, &text, tolerance, gate_wall);
+        let violations = match text {
+            Ok(text) => enforce_baseline(&json, &text, gate_wall),
+            Err(e) => vec![format!("no baseline at {baseline_path}: {e}")],
+        };
         if !violations.is_empty() {
             eprintln!("cycle_kernel regression gate FAILED:");
             for v in &violations {
@@ -311,6 +297,6 @@ fn main() {
             }
             std::process::exit(1);
         }
-        println!("cycle_kernel regression gate passed (tolerance {tolerance}%)");
+        println!("cycle_kernel regression gate passed (tolerance {TOLERANCE_PCT}%)");
     }
 }

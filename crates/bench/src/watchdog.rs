@@ -44,6 +44,10 @@ pub const RETRY_WINDOW: u64 = 4096;
 /// watchdog diagnoses a deadlock before the run gives up.
 pub const DEADLOCK_AGE: u64 = 2048;
 
+/// Records of the run's tail a post-mortem bundle carries: the size of
+/// the flight-recorder ring armed beside a watchdog that writes one.
+pub const POST_MORTEM_TAIL: usize = 1 << 16;
+
 /// Which progress-SLO rules to arm, and what to do on a trip.
 #[derive(Debug, Clone, Default)]
 pub struct WatchdogConfig {
@@ -58,8 +62,9 @@ pub struct WatchdogConfig {
     /// End the run on any trip (reported as a stall, so the run is not
     /// `clean` and the CLI exits nonzero).
     pub abort: bool,
-    /// Flush a flight-recorder post-mortem bundle here on any trip, and
-    /// when the run ends stalled without one.
+    /// Flush a flight-recorder post-mortem bundle (the last
+    /// [`POST_MORTEM_TAIL`] records) here on any trip, and when the run
+    /// ends stalled without one.
     pub post_mortem: Option<PathBuf>,
 }
 

@@ -269,14 +269,15 @@ flag_table! {
         "output format: bin is WSTRACE1, perfetto the last --flight-recorder records as \
         Perfetto JSON";
     flight_recorder = "--flight-recorder", int(usize, 1..=MAX_RING), Some("65536"),
-        &[All, Exp, Run, ConvertTrace],
-        "records the ring keeps for a post-mortem's tail and a Perfetto conversion; allocated \
-        up front, 1 GiB at most";
+        &[ConvertTrace],
+        "records the Perfetto view keeps, the capture's last, in a ring allocated up front: \
+        1 GiB at most";
     trace_bin = "--trace-bin", text("FILE"), None, RUNS,
         "stream every record of the last run as WSTRACE1 frames, in bounded memory; \
         convert-trace writes its JSONL and Perfetto views";
-    trace_sample = "--trace-sample", int(u64, 1..=ANY), Some("1"), &[All, Exp, Run, Analyze],
-        "keep 1 in N of --trace-bin's bulk record kinds; analyze rescales their counts by it";
+    trace_sample = "--trace-sample", int(u64, 1..=ANY), Some("1"), RUNS,
+        "keep 1 in N of --trace-bin's bulk record kinds; analyze reads N back from the capture's \
+        sequence gaps and rescales their counts by it";
     metrics_out = "--metrics-out", text("FILE"), None, &[Run],
         "write a Prometheus-style metrics page of the run";
     timeseries_out = "--timeseries-out", text("FILE"), None, &[Run],
@@ -549,7 +550,6 @@ mod tests {
             (args.side, args.k, args.load, args.cycles),
             (8, 2, 0.2, 20_000)
         );
-        assert_eq!(args.flight_recorder, 1 << 16);
         assert_eq!(args.scale, Scale::paper());
         assert!(args.given.is_empty() && args.progress.is_none() && !args.torus);
     }
@@ -635,8 +635,16 @@ mod tests {
             ("run --side 32768", "invalid value `32768` for `--side`"),
             ("run --side 65536", "invalid value `65536` for `--side`"),
             (
-                "run --flight-recorder 22369622",
+                "convert-trace x --flight-recorder 22369622",
                 "invalid value `22369622` for `--flight-recorder`",
+            ),
+            (
+                "run --flight-recorder 4096",
+                "unknown argument `--flight-recorder` for `run`",
+            ),
+            (
+                "analyze --trace x --trace-sample 8",
+                "unknown argument `--trace-sample` for `analyze`",
             ),
             (
                 "run --service-clients 4194305",
@@ -664,11 +672,10 @@ mod tests {
         for (text, complaint) in cases {
             assert_eq!(refusal(text), complaint, "`wavesim {text}`");
         }
-        let edge = line("run --side 32767 --locality 0 --flight-recorder 22369621").unwrap();
-        assert_eq!(
-            (edge.side, edge.locality, edge.flight_recorder),
-            (32767, 0.0, 22_369_621)
-        );
+        let edge = line("run --side 32767 --locality 0").unwrap();
+        assert_eq!((edge.side, edge.locality), (32767, 0.0));
+        let edge = line("convert-trace x --flight-recorder 22369621").unwrap();
+        assert_eq!(edge.flight_recorder, 22_369_621);
     }
 
     #[test]
@@ -714,6 +721,8 @@ mod tests {
         let args = line("convert-trace in.wstrace --out o.json --to perfetto --flight-recorder 9");
         let args = args.unwrap();
         assert_eq!((args.to, args.flight_recorder), (ConvertTo::Perfetto, 9));
+        let args = line("convert-trace in.wstrace --out o.json --to perfetto").unwrap();
+        assert_eq!(args.flight_recorder, 1 << 16);
         // `main` names a flag in a message by the field it fills.
         for (field, flag) in [
             ("out", "--out"),

@@ -12,7 +12,7 @@ use flags::{Args, Cmd, ConvertTo};
 use wavesim_analyze::series::{self, RunSeries, WindowRow};
 use wavesim_bench::livestate::StatusBoard;
 use wavesim_bench::tracecap::Capture;
-use wavesim_bench::watchdog::{Watchdog, WatchdogConfig};
+use wavesim_bench::watchdog::{Watchdog, WatchdogConfig, POST_MORTEM_TAIL};
 use wavesim_bench::{experiments, Observed, Observers, RunSpec};
 use wavesim_core::{WaveConfig, WaveNetwork};
 use wavesim_topology::{RoutingKind, Topology};
@@ -339,7 +339,7 @@ impl<'a> Observing<'a> {
         let a = self.args;
         // The ring is the post-mortem's tail and nothing else's, so it is
         // armed on every run a post-mortem may be written for.
-        let ring = self.watch.post_mortem.as_ref().map(|_| a.flight_recorder);
+        let ring = self.watch.post_mortem.as_ref().map(|_| POST_MORTEM_TAIL);
         let stream = a.trace_bin.as_ref().filter(|_| exported).and_then(|path| {
             ColumnarSink::create(Path::new(path))
                 .map_err(|e| eprintln!("note: cannot stream to {path}: {e}"))
@@ -489,8 +489,6 @@ fn custom_run(args: &Args) -> Outcome {
         let (handle, sink) = wavesim_analyze::live_sink(wavesim_analyze::AnalyzeOptions {
             window: args.window,
             top_k: args.top,
-            nodes: None,
-            sample_factor: 1,
         });
         tee(Box::new(sink));
         handle
@@ -723,13 +721,12 @@ fn analyze_cmd(args: &Args) -> Outcome {
     )?;
     // Stream the capture record-by-record into the incremental engine:
     // peak memory is one frame, whatever the capture size, and the result
-    // is identical to the offline fold by construction.
+    // is identical to the offline fold by construction. The fold reads a
+    // sampled capture's factor from the gaps its sampler left.
     let mut reader = open_capture(path)?;
     let mut live = wavesim_analyze::LiveAnalytics::new(wavesim_analyze::AnalyzeOptions {
         window: args.window,
         top_k: args.top,
-        nodes: None,
-        sample_factor: args.trace_sample.max(1),
     });
     while let Some(rec) = reader.next_record() {
         live.fold(&rec.map_err(|e| format!("{path}: {e}"))?);

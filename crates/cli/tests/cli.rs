@@ -129,10 +129,10 @@ fn run_writes_trace_and_metrics_and_validates() {
     assert!(page.contains("# TYPE wavesim_msgs_sent counter"));
     assert!(page.contains("wavesim_traced_latency_cycles_bucket"));
 
-    // Its histogram counts every delivery of the run, whatever the ring.
+    // Its histogram counts every delivery of the run.
     let out = wavesim()
         .args(["run", "--side", "8", "--load", "0.3", "--cycles", "3000"])
-        .args(["--flight-recorder", "4096", "--metrics-out"])
+        .args(["--metrics-out"])
         .arg(&metrics)
         .output()
         .expect("binary runs");
@@ -436,6 +436,62 @@ fn binary_capture_converts_and_analyzes_end_to_end() {
 }
 
 #[test]
+fn a_sampled_capture_says_how_it_was_sampled() {
+    let dir = std::env::temp_dir().join(format!("wavesim-cli-sampled-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bin = dir.join("s8.wstrace");
+    let jsonl = dir.join("s8.jsonl");
+    let wavesim_ok = |args: &[&str]| {
+        let out = wavesim().args(args).output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let (bin_arg, jsonl_arg) = (bin.to_str().unwrap(), jsonl.to_str().unwrap());
+    wavesim_ok(&[
+        "run",
+        "--side",
+        "4",
+        "--load",
+        "0.1",
+        "--cycles",
+        "2000",
+        "--trace-bin",
+        bin_arg,
+        "--trace-sample",
+        "8",
+    ]);
+    wavesim_ok(&["convert-trace", bin_arg, "--out", jsonl_arg]);
+
+    // The sampler's gaps in the sequence numbers give the factor: no flag.
+    for capture in [bin_arg, jsonl_arg] {
+        let report = wavesim_ok(&["analyze", "--trace", capture]);
+        let row = report.lines().find(|l| l.contains("sample factor"));
+        let row = row.unwrap_or_else(|| panic!("{capture}: no factor row\n{report}"));
+        assert!(row.ends_with("1/8 (sampled kinds rescaled)"), "{row}");
+    }
+
+    // `analyze` takes no sampling factor: one is a usage error.
+    let out = wavesim()
+        .args(["analyze", "--trace", bin_arg, "--trace-sample", "8"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    let (first, rest) = err.split_once('\n').expect("usage follows the error");
+    assert_eq!(
+        first,
+        "error: unknown argument `--trace-sample` for `analyze`"
+    );
+    assert!(rest.starts_with("usage:"), "{rest}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn model_check_proves_and_mutation_refutes() {
     // Exhaustive proof on the 2x2 mesh: exit 0, PROVED verdict with the
     // pinned state count (exploration is deterministic).
@@ -659,7 +715,7 @@ fn out_of_range_values_are_refused_not_panicked_on() {
         ),
         ("check --model clrp --side 9", 1, "--side"),
         (
-            "run --flight-recorder 999999999999999 --watch-postmortem pm.json",
+            "convert-trace t.wstrace --out t.json --to perfetto --flight-recorder 999999999999999",
             2,
             "--flight-recorder",
         ),

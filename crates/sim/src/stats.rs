@@ -48,8 +48,7 @@ pub struct StatRow {
 ///
 /// The table expands to the struct as written by hand (`pub` `u64` fields
 /// in row order under the attributes given, so `stats.x += 1` and `Debug`
-/// output are what they would be), to `absorb` (field-wise sum, for
-/// composing per-plane contributions) and to `rows`, one walk over
+/// output are what they would be) and to `rows`, one walk over
 /// `(name, help, kind, value)`. Metrics pages and status documents are
 /// that walk, so a new counter is one row here and one `+= 1` where the
 /// event happens.
@@ -58,7 +57,9 @@ pub struct StatRow {
 /// a row with `= pattern` over `Event`. Such a row is bumped by the
 /// generated `count(&mut self, ev: &Event)` once for every event the
 /// pattern matches, so the counter is the event and nothing else; the
-/// generated `COUNTED` lists those rows in declaration order.
+/// generated `COUNTED` lists those rows in declaration order. Such a
+/// table also gets `absorb` (field-wise sum), which composes the planes'
+/// contributions.
 #[macro_export]
 macro_rules! stat_table {
     (
@@ -75,6 +76,11 @@ macro_rules! stat_table {
         }
 
         impl $name {
+            /// Adds every field of `other` into `self`.
+            pub fn absorb(&mut self, other: &Self) {
+                $( self.$field += other.$field; )+
+            }
+
             /// The rows [`count`](Self::count) bumps, in declaration order.
             pub const COUNTED: &'static [&'static str] =
                 &[$( $( $crate::stat_table!(@counted $field $pat), )? )+];
@@ -101,11 +107,6 @@ macro_rules! stat_table {
         }
 
         impl $name {
-            /// Adds every field of `other` into `self`.
-            pub fn absorb(&mut self, other: &Self) {
-                $( self.$field += other.$field; )+
-            }
-
             /// Every row in declaration order; a row's help is the first
             /// line of its doc comment.
             #[must_use]

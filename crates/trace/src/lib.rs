@@ -13,11 +13,11 @@
 //!   transfers, and per-plane tick boundaries. The vocabulary is declared
 //!   once, as the table in `schema.rs`, which expands to the enum and to
 //!   both directions of both file formats;
-//! * [`TraceSink`] — the consumer interface, with [`NullSink`] (drops
-//!   everything; the compiled-in default costs one branch per emit
-//!   point), [`recorder::FlightRecorder`] (fixed-capacity ring buffer,
+//! * [`TraceSink`] — the consumer interface, with
+//!   [`recorder::FlightRecorder`] (fixed-capacity ring buffer,
 //!   allocation-free in steady state) and [`recorder::VecSink`]
-//!   (unbounded, for tests and goldens);
+//!   (unbounded, for tests and goldens); with no sink installed, tracing
+//!   costs one branch per emit point;
 //! * [`TraceBuf`] / [`TraceHub`] — the plumbing the instrumented planes
 //!   use: each plane stages records in its own [`TraceBuf`] (one branch
 //!   when disarmed) and the composition root's [`TraceHub`] stamps a
@@ -113,15 +113,6 @@ pub trait TraceSink {
     }
 }
 
-/// A sink that drops everything: the "tracing compiled in but off" case
-/// the overhead budget is measured against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _rec: TraceRecord) {}
-}
-
 /// Events a [`TraceBuf`] pre-allocates for when armed (a plane's worst
 /// single-dispatch burst stays well under this on the benched fabrics).
 const STAGED_CAPACITY: usize = 4096;
@@ -138,8 +129,8 @@ const PENDING_FLUSH: usize = 4096;
 /// independent engines), so they stage records here and the composition
 /// root absorbs them into the hub after every dispatch. A disarmed buffer
 /// ignores emits — the instrumented planes pay exactly one predictable
-/// branch per potential record, which is what keeps the `NullSink` bench
-/// delta inside the < 3 % budget.
+/// branch per potential record, which is what keeps a run with no sink
+/// installed inside the < 3 % budget.
 ///
 /// Events are staged as full [`TraceRecord`]s with a placeholder sequence
 /// number, so [`TraceHub::absorb`] stamps sequences in place and moves
@@ -353,18 +344,5 @@ mod tests {
         buf.emit(0, TraceEvent::CircuitReleased { circuit: 5 });
         hub.absorb(&mut buf);
         assert_eq!(buf.staged_len(), 0);
-    }
-
-    #[test]
-    fn null_sink_retains_nothing() {
-        let mut s = NullSink;
-        s.record(TraceRecord {
-            at: 0,
-            seq: 0,
-            ev: TraceEvent::CircuitReleased { circuit: 1 },
-        });
-        assert!(s.snapshot().is_empty());
-        assert_eq!(s.dropped(), 0);
-        assert_eq!(s.total(), 0);
     }
 }

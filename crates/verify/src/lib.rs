@@ -18,10 +18,12 @@
 //!   accepted message (the paper's "every message will reach its
 //!   destination in finite time");
 //! * **invariants** ([`invariants`]) — structural cross-checks between
-//!   lanes, circuits, probes, and circuit caches (`WaveNetwork::audit`);
-//! * **events** ([`events`]) — detectors that fold the network's trace
-//!   into an independent lifecycle ledger, cross-checked against the
-//!   registry.
+//!   lanes, circuits, probes, and circuit caches (`WaveNetwork::audit`).
+//!
+//! What the trace says is checked where it is counted: every event-counted
+//! row of `WaveStats` is bumped by `WaveStats::count` on the event itself,
+//! and the root suite's conservation test folds a run's capture into the
+//! same counters and its live circuits and compares them with the network.
 //!
 //! The negative controls matter as much as the positive runs: the test
 //! suite feeds the detectors a *known-broken* routing function
@@ -30,13 +32,11 @@
 #![warn(missing_docs)]
 
 pub mod deadlock;
-pub mod events;
 pub mod invariants;
 pub mod livelock;
 pub mod progress;
 
 pub use deadlock::{check_fabric, check_wave, DeadlockReport};
-pub use events::CircuitLedger;
 pub use invariants::audit_wave;
 pub use livelock::{check_probe_livelock, wave_measure, LivelockReport, ProgressMeasure};
 pub use progress::ProgressMonitor;

@@ -1,8 +1,8 @@
 //! Spatial traffic patterns.
 //!
-//! Each pattern maps a source node to a destination draw. Deterministic
-//! patterns (transpose, bit-reversal, bit-complement) may leave a node
-//! silent when it maps to itself — the convention of the literature.
+//! Each pattern maps a source node to a destination draw. A deterministic
+//! pattern (transpose) may leave a node silent when it maps to itself —
+//! the convention of the literature.
 //! Callers that cannot tolerate silent nodes (phased collectives, which
 //! would deadlock on a member that never sends) draw with
 //! [`TrafficPattern::dest_or_remap`], which remaps self-images
@@ -19,12 +19,6 @@ pub enum TrafficPattern {
     /// 2-D matrix transpose: `(x, y) → (y, x)`. Requires a square 2-D
     /// topology; diagonal nodes are silent.
     Transpose,
-    /// Bit reversal of the node index. Requires a power-of-two node count;
-    /// palindromic nodes are silent.
-    BitReversal,
-    /// Bit complement of the node index. Requires a power-of-two node
-    /// count; always productive.
-    BitComplement,
     /// With probability `fraction`, send to node `node`; otherwise
     /// uniform. The classic hotspot stressor.
     Hotspot {
@@ -33,8 +27,6 @@ pub enum TrafficPattern {
         /// Probability of targeting the hot node.
         fraction: f64,
     },
-    /// Uniformly random physical neighbour — maximal spatial locality.
-    NearestNeighbor,
     /// Temporal-locality pattern: each source owns `partners` fixed
     /// partner nodes (chosen deterministically from the seed); with
     /// probability `locality` the destination is one of them, otherwise
@@ -47,11 +39,6 @@ pub enum TrafficPattern {
         /// Probability a message targets a partner.
         locality: f64,
     },
-}
-
-fn bits_of(n: u32) -> u32 {
-    assert!(n.is_power_of_two(), "pattern requires power-of-two nodes");
-    n.trailing_zeros()
 }
 
 /// Draws a partner index in `[0, n)` with harmonic (Zipf-like) weights:
@@ -118,16 +105,6 @@ impl TrafficPattern {
                 let d = topo.node(wavesim_topology::Coords::new(&[c.get(1), c.get(0)]));
                 (d != src).then_some(d)
             }
-            TrafficPattern::BitReversal => {
-                let b = bits_of(n);
-                let d = NodeId(src.0.reverse_bits() >> (32 - b));
-                (d != src).then_some(d)
-            }
-            TrafficPattern::BitComplement => {
-                let _ = bits_of(n);
-                let d = NodeId(!src.0 & (n - 1));
-                (d != src).then_some(d)
-            }
             TrafficPattern::Hotspot { node, fraction } => {
                 let hot = NodeId(node);
                 if src != hot && rng.chance(fraction) {
@@ -135,11 +112,6 @@ impl TrafficPattern {
                 } else {
                     TrafficPattern::Uniform.dest(topo, src, rng, seed)
                 }
-            }
-            TrafficPattern::NearestNeighbor => {
-                let ports = topo.ports_of(src);
-                let port = ports.iter().nth(rng.index(ports.len()))?;
-                topo.neighbor(src, port)
             }
             TrafficPattern::HotPairs { partners, locality } => {
                 if rng.chance(locality) {
@@ -158,8 +130,8 @@ impl TrafficPattern {
 
     /// Like [`TrafficPattern::dest`], but *remaps* a silent source
     /// deterministically instead of returning `None`: a source whose
-    /// pattern image is itself (a transpose diagonal, a bit-reversal
-    /// palindrome) sends to its successor node id instead. Collective
+    /// pattern image is itself (a transpose diagonal) sends to its
+    /// successor node id instead. Collective
     /// sweeps use this so every node stays productive — a phased
     /// collective with silent members would deadlock waiting on messages
     /// that are never sent.
@@ -282,24 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_patterns() {
-        let t = mesh(); // 16 nodes, 4 bits
-        let mut rng = SimRng::new(1);
-        let d = TrafficPattern::BitComplement
-            .dest(&t, NodeId(0b0011), &mut rng, 0)
-            .unwrap();
-        assert_eq!(d.0, 0b1100);
-        let d = TrafficPattern::BitReversal
-            .dest(&t, NodeId(0b0001), &mut rng, 0)
-            .unwrap();
-        assert_eq!(d.0, 0b1000);
-        // Palindrome is silent under reversal.
-        assert!(TrafficPattern::BitReversal
-            .dest(&t, NodeId(0b1001), &mut rng, 0)
-            .is_none());
-    }
-
-    #[test]
     fn hotspot_concentrates() {
         let t = mesh();
         let mut rng = SimRng::new(2);
@@ -316,20 +270,6 @@ mod tests {
         }
         let frac = f64::from(hits) / f64::from(trials);
         assert!(frac > 0.45 && frac < 0.60, "hot fraction {frac}");
-    }
-
-    #[test]
-    fn nearest_neighbor_is_adjacent() {
-        let t = mesh();
-        let mut rng = SimRng::new(3);
-        for src in t.nodes() {
-            for _ in 0..20 {
-                let d = TrafficPattern::NearestNeighbor
-                    .dest(&t, src, &mut rng, 0)
-                    .unwrap();
-                assert_eq!(t.distance(src, d), 1);
-            }
-        }
     }
 
     #[test]
@@ -385,15 +325,17 @@ mod tests {
     fn dest_or_remap_makes_every_source_productive() {
         let t = mesh();
         let mut rng = SimRng::new(5);
-        for pat in [
-            TrafficPattern::Transpose,
-            TrafficPattern::BitReversal,
-            TrafficPattern::BitComplement,
-        ] {
-            for src in t.nodes() {
-                let d = pat.dest_or_remap(&t, src, &mut rng, 0).unwrap();
-                assert_ne!(d, src, "{pat:?} remap must not self-send");
-            }
+        // The transpose diagonal is silent under `dest`.
+        let silent = t.nodes().filter(|&src| {
+            let d = TrafficPattern::Transpose.dest(&t, src, &mut rng, 0);
+            d.is_none()
+        });
+        assert_eq!(silent.count(), 4);
+        for src in t.nodes() {
+            let d = TrafficPattern::Transpose
+                .dest_or_remap(&t, src, &mut rng, 0)
+                .unwrap();
+            assert_ne!(d, src, "the remap must not self-send");
         }
         // The remap is deterministic: a transpose diagonal node sends to
         // its successor id.
@@ -438,13 +380,5 @@ mod tests {
             let c = t.coords(*s);
             assert!(c.get(0) != c.get(1), "diagonal sources are skipped");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn bit_pattern_rejects_non_pow2() {
-        let t = Topology::mesh(&[3, 3]);
-        let mut rng = SimRng::new(1);
-        let _ = TrafficPattern::BitComplement.dest(&t, NodeId(0), &mut rng, 0);
     }
 }

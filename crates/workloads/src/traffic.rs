@@ -27,13 +27,6 @@ pub enum LengthDist {
         /// Fraction of long messages.
         frac_long: f64,
     },
-    /// Uniform in `[min, max]`.
-    UniformRange {
-        /// Minimum length.
-        min: u32,
-        /// Maximum length.
-        max: u32,
-    },
 }
 
 impl LengthDist {
@@ -47,7 +40,6 @@ impl LengthDist {
                 long,
                 frac_long,
             } => f64::from(short) * (1.0 - frac_long) + f64::from(long) * frac_long,
-            LengthDist::UniformRange { min, max } => (f64::from(min) + f64::from(max)) / 2.0,
         }
     }
 
@@ -66,10 +58,6 @@ impl LengthDist {
                 } else {
                     short
                 }
-            }
-            LengthDist::UniformRange { min, max } => {
-                assert!(min <= max);
-                min + rng.below(u64::from(max - min + 1)) as u32
             }
         }
     }
@@ -211,7 +199,6 @@ mod tests {
             frac_long: 0.25,
         };
         assert!((b.mean() - 38.0).abs() < 1e-9);
-        assert_eq!(LengthDist::UniformRange { min: 4, max: 8 }.mean(), 6.0);
     }
 
     #[test]
@@ -219,8 +206,6 @@ mod tests {
         let mut rng = SimRng::new(5);
         for _ in 0..100 {
             assert_eq!(LengthDist::Fixed(7).sample(&mut rng), 7);
-            let u = LengthDist::UniformRange { min: 3, max: 9 }.sample(&mut rng);
-            assert!((3..=9).contains(&u));
             let b = LengthDist::Bimodal {
                 short: 2,
                 long: 99,

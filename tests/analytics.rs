@@ -3,6 +3,9 @@
 //! records losslessly, and the reconstructed latency waterfalls agree
 //! with the simulator's own delivery accounting at evaluation scale.
 
+mod common;
+
+use common::{golden_check, hash_str};
 use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::topology::Topology;
 use wavesim::trace::stream;
@@ -11,30 +14,6 @@ use wavesim::workloads::{FaultSchedule, LengthDist, TrafficConfig, TrafficPatter
 use wavesim_analyze::{analyze, report, AnalyzeOptions};
 use wavesim_bench::runner::{apply_fault_schedule, ParallelSweep};
 use wavesim_bench::{run_open_loop, RunSpec};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn hash_str(s: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn golden_check(name: &str, got: u64, want: u64) {
-    if std::env::var("GOLDEN_PRINT").is_ok() {
-        println!("GOLDEN {name} = 0x{got:016x}");
-        return;
-    }
-    assert_eq!(
-        got, want,
-        "{name}: analyzer output changed (got 0x{got:016x}, want 0x{want:016x}); \
-         re-capture with GOLDEN_PRINT=1 only if the report change is intentional"
-    );
-}
 
 /// Runs one fully traced CLRP workload and returns the captured records.
 /// Everything derives from the arguments, so sweep workers reproduce it

@@ -3,6 +3,9 @@
 //! scale, and proof that tracing is a pure observer (byte-identical
 //! delivery schedules with the recorder on and off).
 
+mod common;
+
+use common::{golden_check, hash_str};
 use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::network::Message;
 use wavesim::topology::{NodeId, Topology};
@@ -11,30 +14,6 @@ use wavesim::trace::VecSink;
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 use wavesim_bench::tracecap::Capture;
 use wavesim_bench::{run_open_loop_observed, RunSpec};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn hash_str(s: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn golden_check(name: &str, got: u64, want: u64) {
-    if std::env::var("GOLDEN_PRINT").is_ok() {
-        println!("GOLDEN {name} = 0x{got:016x}");
-        return;
-    }
-    assert_eq!(
-        got, want,
-        "{name}: trace output changed (got 0x{got:016x}, want 0x{want:016x}); \
-         re-capture with GOLDEN_PRINT=1 only if the schema change is intentional"
-    );
-}
 
 /// Runs a tiny fully-deterministic CLRP workload — two messages to the
 /// same destination, so the trace covers a cache miss, a probe walk, a
