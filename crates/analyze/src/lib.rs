@@ -16,11 +16,13 @@
 //! * [`series`] — the windowed time series (throughput, latency, cache hit
 //!   rate, active routers per window): the one builder of its rows, for
 //!   `analyze --timeseries` and `run --timeseries-out` alike.
-//! * [`report`] — the human [`wavesim_bench::table::Table`] report and the
+//! * [`report`] — the human [`wavesim_json::table::Table`] report and the
 //!   machine JSON document behind `wavesim analyze`.
 //!
 //! Everything here is deterministic: the same record stream always yields
-//! byte-identical reports, whatever thread count produced the trace.
+//! byte-identical reports, whatever thread count produced the trace. The
+//! crate reads records, not networks: it links `wavesim-trace`,
+//! `wavesim-json` and `wavesim-sim`, never the simulator itself.
 //!
 //! A capture says how it was sampled: the sampler (`run --trace-sample
 //! N`) keeps every Nth bulk record and leaves gaps in the sequence

@@ -4,7 +4,7 @@
 //! float precision, total sort orders upstream — so a 2×2 golden report
 //! can be byte-compared across `--jobs` settings in the test suite.
 
-use wavesim_bench::table::{f2, f3, pct, Table};
+use wavesim_json::table::{f2, f3, pct, Table};
 use wavesim_json::Value;
 use wavesim_sim::stats::Histogram;
 

@@ -24,7 +24,7 @@
 //! its p50/p99 are `None` (empty CSV cells, JSON `null`, no Perfetto
 //! counter sample), never a fabricated zero.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use wavesim_json::Value;
@@ -325,7 +325,7 @@ impl WindowSeries {
 pub struct RunSeries {
     series: WindowSeries,
     /// Flits of each started, undelivered message, by id.
-    in_flight: HashMap<u64, u32>,
+    in_flight: BTreeMap<u64, u32>,
 }
 
 impl RunSeries {
@@ -338,7 +338,7 @@ impl RunSeries {
     pub fn new(window: u64, nodes: u64) -> Self {
         RunSeries {
             series: WindowSeries::new(window, Some(nodes)),
-            in_flight: HashMap::new(),
+            in_flight: BTreeMap::new(),
         }
     }
 

@@ -12,10 +12,10 @@
 //! teardowns but pushes more traffic to wormhole fallback.
 
 use wavesim_core::{ClrpVariant, ProtocolKind, WaveConfig};
+use wavesim_json::table::{f2, pct};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
 use crate::experiments::{rows_of, Ctx, Experiment, Row};
-use crate::table::{f2, pct};
 use crate::Scale;
 
 /// E10.

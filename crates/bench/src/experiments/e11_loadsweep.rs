@@ -10,11 +10,11 @@
 //! `clock_multiplier / channel_split` flits per cycle.
 
 use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_json::table::{f2, f3};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
 use crate::experiments::{Ctx, Experiment, Row};
 use crate::runner::RunResult;
-use crate::table::{f2, f3};
 
 /// E11: one row per offered load.
 pub const E11: Experiment = Experiment {

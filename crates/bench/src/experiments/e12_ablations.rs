@@ -12,10 +12,10 @@
 //!   (§2/§3).
 
 use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_json::table::{f2, pct};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
 use crate::experiments::{rows_of, Ctx, Experiment, Row};
-use crate::table::{f2, pct};
 use crate::Scale;
 
 /// E12.

@@ -17,11 +17,11 @@
 //! round trip; with no locality the circuit thrash erodes the advantage.
 
 use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_json::table::{f2, pct};
 use wavesim_workloads::{ServiceConfig, ServiceWorkload};
 
 use crate::experiments::{Ctx, Experiment, Row};
 use crate::runner::{run_service, RunSpec, ServiceResult};
-use crate::table::{f2, pct};
 
 /// Outstanding remote accesses allowed per node.
 const OUTSTANDING: u64 = 2;

@@ -14,11 +14,11 @@
 //! fraction, mean latency, delivered and lost message counts.
 
 use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_json::table::{f2, pct};
 use wavesim_workloads::{FaultSchedule, LengthDist, TrafficPattern};
 
 use crate::experiments::{rows_of, Ctx, Experiment};
 use crate::runner::apply_fault_schedule;
-use crate::table::{f2, pct};
 
 /// E14: one row per link MTBF.
 pub const E14: Experiment = Experiment {

@@ -27,13 +27,13 @@
 //! release-to-delivery), and circuit-carried fraction.
 
 use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_json::table::{f2, pct};
 use wavesim_topology::{NodeId, Topology};
 use wavesim_workloads::collectives;
 use wavesim_workloads::{DepTrace, TrafficPattern};
 
 use crate::experiments::{rows_of, Ctx, Experiment, Row};
 use crate::runner::{run_dep_trace, RunSpec};
-use crate::table::{f2, pct};
 use crate::Scale;
 
 /// The collective families replayed by E15, in table order.

@@ -11,11 +11,11 @@
 //! ≥ 2–4× at 128+.
 
 use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_json::table::f2;
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
 use crate::experiments::{Ctx, Experiment, Row};
 use crate::runner::RunResult;
-use crate::table::f2;
 
 /// E3.
 pub const E3: Experiment = Experiment {

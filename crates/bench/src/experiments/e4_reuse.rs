@@ -8,13 +8,13 @@
 //! below wormhole.
 
 use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_json::table::f2;
 use wavesim_network::Message;
 use wavesim_sim::{Cycle, SimRng};
 use wavesim_topology::NodeId;
 
 use crate::experiments::{Ctx, Experiment, Row};
 use crate::runner::{run_scripted, RunResult, RunSpec};
-use crate::table::f2;
 use crate::Scale;
 
 const MSG_LEN: u32 = 8;

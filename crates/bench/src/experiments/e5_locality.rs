@@ -20,11 +20,11 @@
 //! its prefetch (`setup_lead`) hides the probe round-trip.
 
 use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_json::table::{f2, pct};
 use wavesim_workloads::{CarpTrace, PairwiseSpec};
 
 use crate::experiments::{Ctx, Experiment, Row};
 use crate::runner::{run_carp_trace, RunResult, RunSpec};
-use crate::table::{f2, pct};
 
 /// E5.
 pub const E5: Experiment = Experiment {

@@ -8,10 +8,10 @@
 //! registers) and compares LRU, LFU, FIFO, and Random.
 
 use wavesim_core::{ProtocolKind, ReplacementPolicy, WaveConfig};
+use wavesim_json::table::{f2, pct};
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
 use crate::experiments::{rows_of, Ctx, Experiment, Row};
-use crate::table::{f2, pct};
 use crate::Scale;
 
 /// E6.

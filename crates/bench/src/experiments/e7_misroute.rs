@@ -15,12 +15,12 @@
 //! the reason the paper keeps `m` small.
 
 use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_json::table::{f2, pct};
 use wavesim_sim::SimRng;
 use wavesim_topology::NodeId;
 use wavesim_workloads::FaultSchedule;
 
 use crate::experiments::{rows_of, Ctx, Experiment};
-use crate::table::{f2, pct};
 
 /// E7.
 pub const E7: Experiment = Experiment {

@@ -8,10 +8,10 @@
 //! fault rate — only the circuit fraction degrades gracefully.
 
 use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_json::table::{f2, pct};
 use wavesim_workloads::{FaultSchedule, LengthDist, TrafficPattern};
 
 use crate::experiments::{rows_of, Ctx, Experiment};
-use crate::table::{f2, pct};
 
 /// E8.
 pub const E8: Experiment = Experiment {

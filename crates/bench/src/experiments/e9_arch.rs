@@ -10,11 +10,11 @@
 //! wormhole share.
 
 use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_json::table::{f2, f3, pct};
 use wavesim_network::WormholeConfig;
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
 use crate::experiments::{rows_of, Ctx, Experiment, Row};
-use crate::table::{f2, f3, pct};
 use crate::Scale;
 
 /// E9.

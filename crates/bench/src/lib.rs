@@ -65,7 +65,6 @@ pub mod metrics;
 pub mod observers;
 pub mod runner;
 pub mod serve;
-pub mod table;
 pub mod tracecap;
 pub mod watchdog;
 
@@ -75,7 +74,7 @@ pub use runner::{
     run_open_loop_observed, run_scripted, run_service, Drained, Driver, ParallelSweep, RunObserver,
     RunResult, RunSpec, ServiceResult,
 };
-pub use table::Table;
+pub use wavesim_json::table::Table;
 
 /// Experiment sizing: `small` keeps tests and CI fast; `paper` is the
 /// full-size run the CLI uses.

@@ -13,10 +13,10 @@
 //! 1. **Stall** — no message delivered for `stall_cycles` cycles.
 //! 2. **Retry storm** — more than `retry_limit` post-fault establishment
 //!    retries inside one [`RETRY_WINDOW`]-cycle window.
-//! 4. **Wait cycle** — the wormhole fabric has made no progress for
-//!    [`DEADLOCK_AGE`] cycles *and* [`find_wait_cycle`] finds a circular
-//!    wait in its wait-for graph: the paper's Theorem 1–2 argument checked
-//!    at run time.
+//! 4. **Wait cycle** — [`check_fabric`] at [`DEADLOCK_AGE`] finds a
+//!    circular wait: the wormhole fabric has made no progress for that
+//!    many cycles *and* its wait-for graph has a cycle. The paper's
+//!    Theorem 1–2 argument, checked at run time.
 //!
 //! A trip stamps a [`TraceEvent::WatchdogTrip`] into the trace stream (if
 //! the run is captured), flushes a flight-recorder post-mortem bundle to
@@ -32,16 +32,16 @@ use wavesim_core::WaveNetwork;
 use wavesim_sim::Cycle;
 use wavesim_trace::postmortem::{self, StallContext};
 use wavesim_trace::TraceEvent;
-use wavesim_verify::deadlock::find_wait_cycle;
+use wavesim_verify::deadlock::{check_fabric, find_wait_cycle};
 
 use crate::{Drained, RunObserver};
 
 /// Window over which rule 2 counts establishment retries.
 pub const RETRY_WINDOW: u64 = 4096;
 
-/// Fabric no-progress age (cycles) that triggers rule 4's wait-cycle
-/// search. Kept well under the drive loop's stall threshold so the
-/// watchdog diagnoses a deadlock before the run gives up.
+/// Fabric no-progress age (cycles) from which rule 4's [`check_fabric`]
+/// searches for a wait cycle. Kept well under the drive loop's stall
+/// threshold so the watchdog diagnoses a deadlock before the run gives up.
 pub const DEADLOCK_AGE: u64 = 2048;
 
 /// Records of the run's tail a post-mortem bundle carries: the size of
@@ -220,12 +220,9 @@ impl RunObserver for Watchdog {
             }
         }
         if self.cfg.deadlock && !self.deadlock_tripped {
-            let fabric = net.fabric();
-            if fabric.progress_age(now) >= DEADLOCK_AGE && fabric.in_flight_flits() > 0 {
-                if let Some(cycle) = find_wait_cycle(&fabric.wait_edges()) {
-                    self.deadlock_tripped = true;
-                    self.trip(net, now, 4, cycle.len() as u64, 0);
-                }
+            if let Some(cycle) = check_fabric(net.fabric(), now, DEADLOCK_AGE).wait_cycle {
+                self.deadlock_tripped = true;
+                self.trip(net, now, 4, cycle.len() as u64, 0);
             }
         }
         self.report.aborted

@@ -62,13 +62,6 @@ impl ProbeFlit {
             *offset = topo.offset(node, dest, dim);
         }
     }
-
-    /// True when every offset is zero — the probe has reached its
-    /// destination.
-    #[must_use]
-    pub fn at_destination(&self) -> bool {
-        self.offsets.iter().all(|&o| o == 0)
-    }
 }
 
 /// History Store flag: the node is on the probe's reserved path. The low
@@ -240,7 +233,10 @@ mod tests {
         assert_eq!(f.misroute, 0);
         assert!(!f.force);
         assert_eq!(f.offsets, vec![3, 1]);
-        assert!(!f.at_destination());
+        assert!(
+            f.offsets.iter().any(|&o| o != 0),
+            "not yet at the destination"
+        );
     }
 
     #[test]
@@ -255,7 +251,11 @@ mod tests {
             vec![7; 5],
         );
         f.update_offsets(&topo, dest, dest);
-        assert!(f.at_destination());
+        assert_eq!(
+            f.offsets,
+            vec![0, 0],
+            "every offset is zero at the destination"
+        );
         assert!(f.force, "force bit survives offset updates");
     }
 

@@ -8,7 +8,9 @@
 //! * [`Value`] — an order-preserving JSON document model;
 //! * [`Value::parse`] — a recursive-descent parser with precise errors;
 //! * [`Value::pretty`] / [`Value::compact`] — deterministic writers
-//!   (object keys keep insertion order, so output is reproducible).
+//!   (object keys keep insertion order, so output is reproducible);
+//! * [`table`] — the plain-text result [`table::Table`] that experiments
+//!   and the trace analyzer print, with its JSON form and cell formatters.
 //!
 //! Numbers are stored as `f64`; integers up to 2^53 round-trip exactly,
 //! which covers every id/cycle value the simulator serializes.
@@ -16,6 +18,8 @@
 #![warn(missing_docs)]
 
 use std::fmt::{self, Write as _};
+
+pub mod table;
 
 /// A parsed or constructed JSON value.
 ///

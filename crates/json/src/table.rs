@@ -1,6 +1,6 @@
 //! Plain-text result tables (what the paper would have printed).
 
-use wavesim_json::Value;
+use crate::Value;
 
 /// One experiment's output: a titled table of string cells.
 #[derive(Debug, Clone)]

@@ -215,7 +215,7 @@ impl Explorer {
 
             // Deadlock: pending work, no protocol action.
             if state.has_pending_work() && !acts.iter().any(|a| a.is_protocol()) {
-                let cycle = find_wait_cycle(&state.wait_edges()).map(strip_cycle);
+                let cycle = find_wait_cycle(&state.wait_edges());
                 self.violation = Some((u, ViolationKind::Deadlock { wait_cycle: cycle }));
                 return true;
             }
@@ -228,7 +228,7 @@ impl Explorer {
                     self.violation = Some((
                         u,
                         ViolationKind::Deadlock {
-                            wait_cycle: Some(strip_cycle(cycle)),
+                            wait_cycle: Some(cycle),
                         },
                     ));
                     return true;
@@ -354,13 +354,6 @@ impl Explorer {
             violation,
         }
     }
-}
-
-/// `find_wait_cycle` keys are `(u32, u16)` pairs already; strip nothing
-/// but give the conversion a name so the format is documented in one
-/// place: `(circuit attempt, dense lane)`.
-fn strip_cycle(cycle: Vec<(u32, u16)>) -> Vec<(u32, u16)> {
-    cycle
 }
 
 /// Iterative Tarjan over a compact adjacency list. Returns SCCs in

@@ -5,7 +5,7 @@
 //! The wave-switching protocols fall back on this fabric whenever a
 //! circuit cannot be established (CLRP phase 3, CARP fallback), and the
 //! paper's deadlock proofs lean on its routing algorithm being
-//! deadlock-free — which `wavesim-topology::cdg` certifies and this crate
+//! deadlock-free — which `wavesim-verify`'s CDG check certifies and this crate
 //! enforces structurally (packets only ever wait on virtual channels their
 //! routing function offers).
 //!

@@ -71,11 +71,6 @@ impl BitSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Removes every bit.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
     /// The backing words (low index = low bits), for popcount-style
     /// instrumentation.
     #[must_use]
@@ -198,8 +193,6 @@ mod tests {
         b.clear(63);
         assert!(!b.get(63));
         assert_eq!(b.count(), 3);
-        b.clear_all();
-        assert!(b.is_empty());
     }
 
     #[test]

@@ -208,14 +208,6 @@ impl SimRng {
         }
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.index(i + 1);
-            slice.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element of `slice`, or `None` if empty.
     pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
         if slice.is_empty() {
@@ -332,16 +324,6 @@ mod tests {
             "mean {mean} should approximate {}",
             1.0 / p
         );
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(8);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

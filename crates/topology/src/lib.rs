@@ -11,15 +11,12 @@
 //! * Duato-style fully adaptive routing with an escape subnetwork
 //!   (refs \[8, 9\]).
 //!
-//! The [`cdg`] module implements the classical machinery used in the
-//! paper's §4 proofs as *executable checks*: it builds the channel
-//! dependency graph of a routing function over a concrete topology and
-//! verifies the Dally–Seitz acyclicity condition (deterministic functions)
-//! or Duato's escape-channel condition (adaptive functions).
+//! Shapes and routing functions only: the channel dependency graph that
+//! certifies a routing function (the paper's §4 machinery) is built and
+//! checked in `wavesim-verify`, beside the runtime deadlock detector.
 
 #![warn(missing_docs)]
 
-pub mod cdg;
 pub mod coords;
 pub mod routing;
 pub mod topo;

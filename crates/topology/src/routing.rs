@@ -17,7 +17,8 @@
 //! `dest`, which (output port, virtual channel) pairs may it take next?*
 //! Routing is stateless in the packet (header offsets identify `dest`), so
 //! candidate sets depend only on `(current, dest)` — exactly the setting of
-//! Duato's theory, and what [`crate::cdg`] checks mechanically.
+//! Duato's theory, and what `wavesim-verify`'s CDG check certifies
+//! mechanically.
 
 use crate::coords::Dir;
 use crate::topo::{NodeId, PortDir, Topology};
@@ -267,8 +268,8 @@ impl WormholeRouting for DuatoAdaptive {
 ///
 /// The wraparound links close the textbook cyclic dependency around every
 /// ring, so this function *can deadlock*. It exists as a negative control:
-/// `wavesim-topology::cdg` must find its cycle and the runtime deadlock
-/// detector in `wavesim-verify` must trip on it under saturation. Never use
+/// `wavesim-verify`'s CDG check must find its cycle and its runtime deadlock
+/// detector must trip on it under saturation. Never use
 /// it in a real configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NaiveTorusDor {

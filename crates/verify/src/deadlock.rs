@@ -31,9 +31,12 @@ pub struct DeadlockReport {
     pub deadlocked: bool,
 }
 
-/// Finds a cycle in the output-VC wait-for graph, if any.
+/// Finds a cycle in a wait-for graph, if any: the fabric's output-VC
+/// graph, a channel dependency graph ([`crate::cdg`]) or a model state's
+/// parked-probe graph. The cycle comes back in edge order; its last
+/// vertex waits on its first.
 ///
-/// The graph arrives as an edge list over sparse `(link, switch)` keys.
+/// The graph arrives as an edge list over sparse two-integer keys.
 /// Vertices are interned into a dense index space (sort + dedup +
 /// binary search), the adjacency is packed into CSR form, and the search
 /// is a three-color iterative DFS over plain vectors — no hashing
@@ -116,9 +119,10 @@ pub fn find_wait_cycle(edges: &[(WaitVc, WaitVc)]) -> Option<Vec<WaitVc>> {
 }
 
 /// Checks the wormhole fabric for deadlock at cycle `now`. `threshold` is
-/// the no-progress age (in cycles) beyond which a busy fabric counts as
+/// the no-progress age (in cycles) from which a busy fabric counts as
 /// frozen; size it well above the worst honest service time (e.g. a few
-/// thousand cycles for the topologies used here).
+/// thousand cycles for the topologies used here). A frozen fabric's
+/// wait-for graph is searched for a circular wait.
 #[must_use]
 pub fn check_fabric(fabric: &WormholeFabric, now: Cycle, threshold: u64) -> DeadlockReport {
     let in_flight = fabric.in_flight_flits();
@@ -127,7 +131,7 @@ pub fn check_fabric(fabric: &WormholeFabric, now: Cycle, threshold: u64) -> Dead
     } else {
         0
     };
-    let frozen = in_flight > 0 && stall_age > threshold;
+    let frozen = in_flight > 0 && stall_age >= threshold;
     let wait_cycle = if frozen {
         find_wait_cycle(&fabric.wait_edges())
     } else {
@@ -236,6 +240,54 @@ mod tests {
         let c = find_wait_cycle(&e).expect("cycle via branch");
         assert!(c.contains(&(1, 0)));
         assert!(c.contains(&(4, 0)));
+    }
+
+    /// The freeze test is inclusive: a deadlocked naive-torus fabric whose
+    /// progress age is exactly the threshold is frozen, and its circular
+    /// wait is named; one cycle short of the threshold it is not.
+    #[test]
+    fn check_fabric_freezes_at_exactly_the_threshold() {
+        use wavesim_network::{Message, WormholeConfig};
+        use wavesim_topology::{Coords, NaiveTorusDor, RoutingKind, Topology};
+
+        let topo = Topology::torus(&[4, 4]);
+        let mut fabric = WormholeFabric::with_routing(
+            topo.clone(),
+            WormholeConfig {
+                w: 1,
+                buffer_depth: 1,
+                routing: RoutingKind::Deterministic,
+                routing_delay: 1,
+            },
+            Box::new(NaiveTorusDor::new(1)),
+        );
+        // Every row ring full of wrapping wormholes.
+        let mut id = 0;
+        for y in 0..4u16 {
+            for x in 0..4u16 {
+                let src = topo.node(Coords::new(&[x, y]));
+                let dest = topo.node(Coords::new(&[(x + 2) % 4, y]));
+                fabric.inject(Message::new(id, src, dest, 64, 0));
+                id += 1;
+            }
+        }
+        let mut now = 0;
+        while fabric.busy() && now < 5_000 {
+            fabric.tick(now);
+            now += 1;
+        }
+        let age = fabric.progress_age(now);
+        assert!(fabric.busy() && age > 0, "the rings must deadlock");
+
+        let at = check_fabric(&fabric, now, age);
+        assert_eq!(at.stall_age, age);
+        assert!(at.deadlocked, "{at:?}");
+        assert!(at.wait_cycle.is_some(), "a frozen fabric names its wait");
+
+        let short = check_fabric(&fabric, now, age + 1);
+        assert_eq!(short.stall_age, age);
+        assert!(!short.deadlocked, "{short:?}");
+        assert!(short.wait_cycle.is_none());
     }
 
     /// Theorems 1–4 must survive the dynamic fault model: a CLRP run

@@ -4,14 +4,14 @@
 //! (Theorems 1–2) and livelock-free (Theorems 3–4). This crate turns those
 //! claims into *checks that run against the simulator*:
 //!
-//! * **static** — [`wavesim_topology::cdg`] certifies the wormhole
-//!   fall-back routing function (re-exported here for convenience): the
+//! * **static** ([`cdg`]) — builds the channel dependency graph of the
+//!   wormhole fall-back routing function and certifies it: the
 //!   Dally–Seitz acyclicity condition for deterministic functions, Duato's
 //!   escape condition for adaptive ones;
-//! * **runtime deadlock** ([`deadlock`]) — a progress monitor that flags a
-//!   busy-but-frozen network, plus wait-for-graph cycle extraction over
-//!   the wormhole plane (a cycle under deterministic routing *is* a
-//!   deadlock, not just a symptom);
+//! * **runtime deadlock** ([`deadlock`]) — [`check_fabric`] flags a
+//!   busy-but-frozen wormhole plane and extracts the circular wait from
+//!   its wait-for graph (a cycle under deterministic routing *is* a
+//!   deadlock, not just a symptom); the watchdog's rule 4 is this check;
 //! * **runtime livelock** ([`livelock`]) — checks every probe respects
 //!   the finite step bound implied by the History Store + bounded
 //!   misrouting argument of Theorems 3–4, and that runs deliver every
@@ -19,6 +19,10 @@
 //!   destination in finite time");
 //! * **invariants** ([`invariants`]) — structural cross-checks between
 //!   lanes, circuits, probes, and circuit caches (`WaveNetwork::audit`).
+//!
+//! Both graphs are edge lists of two-integer keys (`(link, vc)` in the
+//! CDG, `(router, output VC)` in the fabric), and one search,
+//! [`deadlock::find_wait_cycle`], finds their cycles.
 //!
 //! What the trace says is checked where it is counted: every event-counted
 //! row of `WaveStats` is bumped by `WaveStats::count` on the event itself,
@@ -31,15 +35,14 @@
 
 #![warn(missing_docs)]
 
+pub mod cdg;
 pub mod deadlock;
 pub mod invariants;
 pub mod livelock;
 pub mod progress;
 
+pub use cdg::{check_deadlock_freedom, CdgReport, CheckMode};
 pub use deadlock::{check_fabric, check_wave, DeadlockReport};
 pub use invariants::audit_wave;
 pub use livelock::{check_probe_livelock, wave_measure, LivelockReport, ProgressMeasure};
 pub use progress::ProgressMonitor;
-
-// Static checks, re-exported so downstream users need only this crate.
-pub use wavesim_topology::cdg::{check_deadlock_freedom, CdgReport, CheckMode};
