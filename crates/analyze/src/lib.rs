@@ -46,7 +46,7 @@ use wavesim_trace::TraceRecord;
 pub use faults::{FaultImpact, PhaseStats};
 pub use flows::FlowStats;
 pub use lanes::LaneStats;
-pub use live::{fold_sink, live_sink, take_analysis, take_fold, LiveAnalytics};
+pub use live::LiveAnalytics;
 pub use series::{RunSeries, WindowRow};
 pub use spans::{CircuitLog, MessageSpan, SpanMode, SpanSet};
 

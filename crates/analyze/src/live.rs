@@ -17,28 +17,24 @@
 //! `u32::MAX` costs one interner slot, not 4G rows — so a record grows a
 //! table by at most one row per id it names.
 //!
-//! For running beside a capture, [`fold_sink`] wraps a fold — this one
-//! ([`live_sink`]) or a [`RunSeries`] — in a
-//! [`wavesim_trace::stream::StreamSink`] whose "encoder" folds records on
-//! the writer thread instead of encoding bytes: the simulation thread only
-//! pays the existing chunk-and-send cost, and the fold keeps up off the
-//! hot path. After the sink is finished (joining the writer thread),
-//! [`take_fold`] takes the fold back ([`take_analysis`] seals a
-//! [`LiveAnalytics`] into its [`Analysis`]).
+//! During a run this fold is a [`Listener`] of the run's one
+//! [`wavesim_trace::stream::StreamSink`] (`run --live-analyze`), as
+//! [`crate::RunSeries`] is (`run --timeseries-out`): it reads the chunks
+//! the file listener reads, on the stream's writer thread, and comes back
+//! with the run's capture when the stream finishes.
 
 use std::io;
-use std::sync::{Arc, Mutex};
 
 use wavesim_sim::stats::Histogram;
 use wavesim_sim::Cycle;
 use wavesim_trace::columnar::Interner;
-use wavesim_trace::stream::{is_bulk_kind, ChunkEncoder, StreamSink};
+use wavesim_trace::stream::{is_bulk_kind, Listener};
 use wavesim_trace::{TraceEvent, TraceRecord};
 
 use crate::faults::FaultFold;
 use crate::flows::FlowFold;
 use crate::lanes::LaneFold;
-use crate::series::{RunSeries, WindowSeries, MAX_ROWS};
+use crate::series::{WindowSeries, MAX_ROWS};
 use crate::spans::{Delivery, SpanFold};
 use crate::{Analysis, AnalyzeOptions, SpanMode, Summary};
 
@@ -464,101 +460,27 @@ impl LiveAnalytics {
     }
 }
 
-/// A fold a capture's writer thread runs over the records it is handed:
-/// [`LiveAnalytics`] (`run --live-analyze`) or [`RunSeries`] (`run
-/// --timeseries-out`).
-pub trait RecordFold: Send + 'static {
-    /// Folds one record.
-    fn fold_record(&mut self, rec: &TraceRecord);
-}
-
-impl RecordFold for LiveAnalytics {
-    fn fold_record(&mut self, rec: &TraceRecord) {
-        self.fold(rec);
+impl Listener for LiveAnalytics {
+    fn listen(&mut self, recs: &[TraceRecord]) -> io::Result<()> {
+        self.fold_many(recs);
+        Ok(())
     }
-}
-
-impl RecordFold for RunSeries {
-    fn fold_record(&mut self, rec: &TraceRecord) {
-        self.fold(rec);
-    }
-}
-
-/// Shared handle to a fold running on a capture writer thread. `None`
-/// once [`take_fold`] has taken it.
-pub type FoldHandle<F> = Arc<Mutex<Option<F>>>;
-
-/// A [`ChunkEncoder`] that folds records instead of encoding bytes, so
-/// the fold runs on the [`StreamSink`] writer thread.
-pub struct FoldEncoder<F> {
-    handle: FoldHandle<F>,
-}
-
-impl<F: RecordFold> ChunkEncoder for FoldEncoder<F> {
-    fn encode_chunk(&mut self, recs: &[TraceRecord], _out: &mut Vec<u8>) {
-        if let Some(fold) = self.handle.lock().expect("fold poisoned").as_mut() {
-            for rec in recs {
-                fold.fold_record(rec);
-            }
-        }
-    }
-}
-
-/// A [`StreamSink`] whose writer thread folds records and discards the
-/// (empty) byte output.
-pub type FoldSink<F> = StreamSink<io::Sink, FoldEncoder<F>>;
-
-/// Record batch size handed to the fold thread per channel send.
-const LIVE_CHUNK: usize = 8192;
-
-/// Arms `fold` on a writer thread: returns the shared handle and the
-/// [`TraceSink`] (tee it beside the capture sinks). Finish the sink —
-/// joining its writer thread — before calling [`take_fold`].
-///
-/// [`TraceSink`]: wavesim_trace::TraceSink
-#[must_use]
-pub fn fold_sink<F: RecordFold>(fold: F) -> (FoldHandle<F>, FoldSink<F>) {
-    let handle = Arc::new(Mutex::new(Some(fold)));
-    let enc = FoldEncoder {
-        handle: Arc::clone(&handle),
-    };
-    let sink = StreamSink::with_encoder(io::sink(), enc, LIVE_CHUNK);
-    (handle, sink)
-}
-
-/// Takes the fold behind `handle`; `None` if it was already taken. Only
-/// call after the owning sink finished, otherwise in-queue records would
-/// be silently missing.
-#[must_use]
-pub fn take_fold<F>(handle: &FoldHandle<F>) -> Option<F> {
-    handle.lock().expect("fold poisoned").take()
-}
-
-/// [`fold_sink`] of a [`LiveAnalytics`] with the given knobs.
-#[must_use]
-pub fn live_sink(opts: AnalyzeOptions) -> (FoldHandle<LiveAnalytics>, FoldSink<LiveAnalytics>) {
-    fold_sink(LiveAnalytics::new(opts))
-}
-
-/// Seals the fold behind `handle` and returns its [`Analysis`], as
-/// [`take_fold`].
-#[must_use]
-pub fn take_analysis(handle: &FoldHandle<LiveAnalytics>) -> Option<Analysis> {
-    take_fold(handle).map(LiveAnalytics::finish)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use wavesim_trace::{ColumnarSink, TraceSink};
+    use wavesim_trace::stream::{take_listener, ColumnarFile, StreamSink};
+    use wavesim_trace::TraceSink;
 
     /// What a capture sampled 1-in-`every` keeps of `recs`: they go through
-    /// a real sampling sink and back through the decoder.
+    /// a real sampling file and back through the decoder.
     pub(crate) fn thinned(recs: &[TraceRecord], every: u64) -> Vec<TraceRecord> {
-        let mut sink = ColumnarSink::new(Vec::new()).with_sampling(every);
-        sink.record_many(recs);
-        let bytes = sink.finish_into().expect("an in-memory stream");
-        wavesim_trace::read_columnar(&bytes).expect("the stream decodes")
+        let mut file = ColumnarFile::new(Vec::new()).with_sampling(every);
+        file.listen(recs)
+            .and_then(|()| file.close())
+            .expect("an in-memory file");
+        wavesim_trace::read_columnar(&file.into_inner()).expect("the file decodes")
     }
 
     fn factor_of(recs: &[TraceRecord]) -> u64 {
@@ -650,7 +572,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn sink_folds_everything_before_take() {
+    fn a_stream_hands_its_fold_back_on_finish() {
         let recs = vec![
             TraceRecord {
                 at: 2,
@@ -673,11 +595,17 @@ pub(crate) mod tests {
                 },
             },
         ];
-        let (handle, mut sink) = live_sink(AnalyzeOptions::default());
+        let fold = LiveAnalytics::new(AnalyzeOptions::default());
+        let mut sink = StreamSink::listening(vec![Box::new(fold)], 1);
         sink.record_many(&recs);
-        TraceSink::finish(&mut sink).expect("finish");
-        let live = take_analysis(&handle).expect("first take");
-        assert!(take_analysis(&handle).is_none(), "second take is empty");
+        sink.finish().expect("finish");
+        let mut back = sink.listeners();
+        let live = take_listener::<LiveAnalytics>(&mut back).expect("handed back");
+        assert!(
+            back.is_empty() && sink.listeners().is_empty(),
+            "handed back once"
+        );
+        let live = live.finish();
         let offline = crate::analyze(&recs, AnalyzeOptions::default());
         assert_eq!(live.summary.records, offline.summary.records);
         assert_eq!(live.summary.delivered, 1);

@@ -26,11 +26,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io;
 
 use wavesim_json::Value;
 use wavesim_sim::stats::Histogram;
 use wavesim_sim::Cycle;
 use wavesim_trace::columnar::Interner;
+use wavesim_trace::stream::Listener;
 use wavesim_trace::{TraceEvent, TraceRecord};
 
 use crate::live::slot;
@@ -364,6 +366,13 @@ impl RunSeries {
     #[must_use]
     pub fn finish(self) -> (Vec<WindowRow>, u64) {
         self.series.finish()
+    }
+}
+
+impl Listener for RunSeries {
+    fn listen(&mut self, recs: &[TraceRecord]) -> io::Result<()> {
+        recs.iter().for_each(|rec| self.fold(rec));
+        Ok(())
     }
 }
 

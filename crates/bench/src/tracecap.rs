@@ -4,13 +4,14 @@
 //! [`crate::RunResult`], so tracing output cannot ride on the result
 //! struct. Instead a [`Capture`] is a [`RunObserver`]: handed to a
 //! `run_*` entry point it installs its sinks into the network for the
-//! duration of the run — typically a lossless on-disk stream, and a
-//! [`FlightRecorder`] ring only when something will read the ring's tail
-//! (the watchdog's post-mortem) — and afterwards owns the run's
-//! [`RunTrace`].
+//! duration of the run — one [`StreamSink`] read by the on-disk file and
+//! the run's folds, and a [`FlightRecorder`] ring only when the watchdog's
+//! post-mortem will read its tail — and afterwards owns the run's
+//! [`RunTrace`] and hands the listeners back.
 
 use wavesim_core::WaveNetwork;
 use wavesim_trace::recorder::TeeSink;
+use wavesim_trace::stream::{take_listener, Listener, StreamSink, CHUNK_RECORDS};
 use wavesim_trace::{FlightRecorder, TraceRecord, TraceSink};
 
 use crate::{Drained, RunObserver};
@@ -20,27 +21,27 @@ use crate::{Drained, RunObserver};
 pub struct RunTrace {
     /// The ring's surviving records, oldest first (empty without a ring).
     pub records: Vec<TraceRecord>,
-    /// Records the ring overwrote (without a ring, records the first
-    /// stream lost).
+    /// Records the ring overwrote (without a ring, records the stream lost).
     pub dropped: u64,
     /// Records emitted over the whole run.
     pub total: u64,
-    /// Error from flushing a teed stream, if one occurred.
+    /// Error from finishing the stream, if one occurred.
     pub stream_error: Option<String>,
 }
 
-/// Records one run into an optional flight-recorder ring and into every
-/// teed sink (a [`wavesim_trace::ColumnarSink`] captures everything).
+/// Records one run into an optional flight-recorder ring and into one
+/// stream that every listener reads.
 pub struct Capture {
     ring: Option<usize>,
-    tees: Vec<Box<dyn TraceSink>>,
+    /// The listeners to arm before the run, and the ones handed back after.
+    listeners: Vec<Box<dyn Listener>>,
     installed: bool,
     trace: Option<RunTrace>,
 }
 
 impl Capture {
-    /// A capture into a ring of `ring` record slots, or into its tees
-    /// alone when `ring` is `None`.
+    /// A capture into a ring of `ring` record slots, or into its
+    /// listeners alone when `ring` is `None`.
     ///
     /// # Panics
     /// Panics if `ring` is `Some(0)` (a flight recorder needs at least one
@@ -50,17 +51,23 @@ impl Capture {
         assert!(ring != Some(0), "a flight recorder needs at least one slot");
         Self {
             ring,
-            tees: Vec::new(),
+            listeners: Vec::new(),
             installed: false,
             trace: None,
         }
     }
 
-    /// Also feeds every record to `sink`, flushed when the run ends.
+    /// Also hands every record to `listener`, closed when the run ends.
     #[must_use]
-    pub fn tee(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.tees.push(sink);
+    pub fn listen(mut self, listener: Box<dyn Listener>) -> Self {
+        self.listeners.push(listener);
         self
+    }
+
+    /// Takes back the finished run's listener of type `L` (`None` before
+    /// the run ends, or when there is none).
+    pub fn listener<L: Listener>(&mut self) -> Option<L> {
+        take_listener(&mut self.listeners)
     }
 
     /// The finished run's trace (`None` before the run ends, or when the
@@ -72,23 +79,26 @@ impl Capture {
 }
 
 impl RunObserver for Capture {
-    /// Installs the ring, if any, then every tee; the first of them stays
-    /// the query-answering primary through the nested tees.
+    /// Installs the ring, if any, and the stream, if anything listens;
+    /// the ring is the query-answering primary.
     fn start(&mut self, net: &mut WaveNetwork) {
         let ring = self
             .ring
             .map(|n| Box::new(FlightRecorder::new(n)) as Box<dyn TraceSink>);
-        let mut sinks = ring.into_iter().chain(self.tees.drain(..));
-        let Some(first) = sinks.next() else {
-            return;
+        let listeners = std::mem::take(&mut self.listeners);
+        let stream = (!listeners.is_empty())
+            .then(|| Box::new(StreamSink::listening(listeners, CHUNK_RECORDS)) as _);
+        let sink = match (ring, stream) {
+            (Some(ring), Some(stream)) => Box::new(TeeSink::new(ring, stream)),
+            (Some(sink), None) | (None, Some(sink)) => sink,
+            (None, None) => return,
         };
-        let sink = sinks.fold(first, |sink, tee| Box::new(TeeSink::new(sink, tee)));
         net.install_trace_sink(sink);
         self.installed = true;
     }
 
-    /// Removes the sink installed by `start`, snapshots it, and keeps the
-    /// [`RunTrace`].
+    /// Removes the sink installed by `start`, snapshots it, keeps the
+    /// [`RunTrace`] and takes the listeners back.
     fn finish(&mut self, net: &mut WaveNetwork, _outcome: Drained) {
         if !self.installed {
             return;
@@ -103,6 +113,7 @@ impl RunObserver for Capture {
             total: sink.total(),
             stream_error,
         });
+        self.listeners = sink.listeners();
     }
 }
 
@@ -112,7 +123,7 @@ mod tests {
     use crate::{run_open_loop, run_open_loop_observed, RunSpec};
     use wavesim_core::{WaveConfig, WaveNetwork};
     use wavesim_topology::Topology;
-    use wavesim_trace::ColumnarSink;
+    use wavesim_trace::stream::ColumnarFile;
     use wavesim_workloads::{LengthDist, TrafficConfig, TrafficSource};
 
     fn workload(load: f64, len: u32) -> (WaveNetwork, TrafficSource) {
@@ -171,7 +182,7 @@ mod tests {
         ));
         // Tiny ring: the stream must still be lossless.
         let cap =
-            Capture::new(Some(64)).tee(Box::new(ColumnarSink::create(&path).expect("create")));
+            Capture::new(Some(64)).listen(Box::new(ColumnarFile::create(&path).expect("create")));
         let (r, t) = captured_run(cap, RunSpec::standard(200, 1_000));
         assert!(r.clean(), "{r:?}");
         assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
@@ -197,7 +208,7 @@ mod tests {
         let mut last_total = 0;
         for cycles in [400u64, 900] {
             let cap =
-                Capture::new(None).tee(Box::new(ColumnarSink::create(&path).expect("create")));
+                Capture::new(None).listen(Box::new(ColumnarFile::create(&path).expect("create")));
             let (r, t) = captured_run(cap, RunSpec::standard(100, cycles));
             assert!(r.clean(), "{r:?}");
             assert!(t.stream_error.is_none(), "{:?}", t.stream_error);

@@ -10,13 +10,16 @@ use std::process::ExitCode;
 
 use flags::{Args, Cmd, ConvertTo};
 use wavesim_analyze::series::{self, RunSeries, WindowRow};
+use wavesim_analyze::LiveAnalytics;
 use wavesim_bench::livestate::StatusBoard;
 use wavesim_bench::tracecap::Capture;
 use wavesim_bench::watchdog::{Watchdog, WatchdogConfig, POST_MORTEM_TAIL};
 use wavesim_bench::{experiments, Observed, Observers, RunSpec};
 use wavesim_core::{WaveConfig, WaveNetwork};
 use wavesim_topology::{RoutingKind, Topology};
-use wavesim_trace::stream::{stream_trace_file, StreamingReader, TraceFormat};
+use wavesim_trace::stream::{
+    stream_trace_file, ColumnarFile, Listener, StreamingReader, TraceFormat,
+};
 use wavesim_trace::{ColumnarSink, FlightRecorder, TraceSink};
 use wavesim_verify::check_deadlock_freedom;
 use wavesim_workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
@@ -231,8 +234,7 @@ fn convert_trace(args: &Args) -> Outcome {
         ConvertTo::Perfetto => {
             // The ring bounds the records held, whatever the capture's size.
             let mut ring = FlightRecorder::new(args.flight_recorder);
-            let mut live =
-                wavesim_analyze::LiveAnalytics::new(wavesim_analyze::AnalyzeOptions::default());
+            let mut live = LiveAnalytics::new(wavesim_analyze::AnalyzeOptions::default());
             while let Some(rec) = next() {
                 let rec = rec?;
                 live.fold(&rec);
@@ -332,25 +334,26 @@ impl<'a> Observing<'a> {
         })
     }
 
-    /// One run's observers. Only an `exported` run (possibly the last in
-    /// serial order) streams to the `--trace-bin` file, truncating it: the
-    /// file ends up holding the last run streamed there.
-    fn observers(&self, exported: bool) -> Observers {
+    /// One run's observers, its capture's stream read by the `--trace-bin`
+    /// file and by `folds`. Only an `exported` run (possibly the last in
+    /// serial order) streams to the file, truncating it: the file ends up
+    /// holding the last run streamed there.
+    fn observers(&self, exported: bool, folds: Vec<Box<dyn Listener>>) -> Observers {
         let a = self.args;
         // The ring is the post-mortem's tail and nothing else's, so it is
         // armed on every run a post-mortem may be written for.
         let ring = self.watch.post_mortem.as_ref().map(|_| POST_MORTEM_TAIL);
-        let stream = a.trace_bin.as_ref().filter(|_| exported).and_then(|path| {
-            ColumnarSink::create(Path::new(path))
+        let file = a.trace_bin.as_ref().filter(|_| exported).and_then(|path| {
+            ColumnarFile::create(Path::new(path))
                 .map_err(|e| eprintln!("note: cannot stream to {path}: {e}"))
                 .ok()
         });
-        let capture = (ring.is_some() || stream.is_some()).then(|| {
-            let c = Capture::new(ring);
-            match stream {
-                Some(sink) => c.tee(Box::new(sink.with_sampling(a.trace_sample))),
-                None => c,
-            }
+        let file = file.map(|f| Box::new(f.with_sampling(a.trace_sample)) as Box<dyn Listener>);
+        let listeners: Vec<_> = file.into_iter().chain(folds).collect();
+        let capture = (ring.is_some() || !listeners.is_empty()).then(|| {
+            listeners
+                .into_iter()
+                .fold(Capture::new(ring), Capture::listen)
         });
         Observers {
             capture,
@@ -434,6 +437,13 @@ enum RunOutcome {
     Service(wavesim_bench::ServiceResult),
 }
 
+/// The run's fold of type `L`, back from its capture when `armed`.
+fn fold_back<L: Listener>(obs: &mut Observers, armed: bool) -> Result<Option<L>, Stop> {
+    let fold = armed.then(|| obs.capture.as_mut().and_then(Capture::listener));
+    fold.map(|f| f.ok_or("a fold of the run died with its stream".into()))
+        .transpose()
+}
+
 fn custom_run(args: &Args) -> Outcome {
     if args.replay_trace.is_some() && args.service_clients.is_some() {
         return Err("`--replay-trace` and `--service-clients` are mutually exclusive".into());
@@ -477,28 +487,22 @@ fn custom_run(args: &Args) -> Outcome {
     }
     let warmup = args.cycles / 5;
     let observing = Observing::new(args)?;
-    let mut obs = observing.observers(true);
-    // The run's folds see every record, whatever --trace-sample keeps of
+    // The run's folds read every record, whatever --trace-sample keeps of
     // the file. The series has its own fold, which forgets each message
     // at its delivery: the report's keeps every span.
-    let mut tee = |sink: Box<dyn TraceSink>| {
-        let capture = obs.capture.take().unwrap_or_else(|| Capture::new(None));
-        obs.capture = Some(capture.tee(sink));
+    let opts = wavesim_analyze::AnalyzeOptions {
+        window: args.window,
+        top_k: args.top,
     };
-    let live_handle = args.live_analyze.then(|| {
-        let (handle, sink) = wavesim_analyze::live_sink(wavesim_analyze::AnalyzeOptions {
-            window: args.window,
-            top_k: args.top,
-        });
-        tee(Box::new(sink));
-        handle
-    });
-    let series_handle = args.timeseries_out.as_ref().map(|_| {
-        let nodes = u64::from(topo.num_nodes());
-        let (handle, sink) = wavesim_analyze::fold_sink(RunSeries::new(args.window, nodes));
-        tee(Box::new(sink));
-        handle
-    });
+    let nodes = u64::from(topo.num_nodes());
+    let folds: [Option<Box<dyn Listener>>; 2] = [
+        args.live_analyze
+            .then(|| Box::new(LiveAnalytics::new(opts)) as _),
+        args.timeseries_out
+            .as_ref()
+            .map(|_| Box::new(RunSeries::new(args.window, nodes)) as _),
+    ];
+    let mut obs = observing.observers(true, folds.into_iter().flatten().collect());
     let outcome = if let Some(trace) = &replay {
         RunOutcome::Flat(wavesim_bench::run_dep_trace(
             &mut net,
@@ -548,20 +552,11 @@ fn custom_run(args: &Args) -> Outcome {
             &mut obs,
         ))
     };
+    let analysis = fold_back(&mut obs, args.live_analyze)?.map(LiveAnalytics::finish);
+    let timeseries = fold_back::<RunSeries>(&mut obs, args.timeseries_out.is_some())?;
     let mut observed = Observed::default();
     observed.push(obs);
-    let analysis = live_handle
-        .map(|handle| {
-            wavesim_analyze::take_analysis(&handle).ok_or("live analytics produced no analysis")
-        })
-        .transpose()?;
-    let timeseries = series_handle
-        .map(|handle| {
-            let fold = wavesim_analyze::take_fold(&handle).ok_or("the time series was not folded");
-            fold.map(RunSeries::finish)
-        })
-        .transpose()?;
-    observing.report(&observed, timeseries)?;
+    observing.report(&observed, timeseries.map(RunSeries::finish))?;
     let status = observing.board.as_ref().and_then(StatusBoard::snapshot);
     if let (Some(path), Some(status)) = (&args.metrics_out, &status) {
         use wavesim_bench::metrics::{metrics_page, run_gauges, service_gauges};
@@ -724,7 +719,7 @@ fn analyze_cmd(args: &Args) -> Outcome {
     // is identical to the offline fold by construction. The fold reads a
     // sampled capture's factor from the gaps its sampler left.
     let mut reader = open_capture(path)?;
-    let mut live = wavesim_analyze::LiveAnalytics::new(wavesim_analyze::AnalyzeOptions {
+    let mut live = LiveAnalytics::new(wavesim_analyze::AnalyzeOptions {
         window: args.window,
         top_k: args.top,
     });
@@ -761,7 +756,7 @@ fn analyze_cmd(args: &Args) -> Outcome {
 
 fn run_experiments(ids: &[&str], args: &Args) -> Outcome {
     let observing = Observing::new(args)?;
-    let factory = |exported| observing.observers(exported);
+    let factory = |exported| observing.observers(exported, Vec::new());
     let ctx = experiments::Ctx::observed(args.scale, args.jobs, &factory);
     for table in experiments::run_all(ids, &ctx) {
         if args.json {

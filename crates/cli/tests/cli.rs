@@ -944,3 +944,38 @@ fn progress_prints_the_live_line_and_leaves_stdout_alone() {
         "{err}"
     );
 }
+
+/// A capture file that cannot be written fails the run, and fails it
+/// alone: the time series folded beside it is the one the same run
+/// writes without a capture.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_dead_capture_file_leaves_the_folds_beside_it_whole() {
+    let dir = std::env::temp_dir().join(format!("wavesim-cli-full-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |csv: &str, extra: &[&str]| {
+        wavesim()
+            .args(["run", "--side", "8", "--load", "0.2", "--cycles", "4000"])
+            .args(["--live-analyze", "--timeseries-out", csv])
+            .args(extra)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs")
+    };
+    let dead = run("ts.csv", &["--trace-bin", "/dev/full"]);
+    assert_eq!(dead.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&dead.stderr);
+    assert!(
+        err.starts_with("error: trace capture: trace stream i/o error"),
+        "{err}"
+    );
+    let alive = run("alone.csv", &[]);
+    assert!(
+        alive.status.success(),
+        "{}",
+        String::from_utf8_lossy(&alive.stderr)
+    );
+    let read = |name: &str| std::fs::read(dir.join(name)).expect("the series was written");
+    assert!(read("ts.csv") == read("alone.csv"), "the series moved");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -314,10 +314,6 @@ impl ChunkEncoder for FrameEncoder {
     fn header(&mut self, out: &mut Vec<u8>) {
         out.extend_from_slice(&MAGIC);
     }
-
-    fn encode_chunk(&mut self, recs: &[TraceRecord], out: &mut Vec<u8>) {
-        self.encode_frame(recs, out);
-    }
 }
 
 /// Encodes `recs` as a whole `WSTRACE1` capture in memory, a frame per

@@ -105,11 +105,17 @@ pub trait TraceSink {
     }
 
     /// Flushes any buffered state to the sink's backing store. Called once
-    /// when the traced run ends; streaming sinks (see [`ColumnarSink`])
-    /// drain their chunk queue and flush the writer here. In-memory sinks
+    /// when the traced run ends; a [`stream::StreamSink`] drains its
+    /// chunk queue and closes its listeners here. In-memory sinks
     /// keep the default no-op.
     fn finish(&mut self) -> Result<(), String> {
         Ok(())
+    }
+
+    /// Hands back, once, the listeners a finished stream ran (see
+    /// [`stream::Listener`]); other sinks have none.
+    fn listeners(&mut self) -> Vec<Box<dyn stream::Listener>> {
+        Vec::new()
     }
 }
 

@@ -128,8 +128,9 @@ impl TraceSink for VecSink {
 /// Fans every record out to two sinks: a *primary* that answers the
 /// snapshot/dropped/total queries (typically a [`FlightRecorder`] so the
 /// post-mortem tail stays available) and a *secondary* that only consumes
-/// (typically a [`crate::ColumnarSink`] streaming the full run to
-/// disk). `finish` forwards to both and reports the first failure.
+/// (typically the run's [`crate::stream::StreamSink`]). `finish` forwards
+/// to both and reports the first failure; `listeners` are the
+/// secondary's.
 pub struct TeeSink {
     primary: Box<dyn TraceSink>,
     secondary: Box<dyn TraceSink>,
@@ -170,6 +171,10 @@ impl TraceSink for TeeSink {
         let a = self.primary.finish();
         let b = self.secondary.finish();
         a.and(b)
+    }
+
+    fn listeners(&mut self) -> Vec<Box<dyn crate::stream::Listener>> {
+        self.secondary.listeners()
     }
 }
 

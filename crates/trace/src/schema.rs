@@ -290,7 +290,7 @@ macro_rules! trace_schema {
         }
 
         /// True for the high-volume kinds
-        /// [`StreamSink::with_sampling`](crate::stream::StreamSink::with_sampling)
+        /// [`ColumnarFile::with_sampling`](crate::stream::ColumnarFile::with_sampling)
         /// thins: per-cycle tick markers, per-hop probe movement, and cache
         /// lookups. Everything else (circuit lifecycle, transfers,
         /// deliveries, faults) is always captured so span and flow

@@ -4,20 +4,19 @@
 //! the *whole* stream. This module provides the streaming machinery: the
 //! hot path appends `Copy` records to an in-progress chunk, and full
 //! chunks are handed to a dedicated writer thread, which hands each back
-//! empty once it is written. Encoding and file I/O happen entirely off
-//! the simulation thread. A sink owns [`POOL_CHUNKS`] chunk buffers from
-//! creation to finish and takes them in rotation, so its memory is the
-//! same whether the writer keeps up or not; if the writer falls behind,
-//! the hot path blocks for an empty buffer instead of queueing more.
-//! [`TraceSink::finish`] drains the queue and flushes the writer.
+//! empty once every [`Listener`] has read it. Encoding, folding and file
+//! I/O happen entirely off the simulation thread. A [`StreamSink`] owns
+//! [`POOL_CHUNKS`] chunk buffers from creation to finish and takes them in
+//! rotation, so its memory is the same whether the writer keeps up or not;
+//! if the writer falls behind, the hot path blocks for an empty buffer
+//! instead of queueing more. [`TraceSink::finish`] drains the queue,
+//! closes the listeners and hands them back ([`TraceSink::listeners`]).
 //!
-//! A run streams one format: [`ColumnarSink`] writes the compact binary
+//! A run has one stream: [`ColumnarFile`] writes the compact binary
 //! frames of [`crate::columnar`] (`WSTRACE1`), which round-trip via
-//! [`read_columnar`]. The plumbing takes any [`ChunkEncoder`]; the
-//! live-analytics fold rides it with an encoder that writes nothing.
-//! JSONL — one [`encode_record`] object per line, read back by
-//! [`read_jsonl`] — is a view of a capture that `wavesim convert-trace`
-//! writes, not a stream a run writes.
+//! [`read_columnar`], and `analyze`'s folds read the same chunks. JSONL —
+//! one [`encode_record`] object per line, read back by [`read_jsonl`] —
+//! is a view of a capture that `wavesim convert-trace` writes.
 //!
 //! Reading is format-agnostic: [`StreamingReader`], the one decoder,
 //! sniffs the [`crate::columnar::MAGIC`] prefix of any byte source (the
@@ -27,17 +26,17 @@
 //! [`read_columnar`] drain one into a vector.
 //!
 //! Saturated runs can cap bytes deterministically with
-//! [`StreamSink::with_sampling`]: bulk kinds (tick markers, per-hop probe
+//! [`ColumnarFile::with_sampling`]: bulk kinds (tick markers, per-hop probe
 //! movement, cache lookups) keep 1-in-N records by a counter over the
 //! deterministic record order, while every lifecycle and delivery event
 //! is always kept — so spans, flows and fault windows stay exact and the
-//! sampled stream is identical on every rerun.
+//! sampled file is identical on every rerun. The folds read every record.
 
+use std::any::Any;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
-use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 use wavesim_json::Value;
@@ -50,54 +49,179 @@ use crate::{TraceRecord, TraceSink};
 /// frame size).
 pub const CHUNK_RECORDS: usize = 8192;
 /// Chunk buffers a sink circulates: one filling, one queued, one being
-/// encoded. The hot path blocks when the other two are still with the
+/// read. The hot path blocks when the other two are still with the
 /// writer.
 pub const POOL_CHUNKS: usize = 3;
 
 // ---------------------------------------------------------------------
-// Chunk encoders
+// Listeners
 // ---------------------------------------------------------------------
 
-/// Turns chunks of records into bytes on the writer thread.
-///
-/// Implementations run off the simulation thread and may keep scratch
-/// state across chunks (the columnar encoder reuses its column buffers).
+/// The header a stream encoder writes before its first chunk.
 pub trait ChunkEncoder: Send + 'static {
-    /// Appends the stream header (file magic) once, before any chunk.
-    fn header(&mut self, out: &mut Vec<u8>) {
-        let _ = out;
+    /// Appends the stream header (file magic).
+    fn header(&mut self, out: &mut Vec<u8>);
+}
+
+/// One reader of a run's records on its stream's writer thread: the
+/// `WSTRACE1` file ([`ColumnarFile`]) or a fold (`analyze`'s
+/// `LiveAnalytics` and `RunSeries`). Every listener of a [`StreamSink`]
+/// reads each chunk, in record order, before the chunk goes back to the
+/// pool, and comes back when the stream finishes ([`take_listener`]).
+pub trait Listener: Any + Send {
+    /// Reads the next chunk of records.
+    ///
+    /// # Errors
+    /// Fails when the records cannot be written. The stream then drops
+    /// this listener and reports the error on finish; the others read on.
+    fn listen(&mut self, recs: &[TraceRecord]) -> io::Result<()>;
+
+    /// Called once, after the last chunk.
+    ///
+    /// # Errors
+    /// Fails when buffered output cannot be flushed.
+    fn close(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Takes the listener of type `L` out of `listeners` (what a finished
+/// stream handed back), if one is there.
+pub fn take_listener<L: Listener>(listeners: &mut Vec<Box<dyn Listener>>) -> Option<L> {
+    let at = listeners
+        .iter()
+        .position(|l| (&**l as &dyn Any).is::<L>())?;
+    let any: Box<dyn Any> = listeners.remove(at);
+    any.downcast().ok().map(|l| *l)
+}
+
+/// The `WSTRACE1` file listener: [`crate::columnar`] frames written to
+/// `W`, the bulk kinds optionally sampled.
+pub struct ColumnarFile<W> {
+    w: W,
+    enc: FrameEncoder,
+    /// Encoded bytes not yet written: the stream header until the first
+    /// frame.
+    bytes: Vec<u8>,
+    /// Records a sampled frame holds; unsampled, a chunk is a frame.
+    frame: usize,
+    /// Keep 1-in-N bulk-kind records; 0 or 1 = keep everything.
+    sample_every: u64,
+    /// Bulk-kind records seen (the deterministic sampling clock).
+    bulk_seen: u64,
+    /// Kept records not yet framed (sampling only).
+    kept: Vec<TraceRecord>,
+}
+
+impl ColumnarFile<BufWriter<File>> {
+    /// Creates (truncating) `path` and writes the capture to it.
+    ///
+    /// # Errors
+    /// Fails when the file cannot be created.
+    pub fn create(path: &Path) -> io::Result<Self> {
+        Ok(Self::new(BufWriter::new(File::create(path)?)))
+    }
+}
+
+impl<W: Write> ColumnarFile<W> {
+    /// Writes the capture to `w`.
+    pub fn new(w: W) -> Self {
+        let mut enc = FrameEncoder::new();
+        let mut bytes = Vec::with_capacity(64 * 1024);
+        enc.header(&mut bytes);
+        Self {
+            w,
+            enc,
+            bytes,
+            frame: CHUNK_RECORDS,
+            sample_every: 0,
+            bulk_seen: 0,
+            kept: Vec::new(),
+        }
     }
 
-    /// Appends the encoding of `recs` to `out`.
-    fn encode_chunk(&mut self, recs: &[TraceRecord], out: &mut Vec<u8>);
+    /// Keeps only 1-in-`every` records of the bulk kinds (see
+    /// [`is_bulk_kind`]); lifecycle and delivery events are always kept.
+    ///
+    /// Sampling is a counter over the deterministic record order, so the
+    /// kept set — and therefore the written bytes — is identical across
+    /// reruns. `every` of 0 or 1 disables sampling.
+    #[must_use]
+    pub fn with_sampling(mut self, every: u64) -> Self {
+        self.sample_every = every;
+        self
+    }
+
+    /// Encodes `recs` as one frame and writes it.
+    fn write_frame(&mut self, recs: &[TraceRecord]) -> io::Result<()> {
+        self.enc.encode_frame(recs, &mut self.bytes);
+        self.w.write_all(&self.bytes)?;
+        self.bytes.clear();
+        Ok(())
+    }
+
+    /// The writer.
+    pub fn into_inner(self) -> W {
+        self.w
+    }
+}
+
+impl<W: Write + Send + 'static> Listener for ColumnarFile<W> {
+    fn listen(&mut self, recs: &[TraceRecord]) -> io::Result<()> {
+        if self.sample_every <= 1 {
+            return self.write_frame(recs);
+        }
+        let mut kept = std::mem::take(&mut self.kept);
+        for rec in recs {
+            if is_bulk_kind(&rec.ev) {
+                let keep = self.bulk_seen.is_multiple_of(self.sample_every);
+                self.bulk_seen += 1;
+                if !keep {
+                    continue;
+                }
+            }
+            kept.push(*rec);
+            if kept.len() == self.frame {
+                self.write_frame(&kept)?;
+                kept.clear();
+            }
+        }
+        self.kept = kept;
+        Ok(())
+    }
+
+    fn close(&mut self) -> io::Result<()> {
+        let kept = std::mem::take(&mut self.kept);
+        if !kept.is_empty() {
+            self.write_frame(&kept)?;
+        }
+        // An empty capture is its header alone.
+        self.w.write_all(&self.bytes)?;
+        self.w.flush()
+    }
 }
 
 // ---------------------------------------------------------------------
 // The streaming sink
 // ---------------------------------------------------------------------
 
-/// Streaming trace sink: chunks of records encoded and written by a
-/// background thread, bounded memory, lossless (unless sampling is
-/// requested explicitly).
+/// Streaming trace sink: chunks of records read by every [`Listener`] on
+/// one background thread, bounded memory, lossless.
 ///
 /// Retains nothing in memory (`snapshot` is empty); pair it with a ring
 /// buffer via [`TeeSink`](crate::recorder::TeeSink) when the post-mortem
-/// machinery also needs a tail snapshot. Use the [`ColumnarSink`] alias
-/// rather than naming the encoder directly.
-pub struct StreamSink<W: Write + Send + 'static, E: ChunkEncoder> {
+/// machinery also needs a tail snapshot.
+pub struct StreamSink {
     /// `None` once the stream is shut down or the writer thread has died.
     link: Option<WriterLink>,
-    handle: Option<JoinHandle<io::Result<W>>>,
+    handle: Option<JoinHandle<Joined>>,
     chunk: Vec<TraceRecord>,
     chunk_cap: usize,
     total: u64,
     lost: u64,
-    /// Keep 1-in-N bulk-kind records; 0 or 1 = keep everything.
-    sample_every: u64,
-    /// Bulk-kind records seen (the deterministic sampling clock).
-    bulk_seen: u64,
     error: Option<String>,
-    _enc: PhantomData<fn() -> E>,
+    /// The listeners, once the writer thread has handed them back.
+    listeners: Vec<Box<dyn Listener>>,
 }
 
 /// The hot path's ends of the two channels to the writer thread.
@@ -108,43 +232,36 @@ struct WriterLink {
     empty: Receiver<Vec<TraceRecord>>,
 }
 
-/// Streaming binary columnar sink: [`crate::columnar`] frames.
-pub type ColumnarSink<W> = StreamSink<W, FrameEncoder>;
+/// What the writer thread hands back on join: the listeners that did not
+/// fail, the first failure, and the records handed over after it.
+type Joined = (Vec<Box<dyn Listener>>, Option<io::Error>, u64);
 
-impl<E: ChunkEncoder + Default> StreamSink<BufWriter<File>, E> {
-    /// Creates (truncating) `path` and streams records to it.
+/// The name a file-only stream is built under ([`StreamSink::new`],
+/// [`StreamSink::create`]).
+pub type ColumnarSink = StreamSink;
+
+impl StreamSink {
+    /// Creates (truncating) `path` and streams records to it as
+    /// `WSTRACE1`.
     ///
     /// # Errors
     /// Fails when the file cannot be created.
     pub fn create(path: &Path) -> io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self::new(BufWriter::new(file)))
-    }
-}
-
-impl<W: Write + Send + 'static, E: ChunkEncoder + Default> StreamSink<W, E> {
-    /// Streams records to `writer` with the default chunk size.
-    pub fn new(writer: W) -> Self {
-        Self::with_chunk(writer, CHUNK_RECORDS)
+        Ok(Self::new(BufWriter::new(File::create(path)?)))
     }
 
-    /// Streams records to `writer`, handing off every `chunk_cap` records.
+    /// Streams records to `writer` as `WSTRACE1`.
+    pub fn new<W: Write + Send + 'static>(writer: W) -> Self {
+        Self::listening(vec![Box::new(ColumnarFile::new(writer))], CHUNK_RECORDS)
+    }
+
+    /// Streams records to every one of `listeners`, handing off every
+    /// `chunk_cap` records.
     ///
     /// # Panics
     /// Panics if `chunk_cap` is zero.
-    pub fn with_chunk(writer: W, chunk_cap: usize) -> Self {
-        Self::with_encoder(writer, E::default(), chunk_cap)
-    }
-}
-
-impl<W: Write + Send + 'static, E: ChunkEncoder> StreamSink<W, E> {
-    /// Streams records through an explicitly constructed encoder — the
-    /// entry point for stateful encoders that carry shared handles (the
-    /// live-analytics fold rides this with an `io::sink()` writer).
-    ///
-    /// # Panics
-    /// Panics if `chunk_cap` is zero.
-    pub fn with_encoder(writer: W, enc: E, chunk_cap: usize) -> Self {
+    #[must_use]
+    pub fn listening(listeners: Vec<Box<dyn Listener>>, chunk_cap: usize) -> Self {
         assert!(chunk_cap > 0, "chunk capacity must be positive");
         // Neither channel ever blocks a sender: only `POOL_CHUNKS`
         // buffers exist.
@@ -154,7 +271,7 @@ impl<W: Write + Send + 'static, E: ChunkEncoder> StreamSink<W, E> {
             free.send(Vec::with_capacity(chunk_cap))
                 .expect("receiver is in scope");
         }
-        let handle = std::thread::spawn(move || writer_loop(writer, enc, &rx, &free));
+        let handle = std::thread::spawn(move || writer_loop(listeners, &rx, &free));
         Self {
             link: Some(WriterLink { full, empty }),
             handle: Some(handle),
@@ -162,117 +279,40 @@ impl<W: Write + Send + 'static, E: ChunkEncoder> StreamSink<W, E> {
             chunk_cap,
             total: 0,
             lost: 0,
-            sample_every: 0,
-            bulk_seen: 0,
             error: None,
-            _enc: PhantomData,
+            listeners: Vec::new(),
         }
     }
 
-    /// Keeps only 1-in-`every` records of the bulk kinds (see
-    /// [`is_bulk_kind`]); lifecycle and delivery events are always kept.
-    ///
-    /// Sampling is a counter over the deterministic record order, so the
-    /// kept set — and therefore the captured bytes — is identical across
-    /// reruns. `every` of 0 or 1 disables sampling.
-    #[must_use]
-    pub fn with_sampling(mut self, every: u64) -> Self {
-        self.sample_every = every;
-        self
-    }
-}
-
-impl<W: Write + Send + 'static, E: ChunkEncoder> StreamSink<W, E> {
-    /// Hands the in-progress chunk to the writer thread.
+    /// Hands the in-progress chunk to the writer thread and takes back
+    /// the oldest empty buffer, so every buffer of the pool is in use
+    /// after `POOL_CHUNKS` chunks whether or not the writer keeps up;
+    /// blocks while the writer holds them all.
     fn flush_chunk(&mut self) {
-        if self.chunk.is_empty() {
+        let n = self.chunk.len() as u64;
+        if n == 0 {
             return;
         }
-        let Some(link) = &self.link else {
-            self.lost += self.chunk.len() as u64;
-            self.chunk.clear();
-            return;
-        };
-        match link.full.send(std::mem::take(&mut self.chunk)) {
-            // The oldest empty buffer, so every buffer of the pool is in
-            // use after `POOL_CHUNKS` chunks whether or not the writer
-            // keeps up; blocks while the writer holds them all.
-            Ok(()) => match link.empty.recv() {
-                Ok(empty) => self.chunk = empty,
-                Err(_) => self.link = None,
-            },
-            // The writer thread died (I/O error); the error surfaces on
-            // finish. Stop sending and count what we could not persist.
-            Err(SendError(mut full)) => {
-                self.lost += full.len() as u64;
-                full.clear();
-                self.chunk = full;
+        let full = std::mem::take(&mut self.chunk);
+        let link = self.link.as_ref();
+        match link.and_then(|l| l.full.send(full).ok().and_then(|()| l.empty.recv().ok())) {
+            Some(empty) => self.chunk = empty,
+            // The writer thread died (a listener panicked), which finish
+            // reports: count what it did not get.
+            None => {
+                self.lost += n;
                 self.link = None;
             }
         }
     }
-
-    /// Stops the writer thread and collects its result.
-    fn shutdown(&mut self) -> Result<Option<W>, String> {
-        self.flush_chunk();
-        drop(self.link.take());
-        let Some(handle) = self.handle.take() else {
-            return match self.error.take() {
-                Some(e) => Err(e),
-                None => Ok(None),
-            };
-        };
-        match handle.join() {
-            Ok(Ok(w)) => {
-                if self.lost > 0 {
-                    Err(format!("trace stream lost {} records", self.lost))
-                } else {
-                    Ok(Some(w))
-                }
-            }
-            Ok(Err(e)) => Err(format!("trace stream i/o error: {e}")),
-            Err(_) => Err("trace stream writer thread panicked".into()),
-        }
-    }
-
-    /// Finishes the stream and returns the underlying writer (tests use
-    /// this to inspect an in-memory capture).
-    ///
-    /// # Errors
-    /// Fails when the writer thread hit an I/O error, records were lost,
-    /// or the stream already finished.
-    pub fn finish_into(mut self) -> Result<W, String> {
-        match self.shutdown() {
-            Ok(Some(w)) => Ok(w),
-            Ok(None) => Err("stream already finished".into()),
-            Err(e) => Err(e),
-        }
-    }
 }
 
-impl<W: Write + Send + 'static, E: ChunkEncoder> TraceSink for StreamSink<W, E> {
+impl TraceSink for StreamSink {
     fn record(&mut self, rec: TraceRecord) {
-        self.total += 1;
-        if self.sample_every > 1 && is_bulk_kind(&rec.ev) {
-            let keep = self.bulk_seen.is_multiple_of(self.sample_every);
-            self.bulk_seen += 1;
-            if !keep {
-                return;
-            }
-        }
-        self.chunk.push(rec);
-        if self.chunk.len() >= self.chunk_cap {
-            self.flush_chunk();
-        }
+        self.record_many(std::slice::from_ref(&rec));
     }
 
     fn record_many(&mut self, recs: &[TraceRecord]) {
-        if self.sample_every > 1 {
-            for rec in recs {
-                self.record(*rec);
-            }
-            return;
-        }
         self.total += recs.len() as u64;
         let mut rest = recs;
         while !rest.is_empty() {
@@ -293,43 +333,60 @@ impl<W: Write + Send + 'static, E: ChunkEncoder> TraceSink for StreamSink<W, E> 
         self.total
     }
 
+    /// Hands the last chunk over, stops the writer thread and takes the
+    /// listeners back; later calls report the same result.
     fn finish(&mut self) -> Result<(), String> {
-        let res = self.shutdown().map(|_| ());
-        if let Err(e) = &res {
-            self.error = Some(e.clone());
+        self.flush_chunk();
+        drop(self.link.take());
+        if let Some(handle) = self.handle.take() {
+            self.error = match handle.join() {
+                Ok((listeners, error, lost)) => {
+                    self.listeners = listeners;
+                    self.lost += lost;
+                    error.map(|e| format!("trace stream i/o error: {e}"))
+                }
+                Err(_) => Some("trace stream writer thread panicked".into()),
+            };
         }
-        res
+        self.error.clone().map_or(Ok(()), Err)
+    }
+
+    fn listeners(&mut self) -> Vec<Box<dyn Listener>> {
+        std::mem::take(&mut self.listeners)
     }
 }
 
-impl<W: Write + Send + 'static, E: ChunkEncoder> Drop for StreamSink<W, E> {
+impl Drop for StreamSink {
     fn drop(&mut self) {
         // Best effort: never panic in drop; finish() reports errors.
-        let _ = self.shutdown();
+        let _ = self.finish();
     }
 }
 
-/// The writer thread: encodes chunks, writes them out and hands the
-/// buffers back.
-fn writer_loop<W: Write, E: ChunkEncoder>(
-    mut w: W,
-    mut enc: E,
+/// The writer thread: hands every chunk to every listener, dropping one
+/// that fails, then hands the buffer back.
+fn writer_loop(
+    mut listeners: Vec<Box<dyn Listener>>,
     rx: &Receiver<Vec<TraceRecord>>,
     free: &SyncSender<Vec<TraceRecord>>,
-) -> io::Result<W> {
-    let mut bytes = Vec::with_capacity(64 * 1024);
-    enc.header(&mut bytes);
-    w.write_all(&bytes)?;
+) -> Joined {
+    let mut error = None;
+    let mut lost = 0;
     for mut chunk in rx {
-        bytes.clear();
-        enc.encode_chunk(&chunk, &mut bytes);
-        w.write_all(&bytes)?;
+        listeners.retain_mut(|l| l.listen(&chunk).map_err(|e| error.get_or_insert(e)).is_ok());
+        if error.is_some() {
+            lost += chunk.len() as u64;
+        }
         chunk.clear();
         // Fails only for the last chunk of a stream that is shutting down.
         let _ = free.send(chunk);
     }
-    w.flush()?;
-    Ok(w)
+    for l in &mut listeners {
+        if let Err(e) = l.close() {
+            error.get_or_insert(e);
+        }
+    }
+    (listeners, error, lost)
 }
 
 // ---------------------------------------------------------------------
@@ -524,6 +581,18 @@ mod tests {
     use crate::postmortem::record_to_json;
     use crate::TraceEvent;
 
+    /// A stream to an in-memory file, a frame every `chunk` records.
+    fn file_sink(chunk: usize) -> StreamSink {
+        StreamSink::listening(vec![Box::new(ColumnarFile::new(Vec::new()))], chunk)
+    }
+
+    /// Finishes `sink` and returns what its in-memory file holds.
+    fn bytes_of(mut sink: StreamSink) -> Vec<u8> {
+        sink.finish().expect("finish");
+        let file = take_listener::<ColumnarFile<Vec<u8>>>(&mut sink.listeners());
+        file.expect("an in-memory file").into_inner()
+    }
+
     /// The schema table's fixture (every kind, edge and small values), in
     /// the JSONL-exact range, stamped with consecutive sequence numbers.
     fn sample_records() -> Vec<TraceRecord> {
@@ -567,22 +636,22 @@ mod tests {
     #[test]
     fn sink_streams_all_records_through_small_chunks() {
         let recs = sample_records();
-        let mut sink = ColumnarSink::with_chunk(Vec::new(), 3);
+        let mut sink = file_sink(3);
         for rec in &recs {
             sink.record(*rec);
         }
         assert_eq!(sink.total(), recs.len() as u64);
-        let bytes = sink.finish_into().expect("finish");
+        let bytes = bytes_of(sink);
         assert_eq!(read_columnar(&bytes).expect("decode"), recs);
     }
 
     #[test]
     fn columnar_sink_round_trips_every_kind() {
         let recs = sample_records();
-        let mut sink = ColumnarSink::with_chunk(Vec::new(), 5);
+        let mut sink = file_sink(5);
         sink.record_many(&recs);
         assert_eq!(sink.total(), recs.len() as u64);
-        let bytes = sink.finish_into().expect("finish");
+        let bytes = bytes_of(sink);
         let sniffed = StreamingReader::new(&bytes[..]).expect("open").format();
         assert_eq!(sniffed, TraceFormat::Columnar);
         let back = read_columnar(&bytes).expect("decode");
@@ -593,16 +662,13 @@ mod tests {
     #[test]
     fn record_many_matches_per_record_streaming() {
         let recs = sample_records();
-        let mut one = ColumnarSink::with_chunk(Vec::new(), 4);
+        let mut one = file_sink(4);
         for rec in &recs {
             one.record(*rec);
         }
-        let mut many = ColumnarSink::with_chunk(Vec::new(), 4);
+        let mut many = file_sink(4);
         many.record_many(&recs);
-        assert_eq!(
-            one.finish_into().expect("finish"),
-            many.finish_into().expect("finish")
-        );
+        assert_eq!(bytes_of(one), bytes_of(many));
     }
 
     #[test]
@@ -624,26 +690,33 @@ mod tests {
                 ev: TraceEvent::CircuitReleased { circuit: i },
             });
         }
-        let mut sink = ColumnarSink::with_chunk(Vec::new(), 4).with_sampling(4);
-        sink.record_many(&recs);
-        let bytes = sink.finish_into().expect("finish");
+        let sampled = || {
+            let mut file = ColumnarFile::new(Vec::new()).with_sampling(4);
+            file.frame = 4;
+            let mut sink = StreamSink::listening(vec![Box::new(file)], 3);
+            sink.record_many(&recs);
+            bytes_of(sink)
+        };
+        let bytes = sampled();
         let back = read_columnar(&bytes).expect("decode");
         let bulk = back.iter().filter(|r| is_bulk_kind(&r.ev)).count();
         let life = back.iter().filter(|r| !is_bulk_kind(&r.ev)).count();
         assert_eq!(bulk, 3, "1-in-4 of 10 bulk records (indices 0,4,8)");
         assert_eq!(life, 10, "lifecycle events always kept");
+        // Frames hold 4 kept records, whatever the chunks held.
+        assert_eq!(bytes, crate::columnar::encode(&back, 4));
         // Sampling is deterministic: a rerun produces identical bytes.
-        let mut again = ColumnarSink::with_chunk(Vec::new(), 4).with_sampling(4);
-        again.record_many(&recs);
-        assert_eq!(again.finish_into().expect("finish"), bytes);
+        assert_eq!(sampled(), bytes);
     }
 
     /// Notes where each chunk it is handed lives.
-    struct AddressEncoder(std::sync::Arc<std::sync::Mutex<Vec<usize>>>);
+    #[derive(Default)]
+    struct AddressListener(Vec<usize>);
 
-    impl ChunkEncoder for AddressEncoder {
-        fn encode_chunk(&mut self, recs: &[TraceRecord], _out: &mut Vec<u8>) {
-            self.0.lock().unwrap().push(recs.as_ptr() as usize);
+    impl Listener for AddressListener {
+        fn listen(&mut self, recs: &[TraceRecord]) -> io::Result<()> {
+            self.0.push(recs.as_ptr() as usize);
+            Ok(())
         }
     }
 
@@ -652,15 +725,15 @@ mod tests {
         // Whatever the two threads' relative speed, chunk `i` travels in
         // buffer `i % POOL_CHUNKS`: the sink's memory does not depend on
         // how far the writer is behind.
-        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let enc = AddressEncoder(std::sync::Arc::clone(&seen));
-        let mut sink = StreamSink::with_encoder(io::sink(), enc, 4);
+        let mut sink = StreamSink::listening(vec![Box::new(AddressListener::default())], 4);
         let recs = sample_records();
         for rec in recs.iter().cycle().take(4 * 4 * POOL_CHUNKS) {
             sink.record(*rec);
         }
-        sink.finish_into().expect("finish");
-        let seen = seen.lock().unwrap();
+        sink.finish().expect("finish");
+        let seen = take_listener::<AddressListener>(&mut sink.listeners())
+            .expect("handed back")
+            .0;
         assert_eq!(seen.len(), 4 * POOL_CHUNKS);
         for (i, addr) in seen.iter().enumerate() {
             assert_eq!(*addr, seen[i % POOL_CHUNKS], "chunk {i}");
@@ -690,7 +763,8 @@ mod tests {
 
     #[test]
     fn dead_writer_reports_on_finish_without_blocking_the_hot_path() {
-        let mut sink = ColumnarSink::with_chunk(FailingWriter(1), 2);
+        let file = ColumnarFile::new(FailingWriter(1));
+        let mut sink = StreamSink::listening(vec![Box::new(file)], 2);
         for rec in sample_records().iter().cycle().take(64) {
             sink.record(*rec);
         }
@@ -698,6 +772,34 @@ mod tests {
         let err = TraceSink::finish(&mut sink).unwrap_err();
         assert!(err.contains("i/o error"), "{err}");
         assert!(sink.dropped() > 0);
+    }
+
+    /// Counts the records it reads.
+    #[derive(Default)]
+    struct Counting(u64);
+
+    impl Listener for Counting {
+        fn listen(&mut self, recs: &[TraceRecord]) -> io::Result<()> {
+            self.0 += recs.len() as u64;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_dead_file_stops_only_itself() {
+        let file = ColumnarFile::new(FailingWriter(1));
+        let listeners: Vec<Box<dyn Listener>> = vec![Box::new(file), Box::new(Counting::default())];
+        let mut sink = StreamSink::listening(listeners, 2);
+        for rec in sample_records().iter().cycle().take(64) {
+            sink.record(*rec);
+        }
+        let err = TraceSink::finish(&mut sink).unwrap_err();
+        assert!(err.contains("i/o error"), "{err}");
+        assert!(sink.dropped() > 0);
+        let mut back = sink.listeners();
+        let fold = take_listener::<Counting>(&mut back).expect("handed back");
+        assert_eq!(fold.0, 64, "the fold read every record");
+        assert!(back.is_empty(), "the failed file is not handed back");
     }
 
     #[test]
@@ -765,9 +867,9 @@ mod tests {
         assert_eq!(reader.format(), TraceFormat::Jsonl);
         assert_eq!(drain(reader), recs);
 
-        let mut bin = ColumnarSink::with_chunk(Vec::new(), 4);
+        let mut bin = file_sink(4);
         bin.record_many(&recs);
-        let bin_bytes = bin.finish_into().expect("finish");
+        let bin_bytes = bytes_of(bin);
         let reader = StreamingReader::new(&bin_bytes[..]).expect("open");
         assert_eq!(reader.format(), TraceFormat::Columnar);
         assert_eq!(drain(reader), recs);
@@ -778,9 +880,9 @@ mod tests {
         // Frames of 3 records force several frame boundaries, and a
         // 7-byte dribble guarantees every frame straddles refills.
         let recs = sample_records();
-        let mut bin = ColumnarSink::with_chunk(Vec::new(), 3);
+        let mut bin = file_sink(3);
         bin.record_many(&recs);
-        let bytes = bin.finish_into().expect("finish");
+        let bytes = bytes_of(bin);
         for cap in [1, 7, 64] {
             let src = Dribble {
                 data: &bytes,
@@ -816,9 +918,9 @@ mod tests {
     #[test]
     fn streaming_reader_reports_corrupt_columnar() {
         let recs = sample_records();
-        let mut bin = ColumnarSink::with_chunk(Vec::new(), 4);
+        let mut bin = file_sink(4);
         bin.record_many(&recs);
-        let mut bytes = bin.finish_into().expect("finish");
+        let mut bytes = bytes_of(bin);
         bytes.truncate(bytes.len() - 3); // chop mid-frame
         let mut reader = StreamingReader::new(&bytes[..]).expect("open");
         let mut saw_err = false;

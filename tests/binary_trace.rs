@@ -6,10 +6,9 @@
 
 use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::topology::Topology;
+use wavesim::trace::stream::{ColumnarFile, Listener};
 use wavesim::trace::{columnar, stream};
-use wavesim::trace::{
-    every_event, read_columnar, read_trace, ColumnarSink, TraceRecord, TraceSink,
-};
+use wavesim::trace::{every_event, read_columnar, read_trace, TraceRecord};
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 use wavesim_bench::tracecap::{Capture, RunTrace};
 use wavesim_bench::{run_open_loop_observed, RunSpec};
@@ -129,9 +128,9 @@ fn capture_workload() -> (WaveNetwork, TrafficSource) {
     (net, src)
 }
 
-fn bin_sink(path: &std::path::Path, sample: u64) -> Box<dyn TraceSink> {
-    let sink = ColumnarSink::create(path).expect("create bin");
-    Box::new(sink.with_sampling(sample))
+fn bin_file(path: &std::path::Path, sample: u64) -> Box<dyn Listener> {
+    let file = ColumnarFile::create(path).expect("create bin");
+    Box::new(file.with_sampling(sample))
 }
 
 /// Runs [`capture_workload`] under `cap`, checks the streams flushed and
@@ -154,7 +153,7 @@ fn real_run_binary_stream_is_lossless_and_compact() {
     let pid = std::process::id();
     let bpath = std::env::temp_dir().join(format!("wavesim_bt_lossless_{pid}.wstrace"));
     // A ring that holds the whole run is the reference record list.
-    let t = capture_run(Capture::new(Some(1 << 20)).tee(bin_sink(&bpath, 1)));
+    let t = capture_run(Capture::new(Some(1 << 20)).listen(bin_file(&bpath, 1)));
     assert_eq!(t.dropped, 0, "the ring must hold the whole run");
     let bbytes = std::fs::read(&bpath).expect("read bin");
     let from_bin = read_trace(&bbytes[..]).expect("decode bin");
@@ -181,7 +180,7 @@ fn binary_stream_is_byte_identical_on_rerun() {
         let capture = |run: u32| {
             let path =
                 std::env::temp_dir().join(format!("wavesim_bt_rerun_{pid}_{sample}_{run}.wstrace"));
-            capture_run(Capture::new(None).tee(bin_sink(&path, sample)));
+            capture_run(Capture::new(None).listen(bin_file(&path, sample)));
             let bytes = std::fs::read(&path).expect("read bin");
             let _ = std::fs::remove_file(&path);
             bytes
@@ -205,7 +204,7 @@ fn sampled_stream_is_deterministic_subset() {
     // Two identical deterministic runs, one lossless and one sampled: the
     // record streams match, so the sampled file must be a subset.
     for (path, sample) in [(&full_path, 1u64), (&samp_path, 8)] {
-        capture_run(Capture::new(None).tee(bin_sink(path, sample)));
+        capture_run(Capture::new(None).listen(bin_file(path, sample)));
     }
     let full = read_columnar(&std::fs::read(&full_path).expect("read full")).expect("decode");
     let samp = read_columnar(&std::fs::read(&samp_path).expect("read samp")).expect("decode");

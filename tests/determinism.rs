@@ -211,8 +211,8 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
             let mut capture = Capture::new(Some(1 << 12));
             if exported {
                 exported_runs.fetch_add(1, Ordering::Relaxed);
-                let stream = wavesim::trace::ColumnarSink::create(&path).expect("create");
-                capture = capture.tee(Box::new(stream));
+                let file = wavesim::trace::stream::ColumnarFile::create(&path).expect("create");
+                capture = capture.listen(Box::new(file));
             }
             Observers {
                 capture: Some(capture),

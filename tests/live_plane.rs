@@ -13,12 +13,11 @@ use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim::network::Message;
 use wavesim::sim::stats::Histogram;
 use wavesim::topology::{NodeId, Topology};
+use wavesim::trace::stream::{ColumnarFile, Listener};
 use wavesim::trace::{TraceEvent, TraceRecord};
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 use wavesim_analyze::series::{self, WindowSeries};
-use wavesim_analyze::{
-    analyze, fold_sink, report, take_analysis, take_fold, AnalyzeOptions, RunSeries,
-};
+use wavesim_analyze::{analyze, report, AnalyzeOptions, LiveAnalytics, RunSeries};
 use wavesim_bench::livestate::StatusBoard;
 use wavesim_bench::tracecap::Capture;
 use wavesim_bench::watchdog::{Watchdog, WatchdogConfig};
@@ -52,8 +51,8 @@ fn drive_workload(seed: u64, obs: &mut dyn RunObserver) -> wavesim_bench::RunRes
 }
 
 /// Runs [`drive_workload`] under `obs` plus a flight recorder (and, when
-/// `live`, the in-run analytics fold teed beside it). Returns the run
-/// result, the live analysis, the captured record stream, and the
+/// `live`, the in-run analytics fold listening beside it). Returns the
+/// run result, the live analysis, the captured record stream, and the
 /// observers the caller passed in.
 fn captured_run(
     seed: u64,
@@ -65,22 +64,18 @@ fn captured_run(
     Vec<TraceRecord>,
     Observers,
 ) {
-    let capture = Capture::new(Some(1 << 20));
-    let (handle, capture) = if live {
-        let (handle, sink) = wavesim_analyze::live_sink(AnalyzeOptions::default());
-        (Some(handle), capture.tee(Box::new(sink)))
-    } else {
-        (None, capture)
-    };
+    let mut capture = Capture::new(Some(1 << 20));
+    if live {
+        capture = capture.listen(Box::new(LiveAnalytics::new(AnalyzeOptions::default())));
+    }
     obs.capture = Some(capture);
     let r = drive_workload(seed, &mut obs);
-    let cap = obs
-        .capture
-        .take()
-        .and_then(Capture::into_trace)
-        .expect("captured");
+    let mut capture = obs.capture.take().expect("armed above");
+    let analysis = capture
+        .listener::<LiveAnalytics>()
+        .map(LiveAnalytics::finish);
+    let cap = capture.into_trace().expect("captured");
     assert_eq!(cap.dropped, 0, "ring must hold the whole run");
-    let analysis = handle.as_ref().and_then(take_analysis);
     (r, analysis, cap.records, obs)
 }
 
@@ -187,16 +182,17 @@ fn the_run_series_is_the_capture_series() {
             stop_at: u64::MAX,
         },
     );
-    let (handle, fold) = fold_sink(RunSeries::new(1000, 64));
+    let fold = Box::new(RunSeries::new(1000, 64));
     let mut obs = Observers {
-        capture: Some(Capture::new(Some(1 << 20)).tee(Box::new(fold))),
+        capture: Some(Capture::new(Some(1 << 20)).listen(fold)),
         ..Observers::default()
     };
     let r = run_open_loop_observed(&mut net, &mut src, RunSpec::standard(600, 3000), &mut obs);
     assert!(r.clean(), "{r:?}");
-    let trace = obs.capture.and_then(Capture::into_trace).expect("captured");
+    let mut capture = obs.capture.expect("armed above");
+    let (rows, nodes) = capture.listener::<RunSeries>().expect("folded").finish();
+    let trace = capture.into_trace().expect("captured");
     assert_eq!(trace.dropped, 0, "ring must hold the whole run");
-    let (rows, nodes) = take_fold(&handle).expect("folded").finish();
     let capture = analyze(&trace.records, AnalyzeOptions::default());
     assert_eq!((nodes, capture.nodes), (64, 64));
     assert!(rows.len() >= 3, "{rows:?}");
@@ -206,6 +202,107 @@ fn the_run_series_is_the_capture_series() {
         series::to_csv(&capture.series, capture.nodes)
     );
     assert_eq!(rows.last().map(|w| w.end), Some(r.end));
+}
+
+/// What one run under [`listener_run`] left behind.
+struct Listened {
+    result: String,
+    file: Option<Vec<u8>>,
+    live: Option<wavesim_analyze::Analysis>,
+    series: Option<Vec<series::WindowRow>>,
+}
+
+/// One seeded 8x8 run whose capture arms the listeners `arm` names —
+/// an in-memory `WSTRACE1` file sampled 1-in-`sample`, the live fold,
+/// the run series — or no capture at all when it names none.
+fn listener_run(arm: [bool; 3], sample: u64) -> Listened {
+    let topo = Topology::mesh(&[8, 8]);
+    let mut net = WaveNetwork::new(
+        topo.clone(),
+        WaveConfig {
+            seed: 7,
+            ..WaveConfig::default()
+        },
+    );
+    let mut src = TrafficSource::new(
+        topo,
+        TrafficConfig {
+            load: 0.2,
+            pattern: TrafficPattern::HotPairs {
+                partners: 3,
+                locality: 0.7,
+            },
+            len: LengthDist::Fixed(64),
+            seed: 7,
+            stop_at: u64::MAX,
+        },
+    );
+    let listeners: [Option<Box<dyn Listener>>; 3] = [
+        arm[0].then(|| Box::new(ColumnarFile::new(Vec::new()).with_sampling(sample)) as _),
+        arm[1].then(|| Box::new(LiveAnalytics::new(AnalyzeOptions::default())) as _),
+        arm[2].then(|| Box::new(RunSeries::new(1000, 64)) as _),
+    ];
+    let capture = listeners
+        .into_iter()
+        .flatten()
+        .fold(None, |c: Option<Capture>, l| {
+            Some(c.unwrap_or_else(|| Capture::new(None)).listen(l))
+        });
+    let mut obs = Observers {
+        capture,
+        ..Observers::default()
+    };
+    let r = run_open_loop_observed(&mut net, &mut src, RunSpec::standard(400, 2000), &mut obs);
+    assert!(r.clean(), "{r:?}");
+    let mut capture = obs.capture.unwrap_or_else(|| Capture::new(None));
+    Listened {
+        result: format!("{r:?}"),
+        file: capture
+            .listener::<ColumnarFile<Vec<u8>>>()
+            .map(ColumnarFile::into_inner),
+        live: capture
+            .listener::<LiveAnalytics>()
+            .map(LiveAnalytics::finish),
+        series: capture.listener::<RunSeries>().map(|s| s.finish().0),
+    }
+}
+
+/// Every subset of {file, live fold, series fold}, with the file at
+/// 1-in-1 and 1-in-8 sampling, reads the same run: the file's bytes are
+/// the file-only run's, the folds see every record whatever the file
+/// keeps, and the run itself does not move.
+#[test]
+fn the_set_of_armed_listeners_changes_nothing() {
+    let unobserved = listener_run([false; 3], 1);
+    assert!(unobserved.file.is_none() && unobserved.live.is_none());
+    let lossless = listener_run([true, false, false], 1).file.expect("armed");
+    let records = wavesim::trace::read_columnar(&lossless).expect("the file decodes");
+    let offline = analyze(&records, AnalyzeOptions::default());
+    for sample in [1, 8] {
+        let file_only = listener_run([true, false, false], sample).file;
+        for mask in 1..8u8 {
+            let arm = [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0];
+            let what = format!("listeners {arm:?} at 1-in-{sample}");
+            let run = listener_run(arm, sample);
+            assert_eq!(run.result, unobserved.result, "{what}");
+            if arm[0] {
+                assert!(run.file == file_only, "{what}: the file's bytes moved");
+            }
+            if let Some(live) = &run.live {
+                assert_eq!(report::render(live), report::render(&offline), "{what}");
+                assert_eq!(
+                    report::to_json(live).pretty(),
+                    report::to_json(&offline).pretty(),
+                    "{what}"
+                );
+            }
+            if let Some(rows) = &run.series {
+                assert_eq!(rows, &offline.series, "{what}");
+            }
+            let armed = [run.file.is_some(), run.live.is_some(), run.series.is_some()];
+            assert_eq!(armed, arm, "{what}: every armed listener came back");
+        }
+    }
 }
 
 #[test]
@@ -247,9 +344,9 @@ fn watchdog_abort_truncates_the_run_series_at_the_trip() {
         },
     );
     let script = [(0u64, Message::new(1, NodeId(0), NodeId(15), 512, 0))];
-    let (handle, fold) = fold_sink(RunSeries::new(1000, 16));
+    let fold = Box::new(RunSeries::new(1000, 16));
     let mut obs = Observers {
-        capture: Some(Capture::new(None).tee(Box::new(fold))),
+        capture: Some(Capture::new(None).listen(fold)),
         watchdog: Some(Watchdog::new(WatchdogConfig {
             stall_cycles: Some(16),
             abort: true,
@@ -260,7 +357,8 @@ fn watchdog_abort_truncates_the_run_series_at_the_trip() {
     let r = run_scripted(&mut net, &script, RunSpec::standard(0, 100), &mut obs);
     assert!(obs.watchdog.expect("set above").into_report().aborted);
     assert!(r.stalled && !r.clean());
-    let (series, _) = take_fold(&handle).expect("folded").finish();
+    let mut capture = obs.capture.expect("armed above");
+    let (series, _) = capture.listener::<RunSeries>().expect("folded").finish();
     // The final (partial) window ends at the abort cycle, not at the
     // window boundary — early aborts never fabricate a full window.
     let last = series.last().expect("at least one window");

@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wavesim::trace::stream::{self, ColumnarSink};
+use wavesim::trace::stream::{self, ColumnarFile, StreamSink};
 use wavesim::trace::{TraceEvent, TraceRecord, TraceSink};
 
 /// [`System`] wrapped with live-byte and high-water accounting.
@@ -60,7 +60,8 @@ fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 /// A synthetic capture big enough to span many columnar frames.
 fn big_capture(records: usize) -> Vec<u8> {
-    let mut sink = ColumnarSink::with_chunk(Vec::new(), 1024);
+    let file = Box::new(ColumnarFile::new(Vec::new()));
+    let mut sink = StreamSink::listening(vec![file], 1024);
     for i in 0..records as u64 {
         sink.record(TraceRecord {
             at: i / 4,
@@ -74,7 +75,9 @@ fn big_capture(records: usize) -> Vec<u8> {
             },
         });
     }
-    sink.finish_into().expect("in-memory capture")
+    sink.finish().expect("in-memory capture");
+    let file = stream::take_listener::<ColumnarFile<Vec<u8>>>(&mut sink.listeners());
+    file.expect("the file comes back").into_inner()
 }
 
 #[test]
