@@ -9,6 +9,8 @@
 //! * [`Value::parse`] — a recursive-descent parser with precise errors;
 //! * [`Value::pretty`] / [`Value::compact`] — deterministic writers
 //!   (object keys keep insertion order, so output is reproducible);
+//! * [`push_u64`] — the decimal integer writer they, the JSONL trace view
+//!   and the metrics page share;
 //! * [`table`] — the plain-text result [`table::Table`] that experiments
 //!   and the trace analyzer print, with its JSON form and cell formatters.
 //!
@@ -43,6 +45,10 @@ pub enum Value {
 }
 
 static NULL: Value = Value::Null;
+
+/// 2^53, the largest integer a JSON number (an `f64`) carries exactly:
+/// every integer up to it is one, and [`Value::as_u64`] reads no larger.
+pub const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
 
 impl Value {
     /// Builds an object from key/value pairs. An array of pairs builds it
@@ -83,7 +89,7 @@ impl Value {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
+            Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= MAX_EXACT_INT => {
                 Some(*x as u64)
             }
             _ => None,
@@ -244,28 +250,54 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
     }
 }
 
+/// The pairs "00".."99" in order: pair `n` is bytes `2n..2n + 2`.
+const DIGIT_PAIRS: &str = "\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal: the one integer writer of the JSON, JSONL and
+/// metrics text. It divides by 100 and copies two digits a step, each a
+/// `&str` slice of `DIGIT_PAIRS`: no `core::fmt` (~3× the cost of the
+/// digits), and no UTF-8 check of what it wrote.
+#[inline]
+pub fn push_u64(out: &mut String, mut v: u64) {
+    // Pairs below the leading one, least significant first: `u64::MAX`
+    // has 20 digits, so at most 9 of them.
+    let mut low = [0u8; 10];
+    let mut n = 0;
+    while v >= 100 {
+        low[n] = (v % 100) as u8;
+        v /= 100;
+        n += 1;
+    }
+    // `v` is the leading one or two digits; one digit is the second half
+    // of its pair "0d". Two constant-length pushes, not one of length 1
+    // or 2: a copy of unknown length is a call to `memcpy`.
+    let lead = 2 * v as usize;
+    if v < 10 {
+        out.push_str(&DIGIT_PAIRS[lead + 1..lead + 2]);
+    } else {
+        out.push_str(&DIGIT_PAIRS[lead..lead + 2]);
+    }
+    for &pair in low[..n].iter().rev() {
+        let at = 2 * usize::from(pair);
+        out.push_str(&DIGIT_PAIRS[at..at + 2]);
+    }
+}
+
 fn write_num(out: &mut String, x: f64) {
     if !x.is_finite() {
         out.push_str("null"); // JSON has no Inf/NaN
-    } else if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
-        // Integral and exact: decimal digits appended in place, no
-        // `core::fmt`. Most numbers in a report are counts and cycles.
-        let n = x as i64;
-        if n < 0 {
+    } else if x.fract() == 0.0 && x.abs() < MAX_EXACT_INT {
+        // Integral and exact; most numbers in a report are counts and
+        // cycles. `-0.0` is not below zero, so it prints as `0`.
+        if x < 0.0 {
             out.push('-');
         }
-        let mut v = n.unsigned_abs();
-        let mut tmp = [0u8; 20];
-        let mut i = tmp.len();
-        loop {
-            i -= 1;
-            tmp[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        out.push_str(std::str::from_utf8(&tmp[i..]).expect("ascii digits"));
+        push_u64(out, x.abs() as u64);
     } else {
         let _ = write!(out, "{x}"); // writing to a String cannot fail
     }
@@ -516,10 +548,18 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        self.src[start..self.pos]
-            .parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("invalid number at byte {start}"))
+        let text = &self.src[start..self.pos];
+        let x: f64 = text
+            .parse()
+            .map_err(|_| format!("invalid number at byte {start}"))?;
+        // 2^53 + 1 is the one integer above 2^53 whose nearest-even f64 is
+        // 2^53 itself, which `as_u64` accepts. Take the other nearest
+        // neighbour, 2^53 + 2, so the literal stays outside the exact range.
+        let digits = text.strip_prefix('-').unwrap_or(text);
+        if x.abs() == MAX_EXACT_INT && digits.parse::<u64>() == Ok((1 << 53) + 1) {
+            return Ok(Value::Num(x + x.signum() * 2.0));
+        }
+        Ok(Value::Num(x))
     }
 }
 
@@ -593,6 +633,69 @@ mod tests {
         let text = v.compact();
         assert_eq!(text, "4503599627370496");
         assert_eq!(Value::parse(&text).unwrap().as_u64(), Some(1 << 52));
+        let int = |text: &str| Value::parse(text).unwrap().as_u64();
+        assert_eq!(int("9007199254740992"), Some(1 << 53));
+        // 2^53 + 1 rounds (ties to even) onto 2^53 as an f64; above 2^53
+        // nothing reads back as an integer.
+        assert_eq!(int("9007199254740993"), None);
+        assert_eq!(int("9007199254740994"), None);
+        assert_eq!(int("18446744073709551615"), None);
+        assert_eq!(
+            Value::parse("-9007199254740993").unwrap(),
+            Value::Num(-(2f64.powi(53) + 2.0))
+        );
+    }
+
+    #[test]
+    fn push_u64_writes_what_display_writes() {
+        let check = |v: u64| {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out[1..], v.to_string(), "{v}");
+        };
+        check(0);
+        check(u64::MAX);
+        let mut p = 1u64;
+        for _ in 0..=19 {
+            check(p - 1);
+            check(p);
+            check(p + 1);
+            p = p.saturating_mul(10);
+        }
+        // A seeded sweep (splitmix64), each value shifted right by a
+        // varying amount so every digit count comes up.
+        let mut state = 0x5eed_u64;
+        for _ in 0..100_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            check(z >> (z % 64));
+        }
+    }
+
+    #[test]
+    fn number_text_is_pinned() {
+        let big = 2f64.powi(53);
+        for (x, text) in [
+            (-1.0, "-1"),
+            (-17.0, "-17"),
+            (-4_294_967_296.0, "-4294967296"),
+            (-0.0, "0"),
+            (big - 1.0, "9007199254740991"),
+            (1.0 - big, "-9007199254740991"),
+            (big, "9007199254740992"),
+            (-big, "-9007199254740992"),
+            (3.5, "3.5"),
+            (-2.25, "-2.25"),
+            (0.1, "0.1"),
+            (1e-7, "0.0000001"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+        ] {
+            assert_eq!(Value::Num(x).compact(), text, "{x}");
+        }
     }
 
     #[test]

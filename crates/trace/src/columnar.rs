@@ -1,11 +1,12 @@
 //! Binary columnar trace capture — the one format a run streams to.
 //!
 //! JSONL (one [`crate::stream::encode_record`] line per record) is
-//! lossless but pays ~90 bytes and a `core::fmt`-free-but-still-textual
-//! encode per record; at 64×64+ fabric sizes that is the difference
-//! between always-on tracing and tracing you turn off, so it is only a
-//! view `convert-trace` derives. This module defines a compact binary
-//! framing of the same [`TraceRecord`] stream:
+//! lossless but pays a textual encode and ~112 bytes per record (8.3 in
+//! this format, measured on a 16×16 CLRP torus at load 0.3); at 64×64+
+//! fabric sizes that is the difference between always-on tracing and
+//! tracing you turn off, so it is only a view `convert-trace` derives.
+//! This module defines a compact binary framing of the same
+//! [`TraceRecord`] stream:
 //!
 //! * records are grouped into **frames** (one frame per writer chunk);
 //! * within a frame, like data lives in **columns**: one kind-tag byte
@@ -170,6 +171,9 @@ impl Interner {
     }
 
     /// Index of `v` in first-appearance order, inserting on first sight.
+    /// Inline across crates: the analytics fold resolves every id it
+    /// reads through here.
+    #[inline]
     pub fn intern(&mut self, v: u64) -> u64 {
         let mask = self.slots.len() - 1;
         let mut i = Self::hash(v, mask);

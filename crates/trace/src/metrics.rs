@@ -12,6 +12,7 @@
 //! is reconstructed as `mean × count` (exact for the integral cycle
 //! samples the simulator records, up to f64 precision).
 
+use wavesim_json::{push_u64, MAX_EXACT_INT};
 use wavesim_sim::stats::Histogram;
 
 fn sanitize(name: &str) -> String {
@@ -58,8 +59,11 @@ fn fmt_f64(x: f64) -> String {
         "NaN".to_string()
     } else if x.is_infinite() {
         (if x > 0.0 { "+Inf" } else { "-Inf" }).to_string()
-    } else if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
-        format!("{}", x as i64)
+    } else if x.fract() == 0.0 && x.abs() < MAX_EXACT_INT {
+        // `-0.0` is not below zero, so it prints as `0`.
+        let mut s = String::from(if x < 0.0 { "-" } else { "" });
+        push_u64(&mut s, x.abs() as u64);
+        s
     } else {
         format!("{x}")
     }
@@ -194,7 +198,17 @@ mod tests {
         let mut page = MetricsPage::new();
         page.counter("wavesim_messages_sent_total", "Messages injected.", 42);
         page.gauge_f64("wavesim_avg_latency_cycles", "Mean latency.", 17.5);
+        for (name, x) in [
+            ("neg", -1234.0),
+            ("neg_zero", -0.0),
+            ("big", 9007199254740991.0),
+        ] {
+            page.gauge_f64(name, "An integral value.", x);
+        }
         let text = page.render();
+        for line in ["neg -1234\n", "neg_zero 0\n", "big 9007199254740991\n"] {
+            assert!(text.contains(line), "{line}");
+        }
         assert!(text.contains("# HELP wavesim_messages_sent_total Messages injected.\n"));
         assert!(text.contains("# TYPE wavesim_messages_sent_total counter\n"));
         assert!(text.contains("\nwavesim_messages_sent_total 42\n") || text.starts_with("# HELP"));

@@ -25,7 +25,7 @@
 //! or re-class a field (`tests/binary_trace.rs` pins both encodings
 //! against committed bytes). DESIGN §6.1 has the recipe for adding one.
 
-use wavesim_json::Value;
+use wavesim_json::{push_u64, Value, MAX_EXACT_INT};
 
 use crate::columnar::{push_varint, read_varint, FrameError, Interner};
 use crate::TraceRecord;
@@ -77,35 +77,20 @@ impl PlaneId {
 /// Tag-byte bit carrying a variant's `flag` field.
 const TAG_FLAG: u8 = 0x40;
 
-/// The largest integer a JSON number (an f64) carries exactly.
-const JSONL_EXACT: f64 = 9_007_199_254_740_992.0;
+/// Room [`encode_record`] reserves for a line: more than the longest,
+/// `transfer_start` with every field at its maximum (194 bytes; a unit
+/// test holds every `every_event(u64::MAX)` line to this).
+const MAX_JSONL_LINE: usize = 256;
 
 // ---------------------------------------------------------------------
 // Carrier primitives
 // ---------------------------------------------------------------------
 
-/// Appends `v` in decimal without going through `core::fmt` — the
-/// formatting machinery costs ~3× the digits themselves, and a JSONL view
-/// encodes every record of a capture.
-fn push_u64(buf: &mut String, mut v: u64) {
-    let mut tmp = [0u8; 20];
-    let mut i = tmp.len();
-    loop {
-        i -= 1;
-        tmp[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    buf.push_str(std::str::from_utf8(&tmp[i..]).expect("ascii digits"));
-}
-
 /// The integer JSON field `key`, narrowed to the field's type.
 fn int<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<T, String> {
     let n = v.get(key).and_then(Value::as_u64).ok_or_else(|| {
         match v.get(key).and_then(Value::as_f64) {
-            Some(x) if x > JSONL_EXACT => {
+            Some(x) if x > MAX_EXACT_INT => {
                 format!("field `{key}` exceeds the JSONL-exact range (2^53)")
             }
             _ => format!("missing or non-integer field `{key}`"),
@@ -309,22 +294,22 @@ macro_rules! trace_schema {
         ///
         /// Hand-rolled so that converting a capture of millions of
         /// records does not allocate a [`Value`] tree per record (nor pay
-        /// `core::fmt` per integer).
+        /// `core::fmt` per integer): room for the longest line is reserved
+        /// once, then every integer is one [`push_u64`].
         pub fn encode_record(buf: &mut String, rec: &TraceRecord) {
+            buf.reserve(MAX_JSONL_LINE);
             buf.push_str("{\"at\":");
             push_u64(buf, rec.at);
             buf.push_str(",\"seq\":");
             push_u64(buf, rec.seq);
-            buf.push_str(",\"type\":\"");
-            buf.push_str(rec.ev.kind());
-            buf.push('"');
             match rec.ev {
                 TraceEvent::PlaneTick { plane } => {
-                    buf.push_str(",\"plane\":\"");
+                    buf.push_str(",\"type\":\"plane_tick\",\"plane\":\"");
                     buf.push_str(plane.name());
                     buf.push('"');
                 }
                 $( TraceEvent::$variant { $($field),+ } => {
+                    buf.push_str(concat!(",\"type\":\"", $kind, "\""));
                     $(
                         buf.push_str(concat!(",\"", stringify!($field), "\":"));
                         carrier!(put_json $class, $field, buf);
@@ -681,6 +666,44 @@ mod tests {
     }
 
     #[test]
+    fn encode_record_appends_exact_digits_within_the_reserved_line() {
+        let prefix = "{\"earlier\":1}\n";
+        for ev in every_event(u64::MAX) {
+            let rec = TraceRecord {
+                at: u64::MAX,
+                seq: u64::MAX - 1,
+                ev,
+            };
+            let mut buf = String::with_capacity(prefix.len() + MAX_JSONL_LINE);
+            buf.push_str(prefix);
+            let capacity = buf.capacity();
+            encode_record(&mut buf, &rec);
+            assert_eq!(
+                buf.capacity(),
+                capacity,
+                "{}: grew past the reserve",
+                ev.kind()
+            );
+            let line = buf.strip_prefix(prefix).expect("prefix untouched");
+            assert!(line.len() <= MAX_JSONL_LINE, "{}", ev.kind());
+            assert!(line.starts_with(&format!("{{\"at\":{},\"seq\":{},", rec.at, rec.seq)));
+            // Every integer field, in the digits `derive(Debug)` prints.
+            let debug = format!("{ev:?}");
+            let fields =
+                debug[debug.find('{').expect("struct variant") + 1..].trim_end_matches('}');
+            for field in fields.split(", ") {
+                let (name, value) = field.trim().split_once(": ").expect("name: value");
+                if value.bytes().all(|b| b.is_ascii_digit()) {
+                    assert!(
+                        line.contains(&format!(",\"{name}\":{value}")),
+                        "{line} lacks {field}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn malformed_input_names_the_field_or_tag() {
         let json = |text: &str| {
             record_from_json(&Value::parse(text).expect("well-formed JSON")).unwrap_err()
@@ -705,6 +728,10 @@ mod tests {
             (
                 json(r#"{"at":1,"seq":0,"type":"circuit_released","circuit":9007199254740994}"#),
                 "`circuit` exceeds the JSONL-exact range (2^53)",
+            ),
+            (
+                json(r#"{"at":9007199254740993,"seq":0,"type":"circuit_released","circuit":1}"#),
+                "`at` exceeds the JSONL-exact range (2^53)",
             ),
             (
                 json(r#"{"at":1,"seq":0,"type":"plane_tick","plane":"astral plane"}"#),
