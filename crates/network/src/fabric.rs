@@ -25,16 +25,17 @@
 //! The tick loop is O(work), not O(network): only routers in the *active
 //! set* are scanned. A router enters the set when a message is injected at
 //! it or a flit arrives in one of its buffers, and leaves only after being
-//! scanned through a full tick and found [`Router::idle`]. The invariant is
-//! that every non-idle router is in the set; idle routers carry no
-//! cycle-dependent state (the VA round-robin pointer is derived from the
-//! cycle number, and SA pointers only move on grants), so skipping them is
-//! byte-identical to scanning them. The set is iterated in ascending router
-//! id, preserving the seed kernel's deterministic phase order.
+//! scanned through a full tick and found idle (nothing queued, emitting,
+//! routed, pending or parked). The invariant is that every non-idle router
+//! is in the set; idle routers carry no cycle-dependent state (the VA
+//! round-robin pointer is derived from the cycle number, and SA pointers
+//! only move on grants), so skipping them is byte-identical to scanning
+//! them. The set is iterated in ascending router id, preserving the seed
+//! kernel's deterministic phase order.
 //!
 //! Within a scanned router nothing is polled either: a VC is visited only
 //! while the resource it needs can be had, and three events — the only ways
-//! such a resource appears — put it back in view (see [`crate::router`]):
+//! such a resource appears — put it back in view (see the `router` module):
 //!
 //! 1. **Output-VC release → VA waiters.** A head that finds every candidate
 //!    output VC owned is parked on all of them; the tail forward that frees
@@ -60,7 +61,15 @@
 //! `vcs_touched` counts VA visits plus the request bits each SA arbitration
 //! chose among, and a deadlocked fabric counts zero.
 //!
-//! # One kernel, two staged queues
+//! # One router table, one kernel, two staged queues
+//!
+//! Every router's state is one fabric-wide struct-of-arrays (the `router`
+//! module's `RouterTable`): each input VC a fixed ring of `buffer_depth`
+//! flit slots, every other per-VC or per-router field one flat array, and
+//! the wiring precomputed — a flit forward or a credit return is one load
+//! of the neighbour and its VC, with no division and no topology call. The
+//! fabric addresses the table by router id and router-local index only;
+//! the global layout stays in the `router` module.
 //!
 //! The tick is single-threaded (DESIGN §9 has the measurements behind
 //! that). VA, SA and injection read and write only the router being
@@ -72,12 +81,14 @@
 //! link latency — no router can observe another's cycle-`t` output before
 //! cycle `t+1`.
 
-use wavesim_sim::bitset::first_set_excluding;
+use wavesim_sim::bitset::{first_set_excluding, for_each_set_wrapping};
 use wavesim_sim::{BitSet, Cycle, CycleKernelStats};
-use wavesim_topology::{Candidate, NodeId, PortDir, RoutingKind, Topology, WormholeRouting};
+use wavesim_topology::{Candidate, NodeId, RoutingKind, Topology, WormholeRouting};
 
 use crate::message::{Delivery, DeliveryMode, Flit, Message};
-use crate::router::{route_pack, route_vc, Emitting, Queued, Router, OWNER_NONE, ROUTE_NONE};
+use crate::router::{
+    route_pack, route_vc, Emitting, RouterTable, SlotQueue, MAX_DEPTH, NONE, OWNER_NONE, ROUTE_NONE,
+};
 
 /// Configuration of the wormhole fabric (the paper's `S0` switch plane).
 #[derive(Debug, Clone, Copy)]
@@ -129,13 +140,17 @@ struct MsgSlot {
     msg: Option<Message>,
     /// Output VCs currently held by this message, in path order.
     held: Vec<WaitVc>,
+    /// The slot after this one in its source's injection queue; `NONE`
+    /// at the queue's tail and once the message left the queue.
+    next: u32,
 }
 
 /// Arena of in-flight message records. Every flit carries its record's
 /// slot index, so the hot path (tail delivery, held-VC bookkeeping) is a
 /// direct vector index instead of a hash lookup. Freed slots are recycled
 /// LIFO and each slot's `held` vector keeps its capacity across reuse, so
-/// the steady-state fabric allocates nothing per message.
+/// the steady-state fabric allocates nothing per message. The injection
+/// queues are linked through the records too.
 #[derive(Default)]
 struct MsgSlab {
     slots: Vec<MsgSlot>,
@@ -150,11 +165,13 @@ impl MsgSlab {
             let slot = &mut self.slots[s as usize];
             debug_assert!(slot.msg.is_none() && slot.held.is_empty());
             slot.msg = Some(msg);
+            slot.next = NONE;
             s
         } else {
             self.slots.push(MsgSlot {
                 msg: Some(msg),
                 held: Vec::new(),
+                next: NONE,
             });
             u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 in-flight messages")
         }
@@ -179,6 +196,30 @@ impl MsgSlab {
     fn held_mut(&mut self, s: u32) -> &mut Vec<WaitVc> {
         &mut self.slots[s as usize].held
     }
+
+    /// Appends slot `s` to `queue`.
+    fn enqueue(&mut self, queue: &mut SlotQueue, s: u32) {
+        if queue.tail == NONE {
+            queue.head = s;
+        } else {
+            self.slots[queue.tail as usize].next = s;
+        }
+        queue.tail = s;
+    }
+
+    /// Takes the oldest slot off `queue`, if any, with its message.
+    fn dequeue(&mut self, queue: &mut SlotQueue) -> Option<(u32, Message)> {
+        let s = queue.head;
+        if s == NONE {
+            return None;
+        }
+        let slot = &mut self.slots[s as usize];
+        queue.head = std::mem::replace(&mut slot.next, NONE);
+        if queue.head == NONE {
+            queue.tail = NONE;
+        }
+        Some((s, slot.msg.expect("a queued message has metadata")))
+    }
 }
 
 /// The flit-level wormhole network.
@@ -186,15 +227,15 @@ pub struct WormholeFabric {
     topo: Topology,
     routing: Box<dyn WormholeRouting>,
     cfg: WormholeConfig,
-    w: usize,
-    nports: usize,
+    /// Index of the local (injection / ejection) port: the last one.
     local: usize,
-    routers: Vec<Router>,
+    /// Every router's state.
+    table: RouterTable,
     /// In-flight message records; flits carry their slot.
     slab: MsgSlab,
     /// Active-set bitset: bit `r` set ⇒ router `r` may have work. Set on
     /// injection and flit arrival; cleared only after the router was
-    /// scanned through a full tick and found [`Router::idle`].
+    /// scanned through a full tick and found idle.
     active: BitSet,
     /// Scratch worklist of active router ids, reused across ticks.
     worklist: Vec<u32>,
@@ -207,10 +248,10 @@ pub struct WormholeFabric {
     used_inputs: Vec<u64>,
     /// Flits forwarded this cycle, landing downstream in the commit step:
     /// `(router, input VC, flit)`.
-    arrivals: Vec<(u32, u16, Flit)>,
+    arrivals: Vec<(u32, u32, Flit)>,
     /// Credits freed this cycle, returning upstream in the commit step:
     /// `(router, output VC)`.
-    credit_returns: Vec<(u32, u16)>,
+    credit_returns: Vec<(u32, u32)>,
     /// Cumulative wall-clock nanoseconds spent in the VA/SA/injection
     /// scan. A one-element array because `benchmark/` compiles against
     /// `shard_wall_ns() -> &[u64]` and sums it.
@@ -228,7 +269,8 @@ impl WormholeFabric {
     ///
     /// # Panics
     /// Panics if `cfg.w` is insufficient for the routing function on this
-    /// topology (see [`RoutingKind::build`]) or `buffer_depth == 0`.
+    /// topology (see [`RoutingKind::build`]) or `buffer_depth` is 0 or
+    /// above 65,535.
     #[must_use]
     pub fn new(topo: Topology, cfg: WormholeConfig) -> Self {
         let routing = cfg.routing.build(&topo, cfg.w);
@@ -240,33 +282,30 @@ impl WormholeFabric {
     /// broken functions the safe constructor would reject).
     ///
     /// # Panics
-    /// Panics if the function's VC requirement differs from `cfg.w` or
-    /// `buffer_depth == 0`.
+    /// Panics if the function's VC requirement differs from `cfg.w`, or
+    /// `buffer_depth` is 0 or above 65,535 (a ring's `u16` index).
     #[must_use]
     pub fn with_routing(
         topo: Topology,
         cfg: WormholeConfig,
         routing: Box<dyn WormholeRouting>,
     ) -> Self {
-        assert!(cfg.buffer_depth >= 1, "buffers need at least one slot");
+        assert!(
+            (1..=MAX_DEPTH).contains(&cfg.buffer_depth),
+            "buffer_depth {} is outside 1..={MAX_DEPTH}: a buffer needs a slot, and a ring's u16 index holds no more",
+            cfg.buffer_depth
+        );
         assert_eq!(
             routing.vcs_per_link(),
             cfg.w,
             "routing must use exactly w VCs"
         );
-        let w = cfg.w as usize;
-        let nports = 2 * topo.ndims() + 1;
-        let routers: Vec<Router> = (0..topo.num_nodes())
-            .map(|_| Router::new(nports, w, cfg.buffer_depth))
-            .collect();
-        let active = BitSet::new(routers.len());
+        let table = RouterTable::new(&topo, cfg.w as usize, cfg.buffer_depth);
         Self {
-            w,
-            nports,
-            local: nports - 1,
-            routers,
+            local: table.nports - 1,
+            active: BitSet::new(topo.num_nodes() as usize),
+            table,
             slab: MsgSlab::default(),
-            active,
             worklist: Vec::new(),
             cand: Vec::new(),
             order: Vec::new(),
@@ -319,7 +358,7 @@ impl WormholeFabric {
         assert!(msg.dest.0 < self.topo.num_nodes(), "dest out of range");
         let slot = self.slab.insert(msg);
         let src = msg.src.0 as usize;
-        self.routers[src].inj_queue.push_back(Queued { msg, slot });
+        self.slab.enqueue(self.table.queue_mut(src), slot);
         self.active.set(src);
         self.emitting_msgs += 1;
         self.stats.injected_msgs += 1;
@@ -406,7 +445,7 @@ impl WormholeFabric {
         // Retire provably quiescent routers. Routers that just received an
         // arrival in the commit fail `idle` and stay in the set.
         for &r in &wl {
-            if self.routers[r as usize].idle() {
+            if self.table.idle(r as usize) {
                 self.active.clear(r as usize);
             }
         }
@@ -419,8 +458,13 @@ impl WormholeFabric {
     #[inline(never)]
     fn scan(&mut self, wl: &[u32], now: Cycle) {
         let t0 = std::time::Instant::now();
+        // The VA round-robin pointer is cycle-derived: the seed kernel
+        // advanced it by exactly one per tick on every router, active or
+        // not, so `now % n_ivc` reproduces it without per-router state —
+        // and without requiring idle routers to tick at all.
+        let va_start = (now % self.table.n_ivc as u64) as usize;
         for &r in wl {
-            self.va_stage(r, now);
+            self.va_stage(r, now, va_start);
         }
         for &r in wl {
             self.sa_stage(r, now);
@@ -432,56 +476,46 @@ impl WormholeFabric {
     }
 
     /// Phase 4: the flits forwarded and the credits freed this cycle reach
-    /// the neighbouring routers, one cycle after they were sent.
+    /// the neighbouring routers, one cycle after they were sent. A flit
+    /// arriving at a full buffer or a credit past the buffer's depth is a
+    /// broken credit protocol, and panics before it is written.
     fn commit(&mut self) {
-        for (r, ivc, flit) in self.arrivals.drain(..) {
+        for (r, i, flit) in self.arrivals.drain(..) {
             self.active.set(r as usize);
-            let router = &mut self.routers[r as usize];
-            router.push_flit(ivc as usize, flit);
-            assert!(
-                router.bufs[ivc as usize].len() <= self.cfg.buffer_depth as usize,
-                "credit protocol violated: buffer overflow at router {r} vc {ivc}"
-            );
+            self.table.push_flit(r as usize, i as usize, flit);
         }
         for (r, ovc) in self.credit_returns.drain(..) {
-            let router = &mut self.routers[r as usize];
-            router.return_credit(ovc as usize);
-            assert!(
-                router.out_credits[ovc as usize] <= self.cfg.buffer_depth,
-                "credit protocol violated: credit overflow at router {r} ovc {ovc}"
-            );
+            self.table.return_credit(r as usize, ovc as usize);
         }
     }
 
     /// Phase 1: routing computation + output-VC allocation. Scans only the
     /// router's `va_pending` bitset, in the same rotated round-robin order the
-    /// seed kernel's full sweep used; a head that finds every candidate owned
-    /// is parked until one of them is released.
-    fn va_stage(&mut self, r: u32, now: Cycle) {
-        let router = &mut self.routers[r as usize];
-        if router.va_pending.is_empty() {
+    /// seed kernel's full sweep used (from `start`, the cycle's pointer); a
+    /// head that finds every candidate owned is parked until one of them is
+    /// released.
+    fn va_stage(&mut self, r: u32, now: Cycle, start: usize) {
+        let ru = r as usize;
+        let t = &mut self.table;
+        let pending = t.va_pending(ru);
+        if pending.iter().all(|&w| w == 0) {
             return;
         }
         let node = NodeId(r);
-        let w = self.w;
-        // The VA round-robin pointer is cycle-derived: the seed kernel
-        // advanced it by exactly one per tick on every router, active or
-        // not, so `now % n_ivc` reproduces it without per-router state —
-        // and without requiring idle routers to tick at all.
-        let start = (now % (self.nports * w) as u64) as usize;
+        let w = t.w;
         // Snapshot the pending set: VA neither adds pending VCs nor clears
         // any but the one it is processing, so the snapshot equals the live
         // visit set of the serial sweep.
         let order = &mut self.order;
         order.clear();
-        router.va_pending.for_each_wrapping(start, |i| {
+        for_each_set_wrapping(pending, start, |i| {
             order.push(i as u16);
             false
         });
         self.kernel.vcs_touched += order.len() as u64;
         for &iu in order.iter() {
             let i = iu as usize;
-            let Some(front) = router.bufs[i].front() else {
+            let Some(front) = t.front(ru, i) else {
                 debug_assert!(false, "va_pending bit set on an empty VC");
                 continue;
             };
@@ -491,16 +525,13 @@ impl WormholeFabric {
             );
             let (front_dest, front_slot) = (front.dest, front.slot);
             // Routing-delay accounting.
-            if router.head_since[i] == crate::router::NO_HEAD {
-                router.head_since[i] = now;
-            }
-            if now < router.head_since[i] + u64::from(self.cfg.routing_delay) {
+            if now < t.head_seen(ru, i, now) + u64::from(self.cfg.routing_delay) {
                 continue;
             }
             if front_dest == node {
                 // Ejection needs no output VC: mark the route to the local
                 // port; SA treats it with infinite credit.
-                router.set_route(i, route_pack(self.local as u8, 0));
+                t.set_route(ru, i, route_pack(self.local as u8, 0));
                 continue;
             }
             self.cand.clear();
@@ -511,15 +542,14 @@ impl WormholeFabric {
             match self
                 .cand
                 .iter()
-                .find(|c| router.out_owner[ovc_of(c)] == OWNER_NONE)
+                .find(|c| t.owner(ru, ovc_of(c)) == OWNER_NONE)
             {
                 Some(c) => {
-                    router.out_owner[ovc_of(c)] = iu;
-                    router.set_route(i, route_pack(c.port.index() as u8, c.vc));
+                    t.grant(ru, i, c.port.index(), c.vc);
                     self.slab.held_mut(front_slot).push((r, ovc_of(c) as u16));
                     self.stats.va_allocs += 1;
                 }
-                None => router.park(i, self.cand.iter().map(ovc_of)),
+                None => t.park(ru, i, self.cand.iter().map(ovc_of)),
             }
         }
     }
@@ -528,47 +558,35 @@ impl WormholeFabric {
     /// port grants the first of its requests, from its round-robin pointer,
     /// whose input port has not sent a flit yet this cycle.
     fn sa_stage(&mut self, r: u32, now: Cycle) {
-        let router = &mut self.routers[r as usize];
-        let node = NodeId(r);
-        let (w, local) = (self.w, self.local);
-        let n_ivc = self.nports * w;
+        let ru = r as usize;
+        let t = &mut self.table;
+        let (w, n_ivc, nports, local) = (t.w, t.n_ivc, t.nports, self.local);
         let used_inputs = &mut self.used_inputs;
         used_inputs.clear();
         used_inputs.resize(n_ivc.div_ceil(64), 0);
 
-        for out_port in 0..self.nports {
-            let req = router.sa_req(out_port);
-            let considered: u32 = (req.iter().zip(used_inputs.iter()))
-                .map(|(&q, &u)| (q & !u).count_ones())
-                .sum();
-            if considered == 0 {
+        for out_port in 0..nports {
+            let req = t.sa_req(ru, out_port);
+            let Some((considered, i)) = arbitrate(req, used_inputs, t.sa_ptr(ru, out_port)) else {
                 continue;
-            }
+            };
             self.kernel.vcs_touched += u64::from(considered);
-            let i = first_set_excluding(req, used_inputs, router.sa_rr[out_port] as usize)
-                .expect("a considered request exists");
-            let (in_port, in_vc) = (i / w, i % w);
-            for v in in_port * w..(in_port + 1) * w {
-                used_inputs[v / 64] |= 1 << (v % 64);
+            let (in_port, in_vc) = t.vc_port(i);
+            for (u, &b) in used_inputs.iter_mut().zip(t.port_bits(in_port)) {
+                *u |= b;
             }
-            router.sa_rr[out_port] = ((i + 1) % n_ivc) as u16;
+            t.advance_sa_ptr(ru, out_port, i);
 
-            let rt = router.route[i];
+            let rt = t.route(ru, i);
             debug_assert_ne!(rt, ROUTE_NONE, "request bit set on an unrouted VC");
-            let flit = router.bufs[i]
-                .pop_front()
-                .expect("requesting VC has a flit");
+            let flit = t.pop_flit(ru, i).expect("requesting VC has a flit");
 
             // Return a credit upstream for the slot just freed (network
             // input ports only; injection buffers are local).
             if in_port != local {
-                let p = PortDir::from_index(in_port);
-                let up = self
-                    .topo
-                    .neighbor(node, p)
-                    .expect("flits only arrive over real links");
-                let up_ovc = p.opposite().index() * w + in_vc;
-                self.credit_returns.push((up.0, up_ovc as u16));
+                let (up, up_first) = t.link(ru, in_port);
+                assert_ne!(up, NONE, "flits only arrive over real links");
+                self.credit_returns.push((up, up_first + in_vc));
             }
 
             self.last_progress = now;
@@ -577,9 +595,10 @@ impl WormholeFabric {
                 self.in_flight_flits -= 1;
                 self.stats.delivered_flits += 1;
                 if flit.is_tail {
-                    router.clear_route(i);
+                    t.clear_route(ru, i);
                     let msg = self.slab.remove(flit.slot);
-                    debug_assert_eq!(msg.id, flit.msg, "slot/id mismatch at delivery");
+                    #[cfg(debug_assertions)]
+                    assert_eq!(msg.id, flit.msg, "slot/id mismatch at delivery");
                     self.stats.delivered_msgs += 1;
                     self.deliveries.push(Delivery {
                         msg,
@@ -587,28 +606,21 @@ impl WormholeFabric {
                         mode: DeliveryMode::Wormhole,
                     });
                 } else {
-                    router.sync_after_pop(i);
+                    t.sync_after_pop(ru, i);
                 }
             } else {
                 let oidx = out_port * w + route_vc(rt);
-                debug_assert!(
-                    router.out_credits[oidx] > 0,
-                    "request bit set without a credit"
-                );
-                router.out_credits[oidx] -= 1;
-                let p = PortDir::from_index(out_port);
-                let down = self
-                    .topo
-                    .neighbor(node, p)
-                    .expect("allocated outputs point at real links");
-                let down_ivc = p.opposite().index() * w + route_vc(rt);
-                self.arrivals.push((down.0, down_ivc as u16, flit));
+                t.spend_credit(ru, oidx);
+                let (down, down_first) = t.link(ru, out_port);
+                assert_ne!(down, NONE, "allocated outputs point at real links");
+                self.arrivals
+                    .push((down, down_first + route_vc(rt) as u32, flit));
                 self.stats.flit_hops += 1;
                 if flit.is_tail {
-                    router.clear_route(i);
+                    t.clear_route(ru, i);
                     // The tail has left this router: the message no longer
                     // holds this output VC, and heads parked on it may try.
-                    router.release_output(oidx);
+                    t.release_output(ru, oidx);
                     let hs = self.slab.held_mut(flit.slot);
                     let pos = hs
                         .iter()
@@ -616,57 +628,48 @@ impl WormholeFabric {
                         .expect("held list tracks allocations in path order");
                     hs.remove(pos);
                 } else {
-                    router.sync_after_pop(i);
+                    t.sync_after_pop(ru, i);
                 }
             }
         }
     }
 
-    /// Phase 3: message flit emission at sources.
+    /// Phase 3: message flit emission at sources. A router with nothing
+    /// queued and nothing mid-emission has nothing to do here.
     fn injection_stage(&mut self, r: u32) {
-        let router = &mut self.routers[r as usize];
-        let (w, local) = (self.w, self.local);
+        let ru = r as usize;
+        let t = &mut self.table;
+        if !t.injecting(ru) {
+            return;
+        }
+        let (w, first, depth) = (t.w, self.local * t.w, t.depth);
         // Continue in-progress emissions: one flit per injection VC per cycle.
         for v in 0..w {
-            let idx = local * w + v;
-            let Some(em) = router.emitting[v] else {
+            let Some(em) = t.emitter(ru, v) else {
                 continue;
             };
-            if router.bufs[idx].len() < self.cfg.buffer_depth as usize {
-                let flit = Flit::of(&em.msg, em.sent, em.slot);
-                router.push_flit(idx, flit);
+            if t.ring_len(ru, first + v) < depth {
+                t.push_flit(ru, first + v, Flit::of(&em.msg, em.sent, em.slot));
                 self.in_flight_flits += 1;
                 let sent = em.sent + 1;
                 if sent == em.msg.len_flits {
-                    router.emitting[v] = None;
-                    router.emitting_live -= 1;
+                    t.set_emitter(ru, v, None);
                     self.emitting_msgs -= 1;
                 } else {
-                    router.emitting[v] = Some(Emitting {
-                        msg: em.msg,
-                        sent,
-                        slot: em.slot,
-                    });
+                    t.set_emitter(ru, v, Some(Emitting { sent, ..em }));
                 }
             }
         }
         // Claim idle injection VCs for queued messages.
         for v in 0..w {
-            if router.inj_queue.is_empty() {
+            if t.queue(ru).head == NONE {
                 break;
             }
-            let idx = local * w + v;
-            if router.emitting[v].is_none()
-                && router.bufs[idx].is_empty()
-                && router.route[idx] == ROUTE_NONE
+            let i = first + v;
+            if t.emitter(ru, v).is_none() && t.ring_len(ru, i) == 0 && t.route(ru, i) == ROUTE_NONE
             {
-                let q = router.inj_queue.pop_front().expect("non-empty");
-                router.emitting[v] = Some(Emitting {
-                    msg: q.msg,
-                    sent: 0,
-                    slot: q.slot,
-                });
-                router.emitting_live += 1;
+                let (slot, msg) = (self.slab).dequeue(t.queue_mut(ru)).expect("non-empty");
+                t.set_emitter(ru, v, Some(Emitting { msg, sent: 0, slot }));
             }
         }
     }
@@ -677,15 +680,16 @@ impl WormholeFabric {
     /// cycle in this graph is a genuine deadlock.
     #[must_use]
     pub fn wait_edges(&self) -> Vec<(WaitVc, WaitVc)> {
+        let t = &self.table;
         let mut edges = Vec::new();
         let mut cand = Vec::new();
-        for (r, router) in self.routers.iter().enumerate() {
-            let node = NodeId(r as u32);
-            for i in 0..router.bufs.len() {
-                if router.route[i] != ROUTE_NONE {
+        for r in 0..self.topo.num_nodes() {
+            let node = NodeId(r);
+            for i in 0..t.n_ivc {
+                if t.route(r as usize, i) != ROUTE_NONE {
                     continue;
                 }
-                let Some(front) = router.bufs[i].front() else {
+                let Some(front) = t.front(r as usize, i) else {
                     continue;
                 };
                 if !front.is_head || front.dest == node {
@@ -699,8 +703,8 @@ impl WormholeFabric {
                 cand.clear();
                 self.routing.route(&self.topo, node, front.dest, &mut cand);
                 for c in &cand {
-                    let oidx = c.port.index() * self.w + c.vc as usize;
-                    edges.push((holder, (r as u32, oidx as u16)));
+                    let oidx = c.port.index() * t.w + c.vc as usize;
+                    edges.push((holder, (r, oidx as u16)));
                 }
             }
         }
@@ -708,12 +712,26 @@ impl WormholeFabric {
     }
 }
 
+/// One switch arbitration: the request lines `req` minus the inputs
+/// already `used` this cycle, granted round-robin from `start`. Returns how
+/// many lines it chose among and the winner, or `None` when no line is
+/// left; the zero test comes before the popcount.
+#[inline(always)]
+fn arbitrate(req: &[u64], used: &[u64], start: usize) -> Option<(u32, usize)> {
+    if req.iter().zip(used).all(|(&q, &u)| q & !u == 0) {
+        return None;
+    }
+    let considered = req.iter().zip(used).map(|(&q, &u)| (q & !u).count_ones());
+    let win = first_set_excluding(req, used, start).expect("a considered request exists");
+    Some((considered.sum(), win))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::MessageId;
     use std::collections::HashMap;
-    use wavesim_topology::Coords;
+    use wavesim_topology::{Coords, PortDir};
 
     fn mesh44(w: u8) -> WormholeFabric {
         WormholeFabric::new(
@@ -995,7 +1013,7 @@ mod tests {
                 routing_delay: 1,
             },
         );
-        assert_eq!(f.nports * f.w, 72);
+        assert_eq!(f.table.n_ivc, 72);
         let mut id = 0;
         for round in 0..4u32 {
             for a in topo.nodes() {
@@ -1029,17 +1047,16 @@ mod tests {
 
     /// Runs the mask oracle over every router after the tick of `now`.
     fn check_all_masks(f: &WormholeFabric, now: Cycle) {
-        for (r, router) in f.routers.iter().enumerate() {
-            let node = NodeId(r as u32);
-            router.check_masks(f.routing(), &f.topo, node, f.cfg.routing_delay, now);
+        for node in f.topo.nodes() {
+            (f.table).check_masks(f.routing(), &f.topo, node, f.cfg.routing_delay, now);
         }
     }
 
     /// The input VC at the far end of output VC `ovc` of router `r`.
     fn downstream(f: &WormholeFabric, r: u32, ovc: usize) -> (u32, usize) {
-        let p = PortDir::from_index(ovc / f.w);
+        let p = PortDir::from_index(ovc / f.table.w);
         let down = f.topo.neighbor(NodeId(r), p).expect("owned VCs are links");
-        (down.0, p.opposite().index() * f.w + ovc % f.w)
+        (down.0, p.opposite().index() * f.table.w + ovc % f.table.w)
     }
 
     /// Slab slot of the packet input VC `i` of router `r` is routed for:
@@ -1047,35 +1064,51 @@ mod tests {
     /// to come — that of whoever feeds the VC: the source's emitter, or
     /// the upstream output VC, which the packet owns until its tail passes.
     fn packet_of(f: &WormholeFabric, r: u32, i: usize) -> u32 {
-        let router = &f.routers[r as usize];
-        if let Some(front) = router.bufs[i].front() {
+        let (t, w) = (&f.table, f.table.w);
+        if let Some(front) = t.front(r as usize, i) {
             return front.slot;
         }
-        if i / f.w == f.local {
-            return router.emitting[i % f.w].expect("tail not yet emitted").slot;
+        if i / w == f.local {
+            let em = t.emitter(r as usize, i % w);
+            return em.expect("tail not yet emitted").slot;
         }
-        let p = PortDir::from_index(i / f.w);
+        let p = PortDir::from_index(i / w);
         let up = f.topo.neighbor(NodeId(r), p).expect("input VCs are links");
-        let up_ovc = p.opposite().index() * f.w + i % f.w;
-        let owner = f.routers[up.0 as usize].out_owner[up_ovc];
+        let up_ovc = p.opposite().index() * w + i % w;
+        let owner = t.owner(up.0 as usize, up_ovc);
         assert_ne!(owner, OWNER_NONE, "route outlives its upstream owner");
         packet_of(f, up.0, owner as usize)
     }
 
+    /// The slots queued at router `r`, oldest first.
+    fn queued(f: &WormholeFabric, r: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        let queue = f.table.queue(r);
+        let mut s = queue.head;
+        while s != NONE {
+            out.push(s);
+            s = f.slab.slots[s as usize].next;
+        }
+        assert_eq!(out.last().copied().unwrap_or(NONE), queue.tail);
+        out
+    }
+
     /// The bookkeeping oracle: everything the stages write to fabric-wide
-    /// state as they go, recomputed from the routers alone. Each record's
-    /// `held` list must be exactly the output VCs its packet owns, each
-    /// feeding the input VC that owns the next; the flit and emission
-    /// counts must equal a recount.
+    /// state as they go, recomputed from the router table alone. Each
+    /// record's `held` list must be exactly the output VCs its packet
+    /// owns, each feeding the input VC that owns the next; the flit and
+    /// emission counts must equal a recount.
     fn check_bookkeeping(f: &WormholeFabric) {
+        let t = &f.table;
         let mut owned = vec![0usize; f.slab.slots.len()];
-        for (r, router) in f.routers.iter().enumerate() {
-            for (ovc, &owner) in router.out_owner.iter().enumerate() {
+        for r in 0..f.topo.num_nodes() {
+            for ovc in 0..t.n_ivc {
+                let owner = t.owner(r as usize, ovc);
                 if owner != OWNER_NONE {
-                    let slot = packet_of(f, r as u32, owner as usize);
+                    let slot = packet_of(f, r, owner as usize);
                     owned[slot as usize] += 1;
                     assert!(
-                        f.slab.held(slot).contains(&(r as u32, ovc as u16)),
+                        f.slab.held(slot).contains(&(r, ovc as u16)),
                         "slot {slot} owns ({r}, {ovc}) but does not hold it"
                     );
                 }
@@ -1086,7 +1119,7 @@ mod tests {
             assert_eq!(rec.held.len(), owned[slot], "slot {slot}: stale held entry");
             for pair in rec.held.windows(2) {
                 let (r, ovc) = pair[1];
-                let owner = f.routers[r as usize].out_owner[ovc as usize];
+                let owner = t.owner(r as usize, ovc as usize);
                 assert_eq!(
                     downstream(f, pair[0].0, pair[0].1 as usize),
                     (r, owner as usize),
@@ -1094,11 +1127,10 @@ mod tests {
                 );
             }
         }
-        let flits: usize = f.routers.iter().map(Router::buffered_flits).sum();
+        let nodes = f.topo.num_nodes() as usize;
+        let flits: usize = (0..nodes).map(|r| t.buffered_flits(r)).sum();
         assert_eq!(f.in_flight_flits, flits as u64, "in-flight flit count");
-        let emitting: usize = (f.routers.iter())
-            .map(|r| r.inj_queue.len() + r.emitting_live as usize)
-            .sum();
+        let emitting: usize = (0..nodes).map(|r| queued(f, r).len() + t.emitting(r)).sum();
         assert_eq!(f.emitting_msgs, emitting as u64, "emitting message count");
     }
 
@@ -1128,7 +1160,15 @@ mod tests {
             f.tick(now);
             check_all_masks(f, now);
             check_bookkeeping(f);
-            ever_parked |= f.routers.iter().any(|r| r.parked > 0);
+            // The scheduling invariant, from the other side: a router the
+            // active set skips next tick has nothing to do.
+            for r in 0..nodes as usize {
+                if !f.active.get(r) {
+                    assert!(f.table.idle(r), "router {r} left the active set busy");
+                    assert_eq!(f.table.buffered_flits(r), 0, "router {r}: flits outside");
+                }
+            }
+            ever_parked |= (0..nodes as usize).any(|r| f.table.parked(r) > 0);
             now += 1;
             assert!(now < 200_000, "oracle traffic must drain");
         }
@@ -1171,6 +1211,53 @@ mod tests {
                     "torus={torus} {routing:?}: traffic never blocked a head"
                 );
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "credit protocol violated: credit overflow at router 5 ovc 0")]
+    fn a_forged_credit_fails_the_commit() {
+        // Every output VC of a fresh fabric holds all its credits: one
+        // more returned is a credit nobody spent.
+        let mut f = mesh44(1);
+        f.credit_returns.push((5, 0));
+        f.commit();
+    }
+
+    #[test]
+    #[should_panic(expected = "credit protocol violated: buffer overflow at router 5 vc 1")]
+    fn a_flit_past_the_downstream_credits_fails_the_commit() {
+        // Five flits for one 4-slot buffer in one commit: the fifth would
+        // be sent on a credit its sender never had.
+        let mut f = mesh44(1);
+        let m = Message::new(1, NodeId(4), NodeId(7), 5, 0);
+        for seq in 0..5 {
+            f.arrivals.push((5, 1, Flit::of(&m, seq, 0)));
+        }
+        f.commit();
+    }
+
+    #[test]
+    fn buffer_depth_must_fit_a_ring_index() {
+        let build = |buffer_depth| {
+            std::panic::catch_unwind(|| {
+                let cfg = WormholeConfig {
+                    w: 1,
+                    buffer_depth,
+                    ..WormholeConfig::default()
+                };
+                WormholeFabric::new(Topology::mesh(&[2]), cfg).table.depth
+            })
+        };
+        assert_eq!(build(1).ok(), Some(1));
+        assert_eq!(build(MAX_DEPTH).ok(), Some(65_535));
+        for bad in [0, MAX_DEPTH + 1, u32::MAX] {
+            let err = build(bad).expect_err("refused");
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                msg.starts_with(&format!("buffer_depth {bad} is outside 1..=65535")),
+                "{msg}"
+            );
         }
     }
 
@@ -1236,16 +1323,17 @@ mod tests {
             }
             f.tick(now);
             now += 1;
-            for (r, router) in f.routers.iter().enumerate() {
-                if !router.idle() {
+            for r in 0..topo.num_nodes() as usize {
+                if !f.table.idle(r) {
                     assert!(
                         f.active.get(r),
                         "non-idle router {r} missing from active set at cycle {now}"
                     );
                 }
-                if router.parked > 0 && router.va_pending.is_empty() {
+                let pending = f.table.va_pending(r).iter().any(|&w| w != 0);
+                if f.table.parked(r) > 0 && !pending {
                     saw_parked = true;
-                    assert!(!router.idle(), "parked head at router {r} reads as idle");
+                    assert!(!f.table.idle(r), "parked head at router {r} reads as idle");
                 }
             }
         }

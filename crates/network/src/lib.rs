@@ -34,7 +34,7 @@
 
 pub mod fabric;
 pub mod message;
-pub mod router;
+mod router;
 
 pub use fabric::{FabricStats, WormholeConfig, WormholeFabric};
 pub use message::{Delivery, Flit, Message, MessageId};

@@ -53,16 +53,13 @@ impl Message {
     }
 }
 
-/// One flit of a wormhole message.
+/// One flit of a wormhole message: the 12 bytes the fabric reads (in a
+/// debug build, 8 more carry the owning message's id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
-    /// Owning message.
-    pub msg: MessageId,
     /// Destination (replicated from the header for routing convenience;
     /// hardware keeps it in per-VC state after the head passes).
     pub dest: NodeId,
-    /// Position within the message (0 = head).
-    pub seq: u32,
     /// Fabric-assigned arena slot of the in-flight message record. Carried
     /// in every flit so tail processing reaches the metadata without a
     /// map lookup; meaningless outside the fabric that assigned it.
@@ -71,19 +68,36 @@ pub struct Flit {
     pub is_head: bool,
     /// True for the last flit — releases resources behind it.
     pub is_tail: bool,
+    /// Owning message, kept in debug builds only: the fabric checks it
+    /// against the slot's record at delivery.
+    #[cfg(debug_assertions)]
+    pub msg: MessageId,
 }
 
+const _: () = assert!(cfg!(debug_assertions) || std::mem::size_of::<Flit>() == 12);
+
 impl Flit {
-    /// Builds flit `seq` of `msg`, tagged with the fabric arena `slot`.
+    /// An empty ring slot's contents; never read as a flit.
+    pub(crate) const VACANT: Self = Self {
+        dest: NodeId(u32::MAX),
+        slot: u32::MAX,
+        is_head: false,
+        is_tail: false,
+        #[cfg(debug_assertions)]
+        msg: MessageId(u64::MAX),
+    };
+
+    /// Builds flit `seq` (0 = head) of `msg`, tagged with the fabric arena
+    /// `slot`.
     #[must_use]
     pub fn of(msg: &Message, seq: u32, slot: u32) -> Self {
         Self {
-            msg: msg.id,
             dest: msg.dest,
-            seq,
             slot,
             is_head: seq == 0,
             is_tail: seq + 1 == msg.len_flits,
+            #[cfg(debug_assertions)]
+            msg: msg.id,
         }
     }
 }

@@ -4,8 +4,8 @@
 //! as dense bitsets and iterate only the set bits, so per-tick cost tracks
 //! the in-flight population instead of the structure size. Arbitration in
 //! the wormhole pipeline is round-robin, so besides the usual ascending
-//! scan the set supports a *rotated* scan that starts at an arbitrary
-//! index and wraps — visiting exactly the indices a modular
+//! scan there is a *rotated* scan over a set's words that starts at an
+//! arbitrary index and wraps — visiting exactly the indices a modular
 //! `for off in 0..n { i = (start + off) % n }` sweep would have accepted,
 //! in the same order, but in O(set bits) instead of O(n).
 
@@ -88,49 +88,50 @@ impl BitSet {
             }
         }
     }
+}
 
-    /// Visits set bits in rotated order — `start..capacity` then
-    /// `0..start` — stopping early when `f` returns `true`. This is the
-    /// round-robin arbitration scan: identical visit order to the modular
-    /// index sweep, restricted to set bits.
-    pub fn for_each_wrapping(&self, start: usize, mut f: impl FnMut(usize) -> bool) {
-        if self.words.is_empty() {
-            return;
-        }
-        debug_assert!(start < self.capacity);
-        let sw = start / 64;
-        let sb = start % 64;
-        // Upper segment: bits at indices >= start.
-        let mut word = self.words[sw] & (u64::MAX << sb);
-        let mut wi = sw;
-        loop {
-            while word != 0 {
-                if f(wi * 64 + word.trailing_zeros() as usize) {
-                    return;
-                }
-                word &= word - 1;
+/// Visits the set bits of `words` (low index = low bits) in rotated order
+/// — those at `start..` ascending, then those below `start` — stopping
+/// early when `f` returns `true`. This is the round-robin arbitration
+/// scan: identical visit order to the modular index sweep, restricted to
+/// set bits.
+pub fn for_each_set_wrapping(words: &[u64], start: usize, mut f: impl FnMut(usize) -> bool) {
+    if words.is_empty() {
+        return;
+    }
+    debug_assert!(start < words.len() * 64);
+    let sw = start / 64;
+    let sb = start % 64;
+    // Upper segment: bits at indices >= start.
+    let mut word = words[sw] & (u64::MAX << sb);
+    let mut wi = sw;
+    loop {
+        while word != 0 {
+            if f(wi * 64 + word.trailing_zeros() as usize) {
+                return;
             }
-            wi += 1;
-            if wi >= self.words.len() {
+            word &= word - 1;
+        }
+        wi += 1;
+        if wi >= words.len() {
+            break;
+        }
+        word = words[wi];
+    }
+    // Lower segment: bits at indices < start.
+    for (wi, &whole) in words.iter().enumerate().take(sw + 1) {
+        let mut word = whole;
+        if wi == sw {
+            if sb == 0 {
                 break;
             }
-            word = self.words[wi];
+            word &= !(u64::MAX << sb);
         }
-        // Lower segment: bits at indices < start.
-        for wi in 0..=sw {
-            let mut word = self.words[wi];
-            if wi == sw {
-                if sb == 0 {
-                    break;
-                }
-                word &= !(u64::MAX << sb);
+        while word != 0 {
+            if f(wi * 64 + word.trailing_zeros() as usize) {
+                return;
             }
-            while word != 0 {
-                if f(wi * 64 + word.trailing_zeros() as usize) {
-                    return;
-                }
-                word &= word - 1;
-            }
+            word &= word - 1;
         }
     }
 }
@@ -143,6 +144,7 @@ impl BitSet {
 ///
 /// # Panics
 /// Panics when the slices differ in length or `start` is past their end.
+#[inline]
 #[must_use]
 pub fn first_set_excluding(a: &[u64], excl: &[u64], start: usize) -> Option<usize> {
     assert_eq!(a.len(), excl.len(), "masks must cover the same domain");
@@ -165,7 +167,7 @@ mod tests {
 
     fn collect_wrapping(b: &BitSet, start: usize) -> Vec<usize> {
         let mut out = Vec::new();
-        b.for_each_wrapping(start, |i| {
+        for_each_set_wrapping(b.words(), start, |i| {
             out.push(i);
             false
         });
@@ -240,7 +242,7 @@ mod tests {
         b.set(20);
         b.set(30);
         let mut seen = Vec::new();
-        b.for_each_wrapping(15, |i| {
+        for_each_set_wrapping(b.words(), 15, |i| {
             seen.push(i);
             true // stop at the first hit
         });
