@@ -467,8 +467,11 @@ impl Routers {
 
         // Candidate ports: profitable (minimal) first, in dimension order,
         // then — while misroute budget remains (MB-m) — the rest, except
-        // the port the probe came in through.
-        let profitable = self.topo.min_ports(node, p.dest);
+        // the port the probe came in through. The profitable ones are read
+        // off the probe's own offset fields, refreshed at every hop and
+        // backtrack.
+        let profitable = PortSet::from_offsets(&p.flit.offsets);
+        debug_assert_eq!(profitable, self.topo.min_ports(node, p.dest));
         let misroutable = if p.flit.misroute < self.cfg.misroutes {
             let mut excluded = profitable;
             if let Some(port) = reverse_in {

@@ -51,7 +51,9 @@
 //!    input ports already used this cycle. A VC that spends its last credit
 //!    leaves the mask; the commit step puts the output VC's owner back when
 //!    the first credit returns. A creditless VC was never grantable and the
-//!    pointer only moves on grants, so every grant is unchanged.
+//!    pointer only moves on grants, so every grant is unchanged. The ports
+//!    follow their masks: a router's *ready-port word* has bit `p` set
+//!    while port `p`'s mask is non-empty, and SA arbitrates only those.
 //! 3. **Flit arrival → `va_pending` or request bit.** A flit landing in an
 //!    empty VC is a new head (or, routed, a new request); one landing behind
 //!    a waiting head changes nothing that head waits on.
@@ -556,16 +558,26 @@ impl WormholeFabric {
 
     /// Phase 2: switch allocation and flit forwarding / delivery. Each output
     /// port grants the first of its requests, from its round-robin pointer,
-    /// whose input port has not sent a flit yet this cycle.
+    /// whose input port has not sent a flit yet this cycle. Only the ports
+    /// of the router's ready-port word are arbitrated, in ascending order:
+    /// a port without a request grants nothing, and a grant lowers only its
+    /// own port's mask, so the word read up front names every port the
+    /// full sweep would have granted on.
     fn sa_stage(&mut self, r: u32, now: Cycle) {
         let ru = r as usize;
         let t = &mut self.table;
-        let (w, n_ivc, nports, local) = (t.w, t.n_ivc, t.nports, self.local);
+        let mut ready = t.ready_ports(ru);
+        if ready == 0 {
+            return;
+        }
+        let (w, n_ivc, local) = (t.w, t.n_ivc, self.local);
         let used_inputs = &mut self.used_inputs;
         used_inputs.clear();
         used_inputs.resize(n_ivc.div_ceil(64), 0);
 
-        for out_port in 0..nports {
+        while ready != 0 {
+            let out_port = ready.trailing_zeros() as usize;
+            ready &= ready - 1;
             let req = t.sa_req(ru, out_port);
             let Some((considered, i)) = arbitrate(req, used_inputs, t.sa_ptr(ru, out_port)) else {
                 continue;
@@ -1002,7 +1014,9 @@ mod tests {
         // injection VCs (64..72) all live in the second one. Four rounds
         // of all-pairs traffic keep every injection VC busy. The hash was
         // captured on the polling kernel (the commit before the park/wake
-        // fabric); `GOLDEN_PRINT=1` prints it instead of asserting.
+        // fabric); `GOLDEN_PRINT=1` prints it instead of asserting. The
+        // mask oracle runs after every tick, so the two-word request masks
+        // and the ready-port word are checked too.
         let topo = Topology::mesh(&[2, 2, 2, 2]);
         let mut f = WormholeFabric::new(
             topo.clone(),
@@ -1025,7 +1039,12 @@ mod tests {
                 }
             }
         }
-        run(&mut f, 0, 500_000);
+        let mut now = 0;
+        while f.busy() && now < 500_000 {
+            f.tick(now);
+            check_all_masks(&f, now);
+            now += 1;
+        }
         assert!(!f.busy(), "wide-router all-pairs must drain");
         let ds = f.drain_deliveries();
         assert_eq!(ds.len(), 4 * 16 * 15);

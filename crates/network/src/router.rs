@@ -62,7 +62,7 @@
 //! next packet's head. The fabric debug-asserts this on every VA visit.
 
 use wavesim_sim::Cycle;
-use wavesim_topology::{PortDir, Topology};
+use wavesim_topology::{PortDir, Topology, MAX_DIMS};
 
 use crate::message::{Flit, Message};
 
@@ -124,9 +124,16 @@ pub(crate) struct SlotQueue {
     pub(crate) tail: u32,
 }
 
+// One ready-port bit per port: 2·MAX_DIMS network ports and the local one.
+const _: () = assert!(2 * MAX_DIMS < u32::BITS as usize);
+
 /// One router's scalars.
 #[derive(Debug, Clone, Copy)]
 struct RouterState {
+    /// The ready-port word: bit `p` is set iff output port `p`'s request
+    /// mask is non-empty, so the switch allocator arbitrates only the
+    /// ports with a raised request line.
+    ready: u32,
     /// Input VCs whose route is allocated (`route != ROUTE_NONE`).
     routed: u16,
     /// Unrouted heads parked off `va_pending` because every candidate
@@ -256,6 +263,7 @@ impl RouterTable {
             masks: vec![0; routers * mask_stride],
             state: vec![
                 RouterState {
+                    ready: 0,
                     routed: 0,
                     parked: 0,
                     emitting: 0,
@@ -294,6 +302,13 @@ impl RouterTable {
     pub(crate) fn sa_req(&self, r: usize, port: usize) -> &[u64] {
         let at = r * self.mask_stride + (1 + port) * self.mask_words;
         &self.masks[at..at + self.mask_words]
+    }
+
+    /// Router `r`'s ready-port word: bit `p` set iff [`Self::sa_req`] of
+    /// port `p` is non-empty.
+    #[inline]
+    pub(crate) fn ready_ports(&self, r: usize) -> u32 {
+        self.state[r].ready
     }
 
     /// Where router `r`'s output VC `ovc` waiter mask sits in `masks`.
@@ -434,23 +449,30 @@ impl RouterTable {
     }
 
     /// Raises routed input VC `i` of router `r`'s request line if it has a
-    /// flit to send and a downstream slot to send it into.
+    /// flit to send and a downstream slot to send it into, marking its
+    /// port ready.
     #[inline(always)]
     fn request(&mut self, r: usize, i: usize) {
         let g = self.vc(r, i);
         let rt = self.route[g];
         if self.rings[g].len > 0 && self.out_credits[self.vc(r, self.route_ovc(rt))] > 0 {
-            let at = r * self.mask_stride + (1 + route_port(rt)) * self.mask_words;
+            let port = route_port(rt);
+            let at = r * self.mask_stride + (1 + port) * self.mask_words;
             self.put_bit(at, i, true);
+            self.state[r].ready |= 1 << port;
         }
     }
 
     /// Drops input VC `i` of router `r`'s request line on the port of
-    /// route `rt`.
+    /// route `rt`; the port leaves the ready word with its last request.
     #[inline]
     fn unrequest(&mut self, r: usize, i: usize, rt: u16) {
-        let at = r * self.mask_stride + (1 + route_port(rt)) * self.mask_words;
+        let port = route_port(rt);
+        let at = r * self.mask_stride + (1 + port) * self.mask_words;
         self.put_bit(at, i, false);
+        if self.masks[at..at + self.mask_words].iter().all(|&w| w == 0) {
+            self.state[r].ready &= !(1 << port);
+        }
     }
 
     /// Appends a flit to input VC `i` of router `r` (arrival or
@@ -685,6 +707,7 @@ impl RouterTable {
 
     /// Panics unless, for router `node` after the tick of cycle `now`:
     /// every request bit ⇔ routed ∧ buffered ∧ credit available; every
+    /// ready-port bit ⇔ that port's request mask is non-empty; every
     /// unrouted buffered head is in `va_pending` xor parked, and `parked`
     /// counts the latter; a parked head is past its routing delay, bound
     /// elsewhere, owns nothing, finds every candidate output VC owned and
@@ -754,6 +777,19 @@ impl RouterTable {
             }
         }
         assert_eq!(self.state[r].parked, parked, "{node:?}: parked count");
+        for port in 0..self.nports {
+            let raised = self.sa_req(r, port).iter().any(|&w| w != 0);
+            assert_eq!(
+                self.ready_ports(r) >> port & 1 == 1,
+                raised,
+                "{node:?}: ready bit of port {port}"
+            );
+        }
+        assert_eq!(
+            self.ready_ports(r) >> self.nports,
+            0,
+            "{node:?}: ready bit past the ports"
+        );
         for ovc in 0..n {
             let owner = self.out_owner[self.vc(r, ovc)];
             if owner != OWNER_NONE {
@@ -879,6 +915,46 @@ mod tests {
         assert!(!requests(&t, 1, 3), "an arrival does not conjure a credit");
         t.return_credit(0, 2);
         assert!(requests(&t, 1, 3), "0 -> 1 credit re-raises the owner");
+    }
+
+    #[test]
+    fn ready_word_follows_the_last_request_of_each_port() {
+        // VC 3 is routed through output VC 2 (port 1), which has a single
+        // credit; VC 5 is routed through output VC 7 (port 3).
+        let mut t = table(2);
+        t.out_credits[2] = 1;
+        let m = Message::new(1, NodeId(0), NodeId(1), 2, 0);
+        let n = Message::new(2, NodeId(0), NodeId(2), 3, 0);
+        t.push_flit(0, 3, Flit::of(&m, 0, 0));
+        t.push_flit(0, 5, Flit::of(&n, 0, 1));
+        assert_eq!(t.ready_ports(0), 0, "unrouted heads raise no port");
+        t.grant(0, 3, 1, 0);
+        t.grant(0, 5, 3, 1);
+        t.push_flit(0, 3, Flit::of(&m, 1, 0));
+        assert_eq!(t.ready_ports(0), 1 << 1 | 1 << 3);
+
+        // Forward VC 3's head: the port's only requester spends its last
+        // credit with the tail still buffered, and port 1 leaves the word.
+        let _ = t.pop_flit(0, 3).unwrap();
+        t.spend_credit(0, 2);
+        t.sync_after_pop(0, 3);
+        assert_eq!(t.ring_len(0, 3), 1);
+        assert_eq!(t.ready_ports(0), 1 << 3, "no credit, port not ready");
+
+        t.return_credit(0, 2);
+        assert_eq!(
+            t.ready_ports(0),
+            1 << 1 | 1 << 3,
+            "credit 0 -> 1 puts it back"
+        );
+
+        // Forward the tail: clearing the route drops the port's last request.
+        let tail = t.pop_flit(0, 3).unwrap();
+        assert!(tail.is_tail);
+        t.spend_credit(0, 2);
+        t.clear_route(0, 3);
+        t.release_output(0, 2);
+        assert_eq!(t.ready_ports(0), 1 << 3, "the tail takes port 1 out");
     }
 
     #[test]

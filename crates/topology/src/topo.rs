@@ -120,6 +120,22 @@ impl PortSet {
     pub fn iter(self) -> PortSetIter {
         PortSetIter(self.0)
     }
+
+    /// The minimal-path ports of a node whose signed offsets to the
+    /// destination are `offsets`, one per dimension (the paper's Fig. 4
+    /// `X1-offset..Xn-offset`): `Plus` where the offset is positive,
+    /// `Minus` where it is negative, none where it is zero.
+    #[must_use]
+    pub fn from_offsets(offsets: &[i32]) -> PortSet {
+        let mut set = PortSet::default();
+        for (dim, &off) in offsets.iter().enumerate() {
+            if off != 0 {
+                let dir = if off > 0 { Dir::Plus } else { Dir::Minus };
+                set.insert(PortDir::new(dim, dir));
+            }
+        }
+        set
+    }
 }
 
 /// Iterator over a [`PortSet`], in ascending port index.
@@ -515,18 +531,12 @@ impl Topology {
     /// dimension first. Empty iff `from == to`.
     #[must_use]
     pub fn min_ports(&self, from: NodeId, to: NodeId) -> PortSet {
-        (0..self.ndims())
-            .filter_map(|d| {
-                let off = self.offset(from, to, d);
-                if off > 0 {
-                    Some(PortDir::new(d, Dir::Plus))
-                } else if off < 0 {
-                    Some(PortDir::new(d, Dir::Minus))
-                } else {
-                    None
-                }
-            })
-            .collect()
+        let mut offsets = [0; MAX_DIMS];
+        let offsets = &mut offsets[..self.ndims()];
+        for (dim, off) in offsets.iter_mut().enumerate() {
+            *off = self.offset(from, to, dim);
+        }
+        PortSet::from_offsets(offsets)
     }
 
     /// All output ports of a node that have a physical link.

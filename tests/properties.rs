@@ -4,8 +4,8 @@
 //!   under arbitrary loads, lengths, protocols, and cache pressures;
 //! * the §4 theorems as properties — no stall, probe steps within bound,
 //!   structural audit clean — over randomly drawn configurations;
-//! * topology algebra (coordinate/link round-trips, distance symmetry)
-//!   over random shapes;
+//! * topology algebra (coordinate/link round-trips, distance symmetry,
+//!   minimal ports from the offsets) over random shapes;
 //! * routing candidates are always minimal and in range.
 //!
 //! Configurations are drawn from a seeded [`SimRng`] (the offline build
@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use wavesim::core::{ProtocolKind, ReplacementPolicy, WaveConfig, WaveNetwork};
 use wavesim::network::Message;
 use wavesim::sim::SimRng;
-use wavesim::topology::{NodeId, RoutingKind, Topology};
+use wavesim::topology::{NodeId, PortSet, RoutingKind, Topology};
 use wavesim::verify::check_probe_livelock;
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 
@@ -145,6 +145,36 @@ fn topology_algebra() {
         // Link involution over every link.
         for l in topo.links() {
             assert_eq!(topo.reverse_link(topo.reverse_link(l)), l);
+        }
+    }
+}
+
+/// `min_ports` is the port set of the per-dimension offsets — the one
+/// definition the probe's own offset fields route on — for random node
+/// pairs on 2-D and 3-D meshes and tori.
+#[test]
+fn min_ports_are_the_ports_of_the_offsets() {
+    let mut draw = SimRng::new(0x0ff5);
+    for shape in 0..16 {
+        let (ndims, torus) = (2 + shape % 2, shape % 4 >= 2);
+        // A torus ring needs three nodes; a mesh may be two wide.
+        let least = if torus { 3 } else { 2 };
+        let dims: Vec<u16> = (0..ndims).map(|_| least + draw.below(5) as u16).collect();
+        let topo = if torus {
+            Topology::torus(&dims)
+        } else {
+            Topology::mesh(&dims)
+        };
+        let mut rng = SimRng::new(draw.next_u64());
+        for _ in 0..64 {
+            let a = NodeId(rng.below(u64::from(topo.num_nodes())) as u32);
+            let b = NodeId(rng.below(u64::from(topo.num_nodes())) as u32);
+            let offsets: Vec<i32> = (0..ndims).map(|d| topo.offset(a, b, d)).collect();
+            assert_eq!(
+                topo.min_ports(a, b),
+                PortSet::from_offsets(&offsets),
+                "{dims:?} {a:?} -> {b:?}"
+            );
         }
     }
 }
