@@ -33,8 +33,12 @@ pub enum CircuitStatus {
     TearingDown,
 }
 
-/// Global bookkeeping for one circuit (the simulator's eye view; the
-/// distributed equivalents live in the per-node [`crate::pcs::PcsUnit`]s).
+/// Global bookkeeping for one circuit, and with it the circuit's share of
+/// every PCS unit on its path (Fig. 3): the path is the Direct/Reverse
+/// Channel Mappings read forwards and backwards, and the Ack Returned bits
+/// and the teardown's progress are one hop index each, since the ack
+/// passes the routers in descending path order and the teardown in
+/// ascending.
 #[derive(Debug, Clone)]
 pub struct CircuitState {
     /// Identity.
@@ -54,6 +58,13 @@ pub struct CircuitState {
     /// at launch, cleared when the probe reaches the destination,
     /// exhausts its switch or unwinds.
     pub probe: Option<ProbeId>,
+    /// Ack Returned: the ack has passed the routers at the upstream ends
+    /// of path lanes `ack..`. Only falls; `u32::MAX` until the ack leaves
+    /// the destination.
+    pub ack: u32,
+    /// Teardown progress: the walk has released path lanes `..torn` and
+    /// the mappings of their upstream routers. Only rises.
+    pub torn: u32,
 }
 
 impl CircuitState {
@@ -68,6 +79,8 @@ impl CircuitState {
             path: Vec::new(),
             status: CircuitStatus::Establishing,
             probe: None,
+            ack: u32::MAX,
+            torn: 0,
         }
     }
 

@@ -757,7 +757,6 @@ impl CircuitPlane {
         }
         self.outbox.push(PlaneEvent::ReleaseCircuit {
             circuit: entry.circuit,
-            src,
         });
     }
 

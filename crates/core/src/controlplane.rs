@@ -1,12 +1,21 @@
-//! The controlplane: PCS units, MB-m probe stepping, and the ack /
-//! teardown / release-request walks over the dedicated control channels.
+//! The controlplane: MB-m probe stepping, and the ack / teardown /
+//! release-request walks over the dedicated control channels.
 //!
 //! This plane owns everything the control flits touch — the wave-lane
-//! reservation table, the per-router PCS mapping registers, the live
-//! probes, and the global circuit registry. It knows nothing about
-//! Circuit Caches or protocols: when a probe exhausts a switch, when an
-//! acknowledgment completes, or when a victim circuit must be released,
-//! it emits a [`PlaneEvent`] and lets the circuitplane decide.
+//! reservation table, the live probes, and the global circuit registry.
+//! It knows nothing about Circuit Caches or protocols: when a probe
+//! exhausts a switch, when an acknowledgment completes, or when a victim
+//! circuit must be released, it emits a [`PlaneEvent`] and lets the
+//! circuitplane decide.
+//!
+//! The PCS unit's registers (Fig. 3) are not stored per router. Channel
+//! Status is the lane table and the History Store is the probe's. The
+//! Direct/Reverse Channel Mappings are the circuit's lane path — the
+//! probe's `path` while it searches, [`CircuitState::path`] once it
+//! completes. Ack Returned and the teardown's progress are two hop
+//! indices into that path ([`CircuitState::ack`], [`CircuitState::torn`]):
+//! the ack passes the routers in descending path order, the teardown in
+//! ascending.
 //!
 //! Time-delayed control-flit movement is scheduled on an external
 //! [`EventQueue<CtrlEvent>`] (owned by the composition root, or by the
@@ -23,7 +32,6 @@ use crate::config::WaveConfig;
 use crate::events::{EventBus, PlaneEvent};
 use crate::ids::{CircuitId, LaneId, ProbeId};
 use crate::lanes::{LaneState, LaneTable};
-use crate::pcs::PcsUnit;
 use crate::probe::{ProbeBufs, ProbeState};
 use crate::stats::PlaneLog;
 
@@ -38,8 +46,9 @@ pub enum CtrlEvent {
     /// `hop` on its way back (hop 0 is the circuit's source node, where
     /// the ack completes establishment).
     AckHopAt(CircuitId, u32),
-    /// Teardown flit reaches `node`.
-    TeardownAt(CircuitId, NodeId),
+    /// Teardown flit reaches the source router of path lane `hop` (hop
+    /// `path.len()` is the destination, where the circuit is released).
+    TeardownAt(CircuitId, u32),
     /// Release-request flit reaches the circuit's source.
     ReleaseReqAt(CircuitId),
 }
@@ -52,6 +61,11 @@ pub struct ControlPlane {
     spare_bufs: Vec<ProbeBufs>,
     max_probe_steps: u64,
     pub(crate) routers: Routers,
+    /// Every circuit's `(ack, torn)` after the last event, for the step
+    /// oracle to check that the ack index only falls and the teardown
+    /// index only rises.
+    #[cfg(test)]
+    oracle_marks: std::collections::BTreeMap<CircuitId, (u32, u32)>,
 }
 
 /// The control plane less its probes: everything a probe step reads or
@@ -62,7 +76,6 @@ pub(crate) struct Routers {
     topo: Topology,
     cfg: WaveConfig,
     lanes: LaneTable,
-    pcs: Vec<PcsUnit>,
     circuits: SlotMap<CircuitId, CircuitState>,
     pub(crate) log: PlaneLog,
     outbox: Vec<PlaneEvent>,
@@ -93,20 +106,20 @@ impl ControlPlane {
     /// Builds the plane for `topo` under `cfg`.
     #[must_use]
     pub fn new(topo: Topology, cfg: WaveConfig) -> Self {
-        let n = topo.num_nodes() as usize;
         Self {
             probes: GenSlab::new(),
             spare_bufs: Vec::new(),
             max_probe_steps: 0,
             routers: Routers {
                 lanes: LaneTable::new(&topo, cfg.k),
-                pcs: vec![PcsUnit::new(); n],
                 circuits: SlotMap::new(),
                 log: PlaneLog::default(),
                 outbox: Vec::new(),
                 topo,
                 cfg,
             },
+            #[cfg(test)]
+            oracle_marks: std::collections::BTreeMap::new(),
         }
     }
 
@@ -133,12 +146,41 @@ impl ControlPlane {
     }
 
     /// The Ack Returned bit of `circuit` at `node`'s PCS unit, if the
-    /// circuit has a mapping there (Fig. 3 register observation).
+    /// circuit has a channel mapping there (Fig. 3 register observation).
+    ///
+    /// While a probe searches, every router on its path is mapped (the
+    /// source once the probe has left it) and none has the ack. Once the
+    /// path is complete, router `i` is the upstream end of path lane `i`
+    /// (the destination is router `path.len()` and never sees the ack):
+    /// it is mapped until the teardown passes it, and has the ack from
+    /// hop index [`CircuitState::ack`] on.
     #[must_use]
     pub fn pcs_ack_returned(&self, node: NodeId, circuit: CircuitId) -> Option<bool> {
-        self.routers.pcs[node.0 as usize]
-            .hop(circuit)
-            .map(|h| h.ack_returned)
+        let c = self.routers.circuits.get(circuit)?;
+        if let Some(pid) = c.probe {
+            let p = self.probes.get(pid).expect("recorded probe is live");
+            let mapped = if node == p.src {
+                p.hops > 0
+            } else {
+                p.on_path(node)
+            };
+            return mapped.then_some(false);
+        }
+        let topo = &self.routers.topo;
+        let n = c.path.len();
+        let i = if c
+            .path
+            .last()
+            .is_some_and(|l| topo.link_dest(l.link) == node)
+        {
+            n
+        } else {
+            c.path
+                .iter()
+                .position(|l| topo.link_endpoints(l.link).0 == node)?
+        };
+        let i = i as u32;
+        (i >= c.torn).then_some(i < n as u32 && i >= c.ack)
     }
 
     /// Largest number of control steps any single probe has taken — the
@@ -202,7 +244,7 @@ impl ControlPlane {
             }
             CircuitStatus::Ready => {
                 c.status = CircuitStatus::TearingDown;
-                q.schedule(now + 1, CtrlEvent::TeardownAt(victim, src));
+                q.schedule(now + 1, CtrlEvent::TeardownAt(victim, 0));
                 r.outbox.push(PlaneEvent::CircuitBroken {
                     circuit: victim,
                     src,
@@ -225,7 +267,7 @@ impl ControlPlane {
                         // Probe completed; only the ack walk is out. It
                         // dies against the status check — reclaim the
                         // fully-reserved path with a teardown walk.
-                        q.schedule(now + 1, CtrlEvent::TeardownAt(victim, src));
+                        q.schedule(now + 1, CtrlEvent::TeardownAt(victim, 0));
                     }
                 }
                 r.outbox.push(PlaneEvent::CircuitBroken {
@@ -300,7 +342,6 @@ impl ControlPlane {
         now: Cycle,
         q: &mut EventQueue<CtrlEvent>,
         circuit: CircuitId,
-        src: NodeId,
     ) {
         let Some(c) = self.routers.circuits.get_mut(circuit) else {
             return; // establishment already failed and cleaned up
@@ -314,7 +355,7 @@ impl ControlPlane {
             }
             CircuitStatus::Ready => {
                 c.status = CircuitStatus::TearingDown;
-                q.schedule(now + 1, CtrlEvent::TeardownAt(circuit, src));
+                q.schedule(now + 1, CtrlEvent::TeardownAt(circuit, 0));
             }
             CircuitStatus::TearingDown => {}
         }
@@ -354,17 +395,13 @@ impl ControlPlane {
         self.spare_bufs.push(p.retire());
     }
 
-    /// Releases everything a cancelled probe reserved (reverse path order)
-    /// and clears the PCS mappings it created.
+    /// Releases everything a cancelled probe reserved, in reverse path
+    /// order.
     fn unwind_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, p: &ProbeState) {
-        self.routers.pcs[p.at.0 as usize].clear(p.circuit);
         for lane in p.path.iter().rev() {
-            let r = &mut self.routers;
-            let (from, _) = r.topo.link_endpoints(lane.link);
-            r.pcs[from.0 as usize].clear(p.circuit);
             // A dynamic fault may have force-faulted a path lane already;
             // release_if_held skips it (and its waiters were drained then).
-            let woken = r.lanes.release_if_held(*lane, p.circuit);
+            let woken = self.routers.lanes.release_if_held(*lane, p.circuit);
             self.wake(now, q, woken);
         }
         // The registry entry goes, and the probe it recorded with it.
@@ -386,26 +423,29 @@ impl ControlPlane {
     // Teardown walk
     // ------------------------------------------------------------------
 
+    /// The teardown flit passes the router at the upstream end of path
+    /// lane `hop`, releasing that lane; past the last lane it has reached
+    /// the destination and the circuit is gone.
     fn on_teardown(
         &mut self,
         now: Cycle,
         q: &mut EventQueue<CtrlEvent>,
         circuit: CircuitId,
-        node: NodeId,
+        hop: u32,
     ) {
         let r = &mut self.routers;
-        let Some(hop) = r.pcs[node.0 as usize].clear(circuit) else {
-            return; // already unwound (e.g. backtrack raced)
+        let Some(c) = r.circuits.get_mut(circuit) else {
+            return; // already released
         };
-        match hop.out_lane {
-            Some(lane) => {
+        match c.path.get(hop as usize) {
+            Some(&lane) => {
+                c.torn = hop + 1;
                 // release_if_held: a dynamic fault may have force-faulted
                 // this hop's lane after the walk started.
                 let woken = r.lanes.release_if_held(lane, circuit);
-                let next = r.topo.link_dest(lane.link);
                 q.schedule(
                     now + u64::from(r.cfg.ctrl_hop_delay),
-                    CtrlEvent::TeardownAt(circuit, next),
+                    CtrlEvent::TeardownAt(circuit, hop + 1),
                 );
                 self.wake(now, q, woken);
             }
@@ -423,7 +463,7 @@ impl ControlPlane {
         match event {
             CtrlEvent::ProbeAt(pid) | CtrlEvent::RetryProbe(pid) => self.process_probe(now, q, pid),
             CtrlEvent::AckHopAt(cid, hop) => self.routers.on_ack_hop(now, q, cid, hop),
-            CtrlEvent::TeardownAt(cid, node) => self.on_teardown(now, q, cid, node),
+            CtrlEvent::TeardownAt(cid, hop) => self.on_teardown(now, q, cid, hop),
             CtrlEvent::ReleaseReqAt(cid) => self.routers.on_release_request(cid),
         }
         #[cfg(test)]
@@ -459,7 +499,7 @@ impl Routers {
 
         // The probe must not loop back through a node already on the
         // reserved path (including the source) — its path stays simple,
-        // which both keeps the PCS mappings well-defined (one hop per
+        // which both keeps the channel mappings well-defined (one hop per
         // circuit per router) and makes the Theorem 3/4 step bound hold.
         let loops_back = |topo: &Topology, p: &ProbeState, port: PortDir| -> bool {
             topo.neighbor(node, port).is_some_and(|n| p.on_path(n))
@@ -468,8 +508,8 @@ impl Routers {
         // Candidate ports: profitable (minimal) first, in dimension order,
         // then — while misroute budget remains (MB-m) — the rest, except
         // the port the probe came in through. The profitable ones are read
-        // off the probe's own offset fields, refreshed at every hop and
-        // backtrack.
+        // off the probe's own offset fields, refreshed along the dimension
+        // moved at every hop and backtrack.
         let profitable = PortSet::from_offsets(&p.flit.offsets);
         debug_assert_eq!(profitable, self.topo.min_ports(node, p.dest));
         let misroutable = if p.flit.misroute < self.cfg.misroutes {
@@ -601,15 +641,6 @@ impl Routers {
         if misroute {
             p.flit.misroute += 1;
         }
-        // PCS bookkeeping at the current node: out mapping.
-        let unit = &mut self.pcs[p.at.0 as usize];
-        if unit.hop(p.circuit).is_none() {
-            // Source node (no in-lane).
-            debug_assert_eq!(p.at, p.src);
-            unit.record(p.circuit, p.switch, None, Some(lane));
-        } else {
-            unit.set_out_lane(p.circuit, Some(lane));
-        }
         let next = self.topo.link_dest(lane.link);
         p.path.push(lane);
         p.enter(next);
@@ -626,17 +657,7 @@ impl Routers {
             },
         );
         p.flit.backtrack = false;
-        let (dest, circuit, switch) = (p.dest, p.circuit, p.switch);
-        p.flit.update_offsets(&self.topo, next, dest);
-        // Record the in-mapping at the next node on arrival.
-        let unit = &mut self.pcs[next.0 as usize];
-        if unit.hop(circuit).is_none() {
-            unit.record(circuit, switch, Some(lane), None);
-        } else {
-            // Revisited node after a backtrack elsewhere: refresh in-lane.
-            unit.clear(circuit);
-            unit.record(circuit, switch, Some(lane), None);
-        }
+        p.flit.step_offset(&self.topo, next, p.dest, port.dim);
         // Forward moves pay the PCS routing decision plus the wire hop.
         let delay = u64::from(self.cfg.ctrl_hop_delay) + u64::from(self.cfg.pcs_delay);
         q.schedule(now + delay, CtrlEvent::ProbeAt(p.id));
@@ -655,10 +676,7 @@ impl Routers {
         }
         p.flit.backtrack = true;
         let lane = p.path.pop().expect("non-source probe has a path");
-        let (prev, _) = self.topo.link_endpoints(lane.link);
-        // Clear this node's mapping; the previous node's out-lane resets.
-        self.pcs[p.at.0 as usize].clear(p.circuit);
-        self.pcs[prev.0 as usize].set_out_lane(p.circuit, None);
+        let (prev, port) = self.topo.link_endpoints(lane.link);
         let woken = self.lanes.release(lane, p.circuit);
         p.leave(p.at);
         p.at = prev;
@@ -672,7 +690,7 @@ impl Routers {
                 node: prev.0,
             },
         );
-        p.flit.update_offsets(&self.topo, prev, p.dest);
+        p.flit.step_offset(&self.topo, prev, p.dest, port.dim);
         q.schedule(
             now + u64::from(self.cfg.ctrl_hop_delay),
             CtrlEvent::ProbeAt(p.id),
@@ -683,7 +701,6 @@ impl Routers {
     /// The search space for this switch is exhausted: the probe id
     /// retires and the circuitplane decides what comes next.
     fn exhaust_probe(&mut self, p: &ProbeState) {
-        self.pcs[p.src.0 as usize].clear(p.circuit);
         self.circuits
             .get_mut(p.circuit)
             .expect("live probe has a live circuit")
@@ -716,8 +733,9 @@ impl Routers {
         c.path = std::mem::take(&mut p.path);
         c.probe = None;
         // The acknowledgment returns hop by hop over the reverse control
-        // channels (Fig. 3's Reverse Channel Mappings), setting each
-        // router's Ack Returned bit as it passes.
+        // channels (Fig. 3's Reverse Channel Mappings, the path read
+        // backwards), lowering the circuit's Ack Returned index as it
+        // passes each router.
         let last_hop = (c.path.len() - 1) as u32;
         let delay = u64::from(self.cfg.ctrl_hop_delay);
         q.schedule(now + delay.max(1), CtrlEvent::AckHopAt(p.circuit, last_hop));
@@ -737,17 +755,13 @@ impl Routers {
         circuit: CircuitId,
         hop: u32,
     ) {
-        let Some(c) = self.circuits.get(circuit) else {
+        let Some(c) = self.circuits.get_mut(circuit) else {
             return; // torn down while the ack was in flight
         };
-        if c.status != CircuitStatus::Establishing {
+        if c.status != CircuitStatus::Establishing || hop as usize >= c.path.len() {
             return;
         }
-        let Some(lane) = c.path.get(hop as usize) else {
-            return;
-        };
-        let (node, _) = self.topo.link_endpoints(lane.link);
-        self.pcs[node.0 as usize].mark_ack(circuit);
+        c.ack = hop;
         if hop > 0 {
             q.schedule(
                 now + u64::from(self.cfg.ctrl_hop_delay),
@@ -755,7 +769,6 @@ impl Routers {
             );
             return;
         }
-        let c = self.circuits.get_mut(circuit).expect("checked above");
         c.status = CircuitStatus::Ready;
         self.outbox.push(PlaneEvent::CircuitEstablished {
             circuit,
@@ -787,7 +800,7 @@ mod tests {
     use super::*;
     use crate::config::ProtocolKind;
     use crate::network::WaveNetwork;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use wavesim_network::Message;
     use wavesim_sim::SimRng;
 
@@ -795,7 +808,7 @@ mod tests {
         /// The step oracle: [`ControlPlane::handle`] runs it after every
         /// event in this crate's unit tests. It recomputes from scratch
         /// what the probe step keeps incrementally.
-        pub(super) fn assert_step_oracle(&self) {
+        pub(super) fn assert_step_oracle(&mut self) {
             let topo = &self.routers.topo;
             for (pid, p) in self.probes.iter() {
                 // The on-path bits are exactly the nodes of the path.
@@ -830,6 +843,73 @@ mod tests {
                     .map(|(pid, _)| pid);
                 assert_eq!(c.probe, scanned, "{cid}: recorded probe vs scan");
             }
+            self.assert_lane_ownership();
+        }
+
+        /// The lane-ownership half of the oracle: the lane table, the
+        /// circuits' paths and their two hop indices agree.
+        fn assert_lane_ownership(&mut self) {
+            let lanes = &self.routers.lanes;
+            let circuits = &self.routers.circuits;
+            let probe_path = |c: &CircuitState| -> &[LaneId] {
+                c.probe
+                    .and_then(|pid| self.probes.get(pid))
+                    .map_or(&[], |p| &p.path)
+            };
+            // Every reserved lane lies on its holder's path ahead of the
+            // teardown, or on the path of its holder's live probe.
+            for (lane, cid) in lanes.reserved_lanes() {
+                let c = circuits
+                    .get(cid)
+                    .unwrap_or_else(|| panic!("{lane} held by released {cid}"));
+                let unpassed = &c.path[c.torn as usize..];
+                assert!(
+                    unpassed.contains(&lane) || probe_path(c).contains(&lane),
+                    "{lane} held by {cid} off its path {:?} (torn {})",
+                    c.path,
+                    c.torn
+                );
+            }
+            // Every lane of a circuit's path the teardown has not passed,
+            // and of its live probe's path, is held by the circuit. A fault
+            // evicts the holder (the lane turns Faulty) and tears the
+            // circuit down; a repair may free the lane again before the
+            // walk arrives, so a TearingDown circuit is held to check one.
+            for (cid, c) in circuits.iter() {
+                if c.status == CircuitStatus::TearingDown {
+                    continue;
+                }
+                for &lane in c.path[c.torn as usize..].iter().chain(probe_path(c)) {
+                    assert_eq!(
+                        lanes.state(lane),
+                        LaneState::Reserved(cid),
+                        "{cid} ({:?}): path lane {lane} not held",
+                        c.status
+                    );
+                }
+            }
+            // The ack index only falls and the teardown index only rises,
+            // each within the path.
+            let marks: BTreeMap<CircuitId, (u32, u32)> = circuits
+                .iter()
+                .map(|(cid, c)| (cid, (c.ack, c.torn)))
+                .collect();
+            for (&cid, &(ack, torn)) in &marks {
+                let n = circuits.get(cid).expect("listed above").path.len() as u32;
+                assert!(
+                    ack == u32::MAX || ack < n,
+                    "{cid}: ack {ack} past its {n} hops"
+                );
+                assert!(torn <= n, "{cid}: teardown {torn} past its {n} hops");
+                if let Some(&(ack0, torn0)) = self.oracle_marks.get(&cid) {
+                    assert!(ack <= ack0, "{cid}: ack index rose {ack0} -> {ack}");
+                    assert!(
+                        torn >= torn0,
+                        "{cid}: teardown index fell {torn0} -> {torn}"
+                    );
+                }
+            }
+            self.oracle_marks = marks;
         }
     }
 

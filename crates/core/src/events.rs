@@ -87,8 +87,6 @@ pub enum PlaneEvent {
     ReleaseCircuit {
         /// Circuit to release.
         circuit: CircuitId,
-        /// The circuit's source node (where the teardown starts).
-        src: NodeId,
     },
     /// Circuitplane → controlplane: establishment failed on every switch;
     /// drop the circuit from the registry (no path to tear down).

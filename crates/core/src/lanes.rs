@@ -9,11 +9,12 @@
 //!
 //! The table is **struct-of-arrays**: occupancy lives in one flat `u64`
 //! word per lane (free/faulty sentinels or the holding circuit id), and
-//! the rarely-populated waiter lists live in a parallel vector, so the
-//! control plane's hot lane-scan loops read a dense array instead of
-//! chasing per-lane structs. State-change counters are maintained
-//! incrementally, making [`LaneTable::census`] O(1) — it is sampled every
-//! cycle by instrumentation.
+//! the rarely-populated waiter lists live in a parallel vector behind a
+//! parked-lane bitmask, so the control plane's hot lane-scan loops read a
+//! dense array instead of chasing per-lane structs, and a release reads a
+//! lane's waiter list only when a probe is parked on it. State-change
+//! counters are maintained incrementally, making [`LaneTable::census`]
+//! O(1) — it is sampled every cycle by instrumentation.
 //!
 //! Lanes can also be marked **faulty** — the fault-injection hook for the
 //! E8 (static) and E14 (dynamic) experiments (the paper notes MB-m "is
@@ -42,6 +43,9 @@ pub enum LaneState {
 const FREE: u64 = u64::MAX;
 /// Packed-word sentinel for [`LaneState::Faulty`].
 const FAULTY: u64 = u64::MAX - 1;
+
+/// Lanes per word of the parked-lane bitmask.
+const WORD: usize = u64::BITS as usize;
 
 /// Packs a lane state into its occupancy word.
 fn pack(s: LaneState) -> u64 {
@@ -74,6 +78,8 @@ pub struct LaneTable {
     states: Vec<u64>,
     /// Probes parked on each lane.
     waiters: Vec<Vec<ProbeId>>,
+    /// Bit `i` set exactly while lane `i`'s waiter list is non-empty.
+    parked: Vec<u64>,
     /// Incremental census: lanes currently reserved.
     reserved: usize,
     /// Incremental census: lanes currently faulty.
@@ -89,6 +95,7 @@ impl LaneTable {
             k,
             states: vec![FREE; n],
             waiters: vec![Vec::new(); n],
+            parked: vec![0; n.div_ceil(WORD)],
             reserved: 0,
             faulty: 0,
         }
@@ -128,6 +135,18 @@ impl LaneTable {
             _ => self.reserved += 1,
         }
         self.states[i] = to;
+    }
+
+    /// Empties lane `i`'s waiter list, reading it only if a probe is
+    /// parked there.
+    fn take_waiters(&mut self, i: usize) -> Vec<ProbeId> {
+        let bit = 1 << (i % WORD);
+        let word = &mut self.parked[i / WORD];
+        if *word & bit == 0 {
+            return Vec::new();
+        }
+        *word &= !bit;
+        std::mem::take(&mut self.waiters[i])
     }
 
     /// Current state of `lane`.
@@ -176,7 +195,7 @@ impl LaneTable {
             "lane {lane} released by non-holder {circuit}"
         );
         self.transition(i, FREE);
-        std::mem::take(&mut self.waiters[i])
+        self.take_waiters(i)
     }
 
     /// Parks `probe` on `lane` until the holder tears down.
@@ -192,12 +211,17 @@ impl LaneTable {
         if !self.waiters[i].contains(&probe) {
             self.waiters[i].push(probe);
         }
+        self.parked[i / WORD] |= 1 << (i % WORD);
     }
 
     /// Removes `probe` from `lane`'s waiter list (probe gave up or died).
     pub fn unpark(&mut self, lane: LaneId, probe: ProbeId) {
         let i = self.idx(lane);
-        self.waiters[i].retain(|&p| p != probe);
+        let waiters = &mut self.waiters[i];
+        waiters.retain(|&p| p != probe);
+        if waiters.is_empty() {
+            self.parked[i / WORD] &= !(1 << (i % WORD));
+        }
     }
 
     /// Marks `lane` faulty regardless of occupancy.
@@ -221,7 +245,7 @@ impl LaneTable {
             LaneState::Free => None,
         };
         self.transition(i, FAULTY);
-        (holder, std::mem::take(&mut self.waiters[i]))
+        (holder, self.take_waiters(i))
     }
 
     /// Returns a faulty `lane` to service (dynamic fault model). Returns
@@ -248,7 +272,7 @@ impl LaneTable {
         let i = self.idx(lane);
         if self.states[i] == pack(LaneState::Reserved(circuit)) {
             self.transition(i, FREE);
-            std::mem::take(&mut self.waiters[i])
+            self.take_waiters(i)
         } else {
             Vec::new()
         }
@@ -269,6 +293,42 @@ impl LaneTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LaneTable {
+        /// Every reserved lane and its holder, in lane order (for the
+        /// control plane's step oracle).
+        pub(crate) fn reserved_lanes(&self) -> impl Iterator<Item = (LaneId, CircuitId)> + '_ {
+            let k = self.k as usize;
+            self.states.iter().enumerate().filter_map(move |(i, &w)| {
+                let LaneState::Reserved(c) = unpack(w) else {
+                    return None;
+                };
+                let link = wavesim_topology::LinkId((i / k) as u32);
+                Some((LaneId::new(link, (i % k) as u8 + 1), c))
+            })
+        }
+    }
+
+    #[test]
+    fn parked_bit_follows_the_waiter_list() {
+        let (t, mut lt) = table();
+        let lane = LaneId::new(t.links().next().unwrap(), 2);
+        let i = lt.idx(lane);
+        let bit = |lt: &LaneTable| lt.parked[i / WORD] & (1 << (i % WORD)) != 0;
+        lt.reserve(lane, CircuitId(1));
+        lt.park(lane, ProbeId(10));
+        lt.park(lane, ProbeId(11));
+        assert!(bit(&lt));
+        lt.unpark(lane, ProbeId(10));
+        assert!(bit(&lt), "one probe still parked");
+        lt.unpark(lane, ProbeId(11));
+        assert!(!bit(&lt), "list empty, bit clear");
+        lt.park(lane, ProbeId(12));
+        assert_eq!(lt.release(lane, CircuitId(1)), vec![ProbeId(12)]);
+        assert!(!bit(&lt) && lt.waiters[i].is_empty());
+        // The bit never leaks to a neighbouring lane.
+        assert!(lt.parked.iter().all(|&w| w == 0));
+    }
 
     fn table() -> (Topology, LaneTable) {
         let t = Topology::mesh(&[4, 4]);

@@ -7,9 +7,11 @@
 //!   switches `S1..Sk` whose per-link *lanes* carry pre-established
 //!   physical circuits at `clock_multiplier / channel_split` flits per
 //!   base cycle ([`lanes`]);
-//! * the **PCS routing control unit** of Fig. 3 — channel status, direct
-//!   and reverse channel mappings, history store, and ack-returned
-//!   registers ([`pcs`]);
+//! * the **PCS routing control unit** of Fig. 3 — channel status in the
+//!   lane table ([`lanes`]), the history store in the probe ([`probe`]),
+//!   and the direct / reverse channel mappings and ack-returned registers
+//!   as each circuit's lane path and hop indices ([`circuit`],
+//!   [`controlplane`]);
 //! * the **routing probe** of Fig. 4 and the misrouting-backtracking
 //!   search protocol **MB-m** it executes ([`probe`]);
 //! * the **circuit cache** of Fig. 5 with pluggable replacement
@@ -36,7 +38,6 @@ pub mod events;
 pub mod ids;
 pub mod lanes;
 pub mod network;
-pub mod pcs;
 pub mod probe;
 pub mod replacement;
 pub mod stats;

@@ -5,8 +5,9 @@
 //! only. The actual machinery lives in:
 //!
 //! * [`crate::dataplane`] — the `S0` wormhole fabric;
-//! * [`crate::controlplane`] — wave lanes, PCS units, MB-m probes, and
-//!   the ack / teardown / release-request walks;
+//! * [`crate::controlplane`] — wave lanes, MB-m probes, the circuit
+//!   registry whose paths are the PCS channel mappings, and the ack /
+//!   teardown / release-request walks;
 //! * [`crate::circuitplane`] — Circuit Caches, the CLRP / CARP protocol
 //!   engines, and windowed circuit transfers.
 //!
@@ -639,9 +640,9 @@ impl WaveNetwork {
                 PlaneEvent::VictimRelease { circuit, src } => {
                     self.circ.on_victim_release(circuit, src);
                 }
-                PlaneEvent::ReleaseCircuit { circuit, src } => {
+                PlaneEvent::ReleaseCircuit { circuit } => {
                     self.ctrl
-                        .on_release_circuit(now, &mut self.ctrl_queue, circuit, src);
+                        .on_release_circuit(now, &mut self.ctrl_queue, circuit);
                 }
                 PlaneEvent::AbandonCircuit { circuit } => {
                     self.ctrl.on_abandon_circuit(circuit);

@@ -3,11 +3,12 @@
 //! [`ProbeFlit`] reproduces the probe format of the paper's Fig. 4 field
 //! for field (Header, Backtrack, Misroute, Force, per-dimension offsets);
 //! [`ProbeState`] is the bookkeeping a probe accumulates while walking the
-//! control network — the path of reserved lanes (mirrored in the PCS
-//! direct/reverse mapping registers) and the per-node History Store
-//! entries that guarantee livelock freedom ("the probe is kept small" by
-//! storing search history in the routers, §2; the simulator centralises
-//! that distributed state per probe, which is observationally equivalent).
+//! control network — the path of reserved lanes (the circuit's PCS
+//! direct/reverse channel mappings while it searches) and the per-node
+//! History Store entries that guarantee livelock freedom ("the probe is
+//! kept small" by storing search history in the routers, §2; the
+//! simulator centralises that distributed state per probe, which is
+//! observationally equivalent).
 
 use wavesim_topology::{NodeId, Topology};
 
@@ -62,6 +63,22 @@ impl ProbeFlit {
             *offset = topo.offset(node, dest, dim);
         }
     }
+
+    /// Refreshes the offset fields after a hop or backtrack along
+    /// dimension `dim` into `node`: the other dimensions' offsets are
+    /// unchanged by a move along `dim`, so only its own is recomputed.
+    pub fn step_offset(&mut self, topo: &Topology, node: NodeId, dest: NodeId, dim: u8) {
+        let dim = dim as usize;
+        self.offsets[dim] = topo.offset(node, dest, dim);
+        // What `update_offsets` would write, checked without allocating.
+        for (d, &offset) in self.offsets.iter().enumerate() {
+            debug_assert_eq!(
+                offset,
+                topo.offset(node, dest, d),
+                "a move along X{dim} changed X{d}'s offset"
+            );
+        }
+    }
 }
 
 /// History Store flag: the node is on the probe's reserved path. The low
@@ -94,9 +111,8 @@ pub struct ProbeState {
     pub flit: ProbeFlit,
     /// Node the probe currently occupies.
     pub at: NodeId,
-    /// Lanes reserved so far, in path order (source first). The PCS
-    /// direct/reverse channel mappings hold the same information
-    /// distributed across the routers.
+    /// Lanes reserved so far, in path order (source first): the circuit's
+    /// PCS direct/reverse channel mappings while the probe searches.
     pub path: Vec<LaneId>,
     /// History Store: per node, bitmask of output ports already searched
     /// by this probe (low 16 bits) plus the on-path flag (bit 31), set

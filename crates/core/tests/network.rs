@@ -635,3 +635,128 @@ fn ack_propagates_hop_by_hop() {
     assert_eq!(net.pcs_ack_returned(src, cid), Some(true));
     assert_eq!(net.drain_deliveries().len(), 1);
 }
+
+/// The Fig. 3 Ack Returned observation through every phase of one CARP
+/// circuit, recorded after every cycle at six routers: the source, the
+/// router where switch 2's probe backtracks to, the router it backtracks
+/// from, a router in the middle of the final path, the destination and a
+/// router the probe never reaches. Switch 1 is exhausted (one advance,
+/// one backtrack, then nothing left at the source); switch 2 backtracks
+/// once, misroutes around the block, completes, returns its ack hop by
+/// hop, and is torn down. Each row is a cycle at which some answer or the
+/// phase changed.
+#[test]
+fn ack_returned_through_every_phase_of_a_circuit() {
+    let cfg = WaveConfig {
+        protocol: ProtocolKind::Carp,
+        ctrl_hop_delay: 4,
+        pcs_delay: 1,
+        ..WaveConfig::default()
+    };
+    assert_eq!(cfg.k, 2);
+    let mut net = mesh(&[4, 4], cfg);
+    let topo = net.topology().clone();
+    let at = |c: &[u16]| topo.node(Coords::new(c));
+    let fail = |net: &mut WaveNetwork, c: &[u16], port: usize, switch: u8| {
+        let link = topo.link_id(at(c), wavesim_topology::PortDir::from_index(port));
+        net.schedule_fault(0, FaultEvent::Fail(LaneId::new(link, switch)))
+            .expect("lane exists");
+    };
+    // Port indices: 0 = X+, 1 = X-, 2 = Y+, 3 = Y-.
+    fail(&mut net, &[0, 0], 2, 1);
+    fail(&mut net, &[1, 0], 0, 1);
+    fail(&mut net, &[1, 0], 2, 1);
+    fail(&mut net, &[2, 0], 0, 2);
+    fail(&mut net, &[2, 0], 2, 2);
+    let src = at(&[0, 0]);
+    let dest = at(&[3, 0]);
+    let watched = [
+        src,
+        at(&[1, 0]),
+        at(&[2, 0]),
+        at(&[2, 1]),
+        dest,
+        at(&[0, 3]),
+    ];
+
+    let phase = |net: &WaveNetwork| -> String {
+        let Some((_, c)) = net.circuits().iter().next() else {
+            return "released".into();
+        };
+        if let Some(pid) = c.probe {
+            let p = net.probes().get(pid).expect("recorded probe is live");
+            return format!("search s{} bt{} hops{}", p.switch, p.backtracks, p.hops);
+        }
+        format!("{:?} {} hops", c.status, c.hops())
+    };
+    let mut rows: Vec<(Cycle, String, Vec<Option<bool>>)> = Vec::new();
+    let mut cid = None;
+    let mut teardown_at = None;
+    net.carp_establish(0, src, dest);
+    for now in 0..400 {
+        if Some(now) == teardown_at {
+            net.carp_teardown(now, src, dest);
+        }
+        net.tick(now);
+        if cid.is_none() {
+            cid = net.circuits().iter().next().map(|(id, _)| id);
+        }
+        let c = cid.expect("the circuit registers at launch");
+        let answers: Vec<Option<bool>> = watched
+            .iter()
+            .map(|&n| net.pcs_ack_returned(n, c))
+            .collect();
+        let label = phase(&net);
+        if teardown_at.is_none() && label.starts_with("Ready") {
+            teardown_at = Some(now + 6);
+        }
+        if rows
+            .last()
+            .is_none_or(|(_, l, a)| *l != label || *a != answers)
+        {
+            rows.push((now, label, answers));
+        }
+        if !net.busy() && teardown_at.is_some_and(|t| now > t) {
+            break;
+        }
+    }
+    let got: Vec<String> = rows
+        .iter()
+        .map(|(now, label, answers)| {
+            let cells: Vec<&str> = answers
+                .iter()
+                .map(|a| match a {
+                    None => "-",
+                    Some(false) => "0",
+                    Some(true) => "1",
+                })
+                .collect();
+            format!("{now:>3} {} | {label}", cells.join(" "))
+        })
+        .collect();
+    // Columns: source, (1,0), (2,0), (2,1), destination, (0,3);
+    // `-` no mapping, `0` mapped without the ack, `1` ack returned.
+    let want = [
+        "  0 - - - - - - | search s1 bt0 hops0",
+        "  1 0 0 - - - - | search s1 bt0 hops1",
+        "  6 0 - - - - - | search s1 bt1 hops2",
+        " 10 - - - - - - | search s2 bt0 hops0",
+        " 11 0 0 - - - - | search s2 bt0 hops1",
+        " 16 0 0 0 - - - | search s2 bt0 hops2",
+        " 21 0 0 - - - - | search s2 bt1 hops3",
+        " 25 0 0 - - - - | search s2 bt1 hops4",
+        " 30 0 0 - 0 - - | search s2 bt1 hops5",
+        " 35 0 0 - 0 - - | search s2 bt1 hops6",
+        " 40 0 0 - 0 0 - | search s2 bt1 hops7",
+        " 45 0 0 - 0 0 - | Establishing 5 hops",
+        " 53 0 0 - 1 0 - | Establishing 5 hops",
+        " 61 0 1 - 1 0 - | Establishing 5 hops",
+        " 65 1 1 - 1 0 - | Ready 5 hops",
+        " 71 1 1 - 1 0 - | TearingDown 5 hops",
+        " 72 - 1 - 1 0 - | TearingDown 5 hops",
+        " 76 - - - 1 0 - | TearingDown 5 hops",
+        " 84 - - - - 0 - | TearingDown 5 hops",
+        " 92 - - - - - - | released",
+    ];
+    assert_eq!(got, want);
+}

@@ -20,6 +20,7 @@ pub enum Dir {
 
 impl Dir {
     /// The opposite direction.
+    #[inline]
     #[must_use]
     pub fn opposite(self) -> Dir {
         match self {
@@ -29,6 +30,7 @@ impl Dir {
     }
 
     /// 0 for `Plus`, 1 for `Minus` (used for dense port indexing).
+    #[inline]
     #[must_use]
     pub fn index(self) -> usize {
         match self {
@@ -41,6 +43,7 @@ impl Dir {
     ///
     /// # Panics
     /// Panics if `i > 1`.
+    #[inline]
     #[must_use]
     pub fn from_index(i: usize) -> Dir {
         match i {

@@ -30,6 +30,7 @@ pub struct PortDir {
 
 impl PortDir {
     /// Convenience constructor.
+    #[inline]
     #[must_use]
     pub fn new(dim: usize, dir: Dir) -> Self {
         Self {
@@ -39,12 +40,14 @@ impl PortDir {
     }
 
     /// Dense index of this port within a router: `dim * 2 + dir`.
+    #[inline]
     #[must_use]
     pub fn index(self) -> usize {
         self.dim as usize * 2 + self.dir.index()
     }
 
     /// Inverse of [`PortDir::index`].
+    #[inline]
     #[must_use]
     pub fn from_index(i: usize) -> Self {
         Self {
@@ -55,6 +58,7 @@ impl PortDir {
 
     /// The port a flit arriving over this output enters at the neighbour
     /// (same dimension, opposite direction).
+    #[inline]
     #[must_use]
     pub fn opposite(self) -> Self {
         Self {
@@ -87,35 +91,41 @@ const _: () = assert!(2 * MAX_DIMS <= u16::BITS as usize);
 
 impl PortSet {
     /// True when `port` is in the set.
+    #[inline]
     #[must_use]
     pub fn contains(self, port: PortDir) -> bool {
         self.0 & (1 << port.index()) != 0
     }
 
     /// Adds `port`.
+    #[inline]
     pub fn insert(&mut self, port: PortDir) {
         self.0 |= 1 << port.index();
     }
 
     /// The ports of `self` that are not in `other`.
+    #[inline]
     #[must_use]
     pub fn difference(self, other: PortSet) -> PortSet {
         PortSet(self.0 & !other.0)
     }
 
     /// Number of ports in the set.
+    #[inline]
     #[must_use]
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
     }
 
     /// True when the set holds no port.
+    #[inline]
     #[must_use]
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
 
     /// The ports, in ascending port index.
+    #[inline]
     #[must_use]
     pub fn iter(self) -> PortSetIter {
         PortSetIter(self.0)
@@ -125,6 +135,7 @@ impl PortSet {
     /// destination are `offsets`, one per dimension (the paper's Fig. 4
     /// `X1-offset..Xn-offset`): `Plus` where the offset is positive,
     /// `Minus` where it is negative, none where it is zero.
+    #[inline]
     #[must_use]
     pub fn from_offsets(offsets: &[i32]) -> PortSet {
         let mut set = PortSet::default();
@@ -145,6 +156,7 @@ pub struct PortSetIter(u16);
 impl Iterator for PortSetIter {
     type Item = PortDir;
 
+    #[inline]
     fn next(&mut self) -> Option<PortDir> {
         if self.0 == 0 {
             return None;
@@ -159,6 +171,7 @@ impl IntoIterator for PortSet {
     type Item = PortDir;
     type IntoIter = PortSetIter;
 
+    #[inline]
     fn into_iter(self) -> PortSetIter {
         self.iter()
     }
@@ -354,6 +367,7 @@ impl Topology {
     }
 
     /// Number of dimensions.
+    #[inline]
     #[must_use]
     pub fn ndims(&self) -> usize {
         self.radices.len()
@@ -388,6 +402,7 @@ impl Topology {
     }
 
     /// The coordinate of `node` along `dim` alone.
+    #[inline]
     fn coord(&self, node: NodeId, dim: usize) -> u16 {
         assert!(node.0 < self.nodes, "node {node} out of range");
         self.coords[node.0 as usize * self.ndims() + dim]
@@ -417,6 +432,7 @@ impl Topology {
     ///
     /// # Panics
     /// Panics if `node` or `port` is out of range.
+    #[inline]
     #[must_use]
     pub fn neighbor(&self, node: NodeId, port: PortDir) -> Option<NodeId> {
         // An out-of-range port would alias another node's slot.
@@ -425,6 +441,7 @@ impl Topology {
     }
 
     /// The neighbour-table entry of `link`: `None` on a boundary slot.
+    #[inline]
     fn slot(&self, link: LinkId) -> Option<NodeId> {
         let n = self.neighbors[link.0 as usize];
         (n != NO_LINK).then_some(NodeId(n))
@@ -438,12 +455,14 @@ impl Topology {
 
     /// Dense id of the link leaving `node` through `port` (which may be a
     /// boundary slot with no physical link — see [`Topology::has_link`]).
+    #[inline]
     #[must_use]
     pub fn link_id(&self, node: NodeId, port: PortDir) -> LinkId {
         LinkId(node.0 * (2 * self.ndims() as u32) + port.index() as u32)
     }
 
     /// Source node and output port of `link`.
+    #[inline]
     #[must_use]
     pub fn link_endpoints(&self, link: LinkId) -> (NodeId, PortDir) {
         let ports = 2 * self.ndims() as u32;
@@ -467,6 +486,7 @@ impl Topology {
     ///
     /// # Panics
     /// Panics if the link slot is a mesh boundary (no physical link).
+    #[inline]
     #[must_use]
     pub fn link_dest(&self, link: LinkId) -> NodeId {
         self.slot(link)
@@ -496,6 +516,7 @@ impl Topology {
     /// Signed minimal offset along `dim` from `from` to `to`:
     /// positive ⇒ travel `Plus`, negative ⇒ travel `Minus`. On a torus the
     /// shorter way around is chosen; an exact tie resolves to `Plus`.
+    #[inline]
     #[must_use]
     pub fn offset(&self, from: NodeId, to: NodeId, dim: usize) -> i32 {
         let fc = i32::from(self.coord(from, dim));
@@ -540,6 +561,7 @@ impl Topology {
     }
 
     /// All output ports of a node that have a physical link.
+    #[inline]
     #[must_use]
     pub fn ports_of(&self, node: NodeId) -> PortSet {
         (0..2 * self.ndims())

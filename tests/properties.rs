@@ -6,6 +6,7 @@
 //!   structural audit clean — over randomly drawn configurations;
 //! * topology algebra (coordinate/link round-trips, distance symmetry,
 //!   minimal ports from the offsets) over random shapes;
+//! * a probe hop or backtrack moves one offset field, its own dimension's;
 //! * routing candidates are always minimal and in range.
 //!
 //! Configurations are drawn from a seeded [`SimRng`] (the offline build
@@ -13,7 +14,7 @@
 //! configurations while staying exactly reproducible.
 
 use std::collections::HashSet;
-use wavesim::core::{ProtocolKind, ReplacementPolicy, WaveConfig, WaveNetwork};
+use wavesim::core::{ProbeFlit, ProtocolKind, ReplacementPolicy, WaveConfig, WaveNetwork};
 use wavesim::network::Message;
 use wavesim::sim::SimRng;
 use wavesim::topology::{NodeId, PortSet, RoutingKind, Topology};
@@ -177,6 +178,61 @@ fn min_ports_are_the_ports_of_the_offsets() {
             );
         }
     }
+}
+
+/// A probe hop along any port, and the backtrack that undoes it, change
+/// only the offset field of the port's dimension, to `Topology::offset`
+/// of the new node: the one-dimension refresh the probe step does in
+/// place of a full one. Random 2-D and 3-D meshes and tori, even radices
+/// included, where a misroute from an exact tie (offset `+r/2`) flips the
+/// offset's sign.
+#[test]
+fn a_probe_move_changes_only_its_dimensions_offset() {
+    let mut draw = SimRng::new(0x0ffd);
+    let mut tie_flips = 0;
+    for shape in 0..24 {
+        let (ndims, torus) = (2 + shape % 2, shape % 4 >= 2);
+        // Every third shape is all-even, so tori with exact ties are sure.
+        let dims: Vec<u16> = (0..ndims)
+            .map(|_| match shape % 3 {
+                0 => 4 + 2 * draw.below(3) as u16,
+                _ => 3 + draw.below(5) as u16,
+            })
+            .collect();
+        let topo = if torus {
+            Topology::torus(&dims)
+        } else {
+            Topology::mesh(&dims)
+        };
+        let mut rng = SimRng::new(draw.next_u64());
+        for _ in 0..32 {
+            let at = NodeId(rng.below(u64::from(topo.num_nodes())) as u32);
+            let dest = NodeId(rng.below(u64::from(topo.num_nodes())) as u32);
+            let start = ProbeFlit::new(&topo, at, dest, false, Vec::new());
+            for port in topo.ports_of(at) {
+                let dim = usize::from(port.dim);
+                let next = topo.neighbor(at, port).expect("ports_of has links");
+                let mut flit = start.clone();
+                flit.step_offset(&topo, next, dest, port.dim);
+                for d in 0..ndims {
+                    let want = if d == dim {
+                        topo.offset(next, dest, d)
+                    } else {
+                        start.offsets[d]
+                    };
+                    assert_eq!(flit.offsets[d], want, "{dims:?} {at} -> {next} dim {d}");
+                }
+                let tie = torus && 2 * start.offsets[dim] == i32::from(dims[dim]);
+                if tie && flit.offsets[dim] < 0 {
+                    tie_flips += 1;
+                }
+                // The backtrack over the same link restores the start.
+                flit.step_offset(&topo, at, dest, port.dim);
+                assert_eq!(flit, start, "{dims:?} backtrack {next} -> {at}");
+            }
+        }
+    }
+    assert!(tie_flips > 0, "no misroute from an exact tie was drawn");
 }
 
 /// Routing functions only ever emit minimal, in-range candidates, and
