@@ -9,13 +9,19 @@
 //! load far beyond wormhole saturation. The expected *shape*: both ratios
 //! grow with message length and cross ~1 well before 128 flits, reaching
 //! ≥ 2–4× at 128+.
+//!
+//! The latency runs drain to empty, since a mean latency needs every
+//! measured message delivered. The throughput runs stop at the end of
+//! their measurement window ([`Ctx::open_loop_window`]): the meter counts
+//! only deliveries before it, so the drain after it, the longest stretch
+//! of the whole E-series at 512 flits, cannot change their cell.
 
-use wavesim_core::{ProtocolKind, WaveConfig};
+use wavesim_core::{ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim_json::table::f2;
 use wavesim_workloads::{LengthDist, TrafficPattern};
 
 use crate::experiments::{Ctx, Experiment, Row};
-use crate::runner::RunResult;
+use crate::runner::{RunResult, WindowResult};
 
 /// E3.
 pub const E3: Experiment = Experiment {
@@ -29,46 +35,56 @@ pub const E3: Experiment = Experiment {
         "wave thpt",
         "thpt ratio",
     ],
-    rows: |scale| {
-        let lens = scale.sweep(&[8u32, 16, 32, 64, 128, 256, 512]);
-        lens.into_iter().map(len_row).collect()
-    },
+    rows: |scale| scale.sweep(&LENS).into_iter().map(len_row).collect(),
 };
 
-/// A row's runs as `(protocol, offered load, seed)`, in the order its
-/// cells read them. First contention-free latency, then latency at a load
-/// near wormhole saturation (where the companion study's >3x factor shows
-/// up: blocked wormholes hold channels, circuits do not contend), CLRP
-/// before wormhole at each; last, accepted throughput far beyond wormhole
-/// saturation, wormhole before CLRP.
-const RUNS: [(ProtocolKind, f64, u64); 6] = [
+/// Message lengths in flits, one row each.
+const LENS: [u32; 7] = [8, 16, 32, 64, 128, 256, 512];
+
+/// One run as `(protocol, offered load, seed)`.
+type Run = (ProtocolKind, f64, u64);
+
+/// A row's latency runs, drained, in the order its cells read them. First
+/// contention-free latency, then latency at a load near wormhole
+/// saturation (where the companion study's >3x factor shows up: blocked
+/// wormholes hold channels, circuits do not contend), CLRP before
+/// wormhole at each.
+const LATENCY_RUNS: [Run; 4] = [
     (ProtocolKind::Clrp, 0.05, 31),
     (ProtocolKind::WormholeOnly, 0.05, 31),
     (ProtocolKind::Clrp, 0.25, 31),
     (ProtocolKind::WormholeOnly, 0.25, 31),
+];
+
+/// A row's throughput runs: accepted throughput far beyond wormhole
+/// saturation, wormhole before CLRP. Their cells read only windowed
+/// throughput, so they are window runs.
+const THROUGHPUT_RUNS: [Run; 2] = [
     (ProtocolKind::WormholeOnly, 1.5, 37),
     (ProtocolKind::Clrp, 1.5, 37),
 ];
 
-fn len_row(len: u32) -> Row {
-    // One open-loop run with the circuit cache capped at one entry
-    // (minimal reuse: uniform destinations thrash it).
-    let run = move |ctx: &Ctx, &(protocol, load, seed): &(ProtocolKind, f64, u64)| {
-        let cfg = WaveConfig {
-            protocol,
-            cache_capacity: 1,
-            ..WaveConfig::default()
-        };
-        let mut net = crate::experiments::net_with(ctx.scale.side, cfg);
-        ctx.open_loop(
-            &mut net,
-            load,
-            TrafficPattern::Uniform,
-            LengthDist::Fixed(len),
-            seed,
-        )
+/// A network of E3's shape: the circuit cache capped at one entry
+/// (minimal reuse: uniform destinations thrash it).
+fn net(ctx: &Ctx, protocol: ProtocolKind) -> WaveNetwork {
+    let cfg = WaveConfig {
+        protocol,
+        cache_capacity: 1,
+        ..WaveConfig::default()
     };
-    let cells = move |[idle, idle_wh, loaded, loaded_wh, wh, wv]: [RunResult; 6]| {
+    crate::experiments::net_with(ctx.scale.side, cfg)
+}
+
+fn len_row(len: u32) -> Row {
+    let (uniform, fixed) = (TrafficPattern::Uniform, LengthDist::Fixed(len));
+    let latency = move |ctx: &Ctx, &(protocol, load, seed): &Run| {
+        ctx.open_loop(&mut net(ctx, protocol), load, uniform, fixed, seed)
+    };
+    let throughput = move |ctx: &Ctx, &(protocol, load, seed): &Run| {
+        ctx.open_loop_window(&mut net(ctx, protocol), load, uniform, fixed, seed)
+    };
+    let cells = move |[idle, idle_wh, loaded, loaded_wh]: [RunResult; 4],
+                      [wh, wv]: [WindowResult; 2]| {
         let (wh_th, wv_th) = (wh.throughput, wv.throughput);
         vec![
             len.to_string(),
@@ -79,12 +95,50 @@ fn len_row(len: u32) -> Row {
             f2(wv_th / wh_th.max(1e-9)),
         ]
     };
-    Row::new(RUNS, run, cells)
+    Row::split(
+        (LATENCY_RUNS, latency),
+        (THROUGHPUT_RUNS, throughput),
+        cells,
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::Scale;
+
+    /// Every throughput run of E3 at small scale, once drained and once
+    /// stopped at the window: the cell's number is the same f64, the
+    /// window run really stopped with messages in flight, and the drained
+    /// run really went on past it.
+    #[test]
+    fn throughput_runs_read_the_same_number_at_the_window() {
+        let ctx = Ctx::unobserved(Scale::small(), 1);
+        let measure_end = ctx.scale.warmup + ctx.scale.measure;
+        for len in ctx.scale.sweep(&LENS) {
+            for (protocol, load, seed) in THROUGHPUT_RUNS {
+                let at = format!("{protocol:?} at {len} flits");
+                let (uniform, fixed) = (TrafficPattern::Uniform, LengthDist::Fixed(len));
+                let drained = ctx.open_loop(&mut net(&ctx, protocol), load, uniform, fixed, seed);
+                let mut cut = net(&ctx, protocol);
+                let window = ctx.open_loop_window(&mut cut, load, uniform, fixed, seed);
+                assert_eq!(
+                    window.throughput.to_bits(),
+                    drained.throughput.to_bits(),
+                    "{at}: {} vs {}",
+                    window.throughput,
+                    drained.throughput
+                );
+                assert_eq!(window.end, measure_end, "{at}");
+                assert!(cut.busy(), "{at}: nothing was left in flight");
+                assert!(drained.end > measure_end, "{at}: {drained:?}");
+                assert!(
+                    window.max_probe_steps <= window.probe_step_bound,
+                    "{at}: {window:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn long_messages_favor_wave_switching() {

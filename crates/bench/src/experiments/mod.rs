@@ -25,7 +25,9 @@ use wavesim_topology::Topology;
 use wavesim_workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 
 use crate::observers::{Observed, Observers};
-use crate::runner::{run_open_loop_observed, RunResult, RunSpec};
+use crate::runner::{
+    run_open_loop_observed, run_open_loop_window, RunResult, RunSpec, WindowResult,
+};
 use crate::{ParallelSweep, RunObserver, Scale, Table};
 
 /// A wave network with an explicit config on a square 2-D mesh.
@@ -91,7 +93,8 @@ impl<'a> Ctx<'a> {
     }
 
     /// One open-loop run of `net` over the scale's warm-up and measurement
-    /// window, under `load` flits/node/cycle of `pattern` traffic.
+    /// window, under `load` flits/node/cycle of `pattern` traffic, drained
+    /// to empty.
     pub fn open_loop(
         &self,
         net: &mut WaveNetwork,
@@ -100,6 +103,33 @@ impl<'a> Ctx<'a> {
         len: LengthDist,
         seed: u64,
     ) -> RunResult {
+        self.open_loop_by(net, load, pattern, len, seed, run_open_loop_observed)
+    }
+
+    /// The run of [`Ctx::open_loop`] stopped at the end of its measurement
+    /// window: for cells that read only windowed throughput.
+    pub fn open_loop_window(
+        &self,
+        net: &mut WaveNetwork,
+        load: f64,
+        pattern: TrafficPattern,
+        len: LengthDist,
+        seed: u64,
+    ) -> WindowResult {
+        self.open_loop_by(net, load, pattern, len, seed, run_open_loop_window)
+    }
+
+    /// One observed open-loop run over the scale's window, performed by
+    /// the runner entry point `run`.
+    fn open_loop_by<R>(
+        &self,
+        net: &mut WaveNetwork,
+        load: f64,
+        pattern: TrafficPattern,
+        len: LengthDist,
+        seed: u64,
+        run: fn(&mut WaveNetwork, &mut TrafficSource, RunSpec, &mut dyn RunObserver) -> R,
+    ) -> R {
         let cfg = TrafficConfig {
             load,
             pattern,
@@ -109,7 +139,7 @@ impl<'a> Ctx<'a> {
         };
         let mut src = TrafficSource::new(net.topology().clone(), cfg);
         let spec = RunSpec::standard(self.scale.warmup, self.scale.measure);
-        self.observe(|obs| run_open_loop_observed(net, &mut src, spec, obs))
+        self.observe(|obs| run(net, &mut src, spec, obs))
     }
 
     /// Everything the context's runs left behind.
@@ -127,6 +157,16 @@ type RunFn = dyn Fn(&Ctx, usize) -> Outcome + Send + Sync;
 
 /// Turns a row's run results, in run order, into its cells.
 type CellsFn = dyn Fn(Vec<Outcome>) -> Vec<String> + Send + Sync;
+
+/// The next `N` outcomes, each unboxed as a `T`.
+fn results<T: 'static, const N: usize>(outcomes: &mut impl Iterator<Item = Outcome>) -> [T; N] {
+    std::array::from_fn(|_| {
+        *outcomes
+            .next()
+            .and_then(|o| o.downcast::<T>().ok())
+            .expect("run_all hands a row one result per run, of its runs' type")
+    })
+}
 
 /// One table row: the independent runs its cells are computed from.
 ///
@@ -156,14 +196,37 @@ impl Row {
         Self {
             runs: N,
             run: Box::new(move |ctx: &Ctx, i: usize| -> Outcome { Box::new(run(ctx, &runs[i])) }),
+            cells: Box::new(move |outcomes| cells(results(&mut outcomes.into_iter()))),
+        }
+    }
+
+    /// A row whose runs come in two lists with different result types
+    /// (drained runs and window runs, say): every run of `first`, then
+    /// every run of `second`. `cells` gets each list's results in its
+    /// order.
+    pub fn split<Q, T, const N: usize, P, U, const M: usize>(
+        (first, run_first): ([Q; N], impl Fn(&Ctx, &Q) -> T + Send + Sync + 'static),
+        (second, run_second): ([P; M], impl Fn(&Ctx, &P) -> U + Send + Sync + 'static),
+        cells: impl Fn([T; N], [U; M]) -> Vec<String> + Send + Sync + 'static,
+    ) -> Self
+    where
+        Q: Send + Sync + 'static,
+        T: Send + 'static,
+        P: Send + Sync + 'static,
+        U: Send + 'static,
+    {
+        Self {
+            runs: N + M,
+            run: Box::new(move |ctx: &Ctx, i: usize| -> Outcome {
+                match i.checked_sub(N) {
+                    None => Box::new(run_first(ctx, &first[i])),
+                    Some(j) => Box::new(run_second(ctx, &second[j])),
+                }
+            }),
             cells: Box::new(move |outcomes| {
-                let mut results = outcomes.into_iter().map(|o| o.downcast::<T>());
-                cells(std::array::from_fn(|_| {
-                    *results
-                        .next()
-                        .and_then(Result::ok)
-                        .expect("run_all hands a row one result per run, of its runs' type")
-                }))
+                let mut outcomes = outcomes.into_iter();
+                let first = results(&mut outcomes);
+                cells(first, results(&mut outcomes))
             }),
         }
     }

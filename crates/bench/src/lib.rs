@@ -39,7 +39,8 @@
 //! One loop, [`drive`], runs every simulation. It talks to two things it
 //! is handed: a [`Driver`] (the workload — what to inject, what to do with
 //! deliveries) and a [`RunObserver`] (whoever watches). There are four
-//! drivers: open loop ([`run_open_loop`]), CARP instruction trace
+//! drivers: open loop ([`run_open_loop`]; [`run_open_loop_window`] stops
+//! it at the end of its measurement window), CARP instruction trace
 //! ([`run_carp_trace`]; [`run_scripted`] is the send-only case),
 //! dependency trace ([`run_dep_trace`]) and closed loop ([`run_service`]):
 //!
@@ -71,8 +72,8 @@ pub mod watchdog;
 pub use observers::{Observed, Observers};
 pub use runner::{
     apply_fault_schedule, drive, run_carp_trace, run_dep_trace, run_open_loop,
-    run_open_loop_observed, run_scripted, run_service, Drained, Driver, ParallelSweep, RunObserver,
-    RunResult, RunSpec, ServiceResult,
+    run_open_loop_observed, run_open_loop_window, run_scripted, run_service, Drained, Driver,
+    ParallelSweep, RunObserver, RunResult, RunSpec, ServiceResult, WindowResult,
 };
 pub use wavesim_json::table::Table;
 

@@ -13,6 +13,15 @@
 //! board) is a [`RunObserver`] the caller passes in; `&mut ()`
 //! observes nothing.
 //!
+//! A *window run* ([`run_open_loop_window`]) is the open-loop run cut at
+//! the end of its measurement window: the same driver and tally, with
+//! `drive`'s deadline at `measure_end` instead of after the drain. Its
+//! [`WindowResult`] holds only what the window fixes — windowed
+//! throughput, the counters, the probe-step bound — and no latency,
+//! since the messages it measured have not all arrived. The meter
+//! counts only deliveries before `measure_end`, so a window run's
+//! throughput is bit-identical to the drained run's.
+//!
 //! [`ParallelSweep`] fans independent sweep points out over scoped worker
 //! threads, each claiming the next point from one shared counter; because
 //! every point builds its own network and RNG stream from the point value
@@ -113,6 +122,30 @@ impl RunResult {
             && self.max_probe_steps <= self.probe_step_bound
             && self.sent == self.delivered
     }
+}
+
+/// What an open-loop run's measurement window fixes, read at its end
+/// ([`run_open_loop_window`]). Messages are still in flight then, so
+/// there is no latency here: a cell that reads one needs a drained
+/// [`RunResult`].
+#[derive(Debug, Clone)]
+pub struct WindowResult {
+    /// Messages generated by the workload, all inside the window.
+    pub sent: u64,
+    /// Messages delivered before the window closed.
+    pub delivered: u64,
+    /// Accepted throughput in flits/node/cycle over the measurement
+    /// window, equal to the drained run's to the bit.
+    pub throughput: f64,
+    /// Protocol counters at the run's end.
+    pub wave: WaveStats,
+    /// Cycle at which the run ended: `measure_end`, or earlier when the
+    /// deadlock monitor or an observer called a stall.
+    pub end: Cycle,
+    /// Largest per-probe step count so far (livelock accounting).
+    pub max_probe_steps: u64,
+    /// Probe-step bound for the topology (Theorem 3).
+    pub probe_step_bound: u64,
 }
 
 /// Per-cycle callbacks of a measurement loop. [`drive`] owns the shared
@@ -280,6 +313,11 @@ impl Tally {
         }
     }
 
+    /// Accepted throughput over the window of a run that ended at `end`.
+    fn throughput(&self, end: Cycle) -> f64 {
+        self.meter.rate(self.measure_end.min(end))
+    }
+
     /// Folds the tally, the loop outcome, and the network's final state
     /// into a [`RunResult`].
     fn finish(self, net: &WaveNetwork, sent: u64, outcome: Drained) -> RunResult {
@@ -289,7 +327,7 @@ impl Tally {
             delivered: self.delivered,
             avg_latency: self.lat.mean(),
             p99_latency: self.lat.quantile_bound(0.99),
-            throughput: self.meter.rate(self.measure_end.min(outcome.end)),
+            throughput: self.throughput(outcome.end),
             circuit_fraction: self.circuit_fraction(),
             wave: net.stats(),
             end: outcome.end,
@@ -330,33 +368,39 @@ pub fn run_open_loop(net: &mut WaveNetwork, src: &mut TrafficSource, spec: RunSp
     run_open_loop_observed(net, src, spec, &mut ())
 }
 
-/// Drives `net` with `src` per `spec` under `obs`.
-pub fn run_open_loop_observed(
-    net: &mut WaveNetwork,
-    src: &mut TrafficSource,
-    spec: RunSpec,
-    obs: &mut dyn RunObserver,
-) -> RunResult {
-    struct OpenLoop<'a> {
-        src: &'a mut TrafficSource,
-        measure_end: Cycle,
-        tally: Tally,
-    }
-    impl Driver for OpenLoop<'_> {
-        fn inject(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
-            if now >= self.measure_end {
-                return false;
-            }
-            for m in self.src.poll(now) {
-                net.send(now, m);
-            }
-            true
-        }
-        fn collect(&mut self, _now: Cycle, net: &mut WaveNetwork) {
-            self.tally.collect(net);
-        }
-    }
+/// The open-loop driver: `src` injects until the window closes, and the
+/// tally takes every delivery.
+struct OpenLoop<'a> {
+    src: &'a mut TrafficSource,
+    measure_end: Cycle,
+    tally: Tally,
+}
 
+impl Driver for OpenLoop<'_> {
+    fn inject(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
+        if now >= self.measure_end {
+            return false;
+        }
+        for m in self.src.poll(now) {
+            net.send(now, m);
+        }
+        true
+    }
+    fn collect(&mut self, _now: Cycle, net: &mut WaveNetwork) {
+        self.tally.collect(net);
+    }
+}
+
+/// Drives `net` with `src` over `spec`'s window and at most `drain`
+/// cycles past it. Both open-loop entry points drive through here, so
+/// either runs the one inlined copy of `drive`'s per-cycle loop.
+fn drive_open_loop<'a>(
+    net: &mut WaveNetwork,
+    src: &'a mut TrafficSource,
+    spec: RunSpec,
+    drain: Cycle,
+    obs: &mut dyn RunObserver,
+) -> (OpenLoop<'a>, Drained) {
     let measure_end = spec.warmup + spec.measure;
     src.stop_at(measure_end);
     let mut d = OpenLoop {
@@ -364,15 +408,44 @@ pub fn run_open_loop_observed(
         measure_end,
         tally: Tally::new(spec, u64::from(net.topology().num_nodes())),
     };
-    let outcome = drive(
-        net,
-        measure_end + spec.drain_limit,
-        spec.stall_threshold,
-        &mut d,
-        obs,
-    );
+    let outcome = drive(net, measure_end + drain, spec.stall_threshold, &mut d, obs);
+    (d, outcome)
+}
+
+/// Drives `net` with `src` per `spec` under `obs`.
+pub fn run_open_loop_observed(
+    net: &mut WaveNetwork,
+    src: &mut TrafficSource,
+    spec: RunSpec,
+    obs: &mut dyn RunObserver,
+) -> RunResult {
+    let (d, outcome) = drive_open_loop(net, src, spec, spec.drain_limit, obs);
     let sent = d.src.generated();
     d.tally.finish(net, sent, outcome)
+}
+
+/// Drives `net` with `src` per `spec` under `obs` to the end of the
+/// measurement window and no further: the run of [`run_open_loop_observed`]
+/// without its drain. Deliveries at or after `measure_end` never reach the
+/// meter, so the throughput is the drained run's; the probe-step bound is
+/// checked on the steps taken so far.
+pub fn run_open_loop_window(
+    net: &mut WaveNetwork,
+    src: &mut TrafficSource,
+    spec: RunSpec,
+    obs: &mut dyn RunObserver,
+) -> WindowResult {
+    let (d, outcome) = drive_open_loop(net, src, spec, 0, obs);
+    let live = check_probe_livelock(net);
+    WindowResult {
+        sent: d.src.generated(),
+        delivered: d.tally.delivered,
+        throughput: d.tally.throughput(outcome.end),
+        wave: net.stats(),
+        end: outcome.end,
+        max_probe_steps: live.max_probe_steps,
+        probe_step_bound: live.bound,
+    }
 }
 
 /// Replays a CARP instruction trace on `net`. On a CARP network the full
