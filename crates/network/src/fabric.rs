@@ -83,7 +83,6 @@
 //! link latency — no router can observe another's cycle-`t` output before
 //! cycle `t+1`.
 
-use wavesim_sim::bitset::{first_set_excluding, for_each_set_wrapping};
 use wavesim_sim::{BitSet, Cycle, CycleKernelStats};
 use wavesim_topology::{Candidate, NodeId, RoutingKind, Topology, WormholeRouting};
 
@@ -243,11 +242,6 @@ pub struct WormholeFabric {
     worklist: Vec<u32>,
     /// Routing-candidate scratch for the VA stage.
     cand: Vec<Candidate>,
-    /// Rotated VA visit order snapshot (dense VC indices).
-    order: Vec<u16>,
-    /// Input VCs whose input port already sent a flit this cycle (the SA
-    /// stage's crossbar constraint), one router at a time.
-    used_inputs: Vec<u64>,
     /// Flits forwarded this cycle, landing downstream in the commit step:
     /// `(router, input VC, flit)`.
     arrivals: Vec<(u32, u32, Flit)>,
@@ -271,8 +265,9 @@ impl WormholeFabric {
     ///
     /// # Panics
     /// Panics if `cfg.w` is insufficient for the routing function on this
-    /// topology (see [`RoutingKind::build`]) or `buffer_depth` is 0 or
-    /// above 65,535.
+    /// topology (see [`RoutingKind::build`]), `buffer_depth` is 0 or above
+    /// 65,535, or a router has more than 64 input VCs (`(2 · ndims + 1) ·
+    /// w`, the local port counted: each scheduling set is one `u64`).
     #[must_use]
     pub fn new(topo: Topology, cfg: WormholeConfig) -> Self {
         let routing = cfg.routing.build(&topo, cfg.w);
@@ -284,8 +279,10 @@ impl WormholeFabric {
     /// broken functions the safe constructor would reject).
     ///
     /// # Panics
-    /// Panics if the function's VC requirement differs from `cfg.w`, or
-    /// `buffer_depth` is 0 or above 65,535 (a ring's `u16` index).
+    /// Panics if the function's VC requirement differs from `cfg.w`,
+    /// `buffer_depth` is 0 or above 65,535 (a ring's `u16` index), or a
+    /// router has more than 64 input VCs (`(2 · ndims + 1) · w`: each
+    /// scheduling set is one `u64`).
     #[must_use]
     pub fn with_routing(
         topo: Topology,
@@ -310,8 +307,6 @@ impl WormholeFabric {
             slab: MsgSlab::default(),
             worklist: Vec::new(),
             cand: Vec::new(),
-            order: Vec::new(),
-            used_inputs: Vec::new(),
             arrivals: Vec::new(),
             credit_returns: Vec::new(),
             scan_wall_ns: [0],
@@ -492,66 +487,63 @@ impl WormholeFabric {
     }
 
     /// Phase 1: routing computation + output-VC allocation. Scans only the
-    /// router's `va_pending` bitset, in the same rotated round-robin order the
+    /// router's `va_pending` set, in the same rotated round-robin order the
     /// seed kernel's full sweep used (from `start`, the cycle's pointer); a
     /// head that finds every candidate owned is parked until one of them is
     /// released.
     fn va_stage(&mut self, r: u32, now: Cycle, start: usize) {
         let ru = r as usize;
         let t = &mut self.table;
+        // Snapshot the pending set: VA neither adds pending VCs nor clears
+        // any but the one it is processing, so the snapshot equals the live
+        // visit set of the serial sweep.
         let pending = t.va_pending(ru);
-        if pending.iter().all(|&w| w == 0) {
+        if pending == 0 {
             return;
         }
         let node = NodeId(r);
         let w = t.w;
-        // Snapshot the pending set: VA neither adds pending VCs nor clears
-        // any but the one it is processing, so the snapshot equals the live
-        // visit set of the serial sweep.
-        let order = &mut self.order;
-        order.clear();
-        for_each_set_wrapping(pending, start, |i| {
-            order.push(i as u16);
-            false
-        });
-        self.kernel.vcs_touched += order.len() as u64;
-        for &iu in order.iter() {
-            let i = iu as usize;
-            let Some(front) = t.front(ru, i) else {
-                debug_assert!(false, "va_pending bit set on an empty VC");
-                continue;
-            };
-            debug_assert!(
-                front.is_head,
-                "unrouted VC front must be a head flit (packet-ordered buffers)"
-            );
-            let (front_dest, front_slot) = (front.dest, front.slot);
-            // Routing-delay accounting.
-            if now < t.head_seen(ru, i, now) + u64::from(self.cfg.routing_delay) {
-                continue;
-            }
-            if front_dest == node {
-                // Ejection needs no output VC: mark the route to the local
-                // port; SA treats it with infinite credit.
-                t.set_route(ru, i, route_pack(self.local as u8, 0));
-                continue;
-            }
-            self.cand.clear();
-            self.routing
-                .route(&self.topo, node, front_dest, &mut self.cand);
-            debug_assert!(!self.cand.is_empty(), "routing gave no candidates");
-            let ovc_of = |c: &Candidate| c.port.index() * w + c.vc as usize;
-            match self
-                .cand
-                .iter()
-                .find(|c| t.owner(ru, ovc_of(c)) == OWNER_NONE)
-            {
-                Some(c) => {
-                    t.grant(ru, i, c.port.index(), c.vc);
-                    self.slab.held_mut(front_slot).push((r, ovc_of(c) as u16));
-                    self.stats.va_allocs += 1;
+        self.kernel.vcs_touched += u64::from(pending.count_ones());
+        for mut bits in rotated(pending, start) {
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let Some(front) = t.front(ru, i) else {
+                    debug_assert!(false, "va_pending bit set on an empty VC");
+                    continue;
+                };
+                debug_assert!(
+                    front.is_head,
+                    "unrouted VC front must be a head flit (packet-ordered buffers)"
+                );
+                let (front_dest, front_slot) = (front.dest, front.slot);
+                // Routing-delay accounting.
+                if now < t.head_seen(ru, i, now) + u64::from(self.cfg.routing_delay) {
+                    continue;
                 }
-                None => t.park(ru, i, self.cand.iter().map(ovc_of)),
+                if front_dest == node {
+                    // Ejection needs no output VC: mark the route to the
+                    // local port; SA treats it with infinite credit.
+                    t.set_route(ru, i, route_pack(self.local as u8, 0));
+                    continue;
+                }
+                self.cand.clear();
+                self.routing
+                    .route(&self.topo, node, front_dest, &mut self.cand);
+                debug_assert!(!self.cand.is_empty(), "routing gave no candidates");
+                let ovc_of = |c: &Candidate| c.port.index() * w + c.vc as usize;
+                match self
+                    .cand
+                    .iter()
+                    .find(|c| t.owner(ru, ovc_of(c)) == OWNER_NONE)
+                {
+                    Some(c) => {
+                        t.grant(ru, i, c.port.index(), c.vc);
+                        self.slab.held_mut(front_slot).push((r, ovc_of(c) as u16));
+                        self.stats.va_allocs += 1;
+                    }
+                    None => t.park(ru, i, self.cand.iter().map(ovc_of)),
+                }
             }
         }
     }
@@ -570,23 +562,22 @@ impl WormholeFabric {
         if ready == 0 {
             return;
         }
-        let (w, n_ivc, local) = (t.w, t.n_ivc, self.local);
-        let used_inputs = &mut self.used_inputs;
-        used_inputs.clear();
-        used_inputs.resize(n_ivc.div_ceil(64), 0);
+        let (w, local) = (t.w, self.local);
+        // Input VCs whose input port already sent a flit this cycle: the
+        // crossbar constraint.
+        let mut used = 0u64;
 
         while ready != 0 {
             let out_port = ready.trailing_zeros() as usize;
             ready &= ready - 1;
-            let req = t.sa_req(ru, out_port);
-            let Some((considered, i)) = arbitrate(req, used_inputs, t.sa_ptr(ru, out_port)) else {
+            let avail = t.sa_req(ru, out_port) & !used;
+            if avail == 0 {
                 continue;
-            };
-            self.kernel.vcs_touched += u64::from(considered);
-            let (in_port, in_vc) = t.vc_port(i);
-            for (u, &b) in used_inputs.iter_mut().zip(t.port_bits(in_port)) {
-                *u |= b;
             }
+            self.kernel.vcs_touched += u64::from(avail.count_ones());
+            let i = rr_grant(avail, t.sa_ptr(ru, out_port));
+            let (in_port, in_vc) = t.vc_port(i);
+            used |= t.port_bits(in_port);
             t.advance_sa_ptr(ru, out_port, i);
 
             let rt = t.route(ru, i);
@@ -724,18 +715,23 @@ impl WormholeFabric {
     }
 }
 
-/// One switch arbitration: the request lines `req` minus the inputs
-/// already `used` this cycle, granted round-robin from `start`. Returns how
-/// many lines it chose among and the winner, or `None` when no line is
-/// left; the zero test comes before the popcount.
+/// The set `set` split at `start` (below 64) into the bits at `start..`
+/// and the bits below it: visiting the first half ascending, then the
+/// second, is the modular sweep `(start + off) % n` restricted to the set
+/// bits — the VA stage's round-robin visit order.
 #[inline(always)]
-fn arbitrate(req: &[u64], used: &[u64], start: usize) -> Option<(u32, usize)> {
-    if req.iter().zip(used).all(|(&q, &u)| q & !u == 0) {
-        return None;
-    }
-    let considered = req.iter().zip(used).map(|(&q, &u)| (q & !u).count_ones());
-    let win = first_set_excluding(req, used, start).expect("a considered request exists");
-    Some((considered.sum(), win))
+fn rotated(set: u64, start: usize) -> [u64; 2] {
+    let upper = set & (u64::MAX << start);
+    [upper, set ^ upper]
+}
+
+/// One round-robin switch grant over the non-empty request set `avail`
+/// from the pointer `start` (below 64): its lowest bit at `start..`, or
+/// its lowest bit when none is there.
+#[inline(always)]
+fn rr_grant(avail: u64, start: usize) -> usize {
+    let upper = avail & (u64::MAX << start);
+    (if upper == 0 { avail } else { upper }).trailing_zeros() as usize
 }
 
 #[cfg(test)]
@@ -1007,27 +1003,32 @@ mod tests {
         assert_eq!(build(), build());
     }
 
-    #[test]
-    fn wide_router_drains_with_the_pinned_schedule() {
-        // 4-D radix-2 mesh at w = 8: 9 ports x 8 VCs = 72 input VCs, so
-        // the per-router scheduling sets span two u64 words and the eight
-        // injection VCs (64..72) all live in the second one. Four rounds
-        // of all-pairs traffic keep every injection VC busy. The hash was
-        // captured on the polling kernel (the commit before the park/wake
-        // fabric); `GOLDEN_PRINT=1` prints it instead of asserting. The
-        // mask oracle runs after every tick, so the two-word request masks
-        // and the ready-port word are checked too.
-        let topo = Topology::mesh(&[2, 2, 2, 2]);
-        let mut f = WormholeFabric::new(
-            topo.clone(),
+    /// The 4-D radix-2 mesh, 9 ports a router, with `w` VCs a port.
+    fn mesh2222(w: u8) -> WormholeFabric {
+        WormholeFabric::new(
+            Topology::mesh(&[2, 2, 2, 2]),
             WormholeConfig {
-                w: 8,
+                w,
                 buffer_depth: 2,
                 routing: RoutingKind::Deterministic,
                 routing_delay: 1,
             },
-        );
-        assert_eq!(f.table.n_ivc, 72);
+        )
+    }
+
+    #[test]
+    fn wide_router_drains_with_the_pinned_schedule() {
+        // 4-D radix-2 mesh at w = 7: 9 ports x 7 VCs = 63 input VCs, the
+        // widest router below the one-word bound, with the seven
+        // injection VCs in bits 56..63 of every scheduling set. Four
+        // rounds of all-pairs traffic keep every injection VC busy. The
+        // hash was captured on the multi-word-mask kernel (the commit
+        // before one-word sets); `GOLDEN_PRINT=1` prints it instead of
+        // asserting. The mask oracle runs after every tick, so the request
+        // masks and the ready-port word are checked too.
+        let mut f = mesh2222(7);
+        let topo = f.topology().clone();
+        assert_eq!(f.table.n_ivc, 63);
         let mut id = 0;
         for round in 0..4u32 {
             for a in topo.nodes() {
@@ -1058,9 +1059,75 @@ mod tests {
             println!("GOLDEN wide_router_schedule = 0x{h:016x}");
         } else {
             assert_eq!(
-                h, 0xd9bd_8437_a27d_9e83,
+                h, 0x2448_595c_c79d_f102,
                 "wide-router delivery schedule diverged"
             );
+        }
+    }
+
+    #[test]
+    fn a_router_past_64_input_vcs_is_refused() {
+        // The same mesh at w = 8 has 72 input VCs a router: more than one
+        // u64 scheduling set holds.
+        let err = std::panic::catch_unwind(|| mesh2222(8))
+            .err()
+            .expect("refused");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert_eq!(
+            msg,
+            "9 ports x 8 VCs is 72 input VCs: a router has at most 64 (one u64 per scheduling set)"
+        );
+    }
+
+    /// The modular sweep `(start + off) % 64` restricted to `set`'s bits:
+    /// the reference round-robin order.
+    fn sweep(set: u64, start: usize) -> Vec<usize> {
+        (0..64)
+            .map(|off| (start + off) % 64)
+            .filter(|&i| set >> i & 1 == 1)
+            .collect()
+    }
+
+    /// Random, empty, full and single-bit sets.
+    fn sample_sets() -> Vec<u64> {
+        let mut rng = wavesim_sim::SimRng::new(42);
+        let mut sets = vec![0, u64::MAX, 0x8000_0000_0000_0001];
+        sets.extend((0..64).map(|i| 1u64 << i));
+        sets.extend((0..32).map(|_| rng.next_u64()));
+        sets.extend((0..32).map(|_| rng.next_u64() & rng.next_u64() & rng.next_u64()));
+        sets
+    }
+
+    #[test]
+    fn va_visit_order_matches_the_modular_sweep_for_every_start() {
+        for set in sample_sets() {
+            for start in 0..64 {
+                let mut seen = Vec::new();
+                for mut bits in rotated(set, start) {
+                    while bits != 0 {
+                        seen.push(bits.trailing_zeros() as usize);
+                        bits &= bits - 1;
+                    }
+                }
+                assert_eq!(seen, sweep(set, start), "set {set:#x} start {start}");
+            }
+        }
+    }
+
+    #[test]
+    fn sa_grant_matches_the_modular_sweep_for_every_start() {
+        // Each request set against each sample set of used inputs (the
+        // crossbar exclusion), none and all of them included.
+        let sets = sample_sets();
+        for &req in &sets {
+            for &used in &sets {
+                let avail = req & !used;
+                for start in 0..64 {
+                    let want = sweep(req, start).into_iter().find(|&i| used >> i & 1 == 0);
+                    let got = (avail != 0).then(|| rr_grant(avail, start));
+                    assert_eq!(got, want, "req {req:#x} used {used:#x} start {start}");
+                }
+            }
         }
     }
 
@@ -1349,7 +1416,7 @@ mod tests {
                         "non-idle router {r} missing from active set at cycle {now}"
                     );
                 }
-                let pending = f.table.va_pending(r).iter().any(|&w| w != 0);
+                let pending = f.table.va_pending(r) != 0;
                 if f.table.parked(r) > 0 && !pending {
                     saw_parked = true;
                     assert!(!f.table.idle(r), "parked head at router {r} reads as idle");

@@ -26,14 +26,15 @@
 //!   the dense id of its first VC on the opposite port: a flit forwarded
 //!   on VC `v` lands in that VC plus `v`, and a credit for input VC `v` of
 //!   that port returns to the same VC plus `v` (the upstream output VC).
-//!   Per dense VC, its `(port, vc)`; per port, the mask words of its VCs.
+//!   Per dense VC, its `(port, vc)`; per port, the mask of its VCs.
 //! * **Injection queues** are FIFOs of message slab slots linked through
 //!   the slab, so they allocate nothing either.
 //!
 //! Scheduling is **event-driven**: an input VC is looked at only while the
 //! resource it needs can be had, and is otherwise parked on that resource
-//! until the event that frees it. Three sets, all words of one flat mask
-//! array, hold the VCs worth a look:
+//! until the event that frees it. Three kinds of set hold the VCs worth a
+//! look, each one `u64` (bit `i` is dense VC `i`, so a router has at most
+//! 64 input VCs), all of a router's side by side in one flat word array:
 //!
 //! * `va_pending` — VCs with no route whose buffered head flit (see below)
 //!   is in its routing delay or may find a free output VC: the VA stage's
@@ -168,8 +169,6 @@ pub(crate) struct RouterTable {
     pub(crate) n_ivc: usize,
     /// Flit slots per input VC.
     pub(crate) depth: usize,
-    /// Words per mask: `ceil(n_ivc / 64)`.
-    mask_words: usize,
     /// Words of one router in `masks`: `va_pending`, then one request mask
     /// per output port, then one waiter mask per output VC.
     mask_stride: usize,
@@ -207,7 +206,7 @@ pub(crate) struct RouterTable {
     links: Vec<(u32, u32)>,
     /// Per dense VC, its `(port, vc)`.
     vc_ports: Vec<(u8, u8)>,
-    /// Per port, the mask words with its `w` input VCs' bits set.
+    /// Per port, the mask with its `w` input VCs' bits set.
     port_bits: Vec<u64>,
 }
 
@@ -217,21 +216,26 @@ impl RouterTable {
     /// credits).
     ///
     /// # Panics
-    /// Panics if the fabric has 2^32 or more VCs. `depth` must be in
-    /// `1..=MAX_DEPTH`; the fabric's constructor checks it.
+    /// Panics if a router has more than 64 input VCs (`nports · w`: each
+    /// scheduling set is one `u64`) or the fabric has 2^32 or more VCs.
+    /// `depth` must be in `1..=MAX_DEPTH`; the fabric's constructor checks
+    /// it.
     #[must_use]
     pub(crate) fn new(topo: &Topology, w: usize, depth: u32) -> Self {
         debug_assert!((1..=MAX_DEPTH).contains(&depth));
         let routers = topo.num_nodes() as usize;
         let nports = 2 * topo.ndims() + 1;
         let n_ivc = nports * w;
+        assert!(
+            n_ivc <= 64,
+            "{nports} ports x {w} VCs is {n_ivc} input VCs: a router has at most 64 (one u64 per scheduling set)"
+        );
         let vcs = routers * n_ivc;
         assert!(
             u32::try_from(vcs).is_ok(),
             "fewer than 2^32 virtual channels"
         );
-        let mask_words = n_ivc.div_ceil(64);
-        let mask_stride = (1 + nports + n_ivc) * mask_words;
+        let mask_stride = 1 + nports + n_ivc;
         let mut links = vec![(NONE, NONE); routers * nports];
         for node in topo.nodes() {
             for port in 0..nports - 1 {
@@ -242,9 +246,9 @@ impl RouterTable {
                 }
             }
         }
-        let mut port_bits = vec![0; nports * mask_words];
+        let mut port_bits = vec![0; nports];
         for i in 0..n_ivc {
-            port_bits[i / w * mask_words + i / 64] |= 1 << (i % 64);
+            port_bits[i / w] |= 1 << i;
         }
         let depth = depth as usize;
         Self {
@@ -252,7 +256,6 @@ impl RouterTable {
             nports,
             n_ivc,
             depth,
-            mask_words,
             mask_stride,
             flits: vec![Flit::VACANT; vcs * depth],
             rings: vec![Ring::default(); vcs],
@@ -289,19 +292,23 @@ impl RouterTable {
         r * self.n_ivc + i
     }
 
-    /// Router `r`'s `va_pending` words: the unrouted heads VA must visit.
+    /// Router `r`'s `va_pending` set: the unrouted heads VA must visit.
     #[inline]
-    pub(crate) fn va_pending(&self, r: usize) -> &[u64] {
-        let at = r * self.mask_stride;
-        &self.masks[at..at + self.mask_words]
+    pub(crate) fn va_pending(&self, r: usize) -> u64 {
+        self.masks[r * self.mask_stride]
     }
 
     /// Router `r`'s output port `port` request mask: the input VCs its
     /// switch arbiter may grant this cycle.
     #[inline]
-    pub(crate) fn sa_req(&self, r: usize, port: usize) -> &[u64] {
-        let at = r * self.mask_stride + (1 + port) * self.mask_words;
-        &self.masks[at..at + self.mask_words]
+    pub(crate) fn sa_req(&self, r: usize, port: usize) -> u64 {
+        self.masks[self.sa_req_at(r, port)]
+    }
+
+    /// Where router `r`'s output port `port` request mask sits in `masks`.
+    #[inline]
+    fn sa_req_at(&self, r: usize, port: usize) -> usize {
+        r * self.mask_stride + 1 + port
     }
 
     /// Router `r`'s ready-port word: bit `p` set iff [`Self::sa_req`] of
@@ -313,15 +320,14 @@ impl RouterTable {
 
     /// Where router `r`'s output VC `ovc` waiter mask sits in `masks`.
     #[inline]
-    fn va_wait(&self, r: usize, ovc: usize) -> std::ops::Range<usize> {
-        let at = r * self.mask_stride + (1 + self.nports + ovc) * self.mask_words;
-        at..at + self.mask_words
+    fn va_wait(&self, r: usize, ovc: usize) -> usize {
+        r * self.mask_stride + 1 + self.nports + ovc
     }
 
-    /// The mask words of port `port`'s input VCs.
+    /// The mask of port `port`'s input VCs.
     #[inline]
-    pub(crate) fn port_bits(&self, port: usize) -> &[u64] {
-        &self.port_bits[port * self.mask_words..(port + 1) * self.mask_words]
+    pub(crate) fn port_bits(&self, port: usize) -> u64 {
+        self.port_bits[port]
     }
 
     /// Dense VC `i`'s `(port, vc)`.
@@ -359,21 +365,21 @@ impl RouterTable {
         self.sa_rr[r * self.nports + port] = next as u16;
     }
 
-    /// Sets or clears bit `i` of the mask starting at word `at`.
+    /// Sets or clears bit `i` of the mask at `masks[at]`.
     #[inline]
     fn put_bit(&mut self, at: usize, i: usize, on: bool) {
-        let word = &mut self.masks[at + i / 64];
+        let word = &mut self.masks[at];
         if on {
-            *word |= 1 << (i % 64);
+            *word |= 1 << i;
         } else {
-            *word &= !(1 << (i % 64));
+            *word &= !(1 << i);
         }
     }
 
     /// True when router `r`'s VC `i` is in its `va_pending` set.
     #[inline]
     pub(crate) fn is_pending(&self, r: usize, i: usize) -> bool {
-        self.va_pending(r)[i / 64] >> (i % 64) & 1 == 1
+        self.va_pending(r) >> i & 1 == 1
     }
 
     /// Sets or clears router `r`'s VC `i` in its `va_pending` set.
@@ -457,8 +463,7 @@ impl RouterTable {
         let rt = self.route[g];
         if self.rings[g].len > 0 && self.out_credits[self.vc(r, self.route_ovc(rt))] > 0 {
             let port = route_port(rt);
-            let at = r * self.mask_stride + (1 + port) * self.mask_words;
-            self.put_bit(at, i, true);
+            self.put_bit(self.sa_req_at(r, port), i, true);
             self.state[r].ready |= 1 << port;
         }
     }
@@ -468,9 +473,9 @@ impl RouterTable {
     #[inline]
     fn unrequest(&mut self, r: usize, i: usize, rt: u16) {
         let port = route_port(rt);
-        let at = r * self.mask_stride + (1 + port) * self.mask_words;
+        let at = self.sa_req_at(r, port);
         self.put_bit(at, i, false);
-        if self.masks[at..at + self.mask_words].iter().all(|&w| w == 0) {
+        if self.masks[at] == 0 {
             self.state[r].ready &= !(1 << port);
         }
     }
@@ -595,8 +600,7 @@ impl RouterTable {
         self.set_pending(r, i, false);
         self.state[r].parked += 1;
         for ovc in ovcs {
-            let at = self.va_wait(r, ovc).start;
-            self.put_bit(at, i, true);
+            self.put_bit(self.va_wait(r, ovc), i, true);
         }
     }
 
@@ -606,19 +610,17 @@ impl RouterTable {
     pub(crate) fn release_output(&mut self, r: usize, ovc: usize) {
         let g = self.vc(r, ovc);
         self.out_owner[g] = OWNER_NONE;
-        for (k, at) in self.va_wait(r, ovc).enumerate() {
-            let mut bits = std::mem::take(&mut self.masks[at]);
-            while bits != 0 {
-                let i = k * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                // Stale waiter bits outlive their head; only a VC that is
-                // parked right now goes back.
-                let gi = self.vc(r, i);
-                if self.route[gi] == ROUTE_NONE && self.rings[gi].len > 0 && !self.is_pending(r, i)
-                {
-                    self.set_pending(r, i, true);
-                    self.state[r].parked -= 1;
-                }
+        let at = self.va_wait(r, ovc);
+        let mut bits = std::mem::take(&mut self.masks[at]);
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            // Stale waiter bits outlive their head; only a VC that is
+            // parked right now goes back.
+            let gi = self.vc(r, i);
+            if self.route[gi] == ROUTE_NONE && self.rings[gi].len > 0 && !self.is_pending(r, i) {
+                self.set_pending(r, i, true);
+                self.state[r].parked -= 1;
             }
         }
     }
@@ -675,7 +677,7 @@ impl RouterTable {
             && s.emitting == 0
             && s.routed == 0
             && s.parked == 0
-            && self.va_pending(r).iter().all(|&w| w == 0)
+            && self.va_pending(r) == 0
     }
 }
 
@@ -723,7 +725,7 @@ impl RouterTable {
     ) {
         let r = node.0 as usize;
         let (n, w) = (self.n_ivc, self.w);
-        let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1 == 1;
+        let bit = |word: u64, i: usize| word >> i & 1 == 1;
         let mut parked = 0;
         let mut cand = Vec::new();
         for i in 0..n {
@@ -771,14 +773,14 @@ impl RouterTable {
                     "{node:?} vc {i}: parked on free {ovc}"
                 );
                 assert!(
-                    bit(&self.masks[self.va_wait(r, ovc)], i),
+                    bit(self.masks[self.va_wait(r, ovc)], i),
                     "{node:?} vc {i}: no waiter bit on candidate {ovc}"
                 );
             }
         }
         assert_eq!(self.state[r].parked, parked, "{node:?}: parked count");
         for port in 0..self.nports {
-            let raised = self.sa_req(r, port).iter().any(|&w| w != 0);
+            let raised = self.sa_req(r, port) != 0;
             assert_eq!(
                 self.ready_ports(r) >> port & 1 == 1,
                 raised,
@@ -856,12 +858,12 @@ mod tests {
             "(1,1) -x reaches (0,1) at its +x port"
         );
         assert_eq!(t.vc_port(7), (3, 1));
-        assert_eq!(t.port_bits(4), &[0b11 << 8]);
+        assert_eq!(t.port_bits(4), 0b11 << 8);
     }
 
     /// True when input VC `i` of router 0 requests output port `port`.
     fn requests(t: &RouterTable, port: usize, i: usize) -> bool {
-        t.sa_req(0, port)[i / 64] >> (i % 64) & 1 == 1
+        t.sa_req(0, port) >> i & 1 == 1
     }
 
     #[test]
