@@ -89,6 +89,31 @@ fn custom_run_reports_clean() {
     assert!(text.contains("verdict          : CLEAN"), "{text}");
 }
 
+/// The Circuit Cache grows its slots on insert and reserves none up
+/// front, so the largest capacity the flag takes runs like any other.
+#[test]
+fn an_unbounded_cache_runs_clean() {
+    let out = wavesim()
+        .args([
+            "run",
+            "--side",
+            "4",
+            "--cache",
+            "18446744073709551615",
+            "--cycles",
+            "2000",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("verdict          : CLEAN"), "{text}");
+}
+
 #[test]
 fn run_writes_trace_and_metrics_and_validates() {
     let dir = std::env::temp_dir().join(format!("wavesim-cli-trace-{}", std::process::id()));

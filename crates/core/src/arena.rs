@@ -1,13 +1,13 @@
 //! Generational-index arenas for hot protocol state.
 //!
 //! The control and circuit planes create and destroy probes and circuits
-//! constantly; keying their registries by `HashMap` put a hash + probe
+//! constantly; keying their registries by a hashed map put a hash + probe
 //! sequence on every protocol step. These arenas replace that with direct
 //! vector indexing: an id packs `generation << 32 | slot`, slots are
 //! recycled LIFO, and the generation is bumped on every free, so a stale
 //! id held by anyone (a parked probe, a CARP `Failed` cache entry, a
 //! release request in flight) can never alias a recycled slot — lookups
-//! with dead ids simply miss, exactly like the `HashMap`s they replace.
+//! with dead ids simply miss, exactly like the hashed maps they replace.
 //!
 //! Three pieces, matching the three ownership shapes in the planes:
 //!
@@ -18,8 +18,9 @@
 //! * [`SlotMap`] — gen-checked storage keyed by externally minted ids
 //!   (the controlplane's circuit registry, keyed by [`IdAlloc`] ids).
 //!
-//! Iteration is in slot order — deterministic, unlike `HashMap`, which is
-//! why swapping these in cannot perturb any schedule.
+//! Iteration is in slot order — deterministic, unlike a map keyed by a
+//! random hasher, which is why swapping these in cannot perturb any
+//! schedule.
 
 /// An id type backed by a raw `u64` in `generation << 32 | slot` layout.
 ///

@@ -6,8 +6,14 @@
 //! (Initial Switch, Switch, Channel, Dest, Ack Returned, In-use, Replace)
 //! plus the protocol-visible lifecycle state and the queue of messages
 //! waiting for the circuit.
+//!
+//! The cache is that register file: at most `capacity` entries in slot
+//! order, found by a scan on `Dest`. A removal moves the last entry into
+//! the freed slot. Storage grows on insert and is never reserved up front,
+//! and nothing depends on a hasher: [`CircuitCache::iter`] runs in slot
+//! order, in a clone as in the original.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use wavesim_network::Message;
 use wavesim_sim::Cycle;
@@ -120,13 +126,14 @@ impl CacheEntry {
     }
 }
 
-/// The per-node Circuit Cache: at most `capacity` register sets, keyed by
-/// destination (one circuit per destination per source, as in §3.1's
-/// lookup "to see if a circuit exists for the requested destination").
+/// The per-node Circuit Cache: at most `capacity` register sets in slot
+/// order, one per destination (one circuit per destination per source, as
+/// in §3.1's lookup "to see if a circuit exists for the requested
+/// destination").
 #[derive(Debug, Clone)]
 pub struct CircuitCache {
     capacity: usize,
-    entries: HashMap<NodeId, CacheEntry>,
+    slots: Vec<CacheEntry>,
 }
 
 impl CircuitCache {
@@ -139,7 +146,7 @@ impl CircuitCache {
         assert!(capacity >= 1, "circuit cache needs at least one entry");
         Self {
             capacity,
-            entries: HashMap::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -152,56 +159,56 @@ impl CircuitCache {
     /// Number of live entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// True when no circuits are cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// True when a new entry cannot be inserted without eviction.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.slots.len() >= self.capacity
     }
 
     /// Looks up the entry for `dest`.
     #[must_use]
     pub fn get(&self, dest: NodeId) -> Option<&CacheEntry> {
-        self.entries.get(&dest)
+        self.slots.iter().find(|e| e.dest == dest)
     }
 
     /// Mutable lookup.
     pub fn get_mut(&mut self, dest: NodeId) -> Option<&mut CacheEntry> {
-        self.entries.get_mut(&dest)
+        self.slots.iter_mut().find(|e| e.dest == dest)
     }
 
-    /// Inserts `entry` (keyed by its `dest`).
+    /// Inserts `entry` into the next free slot.
     ///
     /// # Panics
     /// Panics if the cache is full (evict first) or the destination is
     /// already present.
     pub fn insert(&mut self, entry: CacheEntry) {
         assert!(!self.is_full(), "insert into a full circuit cache");
-        let prev = self.entries.insert(entry.dest, entry);
-        assert!(prev.is_none(), "duplicate circuit cache entry");
+        assert!(
+            self.get(entry.dest).is_none(),
+            "duplicate circuit cache entry"
+        );
+        self.slots.push(entry);
     }
 
-    /// Removes and returns the entry for `dest`.
+    /// Removes and returns the entry for `dest`; the last slot's entry
+    /// moves into the freed slot.
     pub fn remove(&mut self, dest: NodeId) -> Option<CacheEntry> {
-        self.entries.remove(&dest)
+        let slot = self.slots.iter().position(|e| e.dest == dest)?;
+        Some(self.slots.swap_remove(slot))
     }
 
-    /// Iterates over entries in unspecified order.
+    /// Iterates over entries in slot order.
     pub fn iter(&self) -> impl Iterator<Item = &CacheEntry> {
-        self.entries.values()
-    }
-
-    /// Mutable iteration.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut CacheEntry> {
-        self.entries.values_mut()
+        self.slots.iter()
     }
 
     /// Selects the eviction victim under `policy`: the evictable entry
@@ -209,22 +216,16 @@ impl CircuitCache {
     /// determinism. `None` when nothing is evictable.
     #[must_use]
     pub fn pick_victim(&self, policy: ReplacementPolicy, seed: u64) -> Option<NodeId> {
-        self.entries
-            .values()
+        self.slots
+            .iter()
             .filter(|e| e.evictable())
             .min_by_key(|e| (replacement::eviction_score(e, policy, seed), e.dest))
             .map(|e| e.dest)
     }
 
-    /// Entry whose circuit id is `circuit`, if present.
-    #[must_use]
-    pub fn find_by_circuit(&self, circuit: CircuitId) -> Option<&CacheEntry> {
-        self.entries.values().find(|e| e.circuit == circuit)
-    }
-
-    /// Mutable variant of [`CircuitCache::find_by_circuit`].
+    /// The entry whose circuit id is `circuit`, if present.
     pub fn find_by_circuit_mut(&mut self, circuit: CircuitId) -> Option<&mut CacheEntry> {
-        self.entries.values_mut().find(|e| e.circuit == circuit)
+        self.slots.iter_mut().find(|e| e.circuit == circuit)
     }
 }
 
@@ -309,11 +310,67 @@ mod tests {
         assert_eq!(c.pick_victim(ReplacementPolicy::Lru, 0), None);
     }
 
+    /// Every permutation of `items`, in lexicographic order of indices.
+    fn permutations(items: &[u32]) -> Vec<Vec<u32>> {
+        if items.len() <= 1 {
+            return vec![items.to_vec()];
+        }
+        let mut out = Vec::new();
+        for (i, &first) in items.iter().enumerate() {
+            let mut rest = items.to_vec();
+            rest.remove(i);
+            for mut tail in permutations(&rest) {
+                tail.insert(0, first);
+                out.push(tail);
+            }
+        }
+        out
+    }
+
+    /// Slot order is insertion order, so a victim must not depend on it:
+    /// four entries with one score, inserted in all 24 orders, give one
+    /// victim under every policy (the lowest `Dest`).
     #[test]
-    fn find_by_circuit_works() {
-        let mut c = CircuitCache::new(2);
-        c.insert(entry(3, 33));
-        assert_eq!(c.find_by_circuit(CircuitId(33)).unwrap().dest, NodeId(3));
-        assert!(c.find_by_circuit(CircuitId(44)).is_none());
+    fn victim_is_independent_of_slot_order() {
+        let orders = permutations(&[7, 2, 9, 4]);
+        assert_eq!(orders.len(), 24);
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Lfu,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+        ] {
+            for order in &orders {
+                let mut c = CircuitCache::new(4);
+                for &dest in order {
+                    // One circuit id ties the Random policy's hash too.
+                    let mut e = entry(dest, 1);
+                    e.state = EntryState::Ready;
+                    e.replace = 50;
+                    c.insert(e);
+                }
+                assert_eq!(
+                    c.pick_victim(policy, 3),
+                    Some(NodeId(2)),
+                    "{policy:?} with slots in order {order:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn removal_keeps_the_slots_packed() {
+        let mut c = CircuitCache::new(4);
+        for dest in [1, 2, 3] {
+            c.insert(entry(dest, u64::from(dest)));
+        }
+        c.remove(NodeId(1));
+        let dests: Vec<u32> = c.iter().map(|e| e.dest.0).collect();
+        assert_eq!(dests, [3, 2], "the last slot fills the hole");
+        assert_eq!(
+            c.find_by_circuit_mut(CircuitId(2)).map(|e| e.dest),
+            Some(NodeId(2))
+        );
+        assert!(c.find_by_circuit_mut(CircuitId(1)).is_none());
     }
 }

@@ -57,7 +57,7 @@ pub enum TransferEvent {
 }
 
 /// The circuit-management plane of the wave router.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CircuitPlane {
     topo: Topology,
     cfg: WaveConfig,

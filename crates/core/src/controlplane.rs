@@ -54,7 +54,7 @@ pub enum CtrlEvent {
 }
 
 /// The control plane of the wave router.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ControlPlane {
     probes: GenSlab<ProbeId, ProbeState>,
     /// Buffers of retired probes, reused by the next launches.
@@ -71,7 +71,7 @@ pub struct ControlPlane {
 /// The control plane less its probes: everything a probe step reads or
 /// writes besides the probe itself. Split out so that a step holds its
 /// probe `&mut` in the slab while it works on these.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Routers {
     topo: Topology,
     cfg: WaveConfig,

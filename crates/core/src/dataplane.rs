@@ -16,6 +16,7 @@ use crate::events::PlaneEvent;
 use crate::stats::PlaneLog;
 
 /// The wormhole plane of the wave router.
+#[derive(Clone)]
 pub struct DataPlane {
     fabric: WormholeFabric,
     outbox: Vec<PlaneEvent>,

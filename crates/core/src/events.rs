@@ -23,7 +23,7 @@ use wavesim_topology::NodeId;
 use crate::ids::{CircuitId, LaneId};
 
 /// A message between planes (or from a plane to the composition root).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum PlaneEvent {
     /// Dataplane → root: a wormhole message reached its destination.
     WormholeDelivered(Delivery),
@@ -118,7 +118,7 @@ pub enum PlaneEvent {
 /// The bus is plumbing, not an observation point: external detectors
 /// (`wavesim-verify`) read the trace, which records the circuit lifecycle
 /// and the deliveries these events carry.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct EventBus {
     queue: VecDeque<PlaneEvent>,
 }

@@ -259,10 +259,43 @@ impl WaveNetwork {
 
     /// Disarms every emit point and returns the installed sink, if any.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+        self.disarm_planes();
+        self.trace.take()
+    }
+
+    /// Disarms the planes' staging buffers, discarding what they staged.
+    fn disarm_planes(&mut self) {
         self.data.log.trace.disarm();
         self.ctrl.routers.log.trace.disarm();
         self.circ.log.trace.disarm();
-        self.trace.take()
+    }
+
+    /// A deep copy of the network without the trace sink: every plane,
+    /// calendar, pending delivery and counter is cloned, so the copy and
+    /// the original tick on independently and, given the same inputs,
+    /// identically. The copy's planes stage nothing (their trace buffers
+    /// are disarmed and empty) and it has no sink until one is installed;
+    /// the original and its sink are untouched.
+    #[must_use]
+    pub fn fork(&self) -> Self {
+        let mut copy = Self {
+            topo: self.topo.clone(),
+            cfg: self.cfg,
+            data: self.data.clone(),
+            ctrl: self.ctrl.clone(),
+            circ: self.circ.clone(),
+            ctrl_queue: self.ctrl_queue.clone(),
+            xfer_queue: self.xfer_queue.clone(),
+            fault_queue: self.fault_queue.clone(),
+            bus: self.bus.clone(),
+            deliveries: self.deliveries.clone(),
+            stats: self.stats,
+            outstanding_msgs: self.outstanding_msgs,
+            kernel: self.kernel,
+            trace: TraceHub::new(),
+        };
+        copy.disarm_planes();
+        copy
     }
 
     /// True while a trace sink is installed.
@@ -842,6 +875,48 @@ mod tests {
         assert_eq!(net.circ.log.trace.staged_len(), 0);
         assert_eq!(net.data.log.trace.staged_len(), 0);
         assert!(net.take_trace_sink().is_none());
+    }
+
+    /// Forking a traced network leaves its capture alone: the fork has no
+    /// sink and stages nothing while it runs, and the original's WSTRACE1
+    /// bytes equal those of a run that never forked.
+    #[test]
+    fn a_fork_of_a_traced_network_stages_nothing() {
+        let capture = |fork_at: Option<Cycle>| {
+            let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
+            net.install_trace_sink(Box::new(wavesim_trace::VecSink::new()));
+            for id in 0..12u64 {
+                let src = NodeId((id % 16) as u32);
+                let dest = NodeId(((id * 5 + 3) % 16) as u32);
+                if src != dest {
+                    net.send(0, Message::new(id, src, dest, 16, 0));
+                }
+            }
+            let mut fork = None;
+            let mut now = 0;
+            while net.busy() && now < 50_000 {
+                if Some(now) == fork_at {
+                    assert!(!net.probes().is_empty(), "forked mid-search");
+                    fork = Some(net.fork());
+                }
+                net.tick(now);
+                if let Some(f) = &mut fork {
+                    f.tick(now);
+                    assert!(!f.tracing());
+                    assert_eq!(f.data.log.trace.staged_len(), 0);
+                    assert_eq!(f.ctrl.routers.log.trace.staged_len(), 0);
+                    assert_eq!(f.circ.log.trace.staged_len(), 0);
+                }
+                now += 1;
+            }
+            if let Some(f) = fork {
+                assert!(!f.busy(), "the fork drains with the original");
+                assert_eq!(f.stats().msgs_sent, net.stats().msgs_sent);
+            }
+            let recs = net.take_trace_sink().expect("sink installed").snapshot();
+            wavesim_trace::columnar::encode(&recs, wavesim_trace::stream::CHUNK_RECORDS)
+        };
+        assert_eq!(capture(Some(5)), capture(None));
     }
 
     /// The circuit plane's incremental active-source set must agree with a

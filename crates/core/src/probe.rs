@@ -87,7 +87,7 @@ const ON_PATH: u32 = 1 << 31;
 
 /// The heap buffers of a retired probe — History Store zeroed, path and
 /// offsets empty — kept so the next probe launches without allocating.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ProbeBufs {
     history: Vec<u32>,
     path: Vec<LaneId>,

@@ -81,7 +81,7 @@ wavesim_sim::stat_table! {
 
 /// What a plane records about its own work: its counters, and the staged
 /// trace records of the same facts.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct PlaneLog {
     /// The plane's statistics contribution.
     pub(crate) stats: WaveStats,

@@ -83,6 +83,8 @@
 //! link latency — no router can observe another's cycle-`t` output before
 //! cycle `t+1`.
 
+use std::sync::Arc;
+
 use wavesim_sim::{BitSet, Cycle, CycleKernelStats};
 use wavesim_topology::{Candidate, NodeId, RoutingKind, Topology, WormholeRouting};
 
@@ -137,6 +139,7 @@ wavesim_sim::stat_table! {
 pub type WaitVc = (u32, u16);
 
 /// One in-flight message record: metadata plus the output VCs it holds.
+#[derive(Clone)]
 struct MsgSlot {
     msg: Option<Message>,
     /// Output VCs currently held by this message, in path order.
@@ -152,7 +155,7 @@ struct MsgSlot {
 /// LIFO and each slot's `held` vector keeps its capacity across reuse, so
 /// the steady-state fabric allocates nothing per message. The injection
 /// queues are linked through the records too.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct MsgSlab {
     slots: Vec<MsgSlot>,
     free: Vec<u32>,
@@ -223,10 +226,13 @@ impl MsgSlab {
     }
 }
 
-/// The flit-level wormhole network.
+/// The flit-level wormhole network. A clone is a deep copy of every
+/// router, ring and in-flight record; only the routing function, which is
+/// immutable, is shared.
+#[derive(Clone)]
 pub struct WormholeFabric {
     topo: Topology,
-    routing: Box<dyn WormholeRouting>,
+    routing: Arc<dyn WormholeRouting>,
     cfg: WormholeConfig,
     /// Index of the local (injection / ejection) port: the last one.
     local: usize,
@@ -287,7 +293,7 @@ impl WormholeFabric {
     pub fn with_routing(
         topo: Topology,
         cfg: WormholeConfig,
-        routing: Box<dyn WormholeRouting>,
+        routing: Arc<dyn WormholeRouting>,
     ) -> Self {
         assert!(
             (1..=MAX_DEPTH).contains(&cfg.buffer_depth),
@@ -875,6 +881,40 @@ mod tests {
         assert_eq!(f.drain_deliveries().len(), 15 * 4);
     }
 
+    /// A clone of a Duato adaptive run mid-flight delivers what the
+    /// original delivers, in the same order on the same cycles.
+    #[test]
+    fn a_cloned_adaptive_fabric_delivers_the_same_sequence() {
+        let topo = Topology::mesh(&[4, 4]);
+        let mut f = WormholeFabric::new(
+            topo.clone(),
+            WormholeConfig {
+                w: 3,
+                buffer_depth: 2,
+                routing: RoutingKind::Adaptive,
+                routing_delay: 1,
+            },
+        );
+        let hot = topo.node(Coords::new(&[2, 1]));
+        let mut id = 0;
+        for a in topo.nodes().filter(|&a| a != hot) {
+            for len in [4, 12] {
+                f.inject(Message::new(id, a, hot, len, 0));
+                f.inject(Message::new(id + 1, hot, a, len, 0));
+                id += 2;
+            }
+        }
+        let forked_at = run(&mut f, 0, 40);
+        assert!(f.busy() && f.in_flight_flits() > 0, "cloned mid-flight");
+        let mut twin = f.clone();
+        let end = run(&mut f, forked_at, 500_000);
+        assert_eq!(run(&mut twin, forked_at, 500_000), end);
+        let ds = f.drain_deliveries();
+        assert_eq!(ds.len() as u64, id);
+        assert_eq!(ds, twin.drain_deliveries());
+        assert_eq!(format!("{:?}", f.stats()), format!("{:?}", twin.stats()));
+    }
+
     #[test]
     fn wormhole_blocks_hold_channels_but_release_on_tail() {
         // Two long messages share a column link; the second must block
@@ -908,7 +948,7 @@ mod tests {
                 routing: RoutingKind::Deterministic,
                 routing_delay: 1,
             },
-            Box::new(wavesim_topology::NaiveTorusDor::new(1)),
+            Arc::new(wavesim_topology::NaiveTorusDor::new(1)),
         );
         // Every node on row 0 sends 2 hops around its ring: with radix 4
         // and long messages these wormholes wrap the ring and deadlock.

@@ -160,6 +160,7 @@ struct Ring {
 /// and the router id. The layout stays inside this module: every method
 /// takes a router id and a router-local index (a dense VC `port · w + vc`,
 /// a port, an injection VC).
+#[derive(Clone)]
 pub(crate) struct RouterTable {
     /// Virtual channels per port.
     pub(crate) w: usize,

@@ -20,6 +20,8 @@
 //! Duato's theory, and what `wavesim-verify`'s CDG check certifies
 //! mechanically.
 
+use std::sync::Arc;
+
 use crate::coords::Dir;
 use crate::topo::{NodeId, PortDir, Topology};
 
@@ -322,31 +324,32 @@ pub enum RoutingKind {
 
 impl RoutingKind {
     /// Builds the routing function for `topo` using `w` wormhole data VCs
-    /// per link, mirroring the paper's `w` parameter.
+    /// per link, mirroring the paper's `w` parameter. The function is
+    /// immutable, so a fabric and its clones share one.
     ///
     /// # Panics
     /// Panics when `w` is too small for the requested function on the given
     /// topology (torus DOR needs 2, adaptive needs one more than its escape).
     #[must_use]
-    pub fn build(self, topo: &Topology, w: u8) -> Box<dyn WormholeRouting> {
+    pub fn build(self, topo: &Topology, w: u8) -> Arc<dyn WormholeRouting> {
         use crate::topo::TopologyKind;
         match (self, topo.kind()) {
-            (RoutingKind::Deterministic, TopologyKind::Mesh) => Box::new(DorMesh::new(w)),
+            (RoutingKind::Deterministic, TopologyKind::Mesh) => Arc::new(DorMesh::new(w)),
             (RoutingKind::Deterministic, TopologyKind::Torus) => {
                 assert!(w >= 2, "torus DOR needs w >= 2 virtual channels, got {w}");
                 assert!(
                     w.is_multiple_of(2),
                     "torus DOR replicates 2 classes; w must be even, got {w}"
                 );
-                Box::new(DorTorus::new(w / 2))
+                Arc::new(DorTorus::new(w / 2))
             }
             (RoutingKind::Adaptive, TopologyKind::Mesh) => {
                 assert!(w >= 2, "adaptive mesh routing needs w >= 2, got {w}");
-                Box::new(DuatoAdaptive::new(EscapeFn::Mesh, w - 1))
+                Arc::new(DuatoAdaptive::new(EscapeFn::Mesh, w - 1))
             }
             (RoutingKind::Adaptive, TopologyKind::Torus) => {
                 assert!(w >= 3, "adaptive torus routing needs w >= 3, got {w}");
-                Box::new(DuatoAdaptive::new(EscapeFn::Torus, w - 2))
+                Arc::new(DuatoAdaptive::new(EscapeFn::Torus, w - 2))
             }
         }
     }
@@ -473,7 +476,7 @@ mod tests {
     #[test]
     fn every_reachable_pair_has_candidates() {
         for topo in [Topology::mesh(&[4, 4]), Topology::torus(&[4, 4])] {
-            let fns: Vec<Box<dyn WormholeRouting>> = vec![
+            let fns: Vec<Arc<dyn WormholeRouting>> = vec![
                 RoutingKind::Deterministic.build(&topo, 2),
                 RoutingKind::Adaptive.build(&topo, 3),
             ];

@@ -141,7 +141,7 @@ const PENDING_FLUSH: usize = 4096;
 /// Events are staged as full [`TraceRecord`]s with a placeholder sequence
 /// number, so [`TraceHub::absorb`] stamps sequences in place and moves
 /// the batch with one bulk copy instead of re-building each record.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceBuf {
     armed: bool,
     staged: Vec<TraceRecord>,

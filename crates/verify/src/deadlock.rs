@@ -242,11 +242,9 @@ mod tests {
         assert!(c.contains(&(4, 0)));
     }
 
-    /// The freeze test is inclusive: a deadlocked naive-torus fabric whose
-    /// progress age is exactly the threshold is frozen, and its circular
-    /// wait is named; one cycle short of the threshold it is not.
-    #[test]
-    fn check_fabric_freezes_at_exactly_the_threshold() {
+    /// The 4×4 naive-torus negative control: single-class torus DOR with
+    /// every row ring full of wrapping wormholes, injected at cycle 0.
+    fn naive_torus_rings() -> WormholeFabric {
         use wavesim_network::{Message, WormholeConfig};
         use wavesim_topology::{Coords, NaiveTorusDor, RoutingKind, Topology};
 
@@ -259,9 +257,8 @@ mod tests {
                 routing: RoutingKind::Deterministic,
                 routing_delay: 1,
             },
-            Box::new(NaiveTorusDor::new(1)),
+            std::sync::Arc::new(NaiveTorusDor::new(1)),
         );
-        // Every row ring full of wrapping wormholes.
         let mut id = 0;
         for y in 0..4u16 {
             for x in 0..4u16 {
@@ -271,11 +268,26 @@ mod tests {
                 id += 1;
             }
         }
-        let mut now = 0;
+        fabric
+    }
+
+    /// Ticks `fabric` from `from` while it is busy, up to cycle 5,000.
+    fn run_to_freeze(fabric: &mut WormholeFabric, from: Cycle) -> Cycle {
+        let mut now = from;
         while fabric.busy() && now < 5_000 {
             fabric.tick(now);
             now += 1;
         }
+        now
+    }
+
+    /// The freeze test is inclusive: a deadlocked naive-torus fabric whose
+    /// progress age is exactly the threshold is frozen, and its circular
+    /// wait is named; one cycle short of the threshold it is not.
+    #[test]
+    fn check_fabric_freezes_at_exactly_the_threshold() {
+        let mut fabric = naive_torus_rings();
+        let now = run_to_freeze(&mut fabric, 0);
         let age = fabric.progress_age(now);
         assert!(fabric.busy() && age > 0, "the rings must deadlock");
 
@@ -288,6 +300,35 @@ mod tests {
         assert_eq!(short.stall_age, age);
         assert!(!short.deadlocked, "{short:?}");
         assert!(short.wait_cycle.is_none());
+    }
+
+    /// A clone taken while the rings still move is the same fabric: both
+    /// copies freeze on the same cycle, and the detector names the same
+    /// circular wait in each.
+    #[test]
+    fn a_cloned_fabric_freezes_like_its_original() {
+        let mut reference = naive_torus_rings();
+        let end = run_to_freeze(&mut reference, 0);
+        let frozen_at = end - reference.progress_age(end);
+        assert!(frozen_at > 2, "the rings move before they freeze");
+
+        let mut fabric = naive_torus_rings();
+        let cloned_at = frozen_at / 2;
+        for now in 0..cloned_at {
+            fabric.tick(now);
+        }
+        let mut twin = fabric.clone();
+        assert_eq!(run_to_freeze(&mut fabric, cloned_at), end);
+        assert_eq!(run_to_freeze(&mut twin, cloned_at), end);
+        let age = end - frozen_at;
+        assert_eq!(fabric.progress_age(end), age, "the original freezes");
+        assert_eq!(twin.progress_age(end), age, "the clone freezes with it");
+        let (a, b) = (
+            check_fabric(&fabric, end, age),
+            check_fabric(&twin, end, age),
+        );
+        assert!(a.wait_cycle.is_some(), "{a:?}");
+        assert_eq!(a.wait_cycle, b.wait_cycle);
     }
 
     /// Theorems 1–4 must survive the dynamic fault model: a CLRP run

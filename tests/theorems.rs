@@ -150,7 +150,7 @@ fn detectors_trip_on_broken_routing() {
             routing: RoutingKind::Deterministic,
             routing_delay: 1,
         },
-        Box::new(NaiveTorusDor::new(1)),
+        std::sync::Arc::new(NaiveTorusDor::new(1)),
     );
     // Fill every row ring with wrapping wormholes.
     let mut id = 0;
