@@ -13,7 +13,7 @@ use std::ops::RangeInclusive;
 
 use wavesim_bench::{experiments, Scale};
 use wavesim_core::ProtocolKind;
-use wavesim_model::{ModelProtocol, Mutation};
+use wavesim_model::Mutation;
 use wavesim_topology::Topology;
 
 /// What a flag's value may be, the closed set every row picks from: no
@@ -249,8 +249,9 @@ flag_table! {
         "wave switches per router (Theorems 1-4 need at least one)";
     alpha = "--alpha", int(u32, 1..=u32::MAX as u64), Some("4"), &[Run], "wave clock multiplier";
     cache = "--cache", int(usize, 1..=ANY), Some("16"), &[Run], "circuit cache entries per node";
-    misroutes = "--misroutes", int(u8, 0..=u8::MAX as u64), Some("2"), &[Run],
-        "the MB-m misroute budget of a probe (finite, so probes cannot livelock)";
+    misroutes = "--misroutes", int(u8, 0..=u8::MAX as u64), Some("2"), &[Run, Check, Fuzz],
+        "the MB-m misroute budget of a probe (finite, so probes cannot livelock); --model explores \
+        MB-0 unless given";
     replay_trace = "--replay-trace", text("FILE"), None, &[Run],
         "replay a dependency trace instead: a message is released once its deps are delivered";
     service_clients = "--service-clients", int(Option<u64>, 1..=MAX_CLIENTS), None, &[Run],
@@ -310,9 +311,10 @@ flag_table! {
     json_out = "--json", text("FILE"), None, &[Analyze], "write the whole analysis as JSON";
     timeseries_csv = "--timeseries", text("FILE"), None, &[Analyze],
         "write the windowed series as CSV";
-    model = "--model", one_of(Option<ModelProtocol>: "clrp" => Some(ModelProtocol::Clrp),
-        "carp" => Some(ModelProtocol::Carp), "probe" => Some(ModelProtocol::ClrpNoForce)), None,
-        MODEL, "the automaton to explore (fuzz needs it); probe is CLRP without Force";
+    model = "--model", one_of(Option<(ProtocolKind, bool)>:
+        "clrp" => Some((ProtocolKind::Clrp, true)), "carp" => Some((ProtocolKind::Carp, true)),
+        "probe" => Some((ProtocolKind::Clrp, false))), None,
+        MODEL, "the protocol to explore (fuzz needs it); probe is CLRP without Force";
     msgs = "--msgs", int(usize, 0..=ANY), Some("3"), MODEL,
         "messages drawn uniformly when no --msg is given (the model refuses too many to explore)";
     msg_list = "--msg", pairs, None, MODEL,
@@ -393,6 +395,11 @@ pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, UsageError>
             return fail(format!("invalid value `{value}` for `{arg}`"));
         }
         args.given.push(flag.field);
+    }
+    // Without `--model`, `check` is the CDG certificate: it reads `--side` alone.
+    let certificate = command.cmd == Check && args.model.is_none();
+    if let Some(field) = args.given.iter().find(|f| certificate && **f != "side") {
+        return fail(format!("`{}` needs `--model` for `check`", name(field)));
     }
     match command.operand {
         Some(operand) if args.path.is_empty() => fail(format!("{word} needs a {operand} operand")),
@@ -665,6 +672,11 @@ mod tests {
             ),
             ("check --model pcs", "invalid value `pcs` for `--model`"),
             (
+                "check --side 4 --misroutes 3",
+                "`--misroutes` needs `--model` for `check`",
+            ),
+            ("check --k 3", "`--k` needs `--model` for `check`"),
+            (
                 "gen-trace --collective scan",
                 "invalid value `scan` for `--collective`",
             ),
@@ -698,7 +710,7 @@ mod tests {
         assert!(args.progress == Some(500) && !args.live_analyze && args.given.contains(&"side"));
 
         let args = line("check --model probe --msg 0:3 --msg 3:0 --mutate skip-backoff").unwrap();
-        assert_eq!(args.model, Some(ModelProtocol::ClrpNoForce));
+        assert_eq!(args.model, Some((ProtocolKind::Clrp, false)));
         assert_eq!(args.msg_list, [(0, 3), (3, 0)]);
         assert_eq!(args.mutate, Some(Mutation::SkipBackoff));
         assert!(!args.given.contains(&"side"), "--model picks the side");

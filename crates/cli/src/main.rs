@@ -773,11 +773,11 @@ fn run_experiments(ids: &[&str], args: &Args) -> Outcome {
 }
 
 /// Builds a model-checker spec from the CLI flags. `--model` selects the
-/// protocol automaton; `probe` is CLRP with the Force phase disabled, so
+/// protocol; `probe` is CLRP with the Force phase disabled, so
 /// what is exercised is pure MB-m backtracking (Theorem 3's machinery).
 fn model_spec(args: &Args) -> Result<wavesim_model::ModelSpec, String> {
     use wavesim_model::{ModelSpec, MAX_MSGS, MAX_NODES};
-    let protocol = args.model.ok_or("missing `--model`")?;
+    let (protocol, force) = args.model.ok_or("missing `--model`")?;
     // Exhaustive exploration wants the smallest non-degenerate fabric:
     // 2x2 mesh, 3x3 torus (the torus constructor requires radix >= 3).
     let side = if args.given.contains(&"side") {
@@ -811,6 +811,13 @@ fn model_spec(args: &Args) -> Result<wavesim_model::ModelSpec, String> {
         );
     }
     let mut spec = ModelSpec::new(topo, protocol, args.k);
+    if !force {
+        spec = spec.without_force();
+    }
+    // MB-0 unless asked, like `--side`: the smallest search is the default.
+    if args.given.contains(&"misroutes") {
+        spec = spec.misroutes(args.misroutes);
+    }
     if args.msg_list.is_empty() {
         spec = spec.msgs_from_pattern(TrafficPattern::Uniform, args.msgs, args.seed);
     }
@@ -851,7 +858,7 @@ fn report_counterexample(
         "wrote counterexample replay trace: {path} ({} records; real network {})",
         rep.records.len(),
         if rep.survived() {
-            "survives the stimulus — the flaw is model-only"
+            "survives the stimulus: the flaw is the mutation's"
         } else {
             "reproduces the failure"
         }
@@ -862,9 +869,10 @@ fn report_counterexample(
 /// Describes a model spec on one line (header for check/fuzz output).
 fn describe_spec(spec: &wavesim_model::ModelSpec) -> String {
     format!(
-        "model={:?} k={} msgs={:?} fault={:?} mutation={}",
-        spec.protocol,
-        spec.k,
+        "model={} k={} misroutes={} msgs={:?} fault={:?} mutation={}",
+        spec.protocol_name(),
+        spec.cfg.k,
+        spec.cfg.misroutes,
         spec.msgs
             .iter()
             .map(|(s, d)| (s.0, d.0))

@@ -557,9 +557,34 @@ fn model_check_proves_and_mutation_refutes() {
     );
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(
-        text.contains("PROVED deadlock- and livelock-free: 7767 states"),
+        text.contains("PROVED deadlock- and livelock-free: 1000 states"),
         "{text}"
     );
+
+    // --misroutes reaches the model too (MB-1); without it the model is
+    // MB-0.
+    for (misroutes, header) in [(Some("1"), "misroutes=1"), (None, "misroutes=0")] {
+        let mut cmd = wavesim();
+        cmd.args(["check", "--model", "clrp", "--k", "1"]);
+        if let Some(m) = misroutes {
+            cmd.args(["--misroutes", m]);
+        }
+        let out = cmd
+            .args(["--msg", "0:1", "--msg", "3:0", "--msg", "1:2"])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains(header), "{text}");
+        assert!(
+            text.contains("PROVED deadlock- and livelock-free"),
+            "{text}"
+        );
+    }
 
     // The mutated model must fail, write a replayable counterexample
     // trace, and that trace must pass the binary's own validator.
@@ -728,7 +753,7 @@ fn out_of_range_values_are_refused_not_panicked_on() {
     // other are an `error:` (exit 1). Either way stderr names the flag,
     // and nothing reaches a library assert (exit 101) or the allocator's
     // abort (exit 134).
-    let cases: [(&str, i32, &str); 33] = [
+    let cases: [(&str, i32, &str); 35] = [
         ("run --side 0", 2, "--side"),
         ("run --side 1", 2, "--side"),
         ("run --topology torus --side 2", 1, "--side"),
@@ -742,6 +767,8 @@ fn out_of_range_values_are_refused_not_panicked_on() {
         ("run --service-clients 5 --side 1", 2, "--side"),
         ("check --side 1", 2, "--side"),
         ("check --side 2", 1, "--side"),
+        ("check --side 4 --misroutes 3", 2, "--misroutes"),
+        ("check --k 3", 2, "--k"),
         (
             "gen-trace --collective reduce --side 1 --out x.json",
             2,

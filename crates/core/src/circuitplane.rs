@@ -23,7 +23,7 @@ use wavesim_trace::TraceEvent;
 use crate::arena::IdAlloc;
 use crate::cache::{CacheEntry, CircuitCache, EntryState};
 use crate::circuit::plan_transfer;
-use crate::config::{ProtocolKind, WaveConfig};
+use crate::config::{Mutation, ProtocolKind, WaveConfig};
 use crate::events::{EventBus, PlaneEvent};
 use crate::ids::{CircuitId, LaneId};
 use crate::replacement;
@@ -73,6 +73,9 @@ pub struct CircuitPlane {
     active: BitSet,
     /// Set bits in `active`.
     active_count: usize,
+    /// The planted bug, if any: `skip-backoff` branches where an
+    /// exhausted establishment would fall back to wormhole.
+    pub(crate) mutation: Mutation,
 }
 
 impl CircuitPlane {
@@ -90,6 +93,7 @@ impl CircuitPlane {
             outbox: Vec::new(),
             active: BitSet::new(n),
             active_count: 0,
+            mutation: Mutation::None,
             topo,
             cfg,
         }
@@ -415,45 +419,40 @@ impl CircuitPlane {
         }
         let initial = entry.initial_switch;
         let next_switch = (switch % k) + 1;
-        let relaunch = |entry: &mut CacheEntry, outbox: &mut Vec<PlaneEvent>, s: u8, f: bool| {
-            entry.switch = s;
-            entry.force_phase = f;
-            outbox.push(PlaneEvent::LaunchProbe {
-                circuit,
-                src,
-                dest,
-                switch: s,
-                force: f,
-            });
-        };
-
-        match self.cfg.protocol {
-            ProtocolKind::Clrp => {
-                if !force {
-                    if next_switch != initial {
-                        // Phase one continues on the next switch.
-                        relaunch(entry, &mut self.outbox, next_switch, false);
-                    } else if self.cfg.clrp.enable_force {
-                        // Phase two: Force bit set, back to Initial Switch.
-                        relaunch(entry, &mut self.outbox, initial, true);
-                    } else {
-                        self.fail_establishment(src, dest, circuit);
-                    }
-                } else if !self.cfg.clrp.single_switch_force && next_switch != initial {
-                    relaunch(entry, &mut self.outbox, next_switch, true);
-                } else {
-                    // Phase three: wormhole switching.
-                    self.fail_establishment(src, dest, circuit);
-                }
-            }
-            ProtocolKind::Carp => {
+        // The next (switch, Force) search, or `None` to give up.
+        let next = match self.cfg.protocol {
+            ProtocolKind::Clrp if !force => {
                 if next_switch != initial {
-                    relaunch(entry, &mut self.outbox, next_switch, false);
+                    // Phase one continues on the next switch.
+                    Some((next_switch, false))
+                } else if self.cfg.clrp.enable_force {
+                    // Phase two: Force bit set, back to Initial Switch.
+                    Some((initial, true))
                 } else {
-                    self.fail_establishment(src, dest, circuit);
+                    None
                 }
             }
+            ProtocolKind::Clrp => (!self.cfg.clrp.single_switch_force && next_switch != initial)
+                .then_some((next_switch, true)),
+            ProtocolKind::Carp => (next_switch != initial).then_some((next_switch, false)),
             ProtocolKind::WormholeOnly => unreachable!("no probes in wormhole-only mode"),
+        };
+        // Giving up is phase three, wormhole switching — unless the
+        // skip-backoff mutation relaunches phase one instead.
+        let next = next.or((self.mutation == Mutation::SkipBackoff).then_some((initial, false)));
+        match next {
+            Some((switch, force)) => {
+                entry.switch = switch;
+                entry.force_phase = force;
+                self.outbox.push(PlaneEvent::LaunchProbe {
+                    circuit,
+                    src,
+                    dest,
+                    switch,
+                    force,
+                });
+            }
+            None => self.fail_establishment(src, dest, circuit),
         }
         self.recount(src);
     }

@@ -23,6 +23,38 @@ pub enum ReplacementPolicy {
     Random,
 }
 
+/// A deliberate protocol bug, planted through
+/// [`crate::WaveNetwork::mutate`] by the model checker (`ModelSpec::mutate`,
+/// the CLI's `--mutate`) to show that its proofs are not vacuous: each
+/// removes one rule the paper's proofs lean on. Not a [`WaveConfig`] field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutation {
+    /// The protocol as written.
+    None,
+    /// A Force claim parks its probe but loses the release request: a
+    /// lost-wakeup deadlock with no circular wait.
+    DropRelease,
+    /// An exhausted probe relaunches phase one with a fresh History Store
+    /// instead of falling back to wormhole: the search is no longer finite.
+    SkipBackoff,
+    /// Force probes wait on circuits still being established, against
+    /// §4's no-wait rule: waits can close a cycle.
+    WaitEstablishing,
+}
+
+impl Mutation {
+    /// The CLI spelling.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Mutation::None => "none",
+            Mutation::DropRelease => "drop-release",
+            Mutation::SkipBackoff => "skip-backoff",
+            Mutation::WaitEstablishing => "wait-establishing",
+        }
+    }
+}
+
 /// Which §3 protocol drives circuit management.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProtocolKind {

@@ -28,7 +28,7 @@ use wavesim_trace::TraceEvent;
 
 use crate::arena::{GenSlab, SlotMap};
 use crate::circuit::{CircuitState, CircuitStatus};
-use crate::config::WaveConfig;
+use crate::config::{Mutation, WaveConfig};
 use crate::events::{EventBus, PlaneEvent};
 use crate::ids::{CircuitId, LaneId, ProbeId};
 use crate::lanes::{LaneState, LaneTable};
@@ -79,6 +79,9 @@ pub(crate) struct Routers {
     circuits: SlotMap<CircuitId, CircuitState>,
     pub(crate) log: PlaneLog,
     outbox: Vec<PlaneEvent>,
+    /// The planted bug: `drop-release` and `wait-establishing` branch at
+    /// the Force claim.
+    pub(crate) mutation: Mutation,
 }
 
 /// How a probe step left its probe.
@@ -115,6 +118,7 @@ impl ControlPlane {
                 circuits: SlotMap::new(),
                 log: PlaneLog::default(),
                 outbox: Vec::new(),
+                mutation: Mutation::None,
                 topo,
                 cfg,
             },
@@ -572,8 +576,13 @@ impl Routers {
                 let Some(vstate) = self.circuits.get(victim) else {
                     continue;
                 };
-                if vstate.status != CircuitStatus::Ready {
-                    continue; // being established or already tearing down
+                let ready = vstate.status == CircuitStatus::Ready;
+                // §4's no-wait rule, unless wait-establishing removed it.
+                let waits = ready
+                    || (vstate.status == CircuitStatus::Establishing
+                        && self.mutation == Mutation::WaitEstablishing);
+                if !waits {
+                    continue;
                 }
                 // Park the probe on the lane; it resumes when freed.
                 self.lanes.park(lane, p.id);
@@ -588,6 +597,10 @@ impl Routers {
                     },
                 );
                 let vsrc = vstate.src;
+                if !ready || self.mutation == Mutation::DropRelease {
+                    // No release for an establishing victim, or a lost one.
+                    return Step::Stays;
+                }
                 if vsrc == node {
                     // Victim starts here: ask the local Circuit Cache to
                     // release it.

@@ -288,6 +288,17 @@ impl LaneTable {
             self.faulty,
         )
     }
+
+    /// Every lane that is not free or has a waiter, by dense index, with
+    /// its state and parked probes (for the network's state key).
+    pub(crate) fn occupied(&self) -> impl Iterator<Item = (usize, LaneState, &[ProbeId])> + '_ {
+        self.states
+            .iter()
+            .zip(&self.waiters)
+            .enumerate()
+            .filter(|(_, (&w, waiters))| w != FREE || !waiters.is_empty())
+            .map(|(i, (&w, waiters))| (i, unpack(w), waiters.as_slice()))
+    }
 }
 
 #[cfg(test)]

@@ -46,12 +46,12 @@ pub use arena::{ArenaId, GenSlab, IdAlloc, SlotMap};
 pub use cache::{CacheEntry, CircuitCache, EntryState};
 pub use circuit::{CircuitState, CircuitStatus, TransferPlan};
 pub use circuitplane::{CircuitPlane, TransferEvent};
-pub use config::{ClrpVariant, ProtocolKind, ReplacementPolicy, WaveConfig};
+pub use config::{ClrpVariant, Mutation, ProtocolKind, ReplacementPolicy, WaveConfig};
 pub use controlplane::{ControlPlane, CtrlEvent};
 pub use dataplane::DataPlane;
 pub use events::{EventBus, PlaneEvent};
 pub use ids::{CircuitId, LaneId, ProbeId};
 pub use lanes::{LaneState, LaneTable};
-pub use network::{FaultEvent, HealthSnapshot, WaveNetwork};
+pub use network::{FaultEvent, HealthSnapshot, NetEvent, WaveNetwork};
 pub use probe::{ProbeBufs, ProbeFlit, ProbeState};
 pub use stats::WaveStats;

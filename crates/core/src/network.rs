@@ -64,7 +64,7 @@
 //!   only exists at the source).
 
 use wavesim_network::{Delivery, Message, WormholeFabric};
-use wavesim_sim::{Cycle, CycleKernelStats, EventQueue};
+use wavesim_sim::{Cycle, CycleKernelStats, EventQueue, ScheduledEvent};
 use wavesim_topology::{NodeId, Topology};
 use wavesim_trace::{PlaneId as TracePlane, TraceEvent, TraceHub, TraceSink};
 
@@ -72,7 +72,7 @@ use crate::arena::{GenSlab, SlotMap};
 use crate::cache::{CircuitCache, EntryState};
 use crate::circuit::{CircuitState, CircuitStatus};
 use crate::circuitplane::{CircuitPlane, TransferEvent};
-use crate::config::WaveConfig;
+use crate::config::{Mutation, WaveConfig};
 use crate::controlplane::{ControlPlane, CtrlEvent};
 use crate::dataplane::DataPlane;
 use crate::events::{EventBus, PlaneEvent};
@@ -80,6 +80,8 @@ use crate::ids::{CircuitId, LaneId, ProbeId};
 use crate::lanes::LaneTable;
 use crate::probe::ProbeState;
 use crate::stats::WaveStats;
+
+mod key;
 
 /// A timed fault action applied to one wave lane (the composition root's
 /// view of a fault schedule; `wavesim-workloads` builds schedules and
@@ -100,6 +102,20 @@ impl FaultEvent {
             FaultEvent::Fail(l) | FaultEvent::Repair(l) => l,
         }
     }
+}
+
+/// One event of the network's three calendars. [`WaveNetwork::tick`]
+/// runs the due ones; a model checker fires any pending one
+/// ([`WaveNetwork::fire`]) through the same single-event steps.
+#[derive(Debug, Clone)]
+pub enum NetEvent {
+    /// A lane fails or is repaired.
+    Fault(FaultEvent),
+    /// A probe, ack, teardown or release-request flit arrives.
+    Ctrl(CtrlEvent),
+    /// A circuit transfer delivers, is acknowledged, or a re-establishment
+    /// backoff expires.
+    Transfer(TransferEvent),
 }
 
 wavesim_sim::stat_table! {
@@ -546,12 +562,7 @@ impl WaveNetwork {
         // of how the caller drives the loop — the deterministic order the
         // jobs-invariance golden relies on.
         while let Some(ev) = self.fault_queue.pop_due(now) {
-            match ev.event {
-                FaultEvent::Fail(lane) => self.ctrl.on_lane_fault(now, &mut self.ctrl_queue, lane),
-                FaultEvent::Repair(lane) => self.ctrl.on_lane_repair(now, lane),
-            }
-            self.ctrl.drain_outbox_into(&mut self.bus);
-            self.route(now);
+            self.fault_step(now, ev.event);
         }
         if self.data.busy() {
             if traced {
@@ -571,14 +582,10 @@ impl WaveNetwork {
         loop {
             if let Some(ev) = self.ctrl_queue.pop_due(now) {
                 ctrl_ran = true;
-                self.ctrl.handle(now, ev.event, &mut self.ctrl_queue);
-                self.ctrl.drain_outbox_into(&mut self.bus);
-                self.route(now);
+                self.ctrl_step(now, ev.event);
             } else if let Some(ev) = self.xfer_queue.pop_due(now) {
                 xfer_ran = true;
-                self.circ.handle(now, ev.event, &mut self.xfer_queue);
-                self.circ.drain_outbox_into(&mut self.bus);
-                self.route(now);
+                self.xfer_step(now, ev.event);
             } else {
                 break;
             }
@@ -601,6 +608,94 @@ impl WaveNetwork {
                 );
             }
         }
+    }
+
+    /// The single-event steps, one per calendar, that `tick` and `fire`
+    /// share: the event's handler at `now`, then the bus routed to its
+    /// fixpoint, so cross-plane effects land in the same step.
+    #[inline]
+    fn fault_step(&mut self, now: Cycle, ev: FaultEvent) {
+        match ev {
+            FaultEvent::Fail(lane) => self.ctrl.on_lane_fault(now, &mut self.ctrl_queue, lane),
+            FaultEvent::Repair(lane) => self.ctrl.on_lane_repair(now, lane),
+        }
+        self.ctrl.drain_outbox_into(&mut self.bus);
+        self.route(now);
+    }
+
+    #[inline]
+    fn ctrl_step(&mut self, now: Cycle, ev: CtrlEvent) {
+        self.ctrl.handle(now, ev, &mut self.ctrl_queue);
+        self.ctrl.drain_outbox_into(&mut self.bus);
+        self.route(now);
+    }
+
+    #[inline]
+    fn xfer_step(&mut self, now: Cycle, ev: TransferEvent) {
+        self.circ.handle(now, ev, &mut self.xfer_queue);
+        self.circ.drain_outbox_into(&mut self.bus);
+        self.route(now);
+    }
+
+    /// Every pending calendar event — fault actions, then control flits,
+    /// then transfers, each calendar earliest first. These are the
+    /// protocol's own moves; a model checker may [`WaveNetwork::fire`] any
+    /// of them, not only the one [`WaveNetwork::tick`] would run next.
+    #[must_use]
+    pub fn pending_events(&self) -> Vec<ScheduledEvent<NetEvent>> {
+        let mut all = Vec::new();
+        let mut add = |at, seq, event| all.push(ScheduledEvent { at, seq, event });
+        for e in self.fault_queue.pending() {
+            add(e.at, e.seq, NetEvent::Fault(e.event));
+        }
+        for e in self.ctrl_queue.pending() {
+            add(e.at, e.seq, NetEvent::Ctrl(e.event.clone()));
+        }
+        for e in self.xfer_queue.pending() {
+            add(e.at, e.seq, NetEvent::Transfer(e.event.clone()));
+        }
+        all
+    }
+
+    /// Takes the pending event `ev` (as [`WaveNetwork::pending_events`]
+    /// listed it) off its calendar and dispatches it at `now`, whatever
+    /// its scheduled cycle, through the path `tick` uses. Returns `false`
+    /// when `ev` is no longer pending.
+    pub fn fire(&mut self, now: Cycle, ev: &ScheduledEvent<NetEvent>) -> bool {
+        let taken = match ev.event {
+            NetEvent::Fault(_) => self.fault_queue.remove(ev.seq).is_some(),
+            NetEvent::Ctrl(_) => self.ctrl_queue.remove(ev.seq).is_some(),
+            NetEvent::Transfer(_) => self.xfer_queue.remove(ev.seq).is_some(),
+        };
+        match ev.event.clone() {
+            _ if !taken => {}
+            NetEvent::Fault(f) => self.fault_step(now, f),
+            NetEvent::Ctrl(c) => self.ctrl_step(now, c),
+            NetEvent::Transfer(t) => self.xfer_step(now, t),
+        }
+        taken
+    }
+
+    /// Ticks the dataplane alone from `now` until it is idle; returns the
+    /// first cycle it did not tick. The model checker runs the wormhole
+    /// fall-back so, inside one move. It ends because the fall-back drains
+    /// every wormhole: each routing function `RoutingKind::build` makes is
+    /// deadlock-free, and the checker certifies the configured one.
+    pub fn run_fabric(&mut self, mut now: Cycle) -> Cycle {
+        while self.data.busy() {
+            self.data.step(now);
+            self.data.drain_outbox_into(&mut self.bus);
+            self.route(now);
+            now += 1;
+        }
+        now
+    }
+
+    /// Plants `m` in the control and circuit planes: the model checker's
+    /// hook (see [`Mutation`]).
+    pub fn mutate(&mut self, m: Mutation) {
+        self.ctrl.routers.mutation = m;
+        self.circ.mutation = m;
     }
 
     /// Routes bus events to their consuming plane until the bus drains.
@@ -759,9 +854,16 @@ impl WaveNetwork {
                 }
             }
         }
-        // Every live probe's reserved prefix must be held by its circuit.
+        // Every live probe's reserved prefix must be held by its circuit,
+        // unless the circuit is tearing down: a fault may have taken a lane
+        // the probe skips when it unwinds.
         for (pid, p) in self.ctrl.probes().iter() {
-            for lane in &p.path {
+            let unwinding = self
+                .ctrl
+                .circuits()
+                .get(p.circuit)
+                .is_none_or(|c| c.status == CircuitStatus::TearingDown);
+            for lane in p.path.iter().filter(|_| !unwinding) {
                 if lanes.holder(*lane) != Some(p.circuit) {
                     problems.push(format!("{pid}: reserved lane {lane} not held"));
                 }

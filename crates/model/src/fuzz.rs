@@ -1,35 +1,23 @@
 //! Adversarial schedule fuzzing with shrinking.
 //!
-//! The exhaustive explorer caps out at a few messages on a 2x2/3x3
-//! fabric; beyond that, [`fuzz`] drives long random interleavings (plus
-//! random fault placement — fault churn) through the same transition
-//! relation and checks the same properties per step:
-//!
-//! * **deadlock** — pending work with no enabled protocol action, or a
-//!   circular wait among parked probes
-//!   ([`wavesim_verify::deadlock::find_wait_cycle`]);
-//! * **livelock** — an *exact state revisit* with pending work. Because
-//!   [`crate::step::apply`] is deterministic, revisiting a state proves a
-//!   reachable cycle, so this is a sound lasso certificate, not a
-//!   heuristic;
-//! * **structural consistency** — [`crate::state::ModelState::consistent`]
-//!   must hold after every action (a failure is a model bug, reported as
-//!   a panic, not a protocol violation).
-//!
-//! On violation the schedule is [`shrink`]-ed by greedy single-deletion
-//! to a local minimum: drop one action, replay (skipping actions that are
-//! no longer enabled), keep the deletion if the same kind of violation
-//! still occurs.
+//! Beyond what the explorer can enumerate, [`fuzz`] drives long random
+//! walks over the same moves (plus a random lane fault — fault churn) and
+//! checks per move: a stuck state or circular wait (deadlock), an exact
+//! key revisit with messages outstanding (a sound lasso certificate; a
+//! move back to the key it left counts only as [`World::spin`] says), and
+//! a clean [`wavesim_core::WaveNetwork::audit`] (a failure is a core bug,
+//! reported as a panic). A violation is [`shrink`]-ed by greedy
+//! single-deletion to a local minimum.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
+use wavesim_core::LaneId;
 use wavesim_sim::SimRng;
-use wavesim_verify::deadlock::find_wait_cycle;
+use wavesim_verify::deadlock::{find_wait_cycle, wave_wait_edges};
 
 use crate::explore::{Counterexample, ViolationKind};
 use crate::spec::{FaultSpec, ModelSpec};
-use crate::state::ModelState;
-use crate::step::{apply, enabled, Action};
+use crate::world::{Move, World};
 
 /// Fuzzing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -38,22 +26,11 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Number of independent random runs.
     pub runs: u32,
-    /// Step budget per run (runs usually quiesce much earlier).
+    /// Move budget per run (runs usually quiesce much earlier).
     pub max_steps: u32,
     /// When the spec has no fault armed, arm a random lane fault per run
     /// (repairable half the time) — the fault-churn dimension.
     pub fault_churn: bool,
-}
-
-impl Default for FuzzConfig {
-    fn default() -> Self {
-        FuzzConfig {
-            seed: 1,
-            runs: 64,
-            max_steps: 4_000,
-            fault_churn: true,
-        }
-    }
 }
 
 /// What a fuzzing campaign found.
@@ -61,11 +38,11 @@ impl Default for FuzzConfig {
 pub struct FuzzOutcome {
     /// Runs completed (≤ `cfg.runs`; stops early on violation).
     pub runs: u32,
-    /// Total actions applied across all runs.
+    /// Total moves applied across all runs.
     pub steps: u64,
     /// Runs that quiesced with every message delivered.
     pub clean_runs: u32,
-    /// Runs that hit the step budget inconclusively.
+    /// Runs that hit the move budget inconclusively.
     pub exhausted_runs: u32,
     /// The first violation, already shrunk, with the spec variant (fault
     /// placement) that produced it.
@@ -91,86 +68,116 @@ impl FuzzOutcome {
     }
 }
 
-/// One random walk. Returns `(steps, Ok(clean) | Err(counterexample))`
-/// where `clean = true` means quiescent with all messages delivered.
+/// The deadlock verdict of `w`, if it is one.
+fn deadlock(w: &World) -> Option<ViolationKind> {
+    let wait_cycle = find_wait_cycle(&wave_wait_edges(&w.net));
+    (w.stuck() || wait_cycle.is_some()).then_some(ViolationKind::Deadlock { wait_cycle })
+}
+
+/// A walk's moves, the world they reach, and the start of the repeated
+/// stretch if a key with messages outstanding came back.
+struct Walk {
+    schedule: Vec<Move>,
+    world: World,
+    loop_start: Option<usize>,
+}
+
+/// Applies the moves `next` picks, skipping any not enabled, until it
+/// picks none or a key with messages outstanding repeats — which proves a
+/// reachable cycle. A move back to the key it left is a wait, not a
+/// repeat, unless [`World::spin`] says the protocol can do nothing else.
+fn walk(spec: &ModelSpec, mut next: impl FnMut(&World) -> Option<Move>) -> Walk {
+    let mut world = World::new(spec);
+    let mut left = world.key();
+    let mut seen = BTreeMap::from([(left.clone(), 0)]);
+    let (mut schedule, mut loop_start) = (Vec::new(), None);
+    while let Some(mv) = next(&world) {
+        if !world.apply(spec, &mv) {
+            continue;
+        }
+        schedule.push(mv);
+        let key = world.key();
+        if key == left {
+            if world.spin(spec).is_some() {
+                loop_start = Some(schedule.len() - 1);
+                break;
+            }
+            continue;
+        }
+        loop_start = seen.get(&key).copied().filter(|_| world.pending_work());
+        if loop_start.is_some() {
+            break;
+        }
+        seen.insert(key.clone(), schedule.len());
+        left = key;
+    }
+    Walk {
+        schedule,
+        world,
+        loop_start,
+    }
+}
+
+impl Walk {
+    /// The violation this walk ended in, if any.
+    fn violation(&self) -> Option<Counterexample> {
+        let (kind, loop_start) = match self.loop_start {
+            Some(start) => (ViolationKind::Livelock, Some(start)),
+            None => (deadlock(&self.world)?, None),
+        };
+        Some(Counterexample {
+            kind,
+            schedule: self.schedule.clone(),
+            loop_start,
+            fingerprint: self.world.net.state_fingerprint(),
+        })
+    }
+}
+
+/// One random walk of at most `max_steps` moves, checking
+/// [`wavesim_core::WaveNetwork::audit`] and deadlock before each. Returns
+/// `(moves, Ok(clean) | Err(counterexample))` where `clean = true` means
+/// quiescent with all messages delivered.
 fn run_once(
     spec: &ModelSpec,
     rng: &mut SimRng,
     max_steps: u32,
 ) -> (u64, Result<bool, Counterexample>) {
-    let ctx = spec.compile();
-    let mut s = ModelState::initial(&ctx);
-    let mut schedule: Vec<Action> = Vec::new();
-    let mut seen: HashMap<ModelState, usize> = HashMap::new();
-    seen.insert(s.clone(), 0);
-    for _ in 0..max_steps {
-        if let Err(problem) = s.consistent(&ctx) {
-            panic!("model inconsistency after {:?}: {problem}", schedule.last());
+    let mut budget = max_steps;
+    let walk = walk(spec, |w| {
+        let problems = w.net.audit();
+        assert!(problems.is_empty(), "core audit failed: {problems:?}");
+        if budget == 0 || deadlock(w).is_some() {
+            return None;
         }
-        let acts = enabled(&ctx, &s);
-        let stuck = s.has_pending_work() && !acts.iter().any(|a| a.is_protocol());
-        let wait_cycle = find_wait_cycle(&s.wait_edges());
-        if stuck || wait_cycle.is_some() {
-            let cx = Counterexample {
-                kind: ViolationKind::Deadlock { wait_cycle },
-                schedule: schedule.clone(),
-                loop_start: None,
-                fingerprint: s.fingerprint(),
-            };
-            return (schedule.len() as u64, Err(cx));
-        }
-        if acts.is_empty() {
-            return (schedule.len() as u64, Ok(s.all_delivered()));
-        }
-        let a = *rng.choose(&acts).expect("non-empty action set");
-        s = apply(&ctx, &s, a);
-        schedule.push(a);
-        if s.has_pending_work() {
-            if let Some(&first) = seen.get(&s) {
-                // Deterministic transitions: an exact revisit proves the
-                // segment [first..] is a repeatable loop.
-                let cx = Counterexample {
-                    kind: ViolationKind::Livelock,
-                    schedule: schedule.clone(),
-                    loop_start: Some(first),
-                    fingerprint: s.fingerprint(),
-                };
-                return (schedule.len() as u64, Err(cx));
-            }
-        }
-        seen.insert(s.clone(), schedule.len());
+        budget -= 1;
+        rng.choose(&w.moves(spec)).cloned()
+    });
+    let steps = walk.schedule.len() as u64;
+    match walk.violation() {
+        Some(cx) => (steps, Err(cx)),
+        None => (steps, Ok(budget > 0 && walk.world.all_delivered(spec))),
     }
-    (u64::from(max_steps), Ok(false))
 }
 
-/// Replays `schedule` (skipping actions that are no longer enabled) and
-/// reports whether a violation of `kind`'s coarse class still occurs.
-fn violates(spec: &ModelSpec, schedule: &[Action], kind: &ViolationKind) -> bool {
-    let ctx = spec.compile();
-    let mut s = ModelState::initial(&ctx);
-    let mut seen: HashMap<ModelState, usize> = HashMap::new();
-    seen.insert(s.clone(), 0);
-    let want_livelock = matches!(kind, ViolationKind::Livelock);
-    for (i, a) in schedule.iter().enumerate() {
-        if !enabled(&ctx, &s).contains(a) {
-            continue;
-        }
-        s = apply(&ctx, &s, *a);
-        if want_livelock && s.has_pending_work() && seen.contains_key(&s) {
-            return true;
-        }
-        seen.insert(s.clone(), i + 1);
+/// True when `schedule`, re-applied, still ends in a violation of `kind`'s
+/// class — a circular wait must stay one, not shrink to a shallower lost
+/// wakeup.
+fn violates(spec: &ModelSpec, schedule: &[Move], kind: &ViolationKind) -> bool {
+    let mut moves = schedule.iter().cloned();
+    let found = walk(spec, |_| moves.next()).violation().map(|cx| cx.kind);
+    match (kind, found) {
+        (ViolationKind::Livelock, found) => found == Some(ViolationKind::Livelock),
+        (
+            ViolationKind::Deadlock { wait_cycle },
+            Some(ViolationKind::Deadlock { wait_cycle: c }),
+        ) => wait_cycle.is_none() || c.is_some(),
+        _ => false,
     }
-    if want_livelock {
-        return false;
-    }
-    let acts = enabled(&ctx, &s);
-    let stuck = s.has_pending_work() && !acts.iter().any(|a| a.is_protocol());
-    stuck || find_wait_cycle(&s.wait_edges()).is_some()
 }
 
-/// Greedy delta-debugging: removes one action at a time while the same
-/// kind of violation persists; runs to a single-deletion fixpoint.
+/// Greedy delta-debugging: removes one move at a time while the same kind
+/// of violation persists; runs to a single-deletion fixpoint.
 #[must_use]
 pub fn shrink(spec: &ModelSpec, cx: &Counterexample) -> Counterexample {
     let mut best = cx.schedule.clone();
@@ -193,33 +200,11 @@ pub fn shrink(spec: &ModelSpec, cx: &Counterexample) -> Counterexample {
             }
         }
     }
-    // Recompute the landing state (and for livelocks the loop entry) by
-    // replaying the shrunk schedule.
-    let ctx = spec.compile();
-    let mut s = ModelState::initial(&ctx);
-    let mut seen: HashMap<ModelState, usize> = HashMap::new();
-    let mut loop_start = None;
-    let mut kept = Vec::with_capacity(best.len());
-    seen.insert(s.clone(), 0);
-    for a in &best {
-        if !enabled(&ctx, &s).contains(a) {
-            continue;
-        }
-        s = apply(&ctx, &s, *a);
-        kept.push(*a);
-        if loop_start.is_none() && s.has_pending_work() {
-            if let Some(&first) = seen.get(&s) {
-                loop_start = Some(first);
-            }
-        }
-        seen.insert(s.clone(), kept.len());
-    }
-    Counterexample {
-        kind: cx.kind.clone(),
-        schedule: kept,
-        loop_start,
-        fingerprint: s.fingerprint(),
-    }
+    let mut moves = best.into_iter();
+    // A lasso's last state is its loop entry again: one fingerprint.
+    walk(spec, |_| moves.next())
+        .violation()
+        .unwrap_or_else(|| cx.clone())
 }
 
 /// Runs a fuzzing campaign against `spec`. Deterministic in
@@ -233,13 +218,18 @@ pub fn fuzz(spec: &ModelSpec, cfg: &FuzzConfig) -> FuzzOutcome {
         exhausted_runs: 0,
         violation: None,
     };
+    let k = spec.cfg.k;
+    let lanes: Vec<LaneId> = spec
+        .topo
+        .links()
+        .flat_map(|link| (1..=k).map(move |s| LaneId::new(link, s)))
+        .collect();
     for r in 0..cfg.runs {
         let mut rng = SimRng::new(cfg.seed).split(u64::from(r));
         let mut variant = spec.clone();
         if cfg.fault_churn && variant.fault.is_none() {
-            let lanes = variant.compile().lane_count() as u64;
             variant.fault = Some(FaultSpec {
-                lane: rng.below(lanes) as u16,
+                lane: lanes[rng.below(lanes.len() as u64) as usize],
                 repair: rng.chance(0.5),
             });
         }
@@ -262,12 +252,12 @@ pub fn fuzz(spec: &ModelSpec, cfg: &FuzzConfig) -> FuzzOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ModelProtocol, Mutation};
+    use wavesim_core::{Mutation, ProtocolKind};
     use wavesim_topology::Topology;
 
     #[test]
     fn correct_clrp_fuzzes_clean_under_fault_churn() {
-        let spec = ModelSpec::new(Topology::mesh(&[2, 2]), ModelProtocol::Clrp, 2)
+        let spec = ModelSpec::new(Topology::mesh(&[2, 2]), ProtocolKind::Clrp, 2)
             .msg(0, 3)
             .msg(3, 0)
             .msg(1, 2);
@@ -290,8 +280,61 @@ mod tests {
     }
 
     #[test]
+    fn a_retry_fired_before_the_transfer_ack_is_a_wait() {
+        let spec = ModelSpec::new(Topology::mesh(&[2, 2]), ProtocolKind::Clrp, 1)
+            .msg(0, 3)
+            .msg(3, 0)
+            .fault_on_first_path(true);
+        // The fault breaks n0->n3's circuit while its transfer drains, so
+        // the retry finds the entry in use and re-arms: its own state.
+        let fire = |name: &str| Move::Fire(name.to_string());
+        let mut prefix = vec![Move::Inject(0)];
+        prefix.extend(
+            [
+                "probe n0->n3 at n0",
+                "probe n0->n3 at n1",
+                "probe n0->n3 at n3",
+            ]
+            .map(fire),
+        );
+        prefix.extend(["ack n0->n3 hop 1", "ack n0->n3 hop 0"].map(fire));
+        prefix.extend([Move::Fault, fire("retry n0->n3")]);
+        let before = World::after(&spec, &prefix[..prefix.len() - 1]);
+        assert_eq!(before.key(), World::after(&spec, &prefix).key());
+        assert!(before.spin(&spec).is_none(), "the transfer-ack is pending");
+
+        // Then the first protocol move, else the first stimulus.
+        let mut moves = prefix.into_iter();
+        let end = walk(&spec, |w| {
+            moves.next().or_else(|| {
+                let all = w.moves(&spec);
+                all.iter()
+                    .find(|m| m.is_protocol())
+                    .or(all.first())
+                    .cloned()
+            })
+        });
+        assert!(end.violation().is_none(), "correct CLRP stays clean");
+        assert!(end.world.all_delivered(&spec));
+    }
+
+    #[test]
+    fn a_walk_reports_a_protocol_that_only_returns_to_its_state() {
+        let spec = ModelSpec::new(Topology::mesh(&[2, 2]), ProtocolKind::Carp, 1)
+            .msg(0, 1)
+            .msg(0, 3)
+            .mutate(Mutation::SkipBackoff);
+        let cx = crate::check(&spec, 1_000_000)
+            .violation
+            .expect("the explorer reports the spin");
+        assert!(violates(&spec, &cx.schedule, &ViolationKind::Livelock));
+        let stem = &cx.schedule[..cx.schedule.len() - 1];
+        assert!(!violates(&spec, stem, &ViolationKind::Livelock));
+    }
+
+    #[test]
     fn fuzzer_finds_and_shrinks_drop_release() {
-        let spec = ModelSpec::new(Topology::mesh(&[2, 2]), ModelProtocol::Clrp, 1)
+        let spec = ModelSpec::new(Topology::mesh(&[2, 2]), ProtocolKind::Clrp, 1)
             .msg(0, 1)
             .msg(2, 3)
             .msg(0, 3)

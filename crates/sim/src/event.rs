@@ -156,8 +156,14 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        let ev = ScheduledEvent { at, seq, event };
-        let cycle = at.max(self.base);
+        self.file(ScheduledEvent { at, seq, event });
+    }
+
+    /// Files `ev` under its cycle, or under the window's start if that is
+    /// later: in its bucket, or in the heap beyond the window.
+    #[inline]
+    fn file(&mut self, ev: ScheduledEvent<E>) {
+        let cycle = ev.at.max(self.base);
         if cycle - self.base < WHEEL {
             self.push_bucket(cycle, ev);
         } else {
@@ -228,6 +234,29 @@ impl<E> EventQueue<E> {
         }
         self.in_wheel -= 1;
         Some(ev)
+    }
+
+    /// Every pending event, earliest first (`(at, seq)` order).
+    #[must_use]
+    pub fn pending(&self) -> Vec<&ScheduledEvent<E>> {
+        let wheel = self.nodes.iter().filter_map(|n| n.ev.as_ref());
+        let mut all: Vec<_> = wheel.chain(&self.far).collect();
+        all.sort_unstable_by_key(|e| (e.at, e.seq));
+        all
+    }
+
+    /// Removes the pending event with sequence number `seq`, wherever it
+    /// sits (a model checker fires events in any order). O(pending): the
+    /// rest are re-filed in `(at, seq)` order, keeping buckets in order.
+    pub fn remove(&mut self, seq: u64) -> Option<ScheduledEvent<E>> {
+        let wheel = self.nodes.drain(..).filter_map(|n| n.ev);
+        let mut all: Vec<_> = wheel.chain(std::mem::take(&mut self.far)).collect();
+        let base = self.base;
+        all.sort_unstable_by_key(|e| (e.at.max(base), e.seq));
+        (self.occupied, self.free, self.in_wheel) = (0, NIL, 0);
+        let taken = all.iter().position(|e| e.seq == seq).map(|i| all.remove(i));
+        all.into_iter().for_each(|ev| self.file(ev));
+        taken
     }
 
     /// Removes and returns the earliest event only if it fires at or before
@@ -343,6 +372,31 @@ mod tests {
         q.schedule(10, ());
         q.pop();
         q.schedule(5, ());
+    }
+
+    #[test]
+    fn any_pending_event_can_be_removed() {
+        let mut q = EventQueue::new();
+        // Same-cycle FIFO lists, several buckets, and the far heap.
+        for (i, at) in [3u64, 3, 3, 5, 200, 7, 3, 300].into_iter().enumerate() {
+            q.schedule(at, i);
+        }
+        let order = |q: &EventQueue<usize>| q.pending().iter().map(|e| e.event).collect::<Vec<_>>();
+        assert_eq!(order(&q), vec![0, 1, 2, 6, 3, 5, 4, 7]);
+        for (seq, want) in [(1, vec![0, 2, 6, 3, 5, 4, 7]), (6, vec![0, 2, 3, 5, 4, 7])] {
+            assert_eq!(q.remove(seq).map(|e| e.event), Some(seq as usize));
+            assert_eq!(order(&q), want);
+        }
+        assert_eq!(q.remove(0).map(|e| e.event), Some(0));
+        assert_eq!(q.remove(4).map(|e| e.event), Some(4));
+        assert!(q.remove(4).is_none(), "a removed event is gone");
+        q.schedule(3, 8);
+        assert_eq!(q.len(), 5);
+        let mut popped = Vec::new();
+        while let Some(e) = q.pop() {
+            popped.push(e.event);
+        }
+        assert_eq!(popped, vec![2, 8, 3, 5, 7]);
     }
 
     #[test]

@@ -32,9 +32,10 @@ pub struct DeadlockReport {
 }
 
 /// Finds a cycle in a wait-for graph, if any: the fabric's output-VC
-/// graph, a channel dependency graph ([`crate::cdg`]) or a model state's
-/// parked-probe graph. The cycle comes back in edge order; its last
-/// vertex waits on its first.
+/// graph, a channel dependency graph ([`crate::cdg`]), a network's
+/// parked-probe graph ([`wave_wait_edges`]) or the model checker's state
+/// graph. The cycle comes back in edge order; its last vertex waits on its
+/// first.
 ///
 /// The graph arrives as an edge list over sparse two-integer keys.
 /// Vertices are interned into a dense index space (sort + dedup +
@@ -143,6 +144,22 @@ pub fn check_fabric(fabric: &WormholeFabric, now: Cycle, threshold: u64) -> Dead
         deadlocked: frozen,
         wait_cycle,
     }
+}
+
+/// The wait-for edges of `net`'s parked probes, for [`find_wait_cycle`]:
+/// a vertex is a circuit (`(slot, generation)`), and `a → b` means "a's
+/// probe is parked on a lane b holds", so a cycle is a circular wait. The
+/// model checker searches every state it reaches with this.
+#[must_use]
+pub fn wave_wait_edges(net: &WaveNetwork) -> Vec<(WaitVc, WaitVc)> {
+    let vertex = |c: wavesim_core::CircuitId| (c.0 as u32, (c.0 >> 32) as u16);
+    net.probes()
+        .values()
+        .filter_map(|p| {
+            let holder = net.lanes().holder(p.parked_on?)?;
+            Some((vertex(p.circuit), vertex(holder)))
+        })
+        .collect()
 }
 
 /// Checks the full wave-switched network: the wormhole plane's freeze

@@ -42,7 +42,7 @@ pub mod livelock;
 pub mod progress;
 
 pub use cdg::{check_deadlock_freedom, CdgReport, CheckMode};
-pub use deadlock::{check_fabric, check_wave, DeadlockReport};
+pub use deadlock::{check_fabric, check_wave, wave_wait_edges, DeadlockReport};
 pub use invariants::audit_wave;
 pub use livelock::{check_probe_livelock, wave_measure, LivelockReport, ProgressMeasure};
 pub use progress::ProgressMonitor;

@@ -18,16 +18,18 @@ use wavesim_core::WaveNetwork;
 
 /// The progress measure shared by the runtime detector and the offline
 /// model checker (`wavesim-model`) — **one** definition of "the protocol
-/// made progress", so the two can never drift apart.
+/// made progress", read off one network by one function,
+/// [`wave_measure`].
 ///
 /// Every component is nondecreasing over a run (they are counts of
 /// one-way events), which is the property both users rely on:
 ///
 /// * the runtime detector calls a network live only while the measure
 ///   keeps growing between observations;
-/// * the model checker's lasso search exploits that any cycle in the
-///   reachable state graph must keep the measure constant, so livelocks
-///   hide entirely inside one rank layer.
+/// * the model checker appends the measure to every state key and ranks
+///   states by it, so any cycle in the reachable state graph keeps the
+///   measure constant and a livelock hides entirely inside one rank
+///   layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProgressMeasure {
     /// Messages accepted into the protocol layer.
@@ -55,9 +57,10 @@ impl ProgressMeasure {
     }
 }
 
-/// Reads the measure off a live network — the runtime side of the shared
-/// definition (the model checker computes the same components from its
-/// abstract states).
+/// Reads the measure off a network. Both users call it: the runtime
+/// checks on a live run, and the model checker (`wavesim-model`'s
+/// explorer) on every state it reaches, each a fork of core's own
+/// network.
 #[must_use]
 pub fn wave_measure(net: &WaveNetwork) -> ProgressMeasure {
     let s = net.stats();

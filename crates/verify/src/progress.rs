@@ -25,6 +25,11 @@ pub fn fingerprint(values: &[u64]) -> u64 {
 /// [`crate::ProgressMeasure`] (the same definition the model checker
 /// ranks states with); only the fabric- and occupancy-level extras are
 /// enumerated here.
+///
+/// A hash of *counters*, which move whenever anything happens — what a
+/// stall detector watches. [`WaveNetwork::state_fingerprint`] leaves them
+/// out so that one state hashes equal however it was reached, and a live
+/// network can revisit a state: no use for stall detection.
 #[must_use]
 pub fn wave_fingerprint(net: &WaveNetwork) -> u64 {
     let m = crate::livelock::wave_measure(net);

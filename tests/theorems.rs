@@ -199,80 +199,82 @@ fn fallback_routing_functions_are_certified() {
 
 // ---------------------------------------------------------------------
 // Exhaustive model checking (wavesim-model): the theorems proved over
-// EVERY interleaving on small fabrics, not just the interleavings one
-// simulator run happens to produce. State/transition counts are pinned:
-// exploration is deterministic, so a drifting count means the protocol
-// automaton itself changed and the proofs must be re-reviewed.
+// EVERY interleaving of core's own moves on small fabrics, not just the
+// interleavings one timed run happens to produce. State/transition counts
+// are pinned: exploration is deterministic, so a drifting count means the
+// protocol itself changed and the proofs must be re-reviewed.
 // ---------------------------------------------------------------------
 
 /// Theorems 1–4, machine-checked: CLRP, CARP, and pure probe/MB
 /// backtracking (CLRP with Force disabled) on a 2x2 mesh and a 3x3 torus
-/// (the torus constructor requires radix >= 3, so 2x2 tori do not exist).
+/// (the torus constructor requires radix >= 3, so 2x2 tori do not exist),
+/// plus message sets whose circuits contend for lanes — Force and the
+/// victim release run there, so probes park — on the 2x2 mesh at MB-0 and
+/// MB-1, and on the 3x3 torus over its wrap-around links.
 #[test]
 fn theorems_1_to_4_exhaustive_on_small_fabrics() {
-    use wavesim::model::{check, ModelProtocol, ModelSpec};
+    use wavesim::model::{check, ModelSpec};
+    let mesh = |protocol| ModelSpec::new(Topology::mesh(&[2, 2]), protocol, 1);
+    let torus = |protocol| ModelSpec::new(Topology::torus(&[3, 3]), protocol, 1);
     let mesh_msgs = |spec: ModelSpec| spec.msg(0, 3).msg(3, 0).msg(1, 2);
     let torus_msgs = |spec: ModelSpec| spec.msg(0, 4).msg(4, 8).msg(8, 0);
+    let contended = |spec: ModelSpec| spec.msg(0, 1).msg(2, 3).msg(0, 3);
+    // 0->2 and 0->8 both leave node 0 on its -x wrap-around link.
+    let torus_contended = |spec: ModelSpec| spec.msg(0, 2).msg(6, 8).msg(0, 8);
     let matrix: Vec<(&str, ModelSpec, u64, u64)> = vec![
         (
             "clrp/mesh2x2",
-            mesh_msgs(ModelSpec::new(
-                Topology::mesh(&[2, 2]),
-                ModelProtocol::Clrp,
-                1,
-            )),
-            7767,
-            19753,
+            mesh_msgs(mesh(ProtocolKind::Clrp)),
+            1000,
+            3000,
         ),
         (
             "carp/mesh2x2",
-            mesh_msgs(ModelSpec::new(
-                Topology::mesh(&[2, 2]),
-                ModelProtocol::Carp,
-                1,
-            )),
-            6220,
-            17828,
+            mesh_msgs(mesh(ProtocolKind::Carp)),
+            15625,
+            69375,
         ),
         (
             "probe/mesh2x2",
-            mesh_msgs(ModelSpec::new(
-                Topology::mesh(&[2, 2]),
-                ModelProtocol::ClrpNoForce,
-                1,
-            )),
-            2351,
-            6510,
+            mesh_msgs(mesh(ProtocolKind::Clrp).without_force()),
+            1000,
+            3000,
         ),
         (
             "clrp/torus3x3",
-            torus_msgs(ModelSpec::new(
-                Topology::torus(&[3, 3]),
-                ModelProtocol::Clrp,
-                1,
-            )),
-            1728,
-            4752,
+            torus_msgs(torus(ProtocolKind::Clrp)),
+            1000,
+            3000,
         ),
         (
             "carp/torus3x3",
-            torus_msgs(ModelSpec::new(
-                Topology::torus(&[3, 3]),
-                ModelProtocol::Carp,
-                1,
-            )),
-            4913,
-            14739,
+            torus_msgs(torus(ProtocolKind::Carp)),
+            15625,
+            69375,
         ),
         (
             "probe/torus3x3",
-            torus_msgs(ModelSpec::new(
-                Topology::torus(&[3, 3]),
-                ModelProtocol::ClrpNoForce,
-                1,
-            )),
-            1728,
-            4752,
+            torus_msgs(torus(ProtocolKind::Clrp).without_force()),
+            1000,
+            3000,
+        ),
+        (
+            "clrp/mesh2x2 contended",
+            contended(mesh(ProtocolKind::Clrp)),
+            2656,
+            7750,
+        ),
+        (
+            "clrp/mesh2x2 contended MB-1",
+            contended(mesh(ProtocolKind::Clrp).misroutes(1)),
+            6830,
+            20147,
+        ),
+        (
+            "clrp/torus3x3 contended",
+            torus_contended(torus(ProtocolKind::Clrp)),
+            2656,
+            7750,
         ),
     ];
     for (name, spec, states, transitions) in matrix {
@@ -283,6 +285,9 @@ fn theorems_1_to_4_exhaustive_on_small_fabrics() {
             out.transitions, transitions,
             "{name}: transition count drifted"
         );
+        if name.ends_with("contended") || name.ends_with("MB-1") {
+            assert!(out.wait_checked > 0, "{name}: no probe ever parked");
+        }
     }
 }
 
@@ -291,39 +296,111 @@ fn theorems_1_to_4_exhaustive_on_small_fabrics() {
 /// or livelock in ANY interleaving of fault vs. protocol steps.
 #[test]
 fn exhaustive_check_survives_lane_fault_and_retrywait() {
-    use wavesim::model::{check, ModelProtocol, ModelSpec};
-    let clrp = ModelSpec::new(Topology::mesh(&[2, 2]), ModelProtocol::Clrp, 1)
+    use wavesim::model::{check, ModelSpec};
+    let clrp = ModelSpec::new(Topology::mesh(&[2, 2]), ProtocolKind::Clrp, 1)
         .msg(0, 3)
         .msg(3, 0)
         .fault_on_first_path(true);
     let out = check(&clrp, 20_000_000);
     assert!(out.proved(), "clrp+fault+repair: {}", out.verdict());
-    assert_eq!(out.states, 816, "clrp fault state count drifted");
-    assert_eq!(out.transitions, 1924);
+    assert_eq!(out.states, 6690, "clrp fault state count drifted");
+    assert_eq!(out.transitions, 23930);
 
-    let carp = ModelSpec::new(Topology::mesh(&[2, 2]), ModelProtocol::Carp, 1)
+    let carp = ModelSpec::new(Topology::mesh(&[2, 2]), ProtocolKind::Carp, 1)
         .msg(0, 3)
         .msg(3, 0)
         .fault_on_first_path(false);
     let out = check(&carp, 20_000_000);
     assert!(out.proved(), "carp+fault: {}", out.verdict());
-    assert_eq!(out.states, 612, "carp fault state count drifted");
-    assert_eq!(out.transitions, 1496);
+    assert_eq!(out.states, 3050, "carp fault state count drifted");
+    assert_eq!(out.transitions, 10739);
+}
+
+/// Every timed schedule is one of the explored interleavings: a run that
+/// dispatches exactly what `tick` would, one event at a time, passes only
+/// through states the explorer reached (no message falls back to
+/// wormhole here, so the fabric stays idle).
+#[test]
+fn timed_runs_are_explored_paths() {
+    use wavesim::model::{Explorer, ModelSpec, Move, World};
+    for protocol in [ProtocolKind::Clrp, ProtocolKind::Carp] {
+        let spec = ModelSpec::new(Topology::mesh(&[2, 2]), protocol, 1)
+            .msg(0, 3)
+            .msg(3, 0)
+            .msg(1, 2);
+        let mut explorer = Explorer::new(&spec);
+        assert!(explorer.run(20_000_000));
+
+        let mut world = World::new(&spec);
+        let mut ticked = WaveNetwork::new(spec.topo.clone(), spec.cfg);
+        for m in 0..spec.msgs.len() as u8 {
+            assert!(world.apply(&spec, &Move::Inject(m)));
+            assert!(
+                explorer.seen(&world.key()),
+                "{protocol:?}: after inject m{m}"
+            );
+            let (src, dest) = spec.msgs[usize::from(m)];
+            if protocol == ProtocolKind::Carp {
+                ticked.carp_establish(0, src, dest);
+            }
+            ticked.send(0, Message::new(u64::from(m), src, dest, 16, 0));
+        }
+        let mut now = 0;
+        let mut dispatched = 0;
+        while world.net.busy() {
+            // What `tick(now)` runs next: the first due event in calendar
+            // order (fault, then control, then transfer).
+            let due = world.net.pending_events().into_iter().find(|e| e.at <= now);
+            match due {
+                Some(ev) => {
+                    assert!(world.net.fire(now, &ev));
+                    dispatched += 1;
+                    assert!(
+                        explorer.seen(&world.key()),
+                        "{protocol:?}: timed state after {dispatched} events, cycle {now}, \
+                        was not explored"
+                    );
+                }
+                None => {
+                    ticked.tick(now);
+                    now += 1;
+                }
+            }
+        }
+        ticked.tick(now);
+        assert!(dispatched > 20, "the run dispatched the protocol");
+        assert_eq!(world.net.stats().wormhole_fallbacks, 0, "no fall-back");
+        assert_eq!(world.net.stats().msgs_circuit, 3);
+        assert!(!ticked.busy(), "the ticked run finished at the same cycle");
+        assert_eq!(
+            ticked.state_key(),
+            world.net.state_key(),
+            "{protocol:?}: stepping event by event is the ticked run"
+        );
+    }
 }
 
 /// Negative controls: each protocol mutation re-introduces a known-unsafe
-/// behavior, and the checker must find it, shrink it, and produce a
-/// schedule whose concrete replay round-trips through the trace tooling.
+/// behavior in core, and the checker must find it, shrink it, and produce
+/// a schedule whose timed replay on un-mutated core survives and
+/// round-trips through the trace tooling.
 #[test]
 fn mutations_yield_shrunk_replayable_counterexamples() {
-    use wavesim::model::{
-        check, replay_schedule, shrink, ModelProtocol, ModelSpec, Mutation, ViolationKind,
-    };
+    use wavesim::model::{check, replay_schedule, shrink, ModelSpec, Mutation, ViolationKind};
     use wavesim::trace::read_columnar;
+
+    let survives = |spec: &ModelSpec, schedule| {
+        let rep = replay_schedule(spec, schedule);
+        assert!(rep.survived(), "un-mutated core survives: {rep:?}");
+        assert_eq!(
+            read_columnar(&rep.columnar()).expect("valid WSTRACE1"),
+            rep.records
+        );
+    };
 
     // drop-release: the Force victim's release never wakes the parked
     // probe — a lost-wakeup deadlock with NO circular wait.
-    let spec = ModelSpec::new(Topology::mesh(&[2, 2]), ModelProtocol::Clrp, 1)
+    let spec = ModelSpec::new(Topology::mesh(&[2, 2]), ProtocolKind::Clrp, 1)
         .msg(0, 1)
         .msg(2, 3)
         .msg(0, 3)
@@ -331,22 +408,15 @@ fn mutations_yield_shrunk_replayable_counterexamples() {
     let cx = check(&spec, 20_000_000)
         .violation
         .expect("drop-release must deadlock");
-    let ViolationKind::Deadlock { wait_cycle } = &cx.kind else {
-        panic!("expected deadlock, got {:?}", cx.kind)
-    };
-    assert!(wait_cycle.is_none(), "lost wakeup has no wait cycle");
+    assert_eq!(cx.kind, ViolationKind::Deadlock { wait_cycle: None });
     let shrunk = shrink(&spec, &cx);
     assert!(shrunk.schedule.len() <= cx.schedule.len());
-    let rep = replay_schedule(&spec, &shrunk.schedule);
-    assert!(rep.survived(), "real CLRP does not drop releases: {rep:?}");
-    assert_eq!(
-        read_columnar(&rep.columnar()).expect("valid WSTRACE1"),
-        rep.records
-    );
+    assert_eq!(shrunk.kind, ViolationKind::Deadlock { wait_cycle: None });
+    survives(&spec, &shrunk.schedule);
 
     // skip-backoff: an exhausted probe relaunches with a cleared History
     // Store instead of escaping to wormhole — a livelock lasso.
-    let spec = ModelSpec::new(Topology::mesh(&[2, 2]), ModelProtocol::Carp, 1)
+    let spec = ModelSpec::new(Topology::mesh(&[2, 2]), ProtocolKind::Carp, 1)
         .msg(0, 1)
         .msg(2, 3)
         .msg(0, 3)
@@ -360,11 +430,12 @@ fn mutations_yield_shrunk_replayable_counterexamples() {
     let shrunk = shrink(&spec, &cx);
     assert!(shrunk.schedule.len() <= cx.schedule.len());
     assert!(shrunk.loop_start.is_some(), "shrinking must keep the loop");
+    survives(&spec, &shrunk.schedule);
 
     // wait-establishing: force probes wait on Establishing circuits —
     // exactly what the §4 no-wait rule forbids — and four ring messages
     // on a 4x4 torus row close a genuine circular wait.
-    let spec = ModelSpec::new(Topology::torus(&[4, 4]), ModelProtocol::Clrp, 1)
+    let spec = ModelSpec::new(Topology::torus(&[4, 4]), ProtocolKind::Clrp, 1)
         .msg(0, 2)
         .msg(1, 3)
         .msg(2, 0)
@@ -378,4 +449,10 @@ fn mutations_yield_shrunk_replayable_counterexamples() {
     };
     let cycle = wait_cycle.as_ref().expect("a genuine circular wait");
     assert!(cycle.len() >= 2, "cycle involves several probes: {cycle:?}");
+    let shrunk = shrink(&spec, &cx);
+    let ViolationKind::Deadlock { wait_cycle } = &shrunk.kind else {
+        panic!("shrinking keeps the deadlock")
+    };
+    assert!(wait_cycle.as_ref().is_some_and(|c| c.len() >= 2));
+    survives(&spec, &shrunk.schedule);
 }
