@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use wavesim_core::{FaultEvent, LaneId, ProtocolKind, WaveNetwork, WaveStats};
 use wavesim_network::message::DeliveryMode;
-use wavesim_network::Delivery;
+use wavesim_network::{Delivery, Message};
 use wavesim_sim::stats::{Histogram, ThroughputMeter, Warmup};
 use wavesim_sim::Cycle;
 use wavesim_verify::progress::wave_fingerprint;
@@ -372,6 +372,8 @@ pub fn run_open_loop(net: &mut WaveNetwork, src: &mut TrafficSource, spec: RunSp
 /// tally takes every delivery.
 struct OpenLoop<'a> {
     src: &'a mut TrafficSource,
+    /// The messages of one poll, reused cycle to cycle.
+    polled: Vec<Message>,
     measure_end: Cycle,
     tally: Tally,
 }
@@ -381,7 +383,8 @@ impl Driver for OpenLoop<'_> {
         if now >= self.measure_end {
             return false;
         }
-        for m in self.src.poll(now) {
+        self.src.poll_into(now, &mut self.polled);
+        for m in self.polled.drain(..) {
             net.send(now, m);
         }
         true
@@ -405,6 +408,7 @@ fn drive_open_loop<'a>(
     src.stop_at(measure_end);
     let mut d = OpenLoop {
         src,
+        polled: Vec::new(),
         measure_end,
         tally: Tally::new(spec, u64::from(net.topology().num_nodes())),
     };
@@ -472,7 +476,7 @@ pub fn run_carp_trace(
             if now > self.horizon {
                 return false;
             }
-            for op in self.trace.due(now) {
+            for &(_, op) in self.trace.due(now) {
                 match op {
                     CarpOp::Establish { src, dest } if self.is_carp => {
                         net.carp_establish(now, src, dest);
@@ -519,7 +523,7 @@ pub fn run_carp_trace(
 /// length even when the run is cut short of its last send.
 pub fn run_scripted(
     net: &mut WaveNetwork,
-    script: &[(Cycle, wavesim_network::Message)],
+    script: &[(Cycle, Message)],
     spec: RunSpec,
     obs: &mut dyn RunObserver,
 ) -> RunResult {
@@ -527,7 +531,7 @@ pub fn run_scripted(
     let ops = script.iter().map(|&(t, m)| (t, CarpOp::Send(m))).collect();
     RunResult {
         sent: script.len() as u64,
-        ..run_carp_trace(net, &mut CarpTrace { ops }, spec, obs)
+        ..run_carp_trace(net, &mut CarpTrace::new(ops), spec, obs)
     }
 }
 
@@ -578,10 +582,7 @@ pub fn run_dep_trace(
                 let m = &self.trace.messages[idx as usize].msg;
                 // Re-stamp the creation cycle at release so latency is
                 // the network's, not the dependency wait's.
-                net.send(
-                    now,
-                    wavesim_network::Message::new(m.id.0, m.src, m.dest, m.len_flits, now),
-                );
+                net.send(now, Message::new(m.id.0, m.src, m.dest, m.len_flits, now));
                 self.injected += 1;
             }
             self.injected < self.trace.len() as u64
@@ -656,11 +657,11 @@ pub fn run_dep_trace(
 #[derive(Default)]
 struct ReplyQueue {
     pending: std::collections::BinaryHeap<std::cmp::Reverse<(Cycle, u64)>>,
-    store: std::collections::HashMap<u64, wavesim_network::Message>,
+    store: std::collections::HashMap<u64, Message>,
 }
 
 impl ReplyQueue {
-    fn push(&mut self, send_at: Cycle, reply: wavesim_network::Message) {
+    fn push(&mut self, send_at: Cycle, reply: Message) {
         self.pending.push(std::cmp::Reverse((send_at, reply.id.0)));
         self.store.insert(reply.id.0, reply);
     }

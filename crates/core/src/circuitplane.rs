@@ -14,6 +14,8 @@
 //! scheduled delay is at least the transfer plan's delivery delay, which
 //! is always positive.
 
+use std::collections::VecDeque;
+
 use wavesim_network::message::DeliveryMode;
 use wavesim_network::{Delivery, Message};
 use wavesim_sim::{BitSet, Cycle, EventQueue};
@@ -62,6 +64,9 @@ pub struct CircuitPlane {
     topo: Topology,
     cfg: WaveConfig,
     caches: Vec<CircuitCache>,
+    /// Message-queue buffers of removed or emptied cache entries, reused
+    /// by the next entries any node creates.
+    spare_queues: Vec<VecDeque<Message>>,
     circuit_ids: IdAlloc<CircuitId>,
     fifo_seq: u64,
     pub(crate) log: PlaneLog,
@@ -87,6 +92,7 @@ impl CircuitPlane {
             caches: (0..n)
                 .map(|_| CircuitCache::new(cfg.cache_capacity.max(1)))
                 .collect(),
+            spare_queues: Vec::new(),
             circuit_ids: IdAlloc::new(),
             fifo_seq: 0,
             log: PlaneLog::default(),
@@ -202,6 +208,17 @@ impl CircuitPlane {
     fn send_wormhole_fallback(&mut self, msg: Message) {
         self.log.stats.wormhole_fallbacks += 1;
         self.outbox.push(PlaneEvent::InjectWormhole(msg));
+    }
+
+    /// Sends what an entry's `queue` still holds by wormhole, in order, and
+    /// keeps the emptied buffer for the next cache entry.
+    fn retire_queue(&mut self, mut queue: VecDeque<Message>) {
+        for m in queue.drain(..) {
+            self.send_wormhole_fallback(m);
+        }
+        if queue.capacity() > 0 {
+            self.spare_queues.push(queue);
+        }
     }
 
     fn clrp_send(&mut self, now: Cycle, msg: Message, q: &mut EventQueue<TransferEvent>) {
@@ -373,6 +390,7 @@ impl CircuitPlane {
         let cid = self.circuit_ids.alloc();
         let switch = self.initial_switch(src);
         let mut entry = CacheEntry::new(dest, cid, switch, switch);
+        entry.queue = self.spare_queues.pop().unwrap_or_default();
         entry.force_phase = force;
         // End-point buffer sizing (§2): CLRP allocates blind and may
         // re-allocate; CARP knows the message set and sizes it exactly.
@@ -463,7 +481,7 @@ impl CircuitPlane {
         let entry = self.caches[s]
             .get_mut(dest)
             .expect("failed circuit has a cache entry");
-        let queued: Vec<Message> = entry.queue.drain(..).collect();
+        let queued = std::mem::take(&mut entry.queue);
         match self.cfg.protocol {
             ProtocolKind::Carp if !entry.release_pending => {
                 // §3.2: "messages requesting that circuit will have to use
@@ -476,9 +494,7 @@ impl CircuitPlane {
                 self.caches[s].remove(dest);
             }
         }
-        for m in queued {
-            self.send_wormhole_fallback(m);
-        }
+        self.retire_queue(queued);
     }
 
     /// [`PlaneEvent::CircuitEstablished`]: the ack reached the source; the
@@ -524,13 +540,11 @@ impl CircuitPlane {
             return;
         };
         let dest = entry.dest;
-        let queued: Vec<Message> = entry.queue.drain(..).collect();
+        let queued = std::mem::take(&mut entry.queue);
         if entry.in_use {
             entry.release_pending = true;
         }
-        for m in queued {
-            self.send_wormhole_fallback(m);
-        }
+        self.retire_queue(queued);
         let entry = self.caches[s].get_mut(dest).expect("entry still present");
         if !entry.in_use {
             self.release_entry_now(src, dest);
@@ -583,16 +597,14 @@ impl CircuitPlane {
         } else {
             // Degrade to wormhole: queued messages re-inject immediately;
             // an in-flight transfer drains and removes the entry on ack.
-            let queued: Vec<Message> = entry.queue.drain(..).collect();
+            let queued = std::mem::take(&mut entry.queue);
             if entry.in_use {
                 entry.state = EntryState::Failed;
                 entry.release_pending = true;
             } else {
                 self.caches[s].remove(dest);
             }
-            for m in queued {
-                self.send_wormhole_fallback(m);
-            }
+            self.retire_queue(queued);
         }
         self.recount(src);
     }
@@ -751,9 +763,7 @@ impl CircuitPlane {
             .remove(dest)
             .expect("release of missing entry");
         assert!(!entry.in_use, "cannot release an in-use circuit");
-        for m in entry.queue {
-            self.send_wormhole_fallback(m);
-        }
+        self.retire_queue(entry.queue);
         self.outbox.push(PlaneEvent::ReleaseCircuit {
             circuit: entry.circuit,
         });

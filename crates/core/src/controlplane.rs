@@ -77,6 +77,12 @@ pub(crate) struct Routers {
     cfg: WaveConfig,
     lanes: LaneTable,
     circuits: SlotMap<CircuitId, CircuitState>,
+    /// Path buffers of circuits gone from the registry, reused by the
+    /// next probe that completes.
+    spare_paths: Vec<Vec<LaneId>>,
+    /// Probes a lane release or fault woke, waiting to be rescheduled
+    /// (scratch: empty between events).
+    woken: Vec<ProbeId>,
     pub(crate) log: PlaneLog,
     outbox: Vec<PlaneEvent>,
     /// The planted bug: `drop-release` and `wait-establishing` branch at
@@ -88,8 +94,9 @@ pub(crate) struct Routers {
 enum Step {
     /// Advanced a hop, or parked on a victim's lane.
     Stays,
-    /// Backtracked a hop, freeing a lane these parked probes waited on.
-    Backtracked(Vec<ProbeId>),
+    /// Backtracked a hop, freeing a lane: the probes parked on it are in
+    /// [`Routers::woken`].
+    Backtracked,
     /// Done: the probe leaves the slab.
     Retires(End),
 }
@@ -116,6 +123,8 @@ impl ControlPlane {
             routers: Routers {
                 lanes: LaneTable::new(&topo, cfg.k),
                 circuits: SlotMap::new(),
+                spare_paths: Vec::new(),
+                woken: Vec::new(),
                 log: PlaneLog::default(),
                 outbox: Vec::new(),
                 mutation: Mutation::None,
@@ -223,7 +232,7 @@ impl ControlPlane {
         if r.lanes.state(lane) == LaneState::Faulty {
             return; // already faulty: idempotent
         }
-        let (victim, waiters) = r.lanes.force_faulty(lane);
+        let victim = r.lanes.force_faulty(lane, &mut r.woken);
         r.log.note(
             now,
             TraceEvent::LaneFault {
@@ -231,7 +240,7 @@ impl ControlPlane {
                 switch: lane.switch,
             },
         );
-        self.wake(now, q, waiters);
+        self.wake(now, q);
         let Some(victim) = victim else {
             return; // lane was free: no circuit to tear down
         };
@@ -368,7 +377,7 @@ impl ControlPlane {
     /// [`PlaneEvent::AbandonCircuit`]: establishment failed on every
     /// switch; no lanes are held, so the registry entry just disappears.
     pub fn on_abandon_circuit(&mut self, circuit: CircuitId) {
-        self.routers.circuits.remove(&circuit);
+        self.routers.forget_circuit(circuit);
     }
 
     // ------------------------------------------------------------------
@@ -384,7 +393,7 @@ impl ControlPlane {
         p.parked_on = None;
         let end = match self.routers.step(now, q, p) {
             Step::Stays => return,
-            Step::Backtracked(woken) => return self.wake(now, q, woken),
+            Step::Backtracked => return self.wake(now, q),
             Step::Retires(end) => end,
         };
         let mut p = self.probes.remove(&pid).expect("a stepped probe is live");
@@ -405,18 +414,21 @@ impl ControlPlane {
         for lane in p.path.iter().rev() {
             // A dynamic fault may have force-faulted a path lane already;
             // release_if_held skips it (and its waiters were drained then).
-            let woken = self.routers.lanes.release_if_held(*lane, p.circuit);
-            self.wake(now, q, woken);
+            let r = &mut self.routers;
+            r.lanes.release_if_held(*lane, p.circuit, &mut r.woken);
+            self.wake(now, q);
         }
         // The registry entry goes, and the probe it recorded with it.
         let r = &mut self.routers;
-        r.circuits.remove(&p.circuit);
+        r.forget_circuit(p.circuit);
         r.outbox
             .push(PlaneEvent::CircuitReleased { circuit: p.circuit });
     }
 
-    fn wake(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, probes: Vec<ProbeId>) {
-        for pid in probes {
+    /// Schedules a retry for every live probe in [`Routers::woken`], in
+    /// the order they were woken, and empties it.
+    fn wake(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>) {
+        for pid in self.routers.woken.drain(..) {
             if self.probes.contains_key(&pid) {
                 q.schedule(now + 1, CtrlEvent::RetryProbe(pid));
             }
@@ -446,16 +458,16 @@ impl ControlPlane {
                 c.torn = hop + 1;
                 // release_if_held: a dynamic fault may have force-faulted
                 // this hop's lane after the walk started.
-                let woken = r.lanes.release_if_held(lane, circuit);
+                r.lanes.release_if_held(lane, circuit, &mut r.woken);
                 q.schedule(
                     now + u64::from(r.cfg.ctrl_hop_delay),
                     CtrlEvent::TeardownAt(circuit, hop + 1),
                 );
-                self.wake(now, q, woken);
+                self.wake(now, q);
             }
             None => {
                 // Destination reached: the circuit is fully released.
-                r.circuits.remove(&circuit);
+                r.forget_circuit(circuit);
                 r.outbox.push(PlaneEvent::CircuitReleased { circuit });
             }
         }
@@ -476,6 +488,18 @@ impl ControlPlane {
 }
 
 impl Routers {
+    /// Removes `circuit` from the registry, keeping its path buffer for
+    /// the next circuit.
+    fn forget_circuit(&mut self, circuit: CircuitId) {
+        if let Some(c) = self.circuits.remove(&circuit) {
+            let mut path = c.path;
+            if path.capacity() > 0 {
+                path.clear();
+                self.spare_paths.push(path);
+            }
+        }
+    }
+
     /// The search step of a probe at `p.at`: advance, park, backtrack, or
     /// report why the probe retires.
     fn step(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, p: &mut ProbeState) -> Step {
@@ -690,7 +714,7 @@ impl Routers {
         p.flit.backtrack = true;
         let lane = p.path.pop().expect("non-source probe has a path");
         let (prev, port) = self.topo.link_endpoints(lane.link);
-        let woken = self.lanes.release(lane, p.circuit);
+        self.lanes.release(lane, p.circuit, &mut self.woken);
         p.leave(p.at);
         p.at = prev;
         p.hops += 1;
@@ -708,7 +732,7 @@ impl Routers {
             now + u64::from(self.cfg.ctrl_hop_delay),
             CtrlEvent::ProbeAt(p.id),
         );
-        Step::Backtracked(woken)
+        Step::Backtracked
     }
 
     /// The search space for this switch is exhausted: the probe id
@@ -743,7 +767,11 @@ impl Routers {
             .circuits
             .get_mut(p.circuit)
             .expect("live probe has a live circuit");
-        c.path = std::mem::take(&mut p.path);
+        // The circuit's path is a copy in a recycled buffer, so the probe
+        // keeps its own buffer for the next launch.
+        debug_assert!(c.path.is_empty(), "a circuit completes once");
+        c.path = self.spare_paths.pop().unwrap_or_default();
+        c.path.extend_from_slice(&p.path);
         c.probe = None;
         // The acknowledgment returns hop by hop over the reverse control
         // channels (Fig. 3's Reverse Channel Mappings, the path read

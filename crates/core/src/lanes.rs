@@ -78,6 +78,9 @@ pub struct LaneTable {
     states: Vec<u64>,
     /// Probes parked on each lane.
     waiters: Vec<Vec<ProbeId>>,
+    /// Emptied waiter lists, handed to the next lanes a probe parks on:
+    /// the lists in use at once are few, the lanes ever parked on many.
+    spare: Vec<Vec<ProbeId>>,
     /// Bit `i` set exactly while lane `i`'s waiter list is non-empty.
     parked: Vec<u64>,
     /// Incremental census: lanes currently reserved.
@@ -95,6 +98,7 @@ impl LaneTable {
             k,
             states: vec![FREE; n],
             waiters: vec![Vec::new(); n],
+            spare: Vec::new(),
             parked: vec![0; n.div_ceil(WORD)],
             reserved: 0,
             faulty: 0,
@@ -137,16 +141,18 @@ impl LaneTable {
         self.states[i] = to;
     }
 
-    /// Empties lane `i`'s waiter list, reading it only if a probe is
-    /// parked there.
-    fn take_waiters(&mut self, i: usize) -> Vec<ProbeId> {
+    /// Moves lane `i`'s waiters to the end of `woken`, reading the list
+    /// only if a probe is parked there. The emptied list goes to the
+    /// spares.
+    fn take_waiters(&mut self, i: usize, woken: &mut Vec<ProbeId>) {
         let bit = 1 << (i % WORD);
         let word = &mut self.parked[i / WORD];
-        if *word & bit == 0 {
-            return Vec::new();
+        if *word & bit != 0 {
+            *word &= !bit;
+            let mut list = std::mem::take(&mut self.waiters[i]);
+            woken.append(&mut list);
+            self.spare.push(list);
         }
-        *word &= !bit;
-        std::mem::take(&mut self.waiters[i])
     }
 
     /// Current state of `lane`.
@@ -181,13 +187,13 @@ impl LaneTable {
         self.transition(i, pack(LaneState::Reserved(circuit)));
     }
 
-    /// Releases `lane` (backtrack or teardown) and returns the probes that
-    /// were parked waiting for it, so the caller can retry them.
+    /// Releases `lane` (backtrack or teardown) and appends the probes that
+    /// were parked waiting for it to `woken`, so the caller can retry them.
     ///
     /// # Panics
     /// Panics if the lane was not reserved by `circuit` (protocol
     /// invariant: only the holder releases).
-    pub fn release(&mut self, lane: LaneId, circuit: CircuitId) -> Vec<ProbeId> {
+    pub fn release(&mut self, lane: LaneId, circuit: CircuitId, woken: &mut Vec<ProbeId>) {
         let i = self.idx(lane);
         assert_eq!(
             unpack(self.states[i]),
@@ -195,7 +201,7 @@ impl LaneTable {
             "lane {lane} released by non-holder {circuit}"
         );
         self.transition(i, FREE);
-        self.take_waiters(i)
+        self.take_waiters(i, woken);
     }
 
     /// Parks `probe` on `lane` until the holder tears down.
@@ -208,8 +214,12 @@ impl LaneTable {
             matches!(unpack(self.states[i]), LaneState::Reserved(_)),
             "parking on a lane that is not reserved"
         );
-        if !self.waiters[i].contains(&probe) {
-            self.waiters[i].push(probe);
+        let waiters = &mut self.waiters[i];
+        if waiters.is_empty() {
+            *waiters = self.spare.pop().unwrap_or_default();
+        }
+        if !waiters.contains(&probe) {
+            waiters.push(probe);
         }
         self.parked[i / WORD] |= 1 << (i % WORD);
     }
@@ -219,33 +229,35 @@ impl LaneTable {
         let i = self.idx(lane);
         let waiters = &mut self.waiters[i];
         waiters.retain(|&p| p != probe);
-        if waiters.is_empty() {
+        if waiters.is_empty() && self.parked[i / WORD] & (1 << (i % WORD)) != 0 {
             self.parked[i / WORD] &= !(1 << (i % WORD));
+            self.spare.push(std::mem::take(waiters));
         }
     }
 
     /// Marks `lane` faulty regardless of occupancy.
-    /// Returns the evicted holder (if the lane was reserved) and the
-    /// probes that were parked waiting for it, so the caller can tear the
-    /// victim circuit down and retry the waiters (which will re-scan, see
-    /// the lane `Faulty`, and route around it).
+    /// Returns the evicted holder (if the lane was reserved) and appends
+    /// the probes that were parked waiting for it to `woken`, so the
+    /// caller can tear the victim circuit down and retry the waiters
+    /// (which will re-scan, see the lane `Faulty`, and route around it).
     ///
     /// Force-faulting an **already-faulty** lane is a documented no-op
-    /// returning `(None, vec![])`: the lane has no holder to evict, and
-    /// its waiters (if any raced in between fault and retry) were already
-    /// drained by the fault that got there first. Fault schedules may
-    /// legitimately hit the same lane twice (overlapping link- and
-    /// lane-granularity events), and a second eviction pass must not
-    /// re-tear circuits that were already torn down.
-    pub fn force_faulty(&mut self, lane: LaneId) -> (Option<CircuitId>, Vec<ProbeId>) {
+    /// returning `None` and waking nobody: the lane has no holder to
+    /// evict, and its waiters (if any raced in between fault and retry)
+    /// were already drained by the fault that got there first. Fault
+    /// schedules may legitimately hit the same lane twice (overlapping
+    /// link- and lane-granularity events), and a second eviction pass
+    /// must not re-tear circuits that were already torn down.
+    pub fn force_faulty(&mut self, lane: LaneId, woken: &mut Vec<ProbeId>) -> Option<CircuitId> {
         let i = self.idx(lane);
         let holder = match unpack(self.states[i]) {
             LaneState::Reserved(c) => Some(c),
-            LaneState::Faulty => return (None, Vec::new()),
+            LaneState::Faulty => return None,
             LaneState::Free => None,
         };
         self.transition(i, FAULTY);
-        (holder, self.take_waiters(i))
+        self.take_waiters(i, woken);
+        holder
     }
 
     /// Returns a faulty `lane` to service (dynamic fault model). Returns
@@ -263,18 +275,16 @@ impl LaneTable {
     }
 
     /// Releases `lane` if — and only if — it is still reserved by
-    /// `circuit`, returning the probes parked on it. A no-op returning no
-    /// waiters otherwise. Teardown and unwind walks use this instead of
+    /// `circuit`, appending the probes parked on it to `woken`. A no-op
+    /// otherwise. Teardown and unwind walks use this instead of
     /// [`LaneTable::release`]: a dynamic fault may have force-faulted one
     /// of the path's lanes (evicting the reservation and draining the
     /// waiters) before the walk reaches it.
-    pub fn release_if_held(&mut self, lane: LaneId, circuit: CircuitId) -> Vec<ProbeId> {
+    pub fn release_if_held(&mut self, lane: LaneId, circuit: CircuitId, woken: &mut Vec<ProbeId>) {
         let i = self.idx(lane);
         if self.states[i] == pack(LaneState::Reserved(circuit)) {
             self.transition(i, FREE);
-            self.take_waiters(i)
-        } else {
-            Vec::new()
+            self.take_waiters(i, woken);
         }
     }
 
@@ -335,10 +345,20 @@ mod tests {
         lt.unpark(lane, ProbeId(11));
         assert!(!bit(&lt), "list empty, bit clear");
         lt.park(lane, ProbeId(12));
-        assert_eq!(lt.release(lane, CircuitId(1)), vec![ProbeId(12)]);
+        assert_eq!(
+            woken_by(|w| lt.release(lane, CircuitId(1), w)),
+            vec![ProbeId(12)]
+        );
         assert!(!bit(&lt) && lt.waiters[i].is_empty());
         // The bit never leaks to a neighbouring lane.
         assert!(lt.parked.iter().all(|&w| w == 0));
+    }
+
+    /// The probes `release` appends to an empty list.
+    fn woken_by(release: impl FnOnce(&mut Vec<ProbeId>)) -> Vec<ProbeId> {
+        let mut woken = Vec::new();
+        release(&mut woken);
+        woken
     }
 
     fn table() -> (Topology, LaneTable) {
@@ -356,7 +376,7 @@ mod tests {
         lt.reserve(lane, CircuitId(7));
         assert!(!lt.is_free(lane));
         assert_eq!(lt.holder(lane), Some(CircuitId(7)));
-        let woken = lt.release(lane, CircuitId(7));
+        let woken = woken_by(|w| lt.release(lane, CircuitId(7), w));
         assert!(woken.is_empty());
         assert!(lt.is_free(lane));
     }
@@ -377,7 +397,7 @@ mod tests {
         lt.park(lane, ProbeId(10));
         lt.park(lane, ProbeId(11));
         lt.park(lane, ProbeId(10)); // duplicate ignored
-        let woken = lt.release(lane, CircuitId(1));
+        let woken = woken_by(|w| lt.release(lane, CircuitId(1), w));
         assert_eq!(woken, vec![ProbeId(10), ProbeId(11)]);
     }
 
@@ -388,7 +408,7 @@ mod tests {
         lt.reserve(lane, CircuitId(1));
         lt.park(lane, ProbeId(10));
         lt.unpark(lane, ProbeId(10));
-        assert!(lt.release(lane, CircuitId(1)).is_empty());
+        assert!(woken_by(|w| lt.release(lane, CircuitId(1), w)).is_empty());
     }
 
     #[test]
@@ -396,13 +416,13 @@ mod tests {
         let (t, mut lt) = table();
         let link = t.links().next().unwrap();
         let lane = LaneId::new(link, 2);
-        lt.force_faulty(lane);
+        lt.force_faulty(lane, &mut Vec::new());
         assert!(!lt.is_free(lane));
         assert_eq!(lt.state(lane), LaneState::Faulty);
         let (_, _, faulty) = lt.census();
         assert_eq!(faulty, 1);
         // Idempotent.
-        lt.force_faulty(lane);
+        lt.force_faulty(lane, &mut Vec::new());
         assert_eq!(lt.census().2, 1);
     }
 
@@ -412,12 +432,13 @@ mod tests {
         let lane = LaneId::new(t.links().next().unwrap(), 1);
         lt.reserve(lane, CircuitId(3));
         lt.park(lane, ProbeId(10));
-        let (holder, waiters) = lt.force_faulty(lane);
+        let mut waiters = Vec::new();
+        let holder = lt.force_faulty(lane, &mut waiters);
         assert_eq!(holder, Some(CircuitId(3)));
         assert_eq!(waiters, vec![ProbeId(10)]);
         assert_eq!(lt.state(lane), LaneState::Faulty);
         // A later teardown walk skips the already-faulted lane.
-        assert!(lt.release_if_held(lane, CircuitId(3)).is_empty());
+        assert!(woken_by(|w| lt.release_if_held(lane, CircuitId(3), w)).is_empty());
         assert_eq!(lt.state(lane), LaneState::Faulty);
     }
 
@@ -425,7 +446,8 @@ mod tests {
     fn force_fault_on_free_lane_has_no_victim() {
         let (t, mut lt) = table();
         let lane = LaneId::new(t.links().next().unwrap(), 2);
-        let (holder, waiters) = lt.force_faulty(lane);
+        let mut waiters = Vec::new();
+        let holder = lt.force_faulty(lane, &mut waiters);
         assert_eq!(holder, None);
         assert!(waiters.is_empty());
         assert_eq!(lt.state(lane), LaneState::Faulty);
@@ -438,10 +460,11 @@ mod tests {
         let (t, mut lt) = table();
         let lane = LaneId::new(t.links().next().unwrap(), 1);
         lt.reserve(lane, CircuitId(3));
-        let (holder, _) = lt.force_faulty(lane);
+        let holder = lt.force_faulty(lane, &mut Vec::new());
         assert_eq!(holder, Some(CircuitId(3)));
         let census = lt.census();
-        let (holder2, waiters2) = lt.force_faulty(lane);
+        let mut waiters2 = Vec::new();
+        let holder2 = lt.force_faulty(lane, &mut waiters2);
         assert_eq!(holder2, None, "second fault must not re-evict");
         assert!(waiters2.is_empty());
         assert_eq!(lt.state(lane), LaneState::Faulty);
@@ -455,7 +478,7 @@ mod tests {
     fn repair_restores_only_faulty_lanes() {
         let (t, mut lt) = table();
         let lane = LaneId::new(t.links().next().unwrap(), 1);
-        lt.force_faulty(lane);
+        lt.force_faulty(lane, &mut Vec::new());
         assert!(lt.repair(lane));
         assert!(lt.is_free(lane));
         // Free and reserved lanes are untouched by repair.
@@ -471,9 +494,9 @@ mod tests {
         let lane = LaneId::new(t.links().next().unwrap(), 1);
         lt.reserve(lane, CircuitId(1));
         lt.park(lane, ProbeId(9));
-        assert!(lt.release_if_held(lane, CircuitId(2)).is_empty());
+        assert!(woken_by(|w| lt.release_if_held(lane, CircuitId(2), w)).is_empty());
         assert_eq!(lt.holder(lane), Some(CircuitId(1)));
-        let woken = lt.release_if_held(lane, CircuitId(1));
+        let woken = woken_by(|w| lt.release_if_held(lane, CircuitId(1), w));
         assert_eq!(woken, vec![ProbeId(9)]);
         assert!(lt.is_free(lane));
     }
@@ -493,7 +516,7 @@ mod tests {
         let (t, mut lt) = table();
         let lane = LaneId::new(t.links().next().unwrap(), 1);
         lt.reserve(lane, CircuitId(1));
-        let _ = lt.release(lane, CircuitId(2));
+        lt.release(lane, CircuitId(2), &mut Vec::new());
     }
 
     #[test]
@@ -506,9 +529,9 @@ mod tests {
         assert_eq!(lt.census(), (total - 1, 1, 0));
         // The incremental counters track every kind of transition.
         let lane2 = LaneId::new(t.links().next().unwrap(), 2);
-        lt.force_faulty(lane2);
+        lt.force_faulty(lane2, &mut Vec::new());
         assert_eq!(lt.census(), (total - 2, 1, 1));
-        let _ = lt.release(lane, CircuitId(1));
+        lt.release(lane, CircuitId(1), &mut Vec::new());
         assert!(lt.repair(lane2));
         assert_eq!(lt.census(), (total, 0, 0));
     }

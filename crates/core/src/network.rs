@@ -839,7 +839,14 @@ impl WaveNetwork {
     // ------------------------------------------------------------------
 
     /// Cross-checks lane reservations against circuit paths and probe
-    /// paths; returns human-readable violations (empty = consistent).
+    /// paths, cache entries against the circuit registry, and every cache
+    /// against its register-file capacity; returns human-readable
+    /// violations (empty = consistent).
+    ///
+    /// When the network is not [`busy`](WaveNetwork::busy) and no circuit
+    /// is establishing or tearing down, the lane census must also close:
+    /// the reserved lanes are exactly the Ready circuits' paths plus the
+    /// live probes' reserved prefixes.
     #[must_use]
     pub fn audit(&self) -> Vec<String> {
         let mut problems = Vec::new();
@@ -883,6 +890,25 @@ impl WaveNetwork {
                     }
                     _ => {}
                 }
+            }
+            if cache.len() > cache.capacity() {
+                problems.push(format!(
+                    "node {n}: cache holds {} > capacity {}",
+                    cache.len(),
+                    cache.capacity()
+                ));
+            }
+        }
+        if !self.busy() {
+            let circuits = self.ctrl.circuits();
+            let settled = circuits.values().all(|c| c.status == CircuitStatus::Ready);
+            let (_, reserved, _) = lanes.census();
+            let circuit_lanes: usize = circuits.values().map(|c| c.path.len()).sum();
+            let probe_lanes: usize = self.ctrl.probes().values().map(|p| p.path.len()).sum();
+            if settled && reserved != circuit_lanes + probe_lanes {
+                problems.push(format!(
+                    "lane census mismatch: {reserved} reserved vs {circuit_lanes} circuit + {probe_lanes} probe lanes"
+                ));
             }
         }
         problems
@@ -1051,5 +1077,44 @@ mod tests {
         }
         assert!(!net.busy());
         assert_eq!(net.circ.active_sources(), 0);
+    }
+
+    #[test]
+    fn fresh_network_passes_the_audit() {
+        let net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
+        assert!(net.audit().is_empty());
+    }
+
+    /// A drained CLRP network keeps its Ready circuits cached: the audit's
+    /// census closes over their paths.
+    #[test]
+    fn drained_network_with_live_circuits_passes_the_audit() {
+        let mut net = WaveNetwork::new(
+            Topology::mesh(&[5, 5]),
+            WaveConfig {
+                protocol: ProtocolKind::Clrp,
+                cache_capacity: 3,
+                ..WaveConfig::default()
+            },
+        );
+        let mut id = 0;
+        for s in 0..5u32 {
+            for off in [7u32, 11, 13] {
+                net.send(
+                    0,
+                    Message::new(id, NodeId(s), NodeId((s + off) % 25), 24, 0),
+                );
+                id += 1;
+            }
+        }
+        let mut now = 0;
+        while net.busy() && now < 500_000 {
+            net.tick(now);
+            now += 1;
+        }
+        assert!(!net.busy());
+        assert!(net.ctrl.lanes().census().1 > 0, "circuits stay cached");
+        let problems = net.audit();
+        assert!(problems.is_empty(), "{problems:?}");
     }
 }

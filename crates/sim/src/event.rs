@@ -212,14 +212,15 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if self.occupied == 0 {
-            let at = self.far.peek()?.at;
+        let at = self.next_time()?;
+        Some(self.pop_at(at))
+    }
+
+    /// Removes and returns the earliest event, which fires at `at`
+    /// ([`EventQueue::next_time`]'s answer).
+    fn pop_at(&mut self, at: Cycle) -> ScheduledEvent<E> {
+        if self.occupied == 0 || at != self.base {
             self.advance(at);
-        } else {
-            let at = self.next_in_wheel();
-            if at != self.base {
-                self.advance(at);
-            }
         }
         let b = (self.base % WHEEL) as usize;
         let i = self.head[b];
@@ -233,7 +234,7 @@ impl<E> EventQueue<E> {
             self.head[b] = next;
         }
         self.in_wheel -= 1;
-        Some(ev)
+        ev
     }
 
     /// Every pending event, earliest first (`(at, seq)` order).
@@ -260,13 +261,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event only if it fires at or before
-    /// `now`. Leaves later events untouched.
+    /// `now`. Leaves later events untouched. The earliest cycle is found
+    /// once, for the test and the pop both.
     pub fn pop_due(&mut self, now: Cycle) -> Option<ScheduledEvent<E>> {
-        if self.next_time()? <= now {
-            self.pop()
-        } else {
-            None
-        }
+        let at = self.next_time()?;
+        (at <= now).then(|| self.pop_at(at))
     }
 
     /// The earliest occupied cycle of a non-empty wheel.

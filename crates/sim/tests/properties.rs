@@ -140,6 +140,54 @@ fn event_queue_matches_a_binary_heap_oracle() {
     }
 }
 
+/// `pop_due(now)` is `next_time` then `pop`, fused: two calendars fed
+/// the same seeded schedule — delays inside the wheel, across its edge
+/// and far past it into the heap — and driven the way a simulator drives
+/// them, with `now` stepping by one cycle or jumping far ahead (a window
+/// advance), hand out the same events at every step.
+#[test]
+fn pop_due_is_next_time_then_pop() {
+    let mut rng = SimRng::new(0x90d0e);
+    for case in 0..40 {
+        let (mut fused, mut split) = (EventQueue::new(), EventQueue::new());
+        let mut now = 0u64;
+        for step in 0..1_500u64 {
+            for _ in 0..rng.below(4) {
+                let delay = match rng.below(10) {
+                    0..=5 => rng.below(4),
+                    6 | 7 => 60 + rng.below(11),
+                    _ => rng.below(5_001),
+                };
+                fused.schedule(now + delay, step);
+                split.schedule(now + delay, step);
+            }
+            loop {
+                let got = fused.pop_due(now);
+                let want = if split.next_time().is_some_and(|t| t <= now) {
+                    split.pop()
+                } else {
+                    None
+                };
+                assert_eq!(key(&got), key(&want), "case {case} step {step}");
+                if want.is_none() {
+                    break;
+                }
+            }
+            assert_eq!(
+                fused.next_time(),
+                split.next_time(),
+                "case {case} step {step}"
+            );
+            now += if rng.chance(0.05) {
+                64 + rng.below(3_000)
+            } else {
+                1
+            };
+        }
+        assert_eq!(fused.len(), split.len(), "case {case}");
+    }
+}
+
 fn key(e: &Option<ScheduledEvent<u64>>) -> Option<(u64, u64, u64)> {
     e.as_ref().map(|e| (e.at, e.seq, e.event))
 }

@@ -16,9 +16,10 @@
 //!   the finite step bound implied by the History Store + bounded
 //!   misrouting argument of Theorems 3–4, and that runs deliver every
 //!   accepted message (the paper's "every message will reach its
-//!   destination in finite time");
-//! * **invariants** ([`invariants`]) — structural cross-checks between
-//!   lanes, circuits, probes, and circuit caches (`WaveNetwork::audit`).
+//!   destination in finite time").
+//!
+//! The structural cross-checks between lanes, circuits, probes and circuit
+//! caches are core's own `WaveNetwork::audit`.
 //!
 //! Both graphs are edge lists of two-integer keys (`(link, vc)` in the
 //! CDG, `(router, output VC)` in the fabric), and one search,
@@ -37,12 +38,10 @@
 
 pub mod cdg;
 pub mod deadlock;
-pub mod invariants;
 pub mod livelock;
 pub mod progress;
 
 pub use cdg::{check_deadlock_freedom, CdgReport, CheckMode};
 pub use deadlock::{check_fabric, check_wave, wave_wait_edges, DeadlockReport};
-pub use invariants::audit_wave;
 pub use livelock::{check_probe_livelock, wave_measure, LivelockReport, ProgressMeasure};
 pub use progress::ProgressMonitor;

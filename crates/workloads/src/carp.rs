@@ -48,9 +48,19 @@ pub enum CarpOp {
 pub struct CarpTrace {
     /// `(cycle, op)` pairs in non-decreasing cycle order.
     pub ops: Vec<(Cycle, CarpOp)>,
+    /// Ops before this index have been handed out by [`CarpTrace::due`].
+    next: usize,
 }
 
 impl CarpTrace {
+    /// A trace of `ops`, which must be in non-decreasing cycle order.
+    #[must_use]
+    pub fn new(ops: Vec<(Cycle, CarpOp)>) -> Self {
+        let trace = Self { ops, next: 0 };
+        trace.assert_sorted();
+        trace
+    }
+
     /// Number of `Send` ops in the trace.
     #[must_use]
     pub fn num_sends(&self) -> usize {
@@ -66,10 +76,13 @@ impl CarpTrace {
         self.ops.last().map_or(0, |(t, _)| *t)
     }
 
-    /// Drains the ops due at `now` (call with non-decreasing `now`).
-    pub fn due(&mut self, now: Cycle) -> Vec<CarpOp> {
-        let split = self.ops.partition_point(|(t, _)| *t <= now);
-        self.ops.drain(..split).map(|(_, op)| op).collect()
+    /// The ops due at `now` not handed out before (call with
+    /// non-decreasing `now`): a slice of `ops`, found by a search of the
+    /// ops still ahead.
+    pub fn due(&mut self, now: Cycle) -> &[(Cycle, CarpOp)] {
+        let start = self.next;
+        self.next += self.ops[start..].partition_point(|(t, _)| *t <= now);
+        &self.ops[start..self.next]
     }
 
     fn assert_sorted(&self) {
@@ -128,9 +141,7 @@ impl CarpTrace {
             }
         }
         ops.sort_by_key(|(t, _)| *t);
-        let trace = Self { ops };
-        trace.assert_sorted();
-        trace
+        Self::new(ops)
     }
 
     /// Total exchange (all-to-all personalised communication): in round
@@ -153,9 +164,7 @@ impl CarpTrace {
                 id += 1;
             }
         }
-        let trace = Self { ops };
-        trace.assert_sorted();
-        trace
+        Self::new(ops)
     }
 
     /// Pairwise-exchange kernel: every node bursts `msgs_per_burst`
@@ -198,9 +207,7 @@ impl CarpTrace {
             }
         }
         ops.sort_by_key(|(t, _)| *t);
-        let trace = Self { ops };
-        trace.assert_sorted();
-        trace
+        Self::new(ops)
     }
 }
 
@@ -308,13 +315,14 @@ mod tests {
     fn due_drains_in_order() {
         let t = topo();
         let mut trace = CarpTrace::stencil(&t, 1, 1, 8, 100, 10);
-        let total = trace.ops.len();
-        let mut drained = 0;
+        let ops = trace.ops.clone();
+        let mut drained = Vec::new();
         for now in 0..100 {
-            drained += trace.due(now).len();
+            let due = trace.due(now);
+            assert!(due.iter().all(|&(t, _)| t <= now));
+            drained.extend_from_slice(due);
         }
-        assert_eq!(drained, total);
-        assert!(trace.ops.is_empty());
+        assert_eq!(drained, ops, "every op once, in order");
         assert!(trace.due(1000).is_empty());
     }
 

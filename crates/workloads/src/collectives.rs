@@ -31,7 +31,7 @@ use wavesim_sim::SimRng;
 use wavesim_topology::{NodeId, Topology};
 
 use crate::deptrace::{DepMessage, DepTrace};
-use crate::patterns::TrafficPattern;
+use crate::patterns::{PartnerTable, TrafficPattern};
 
 /// Binomial-tree parent of a non-zero rank: clear the lowest set bit.
 /// Every rank's parent is a smaller rank, so the tree is well-formed for
@@ -167,13 +167,14 @@ pub fn pattern_sweep(
     let n = topo.num_nodes();
     assert!(n >= 2, "a pattern sweep needs at least two nodes");
     let mut messages = Vec::with_capacity(phases as usize * n as usize);
+    let mut partners = PartnerTable::new(seed);
     for p in 0..phases {
         for i in 0..n {
             let mut rng = SimRng::new(seed ^ 0xC01_1EC7)
                 .split(u64::from(p))
                 .split(u64::from(i));
             let dest = pattern
-                .dest_or_remap(topo, NodeId(i), &mut rng, seed)
+                .dest_or_remap(topo, NodeId(i), &mut rng, &mut partners)
                 .expect("n >= 2 guarantees a destination");
             let id = u64::from(p) * u64::from(n) + u64::from(i);
             let deps = if p > 0 {

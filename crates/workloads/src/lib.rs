@@ -41,6 +41,6 @@ pub mod traffic;
 pub use carp::{CarpOp, CarpTrace, PairwiseSpec};
 pub use deptrace::{DepMessage, DepTrace};
 pub use faults::{FaultSchedule, FaultScheduleEvent};
-pub use patterns::{pattern_pairs, TrafficPattern};
+pub use patterns::{pattern_pairs, PartnerTable, TrafficPattern};
 pub use service::{ServiceConfig, ServiceEvent, ServiceWorkload};
 pub use traffic::{LengthDist, TrafficConfig, TrafficSource};

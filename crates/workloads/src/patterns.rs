@@ -63,28 +63,86 @@ pub fn pick_partner(rng: &mut SimRng, n: usize) -> usize {
 /// `HotPairs`; exposed so CARP trace builders can pick the same partners).
 #[must_use]
 pub fn partners_of(topo: &Topology, src: NodeId, partners: u8, seed: u64) -> Vec<NodeId> {
+    let mut out = vec![NodeId(0); partners as usize];
+    let len = draw_partners(topo, src, seed, &mut out);
+    out.truncate(len);
+    out
+}
+
+/// Fills `out` with the first partners of `src` under `seed` — at most
+/// `out.len()`, and fewer only on a topology too small for that many —
+/// and returns how many it drew. One draw, two homes: [`partners_of`]'s
+/// `Vec` and a [`PartnerTable`] row.
+fn draw_partners(topo: &Topology, src: NodeId, seed: u64, out: &mut [NodeId]) -> usize {
     let n = topo.num_nodes();
     let mut rng = SimRng::new(seed ^ 0x9E37_79B9).split(u64::from(src.0));
-    let mut out = Vec::with_capacity(partners as usize);
-    while out.len() < partners as usize && out.len() + 1 < n as usize {
+    let mut len = 0;
+    while len < out.len() && len + 1 < n as usize {
         let cand = NodeId(rng.below(u64::from(n)) as u32);
-        if cand != src && !out.contains(&cand) {
-            out.push(cand);
+        if cand != src && !out[..len].contains(&cand) {
+            out[len] = cand;
+            len += 1;
         }
     }
-    out
+    len
+}
+
+/// The `HotPairs` partner lists of one traffic generator: each source's
+/// list is the [`partners_of`] draw, made on the source's first local pick
+/// and kept in one flat table, so a message reads its partners instead of
+/// re-deriving them. Nothing is allocated before the first pick.
+#[derive(Debug, Clone)]
+pub struct PartnerTable {
+    seed: u64,
+    /// Partners per source: the `HotPairs` count of the first pick.
+    width: usize,
+    /// Per node, the length of its drawn list, or `None` before its first
+    /// local pick.
+    lens: Vec<Option<u8>>,
+    /// Node `n`'s list is `flat[n * width..][..lens[n]]`.
+    flat: Vec<NodeId>,
+}
+
+impl PartnerTable {
+    /// An empty table drawing under `seed`.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        Self {
+            seed,
+            width: 0,
+            lens: Vec::new(),
+            flat: Vec::new(),
+        }
+    }
+
+    /// The `partners` partners of `src` — `partners_of(topo, src,
+    /// partners, seed)` — drawn on the first call for `src`.
+    pub fn of(&mut self, topo: &Topology, src: NodeId, partners: u8) -> &[NodeId] {
+        if self.lens.is_empty() {
+            let n = topo.num_nodes() as usize;
+            self.width = usize::from(partners);
+            self.lens = vec![None; n];
+            self.flat = vec![NodeId(0); n * self.width];
+        }
+        debug_assert_eq!(self.width, usize::from(partners), "one width per table");
+        let row = src.0 as usize * self.width;
+        let row = &mut self.flat[row..row + self.width];
+        let len = *self.lens[src.0 as usize]
+            .get_or_insert_with(|| draw_partners(topo, src, self.seed, row) as u8);
+        &row[..usize::from(len)]
+    }
 }
 
 impl TrafficPattern {
     /// Draws a destination for `src`, or `None` when this source is silent
-    /// under the pattern.
+    /// under the pattern. `HotPairs` reads its partners from `partners`.
     #[must_use]
     pub fn dest(
         &self,
         topo: &Topology,
         src: NodeId,
         rng: &mut SimRng,
-        seed: u64,
+        partners: &mut PartnerTable,
     ) -> Option<NodeId> {
         let n = topo.num_nodes();
         match *self {
@@ -110,20 +168,20 @@ impl TrafficPattern {
                 if src != hot && rng.chance(fraction) {
                     Some(hot)
                 } else {
-                    TrafficPattern::Uniform.dest(topo, src, rng, seed)
+                    TrafficPattern::Uniform.dest(topo, src, rng, partners)
                 }
             }
-            TrafficPattern::HotPairs { partners, locality } => {
+            TrafficPattern::HotPairs {
+                partners: width,
+                locality,
+            } => {
                 if rng.chance(locality) {
-                    let ps = partners_of(topo, src, partners, seed);
-                    if ps.is_empty() {
-                        TrafficPattern::Uniform.dest(topo, src, rng, seed)
-                    } else {
-                        Some(ps[pick_partner(rng, ps.len())])
+                    let ps = partners.of(topo, src, width);
+                    if !ps.is_empty() {
+                        return Some(ps[pick_partner(rng, ps.len())]);
                     }
-                } else {
-                    TrafficPattern::Uniform.dest(topo, src, rng, seed)
                 }
+                TrafficPattern::Uniform.dest(topo, src, rng, partners)
             }
         }
     }
@@ -144,13 +202,13 @@ impl TrafficPattern {
         topo: &Topology,
         src: NodeId,
         rng: &mut SimRng,
-        seed: u64,
+        partners: &mut PartnerTable,
     ) -> Option<NodeId> {
         let n = topo.num_nodes();
         if n < 2 {
             return None;
         }
-        match self.dest(topo, src, rng, seed) {
+        match self.dest(topo, src, rng, partners) {
             Some(d) => Some(d),
             None => Some(NodeId((src.0 + 1) % n)),
         }
@@ -177,6 +235,7 @@ pub fn pattern_pairs(
     seed: u64,
 ) -> Vec<(NodeId, NodeId)> {
     let mut rng = SimRng::new(seed);
+    let mut partners = PartnerTable::new(seed);
     let mut pairs = Vec::with_capacity(count);
     let nodes: Vec<NodeId> = topo.nodes().collect();
     // A pattern can be silent from many sources (e.g. transpose on the
@@ -188,7 +247,7 @@ pub fn pattern_pairs(
         attempts += 1;
         let src = nodes[i % nodes.len()];
         i += 1;
-        if let Some(dest) = pattern.dest(topo, src, &mut rng, seed) {
+        if let Some(dest) = pattern.dest(topo, src, &mut rng, &mut partners) {
             debug_assert_ne!(dest, src, "patterns never draw a self-send");
             pairs.push((src, dest));
         }
@@ -230,7 +289,9 @@ mod tests {
         let mut rng = SimRng::new(1);
         for src in t.nodes() {
             for _ in 0..50 {
-                let d = TrafficPattern::Uniform.dest(&t, src, &mut rng, 0).unwrap();
+                let d = TrafficPattern::Uniform
+                    .dest(&t, src, &mut rng, &mut PartnerTable::new(0))
+                    .unwrap();
                 assert_ne!(d, src);
                 assert!(d.0 < 16);
             }
@@ -243,13 +304,13 @@ mod tests {
         let mut rng = SimRng::new(1);
         let src = t.node(Coords::new(&[1, 3]));
         let d = TrafficPattern::Transpose
-            .dest(&t, src, &mut rng, 0)
+            .dest(&t, src, &mut rng, &mut PartnerTable::new(0))
             .unwrap();
         assert_eq!(t.coords(d).as_slice(), &[3, 1]);
         // Diagonal nodes are silent.
         let diag = t.node(Coords::new(&[2, 2]));
         assert!(TrafficPattern::Transpose
-            .dest(&t, diag, &mut rng, 0)
+            .dest(&t, diag, &mut rng, &mut PartnerTable::new(0))
             .is_none());
     }
 
@@ -264,7 +325,7 @@ mod tests {
         let mut hits = 0;
         let trials = 2000;
         for _ in 0..trials {
-            if pat.dest(&t, NodeId(0), &mut rng, 0) == Some(NodeId(5)) {
+            if pat.dest(&t, NodeId(0), &mut rng, &mut PartnerTable::new(0)) == Some(NodeId(5)) {
                 hits += 1;
             }
         }
@@ -281,12 +342,43 @@ mod tests {
             locality: 1.0,
         };
         let mut rng = SimRng::new(4);
+        let mut table = PartnerTable::new(seed);
         let src = NodeId(3);
         let ps = partners_of(&t, src, 2, seed);
         assert_eq!(ps.len(), 2);
         for _ in 0..100 {
-            let d = pat.dest(&t, src, &mut rng, seed).unwrap();
+            let d = pat.dest(&t, src, &mut rng, &mut table).unwrap();
             assert!(ps.contains(&d), "{d} not in partner set {ps:?}");
+        }
+    }
+
+    /// Whatever order the sources make their first picks in, each row of
+    /// the lazy table is that source's `partners_of` draw — also on
+    /// topologies too small for the full count.
+    #[test]
+    fn partner_table_rows_are_partners_of() {
+        for (topo, partners) in [
+            (Topology::torus(&[8, 8]), 3),
+            (Topology::mesh(&[4, 4]), 5),
+            (Topology::mesh(&[2, 2]), 4),
+        ] {
+            let mut table = PartnerTable::new(31);
+            let mut order: Vec<NodeId> = topo.nodes().collect();
+            let third = order.len() / 3;
+            order.reverse();
+            order.rotate_left(third);
+            for &src in &order {
+                let want = partners_of(&topo, src, partners, 31);
+                assert_eq!(table.of(&topo, src, partners), want.as_slice(), "{src}");
+            }
+            for src in topo.nodes() {
+                let want = partners_of(&topo, src, partners, 31);
+                assert_eq!(
+                    table.of(&topo, src, partners),
+                    want.as_slice(),
+                    "{src} again"
+                );
+            }
         }
     }
 
@@ -327,13 +419,13 @@ mod tests {
         let mut rng = SimRng::new(5);
         // The transpose diagonal is silent under `dest`.
         let silent = t.nodes().filter(|&src| {
-            let d = TrafficPattern::Transpose.dest(&t, src, &mut rng, 0);
+            let d = TrafficPattern::Transpose.dest(&t, src, &mut rng, &mut PartnerTable::new(0));
             d.is_none()
         });
         assert_eq!(silent.count(), 4);
         for src in t.nodes() {
             let d = TrafficPattern::Transpose
-                .dest_or_remap(&t, src, &mut rng, 0)
+                .dest_or_remap(&t, src, &mut rng, &mut PartnerTable::new(0))
                 .unwrap();
             assert_ne!(d, src, "the remap must not self-send");
         }
@@ -341,13 +433,13 @@ mod tests {
         // its successor id.
         let diag = t.node(Coords::new(&[2, 2]));
         let d = TrafficPattern::Transpose
-            .dest_or_remap(&t, diag, &mut rng, 0)
+            .dest_or_remap(&t, diag, &mut rng, &mut PartnerTable::new(0))
             .unwrap();
         assert_eq!(d.0, diag.0 + 1);
         // Productive sources keep their pattern image.
         let src = t.node(Coords::new(&[1, 3]));
         let d = TrafficPattern::Transpose
-            .dest_or_remap(&t, src, &mut rng, 0)
+            .dest_or_remap(&t, src, &mut rng, &mut PartnerTable::new(0))
             .unwrap();
         assert_eq!(t.coords(d).as_slice(), &[3, 1]);
     }
@@ -363,7 +455,9 @@ mod tests {
             fraction: 0.9,
         };
         for _ in 0..200 {
-            let d = pat.dest(&t, NodeId(5), &mut rng, 0).unwrap();
+            let d = pat
+                .dest(&t, NodeId(5), &mut rng, &mut PartnerTable::new(0))
+                .unwrap();
             assert_ne!(d, NodeId(5));
         }
     }

@@ -43,7 +43,7 @@ use wavesim_network::Message;
 use wavesim_sim::{Cycle, SimRng};
 use wavesim_topology::{NodeId, Topology};
 
-use crate::patterns::{partners_of, pick_partner};
+use crate::patterns::{pick_partner, PartnerTable};
 
 /// Reply-id tag: a reply carries its request's id with this bit set.
 const REPLY_BIT: u64 = 1 << 63;
@@ -112,6 +112,8 @@ pub struct ServiceWorkload {
     topo: Topology,
     cfg: ServiceConfig,
     rng: SimRng,
+    /// Each client node's hot servers, drawn on its first local pick.
+    partners: PartnerTable,
     /// No new requests at or after this cycle (in-flight ones finish).
     stop_at: Cycle,
     /// Clients assigned to each node (base + remainder distribution).
@@ -149,6 +151,7 @@ impl ServiceWorkload {
             .collect();
         Self {
             rng: SimRng::new(cfg.seed ^ 0xD5_0001),
+            partners: PartnerTable::new(cfg.seed),
             stop_at: Cycle::MAX,
             assigned,
             started: vec![0; n as usize],
@@ -167,7 +170,7 @@ impl ServiceWorkload {
 
     fn draw_server(&mut self, src: NodeId) -> NodeId {
         if self.rng.chance(self.cfg.locality) {
-            let ps = partners_of(&self.topo, src, self.cfg.partners, self.cfg.seed);
+            let ps = self.partners.of(&self.topo, src, self.cfg.partners);
             if !ps.is_empty() {
                 return ps[pick_partner(&mut self.rng, ps.len())];
             }
@@ -372,7 +375,7 @@ mod tests {
         let t = topo();
         let mut w = ServiceWorkload::new(t.clone(), cfg);
         for m in w.poll(0) {
-            let ps = partners_of(&t, m.src, 2, cfg.seed);
+            let ps = crate::patterns::partners_of(&t, m.src, 2, cfg.seed);
             assert!(ps.contains(&m.dest), "{} not a server of {}", m.dest, m.src);
         }
     }

@@ -6,11 +6,14 @@
 //! reproduction regenerates. Sources stop at a configurable horizon so
 //! runs can drain and the delivered/offered accounting closes.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use wavesim_network::Message;
 use wavesim_sim::{Cycle, SimRng};
 use wavesim_topology::{NodeId, Topology};
 
-use crate::patterns::TrafficPattern;
+use crate::patterns::{PartnerTable, TrafficPattern};
 
 /// Message-length distribution, in flits.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,17 +94,22 @@ impl Default for TrafficConfig {
 }
 
 /// Per-node Bernoulli message sources.
+///
+/// Each node's next message time sits in one calendar, so a poll visits
+/// the nodes that fire and no others: its cost follows the messages
+/// generated, not the network's size.
 pub struct TrafficSource {
     topo: Topology,
     cfg: TrafficConfig,
-    per_node: Vec<NodeSource>,
+    /// Each node's arrival, destination and length stream.
+    rngs: Vec<SimRng>,
+    /// `(next_fire, node)` of every node, earliest first.
+    calendar: BinaryHeap<Reverse<(Cycle, u32)>>,
+    /// The nodes due in one poll with their fire times (scratch).
+    due: Vec<(u32, Cycle)>,
+    partners: PartnerTable,
     next_id: u64,
     generated: u64,
-}
-
-struct NodeSource {
-    rng: SimRng,
-    next_fire: Cycle,
 }
 
 impl TrafficSource {
@@ -116,20 +124,21 @@ impl TrafficSource {
         assert!(mean >= 1.0, "mean message length must be >= 1 flit");
         let p = (cfg.load / mean).min(1.0);
         let root = SimRng::new(cfg.seed);
-        let per_node = (0..topo.num_nodes())
+        let mut first_fires = Vec::with_capacity(topo.num_nodes() as usize);
+        let rngs = (0..topo.num_nodes())
             .map(|n| {
                 let mut rng = root.split(u64::from(n));
-                let first = rng.geometric(p).saturating_sub(1);
-                NodeSource {
-                    rng,
-                    next_fire: first,
-                }
+                first_fires.push(Reverse((rng.geometric(p).saturating_sub(1), n)));
+                rng
             })
             .collect();
         Self {
+            rngs,
+            calendar: BinaryHeap::from(first_fires),
+            due: Vec::new(),
+            partners: PartnerTable::new(cfg.seed),
             topo,
             cfg,
-            per_node,
             next_id: 0,
             generated: 0,
         }
@@ -151,29 +160,47 @@ impl TrafficSource {
     /// with non-decreasing `now`).
     pub fn poll(&mut self, now: Cycle) -> Vec<Message> {
         let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
+    }
+
+    /// [`TrafficSource::poll`] appending to `out`: the nodes due by `now`
+    /// fire in ascending node order, each as many times as its arrival
+    /// process has come due, so ids and order are those of a sweep over
+    /// every node.
+    pub fn poll_into(&mut self, now: Cycle, out: &mut Vec<Message>) {
         if now >= self.cfg.stop_at {
-            return out;
+            return;
         }
+        while let Some(&Reverse((at, n))) = self.calendar.peek() {
+            if at > now {
+                break;
+            }
+            self.calendar.pop();
+            self.due.push((n, at));
+        }
+        self.due.sort_unstable();
         let p = self.msg_probability();
-        for n in 0..self.per_node.len() {
-            while self.per_node[n].next_fire <= now {
-                let src = NodeId(n as u32);
-                let ns = &mut self.per_node[n];
-                ns.next_fire += ns.rng.geometric(p).max(1);
-                if let Some(dest) =
-                    self.cfg
-                        .pattern
-                        .dest(&self.topo, src, &mut ns.rng, self.cfg.seed)
+        for &(n, mut next_fire) in &self.due {
+            let src = NodeId(n);
+            let rng = &mut self.rngs[n as usize];
+            while next_fire <= now {
+                next_fire += rng.geometric(p).max(1);
+                if let Some(dest) = self
+                    .cfg
+                    .pattern
+                    .dest(&self.topo, src, rng, &mut self.partners)
                 {
-                    let len = self.cfg.len.sample(&mut ns.rng);
+                    let len = self.cfg.len.sample(rng);
                     let id = self.next_id;
                     self.next_id += 1;
                     self.generated += 1;
                     out.push(Message::new(id, src, dest, len.max(1), now));
                 }
             }
+            self.calendar.push(Reverse((next_fire, n)));
         }
-        out
+        self.due.clear();
     }
 
     /// Silences all sources from `cycle` on.
@@ -188,6 +215,128 @@ mod tests {
 
     fn topo() -> Topology {
         Topology::mesh(&[4, 4])
+    }
+
+    /// The source as it was before the calendar: every poll sweeps every
+    /// node, and a `HotPairs` pick draws its source's partners afresh.
+    struct Sweep {
+        topo: Topology,
+        cfg: TrafficConfig,
+        per_node: Vec<(SimRng, Cycle)>,
+        next_id: u64,
+    }
+
+    impl Sweep {
+        fn new(topo: Topology, cfg: TrafficConfig) -> Self {
+            let p = (cfg.load / cfg.len.mean()).min(1.0);
+            let root = SimRng::new(cfg.seed);
+            let per_node = (0..topo.num_nodes())
+                .map(|n| {
+                    let mut rng = root.split(u64::from(n));
+                    let first = rng.geometric(p).saturating_sub(1);
+                    (rng, first)
+                })
+                .collect();
+            Self {
+                topo,
+                cfg,
+                per_node,
+                next_id: 0,
+            }
+        }
+
+        fn poll(&mut self, now: Cycle) -> Vec<Message> {
+            let mut out = Vec::new();
+            if now >= self.cfg.stop_at {
+                return out;
+            }
+            let p = (self.cfg.load / self.cfg.len.mean()).min(1.0);
+            for (n, (rng, next_fire)) in self.per_node.iter_mut().enumerate() {
+                let src = NodeId(n as u32);
+                while *next_fire <= now {
+                    *next_fire += rng.geometric(p).max(1);
+                    let fresh = &mut PartnerTable::new(self.cfg.seed);
+                    if let Some(dest) = self.cfg.pattern.dest(&self.topo, src, rng, fresh) {
+                        let len = self.cfg.len.sample(rng);
+                        out.push(Message::new(self.next_id, src, dest, len.max(1), now));
+                        self.next_id += 1;
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// The calendar fires what the sweep fires, message for message, over
+    /// every pattern on a mesh and a torus, at loads up to p = 1 (every
+    /// node every cycle), across the `stop_at` horizon, and with polls
+    /// that skip cycles.
+    #[test]
+    fn calendar_fires_what_a_sweep_of_every_node_fires() {
+        let patterns = [
+            TrafficPattern::Uniform,
+            TrafficPattern::Transpose,
+            TrafficPattern::Hotspot {
+                node: 5,
+                fraction: 0.3,
+            },
+            TrafficPattern::HotPairs {
+                partners: 3,
+                locality: 0.7,
+            },
+        ];
+        let topos = [Topology::mesh(&[5, 5]), Topology::torus(&[4, 4])];
+        // (load, len): p = 0.01, 0.25, 1 (load = mean length), and over 1.
+        let loads = [
+            (0.16, LengthDist::Fixed(16)),
+            (0.5, LengthDist::Fixed(2)),
+            (4.0, LengthDist::Fixed(4)),
+            (
+                30.0,
+                LengthDist::Bimodal {
+                    short: 2,
+                    long: 40,
+                    frac_long: 0.25,
+                },
+            ),
+        ];
+        let mut gaps = SimRng::new(99);
+        for topo in &topos {
+            for (i, &pattern) in patterns.iter().enumerate() {
+                for (j, &(load, len)) in loads.iter().enumerate() {
+                    let cfg = TrafficConfig {
+                        load,
+                        pattern,
+                        len,
+                        seed: 1 + (i * 4 + j) as u64,
+                        stop_at: 700,
+                    };
+                    let mut cal = TrafficSource::new(topo.clone(), cfg);
+                    let mut sweep = Sweep::new(topo.clone(), cfg);
+                    let mut polled = Vec::new();
+                    let mut now = 0;
+                    while now < 900 {
+                        polled.clear();
+                        cal.poll_into(now, &mut polled);
+                        let want = sweep.poll(now);
+                        let key = |m: &Message| (m.id, m.src, m.dest, m.len_flits, m.created_at);
+                        assert_eq!(
+                            polled.iter().map(key).collect::<Vec<_>>(),
+                            want.iter().map(key).collect::<Vec<_>>(),
+                            "{pattern:?} load {load} at cycle {now}"
+                        );
+                        // Mostly one cycle at a time; now and then a gap.
+                        now += if gaps.chance(0.1) {
+                            1 + gaps.below(40)
+                        } else {
+                            1
+                        };
+                    }
+                    assert_eq!(cal.generated(), sweep.next_id);
+                    assert!(cal.generated() > 0, "{pattern:?} load {load} fired");
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn main() {
     let mut lat_sum = 0u64;
     let horizon = trace.horizon();
     loop {
-        for op in trace.due(now) {
+        for &(_, op) in trace.due(now) {
             match op {
                 CarpOp::Establish { src, dest } => net.carp_establish(now, src, dest),
                 CarpOp::Teardown { src, dest } => net.carp_teardown(now, src, dest),

@@ -77,7 +77,7 @@ struct Carp {
 impl Feed for Carp {
     fn inputs(&mut self, now: Cycle, _: &[Delivery]) -> Vec<Input> {
         let mut out = Vec::new();
-        for op in self.trace.due(now) {
+        for &(_, op) in self.trace.due(now) {
             match op {
                 CarpOp::Send(m) => out.push(Input::Send(m)),
                 CarpOp::Establish { src, dest } if self.is_carp => {

@@ -86,7 +86,7 @@ fn theorem2_carp_is_deadlock_free() {
         let horizon = trace.horizon();
         let mut delivered = 0u64;
         loop {
-            for op in trace.due(now) {
+            for &(_, op) in trace.due(now) {
                 match op {
                     CarpOp::Establish { src, dest } => net.carp_establish(now, src, dest),
                     CarpOp::Teardown { src, dest } => net.carp_teardown(now, src, dest),
