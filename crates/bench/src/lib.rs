@@ -36,17 +36,19 @@
 //!
 //! ## Driving and observing a run
 //!
-//! One loop, [`drive`], runs every simulation. It talks to two things it
-//! is handed: a [`Driver`] (the workload — what to inject, what to do with
-//! deliveries) and a [`RunObserver`] (whoever watches). There are four
-//! drivers: open loop ([`run_open_loop`]; [`run_open_loop_window`] stops
-//! it at the end of its measurement window), CARP instruction trace
-//! ([`run_carp_trace`]; [`run_scripted`] is the send-only case),
-//! dependency trace ([`run_dep_trace`]) and closed loop ([`run_service`]):
+//! One loop, `runner::drive`, runs every simulation. It talks to two
+//! things it is handed: a [`wavesim_workloads::Workload`] (which ops are
+//! due at a cycle, what a delivery triggers) and a [`RunObserver`]
+//! (whoever watches). Each `run_*` entry point only sets the stop cycles
+//! and the deadline and builds its result: open loop ([`run_open_loop`];
+//! [`run_open_loop_window`] stops it at the end of its measurement
+//! window), CARP instruction trace ([`run_carp_trace`]; [`run_scripted`]
+//! is the send-only case), dependency trace ([`run_dep_trace`]) and
+//! closed loop ([`run_service`]):
 //!
 //! ```text
-//!   Driver  <-- inject / collect --  drive  -- start / cycle / sample / finish -->  RunObserver
-//! (workload)                    (tick, monitor)          () | Capture | Watchdog | BoardObserver
+//!   Workload  <-- due / delivered --  drive  -- start / cycle / sample / finish -->  RunObserver
+//!  (timing)                (apply_op, tick, tally, monitor)     () | Capture | Watchdog | BoardObserver
 //! ```
 //!
 //! The three observers — [`tracecap::Capture`], [`watchdog::Watchdog`],
@@ -71,8 +73,8 @@ pub mod watchdog;
 
 pub use observers::{Observed, Observers};
 pub use runner::{
-    apply_fault_schedule, drive, run_carp_trace, run_dep_trace, run_open_loop,
-    run_open_loop_observed, run_open_loop_window, run_scripted, run_service, Drained, Driver,
+    apply_fault_schedule, apply_op, run_carp_trace, run_dep_trace, run_open_loop,
+    run_open_loop_observed, run_open_loop_window, run_scripted, run_service, Drained,
     ParallelSweep, RunObserver, RunResult, RunSpec, ServiceResult, WindowResult,
 };
 pub use wavesim_json::table::Table;

@@ -1,17 +1,18 @@
-//! Shared measurement loops.
+//! The one measurement loop and its entry points.
 //!
-//! The four entry points — [`run_open_loop`], [`run_carp_trace`] (which
-//! [`run_scripted`] feeds a send-only trace), [`run_dep_trace`],
-//! [`run_service`] — are thin [`Driver`]s over one shared [`drive`]
-//! skeleton: inject the cycle's workload, tick the network, collect
-//! deliveries, sample the deadlock monitor every 64 cycles, stop when the
-//! source phase is over and the network drained (or the deadline/stall
-//! limit hits). They return a [`RunResult`] with the
-//! two headline metrics of the literature — mean message latency and
-//! accepted throughput — plus protocol statistics and verification
-//! verdicts. Whatever watches a run (trace capture, watchdog, status
-//! board) is a [`RunObserver`] the caller passes in; `&mut ()`
-//! observes nothing.
+//! Every run goes through one loop, `drive`: ask the workload
+//! ([`Workload`]) which ops are due, apply them ([`apply_op`]), tick the
+//! network, hand each delivery to the tally and back to the workload,
+//! sample the deadlock monitor every 64 cycles, and stop when the source
+//! phase is over and the network drained (or the deadline/stall limit
+//! hits). The entry points — [`run_open_loop`], [`run_carp_trace`]
+//! (which [`run_scripted`] feeds a send-only trace), [`run_dep_trace`],
+//! [`run_service`] — only set stop cycles and deadlines and build
+//! results. A [`RunResult`] holds the two headline metrics of the
+//! literature — mean message latency and accepted throughput — plus
+//! protocol statistics and verification verdicts. Whatever watches a run
+//! (trace capture, watchdog, status board) is a [`RunObserver`] the
+//! caller passes in; `&mut ()` observes nothing.
 //!
 //! A *window run* ([`run_open_loop_window`]) is the open-loop run cut at
 //! the end of its measurement window: the same driver and tally, with
@@ -37,7 +38,9 @@ use wavesim_sim::stats::{Histogram, ThroughputMeter, Warmup};
 use wavesim_sim::Cycle;
 use wavesim_verify::progress::wave_fingerprint;
 use wavesim_verify::{check_probe_livelock, ProgressMonitor};
-use wavesim_workloads::{CarpOp, CarpTrace, DepTrace, FaultSchedule, ServiceEvent, TrafficSource};
+use wavesim_workloads::{
+    CarpOp, CarpTrace, DepTrace, FaultSchedule, ServiceWorkload, TrafficSource, Workload,
+};
 
 /// Phase lengths and safety limits of a run.
 #[derive(Debug, Clone, Copy)]
@@ -148,20 +151,7 @@ pub struct WindowResult {
     pub probe_step_bound: u64,
 }
 
-/// Per-cycle callbacks of a measurement loop. [`drive`] owns the shared
-/// skeleton — tick, stall monitor, termination — and delegates workload
-/// injection and delivery accounting here.
-pub trait Driver {
-    /// Injects this cycle's workload into `net`. Returns `true` while the
-    /// source phase is still active; [`drive`] never terminates the run
-    /// mid-phase.
-    fn inject(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool;
-
-    /// Consumes deliveries after the network ticked.
-    fn collect(&mut self, now: Cycle, net: &mut WaveNetwork);
-}
-
-/// Where a [`drive`] loop stopped and why.
+/// Where a `drive` loop stopped and why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Drained {
     /// Cycle at which the run ended.
@@ -170,7 +160,7 @@ pub struct Drained {
     pub stalled: bool,
 }
 
-/// What watches a run from outside: [`drive`] calls these hooks and hands
+/// What watches a run from outside: `drive` calls these hooks and hands
 /// nothing back, so an observer cannot perturb the schedule and
 /// [`RunResult`] (whose `Debug` output is golden-hashed) stays untouched.
 /// An observer instance serves one run and owns what it captured; every
@@ -195,36 +185,57 @@ pub trait RunObserver {
 
 impl RunObserver for () {}
 
-/// The measurement loop shared by every `run_*` entry point. Each cycle:
-/// the driver injects, the network ticks, `obs` looks, the driver
-/// collects, and every 64 cycles the deadlock monitor samples a state
-/// fingerprint and `obs` gets its sample point. The loop ends when the
-/// driver's source phase is over and the network is idle (clean drain),
-/// when `deadline` passes, or when the monitor or `obs` calls a stall.
+/// Applies one workload op to `net` at `now`. A network that does not
+/// run CARP skips ESTABLISH/TEARDOWN (CLRP manages its circuits itself,
+/// wormhole has none), so every protocol runs the identical message
+/// schedule.
+pub fn apply_op(net: &mut WaveNetwork, now: Cycle, op: CarpOp) {
+    let carp = net.config().protocol == ProtocolKind::Carp;
+    match op {
+        CarpOp::Send(m) => net.send(now, m),
+        CarpOp::Establish { src, dest } if carp => net.carp_establish(now, src, dest),
+        CarpOp::Teardown { src, dest } if carp => net.carp_teardown(now, src, dest),
+        CarpOp::Establish { .. } | CarpOp::Teardown { .. } => {}
+    }
+}
+
+/// The measurement loop of every `run_*` entry point. Each cycle: the
+/// workload's due ops are applied, the network ticks, `obs` looks, every
+/// delivery goes to the tally and to [`Workload::delivered`], and every
+/// 64 cycles the deadlock monitor samples a state fingerprint and `obs`
+/// gets its sample point. The loop ends when the workload's source phase
+/// is over and the network is idle (clean drain), when `deadline`
+/// passes, or when the monitor or `obs` calls a stall.
 ///
-/// While the source phase is active the loop visits every cycle (sources
-/// are polled per cycle). During the drain phase it fast-forwards over
-/// cycles where [`WaveNetwork::next_activity`] proves nothing can happen
-/// — landing on exactly the cycles the cycle-by-cycle loop would have
-/// done work at, so `end` and every statistic are unchanged.
-pub fn drive(
+/// While the source phase is active the loop visits every cycle. During
+/// the drain phase it fast-forwards over cycles where
+/// [`WaveNetwork::next_activity`] proves nothing can happen — landing on
+/// exactly the cycles the cycle-by-cycle loop would have done work at, so
+/// `end` and every statistic are unchanged.
+fn drive(
     net: &mut WaveNetwork,
+    wl: &mut impl Workload,
+    spec: RunSpec,
     deadline: Cycle,
-    stall_threshold: u64,
-    driver: &mut impl Driver,
     obs: &mut dyn RunObserver,
-) -> Drained {
+) -> (Tally, Drained) {
     obs.start(net);
-    let mut monitor = ProgressMonitor::new(stall_threshold);
+    let mut tally = Tally::new(spec, u64::from(net.topology().num_nodes()));
+    let mut monitor = ProgressMonitor::new(spec.stall_threshold);
+    let mut ops = Vec::new();
     let mut now: Cycle = 0;
     let stalled = loop {
-        let active = driver.inject(now, net);
+        let active = wl.due(now, &mut ops);
+        for op in ops.drain(..) {
+            tally.sent += u64::from(matches!(op, CarpOp::Send(_)));
+            apply_op(net, now, op);
+        }
         if !active && (!net.busy() || now >= deadline) {
             break false;
         }
         net.tick(now);
         obs.cycle(now, net);
-        driver.collect(now, net);
+        tally.collect(now, net, wl);
         if now.is_multiple_of(64)
             && (monitor
                 .observe(now, wave_fingerprint(net), net.busy())
@@ -244,10 +255,10 @@ pub fn drive(
     };
     let outcome = Drained { end: now, stalled };
     obs.finish(net, outcome);
-    outcome
+    (tally, outcome)
 }
 
-/// Per-run measurement state shared by the open-loop and trace drivers.
+/// Per-run measurement state of [`drive`].
 struct Tally {
     warmup: Warmup,
     measure_end: Cycle,
@@ -255,6 +266,7 @@ struct Tally {
     meter: ThroughputMeter,
     circuit_msgs: u64,
     measured: u64,
+    sent: u64,
     delivered: u64,
     /// Reused delivery buffer: `collect` runs every cycle, and swapping
     /// the same capacity back and forth keeps the hot loop allocation-free.
@@ -271,24 +283,19 @@ impl Tally {
             meter: ThroughputMeter::new(nodes, warmup),
             circuit_msgs: 0,
             measured: 0,
+            sent: 0,
             delivered: 0,
             scratch: Vec::new(),
         }
     }
 
-    fn collect(&mut self, net: &mut WaveNetwork) {
-        self.collect_with(net, |_| {});
-    }
-
-    /// Like `collect`, but calls `each` on every drained delivery —
-    /// drivers that react to deliveries (dependency release, reply
-    /// generation) share the tally's scratch buffer instead of draining
-    /// twice.
-    fn collect_with(&mut self, net: &mut WaveNetwork, mut each: impl FnMut(&Delivery)) {
+    /// Drains the deliveries of cycle `now`, counts each and hands it
+    /// back to `wl`.
+    fn collect(&mut self, now: Cycle, net: &mut WaveNetwork, wl: &mut impl Workload) {
         let mut buf = std::mem::take(&mut self.scratch);
         net.drain_deliveries_into(&mut buf);
         for d in &buf {
-            each(d);
+            wl.delivered(d, now);
             self.delivered += 1;
             if self.warmup.open(d.msg.created_at) {
                 self.lat.record(d.latency());
@@ -320,10 +327,10 @@ impl Tally {
 
     /// Folds the tally, the loop outcome, and the network's final state
     /// into a [`RunResult`].
-    fn finish(self, net: &WaveNetwork, sent: u64, outcome: Drained) -> RunResult {
+    fn finish(self, net: &WaveNetwork, outcome: Drained) -> RunResult {
         let live = check_probe_livelock(net);
         RunResult {
-            sent,
+            sent: self.sent,
             delivered: self.delivered,
             avg_latency: self.lat.mean(),
             p99_latency: self.lat.quantile_bound(0.99),
@@ -368,64 +375,18 @@ pub fn run_open_loop(net: &mut WaveNetwork, src: &mut TrafficSource, spec: RunSp
     run_open_loop_observed(net, src, spec, &mut ())
 }
 
-/// The open-loop driver: `src` injects until the window closes, and the
-/// tally takes every delivery.
-struct OpenLoop<'a> {
-    src: &'a mut TrafficSource,
-    /// The messages of one poll, reused cycle to cycle.
-    polled: Vec<Message>,
-    measure_end: Cycle,
-    tally: Tally,
-}
-
-impl Driver for OpenLoop<'_> {
-    fn inject(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
-        if now >= self.measure_end {
-            return false;
-        }
-        self.src.poll_into(now, &mut self.polled);
-        for m in self.polled.drain(..) {
-            net.send(now, m);
-        }
-        true
-    }
-    fn collect(&mut self, _now: Cycle, net: &mut WaveNetwork) {
-        self.tally.collect(net);
-    }
-}
-
-/// Drives `net` with `src` over `spec`'s window and at most `drain`
-/// cycles past it. Both open-loop entry points drive through here, so
-/// either runs the one inlined copy of `drive`'s per-cycle loop.
-fn drive_open_loop<'a>(
-    net: &mut WaveNetwork,
-    src: &'a mut TrafficSource,
-    spec: RunSpec,
-    drain: Cycle,
-    obs: &mut dyn RunObserver,
-) -> (OpenLoop<'a>, Drained) {
-    let measure_end = spec.warmup + spec.measure;
-    src.stop_at(measure_end);
-    let mut d = OpenLoop {
-        src,
-        polled: Vec::new(),
-        measure_end,
-        tally: Tally::new(spec, u64::from(net.topology().num_nodes())),
-    };
-    let outcome = drive(net, measure_end + drain, spec.stall_threshold, &mut d, obs);
-    (d, outcome)
-}
-
-/// Drives `net` with `src` per `spec` under `obs`.
+/// Drives `net` with `src` per `spec` under `obs`: `src` injects until
+/// the measurement window closes, then the network drains.
 pub fn run_open_loop_observed(
     net: &mut WaveNetwork,
     src: &mut TrafficSource,
     spec: RunSpec,
     obs: &mut dyn RunObserver,
 ) -> RunResult {
-    let (d, outcome) = drive_open_loop(net, src, spec, spec.drain_limit, obs);
-    let sent = d.src.generated();
-    d.tally.finish(net, sent, outcome)
+    let measure_end = spec.warmup + spec.measure;
+    src.stop_at(measure_end);
+    let (tally, outcome) = drive(net, src, spec, measure_end + spec.drain_limit, obs);
+    tally.finish(net, outcome)
 }
 
 /// Drives `net` with `src` per `spec` under `obs` to the end of the
@@ -439,12 +400,14 @@ pub fn run_open_loop_window(
     spec: RunSpec,
     obs: &mut dyn RunObserver,
 ) -> WindowResult {
-    let (d, outcome) = drive_open_loop(net, src, spec, 0, obs);
+    let measure_end = spec.warmup + spec.measure;
+    src.stop_at(measure_end);
+    let (tally, outcome) = drive(net, src, spec, measure_end, obs);
     let live = check_probe_livelock(net);
     WindowResult {
-        sent: d.src.generated(),
-        delivered: d.tally.delivered,
-        throughput: d.tally.throughput(outcome.end),
+        sent: tally.sent,
+        delivered: tally.delivered,
+        throughput: tally.throughput(outcome.end),
         wave: net.stats(),
         end: outcome.end,
         max_probe_steps: live.max_probe_steps,
@@ -454,67 +417,19 @@ pub fn run_open_loop_window(
 
 /// Replays a CARP instruction trace on `net`. On a CARP network the full
 /// instruction stream executes; on a CLRP or wormhole-only network the
-/// ESTABLISH/TEARDOWN ops are skipped (those protocols manage circuits
-/// themselves — or not at all), which lets E5 compare all three systems on
-/// the *identical* message schedule. `spec.warmup`/`spec.measure` gate the
-/// statistics windows as in [`run_open_loop`].
+/// ESTABLISH/TEARDOWN ops are skipped ([`apply_op`]), which lets E5
+/// compare all three systems on the *identical* message schedule.
+/// `spec.warmup`/`spec.measure` gate the statistics windows as in
+/// [`run_open_loop`].
 pub fn run_carp_trace(
     net: &mut WaveNetwork,
     trace: &mut CarpTrace,
     spec: RunSpec,
     obs: &mut dyn RunObserver,
 ) -> RunResult {
-    struct Trace<'a> {
-        trace: &'a mut CarpTrace,
-        is_carp: bool,
-        horizon: Cycle,
-        sent: u64,
-        tally: Tally,
-    }
-    impl Driver for Trace<'_> {
-        fn inject(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
-            if now > self.horizon {
-                return false;
-            }
-            for &(_, op) in self.trace.due(now) {
-                match op {
-                    CarpOp::Establish { src, dest } if self.is_carp => {
-                        net.carp_establish(now, src, dest);
-                    }
-                    CarpOp::Teardown { src, dest } if self.is_carp => {
-                        net.carp_teardown(now, src, dest);
-                    }
-                    CarpOp::Establish { .. } | CarpOp::Teardown { .. } => {}
-                    CarpOp::Send(m) => {
-                        self.sent += 1;
-                        net.send(now, m);
-                    }
-                }
-            }
-            true
-        }
-        fn collect(&mut self, _now: Cycle, net: &mut WaveNetwork) {
-            self.tally.collect(net);
-        }
-    }
-
-    let horizon = trace.horizon();
-    let mut d = Trace {
-        is_carp: net.config().protocol == ProtocolKind::Carp,
-        trace,
-        horizon,
-        sent: 0,
-        tally: Tally::new(spec, u64::from(net.topology().num_nodes())),
-    };
-    let outcome = drive(
-        net,
-        horizon + spec.drain_limit,
-        spec.stall_threshold,
-        &mut d,
-        obs,
-    );
-    let sent = d.sent;
-    d.tally.finish(net, sent, outcome)
+    let deadline = trace.horizon() + spec.drain_limit;
+    let (tally, outcome) = drive(net, trace, spec, deadline, obs);
+    tally.finish(net, outcome)
 }
 
 /// Replays an explicit timed message script (used by experiments that
@@ -535,232 +450,51 @@ pub fn run_scripted(
     }
 }
 
-/// Replays a dependency trace: a message is *released* (injected) only
-/// once every message it depends on has been **delivered**, at
-/// `max(created_at, last dependency delivered + 1)`. The replay is
-/// self-paced — a slower network releases later — and fully
-/// deterministic: the ready set is ordered by (release cycle, trace
-/// index), so results are byte-identical at any `--jobs` setting.
-/// `created_at` is re-stamped at release, so latency measures network
-/// time, not time spent waiting on dependencies.
-///
-/// The trace must be valid ([`DepTrace::validate`] — the loaders enforce
-/// this); a cyclic trace would never finish replaying and is rejected at
-/// load time.
-///
-/// # Panics
-/// Panics (in debug builds) on an unvalidated trace with dangling
-/// dependency ids.
+/// Replays a dependency trace ([`DepTrace::replay`]): a message is
+/// released only once every message it depends on has been delivered,
+/// so the replay is self-paced — a slower network releases later — and
+/// deterministic at any `--jobs` setting. Latency measures network time,
+/// not time spent waiting on dependencies.
 pub fn run_dep_trace(
     net: &mut WaveNetwork,
     trace: &DepTrace,
     spec: RunSpec,
     obs: &mut dyn RunObserver,
 ) -> RunResult {
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, HashMap};
-
-    struct DepReplay<'a> {
-        trace: &'a DepTrace,
-        /// Unsatisfied dependency count per trace index.
-        indegree: Vec<u32>,
-        /// dep index -> indices waiting on it.
-        dependents: Vec<Vec<u32>>,
-        id2idx: HashMap<u64, u32>,
-        /// (release cycle, trace index) min-heap of released messages.
-        ready: BinaryHeap<Reverse<(Cycle, u32)>>,
-        injected: u64,
-        tally: Tally,
-    }
-    impl Driver for DepReplay<'_> {
-        fn inject(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
-            while let Some(&Reverse((at, idx))) = self.ready.peek() {
-                if at > now {
-                    break;
-                }
-                self.ready.pop();
-                let m = &self.trace.messages[idx as usize].msg;
-                // Re-stamp the creation cycle at release so latency is
-                // the network's, not the dependency wait's.
-                net.send(now, Message::new(m.id.0, m.src, m.dest, m.len_flits, now));
-                self.injected += 1;
-            }
-            self.injected < self.trace.len() as u64
-        }
-        fn collect(&mut self, now: Cycle, net: &mut WaveNetwork) {
-            let Self {
-                trace,
-                indegree,
-                dependents,
-                id2idx,
-                ready,
-                tally,
-                ..
-            } = self;
-            tally.collect_with(net, |d| {
-                let Some(&idx) = id2idx.get(&d.msg.id.0) else {
-                    return;
-                };
-                for &j in &dependents[idx as usize] {
-                    indegree[j as usize] -= 1;
-                    if indegree[j as usize] == 0 {
-                        let release = trace.messages[j as usize].msg.created_at.max(now + 1);
-                        ready.push(Reverse((release, j)));
-                    }
-                }
-            });
-        }
-    }
-
-    let n = trace.len();
-    let mut id2idx = HashMap::with_capacity(n);
-    for (i, m) in trace.messages.iter().enumerate() {
-        id2idx.insert(m.msg.id.0, i as u32);
-    }
-    let mut indegree = vec![0u32; n];
-    let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, m) in trace.messages.iter().enumerate() {
-        for dep in &m.deps {
-            let j = *id2idx.get(dep).expect("validated trace: deps resolve");
-            indegree[i] += 1;
-            dependents[j as usize].push(i as u32);
-        }
-    }
-    let mut ready = BinaryHeap::with_capacity(n);
-    for (i, m) in trace.messages.iter().enumerate() {
-        if indegree[i] == 0 {
-            ready.push(Reverse((m.msg.created_at, i as u32)));
-        }
-    }
-    let mut d = DepReplay {
-        trace,
-        indegree,
-        dependents,
-        id2idx,
-        ready,
-        injected: 0,
-        tally: Tally::new(spec, u64::from(net.topology().num_nodes())),
-    };
-    let outcome = drive(
-        net,
-        trace.horizon() + spec.drain_limit,
-        spec.stall_threshold,
-        &mut d,
-        obs,
-    );
-    let sent = d.injected;
-    d.tally.finish(net, sent, outcome)
+    let deadline = trace.horizon() + spec.drain_limit;
+    let (tally, outcome) = drive(net, &mut trace.replay(), spec, deadline, obs);
+    tally.finish(net, outcome)
 }
 
-/// Replies waiting out their home's service time, released in (send
-/// cycle, reply id) order.
-#[derive(Default)]
-struct ReplyQueue {
-    pending: std::collections::BinaryHeap<std::cmp::Reverse<(Cycle, u64)>>,
-    store: std::collections::HashMap<u64, Message>,
-}
-
-impl ReplyQueue {
-    fn push(&mut self, send_at: Cycle, reply: Message) {
-        self.pending.push(std::cmp::Reverse((send_at, reply.id.0)));
-        self.store.insert(reply.id.0, reply);
-    }
-
-    /// Sends every reply whose service time elapsed by `now`.
-    fn send_due(&mut self, now: Cycle, net: &mut WaveNetwork) {
-        while let Some(&std::cmp::Reverse((t, id))) = self.pending.peek() {
-            if t > now {
-                break;
-            }
-            self.pending.pop();
-            let m = self.store.remove(&id).expect("stored reply");
-            net.send(now, m);
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-}
-
-/// Drives a closed-loop service workload
-/// ([`wavesim_workloads::ServiceWorkload`]): clients ramp in, issue
-/// requests to their servers, replies leave after the server's service
-/// time, and a client re-issues after reply + think time, so offered load
-/// responds to the network's own latency. The headline metric is the
-/// **round-trip** time from request issue to reply delivery. The
-/// workload's bookkeeping is O(active), so client populations in the
-/// millions are fine. Generation stops at `spec.warmup + spec.measure`;
-/// clients waking later retire and the run drains.
+/// Drives a closed-loop service workload ([`ServiceWorkload`]): clients
+/// ramp in, issue requests to their servers, replies leave after the
+/// server's service time, and a client re-issues after reply + think
+/// time, so offered load responds to the network's own latency. The
+/// headline metric is the **round-trip** time from request issue to
+/// reply delivery. The workload's bookkeeping is O(active), so client
+/// populations in the millions are fine. Generation stops at
+/// `spec.warmup + spec.measure`; clients waking later retire and the run
+/// drains.
 pub fn run_service(
     net: &mut WaveNetwork,
-    wl: &mut wavesim_workloads::ServiceWorkload,
+    wl: &mut ServiceWorkload,
     spec: RunSpec,
     obs: &mut dyn RunObserver,
 ) -> ServiceResult {
-    struct Service<'a> {
-        wl: &'a mut wavesim_workloads::ServiceWorkload,
-        measure_end: Cycle,
-        warmup: Warmup,
-        round_trips: Histogram,
-        replies: ReplyQueue,
-        scratch: Vec<Delivery>,
-    }
-    impl Driver for Service<'_> {
-        fn inject(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
-            for m in self.wl.poll(now) {
-                net.send(now, m);
-            }
-            self.replies.send_due(now, net);
-            // Poll past measure_end too: waking clients must retire (the
-            // workload's stop cycle) for the run to drain.
-            now < self.measure_end || !self.replies.is_empty() || self.wl.thinking() > 0
-        }
-        fn collect(&mut self, now: Cycle, net: &mut WaveNetwork) {
-            let mut buf = std::mem::take(&mut self.scratch);
-            net.drain_deliveries_into(&mut buf);
-            for d in &buf {
-                match self.wl.on_delivered(d.msg.id.0, d.msg.dest, now) {
-                    ServiceEvent::Reply(send_at, reply) => {
-                        self.replies.push(send_at, reply);
-                    }
-                    ServiceEvent::Done { issued_at } => {
-                        if self.warmup.open(issued_at) {
-                            self.round_trips.record(now - issued_at);
-                        }
-                    }
-                }
-            }
-            self.scratch = buf;
-        }
-    }
-
     let measure_end = spec.warmup + spec.measure;
     wl.stop_at(measure_end);
-    let mut d = Service {
-        wl,
-        measure_end,
-        warmup: Warmup::new(spec.warmup),
-        round_trips: Histogram::new(),
-        replies: ReplyQueue::default(),
-        scratch: Vec::new(),
-    };
-    let outcome = drive(
-        net,
-        measure_end + spec.drain_limit,
-        spec.stall_threshold,
-        &mut d,
-        obs,
-    );
+    wl.measure_from(spec.warmup);
+    let (_, outcome) = drive(net, wl, spec, measure_end + spec.drain_limit, obs);
     ServiceResult {
-        requests: d.wl.requests_issued(),
-        completed: d.wl.completed(),
-        retired: d.wl.retired(),
-        avg_round_trip: d.round_trips.mean(),
-        p99_round_trip: d.round_trips.quantile_bound(0.99),
+        requests: wl.requests_issued(),
+        completed: wl.completed(),
+        retired: wl.retired(),
+        avg_round_trip: wl.round_trips().mean(),
+        p99_round_trip: wl.round_trips().quantile_bound(0.99),
         wave: net.stats(),
         end: outcome.end,
-        drained: !net.busy() && d.replies.is_empty() && d.wl.in_flight() == 0,
+        // A reply in service is still in flight.
+        drained: !net.busy() && wl.in_flight() == 0,
         stalled: outcome.stalled,
     }
 }
@@ -940,6 +674,46 @@ mod tests {
         assert!(r.drained && !r.stalled, "{r:?}");
         assert_eq!(r.sent, r.delivered);
         assert!(r.circuit_fraction > 0.5, "{}", r.circuit_fraction);
+    }
+
+    #[test]
+    fn circuit_ops_are_applied_on_carp_and_skipped_elsewhere() {
+        use wavesim_topology::NodeId;
+        /// Not a CARP trace: establishes a circuit at cycle 0 and tears
+        /// it down at 2,000, sending nothing.
+        struct Circuit;
+        impl Workload for Circuit {
+            fn due(&mut self, now: Cycle, out: &mut Vec<CarpOp>) -> bool {
+                let (src, dest) = (NodeId(0), NodeId(5));
+                match now {
+                    0 => out.push(CarpOp::Establish { src, dest }),
+                    2_000 => out.push(CarpOp::Teardown { src, dest }),
+                    _ => {}
+                }
+                now < 2_000
+            }
+        }
+        for protocol in [
+            ProtocolKind::Clrp,
+            ProtocolKind::WormholeOnly,
+            ProtocolKind::Carp,
+        ] {
+            let cfg = WaveConfig {
+                protocol,
+                ..WaveConfig::default()
+            };
+            let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), cfg);
+            let (tally, outcome) = drive(&mut net, &mut Circuit, spec(), 10_000, &mut ());
+            let s = net.stats();
+            let applied = protocol == ProtocolKind::Carp;
+            assert_eq!(
+                (s.setups_ok, s.teardowns),
+                (u64::from(applied), u64::from(applied)),
+                "{protocol:?}"
+            );
+            assert_eq!((tally.sent, tally.delivered), (0, 0), "{protocol:?}");
+            assert!(!outcome.stalled && !net.busy(), "{protocol:?}");
+        }
     }
 
     fn diamond_trace() -> DepTrace {

@@ -471,7 +471,7 @@ fn custom_run(args: &Args) -> Outcome {
     if let Some(t) = &replay {
         let n = topo.num_nodes();
         if let Some(m) = t
-            .messages
+            .messages()
             .iter()
             .find(|m| m.msg.src.0 >= n || m.msg.dest.0 >= n)
         {

@@ -20,6 +20,7 @@ use wavesim_sim::{Cycle, SimRng};
 use wavesim_topology::{Dir, NodeId, PortDir, Topology};
 
 use crate::patterns::partners_of;
+use crate::Workload;
 
 /// One CARP instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +49,7 @@ pub enum CarpOp {
 pub struct CarpTrace {
     /// `(cycle, op)` pairs in non-decreasing cycle order.
     pub ops: Vec<(Cycle, CarpOp)>,
-    /// Ops before this index have been handed out by [`CarpTrace::due`].
+    /// Ops before this index have been handed out by [`Workload::due`].
     next: usize,
 }
 
@@ -74,15 +75,6 @@ impl CarpTrace {
     #[must_use]
     pub fn horizon(&self) -> Cycle {
         self.ops.last().map_or(0, |(t, _)| *t)
-    }
-
-    /// The ops due at `now` not handed out before (call with
-    /// non-decreasing `now`): a slice of `ops`, found by a search of the
-    /// ops still ahead.
-    pub fn due(&mut self, now: Cycle) -> &[(Cycle, CarpOp)] {
-        let start = self.next;
-        self.next += self.ops[start..].partition_point(|(t, _)| *t <= now);
-        &self.ops[start..self.next]
     }
 
     fn assert_sorted(&self) {
@@ -211,6 +203,20 @@ impl CarpTrace {
     }
 }
 
+/// The ops due at `now` not handed out before, found by a search of the
+/// ops still ahead; the source phase ends after the last op's cycle.
+impl Workload for CarpTrace {
+    fn due(&mut self, now: Cycle, out: &mut Vec<CarpOp>) -> bool {
+        if now > self.horizon() {
+            return false;
+        }
+        let start = self.next;
+        self.next += self.ops[start..].partition_point(|(t, _)| *t <= now);
+        out.extend(self.ops[start..self.next].iter().map(|&(_, op)| op));
+        true
+    }
+}
+
 /// Parameters of [`CarpTrace::pairwise`].
 #[derive(Debug, Clone, Copy)]
 pub struct PairwiseSpec {
@@ -315,15 +321,18 @@ mod tests {
     fn due_drains_in_order() {
         let t = topo();
         let mut trace = CarpTrace::stencil(&t, 1, 1, 8, 100, 10);
-        let ops = trace.ops.clone();
         let mut drained = Vec::new();
         for now in 0..100 {
-            let due = trace.due(now);
-            assert!(due.iter().all(|&(t, _)| t <= now));
-            drained.extend_from_slice(due);
+            let from = drained.len();
+            assert!(trace.due(now, &mut drained), "cycle {now} is in the trace");
+            let times = &trace.ops[from..drained.len()];
+            assert!(times.iter().all(|&(t, _)| t == now), "cycle {now}");
         }
+        let ops: Vec<CarpOp> = trace.ops.iter().map(|&(_, op)| op).collect();
         assert_eq!(drained, ops, "every op once, in order");
-        assert!(trace.due(1000).is_empty());
+        let mut late = Vec::new();
+        assert!(!trace.due(1000, &mut late), "past the last op");
+        assert!(late.is_empty());
     }
 
     #[test]

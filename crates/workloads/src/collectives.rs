@@ -1,9 +1,8 @@
 //! Collective communication patterns as dependency traces.
 //!
 //! The classic collectives of the message-passing literature, emitted as
-//! [`DepTrace`]s so they replay through the dependency-aware engine
-//! (`wavesim-bench::runner::run_dep_trace`) and self-pace on the network
-//! under test:
+//! [`DepTrace`]s so they replay through [`crate::DepReplay`] and self-pace
+//! on the network under test:
 //!
 //! * [`all_to_all`] — every node exchanges one message with every other
 //!   node, in `n - 1` shifted rounds (node `i` targets `(i + r) mod n` in
@@ -205,7 +204,7 @@ mod tests {
         let trace = all_to_all(&t, 8);
         assert_eq!(trace.len(), 16 * 15);
         let mut pairs = std::collections::HashSet::new();
-        for m in &trace.messages {
+        for m in trace.messages() {
             assert!(pairs.insert((m.msg.src, m.msg.dest)), "duplicate pair");
             assert_ne!(m.msg.src, m.msg.dest);
         }
@@ -222,14 +221,18 @@ mod tests {
         assert_eq!(trace.len(), 15);
         // Exactly the direct children of rank 0 (ranks that are powers of
         // two) target the root, and leaves are the dependency-free sends.
-        let to_root = trace.messages.iter().filter(|m| m.msg.dest == root).count();
+        let to_root = trace
+            .messages()
+            .iter()
+            .filter(|m| m.msg.dest == root)
+            .count();
         assert_eq!(to_root, 4, "ranks 1, 2, 4, 8 send to the root");
-        for m in &trace.messages {
+        for m in trace.messages() {
             assert_ne!(m.msg.src, root, "the root never sends in a reduce");
         }
         // Rank 4's send depends on its children 5 and 6 (7's parent is 6,
         // 12's parent is 8).
-        let rank4 = trace.messages.iter().find(|m| m.msg.id.0 == 4).unwrap();
+        let rank4 = trace.messages().iter().find(|m| m.msg.id.0 == 4).unwrap();
         assert_eq!(rank4.deps, vec![5, 6]);
     }
 
@@ -239,14 +242,18 @@ mod tests {
         let root = NodeId(0);
         let trace = broadcast(&t, root, 16);
         assert_eq!(trace.len(), 15);
-        let from_root = trace.messages.iter().filter(|m| m.msg.src == root).count();
+        let from_root = trace
+            .messages()
+            .iter()
+            .filter(|m| m.msg.src == root)
+            .count();
         assert_eq!(from_root, 4);
-        for m in &trace.messages {
+        for m in trace.messages() {
             assert_ne!(m.msg.dest, root, "the root never receives");
         }
         // Rank 5 (= 4 | 1) hears from rank 4, whose data came via rank 4's
         // own incoming message.
-        let rank5 = trace.messages.iter().find(|m| m.msg.id.0 == 5).unwrap();
+        let rank5 = trace.messages().iter().find(|m| m.msg.id.0 == 5).unwrap();
         assert_eq!(rank5.msg.src, NodeId(4));
         assert_eq!(rank5.deps, vec![4]);
     }
@@ -257,12 +264,12 @@ mod tests {
         let trace = pattern_sweep(&t, TrafficPattern::Transpose, 3, 8, 11);
         assert_eq!(trace.len(), 3 * 16);
         assert_eq!(trace.num_roots(), 16, "phase 0 is dependency-free");
-        for m in &trace.messages {
+        for m in trace.messages() {
             assert_ne!(m.msg.src, m.msg.dest, "remap keeps diagonals sending");
         }
         // Phase 2's node 3 depends on phase 1's node 3.
         let m = trace
-            .messages
+            .messages()
             .iter()
             .find(|m| m.msg.id.0 == 2 * 16 + 3)
             .unwrap();
@@ -283,7 +290,7 @@ mod tests {
         let b = pattern_sweep(&t, pat, 2, 4, 9);
         assert_eq!(a, b);
         let hot_hits = a
-            .messages
+            .messages()
             .iter()
             .filter(|m| m.msg.dest == NodeId(5))
             .count();

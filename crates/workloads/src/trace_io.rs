@@ -118,7 +118,7 @@ pub fn save_dep_trace<W: Write>(trace: &DepTrace, mut writer: W) -> std::io::Res
         ("version", VERSION.into()),
         (
             "messages",
-            Value::Arr(trace.messages.iter().map(dep_message_to_json).collect()),
+            Value::Arr(trace.messages().iter().map(dep_message_to_json).collect()),
         ),
     ]);
     writer.write_all(file.pretty().as_bytes())
@@ -132,7 +132,7 @@ pub fn save_dep_trace<W: Write>(trace: &DepTrace, mut writer: W) -> std::io::Res
 /// Propagates I/O errors.
 pub fn save_dep_trace_jsonl<W: Write>(trace: &DepTrace, mut writer: W) -> std::io::Result<()> {
     writeln!(writer, "{{\"version\": {VERSION}}}")?;
-    for m in &trace.messages {
+    for m in trace.messages() {
         writeln!(writer, "{}", dep_message_to_json(m).compact())?;
     }
     Ok(())

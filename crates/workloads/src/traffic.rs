@@ -14,6 +14,7 @@ use wavesim_sim::{Cycle, SimRng};
 use wavesim_topology::{NodeId, Topology};
 
 use crate::patterns::{PartnerTable, TrafficPattern};
+use crate::{CarpOp, Workload};
 
 /// Message-length distribution, in flits.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -160,15 +161,15 @@ impl TrafficSource {
     /// with non-decreasing `now`).
     pub fn poll(&mut self, now: Cycle) -> Vec<Message> {
         let mut out = Vec::new();
-        self.poll_into(now, &mut out);
+        self.fire(now, |m| out.push(m));
         out
     }
 
-    /// [`TrafficSource::poll`] appending to `out`: the nodes due by `now`
-    /// fire in ascending node order, each as many times as its arrival
-    /// process has come due, so ids and order are those of a sweep over
-    /// every node.
-    pub fn poll_into(&mut self, now: Cycle, out: &mut Vec<Message>) {
+    /// Hands `emit` the messages created at cycle `now`: the nodes due by
+    /// `now` fire in ascending node order, each as many times as its
+    /// arrival process has come due, so ids and order are those of a
+    /// sweep over every node.
+    fn fire(&mut self, now: Cycle, mut emit: impl FnMut(Message)) {
         if now >= self.cfg.stop_at {
             return;
         }
@@ -195,7 +196,7 @@ impl TrafficSource {
                     let id = self.next_id;
                     self.next_id += 1;
                     self.generated += 1;
-                    out.push(Message::new(id, src, dest, len.max(1), now));
+                    emit(Message::new(id, src, dest, len.max(1), now));
                 }
             }
             self.calendar.push(Reverse((next_fire, n)));
@@ -206,6 +207,14 @@ impl TrafficSource {
     /// Silences all sources from `cycle` on.
     pub fn stop_at(&mut self, cycle: Cycle) {
         self.cfg.stop_at = cycle;
+    }
+}
+
+/// Every message is a `Send`; the source phase ends at the stop cycle.
+impl Workload for TrafficSource {
+    fn due(&mut self, now: Cycle, out: &mut Vec<CarpOp>) -> bool {
+        self.fire(now, |m| out.push(CarpOp::Send(m)));
+        now < self.cfg.stop_at
     }
 }
 
@@ -317,11 +326,15 @@ mod tests {
                     let mut now = 0;
                     while now < 900 {
                         polled.clear();
-                        cal.poll_into(now, &mut polled);
+                        assert_eq!(cal.due(now, &mut polled), now < 700);
                         let want = sweep.poll(now);
                         let key = |m: &Message| (m.id, m.src, m.dest, m.len_flits, m.created_at);
+                        let sent = |op: &CarpOp| match op {
+                            CarpOp::Send(m) => key(m),
+                            other => panic!("a source emits only sends: {other:?}"),
+                        };
                         assert_eq!(
-                            polled.iter().map(key).collect::<Vec<_>>(),
+                            polled.iter().map(sent).collect::<Vec<_>>(),
                             want.iter().map(key).collect::<Vec<_>>(),
                             "{pattern:?} load {load} at cycle {now}"
                         );

@@ -11,7 +11,8 @@
 use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim::network::message::DeliveryMode;
 use wavesim::topology::Topology;
-use wavesim::workloads::{CarpOp, CarpTrace};
+use wavesim::workloads::{CarpTrace, Workload};
+use wavesim_bench::apply_op;
 
 fn main() {
     let topo = Topology::mesh(&[8, 8]);
@@ -40,13 +41,12 @@ fn main() {
     let mut on_circuit = 0usize;
     let mut lat_sum = 0u64;
     let horizon = trace.horizon();
+    let mut ops = Vec::new();
     loop {
-        for &(_, op) in trace.due(now) {
-            match op {
-                CarpOp::Establish { src, dest } => net.carp_establish(now, src, dest),
-                CarpOp::Teardown { src, dest } => net.carp_teardown(now, src, dest),
-                CarpOp::Send(m) => net.send(now, m),
-            }
+        // ESTABLISH, SEND and TEARDOWN ops, as the compiler scheduled them.
+        trace.due(now, &mut ops);
+        for op in ops.drain(..) {
+            apply_op(&mut net, now, op);
         }
         if now > horizon && !net.busy() {
             break;

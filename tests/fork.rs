@@ -3,21 +3,21 @@
 //!
 //! Every configuration `tests/determinism.rs` pins a golden for is driven
 //! here to a busy cycle, forked, and then both copies are ticked 10,000
-//! more cycles with the same inputs. The workload is consulted once per
-//! cycle (with the original's deliveries, for the closed-loop ones) and
-//! its inputs are applied to both copies, so any difference in what comes
-//! out is a difference in the copied state.
+//! more cycles with the same inputs. The workload is asked once per cycle
+//! which ops are due, and hears the original's deliveries at the cycle
+//! they land, as the runner's driver does; its ops are applied to both
+//! copies, so any difference in what comes out is a difference in the
+//! copied state.
 
 use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
-use wavesim::network::{Delivery, Message};
 use wavesim::sim::Cycle;
-use wavesim::topology::{NodeId, RoutingKind, Topology};
+use wavesim::topology::{RoutingKind, Topology};
 use wavesim::workloads::collectives;
 use wavesim::workloads::{
-    CarpOp, CarpTrace, DepTrace, FaultSchedule, LengthDist, ServiceConfig, ServiceEvent,
-    ServiceWorkload, TrafficConfig, TrafficPattern, TrafficSource,
+    CarpTrace, FaultSchedule, LengthDist, ServiceConfig, ServiceWorkload, TrafficConfig,
+    TrafficPattern, TrafficSource, Workload,
 };
-use wavesim_bench::apply_fault_schedule;
+use wavesim_bench::{apply_fault_schedule, apply_op};
 
 /// Cycles both copies run after the fork.
 const AFTER_FORK: Cycle = 10_000;
@@ -38,136 +38,6 @@ const PROBING: ForkAt = ForkAt::Probing { from: 300 };
 /// Where runs with no circuits fork.
 const MOVING: ForkAt = ForkAt::Moving { from: 300 };
 
-/// One cycle's worth of calls into a network.
-enum Input {
-    Send(Message),
-    Establish(NodeId, NodeId),
-    Teardown(NodeId, NodeId),
-}
-
-fn apply(net: &mut WaveNetwork, now: Cycle, inputs: &[Input]) {
-    for input in inputs {
-        match *input {
-            Input::Send(m) => net.send(now, m),
-            Input::Establish(src, dest) => net.carp_establish(now, src, dest),
-            Input::Teardown(src, dest) => net.carp_teardown(now, src, dest),
-        }
-    }
-}
-
-/// A workload: the inputs due at `now`, given what the network delivered
-/// on the cycle before.
-trait Feed {
-    fn inputs(&mut self, now: Cycle, delivered: &[Delivery]) -> Vec<Input>;
-}
-
-impl Feed for TrafficSource {
-    fn inputs(&mut self, now: Cycle, _: &[Delivery]) -> Vec<Input> {
-        self.poll(now).into_iter().map(Input::Send).collect()
-    }
-}
-
-/// A CARP instruction trace; a non-CARP network skips the circuit ops, as
-/// `run_carp_trace` does.
-struct Carp {
-    trace: CarpTrace,
-    is_carp: bool,
-}
-
-impl Feed for Carp {
-    fn inputs(&mut self, now: Cycle, _: &[Delivery]) -> Vec<Input> {
-        let mut out = Vec::new();
-        for &(_, op) in self.trace.due(now) {
-            match op {
-                CarpOp::Send(m) => out.push(Input::Send(m)),
-                CarpOp::Establish { src, dest } if self.is_carp => {
-                    out.push(Input::Establish(src, dest));
-                }
-                CarpOp::Teardown { src, dest } if self.is_carp => {
-                    out.push(Input::Teardown(src, dest));
-                }
-                CarpOp::Establish { .. } | CarpOp::Teardown { .. } => {}
-            }
-        }
-        out
-    }
-}
-
-/// Closed-loop request/reply clients: a delivered request schedules its
-/// reply.
-struct Service {
-    wl: ServiceWorkload,
-    replies: Vec<(Cycle, Message)>,
-}
-
-impl Feed for Service {
-    fn inputs(&mut self, now: Cycle, delivered: &[Delivery]) -> Vec<Input> {
-        for d in delivered {
-            if let ServiceEvent::Reply(at, reply) =
-                self.wl.on_delivered(d.msg.id.0, d.msg.dest, now)
-            {
-                self.replies.push((at, reply));
-            }
-        }
-        let mut out: Vec<Input> = self.wl.poll(now).into_iter().map(Input::Send).collect();
-        self.replies.retain(|&(at, reply)| {
-            let due = at <= now;
-            if due {
-                out.push(Input::Send(reply));
-            }
-            !due
-        });
-        out
-    }
-}
-
-/// A dependency trace: a message is sent once every message it depends
-/// on was delivered, and not before its creation cycle.
-struct Deps {
-    trace: DepTrace,
-    waiting_on: Vec<usize>,
-    sent: Vec<bool>,
-}
-
-impl Deps {
-    fn new(trace: DepTrace) -> Self {
-        let waiting_on = trace.messages.iter().map(|m| m.deps.len()).collect();
-        let sent = vec![false; trace.messages.len()];
-        Self {
-            trace,
-            waiting_on,
-            sent,
-        }
-    }
-}
-
-impl Feed for Deps {
-    fn inputs(&mut self, now: Cycle, delivered: &[Delivery]) -> Vec<Input> {
-        for d in delivered {
-            for (i, m) in self.trace.messages.iter().enumerate() {
-                if m.deps.contains(&d.msg.id.0) {
-                    self.waiting_on[i] -= 1;
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for (i, m) in self.trace.messages.iter().enumerate() {
-            if !self.sent[i] && self.waiting_on[i] == 0 && m.msg.created_at <= now {
-                self.sent[i] = true;
-                let msg = m.msg;
-                out.push(Input::Send(Message::new(
-                    msg.id.0,
-                    msg.src,
-                    msg.dest,
-                    msg.len_flits,
-                    now,
-                )));
-            }
-        }
-        out
-    }
-}
-
 impl ForkAt {
     fn reached(self, now: Cycle, net: &WaveNetwork) -> bool {
         match self {
@@ -181,18 +51,23 @@ impl ForkAt {
     }
 }
 
-/// Drives `net` with `feed` to `at`, forks it, and requires the two
-/// copies to agree on every delivery, every counter and the audit for
+/// Drives `net` with `wl` to `at`, forks it, and requires the two copies
+/// to agree on every delivery, every counter and the audit for
 /// [`AFTER_FORK`] cycles.
-fn check_fork(name: &str, at: ForkAt, mut net: WaveNetwork, mut feed: impl Feed) {
-    let mut delivered = Vec::new();
+fn check_fork(name: &str, at: ForkAt, mut net: WaveNetwork, mut wl: impl Workload) {
+    let (mut ops, mut delivered) = (Vec::new(), Vec::new());
     let mut now = 0;
     while !at.reached(now, &net) {
         assert!(now < 20_000, "{name}: never busy enough to fork");
-        let inputs = feed.inputs(now, &delivered);
-        apply(&mut net, now, &inputs);
+        wl.due(now, &mut ops);
+        for op in ops.drain(..) {
+            apply_op(&mut net, now, op);
+        }
         net.tick(now);
         net.drain_deliveries_into(&mut delivered);
+        for d in &delivered {
+            wl.delivered(d, now);
+        }
         now += 1;
     }
     let mut twin = net.fork();
@@ -200,13 +75,18 @@ fn check_fork(name: &str, at: ForkAt, mut net: WaveNetwork, mut feed: impl Feed)
     let mut twin_delivered = delivered.clone();
     let mut total = 0;
     for now in now..now + AFTER_FORK {
-        let inputs = feed.inputs(now, &delivered);
-        apply(&mut net, now, &inputs);
-        apply(&mut twin, now, &inputs);
+        wl.due(now, &mut ops);
+        for op in ops.drain(..) {
+            apply_op(&mut net, now, op);
+            apply_op(&mut twin, now, op);
+        }
         net.tick(now);
         twin.tick(now);
         net.drain_deliveries_into(&mut delivered);
         twin.drain_deliveries_into(&mut twin_delivered);
+        for d in &delivered {
+            wl.delivered(d, now);
+        }
         assert_eq!(
             delivered, twin_delivered,
             "{name}: the copies delivered differently at cycle {now}"
@@ -348,10 +228,7 @@ fn fork_of_the_stencil_replays() {
                 ForkAt::Probing { from: 0 }
             },
             WaveNetwork::new(topo.clone(), config(protocol, 4)),
-            Carp {
-                trace: CarpTrace::stencil(&topo, 3, 4, 32, 600, 200),
-                is_carp: protocol == ProtocolKind::Carp,
-            },
+            CarpTrace::stencil(&topo, 3, 4, 32, 600, 200),
         );
     }
 }
@@ -375,10 +252,7 @@ fn fork_of_the_torus_runs() {
         "torus 16x16 carp",
         PROBING,
         WaveNetwork::new(topo.clone(), config(ProtocolKind::Carp, 8)),
-        Carp {
-            trace: CarpTrace::stencil(&topo, 3, 4, 32, 400, 150),
-            is_carp: true,
-        },
+        CarpTrace::stencil(&topo, 3, 4, 32, 400, 150),
     );
 }
 
@@ -414,10 +288,7 @@ fn fork_of_the_service_runs() {
     let service = |cfg: ServiceConfig| {
         let mut wl = ServiceWorkload::new(topo.clone(), cfg);
         wl.stop_at(3_600);
-        Service {
-            wl,
-            replies: Vec::new(),
-        }
+        wl
     };
     check_fork(
         "service run",
@@ -461,7 +332,7 @@ fn fork_of_the_e15_collectives() {
             &format!("e15 all-to-all {label}"),
             at,
             WaveNetwork::new(topo.clone(), cfg),
-            Deps::new(collectives::all_to_all(&topo, 32)),
+            collectives::all_to_all(&topo, 32).replay(),
         );
     }
 }

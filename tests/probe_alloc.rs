@@ -13,9 +13,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
-use wavesim::network::{Delivery, Message};
+use wavesim::network::Delivery;
 use wavesim::topology::Topology;
-use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
+use wavesim::workloads::{
+    CarpOp, LengthDist, TrafficConfig, TrafficPattern, TrafficSource, Workload,
+};
+use wavesim_bench::apply_op;
 
 /// [`System`] wrapped with a per-thread count of allocation requests.
 struct CountingAlloc;
@@ -53,22 +56,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Drives `net` from `src` over cycles `from..to` as the open-loop runner
-/// does: one reused buffer for the polled messages and one for the
-/// deliveries. Returns the messages delivered.
+/// Drives `net` from `src` over cycles `from..to` as the runner does:
+/// one reused buffer for the due ops and one for the deliveries. Returns
+/// the messages delivered.
 fn run(
     net: &mut WaveNetwork,
     src: &mut TrafficSource,
-    bufs: &mut (Vec<Message>, Vec<Delivery>),
+    bufs: &mut (Vec<CarpOp>, Vec<Delivery>),
     from: u64,
     to: u64,
 ) -> u64 {
-    let (polled, delivered) = bufs;
+    let (ops, delivered) = bufs;
     let mut n = 0;
     for now in from..to {
-        src.poll_into(now, polled);
-        for msg in polled.drain(..) {
-            net.send(now, msg);
+        src.due(now, ops);
+        for op in ops.drain(..) {
+            apply_op(net, now, op);
         }
         net.tick(now);
         delivered.clear();

@@ -11,9 +11,9 @@ use wavesim::network::{Message, WormholeConfig, WormholeFabric};
 use wavesim::topology::{Coords, NaiveTorusDor, RoutingKind, Topology};
 use wavesim::verify::{check_fabric, check_probe_livelock, check_wave};
 use wavesim::workloads::{
-    CarpOp, CarpTrace, LengthDist, TrafficConfig, TrafficPattern, TrafficSource,
+    CarpTrace, LengthDist, TrafficConfig, TrafficPattern, TrafficSource, Workload,
 };
-use wavesim_bench::{run_open_loop, RunSpec};
+use wavesim_bench::{apply_op, run_open_loop, RunSpec};
 
 fn traffic(topo: &Topology, load: f64, seed: u64) -> TrafficSource {
     TrafficSource::new(
@@ -84,14 +84,11 @@ fn theorem2_carp_is_deadlock_free() {
         let sends = trace.num_sends() as u64;
         let mut now = 0;
         let horizon = trace.horizon();
-        let mut delivered = 0u64;
+        let (mut ops, mut delivered) = (Vec::new(), 0u64);
         loop {
-            for &(_, op) in trace.due(now) {
-                match op {
-                    CarpOp::Establish { src, dest } => net.carp_establish(now, src, dest),
-                    CarpOp::Teardown { src, dest } => net.carp_teardown(now, src, dest),
-                    CarpOp::Send(m) => net.send(now, m),
-                }
+            trace.due(now, &mut ops);
+            for op in ops.drain(..) {
+                apply_op(&mut net, now, op);
             }
             net.tick(now);
             delivered += net.drain_deliveries().len() as u64;
