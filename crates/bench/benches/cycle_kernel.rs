@@ -84,7 +84,6 @@ fn run_point(side: u16, label: &'static str, load: f64, measure: u64, iters: u64
                 },
                 len: LengthDist::Fixed(64),
                 seed: 131,
-                ..TrafficConfig::default()
             },
         );
         let t0 = Instant::now();

@@ -84,10 +84,6 @@ impl<'a> Ctx<'a> {
         };
         let mut obs = factory(self.exported);
         let r = run(&mut obs);
-        if !self.exported {
-            // Nobody will export this run: let go of its ring now.
-            obs.capture = None;
-        }
         self.observed.borrow_mut().push(obs);
         r
     }
@@ -135,7 +131,6 @@ impl<'a> Ctx<'a> {
             pattern,
             len,
             seed,
-            stop_at: u64::MAX,
         };
         let mut src = TrafficSource::new(net.topology().clone(), cfg);
         let spec = RunSpec::standard(self.scale.warmup, self.scale.measure);

@@ -53,9 +53,12 @@
 //!
 //! The three observers — [`tracecap::Capture`], [`watchdog::Watchdog`],
 //! [`livestate::BoardObserver`] — are plain values: build one, pass it to
-//! a `run_*` entry point, then ask it for what it captured. A run's time
-//! series is not an observer of its own: it is `wavesim-analyze`'s fold
-//! over the capture's records. [`Observers`] bundles them for the CLI, and an
+//! a `run_*` entry point, then ask it for what it captured. Each owns what
+//! it arms on the network: a capture installs the run's one stream, and a
+//! watchdog with a post-mortem path keeps the tail its bundle carries
+//! (`WaveNetwork::keep_trace_tail`), so neither depends on the other. A
+//! run's time series is not an observer of its own: it is
+//! `wavesim-analyze`'s fold over the capture's records. [`Observers`] bundles them for the CLI, and an
 //! experiment run's [`experiments::Ctx`] makes a fresh bundle for it, on
 //! whichever sweep worker thread claims the run. There is no thread-local
 //! or process-global state anywhere in this crate.

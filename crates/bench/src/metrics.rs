@@ -153,7 +153,6 @@ mod tests {
                 },
                 len: LengthDist::Fixed(64),
                 seed: 1,
-                stop_at: u64::MAX,
             },
         );
         let board = StatusBoard::new(None);

@@ -13,7 +13,7 @@ use crate::{Drained, RunObserver};
 /// One run's observers; every absent one costs nothing.
 #[derive(Default)]
 pub struct Observers {
-    /// On-disk stream, live fold and the post-mortem's ring.
+    /// On-disk stream and live folds.
     pub capture: Option<Capture>,
     /// Progress-SLO rules.
     pub watchdog: Option<Watchdog>,
@@ -24,7 +24,7 @@ pub struct Observers {
 impl Observers {
     /// The present observers, capture first: it must be installed before
     /// the watchdog can stamp a trip into the trace, and taken down last
-    /// so its snapshot holds everything the others emitted.
+    /// so its stream holds everything the others emitted.
     fn parts(&mut self) -> impl DoubleEndedIterator<Item = &mut dyn RunObserver> {
         let parts: [Option<&mut dyn RunObserver>; 3] = [
             self.capture.as_mut().map(|o| o as _),

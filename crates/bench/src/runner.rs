@@ -735,7 +735,7 @@ mod tests {
 
     #[test]
     fn dep_trace_replay_releases_after_dependencies_deliver() {
-        use wavesim_trace::TraceEvent;
+        use wavesim_trace::{TraceEvent, VecSink};
         let trace = diamond_trace();
         let mut net = WaveNetwork::new(
             Topology::mesh(&[4, 4]),
@@ -744,17 +744,17 @@ mod tests {
                 ..WaveConfig::default()
             },
         );
-        let mut cap = crate::tracecap::Capture::new(Some(1 << 12));
+        let mut cap = crate::tracecap::Capture::new().listen(Box::new(VecSink::new()));
         let spec = RunSpec::replay(trace.horizon());
         let r = run_dep_trace(&mut net, &trace, spec, &mut cap);
-        let cap = cap.into_trace().expect("captured");
+        let records = cap.listener::<VecSink>().expect("collected").into_records();
         assert!(r.clean(), "{r:?}");
         assert_eq!(r.sent, 4);
         assert_eq!(r.delivered, 4);
 
         let mut injected_d = None;
         let mut delivered = std::collections::HashMap::new();
-        for rec in &cap.records {
+        for rec in &records {
             match rec.ev {
                 TraceEvent::WormholeInject { msg: 3, .. } => injected_d = Some(rec.at),
                 TraceEvent::WormholeDeliver { msg, .. } => {

@@ -3,36 +3,29 @@
 //! The golden-hash determinism suite pins the `Debug` output of
 //! [`crate::RunResult`], so tracing output cannot ride on the result
 //! struct. Instead a [`Capture`] is a [`RunObserver`]: handed to a
-//! `run_*` entry point it installs its sinks into the network for the
-//! duration of the run — one [`StreamSink`] read by the on-disk file and
-//! the run's folds, and a [`FlightRecorder`] ring only when the watchdog's
-//! post-mortem will read its tail — and afterwards owns the run's
-//! [`RunTrace`] and hands the listeners back.
+//! `run_*` entry point it installs one [`StreamSink`] into the network
+//! for the duration of the run — read by the on-disk file and the run's
+//! folds — and afterwards owns the run's [`RunTrace`] and hands the
+//! listeners back. The post-mortem's tail is not the capture's: the
+//! watchdog keeps it on the network ([`crate::watchdog`]).
 
 use wavesim_core::WaveNetwork;
-use wavesim_trace::recorder::TeeSink;
 use wavesim_trace::stream::{take_listener, Listener, StreamSink, CHUNK_RECORDS};
-use wavesim_trace::{FlightRecorder, TraceRecord, TraceSink};
 
 use crate::{Drained, RunObserver};
 
 /// One run's capture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
-    /// The ring's surviving records, oldest first (empty without a ring).
-    pub records: Vec<TraceRecord>,
-    /// Records the ring overwrote (without a ring, records the stream lost).
-    pub dropped: u64,
     /// Records emitted over the whole run.
     pub total: u64,
     /// Error from finishing the stream, if one occurred.
     pub stream_error: Option<String>,
 }
 
-/// Records one run into an optional flight-recorder ring and into one
-/// stream that every listener reads.
+/// Records one run into one stream that every listener reads.
+#[derive(Default)]
 pub struct Capture {
-    ring: Option<usize>,
     /// The listeners to arm before the run, and the ones handed back after.
     listeners: Vec<Box<dyn Listener>>,
     installed: bool,
@@ -40,21 +33,11 @@ pub struct Capture {
 }
 
 impl Capture {
-    /// A capture into a ring of `ring` record slots, or into its
-    /// listeners alone when `ring` is `None`.
-    ///
-    /// # Panics
-    /// Panics if `ring` is `Some(0)` (a flight recorder needs at least one
-    /// slot).
+    /// A capture with no listener yet: it installs nothing until one is
+    /// added with [`Self::listen`].
     #[must_use]
-    pub fn new(ring: Option<usize>) -> Self {
-        assert!(ring != Some(0), "a flight recorder needs at least one slot");
-        Self {
-            ring,
-            listeners: Vec::new(),
-            installed: false,
-            trace: None,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Also hands every record to `listener`, closed when the run ends.
@@ -71,7 +54,7 @@ impl Capture {
     }
 
     /// The finished run's trace (`None` before the run ends, or when the
-    /// capture had nothing to install).
+    /// capture had no listener).
     #[must_use]
     pub fn into_trace(self) -> Option<RunTrace> {
         self.trace
@@ -79,25 +62,17 @@ impl Capture {
 }
 
 impl RunObserver for Capture {
-    /// Installs the ring, if any, and the stream, if anything listens;
-    /// the ring is the query-answering primary.
+    /// Installs the stream, if anything listens.
     fn start(&mut self, net: &mut WaveNetwork) {
-        let ring = self
-            .ring
-            .map(|n| Box::new(FlightRecorder::new(n)) as Box<dyn TraceSink>);
+        if self.listeners.is_empty() {
+            return;
+        }
         let listeners = std::mem::take(&mut self.listeners);
-        let stream = (!listeners.is_empty())
-            .then(|| Box::new(StreamSink::listening(listeners, CHUNK_RECORDS)) as _);
-        let sink = match (ring, stream) {
-            (Some(ring), Some(stream)) => Box::new(TeeSink::new(ring, stream)),
-            (Some(sink), None) | (None, Some(sink)) => sink,
-            (None, None) => return,
-        };
-        net.install_trace_sink(sink);
+        net.install_trace_sink(Box::new(StreamSink::listening(listeners, CHUNK_RECORDS)));
         self.installed = true;
     }
 
-    /// Removes the sink installed by `start`, snapshots it, keeps the
+    /// Removes the stream installed by `start`, finishes it, keeps the
     /// [`RunTrace`] and takes the listeners back.
     fn finish(&mut self, net: &mut WaveNetwork, _outcome: Drained) {
         if !self.installed {
@@ -108,8 +83,6 @@ impl RunObserver for Capture {
         };
         let stream_error = sink.finish().err();
         self.trace = Some(RunTrace {
-            records: sink.snapshot(),
-            dropped: sink.dropped(),
             total: sink.total(),
             stream_error,
         });
@@ -124,6 +97,7 @@ mod tests {
     use wavesim_core::{WaveConfig, WaveNetwork};
     use wavesim_topology::Topology;
     use wavesim_trace::stream::ColumnarFile;
+    use wavesim_trace::{FlightRecorder, TraceRecord, VecSink};
     use wavesim_workloads::{LengthDist, TrafficConfig, TrafficSource};
 
     fn workload(load: f64, len: u32) -> (WaveNetwork, TrafficSource) {
@@ -145,22 +119,44 @@ mod tests {
         wavesim_trace::read_trace(file).expect("stream file decodes")
     }
 
-    /// One 4x4 run under `cap`; returns the result and the capture's trace.
-    fn captured_run(mut cap: Capture, spec: RunSpec) -> (crate::RunResult, RunTrace) {
+    /// One 4x4 run under `cap`, keeping a `tail`-record tail on the
+    /// network when asked; returns the result, the finished capture and
+    /// the tail.
+    fn captured_run(
+        mut cap: Capture,
+        spec: RunSpec,
+        tail: Option<usize>,
+    ) -> (crate::RunResult, Capture, Option<FlightRecorder>) {
         let (mut net, mut src) = workload(0.1, 32);
+        if let Some(n) = tail {
+            net.keep_trace_tail(n);
+        }
         let r = run_open_loop_observed(&mut net, &mut src, spec, &mut cap);
+        let tail = net.release_trace_tail();
         assert!(!net.tracing(), "the capture takes its sink back down");
-        (r, cap.into_trace().expect("a finished run has a trace"))
+        (r, cap, tail)
+    }
+
+    /// A capture whose one listener collects every record.
+    fn collecting() -> Capture {
+        Capture::new().listen(Box::new(VecSink::new()))
+    }
+
+    /// The records the finished capture's [`VecSink`] collected.
+    fn collected(cap: &mut Capture) -> Vec<TraceRecord> {
+        cap.listener::<VecSink>().expect("collected").into_records()
     }
 
     #[test]
     fn capture_owns_the_trace_of_its_run() {
-        let (r, t) = captured_run(Capture::new(Some(1 << 16)), RunSpec::standard(200, 1_000));
+        let (r, mut cap, _) = captured_run(collecting(), RunSpec::standard(200, 1_000), None);
         assert!(r.clean(), "{r:?}");
+        let records = collected(&mut cap);
+        let t = cap.into_trace().expect("a finished run has a trace");
         assert!(t.total > 0);
-        assert_eq!(t.records.len() as u64 + t.dropped, t.total);
-        // Seq numbers are gap-free over the surviving tail.
-        for w in t.records.windows(2) {
+        assert_eq!(records.len() as u64, t.total);
+        // Seq numbers are gap-free over the whole run.
+        for w in records.windows(2) {
             assert_eq!(w[1].seq, w[0].seq + 1);
         }
     }
@@ -170,8 +166,10 @@ mod tests {
         let spec = RunSpec::standard(200, 1_000);
         let (mut net, mut src) = workload(0.1, 32);
         let baseline = format!("{:?}", run_open_loop(&mut net, &mut src, spec));
-        let (r, _) = captured_run(Capture::new(Some(1 << 16)), spec);
+        let (r, _, _) = captured_run(collecting(), spec, None);
         assert_eq!(baseline, format!("{r:?}"));
+        let (r, _, _) = captured_run(Capture::new(), spec, Some(64));
+        assert_eq!(baseline, format!("{r:?}"), "nor does keeping a tail");
     }
 
     #[test]
@@ -180,23 +178,24 @@ mod tests {
             "wavesim_tracecap_stream_{}.wstrace",
             std::process::id()
         ));
-        // Tiny ring: the stream must still be lossless.
-        let cap =
-            Capture::new(Some(64)).listen(Box::new(ColumnarFile::create(&path).expect("create")));
-        let (r, t) = captured_run(cap, RunSpec::standard(200, 1_000));
+        // Tiny tail: the stream must still be lossless.
+        let cap = Capture::new().listen(Box::new(ColumnarFile::create(&path).expect("create")));
+        let (r, cap, tail) = captured_run(cap, RunSpec::standard(200, 1_000), Some(64));
+        let t = cap.into_trace().expect("a finished run has a trace");
+        let tail = tail.expect("kept");
         assert!(r.clean(), "{r:?}");
         assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
-        assert!(t.dropped > 0, "the tiny ring must have wrapped");
+        assert!(tail.dropped() > 0, "the tiny tail must have wrapped");
+        assert_eq!(tail.total(), t.total, "tail and stream saw one run");
         let streamed = read_file(&path);
         std::fs::remove_file(&path).ok();
-        // The file holds every record the ring was offered, gap-free.
+        // The file holds every record the tail was offered, gap-free.
         assert_eq!(streamed.len() as u64, t.total);
         for w in streamed.windows(2) {
             assert_eq!(w[1].seq, w[0].seq + 1);
         }
-        // The ring tail is a suffix of the stream.
-        let tail = &streamed[streamed.len() - t.records.len()..];
-        assert_eq!(tail, &t.records[..]);
+        // The tail is a suffix of the stream.
+        assert_eq!(streamed[streamed.len() - tail.len()..], tail.snapshot());
     }
 
     #[test]
@@ -207,9 +206,9 @@ mod tests {
         ));
         let mut last_total = 0;
         for cycles in [400u64, 900] {
-            let cap =
-                Capture::new(None).listen(Box::new(ColumnarFile::create(&path).expect("create")));
-            let (r, t) = captured_run(cap, RunSpec::standard(100, cycles));
+            let cap = Capture::new().listen(Box::new(ColumnarFile::create(&path).expect("create")));
+            let (r, cap, _) = captured_run(cap, RunSpec::standard(100, cycles), None);
+            let t = cap.into_trace().expect("a finished run has a trace");
             assert!(r.clean(), "{r:?}");
             assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
             last_total = t.total;

@@ -24,7 +24,11 @@
 //! so `RunResult::clean()` is false and the CLI exits nonzero. A run that
 //! ends stalled without a trip having written the bundle (the drive loop's
 //! own deadlock monitor called it) gets its bundle at the end. The
-//! watchdog is the only writer of a post-mortem.
+//! watchdog is the only writer of a post-mortem, and it keeps the tail the
+//! bundle carries itself: with a post-mortem path it asks the network for
+//! the last [`POST_MORTEM_TAIL`] records when the run starts
+//! ([`WaveNetwork::keep_trace_tail`]) and lets go of them when it ends,
+//! whether or not a [`crate::tracecap::Capture`] streams the run.
 
 use std::path::PathBuf;
 
@@ -45,7 +49,7 @@ pub const RETRY_WINDOW: u64 = 4096;
 pub const DEADLOCK_AGE: u64 = 2048;
 
 /// Records of the run's tail a post-mortem bundle carries: the size of
-/// the flight-recorder ring armed beside a watchdog that writes one.
+/// the tail a watchdog that writes one keeps on the network.
 pub const POST_MORTEM_TAIL: usize = 1 << 16;
 
 /// Which progress-SLO rules to arm, and what to do on a trip.
@@ -63,8 +67,8 @@ pub struct WatchdogConfig {
     /// `clean` and the CLI exits nonzero).
     pub abort: bool,
     /// Flush a flight-recorder post-mortem bundle (the last
-    /// [`POST_MORTEM_TAIL`] records) here on any trip, and when the run
-    /// ends stalled without one.
+    /// [`POST_MORTEM_TAIL`] records, kept on the network while the run
+    /// lasts) here on any trip, and when the run ends stalled without one.
     pub post_mortem: Option<PathBuf>,
 }
 
@@ -166,8 +170,8 @@ impl Watchdog {
         let Some(path) = self.cfg.post_mortem.clone() else {
             return;
         };
-        let (records, dropped, total) = match net.trace_sink() {
-            Some(sink) => (sink.snapshot(), sink.dropped(), sink.total()),
+        let (records, dropped, total) = match net.trace_tail() {
+            Some(tail) => (tail.snapshot(), tail.dropped(), tail.total()),
             None => (Vec::new(), 0, 0),
         };
         let fabric = net.fabric();
@@ -192,6 +196,14 @@ impl Watchdog {
 }
 
 impl RunObserver for Watchdog {
+    /// Keeps the run's tail on the network when a post-mortem may be
+    /// written.
+    fn start(&mut self, net: &mut WaveNetwork) {
+        if self.cfg.post_mortem.is_some() {
+            net.keep_trace_tail(POST_MORTEM_TAIL);
+        }
+    }
+
     /// Checks every armed rule; `true` when a trip (with `abort` set)
     /// should end the run.
     fn sample(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
@@ -229,10 +241,13 @@ impl RunObserver for Watchdog {
     }
 
     /// Writes the post-mortem of a run that ended stalled when no trip
-    /// wrote one.
+    /// wrote one, then lets go of the tail.
     fn finish(&mut self, net: &mut WaveNetwork, outcome: Drained) {
         if outcome.stalled && self.report.post_mortem.is_none() {
             self.flush_post_mortem(net, outcome.end);
+        }
+        if self.cfg.post_mortem.is_some() {
+            net.release_trace_tail();
         }
     }
 }
@@ -240,11 +255,12 @@ impl RunObserver for Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracecap::{Capture, RunTrace};
+    use crate::tracecap::Capture;
     use crate::{run_scripted, Observers, RunSpec};
     use wavesim_core::{WaveConfig, WaveNetwork};
     use wavesim_network::Message;
     use wavesim_topology::{NodeId, Topology};
+    use wavesim_trace::{TraceRecord, VecSink};
 
     /// One long corner-to-corner wormhole message: 512 flits deliver well
     /// past cycle 500, so a 16-cycle stall SLO must trip at the first
@@ -259,31 +275,51 @@ mod tests {
             },
         );
         let script = [(0u64, Message::new(1, NodeId(0), NodeId(15), 512, 0))];
-        run_scripted(&mut net, &script, RunSpec::standard(0, 100), obs)
+        let r = run_scripted(&mut net, &script, RunSpec::standard(0, 100), obs);
+        assert!(!net.tracing(), "the observers take sink and tail back down");
+        r
     }
 
-    fn watched_run(cfg: WatchdogConfig) -> (crate::RunResult, WatchdogReport, RunTrace) {
+    /// A capture whose one listener collects every record.
+    fn collecting() -> Capture {
+        Capture::new().listen(Box::new(VecSink::new()))
+    }
+
+    fn watched_run(cfg: WatchdogConfig) -> (crate::RunResult, WatchdogReport, Vec<TraceRecord>) {
         let mut obs = Observers {
-            capture: Some(Capture::new(Some(1 << 12))),
+            capture: Some(collecting()),
             watchdog: Some(Watchdog::new(cfg)),
             ..Observers::default()
         };
         let r = one_long_message_run(&mut obs);
         let report = obs.watchdog.expect("set above").into_report();
-        let trace = obs.capture.and_then(Capture::into_trace).expect("captured");
-        (r, report, trace)
+        let mut capture = obs.capture.expect("set above");
+        let records = capture.listener::<VecSink>().expect("collected");
+        (r, report, records.into_records())
+    }
+
+    /// A stall rule that trips and aborts, writing its bundle to `path`.
+    fn stall_post_mortem(path: &std::path::Path) -> WatchdogConfig {
+        WatchdogConfig {
+            stall_cycles: Some(16),
+            abort: true,
+            post_mortem: Some(path.to_path_buf()),
+            ..WatchdogConfig::default()
+        }
+    }
+
+    /// Reads and removes the bundle at `path`.
+    fn take_bundle(path: &std::path::Path) -> String {
+        let text = std::fs::read_to_string(path).expect("post-mortem written");
+        std::fs::remove_file(path).ok();
+        text
     }
 
     #[test]
     fn stall_rule_trips_and_aborts_with_post_mortem() {
         let path =
             std::env::temp_dir().join(format!("wavesim_watchdog_pm_{}.json", std::process::id()));
-        let (r, report, trace) = watched_run(WatchdogConfig {
-            stall_cycles: Some(16),
-            abort: true,
-            post_mortem: Some(path.clone()),
-            ..WatchdogConfig::default()
-        });
+        let (r, report, records) = watched_run(stall_post_mortem(&path));
         assert!(report.aborted, "{report:?}");
         assert_eq!(report.trips[0].rule, 1);
         assert!(report.trips[0].value >= 16);
@@ -303,10 +339,47 @@ mod tests {
             "bundle carries wait-for state"
         );
         // The trip is stamped into the captured trace stream.
-        assert!(trace
-            .records
-            .iter()
-            .any(|rec| rec.ev.kind() == "watchdog_trip"));
+        assert!(records.iter().any(|rec| rec.ev.kind() == "watchdog_trip"));
+    }
+
+    /// The watchdog keeps its own tail: with no capture at all, the bundle
+    /// still carries the run's records, up to and including the trip.
+    #[test]
+    fn a_post_mortem_without_a_capture_carries_the_runs_tail() {
+        let path = std::env::temp_dir().join(format!(
+            "wavesim_watchdog_alone_{}.json",
+            std::process::id()
+        ));
+        let mut dog = Watchdog::new(stall_post_mortem(&path));
+        let r = one_long_message_run(&mut dog);
+        assert!(r.stalled && dog.into_report().aborted);
+        let doc = wavesim_json::Value::parse(&take_bundle(&path)).expect("valid JSON");
+        let recorder = &doc["recorder"];
+        let records = recorder["records"].as_array().expect("record list");
+        assert!(recorder["total"].as_u64() > Some(1), "{recorder:?}");
+        assert_eq!(Some(records.len() as u64), recorder["total"].as_u64());
+        assert_eq!(records.last().expect("a tail")["type"], "watchdog_trip");
+    }
+
+    /// Whether a capture streams the run or not, the watchdog writes the
+    /// same bundle.
+    #[test]
+    fn captured_and_uncaptured_runs_write_the_same_bundle() {
+        let bundle = |captured: bool| {
+            let path = std::env::temp_dir().join(format!(
+                "wavesim_watchdog_same_{}_{captured}.json",
+                std::process::id()
+            ));
+            let mut obs = Observers {
+                capture: captured.then(collecting),
+                watchdog: Some(Watchdog::new(stall_post_mortem(&path))),
+                ..Observers::default()
+            };
+            let r = one_long_message_run(&mut obs);
+            assert!(r.stalled);
+            take_bundle(&path)
+        };
+        assert_eq!(bundle(true), bundle(false));
     }
 
     /// Ends the run from `sample` at cycle `at`, as the drive loop's
@@ -317,6 +390,9 @@ mod tests {
     }
 
     impl RunObserver for StallAt {
+        fn start(&mut self, net: &mut WaveNetwork) {
+            self.dog.start(net);
+        }
         fn sample(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
             self.dog.sample(now, net) | (now == self.at)
         }
@@ -350,6 +426,10 @@ mod tests {
         let doc = wavesim_json::Value::parse(&text).expect("valid JSON");
         assert_eq!(doc["kind"], "wavesim-postmortem");
         assert_eq!(doc["at"].as_u64(), Some(128), "taken at the stall cycle");
+        assert!(
+            doc["recorder"]["total"].as_u64() > Some(0),
+            "it carries the run's tail"
+        );
     }
 
     #[test]

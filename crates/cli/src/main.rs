@@ -13,7 +13,7 @@ use wavesim_analyze::series::{self, RunSeries, WindowRow};
 use wavesim_analyze::LiveAnalytics;
 use wavesim_bench::livestate::StatusBoard;
 use wavesim_bench::tracecap::Capture;
-use wavesim_bench::watchdog::{Watchdog, WatchdogConfig, POST_MORTEM_TAIL};
+use wavesim_bench::watchdog::{Watchdog, WatchdogConfig};
 use wavesim_bench::{experiments, Observed, Observers, RunSpec};
 use wavesim_core::{WaveConfig, WaveNetwork};
 use wavesim_topology::{RoutingKind, Topology};
@@ -340,9 +340,6 @@ impl<'a> Observing<'a> {
     /// holding the last run streamed there.
     fn observers(&self, exported: bool, folds: Vec<Box<dyn Listener>>) -> Observers {
         let a = self.args;
-        // The ring is the post-mortem's tail and nothing else's, so it is
-        // armed on every run a post-mortem may be written for.
-        let ring = self.watch.post_mortem.as_ref().map(|_| POST_MORTEM_TAIL);
         let file = a.trace_bin.as_ref().filter(|_| exported).and_then(|path| {
             ColumnarFile::create(Path::new(path))
                 .map_err(|e| eprintln!("note: cannot stream to {path}: {e}"))
@@ -350,11 +347,8 @@ impl<'a> Observing<'a> {
         });
         let file = file.map(|f| Box::new(f.with_sampling(a.trace_sample)) as Box<dyn Listener>);
         let listeners: Vec<_> = file.into_iter().chain(folds).collect();
-        let capture = (ring.is_some() || !listeners.is_empty()).then(|| {
-            listeners
-                .into_iter()
-                .fold(Capture::new(ring), Capture::listen)
-        });
+        let capture = (!listeners.is_empty())
+            .then(|| listeners.into_iter().fold(Capture::new(), Capture::listen));
         Observers {
             capture,
             watchdog: (self.watch.any() || self.watch.post_mortem.is_some())
@@ -542,7 +536,6 @@ fn custom_run(args: &Args) -> Outcome {
                 },
                 len: LengthDist::Fixed(args.len),
                 seed: args.seed,
-                stop_at: u64::MAX,
             },
         );
         RunOutcome::Flat(wavesim_bench::run_open_loop_observed(

@@ -66,7 +66,7 @@
 use wavesim_network::{Delivery, Message, WormholeFabric};
 use wavesim_sim::{Cycle, CycleKernelStats, EventQueue, ScheduledEvent};
 use wavesim_topology::{NodeId, Topology};
-use wavesim_trace::{PlaneId as TracePlane, TraceEvent, TraceHub, TraceSink};
+use wavesim_trace::{FlightRecorder, PlaneId as TracePlane, TraceEvent, TraceHub, TraceSink};
 
 use crate::arena::{GenSlab, SlotMap};
 use crate::cache::{CircuitCache, EntryState};
@@ -268,30 +268,52 @@ impl WaveNetwork {
     /// from now on, stamped with a single global sequence order.
     pub fn install_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace.install(sink);
-        self.data.log.trace.arm();
-        self.ctrl.routers.log.trace.arm();
-        self.circ.log.trace.arm();
+        self.sync_planes();
     }
 
-    /// Disarms every emit point and returns the installed sink, if any.
+    /// Returns the installed sink, if any.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.disarm_planes();
-        self.trace.take()
+        let sink = self.trace.take();
+        self.sync_planes();
+        sink
     }
 
-    /// Disarms the planes' staging buffers, discarding what they staged.
-    fn disarm_planes(&mut self) {
-        self.data.log.trace.disarm();
-        self.ctrl.routers.log.trace.disarm();
-        self.circ.log.trace.disarm();
+    /// Keeps the last `n` (> 0) records from now on, beside any sink: the
+    /// watchdog's post-mortem reads them through [`Self::trace_tail`].
+    pub fn keep_trace_tail(&mut self, n: usize) {
+        self.trace.keep_tail(n);
+        self.sync_planes();
     }
 
-    /// A deep copy of the network without the trace sink: every plane,
-    /// calendar, pending delivery and counter is cloned, so the copy and
-    /// the original tick on independently and, given the same inputs,
-    /// identically. The copy's planes stage nothing (their trace buffers
-    /// are disarmed and empty) and it has no sink until one is installed;
-    /// the original and its sink are untouched.
+    /// The kept tail, current up to the last emit.
+    #[must_use]
+    pub fn trace_tail(&self) -> Option<&FlightRecorder> {
+        self.trace.tail()
+    }
+
+    /// Stops keeping the tail and returns it.
+    pub fn release_trace_tail(&mut self) -> Option<FlightRecorder> {
+        let tail = self.trace.take_tail();
+        self.sync_planes();
+        tail
+    }
+
+    /// Arms the planes' staging buffers while a sink or a tail takes
+    /// records; otherwise disarms them, discarding what they staged.
+    fn sync_planes(&mut self) {
+        let on = self.trace.armed();
+        self.data.log.trace.set_armed(on);
+        self.ctrl.routers.log.trace.set_armed(on);
+        self.circ.log.trace.set_armed(on);
+    }
+
+    /// A deep copy of the network without the trace sink or tail: every
+    /// plane, calendar, pending delivery and counter is cloned, so the
+    /// copy and the original tick on independently and, given the same
+    /// inputs, identically. The copy's planes stage nothing (their trace
+    /// buffers are disarmed and empty) and it has no sink or tail until
+    /// one is installed; the original, its sink and its tail are
+    /// untouched.
     #[must_use]
     pub fn fork(&self) -> Self {
         let mut copy = Self {
@@ -310,20 +332,14 @@ impl WaveNetwork {
             kernel: self.kernel,
             trace: TraceHub::new(),
         };
-        copy.disarm_planes();
+        copy.sync_planes();
         copy
     }
 
-    /// True while a trace sink is installed.
+    /// True while a trace sink is installed or a tail is kept.
     #[must_use]
     pub fn tracing(&self) -> bool {
         self.trace.armed()
-    }
-
-    /// Read access to the installed trace sink (peek at a live recorder).
-    /// Flushes the hub's pending batch first so the view is current.
-    pub fn trace_sink(&mut self) -> Option<&dyn TraceSink> {
-        self.trace.sink()
     }
 
     /// Emits an out-of-band annotation into the trace stream (no-op when
@@ -1006,13 +1022,15 @@ mod tests {
     }
 
     /// Forking a traced network leaves its capture alone: the fork has no
-    /// sink and stages nothing while it runs, and the original's WSTRACE1
-    /// bytes equal those of a run that never forked.
+    /// sink and no tail and stages nothing while it runs, and the
+    /// original's WSTRACE1 bytes and tail equal those of a run that never
+    /// forked.
     #[test]
     fn a_fork_of_a_traced_network_stages_nothing() {
         let capture = |fork_at: Option<Cycle>| {
             let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
             net.install_trace_sink(Box::new(wavesim_trace::VecSink::new()));
+            net.keep_trace_tail(64);
             for id in 0..12u64 {
                 let src = NodeId((id % 16) as u32);
                 let dest = NodeId(((id * 5 + 3) % 16) as u32);
@@ -1031,6 +1049,7 @@ mod tests {
                 if let Some(f) = &mut fork {
                     f.tick(now);
                     assert!(!f.tracing());
+                    assert!(f.trace_tail().is_none());
                     assert_eq!(f.data.log.trace.staged_len(), 0);
                     assert_eq!(f.ctrl.routers.log.trace.staged_len(), 0);
                     assert_eq!(f.circ.log.trace.staged_len(), 0);
@@ -1041,7 +1060,10 @@ mod tests {
                 assert!(!f.busy(), "the fork drains with the original");
                 assert_eq!(f.stats().msgs_sent, net.stats().msgs_sent);
             }
+            let tail = net.release_trace_tail().expect("tail kept");
             let recs = net.take_trace_sink().expect("sink installed").snapshot();
+            assert!(tail.dropped() > 0, "the run wraps a 64-record tail");
+            assert_eq!(tail.snapshot(), recs[recs.len() - tail.len()..]);
             wavesim_trace::columnar::encode(&recs, wavesim_trace::stream::CHUNK_RECORDS)
         };
         assert_eq!(capture(Some(5)), capture(None));

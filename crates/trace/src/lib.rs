@@ -13,15 +13,17 @@
 //!   transfers, and per-plane tick boundaries. The vocabulary is declared
 //!   once, as the table in `schema.rs`, which expands to the enum and to
 //!   both directions of both file formats;
-//! * [`TraceSink`] — the consumer interface, with
-//!   [`recorder::FlightRecorder`] (fixed-capacity ring buffer,
-//!   allocation-free in steady state) and [`recorder::VecSink`]
-//!   (unbounded, for tests and goldens); with no sink installed, tracing
-//!   costs one branch per emit point;
+//! * [`TraceSink`] — the consumer interface: the run's
+//!   [`stream::StreamSink`], or [`recorder::VecSink`] (unbounded, for
+//!   tests and goldens); with no sink installed and no tail kept,
+//!   tracing costs one branch per emit point;
 //! * [`TraceBuf`] / [`TraceHub`] — the plumbing the instrumented planes
 //!   use: each plane stages records in its own [`TraceBuf`] (one branch
 //!   when disarmed) and the composition root's [`TraceHub`] stamps a
-//!   global sequence number and forwards to the installed sink;
+//!   global sequence number and hands each staged batch straight to the
+//!   installed sink and to the kept tail, a [`recorder::FlightRecorder`]
+//!   (fixed-capacity ring, allocation-free in steady state) that holds
+//!   the last N records for the watchdog's post-mortem;
 //! * [`stream`] / [`columnar`] — lossless capture to `WSTRACE1` frames on
 //!   a writer thread, and the one decoder of `WSTRACE1` and of the JSONL
 //!   view `convert-trace` writes, [`stream::StreamingReader`] over any
@@ -63,7 +65,7 @@ pub struct TraceRecord {
     /// Simulation cycle the event happened at.
     pub at: Cycle,
     /// Global sequence number: a total order over one network's records,
-    /// stamped by the [`TraceHub`] as records reach the sink.
+    /// stamped by the [`TraceHub`] as records reach the sink and the tail.
     pub seq: u64,
     /// The event.
     pub ev: TraceEvent,
@@ -78,10 +80,10 @@ pub trait TraceSink {
     /// Accepts one record.
     fn record(&mut self, rec: TraceRecord);
 
-    /// Accepts a batch of records in order. The [`TraceHub`] hands its
-    /// pending buffer over through this, so one virtual call amortizes
-    /// over thousands of records; sinks with a bulk fast path (the
-    /// streaming sinks, [`recorder::VecSink`]) override it.
+    /// Accepts a batch of records in order. The [`TraceHub`] hands a
+    /// plane's staged batch over through this, so one virtual call
+    /// amortizes over the batch; a sink with a bulk fast path
+    /// ([`recorder::VecSink`]) overrides it.
     fn record_many(&mut self, recs: &[TraceRecord]) {
         for rec in recs {
             self.record(*rec);
@@ -94,7 +96,8 @@ pub trait TraceSink {
         Vec::new()
     }
 
-    /// Records offered but no longer retained (ring-buffer overwrites).
+    /// Records offered but no longer retained (a stream's records lost to
+    /// a failed writer).
     fn dropped(&self) -> u64 {
         0
     }
@@ -122,12 +125,6 @@ pub trait TraceSink {
 /// Events a [`TraceBuf`] pre-allocates for when armed (a plane's worst
 /// single-dispatch burst stays well under this on the benched fabrics).
 const STAGED_CAPACITY: usize = 4096;
-
-/// Records the [`TraceHub`] accumulates before one `record_many` hand-off
-/// to the sink. Batching keeps the per-record hot-path cost to a bounds
-/// check + 24-byte copy; the dyn-dispatch and sink bookkeeping amortize
-/// across the batch.
-const PENDING_FLUSH: usize = 4096;
 
 /// Per-plane staging buffer for intra-plane emit points.
 ///
@@ -161,19 +158,16 @@ impl TraceBuf {
         self.armed
     }
 
-    /// Starts recording emits. Pre-sizes the staging vector so the first
-    /// traced cycles never grow it mid-dispatch.
-    pub fn arm(&mut self) {
-        self.armed = true;
-        if self.staged.capacity() < STAGED_CAPACITY {
+    /// Starts recording emits, pre-sizing the staging vector so the first
+    /// traced cycles never grow it mid-dispatch; or stops, discarding
+    /// anything staged.
+    pub fn set_armed(&mut self, on: bool) {
+        self.armed = on;
+        if !on {
+            self.staged.clear();
+        } else if self.staged.capacity() < STAGED_CAPACITY {
             self.staged.reserve(STAGED_CAPACITY - self.staged.len());
         }
-    }
-
-    /// Stops recording and discards anything staged.
-    pub fn disarm(&mut self) {
-        self.armed = false;
-        self.staged.clear();
     }
 
     /// Stages one event (no-op while disarmed). The staging vector keeps
@@ -192,103 +186,119 @@ impl TraceBuf {
     }
 }
 
-/// The per-network trace hub: owns the installed sink, stamps global
-/// sequence numbers, and absorbs the planes' staging buffers.
+/// The per-network trace hub: owns the installed sink and the kept tail,
+/// stamps global sequence numbers, and absorbs the planes' staging
+/// buffers.
 ///
-/// Stamped records accumulate in a pending batch and reach the sink
-/// through [`TraceSink::record_many`] — every `PENDING_FLUSH` records,
-/// and unconditionally in [`TraceHub::take`] / [`TraceHub::flush`] — so
-/// the per-record cost on the simulation thread is a plain `Vec` push,
-/// not a virtual call.
+/// Every stamped record goes straight to the sink and to the tail, so a
+/// record is copied once on the simulation thread (from a plane's staging
+/// buffer, or from the stack for a root emit) and the tail is current
+/// whenever it is read.
 #[derive(Default)]
 pub struct TraceHub {
     sink: Option<Box<dyn TraceSink>>,
+    tail: Option<FlightRecorder>,
     seq: u64,
-    pending: Vec<TraceRecord>,
 }
 
 impl TraceHub {
-    /// A hub with no sink installed (all emits disabled).
+    /// A hub with no sink installed and no tail kept (all emits
+    /// disabled).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// True when a sink is installed.
+    /// True when a sink is installed or a tail is kept.
     #[inline]
     #[must_use]
     pub fn armed(&self) -> bool {
-        self.sink.is_some()
+        self.sink.is_some() || self.tail.is_some()
     }
 
-    /// Installs `sink` and restarts the sequence counter.
+    /// Installs `sink`. The sequence counter restarts unless a tail is
+    /// already being kept: sink and tail share one order.
     pub fn install(&mut self, sink: Box<dyn TraceSink>) {
+        self.restart_if_idle();
         self.sink = Some(sink);
-        self.seq = 0;
-        self.pending.reserve(PENDING_FLUSH);
     }
 
-    /// Removes and returns the installed sink (pending records are
-    /// flushed to it first), if any.
+    /// Removes and returns the installed sink, if any.
     pub fn take(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.flush();
         self.sink.take()
     }
 
-    /// Read access to the installed sink (peek at a live recorder).
-    /// Flushes pending records first so the view is current.
-    pub fn sink(&mut self) -> Option<&dyn TraceSink> {
-        self.flush();
-        self.sink.as_deref()
+    /// Keeps the last `n` records in a [`FlightRecorder`] from now on,
+    /// replacing any tail kept before. The sequence counter restarts
+    /// unless a sink is already installed.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub fn keep_tail(&mut self, n: usize) {
+        self.restart_if_idle();
+        self.tail = Some(FlightRecorder::new(n));
     }
 
-    /// Hands the pending batch to the sink. Called automatically at the
-    /// batch threshold and from [`TraceHub::take`]; callers only need it
-    /// when inspecting the sink mid-run through other means.
-    pub fn flush(&mut self) {
-        if let Some(sink) = &mut self.sink {
-            if !self.pending.is_empty() {
-                sink.record_many(&self.pending);
-                self.pending.clear();
-            }
+    /// The kept tail, if any.
+    #[must_use]
+    pub fn tail(&self) -> Option<&FlightRecorder> {
+        self.tail.as_ref()
+    }
+
+    /// Stops keeping the tail and returns it, if one was kept.
+    pub fn take_tail(&mut self) -> Option<FlightRecorder> {
+        self.tail.take()
+    }
+
+    fn restart_if_idle(&mut self) {
+        if !self.armed() {
+            self.seq = 0;
         }
     }
 
-    /// Forwards one event to the sink (no-op when none is installed).
+    /// Stamps one event and hands it on (no-op when disarmed).
     #[inline]
     pub fn emit(&mut self, at: Cycle, ev: TraceEvent) {
-        if self.sink.is_some() {
-            let seq = self.seq;
+        if self.armed() {
+            let rec = TraceRecord {
+                at,
+                seq: self.seq,
+                ev,
+            };
             self.seq += 1;
-            self.pending.push(TraceRecord { at, seq, ev });
-            if self.pending.len() >= PENDING_FLUSH {
-                self.flush();
+            if let Some(sink) = &mut self.sink {
+                sink.record(rec);
+            }
+            if let Some(tail) = &mut self.tail {
+                tail.record(rec);
             }
         }
     }
 
-    /// Drains a plane's staging buffer into the sink, stamping sequence
-    /// numbers in staging order: one in-place pass over the staged batch
-    /// plus one bulk copy into the pending buffer.
+    /// Drains a plane's staging buffer into the sink and the tail,
+    /// stamping sequence numbers in staging order: one in-place pass over
+    /// the staged batch, then one hand-off of it.
     #[inline]
     pub fn absorb(&mut self, buf: &mut TraceBuf) {
         if buf.staged.is_empty() {
             return;
         }
-        if self.sink.is_some() {
+        if self.armed() {
             let base = self.seq;
             for (i, rec) in buf.staged.iter_mut().enumerate() {
                 rec.seq = base + i as u64;
             }
             self.seq = base + buf.staged.len() as u64;
-            self.pending.extend_from_slice(&buf.staged);
-            buf.staged.clear();
-            if self.pending.len() >= PENDING_FLUSH {
-                self.flush();
+            if let Some(sink) = &mut self.sink {
+                sink.record_many(&buf.staged);
             }
-        } else {
-            buf.staged.clear();
+            if let Some(tail) = &mut self.tail {
+                for rec in &buf.staged {
+                    tail.record(*rec);
+                }
+            }
         }
+        buf.staged.clear();
     }
 }
 
@@ -301,10 +311,10 @@ mod tests {
         let mut buf = TraceBuf::new();
         buf.emit(3, TraceEvent::CacheMiss { node: 0, dest: 1 });
         assert_eq!(buf.staged_len(), 0);
-        buf.arm();
+        buf.set_armed(true);
         buf.emit(4, TraceEvent::CacheMiss { node: 0, dest: 1 });
         assert_eq!(buf.staged_len(), 1);
-        buf.disarm();
+        buf.set_armed(false);
         assert_eq!(buf.staged_len(), 0);
     }
 
@@ -320,7 +330,7 @@ mod tests {
             },
         );
         let mut buf = TraceBuf::new();
-        buf.arm();
+        buf.set_armed(true);
         buf.emit(10, TraceEvent::CacheMiss { node: 2, dest: 7 });
         buf.emit(
             11,
@@ -342,11 +352,67 @@ mod tests {
         assert!(hub.take().is_none());
     }
 
+    fn tick(hub: &mut TraceHub, at: Cycle) {
+        hub.emit(
+            at,
+            TraceEvent::PlaneTick {
+                plane: PlaneId::Data,
+            },
+        );
+    }
+
+    /// The tail is fed beside the sink, from the same stamped records, and
+    /// is current whenever it is read.
+    #[test]
+    fn tail_keeps_the_last_records_beside_the_sink() {
+        let mut hub = TraceHub::new();
+        hub.install(Box::new(VecSink::new()));
+        hub.keep_tail(3);
+        let mut buf = TraceBuf::new();
+        buf.set_armed(true);
+        for at in 0..4 {
+            tick(&mut hub, at);
+            buf.emit(at, TraceEvent::CacheMiss { node: 0, dest: 1 });
+            hub.absorb(&mut buf);
+            let tail = hub.tail().expect("kept");
+            assert_eq!(tail.total(), 2 * (at + 1), "current after every absorb");
+        }
+        let tail = hub.take_tail().expect("kept");
+        assert!(hub.tail().is_none() && hub.armed(), "the sink stays");
+        let all = hub.take().expect("installed").snapshot();
+        assert!(!hub.armed());
+        assert_eq!(all.len(), 8);
+        assert_eq!((tail.total(), tail.dropped()), (8, 5));
+        assert_eq!(tail.snapshot(), all[5..]);
+    }
+
+    /// A tail alone arms the hub; the counter restarts only when the hub
+    /// starts from idle, so a sink installed beside a tail shares its
+    /// order.
+    #[test]
+    fn sequence_restarts_only_from_idle() {
+        let mut hub = TraceHub::new();
+        hub.keep_tail(8);
+        assert!(hub.armed());
+        tick(&mut hub, 0);
+        tick(&mut hub, 1);
+        hub.install(Box::new(VecSink::new()));
+        tick(&mut hub, 2);
+        let seqs = |t: &FlightRecorder| t.snapshot().iter().map(|r| r.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(hub.tail().expect("kept")), [0, 1, 2]);
+        assert_eq!(hub.take().expect("installed").snapshot()[0].seq, 2);
+        hub.take_tail();
+        assert!(!hub.armed());
+        hub.keep_tail(8);
+        tick(&mut hub, 3);
+        assert_eq!(seqs(hub.tail().expect("kept")), [0]);
+    }
+
     #[test]
     fn absorb_without_sink_discards() {
         let mut hub = TraceHub::new();
         let mut buf = TraceBuf::new();
-        buf.arm();
+        buf.set_armed(true);
         buf.emit(0, TraceEvent::CircuitReleased { circuit: 5 });
         hub.absorb(&mut buf);
         assert_eq!(buf.staged_len(), 0);

@@ -1,6 +1,13 @@
-//! Record-retaining sinks: the fixed-capacity flight recorder and the
+//! Record-retaining stores: the fixed-capacity flight recorder and the
 //! unbounded test sink.
+//!
+//! The recorder is not a [`TraceSink`]: a network keeps one as its tail
+//! (`WaveNetwork::keep_trace_tail`) beside whatever sink is installed,
+//! and `convert-trace --to perfetto` keeps one over a capture it reads.
 
+use std::io;
+
+use crate::stream::Listener;
 use crate::{TraceRecord, TraceSink};
 
 /// Fixed-capacity ring buffer over [`TraceRecord`]s.
@@ -52,21 +59,25 @@ impl FlightRecorder {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
-}
 
-impl TraceSink for FlightRecorder {
-    fn record(&mut self, rec: TraceRecord) {
+    /// Keeps `rec`, overwriting the oldest record once full.
+    #[inline]
+    pub fn record(&mut self, rec: TraceRecord) {
         if self.buf.len() < self.capacity {
             self.buf.push(rec);
         } else {
             self.buf[self.head] = rec;
         }
-        self.head = (self.head + 1) % self.capacity;
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
         self.total += 1;
     }
 
     /// Retained records, oldest first (unwrapping the ring).
-    fn snapshot(&self) -> Vec<TraceRecord> {
+    #[must_use]
+    pub fn snapshot(&self) -> Vec<TraceRecord> {
         if self.buf.len() < self.capacity {
             self.buf.clone()
         } else {
@@ -77,17 +88,22 @@ impl TraceSink for FlightRecorder {
         }
     }
 
-    fn dropped(&self) -> u64 {
+    /// Records recorded but no longer retained (overwritten).
+    #[must_use]
+    pub fn dropped(&self) -> u64 {
         self.total - self.buf.len() as u64
     }
 
-    fn total(&self) -> u64 {
+    /// Records recorded in all.
+    #[must_use]
+    pub fn total(&self) -> u64 {
         self.total
     }
 }
 
-/// Unbounded sink retaining every record — for tests, goldens, and small
-/// diagnostic runs where completeness beats bounded memory.
+/// Unbounded store retaining every record — for tests, goldens, and small
+/// diagnostic runs where completeness beats bounded memory. It is a sink
+/// a network can hold, and a [`Listener`] a capture's stream can feed.
 #[derive(Debug, Clone, Default)]
 pub struct VecSink {
     records: Vec<TraceRecord>,
@@ -104,6 +120,12 @@ impl VecSink {
     #[must_use]
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
+    }
+
+    /// The recorded stream, by value.
+    #[must_use]
+    pub fn into_records(self) -> Vec<TraceRecord> {
+        self.records
     }
 }
 
@@ -125,56 +147,10 @@ impl TraceSink for VecSink {
     }
 }
 
-/// Fans every record out to two sinks: a *primary* that answers the
-/// snapshot/dropped/total queries (typically a [`FlightRecorder`] so the
-/// post-mortem tail stays available) and a *secondary* that only consumes
-/// (typically the run's [`crate::stream::StreamSink`]). `finish` forwards
-/// to both and reports the first failure; `listeners` are the
-/// secondary's.
-pub struct TeeSink {
-    primary: Box<dyn TraceSink>,
-    secondary: Box<dyn TraceSink>,
-}
-
-impl TeeSink {
-    /// Tees records into `primary` (which answers queries) and `secondary`.
-    #[must_use]
-    pub fn new(primary: Box<dyn TraceSink>, secondary: Box<dyn TraceSink>) -> Self {
-        Self { primary, secondary }
-    }
-}
-
-impl TraceSink for TeeSink {
-    fn record(&mut self, rec: TraceRecord) {
-        self.primary.record(rec);
-        self.secondary.record(rec);
-    }
-
-    fn record_many(&mut self, recs: &[TraceRecord]) {
-        self.primary.record_many(recs);
-        self.secondary.record_many(recs);
-    }
-
-    fn snapshot(&self) -> Vec<TraceRecord> {
-        self.primary.snapshot()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.primary.dropped()
-    }
-
-    fn total(&self) -> u64 {
-        self.primary.total()
-    }
-
-    fn finish(&mut self) -> Result<(), String> {
-        let a = self.primary.finish();
-        let b = self.secondary.finish();
-        a.and(b)
-    }
-
-    fn listeners(&mut self) -> Vec<Box<dyn crate::stream::Listener>> {
-        self.secondary.listeners()
+impl Listener for VecSink {
+    fn listen(&mut self, recs: &[TraceRecord]) -> io::Result<()> {
+        self.records.extend_from_slice(recs);
+        Ok(())
     }
 }
 
@@ -247,37 +223,6 @@ mod tests {
     #[should_panic(expected = "at least one slot")]
     fn zero_capacity_rejected() {
         let _ = FlightRecorder::new(0);
-    }
-
-    /// Counts what it is offered where the test can still see it.
-    struct Counting(std::rc::Rc<std::cell::Cell<u64>>);
-
-    impl TraceSink for Counting {
-        fn record(&mut self, _rec: TraceRecord) {
-            self.0.set(self.0.get() + 1);
-        }
-    }
-
-    #[test]
-    fn tee_feeds_both_and_queries_primary() {
-        let seen = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut tee = TeeSink::new(
-            Box::new(FlightRecorder::new(2)),
-            Box::new(Counting(std::rc::Rc::clone(&seen))),
-        );
-        for i in 0..5 {
-            tee.record(rec(i));
-        }
-        // Queries reflect the ring (primary)…
-        assert_eq!(tee.total(), 5);
-        assert_eq!(tee.dropped(), 3);
-        assert_eq!(
-            tee.snapshot().iter().map(|r| r.seq).collect::<Vec<_>>(),
-            [3, 4]
-        );
-        // …while the secondary saw the full stream.
-        assert_eq!(seen.get(), 5);
-        assert!(tee.finish().is_ok());
     }
 
     #[test]

@@ -208,9 +208,9 @@ impl<W: Write + Send + 'static> Listener for ColumnarFile<W> {
 /// Streaming trace sink: chunks of records read by every [`Listener`] on
 /// one background thread, bounded memory, lossless.
 ///
-/// Retains nothing in memory (`snapshot` is empty); pair it with a ring
-/// buffer via [`TeeSink`](crate::recorder::TeeSink) when the post-mortem
-/// machinery also needs a tail snapshot.
+/// Retains nothing in memory (`snapshot` is empty): the post-mortem's
+/// tail is the network's own ([`crate::TraceHub::keep_tail`]), fed beside
+/// the sink.
 pub struct StreamSink {
     /// `None` once the stream is shut down or the writer thread has died.
     link: Option<WriterLink>,
@@ -309,19 +309,10 @@ impl StreamSink {
 
 impl TraceSink for StreamSink {
     fn record(&mut self, rec: TraceRecord) {
-        self.record_many(std::slice::from_ref(&rec));
-    }
-
-    fn record_many(&mut self, recs: &[TraceRecord]) {
-        self.total += recs.len() as u64;
-        let mut rest = recs;
-        while !rest.is_empty() {
-            let take = (self.chunk_cap - self.chunk.len()).min(rest.len());
-            self.chunk.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.chunk.len() >= self.chunk_cap {
-                self.flush_chunk();
-            }
+        self.total += 1;
+        self.chunk.push(rec);
+        if self.chunk.len() >= self.chunk_cap {
+            self.flush_chunk();
         }
     }
 

@@ -78,8 +78,6 @@ pub struct TrafficConfig {
     pub len: LengthDist,
     /// RNG seed (drives arrivals, destinations, and lengths).
     pub seed: u64,
-    /// Cycle after which sources fall silent (`u64::MAX` = never).
-    pub stop_at: Cycle,
 }
 
 impl Default for TrafficConfig {
@@ -89,7 +87,6 @@ impl Default for TrafficConfig {
             pattern: TrafficPattern::Uniform,
             len: LengthDist::Fixed(16),
             seed: 1,
-            stop_at: Cycle::MAX,
         }
     }
 }
@@ -109,6 +106,8 @@ pub struct TrafficSource {
     /// The nodes due in one poll with their fire times (scratch).
     due: Vec<(u32, Cycle)>,
     partners: PartnerTable,
+    /// The cycle from which every source is silent ([`Self::stop_at`]).
+    stop: Cycle,
     next_id: u64,
     generated: u64,
 }
@@ -140,6 +139,7 @@ impl TrafficSource {
             partners: PartnerTable::new(cfg.seed),
             topo,
             cfg,
+            stop: Cycle::MAX,
             next_id: 0,
             generated: 0,
         }
@@ -170,7 +170,7 @@ impl TrafficSource {
     /// arrival process has come due, so ids and order are those of a
     /// sweep over every node.
     fn fire(&mut self, now: Cycle, mut emit: impl FnMut(Message)) {
-        if now >= self.cfg.stop_at {
+        if now >= self.stop {
             return;
         }
         while let Some(&Reverse((at, n))) = self.calendar.peek() {
@@ -204,9 +204,10 @@ impl TrafficSource {
         self.due.clear();
     }
 
-    /// Silences all sources from `cycle` on.
+    /// Silences all sources from `cycle` on (never, until this is
+    /// called).
     pub fn stop_at(&mut self, cycle: Cycle) {
-        self.cfg.stop_at = cycle;
+        self.stop = cycle;
     }
 }
 
@@ -214,7 +215,7 @@ impl TrafficSource {
 impl Workload for TrafficSource {
     fn due(&mut self, now: Cycle, out: &mut Vec<CarpOp>) -> bool {
         self.fire(now, |m| out.push(CarpOp::Send(m)));
-        now < self.cfg.stop_at
+        now < self.stop
     }
 }
 
@@ -231,12 +232,13 @@ mod tests {
     struct Sweep {
         topo: Topology,
         cfg: TrafficConfig,
+        stop: Cycle,
         per_node: Vec<(SimRng, Cycle)>,
         next_id: u64,
     }
 
     impl Sweep {
-        fn new(topo: Topology, cfg: TrafficConfig) -> Self {
+        fn new(topo: Topology, cfg: TrafficConfig, stop: Cycle) -> Self {
             let p = (cfg.load / cfg.len.mean()).min(1.0);
             let root = SimRng::new(cfg.seed);
             let per_node = (0..topo.num_nodes())
@@ -249,6 +251,7 @@ mod tests {
             Self {
                 topo,
                 cfg,
+                stop,
                 per_node,
                 next_id: 0,
             }
@@ -256,7 +259,7 @@ mod tests {
 
         fn poll(&mut self, now: Cycle) -> Vec<Message> {
             let mut out = Vec::new();
-            if now >= self.cfg.stop_at {
+            if now >= self.stop {
                 return out;
             }
             let p = (self.cfg.load / self.cfg.len.mean()).min(1.0);
@@ -318,10 +321,10 @@ mod tests {
                         pattern,
                         len,
                         seed: 1 + (i * 4 + j) as u64,
-                        stop_at: 700,
                     };
                     let mut cal = TrafficSource::new(topo.clone(), cfg);
-                    let mut sweep = Sweep::new(topo.clone(), cfg);
+                    cal.stop_at(700);
+                    let mut sweep = Sweep::new(topo.clone(), cfg, 700);
                     let mut polled = Vec::new();
                     let mut now = 0;
                     while now < 900 {
@@ -383,10 +386,10 @@ mod tests {
         let cfg = TrafficConfig {
             load: 0.2,
             len: LengthDist::Fixed(10),
-            stop_at: 10_000,
             ..TrafficConfig::default()
         };
         let mut src = TrafficSource::new(topo(), cfg);
+        src.stop_at(10_000);
         let mut flits = 0u64;
         for now in 0..10_000 {
             for m in src.poll(now) {
@@ -404,11 +407,11 @@ mod tests {
     #[test]
     fn sources_stop_at_horizon() {
         let cfg = TrafficConfig {
-            stop_at: 100,
             load: 0.5,
             ..TrafficConfig::default()
         };
         let mut src = TrafficSource::new(topo(), cfg);
+        src.stop_at(100);
         let mut after = 0;
         for now in 0..1000 {
             let msgs = src.poll(now);
@@ -424,10 +427,10 @@ mod tests {
         let gen = |seed| {
             let cfg = TrafficConfig {
                 seed,
-                stop_at: 500,
                 ..TrafficConfig::default()
             };
             let mut src = TrafficSource::new(topo(), cfg);
+            src.stop_at(500);
             let mut v = Vec::new();
             for now in 0..500 {
                 for m in src.poll(now) {
@@ -444,10 +447,10 @@ mod tests {
     fn message_ids_unique() {
         let cfg = TrafficConfig {
             load: 0.9,
-            stop_at: 300,
             ..TrafficConfig::default()
         };
         let mut src = TrafficSource::new(topo(), cfg);
+        src.stop_at(300);
         let mut seen = std::collections::HashSet::new();
         for now in 0..300 {
             for m in src.poll(now) {

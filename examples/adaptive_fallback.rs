@@ -43,9 +43,9 @@ fn run(kind: RoutingKind, w: u8) -> (f64, u64) {
             },
             len: LengthDist::Fixed(24),
             seed: 3,
-            stop_at: 15_000,
         },
     );
+    src.stop_at(15_000);
     let mut lat = Accumulator::new();
     let mut delivered = 0u64;
     let mut now = 0;

@@ -39,9 +39,9 @@ fn run(protocol: ProtocolKind, locality: f64) -> (f64, f64, u64) {
                 frac_long: 0.3,
             },
             seed: 42,
-            stop_at: 20_000,
         },
     );
+    src.stop_at(20_000);
     let mut lat = Accumulator::new();
     let mut circuit_msgs = 0u64;
     let mut now = 0;

@@ -38,9 +38,9 @@ fn run(fault_rate: f64) -> (usize, usize, usize, f64) {
             },
             len: LengthDist::Fixed(64),
             seed: 7,
-            stop_at: 15_000,
         },
     );
+    src.stop_at(15_000);
 
     let mut sent = 0usize;
     let mut delivered = 0usize;

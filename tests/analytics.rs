@@ -48,7 +48,6 @@ fn traced_net(
             },
             len: LengthDist::Fixed(32),
             seed,
-            stop_at: u64::MAX,
         },
     );
     let r = run_open_loop(&mut net, &mut src, RunSpec::standard(warmup, cycles));

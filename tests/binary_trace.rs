@@ -8,7 +8,7 @@ use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::topology::Topology;
 use wavesim::trace::stream::{ColumnarFile, Listener};
 use wavesim::trace::{columnar, stream};
-use wavesim::trace::{every_event, read_columnar, read_trace, TraceRecord};
+use wavesim::trace::{every_event, read_columnar, read_trace, TraceRecord, VecSink};
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 use wavesim_bench::tracecap::{Capture, RunTrace};
 use wavesim_bench::{run_open_loop_observed, RunSpec};
@@ -122,7 +122,6 @@ fn capture_workload() -> (WaveNetwork, TrafficSource) {
             },
             len: LengthDist::Fixed(64),
             seed: 99,
-            stop_at: u64::MAX,
         },
     );
     (net, src)
@@ -134,15 +133,17 @@ fn bin_file(path: &std::path::Path, sample: u64) -> Box<dyn Listener> {
 }
 
 /// Runs [`capture_workload`] under `cap`, checks the streams flushed and
-/// returns the capture's trace.
-fn capture_run(mut cap: Capture) -> RunTrace {
+/// returns the capture's trace and what its [`VecSink`], if any,
+/// collected.
+fn capture_run(mut cap: Capture) -> (RunTrace, Option<Vec<TraceRecord>>) {
     let (mut net, mut src) = capture_workload();
     let spec = RunSpec::standard(400, 2_000);
     let r = run_open_loop_observed(&mut net, &mut src, spec, &mut cap);
     assert!(r.clean(), "{r:?}");
+    let records = cap.listener::<VecSink>().map(VecSink::into_records);
     let t = cap.into_trace().expect("captured");
     assert!(t.stream_error.is_none(), "{:?}", t.stream_error);
-    t
+    (t, records)
 }
 
 /// Streams one real 8x8 run to disk and checks the format's contract: the
@@ -152,13 +153,21 @@ fn capture_run(mut cap: Capture) -> RunTrace {
 fn real_run_binary_stream_is_lossless_and_compact() {
     let pid = std::process::id();
     let bpath = std::env::temp_dir().join(format!("wavesim_bt_lossless_{pid}.wstrace"));
-    // A ring that holds the whole run is the reference record list.
-    let t = capture_run(Capture::new(Some(1 << 20)).listen(bin_file(&bpath, 1)));
-    assert_eq!(t.dropped, 0, "the ring must hold the whole run");
+    // A collector listening beside the file is the reference record list.
+    let cap = Capture::new()
+        .listen(Box::new(VecSink::new()))
+        .listen(bin_file(&bpath, 1));
+    let (t, records) = capture_run(cap);
+    let records = records.expect("collected");
+    assert_eq!(
+        records.len() as u64,
+        t.total,
+        "the collector holds the whole run"
+    );
     let bbytes = std::fs::read(&bpath).expect("read bin");
     let from_bin = read_trace(&bbytes[..]).expect("decode bin");
     assert!(!from_bin.is_empty());
-    assert_eq!(from_bin, t.records, "binary stream must be lossless");
+    assert_eq!(from_bin, records, "binary stream must be lossless");
     let jsonl = encode_jsonl(&from_bin);
     assert!(
         bbytes.len() * 4 <= jsonl.len(),
@@ -180,7 +189,7 @@ fn binary_stream_is_byte_identical_on_rerun() {
         let capture = |run: u32| {
             let path =
                 std::env::temp_dir().join(format!("wavesim_bt_rerun_{pid}_{sample}_{run}.wstrace"));
-            capture_run(Capture::new(None).listen(bin_file(&path, sample)));
+            capture_run(Capture::new().listen(bin_file(&path, sample)));
             let bytes = std::fs::read(&path).expect("read bin");
             let _ = std::fs::remove_file(&path);
             bytes
@@ -204,7 +213,7 @@ fn sampled_stream_is_deterministic_subset() {
     // Two identical deterministic runs, one lossless and one sampled: the
     // record streams match, so the sampled file must be a subset.
     for (path, sample) in [(&full_path, 1u64), (&samp_path, 8)] {
-        capture_run(Capture::new(None).listen(bin_file(path, sample)));
+        capture_run(Capture::new().listen(bin_file(path, sample)));
     }
     let full = read_columnar(&std::fs::read(&full_path).expect("read full")).expect("decode");
     let samp = read_columnar(&std::fs::read(&samp_path).expect("read samp")).expect("decode");

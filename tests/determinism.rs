@@ -46,9 +46,9 @@ fn full_run(seed: u64, protocol: ProtocolKind) -> Vec<(u64, u64)> {
                 frac_long: 0.3,
             },
             seed,
-            stop_at: 4_000,
         },
     );
+    src.stop_at(4_000);
     // Collect the delivery schedule directly (ids + times).
     let mut out = Vec::new();
     let mut now = 0;
@@ -132,7 +132,6 @@ fn parallel_sweep_results_match_serial_golden_trace() {
                 },
                 len: LengthDist::Fixed(64),
                 seed: 131,
-                ..TrafficConfig::default()
             },
         );
         let r = run_open_loop(&mut net, &mut src, RunSpec::standard(500, 2_000));
@@ -208,7 +207,7 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
         let (runs, exported_runs) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let factory = |exported: bool| {
             runs.fetch_add(1, Ordering::Relaxed);
-            let mut capture = Capture::new(Some(1 << 12));
+            let mut capture = Capture::new();
             if exported {
                 exported_runs.fetch_add(1, Ordering::Relaxed);
                 let file = wavesim::trace::stream::ColumnarFile::create(&path).expect("create");
@@ -248,7 +247,7 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
         let a = analyze(&streamed, window);
         assert!(!a.series.is_empty());
         let counters = series::perfetto_counters(&a.series, a.nodes);
-        let perfetto = perfetto::export_with_counters(&trace.records, counters).compact();
+        let perfetto = perfetto::export_with_counters(&streamed, counters).compact();
         let rows: Vec<_> = tables.into_iter().map(|t| t.rows).collect();
         (rows, perfetto, stream, observed)
     };
@@ -446,7 +445,6 @@ fn torus_drive(net: &mut WaveNetwork) -> RunResult {
                     },
                     len: LengthDist::Fixed(48),
                     seed: 131,
-                    ..TrafficConfig::default()
                 },
             );
             run_open_loop(net, &mut src, RunSpec::standard(300, 1_200))
@@ -622,7 +620,6 @@ fn saturated_run(adaptive: bool) -> String {
             },
             len: LengthDist::Fixed(64),
             seed: 131,
-            ..TrafficConfig::default()
         },
     );
     let r = run_open_loop(&mut net, &mut src, RunSpec::standard(250, 2_000));

@@ -141,16 +141,17 @@ fn hot_pairs(
     seed: u64,
     stop_at: Cycle,
 ) -> TrafficSource {
-    TrafficSource::new(
+    let mut src = TrafficSource::new(
         topo.clone(),
         TrafficConfig {
             load,
             pattern: TrafficPattern::HotPairs { partners, locality },
             len,
             seed,
-            stop_at,
         },
-    )
+    );
+    src.stop_at(stop_at);
+    src
 }
 
 /// The 5×5 mesh open-loop schedules (`full_run`), CLRP and wormhole.

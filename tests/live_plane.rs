@@ -14,7 +14,7 @@ use wavesim::network::Message;
 use wavesim::sim::stats::Histogram;
 use wavesim::topology::{NodeId, Topology};
 use wavesim::trace::stream::{ColumnarFile, Listener};
-use wavesim::trace::{TraceEvent, TraceRecord};
+use wavesim::trace::{TraceEvent, TraceRecord, VecSink};
 use wavesim::workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 use wavesim_analyze::series::{self, WindowSeries};
 use wavesim_analyze::{analyze, report, AnalyzeOptions, LiveAnalytics, RunSeries};
@@ -44,7 +44,6 @@ fn drive_workload(seed: u64, obs: &mut dyn RunObserver) -> wavesim_bench::RunRes
             },
             len: LengthDist::Fixed(32),
             seed,
-            stop_at: u64::MAX,
         },
     );
     run_open_loop_observed(&mut net, &mut src, RunSpec::standard(500, 3000), obs)
@@ -64,7 +63,7 @@ fn captured_run(
     Vec<TraceRecord>,
     Observers,
 ) {
-    let mut capture = Capture::new(Some(1 << 20));
+    let mut capture = Capture::new().listen(Box::new(VecSink::new()));
     if live {
         capture = capture.listen(Box::new(LiveAnalytics::new(AnalyzeOptions::default())));
     }
@@ -74,9 +73,14 @@ fn captured_run(
     let analysis = capture
         .listener::<LiveAnalytics>()
         .map(LiveAnalytics::finish);
+    let records = capture.listener::<VecSink>().expect("collected");
     let cap = capture.into_trace().expect("captured");
-    assert_eq!(cap.dropped, 0, "ring must hold the whole run");
-    (r, analysis, cap.records, obs)
+    assert_eq!(
+        records.records().len() as u64,
+        cap.total,
+        "the collector must hold the whole run"
+    );
+    (r, analysis, records.into_records(), obs)
 }
 
 #[test]
@@ -179,21 +183,25 @@ fn the_run_series_is_the_capture_series() {
             },
             len: LengthDist::Fixed(64),
             seed: 1,
-            stop_at: u64::MAX,
         },
     );
     let fold = Box::new(RunSeries::new(1000, 64));
     let mut obs = Observers {
-        capture: Some(Capture::new(Some(1 << 20)).listen(fold)),
+        capture: Some(Capture::new().listen(Box::new(VecSink::new())).listen(fold)),
         ..Observers::default()
     };
     let r = run_open_loop_observed(&mut net, &mut src, RunSpec::standard(600, 3000), &mut obs);
     assert!(r.clean(), "{r:?}");
     let mut capture = obs.capture.expect("armed above");
     let (rows, nodes) = capture.listener::<RunSeries>().expect("folded").finish();
+    let records = capture.listener::<VecSink>().expect("collected");
     let trace = capture.into_trace().expect("captured");
-    assert_eq!(trace.dropped, 0, "ring must hold the whole run");
-    let capture = analyze(&trace.records, AnalyzeOptions::default());
+    assert_eq!(
+        records.records().len() as u64,
+        trace.total,
+        "the collector must hold the whole run"
+    );
+    let capture = analyze(records.records(), AnalyzeOptions::default());
     assert_eq!((nodes, capture.nodes), (64, 64));
     assert!(rows.len() >= 3, "{rows:?}");
     assert_eq!(rows, capture.series);
@@ -234,7 +242,6 @@ fn listener_run(arm: [bool; 3], sample: u64) -> Listened {
             },
             len: LengthDist::Fixed(64),
             seed: 7,
-            stop_at: u64::MAX,
         },
     );
     let listeners: [Option<Box<dyn Listener>>; 3] = [
@@ -246,7 +253,7 @@ fn listener_run(arm: [bool; 3], sample: u64) -> Listened {
         .into_iter()
         .flatten()
         .fold(None, |c: Option<Capture>, l| {
-            Some(c.unwrap_or_else(|| Capture::new(None)).listen(l))
+            Some(c.unwrap_or_default().listen(l))
         });
     let mut obs = Observers {
         capture,
@@ -254,7 +261,7 @@ fn listener_run(arm: [bool; 3], sample: u64) -> Listened {
     };
     let r = run_open_loop_observed(&mut net, &mut src, RunSpec::standard(400, 2000), &mut obs);
     assert!(r.clean(), "{r:?}");
-    let mut capture = obs.capture.unwrap_or_else(|| Capture::new(None));
+    let mut capture = obs.capture.unwrap_or_default();
     Listened {
         result: format!("{r:?}"),
         file: capture
@@ -346,7 +353,7 @@ fn watchdog_abort_truncates_the_run_series_at_the_trip() {
     let script = [(0u64, Message::new(1, NodeId(0), NodeId(15), 512, 0))];
     let fold = Box::new(RunSeries::new(1000, 16));
     let mut obs = Observers {
-        capture: Some(Capture::new(None).listen(fold)),
+        capture: Some(Capture::new().listen(fold)),
         watchdog: Some(Watchdog::new(WatchdogConfig {
             stall_cycles: Some(16),
             abort: true,

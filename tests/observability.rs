@@ -89,16 +89,15 @@ fn traced_16x16_clrp_run_emits_valid_perfetto() {
             },
             len: LengthDist::Fixed(32),
             seed: 11,
-            ..TrafficConfig::default()
         },
     );
-    let mut cap = Capture::new(Some(1 << 18));
+    let mut cap = Capture::new().listen(Box::new(VecSink::new()));
     let spec = RunSpec::standard(200, 1_000);
     let r = run_open_loop_observed(&mut net, &mut src, spec, &mut cap);
-    let trace = cap.into_trace().expect("captured");
+    let records = cap.listener::<VecSink>().expect("collected");
     assert!(r.clean(), "{r:?}");
 
-    let doc = perfetto::export(&trace.records);
+    let doc = perfetto::export(records.records());
     let summary = perfetto::validate(&doc).expect("valid at evaluation scale");
     assert!(summary.events > 100, "{summary:?}");
     assert!(summary.spans > 10, "{summary:?}");
@@ -116,7 +115,7 @@ fn traced_16x16_clrp_run_emits_valid_perfetto() {
 }
 
 /// Tracing must be a pure observer: the delivery schedule of a traced run
-/// is byte-identical to the untraced run, and the flight-recorder ring
+/// is byte-identical to the untraced run, and the network's kept tail
 /// (tiny on purpose, to force wraparound) never feeds back into the
 /// simulation.
 #[test]
@@ -125,7 +124,7 @@ fn tracing_on_and_off_produce_identical_schedules() {
         let topo = Topology::mesh(&[5, 5]);
         let mut net = WaveNetwork::new(topo.clone(), WaveConfig::default());
         if traced {
-            net.install_trace_sink(Box::new(wavesim::trace::FlightRecorder::new(64)));
+            net.keep_trace_tail(64);
         }
         let mut src = TrafficSource::new(
             topo,
@@ -137,9 +136,9 @@ fn tracing_on_and_off_produce_identical_schedules() {
                 },
                 len: LengthDist::Fixed(48),
                 seed: 23,
-                stop_at: 2_000,
             },
         );
+        src.stop_at(2_000);
         let mut out = Vec::new();
         let mut now = 0;
         loop {
@@ -157,8 +156,9 @@ fn tracing_on_and_off_produce_identical_schedules() {
             assert!(now < 1_000_000);
         }
         if traced {
-            let sink = net.take_trace_sink().expect("recorder installed");
-            assert!(sink.dropped() > 0, "64 slots must wrap on this run");
+            let tail = net.release_trace_tail().expect("tail kept");
+            assert!(tail.dropped() > 0, "64 slots must wrap on this run");
+            assert!(!net.tracing());
         }
         out
     };

@@ -72,9 +72,9 @@ fn random_runs_deliver_everything() {
                 pattern: TrafficPattern::Uniform,
                 len: LengthDist::Fixed(len),
                 seed,
-                stop_at: 1_500,
             },
         );
+        src.stop_at(1_500);
         let mut delivered: Vec<u64> = Vec::new();
         let mut now = 0u64;
         loop {

@@ -27,7 +27,6 @@ fn traffic(topo: &Topology, load: f64, seed: u64) -> TrafficSource {
                 frac_long: 0.25,
             },
             seed,
-            stop_at: u64::MAX,
         },
     )
 }
