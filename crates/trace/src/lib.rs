@@ -74,8 +74,8 @@ pub struct TraceRecord {
 /// Consumer of trace records.
 ///
 /// `record` sits on the simulation hot path: implementations must not
-/// allocate in steady state (the ring buffer pre-allocates; the null sink
-/// does nothing).
+/// allocate in steady state (a stream fills pooled chunks; [`VecSink`],
+/// for tests and goldens, is the one sink that grows).
 pub trait TraceSink {
     /// Accepts one record.
     fn record(&mut self, rec: TraceRecord);
@@ -90,16 +90,11 @@ pub trait TraceSink {
         }
     }
 
-    /// The records the sink retained, oldest first. Exporters and the
-    /// post-mortem dump read this; sinks that retain nothing return empty.
+    /// The records the sink retained, oldest first. Tests read a
+    /// [`VecSink`] back through this; sinks that retain nothing return
+    /// empty. (The post-mortem reads the network's kept tail, not a sink.)
     fn snapshot(&self) -> Vec<TraceRecord> {
         Vec::new()
-    }
-
-    /// Records offered but no longer retained (a stream's records lost to
-    /// a failed writer).
-    fn dropped(&self) -> u64 {
-        0
     }
 
     /// Total records offered to the sink.
@@ -198,6 +193,9 @@ impl TraceBuf {
 pub struct TraceHub {
     sink: Option<Box<dyn TraceSink>>,
     tail: Option<FlightRecorder>,
+    /// `sink.is_some() || tail.is_some()`, kept so a disarmed emit is one
+    /// branch.
+    armed: bool,
     seq: u64,
 }
 
@@ -213,7 +211,7 @@ impl TraceHub {
     #[inline]
     #[must_use]
     pub fn armed(&self) -> bool {
-        self.sink.is_some() || self.tail.is_some()
+        self.armed
     }
 
     /// Installs `sink`. The sequence counter restarts unless a tail is
@@ -221,10 +219,12 @@ impl TraceHub {
     pub fn install(&mut self, sink: Box<dyn TraceSink>) {
         self.restart_if_idle();
         self.sink = Some(sink);
+        self.armed = true;
     }
 
     /// Removes and returns the installed sink, if any.
     pub fn take(&mut self) -> Option<Box<dyn TraceSink>> {
+        self.armed = self.tail.is_some();
         self.sink.take()
     }
 
@@ -237,6 +237,7 @@ impl TraceHub {
     pub fn keep_tail(&mut self, n: usize) {
         self.restart_if_idle();
         self.tail = Some(FlightRecorder::new(n));
+        self.armed = true;
     }
 
     /// The kept tail, if any.
@@ -247,11 +248,12 @@ impl TraceHub {
 
     /// Stops keeping the tail and returns it, if one was kept.
     pub fn take_tail(&mut self) -> Option<FlightRecorder> {
+        self.armed = self.sink.is_some();
         self.tail.take()
     }
 
     fn restart_if_idle(&mut self) {
-        if !self.armed() {
+        if !self.armed {
             self.seq = 0;
         }
     }
@@ -259,7 +261,7 @@ impl TraceHub {
     /// Stamps one event and hands it on (no-op when disarmed).
     #[inline]
     pub fn emit(&mut self, at: Cycle, ev: TraceEvent) {
-        if self.armed() {
+        if self.armed {
             let rec = TraceRecord {
                 at,
                 seq: self.seq,
@@ -283,7 +285,7 @@ impl TraceHub {
         if buf.staged.is_empty() {
             return;
         }
-        if self.armed() {
+        if self.armed {
             let base = self.seq;
             for (i, rec) in buf.staged.iter_mut().enumerate() {
                 rec.seq = base + i as u64;

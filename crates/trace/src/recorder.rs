@@ -233,7 +233,6 @@ mod tests {
         }
         assert_eq!(s.records().len(), 100);
         assert_eq!(s.total(), 100);
-        assert_eq!(s.dropped(), 0);
         assert_eq!(s.snapshot().len(), 100);
     }
 }

@@ -177,16 +177,18 @@ fn every_table_is_identical_across_job_counts() {
 }
 
 /// The observer seam costs no determinism: the whole E-series under a
-/// full observer set — flight-recorder ring, binary stream, watchdog —
+/// full observer set — record stream, binary file, watchdog —
 /// yields the same tables, the same exported Perfetto document (counter
 /// tracks from the kept run's series), the same stream bytes and the
 /// same watchdog reports at
 /// `--jobs 1` and `--jobs 2`, because every run carries its own observers
-/// onto whichever worker runs it. And only one capture survives the
-/// sweep: the last run's.
+/// onto whichever worker runs it. Every run is traced (a stream with a
+/// tally listener is installed, so every plane's emit points are armed),
+/// and only one capture survives the sweep: the last run's.
 #[test]
 fn observed_e11_sweep_is_identical_across_job_counts() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Arc;
     use wavesim::trace::perfetto;
     use wavesim_analyze::{analyze, series, AnalyzeOptions};
     use wavesim_bench::tracecap::Capture;
@@ -205,9 +207,10 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
             std::process::id()
         ));
         let (runs, exported_runs) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let traced = Arc::new(AtomicU64::new(0));
         let factory = |exported: bool| {
             runs.fetch_add(1, Ordering::Relaxed);
-            let mut capture = Capture::new();
+            let mut capture = Capture::new().listen(Box::new(Tally(Arc::clone(&traced))));
             if exported {
                 exported_runs.fetch_add(1, Ordering::Relaxed);
                 let file = wavesim::trace::stream::ColumnarFile::create(&path).expect("create");
@@ -240,6 +243,9 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
         // The file holds the kept run, whole.
         let streamed = wavesim::trace::read_columnar(&stream).expect("decode");
         assert_eq!(streamed.len() as u64, trace.total);
+        // Every run streamed its records, not only the kept one.
+        let traced = traced.load(Ordering::Relaxed);
+        assert!(traced > trace.total, "{traced} records over the sweep");
         let window = AnalyzeOptions {
             window: 500,
             ..AnalyzeOptions::default()
@@ -249,10 +255,14 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
         let counters = series::perfetto_counters(&a.series, a.nodes);
         let perfetto = perfetto::export_with_counters(&streamed, counters).compact();
         let rows: Vec<_> = tables.into_iter().map(|t| t.rows).collect();
-        (rows, perfetto, stream, observed)
+        (rows, perfetto, stream, observed, traced)
     };
-    let (rows1, perfetto1, stream1, observed1) = observed_sweep(1);
-    let (rows2, perfetto2, stream2, observed2) = observed_sweep(2);
+    let (rows1, perfetto1, stream1, observed1, traced1) = observed_sweep(1);
+    let (rows2, perfetto2, stream2, observed2, traced2) = observed_sweep(2);
+    assert_eq!(
+        traced1, traced2,
+        "--jobs 2 changed how much the runs traced"
+    );
     let unobserved: Vec<_> = run_all(&all_ids(), &Ctx::unobserved(scale, 1))
         .into_iter()
         .map(|t| t.rows)
@@ -273,6 +283,17 @@ fn observed_e11_sweep_is_identical_across_job_counts() {
         format!("{:?}", observed2.reports)
     );
     assert_eq!(observed1, observed2);
+}
+
+/// Counts the records of every run it listens to into one shared total.
+struct Tally(std::sync::Arc<std::sync::atomic::AtomicU64>);
+
+impl wavesim::trace::stream::Listener for Tally {
+    fn listen(&mut self, recs: &[TraceRecord]) -> std::io::Result<()> {
+        let n = recs.len() as u64;
+        self.0.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------
