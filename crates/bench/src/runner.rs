@@ -719,18 +719,14 @@ mod tests {
     fn diamond_trace() -> DepTrace {
         use wavesim_network::Message;
         use wavesim_topology::NodeId;
-        use wavesim_workloads::DepMessage;
-        let m = |id: u64, src: u32, dest: u32, deps: Vec<u64>| DepMessage {
-            msg: Message::new(id, NodeId(src), NodeId(dest), 8, 0),
-            deps,
-        };
-        DepTrace::new(vec![
-            m(0, 0, 5, vec![]),
-            m(1, 5, 6, vec![0]),
-            m(2, 5, 9, vec![0]),
-            m(3, 6, 10, vec![1, 2]),
-        ])
-        .unwrap()
+        use wavesim_workloads::DepTraceBuilder;
+        let mut trace = DepTraceBuilder::new();
+        let m = |id: u64, src: u32, dest: u32| Message::new(id, NodeId(src), NodeId(dest), 8, 0);
+        trace.push(m(0, 0, 5), &[]);
+        trace.push(m(1, 5, 6), &[0]);
+        trace.push(m(2, 5, 9), &[0]);
+        trace.push(m(3, 6, 10), &[1, 2]);
+        trace.build().unwrap()
     }
 
     #[test]
@@ -776,20 +772,13 @@ mod tests {
     fn dep_trace_replay_honours_created_at_release_floor() {
         use wavesim_network::Message;
         use wavesim_topology::NodeId;
-        use wavesim_workloads::DepMessage;
+        use wavesim_workloads::DepTraceBuilder;
         // The dependent's own timestamp is a release floor: even with its
         // dependency delivered early, it must not launch before cycle 300.
-        let trace = DepTrace::new(vec![
-            DepMessage {
-                msg: Message::new(0, NodeId(0), NodeId(1), 4, 0),
-                deps: vec![],
-            },
-            DepMessage {
-                msg: Message::new(1, NodeId(1), NodeId(2), 4, 300),
-                deps: vec![0],
-            },
-        ])
-        .unwrap();
+        let mut trace = DepTraceBuilder::new();
+        trace.push(Message::new(0, NodeId(0), NodeId(1), 4, 0), &[]);
+        trace.push(Message::new(1, NodeId(1), NodeId(2), 4, 300), &[0]);
+        let trace = trace.build().unwrap();
         let mut net = WaveNetwork::new(
             Topology::mesh(&[4, 4]),
             WaveConfig {

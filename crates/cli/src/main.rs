@@ -464,15 +464,11 @@ fn custom_run(args: &Args) -> Outcome {
     apply_fault_inputs(&mut net, args)?;
     if let Some(t) = &replay {
         let n = topo.num_nodes();
-        if let Some(m) = t
-            .messages()
-            .iter()
-            .find(|m| m.msg.src.0 >= n || m.msg.dest.0 >= n)
-        {
+        if let Some(m) = t.messages().iter().find(|m| m.src.0 >= n || m.dest.0 >= n) {
             return Err(format!(
                 "replay trace message {} uses node {} but this {}x{} network has {n} nodes (generate with a matching --side)",
-                m.msg.id.0,
-                m.msg.src.0.max(m.msg.dest.0),
+                m.id.0,
+                m.src.0.max(m.dest.0),
                 args.side,
                 args.side,
             )

@@ -134,7 +134,8 @@ wavesim_sim::stat_table! {
         control_backlog: Gauge,
         /// Cycles since any flit last moved in the fabric.
         progress_age_cycles: Gauge,
-        /// Cumulative wall-clock nanoseconds spent in the fabric's scan.
+        /// Cumulative wall-clock nanoseconds spent in the fabric's tick
+        /// (worklist, scan, commit and retire).
         scan_wall_ns: Counter,
     }
 }

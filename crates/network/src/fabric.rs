@@ -254,9 +254,11 @@ pub struct WormholeFabric {
     /// Credits freed this cycle, returning upstream in the commit step:
     /// `(router, output VC)`.
     credit_returns: Vec<(u32, u32)>,
-    /// Cumulative wall-clock nanoseconds spent in the VA/SA/injection
-    /// scan. A one-element array because `benchmark/` compiles against
-    /// `shard_wall_ns() -> &[u64]` and sums it.
+    /// Cumulative wall-clock nanoseconds spent in [`tick`](Self::tick):
+    /// the worklist build, the VA/SA/injection scan, the commit of flit
+    /// arrivals and credits, and the retire loop. A one-element array
+    /// because `benchmark/` compiles against `shard_wall_ns() -> &[u64]`
+    /// and sums it.
     scan_wall_ns: [u64; 1],
     deliveries: Vec<Delivery>,
     in_flight_flits: u64,
@@ -346,8 +348,9 @@ impl WormholeFabric {
         self.routing.as_ref()
     }
 
-    /// Cumulative wall-clock nanoseconds spent in the VA/SA/injection scan,
-    /// as a one-element slice. The name and shape are what `benchmark/`
+    /// Cumulative wall-clock nanoseconds spent in the whole fabric tick
+    /// (worklist build, VA/SA/injection scan, commit and retire), as a
+    /// one-element slice. The name and shape are what `benchmark/`
     /// compiles against (it sums the slice into `network.scan_s`); renaming
     /// it is a `benchmark` change of its own.
     #[must_use]
@@ -429,6 +432,7 @@ impl WormholeFabric {
     /// ascending router order (the same order the seed kernel's full scan
     /// visited them, so arbitration and delivery order are unchanged).
     pub fn tick(&mut self, now: Cycle) {
+        let t0 = std::time::Instant::now();
         self.kernel.ticks += 1;
         let mut wl = std::mem::take(&mut self.worklist);
         wl.clear();
@@ -453,14 +457,14 @@ impl WormholeFabric {
             }
         }
         self.worklist = wl;
+        self.scan_wall_ns[0] += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     }
 
-    /// Phases 1–3 over the worklist, timed. Kept out of line: inlined into
+    /// Phases 1–3 over the worklist. Kept out of line: inlined into
     /// `tick` the three stage loops measured 2–3% slower on a 32x32 torus
     /// (bare fabric, load 0.04 and 0.8).
     #[inline(never)]
     fn scan(&mut self, wl: &[u32], now: Cycle) {
-        let t0 = std::time::Instant::now();
         // The VA round-robin pointer is cycle-derived: the seed kernel
         // advanced it by exactly one per tick on every router, active or
         // not, so `now % n_ivc` reproduces it without per-router state —
@@ -475,7 +479,6 @@ impl WormholeFabric {
         for &r in wl {
             self.injection_stage(r);
         }
-        self.scan_wall_ns[0] += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     }
 
     /// Phase 4: the flits forwarded and the credits freed this cycle reach

@@ -23,13 +23,16 @@
 //!   silent members would stall its own later phases.
 //!
 //! All generators are deterministic in their arguments, use dense message
-//! ids (so traces merge by offsetting), and return validated traces.
+//! ids (so traces merge by offsetting), and return validated traces. Each
+//! sizes a [`DepTraceBuilder`] up front and pushes every message with its
+//! dependency ids, so a trace costs a fixed handful of allocations however
+//! many nodes it spans: no list per message, none per tree node.
 
 use wavesim_network::Message;
 use wavesim_sim::SimRng;
 use wavesim_topology::{NodeId, Topology};
 
-use crate::deptrace::{DepMessage, DepTrace};
+use crate::deptrace::{DepTrace, DepTraceBuilder};
 use crate::patterns::{PartnerTable, TrafficPattern};
 
 /// Binomial-tree parent of a non-zero rank: clear the lowest set bit.
@@ -40,12 +43,30 @@ fn parent_rank(rank: u32) -> u32 {
     rank & (rank - 1)
 }
 
+/// Binomial-tree children of a non-zero rank among `n` ranks, ascending:
+/// `rank + 2^b` for every power of two below the rank's lowest set bit
+/// (the ranks whose [`parent_rank`] it is), written into `out`.
+fn children(rank: u32, n: u32, out: &mut [u64; 32]) -> &[u64] {
+    let mut k = 0;
+    for b in 0..rank.trailing_zeros() {
+        let child = u64::from(rank) + (1 << b);
+        if child >= u64::from(n) {
+            break;
+        }
+        out[k] = child;
+        k += 1;
+    }
+    &out[..k]
+}
+
 fn rank_to_node(rank: u32, root: NodeId, n: u32) -> NodeId {
     NodeId((rank + root.0) % n)
 }
 
-fn finish(messages: Vec<DepMessage>, what: &str) -> DepTrace {
-    DepTrace::new(messages).unwrap_or_else(|e| panic!("generated {what} trace must validate: {e}"))
+fn finish(builder: DepTraceBuilder, what: &str) -> DepTrace {
+    builder
+        .build()
+        .unwrap_or_else(|e| panic!("generated {what} trace must validate: {e}"))
 }
 
 /// Full pairwise exchange: `n * (n - 1)` messages of `len` flits, in
@@ -57,22 +78,19 @@ fn finish(messages: Vec<DepMessage>, what: &str) -> DepTrace {
 pub fn all_to_all(topo: &Topology, len: u32) -> DepTrace {
     let n = topo.num_nodes();
     assert!(n >= 2, "all-to-all needs at least two nodes");
-    let mut messages = Vec::with_capacity((n as usize) * (n as usize - 1));
+    let nodes = n as usize;
+    let mut trace = DepTraceBuilder::with_capacity(nodes * (nodes - 1), nodes * (nodes - 2));
     for r in 1..n {
         for i in 0..n {
             let id = u64::from(r - 1) * u64::from(n) + u64::from(i);
-            let deps = if r > 1 {
-                vec![u64::from(r - 2) * u64::from(n) + u64::from(i)]
-            } else {
-                Vec::new()
-            };
-            messages.push(DepMessage {
-                msg: Message::new(id, NodeId(i), NodeId((i + r) % n), len, 0),
-                deps,
-            });
+            let prev = (r > 1).then(|| u64::from(r - 2) * u64::from(n) + u64::from(i));
+            trace.push(
+                Message::new(id, NodeId(i), NodeId((i + r) % n), len, 0),
+                prev.as_slice(),
+            );
         }
     }
-    finish(messages, "all-to-all")
+    finish(trace, "all-to-all")
 }
 
 /// Binomial-tree reduction toward `root`: `n - 1` messages of `len`
@@ -87,25 +105,22 @@ pub fn reduce(topo: &Topology, root: NodeId, len: u32) -> DepTrace {
     let n = topo.num_nodes();
     assert!(n >= 2, "reduce needs at least two nodes");
     assert!(root.0 < n, "root {root} out of range");
-    // children[x] = ranks whose parent is x, i.e. the deps of x's send.
-    let mut children: Vec<Vec<u64>> = vec![Vec::new(); n as usize];
+    // Each non-root rank is at most one send's dependency: its parent's.
+    let mut trace = DepTraceBuilder::with_capacity(n as usize - 1, n as usize - 1);
+    let mut kids = [0; 32];
     for rank in 1..n {
-        children[parent_rank(rank) as usize].push(u64::from(rank));
-    }
-    let mut messages = Vec::with_capacity(n as usize - 1);
-    for rank in 1..n {
-        messages.push(DepMessage {
-            msg: Message::new(
+        trace.push(
+            Message::new(
                 u64::from(rank),
                 rank_to_node(rank, root, n),
                 rank_to_node(parent_rank(rank), root, n),
                 len,
                 0,
             ),
-            deps: std::mem::take(&mut children[rank as usize]),
-        });
+            children(rank, n, &mut kids),
+        );
     }
-    finish(messages, "reduce")
+    finish(trace, "reduce")
 }
 
 /// Binomial-tree broadcast from `root`: `n - 1` messages of `len` flits,
@@ -120,26 +135,22 @@ pub fn broadcast(topo: &Topology, root: NodeId, len: u32) -> DepTrace {
     let n = topo.num_nodes();
     assert!(n >= 2, "broadcast needs at least two nodes");
     assert!(root.0 < n, "root {root} out of range");
-    let mut messages = Vec::with_capacity(n as usize - 1);
+    let mut trace = DepTraceBuilder::with_capacity(n as usize - 1, n as usize - 1);
     for rank in 1..n {
         let parent = parent_rank(rank);
-        let deps = if parent == 0 {
-            Vec::new()
-        } else {
-            vec![u64::from(parent)]
-        };
-        messages.push(DepMessage {
-            msg: Message::new(
+        let prev = (parent != 0).then_some(u64::from(parent));
+        trace.push(
+            Message::new(
                 u64::from(rank),
                 rank_to_node(parent, root, n),
                 rank_to_node(rank, root, n),
                 len,
                 0,
             ),
-            deps,
-        });
+            prev.as_slice(),
+        );
     }
-    finish(messages, "broadcast")
+    finish(trace, "broadcast")
 }
 
 /// A phased spatial-pattern collective: `phases` rounds in which every
@@ -165,7 +176,10 @@ pub fn pattern_sweep(
 ) -> DepTrace {
     let n = topo.num_nodes();
     assert!(n >= 2, "a pattern sweep needs at least two nodes");
-    let mut messages = Vec::with_capacity(phases as usize * n as usize);
+    let mut trace = DepTraceBuilder::with_capacity(
+        phases as usize * n as usize,
+        phases.saturating_sub(1) as usize * n as usize,
+    );
     let mut partners = PartnerTable::new(seed);
     for p in 0..phases {
         for i in 0..n {
@@ -176,18 +190,11 @@ pub fn pattern_sweep(
                 .dest_or_remap(topo, NodeId(i), &mut rng, &mut partners)
                 .expect("n >= 2 guarantees a destination");
             let id = u64::from(p) * u64::from(n) + u64::from(i);
-            let deps = if p > 0 {
-                vec![u64::from(p - 1) * u64::from(n) + u64::from(i)]
-            } else {
-                Vec::new()
-            };
-            messages.push(DepMessage {
-                msg: Message::new(id, NodeId(i), dest, len, 0),
-                deps,
-            });
+            let prev = (p > 0).then(|| u64::from(p - 1) * u64::from(n) + u64::from(i));
+            trace.push(Message::new(id, NodeId(i), dest, len, 0), prev.as_slice());
         }
     }
-    finish(messages, "pattern sweep")
+    finish(trace, "pattern sweep")
 }
 
 #[cfg(test)]
@@ -198,6 +205,11 @@ mod tests {
         Topology::mesh(&[4, 4])
     }
 
+    /// Trace index of the message with id `id`.
+    fn find(trace: &DepTrace, id: u64) -> usize {
+        trace.messages().iter().position(|m| m.id.0 == id).unwrap()
+    }
+
     #[test]
     fn all_to_all_covers_every_pair_once() {
         let t = mesh();
@@ -205,8 +217,8 @@ mod tests {
         assert_eq!(trace.len(), 16 * 15);
         let mut pairs = std::collections::HashSet::new();
         for m in trace.messages() {
-            assert!(pairs.insert((m.msg.src, m.msg.dest)), "duplicate pair");
-            assert_ne!(m.msg.src, m.msg.dest);
+            assert!(pairs.insert((m.src, m.dest)), "duplicate pair");
+            assert_ne!(m.src, m.dest);
         }
         assert_eq!(pairs.len(), 16 * 15);
         // Round 1 is dependency-free; later rounds chain per source.
@@ -221,19 +233,30 @@ mod tests {
         assert_eq!(trace.len(), 15);
         // Exactly the direct children of rank 0 (ranks that are powers of
         // two) target the root, and leaves are the dependency-free sends.
-        let to_root = trace
-            .messages()
-            .iter()
-            .filter(|m| m.msg.dest == root)
-            .count();
+        let to_root = trace.messages().iter().filter(|m| m.dest == root).count();
         assert_eq!(to_root, 4, "ranks 1, 2, 4, 8 send to the root");
         for m in trace.messages() {
-            assert_ne!(m.msg.src, root, "the root never sends in a reduce");
+            assert_ne!(m.src, root, "the root never sends in a reduce");
         }
         // Rank 4's send depends on its children 5 and 6 (7's parent is 6,
         // 12's parent is 8).
-        let rank4 = trace.messages().iter().find(|m| m.msg.id.0 == 4).unwrap();
-        assert_eq!(rank4.deps, vec![5, 6]);
+        assert_eq!(trace.deps(find(&trace, 4)), [5, 6]);
+    }
+
+    #[test]
+    fn reduce_deps_are_each_ranks_tree_children() {
+        // 13 ranks: not a power of two, so the last subtrees are cut short.
+        let t = Topology::torus(&[13]);
+        let trace = reduce(&t, NodeId(0), 4);
+        for (i, m) in trace.messages().iter().enumerate() {
+            let rank = m.id.0 as u32;
+            let want: Vec<u64> = (1..13)
+                .filter(|&c| parent_rank(c) == rank)
+                .map(u64::from)
+                .collect();
+            assert_eq!(trace.deps(i), want, "rank {rank}");
+        }
+        assert_eq!(trace.deps(find(&trace, 8)), [9, 10, 12]);
     }
 
     #[test]
@@ -242,20 +265,16 @@ mod tests {
         let root = NodeId(0);
         let trace = broadcast(&t, root, 16);
         assert_eq!(trace.len(), 15);
-        let from_root = trace
-            .messages()
-            .iter()
-            .filter(|m| m.msg.src == root)
-            .count();
+        let from_root = trace.messages().iter().filter(|m| m.src == root).count();
         assert_eq!(from_root, 4);
         for m in trace.messages() {
-            assert_ne!(m.msg.dest, root, "the root never receives");
+            assert_ne!(m.dest, root, "the root never receives");
         }
         // Rank 5 (= 4 | 1) hears from rank 4, whose data came via rank 4's
         // own incoming message.
-        let rank5 = trace.messages().iter().find(|m| m.msg.id.0 == 5).unwrap();
-        assert_eq!(rank5.msg.src, NodeId(4));
-        assert_eq!(rank5.deps, vec![4]);
+        let rank5 = find(&trace, 5);
+        assert_eq!(trace.messages()[rank5].src, NodeId(4));
+        assert_eq!(trace.deps(rank5), [4]);
     }
 
     #[test]
@@ -265,15 +284,10 @@ mod tests {
         assert_eq!(trace.len(), 3 * 16);
         assert_eq!(trace.num_roots(), 16, "phase 0 is dependency-free");
         for m in trace.messages() {
-            assert_ne!(m.msg.src, m.msg.dest, "remap keeps diagonals sending");
+            assert_ne!(m.src, m.dest, "remap keeps diagonals sending");
         }
         // Phase 2's node 3 depends on phase 1's node 3.
-        let m = trace
-            .messages()
-            .iter()
-            .find(|m| m.msg.id.0 == 2 * 16 + 3)
-            .unwrap();
-        assert_eq!(m.deps, vec![16 + 3]);
+        assert_eq!(trace.deps(find(&trace, 2 * 16 + 3)), [16 + 3]);
         // Deterministic in its arguments.
         let again = pattern_sweep(&t, TrafficPattern::Transpose, 3, 8, 11);
         assert_eq!(trace, again);
@@ -289,11 +303,7 @@ mod tests {
         let a = pattern_sweep(&t, pat, 2, 4, 9);
         let b = pattern_sweep(&t, pat, 2, 4, 9);
         assert_eq!(a, b);
-        let hot_hits = a
-            .messages()
-            .iter()
-            .filter(|m| m.msg.dest == NodeId(5))
-            .count();
+        let hot_hits = a.messages().iter().filter(|m| m.dest == NodeId(5)).count();
         assert!(hot_hits > a.len() / 2, "hotspot concentrates: {hot_hits}");
     }
 }

@@ -1,13 +1,13 @@
 //! Dependency-aware message traces.
 //!
 //! A [`DepTrace`] is a message script whose entries carry explicit
-//! *dependency edges*: message `B` with `deps = [A]` must not be injected
-//! before `A` has been **delivered**. This is the natural encoding of
-//! application communication — a reduce step cannot start before its
-//! children's partial sums arrive, phase `p+1` of a sweep waits for phase
-//! `p` — and it makes replay *self-paced*: the trace adapts to whatever
-//! latency the network under test exhibits instead of firing on a wall
-//! clock recorded on some other machine.
+//! *dependency edges*: message `B` with dependencies `[A]` must not be
+//! injected before `A` has been **delivered**. This is the natural
+//! encoding of application communication — a reduce step cannot start
+//! before its children's partial sums arrive, phase `p+1` of a sweep waits
+//! for phase `p` — and it makes replay *self-paced*: the trace adapts to
+//! whatever latency the network under test exhibits instead of firing on a
+//! wall clock recorded on some other machine.
 //!
 //! Semantics:
 //!
@@ -15,61 +15,106 @@
 //!   released at `max(created_at, last dependency delivered + 1)`;
 //! * dependencies are by message id and must reference messages present
 //!   in the same trace;
-//! * the dependency graph must be acyclic — [`DepTrace::new`] rejects
-//!   cycles (a cyclic trace can never finish replaying).
+//! * the dependency graph must be acyclic — [`DepTraceBuilder::build`]
+//!   rejects cycles (a cyclic trace can never finish replaying).
 //!
-//! A trace is valid by construction: [`DepTrace::new`] builds the id
-//! index and the dependency graph once, checks them, and keeps them for
-//! every [`DepReplay`] of the trace. Persistence (versioned JSON / JSONL)
-//! lives in [`crate::trace_io`]; generators for classic collectives in
+//! A trace is valid by construction: a [`DepTraceBuilder`] takes the
+//! messages one by one, each with its dependency ids, and
+//! [`DepTraceBuilder::build`] checks them and builds the id index and the
+//! dependency graph once, for every [`DepReplay`] of the trace.
+//!
+//! A trace is flat: a fixed handful of arrays, however many messages it
+//! holds, and no heap block per message.
+//!
+//! * The messages sit in one array, in file order.
+//! * Their dependency ids sit in a second, concatenated in file order, with
+//!   one end offset per message: message `i`'s ids run from the end of
+//!   `i - 1`'s to its own, so its dependency count is that span's length.
+//! * The dependents are the same edges reversed, in compressed sparse row
+//!   form: one index array and one end offset per message, filled by a
+//!   counting sort over the resolved dependencies, each message's
+//!   dependents in ascending trace index.
+//!
+//! A replay copies its `waiting` counts from the offset spans and walks
+//! the dependents' rows. Persistence (versioned JSON / JSONL) lives in
+//! [`crate::trace_io`]; generators for classic collectives in
 //! [`crate::collectives`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use wavesim_network::{Delivery, Message};
 use wavesim_sim::Cycle;
 
 use crate::{CarpOp, Workload};
 
-/// One message of a dependency trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DepMessage {
-    /// The message itself (`created_at` = earliest release cycle).
-    pub msg: Message,
-    /// Ids of messages that must be *delivered* before this one releases.
-    pub deps: Vec<u64>,
+/// Collects the messages of a [`DepTrace`], each with the ids of the
+/// messages it depends on, in file order.
+#[derive(Debug, Default)]
+pub struct DepTraceBuilder {
+    messages: Vec<Message>,
+    deps: Vec<u64>,
+    /// End of each message's span in `deps`.
+    dep_end: Vec<u32>,
 }
 
-/// A dependency-ordered message script and its validated graph.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DepTrace {
-    /// The messages, in file order. Order carries no semantics beyond
-    /// deterministic tie-breaking; release order is set by `created_at`
-    /// and the dependency edges.
-    messages: Vec<DepMessage>,
-    /// `(message id, trace index)`, sorted by id.
-    ids: Vec<(u64, u32)>,
-    /// Dependency count per trace index.
-    indegree: Vec<u32>,
-    /// Trace index -> indices of the messages that depend on it.
-    dependents: Vec<Vec<u32>>,
-}
+impl DepTraceBuilder {
+    /// An empty builder.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
 
-impl DepTrace {
-    /// Builds a trace and its dependency graph, checking the invariants:
+    /// An empty builder with room for `messages` messages and `deps`
+    /// dependency ids in all, so a producer that knows its sizes builds
+    /// without regrowing.
+    #[must_use]
+    pub fn with_capacity(messages: usize, deps: usize) -> Self {
+        Self {
+            messages: Vec::with_capacity(messages),
+            deps: Vec::with_capacity(deps),
+            dep_end: Vec::with_capacity(messages),
+        }
+    }
+
+    /// Appends `msg` (`created_at` = earliest release cycle), released once
+    /// every message whose id is in `deps` has been delivered.
+    pub fn push(&mut self, msg: Message, deps: &[u64]) {
+        self.messages.push(msg);
+        self.deps.extend_from_slice(deps);
+        // Wraps only past `u32::MAX` ids in all, which `build` refuses.
+        self.dep_end.push(self.deps.len() as u32);
+    }
+
+    /// Builds the trace and its dependency graph, checking the invariants:
     /// unique message ids, every dependency referencing an id present in
-    /// the trace, and an acyclic graph (checked with Kahn's algorithm, so
-    /// the error names a message that sits on a cycle).
+    /// the trace and not the message's own, and an acyclic graph (checked
+    /// with Kahn's algorithm, so the error names a message that sits on a
+    /// cycle).
     ///
     /// # Errors
-    /// Returns a human-readable description of the first violation found.
-    pub fn new(messages: Vec<DepMessage>) -> Result<Self, String> {
+    /// Returns a human-readable description of the first violation found,
+    /// naming the first offending message in file order.
+    pub fn build(self) -> Result<DepTrace, String> {
+        let Self {
+            messages,
+            deps,
+            dep_end,
+        } = self;
         let n = messages.len();
+        if u32::try_from(n).is_err() || u32::try_from(deps.len()).is_err() {
+            return Err(format!(
+                "dependency trace too large: {n} messages and {} dependency ids \
+                 (at most {} of each)",
+                deps.len(),
+                u32::MAX
+            ));
+        }
         let mut ids: Vec<(u64, u32)> = messages
             .iter()
             .enumerate()
-            .map(|(i, m)| (m.msg.id.0, i as u32))
+            .map(|(i, m)| (m.id.0, i as u32))
             .collect();
         ids.sort_unstable();
         // The first message, in file order, whose id an earlier one took.
@@ -80,57 +125,91 @@ impl DepTrace {
         if let Some(w) = repeat {
             return Err(format!("duplicate message id {}", w[1].0));
         }
-        let mut indegree = vec![0u32; n];
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, m) in messages.iter().enumerate() {
-            for &dep in &m.deps {
+        // Resolve every dependency to its trace index, in file order, and
+        // count each message's dependents.
+        let mut dep_index: Vec<u32> = Vec::with_capacity(deps.len());
+        let mut dependent_end = vec![0u32; n];
+        for (i, (m, span)) in messages.iter().zip(spans(&dep_end)).enumerate() {
+            let id = m.id.0;
+            for &dep in &deps[span] {
                 let Some(j) = index_in(&ids, dep) else {
-                    return Err(format!(
-                        "message {} depends on unknown message id {dep}",
-                        m.msg.id.0
-                    ));
+                    return Err(format!("message {id} depends on unknown message id {dep}"));
                 };
                 if j == i {
-                    return Err(format!("message {} depends on itself", m.msg.id.0));
+                    return Err(format!("message {id} depends on itself"));
                 }
-                indegree[i] += 1;
-                dependents[j].push(i as u32);
+                dep_index.push(j as u32);
+                dependent_end[j] += 1;
             }
         }
-        // Kahn's topological sort over dep -> dependent edges. Anything
-        // left with a positive indegree afterwards sits on (or behind) a
-        // dependency cycle.
-        let mut left = indegree.clone();
-        let mut queue: Vec<u32> = (0..n as u32).filter(|&i| left[i as usize] == 0).collect();
-        while let Some(i) = queue.pop() {
-            for &d in &dependents[i as usize] {
-                left[d as usize] -= 1;
-                if left[d as usize] == 0 {
-                    queue.push(d);
-                }
+        // Counting sort of the reversed edges: each message's slot starts
+        // at the count of the dependents before it, and filling in file
+        // order leaves the slot at its row's end.
+        let mut start = 0;
+        for end in &mut dependent_end {
+            let count = *end;
+            *end = start;
+            start += count;
+        }
+        let mut dependents = vec![0u32; deps.len()];
+        for (i, span) in spans(&dep_end).enumerate() {
+            for &j in &dep_index[span] {
+                let slot = &mut dependent_end[j as usize];
+                dependents[*slot as usize] = i as u32;
+                *slot += 1;
             }
         }
-        let stuck = (0..n)
-            .filter(|&i| left[i] > 0)
-            .map(|i| messages[i].msg.id.0);
-        if let Some(stuck) = stuck.min() {
-            return Err(format!(
-                "cyclic dependency: message {stuck} can never be released \
-                 (it waits, directly or transitively, on itself)"
-            ));
-        }
-        Ok(Self {
+        // Freed before the cycle check allocates its own two arrays.
+        drop(dep_index);
+        let trace = DepTrace {
             messages,
+            deps,
+            dep_end,
             ids,
-            indegree,
             dependents,
-        })
+            dependent_end,
+        };
+        trace.check_acyclic()?;
+        Ok(trace)
     }
+}
 
+/// A dependency-ordered message script and its validated graph, stored
+/// flat (see the module docs).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DepTrace {
+    /// The messages, in file order. Order carries no semantics beyond
+    /// deterministic tie-breaking; release order is set by `created_at`
+    /// and the dependency edges.
+    messages: Vec<Message>,
+    /// Every message's dependency ids, concatenated in file order.
+    deps: Vec<u64>,
+    /// End of each message's span in `deps`.
+    dep_end: Vec<u32>,
+    /// `(message id, trace index)`, sorted by id.
+    ids: Vec<(u64, u32)>,
+    /// Trace indices of the messages that depend on each message,
+    /// concatenated in trace order.
+    dependents: Vec<u32>,
+    /// End of each message's row in `dependents`.
+    dependent_end: Vec<u32>,
+}
+
+impl DepTrace {
     /// The messages, in file order.
     #[must_use]
-    pub fn messages(&self) -> &[DepMessage] {
+    pub fn messages(&self) -> &[Message] {
         &self.messages
+    }
+
+    /// Ids of the messages that must be *delivered* before message `i`
+    /// (in file order) releases.
+    ///
+    /// # Panics
+    /// Panics when `i` is not below [`len`](Self::len).
+    #[must_use]
+    pub fn deps(&self, i: usize) -> &[u64] {
+        &self.deps[span(&self.dep_end, i)]
     }
 
     /// Number of messages.
@@ -152,7 +231,7 @@ impl DepTrace {
     pub fn horizon(&self) -> Cycle {
         self.messages
             .iter()
-            .map(|m| m.msg.created_at)
+            .map(|m| m.created_at)
             .max()
             .unwrap_or(0)
     }
@@ -160,25 +239,81 @@ impl DepTrace {
     /// Messages with no dependencies (the replay's initially-ready set).
     #[must_use]
     pub fn num_roots(&self) -> usize {
-        self.indegree.iter().filter(|&&d| d == 0).count()
+        spans(&self.dep_end).filter(Range::is_empty).count()
     }
 
     /// A replay of the trace from its start.
     #[must_use]
     pub fn replay(&self) -> DepReplay<'_> {
+        let waiting = self.dep_counts();
         let mut ready = Vec::with_capacity(self.len());
-        for (i, m) in self.messages.iter().enumerate() {
-            if self.indegree[i] == 0 {
-                ready.push(Reverse((m.msg.created_at, i as u32)));
+        for (i, &w) in waiting.iter().enumerate() {
+            if w == 0 {
+                ready.push(Reverse((self.messages[i].created_at, i as u32)));
             }
         }
         DepReplay {
             trace: self,
-            waiting: self.indegree.clone(),
+            waiting,
             ready: BinaryHeap::from(ready),
             sent: 0,
         }
     }
+
+    /// Dependency count per trace index: the length of each offset span.
+    fn dep_counts(&self) -> Vec<u32> {
+        spans(&self.dep_end).map(|s| s.len() as u32).collect()
+    }
+
+    /// Trace indices of the messages that depend on message `i`.
+    fn dependents_of(&self, i: usize) -> &[u32] {
+        &self.dependents[span(&self.dependent_end, i)]
+    }
+
+    /// Kahn's topological sort over dep -> dependent edges. Anything left
+    /// with undelivered dependencies afterwards sits on (or behind) a
+    /// dependency cycle; the error names the smallest such id.
+    fn check_acyclic(&self) -> Result<(), String> {
+        let mut left = self.dep_counts();
+        let mut queue = Vec::with_capacity(self.len());
+        queue.extend((0..self.len() as u32).filter(|&i| left[i as usize] == 0));
+        while let Some(i) = queue.pop() {
+            for &d in self.dependents_of(i as usize) {
+                left[d as usize] -= 1;
+                if left[d as usize] == 0 {
+                    queue.push(d);
+                }
+            }
+        }
+        let stuck = (0..self.len())
+            .filter(|&i| left[i] > 0)
+            .map(|i| self.messages[i].id.0)
+            .min();
+        match stuck {
+            Some(stuck) => Err(format!(
+                "cyclic dependency: message {stuck} can never be released \
+                 (it waits, directly or transitively, on itself)"
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Row `i` of an end-offset array: from the previous row's end to its own.
+fn span(ends: &[u32], i: usize) -> Range<usize> {
+    let start = i.checked_sub(1).map_or(0, |p| ends[p]);
+    start as usize..ends[i] as usize
+}
+
+/// Every row of an end-offset array, in order (an exact-size iterator, so
+/// collecting it allocates once).
+fn spans(ends: &[u32]) -> impl ExactSizeIterator<Item = Range<usize>> + '_ {
+    let mut start = 0;
+    ends.iter().map(move |&end| {
+        let row = start as usize..end as usize;
+        start = end;
+        row
+    })
 }
 
 /// Trace index of the message with id `id`, in an id-sorted index.
@@ -196,7 +331,8 @@ fn index_in(ids: &[(u64, u32)], id: u64) -> Option<usize> {
 /// spent waiting on dependencies.
 pub struct DepReplay<'a> {
     trace: &'a DepTrace,
-    /// Undelivered dependencies per trace index.
+    /// Undelivered dependencies per trace index, copied from the trace's
+    /// offset spans.
     waiting: Vec<u32>,
     /// `(release cycle, trace index)` of released messages not yet sent.
     ready: BinaryHeap<Reverse<(Cycle, u32)>>,
@@ -211,7 +347,7 @@ impl Workload for DepReplay<'_> {
                 break;
             }
             self.ready.pop();
-            let m = self.trace.messages[i as usize].msg;
+            let m = self.trace.messages[i as usize];
             out.push(CarpOp::Send(Message {
                 created_at: now,
                 ..m
@@ -222,14 +358,15 @@ impl Workload for DepReplay<'_> {
     }
 
     fn delivered(&mut self, d: &Delivery, now: Cycle) {
-        let Some(i) = index_in(&self.trace.ids, d.msg.id.0) else {
+        let trace = self.trace;
+        let Some(i) = index_in(&trace.ids, d.msg.id.0) else {
             return;
         };
-        for &j in &self.trace.dependents[i] {
+        for &j in trace.dependents_of(i) {
             let j = j as usize;
             self.waiting[j] -= 1;
             if self.waiting[j] == 0 {
-                let release = self.trace.messages[j].msg.created_at.max(now + 1);
+                let release = trace.messages[j].created_at.max(now + 1);
                 self.ready.push(Reverse((release, j as u32)));
             }
         }
@@ -247,20 +384,22 @@ mod tests {
         Message::new(id, NodeId(src), NodeId(dest), 8, 0)
     }
 
-    fn dm(id: u64, src: u32, dest: u32, deps: &[u64]) -> DepMessage {
-        DepMessage {
-            msg: msg(id, src, dest),
-            deps: deps.to_vec(),
+    /// A trace of `(id, src, dest, deps)` messages, in this order.
+    fn build(msgs: &[(u64, u32, u32, &[u64])]) -> Result<DepTrace, String> {
+        let mut b = DepTraceBuilder::new();
+        for &(id, src, dest, deps) in msgs {
+            b.push(msg(id, src, dest), deps);
         }
+        b.build()
     }
 
     #[test]
     fn diamond_is_valid() {
-        let t = DepTrace::new(vec![
-            dm(0, 0, 1, &[]),
-            dm(1, 1, 2, &[0]),
-            dm(2, 1, 3, &[0]),
-            dm(3, 2, 0, &[1, 2]),
+        let t = build(&[
+            (0, 0, 1, &[]),
+            (1, 1, 2, &[0]),
+            (2, 1, 3, &[0]),
+            (3, 2, 0, &[1, 2]),
         ])
         .unwrap();
         assert_eq!(t.len(), 4);
@@ -270,25 +409,25 @@ mod tests {
 
     #[test]
     fn duplicate_ids_rejected() {
-        let err = DepTrace::new(vec![dm(7, 0, 1, &[]), dm(7, 1, 2, &[])]).unwrap_err();
+        let err = build(&[(7, 0, 1, &[]), (7, 1, 2, &[])]).unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
     }
 
     #[test]
     fn unknown_dependency_rejected() {
-        let err = DepTrace::new(vec![dm(0, 0, 1, &[99])]).unwrap_err();
+        let err = build(&[(0, 0, 1, &[99])]).unwrap_err();
         assert!(err.contains("unknown"), "{err}");
     }
 
     #[test]
     fn self_dependency_rejected() {
-        let err = DepTrace::new(vec![dm(0, 0, 1, &[0])]).unwrap_err();
+        let err = build(&[(0, 0, 1, &[0])]).unwrap_err();
         assert!(err.contains("itself"), "{err}");
     }
 
     #[test]
     fn two_cycle_rejected_with_clear_error() {
-        let err = DepTrace::new(vec![dm(0, 0, 1, &[1]), dm(1, 1, 2, &[0])]).unwrap_err();
+        let err = build(&[(0, 0, 1, &[1]), (1, 1, 2, &[0])]).unwrap_err();
         assert!(err.contains("cyclic"), "{err}");
         assert!(err.contains('0'), "names a cycle member: {err}");
     }
@@ -296,11 +435,11 @@ mod tests {
     #[test]
     fn long_cycle_behind_valid_prefix_rejected() {
         // 0 is fine; 1 -> 2 -> 3 -> 1 is a cycle.
-        let err = DepTrace::new(vec![
-            dm(0, 0, 1, &[]),
-            dm(1, 1, 2, &[3]),
-            dm(2, 2, 3, &[1]),
-            dm(3, 3, 0, &[2]),
+        let err = build(&[
+            (0, 0, 1, &[]),
+            (1, 1, 2, &[3]),
+            (2, 2, 3, &[1]),
+            (3, 3, 0, &[2]),
         ])
         .unwrap_err();
         assert!(err.contains("cyclic"), "{err}");
@@ -308,7 +447,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid() {
-        let t = DepTrace::new(Vec::new()).unwrap();
+        let t = DepTraceBuilder::new().build().unwrap();
         assert_eq!(t, DepTrace::default());
         assert!(t.is_empty());
         assert_eq!(t.horizon(), 0);
@@ -323,21 +462,21 @@ mod tests {
         let n = messages.len();
         let mut id2idx = HashMap::with_capacity(n);
         for (i, m) in messages.iter().enumerate() {
-            id2idx.insert(m.msg.id.0, i as u32);
+            id2idx.insert(m.id.0, i as u32);
         }
         let mut indegree = vec![0u32; n];
         let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, m) in messages.iter().enumerate() {
-            for dep in &m.deps {
+        for (i, count) in indegree.iter_mut().enumerate() {
+            for dep in trace.deps(i) {
                 let j = *id2idx.get(dep).expect("validated trace: deps resolve");
-                indegree[i] += 1;
+                *count += 1;
                 dependents[j as usize].push(i as u32);
             }
         }
         let mut ready = BinaryHeap::with_capacity(n);
         for (i, m) in messages.iter().enumerate() {
             if indegree[i] == 0 {
-                ready.push(Reverse((m.msg.created_at, i as u32)));
+                ready.push(Reverse((m.created_at, i as u32)));
             }
         }
         let mut net = FakeNet::new(seed);
@@ -349,7 +488,7 @@ mod tests {
                     break;
                 }
                 ready.pop();
-                let m = &messages[idx as usize].msg;
+                let m = &messages[idx as usize];
                 net.send(now, Message::new(m.id.0, m.src, m.dest, m.len_flits, now));
                 injected += 1;
             }
@@ -360,7 +499,7 @@ mod tests {
                 for &j in &dependents[idx as usize] {
                     indegree[j as usize] -= 1;
                     if indegree[j as usize] == 0 {
-                        let release = messages[j as usize].msg.created_at.max(now + 1);
+                        let release = messages[j as usize].created_at.max(now + 1);
                         ready.push(Reverse((release, j)));
                     }
                 }
@@ -382,24 +521,29 @@ mod tests {
                 ids.push(id);
             }
         }
-        let mut messages: Vec<DepMessage> = (0..n)
+        let mut messages: Vec<(Message, Vec<u64>)> = (0..n)
             .map(|k| {
                 let src = rng.below(16) as u32;
                 let dest = (src + 1 + rng.below(15) as u32) % 16;
-                let mut m = dm(ids[k], src, dest, &[]);
-                m.msg.created_at = rng.below(3_000);
+                let mut m = msg(ids[k], src, dest);
+                m.created_at = rng.below(3_000);
+                let mut deps = Vec::new();
                 for _ in 0..rng.below(4) {
                     if k > 0 {
-                        m.deps.push(ids[rng.index(k)]);
+                        deps.push(ids[rng.index(k)]);
                     }
                 }
-                m
+                (m, deps)
             })
             .collect();
         for i in (1..n).rev() {
             messages.swap(i, rng.index(i + 1));
         }
-        DepTrace::new(messages).unwrap()
+        let mut b = DepTraceBuilder::new();
+        for (m, deps) in &messages {
+            b.push(*m, deps);
+        }
+        b.build().unwrap()
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod trace_io;
 pub mod traffic;
 
 pub use carp::{CarpOp, CarpTrace, PairwiseSpec};
-pub use deptrace::{DepMessage, DepReplay, DepTrace};
+pub use deptrace::{DepReplay, DepTrace, DepTraceBuilder};
 pub use faults::{FaultSchedule, FaultScheduleEvent};
 pub use patterns::{pattern_pairs, PartnerTable, TrafficPattern};
 pub use service::{ServiceConfig, ServiceWorkload};

@@ -1,8 +1,15 @@
 //! Input persistence: save/load dependency traces and timed fault
 //! schedules as versioned JSON, so experiment inputs are shareable,
 //! versionable artifacts. Loading validates: a malformed or hostile file
-//! is an error naming what was wrong, never a panic, and a number too wide
-//! for its field is refused rather than narrowed.
+//! is an error naming what was wrong and where (the physical line of a
+//! JSONL trace, the array index and id of a message in a JSON document),
+//! never a panic, and a number too wide for its field is refused rather
+//! than narrowed.
+//!
+//! A dependency trace is saved from its flat arrays (each message beside
+//! its span of dependency ids) and loaded straight into a
+//! [`DepTraceBuilder`]: each parsed message is pushed with its ids, read
+//! into one reused buffer, so a load keeps no per-message list of its own.
 
 use std::io::{Read, Write};
 
@@ -13,7 +20,7 @@ use wavesim_topology::NodeId;
 
 use wavesim_topology::LinkId;
 
-use crate::deptrace::{DepMessage, DepTrace};
+use crate::deptrace::{DepTrace, DepTraceBuilder};
 use crate::faults::{FaultSchedule, FaultScheduleEvent};
 
 const VERSION: u64 = 1;
@@ -74,37 +81,54 @@ fn timed_from_json<T>(
     Ok(out)
 }
 
-fn dep_message_to_json(m: &DepMessage) -> Value {
+fn dep_message_to_json(m: &Message, deps: &[u64]) -> Value {
     let mut pairs = vec![
-        ("id", m.msg.id.0.into()),
-        ("src", u64::from(m.msg.src.0).into()),
-        ("dest", u64::from(m.msg.dest.0).into()),
-        ("len", m.msg.len_flits.into()),
-        ("created", m.msg.created_at.into()),
+        ("id", m.id.0.into()),
+        ("src", u64::from(m.src.0).into()),
+        ("dest", u64::from(m.dest.0).into()),
+        ("len", m.len_flits.into()),
+        ("created", m.created_at.into()),
     ];
-    if !m.deps.is_empty() {
-        pairs.push((
-            "deps",
-            Value::Arr(m.deps.iter().map(|&d| d.into()).collect()),
-        ));
+    if !deps.is_empty() {
+        pairs.push(("deps", Value::Arr(deps.iter().map(|&d| d.into()).collect())));
     }
     Value::obj(pairs)
 }
 
-fn dep_message_from_json(v: &Value) -> Result<DepMessage, String> {
+/// Every message of `trace` as a JSON object, in file order.
+fn dep_messages_to_json(trace: &DepTrace) -> impl Iterator<Item = Value> + '_ {
+    trace
+        .messages()
+        .iter()
+        .enumerate()
+        .map(|(i, m)| dep_message_to_json(m, trace.deps(i)))
+}
+
+/// Parses one message object and pushes it into `trace`, its dependency
+/// ids read through the reused `deps` buffer.
+fn push_dep_message(
+    v: &Value,
+    trace: &mut DepTraceBuilder,
+    deps: &mut Vec<u64>,
+) -> Result<(), String> {
     let msg = message_from_json(v)?;
-    let deps = match &v["deps"] {
-        Value::Null => Vec::new(),
-        d => {
-            let items = d.as_array().ok_or("deps must be an array")?;
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(item.as_u64().ok_or("deps entries must be message ids")?);
-            }
-            out
+    deps.clear();
+    if !matches!(v["deps"], Value::Null) {
+        for item in v["deps"].as_array().ok_or("deps must be an array")? {
+            deps.push(item.as_u64().ok_or("deps entries must be message ids")?);
         }
-    };
-    Ok(DepMessage { msg, deps })
+    }
+    trace.push(msg, deps);
+    Ok(())
+}
+
+/// `e` about the message `v`, prefixed with where it sits in the file and
+/// its id when it has one.
+fn at_message(at: &str, v: &Value, e: &str) -> String {
+    match v["id"].as_u64() {
+        Some(id) => format!("{at} (id {id}): {e}"),
+        None => format!("{at}: {e}"),
+    }
 }
 
 /// Serializes a dependency trace as one pretty JSON document
@@ -118,7 +142,7 @@ pub fn save_dep_trace<W: Write>(trace: &DepTrace, mut writer: W) -> std::io::Res
         ("version", VERSION.into()),
         (
             "messages",
-            Value::Arr(trace.messages().iter().map(dep_message_to_json).collect()),
+            Value::Arr(dep_messages_to_json(trace).collect()),
         ),
     ]);
     writer.write_all(file.pretty().as_bytes())
@@ -132,8 +156,8 @@ pub fn save_dep_trace<W: Write>(trace: &DepTrace, mut writer: W) -> std::io::Res
 /// Propagates I/O errors.
 pub fn save_dep_trace_jsonl<W: Write>(trace: &DepTrace, mut writer: W) -> std::io::Result<()> {
     writeln!(writer, "{{\"version\": {VERSION}}}")?;
-    for m in trace.messages() {
-        writeln!(writer, "{}", dep_message_to_json(m).compact())?;
+    for m in dep_messages_to_json(trace) {
+        writeln!(writer, "{}", m.compact())?;
     }
     Ok(())
 }
@@ -147,7 +171,9 @@ pub fn save_dep_trace_jsonl<W: Write>(trace: &DepTrace, mut writer: W) -> std::i
 ///
 /// # Errors
 /// Fails on malformed JSON, an unknown version, an invalid message
-/// (zero length, self-send), or a broken dependency graph.
+/// (zero length, self-send), or a broken dependency graph. A bad message
+/// is named by its physical line (JSONL) or its index in `messages`
+/// (JSON document), with its id when it has one.
 pub fn load_dep_trace<R: Read>(mut reader: R) -> Result<DepTrace, String> {
     let mut text = String::new();
     reader
@@ -165,37 +191,46 @@ pub fn load_dep_trace<R: Read>(mut reader: R) -> Result<DepTrace, String> {
             ))
         }
     };
-    let messages = if let Ok(doc) = Value::parse(&text) {
+    let mut deps = Vec::new();
+    let trace = if let Ok(doc) = Value::parse(&text) {
         // Whole-document form: {"version", "messages": [...]}. A bare
         // {"version"} (a JSONL header with no message lines) is an empty
         // trace.
         check_version(&doc)?;
         match &doc["messages"] {
-            Value::Null => Vec::new(),
+            Value::Null => DepTraceBuilder::new(),
             m => {
                 let items = m.as_array().ok_or("messages must be an array")?;
-                items
-                    .iter()
-                    .map(dep_message_from_json)
-                    .collect::<Result<Vec<_>, _>>()?
+                let mut trace = DepTraceBuilder::with_capacity(items.len(), 0);
+                for (k, v) in items.iter().enumerate() {
+                    push_dep_message(v, &mut trace, &mut deps)
+                        .map_err(|e| at_message(&format!("messages[{k}]"), v, &e))?;
+                }
+                trace
             }
         }
     } else {
-        // JSONL form: header line, then one message object per line.
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty dependency trace")?;
+        // JSONL form: header line, then one message object per line. Blank
+        // lines are skipped but still counted, so an error names the line
+        // an editor shows.
+        let mut lines = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty());
+        let (_, header) = lines.next().ok_or("empty dependency trace")?;
         let hv =
             Value::parse(header).map_err(|e| format!("malformed dependency trace header: {e}"))?;
         check_version(&hv)?;
-        let mut out = Vec::new();
-        for (i, line) in lines.enumerate() {
-            let v =
-                Value::parse(line).map_err(|e| format!("malformed trace line {}: {e}", i + 2))?;
-            out.push(dep_message_from_json(&v)?);
+        let mut trace = DepTraceBuilder::new();
+        for (i, line) in lines {
+            let n = i + 1;
+            let v = Value::parse(line).map_err(|e| format!("malformed trace line {n}: {e}"))?;
+            push_dep_message(&v, &mut trace, &mut deps)
+                .map_err(|e| at_message(&format!("trace line {n}"), &v, &e))?;
         }
-        out
+        trace
     };
-    DepTrace::new(messages)
+    trace.build()
 }
 
 fn schedule_event_to_json(ev: &FaultScheduleEvent) -> Value {
@@ -349,25 +384,12 @@ mod tests {
     }
 
     fn diamond() -> DepTrace {
-        DepTrace::new(vec![
-            DepMessage {
-                msg: Message::new(0, NodeId(0), NodeId(3), 8, 0),
-                deps: vec![],
-            },
-            DepMessage {
-                msg: Message::new(1, NodeId(3), NodeId(1), 8, 0),
-                deps: vec![0],
-            },
-            DepMessage {
-                msg: Message::new(2, NodeId(3), NodeId(2), 8, 0),
-                deps: vec![0],
-            },
-            DepMessage {
-                msg: Message::new(3, NodeId(1), NodeId(0), 8, 5),
-                deps: vec![1, 2],
-            },
-        ])
-        .unwrap()
+        let mut trace = DepTraceBuilder::new();
+        trace.push(Message::new(0, NodeId(0), NodeId(3), 8, 0), &[]);
+        trace.push(Message::new(1, NodeId(3), NodeId(1), 8, 0), &[0]);
+        trace.push(Message::new(2, NodeId(3), NodeId(2), 8, 0), &[0]);
+        trace.push(Message::new(3, NodeId(1), NodeId(0), 8, 5), &[1, 2]);
+        trace.build().unwrap()
     }
 
     #[test]
@@ -427,6 +449,56 @@ mod tests {
         assert!(load_dep_trace(bad_line.as_bytes())
             .unwrap_err()
             .contains("line 2"));
+    }
+
+    #[test]
+    fn jsonl_errors_name_the_physical_line() {
+        // Blank lines are skipped, not uncounted: the bad line is line 3.
+        let err = load_dep_trace(&b"{\"version\":1}\n\nnot json"[..]).unwrap_err();
+        assert!(err.starts_with("malformed trace line 3:"), "{err}");
+        let self_send = concat!(
+            "{\"version\": 1}\n",
+            "{\"id\":0,\"src\":0,\"dest\":1,\"len\":4,\"created\":0}\n",
+            "\n",
+            "{\"id\":7,\"src\":3,\"dest\":3,\"len\":4,\"created\":0}\n",
+        );
+        assert_eq!(
+            load_dep_trace(self_send.as_bytes()).unwrap_err(),
+            "trace line 4 (id 7): self-send in trace"
+        );
+        let no_id = "{\"version\": 1}\n\n\n{\"src\":0,\"dest\":1,\"len\":4,\"created\":0}\n";
+        assert_eq!(
+            load_dep_trace(no_id.as_bytes()).unwrap_err(),
+            "trace line 4: message missing id"
+        );
+    }
+
+    #[test]
+    fn document_errors_name_the_index_and_id() {
+        let zero_len = concat!(
+            r#"{"version": 1, "messages": ["#,
+            r#"{"id":0,"src":0,"dest":1,"len":4,"created":0},"#,
+            r#"{"id":5,"src":1,"dest":2,"len":0,"created":0}]}"#
+        );
+        assert_eq!(
+            load_dep_trace(zero_len.as_bytes()).unwrap_err(),
+            "messages[1] (id 5): message length must be >= 1"
+        );
+        let bad_deps = r#"{"version": 1, "messages": [{"id":9,"src":0,"dest":1,"len":4,"created":0,"deps":3}]}"#;
+        assert_eq!(
+            load_dep_trace(bad_deps.as_bytes()).unwrap_err(),
+            "messages[0] (id 9): deps must be an array"
+        );
+        let self_send = concat!(
+            r#"{"version": 1, "messages": ["#,
+            r#"{"id":0,"src":0,"dest":1,"len":4,"created":0},"#,
+            r#"{"id":1,"src":1,"dest":2,"len":4,"created":0},"#,
+            r#"{"id":2,"src":2,"dest":2,"len":4,"created":0}]}"#
+        );
+        assert_eq!(
+            load_dep_trace(self_send.as_bytes()).unwrap_err(),
+            "messages[2] (id 2): self-send in trace"
+        );
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! users, and the sources fire from a calendar into one reused buffer, so
 //! what is left is the run's growth to its working sizes, amortised.
 //!
+//! A dependency trace is flat (DESIGN §15.1): building one, however many
+//! messages it holds, and starting its replay cost a fixed handful of
+//! allocations, not a heap block per message.
+//!
 //! Measured with a counting global allocator. The count is per thread, so
 //! the two tests of this binary may run side by side.
 
@@ -16,7 +20,7 @@ use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim::network::Delivery;
 use wavesim::topology::Topology;
 use wavesim::workloads::{
-    CarpOp, LengthDist, TrafficConfig, TrafficPattern, TrafficSource, Workload,
+    collectives, CarpOp, LengthDist, TrafficConfig, TrafficPattern, TrafficSource, Workload,
 };
 use wavesim_bench::apply_op;
 
@@ -177,4 +181,37 @@ fn wormhole_messages_stay_off_the_heap() {
         per_msg <= 0.01,
         "{requests} allocations over {delivered} messages = {per_msg:.3} per message"
     );
+}
+
+#[test]
+fn a_dependency_trace_builds_in_a_fixed_handful_of_allocations() {
+    for side in [8u16, 16] {
+        let topo = Topology::torus(&[side, side]);
+        let n = usize::from(side * side);
+
+        let before = requests();
+        let trace = collectives::all_to_all(&topo, 32);
+        let built = requests() - before;
+        assert_eq!(trace.len(), n * (n - 1));
+        println!(
+            "{side}x{side} all-to-all: {built} allocations for {} messages",
+            trace.len()
+        );
+        // Measured 9 at both sizes: the builder's three arrays, the id
+        // index, the resolved dependencies, the dependents' two arrays and
+        // the cycle check's counts and queue. A heap block per message or
+        // per edge breaks it at once.
+        assert!(
+            built <= 32,
+            "{side}x{side} all-to-all: {built} allocations for {} messages",
+            trace.len()
+        );
+
+        let before = requests();
+        let replay = trace.replay();
+        let started = requests() - before;
+        // The waiting counts and the ready heap.
+        assert!(started <= 4, "{side}x{side} replay: {started} allocations");
+        drop(replay);
+    }
 }
