@@ -138,7 +138,7 @@ impl LiveAnalytics {
     }
 
     /// Folds one record into every pass. Records must arrive in sequence
-    /// order, as every [`wavesim_trace::TraceSink`] stores them.
+    /// order, as a network's stream hands them out.
     pub fn fold(&mut self, rec: &TraceRecord) {
         let at = rec.at;
         if self.records > 0 {
@@ -471,7 +471,6 @@ impl Listener for LiveAnalytics {
 pub(crate) mod tests {
     use super::*;
     use wavesim_trace::stream::{take_listener, ColumnarFile, StreamSink};
-    use wavesim_trace::TraceSink;
 
     /// What a capture sampled 1-in-`every` keeps of `recs`: they go through
     /// a real sampling file and back through the decoder.

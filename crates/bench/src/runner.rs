@@ -1095,6 +1095,8 @@ mod tests {
 
     #[test]
     fn unobserved_run_leaves_the_callers_sink_installed() {
+        use wavesim_trace::stream::{take_listener, StreamSink, CHUNK_RECORDS};
+        use wavesim_trace::VecSink;
         let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
         let mut src = TrafficSource::new(
             net.topology().clone(),
@@ -1104,12 +1106,16 @@ mod tests {
                 ..TrafficConfig::default()
             },
         );
-        net.install_trace_sink(Box::new(wavesim_trace::VecSink::new()));
+        let sink = StreamSink::listening(vec![Box::new(VecSink::new())], CHUNK_RECORDS);
+        net.install_trace_sink(Box::new(sink));
         let r = run_open_loop(&mut net, &mut src, RunSpec::standard(100, 400));
         assert!(r.clean(), "{r:?}");
-        let sink = net
+        let mut sink = net
             .take_trace_sink()
             .expect("the sink is still the caller's");
         assert!(sink.total() > 0, "and it saw the run");
+        sink.finish().expect("an in-memory stream");
+        let kept = take_listener::<VecSink>(&mut sink.listeners()).expect("handed back");
+        assert_eq!(kept.records().len() as u64, sink.total());
     }
 }

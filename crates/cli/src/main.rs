@@ -20,7 +20,7 @@ use wavesim_topology::{RoutingKind, Topology};
 use wavesim_trace::stream::{
     stream_trace_file, ColumnarFile, Listener, StreamingReader, TraceFormat,
 };
-use wavesim_trace::{ColumnarSink, FlightRecorder, TraceSink};
+use wavesim_trace::{ColumnarSink, FlightRecorder};
 use wavesim_verify::check_deadlock_freedom;
 use wavesim_workloads::{LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 

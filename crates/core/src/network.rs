@@ -66,7 +66,7 @@
 use wavesim_network::{Delivery, Message, WormholeFabric};
 use wavesim_sim::{Cycle, CycleKernelStats, EventQueue, ScheduledEvent};
 use wavesim_topology::{NodeId, Topology};
-use wavesim_trace::{FlightRecorder, PlaneId as TracePlane, TraceEvent, TraceHub, TraceSink};
+use wavesim_trace::{FlightRecorder, PlaneId as TracePlane, StreamSink, TraceEvent, TraceHub};
 
 use crate::arena::{GenSlab, SlotMap};
 use crate::cache::{CircuitCache, EntryState};
@@ -267,13 +267,13 @@ impl WaveNetwork {
     /// Installs a trace sink and arms every emit point: inter-plane events
     /// and the planes' intra-plane staging buffers all flow into `sink`
     /// from now on, stamped with a single global sequence order.
-    pub fn install_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
+    pub fn install_trace_sink(&mut self, sink: Box<StreamSink>) {
         self.trace.install(sink);
         self.sync_planes();
     }
 
     /// Returns the installed sink, if any.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+    pub fn take_trace_sink(&mut self) -> Option<Box<StreamSink>> {
         let sink = self.trace.take();
         self.sync_planes();
         sink
@@ -936,6 +936,24 @@ impl WaveNetwork {
 mod tests {
     use super::*;
     use crate::config::ProtocolKind;
+    use wavesim_trace::stream::{take_listener, CHUNK_RECORDS};
+    use wavesim_trace::{TraceRecord, VecSink};
+
+    /// A stream whose one listener keeps every record.
+    fn collecting() -> Box<StreamSink> {
+        Box::new(StreamSink::listening(
+            vec![Box::new(VecSink::new())],
+            CHUNK_RECORDS,
+        ))
+    }
+
+    /// Takes `net`'s stream, finishes it and returns every record it kept.
+    fn collected(net: &mut WaveNetwork) -> Vec<TraceRecord> {
+        let mut sink = net.take_trace_sink().expect("sink installed");
+        sink.finish().expect("an in-memory stream");
+        let kept = take_listener::<VecSink>(&mut sink.listeners()).expect("handed back");
+        kept.into_records()
+    }
 
     /// Composition smoke test: a wormhole-only message round-trips through
     /// the dataplane and the bus decrements the outstanding counter; the
@@ -948,7 +966,7 @@ mod tests {
             ..WaveConfig::default()
         };
         let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), cfg);
-        net.install_trace_sink(Box::new(wavesim_trace::VecSink::new()));
+        net.install_trace_sink(collecting());
         net.send(0, Message::new(1, NodeId(0), NodeId(15), 16, 0));
         assert_eq!(net.outstanding(), 1);
         let mut now = 0;
@@ -958,7 +976,7 @@ mod tests {
         }
         assert_eq!(net.outstanding(), 0);
         assert_eq!(net.drain_deliveries().len(), 1);
-        let recs = net.take_trace_sink().expect("sink installed").snapshot();
+        let recs = collected(&mut net);
         let kinds: Vec<&str> = recs.iter().map(|r| r.ev.kind()).collect();
         assert!(kinds.contains(&"wormhole_inject"), "{kinds:?}");
         assert!(kinds.contains(&"wormhole_deliver"), "{kinds:?}");
@@ -971,7 +989,7 @@ mod tests {
     fn trace_sink_observes_clrp_lifecycle() {
         let mut net = WaveNetwork::new(Topology::mesh(&[2, 2]), WaveConfig::default());
         assert!(!net.tracing());
-        net.install_trace_sink(Box::new(wavesim_trace::VecSink::new()));
+        net.install_trace_sink(collecting());
         assert!(net.tracing());
         net.send(0, Message::new(1, NodeId(0), NodeId(3), 16, 0));
         let mut now = 0;
@@ -980,9 +998,8 @@ mod tests {
             now += 1;
         }
         assert_eq!(net.drain_deliveries().len(), 1);
-        let sink = net.take_trace_sink().expect("sink installed");
+        let recs = collected(&mut net);
         assert!(!net.tracing());
-        let recs = sink.snapshot();
         let kinds: Vec<&str> = recs.iter().map(|r| r.ev.kind()).collect();
         for expected in [
             "cache_miss",
@@ -1030,7 +1047,7 @@ mod tests {
     fn a_fork_of_a_traced_network_stages_nothing() {
         let capture = |fork_at: Option<Cycle>| {
             let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
-            net.install_trace_sink(Box::new(wavesim_trace::VecSink::new()));
+            net.install_trace_sink(collecting());
             net.keep_trace_tail(64);
             for id in 0..12u64 {
                 let src = NodeId((id % 16) as u32);
@@ -1062,7 +1079,7 @@ mod tests {
                 assert_eq!(f.stats().msgs_sent, net.stats().msgs_sent);
             }
             let tail = net.release_trace_tail().expect("tail kept");
-            let recs = net.take_trace_sink().expect("sink installed").snapshot();
+            let recs = collected(&mut net);
             assert!(tail.dropped() > 0, "the run wraps a 64-record tail");
             assert_eq!(tail.snapshot(), recs[recs.len() - tail.len()..]);
             wavesim_trace::columnar::encode(&recs, wavesim_trace::stream::CHUNK_RECORDS)

@@ -8,7 +8,8 @@
 //! documents the scenario (which messages, lanes and fault) concretely.
 
 use wavesim_core::Mutation;
-use wavesim_trace::{columnar, stream, TraceRecord, VecSink};
+use wavesim_trace::stream::{self, take_listener, StreamSink};
+use wavesim_trace::{columnar, TraceRecord, VecSink};
 use wavesim_verify::wave_measure;
 
 use crate::spec::ModelSpec;
@@ -60,7 +61,8 @@ pub fn replay_schedule(spec: &ModelSpec, schedule: &[Move]) -> Replay {
         ..spec.clone()
     };
     let mut world = World::new(&plain);
-    world.net.install_trace_sink(Box::new(VecSink::new()));
+    let sink = StreamSink::listening(vec![Box::new(VecSink::new())], stream::CHUNK_RECORDS);
+    world.net.install_trace_sink(Box::new(sink));
     let mut now: u64 = 0;
     for mv in schedule {
         // A protocol move is the network's own: the timed run fires it
@@ -79,10 +81,11 @@ pub fn replay_schedule(spec: &ModelSpec, schedule: &[Move]) -> Replay {
     }
     let drained = !net.busy();
     let m = wave_measure(net);
-    let records = net
-        .take_trace_sink()
-        .expect("sink installed above")
-        .snapshot();
+    let kept = net.take_trace_sink().and_then(|mut sink| {
+        sink.finish().ok()?;
+        take_listener::<VecSink>(&mut sink.listeners())
+    });
+    let records = kept.expect("the stream installed above").into_records();
     Replay {
         records,
         injected: m.injected,

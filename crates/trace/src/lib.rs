@@ -13,10 +13,12 @@
 //!   transfers, and per-plane tick boundaries. The vocabulary is declared
 //!   once, as the table in `schema.rs`, which expands to the enum and to
 //!   both directions of both file formats;
-//! * [`TraceSink`] — the consumer interface: the run's
-//!   [`stream::StreamSink`], or [`recorder::VecSink`] (unbounded, for
-//!   tests and goldens); with no sink installed and no tail kept,
-//!   tracing costs one branch per emit point;
+//! * [`StreamSink`] — the one sink a network streams to: chunks of
+//!   records read on a writer thread by every [`stream::Listener`] the
+//!   run armed (the `WSTRACE1` file, the analytics folds, or a
+//!   [`recorder::VecSink`] that keeps everything, for tests and goldens);
+//!   with no sink installed and no tail kept, tracing costs one branch
+//!   per emit point;
 //! * [`TraceBuf`] / [`TraceHub`] — the plumbing the instrumented planes
 //!   use: each plane stages records in its own [`TraceBuf`] (one branch
 //!   when disarmed) and the composition root's [`TraceHub`] stamps a
@@ -55,7 +57,7 @@ pub use recorder::{FlightRecorder, VecSink};
 #[doc(hidden)]
 pub use schema::every_event;
 pub use schema::{PlaneId, TraceEvent};
-pub use stream::{read_columnar, read_trace, ColumnarSink, TraceFormat};
+pub use stream::{read_columnar, read_trace, ColumnarSink, StreamSink, TraceFormat};
 
 use wavesim_sim::Cycle;
 
@@ -69,52 +71,6 @@ pub struct TraceRecord {
     pub seq: u64,
     /// The event.
     pub ev: TraceEvent,
-}
-
-/// Consumer of trace records.
-///
-/// `record` sits on the simulation hot path: implementations must not
-/// allocate in steady state (a stream fills pooled chunks; [`VecSink`],
-/// for tests and goldens, is the one sink that grows).
-pub trait TraceSink {
-    /// Accepts one record.
-    fn record(&mut self, rec: TraceRecord);
-
-    /// Accepts a batch of records in order. The [`TraceHub`] hands a
-    /// plane's staged batch over through this, so one virtual call
-    /// amortizes over the batch; a sink with a bulk fast path
-    /// ([`recorder::VecSink`]) overrides it.
-    fn record_many(&mut self, recs: &[TraceRecord]) {
-        for rec in recs {
-            self.record(*rec);
-        }
-    }
-
-    /// The records the sink retained, oldest first. Tests read a
-    /// [`VecSink`] back through this; sinks that retain nothing return
-    /// empty. (The post-mortem reads the network's kept tail, not a sink.)
-    fn snapshot(&self) -> Vec<TraceRecord> {
-        Vec::new()
-    }
-
-    /// Total records offered to the sink.
-    fn total(&self) -> u64 {
-        0
-    }
-
-    /// Flushes any buffered state to the sink's backing store. Called once
-    /// when the traced run ends; a [`stream::StreamSink`] drains its
-    /// chunk queue and closes its listeners here. In-memory sinks
-    /// keep the default no-op.
-    fn finish(&mut self) -> Result<(), String> {
-        Ok(())
-    }
-
-    /// Hands back, once, the listeners a finished stream ran (see
-    /// [`stream::Listener`]); other sinks have none.
-    fn listeners(&mut self) -> Vec<Box<dyn stream::Listener>> {
-        Vec::new()
-    }
 }
 
 /// Events a [`TraceBuf`] pre-allocates for when armed (a plane's worst
@@ -191,7 +147,7 @@ impl TraceBuf {
 /// whenever it is read.
 #[derive(Default)]
 pub struct TraceHub {
-    sink: Option<Box<dyn TraceSink>>,
+    sink: Option<Box<StreamSink>>,
     tail: Option<FlightRecorder>,
     /// `sink.is_some() || tail.is_some()`, kept so a disarmed emit is one
     /// branch.
@@ -216,14 +172,14 @@ impl TraceHub {
 
     /// Installs `sink`. The sequence counter restarts unless a tail is
     /// already being kept: sink and tail share one order.
-    pub fn install(&mut self, sink: Box<dyn TraceSink>) {
+    pub fn install(&mut self, sink: Box<StreamSink>) {
         self.restart_if_idle();
         self.sink = Some(sink);
         self.armed = true;
     }
 
     /// Removes and returns the installed sink, if any.
-    pub fn take(&mut self) -> Option<Box<dyn TraceSink>> {
+    pub fn take(&mut self) -> Option<Box<StreamSink>> {
         self.armed = self.tail.is_some();
         self.sink.take()
     }
@@ -307,6 +263,23 @@ impl TraceHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{take_listener, CHUNK_RECORDS};
+
+    /// A stream whose one listener keeps every record.
+    fn collecting() -> Box<StreamSink> {
+        Box::new(StreamSink::listening(
+            vec![Box::new(VecSink::new())],
+            CHUNK_RECORDS,
+        ))
+    }
+
+    /// Finishes the hub's stream and returns every record it kept.
+    fn collected(hub: &mut TraceHub) -> Vec<TraceRecord> {
+        let mut sink = hub.take().expect("installed");
+        sink.finish().expect("an in-memory stream");
+        let kept = take_listener::<VecSink>(&mut sink.listeners()).expect("handed back");
+        kept.into_records()
+    }
 
     #[test]
     fn disarmed_buf_ignores_emits() {
@@ -324,7 +297,7 @@ mod tests {
     fn hub_stamps_sequence_in_order() {
         let mut hub = TraceHub::new();
         assert!(!hub.armed());
-        hub.install(Box::new(VecSink::new()));
+        hub.install(collecting());
         hub.emit(
             10,
             TraceEvent::PlaneTick {
@@ -344,8 +317,7 @@ mod tests {
         );
         hub.absorb(&mut buf);
         assert_eq!(buf.staged_len(), 0);
-        let sink = hub.take().expect("installed");
-        let recs = sink.snapshot();
+        let recs = collected(&mut hub);
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].seq, 0);
         assert_eq!(recs[1].seq, 1);
@@ -368,7 +340,7 @@ mod tests {
     #[test]
     fn tail_keeps_the_last_records_beside_the_sink() {
         let mut hub = TraceHub::new();
-        hub.install(Box::new(VecSink::new()));
+        hub.install(collecting());
         hub.keep_tail(3);
         let mut buf = TraceBuf::new();
         buf.set_armed(true);
@@ -381,7 +353,7 @@ mod tests {
         }
         let tail = hub.take_tail().expect("kept");
         assert!(hub.tail().is_none() && hub.armed(), "the sink stays");
-        let all = hub.take().expect("installed").snapshot();
+        let all = collected(&mut hub);
         assert!(!hub.armed());
         assert_eq!(all.len(), 8);
         assert_eq!((tail.total(), tail.dropped()), (8, 5));
@@ -398,11 +370,11 @@ mod tests {
         assert!(hub.armed());
         tick(&mut hub, 0);
         tick(&mut hub, 1);
-        hub.install(Box::new(VecSink::new()));
+        hub.install(collecting());
         tick(&mut hub, 2);
         let seqs = |t: &FlightRecorder| t.snapshot().iter().map(|r| r.seq).collect::<Vec<_>>();
         assert_eq!(seqs(hub.tail().expect("kept")), [0, 1, 2]);
-        assert_eq!(hub.take().expect("installed").snapshot()[0].seq, 2);
+        assert_eq!(collected(&mut hub)[0].seq, 2);
         hub.take_tail();
         assert!(!hub.armed());
         hub.keep_tail(8);

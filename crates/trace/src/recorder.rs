@@ -1,14 +1,15 @@
 //! Record-retaining stores: the fixed-capacity flight recorder and the
-//! unbounded test sink.
+//! unbounded test listener.
 //!
-//! The recorder is not a [`TraceSink`]: a network keeps one as its tail
-//! (`WaveNetwork::keep_trace_tail`) beside whatever sink is installed,
-//! and `convert-trace --to perfetto` keeps one over a capture it reads.
+//! Neither is a sink. A network keeps a recorder as its tail
+//! (`WaveNetwork::keep_trace_tail`) beside whatever stream is installed,
+//! and `convert-trace --to perfetto` keeps one over a capture it reads; a
+//! [`VecSink`] is a [`Listener`] on a run's stream.
 
 use std::io;
 
 use crate::stream::Listener;
-use crate::{TraceRecord, TraceSink};
+use crate::TraceRecord;
 
 /// Fixed-capacity ring buffer over [`TraceRecord`]s.
 ///
@@ -40,12 +41,6 @@ impl FlightRecorder {
             total: 0,
             capacity,
         }
-    }
-
-    /// Retention capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Records currently retained.
@@ -102,15 +97,15 @@ impl FlightRecorder {
 }
 
 /// Unbounded store retaining every record — for tests, goldens, and small
-/// diagnostic runs where completeness beats bounded memory. It is a sink
-/// a network can hold, and a [`Listener`] a capture's stream can feed.
+/// diagnostic runs where completeness beats bounded memory. It is a
+/// [`Listener`]: a network's stream (or a capture's) feeds it.
 #[derive(Debug, Clone, Default)]
 pub struct VecSink {
     records: Vec<TraceRecord>,
 }
 
 impl VecSink {
-    /// An empty sink.
+    /// An empty store.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -129,24 +124,6 @@ impl VecSink {
     }
 }
 
-impl TraceSink for VecSink {
-    fn record(&mut self, rec: TraceRecord) {
-        self.records.push(rec);
-    }
-
-    fn record_many(&mut self, recs: &[TraceRecord]) {
-        self.records.extend_from_slice(recs);
-    }
-
-    fn snapshot(&self) -> Vec<TraceRecord> {
-        self.records.clone()
-    }
-
-    fn total(&self) -> u64 {
-        self.records.len() as u64
-    }
-}
-
 impl Listener for VecSink {
     fn listen(&mut self, recs: &[TraceRecord]) -> io::Result<()> {
         self.records.extend_from_slice(recs);
@@ -157,6 +134,7 @@ impl Listener for VecSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{take_listener, StreamSink, CHUNK_RECORDS};
     use crate::TraceEvent;
 
     fn rec(i: u64) -> TraceRecord {
@@ -227,12 +205,14 @@ mod tests {
 
     #[test]
     fn vec_sink_keeps_everything() {
-        let mut s = VecSink::new();
+        let mut s = StreamSink::listening(vec![Box::new(VecSink::new())], CHUNK_RECORDS);
         for i in 0..100 {
             s.record(rec(i));
         }
-        assert_eq!(s.records().len(), 100);
         assert_eq!(s.total(), 100);
-        assert_eq!(s.snapshot().len(), 100);
+        s.finish().expect("finish");
+        let kept = take_listener::<VecSink>(&mut s.listeners()).expect("handed back");
+        assert_eq!(kept.records().len(), 100);
+        assert_eq!(kept.into_records(), (0..100).map(rec).collect::<Vec<_>>());
     }
 }

@@ -9,8 +9,8 @@
 //! [`POOL_CHUNKS`] chunk buffers from creation to finish and takes them in
 //! rotation, so its memory is the same whether the writer keeps up or not;
 //! if the writer falls behind, the hot path blocks for an empty buffer
-//! instead of queueing more. [`TraceSink::finish`] drains the queue,
-//! closes the listeners and hands them back ([`TraceSink::listeners`]).
+//! instead of queueing more. [`StreamSink::finish`] drains the queue,
+//! closes the listeners and hands them back ([`StreamSink::listeners`]).
 //!
 //! A run has one stream: [`ColumnarFile`] writes the compact binary
 //! frames of [`crate::columnar`] (`WSTRACE1`), which round-trip via
@@ -43,7 +43,7 @@ use wavesim_json::Value;
 
 use crate::columnar::{FrameEncoder, FrameStream, MAGIC};
 pub use crate::schema::{encode_record, is_bulk_kind, record_from_json};
-use crate::{TraceRecord, TraceSink};
+use crate::TraceRecord;
 
 /// Records per chunk handed to the writer thread (also the columnar
 /// frame size).
@@ -206,11 +206,12 @@ impl<W: Write + Send + 'static> Listener for ColumnarFile<W> {
 // ---------------------------------------------------------------------
 
 /// Streaming trace sink: chunks of records read by every [`Listener`] on
-/// one background thread, bounded memory, lossless.
+/// one background thread, bounded memory, lossless. It is the one sink a
+/// network holds.
 ///
-/// Retains nothing in memory (`snapshot` is empty): the post-mortem's
+/// Retains nothing the simulation thread can read back: the post-mortem's
 /// tail is the network's own ([`crate::TraceHub::keep_tail`]), fed beside
-/// the sink.
+/// the sink, and a test collects records with a [`crate::VecSink`].
 pub struct StreamSink {
     /// `None` once the stream is shut down or the writer thread has died.
     link: Option<WriterLink>,
@@ -284,8 +285,8 @@ impl StreamSink {
         }
     }
 
-    /// Hands the in-progress chunk to the writer thread and takes back
-    /// the oldest empty buffer, so every buffer of the pool is in use
+    /// Takes the oldest empty buffer back from the writer thread and hands
+    /// it the in-progress chunk, so every buffer of the pool is in use
     /// after `POOL_CHUNKS` chunks whether or not the writer keeps up;
     /// blocks while the writer holds them all.
     fn flush_chunk(&mut self) {
@@ -293,22 +294,25 @@ impl StreamSink {
         if n == 0 {
             return;
         }
-        let full = std::mem::take(&mut self.chunk);
-        let link = self.link.as_ref();
-        match link.and_then(|l| l.full.send(full).ok().and_then(|()| l.empty.recv().ok())) {
-            Some(empty) => self.chunk = empty,
+        let handed = self.link.as_ref().is_some_and(|l| {
+            l.empty.recv().is_ok_and(|empty| {
+                let full = std::mem::replace(&mut self.chunk, empty);
+                l.full.send(full).is_ok()
+            })
+        });
+        if !handed {
             // The writer thread died (a listener panicked), which finish
-            // reports: count what it did not get.
-            None => {
-                self.lost += n;
-                self.link = None;
-            }
+            // reports: count what it did not get, and refill the buffer in
+            // hand rather than grow a new one.
+            self.chunk.clear();
+            self.lost += n;
+            self.link = None;
         }
     }
-}
 
-impl TraceSink for StreamSink {
-    fn record(&mut self, rec: TraceRecord) {
+    /// Accepts one record (a root emit).
+    #[inline]
+    pub fn record(&mut self, rec: TraceRecord) {
         self.total += 1;
         self.chunk.push(rec);
         if self.chunk.len() >= self.chunk_cap {
@@ -316,13 +320,33 @@ impl TraceSink for StreamSink {
         }
     }
 
-    fn total(&self) -> u64 {
+    /// Accepts a batch of records in order (a plane's stamped batch): one
+    /// slice copy into the chunk, or two around a hand-off.
+    pub fn record_many(&mut self, mut recs: &[TraceRecord]) {
+        self.total += recs.len() as u64;
+        while !recs.is_empty() {
+            let room = self.chunk_cap - self.chunk.len();
+            let (now, later) = recs.split_at(room.min(recs.len()));
+            self.chunk.extend_from_slice(now);
+            if self.chunk.len() >= self.chunk_cap {
+                self.flush_chunk();
+            }
+            recs = later;
+        }
+    }
+
+    /// Records offered to the stream.
+    #[must_use]
+    pub fn total(&self) -> u64 {
         self.total
     }
 
     /// Hands the last chunk over, stops the writer thread and takes the
     /// listeners back; later calls report the same result.
-    fn finish(&mut self) -> Result<(), String> {
+    ///
+    /// # Errors
+    /// Fails when a listener failed or the writer thread panicked.
+    pub fn finish(&mut self) -> Result<(), String> {
         self.flush_chunk();
         drop(self.link.take());
         if let Some(handle) = self.handle.take() {
@@ -338,7 +362,9 @@ impl TraceSink for StreamSink {
         self.error.clone().map_or(Ok(()), Err)
     }
 
-    fn listeners(&mut self) -> Vec<Box<dyn Listener>> {
+    /// Hands back, once, the listeners a finished stream ran (see
+    /// [`take_listener`]).
+    pub fn listeners(&mut self) -> Vec<Box<dyn Listener>> {
         std::mem::take(&mut self.listeners)
     }
 }
@@ -646,16 +672,34 @@ mod tests {
         assert_eq!(read_trace(&bytes[..]).expect("auto-detect"), recs);
     }
 
+    /// Batches of every size around a chunk's (1, cap - 1, cap, cap + 1
+    /// and 2 cap + 1 records) stream the same frames as one record at a
+    /// time, whichever way the chunk is part-filled when they arrive.
     #[test]
     fn record_many_matches_per_record_streaming() {
+        const CAP: usize = 4;
         let recs = sample_records();
-        let mut one = file_sink(4);
+        let mut one = file_sink(CAP);
         for rec in &recs {
             one.record(*rec);
         }
-        let mut many = file_sink(4);
-        many.record_many(&recs);
-        assert_eq!(bytes_of(one), bytes_of(many));
+        let expect = bytes_of(one);
+        for batch in [1, CAP - 1, CAP, CAP + 1, 2 * CAP + 1] {
+            for lead in 0..CAP {
+                let mut many = file_sink(CAP);
+                for rec in &recs[..lead] {
+                    many.record(*rec);
+                }
+                for part in recs[lead..].chunks(batch) {
+                    many.record_many(part);
+                }
+                assert_eq!(many.total(), recs.len() as u64);
+                assert_eq!(bytes_of(many), expect, "batch {batch}, lead {lead}");
+            }
+        }
+        let mut whole = file_sink(CAP);
+        whole.record_many(&recs);
+        assert_eq!(bytes_of(whole), expect);
     }
 
     #[test]
@@ -756,7 +800,7 @@ mod tests {
             sink.record(*rec);
         }
         assert_eq!(sink.total(), 64);
-        let err = TraceSink::finish(&mut sink).unwrap_err();
+        let err = sink.finish().unwrap_err();
         assert!(err.contains("i/o error"), "{err}");
         assert!(sink.lost > 0);
     }
@@ -780,7 +824,7 @@ mod tests {
         for rec in sample_records().iter().cycle().take(64) {
             sink.record(*rec);
         }
-        let err = TraceSink::finish(&mut sink).unwrap_err();
+        let err = sink.finish().unwrap_err();
         assert!(err.contains("i/o error"), "{err}");
         assert!(sink.lost > 0);
         let mut back = sink.listeners();
@@ -790,15 +834,15 @@ mod tests {
     }
 
     #[test]
-    fn trait_finish_flushes_and_is_idempotent() {
+    fn finish_flushes_and_is_idempotent() {
         let mut sink = ColumnarSink::new(Vec::new());
         sink.record(TraceRecord {
             at: 1,
             seq: 0,
             ev: TraceEvent::CircuitReleased { circuit: 1 },
         });
-        assert!(TraceSink::finish(&mut sink).is_ok());
-        assert!(TraceSink::finish(&mut sink).is_ok());
+        assert!(sink.finish().is_ok());
+        assert!(sink.finish().is_ok());
         assert_eq!(sink.lost, 0);
     }
 

@@ -5,11 +5,11 @@
 
 mod common;
 
-use common::{golden_check, hash_str};
+use common::{collected, collecting, golden_check, hash_str};
 use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::topology::Topology;
 use wavesim::trace::stream;
-use wavesim::trace::{TraceEvent, TraceRecord, VecSink};
+use wavesim::trace::{TraceEvent, TraceRecord};
 use wavesim::workloads::{FaultSchedule, LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 use wavesim_analyze::{analyze, report, AnalyzeOptions};
 use wavesim_bench::runner::{apply_fault_schedule, ParallelSweep};
@@ -37,7 +37,7 @@ fn traced_net(
     warmup: u64,
     cycles: u64,
 ) -> (Vec<TraceRecord>, f64, u64) {
-    net.install_trace_sink(Box::new(VecSink::new()));
+    net.install_trace_sink(collecting());
     let mut src = TrafficSource::new(
         net.topology().clone(),
         TrafficConfig {
@@ -51,7 +51,7 @@ fn traced_net(
         },
     );
     let r = run_open_loop(&mut net, &mut src, RunSpec::standard(warmup, cycles));
-    let records = net.take_trace_sink().expect("sink installed").snapshot();
+    let records = collected(&mut net);
     (records, r.avg_latency, r.delivered)
 }
 

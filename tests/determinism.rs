@@ -6,11 +6,11 @@ mod common;
 
 use std::collections::BTreeSet;
 
-use common::{fnv1a_bytes, golden_check, hash_str, FNV_OFFSET};
+use common::{collected, collecting, fnv1a_bytes, golden_check, hash_str, FNV_OFFSET};
 use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork, WaveStats};
 use wavesim::network::Message;
 use wavesim::topology::{NodeId, RoutingKind, Topology};
-use wavesim::trace::{TraceEvent, TraceRecord, VecSink};
+use wavesim::trace::{TraceEvent, TraceRecord};
 use wavesim::workloads::trace_io;
 use wavesim::workloads::{
     CarpTrace, FaultSchedule, LengthDist, ServiceConfig, ServiceWorkload, TrafficConfig,
@@ -542,9 +542,9 @@ fn counters_equal_the_events_captured_in_the_same_run() {
     let mut with_circuits = 0;
     for (i, (mut net, faults)) in runs.into_iter().enumerate() {
         apply_fault_schedule(&mut net, &faults).expect("schedule fits the network");
-        net.install_trace_sink(Box::new(VecSink::new()));
+        net.install_trace_sink(collecting());
         torus_drive(&mut net);
-        let records = net.take_trace_sink().expect("installed").snapshot();
+        let records = collected(&mut net);
         reached.absorb(&check_capture(&format!("run {i}"), &net, &records));
         with_circuits += usize::from(!net.circuits().is_empty());
     }
@@ -568,7 +568,7 @@ fn counters_equal_the_events_captured_in_the_same_run() {
             ..WaveConfig::default()
         },
     );
-    net.install_trace_sink(Box::new(VecSink::new()));
+    net.install_trace_sink(collecting());
     let mut id = 0;
     for a in 0..16u32 {
         for off in [1u32, 5, 9] {
@@ -585,7 +585,7 @@ fn counters_equal_the_events_captured_in_the_same_run() {
         now += 1;
     }
     assert!(!net.busy(), "the contended run drains");
-    let records = net.take_trace_sink().expect("installed").snapshot();
+    let records = collected(&mut net);
     let counted = check_capture("contended 4x4", &net, &records);
     assert_eq!(counted.msgs_circuit + counted.msgs_wormhole, id);
     let forced = records

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{golden_check, hash_str};
+use common::{collected, collecting, golden_check, hash_str};
 use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::network::Message;
 use wavesim::topology::{NodeId, Topology};
@@ -21,7 +21,7 @@ use wavesim_bench::{run_open_loop_observed, RunSpec};
 /// Perfetto document.
 fn tiny_clrp_trace() -> wavesim::json::Value {
     let mut net = WaveNetwork::new(Topology::mesh(&[2, 2]), WaveConfig::default());
-    net.install_trace_sink(Box::new(VecSink::new()));
+    net.install_trace_sink(collecting());
     net.send(0, Message::new(1, NodeId(0), NodeId(3), 24, 0));
     let mut now = 0;
     let mut resend = true;
@@ -35,8 +35,7 @@ fn tiny_clrp_trace() -> wavesim::json::Value {
         now += 1;
         assert!(now < 10_000, "tiny run must quiesce");
     }
-    let sink = net.take_trace_sink().expect("sink installed");
-    perfetto::export(&sink.snapshot())
+    perfetto::export(&collected(&mut net))
 }
 
 /// The exported document for the tiny 2×2 run is pinned byte-for-byte:
