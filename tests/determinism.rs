@@ -612,6 +612,76 @@ fn golden_trace_torus_runs_match_seed_kernel() {
     );
 }
 
+/// The `WSTRACE1` bytes of a capture, hashed.
+fn capture_hash(records: &[TraceRecord]) -> u64 {
+    let mut h = FNV_OFFSET;
+    fnv1a_bytes(
+        &mut h,
+        &wavesim::trace::columnar::encode(records, wavesim::trace::stream::CHUNK_RECORDS),
+    );
+    h
+}
+
+/// The record order across planes, pinned: every record's sequence
+/// number and position, not only the events' counts. Three captures
+/// whose records come from all three planes and the root in one
+/// interleaving — fault churn under CLRP (Force, broken circuits,
+/// retries), the CARP and CLRP stencil replays of the mixed workload,
+/// and a wormhole-only run.
+#[test]
+fn golden_capture_bytes_pin_record_order_across_planes() {
+    let capture = |mut net: WaveNetwork, drive: &dyn Fn(&mut WaveNetwork)| {
+        net.install_trace_sink(collecting());
+        drive(&mut net);
+        let records = collected(&mut net);
+        assert!(!records.is_empty());
+        records
+    };
+
+    let mut faulted = torus_net(8, ProtocolKind::Clrp);
+    let sched = torus_faults(faulted.topology());
+    apply_fault_schedule(&mut faulted, &sched).expect("schedule fits the network");
+    let recs = capture(faulted, &|net| {
+        torus_drive(net);
+    });
+    for kind in ["forced_release", "circuit_broken", "establish_retry"] {
+        assert!(recs.iter().any(|r| r.ev.kind() == kind), "no {kind}");
+    }
+    golden_check(
+        "capture_clrp_8x8_faults",
+        capture_hash(&recs),
+        0x3d7b_ba6e_e39c_4fc6,
+    );
+
+    let mut h = FNV_OFFSET;
+    for protocol in [ProtocolKind::Carp, ProtocolKind::Clrp] {
+        let topo = Topology::mesh(&[4, 4]);
+        let net = WaveNetwork::new(
+            topo.clone(),
+            WaveConfig {
+                protocol,
+                cache_capacity: 4,
+                ..WaveConfig::default()
+            },
+        );
+        let recs = capture(net, &|net| {
+            let mut trace = CarpTrace::stencil(&topo, 3, 4, 32, 600, 200);
+            run_carp_trace(net, &mut trace, RunSpec::standard(100, 1_500), &mut ());
+        });
+        fnv1a_bytes(&mut h, &capture_hash(&recs).to_le_bytes());
+    }
+    golden_check("capture_stencil_carp_clrp", h, 0x8b61_f4b7_0aee_6332);
+
+    let recs = capture(torus_net(8, ProtocolKind::WormholeOnly), &|net| {
+        torus_drive(net);
+    });
+    golden_check(
+        "capture_wormhole_8x8",
+        capture_hash(&recs),
+        0x4ff1_8bd6_753f_3888,
+    );
+}
+
 /// One open-loop run far past the knee on an 8×8 network: most head
 /// flits spend most cycles blocked (on an owned output VC or an exhausted
 /// credit), which is the regime the moderate-load goldens above barely
