@@ -596,7 +596,9 @@ pub(crate) mod tests {
         ];
         let fold = LiveAnalytics::new(AnalyzeOptions::default());
         let mut sink = StreamSink::listening(vec![Box::new(fold)], 1);
-        sink.record_many(&recs);
+        for rec in &recs {
+            sink.record(*rec);
+        }
         sink.finish().expect("finish");
         let mut back = sink.listeners();
         let live = take_listener::<LiveAnalytics>(&mut back).expect("handed back");

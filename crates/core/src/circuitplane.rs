@@ -29,7 +29,7 @@ use crate::config::{Mutation, ProtocolKind, WaveConfig};
 use crate::events::{EventBus, PlaneEvent};
 use crate::ids::{CircuitId, LaneId};
 use crate::replacement;
-use crate::stats::PlaneLog;
+use crate::stats::Log;
 
 /// Windowed-transfer events over established circuits.
 #[derive(Debug, Clone)]
@@ -69,7 +69,6 @@ pub struct CircuitPlane {
     spare_queues: Vec<VecDeque<Message>>,
     circuit_ids: IdAlloc<CircuitId>,
     fifo_seq: u64,
-    pub(crate) log: PlaneLog,
     outbox: Vec<PlaneEvent>,
     /// Nodes with a cache entry that is streaming or queueing — kept
     /// incrementally (via [`CircuitPlane::recount`] after every mutating
@@ -95,7 +94,6 @@ impl CircuitPlane {
             spare_queues: Vec::new(),
             circuit_ids: IdAlloc::new(),
             fifo_seq: 0,
-            log: PlaneLog::default(),
             outbox: Vec::new(),
             active: BitSet::new(n),
             active_count: 0,
@@ -125,11 +123,11 @@ impl CircuitPlane {
     }
 
     /// Evicts `src`'s cache entry for `victim` to make room.
-    fn evict(&mut self, now: Cycle, src: NodeId, victim: NodeId) {
+    fn evict(&mut self, now: Cycle, log: &mut Log, src: NodeId, victim: NodeId) {
         let circuit = self.caches[src.0 as usize]
             .get(victim)
             .map_or(0, |e| e.circuit.0);
-        self.log.note(
+        log.note(
             now,
             TraceEvent::CacheEvict {
                 node: src.0,
@@ -137,7 +135,7 @@ impl CircuitPlane {
                 circuit,
             },
         );
-        self.release_entry_now(src, victim);
+        self.release_entry_now(log, src, victim);
     }
 
     // ------------------------------------------------------------------
@@ -172,21 +170,28 @@ impl CircuitPlane {
     }
 
     /// Moves staged outbound events into `bus`.
-    pub fn drain_outbox_into(&mut self, bus: &mut EventBus) {
+    pub(crate) fn drain_outbox_into(&mut self, bus: &mut EventBus) {
         bus.absorb(&mut self.outbox);
     }
 
     /// Handles one due transfer event. The plane is purely event-driven:
-    /// transfers complete here, on the calendar `q`.
-    pub fn handle(&mut self, now: Cycle, event: TransferEvent, q: &mut EventQueue<TransferEvent>) {
+    /// transfers complete here, on the calendar `q`, and their facts go
+    /// into `log`.
+    pub(crate) fn handle(
+        &mut self,
+        now: Cycle,
+        event: TransferEvent,
+        q: &mut EventQueue<TransferEvent>,
+        log: &mut Log,
+    ) {
         match event {
             TransferEvent::Delivered(_circuit, msg) => self.on_transfer_delivered(now, msg),
             TransferEvent::Acked { circuit, src, dest } => {
-                self.on_transfer_acked(now, q, circuit, src, dest);
+                self.on_transfer_acked(now, q, log, circuit, src, dest);
                 self.recount(src);
             }
             TransferEvent::RetryEstablish { circuit, src, dest } => {
-                self.on_retry_establish(now, q, circuit, src, dest);
+                self.on_retry_establish(now, q, log, circuit, src, dest);
             }
         }
     }
@@ -196,32 +201,44 @@ impl CircuitPlane {
     // ------------------------------------------------------------------
 
     /// Submits a message; the configured protocol decides its transport.
-    pub fn send(&mut self, now: Cycle, msg: Message, q: &mut EventQueue<TransferEvent>) {
+    pub(crate) fn send(
+        &mut self,
+        now: Cycle,
+        msg: Message,
+        q: &mut EventQueue<TransferEvent>,
+        log: &mut Log,
+    ) {
         match self.cfg.protocol {
             ProtocolKind::WormholeOnly => self.outbox.push(PlaneEvent::InjectWormhole(msg)),
-            ProtocolKind::Clrp => self.clrp_send(now, msg, q),
-            ProtocolKind::Carp => self.carp_send(now, msg, q),
+            ProtocolKind::Clrp => self.clrp_send(now, msg, q, log),
+            ProtocolKind::Carp => self.carp_send(now, msg, q, log),
         }
         self.recount(msg.src);
     }
 
-    fn send_wormhole_fallback(&mut self, msg: Message) {
-        self.log.stats.wormhole_fallbacks += 1;
+    fn send_wormhole_fallback(&mut self, log: &mut Log, msg: Message) {
+        log.stats.wormhole_fallbacks += 1;
         self.outbox.push(PlaneEvent::InjectWormhole(msg));
     }
 
     /// Sends what an entry's `queue` still holds by wormhole, in order, and
     /// keeps the emptied buffer for the next cache entry.
-    fn retire_queue(&mut self, mut queue: VecDeque<Message>) {
+    fn retire_queue(&mut self, log: &mut Log, mut queue: VecDeque<Message>) {
         for m in queue.drain(..) {
-            self.send_wormhole_fallback(m);
+            self.send_wormhole_fallback(log, m);
         }
         if queue.capacity() > 0 {
             self.spare_queues.push(queue);
         }
     }
 
-    fn clrp_send(&mut self, now: Cycle, msg: Message, q: &mut EventQueue<TransferEvent>) {
+    fn clrp_send(
+        &mut self,
+        now: Cycle,
+        msg: Message,
+        q: &mut EventQueue<TransferEvent>,
+        log: &mut Log,
+    ) {
         let src = msg.src.0 as usize;
         if let Some(entry) = self.caches[src].get_mut(msg.dest) {
             match entry.state {
@@ -229,7 +246,7 @@ impl CircuitPlane {
                     let circuit = entry.circuit.0;
                     replacement::on_use(entry, self.cfg.replacement, now);
                     entry.queue.push_back(msg);
-                    self.log.note(
+                    log.note(
                         now,
                         TraceEvent::CacheHit {
                             node: msg.src.0,
@@ -237,19 +254,19 @@ impl CircuitPlane {
                             circuit,
                         },
                     );
-                    self.pump_circuit(now, q, msg.src, msg.dest);
+                    self.pump_circuit(now, q, log, msg.src, msg.dest);
                 }
                 EntryState::Establishing | EntryState::RetryWait => {
                     entry.queue.push_back(msg);
                 }
                 EntryState::Releasing | EntryState::Failed => {
-                    self.send_wormhole_fallback(msg);
+                    self.send_wormhole_fallback(log, msg);
                 }
             }
             return;
         }
         // Miss: establish a circuit, evicting if the register file is full.
-        self.log.note(
+        log.note(
             now,
             TraceEvent::CacheMiss {
                 node: msg.src.0,
@@ -258,11 +275,11 @@ impl CircuitPlane {
         );
         if self.caches[src].is_full() {
             match self.caches[src].pick_victim(self.cfg.replacement, self.cfg.seed) {
-                Some(victim) => self.evict(now, msg.src, victim),
+                Some(victim) => self.evict(now, log, msg.src, victim),
                 None => {
                     // Every cached circuit is busy: this message cannot
                     // get a circuit; use wormhole switching.
-                    self.send_wormhole_fallback(msg);
+                    self.send_wormhole_fallback(log, msg);
                     return;
                 }
             }
@@ -274,7 +291,13 @@ impl CircuitPlane {
             .push_back(msg);
     }
 
-    fn carp_send(&mut self, now: Cycle, msg: Message, q: &mut EventQueue<TransferEvent>) {
+    fn carp_send(
+        &mut self,
+        now: Cycle,
+        msg: Message,
+        q: &mut EventQueue<TransferEvent>,
+        log: &mut Log,
+    ) {
         let src = msg.src.0 as usize;
         if let Some(entry) = self.caches[src].get_mut(msg.dest) {
             match entry.state {
@@ -282,7 +305,7 @@ impl CircuitPlane {
                     let circuit = entry.circuit.0;
                     replacement::on_use(entry, self.cfg.replacement, now);
                     entry.queue.push_back(msg);
-                    self.log.note(
+                    log.note(
                         now,
                         TraceEvent::CacheHit {
                             node: msg.src.0,
@@ -290,7 +313,7 @@ impl CircuitPlane {
                             circuit,
                         },
                     );
-                    self.pump_circuit(now, q, msg.src, msg.dest);
+                    self.pump_circuit(now, q, log, msg.src, msg.dest);
                     return;
                 }
                 EntryState::Establishing => {
@@ -309,7 +332,7 @@ impl CircuitPlane {
     /// CARP: explicitly requests a circuit to `dest` from `src` ("when a
     /// physical circuit is requested, a switch S_i is selected and a probe
     /// is sent to establish it").
-    pub fn carp_establish(&mut self, now: Cycle, src: NodeId, dest: NodeId) {
+    pub(crate) fn carp_establish(&mut self, now: Cycle, log: &mut Log, src: NodeId, dest: NodeId) {
         assert_eq!(
             self.cfg.protocol,
             ProtocolKind::Carp,
@@ -322,11 +345,11 @@ impl CircuitPlane {
         }
         if self.caches[s].is_full() {
             match self.caches[s].pick_victim(self.cfg.replacement, self.cfg.seed) {
-                Some(victim) => self.evict(now, src, victim),
+                Some(victim) => self.evict(now, log, src, victim),
                 None => return, // nothing evictable: establishment impossible
             }
         }
-        self.log.note(
+        log.note(
             now,
             TraceEvent::CacheMiss {
                 node: src.0,
@@ -340,7 +363,7 @@ impl CircuitPlane {
     /// CARP: explicitly tears down the circuit from `src` to `dest` once
     /// queued traffic drains ("when the circuit is no longer required, it
     /// is explicitly torn down").
-    pub fn carp_teardown(&mut self, src: NodeId, dest: NodeId) {
+    pub(crate) fn carp_teardown(&mut self, log: &mut Log, src: NodeId, dest: NodeId) {
         assert_eq!(
             self.cfg.protocol,
             ProtocolKind::Carp,
@@ -357,7 +380,7 @@ impl CircuitPlane {
             EntryState::Releasing => {}
             EntryState::Ready | EntryState::Establishing | EntryState::RetryWait => {
                 if entry.evictable() {
-                    self.release_entry_now(src, dest);
+                    self.release_entry_now(log, src, dest);
                 } else {
                     entry.release_pending = true;
                 }
@@ -419,8 +442,9 @@ impl CircuitPlane {
 
     /// [`PlaneEvent::ProbeExhausted`]: the protocol decides whether to try
     /// the next switch, flip to the Force phase, or fall back to wormhole.
-    pub fn on_probe_exhausted(
+    pub(crate) fn on_probe_exhausted(
         &mut self,
+        log: &mut Log,
         circuit: CircuitId,
         src: NodeId,
         dest: NodeId,
@@ -470,12 +494,12 @@ impl CircuitPlane {
                     force,
                 });
             }
-            None => self.fail_establishment(src, dest, circuit),
+            None => self.fail_establishment(log, src, dest, circuit),
         }
         self.recount(src);
     }
 
-    fn fail_establishment(&mut self, src: NodeId, dest: NodeId, circuit: CircuitId) {
+    fn fail_establishment(&mut self, log: &mut Log, src: NodeId, dest: NodeId, circuit: CircuitId) {
         self.outbox.push(PlaneEvent::AbandonCircuit { circuit });
         let s = src.0 as usize;
         let entry = self.caches[s]
@@ -494,16 +518,17 @@ impl CircuitPlane {
                 self.caches[s].remove(dest);
             }
         }
-        self.retire_queue(queued);
+        self.retire_queue(log, queued);
     }
 
     /// [`PlaneEvent::CircuitEstablished`]: the ack reached the source; the
     /// Fig. 5 registers update and queued traffic starts flowing.
     #[expect(clippy::too_many_arguments, reason = "mirrors the event's fields")]
-    pub fn on_established(
+    pub(crate) fn on_established(
         &mut self,
         now: Cycle,
         q: &mut EventQueue<TransferEvent>,
+        log: &mut Log,
         circuit: CircuitId,
         src: NodeId,
         dest: NodeId,
@@ -521,9 +546,9 @@ impl CircuitPlane {
         entry.path_hops = hops;
         if entry.release_pending && entry.queue.is_empty() && !entry.in_use {
             // A CARP teardown (or forced release) raced the ack.
-            self.release_entry_now(src, dest);
+            self.release_entry_now(log, src, dest);
         } else {
-            self.pump_circuit(now, q, src, dest);
+            self.pump_circuit(now, q, log, src, dest);
         }
         self.recount(src);
     }
@@ -533,10 +558,10 @@ impl CircuitPlane {
     /// request that travelled to the source): honour it as soon as the
     /// in-flight message (if any) completes; queued messages fall back to
     /// wormhole.
-    pub fn on_victim_release(&mut self, circuit: CircuitId, src: NodeId) {
+    pub(crate) fn on_victim_release(&mut self, log: &mut Log, circuit: CircuitId, src: NodeId) {
         let s = src.0 as usize;
         let Some(entry) = self.caches[s].find_by_circuit_mut(circuit) else {
-            self.log.stats.release_requests_discarded += 1;
+            log.stats.release_requests_discarded += 1;
             return;
         };
         let dest = entry.dest;
@@ -544,10 +569,10 @@ impl CircuitPlane {
         if entry.in_use {
             entry.release_pending = true;
         }
-        self.retire_queue(queued);
+        self.retire_queue(log, queued);
         let entry = self.caches[s].get_mut(dest).expect("entry still present");
         if !entry.in_use {
-            self.release_entry_now(src, dest);
+            self.release_entry_now(log, src, dest);
         }
         self.recount(src);
     }
@@ -562,10 +587,11 @@ impl CircuitPlane {
     /// schedules a re-establishment after an exponential backoff; beyond
     /// the budget (or under CARP, which never retries automatically) the
     /// entry degrades to wormhole delivery, so no message is ever lost.
-    pub fn on_circuit_broken(
+    pub(crate) fn on_circuit_broken(
         &mut self,
         now: Cycle,
         q: &mut EventQueue<TransferEvent>,
+        log: &mut Log,
         circuit: CircuitId,
         src: NodeId,
         dest: NodeId,
@@ -604,7 +630,7 @@ impl CircuitPlane {
             } else {
                 self.caches[s].remove(dest);
             }
-            self.retire_queue(queued);
+            self.retire_queue(log, queued);
         }
         self.recount(src);
     }
@@ -618,6 +644,7 @@ impl CircuitPlane {
         &mut self,
         now: Cycle,
         q: &mut EventQueue<TransferEvent>,
+        log: &mut Log,
         circuit: CircuitId,
         src: NodeId,
         dest: NodeId,
@@ -644,7 +671,7 @@ impl CircuitPlane {
         entry.switch = entry.initial_switch;
         entry.force_phase = force;
         let (switch, attempt) = (entry.initial_switch, entry.fault_retries_used);
-        self.log.note(
+        log.note(
             now,
             TraceEvent::EstablishRetry {
                 circuit: cid.0,
@@ -671,6 +698,7 @@ impl CircuitPlane {
         &mut self,
         now: Cycle,
         q: &mut EventQueue<TransferEvent>,
+        log: &mut Log,
         src: NodeId,
         dest: NodeId,
     ) {
@@ -692,12 +720,12 @@ impl CircuitPlane {
             if msg.len_flits > alloc {
                 entry.alloc_flits = Some(msg.len_flits);
                 penalty = u64::from(self.cfg.realloc_penalty);
-                self.log.stats.buffer_reallocs += 1;
+                log.stats.buffer_reallocs += 1;
             }
         }
         let circuit = entry.circuit;
         let plan = plan_transfer(msg.len_flits, entry.path_hops, &self.cfg);
-        self.log.note(
+        log.note(
             now,
             TraceEvent::TransferStart {
                 circuit: circuit.0,
@@ -729,6 +757,7 @@ impl CircuitPlane {
         &mut self,
         now: Cycle,
         q: &mut EventQueue<TransferEvent>,
+        log: &mut Log,
         circuit: CircuitId,
         src: NodeId,
         dest: NodeId,
@@ -742,9 +771,9 @@ impl CircuitPlane {
         debug_assert!(entry.in_use, "ack for a transfer that never started");
         entry.in_use = false;
         if entry.release_pending && entry.queue.is_empty() {
-            self.release_entry_now(src, dest);
+            self.release_entry_now(log, src, dest);
         } else {
-            self.pump_circuit(now, q, src, dest);
+            self.pump_circuit(now, q, log, src, dest);
         }
     }
 
@@ -757,13 +786,13 @@ impl CircuitPlane {
     ///
     /// # Panics
     /// Panics if the entry is in use (callers must wait for the ack).
-    fn release_entry_now(&mut self, src: NodeId, dest: NodeId) {
+    fn release_entry_now(&mut self, log: &mut Log, src: NodeId, dest: NodeId) {
         let s = src.0 as usize;
         let entry = self.caches[s]
             .remove(dest)
             .expect("release of missing entry");
         assert!(!entry.in_use, "cannot release an in-use circuit");
-        self.retire_queue(entry.queue);
+        self.retire_queue(log, entry.queue);
         self.outbox.push(PlaneEvent::ReleaseCircuit {
             circuit: entry.circuit,
         });
@@ -773,7 +802,7 @@ impl CircuitPlane {
     /// in the network references it any more, so its id slot returns to
     /// the allocator. Idempotent — a raced unwind and teardown may both
     /// report the same circuit, and only the first recycles the slot.
-    pub fn on_circuit_freed(&mut self, circuit: CircuitId) {
+    pub(crate) fn on_circuit_freed(&mut self, circuit: CircuitId) {
         self.circuit_ids.recycle(circuit);
     }
 }
@@ -790,8 +819,14 @@ mod tests {
         let topo = Topology::mesh(&[4, 4]);
         let mut plane = CircuitPlane::new(topo, WaveConfig::default());
         let mut q = EventQueue::new();
-        plane.send(0, Message::new(1, NodeId(0), NodeId(15), 16, 0), &mut q);
-        assert_eq!(plane.log.stats.cache_misses, 1);
+        let mut log = Log::default();
+        plane.send(
+            0,
+            Message::new(1, NodeId(0), NodeId(15), 16, 0),
+            &mut q,
+            &mut log,
+        );
+        assert_eq!(log.stats.cache_misses, 1);
         let entry = plane.cache(NodeId(0)).get(NodeId(15)).expect("entry");
         assert_eq!(entry.state, EntryState::Establishing);
         assert_eq!(entry.queue.len(), 1);
@@ -811,10 +846,25 @@ mod tests {
         let topo = Topology::mesh(&[4, 4]);
         let mut plane = CircuitPlane::new(topo, WaveConfig::default());
         let mut q = EventQueue::new();
-        plane.send(0, Message::new(1, NodeId(0), NodeId(15), 16, 0), &mut q);
+        let mut log = Log::default();
+        plane.send(
+            0,
+            Message::new(1, NodeId(0), NodeId(15), 16, 0),
+            &mut q,
+            &mut log,
+        );
         let circuit = plane.cache(NodeId(0)).get(NodeId(15)).unwrap().circuit;
         let lane = LaneId::new(wavesim_topology::LinkId(0), 1);
-        plane.on_established(10, &mut q, circuit, NodeId(0), NodeId(15), 6, lane);
+        plane.on_established(
+            10,
+            &mut q,
+            &mut log,
+            circuit,
+            NodeId(0),
+            NodeId(15),
+            6,
+            lane,
+        );
         let entry = plane.cache(NodeId(0)).get(NodeId(15)).unwrap();
         assert_eq!(entry.state, EntryState::Ready);
         assert!(entry.in_use, "queued message starts streaming immediately");

@@ -33,7 +33,7 @@ use crate::events::{EventBus, PlaneEvent};
 use crate::ids::{CircuitId, LaneId, ProbeId};
 use crate::lanes::{LaneState, LaneTable};
 use crate::probe::{ProbeBufs, ProbeState};
-use crate::stats::PlaneLog;
+use crate::stats::Log;
 
 /// Control-flit events walking the control channels.
 #[derive(Debug, Clone)]
@@ -83,7 +83,6 @@ pub(crate) struct Routers {
     /// Probes a lane release or fault woke, waiting to be rescheduled
     /// (scratch: empty between events).
     woken: Vec<ProbeId>,
-    pub(crate) log: PlaneLog,
     outbox: Vec<PlaneEvent>,
     /// The planted bug: `drop-release` and `wait-establishing` branch at
     /// the Force claim.
@@ -125,7 +124,6 @@ impl ControlPlane {
                 circuits: SlotMap::new(),
                 spare_paths: Vec::new(),
                 woken: Vec::new(),
-                log: PlaneLog::default(),
                 outbox: Vec::new(),
                 mutation: Mutation::None,
                 topo,
@@ -227,13 +225,19 @@ impl ControlPlane {
     ///
     /// In both victim cases a [`PlaneEvent::CircuitBroken`] tells the
     /// circuitplane to invalidate the cache entry and (CLRP) retry.
-    pub fn on_lane_fault(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, lane: LaneId) {
+    pub(crate) fn on_lane_fault(
+        &mut self,
+        now: Cycle,
+        q: &mut EventQueue<CtrlEvent>,
+        log: &mut Log,
+        lane: LaneId,
+    ) {
         let r = &mut self.routers;
         if r.lanes.state(lane) == LaneState::Faulty {
             return; // already faulty: idempotent
         }
         let victim = r.lanes.force_faulty(lane, &mut r.woken);
-        r.log.note(
+        log.note(
             now,
             TraceEvent::LaneFault {
                 link: lane.link.0,
@@ -294,10 +298,9 @@ impl ControlPlane {
 
     /// Repair event: returns a faulty lane to service. Repairing
     /// a lane that is not faulty is a tolerant no-op.
-    pub fn on_lane_repair(&mut self, now: Cycle, lane: LaneId) {
-        let r = &mut self.routers;
-        if r.lanes.repair(lane) {
-            r.log.note(
+    pub(crate) fn on_lane_repair(&mut self, now: Cycle, log: &mut Log, lane: LaneId) {
+        if self.routers.lanes.repair(lane) {
+            log.note(
                 now,
                 TraceEvent::LaneRepair {
                     link: lane.link.0,
@@ -308,7 +311,7 @@ impl ControlPlane {
     }
 
     /// Moves staged outbound events into `bus`.
-    pub fn drain_outbox_into(&mut self, bus: &mut EventBus) {
+    pub(crate) fn drain_outbox_into(&mut self, bus: &mut EventBus) {
         bus.absorb(&mut self.routers.outbox);
     }
 
@@ -319,7 +322,7 @@ impl ControlPlane {
     /// [`PlaneEvent::LaunchProbe`]: registers the circuit (on its first
     /// switch attempt) and sends a probe out of the source.
     #[expect(clippy::too_many_arguments, reason = "mirrors the event's fields")]
-    pub fn on_launch_probe(
+    pub(crate) fn on_launch_probe(
         &mut self,
         now: Cycle,
         q: &mut EventQueue<CtrlEvent>,
@@ -350,7 +353,7 @@ impl ControlPlane {
 
     /// [`PlaneEvent::ReleaseCircuit`]: the cache entry is gone; tear the
     /// path down (or let the live probe unwind itself).
-    pub fn on_release_circuit(
+    pub(crate) fn on_release_circuit(
         &mut self,
         now: Cycle,
         q: &mut EventQueue<CtrlEvent>,
@@ -376,7 +379,7 @@ impl ControlPlane {
 
     /// [`PlaneEvent::AbandonCircuit`]: establishment failed on every
     /// switch; no lanes are held, so the registry entry just disappears.
-    pub fn on_abandon_circuit(&mut self, circuit: CircuitId) {
+    pub(crate) fn on_abandon_circuit(&mut self, circuit: CircuitId) {
         self.routers.forget_circuit(circuit);
     }
 
@@ -386,12 +389,18 @@ impl ControlPlane {
 
     /// One step of probe `pid`, worked on where it lies in the slab: the
     /// probe leaves the slab only when it retires.
-    fn process_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, pid: ProbeId) {
+    fn process_probe(
+        &mut self,
+        now: Cycle,
+        q: &mut EventQueue<CtrlEvent>,
+        log: &mut Log,
+        pid: ProbeId,
+    ) {
         let Some(p) = self.probes.get_mut(pid) else {
             return; // probe already terminated (stale wake-up)
         };
         p.parked_on = None;
-        let end = match self.routers.step(now, q, p) {
+        let end = match self.routers.step(now, q, log, p) {
             Step::Stays => return,
             Step::Backtracked => return self.wake(now, q),
             Step::Retires(end) => end,
@@ -399,7 +408,7 @@ impl ControlPlane {
         let mut p = self.probes.remove(&pid).expect("a stepped probe is live");
         match end {
             End::Cancelled => self.unwind_probe(now, q, &p),
-            End::Reached => self.routers.complete_probe(now, q, &mut p),
+            End::Reached => self.routers.complete_probe(now, q, log, &mut p),
             End::Exhausted => self.routers.exhaust_probe(&p),
         }
         // Its step count enters the Theorem 3/4 maximum, and its buffers
@@ -474,13 +483,22 @@ impl ControlPlane {
     }
 
     /// Handles one due control-flit event. The plane is purely
-    /// event-driven: all its work happens here, on the calendar `q`.
-    pub fn handle(&mut self, now: Cycle, event: CtrlEvent, q: &mut EventQueue<CtrlEvent>) {
+    /// event-driven: all its work happens here, on the calendar `q`,
+    /// and its facts go into `log`.
+    pub(crate) fn handle(
+        &mut self,
+        now: Cycle,
+        event: CtrlEvent,
+        q: &mut EventQueue<CtrlEvent>,
+        log: &mut Log,
+    ) {
         match event {
-            CtrlEvent::ProbeAt(pid) | CtrlEvent::RetryProbe(pid) => self.process_probe(now, q, pid),
+            CtrlEvent::ProbeAt(pid) | CtrlEvent::RetryProbe(pid) => {
+                self.process_probe(now, q, log, pid);
+            }
             CtrlEvent::AckHopAt(cid, hop) => self.routers.on_ack_hop(now, q, cid, hop),
             CtrlEvent::TeardownAt(cid, hop) => self.on_teardown(now, q, cid, hop),
-            CtrlEvent::ReleaseReqAt(cid) => self.routers.on_release_request(cid),
+            CtrlEvent::ReleaseReqAt(cid) => self.routers.on_release_request(log, cid),
         }
         #[cfg(test)]
         self.assert_step_oracle();
@@ -502,7 +520,13 @@ impl Routers {
 
     /// The search step of a probe at `p.at`: advance, park, backtrack, or
     /// report why the probe retires.
-    fn step(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, p: &mut ProbeState) -> Step {
+    fn step(
+        &mut self,
+        now: Cycle,
+        q: &mut EventQueue<CtrlEvent>,
+        log: &mut Log,
+        p: &mut ProbeState,
+    ) -> Step {
         // If the owning circuit was cancelled while the probe was walking
         // (defensive path — a teardown raced the search), unwind: release
         // every reserved lane and die quietly.
@@ -558,11 +582,11 @@ impl Routers {
             let lane = LaneId::new(self.topo.link_id(node, port), p.switch);
             match self.lanes.state(lane) {
                 LaneState::Free => {
-                    self.advance_probe(now, q, p, port, lane, false);
+                    self.advance_probe(now, q, log, p, port, lane, false);
                     return Step::Stays;
                 }
                 LaneState::Faulty => {
-                    self.log.stats.probe_fault_encounters += 1;
+                    log.stats.probe_fault_encounters += 1;
                 }
                 LaneState::Reserved(_) => {}
             }
@@ -576,11 +600,11 @@ impl Routers {
             let lane = LaneId::new(self.topo.link_id(node, port), p.switch);
             match self.lanes.state(lane) {
                 LaneState::Free => {
-                    self.advance_probe(now, q, p, port, lane, true);
+                    self.advance_probe(now, q, log, p, port, lane, true);
                     return Step::Stays;
                 }
                 LaneState::Faulty => {
-                    self.log.stats.probe_fault_encounters += 1;
+                    log.stats.probe_fault_encounters += 1;
                 }
                 LaneState::Reserved(_) => {}
             }
@@ -611,7 +635,7 @@ impl Routers {
                 // Park the probe on the lane; it resumes when freed.
                 self.lanes.park(lane, p.id);
                 p.parked_on = Some(lane);
-                self.log.note(
+                log.note(
                     now,
                     TraceEvent::ProbePark {
                         circuit: p.circuit.0,
@@ -628,14 +652,14 @@ impl Routers {
                 if vsrc == node {
                     // Victim starts here: ask the local Circuit Cache to
                     // release it.
-                    self.log.stats.forced_local_releases += 1;
+                    log.stats.forced_local_releases += 1;
                     self.outbox.push(PlaneEvent::VictimRelease {
                         circuit: victim,
                         src: vsrc,
                     });
                 } else {
                     // Victim crosses here: ask its source to release it.
-                    self.log.stats.forced_remote_releases += 1;
+                    log.stats.forced_remote_releases += 1;
                     let hops_back = self.hops_from_source(victim, node);
                     let delay = hops_back * u64::from(self.cfg.ctrl_hop_delay);
                     q.schedule(now + delay.max(1), CtrlEvent::ReleaseReqAt(victim));
@@ -647,7 +671,7 @@ impl Routers {
         }
 
         // 4) Backtrack.
-        self.backtrack_probe(now, q, p)
+        self.backtrack_probe(now, q, log, p)
     }
 
     /// Path position of `node` on `circuit` (hops from the source),
@@ -664,10 +688,12 @@ impl Routers {
         1
     }
 
+    #[expect(clippy::too_many_arguments, reason = "one probe move, in full")]
     fn advance_probe(
         &mut self,
         now: Cycle,
         q: &mut EventQueue<CtrlEvent>,
+        log: &mut Log,
         p: &mut ProbeState,
         port: PortDir,
         lane: LaneId,
@@ -683,7 +709,7 @@ impl Routers {
         p.enter(next);
         p.at = next;
         p.hops += 1;
-        self.log.note(
+        log.note(
             now,
             TraceEvent::ProbeHop {
                 circuit: p.circuit.0,
@@ -706,6 +732,7 @@ impl Routers {
         &mut self,
         now: Cycle,
         q: &mut EventQueue<CtrlEvent>,
+        log: &mut Log,
         p: &mut ProbeState,
     ) -> Step {
         if p.at == p.src {
@@ -719,7 +746,7 @@ impl Routers {
         p.at = prev;
         p.hops += 1;
         p.backtracks += 1;
-        self.log.note(
+        log.note(
             now,
             TraceEvent::ProbeBacktrack {
                 circuit: p.circuit.0,
@@ -751,10 +778,16 @@ impl Routers {
         });
     }
 
-    fn complete_probe(&mut self, now: Cycle, q: &mut EventQueue<CtrlEvent>, p: &mut ProbeState) {
+    fn complete_probe(
+        &mut self,
+        now: Cycle,
+        q: &mut EventQueue<CtrlEvent>,
+        log: &mut Log,
+        p: &mut ProbeState,
+    ) {
         debug_assert_eq!(p.at, p.dest);
         debug_assert!(!p.path.is_empty(), "src != dest implies a real path");
-        self.log.note(
+        log.note(
             now,
             TraceEvent::ProbeReached {
                 circuit: p.circuit.0,
@@ -820,7 +853,7 @@ impl Routers {
         });
     }
 
-    fn on_release_request(&mut self, circuit: CircuitId) {
+    fn on_release_request(&mut self, log: &mut Log, circuit: CircuitId) {
         match self.circuits.get(circuit) {
             Some(c) if c.status == CircuitStatus::Ready => {
                 self.outbox.push(PlaneEvent::VictimRelease {
@@ -831,7 +864,7 @@ impl Routers {
             // Circuit released (or releasing) while the request was in
             // flight: "the control flit is discarded at some intermediate
             // node" (§4).
-            _ => self.log.stats.release_requests_discarded += 1,
+            _ => log.stats.release_requests_discarded += 1,
         }
     }
 }
@@ -1012,22 +1045,24 @@ mod tests {
         let topo = Topology::mesh(&[4, 4]);
         let mut plane = ControlPlane::new(topo.clone(), WaveConfig::default());
         let mut queue = EventQueue::new();
-        let run = |plane: &mut ControlPlane, queue: &mut EventQueue<CtrlEvent>| {
+        let mut log = Log::default();
+        let run = |plane: &mut ControlPlane, queue: &mut EventQueue<CtrlEvent>, log: &mut Log| {
             while let Some(now) = queue.next_time() {
                 while let Some(ev) = queue.pop_due(now) {
-                    plane.handle(now, ev.event, queue);
+                    plane.handle(now, ev.event, queue, log);
                 }
             }
         };
         // A first hop failed at cycle 0 makes probe 1 search, so it
         // retires with searched and (cleared) on-path bits behind it.
         let blocked = topo.link_id(NodeId(0), PortDir::from_index(0));
-        plane.on_lane_fault(0, &mut queue, LaneId::new(blocked, 1));
+        plane.on_lane_fault(0, &mut queue, &mut log, LaneId::new(blocked, 1));
         plane.on_launch_probe(0, &mut queue, CircuitId(0), NodeId(0), NodeId(3), 1, false);
         assert!(plane.spare_bufs.is_empty(), "nothing retired yet");
-        run(&mut plane, &mut queue);
-        assert_eq!(plane.routers.log.stats.probes_reached, 1);
-        assert!(plane.routers.log.stats.probe_misroutes > 0);
+        run(&mut plane, &mut queue, &mut log);
+        assert_eq!(log.stats.lane_faults, 1);
+        assert_eq!(log.stats.probes_reached, 1);
+        assert!(log.stats.probe_misroutes > 0);
         assert_eq!(plane.spare_bufs.len(), 1, "probe 1 left its buffers");
 
         plane.on_launch_probe(
@@ -1056,12 +1091,13 @@ mod tests {
         let topo = Topology::mesh(&[4, 4]);
         let mut plane = ControlPlane::new(topo, WaveConfig::default());
         let mut queue = EventQueue::new();
+        let mut log = Log::default();
         let cid = CircuitId(0);
         // Launch through the public inbound-event entry point.
         plane.on_launch_probe(0, &mut queue, cid, NodeId(0), NodeId(15), 1, false);
         while let Some(now) = queue.next_time().filter(|&t| t < 10_000) {
             while let Some(ev) = queue.pop_due(now) {
-                plane.handle(now, ev.event, &mut queue);
+                plane.handle(now, ev.event, &mut queue, &mut log);
             }
         }
         let mut bus = EventBus::new();
@@ -1076,6 +1112,7 @@ mod tests {
         }
         assert!(established);
         assert!(!plane.busy());
-        assert_eq!(plane.routers.log.stats.probes_reached, 1);
+        assert_eq!(log.stats.probes_reached, 1);
+        assert_eq!(log.stats.probe_hops, 6);
     }
 }

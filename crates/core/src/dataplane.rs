@@ -3,7 +3,7 @@
 //! The wormhole pipeline itself lives in `wavesim-network`; this module
 //! wraps it in the plane discipline of [`crate::events`] — inputs arrive
 //! as [`PlaneEvent::InjectWormhole`] (routed by the composition root to
-//! [`DataPlane::inject`]) and completed deliveries leave through the
+//! `DataPlane::inject`) and completed deliveries leave through the
 //! plane's outbox as [`PlaneEvent::WormholeDelivered`].
 
 use wavesim_network::message::DeliveryMode;
@@ -13,7 +13,7 @@ use wavesim_topology::Topology;
 use wavesim_trace::TraceEvent;
 
 use crate::events::PlaneEvent;
-use crate::stats::PlaneLog;
+use crate::stats::Log;
 
 /// The wormhole plane of the wave router.
 #[derive(Clone)]
@@ -24,9 +24,6 @@ pub struct DataPlane {
     /// [`WormholeFabric::drain_deliveries_into`] so the per-cycle
     /// collection path stays allocation-free.
     scratch: Vec<wavesim_network::Delivery>,
-    /// Delivery counts and their staged trace records, absorbed by the
-    /// composition root like the other planes'.
-    pub(crate) log: PlaneLog,
 }
 
 impl DataPlane {
@@ -37,24 +34,23 @@ impl DataPlane {
             fabric: WormholeFabric::new(topo, cfg),
             outbox: Vec::new(),
             scratch: Vec::new(),
-            log: PlaneLog::default(),
         }
     }
 
     /// Injects a message into the wormhole fabric.
-    pub fn inject(&mut self, msg: Message) {
+    pub(crate) fn inject(&mut self, msg: Message) {
         self.fabric.inject(msg);
     }
 
-    /// Advances the fabric one cycle, notes each completed delivery and
-    /// stages it on the outbox.
-    pub fn step(&mut self, now: Cycle) {
+    /// Advances the fabric one cycle, notes each completed delivery in
+    /// `log` and stages it on the outbox.
+    pub(crate) fn step(&mut self, now: Cycle, log: &mut Log) {
         self.fabric.tick(now);
         let mut buf = std::mem::take(&mut self.scratch);
         self.fabric.drain_deliveries_into(&mut buf);
         for &d in &buf {
             debug_assert_eq!(d.mode, DeliveryMode::Wormhole);
-            self.log.note(
+            log.note(
                 now,
                 TraceEvent::WormholeDeliver {
                     msg: d.msg.id.0,
@@ -69,7 +65,7 @@ impl DataPlane {
     }
 
     /// Moves staged outbound events into `bus`.
-    pub fn drain_outbox_into(&mut self, bus: &mut crate::events::EventBus) {
+    pub(crate) fn drain_outbox_into(&mut self, bus: &mut crate::events::EventBus) {
         bus.absorb(&mut self.outbox);
     }
 
@@ -96,9 +92,10 @@ mod tests {
     fn runs_standalone_on_a_plain_tick_loop() {
         let mut plane = DataPlane::new(Topology::mesh(&[4, 4]), WormholeConfig::default());
         plane.inject(Message::new(1, NodeId(0), NodeId(15), 16, 0));
+        let mut log = Log::default();
         let mut now = 0;
         while plane.busy() && now < 10_000 {
-            plane.step(now);
+            plane.step(now, &mut log);
             now += 1;
         }
         assert!(!plane.busy());
@@ -106,6 +103,6 @@ mod tests {
         let mut bus = crate::events::EventBus::new();
         plane.drain_outbox_into(&mut bus);
         assert!(matches!(bus.pop(), Some(PlaneEvent::WormholeDelivered(_))));
-        assert_eq!(plane.log.stats.msgs_wormhole, 1);
+        assert_eq!(log.stats.msgs_wormhole, 1);
     }
 }

@@ -16,7 +16,10 @@
 //! cycle it was emitted (see [`crate::events`] for why that loop
 //! terminates). Time-delayed work sits on two per-plane
 //! [`EventQueue`]s owned by this root, so the control and circuit planes
-//! can also run standalone on a calendar of their own.
+//! can also run standalone on a calendar of their own. The run's one
+//! record — every counter and the trace hub — is a `Log` the root owns
+//! and lends a plane, like its calendar, for each call that notes a
+//! fact: a record is stamped the moment its fact is noted.
 //!
 //! ### CLRP (§3.1), as implemented
 //!
@@ -79,7 +82,7 @@ use crate::events::{EventBus, PlaneEvent};
 use crate::ids::{CircuitId, LaneId, ProbeId};
 use crate::lanes::LaneTable;
 use crate::probe::ProbeState;
-use crate::stats::WaveStats;
+use crate::stats::{Log, WaveStats};
 
 mod key;
 
@@ -153,19 +156,18 @@ pub struct WaveNetwork {
     fault_queue: EventQueue<FaultEvent>,
     bus: EventBus,
     deliveries: Vec<Delivery>,
-    /// The facts this root sees itself: submissions, and every bus event
-    /// with a trace projection.
-    stats: WaveStats,
+    /// Every counter and the trace hub: the root notes submissions and
+    /// every bus event with a trace projection, and lends it to a plane
+    /// for each call that records a fact.
+    log: Log,
     outstanding_msgs: u64,
     kernel: CycleKernelStats,
-    trace: TraceHub,
 }
 
 /// The trace projection of an inter-plane event, if it has one.
 /// `ReleaseCircuit` is internal bookkeeping (the observable outcome is the
 /// later `CircuitReleased`) and is not traced. `WormholeDelivered` is
-/// traced at its source instead: the dataplane stages the delivery event
-/// into its own buffer, absorbed by [`WaveNetwork::route`].
+/// noted at its source instead, by the dataplane's step.
 fn trace_event_of(ev: &PlaneEvent) -> Option<TraceEvent> {
     Some(match ev {
         PlaneEvent::WormholeDelivered(_) => return None,
@@ -251,10 +253,9 @@ impl WaveNetwork {
             fault_queue: EventQueue::new(),
             bus: EventBus::new(),
             deliveries: Vec::new(),
-            stats: WaveStats::default(),
+            log: Log::default(),
             outstanding_msgs: 0,
             kernel: CycleKernelStats::default(),
-            trace: TraceHub::new(),
             topo,
             cfg,
         }
@@ -264,60 +265,43 @@ impl WaveNetwork {
     // Tracing
     // ------------------------------------------------------------------
 
-    /// Installs a trace sink and arms every emit point: inter-plane events
-    /// and the planes' intra-plane staging buffers all flow into `sink`
-    /// from now on, stamped with a single global sequence order.
+    /// Installs a trace sink: every fact the network notes from now on —
+    /// a plane's or the root's own — reaches `sink` the moment it is
+    /// noted, stamped with one global sequence order.
     pub fn install_trace_sink(&mut self, sink: Box<StreamSink>) {
-        self.trace.install(sink);
-        self.sync_planes();
+        self.log.trace.install(sink);
     }
 
     /// Returns the installed sink, if any.
     pub fn take_trace_sink(&mut self) -> Option<Box<StreamSink>> {
-        let sink = self.trace.take();
-        self.sync_planes();
-        sink
+        self.log.trace.take()
     }
 
     /// Keeps the last `n` (> 0) records from now on, beside any sink: the
     /// watchdog's post-mortem reads them through [`Self::trace_tail`].
     pub fn keep_trace_tail(&mut self, n: usize) {
-        self.trace.keep_tail(n);
-        self.sync_planes();
+        self.log.trace.keep_tail(n);
     }
 
     /// The kept tail, current up to the last emit.
     #[must_use]
     pub fn trace_tail(&self) -> Option<&FlightRecorder> {
-        self.trace.tail()
+        self.log.trace.tail()
     }
 
     /// Stops keeping the tail and returns it.
     pub fn release_trace_tail(&mut self) -> Option<FlightRecorder> {
-        let tail = self.trace.take_tail();
-        self.sync_planes();
-        tail
-    }
-
-    /// Arms the planes' staging buffers while a sink or a tail takes
-    /// records; otherwise disarms them, discarding what they staged.
-    fn sync_planes(&mut self) {
-        let on = self.trace.armed();
-        self.data.log.trace.set_armed(on);
-        self.ctrl.routers.log.trace.set_armed(on);
-        self.circ.log.trace.set_armed(on);
+        self.log.trace.take_tail()
     }
 
     /// A deep copy of the network without the trace sink or tail: every
     /// plane, calendar, pending delivery and counter is cloned, so the
     /// copy and the original tick on independently and, given the same
-    /// inputs, identically. The copy's planes stage nothing (their trace
-    /// buffers are disarmed and empty) and it has no sink or tail until
-    /// one is installed; the original, its sink and its tail are
-    /// untouched.
+    /// inputs, identically. The copy has no sink or tail until one is
+    /// installed; the original, its sink and its tail are untouched.
     #[must_use]
     pub fn fork(&self) -> Self {
-        let mut copy = Self {
+        Self {
             topo: self.topo.clone(),
             cfg: self.cfg,
             data: self.data.clone(),
@@ -328,19 +312,19 @@ impl WaveNetwork {
             fault_queue: self.fault_queue.clone(),
             bus: self.bus.clone(),
             deliveries: self.deliveries.clone(),
-            stats: self.stats,
+            log: Log {
+                stats: self.log.stats,
+                trace: TraceHub::new(),
+            },
             outstanding_msgs: self.outstanding_msgs,
             kernel: self.kernel,
-            trace: TraceHub::new(),
-        };
-        copy.sync_planes();
-        copy
+        }
     }
 
     /// True while a trace sink is installed or a tail is kept.
     #[must_use]
     pub fn tracing(&self) -> bool {
-        self.trace.armed()
+        self.log.trace.armed()
     }
 
     /// Emits an out-of-band annotation into the trace stream (no-op when
@@ -350,9 +334,7 @@ impl WaveNetwork {
     /// post-mortem shows exactly where the observer fired relative to
     /// protocol activity.
     pub fn trace_note(&mut self, now: Cycle, ev: TraceEvent) {
-        if self.trace.armed() {
-            self.trace.emit(now, ev);
-        }
+        self.log.trace.emit(now, ev);
     }
 
     /// A cheap cross-plane health snapshot for live observers (watchdogs,
@@ -386,15 +368,10 @@ impl WaveNetwork {
         &self.cfg
     }
 
-    /// Protocol statistics: the field-wise sum of this root's counters
-    /// and the three planes' contributions.
+    /// Protocol statistics.
     #[must_use]
     pub fn stats(&self) -> WaveStats {
-        let mut s = self.stats;
-        s.absorb(&self.data.log.stats);
-        s.absorb(&self.ctrl.routers.log.stats);
-        s.absorb(&self.circ.log.stats);
-        s
+        self.log.stats
     }
 
     /// The underlying wormhole fabric (read access for instrumentation).
@@ -573,7 +550,6 @@ impl WaveNetwork {
     /// pointers only move on grants, so skipping dead fabric cycles is
     /// state-identical to ticking through them.
     pub fn tick(&mut self, now: Cycle) {
-        let traced = self.trace.armed();
         // Fault events apply first: a lane failing at cycle T is faulty
         // before any probe, ack, or transfer of cycle T runs, regardless
         // of how the caller drives the loop — the deterministic order the
@@ -582,15 +558,13 @@ impl WaveNetwork {
             self.fault_step(now, ev.event);
         }
         if self.data.busy() {
-            if traced {
-                self.trace.emit(
-                    now,
-                    TraceEvent::PlaneTick {
-                        plane: TracePlane::Data,
-                    },
-                );
-            }
-            self.data.step(now);
+            self.log.trace.emit(
+                now,
+                TraceEvent::PlaneTick {
+                    plane: TracePlane::Data,
+                },
+            );
+            self.data.step(now, &mut self.log);
             self.data.drain_outbox_into(&mut self.bus);
         }
         self.route(now);
@@ -607,23 +581,21 @@ impl WaveNetwork {
                 break;
             }
         }
-        if traced {
-            if ctrl_ran {
-                self.trace.emit(
-                    now,
-                    TraceEvent::PlaneTick {
-                        plane: TracePlane::Control,
-                    },
-                );
-            }
-            if xfer_ran {
-                self.trace.emit(
-                    now,
-                    TraceEvent::PlaneTick {
-                        plane: TracePlane::Circuit,
-                    },
-                );
-            }
+        if ctrl_ran {
+            self.log.trace.emit(
+                now,
+                TraceEvent::PlaneTick {
+                    plane: TracePlane::Control,
+                },
+            );
+        }
+        if xfer_ran {
+            self.log.trace.emit(
+                now,
+                TraceEvent::PlaneTick {
+                    plane: TracePlane::Circuit,
+                },
+            );
         }
     }
 
@@ -633,8 +605,11 @@ impl WaveNetwork {
     #[inline]
     fn fault_step(&mut self, now: Cycle, ev: FaultEvent) {
         match ev {
-            FaultEvent::Fail(lane) => self.ctrl.on_lane_fault(now, &mut self.ctrl_queue, lane),
-            FaultEvent::Repair(lane) => self.ctrl.on_lane_repair(now, lane),
+            FaultEvent::Fail(lane) => {
+                self.ctrl
+                    .on_lane_fault(now, &mut self.ctrl_queue, &mut self.log, lane);
+            }
+            FaultEvent::Repair(lane) => self.ctrl.on_lane_repair(now, &mut self.log, lane),
         }
         self.ctrl.drain_outbox_into(&mut self.bus);
         self.route(now);
@@ -642,14 +617,16 @@ impl WaveNetwork {
 
     #[inline]
     fn ctrl_step(&mut self, now: Cycle, ev: CtrlEvent) {
-        self.ctrl.handle(now, ev, &mut self.ctrl_queue);
+        self.ctrl
+            .handle(now, ev, &mut self.ctrl_queue, &mut self.log);
         self.ctrl.drain_outbox_into(&mut self.bus);
         self.route(now);
     }
 
     #[inline]
     fn xfer_step(&mut self, now: Cycle, ev: TransferEvent) {
-        self.circ.handle(now, ev, &mut self.xfer_queue);
+        self.circ
+            .handle(now, ev, &mut self.xfer_queue, &mut self.log);
         self.circ.drain_outbox_into(&mut self.bus);
         self.route(now);
     }
@@ -700,7 +677,7 @@ impl WaveNetwork {
     /// deadlock-free, and the checker certifies the configured one.
     pub fn run_fabric(&mut self, mut now: Cycle) -> Cycle {
         while self.data.busy() {
-            self.data.step(now);
+            self.data.step(now, &mut self.log);
             self.data.drain_outbox_into(&mut self.bus);
             self.route(now);
             now += 1;
@@ -719,23 +696,10 @@ impl WaveNetwork {
     /// Terminates because every handler either finishes in bounded
     /// immediate work or schedules delayed work at `now + 1` or later.
     fn route(&mut self, now: Cycle) {
-        let traced = self.trace.armed();
-        if traced {
-            // Intra-plane emits staged since the last route (outbox drains
-            // happen right before route calls, so staging order ≈ bus order).
-            // Dataplane first: its events (deliveries of the tick that
-            // just stepped) precede anything the control or circuit
-            // planes staged in response.
-            self.trace.absorb(&mut self.data.log.trace);
-            self.trace.absorb(&mut self.ctrl.routers.log.trace);
-            self.trace.absorb(&mut self.circ.log.trace);
-        }
         while let Some(ev) = self.bus.pop() {
             self.kernel.events_routed += 1;
-            // A bus fact is counted where it is traced: here, armed or not.
             if let Some(t) = trace_event_of(&ev) {
-                self.stats.count(&t);
-                self.trace.emit(now, t);
+                self.log.note(now, t);
             }
             match ev {
                 PlaneEvent::WormholeDelivered(d) | PlaneEvent::CircuitDelivered(d) => {
@@ -766,7 +730,7 @@ impl WaveNetwork {
                     force,
                 } => self
                     .circ
-                    .on_probe_exhausted(circuit, src, dest, switch, force),
+                    .on_probe_exhausted(&mut self.log, circuit, src, dest, switch, force),
                 PlaneEvent::CircuitEstablished {
                     circuit,
                     src,
@@ -776,6 +740,7 @@ impl WaveNetwork {
                 } => self.circ.on_established(
                     now,
                     &mut self.xfer_queue,
+                    &mut self.log,
                     circuit,
                     src,
                     dest,
@@ -783,7 +748,7 @@ impl WaveNetwork {
                     first_lane,
                 ),
                 PlaneEvent::VictimRelease { circuit, src } => {
-                    self.circ.on_victim_release(circuit, src);
+                    self.circ.on_victim_release(&mut self.log, circuit, src);
                 }
                 PlaneEvent::ReleaseCircuit { circuit } => {
                     self.ctrl
@@ -799,16 +764,18 @@ impl WaveNetwork {
                     self.circ.on_circuit_freed(circuit);
                 }
                 PlaneEvent::CircuitBroken { circuit, src, dest } => {
-                    self.circ
-                        .on_circuit_broken(now, &mut self.xfer_queue, circuit, src, dest);
+                    self.circ.on_circuit_broken(
+                        now,
+                        &mut self.xfer_queue,
+                        &mut self.log,
+                        circuit,
+                        src,
+                        dest,
+                    );
                 }
             }
             self.ctrl.drain_outbox_into(&mut self.bus);
             self.circ.drain_outbox_into(&mut self.bus);
-            if traced {
-                self.trace.absorb(&mut self.ctrl.routers.log.trace);
-                self.trace.absorb(&mut self.circ.log.trace);
-            }
         }
     }
 
@@ -818,9 +785,10 @@ impl WaveNetwork {
 
     /// Submits a message; the configured protocol decides its transport.
     pub fn send(&mut self, now: Cycle, msg: Message) {
-        self.stats.msgs_sent += 1;
+        self.log.stats.msgs_sent += 1;
         self.outstanding_msgs += 1;
-        self.circ.send(now, msg, &mut self.xfer_queue);
+        self.circ
+            .send(now, msg, &mut self.xfer_queue, &mut self.log);
         self.circ.drain_outbox_into(&mut self.bus);
         self.route(now);
     }
@@ -833,7 +801,7 @@ impl WaveNetwork {
     /// Panics unless the configured protocol is
     /// [`crate::config::ProtocolKind::Carp`].
     pub fn carp_establish(&mut self, now: Cycle, src: NodeId, dest: NodeId) {
-        self.circ.carp_establish(now, src, dest);
+        self.circ.carp_establish(now, &mut self.log, src, dest);
         self.circ.drain_outbox_into(&mut self.bus);
         self.route(now);
     }
@@ -846,7 +814,7 @@ impl WaveNetwork {
     /// Panics unless the configured protocol is
     /// [`crate::config::ProtocolKind::Carp`].
     pub fn carp_teardown(&mut self, now: Cycle, src: NodeId, dest: NodeId) {
-        self.circ.carp_teardown(src, dest);
+        self.circ.carp_teardown(&mut self.log, src, dest);
         self.circ.drain_outbox_into(&mut self.bus);
         self.route(now);
     }
@@ -1022,10 +990,10 @@ mod tests {
         );
     }
 
-    /// With no sink installed the staging buffers stay disarmed and
-    /// nothing accumulates (the near-zero-cost default).
+    /// With no sink installed and no tail kept the network keeps no
+    /// record, and still counts every fact.
     #[test]
-    fn untraced_network_stages_nothing() {
+    fn untraced_network_counts_and_keeps_no_record() {
         let mut net = WaveNetwork::new(Topology::mesh(&[2, 2]), WaveConfig::default());
         net.send(0, Message::new(1, NodeId(0), NodeId(3), 16, 0));
         let mut now = 0;
@@ -1033,18 +1001,18 @@ mod tests {
             net.tick(now);
             now += 1;
         }
-        assert_eq!(net.ctrl.routers.log.trace.staged_len(), 0);
-        assert_eq!(net.circ.log.trace.staged_len(), 0);
-        assert_eq!(net.data.log.trace.staged_len(), 0);
+        assert!(!net.tracing());
+        assert!(net.trace_tail().is_none());
         assert!(net.take_trace_sink().is_none());
+        assert_eq!(net.stats().msgs_circuit, 1);
+        assert!(net.stats().probe_hops > 0);
     }
 
     /// Forking a traced network leaves its capture alone: the fork has no
-    /// sink and no tail and stages nothing while it runs, and the
-    /// original's WSTRACE1 bytes and tail equal those of a run that never
-    /// forked.
+    /// sink and no tail while it runs, and the original's WSTRACE1 bytes
+    /// and tail equal those of a run that never forked.
     #[test]
-    fn a_fork_of_a_traced_network_stages_nothing() {
+    fn a_fork_of_a_traced_network_leaves_its_capture_alone() {
         let capture = |fork_at: Option<Cycle>| {
             let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
             net.install_trace_sink(collecting());
@@ -1068,9 +1036,6 @@ mod tests {
                     f.tick(now);
                     assert!(!f.tracing());
                     assert!(f.trace_tail().is_none());
-                    assert_eq!(f.data.log.trace.staged_len(), 0);
-                    assert_eq!(f.ctrl.routers.log.trace.staged_len(), 0);
-                    assert_eq!(f.circ.log.trace.staged_len(), 0);
                 }
                 now += 1;
             }

@@ -7,7 +7,7 @@
 //! twin event and are bumped by hand where their fact happens.
 
 use wavesim_sim::Cycle;
-use wavesim_trace::{TraceBuf, TraceEvent};
+use wavesim_trace::{TraceEvent, TraceHub};
 
 wavesim_sim::stat_table! {
     /// Counters accumulated by [`crate::network::WaveNetwork`] over a run.
@@ -79,19 +79,21 @@ wavesim_sim::stat_table! {
     }
 }
 
-/// What a plane records about its own work: its counters, and the staged
-/// trace records of the same facts.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PlaneLog {
-    /// The plane's statistics contribution.
+/// The network's one record of a run: its counters and its trace hub.
+/// The composition root owns it and hands it to a plane, like the plane's
+/// calendar, for each call that records a fact.
+#[derive(Default)]
+pub(crate) struct Log {
+    /// Every counter of the run.
     pub(crate) stats: WaveStats,
-    /// Intra-plane trace staging; the composition root arms and absorbs it.
-    pub(crate) trace: TraceBuf,
+    /// The sink and the tail the run's records reach, if any.
+    pub(crate) trace: TraceHub,
 }
 
-impl PlaneLog {
-    /// Records one fact: counts it always, and stages its trace record
-    /// only while tracing is armed. The only emit point in a plane.
+impl Log {
+    /// Records one fact: counts it always, and emits its trace record
+    /// when a sink or a tail takes records. The only emit point in a
+    /// plane.
     #[inline]
     pub(crate) fn note(&mut self, now: Cycle, ev: TraceEvent) {
         self.stats.count(&ev);

@@ -57,9 +57,7 @@ pub struct StatRow {
 /// a row with `= pattern` over `Event`. Such a row is bumped by the
 /// generated `count(&mut self, ev: &Event)` once for every event the
 /// pattern matches, so the counter is the event and nothing else; the
-/// generated `COUNTED` lists those rows in declaration order. Such a
-/// table also gets `absorb` (field-wise sum), which composes the planes'
-/// contributions.
+/// generated `COUNTED` lists those rows in declaration order.
 #[macro_export]
 macro_rules! stat_table {
     (
@@ -76,11 +74,6 @@ macro_rules! stat_table {
         }
 
         impl $name {
-            /// Adds every field of `other` into `self`.
-            pub fn absorb(&mut self, other: &Self) {
-                $( self.$field += other.$field; )+
-            }
-
             /// The rows [`count`](Self::count) bumps, in declaration order.
             pub const COUNTED: &'static [&'static str] =
                 &[$( $( $crate::stat_table!(@counted $field $pat), )? )+];

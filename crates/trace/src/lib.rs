@@ -19,13 +19,13 @@
 //!   [`recorder::VecSink`] that keeps everything, for tests and goldens);
 //!   with no sink installed and no tail kept, tracing costs one branch
 //!   per emit point;
-//! * [`TraceBuf`] / [`TraceHub`] — the plumbing the instrumented planes
-//!   use: each plane stages records in its own [`TraceBuf`] (one branch
-//!   when disarmed) and the composition root's [`TraceHub`] stamps a
-//!   global sequence number and hands each staged batch straight to the
-//!   installed sink and to the kept tail, a [`recorder::FlightRecorder`]
-//!   (fixed-capacity ring, allocation-free in steady state) that holds
-//!   the last N records for the watchdog's post-mortem;
+//! * [`TraceHub`] — the one emit path: a network owns one hub, every
+//!   fact its planes note reaches it the moment it is noted (one branch
+//!   when nothing takes records), and it stamps a global sequence number
+//!   and hands the record straight to the installed sink and to the kept
+//!   tail, a [`recorder::FlightRecorder`] (fixed-capacity ring,
+//!   allocation-free in steady state) that holds the last N records for
+//!   the watchdog's post-mortem;
 //! * [`stream`] / [`columnar`] — lossless capture to `WSTRACE1` frames on
 //!   a writer thread, and the one decoder of `WSTRACE1` and of the JSONL
 //!   view `convert-trace` writes, [`stream::StreamingReader`] over any
@@ -73,78 +73,13 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
-/// Events a [`TraceBuf`] pre-allocates for when armed (a plane's worst
-/// single-dispatch burst stays well under this on the benched fabrics).
-const STAGED_CAPACITY: usize = 4096;
-
-/// Per-plane staging buffer for intra-plane emit points.
+/// The per-network trace hub: owns the installed sink and the kept tail
+/// and stamps global sequence numbers.
 ///
-/// Planes cannot reach the network-level [`TraceHub`] directly (they are
-/// independent engines), so they stage records here and the composition
-/// root absorbs them into the hub after every dispatch. A disarmed buffer
-/// ignores emits — the instrumented planes pay exactly one predictable
-/// branch per potential record, which is what keeps a run with no sink
-/// installed inside the < 3 % budget.
-///
-/// Events are staged as full [`TraceRecord`]s with a placeholder sequence
-/// number, so [`TraceHub::absorb`] stamps sequences in place and moves
-/// the batch with one bulk copy instead of re-building each record.
-#[derive(Debug, Clone, Default)]
-pub struct TraceBuf {
-    armed: bool,
-    staged: Vec<TraceRecord>,
-}
-
-impl TraceBuf {
-    /// A disarmed, empty buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when emits are being recorded.
-    #[inline]
-    #[must_use]
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Starts recording emits, pre-sizing the staging vector so the first
-    /// traced cycles never grow it mid-dispatch; or stops, discarding
-    /// anything staged.
-    pub fn set_armed(&mut self, on: bool) {
-        self.armed = on;
-        if !on {
-            self.staged.clear();
-        } else if self.staged.capacity() < STAGED_CAPACITY {
-            self.staged.reserve(STAGED_CAPACITY - self.staged.len());
-        }
-    }
-
-    /// Stages one event (no-op while disarmed). The staging vector keeps
-    /// its capacity across absorptions, so steady state allocates nothing.
-    #[inline]
-    pub fn emit(&mut self, at: Cycle, ev: TraceEvent) {
-        if self.armed {
-            self.staged.push(TraceRecord { at, seq: 0, ev });
-        }
-    }
-
-    /// Number of staged events (test observation).
-    #[must_use]
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-}
-
-/// The per-network trace hub: owns the installed sink and the kept tail,
-/// stamps global sequence numbers, and absorbs the planes' staging
-/// buffers.
-///
-/// Every stamped record goes straight to the sink and to the tail, so a
-/// record is copied once on the simulation thread (from a plane's staging
-/// buffer, or from the stack for a root emit) and the tail is current
-/// whenever it is read.
+/// Every stamped record goes straight from the stack to the sink and to
+/// the tail, so a record is copied once on the simulation thread, in the
+/// order its fact was noted, and the tail is current whenever it is
+/// read.
 #[derive(Default)]
 pub struct TraceHub {
     sink: Option<Box<StreamSink>>,
@@ -232,32 +167,6 @@ impl TraceHub {
             }
         }
     }
-
-    /// Drains a plane's staging buffer into the sink and the tail,
-    /// stamping sequence numbers in staging order: one in-place pass over
-    /// the staged batch, then one hand-off of it.
-    #[inline]
-    pub fn absorb(&mut self, buf: &mut TraceBuf) {
-        if buf.staged.is_empty() {
-            return;
-        }
-        if self.armed {
-            let base = self.seq;
-            for (i, rec) in buf.staged.iter_mut().enumerate() {
-                rec.seq = base + i as u64;
-            }
-            self.seq = base + buf.staged.len() as u64;
-            if let Some(sink) = &mut self.sink {
-                sink.record_many(&buf.staged);
-            }
-            if let Some(tail) = &mut self.tail {
-                for rec in &buf.staged {
-                    tail.record(*rec);
-                }
-            }
-        }
-        buf.staged.clear();
-    }
 }
 
 #[cfg(test)]
@@ -282,18 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_buf_ignores_emits() {
-        let mut buf = TraceBuf::new();
-        buf.emit(3, TraceEvent::CacheMiss { node: 0, dest: 1 });
-        assert_eq!(buf.staged_len(), 0);
-        buf.set_armed(true);
-        buf.emit(4, TraceEvent::CacheMiss { node: 0, dest: 1 });
-        assert_eq!(buf.staged_len(), 1);
-        buf.set_armed(false);
-        assert_eq!(buf.staged_len(), 0);
-    }
-
-    #[test]
     fn hub_stamps_sequence_in_order() {
         let mut hub = TraceHub::new();
         assert!(!hub.armed());
@@ -304,10 +201,8 @@ mod tests {
                 plane: PlaneId::Data,
             },
         );
-        let mut buf = TraceBuf::new();
-        buf.set_armed(true);
-        buf.emit(10, TraceEvent::CacheMiss { node: 2, dest: 7 });
-        buf.emit(
+        hub.emit(10, TraceEvent::CacheMiss { node: 2, dest: 7 });
+        hub.emit(
             11,
             TraceEvent::CacheHit {
                 node: 2,
@@ -315,8 +210,6 @@ mod tests {
                 circuit: 1,
             },
         );
-        hub.absorb(&mut buf);
-        assert_eq!(buf.staged_len(), 0);
         let recs = collected(&mut hub);
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].seq, 0);
@@ -342,14 +235,11 @@ mod tests {
         let mut hub = TraceHub::new();
         hub.install(collecting());
         hub.keep_tail(3);
-        let mut buf = TraceBuf::new();
-        buf.set_armed(true);
         for at in 0..4 {
             tick(&mut hub, at);
-            buf.emit(at, TraceEvent::CacheMiss { node: 0, dest: 1 });
-            hub.absorb(&mut buf);
+            hub.emit(at, TraceEvent::CacheMiss { node: 0, dest: 1 });
             let tail = hub.tail().expect("kept");
-            assert_eq!(tail.total(), 2 * (at + 1), "current after every absorb");
+            assert_eq!(tail.total(), 2 * (at + 1), "current after every emit");
         }
         let tail = hub.take_tail().expect("kept");
         assert!(hub.tail().is_none() && hub.armed(), "the sink stays");
@@ -380,15 +270,5 @@ mod tests {
         hub.keep_tail(8);
         tick(&mut hub, 3);
         assert_eq!(seqs(hub.tail().expect("kept")), [0]);
-    }
-
-    #[test]
-    fn absorb_without_sink_discards() {
-        let mut hub = TraceHub::new();
-        let mut buf = TraceBuf::new();
-        buf.set_armed(true);
-        buf.emit(0, TraceEvent::CircuitReleased { circuit: 5 });
-        hub.absorb(&mut buf);
-        assert_eq!(buf.staged_len(), 0);
     }
 }

@@ -310,28 +310,13 @@ impl StreamSink {
         }
     }
 
-    /// Accepts one record (a root emit).
+    /// Accepts one record.
     #[inline]
     pub fn record(&mut self, rec: TraceRecord) {
         self.total += 1;
         self.chunk.push(rec);
         if self.chunk.len() >= self.chunk_cap {
             self.flush_chunk();
-        }
-    }
-
-    /// Accepts a batch of records in order (a plane's stamped batch): one
-    /// slice copy into the chunk, or two around a hand-off.
-    pub fn record_many(&mut self, mut recs: &[TraceRecord]) {
-        self.total += recs.len() as u64;
-        while !recs.is_empty() {
-            let room = self.chunk_cap - self.chunk.len();
-            let (now, later) = recs.split_at(room.min(recs.len()));
-            self.chunk.extend_from_slice(now);
-            if self.chunk.len() >= self.chunk_cap {
-                self.flush_chunk();
-            }
-            recs = later;
         }
     }
 
@@ -662,7 +647,9 @@ mod tests {
     fn columnar_sink_round_trips_every_kind() {
         let recs = sample_records();
         let mut sink = file_sink(5);
-        sink.record_many(&recs);
+        for rec in &recs {
+            sink.record(*rec);
+        }
         assert_eq!(sink.total(), recs.len() as u64);
         let bytes = bytes_of(sink);
         let sniffed = StreamingReader::new(&bytes[..]).expect("open").format();
@@ -670,36 +657,6 @@ mod tests {
         let back = read_columnar(&bytes).expect("decode");
         assert_eq!(back, recs);
         assert_eq!(read_trace(&bytes[..]).expect("auto-detect"), recs);
-    }
-
-    /// Batches of every size around a chunk's (1, cap - 1, cap, cap + 1
-    /// and 2 cap + 1 records) stream the same frames as one record at a
-    /// time, whichever way the chunk is part-filled when they arrive.
-    #[test]
-    fn record_many_matches_per_record_streaming() {
-        const CAP: usize = 4;
-        let recs = sample_records();
-        let mut one = file_sink(CAP);
-        for rec in &recs {
-            one.record(*rec);
-        }
-        let expect = bytes_of(one);
-        for batch in [1, CAP - 1, CAP, CAP + 1, 2 * CAP + 1] {
-            for lead in 0..CAP {
-                let mut many = file_sink(CAP);
-                for rec in &recs[..lead] {
-                    many.record(*rec);
-                }
-                for part in recs[lead..].chunks(batch) {
-                    many.record_many(part);
-                }
-                assert_eq!(many.total(), recs.len() as u64);
-                assert_eq!(bytes_of(many), expect, "batch {batch}, lead {lead}");
-            }
-        }
-        let mut whole = file_sink(CAP);
-        whole.record_many(&recs);
-        assert_eq!(bytes_of(whole), expect);
     }
 
     #[test]
@@ -725,7 +682,9 @@ mod tests {
             let mut file = ColumnarFile::new(Vec::new()).with_sampling(4);
             file.frame = 4;
             let mut sink = StreamSink::listening(vec![Box::new(file)], 3);
-            sink.record_many(&recs);
+            for rec in &recs {
+                sink.record(*rec);
+            }
             bytes_of(sink)
         };
         let bytes = sampled();
@@ -899,7 +858,9 @@ mod tests {
         assert_eq!(drain(reader), recs);
 
         let mut bin = file_sink(4);
-        bin.record_many(&recs);
+        for rec in &recs {
+            bin.record(*rec);
+        }
         let bin_bytes = bytes_of(bin);
         let reader = StreamingReader::new(&bin_bytes[..]).expect("open");
         assert_eq!(reader.format(), TraceFormat::Columnar);
@@ -912,7 +873,9 @@ mod tests {
         // 7-byte dribble guarantees every frame straddles refills.
         let recs = sample_records();
         let mut bin = file_sink(3);
-        bin.record_many(&recs);
+        for rec in &recs {
+            bin.record(*rec);
+        }
         let bytes = bytes_of(bin);
         for cap in [1, 7, 64] {
             let src = Dribble {
@@ -950,7 +913,9 @@ mod tests {
     fn streaming_reader_reports_corrupt_columnar() {
         let recs = sample_records();
         let mut bin = file_sink(4);
-        bin.record_many(&recs);
+        for rec in &recs {
+            bin.record(*rec);
+        }
         let mut bytes = bytes_of(bin);
         bytes.truncate(bytes.len() - 3); // chop mid-frame
         let mut reader = StreamingReader::new(&bytes[..]).expect("open");
