@@ -698,6 +698,100 @@ mod tests {
         }
     }
 
+    /// Trees that reach every branch of the layout: empty and non-empty
+    /// containers nested in each other, escapes in keys and strings, and
+    /// the numbers whose text is special.
+    fn layout_trees() -> Vec<Value> {
+        let big = 2f64.powi(53);
+        vec![
+            Value::Null,
+            Value::Arr(vec![]),
+            Value::Obj(vec![]),
+            Value::Arr(vec![Value::Arr(vec![]), Value::Obj(vec![])]),
+            Value::obj([
+                ("empty_arr", Value::Arr(vec![])),
+                ("empty_obj", Value::Obj(vec![])),
+                (
+                    "nested",
+                    Value::Arr(vec![
+                        Value::obj([("a", Value::Arr(vec![1u64.into(), Value::Arr(vec![])]))]),
+                        Value::Arr(vec![Value::Arr(vec![Value::Obj(vec![])])]),
+                    ]),
+                ),
+                ("k\"ey\n", "q\"b\\s\r\t\u{1}\u{1f}é".into()),
+                ("neg_zero", (-0.0).into()),
+                ("big_plus_one", (big + 1.0).into()),
+                ("big_plus_two", (big + 2.0).into()),
+                ("neg_big_plus_two", (-big - 2.0).into()),
+                ("nan", f64::NAN.into()),
+                ("inf", f64::INFINITY.into()),
+                ("neg_inf", f64::NEG_INFINITY.into()),
+                ("frac", 0.1.into()),
+                (
+                    "flags",
+                    Value::Arr(vec![true.into(), false.into(), Value::Null]),
+                ),
+            ]),
+        ]
+    }
+
+    /// The bytes of [`layout_trees`], compact and pretty: separators,
+    /// indentation, empty `[]` / `{}`, escapes and number text are pinned.
+    #[test]
+    fn layout_bytes_are_pinned() {
+        let pinned: [(&str, &str); 5] = [
+            ("null", "null"),
+            ("[]", "[]"),
+            ("{}", "{}"),
+            ("[[],{}]", "[\n  [],\n  {}\n]"),
+            (
+                r#"{"empty_arr":[],"empty_obj":{},"nested":[{"a":[1,[]]},[[{}]]],"k\"ey\n":"q\"b\\s\r\t\u0001\u001fé","neg_zero":0,"big_plus_one":9007199254740992,"big_plus_two":9007199254740994,"neg_big_plus_two":-9007199254740994,"nan":null,"inf":null,"neg_inf":null,"frac":0.1,"flags":[true,false,null]}"#,
+                r#"{
+  "empty_arr": [],
+  "empty_obj": {},
+  "nested": [
+    {
+      "a": [
+        1,
+        []
+      ]
+    },
+    [
+      [
+        {}
+      ]
+    ]
+  ],
+  "k\"ey\n": "q\"b\\s\r\t\u0001\u001fé",
+  "neg_zero": 0,
+  "big_plus_one": 9007199254740992,
+  "big_plus_two": 9007199254740994,
+  "neg_big_plus_two": -9007199254740994,
+  "nan": null,
+  "inf": null,
+  "neg_inf": null,
+  "frac": 0.1,
+  "flags": [
+    true,
+    false,
+    null
+  ]
+}"#,
+            ),
+        ];
+        let trees = layout_trees();
+        assert_eq!(trees.len(), pinned.len());
+        for (tree, (compact, pretty)) in trees.iter().zip(pinned) {
+            assert_eq!(tree.compact(), compact);
+            assert_eq!(tree.pretty(), pretty);
+            // What is printed parses back to the tree, but for the numbers
+            // JSON cannot carry.
+            if tree.get("nan").is_none() {
+                assert_eq!(&Value::parse(compact).unwrap(), tree);
+            }
+        }
+    }
+
     #[test]
     fn garbage_rejected() {
         assert!(Value::parse("not json").is_err());

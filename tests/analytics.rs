@@ -8,7 +8,7 @@ mod common;
 use common::{collected, collecting, golden_check, hash_str};
 use wavesim::core::{WaveConfig, WaveNetwork};
 use wavesim::topology::Topology;
-use wavesim::trace::stream;
+use wavesim::trace::stream::{self, ColumnarFile, Listener};
 use wavesim::trace::{TraceEvent, TraceRecord};
 use wavesim::workloads::{FaultSchedule, LengthDist, TrafficConfig, TrafficPattern, TrafficSource};
 use wavesim_analyze::{analyze, report, AnalyzeOptions};
@@ -147,6 +147,44 @@ fn golden_report_and_json_for_a_dynamic_fault_run() {
         &records,
         0x65ae_c310_2b1a_e126,
         0xbd5d_990d_82f1_6d98,
+    );
+}
+
+/// A capture sampled 1-in-8 analyzes with `sample_factor` 8: the one
+/// conditional key of the JSON summary, and the A1 row that names it.
+#[test]
+fn golden_report_and_json_for_a_sampled_capture() {
+    let (records, _, _) = traced_run(4, 11, 100, 1500);
+    let mut file = ColumnarFile::new(Vec::new()).with_sampling(8);
+    file.listen(&records)
+        .and_then(|()| file.close())
+        .expect("an in-memory file");
+    let kept = wavesim::trace::read_columnar(&file.into_inner()).expect("the file decodes");
+    assert!(kept.len() < records.len(), "sampling thins the bulk kinds");
+    let a = analyze(&kept, AnalyzeOptions::default());
+    assert_eq!(a.sample_factor, 8);
+    pin_report(
+        "analyze_sampled_1_in_8",
+        &kept,
+        0x14bf_6275_4c2a_f0bc,
+        0xdec2_90e0_9495_3204,
+    );
+}
+
+/// An analysis of no records: every list of the JSON document (`flows`,
+/// `lanes`, `faults`, `timeseries`) is empty and prints as `[]`.
+#[test]
+fn golden_report_and_json_for_zero_records() {
+    let a = analyze(&[], AnalyzeOptions::default());
+    let doc = report::to_json(&a).pretty();
+    for key in ["flows", "lanes", "faults", "timeseries"] {
+        assert!(doc.contains(&format!("\"{key}\": []")), "{key}:\n{doc}");
+    }
+    pin_report(
+        "analyze_zero_records",
+        &[],
+        0x0637_e2c2_3dcc_2ded,
+        0x153c_735f_b88c_43ff,
     );
 }
 

@@ -13,8 +13,8 @@ use wavesim::topology::{NodeId, RoutingKind, Topology};
 use wavesim::trace::{TraceEvent, TraceRecord};
 use wavesim::workloads::trace_io;
 use wavesim::workloads::{
-    CarpTrace, FaultSchedule, LengthDist, ServiceConfig, ServiceWorkload, TrafficConfig,
-    TrafficPattern, TrafficSource,
+    collectives, CarpTrace, FaultSchedule, LengthDist, ServiceConfig, ServiceWorkload,
+    TrafficConfig, TrafficPattern, TrafficSource,
 };
 use wavesim_bench::experiments::{all_ids, run, run_all, Ctx};
 use wavesim_bench::{
@@ -808,6 +808,33 @@ fn golden_trace_service_run_is_reproducible() {
     assert_eq!(two, go(2), "service runs must be bit-for-bit reproducible");
     assert_ne!(one, two, "the seed must reach the server draws");
     golden_check("service_run", hash_str(&one), 0x58d2_545d_45af_b26d);
+}
+
+/// The saved bytes of a 4x4 torus all-to-all are pinned in both formats:
+/// the pretty JSON document and the JSONL lines.
+#[test]
+fn golden_saved_all_to_all_bytes() {
+    let trace = collectives::all_to_all(&Topology::torus(&[4, 4]), 32);
+    let mut doc = Vec::new();
+    trace_io::save_dep_trace(&trace, &mut doc).expect("in memory");
+    let mut jsonl = Vec::new();
+    trace_io::save_dep_trace_jsonl(&trace, &mut jsonl).expect("in memory");
+    golden_check(
+        "all_to_all_4x4_json",
+        hash_bytes(&doc),
+        0xd59f_f910_35a9_3afc,
+    );
+    golden_check(
+        "all_to_all_4x4_jsonl",
+        hash_bytes(&jsonl),
+        0x6941_865d_3eeb_7b82,
+    );
+}
+
+fn hash_bytes(bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
+    fnv1a_bytes(&mut h, bytes);
+    h
 }
 
 /// A cyclic dependency trace can never finish replaying, so it must be
