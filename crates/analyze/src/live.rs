@@ -663,7 +663,11 @@ pub(crate) mod tests {
                 assert_eq!(a.summary.records, recs.len() as u64);
                 // Both renderings add and divide what the fold summed.
                 let _ = crate::report::render(&a);
-                let _ = crate::report::to_json(&a).pretty();
+                let doc = crate::report::to_json(&a).pretty();
+                assert!(
+                    wavesim_json::Value::parse(&doc).is_ok(),
+                    "stream {n}: {doc}"
+                );
             }
         }
     }

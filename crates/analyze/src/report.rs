@@ -3,9 +3,13 @@
 //! Formatting is deliberately boring and fully deterministic — fixed
 //! float precision, total sort orders upstream — so a 2×2 golden report
 //! can be byte-compared across `--jobs` settings in the test suite.
+//!
+//! The JSON document is written, not built: [`to_json`] is a view of the
+//! analysis whose [`Document::pretty`] walks it straight through one
+//! [`Writer`], so a flow or a lane costs no heap block of its own.
 
 use wavesim_json::table::{f2, f3, pct, Table};
-use wavesim_json::Value;
+use wavesim_json::Writer;
 use wavesim_sim::stats::Histogram;
 
 use crate::spans::SpanMode;
@@ -178,139 +182,150 @@ pub fn render(a: &Analysis) -> String {
         .join("\n")
 }
 
-/// Builds the machine-readable JSON document (`wavesim analyze --json`).
+/// The machine-readable JSON document (`wavesim analyze --json`) of `a`:
+/// a view that writes it on demand.
 #[must_use]
-pub fn to_json(a: &Analysis) -> Value {
-    let s = &a.summary;
-    let mut summary_rows = vec![
-        ("records", s.records.into()),
-        ("first_at", s.first_at.into()),
-        ("last_at", s.last_at.into()),
-        ("nodes", a.nodes.into()),
-        ("delivered", s.delivered.into()),
-        ("circuit_msgs", s.circuit_msgs.into()),
-        ("wormhole_msgs", s.wormhole_msgs.into()),
-        ("fallback_msgs", s.fallback_msgs.into()),
-        ("in_flight", s.in_flight.into()),
-        ("flits", s.flits.into()),
-        ("mean_latency", s.mean_latency.into()),
-        ("p50", s.p50.into()),
-        ("p95", s.p95.into()),
-        ("p99", s.p99.into()),
-        ("mean_setup", s.mean_setup.into()),
-        ("mean_queue", s.mean_queue.into()),
-        ("mean_transit", s.mean_transit.into()),
-    ];
-    if a.sample_factor != 1 {
-        summary_rows.insert(1, ("sample_factor", a.sample_factor.into()));
+pub fn to_json(a: &Analysis) -> Document<'_> {
+    Document(a)
+}
+
+/// The JSON document of an [`Analysis`]: `summary`, `flows`, `lanes`,
+/// `faults` and `timeseries`, in that order.
+#[derive(Debug, Clone, Copy)]
+pub struct Document<'a>(&'a Analysis);
+
+impl Document<'_> {
+    /// The document with two-space indentation.
+    #[must_use]
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut Writer::pretty(&mut out));
+        out
     }
-    let summary = Value::obj(summary_rows);
-    let flows = Value::Arr(
-        a.flows
-            .iter()
-            .map(|f| {
-                Value::obj([
-                    ("src", f.src.into()),
-                    ("dest", f.dest.into()),
-                    ("delivered", f.delivered.into()),
-                    ("circuit_msgs", f.circuit_msgs.into()),
-                    ("fallback_msgs", f.fallback_msgs.into()),
-                    ("wormhole_msgs", f.wormhole_msgs.into()),
-                    ("flits", f.flits.into()),
-                    ("mean_latency", f.mean_latency().into()),
-                    (
-                        "mean_setup",
-                        (if f.delivered == 0 {
-                            0.0
-                        } else {
-                            f.setup_sum as f64 / f.delivered as f64
-                        })
-                        .into(),
-                    ),
-                    (
-                        "mean_queue",
-                        (if f.delivered == 0 {
-                            0.0
-                        } else {
-                            f.queue_sum as f64 / f.delivered as f64
-                        })
-                        .into(),
-                    ),
-                    (
-                        "mean_transit",
-                        (if f.delivered == 0 {
-                            0.0
-                        } else {
-                            f.transit_sum as f64 / f.delivered as f64
-                        })
-                        .into(),
-                    ),
-                    ("cache_hits", f.cache_hits.into()),
-                    ("cache_misses", f.cache_misses.into()),
-                    ("hit_rate", f.hit_rate().into()),
-                    ("evictions_suffered", f.evictions_suffered.into()),
-                    ("force_launches", f.force_launches.into()),
-                    ("parks", f.parks.into()),
-                    ("victim_chain", f.victim_chain.into()),
-                    ("retries", f.retries.into()),
-                    ("retry_wait", f.retry_wait.into()),
-                ])
-            })
-            .collect(),
-    );
-    let lanes = Value::Arr(
-        a.lanes
-            .iter()
-            .map(|l| {
-                Value::obj([
-                    ("link", l.link.into()),
-                    ("switch", u32::from(l.switch).into()),
-                    ("reservations", l.reservations.into()),
-                    ("held_cycles", l.held_cycles.into()),
-                ])
-            })
-            .collect(),
-    );
-    let phase_json = |p: &crate::PhaseStats| {
-        Value::obj([
-            ("from", p.from.into()),
-            ("to", p.to.into()),
-            ("length", p.len().into()),
-            ("delivered", p.delivered.into()),
-            ("rate", p.rate().into()),
-            ("mean_latency", p.mean_latency.into()),
-        ])
+
+    /// Writes the document as one value through `w`.
+    pub fn write(&self, w: &mut Writer<'_>) {
+        let a = self.0;
+        w.obj(|w| {
+            w.key("summary").obj(|w| write_summary(w, a));
+            w.key("flows").arr(|w| {
+                for f in &a.flows {
+                    w.item().obj(|w| write_flow(w, f));
+                }
+            });
+            w.key("lanes").arr(|w| {
+                for l in &a.lanes {
+                    w.item().obj(|w| {
+                        w.key("link").u64(l.link.into());
+                        w.key("switch").u64(l.switch.into());
+                        w.key("reservations").u64(l.reservations);
+                        w.key("held_cycles").u64(l.held_cycles);
+                    });
+                }
+            });
+            w.key("faults").arr(|w| {
+                for f in &a.faults {
+                    w.item().obj(|w| write_fault(w, f));
+                }
+            });
+            w.key("timeseries");
+            series::write_json(w, &a.series, a.nodes);
+        });
+    }
+}
+
+fn write_summary(w: &mut Writer<'_>, a: &Analysis) {
+    let s = &a.summary;
+    w.key("records").u64(s.records);
+    if a.sample_factor != 1 {
+        w.key("sample_factor").u64(a.sample_factor);
+    }
+    w.key("first_at").u64(s.first_at);
+    w.key("last_at").u64(s.last_at);
+    w.key("nodes").u64(a.nodes);
+    w.key("delivered").u64(s.delivered);
+    w.key("circuit_msgs").u64(s.circuit_msgs);
+    w.key("wormhole_msgs").u64(s.wormhole_msgs);
+    w.key("fallback_msgs").u64(s.fallback_msgs);
+    w.key("in_flight").u64(s.in_flight);
+    w.key("flits").u64(s.flits);
+    w.key("mean_latency").f64(s.mean_latency);
+    w.key("p50").f64(s.p50);
+    w.key("p95").f64(s.p95);
+    w.key("p99").f64(s.p99);
+    w.key("mean_setup").f64(s.mean_setup);
+    w.key("mean_queue").f64(s.mean_queue);
+    w.key("mean_transit").f64(s.mean_transit);
+}
+
+fn write_flow(w: &mut Writer<'_>, f: &crate::FlowStats) {
+    // A flow with no deliveries has a mean of 0, not a division by zero.
+    let per_msg = |sum: u64| {
+        if f.delivered == 0 {
+            0.0
+        } else {
+            sum as f64 / f.delivered as f64
+        }
     };
-    let faults = Value::Arr(
-        a.faults
-            .iter()
-            .map(|f| {
-                Value::obj([
-                    ("link", f.link.into()),
-                    ("switch", u32::from(f.switch).into()),
-                    ("fault_at", f.fault_at.into()),
-                    ("repair_at", f.repair_at.map_or(Value::Null, Value::from)),
-                    ("before", phase_json(&f.before)),
-                    ("during", phase_json(&f.during)),
-                    ("after", f.after.as_ref().map_or(Value::Null, &phase_json)),
-                ])
-            })
-            .collect(),
-    );
-    Value::obj([
-        ("summary", summary),
-        ("flows", flows),
-        ("lanes", lanes),
-        ("faults", faults),
-        ("timeseries", series::to_json(&a.series, a.nodes)),
-    ])
+    w.key("src").u64(f.src.into());
+    w.key("dest").u64(f.dest.into());
+    w.key("delivered").u64(f.delivered);
+    w.key("circuit_msgs").u64(f.circuit_msgs);
+    w.key("fallback_msgs").u64(f.fallback_msgs);
+    w.key("wormhole_msgs").u64(f.wormhole_msgs);
+    w.key("flits").u64(f.flits);
+    w.key("mean_latency").f64(f.mean_latency());
+    w.key("mean_setup").f64(per_msg(f.setup_sum));
+    w.key("mean_queue").f64(per_msg(f.queue_sum));
+    w.key("mean_transit").f64(per_msg(f.transit_sum));
+    w.key("cache_hits").u64(f.cache_hits);
+    w.key("cache_misses").u64(f.cache_misses);
+    w.key("hit_rate").f64(f.hit_rate());
+    w.key("evictions_suffered").u64(f.evictions_suffered);
+    w.key("force_launches").u64(f.force_launches);
+    w.key("parks").u64(f.parks);
+    w.key("victim_chain").u64(f.victim_chain.into());
+    w.key("retries").u64(f.retries);
+    w.key("retry_wait").u64(f.retry_wait);
+}
+
+fn write_fault(w: &mut Writer<'_>, f: &crate::FaultImpact) {
+    let phase = |w: &mut Writer<'_>, p: &crate::PhaseStats| {
+        w.obj(|w| {
+            w.key("from").u64(p.from);
+            w.key("to").u64(p.to);
+            w.key("length").u64(p.len());
+            w.key("delivered").u64(p.delivered);
+            w.key("rate").f64(p.rate());
+            w.key("mean_latency").f64(p.mean_latency);
+        });
+    };
+    w.key("link").u64(f.link.into());
+    w.key("switch").u64(f.switch.into());
+    w.key("fault_at").u64(f.fault_at);
+    match f.repair_at {
+        Some(r) => w.key("repair_at").u64(r),
+        None => w.key("repair_at").null(),
+    }
+    phase(w.key("before"), &f.before);
+    phase(w.key("during"), &f.during);
+    match &f.after {
+        Some(p) => phase(w.key("after"), p),
+        None => w.key("after").null(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{analyze, AnalyzeOptions};
+    use wavesim_json::Value;
     use wavesim_trace::{TraceEvent, TraceRecord};
+
+    /// The printed document, read back.
+    fn parsed(a: &Analysis) -> Value {
+        Value::parse(&to_json(a).pretty()).expect("the document parses")
+    }
 
     fn rec(at: u64, seq: u64, ev: TraceEvent) -> TraceRecord {
         TraceRecord { at, seq, ev }
@@ -401,7 +416,7 @@ mod tests {
             !r.contains("sample factor"),
             "unsampled report is unchanged"
         );
-        assert!(to_json(&unsampled)
+        assert!(parsed(&unsampled)
             .get("summary")
             .and_then(|s| s.get("sample_factor"))
             .is_none());
@@ -423,7 +438,7 @@ mod tests {
         assert!(r.contains("sample factor"), "{r}");
         assert!(r.contains("1/8 (sampled kinds rescaled)"), "{r}");
         assert_eq!(
-            to_json(&sampled)
+            parsed(&sampled)
                 .get("summary")
                 .and_then(|s| s.get("sample_factor"))
                 .and_then(Value::as_u64),
@@ -439,7 +454,7 @@ mod tests {
     #[test]
     fn json_document_carries_every_section() {
         let a = analyze(&sample(), AnalyzeOptions::default());
-        let doc = to_json(&a);
+        let doc = parsed(&a);
         assert_eq!(
             doc.get("summary")
                 .and_then(|s| s.get("delivered"))
@@ -455,8 +470,7 @@ mod tests {
             Some(1)
         );
         assert!(doc.get("timeseries").and_then(Value::as_array).is_some());
-        // Round-trips through the parser.
-        let text = doc.pretty();
-        assert!(Value::parse(&text).is_ok());
+        // Round-trips through the parser: the tree prints the same bytes.
+        assert_eq!(doc.pretty(), to_json(&a).pretty());
     }
 }

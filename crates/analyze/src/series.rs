@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 
-use wavesim_json::Value;
+use wavesim_json::{Value, Writer};
 use wavesim_sim::stats::Histogram;
 use wavesim_sim::Cycle;
 use wavesim_trace::columnar::Interner;
@@ -407,28 +407,30 @@ pub fn to_csv(rows: &[WindowRow], nodes: u64) -> String {
     out
 }
 
-/// Renders rows as a JSON array of window objects.
-#[must_use]
-pub fn to_json(rows: &[WindowRow], nodes: u64) -> Value {
-    Value::Arr(
-        rows.iter()
-            .map(|r| {
-                Value::obj([
-                    ("start", r.start.into()),
-                    ("end", r.end.into()),
-                    ("delivered", r.delivered.into()),
-                    ("flits", r.flits.into()),
-                    ("throughput", r.throughput(nodes).into()),
-                    ("p50_latency", r.p50.map_or(Value::Null, Value::from)),
-                    ("p99_latency", r.p99.map_or(Value::Null, Value::from)),
-                    ("cache_hits", r.cache_hits.into()),
-                    ("cache_misses", r.cache_misses.into()),
-                    ("cache_hit_rate", r.hit_rate().into()),
-                    ("active_routers", r.active_routers.into()),
-                ])
-            })
-            .collect(),
-    )
+/// Writes rows as a JSON array of window objects; an empty window's
+/// latency quantiles are `null`.
+pub fn write_json(w: &mut Writer<'_>, rows: &[WindowRow], nodes: u64) {
+    let quantile = |w: &mut Writer<'_>, q: Option<f64>| match q {
+        Some(v) => w.f64(v),
+        None => w.null(),
+    };
+    w.arr(|w| {
+        for r in rows {
+            w.item().obj(|w| {
+                w.key("start").u64(r.start);
+                w.key("end").u64(r.end);
+                w.key("delivered").u64(r.delivered);
+                w.key("flits").u64(r.flits);
+                w.key("throughput").f64(r.throughput(nodes));
+                quantile(w.key("p50_latency"), r.p50);
+                quantile(w.key("p99_latency"), r.p99);
+                w.key("cache_hits").u64(r.cache_hits);
+                w.key("cache_misses").u64(r.cache_misses);
+                w.key("cache_hit_rate").f64(r.hit_rate());
+                w.key("active_routers").u64(r.active_routers);
+            });
+        }
+    });
 }
 
 /// Builds Perfetto counter-track events (`ph: "C"`) from rows, one sample
@@ -494,6 +496,13 @@ mod tests {
             s.deliver(latency, flits);
         }
         s
+    }
+
+    /// The rows' printed JSON array, read back.
+    fn json_of(rows: &[WindowRow], nodes: u64) -> Value {
+        let mut out = String::new();
+        write_json(&mut Writer::pretty(&mut out), rows, nodes);
+        Value::parse(&out).expect("the array parses")
     }
 
     #[test]
@@ -725,7 +734,7 @@ mod tests {
     fn empty_window_latency_is_null_in_json_and_blank_in_csv() {
         let (rows, _) = deliveries(10, &[(5, 3, 1), (25, 7, 1), (29, 7, 1)]).finish();
         assert_eq!(rows.len(), 3);
-        let json = to_json(&rows, 1);
+        let json = json_of(&rows, 1);
         assert!(matches!(json[1]["p50_latency"], Value::Null));
         assert!(matches!(json[1]["p99_latency"], Value::Null));
         assert_eq!(json[0]["p50_latency"].as_f64(), Some(3.0));
@@ -786,7 +795,7 @@ mod tests {
         let csv = to_csv(&rows, 2);
         assert_eq!(csv.lines().count(), 1 + rows.len());
         assert!(csv.starts_with("start,end,delivered"));
-        let json = to_json(&rows, 2);
+        let json = json_of(&rows, 2);
         assert_eq!(json.as_array().unwrap().len(), rows.len());
         assert_eq!(json[0]["delivered"].as_u64(), Some(1));
         let counters = perfetto_counters(&rows, 2);

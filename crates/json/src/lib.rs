@@ -7,10 +7,15 @@
 //!
 //! * [`Value`] — an order-preserving JSON document model;
 //! * [`Value::parse`] — a recursive-descent parser with precise errors;
-//! * [`Value::pretty`] / [`Value::compact`] — deterministic writers
-//!   (object keys keep insertion order, so output is reproducible);
-//! * [`push_u64`] — the decimal integer writer they, the JSONL trace view
-//!   and the metrics page share;
+//! * [`Writer`] — the one printer: it streams a document into a `String`
+//!   as the caller walks it (`key`, `item`, `obj`, `arr` and the scalar
+//!   writers), so a large document such as `wavesim analyze --json` is
+//!   written without first being built as a tree, and allocates only as
+//!   its output grows;
+//! * [`Value::pretty`] / [`Value::compact`] — a tree printed through that
+//!   writer (object keys keep insertion order, so output is reproducible);
+//! * [`push_u64`] — the decimal integer writer the printer, the JSONL trace
+//!   view and the metrics page share;
 //! * [`table`] — the plain-text result [`table::Table`] that experiments
 //!   and the trace analyzer print, with its JSON form and cell formatters.
 //!
@@ -138,7 +143,7 @@ impl Value {
     #[must_use]
     pub fn compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        Writer::compact(&mut out).value(self);
         out
     }
 
@@ -146,36 +151,8 @@ impl Value {
     #[must_use]
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        Writer::pretty(&mut out).value(self);
         out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(x) => write_num(out, *x),
-            Value::Str(s) => write_str(out, s),
-            Value::Arr(xs) => write_seq(out, indent, depth, xs.is_empty(), ('[', ']'), |out| {
-                for (i, x) in xs.iter().enumerate() {
-                    sep(out, indent, depth + 1, i > 0);
-                    x.write(out, indent, depth + 1);
-                }
-            }),
-            Value::Obj(pairs) => {
-                write_seq(out, indent, depth, pairs.is_empty(), ('{', '}'), |out| {
-                    for (i, (k, v)) in pairs.iter().enumerate() {
-                        sep(out, indent, depth + 1, i > 0);
-                        write_str(out, k);
-                        out.push(':');
-                        if indent.is_some() {
-                            out.push(' ');
-                        }
-                        v.write(out, indent, depth + 1);
-                    }
-                });
-            }
-        }
     }
 }
 
@@ -330,41 +307,174 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Starts a line at `depth` levels of `indent` spaces (pretty mode only).
-fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
-    const PAD: &str = "                                ";
-    if let Some(n) = indent {
-        out.push('\n');
-        let mut width = n * depth;
-        while width > 0 {
-            let take = width.min(PAD.len());
-            out.push_str(&PAD[..take]);
-            width -= take;
+/// Prints a JSON document into a `String` as the caller walks it: the one
+/// printer of the crate, which [`Value::pretty`] and [`Value::compact`]
+/// go through too.
+///
+/// An object's members are each a [`key`](Writer::key) followed by one
+/// value, an array's elements each an [`item`](Writer::item) followed by
+/// one; a value is a scalar writer ([`null`](Writer::null),
+/// [`bool`](Writer::bool), [`u64`](Writer::u64), [`f64`](Writer::f64),
+/// [`str`](Writer::str)), a tree ([`value`](Writer::value)) or a nested
+/// [`obj`](Writer::obj) / [`arr`](Writer::arr). The bytes are those
+/// [`Value::pretty`] / [`Value::compact`] give for the same tree, and the
+/// writer allocates nothing of its own: only its output grows.
+///
+/// ```
+/// use wavesim_json::{Value, Writer};
+///
+/// let mut out = String::new();
+/// Writer::compact(&mut out).obj(|w| {
+///     w.key("id").str("E4");
+///     w.key("rows").arr(|w| {
+///         w.item().u64(1);
+///         w.item().arr(|_| {});
+///     });
+/// });
+/// assert_eq!(out, r#"{"id":"E4","rows":[1,[]]}"#);
+/// let tree = Value::obj([("id", "E4".into()), ("rows", Value::Arr(vec![1u64.into(), Value::Arr(vec![])]))]);
+/// assert_eq!(tree.compact(), out);
+/// ```
+pub struct Writer<'o> {
+    out: &'o mut String,
+    /// Spaces per level, or `None` for compact output.
+    indent: Option<usize>,
+    /// Containers open around the next value.
+    depth: usize,
+    /// Nothing is written yet in the innermost open container.
+    first: bool,
+}
+
+impl<'o> Writer<'o> {
+    /// A writer appending to `out` with two-space indentation, as
+    /// [`Value::pretty`] prints.
+    pub fn pretty(out: &'o mut String) -> Self {
+        Self::new(out, Some(2))
+    }
+
+    /// A writer appending to `out` with no whitespace, as
+    /// [`Value::compact`] prints.
+    pub fn compact(out: &'o mut String) -> Self {
+        Self::new(out, None)
+    }
+
+    fn new(out: &'o mut String, indent: Option<usize>) -> Self {
+        Self {
+            out,
+            indent,
+            depth: 0,
+            first: true,
         }
     }
-}
 
-fn sep(out: &mut String, indent: Option<usize>, depth: usize, comma: bool) {
-    if comma {
-        out.push(',');
+    /// Starts the member `k` of the open object; write its value next.
+    pub fn key(&mut self, k: &str) -> &mut Self {
+        self.sep();
+        write_str(self.out, k);
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
+        }
+        self
     }
-    newline(out, indent, depth);
-}
 
-fn write_seq(
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    empty: bool,
-    brackets: (char, char),
-    body: impl FnOnce(&mut String),
-) {
-    out.push(brackets.0);
-    if !empty {
-        body(out);
-        newline(out, indent, depth);
+    /// Starts the next element of the open array; write it next.
+    pub fn item(&mut self) -> &mut Self {
+        self.sep();
+        self
     }
-    out.push(brackets.1);
+
+    /// Writes an object whose members `body` writes (`{}` if none).
+    pub fn obj(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container(('{', '}'), body);
+    }
+
+    /// Writes an array whose elements `body` writes (`[]` if none).
+    pub fn arr(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container(('[', ']'), body);
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes the number `x as f64`, as the tree's `Value::from(x)` prints.
+    pub fn u64(&mut self, x: u64) {
+        write_num(self.out, x as f64);
+    }
+
+    /// Writes a number; a non-finite one is `null`.
+    pub fn f64(&mut self, x: f64) {
+        write_num(self.out, x);
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, s: &str) {
+        write_str(self.out, s);
+    }
+
+    /// Writes a whole tree.
+    pub fn value(&mut self, v: &Value) {
+        match v {
+            Value::Null => self.null(),
+            Value::Bool(b) => self.bool(*b),
+            Value::Num(x) => self.f64(*x),
+            Value::Str(s) => self.str(s),
+            Value::Arr(xs) => self.arr(|w| {
+                for x in xs {
+                    w.item().value(x);
+                }
+            }),
+            Value::Obj(pairs) => self.obj(|w| {
+                for (k, v) in pairs {
+                    w.key(k).value(v);
+                }
+            }),
+        }
+    }
+
+    fn container(&mut self, (open, close): (char, char), body: impl FnOnce(&mut Self)) {
+        self.out.push(open);
+        let outer = std::mem::replace(&mut self.first, true);
+        self.depth += 1;
+        body(self);
+        self.depth -= 1;
+        if !self.first {
+            self.newline();
+        }
+        self.first = outer;
+        self.out.push(close);
+    }
+
+    /// The comma before every member or element but the first, then its
+    /// line.
+    fn sep(&mut self) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.newline();
+    }
+
+    /// Starts a line at the current depth (pretty mode only).
+    fn newline(&mut self) {
+        const PAD: &str = "                                ";
+        if let Some(n) = self.indent {
+            self.out.push('\n');
+            let mut width = n * self.depth;
+            while width > 0 {
+                let take = width.min(PAD.len());
+                self.out.push_str(&PAD[..take]);
+                width -= take;
+            }
+        }
+    }
 }
 
 /// Deepest nesting of arrays and objects [`Value::parse`] accepts. The

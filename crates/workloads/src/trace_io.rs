@@ -13,7 +13,7 @@
 
 use std::io::{Read, Write};
 
-use wavesim_json::Value;
+use wavesim_json::{Value, Writer};
 use wavesim_network::Message;
 use wavesim_sim::Cycle;
 use wavesim_topology::NodeId;
@@ -81,27 +81,23 @@ fn timed_from_json<T>(
     Ok(out)
 }
 
-fn dep_message_to_json(m: &Message, deps: &[u64]) -> Value {
-    let mut pairs = vec![
-        ("id", m.id.0.into()),
-        ("src", u64::from(m.src.0).into()),
-        ("dest", u64::from(m.dest.0).into()),
-        ("len", m.len_flits.into()),
-        ("created", m.created_at.into()),
-    ];
-    if !deps.is_empty() {
-        pairs.push(("deps", Value::Arr(deps.iter().map(|&d| d.into()).collect())));
-    }
-    Value::obj(pairs)
-}
-
-/// Every message of `trace` as a JSON object, in file order.
-fn dep_messages_to_json(trace: &DepTrace) -> impl Iterator<Item = Value> + '_ {
-    trace
-        .messages()
-        .iter()
-        .enumerate()
-        .map(|(i, m)| dep_message_to_json(m, trace.deps(i)))
+/// Writes one message of a dependency trace as an object; a message with
+/// no dependencies has no `deps` key.
+fn write_dep_message(w: &mut Writer<'_>, m: &Message, deps: &[u64]) {
+    w.obj(|w| {
+        w.key("id").u64(m.id.0);
+        w.key("src").u64(m.src.0.into());
+        w.key("dest").u64(m.dest.0.into());
+        w.key("len").u64(m.len_flits.into());
+        w.key("created").u64(m.created_at);
+        if !deps.is_empty() {
+            w.key("deps").arr(|w| {
+                for &d in deps {
+                    w.item().u64(d);
+                }
+            });
+        }
+    });
 }
 
 /// Parses one message object and pushes it into `trace`, its dependency
@@ -138,28 +134,36 @@ fn at_message(at: &str, v: &Value, e: &str) -> String {
 /// # Errors
 /// Propagates I/O errors.
 pub fn save_dep_trace<W: Write>(trace: &DepTrace, mut writer: W) -> std::io::Result<()> {
-    let file = Value::obj(vec![
-        ("version", VERSION.into()),
-        (
-            "messages",
-            Value::Arr(dep_messages_to_json(trace).collect()),
-        ),
-    ]);
-    writer.write_all(file.pretty().as_bytes())
+    let mut out = String::new();
+    Writer::pretty(&mut out).obj(|w| {
+        w.key("version").u64(VERSION);
+        w.key("messages").arr(|w| {
+            for (i, m) in trace.messages().iter().enumerate() {
+                write_dep_message(w.item(), m, trace.deps(i));
+            }
+        });
+    });
+    writer.write_all(out.as_bytes())?;
+    writer.flush()
 }
 
 /// Serializes a dependency trace as JSONL: a `{"version": 1}` header
 /// line, then one compact message object per line — the format to use
-/// when traces are large or emitted by a streaming producer.
+/// when traces are large or emitted by a streaming producer. Each line is
+/// written through one reused buffer.
 ///
 /// # Errors
 /// Propagates I/O errors.
 pub fn save_dep_trace_jsonl<W: Write>(trace: &DepTrace, mut writer: W) -> std::io::Result<()> {
     writeln!(writer, "{{\"version\": {VERSION}}}")?;
-    for m in dep_messages_to_json(trace) {
-        writeln!(writer, "{}", m.compact())?;
+    let mut line = String::new();
+    for (i, m) in trace.messages().iter().enumerate() {
+        line.clear();
+        write_dep_message(&mut Writer::compact(&mut line), m, trace.deps(i));
+        line.push('\n');
+        writer.write_all(line.as_bytes())?;
     }
-    Ok(())
+    writer.flush()
 }
 
 /// Deserializes a dependency trace saved by [`save_dep_trace`] (one JSON

@@ -7,8 +7,12 @@
 //! what is left is the run's growth to its working sizes, amortised.
 //!
 //! A dependency trace is flat (DESIGN §15.1): building one, however many
-//! messages it holds, and starting its replay cost a fixed handful of
-//! allocations, not a heap block per message.
+//! messages it holds, starting its replay and saving it cost a fixed
+//! handful of allocations, not a heap block per message.
+//!
+//! The analysis document (`wavesim analyze --json`) is written through
+//! one JSON writer, not built as a tree: printing it costs the growth of
+//! its one output string, not a heap block per flow or lane.
 //!
 //! Measured with a counting global allocator. The count is per thread, so
 //! the two tests of this binary may run side by side.
@@ -19,9 +23,13 @@ use std::cell::Cell;
 use wavesim::core::{ProtocolKind, WaveConfig, WaveNetwork};
 use wavesim::network::Delivery;
 use wavesim::topology::Topology;
+use wavesim::trace::stream::{take_listener, StreamSink, CHUNK_RECORDS};
+use wavesim::trace::VecSink;
+use wavesim::workloads::trace_io::{save_dep_trace, save_dep_trace_jsonl};
 use wavesim::workloads::{
     collectives, CarpOp, LengthDist, TrafficConfig, TrafficPattern, TrafficSource, Workload,
 };
+use wavesim_analyze::{analyze, report, AnalyzeOptions};
 use wavesim_bench::apply_op;
 
 /// [`System`] wrapped with a per-thread count of allocation requests.
@@ -213,5 +221,81 @@ fn a_dependency_trace_builds_in_a_fixed_handful_of_allocations() {
         // The waiting counts and the ready heap.
         assert!(started <= 4, "{side}x{side} replay: {started} allocations");
         drop(replay);
+
+        // Saving writes each message straight through the JSON writer:
+        // the document into one string, the JSONL lines through one
+        // reused line buffer. What is left is the growth of those and of
+        // the output vector: measured 23 (JSON) and 25 (JSONL) at 16x16,
+        // where a tree per message took 40,152 at 8x8.
+        for format in ["JSON", "JSONL"] {
+            let mut out = Vec::new();
+            let before = requests();
+            if format == "JSON" {
+                save_dep_trace(&trace, &mut out)
+            } else {
+                save_dep_trace_jsonl(&trace, &mut out)
+            }
+            .expect("in memory");
+            let saved = requests() - before;
+            println!(
+                "{side}x{side} all-to-all saved as {format}: {saved} allocations for {} bytes",
+                out.len()
+            );
+            assert!(
+                saved <= 64,
+                "{side}x{side} all-to-all saved as {format}: {saved} allocations"
+            );
+        }
     }
+}
+
+#[test]
+fn the_analysis_document_is_written_in_a_fixed_handful_of_allocations() {
+    let topo = Topology::torus(&[8, 8]);
+    let mut net = WaveNetwork::new(
+        topo.clone(),
+        WaveConfig {
+            protocol: ProtocolKind::Clrp,
+            ..WaveConfig::default()
+        },
+    );
+    net.install_trace_sink(Box::new(StreamSink::listening(
+        vec![Box::new(VecSink::new())],
+        CHUNK_RECORDS,
+    )));
+    let mut src = TrafficSource::new(
+        topo,
+        TrafficConfig {
+            load: 0.1,
+            pattern: TrafficPattern::Uniform,
+            len: LengthDist::Fixed(32),
+            ..TrafficConfig::default()
+        },
+    );
+    run(&mut net, &mut src, &mut (Vec::new(), Vec::new()), 0, 3_000);
+    let mut sink = net.take_trace_sink().expect("a stream installed");
+    sink.finish().expect("an in-memory stream");
+    let records = take_listener::<VecSink>(&mut sink.listeners())
+        .expect("handed back")
+        .into_records();
+    let a = analyze(&records, AnalyzeOptions::default());
+    assert!(a.flows.len() >= 500, "{} flows", a.flows.len());
+
+    let before = requests();
+    let doc = report::to_json(&a).pretty();
+    let written = requests() - before;
+    println!(
+        "analysis document: {written} allocations for {} flows, {} lanes, {} bytes",
+        a.flows.len(),
+        a.lanes.len(),
+        doc.len()
+    );
+    // Measured 17 (568 flows, 512 lanes, 325 kB): the output string's
+    // doublings, about log2 of its length. A tree of the document took
+    // 14,569; a heap block per flow, lane or window breaks it at once.
+    assert!(
+        written <= 48,
+        "analysis document: {written} allocations for {} flows",
+        a.flows.len()
+    );
 }
