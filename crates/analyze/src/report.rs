@@ -198,15 +198,9 @@ impl Document<'_> {
     /// The document with two-space indentation.
     #[must_use]
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut Writer::pretty(&mut out));
-        out
-    }
-
-    /// Writes the document as one value through `w`.
-    pub fn write(&self, w: &mut Writer<'_>) {
         let a = self.0;
-        w.obj(|w| {
+        let mut out = String::new();
+        Writer::pretty(&mut out).obj(|w| {
             w.key("summary").obj(|w| write_summary(w, a));
             w.key("flows").arr(|w| {
                 for f in &a.flows {
@@ -228,9 +222,9 @@ impl Document<'_> {
                     w.item().obj(|w| write_fault(w, f));
                 }
             });
-            w.key("timeseries");
-            series::write_json(w, &a.series, a.nodes);
+            series::write_json(w.key("timeseries"), &a.series, a.nodes);
         });
+        out
     }
 }
 

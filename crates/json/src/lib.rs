@@ -332,13 +332,15 @@ fn write_str(out: &mut String, s: &str) {
 ///     });
 /// });
 /// assert_eq!(out, r#"{"id":"E4","rows":[1,[]]}"#);
-/// let tree = Value::obj([("id", "E4".into()), ("rows", Value::Arr(vec![1u64.into(), Value::Arr(vec![])]))]);
+/// let rows = Value::Arr(vec![1u64.into(), Value::Arr(vec![])]);
+/// let tree = Value::obj([("id", "E4".into()), ("rows", rows)]);
 /// assert_eq!(tree.compact(), out);
 /// ```
 pub struct Writer<'o> {
     out: &'o mut String,
-    /// Spaces per level, or `None` for compact output.
-    indent: Option<usize>,
+    /// Two spaces per level and a line per member or element; compact
+    /// output has no whitespace.
+    pretty: bool,
     /// Containers open around the next value.
     depth: usize,
     /// Nothing is written yet in the innermost open container.
@@ -349,19 +351,19 @@ impl<'o> Writer<'o> {
     /// A writer appending to `out` with two-space indentation, as
     /// [`Value::pretty`] prints.
     pub fn pretty(out: &'o mut String) -> Self {
-        Self::new(out, Some(2))
+        Self::new(out, true)
     }
 
     /// A writer appending to `out` with no whitespace, as
     /// [`Value::compact`] prints.
     pub fn compact(out: &'o mut String) -> Self {
-        Self::new(out, None)
+        Self::new(out, false)
     }
 
-    fn new(out: &'o mut String, indent: Option<usize>) -> Self {
+    fn new(out: &'o mut String, pretty: bool) -> Self {
         Self {
             out,
-            indent,
+            pretty,
             depth: 0,
             first: true,
         }
@@ -372,7 +374,7 @@ impl<'o> Writer<'o> {
         self.sep();
         write_str(self.out, k);
         self.out.push(':');
-        if self.indent.is_some() {
+        if self.pretty {
             self.out.push(' ');
         }
         self
@@ -465,9 +467,9 @@ impl<'o> Writer<'o> {
     /// Starts a line at the current depth (pretty mode only).
     fn newline(&mut self) {
         const PAD: &str = "                                ";
-        if let Some(n) = self.indent {
+        if self.pretty {
             self.out.push('\n');
-            let mut width = n * self.depth;
+            let mut width = 2 * self.depth;
             while width > 0 {
                 let take = width.min(PAD.len());
                 self.out.push_str(&PAD[..take]);

@@ -7,7 +7,8 @@
 //! than narrowed.
 //!
 //! A dependency trace is saved from its flat arrays (each message beside
-//! its span of dependency ids) and loaded straight into a
+//! its span of dependency ids), each message written straight through a
+//! [`Writer`] with no `Value` of its own, and loaded straight into a
 //! [`DepTraceBuilder`]: each parsed message is pushed with its ids, read
 //! into one reused buffer, so a load keeps no per-message list of its own.
 
